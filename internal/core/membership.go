@@ -41,13 +41,16 @@ func (f Flavor) String() string {
 type Neighbor struct {
 	ID           ids.NodeID
 	Availability float64
-	Sliver       Sliver
 	// FetchedAt records when the cached availability was obtained.
 	FetchedAt time.Duration
+	// hash is H(self, ID), fixed for the pair: Refresh re-tests the
+	// predicate against it without hashing or probing a shared cache.
+	hash float64
 	// idx1 is the neighbor's dense host index plus one when known
 	// (zero = unknown), carried so Refresh and the indexed discovery
-	// path never resolve identifiers.
-	idx1 int32
+	// path never resolve identifiers. It shares a word with Sliver.
+	idx1   int32
+	Sliver Sliver
 }
 
 // Config wires a Membership to its dependencies.
@@ -70,11 +73,10 @@ type Config struct {
 	// audited-out node falls out of both slivers for good.
 	Blocked func(ids.NodeID) bool
 
-	// PairIdx, when non-nil, enables the index-keyed fast path: pair
-	// hashes are memoized in this (deployment-shared) cache keyed by
-	// dense host index, and candidates fed through DiscoverIdx skip all
-	// identifier-keyed lookups. SelfIdx must then be this node's index
-	// in the cache's universe.
+	// PairIdx, when non-nil, enables the index-keyed fast path: it names
+	// the dense host-index universe, and candidates fed through
+	// DiscoverIdx with an index in it skip all identifier-keyed lookups.
+	// SelfIdx must then be this node's index in that universe.
 	PairIdx *ids.PairIndexCache
 	SelfIdx int32
 	// MonitorIdx optionally answers availability queries by host index
@@ -115,47 +117,52 @@ func (c Config) validate() error {
 // Storage is three incrementally-maintained slices sorted by node ID —
 // the full list plus one per sliver — so Neighbors can hand out a
 // cached read-only view without allocating or sorting per call, and
-// SliverSize is O(1). The map mirrors membership for O(1) duplicate
-// checks during discovery.
+// SliverSize is O(1). Two sets mirror the full list for O(1) duplicate
+// checks during discovery: member by identifier, idx by dense host
+// index (indexed memberships only).
 type Membership struct {
 	cfg       Config
 	self      ids.NodeID
 	selfAvail float64
 	selfKnown bool
-	// sliver records each neighbor's current classification.
-	sliver map[ids.NodeID]Sliver
+	// member is the set of current neighbor identifiers.
+	member map[ids.NodeID]struct{}
 	// all, hs, vs are the cached views, each sorted by ID. Entries are
 	// duplicated between all and their sliver list; Refresh keeps the
 	// copies coherent.
 	all []Neighbor
 	hs  []Neighbor
 	vs  []Neighbor
-	// pairMemo memoizes H(self, y) per candidate. The hash depends only
-	// on the two identifiers, and discovery re-tests the same candidates
-	// every protocol period, so a single-id-keyed memo beats both
-	// recomputing SHA-256 and the shared two-id-keyed cache on this
-	// path. Bounded by pairMemoMax with full reset (the SHA recompute
-	// after a reset is cheap and allocation-free). Unused (and never
-	// allocated) when the index-keyed fast path is configured.
+	// pairMemo memoizes H(self, y) per candidate of the identifier-keyed
+	// discovery path. The hash depends only on the two identifiers, and
+	// discovery re-tests the same candidates every protocol period, so a
+	// single-id-keyed memo beats both recomputing SHA-256 and the shared
+	// two-id-keyed cache on this path. Bounded by pairMemoMax with full
+	// reset (the SHA recompute after a reset is cheap and allocation-
+	// free). Never allocated while every candidate arrives indexed.
 	pairMemo map[ids.NodeID]float64
-	// sliverIdx mirrors sliver keyed by dense host index, so the
-	// indexed discovery path's duplicate check never hashes a string.
-	// Populated only when cfg.PairIdx is set.
-	sliverIdx map[int32]Sliver
-	// hasUnindexed records that at least one neighbor was admitted
-	// without a known index; the indexed duplicate check then falls
-	// back to the identifier map (correctness net, not a hot path).
-	hasUnindexed bool
-
-	// rej caches predicate-rejected candidate indexes (biased +1, 0 =
-	// empty slot) for one (epoch, self-claim) regime — see
-	// Config.MonitorEpoch. rejVer pairs with selfVer, bumped whenever
-	// the self claim is refreshed.
-	rej      []int32
-	rejUsed  int
+	// idx holds, by dense host index, every indexed neighbor and every
+	// candidate the predicate rejected in the current (epoch, self-claim)
+	// regime — see Config.MonitorEpoch — so the indexed discovery path
+	// settles "already a neighbor" and "rejected this epoch" in one
+	// probe. rejEpoch/rejVer name the regime the rejections belong to;
+	// rejVer pairs with selfVer, bumped whenever the self claim moves.
+	idx      idxSet
 	rejEpoch int
 	rejVer   uint64
 	selfVer  uint64
+	// hasUnindexed records that at least one neighbor was admitted
+	// without a known index; the indexed duplicate check then falls
+	// back to the identifier set (correctness net, not a hot path).
+	hasUnindexed bool
+	// hsThr memoizes the horizontal threshold for the current self claim
+	// (hsKnown; cleared whenever the claim moves) when the predicate's
+	// horizontal side depends on av(x) alone (hsByX): II.B's O(buckets)
+	// PDF scan — or the probe of CachedByX's deployment-wide float64-keyed
+	// memo in front of it — then runs once per self claim, not once per
+	// horizontal pair.
+	hsByX, hsKnown bool
+	hsThr          float64
 }
 
 // pairMemoMax bounds the per-membership hash memo; enough for every
@@ -197,7 +204,11 @@ func NewMembership(self ids.NodeID, cfg Config) (*Membership, error) {
 	m := &Membership{
 		cfg:    cfg,
 		self:   self,
-		sliver: make(map[ids.NodeID]Sliver, 8),
+		member: make(map[ids.NodeID]struct{}, 8),
+	}
+	switch cfg.Predicate.Horizontal.(type) {
+	case ConstantHorizontal, LogConstantHorizontal, *CachedByX:
+		m.hsByX = true // II.A and II.B read av(x) alone; the memo requires it
 	}
 	if cfg.PairIdx != nil {
 		if cfg.SelfIdx < 0 || int(cfg.SelfIdx) >= cfg.PairIdx.Hosts() {
@@ -208,7 +219,6 @@ func NewMembership(self ids.NodeID, cfg Config) (*Membership, error) {
 			return nil, fmt.Errorf("core: SelfIdx %d names %q, not self %q",
 				cfg.SelfIdx, cfg.PairIdx.ID(cfg.SelfIdx), self)
 		}
-		m.sliverIdx = make(map[int32]Sliver, 8)
 	}
 	m.RefreshSelf()
 	return m, nil
@@ -281,11 +291,26 @@ func (m *Membership) RefreshSelf() float64 {
 	if v, ok := m.availability(m.self, yi); ok {
 		if v != m.selfAvail || !m.selfKnown {
 			m.selfVer++
+			m.hsKnown = false
 		}
 		m.selfAvail = v
 		m.selfKnown = true
 	}
 	return m.selfAvail
+}
+
+// eval decides M(self, y) from the pair hash and y's availability —
+// Predicate.Eval at cushion 0 against the cached self claim.
+func (m *Membership) eval(h, avY float64) (bool, Sliver) {
+	p := m.cfg.Predicate
+	kind := p.Classify(m.selfAvail, avY)
+	if kind == SliverHorizontal && m.hsByX {
+		if !m.hsKnown {
+			m.hsThr, m.hsKnown = p.thresholdOf(kind, m.selfAvail, avY), true
+		}
+		return h <= m.hsThr, kind
+	}
+	return h <= p.thresholdOf(kind, m.selfAvail, avY), kind
 }
 
 // Discover runs one round of the discovery sub-protocol (paper §3.1.I):
@@ -300,168 +325,123 @@ func (m *Membership) Discover(candidates []ids.NodeID) int {
 	now := m.cfg.Clock()
 	added := 0
 	for _, y := range candidates {
-		if y == m.self || y.IsNil() {
-			continue
+		if m.discoverOne(y, now) {
+			added++
 		}
-		if _, exists := m.sliver[y]; exists {
-			continue
-		}
-		if m.cfg.Blocked != nil && m.cfg.Blocked(y) {
-			continue
-		}
-		avY, ok := m.cfg.Monitor.Availability(y)
-		if !ok {
-			continue
-		}
-		match, kind := m.cfg.Predicate.Eval(m.pairHash(y), m.selfAvail, avY, 0)
-		if !match {
-			continue
-		}
-		nb := Neighbor{ID: y, Availability: avY, Sliver: kind, FetchedAt: now}
-		m.admit(nb, kind)
-		added++
 	}
 	return added
 }
 
-// admit inserts a new neighbor into all views and both duplicate maps.
-func (m *Membership) admit(nb Neighbor, kind Sliver) {
-	m.sliver[nb.ID] = kind
-	if m.sliverIdx != nil {
-		if nb.idx1 > 0 {
-			m.sliverIdx[nb.idx1-1] = kind
-		} else {
-			m.hasUnindexed = true
-		}
+// admit inserts a new neighbor into all views and the duplicate sets.
+func (m *Membership) admit(nb Neighbor) {
+	m.member[nb.ID] = struct{}{}
+	if nb.idx1 > 0 {
+		m.idxPut(nb.idx1-1, idxNeighbor)
+	} else if m.cfg.PairIdx != nil {
+		m.hasUnindexed = true
 	}
 	m.all = insertNeighbor(m.all, nb)
-	view := m.sliverView(kind)
+	view := m.sliverView(nb.Sliver)
 	*view = insertNeighbor(*view, nb)
 }
 
 // DiscoverIdx is Discover for candidates that carry their dense host
 // index (idxs parallel to candidates; a negative index means unknown).
-// With Config.PairIdx and MonitorIdx configured, the per-candidate cost
-// is two integer-keyed map probes and two array reads — no identifier
-// is hashed anywhere on the admit-nothing path, which is the common
-// case once the overlay has converged.
+// With Config.PairIdx and MonitorIdx configured, a candidate that is
+// already a neighbor or was rejected earlier in the epoch costs one
+// probe of the index set — no identifier is hashed and no Go map is
+// touched anywhere on the admit-nothing path, which is the common case
+// once the overlay has converged. Candidates without an index take the
+// identifier-keyed path of Discover.
 func (m *Membership) DiscoverIdx(candidates []ids.NodeID, idxs []int32) int {
-	if len(idxs) != len(candidates) {
+	if len(idxs) != len(candidates) || m.cfg.PairIdx == nil {
 		return m.Discover(candidates)
 	}
 	if !m.selfKnown {
 		m.RefreshSelf()
 	}
-	selfIdx := int32(-1)
-	if m.cfg.PairIdx != nil {
-		selfIdx = m.cfg.SelfIdx
-	}
 	caching := false
-	if m.cfg.MonitorEpoch != nil && m.sliverIdx != nil {
+	if m.cfg.MonitorEpoch != nil {
 		if ep, stable := m.cfg.MonitorEpoch(); stable {
 			caching = true
-			m.prepRejCache(ep)
+			if ep != m.rejEpoch || m.rejVer != m.selfVer {
+				// The regime moved on: its rejections no longer hold.
+				if m.idx.used != m.idx.neighbors {
+					m.rebuildIdx()
+				}
+				m.rejEpoch, m.rejVer = ep, m.selfVer
+			}
 		}
 	}
 	now := m.cfg.Clock()
 	added := 0
 	for j, y := range candidates {
 		yi := idxs[j]
-		if yi < 0 || m.sliverIdx == nil {
-			// Unknown index (or unindexed membership): identifier path.
+		if yi < 0 {
 			if m.discoverOne(y, now) {
 				added++
 			}
 			continue
 		}
-		if yi == selfIdx || y.IsNil() {
+		if yi == m.cfg.SelfIdx || y.IsNil() {
 			continue
 		}
-		if _, exists := m.sliverIdx[yi]; exists {
+		// A rejection counts only while the monitor is stable: the tag may
+		// date from before a noise layer was swapped in.
+		if tag := m.idx.find(yi); tag == idxNeighbor || (tag == idxRejected && caching) {
 			continue
 		}
 		if m.hasUnindexed {
-			if _, exists := m.sliver[y]; exists {
+			if _, exists := m.member[y]; exists {
 				continue
 			}
 		}
 		if m.cfg.Blocked != nil && m.cfg.Blocked(y) {
 			continue
 		}
-		if caching && m.rejHas(yi) {
-			continue
-		}
 		avY, ok := m.availability(y, yi)
 		if !ok {
 			continue
 		}
-		// The pair hash is computed directly: the rejection cache already
-		// absorbs within-epoch repeats, so most candidates reaching this
+		// The pair hash is computed directly: the rejection tags already
+		// absorb within-epoch repeats, so most candidates reaching this
 		// point are first-time pairs a memo could not have served — and a
 		// deployment-wide memo table outgrows the CPU cache, making the
 		// probe cost more than one short SHA-256.
 		h := ids.PairHash(m.self, y)
-		match, kind := m.cfg.Predicate.Eval(h, m.selfAvail, avY, 0)
+		match, kind := m.eval(h, avY)
 		if !match {
 			if caching {
-				m.rejAdd(yi)
+				m.idxPut(yi, idxRejected)
 			}
 			continue
 		}
-		m.admit(Neighbor{ID: y, Availability: avY, Sliver: kind, FetchedAt: now, idx1: yi + 1}, kind)
+		m.admit(Neighbor{ID: y, Availability: avY, Sliver: kind, FetchedAt: now, hash: h, idx1: yi + 1})
 		added++
 	}
 	return added
 }
 
-// prepRejCache readies the rejection cache for the given monitor epoch,
-// clearing it when the (epoch, self-claim) regime moved on.
-func (m *Membership) prepRejCache(epoch int) {
-	if m.rej == nil {
-		m.rej = make([]int32, 512)
-		m.rejEpoch = epoch - 1 // force the clear below to set versions
-	}
-	if epoch != m.rejEpoch || m.rejVer != m.selfVer {
-		clear(m.rej)
-		m.rejUsed = 0
-		m.rejEpoch = epoch
-		m.rejVer = m.selfVer
+// idxPut tags yi in the index set. A full table is rebuilt from the
+// neighbor list rather than grown past what the neighbors need — the
+// rejections it forgets are advisory, and the per-epoch candidate set is
+// normally far smaller than the table.
+func (m *Membership) idxPut(yi int32, tag uint32) {
+	if !m.idx.put(yi, tag) {
+		m.rebuildIdx()
+		m.idx.put(yi, tag)
 	}
 }
 
-// rejHas reports whether candidate index yi was predicate-rejected this
-// regime.
-func (m *Membership) rejHas(yi int32) bool {
-	mask := uint32(len(m.rej)) - 1
-	k := yi + 1
-	for i := (uint32(yi) * 2654435761) & mask; ; i = (i + 1) & mask {
-		switch m.rej[i] {
-		case k:
-			return true
-		case 0:
-			return false
+// rebuildIdx empties the index set of rejections and tombstones,
+// keeping exactly the indexed neighbors.
+func (m *Membership) rebuildIdx() {
+	m.idx.reset(len(m.all))
+	for i := range m.all {
+		if k := m.all[i].idx1; k > 0 {
+			m.idx.put(k-1, idxNeighbor)
 		}
 	}
-}
-
-// rejAdd records a predicate rejection. A full table is cleared rather
-// than grown — the cache is advisory, and the per-epoch candidate set
-// is normally far smaller than the table.
-func (m *Membership) rejAdd(yi int32) {
-	if (m.rejUsed+1)*4 >= len(m.rej)*3 {
-		clear(m.rej)
-		m.rejUsed = 0
-	}
-	mask := uint32(len(m.rej)) - 1
-	i := (uint32(yi) * 2654435761) & mask
-	for m.rej[i] != 0 {
-		if m.rej[i] == yi+1 {
-			return
-		}
-		i = (i + 1) & mask
-	}
-	m.rej[i] = yi + 1
-	m.rejUsed++
 }
 
 // discoverOne runs the identifier-keyed discovery test for a single
@@ -470,7 +450,7 @@ func (m *Membership) discoverOne(y ids.NodeID, now time.Duration) bool {
 	if y == m.self || y.IsNil() {
 		return false
 	}
-	if _, exists := m.sliver[y]; exists {
+	if _, exists := m.member[y]; exists {
 		return false
 	}
 	if m.cfg.Blocked != nil && m.cfg.Blocked(y) {
@@ -480,11 +460,12 @@ func (m *Membership) discoverOne(y ids.NodeID, now time.Duration) bool {
 	if !ok {
 		return false
 	}
-	match, kind := m.cfg.Predicate.Eval(m.pairHash(y), m.selfAvail, avY, 0)
+	h := m.pairHash(y)
+	match, kind := m.eval(h, avY)
 	if !match {
 		return false
 	}
-	m.admit(Neighbor{ID: y, Availability: avY, Sliver: kind, FetchedAt: now}, kind)
+	m.admit(Neighbor{ID: y, Availability: avY, Sliver: kind, FetchedAt: now, hash: h})
 	return true
 }
 
@@ -514,13 +495,7 @@ func (m *Membership) Refresh() int {
 			evicted++
 			continue
 		}
-		var h float64
-		if m.cfg.PairIdx != nil && nb.idx1 > 0 {
-			h = m.cfg.PairIdx.Pair(m.cfg.SelfIdx, nb.idx1-1)
-		} else {
-			h = m.pairHash(nb.ID)
-		}
-		match, kind := m.cfg.Predicate.Eval(h, m.selfAvail, avY, 0)
+		match, kind := m.eval(nb.hash, avY)
 		if !match {
 			m.drop(&nb)
 			evicted++
@@ -529,10 +504,6 @@ func (m *Membership) Refresh() int {
 		nb.Availability = avY
 		nb.Sliver = kind
 		nb.FetchedAt = now
-		m.sliver[nb.ID] = kind
-		if m.sliverIdx != nil && nb.idx1 > 0 {
-			m.sliverIdx[nb.idx1-1] = kind
-		}
 		keep = append(keep, nb)
 	}
 	for i := len(keep); i < len(m.all); i++ {
@@ -548,17 +519,17 @@ func (m *Membership) Refresh() int {
 	return evicted
 }
 
-// drop removes a neighbor from both duplicate maps.
+// drop removes a neighbor from the duplicate sets.
 func (m *Membership) drop(nb *Neighbor) {
-	delete(m.sliver, nb.ID)
-	if m.sliverIdx != nil && nb.idx1 > 0 {
-		delete(m.sliverIdx, nb.idx1-1)
+	delete(m.member, nb.ID)
+	if nb.idx1 > 0 {
+		m.idx.del(nb.idx1 - 1)
 	}
 }
 
 // Contains reports whether id is currently a neighbor (either sliver).
 func (m *Membership) Contains(id ids.NodeID) bool {
-	_, ok := m.sliver[id]
+	_, ok := m.member[id]
 	return ok
 }
 

@@ -29,8 +29,9 @@ type NodeInfo struct {
 	Availability float64
 }
 
-// Sliver distinguishes the two AVMEM membership lists.
-type Sliver int
+// Sliver distinguishes the two AVMEM membership lists. One byte, so a
+// Neighbor stays six words.
+type Sliver uint8
 
 // Sliver kinds. SliverNone classifies the self-pair (x,x), which is
 // never a membership relation.
@@ -97,7 +98,12 @@ func (p *Predicate) Classify(avX, avY float64) Sliver {
 
 // Threshold returns f(av(x), av(y)) — the right-hand side of eq. (1).
 func (p *Predicate) Threshold(avX, avY float64) float64 {
-	if p.Classify(avX, avY) == SliverHorizontal {
+	return p.thresholdOf(p.Classify(avX, avY), avX, avY)
+}
+
+// thresholdOf is Threshold for a pair already classified as kind.
+func (p *Predicate) thresholdOf(kind Sliver, avX, avY float64) float64 {
+	if kind == SliverHorizontal {
 		return ids.Clamp01(p.Horizontal.Threshold(avX, avY))
 	}
 	return ids.Clamp01(p.Vertical.Threshold(avX, avY))
@@ -109,7 +115,7 @@ func (p *Predicate) Threshold(avX, avY float64) float64 {
 // the evaluating parties. Pass cushion 0 for the canonical predicate.
 func (p *Predicate) Eval(hash, avX, avY, cushion float64) (bool, Sliver) {
 	kind := p.Classify(avX, avY)
-	thr := ids.Clamp01(p.Threshold(avX, avY) + cushion)
+	thr := ids.Clamp01(p.thresholdOf(kind, avX, avY) + cushion)
 	return hash <= thr, kind
 }
 

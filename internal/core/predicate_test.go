@@ -90,6 +90,97 @@ func TestEvalConsistency(t *testing.T) {
 	}
 }
 
+// spySub counts Threshold calls on the sub-predicate it wraps.
+type spySub struct {
+	SubPredicate
+	calls *int
+}
+
+func (s spySub) Threshold(avX, avY float64) float64 {
+	*s.calls++
+	return s.SubPredicate.Threshold(avX, avY)
+}
+
+// TestEvalThresholdEvalNodesAgree walks every horizontal × vertical
+// sub-predicate pairing over a grid of availability pairs straddling the
+// ε boundary and holds the three entry points to one definition: Eval
+// accepts iff hash <= clamp(Threshold + cushion), reports Classify's
+// sliver, consults exactly one sub-predicate once — the one for that
+// sliver — and EvalNodes is Eval at the pair's hash.
+func TestEvalThresholdEvalNodesAgree(t *testing.T) {
+	pdf := avdist.Overnet(100)
+	memo, err := NewCachedByX(LogConstantHorizontal{C2: 2, NStar: 800, Epsilon: 0.1, PDF: pdf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	horizontals := []SubPredicate{
+		ConstantHorizontal{Fraction: 0.3},
+		LogConstantHorizontal{C2: 2, NStar: 800, Epsilon: 0.1, PDF: pdf},
+		memo,
+		UniformRandom{P: 0.2},
+	}
+	verticals := []SubPredicate{
+		ConstantVertical{D1: 20, NStar: 800},
+		LogVertical{C1: 2, NStar: 800, PDF: pdf},
+		LogDecreasingVertical{C1: 2, NStar: 800, PDF: pdf},
+		UniformRandom{P: 0.2},
+	}
+	avs := []float64{0, 0.05, 0.3, 0.35, 0.3999999, 0.4, 0.45, 0.5, 0.5000001, 0.9, 1}
+	x, y := NodeInfo{ID: ids.Synthetic(1)}, NodeInfo{ID: ids.Synthetic(2)}
+	pairHash := ids.PairHash(x.ID, y.ID)
+	for _, hs := range horizontals {
+		for _, vs := range verticals {
+			var hCalls, vCalls int
+			p, err := NewPredicate(0.1, spySub{hs, &hCalls}, spySub{vs, &vCalls})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, avX := range avs {
+				for _, avY := range avs {
+					kind := p.Classify(avX, avY)
+					thr := p.Threshold(avX, avY)
+					want := ids.Clamp01(hs.Threshold(avX, avY))
+					if kind == SliverVertical {
+						want = ids.Clamp01(vs.Threshold(avX, avY))
+					}
+					if thr != want {
+						t.Fatalf("%s × %s at (%v,%v): Threshold %v, %v sub-predicate says %v",
+							hs.Name(), vs.Name(), avX, avY, thr, kind, want)
+					}
+					for _, cushion := range []float64{0, 0.1} {
+						bar := ids.Clamp01(thr + cushion)
+						for _, h := range []float64{0, bar, math.Nextafter(bar, 2), pairHash} {
+							hCalls, vCalls = 0, 0
+							ok, k := p.Eval(h, avX, avY, cushion)
+							if ok != (h <= bar) || k != kind {
+								t.Fatalf("%s × %s at (%v,%v) cushion %v: Eval(%v) = (%v,%v), want (%v,%v)",
+									hs.Name(), vs.Name(), avX, avY, cushion, h, ok, k, h <= bar, kind)
+							}
+							if wantH := btoi(kind == SliverHorizontal); hCalls != wantH || vCalls != 1-wantH {
+								t.Fatalf("%s × %s at (%v,%v): Eval consulted HS %d and VS %d times for a %v pair",
+									hs.Name(), vs.Name(), avX, avY, hCalls, vCalls, kind)
+							}
+						}
+						x.Availability, y.Availability = avX, avY
+						ok, k := p.EvalNodes(x, y, cushion, nil)
+						if ok != (pairHash <= bar) || k != kind {
+							t.Fatalf("%s × %s at (%v,%v) cushion %v: EvalNodes = (%v,%v), Eval at the pair hash gives (%v,%v)",
+								hs.Name(), vs.Name(), avX, avY, cushion, ok, k, pairHash <= bar, kind)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+func btoi(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
+}
+
 func TestEvalSelfPair(t *testing.T) {
 	p, _ := NewPredicate(0.1, ConstantHorizontal{1}, ConstantVertical{1000, 1})
 	x := NodeInfo{ID: ids.Synthetic(1), Availability: 0.4}

@@ -243,6 +243,7 @@ func (w *World) ForceOffline(id ids.NodeID, until time.Duration) {
 		return
 	}
 	w.forcedDownUntil[h] = until
+	w.liveUntil = 0 // the online bitset predates this outage: rebuild
 	w.Sim.At(until, func() {
 		// Clear only if no later ForceOffline superseded this outage.
 		if w.forcedDownUntil[h] == until {
@@ -252,14 +253,42 @@ func (w *World) ForceOffline(id ids.NodeID, until time.Duration) {
 }
 
 // onlineAt is the hot-path liveness check, by trace host index: the
-// churn trace overlaid with scenario-forced outages. Pure read — two
-// array probes — and therefore reentrant.
+// churn trace overlaid with scenario-forced outages, read from the
+// online bitset — one bit probe, where the trace itself would cost an
+// epoch division and a row of its host-major matrix per host. The
+// bitset is rebuilt lazily when the clock passes the instant it holds
+// until; the parallel engine's window hook does that before any lane
+// starts, so lanes only ever read it.
 func (w *World) onlineAt(h int) bool {
-	now := w.Sim.Now()
-	if w.forcedDownUntil[h] > now {
-		return false
+	if now := w.Sim.Now(); now >= w.liveUntil {
+		w.syncLive(now)
 	}
-	return w.Trace.UpAtIndex(h, now)
+	return w.live[h>>6]&(1<<uint(h&63)) != 0
+}
+
+// syncLive rebuilds the online bitset for virtual time now: bit h is
+// set iff the trace has host h up in now's epoch and no forced outage
+// covers now. The result holds until the epoch ends or the earliest
+// pending outage lifts, whichever comes first; ForceOffline cuts that
+// span short. O(hosts), once per epoch or outage change.
+func (w *World) syncLive(now time.Duration) {
+	tr := w.Trace
+	e := tr.EpochAt(now)
+	until := time.Duration(math.MaxInt64)
+	if e < tr.Epochs()-1 {
+		until = time.Duration(e+1) * tr.EpochLength()
+	}
+	clear(w.live)
+	for h, forced := range w.forcedDownUntil {
+		if forced > now {
+			if forced < until {
+				until = forced
+			}
+		} else if tr.Up(h, e) {
+			w.live[h>>6] |= 1 << uint(h&63)
+		}
+	}
+	w.liveUntil = until
 }
 
 // nodeOnline is the id-keyed liveness check for API-boundary callers;

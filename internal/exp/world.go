@@ -194,6 +194,11 @@ type World struct {
 	// entries are swept by an event ForceOffline schedules, never by the
 	// liveness check itself, so onlineAt is reentrant.
 	forcedDownUntil []time.Duration
+	// live is the online bitset onlineAt reads: the current epoch's
+	// column of the churn trace minus the forced outages, valid from the
+	// (monotone) instant it was built until liveUntil — see syncLive.
+	live      []uint64
+	liveUntil time.Duration
 	// viewScratch and idxScratch are reused across cohort-tick discovery
 	// calls (candidate identifiers and their dense host indexes).
 	viewScratch []ids.NodeID
@@ -240,6 +245,7 @@ func NewWorld(cfg WorldConfig) (*World, error) {
 		members:         make([]*core.Membership, tr.Hosts()),
 		routers:         make([]*ops.Router, tr.Hosts()),
 		forcedDownUntil: make([]time.Duration, tr.Hosts()),
+		live:            make([]uint64, (tr.Hosts()+63)/64),
 		avMemo:          make([]float64, tr.Hosts()),
 		avValid:         make([]bool, tr.Hosts()),
 		avEpoch:         -1,
@@ -293,18 +299,21 @@ func NewWorld(cfg WorldConfig) (*World, error) {
 	}
 	w.mon = mon
 	if w.parallel {
-		if o, ok := mon.base.(*avmon.Oracle); ok {
-			// Prefill the availability memo at each epoch boundary so
-			// window-time oracle queries are pure reads (the hook runs in
-			// coordinator context before any lane starts).
-			last := -2
-			w.Sim.SetWindowHook(func(base time.Duration) {
-				if e := tr.EpochAt(base); e != last {
-					last = e
-					o.Prefill(e)
-				}
-			})
-		}
+		// The hook runs in coordinator context before any lane starts, so
+		// what it refreshes is pure reads at window time: the online bitset
+		// (lanes see the window base as the clock) and, at each epoch
+		// boundary, the oracle's availability memo.
+		o, _ := mon.base.(*avmon.Oracle)
+		last := -2
+		w.Sim.SetWindowHook(func(base time.Duration) {
+			if base >= w.liveUntil {
+				w.syncLive(base)
+			}
+			if e := tr.EpochAt(base); o != nil && e != last {
+				last = e
+				o.Prefill(e)
+			}
+		})
 	}
 	w.Monitor = mon.monitor
 	if cfg.Metrics != nil {

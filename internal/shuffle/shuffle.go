@@ -36,10 +36,11 @@ type Service interface {
 type Entry struct {
 	ID  ids.NodeID
 	Age int
-	// idx1 memoizes the peer's liveness index plus one (0 = unresolved)
-	// once UseIndex is configured, so per-tick liveness checks on view
-	// entries are array probes instead of string-map lookups. The memo
-	// travels with the entry through exchanges.
+	// idx1 memoizes the peer's dense host index plus one (0 = unresolved,
+	// -1 = outside the index universe) once UseIndex is configured. The
+	// memo travels with the entry through exchanges and is trusted: every
+	// liveness, duplicate and registration check on a resolved entry is an
+	// array probe at that index, never a lookup of ID.
 	idx1 int32
 }
 
@@ -49,34 +50,19 @@ type view struct {
 	self    ids.NodeID
 	cap     int
 	entries []Entry
-	// idx1 memoizes self's liveness index plus one (0 = unresolved).
+	// idx1 memoizes self's dense host index plus one, as Entry.idx1 does.
 	idx1 int32
 }
 
-// entriesEqual reports whether two entries name the same node: an int32
-// compare when both indexes are resolved, a string compare otherwise.
-func entriesEqual(a, b *Entry) bool {
-	if a.idx1 > 0 && b.idx1 > 0 {
-		return a.idx1 == b.idx1
-	}
-	return a.ID == b.ID
-}
-
-func (v *view) contains(e *Entry) bool {
+// holdsID reports whether an entry of v names id — the identifier
+// fallback for received entries the index cannot resolve.
+func (v *view) holdsID(id ids.NodeID) bool {
 	for i := range v.entries {
-		if entriesEqual(&v.entries[i], e) {
+		if v.entries[i].ID == id {
 			return true
 		}
 	}
 	return false
-}
-
-// isSelf reports whether e names the view's owner.
-func (v *view) isSelf(e *Entry) bool {
-	if v.idx1 > 0 && e.idx1 > 0 {
-		return v.idx1 == e.idx1
-	}
-	return e.ID == v.self
 }
 
 // oldestIndex returns the index of the entry with the greatest age.
@@ -95,6 +81,14 @@ func oldestIndex(entries []Entry) int {
 // protocol period per online node; the live runtime does the same from
 // its timer loop. Cyclon is not safe for concurrent use; wrap it if the
 // caller is concurrent.
+//
+// With UseIndex configured, everything a tick touches is addressed by
+// dense host index: the initiator's and partner's views (viewsByIdx),
+// liveness (onlineAt), the departed/never-joined check, and merge's
+// duplicate check (the stamp table below). The identifier-keyed views
+// map and the linear identifier scan remain only as the fallback for
+// entries the index cannot resolve — identifiers outside the universe —
+// and for a Cyclon that never had UseIndex called.
 type Cyclon struct {
 	viewSize   int
 	shuffleLen int
@@ -102,12 +96,22 @@ type Cyclon struct {
 	online     func(ids.NodeID) bool
 	views      map[ids.NodeID]*view
 
-	// Index fast path (UseIndex): liveness by dense index instead of by
-	// NodeID, with per-view and per-entry index memoization and an
-	// index-keyed view table for the *Idx entry points.
+	// Index fast path (UseIndex): dense host index in place of NodeID.
 	indexOf    func(ids.NodeID) int
 	onlineAt   func(i int) bool
 	viewsByIdx []*view
+	// stamp is merge's duplicate set: stamp[i] == gen marks host i as the
+	// receiving view's owner or one of its entries. A merge claims a fresh
+	// generation instead of clearing the table, so dedupe costs O(v + l)
+	// per merge rather than O(v·l); when gen wraps the table is zeroed.
+	// One table serves every view because merges never interleave — the
+	// thread-parallel engine runs exchanges only at its window barrier,
+	// serially (exp.World defers TickIdx), so no lane ever touches it.
+	stamp []uint32
+	gen   uint32
+	// ages mirrors the receiving view's entry ages during a merge, so the
+	// eviction-victim search walks a compact array instead of the entries.
+	ages []int
 	// leaves counts Leave calls. While zero — the whole lifetime of a
 	// simulated deployment — the per-entry departed-node scan in Tick is
 	// skipped (the partner's view resolution still catches strays).
@@ -188,23 +192,31 @@ func (c *Cyclon) Join(x ids.NodeID, seeds []ids.NodeID) {
 		v = &view{self: x, cap: c.viewSize, entries: make([]Entry, 0, c.viewSize)}
 		c.views[x] = v
 		if c.indexOf != nil {
-			if i := c.indexOf(x); i >= 0 {
-				v.idx1 = int32(i) + 1
-				for len(c.viewsByIdx) <= i {
-					c.viewsByIdx = append(c.viewsByIdx, nil)
-				}
-				c.viewsByIdx[i] = v
-			} else {
-				v.idx1 = -1
-			}
+			c.indexView(v)
 		}
 	}
+	c.outX = c.outX[:0]
 	for _, s := range seeds {
-		c.addEntry(v, Entry{ID: s})
+		c.outX = append(c.outX, Entry{ID: s})
 	}
+	c.merge(v, c.outX, true)
 }
 
-// resolveEntry memoizes e's liveness index (sentinel -1 = unknown).
+// indexView memoizes v's dense host index and enters it in viewsByIdx.
+func (c *Cyclon) indexView(v *view) {
+	i := c.indexOf(v.self)
+	if i < 0 {
+		v.idx1 = -1
+		return
+	}
+	v.idx1 = int32(i) + 1
+	for len(c.viewsByIdx) <= i {
+		c.viewsByIdx = append(c.viewsByIdx, nil)
+	}
+	c.viewsByIdx[i] = v
+}
+
+// resolveEntry memoizes e's dense host index (sentinel -1 = unknown).
 func (c *Cyclon) resolveEntry(e *Entry) {
 	if c.indexOf == nil || e.idx1 != 0 {
 		return
@@ -216,21 +228,14 @@ func (c *Cyclon) resolveEntry(e *Entry) {
 	}
 }
 
-// addEntry inserts e if absent, evicting the oldest entry when the view
-// is full.
-func (c *Cyclon) addEntry(v *view, e Entry) {
-	if e.ID.IsNil() {
-		return
+// viewOf returns the registered view of the node e names (nil when it
+// departed or never joined): an index-table probe for resolved entries.
+func (c *Cyclon) viewOf(e *Entry) *view {
+	c.resolveEntry(e)
+	if e.idx1 > 0 {
+		return c.viewByIdx(int(e.idx1 - 1))
 	}
-	c.resolveEntry(&e)
-	if v.isSelf(&e) || v.contains(&e) {
-		return
-	}
-	if len(v.entries) < v.cap {
-		v.entries = append(v.entries, e)
-		return
-	}
-	v.entries[oldestIndex(v.entries)] = e
+	return c.views[e.ID]
 }
 
 // Leave removes x entirely (a permanent departure; churned-offline nodes
@@ -243,31 +248,24 @@ func (c *Cyclon) Leave(x ids.NodeID) {
 	c.leaves++
 }
 
-// UseIndex switches liveness checks to a dense index: a node is online
-// iff onlineAt(indexOf(id)). Entries memoize their index on first
-// resolution, so steady-state per-tick liveness checks are array probes.
-// indexOf must return a stable non-negative index for every node the
-// service will see (negative means unknown → treated offline). Views
-// joined before the call are backfilled into the index table, so the
-// *Idx entry points work regardless of Join/UseIndex order.
+// UseIndex switches the service to a dense host index: a node is online
+// iff onlineAt(indexOf(id)), and views, duplicates and registration are
+// looked up at that index. Entries memoize their index on first
+// resolution, so steady-state ticks never look an identifier up.
+// indexOf must be a pure function returning a stable, distinct
+// non-negative index for every node the service will see (negative
+// means unknown → treated offline). Views joined before the call are
+// backfilled into the index table, so the *Idx entry points work
+// regardless of Join/UseIndex order.
 func (c *Cyclon) UseIndex(indexOf func(ids.NodeID) int, onlineAt func(i int) bool) {
 	if indexOf == nil || onlineAt == nil {
 		return
 	}
 	c.indexOf = indexOf
 	c.onlineAt = onlineAt
-	for x, v := range c.views {
-		if v.idx1 != 0 {
-			continue
-		}
-		if i := indexOf(x); i >= 0 {
-			v.idx1 = int32(i) + 1
-			for len(c.viewsByIdx) <= i {
-				c.viewsByIdx = append(c.viewsByIdx, nil)
-			}
-			c.viewsByIdx[i] = v
-		} else {
-			v.idx1 = -1
+	for _, v := range c.views {
+		if v.idx1 == 0 {
+			c.indexView(v)
 		}
 	}
 }
@@ -284,22 +282,12 @@ func (c *Cyclon) entryOnline(e *Entry) bool {
 	return c.onlineAt(int(e.idx1 - 1))
 }
 
-// viewOnline reports liveness for a view's owner, memoizing its index.
+// viewOnline reports liveness for a view's owner (indexed at Join).
 func (c *Cyclon) viewOnline(v *view) bool {
 	if c.onlineAt == nil {
 		return c.online(v.self)
 	}
-	if v.idx1 == 0 {
-		if i := c.indexOf(v.self); i >= 0 {
-			v.idx1 = int32(i) + 1
-		} else {
-			v.idx1 = -1
-		}
-	}
-	if v.idx1 < 0 {
-		return false
-	}
-	return c.onlineAt(int(v.idx1 - 1))
+	return v.idx1 > 0 && c.onlineAt(int(v.idx1-1))
 }
 
 // View implements Service.
@@ -433,7 +421,7 @@ func (c *Cyclon) tick(vx *view) {
 		partner := -1
 		for i := range vx.entries {
 			e := &vx.entries[i]
-			if checkDeparted && c.views[e.ID] == nil {
+			if checkDeparted && c.viewOf(e) == nil {
 				// Permanently gone: remove and rescan.
 				vx.entries = append(vx.entries[:i], vx.entries[i+1:]...)
 				partner = -2
@@ -452,7 +440,7 @@ func (c *Cyclon) tick(vx *view) {
 		if partner < 0 {
 			return // no online partner this round
 		}
-		vq := c.views[vx.entries[partner].ID]
+		vq := c.viewOf(&vx.entries[partner])
 		if vq == nil {
 			// Unregistered stray (seeded but never joined): drop, rescan.
 			vx.entries = append(vx.entries[:partner], vx.entries[partner+1:]...)
@@ -478,8 +466,8 @@ func (c *Cyclon) exchange(vx, vq *view, qIdx int) {
 	c.outQ = c.sampleEntries(c.outQ[:0], vq, c.shuffleLen)
 
 	if c.tap == nil {
-		c.merge(vq, c.outX)
-		c.merge(vx, c.outQ)
+		c.merge(vq, c.outX, false)
+		c.merge(vx, c.outQ, false)
 		return
 	}
 	// Request half: the initiator's offer crosses the tap; a dropping
@@ -496,7 +484,7 @@ func (c *Cyclon) exchange(vx, vq *view, qIdx int) {
 	if !c.tapInbound(vq.self, vx.self, false, offerX, claimX) {
 		return
 	}
-	c.merge(vq, offerX)
+	c.merge(vq, offerX, false)
 	// Reply half: a dropped reply leaves the initiator empty-handed.
 	offerQ, claimQ, dropQ := c.tapOutbound(vq.self, true, c.outQ)
 	if dropQ {
@@ -505,7 +493,7 @@ func (c *Cyclon) exchange(vx, vq *view, qIdx int) {
 	if !c.tapInbound(vx.self, vq.self, true, offerQ, claimQ) {
 		return
 	}
-	c.merge(vx, offerQ)
+	c.merge(vx, offerQ, false)
 }
 
 // tapOutbound runs the Outbound hook, defaulting to the honest offer.
@@ -549,33 +537,86 @@ func (c *Cyclon) sampleEntries(dst []Entry, v *view, n int) []Entry {
 	return dst
 }
 
-// merge folds received entries into v, skipping self, duplicates, and
-// entries for unregistered (departed or never-joined) nodes — without
+// merge folds received entries into v, skipping self, duplicates, and —
+// unless seeding (Join, whose bootstrap peers may not have joined yet) —
+// entries for unregistered (departed or never-joined) nodes: without
 // that check, two nodes could ping-pong a departed entry between their
-// views forever. The check stays unconditional here: merge sees at most
-// shuffleLen entries per exchange, unlike tick's full-view scan.
-func (c *Cyclon) merge(v *view, received []Entry) {
+// views forever. A full view takes an entry in place of its oldest one
+// (the first among equals): always when seeding, otherwise only if the
+// newcomer is no older.
+//
+// Index-resolved entries are deduplicated and checked for registration
+// by array probe (stamp, viewsByIdx); only entries outside the index
+// universe fall back to the identifier scan and the views map.
+func (c *Cyclon) merge(v *view, received []Entry, seeding bool) {
+	c.gen++
+	if c.gen == 0 {
+		clear(c.stamp)
+		c.gen = 1
+	}
+	if v.idx1 > 0 {
+		c.mark(int(v.idx1 - 1))
+	}
+	ages := c.ages[:0]
+	for i := range v.entries {
+		e := &v.entries[i]
+		if e.idx1 == 0 {
+			c.resolveEntry(e)
+		}
+		if e.idx1 > 0 {
+			c.mark(int(e.idx1 - 1))
+		}
+		ages = append(ages, e.Age)
+	}
 	for i := range received {
 		e := received[i]
 		if e.ID.IsNil() {
 			continue
 		}
 		c.resolveEntry(&e)
-		if v.isSelf(&e) || v.contains(&e) {
-			continue
-		}
-		if c.views[e.ID] == nil {
+		if e.idx1 > 0 {
+			h := int(e.idx1 - 1)
+			if h < len(c.stamp) && c.stamp[h] == c.gen {
+				continue
+			}
+			if !seeding && c.viewByIdx(h) == nil {
+				continue
+			}
+		} else if e.ID == v.self || v.holdsID(e.ID) || (!seeding && c.views[e.ID] == nil) {
 			continue
 		}
 		if len(v.entries) < v.cap {
 			v.entries = append(v.entries, e)
-			continue
-		}
-		oldest := oldestIndex(v.entries)
-		if v.entries[oldest].Age >= e.Age {
+			ages = append(ages, e.Age)
+		} else {
+			oldest := 0
+			for j := 1; j < len(ages); j++ {
+				if ages[j] > ages[oldest] {
+					oldest = j
+				}
+			}
+			if !seeding && ages[oldest] < e.Age {
+				continue
+			}
+			if out := v.entries[oldest].idx1; out > 0 {
+				c.stamp[out-1] = 0 // gen is never 0
+			}
 			v.entries[oldest] = e
+			ages[oldest] = e.Age
+		}
+		if e.idx1 > 0 {
+			c.mark(int(e.idx1 - 1))
 		}
 	}
+	c.ages = ages
+}
+
+// mark stamps host h into the current merge generation.
+func (c *Cyclon) mark(h int) {
+	if h >= len(c.stamp) {
+		c.stamp = append(c.stamp, make([]uint32, h+1-len(c.stamp))...)
+	}
+	c.stamp[h] = c.gen
 }
 
 // Nodes returns all registered node ids in deterministic order.
