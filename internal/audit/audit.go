@@ -244,8 +244,14 @@ func New(cfg Config) (*Auditor, error) {
 	return &Auditor{cfg: cfg, peers: make(map[ids.NodeID]suspect, 64)}, nil
 }
 
-// Blocked implements ops.Auditor: whether id has been audited out.
+// Blocked implements ops.Auditor: whether id has been audited out. The
+// router and the membership layer ask once per inbound message and per
+// neighbor, so an auditor that has evicted nobody answers without
+// touching the map.
 func (a *Auditor) Blocked(id ids.NodeID) bool {
+	if a.evictions == 0 {
+		return false
+	}
 	s, ok := a.peers[id]
 	return ok && s.evicted
 }

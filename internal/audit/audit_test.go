@@ -273,3 +273,47 @@ func TestParamValidation(t *testing.T) {
 		}
 	}
 }
+
+// TestBlockedAnswersAcrossFirstEviction walks one auditor from a clean
+// slate through soft hits, its first eviction and later traffic: while
+// nobody is evicted Blocked answers without consulting the peer table,
+// and that shortcut must never change an answer — scores gathered before
+// the first eviction still count after it, and peers the auditor has
+// never heard of stay unblocked throughout.
+func TestBlockedAnswersAcrossFirstEviction(t *testing.T) {
+	f := newFixture(t, Params{EvictThreshold: 1, SoftWeight: 0.4, HardWeight: 1})
+	a := f.auditor
+	honest := ops.AggMsg{SenderAvail: 0.5}
+	lie := ops.AggMsg{SenderAvail: 0.97} // "peer" is monitored at 0.5
+	steps := []struct {
+		name    string
+		act     func() bool // an ObserveInbound verdict, or true for no message
+		accept  bool
+		blocked map[ids.NodeID]bool
+		evicted int
+	}{
+		{"clean slate", func() bool { return true }, true, nil, 0},
+		{"honest traffic", func() bool { return a.ObserveInbound("peer", honest) }, true, nil, 0},
+		{"soft hit on other", func() bool { a.SuspectAggPartial("other", "agg-count-bounds"); return true }, true, nil, 0},
+		{"second soft hit stays under the threshold", func() bool { a.SuspectAggPartial("other", "agg-count-bounds"); return true }, true, nil, 0},
+		{"other still heard", func() bool { return a.ObserveInbound("other", ops.AggMsg{}) }, true, nil, 0},
+		{"lie evicts peer: the first eviction", func() bool { return a.ObserveInbound("peer", lie) }, false, map[ids.NodeID]bool{"peer": true}, 1},
+		{"peer now dropped even when honest", func() bool { return a.ObserveInbound("peer", honest) }, false, map[ids.NodeID]bool{"peer": true}, 1},
+		{"other unaffected", func() bool { return a.ObserveInbound("other", ops.AggMsg{}) }, true, map[ids.NodeID]bool{"peer": true}, 1},
+		{"third soft hit lands on the earlier score", func() bool { a.SuspectAggPartial("other", "agg-count-bounds"); return true }, true, map[ids.NodeID]bool{"peer": true, "other": true}, 2},
+		{"other now dropped", func() bool { return a.ObserveInbound("other", ops.AggMsg{}) }, false, map[ids.NodeID]bool{"peer": true, "other": true}, 2},
+	}
+	for _, s := range steps {
+		if got := s.act(); got != s.accept {
+			t.Fatalf("%s: ObserveInbound = %v, want %v", s.name, got, s.accept)
+		}
+		for _, id := range []ids.NodeID{"peer", "other", "stranger", "self"} {
+			if got := a.Blocked(id); got != s.blocked[id] {
+				t.Fatalf("%s: Blocked(%s) = %v, want %v", s.name, id, got, s.blocked[id])
+			}
+		}
+		if a.Evictions() != s.evicted {
+			t.Fatalf("%s: %d evictions, want %d", s.name, a.Evictions(), s.evicted)
+		}
+	}
+}

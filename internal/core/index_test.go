@@ -289,3 +289,61 @@ func TestDiscoverIdxSteadyStateDoesNotAllocate(t *testing.T) {
 		t.Errorf("steady-state DiscoverIdx allocates %.2f objects per round, want 0", avg)
 	}
 }
+
+// TestNeighborHashMatchesPairHash: dissemination orders sliver lists by
+// Neighbor.PairHash, so every admit path must store H(self, y) — the
+// identifier path, the indexed path, and re-admission after Refresh
+// evicted a neighbor — and Refresh must carry it through.
+func TestNeighborHashMatchesPairHash(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	const n = 300
+	p := newIndexedPair(t, n, paperLike(t, 400), rng)
+	idxs := make([]int32, n)
+	for i := range idxs {
+		idxs[i] = int32(i)
+	}
+	check := func(stage string, m *Membership) {
+		t.Helper()
+		seen := 0
+		for _, f := range []Flavor{HSOnly, VSOnly, HSVS} {
+			for _, nb := range m.Neighbors(f) {
+				seen++
+				if got, want := nb.PairHash(), ids.PairHash(m.Self(), nb.ID); got != want {
+					t.Fatalf("%s: %v neighbor %s carries hash %v, want H(self, y) = %v", stage, f, nb.ID, got, want)
+				}
+			}
+		}
+		if seen == 0 {
+			t.Fatalf("%s: no neighbors to check", stage)
+		}
+	}
+	p.byID.Discover(p.hosts)
+	check("Discover", p.byID)
+	p.byIdx.DiscoverIdx(p.hosts, idxs)
+	check("DiscoverIdx", p.byIdx)
+
+	// Evict a third of the neighbors (unknown to the monitor), refresh,
+	// then let them come back through discovery.
+	before := p.byIdx.Size()
+	for i, nb := range p.byIdx.CopyNeighbors(HSVS) {
+		if i%3 == 0 {
+			p.known[slices.Index(p.hosts, nb.ID)] = false
+		}
+	}
+	p.epoch++
+	if a, b := p.byIdx.Refresh(), p.byID.Refresh(); a == 0 || a != b {
+		t.Fatalf("Refresh evicted %d indexed, %d by identifier; want the same, nonzero", a, b)
+	}
+	check("Refresh (indexed)", p.byIdx)
+	check("Refresh (identifier)", p.byID)
+	for i := range p.known {
+		p.known[i] = true
+	}
+	p.epoch++
+	if back := p.byIdx.DiscoverIdx(p.hosts, idxs); back == 0 || p.byIdx.Size() != before {
+		t.Fatalf("re-admitted %d, size %d, want back at %d", back, p.byIdx.Size(), before)
+	}
+	p.byID.Discover(p.hosts)
+	check("re-admit (indexed)", p.byIdx)
+	check("re-admit (identifier)", p.byID)
+}

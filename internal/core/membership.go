@@ -53,6 +53,10 @@ type Neighbor struct {
 	Sliver Sliver
 }
 
+// PairHash returns H(self, ID), the consistent pair hash this neighbor
+// was admitted under — what dissemination orders sliver lists by.
+func (n Neighbor) PairHash() float64 { return n.hash }
+
 // Config wires a Membership to its dependencies.
 type Config struct {
 	// Predicate is the application-specified AVMEM predicate.

@@ -380,7 +380,6 @@ func (w *World) installNodes(pred *core.Predicate) error {
 			Env:           wenv,
 			Collector:     w.Col,
 			VerifyInbound: w.Cfg.VerifyInbound,
-			Hashes:        w.Hashes,
 			BandCensus:    bandCensus,
 			OpTrace:       w.Cfg.OpTrace,
 		}

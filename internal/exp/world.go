@@ -7,9 +7,8 @@
 // workload series and attack probes, and regenerate the figures of the
 // paper's evaluation (§4) via one runner per figure. cmd/avmemsim
 // exposes the figure runners and both scenario backends on the command
-// line, internal/scenario drives arbitrary declarative scenarios on
-// either engine, and bench_test.go wraps it all in testing.B
-// benchmarks.
+// line, and internal/scenario drives arbitrary declarative scenarios
+// on either engine.
 //
 // Architecture: DESIGN.md §9 (deployment engines and the scenario
 // layer).

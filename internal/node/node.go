@@ -282,7 +282,6 @@ func New(cfg Config) (*Node, error) {
 		Env:           n.env,
 		Collector:     n.col,
 		VerifyInbound: cfg.VerifyInbound,
-		Hashes:        cfg.Hashes,
 		BandCensus:    cfg.BandCensus,
 		OpTrace:       cfg.OpTrace,
 	}

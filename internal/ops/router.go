@@ -1,8 +1,10 @@
 package ops
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"time"
 
@@ -58,8 +60,6 @@ type Router struct {
 	// verifyInbound enables the §4.1 in-neighbor check on every
 	// received operation message.
 	verifyInbound bool
-	// hashes memoizes dissemination-order pair hashes when non-nil.
-	hashes *ids.HashCache
 	// auditor, when non-nil, audits inbound messages and supplies the
 	// blacklist that forwarding and dissemination honor.
 	auditor Auditor
@@ -78,12 +78,10 @@ type Router struct {
 	// byDist is kept on the Router so sort.Sort receives an existing
 	// pointer and candidate ordering allocates nothing.
 	byDist distanceSorter
-	// rangeKeys/rangeNbs are the dissemination scratch: in-range
-	// filtering and hash-ordering happen synchronously, so one buffer
-	// pair per router suffices.
-	rangeKeys []float64
-	rangeNbs  []core.Neighbor
-	byHash    hashSorter
+	// scratch is the dissemination scratch: in-range filtering and
+	// hash-ordering happen synchronously, so one buffer per router
+	// suffices.
+	scratch []peerKey
 	// claimVal/claimAt/claimSet memoize the availability claim stamped
 	// on outbound messages: a fresh monitor self-query per claimCache
 	// window instead of per forwarded message (monitor estimates move
@@ -103,6 +101,8 @@ type Router struct {
 	// reported to the auditor as soft evidence.
 	bandCensus  func(lo, hi float64) float64
 	valueChecks bool
+	// lastDecline is the most recent boxed decline (declineMsg).
+	lastDecline any
 	// aggChecks remembers the band of every aggregation this node is a
 	// tree member of, so child replies can be sanity-checked (the reply
 	// itself carries no band). Entries die with the station's pending op.
@@ -151,18 +151,11 @@ func (s *distanceSorter) Less(i, j int) bool {
 	return s.nbs[i].ID < s.nbs[j].ID
 }
 
-// hashSorter orders neighbors by a precomputed pair-hash key, keeping
-// the parallel key slice in step.
-type hashSorter struct {
-	keys []float64
-	nbs  []core.Neighbor
-}
-
-func (s *hashSorter) Len() int           { return len(s.nbs) }
-func (s *hashSorter) Less(i, j int) bool { return s.keys[i] < s.keys[j] }
-func (s *hashSorter) Swap(i, j int) {
-	s.keys[i], s.keys[j] = s.keys[j], s.keys[i]
-	s.nbs[i], s.nbs[j] = s.nbs[j], s.nbs[i]
+// peerKey is one dissemination target with its (salted) pair-hash
+// ordering key.
+type peerKey struct {
+	key float64
+	id  ids.NodeID
 }
 
 // acquireCandidates pops a recycled candidate buffer, or allocates one
@@ -194,9 +187,6 @@ type RouterConfig struct {
 	// VerifyInbound drops operation messages whose sender fails the
 	// consistent in-neighbor predicate check.
 	VerifyInbound bool
-	// Hashes optionally memoizes the pair hashes dissemination ordering
-	// uses; deployments share one cache across all routers.
-	Hashes *ids.HashCache
 	// Auditor optionally audits inbound messages and blacklists
 	// misbehaving peers (internal/audit).
 	Auditor Auditor
@@ -242,7 +232,6 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 		env:           cfg.Env,
 		col:           cfg.Collector,
 		verifyInbound: cfg.VerifyInbound,
-		hashes:        cfg.Hashes,
 		auditor:       cfg.Auditor,
 		otrace:        cfg.OpTrace,
 		station:       station,
@@ -901,7 +890,7 @@ func (r *Router) disseminate(m MulticastMsg) {
 		// interface value instead of re-boxing the struct per send.
 		var boxed any = m
 		for _, nb := range r.inRangeNeighbors(m) {
-			r.env.Send(nb.ID, boxed)
+			r.env.Send(nb.id, boxed)
 		}
 	}
 }
@@ -928,11 +917,11 @@ func (r *Router) gossipRounds(m MulticastMsg, remaining int) {
 			if n >= m.Spec.Fanout {
 				break
 			}
-			if sent[nb.ID] {
+			if sent[nb.id] {
 				continue
 			}
-			sent[nb.ID] = true
-			r.env.Send(nb.ID, boxed)
+			sent[nb.id] = true
+			r.env.Send(nb.id, boxed)
 			n++
 		}
 	}
@@ -949,7 +938,7 @@ func (r *Router) gossipRounds(m MulticastMsg, remaining int) {
 // The result lives in the router's dissemination scratch: it is only
 // valid until the next inRangeNeighbors call, which is fine because
 // flooding and gossip consume it synchronously.
-func (r *Router) inRangeNeighbors(m MulticastMsg) []core.Neighbor {
+func (r *Router) inRangeNeighbors(m MulticastMsg) []peerKey {
 	return r.scratchNeighbors(m.Spec.Flavor, m.Target.Contains, 0)
 }
 
@@ -962,32 +951,22 @@ func (r *Router) inRangeNeighbors(m MulticastMsg) []core.Neighbor {
 // nonzero salt remixes the ordering keys so the redundant trees of one
 // aggregation grow along different sliver orderings; salt 0 is the
 // legacy order.
-func (r *Router) scratchNeighbors(flavor core.Flavor, contains func(float64) bool, salt uint64) []core.Neighbor {
+func (r *Router) scratchNeighbors(flavor core.Flavor, contains func(float64) bool, salt uint64) []peerKey {
 	all := r.mem.Neighbors(flavor)
-	r.rangeNbs = r.rangeNbs[:0]
-	r.rangeKeys = r.rangeKeys[:0]
-	self := r.mem.Self()
-	for _, nb := range all {
+	out := r.scratch[:0]
+	for i := range all {
+		nb := &all[i]
 		if r.auditor != nil && r.auditor.Blocked(nb.ID) {
 			continue
 		}
 		if contains(nb.Availability) {
-			r.rangeNbs = append(r.rangeNbs, nb)
-			var key float64
-			if r.hashes != nil {
-				key = r.hashes.Pair(self, nb.ID)
-			} else {
-				key = ids.PairHash(self, nb.ID)
-			}
-			r.rangeKeys = append(r.rangeKeys, saltKey(key, salt))
+			// The membership stored H(self, nb) when it admitted nb.
+			out = append(out, peerKey{key: saltKey(nb.PairHash(), salt), id: nb.ID})
 		}
 	}
-	r.byHash.keys = r.rangeKeys
-	r.byHash.nbs = r.rangeNbs
-	sort.Sort(&r.byHash)
-	r.byHash.keys = nil
-	r.byHash.nbs = nil
-	return r.rangeNbs
+	slices.SortFunc(out, func(a, b peerKey) int { return cmp.Compare(a.key, b.key) })
+	r.scratch = out
+	return out
 }
 
 // saltKey remixes one ordering key with a per-tree salt (splitmix64
@@ -1032,7 +1011,7 @@ func (r *Router) spreadRangecast(m RangecastMsg) {
 	next.SenderAvail = r.selfClaim()
 	var boxed any = next
 	for _, nb := range r.scratchNeighbors(m.Spec.Flavor, m.Spec.Band.Contains, 0) {
-		r.env.Send(nb.ID, boxed)
+		r.env.Send(nb.id, boxed)
 	}
 }
 
@@ -1070,7 +1049,7 @@ func (r *Router) rootAggregate(m AnycastMsg) {
 func (r *Router) handleAggRequest(from ids.NodeID, m AggMsg) {
 	self := r.mem.SelfInfo()
 	if r.station.Seen(m.ID) || !m.Spec.Band.Contains(self.Availability) {
-		r.env.Send(from, AggReplyMsg{ID: m.ID, Decline: true, SenderAvail: r.selfClaim()})
+		r.env.Send(from, r.declineMsg(m.ID))
 		return
 	}
 	id, parent := m.ID, from
@@ -1080,6 +1059,19 @@ func (r *Router) handleAggRequest(from ids.NodeID, m AggMsg) {
 	})
 	r.trackAggCheck(id, m.Spec.Band)
 	r.station.Expect(id, r.forwardAgg(id, m.Spec, m.Depth, m.SentAt, from))
+}
+
+// declineMsg returns the boxed accounting decline for tree id. A tree
+// member hears the same request from every other in-band neighbor, one
+// copy after the other, and owes each the same answer: the last box is
+// kept and shared, like the one boxed request of a flood (sent messages
+// are read-only).
+func (r *Router) declineMsg(id MsgID) any {
+	claim := r.selfClaim()
+	if d, ok := r.lastDecline.(AggReplyMsg); !ok || d.ID != id || d.SenderAvail != claim {
+		r.lastDecline = AggReplyMsg{ID: id, Decline: true, SenderAvail: claim}
+	}
+	return r.lastDecline
 }
 
 // trackAggCheck remembers the band of a tree this node just joined,
@@ -1108,16 +1100,19 @@ func (r *Router) forwardAgg(id MsgID, spec AggregateSpec, depth int, sentAt time
 	// fabricated result past the origin's collector.
 	next := AggMsg{ID: id, Spec: spec, Depth: depth + 1, SentAt: sentAt, SenderAvail: r.selfClaim()}
 	next.Spec.Token = 0
+	// One boxed request and one nack callback serve every child.
+	var boxed any = next
+	nack := func(ok bool) {
+		if !ok {
+			r.station.Decline(id)
+		}
+	}
 	kids := 0
 	for _, nb := range r.scratchNeighbors(spec.Flavor, spec.Band.Contains, spec.Salt) {
-		if nb.ID == parent {
+		if nb.id == parent {
 			continue
 		}
-		r.env.SendCall(nb.ID, next, func(ok bool) {
-			if !ok {
-				r.station.Decline(id)
-			}
-		})
+		r.env.SendCall(nb.id, boxed, nack)
 		kids++
 	}
 	return kids

@@ -1,9 +1,11 @@
 package ops
 
 import (
+	"reflect"
 	"testing"
 	"time"
 
+	"avmem/internal/agg"
 	"avmem/internal/avmon"
 	"avmem/internal/core"
 	"avmem/internal/ids"
@@ -578,5 +580,77 @@ func TestDuplicateMulticastIgnored(t *testing.T) {
 	r, _ := c.col.Multicast(id)
 	if len(r.Delivered) != 2 { // node1 once + node0 via flood-back
 		t.Errorf("delivered set = %v", r.Delivered)
+	}
+}
+
+// TestDisseminationOrderMatchesPairHashPath pins the child order of all
+// three dissemination families on a fixed sliver: ordering by the pair
+// hash the membership stored at admission must equal what ordering by
+// ids.PairHash / ids.HashCache.Pair yielded (the expected orders were
+// recorded on the commit before the stored hash took over), unsalted
+// and under the salts of redundant trees 1 and 2.
+func TestDisseminationOrderMatchesPairHashPath(t *testing.T) {
+	avails := make([]float64, 24)
+	for i := range avails {
+		avails[i] = 0.30 + 0.02*float64(i)
+	}
+	c := newCluster(t, fullPredicate(t), avails, false)
+	r := c.routers[c.nodes[0]]
+	index := make(map[ids.NodeID]int, len(c.nodes))
+	for i, id := range c.nodes {
+		index[id] = i
+	}
+	want := [][]int{
+		{20, 7, 23, 12, 19, 5, 6, 4, 18, 13, 11, 2, 14, 16, 1, 21, 17, 3, 22, 9, 15, 8, 10},
+		{16, 14, 18, 23, 22, 20, 8, 11, 3, 21, 5, 2, 4, 19, 7, 9, 13, 12, 17, 6, 10, 15, 1},
+		{23, 14, 21, 6, 16, 13, 1, 3, 15, 8, 18, 12, 20, 5, 10, 22, 2, 19, 9, 11, 17, 7, 4},
+	}
+	everyone := func(float64) bool { return true }
+	for j := range want {
+		var got []int
+		for _, nb := range r.scratchNeighbors(core.HSVS, everyone, aggSalt(j)) {
+			got = append(got, index[nb.id])
+		}
+		if !reflect.DeepEqual(got, want[j]) {
+			t.Errorf("tree %d child order\n got %v\nwant %v", j, got, want[j])
+		}
+	}
+}
+
+// countingEnv is an Env that only counts acknowledged sends, so a test
+// can look at what the router itself allocates per forward.
+type countingEnv struct {
+	testEnv
+	calls int
+}
+
+func (e *countingEnv) SendCall(ids.NodeID, any, func(bool)) { e.calls++ }
+
+// TestForwardAggAllocatesPerForwardNotPerChild checks the aggregation
+// fan-out boxes its request and builds its nack callback once: the
+// allocation count of one forward does not grow with the child count.
+func TestForwardAggAllocatesPerForwardNotPerChild(t *testing.T) {
+	perForward := func(children int) float64 {
+		avails := make([]float64, children+1)
+		for i := range avails {
+			avails[i] = 0.2 + 0.6*float64(i)/float64(children)
+		}
+		c := newCluster(t, fullPredicate(t), avails, false)
+		self := c.nodes[0]
+		env := &countingEnv{testEnv: *newTestEnv(c.world, c.net, self, nil)}
+		r, err := NewRouter(RouterConfig{Membership: c.members[self], Env: env, Collector: c.col})
+		if err != nil {
+			t.Fatal(err)
+		}
+		spec := AggregateSpec{Op: agg.Count, Band: Band{Lo: 0, Hi: 1}, Flavor: core.HSVS}
+		id := MsgID{Origin: self, Seq: 1}
+		if kids := r.forwardAgg(id, spec, 0, 0, ids.Nil); kids != children || env.calls != children {
+			t.Fatalf("forwardAgg addressed %d children (%d calls), want %d", kids, env.calls, children)
+		}
+		return testing.AllocsPerRun(20, func() { r.forwardAgg(id, spec, 0, 0, ids.Nil) })
+	}
+	few, many := perForward(4), perForward(64)
+	if few != many || many > 2 {
+		t.Fatalf("forwardAgg allocates %.0f times for 4 children, %.0f for 64; want the same, at most 2", few, many)
 	}
 }

@@ -1,0 +1,202 @@
+package sim
+
+import (
+	"fmt"
+	"math/rand"
+	"reflect"
+	"testing"
+	"time"
+
+	"avmem/internal/ids"
+)
+
+// refSendCall is the closure-based SendCall the value events replaced,
+// kept here as the reference the differential test compares against: it
+// draws both latencies at send time and schedules the attempt and the
+// verdict through After.
+func refSendCall(n *Network, from, to ids.NodeID, msg any, onResult func(ok bool)) {
+	n.stats.Sent++
+	out := n.latency.Sample(n.world.Rand())
+	back := n.latency.Sample(n.world.Rand())
+	n.world.After(out, func() {
+		h := n.handlerFor(to)
+		if h == nil {
+			n.stats.Dropped++
+			if onResult != nil {
+				n.world.After(n.ackTimeout-out, func() { onResult(false) })
+			}
+			return
+		}
+		n.stats.Delivered++
+		h(from, msg)
+		if onResult != nil {
+			n.world.After(back, func() { onResult(true) })
+		}
+	})
+}
+
+// coarseLatency draws from the paper's [20ms, 80ms] in 10 ms steps, so
+// events collide on timestamps all the time and their order rests on
+// sequence numbers alone.
+type coarseLatency struct{}
+
+func (coarseLatency) Sample(rng *rand.Rand) time.Duration {
+	return time.Duration(20+10*rng.Intn(7)) * time.Millisecond
+}
+
+// callTranscript drives one scripted mix of acknowledged sends through
+// call on a world with the given shard count and returns everything an
+// observer can see: the firing transcript, the network counters, and
+// the next draw of the world RNG.
+func callTranscript(t *testing.T, shards int, call func(n *Network, from, to ids.NodeID, msg any, onResult func(bool))) ([]string, NetworkStats, int64) {
+	t.Helper()
+	w := NewWorld(11)
+	if err := w.SetShards(shards); err != nil {
+		t.Fatal(err)
+	}
+	hosts := []ids.NodeID{"h0", "h1", "h2", "h3", "h4", "h5"}
+	up := map[ids.NodeID]bool{"h0": true, "h1": true, "h2": true, "h3": true, "h4": true, "h5": true, "loose": true}
+	net := NewNetwork(w, coarseLatency{}, func(id ids.NodeID) bool { return up[id] }, 0)
+	// h5 stays unregistered; "loose" lives outside the bound universe.
+	net.Bind(hosts, func(i int) bool { return up[hosts[i]] })
+	var log []string
+	note := func(kind string, from, to ids.NodeID) {
+		log = append(log, fmt.Sprintf("%v %s %s->%s", w.Now(), kind, from, to))
+	}
+	result := func(from, to ids.NodeID) func(bool) {
+		return func(ok bool) {
+			if ok {
+				note("ack", from, to)
+			} else {
+				note("nack", from, to)
+			}
+		}
+	}
+	for _, id := range append(hosts[:5:5], "loose") {
+		id := id
+		net.Register(id, func(from ids.NodeID, msg any) {
+			note("deliver", from, id)
+			if msg == "relay" {
+				// A handler that itself calls on, before its own ack is
+				// scheduled.
+				call(net, id, "h3", "leaf", result(id, "h3"))
+			}
+		})
+	}
+	for i := 0; i < 60; i++ {
+		from, to := hosts[i%5], hosts[(i+i/6)%6]
+		at := time.Duration(i%7) * 15 * time.Millisecond
+		switch i % 6 {
+		case 0: // ack, or nack after ackTimeout when to is the unregistered h5
+			w.At(at, func() { call(net, from, to, "plain", result(from, to)) })
+		case 1: // nil callback: delivered or dropped, no verdict event
+			w.At(at, func() { call(net, from, to, "quiet", nil) })
+		case 2: // target outside the bound universe
+			w.At(at, func() { call(net, from, "loose", "plain", result(from, "loose")) })
+		case 3: // handler sends on
+			w.At(at, func() { call(net, from, "h2", "relay", result(from, "h2")) })
+		case 4: // callback sends on, through both primitives
+			w.At(at, func() {
+				call(net, from, to, "plain", func(ok bool) {
+					result(from, to)(ok)
+					net.Send(from, "h1", "after")
+					call(net, from, "h4", "chained", result(from, "h4"))
+				})
+			})
+		case 5: // plain sends share the queue and the RNG
+			w.At(at, func() { net.Send(from, to, "send") })
+		}
+	}
+	// h4 is offline for a stretch: calls in flight across the edge find it
+	// gone at delivery time and nack.
+	w.At(70*time.Millisecond, func() { up["h4"] = false })
+	w.At(150*time.Millisecond, func() { up["h4"] = true })
+	w.Run(time.Second)
+	if w.Pending() != 0 {
+		t.Fatalf("%d events still queued", w.Pending())
+	}
+	return log, net.Stats(), w.Rand().Int63()
+}
+
+// TestSendCallMatchesClosureReference pins the claim the value-event
+// SendCall rests on: it consumes RNG draws and sequence numbers at
+// exactly the points the closure version did, so the schedule, the
+// counters and the RNG state are indistinguishable — on one heap and on
+// eight shards.
+func TestSendCallMatchesClosureReference(t *testing.T) {
+	for _, shards := range []int{1, 8} {
+		wantLog, wantStats, wantRand := callTranscript(t, shards, refSendCall)
+		gotLog, gotStats, gotRand := callTranscript(t, shards, (*Network).SendCall)
+		kinds := map[string]bool{}
+		for _, line := range wantLog {
+			var at, kind string
+			fmt.Sscan(line, &at, &kind)
+			kinds[kind] = true
+		}
+		if !kinds["ack"] || !kinds["nack"] || !kinds["deliver"] || wantStats.Dropped == 0 {
+			t.Fatalf("shards=%d: script does not reach every path: kinds %v stats %+v", shards, kinds, wantStats)
+		}
+		if !reflect.DeepEqual(gotLog, wantLog) {
+			for i := range wantLog {
+				if i >= len(gotLog) || gotLog[i] != wantLog[i] {
+					t.Fatalf("shards=%d: transcripts diverge at line %d: got %q, want %q (lens %d / %d)",
+						shards, i, append(gotLog, "<end>")[i], wantLog[i], len(gotLog), len(wantLog))
+				}
+			}
+			t.Fatalf("shards=%d: transcript has %d extra lines", shards, len(gotLog)-len(wantLog))
+		}
+		if gotStats != wantStats {
+			t.Errorf("shards=%d: stats %+v, want %+v", shards, gotStats, wantStats)
+		}
+		if gotRand != wantRand {
+			t.Errorf("shards=%d: world RNG state diverged", shards)
+		}
+	}
+}
+
+// TestSendPathsDoNotAllocate checks the steady state of both send
+// primitives: once the slab and the key array have grown to the
+// workload's depth, a send, its delivery and its verdict allocate
+// nothing.
+func TestSendPathsDoNotAllocate(t *testing.T) {
+	for _, shards := range []int{1, 8} {
+		w := NewWorld(1)
+		if err := w.SetShards(shards); err != nil {
+			t.Fatal(err)
+		}
+		hosts := []ids.NodeID{"a", "b", "c", "d", "e", "f", "g", "h"}
+		net := NewNetwork(w, nil, nil, 0)
+		net.Bind(hosts, func(int) bool { return true })
+		for _, id := range hosts[:7] { // "h" unregistered: the nack path
+			net.Register(id, func(ids.NodeID, any) {})
+		}
+		var msg any = "payload"
+		acked := 0
+		onResult := func(ok bool) {
+			if ok {
+				acked++
+			}
+		}
+		batch := func(send func(from, to ids.NodeID)) func() {
+			return func() {
+				for i := 0; i < 64; i++ {
+					send(hosts[i%8], hosts[(i*3+1)%8])
+				}
+				w.RunAll(0)
+			}
+		}
+		sends := batch(func(from, to ids.NodeID) { net.Send(from, to, msg) })
+		calls := batch(func(from, to ids.NodeID) { net.SendCall(from, to, msg, onResult) })
+		sends()
+		calls()
+		if got := testing.AllocsPerRun(50, sends); got != 0 {
+			t.Errorf("shards=%d: Send allocates %.1f times per 64-send batch", shards, got)
+		}
+		if got := testing.AllocsPerRun(50, calls); got != 0 {
+			t.Errorf("shards=%d: SendCall allocates %.1f times per 64-call batch", shards, got)
+		}
+		if acked == 0 {
+			t.Fatal("no call was acknowledged")
+		}
+	}
+}

@@ -214,7 +214,7 @@ func (n *Network) Send(from, to ids.NodeID, msg any) {
 			host = i
 		}
 	}
-	n.world.atDelivery(n.world.now+lat, n, from, to, msg, host)
+	n.world.schedule(n.world.now+lat, &payload{kind: evDeliver, net: n, from: from, to: to, msg: msg}, host)
 }
 
 // sendLane is Send in a parallel world: the latency draw, sequence
@@ -229,11 +229,11 @@ func (n *Network) sendLane(p *parallelExec, from, to ids.NodeID, msg any) {
 	if sl < 0 {
 		n.stats.Sent++
 		lat := n.latency.Sample(w.rng)
-		ev := event{at: w.now + lat, seq: w.globalSeq(), net: n, from: from, to: to, msg: msg}
+		deliver := &payload{kind: evDeliver, net: n, from: from, to: to, msg: msg}
 		if tl := n.laneIdx(p, to); tl >= 0 {
-			w.sh.shards[tl].push(ev)
+			w.sh.shards[tl].push(w.now+lat, w.globalSeq(), deliver)
 		} else {
-			w.events.push(ev)
+			w.events.push(w.now+lat, w.globalSeq(), deliver)
 		}
 		return
 	}
@@ -246,15 +246,17 @@ func (n *Network) sendLane(p *parallelExec, from, to ids.NodeID, msg any) {
 		// handler-map path.
 		tl = sl
 	}
-	ev := event{at: p.laneNow(sl) + lat, seq: p.laneSeq(sl), net: n, from: from, to: to, msg: msg}
-	p.pushFrom(sl, tl, ev)
+	p.pushFrom(sl, tl, event{at: p.laneNow(sl) + lat, seq: p.laneSeq(sl),
+		payload: payload{kind: evDeliver, net: n, from: from, to: to, msg: msg}})
 }
 
 // SendCall delivers msg like Send but also reports the outcome to the
 // sender: onResult(true) fires when the target acknowledged (one
 // round-trip after sending), onResult(false) fires after ackTimeout when
 // the target was offline or unregistered. This models the paper's
-// "each next-hop node is required to acknowledge receipt" rule.
+// "each next-hop node is required to acknowledge receipt" rule. The
+// attempt and the verdict are value events, like Send's delivery: the
+// callback and both latencies ride in the attempt's payload.
 func (n *Network) SendCall(from, to ids.NodeID, msg any, onResult func(ok bool)) {
 	if p := n.world.par; p != nil {
 		if sl := n.laneIdx(p, from); sl >= 0 {
@@ -262,28 +264,38 @@ func (n *Network) SendCall(from, to ids.NodeID, msg any, onResult func(ok bool))
 			return
 		}
 		// Unbound sender: fall through to the serial path, which runs in
-		// coordinator context (quiesced callers only) — After and the
+		// coordinator context (quiesced callers only) — schedule and the
 		// world RNG are coordinator-owned there.
 	}
 	n.stats.Sent++
 	out := n.latency.Sample(n.world.Rand())
 	back := n.latency.Sample(n.world.Rand())
-	n.world.After(out, func() {
-		h := n.handlerFor(to)
-		if h == nil {
-			n.stats.Dropped++
-			if onResult != nil {
-				// Failure is detected only after the ack timeout expires.
-				n.world.After(n.ackTimeout-out, func() { onResult(false) })
-			}
-			return
+	n.world.schedule(n.world.now+out, &payload{kind: evAttempt, net: n,
+		from: from, to: to, msg: msg, onResult: onResult, out: out, back: back}, -1)
+}
+
+// attempt is the firing half of SendCall: hand the message to the
+// target if it is reachable now, then schedule the verdict — the ack one
+// return hop after the handler ran, or the nack once the sender's
+// ackTimeout (counted from the send) has expired. A nil callback
+// schedules nothing, so sequence numbers are consumed exactly where a
+// caller-visible event exists.
+func (n *Network) attempt(call *payload) {
+	h := n.handlerFor(call.to)
+	if h == nil {
+		n.stats.Dropped++
+		if call.onResult != nil {
+			n.world.schedule(n.world.now+n.ackTimeout-call.out,
+				&payload{kind: evResult, onResult: call.onResult}, -1)
 		}
-		n.stats.Delivered++
-		h(from, msg)
-		if onResult != nil {
-			n.world.After(back, func() { onResult(true) })
-		}
-	})
+		return
+	}
+	n.stats.Delivered++
+	h(call.from, call.msg)
+	if call.onResult != nil {
+		n.world.schedule(n.world.now+call.back,
+			&payload{kind: evResult, ok: true, onResult: call.onResult}, -1)
+	}
 }
 
 // callLane is SendCall in a parallel world. Both latency draws come
@@ -313,17 +325,17 @@ func (n *Network) callLane(p *parallelExec, sl int, from, to ids.NodeID, msg any
 			if onResult != nil {
 				// Failure is detected only after the ack timeout expires,
 				// back on the sender's lane.
-				fail := event{at: t0 + n.ackTimeout, seq: p.laneSeq(tl), fn: func() { onResult(false) }}
-				p.pushFrom(tl, sl, fail)
+				p.pushFrom(tl, sl, event{at: t0 + n.ackTimeout, seq: p.laneSeq(tl),
+					payload: payload{kind: evFunc, fn: func() { onResult(false) }}})
 			}
 			return
 		}
 		st.Delivered++
 		h(from, msg)
 		if onResult != nil {
-			ack := event{at: p.laneNow(tl) + back, seq: p.laneSeq(tl), fn: func() { onResult(true) }}
-			p.pushFrom(tl, sl, ack)
+			p.pushFrom(tl, sl, event{at: p.laneNow(tl) + back, seq: p.laneSeq(tl),
+				payload: payload{kind: evFunc, fn: func() { onResult(true) }}})
 		}
 	}
-	p.pushFrom(sl, tl, event{at: t0 + out, seq: p.laneSeq(sl), fn: attempt})
+	p.pushFrom(sl, tl, event{at: t0 + out, seq: p.laneSeq(sl), payload: payload{kind: evFunc, fn: attempt}})
 }

@@ -141,7 +141,7 @@ func (w *World) SetParallel(threads int, lookahead time.Duration) error {
 	if lookahead <= 0 {
 		return fmt.Errorf("sim: lookahead must be positive, got %v", lookahead)
 	}
-	if w.sh.pending() > 0 || len(w.events.evs) > 0 {
+	if w.sh.pending() > 0 || len(w.events.keys) > 0 {
 		return fmt.Errorf("sim: SetParallel must be called before scheduling events")
 	}
 	n := len(w.sh.shards)
@@ -256,7 +256,7 @@ func (w *World) globalSeq() uint64 {
 // network latencies already respect it, the clamp is defensive).
 func (p *parallelExec) pushFrom(src, dst int, ev event) {
 	if dst == src {
-		p.w.sh.shards[dst].push(ev)
+		p.w.sh.shards[dst].push(ev.at, ev.seq, &ev.payload)
 		return
 	}
 	ln := &p.lanes[src]
@@ -315,7 +315,7 @@ func (w *World) AtHost(at time.Duration, host int32, fn func()) {
 	if hnow := p.laneNow(l); at < hnow {
 		at = hnow
 	}
-	w.sh.shards[l].push(event{at: at, seq: p.laneSeq(l), fn: fn})
+	w.sh.shards[l].push(at, p.laneSeq(l), &payload{kind: evFunc, fn: fn})
 }
 
 // AfterHost schedules fn d past host's effective clock, on host's lane.
@@ -412,10 +412,10 @@ func (p *parallelExec) drainLane(l int) {
 	if p.w.obs != nil {
 		t0 = time.Now()
 	}
-	for len(h.evs) > 0 && h.evs[0].at < drainTo {
-		ev := h.pop()
-		ln.now = ev.at
-		ev.fire()
+	for len(h.keys) > 0 && h.keys[0].at < drainTo {
+		k := h.pop()
+		ln.now = k.at
+		h.fire(k.slot)
 		ln.processed++
 	}
 	if p.w.obs != nil {
@@ -444,7 +444,7 @@ func (p *parallelExec) drainBarrier() {
 				o.outboxFlush.Observe(float64(len(box)))
 			}
 			for i := range box {
-				p.w.sh.shards[d].push(box[i])
+				p.w.sh.shards[d].push(box[i].at, box[i].seq, &box[i].payload)
 				box[i] = event{}
 			}
 			ls.out[d] = box[:0]
@@ -492,29 +492,29 @@ func (w *World) runParallel(until time.Duration, maxEvents int) int {
 			break
 		}
 		p.drainBarrier()
-		var ghead, lhead *event
-		if len(w.events.evs) > 0 {
-			ghead = &w.events.evs[0]
+		var ghead, lhead *eventKey
+		if len(w.events.keys) > 0 {
+			ghead = &w.events.keys[0]
 		}
 		li := -1
 		for i := range w.sh.shards {
-			evs := w.sh.shards[i].evs
-			if len(evs) == 0 {
+			keys := w.sh.shards[i].keys
+			if len(keys) == 0 {
 				continue
 			}
-			if lhead == nil || w.events.less(&evs[0], lhead) {
-				lhead = &evs[0]
+			if lhead == nil || keys[0].before(lhead) {
+				lhead = &keys[0]
 				li = i
 			}
 		}
-		if ghead != nil && (lhead == nil || w.events.less(ghead, lhead)) {
+		if ghead != nil && (lhead == nil || ghead.before(lhead)) {
 			// Global-context event is globally minimal: fire serially.
 			if ghead.at > until {
 				break
 			}
-			ev := w.events.pop()
-			w.now = ev.at
-			ev.fire()
+			k := w.events.pop()
+			w.now = k.at
+			w.events.fire(k.slot)
 			n++
 			if w.obs != nil {
 				w.obs.serialSteps.Inc()
@@ -540,10 +540,10 @@ func (w *World) runParallel(until time.Duration, maxEvents int) int {
 			// Serial step on the winning lane: the window would be empty
 			// (a global event shares the base timestamp) or windows are
 			// disabled — the tournament-merge fallback.
-			ev := w.sh.shards[li].pop()
-			w.now = ev.at
-			p.lanes[li].now = ev.at
-			ev.fire()
+			k := w.sh.shards[li].pop()
+			w.now = k.at
+			p.lanes[li].now = k.at
+			w.sh.shards[li].fire(k.slot)
 			n++
 			if w.obs != nil {
 				w.obs.serialSteps.Inc()

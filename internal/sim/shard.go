@@ -33,20 +33,20 @@ type shardedQueue struct {
 	shards []eventHeap
 }
 
-// push places ev in its shard: host-owned events by host index, the
-// rest round-robin by sequence number. Placement is a pure function of
-// the event, so it is reproducible — but note it does not need to be
+// push places the event in its shard: host-owned events by host index,
+// the rest round-robin by sequence number. Placement is a pure function
+// of the event, so it is reproducible — but note it does not need to be
 // for determinism (see the type comment); any placement yields the
 // same merged order.
-func (q *shardedQueue) push(ev event, host int32) {
+func (q *shardedQueue) push(at time.Duration, seq uint64, p *payload, host int32) {
 	n := uint64(len(q.shards))
 	var i uint64
 	if host >= 0 {
 		i = uint64(host) % n
 	} else {
-		i = ev.seq % n
+		i = seq % n
 	}
-	q.shards[i].push(ev)
+	q.shards[i].push(at, seq, p)
 }
 
 // next returns the index of the shard whose head carries the globally
@@ -54,11 +54,11 @@ func (q *shardedQueue) push(ev event, host int32) {
 func (q *shardedQueue) next() int {
 	best := -1
 	for i := range q.shards {
-		evs := q.shards[i].evs
-		if len(evs) == 0 {
+		keys := q.shards[i].keys
+		if len(keys) == 0 {
 			continue
 		}
-		if best < 0 || q.shards[best].less(&evs[0], &q.shards[best].evs[0]) {
+		if best < 0 || keys[0].before(&q.shards[best].keys[0]) {
 			best = i
 		}
 	}
@@ -69,7 +69,7 @@ func (q *shardedQueue) next() int {
 func (q *shardedQueue) pending() int {
 	n := 0
 	for i := range q.shards {
-		n += len(q.shards[i].evs)
+		n += len(q.shards[i].keys)
 	}
 	return n
 }
@@ -87,26 +87,24 @@ func (w *World) SetShards(n int) error {
 	if w.par != nil {
 		return fmt.Errorf("sim: cannot reshape the queue after SetParallel")
 	}
-	var old []event
-	old = append(old, w.events.evs...)
+	old := w.events.drain(nil)
 	if w.sh != nil {
 		for i := range w.sh.shards {
-			old = append(old, w.sh.shards[i].evs...)
+			old = w.sh.shards[i].drain(old)
 		}
 	}
-	w.events.evs = nil
 	if n <= 1 {
 		w.sh = nil
-		for _, ev := range old {
-			w.events.push(ev)
+		for i := range old {
+			w.events.push(old[i].at, old[i].seq, &old[i].payload)
 		}
 		return nil
 	}
 	w.sh = &shardedQueue{shards: make([]eventHeap, n)}
-	for _, ev := range old {
+	for i := range old {
 		// Host affinity is not tracked post-hoc; round-robin migration
 		// is fine — placement never affects order.
-		w.sh.push(ev, -1)
+		w.sh.push(old[i].at, old[i].seq, &old[i].payload, -1)
 	}
 	return nil
 }
@@ -129,12 +127,12 @@ func (w *World) runSharded(until time.Duration) int {
 	n := 0
 	for {
 		s := w.sh.next()
-		if s < 0 || w.sh.shards[s].evs[0].at > until {
+		if s < 0 || w.sh.shards[s].keys[0].at > until {
 			break
 		}
-		ev := w.sh.shards[s].pop()
-		w.now = ev.at
-		ev.fire()
+		k := w.sh.shards[s].pop()
+		w.now = k.at
+		w.sh.shards[s].fire(k.slot)
 		n++
 		if w.obs != nil {
 			w.obs.step(w.now)
@@ -157,9 +155,9 @@ func (w *World) runAllSharded(maxEvents int) int {
 		if s < 0 {
 			break
 		}
-		ev := w.sh.shards[s].pop()
-		w.now = ev.at
-		ev.fire()
+		k := w.sh.shards[s].pop()
+		w.now = k.at
+		w.sh.shards[s].fire(k.slot)
 		n++
 		if w.obs != nil {
 			w.obs.step(w.now)

@@ -105,24 +105,43 @@ func TestShardedZeroLatencyCrossShard(t *testing.T) {
 	}
 }
 
-// TestSetShardsMigration re-layouts a half-scheduled world and checks
-// the schedule survives: switching 1 → 8 → 1 shards mid-stream never
-// reorders queued events.
+// TestSetShardsMigration re-layouts a half-run world that holds all four
+// event shapes and checks the schedule survives: switching 1 → 8 → 3 → 1
+// shards mid-stream never reorders queued events, and each arrives with
+// its own payload.
 func TestSetShardsMigration(t *testing.T) {
-	run := func(migrate bool) []int {
+	run := func(migrate bool) []string {
 		w := NewWorld(3)
-		var got []int
-		for i := 0; i < 100; i++ {
-			i := i
-			w.At(time.Duration(i%10)*time.Millisecond, func() { got = append(got, i) })
+		net := NewNetwork(w, UniformLatency{Min: time.Millisecond, Max: 9 * time.Millisecond}, nil, 0)
+		var log []string
+		note := func(what string, v any) {
+			log = append(log, fmt.Sprintf("%s %v @%v", what, v, w.Now()))
+		}
+		net.Register("b", func(from ids.NodeID, msg any) { note("deliver<-"+string(from), msg) })
+		for i := 0; i < 40; i++ {
+			tag := string(rune('A' + i))
+			switch i % 4 {
+			case 0:
+				w.At(time.Duration(i%5)*time.Millisecond, func() { note("timer", tag) })
+			case 1:
+				net.Send("a", "b", tag)
+			case 2:
+				net.SendCall("a", "b", tag, func(ok bool) { note("ack", tag) })
+			case 3:
+				net.SendCall("a", "ghost", tag, func(ok bool) { note("nack", tag) })
+			}
 		}
 		if migrate {
 			if err := w.SetShards(8); err != nil {
 				t.Fatal(err)
 			}
 		}
-		w.Run(4 * time.Millisecond)
+		w.Run(5 * time.Millisecond) // some attempts fired, their verdicts now queued
 		if migrate {
+			if err := w.SetShards(3); err != nil {
+				t.Fatal(err)
+			}
+			w.Run(20 * time.Millisecond)
 			if err := w.SetShards(1); err != nil {
 				t.Fatal(err)
 			}
@@ -131,10 +150,17 @@ func TestSetShardsMigration(t *testing.T) {
 			}
 		}
 		w.Run(time.Second)
-		return got
+		if w.Pending() != 0 {
+			t.Fatalf("%d events left", w.Pending())
+		}
+		return log
 	}
-	if want, got := run(false), run(true); !reflect.DeepEqual(got, want) {
-		t.Fatalf("migration reordered events")
+	want, got := run(false), run(true)
+	if len(want) != 50 { // 10 timers + 10 deliveries + 10×(delivery+ack) + 10 nacks
+		t.Fatalf("reference log has %d lines, want 50", len(want))
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("migration changed the schedule:\n got %v\nwant %v", got, want)
 	}
 }
 

@@ -70,40 +70,31 @@ func (w *World) At(at time.Duration, fn func()) {
 	if fn == nil {
 		return
 	}
+	w.schedule(at, &payload{kind: evFunc, fn: fn}, -1)
+}
+
+// schedule queues one event of any shape under the next sequence number
+// — the single point where the serial engines assign (at, seq) keys, so
+// closures, deliveries and the SendCall events interleave exactly as if
+// each had been an At closure. host is the target's dense host index
+// when the caller knows it (sharded worlds use it to land the event in
+// the owning shard's heap), or -1. In a parallel world this is the
+// coordinator context: the key carries the global tag and the event
+// stays on the global heap.
+func (w *World) schedule(at time.Duration, p *payload, host int32) {
 	if at < w.now {
 		at = w.now
 	}
 	if w.par != nil {
-		w.events.push(event{at: at, seq: w.globalSeq(), fn: fn})
+		w.events.push(at, w.globalSeq(), p)
 		return
 	}
 	w.seq++
-	ev := event{at: at, seq: w.seq, fn: fn}
 	if w.sh != nil {
-		w.sh.push(ev, -1)
+		w.sh.push(at, w.seq, p, host)
 		return
 	}
-	w.events.push(ev)
-}
-
-// atDelivery schedules a network delivery as a value event: the heap
-// entry carries the message inline instead of a per-send closure, which
-// removes the dominant allocation of a gossip-heavy run (one closure
-// per Network.Send). Ordering is identical to At — same (at, seq) key,
-// same push order. host is the target's dense host index when the
-// sender knows it (sharded worlds use it to land the event in the
-// owning shard's heap), or -1.
-func (w *World) atDelivery(at time.Duration, n *Network, from, to ids.NodeID, msg any, host int32) {
-	if at < w.now {
-		at = w.now
-	}
-	w.seq++
-	ev := event{at: at, seq: w.seq, net: n, from: from, to: to, msg: msg}
-	if w.sh != nil {
-		w.sh.push(ev, host)
-		return
-	}
-	w.events.push(ev)
+	w.events.push(at, w.seq, p)
 }
 
 // After schedules fn to run d from now.
@@ -146,10 +137,10 @@ func (w *World) Run(until time.Duration) int {
 		return n
 	}
 	n := 0
-	for len(w.events.evs) > 0 && w.events.evs[0].at <= until {
-		ev := w.events.pop()
-		w.now = ev.at
-		ev.fire()
+	for len(w.events.keys) > 0 && w.events.keys[0].at <= until {
+		k := w.events.pop()
+		w.now = k.at
+		w.events.fire(k.slot)
 		n++
 		if w.obs != nil {
 			w.obs.step(w.now)
@@ -176,13 +167,13 @@ func (w *World) RunAll(maxEvents int) int {
 		return w.runAllSharded(maxEvents)
 	}
 	n := 0
-	for len(w.events.evs) > 0 {
+	for len(w.events.keys) > 0 {
 		if maxEvents > 0 && n >= maxEvents {
 			break
 		}
-		ev := w.events.pop()
-		w.now = ev.at
-		ev.fire()
+		k := w.events.pop()
+		w.now = k.at
+		w.events.fire(k.slot)
 		n++
 		if w.obs != nil {
 			w.obs.step(w.now)
@@ -199,80 +190,126 @@ func (w *World) Pending() int {
 	if w.sh != nil {
 		// A parallel world keeps coordinator-context events in the
 		// global heap alongside the lane heaps (empty otherwise).
-		return w.sh.pending() + len(w.events.evs)
+		return w.sh.pending() + len(w.events.keys)
 	}
-	return len(w.events.evs)
+	return len(w.events.keys)
 }
 
-// event is a value type: the queue stores events inline, so scheduling
-// neither boxes through an interface nor allocates per event (only the
-// backing array grows, amortized). Two shapes share the struct: a
-// closure event (fn set) and a network delivery (net set), which keeps
-// the per-send payload inline instead of closed over.
+// evKind names the four event shapes the queue carries.
+type evKind uint8
+
+const (
+	// evFunc runs a closure (At/After/Every and the lane timers).
+	evFunc evKind = iota
+	// evDeliver is the firing half of Network.Send.
+	evDeliver
+	// evAttempt is the delivery attempt of Network.SendCall; it carries
+	// the callback and both latencies drawn at send time.
+	evAttempt
+	// evResult reports a SendCall outcome (ok) to its callback.
+	evResult
+)
+
+// payload is the body of a queued event: what to run when its key
+// reaches the head of the heap. The shapes share one struct so a slab
+// slot fits any of them; scheduling never boxes through an interface
+// nor allocates a closure per message.
+type payload struct {
+	kind evKind
+	ok   bool // evResult: the verdict
+	net  *Network
+	// from, to, msg: the message of evDeliver and evAttempt.
+	from, to ids.NodeID
+	msg      any
+	fn       func()        // evFunc
+	onResult func(ok bool) // evAttempt, evResult
+	// out, back are the two hop latencies of an evAttempt, drawn when the
+	// call was sent: the nack fires ackTimeout − out after the attempt,
+	// the ack back after it.
+	out, back time.Duration
+}
+
+// event is a payload with its ordering key — the form in which lanes
+// buffer cross-lane sends and SetShards migrates a queue. Heaps store
+// the two halves apart.
 type event struct {
 	at  time.Duration
 	seq uint64
-	fn  func()
-
-	net      *Network
-	from, to ids.NodeID
-	msg      any
+	payload
 }
 
-// fire executes the event.
-func (ev *event) fire() {
-	if ev.fn != nil {
-		ev.fn()
-		return
-	}
-	ev.net.deliver(ev.from, ev.to, ev.msg)
+// eventKey is what the heap orders: 24 bytes, no pointers. slot indexes
+// the payload slab.
+type eventKey struct {
+	at   time.Duration
+	seq  uint64
+	slot uint32
 }
 
-// eventHeap is an index-based 4-ary min-heap ordered by (at, seq):
-// earliest deadline first, FIFO among equal deadlines. A 4-ary layout
-// halves the tree depth of a binary heap, which matters on push — the
-// dominant operation in a periodic-reschedule workload, where a pushed
-// event almost always carries a deadline at least one protocol period in
-// the future and therefore settles after a single parent comparison (the
-// fast path BenchmarkSchedulerReschedule measures).
-type eventHeap struct {
-	evs []event
-}
-
-// less orders events by (at, seq).
-func (h *eventHeap) less(a, b *event) bool {
+// before orders keys by (at, seq).
+func (a *eventKey) before(b *eventKey) bool {
 	if a.at != b.at {
 		return a.at < b.at
 	}
 	return a.seq < b.seq
 }
 
-// push inserts ev, sifting it up from the last leaf.
-func (h *eventHeap) push(ev event) {
-	h.evs = append(h.evs, ev)
-	i := len(h.evs) - 1
-	for i > 0 {
-		parent := (i - 1) / 4
-		if !h.less(&h.evs[i], &h.evs[parent]) {
-			break
-		}
-		h.evs[i], h.evs[parent] = h.evs[parent], h.evs[i]
-		i = parent
-	}
+// eventHeap is an index-based 4-ary min-heap of keys ordered by
+// (at, seq) — earliest deadline first, FIFO among equal deadlines — over
+// a slab of payloads that never move. Sifting therefore shuffles three
+// plain words per level instead of a pointer-carrying event, and the
+// collector never scans the key array. A 4-ary layout halves the tree
+// depth of a binary heap, which matters on push — the dominant operation
+// in a periodic-reschedule workload, where a pushed event almost always
+// carries a deadline at least one protocol period in the future and
+// therefore settles after a single parent comparison (the fast path
+// BenchmarkSchedulerReschedule measures). Slots vacated by fired events
+// are reused through a free list, so the slab is as long as the largest
+// number of events ever pending at once.
+type eventHeap struct {
+	keys []eventKey
+	slab []payload
+	free []uint32
 }
 
-// pop removes and returns the minimum event, sifting the displaced last
-// leaf down. The vacated slot is cleared so the closure or message can
-// be collected.
-func (h *eventHeap) pop() event {
-	evs := h.evs
-	top := evs[0]
-	last := len(evs) - 1
-	evs[0] = evs[last]
-	evs[last] = event{}
-	evs = evs[:last]
-	h.evs = evs
-	// Sift down: promote the smallest of up to four children.
+// push copies *p into a free slab slot and inserts its key, sifting the
+// hole up from the last leaf.
+func (h *eventHeap) push(at time.Duration, seq uint64, p *payload) {
+	var slot uint32
+	if n := len(h.free); n > 0 {
+		slot = h.free[n-1]
+		h.free = h.free[:n-1]
+		h.slab[slot] = *p
+	} else {
+		slot = uint32(len(h.slab))
+		h.slab = append(h.slab, *p)
+	}
+	k := eventKey{at: at, seq: seq, slot: slot}
+	h.keys = append(h.keys, k)
+	keys := h.keys
+	i := len(keys) - 1
+	for i > 0 {
+		parent := (i - 1) / 4
+		if !k.before(&keys[parent]) {
+			break
+		}
+		keys[i] = keys[parent]
+		i = parent
+	}
+	keys[i] = k
+}
+
+// pop removes and returns the minimum key, sifting the displaced last
+// leaf down. The payload stays in its slot until fire consumes it.
+func (h *eventHeap) pop() eventKey {
+	keys := h.keys
+	top := keys[0]
+	last := len(keys) - 1
+	k := keys[last]
+	keys = keys[:last]
+	h.keys = keys
+	// Sift the hole at the root down: promote the smallest of up to four
+	// children until k fits.
 	i := 0
 	for {
 		first := 4*i + 1
@@ -285,17 +322,62 @@ func (h *eventHeap) pop() event {
 			end = last
 		}
 		for c := first + 1; c < end; c++ {
-			if h.less(&evs[c], &evs[min]) {
+			if keys[c].before(&keys[min]) {
 				min = c
 			}
 		}
-		if !h.less(&evs[min], &evs[i]) {
+		if !keys[min].before(&k) {
 			break
 		}
-		evs[i], evs[min] = evs[min], evs[i]
+		keys[i] = keys[min]
 		i = min
 	}
+	if last > 0 {
+		keys[i] = k
+	}
 	return top
+}
+
+// fire runs the event in slot and recycles the slot. What the event
+// needs is read out and the slot zeroed — so the closure or message can
+// be collected — before anything runs: the callback may push, which
+// reuses free slots and may move the slab.
+func (h *eventHeap) fire(slot uint32) {
+	p := &h.slab[slot]
+	switch p.kind {
+	case evFunc:
+		fn := p.fn
+		h.release(slot)
+		fn()
+	case evDeliver:
+		n, from, to, msg := p.net, p.from, p.to, p.msg
+		h.release(slot)
+		n.deliver(from, to, msg)
+	case evAttempt:
+		call := *p
+		h.release(slot)
+		call.net.attempt(&call)
+	case evResult:
+		onResult, ok := p.onResult, p.ok
+		h.release(slot)
+		onResult(ok)
+	}
+}
+
+// release zeroes a consumed slot and returns it to the free list.
+func (h *eventHeap) release(slot uint32) {
+	h.slab[slot] = payload{}
+	h.free = append(h.free, slot)
+}
+
+// drain appends every queued event to out (heap order, not firing
+// order) and empties the heap.
+func (h *eventHeap) drain(out []event) []event {
+	for _, k := range h.keys {
+		out = append(out, event{at: k.at, seq: k.seq, payload: h.slab[k.slot]})
+	}
+	*h = eventHeap{}
+	return out
 }
 
 // LatencyModel samples one-way message latencies.

@@ -4,8 +4,8 @@
 # Builds cmd/avmemsim and executes one scenario with the profiler flags
 # (-cpuprofile / -memprofile / -trace) turned on, dropping the artifacts
 # under profiles/. This is the deployment-engine view: world build,
-# warmup, drivers, workload — everything `avmemsim run` does, which is
-# also exactly what the BenchmarkScenario* targets measure.
+# warmup, drivers, workload — everything `avmemsim run` does, and what
+# the repository benchmark (benchmark/README.md) times end to end.
 #
 # Usage:
 #   scripts/profile.sh                              # scenarios/mixed-workload.json
