@@ -257,6 +257,11 @@ func TestDiscoverIdxMatchesDiscover(t *testing.T) {
 			}
 			admitted += a
 		}
+		// The outbound availability claim asks the monitor about self by
+		// index on one side, by identifier on the other.
+		if a, b := p.byIdx.SelfClaim(), p.byID.SelfClaim(); a != b {
+			t.Fatalf("step %d: self claim %v indexed, %v by identifier", step, a, b)
+		}
 		same := func(a, b Neighbor) bool {
 			return a.ID == b.ID && a.Availability == b.Availability && a.Sliver == b.Sliver && a.FetchedAt == b.FetchedAt
 		}

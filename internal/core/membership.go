@@ -279,20 +279,24 @@ func (m *Membership) Predicate() *Predicate { return m.cfg.Predicate }
 // without perturbing membership decisions. Falls back to the cached
 // value when the monitor does not answer.
 func (m *Membership) SelfClaim() float64 {
-	if v, ok := m.cfg.Monitor.Availability(m.self); ok {
+	if v, ok := m.availability(m.self, m.selfIdx()); ok {
 		return v
 	}
 	return m.selfAvail
 }
 
+// selfIdx returns this node's dense host index, or −1 without a universe.
+func (m *Membership) selfIdx() int32 {
+	if m.cfg.PairIdx != nil {
+		return m.cfg.SelfIdx
+	}
+	return -1
+}
+
 // RefreshSelf re-queries the monitoring service for this node's own
 // availability. Returns the cached value.
 func (m *Membership) RefreshSelf() float64 {
-	yi := int32(-1)
-	if m.cfg.PairIdx != nil {
-		yi = m.cfg.SelfIdx
-	}
-	if v, ok := m.availability(m.self, yi); ok {
+	if v, ok := m.availability(m.self, m.selfIdx()); ok {
 		if v != m.selfAvail || !m.selfKnown {
 			m.selfVer++
 			m.hsKnown = false

@@ -106,6 +106,14 @@ func NewCluster(cfg WorldConfig) (*Cluster, error) {
 	}
 	c.mon = mon
 	c.Monitor = mon.monitor
+	// Every node is handed the host-index universe World's memberships
+	// run on: the shared host table, the trace's identifier resolver, and
+	// the monitor's epoch for the per-epoch rejection tags.
+	pairs, err := ids.NewPairIndexCache(c.hosts, 0)
+	if err != nil {
+		return nil, err
+	}
+	universe := &node.Universe{Pairs: pairs, IndexOf: tr.HostIndex, MonitorEpoch: mon.epoch}
 	adv, err := buildAdversaries(cfg.Adversary, tr, cfg.Seed)
 	if err != nil {
 		return nil, err
@@ -163,6 +171,7 @@ func NewCluster(cfg WorldConfig) (*Cluster, error) {
 			AuditObs:       auditIns,
 			BandCensus:     bandCensus,
 			OpTrace:        cfg.OpTrace,
+			Universe:       universe,
 		})
 		if err != nil {
 			return nil, err
@@ -251,15 +260,22 @@ func (c *Cluster) TrueAvailability(id ids.NodeID) float64 {
 	if h < 0 {
 		return 0
 	}
+	return c.trueAvailabilityAt(h)
+}
+
+// trueAvailabilityAt is TrueAvailability by trace host index.
+func (c *Cluster) trueAvailabilityAt(h int) float64 {
 	return c.Trace.SmoothedAvailability(h, c.Trace.EpochAt(c.Sched.Now()))
 }
 
 // OnlineInBand implements Deployment.
 func (c *Cluster) OnlineInBand(lo, hi float64) []ids.NodeID {
 	out := make([]ids.NodeID, 0, 64)
-	for _, id := range c.OnlineHosts() {
-		av := c.TrueAvailability(id)
-		if av >= lo && av < hi {
+	for h, id := range c.hosts {
+		if !c.onlineAt(h) {
+			continue
+		}
+		if av := c.trueAvailabilityAt(h); av >= lo && av < hi {
 			out = append(out, id)
 		}
 	}
@@ -269,8 +285,8 @@ func (c *Cluster) OnlineInBand(lo, hi float64) []ids.NodeID {
 // EligibleFor implements Deployment.
 func (c *Cluster) EligibleFor(t ops.Target) int {
 	n := 0
-	for _, id := range c.OnlineHosts() {
-		if t.Contains(c.TrueAvailability(id)) {
+	for h := range c.hosts {
+		if c.onlineAt(h) && t.Contains(c.trueAvailabilityAt(h)) {
 			n++
 		}
 	}
@@ -297,17 +313,17 @@ func (c *Cluster) Membership(id ids.NodeID) *core.Membership {
 
 // MeanDegree implements Deployment.
 func (c *Cluster) MeanDegree() float64 {
-	online := c.OnlineHosts()
-	if len(online) == 0 {
-		return 0
-	}
-	total := 0
-	for _, id := range online {
-		if m := c.Membership(id); m != nil {
-			total += m.Size()
+	online, total := 0, 0
+	for h, n := range c.nodes {
+		if c.onlineAt(h) {
+			online++
+			total += n.Membership().Size()
 		}
 	}
-	return float64(total) / float64(len(online))
+	if online == 0 {
+		return 0
+	}
+	return float64(total) / float64(online)
 }
 
 // MonitorService implements Deployment.

@@ -1,9 +1,11 @@
 package exp
 
 import (
+	"slices"
 	"testing"
 	"time"
 
+	"avmem/internal/ids"
 	"avmem/internal/ops"
 	"avmem/internal/trace"
 )
@@ -143,5 +145,39 @@ func TestClusterMonitorNoiseSwap(t *testing.T) {
 	restored, _ := c.MonitorService().Availability(id)
 	if restored != clean {
 		t.Errorf("restored availability %v, want clean %v", restored, clean)
+	}
+}
+
+// TestClusterGroundTruthQueriesMatchTheirDefinition: OnlineInBand,
+// EligibleFor and MeanDegree loop by host index; each must still be what
+// its name says over OnlineHosts/TrueAvailability/Membership, in host
+// order (PickInitiator draws an index into that order), during a forced
+// outage as well.
+func TestClusterGroundTruthQueriesMatchTheirDefinition(t *testing.T) {
+	c := newTestCluster(t, 2)
+	c.Warmup(2 * time.Hour)
+	c.ForceOffline(c.OnlineHosts()[3], c.Now()+time.Hour)
+	target := ops.Target{Lo: 0.3, Hi: 0.8}
+	var band []ids.NodeID
+	eligible, degree := 0, 0
+	online := c.OnlineHosts()
+	for _, id := range online {
+		av := c.TrueAvailability(id)
+		if av >= 0.3 && av < 0.8 {
+			band = append(band, id)
+		}
+		if target.Contains(av) {
+			eligible++
+		}
+		degree += c.Membership(id).Size()
+	}
+	if got := c.OnlineInBand(0.3, 0.8); len(band) == 0 || !slices.Equal(got, band) {
+		t.Errorf("OnlineInBand = %v, want %v", got, band)
+	}
+	if n := c.EligibleFor(target); n != eligible {
+		t.Errorf("EligibleFor = %d, want %d", n, eligible)
+	}
+	if want := float64(degree) / float64(len(online)); c.MeanDegree() != want {
+		t.Errorf("MeanDegree = %v, want %v", c.MeanDegree(), want)
 	}
 }

@@ -137,8 +137,20 @@ type monitorStack struct {
 	monitor    *switchMonitor
 	base       avmon.Service
 	baseStable bool // base answers pure epoch-constant reads (oracle)
+	tr         *trace.Trace
 	now        func() time.Duration
 	rng        *rand.Rand
+}
+
+// epoch implements core.Config.MonitorEpoch for every membership of the
+// deployment: the trace epoch, stable only while the active monitor is
+// the noiseless oracle (noise wraps draw RNG per query and ping overlays
+// drift between queries, so discovery must not cache around them).
+func (s *monitorStack) epoch() (int, bool) {
+	if !s.monitor.stable {
+		return 0, false
+	}
+	return s.tr.EpochAt(s.now()), true
 }
 
 // buildMonitorStack wires the monitoring service: oracle by default,
@@ -178,6 +190,7 @@ func buildMonitorStack(cfg WorldConfig, tr *trace.Trace, hosts []ids.NodeID, sch
 		monitor:    &switchMonitor{hosts: hosts},
 		base:       base,
 		baseStable: !cfg.DistributedMonitor,
+		tr:         tr,
 		now:        sched.Now,
 		rng:        sched.Rand(),
 	}
@@ -331,7 +344,7 @@ func (w *World) installNodes(pred *core.Predicate) error {
 			PairIdx:       w.PairIdx,
 			SelfIdx:       int32(h),
 			MonitorIdx:    w.mon.monitor,
-			MonitorEpoch:  w.monitorEpoch,
+			MonitorEpoch:  w.mon.epoch,
 		}
 		var auditor *audit.Auditor
 		if w.auditors != nil {

@@ -353,17 +353,6 @@ func NewWorld(cfg WorldConfig) (*World, error) {
 	return w, nil
 }
 
-// monitorEpoch implements core.Config.MonitorEpoch: the trace epoch,
-// stable only while the active monitor is the noiseless oracle (noise
-// wraps draw RNG per query and ping overlays drift between queries, so
-// discovery must not cache around them).
-func (w *World) monitorEpoch() (int, bool) {
-	if !w.mon.monitor.stable {
-		return 0, false
-	}
-	return w.Trace.EpochAt(w.Sim.Now()), true
-}
-
 // auditorAt returns host h's audit layer (nil when auditing is off).
 func (w *World) auditorAt(h int) *audit.Auditor {
 	if w.auditors == nil || h < 0 || h >= len(w.auditors) {

@@ -73,6 +73,9 @@ func (c *PairIndexCache) reset(slots int) {
 // Hosts returns the universe size.
 func (c *PairIndexCache) Hosts() int { return len(c.hosts) }
 
+// IDs returns the universe in index order (shared; read-only).
+func (c *PairIndexCache) IDs() []NodeID { return c.hosts }
+
 // ID returns the identifier at index i.
 func (c *PairIndexCache) ID(i int32) NodeID { return c.hosts[i] }
 

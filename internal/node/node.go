@@ -122,6 +122,27 @@ type Config struct {
 	// OpTrace optionally records causal op spans from this node's
 	// router into a deployment-shared tracer.
 	OpTrace *obs.Tracer
+	// Universe, when non-nil, names the dense host-index universe the
+	// node lives in, and the node addresses its shuffle view, discovery
+	// and monitor queries by host index instead of identifier. An
+	// in-process deployment harness that knows the whole population sets
+	// it; a node that learns peers only off the wire (avmemnode over TCP)
+	// has no universe and leaves it nil. Membership and shuffle decisions
+	// are identical either way.
+	Universe *Universe
+}
+
+// Universe is a deployment's dense host-index universe as a node needs
+// it (see Config.Universe).
+type Universe struct {
+	// Pairs holds the host table in index order; it must contain Self.
+	Pairs *ids.PairIndexCache
+	// IndexOf resolves an identifier to its index in Pairs (negative =
+	// unknown).
+	IndexOf func(ids.NodeID) int
+	// MonitorEpoch optionally reports the monitor's epoch and whether its
+	// answers are currently epoch-constant (core.Config.MonitorEpoch).
+	MonitorEpoch func() (epoch int, stable bool)
 }
 
 func (c *Config) validate() error {
@@ -142,6 +163,9 @@ func (c *Config) validate() error {
 	}
 	if c.Transport == nil && c.Env == nil {
 		return fmt.Errorf("node: either Transport or Env is required")
+	}
+	if u := c.Universe; u != nil && (u.Pairs == nil || u.IndexOf == nil) {
+		return fmt.Errorf("node: Universe needs Pairs and IndexOf")
 	}
 	if c.ViewSize == 0 {
 		c.ViewSize = 16
@@ -186,7 +210,11 @@ type Node struct {
 	stopped chan struct{}
 	running bool
 	// agent is the built-in live CYCLON (Seeds mode); nil in Peers mode.
-	agent *shuffle.Agent
+	// cand/candIdx are the discovery round's candidate buffers (the
+	// agent's view and its host indexes), reused across rounds under mu.
+	agent   *shuffle.Agent
+	cand    []ids.NodeID
+	candIdx []int32
 	// auditor is the receiving-side audit layer (nil when Audit unset).
 	auditor *audit.Auditor
 	// claimBits/claimAt cache the node's own availability claim (float
@@ -258,6 +286,9 @@ func New(cfg Config) (*Node, error) {
 		if err != nil {
 			return nil, err
 		}
+		if u := cfg.Universe; u != nil {
+			agent.UseIndex(u.Pairs.IDs(), u.IndexOf)
+		}
 		agent.Seed(cfg.Seeds)
 		n.agent = agent
 	}
@@ -267,6 +298,12 @@ func New(cfg Config) (*Node, error) {
 		Hashes:        cfg.Hashes,
 		Clock:         n.env.Now,
 		VerifyCushion: cfg.Cushion,
+	}
+	if u := cfg.Universe; u != nil {
+		memCfg.PairIdx = u.Pairs
+		memCfg.SelfIdx = int32(u.IndexOf(cfg.Self))
+		memCfg.MonitorIdx, _ = cfg.Monitor.(avmon.IndexedService)
+		memCfg.MonitorEpoch = u.MonitorEpoch
 	}
 	if n.auditor != nil {
 		memCfg.Blocked = n.auditor.Blocked
@@ -409,23 +446,28 @@ func (n *Node) discoverLocked(external []ids.NodeID) {
 	if !n.base.Online() {
 		return
 	}
-	candidates := external
 	n.cacheClaim()
-	if n.agent != nil {
-		if peer, req, ok := n.agent.Tick(); ok {
-			req.SenderAvail = n.selfClaim()
-			n.env.Send(peer, req)
-			// Tick removes the shuffle partner from the view pending its
-			// reply, but the partner is still the freshest-known peer —
-			// keep it as a discovery candidate (in a two-node deployment
-			// the view would otherwise be empty at every tick).
-			candidates = append(n.agent.View(), peer)
-		} else {
-			n.agent.Seed(n.cfg.Seeds) // view emptied: re-bootstrap
-			candidates = n.agent.View()
-		}
+	if n.agent == nil {
+		n.mem.Discover(external)
+		return
 	}
-	n.mem.Discover(candidates)
+	peer, peerIdx, req, ok := n.agent.TickIdx()
+	if ok {
+		req.SenderAvail = n.selfClaim()
+		n.env.Send(peer, req)
+	} else {
+		n.agent.Seed(n.cfg.Seeds) // view emptied: re-bootstrap
+	}
+	n.cand, n.candIdx = n.agent.AppendViewCand(n.cand[:0], n.candIdx[:0])
+	if ok {
+		// Tick removes the shuffle partner from the view pending its
+		// reply, but the partner is still the freshest-known peer — keep
+		// it as a discovery candidate (in a two-node deployment the view
+		// would otherwise be empty at every tick).
+		n.cand, n.candIdx = append(n.cand, peer), append(n.candIdx, peerIdx)
+	}
+	// Without a universe every index is −1 and this is Discover.
+	n.mem.DiscoverIdx(n.cand, n.candIdx)
 }
 
 // refreshTick runs one refresh round; the gate holds n.mu.

@@ -1,0 +1,228 @@
+package node
+
+import (
+	"math/rand"
+	"slices"
+	"testing"
+	"time"
+
+	"avmem/internal/avdist"
+	"avmem/internal/avmon"
+	"avmem/internal/core"
+	"avmem/internal/ids"
+	"avmem/internal/runtime"
+	"avmem/internal/shuffle"
+	"avmem/internal/sim"
+	"avmem/internal/trace"
+	"avmem/internal/transport"
+)
+
+// universeCluster deploys 60 real nodes on a churn trace, the paper
+// predicate and the trace oracle (optionally behind a noise layer, whose
+// shared RNG makes the result sensitive to the order of every monitor
+// query in the deployment) — the way exp.Cluster does — handing every
+// node the host-index universe or not.
+func universeCluster(t *testing.T, withUniverse, noisy bool) (*sim.World, []*Node) {
+	t.Helper()
+	tr, err := trace.Generate(trace.GenConfig{
+		Hosts: 60, Epochs: 30, Epoch: 20 * time.Minute, Seed: 7,
+		MeanSessionEpochs: 9, DiurnalAmplitude: 0.1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := sim.NewWorld(1)
+	hosts := tr.HostIDs()
+	online := func(h int) bool { return tr.UpAtIndex(h, w.Now()) }
+	net := transport.NewMemnet(transport.MemnetConfig{
+		After:   w.After,
+		Seed:    2,
+		Latency: transport.UniformLatencyFn(20*time.Millisecond, 80*time.Millisecond),
+		Online:  func(id ids.NodeID) bool { return online(tr.HostIndex(id)) },
+	})
+	oracle, err := avmon.NewOracle(tr, w.Now)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var monitor avmon.Service = oracle
+	if noisy {
+		monitor, err = avmon.NewNoisy(oracle, 0.05, 10*time.Minute, w.Now, rand.New(rand.NewSource(3)))
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	pred, err := core.PaperPredicate(0.1, 1, 1, tr.MeanOnline(), avdist.Overnet(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var universe *Universe
+	if withUniverse {
+		pairs, err := ids.NewPairIndexCache(hosts, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		universe = &Universe{
+			Pairs:        pairs,
+			IndexOf:      tr.HostIndex,
+			MonitorEpoch: func() (int, bool) { return tr.EpochAt(w.Now()), !noisy },
+		}
+	}
+	nodes := make([]*Node, len(hosts))
+	for h, id := range hosts {
+		env, err := runtime.NewVirtual(runtime.VirtualConfig{
+			Self: id, Scheduler: w, Fabric: net, Seed: int64(h + 100),
+			Online: func() bool { return online(h) },
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		n, err := New(Config{
+			Self:           id,
+			Predicate:      pred,
+			Monitor:        monitor,
+			Seeds:          []ids.NodeID{hosts[(h+1)%len(hosts)], hosts[(h+17)%len(hosts)]},
+			ViewSize:       8,
+			Env:            env,
+			ProtocolPeriod: time.Minute,
+			Seed:           int64(h + 1),
+			Universe:       universe,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		nodes[h] = n
+		w.After(time.Duration(h)*time.Second, func() {
+			if err := n.Start(); err != nil {
+				t.Error(err)
+			}
+		})
+	}
+	t.Cleanup(func() {
+		for _, n := range nodes {
+			n.Stop()
+		}
+	})
+	return w, nodes
+}
+
+// TestUniverseDoesNotChangeDecisions: the universe is an addressing
+// choice. The same 60-host deployment with and without it must hold
+// identical slivers (every cached field, the admitting pair hash
+// included) and identical coarse views on every node after 400 protocol
+// periods of churn, epoch changes and refresh rounds — under the stable
+// oracle, where indexed discovery skips candidates by rejection tag, and
+// under a noisy monitor, where it must re-query in the same order.
+func TestUniverseDoesNotChangeDecisions(t *testing.T) {
+	for _, noisy := range []bool{false, true} {
+		name := "oracle"
+		if noisy {
+			name = "noisy"
+		}
+		t.Run(name, func(t *testing.T) {
+			wi, indexed := universeCluster(t, true, noisy)
+			wb, byID := universeCluster(t, false, noisy)
+			wi.Run(400 * time.Minute)
+			wb.Run(400 * time.Minute)
+			total, rejected := 0, false
+			for h := range indexed {
+				// Neighbor's unexported index memo differs by design; compare
+				// what operations can read.
+				ni, nb := indexed[h].Neighbors(core.HSVS), byID[h].Neighbors(core.HSVS)
+				if len(ni) != len(nb) {
+					t.Fatalf("host %d: %d neighbors indexed, %d by identifier", h, len(ni), len(nb))
+				}
+				for j := range ni {
+					a, b := ni[j], nb[j]
+					if a.ID != b.ID || a.Availability != b.Availability || a.Sliver != b.Sliver ||
+						a.FetchedAt != b.FetchedAt || a.PairHash() != b.PairHash() {
+						t.Fatalf("host %d neighbor %d: %+v indexed, %+v by identifier", h, j, a, b)
+					}
+				}
+				if vi, vb := indexed[h].CoarseView(), byID[h].CoarseView(); !slices.Equal(vi, vb) {
+					t.Fatalf("host %d coarse views diverge:\n indexed    %v\n identifier %v", h, vi, vb)
+				}
+				total += len(ni)
+				if len(ni) < len(indexed[h].CoarseView()) {
+					rejected = true
+				}
+			}
+			// The comparison is vacuous unless the predicate both admits and
+			// refuses within reach of the views.
+			if total == 0 || !rejected {
+				t.Fatalf("degenerate deployment: %d neighbors in total, rejections seen: %v", total, rejected)
+			}
+		})
+	}
+}
+
+// sinkFabric is a message fabric that remembers only the last send.
+type sinkFabric struct {
+	to   ids.NodeID
+	sent int
+}
+
+func (f *sinkFabric) Register(ids.NodeID, transport.Handler) error { return nil }
+func (f *sinkFabric) Unregister(ids.NodeID)                        {}
+func (f *sinkFabric) Send(_, to ids.NodeID, _ any)                 { f.to, f.sent = to, f.sent+1 }
+func (f *sinkFabric) SendCall(_, to ids.NodeID, _ any, _ func(bool)) {
+	f.to, f.sent = to, f.sent+1
+}
+
+// TestConvergedDiscoveryTickAllocatesOnlyWhatItSends pins the discovery
+// round of a node whose slivers have settled: the shuffle request's entry
+// slice and the box the message travels in — what leaves the node — and
+// nothing else. No View() copy, no candidate slice, no map growth; with
+// or without a universe.
+func TestConvergedDiscoveryTickAllocatesOnlyWhatItSends(t *testing.T) {
+	for _, withUniverse := range []bool{true, false} {
+		all := make([]ids.NodeID, 12)
+		monitor := avmon.Static{}
+		for i := range all {
+			all[i] = ids.Synthetic(i)
+			monitor[all[i]] = 0.5
+		}
+		fabric := &sinkFabric{}
+		w := sim.NewWorld(1)
+		env, err := runtime.NewVirtual(runtime.VirtualConfig{Self: all[0], Scheduler: w, Fabric: fabric, Seed: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := Config{
+			Self: all[0], Predicate: acceptAll(t), Monitor: monitor,
+			Seeds: all[1:], ViewSize: 8, Env: env, Seed: 1,
+		}
+		if withUniverse {
+			pairs, err := ids.NewPairIndexCache(all, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg.Universe = &Universe{Pairs: pairs, IndexOf: func(id ids.NodeID) int { return slices.Index(all, id) }}
+		}
+		n, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// One round trip per tick: the partner answers with its own entry,
+		// so the view the tick spent is whole again for the next one.
+		reply := shuffle.Reply{Entries: make([]shuffle.Entry, 1)}
+		tick := func() {
+			n.DiscoverNow()
+			reply.Entries[0] = shuffle.Entry{ID: fabric.to}
+			n.agent.HandleReply(fabric.to, reply)
+		}
+		for i := 0; i < 50; i++ {
+			tick()
+		}
+		if hs, vs := n.SliverSizes(); hs+vs < 8 {
+			t.Fatalf("universe=%v: node never converged: %d neighbors", withUniverse, hs+vs)
+		}
+		sent := fabric.sent
+		if avg := testing.AllocsPerRun(100, tick); avg != 2 {
+			t.Errorf("universe=%v: a converged discovery tick allocates %.2f times, want 2 (offer + message box)",
+				withUniverse, avg)
+		}
+		if fabric.sent-sent < 100 {
+			t.Fatalf("universe=%v: only %d requests left the node during the measurement", withUniverse, fabric.sent-sent)
+		}
+	}
+}

@@ -81,7 +81,9 @@ func (e *Virtual) After(d time.Duration, fn func()) {
 	})
 }
 
-// Every implements Env.
+// Every implements Env. The stopped-Env check After wraps each callback
+// in is folded into the one tick closure built here, so a steady-state
+// tick reschedules itself without allocating.
 func (e *Virtual) Every(offset, period time.Duration, fn func()) (stop func()) {
 	if period <= 0 || fn == nil {
 		return func() {}
@@ -89,13 +91,13 @@ func (e *Virtual) Every(offset, period time.Duration, fn func()) (stop func()) {
 	running := true
 	var tick func()
 	tick = func() {
-		if !running {
+		if e.stopped || !running {
 			return
 		}
 		fn()
-		e.After(period, tick)
+		e.cfg.Scheduler.After(period, tick)
 	}
-	e.After(offset, tick)
+	e.cfg.Scheduler.After(offset, tick)
 	return func() { running = false }
 }
 

@@ -228,3 +228,23 @@ func TestNetFabricAdapter(t *testing.T) {
 		t.Error("unregistered sim handler still receiving")
 	}
 }
+
+// TestVirtualEverySteadyStateDoesNotAllocate pins the periodic driver's
+// cost: one tick closure is built per Every, and each firing reschedules
+// that same closure — no per-tick wrapper, so a steady-state tick
+// allocates nothing (2000 nodes × two drivers tick all run long).
+func TestVirtualEverySteadyStateDoesNotAllocate(t *testing.T) {
+	w, _, a, _ := newVirtualPair(t)
+	const period = 10 * time.Millisecond
+	count := 0
+	stop := a.Every(0, period, func() { count++ })
+	defer stop()
+	w.Run(10 * period) // past any first-use growth of the event queue
+	before := count
+	if avg := testing.AllocsPerRun(200, func() { w.Run(w.Now() + period) }); avg != 0 {
+		t.Errorf("a steady-state Every tick allocates %.2f times, want 0", avg)
+	}
+	if count-before < 200 {
+		t.Fatalf("only %d ticks fired during the measurement", count-before)
+	}
+}

@@ -8,16 +8,21 @@ import (
 )
 
 // goldenReports pins the SHA-256 of Result.WriteReport for two checked-in
-// scenarios on the sim backend at their spec seed: mixed-workload covers
+// scenarios at their spec seed, on both backends: mixed-workload covers
 // the honest maintenance + operations path, eclipse-attack the audit and
-// adversary shuffle-tap path. A pure performance change must leave both
-// digests alone; a change that is *meant* to move a simulated outcome
-// re-records them here, in the same commit, and says why.
+// adversary path (the central shuffle tap on sim; poisoned shuffle
+// messages through every node's agent on memnet). A pure performance
+// change must leave all four digests alone; a change that is *meant* to
+// move an outcome re-records them here, in the same commit, and says why.
 var goldenReports = []struct {
-	file, sha256 string
+	file    string
+	backend string
+	sha256  string
 }{
-	{"mixed-workload.json", "3856ab215933a031e34ff96495bf9563b4c357f0488a8dd56c9c91a6bce08e65"},
-	{"eclipse-attack.json", "5a150a87ed4de52dd618c4dd519a172c1973824068149f3be4e775e29cddbbc8"},
+	{"mixed-workload.json", BackendSim, "3856ab215933a031e34ff96495bf9563b4c357f0488a8dd56c9c91a6bce08e65"},
+	{"eclipse-attack.json", BackendSim, "5a150a87ed4de52dd618c4dd519a172c1973824068149f3be4e775e29cddbbc8"},
+	{"mixed-workload.json", BackendMemnet, "c566b7678d11b7b6166a7ee671d22f9fd5125695b16be522ad76cab01c645e34"},
+	{"eclipse-attack.json", BackendMemnet, "a9520034f4d22526bffe2e83aebe62a48fe002e0d11a95eb03ce2b875d716d55"},
 }
 
 // TestGoldenReports is the in-tree byte-identity tripwire: the
@@ -28,12 +33,16 @@ func TestGoldenReports(t *testing.T) {
 		t.Skip("runs full scenario worlds")
 	}
 	for _, g := range goldenReports {
-		t.Run(g.file, func(t *testing.T) {
+		name := g.file // the sim rows keep their historical subtest names
+		if g.backend != BackendSim {
+			name = g.backend + "/" + g.file
+		}
+		t.Run(name, func(t *testing.T) {
 			spec, err := LoadFile(filepath.Join("..", "..", "scenarios", g.file))
 			if err != nil {
 				t.Fatal(err)
 			}
-			res, err := Run(spec, Options{Backend: BackendSim})
+			res, err := Run(spec, Options{Backend: g.backend})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -1,0 +1,454 @@
+package shuffle_test
+
+import (
+	"math/rand"
+	"testing"
+
+	"avmem/internal/ids"
+	"avmem/internal/shuffle"
+	"avmem/internal/transport"
+)
+
+// agentPair is one host run three times from one seed: an agent that
+// knows the host-index universe, one that only ever sees identifiers, and
+// the reference model below. The index is an addressing choice, so after
+// any schedule all three must hold the same view, have produced the same
+// messages and be about to draw the same random number.
+type agentPair struct {
+	id        ids.NodeID
+	idx, byID *shuffle.Agent
+	ref       *refAgent
+}
+
+// refAgent is the agent as first written — rand.Perm sampling, a string
+// scan per duplicate check, a full oldest-entry scan per eviction — kept
+// as the executable definition of what Agent's scratch permutation,
+// index compares and age mirror must reproduce, RNG draw for RNG draw.
+type refAgent struct {
+	self       ids.NodeID
+	cap, shufL int
+	rng        *rand.Rand
+	entries    []shuffle.Entry
+}
+
+func (a *refAgent) seed(peers []ids.NodeID) {
+	for _, p := range peers {
+		a.add(shuffle.Entry{ID: p})
+	}
+}
+
+func (a *refAgent) oldest() int {
+	oldest := 0
+	for i := 1; i < len(a.entries); i++ {
+		if a.entries[i].Age > a.entries[oldest].Age {
+			oldest = i
+		}
+	}
+	return oldest
+}
+
+func (a *refAgent) tick() (ids.NodeID, []shuffle.Entry, bool) {
+	if len(a.entries) == 0 {
+		return ids.Nil, nil, false
+	}
+	for i := range a.entries {
+		a.entries[i].Age++
+	}
+	o := a.oldest()
+	peer := a.entries[o].ID
+	a.entries = append(a.entries[:o], a.entries[o+1:]...)
+	return peer, append(a.sample(a.shufL-1), shuffle.Entry{ID: a.self}), true
+}
+
+func (a *refAgent) handleRequest(received []shuffle.Entry) []shuffle.Entry {
+	out := a.sample(a.shufL)
+	a.merge(received)
+	return out
+}
+
+func (a *refAgent) sample(n int) []shuffle.Entry {
+	if n <= 0 || len(a.entries) == 0 {
+		return nil
+	}
+	perm := a.rng.Perm(len(a.entries))
+	if n > len(perm) {
+		n = len(perm)
+	}
+	var out []shuffle.Entry
+	for _, i := range perm[:n] {
+		out = append(out, a.entries[i])
+	}
+	return out
+}
+
+func (a *refAgent) merge(received []shuffle.Entry) {
+	for _, e := range received {
+		a.add(e)
+	}
+}
+
+func (a *refAgent) add(e shuffle.Entry) {
+	if e.ID == a.self || e.ID.IsNil() {
+		return
+	}
+	for _, have := range a.entries {
+		if have.ID == e.ID {
+			return
+		}
+	}
+	if len(a.entries) < a.cap {
+		a.entries = append(a.entries, e)
+		return
+	}
+	if o := a.oldest(); a.entries[o].Age >= e.Age {
+		a.entries[o] = e
+	}
+}
+
+const (
+	agentUniverse = 40
+	agentHosts    = 30 // universe[agentHosts:] never run an agent
+	agentOutside  = 4
+	agentView     = 7
+	agentLen      = 4
+)
+
+type agentDiff struct {
+	t        *testing.T
+	universe []ids.NodeID
+	outside  []ids.NodeID
+	index    map[ids.NodeID]int
+	pairs    []*agentPair
+	up       []bool
+	rng      *rand.Rand // the schedule's own stream
+}
+
+func newAgentDiff(t *testing.T, seed int64) *agentDiff {
+	t.Helper()
+	d := &agentDiff{t: t, index: map[ids.NodeID]int{}, rng: rand.New(rand.NewSource(seed))}
+	for i := 0; i < agentUniverse; i++ {
+		d.universe = append(d.universe, ids.Synthetic(i))
+		d.index[d.universe[i]] = i
+	}
+	for i := 0; i < agentOutside; i++ {
+		d.outside = append(d.outside, ids.Synthetic(7000+i))
+	}
+	indexOf := func(id ids.NodeID) int {
+		if i, ok := d.index[id]; ok {
+			return i
+		}
+		return -1
+	}
+	for i := 0; i < agentHosts; i++ {
+		p := &agentPair{id: d.universe[i], ref: &refAgent{self: d.universe[i], cap: agentView, shufL: agentLen,
+			rng: rand.New(rand.NewSource(seed + int64(i) + 1))}}
+		for _, a := range []**shuffle.Agent{&p.idx, &p.byID} {
+			var err error
+			if *a, err = shuffle.NewAgent(p.id, agentView, agentLen, seed+int64(i)+1); err != nil {
+				t.Fatal(err)
+			}
+		}
+		seeds := []ids.NodeID{d.universe[(i+1)%agentHosts], d.universe[(i+5)%agentHosts], d.outside[i%agentOutside]}
+		// Either order must work: entries seeded before the universe is
+		// known are resolved when it arrives.
+		if i%2 == 0 {
+			p.idx.UseIndex(d.universe, indexOf)
+		}
+		p.idx.Seed(seeds)
+		p.byID.Seed(seeds)
+		p.ref.seed(seeds)
+		if i%2 != 0 {
+			p.idx.UseIndex(d.universe, indexOf)
+		}
+		d.pairs = append(d.pairs, p)
+		d.up = append(d.up, true)
+	}
+	return d
+}
+
+// rewrite is one drawn tampering of a message in flight; apply performs
+// it on either side's copy of the entries, so both agents of the
+// receiving pair see the same identifiers and ages — while the indexed
+// side's entries additionally carry whatever memos survive the rewrite.
+type rewrite struct {
+	kind            int
+	a, ageA         int
+	receiver, from  ids.NodeID
+	relabel, stray  ids.NodeID
+	outsider, known ids.NodeID
+}
+
+func (d *agentDiff) drawRewrite(receiver, from ids.NodeID) rewrite {
+	return rewrite{
+		kind:     d.rng.Intn(6),
+		a:        d.rng.Intn(agentLen),
+		ageA:     d.rng.Intn(9) - 2,
+		receiver: receiver,
+		from:     from,
+		relabel:  d.universe[d.rng.Intn(agentUniverse)],
+		stray:    d.universe[agentHosts+d.rng.Intn(agentUniverse-agentHosts)],
+		outsider: d.outside[d.rng.Intn(agentOutside)],
+		known:    d.universe[d.rng.Intn(agentHosts)],
+	}
+}
+
+func (rw rewrite) apply(t *testing.T, from ids.NodeID, msg any) []shuffle.Entry {
+	t.Helper()
+	entries := entriesOf(msg)
+	switch rw.kind {
+	case 0, 1:
+		return entries // in-process delivery: memos travel untouched
+	case 2:
+		// A JSON hop (the TCP transport): every memo is gone on arrival.
+		env, err := transport.Encode(from, msg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		back, err := transport.Decode(env)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out := entriesOf(back)
+		for _, e := range out {
+			if e.Idx1() != 0 {
+				t.Fatalf("entry %v kept memo %d across the wire", e.ID, e.Idx1())
+			}
+		}
+		return out
+	}
+	// An adversary-built offer: the honest entries plus everything a merge
+	// must refuse or survive.
+	out := append([]shuffle.Entry(nil), entries...)
+	out = append(out,
+		shuffle.Entry{ID: rw.outsider, Age: rw.ageA}, // outside the universe
+		shuffle.Entry{ID: ids.Nil, Age: 1},
+		shuffle.Entry{ID: rw.stray},                  // in the universe, runs no agent
+		shuffle.Entry{ID: rw.receiver},               // the receiver itself
+		shuffle.Entry{ID: rw.from},                   // a self-advertising sender
+		shuffle.Entry{ID: rw.known, Age: rw.ageA},    // built from scratch: no memo
+		shuffle.Entry{ID: rw.outsider, Age: rw.ageA}, // a duplicate without an index
+	)
+	if len(entries) > 0 {
+		// A real entry copied and re-labelled: on the indexed side its memo
+		// now names a different host than its identifier does.
+		forged := entries[rw.a%len(entries)]
+		forged.ID = rw.relabel
+		out = append(out, forged, entries[0]) // and a duplicate, memo and all
+	}
+	return out
+}
+
+func entriesOf(msg any) []shuffle.Entry {
+	switch m := msg.(type) {
+	case shuffle.Request:
+		return m.Entries
+	case shuffle.Reply:
+		return m.Entries
+	}
+	return nil
+}
+
+// sameEntries compares what the protocol can observe: identifiers and
+// ages, in order.
+func sameEntries(a, b []shuffle.Entry) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i].ID != b[i].ID || a[i].Age != b[i].Age {
+			return false
+		}
+	}
+	return true
+}
+
+func (d *agentDiff) checkPair(step int, p *agentPair) {
+	d.t.Helper()
+	si, sb := p.idx.Snapshot(), p.byID.Snapshot()
+	if !sameEntries(si, sb) || !sameEntries(si, p.ref.entries) {
+		d.t.Fatalf("step %d: %v views diverge\n indexed    %v\n identifier %v\n reference  %v",
+			step, p.id, si, sb, p.ref.entries)
+	}
+	// The invariant the int32 compares rest on: a memo is present exactly
+	// when the universe knows the identifier, and names it.
+	cand, candIdx := p.idx.AppendViewCand(nil, nil)
+	for j, e := range si {
+		want, known := d.index[e.ID]
+		if !known {
+			want = -1
+		}
+		if cand[j] != e.ID || int(candIdx[j]) != want || int(e.Idx1()) != want+1 {
+			d.t.Fatalf("step %d: %v holds %v with memo %d / candidate (%v,%d), universe says %d",
+				step, p.id, e.ID, e.Idx1(), cand[j], candIdx[j], want)
+		}
+	}
+	for _, e := range sb {
+		if e.Idx1() != 0 {
+			d.t.Fatalf("step %d: identifier-only %v trusted a foreign memo on %v", step, p.id, e.ID)
+		}
+	}
+}
+
+// exchange runs one shuffle round initiated by pair i on both sides.
+func (d *agentDiff) exchange(step, i int) {
+	p := d.pairs[i]
+	peerI, idxI, reqI, okI := p.idx.TickIdx()
+	peerB, reqB, okB := p.byID.Tick()
+	peerR, reqR, okR := p.ref.tick()
+	if okI != okB || peerI != peerB || !sameEntries(reqI.Entries, reqB.Entries) ||
+		okI != okR || peerI != peerR || !sameEntries(reqI.Entries, reqR) {
+		d.t.Fatalf("step %d: %v ticks diverge: (%v,%v,%v) vs (%v,%v,%v) vs reference (%v,%v,%v)",
+			step, p.id, peerI, okI, reqI.Entries, peerB, okB, reqB.Entries, peerR, okR, reqR)
+	}
+	// What makes arrival a compare instead of a lookup: everything an
+	// indexed agent offers, its fresh self-entry included, carries its memo.
+	for _, e := range reqI.Entries {
+		if want, known := d.index[e.ID]; known && int(e.Idx1()) != want+1 {
+			d.t.Fatalf("step %d: %v offered %v with memo %d, want %d", step, p.id, e.ID, e.Idx1(), want+1)
+		}
+	}
+	if !okI {
+		seeds := []ids.NodeID{d.universe[d.rng.Intn(agentHosts)], d.outside[d.rng.Intn(agentOutside)]}
+		p.idx.Seed(seeds)
+		p.byID.Seed(seeds)
+		p.ref.seed(seeds)
+		return
+	}
+	want, known := d.index[peerI]
+	if !known {
+		want = -1
+	}
+	if int(idxI) != want {
+		d.t.Fatalf("step %d: %v's partner %v came with index %d, universe says %d", step, p.id, peerI, idxI, want)
+	}
+	if !known || want >= agentHosts || !d.up[want] {
+		return // outsider, stray or churned-out partner: the request is lost
+	}
+	q := d.pairs[want]
+	rw := d.drawRewrite(q.id, p.id)
+	replyI := q.idx.HandleRequest(p.id, shuffle.Request{Entries: rw.apply(d.t, p.id, reqI)})
+	replyB := q.byID.HandleRequest(p.id, shuffle.Request{Entries: rw.apply(d.t, p.id, reqB)})
+	replyR := q.ref.handleRequest(rw.apply(d.t, p.id, shuffle.Request{Entries: reqR}))
+	if !sameEntries(replyI.Entries, replyB.Entries) || !sameEntries(replyI.Entries, replyR) {
+		d.t.Fatalf("step %d: %v replies diverge: %v vs %v vs reference %v",
+			step, q.id, replyI.Entries, replyB.Entries, replyR)
+	}
+	d.checkPair(step, q)
+	if d.rng.Intn(8) == 0 {
+		return // reply lost
+	}
+	rw = d.drawRewrite(p.id, q.id)
+	p.idx.HandleReply(q.id, shuffle.Reply{Entries: rw.apply(d.t, q.id, replyI)})
+	p.byID.HandleReply(q.id, shuffle.Reply{Entries: rw.apply(d.t, q.id, replyB)})
+	p.ref.merge(rw.apply(d.t, q.id, shuffle.Reply{Entries: replyR}))
+	d.checkPair(step, p)
+}
+
+// TestAgentIndexedMatchesIdentifierOnly is the differential test for
+// UseIndex: indexed and identifier-only agents (and the reference model
+// they both replaced) from one seed, driven
+// through Seed/Tick/HandleRequest/HandleReply with churned partners and
+// tampered messages — entries that lost their memo over a JSON hop,
+// entries outside the universe, nil identifiers, self-advertising
+// senders, duplicates, and an entry re-labelled with another identifier
+// while keeping its memo — must agree on every view, request, reply and
+// on the next RNG draw.
+func TestAgentIndexedMatchesIdentifierOnly(t *testing.T) {
+	for _, seed := range []int64{1, 2, 3} {
+		d := newAgentDiff(t, seed)
+		for _, p := range d.pairs {
+			d.checkPair(-1, p)
+		}
+		for step := 0; step < 4000; step++ {
+			if d.rng.Intn(25) == 0 {
+				h := d.rng.Intn(agentHosts)
+				d.up[h] = !d.up[h]
+			}
+			if i := d.rng.Intn(agentHosts); d.up[i] {
+				d.exchange(step, i)
+			}
+		}
+		for _, p := range d.pairs {
+			d.checkPair(4000, p)
+			if a, b, r := p.idx.NextDraw(), p.byID.NextDraw(), p.ref.rng.Int63(); a != b || a != r {
+				t.Fatalf("seed %d: %v RNG streams diverged: %d vs %d vs reference %d", seed, p.id, a, b, r)
+			}
+		}
+	}
+}
+
+// TestAgentRelabelledEntryIsReResolved pins the one place the agent must
+// not behave like Cyclon: a received memo that disagrees with the
+// identifier next to it loses. An entry for A re-labelled B (memo still
+// naming A) must enter the view as B — with B's index — and must not be
+// mistaken for a duplicate of the A already there.
+func TestAgentRelabelledEntryIsReResolved(t *testing.T) {
+	universe := []ids.NodeID{"self", "a", "b", "c"}
+	indexOf := func(id ids.NodeID) int {
+		for i, u := range universe {
+			if u == id {
+				return i
+			}
+		}
+		return -1
+	}
+	src, err := shuffle.NewAgent("c", 4, 2, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	src.UseIndex(universe, indexOf)
+	src.Seed([]ids.NodeID{"a"})
+	genuine := src.Snapshot()[0]
+	if genuine.ID != "a" || genuine.Idx1() != 2 {
+		t.Fatalf("source entry = %+v, want a with memo 2", genuine)
+	}
+	forged := genuine
+	forged.ID = "b"
+
+	dst, err := shuffle.NewAgent("self", 4, 2, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dst.UseIndex(universe, indexOf)
+	dst.Seed([]ids.NodeID{"a"})
+	dst.HandleReply("c", shuffle.Reply{Entries: []shuffle.Entry{forged}})
+	view := dst.Snapshot()
+	if len(view) != 2 || view[0].ID != "a" || view[1].ID != "b" {
+		t.Fatalf("view = %+v, want [a b]", view)
+	}
+	if view[1].Idx1() != 3 {
+		t.Fatalf("re-labelled entry kept memo %d, want b's 3", view[1].Idx1())
+	}
+}
+
+// TestAgentWithoutUniverseIgnoresMemos: an agent that was never given a
+// universe cannot check a memo, so it must drop every one it receives and
+// keep comparing identifiers — a memo-carrying copy of a peer it already
+// holds is still a duplicate.
+func TestAgentWithoutUniverseIgnoresMemos(t *testing.T) {
+	universe := []ids.NodeID{"self", "a"}
+	src, err := shuffle.NewAgent("a", 4, 2, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	src.UseIndex(universe, func(id ids.NodeID) int {
+		if id == "a" {
+			return 1
+		}
+		return -1
+	})
+	src.Seed([]ids.NodeID{"x"})
+	_, req, ok := src.Tick() // shuffleLen 2, one-entry view: just the self-entry
+	if !ok || len(req.Entries) != 1 || req.Entries[0].ID != "a" || req.Entries[0].Idx1() != 2 {
+		t.Fatalf("request = %+v, want a's self-entry with memo 2", req.Entries)
+	}
+	dst, err := shuffle.NewAgent("self", 4, 2, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dst.Seed([]ids.NodeID{"a"})
+	dst.HandleRequest("a", req)
+	if view := dst.Snapshot(); len(view) != 1 || view[0].ID != "a" || view[0].Idx1() != 0 {
+		t.Fatalf("view = %+v, want the single memo-less a", view)
+	}
+}

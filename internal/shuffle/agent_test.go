@@ -192,6 +192,16 @@ func TestAgentConcurrentSafety(t *testing.T) {
 		peers[i] = ids.Synthetic(i + 1)
 	}
 	a.Seed(peers)
+	// Indexed, so the race detector also sees the resolver, the scratch
+	// permutation and the merge mirrors under concurrent callers.
+	a.UseIndex(peers, func(id ids.NodeID) int {
+		for i, p := range peers {
+			if p == id {
+				return i
+			}
+		}
+		return -1
+	})
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
@@ -207,6 +217,7 @@ func TestAgentConcurrentSafety(t *testing.T) {
 					a.HandleReply("y", Reply{Entries: []Entry{{ID: ids.Synthetic(i + 500)}}})
 				default:
 					a.View()
+					a.AppendViewCand(nil, nil)
 				}
 			}
 		}(g)

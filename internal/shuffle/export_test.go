@@ -1,0 +1,22 @@
+package shuffle
+
+// Test-only windows into Agent and Entry for the external-package
+// differential tests (agent_index_test.go imports internal/transport,
+// which imports this package).
+
+// Snapshot returns a copy of the agent's entries, ages and memos included.
+func (a *Agent) Snapshot() []Entry {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	return append([]Entry(nil), a.entries...)
+}
+
+// NextDraw consumes and returns the agent's next RNG draw.
+func (a *Agent) NextDraw() int64 {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	return a.rng.Int63()
+}
+
+// Idx1 exposes the entry's index memo (host index plus one; 0 = none).
+func (e Entry) Idx1() int32 { return e.idx1 }

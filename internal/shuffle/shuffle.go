@@ -76,6 +76,18 @@ func oldestIndex(entries []Entry) int {
 	return oldest
 }
 
+// oldestAge is oldestIndex over a compact mirror of the entries' ages:
+// the first position holding the greatest age.
+func oldestAge(ages []int) int {
+	oldest := 0
+	for j := 1; j < len(ages); j++ {
+		if ages[j] > ages[oldest] {
+			oldest = j
+		}
+	}
+	return oldest
+}
+
 // Cyclon runs the age-based shuffling protocol across a set of nodes.
 // It is driven explicitly: the simulation calls Tick(x) once per
 // protocol period per online node; the live runtime does the same from
@@ -589,12 +601,7 @@ func (c *Cyclon) merge(v *view, received []Entry, seeding bool) {
 			v.entries = append(v.entries, e)
 			ages = append(ages, e.Age)
 		} else {
-			oldest := 0
-			for j := 1; j < len(ages); j++ {
-				if ages[j] > ages[oldest] {
-					oldest = j
-				}
-			}
+			oldest := oldestAge(ages)
 			if !seeding && ages[oldest] < e.Age {
 				continue
 			}
