@@ -78,13 +78,9 @@ func runScenario(args []string, out io.Writer) error {
 	backend := fs.String("backend", scenario.BackendSim,
 		"execution engine: 'sim' (virtual-time simulator) or 'memnet' (real nodes on a deterministic in-process network)")
 	shards := fs.Int("shards", 0, "event-queue shards for the sim backend (0/1 = single heap; output is bit-identical for any value)")
-	shardThreads := fs.Int("shard-threads", 0,
-		"worker threads draining the shard heaps inside conservative lookahead windows (0/1 = serial; needs -shards > 1; output is reproducible per (spec, shards) but ordered differently than serial — see DESIGN.md §14)")
 	cpuprofile := fs.String("cpuprofile", "", "write a CPU profile to this file")
 	memprofile := fs.String("memprofile", "", "write an end-of-run heap profile to this file")
 	tracefile := fs.String("trace", "", "write a runtime execution trace to this file")
-	mutexprofile := fs.String("mutexprofile", "", "write a mutex-contention profile to this file")
-	blockprofile := fs.String("blockprofile", "", "write a goroutine-blocking profile to this file")
 	var of obsFlags
 	fs.StringVar(&of.metricsAddr, "metrics-addr", "",
 		"serve /metrics (Prometheus text), /healthz, and /debug/pprof on this address for the duration of the run (e.g. :9090)")
@@ -102,9 +98,9 @@ func runScenario(args []string, out io.Writer) error {
 		return err
 	}
 	if fs.NArg() != 1 {
-		return fmt.Errorf("usage: avmemsim run [-q] [-backend sim|memnet] [-seeds N] [-parallel P] [-shards S] [-shard-threads T] [-metrics-addr a] [-metrics-out f] [-metrics-hold d] [-trace-ops f] [-trace-jsonl f] [-progress] [-cpuprofile f] [-memprofile f] [-mutexprofile f] [-blockprofile f] [-trace f] <scenario.json>")
+		return fmt.Errorf("usage: avmemsim run [-q] [-backend sim|memnet] [-seeds N] [-parallel P] [-shards S] [-metrics-addr a] [-metrics-out f] [-metrics-hold d] [-trace-ops f] [-trace-jsonl f] [-progress] [-cpuprofile f] [-memprofile f] [-trace f] <scenario.json>")
 	}
-	stopProf, err := startProfiles(*cpuprofile, *memprofile, *tracefile, *mutexprofile, *blockprofile)
+	stopProf, err := startProfiles(*cpuprofile, *memprofile, *tracefile)
 	if err != nil {
 		return err
 	}
@@ -124,7 +120,7 @@ func runScenario(args []string, out io.Writer) error {
 	if err != nil {
 		return err
 	}
-	opts := scenario.Options{Log: log, Backend: *backend, Shards: *shards, ShardThreads: *shardThreads}
+	opts := scenario.Options{Log: log, Backend: *backend, Shards: *shards}
 	if ob != nil {
 		// One registry/tracer serves the whole invocation; with
 		// -seeds > 1 the counters aggregate across every world of the

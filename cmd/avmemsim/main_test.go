@@ -72,6 +72,17 @@ func TestRunRejectsBadFlags(t *testing.T) {
 	if err := run([]string{"-bogus"}, &out); err == nil {
 		t.Error("want error for unknown flag")
 	}
+	// Flags of the removed thread-parallel engine are no longer defined.
+	for _, args := range [][]string{
+		{"-shard-threads", "2"},
+		{"-mutexprofile", "m.pprof"},
+		{"-blockprofile", "b.pprof"},
+	} {
+		args = append(append([]string{"run"}, args...), "../../scenarios/mixed-workload.json")
+		if err := run(args, &out); err == nil {
+			t.Errorf("want error for removed flag %s", args[1])
+		}
+	}
 }
 
 func TestRunRejectsMissingTrace(t *testing.T) {

@@ -13,10 +13,7 @@ import (
 // profile and execution trace record the whole run; the heap profile is
 // a single end-of-run snapshot taken after a forced GC, which is the
 // view that matters for a simulator whose live set is the world itself.
-// The mutex and block profiles cover the whole run (sampling turns on
-// at start and off at teardown) — the contention view that matters for
-// the thread-parallel engine's shared caches and window barriers.
-func startProfiles(cpu, mem, trace, mutex, block string) (stop func(), err error) {
+func startProfiles(cpu, mem, trace string) (stop func(), err error) {
 	var stops []func()
 	fail := func(err error) (func(), error) {
 		for _, s := range stops {
@@ -52,20 +49,6 @@ func startProfiles(cpu, mem, trace, mutex, block string) (stop func(), err error
 			f.Close()
 		})
 	}
-	if mutex != "" {
-		runtime.SetMutexProfileFraction(5)
-		stops = append(stops, func() {
-			defer runtime.SetMutexProfileFraction(0)
-			writeLookupProfile(mutex, "mutex")
-		})
-	}
-	if block != "" {
-		runtime.SetBlockProfileRate(10_000) // one sample per 10µs blocked
-		stops = append(stops, func() {
-			defer runtime.SetBlockProfileRate(0)
-			writeLookupProfile(block, "block")
-		})
-	}
 	if mem != "" {
 		stops = append(stops, func() {
 			f, err := os.Create(mem)
@@ -86,23 +69,4 @@ func startProfiles(cpu, mem, trace, mutex, block string) (stop func(), err error
 			stops[i]()
 		}
 	}, nil
-}
-
-// writeLookupProfile writes the named runtime profile (mutex, block) to
-// path, reporting failures without aborting the teardown chain.
-func writeLookupProfile(path, name string) {
-	p := pprof.Lookup(name)
-	if p == nil {
-		fmt.Fprintf(os.Stderr, "avmemsim: %sprofile: no such profile\n", name)
-		return
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "avmemsim: %sprofile: %v\n", name, err)
-		return
-	}
-	defer f.Close()
-	if err := p.WriteTo(f, 0); err != nil {
-		fmt.Fprintf(os.Stderr, "avmemsim: %sprofile: %v\n", name, err)
-	}
 }

@@ -113,26 +113,6 @@ func (o *Oracle) AvailabilityIdx(h int) (float64, bool) {
 
 var _ IndexedService = (*Oracle)(nil)
 
-// Prefill materializes the oracle's memo for every host of the given
-// epoch, so subsequent Availability/AvailabilityIdx calls for that
-// epoch are pure reads. The thread-parallel deployment engine calls it
-// from the window-start hook whenever the epoch changes: lanes then
-// query the oracle concurrently without ever mutating it.
-func (o *Oracle) Prefill(epoch int) {
-	if epoch != o.epoch {
-		o.epoch = epoch
-		for i := range o.valid {
-			o.valid[i] = false
-		}
-	}
-	for h := range o.valid {
-		if !o.valid[h] {
-			o.memo[h] = o.tr.SmoothedAvailability(h, epoch)
-			o.valid[h] = true
-		}
-	}
-}
-
 // Noisy wraps a Service with bounded symmetric error and snapshot
 // staleness: a queried value is sampled from the inner service at most
 // once per staleness window and perturbed by a uniform error in

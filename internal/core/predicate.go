@@ -15,7 +15,6 @@ package core
 import (
 	"fmt"
 	"math"
-	"sync"
 
 	"avmem/internal/avdist"
 	"avmem/internal/ids"
@@ -332,21 +331,11 @@ func RandomPredicate(epsilon, degree, nStar float64) (*Predicate, error) {
 //
 // CachedByX must NOT wrap sub-predicates that read av(y); its
 // constructor cannot check that, so misuse silently changes predicate
-// semantics. It is not safe for concurrent use unless Shared is called.
+// semantics. It is not safe for concurrent use.
 type CachedByX struct {
 	inner SubPredicate
 	memo  map[float64]float64
-	// mu guards memo when the memo is shared between worker threads
-	// (Shared). Thresholds are pure functions of avX, so the lock
-	// changes contention, never results.
-	mu     sync.RWMutex
-	locked bool
 }
-
-// Shared marks the memo as shared between worker threads: every
-// subsequent Threshold call takes the lock. The thread-parallel
-// deployment engine calls this once at world assembly.
-func (c *CachedByX) Shared() { c.locked = true }
 
 var _ SubPredicate = (*CachedByX)(nil)
 
@@ -360,9 +349,6 @@ func NewCachedByX(inner SubPredicate) (*CachedByX, error) {
 
 // Threshold implements SubPredicate.
 func (c *CachedByX) Threshold(avX, _ float64) float64 {
-	if c.locked {
-		return c.thresholdLocked(avX)
-	}
 	if v, ok := c.memo[avX]; ok {
 		return v
 	}
@@ -374,24 +360,6 @@ func (c *CachedByX) Threshold(avX, _ float64) float64 {
 	}
 	v := c.inner.Threshold(avX, 0)
 	c.memo[avX] = v
-	return v
-}
-
-// thresholdLocked is Threshold under the shared-memo lock.
-func (c *CachedByX) thresholdLocked(avX float64) float64 {
-	c.mu.RLock()
-	v, ok := c.memo[avX]
-	c.mu.RUnlock()
-	if ok {
-		return v
-	}
-	v = c.inner.Threshold(avX, 0)
-	c.mu.Lock()
-	if len(c.memo) >= 1<<20 {
-		c.memo = make(map[float64]float64, 1024)
-	}
-	c.memo[avX] = v
-	c.mu.Unlock()
 	return v
 }
 

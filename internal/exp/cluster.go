@@ -89,7 +89,7 @@ func NewCluster(cfg WorldConfig) (*Cluster, error) {
 	c.PDF = pdf
 	c.NStar = tr.MeanOnline()
 
-	pred, _, err := buildPredicate(cfg, c.PDF, c.NStar)
+	pred, err := buildPredicate(cfg, c.PDF, c.NStar)
 	if err != nil {
 		return nil, err
 	}

@@ -68,24 +68,18 @@ func estimatePDF(tr *trace.Trace) (*avdist.PDF, error) {
 
 // buildPredicate assembles the paper's default predicate (I.B + II.B
 // with a memoized horizontal threshold) unless the config overrides it.
-// The threshold memo is returned alongside (nil for overridden
-// predicates) so a thread-parallel world can mark it Shared.
-func buildPredicate(cfg WorldConfig, pdf *avdist.PDF, nStar float64) (*core.Predicate, *core.CachedByX, error) {
+func buildPredicate(cfg WorldConfig, pdf *avdist.PDF, nStar float64) (*core.Predicate, error) {
 	if cfg.Predicate != nil {
-		return cfg.Predicate, nil, nil
+		return cfg.Predicate, nil
 	}
 	hs, err := core.NewCachedByX(core.LogConstantHorizontal{
 		C2: cfg.C2, NStar: nStar, Epsilon: cfg.Epsilon, PDF: pdf,
 	})
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	pred, err := core.NewPredicate(cfg.Epsilon, hs,
+	return core.NewPredicate(cfg.Epsilon, hs,
 		core.LogVertical{C1: cfg.C1, NStar: nStar, PDF: pdf})
-	if err != nil {
-		return nil, nil, err
-	}
-	return pred, hs, nil
 }
 
 // switchMonitor is the monitoring service every node actually holds: a
@@ -224,19 +218,9 @@ func (s *monitorStack) setNoise(maxErr float64, staleness time.Duration) error {
 }
 
 // SetMonitorNoise swaps the deployment's monitor-noise layer; scenario
-// monitor-degradation ramps call this mid-run. A noise layer draws from
-// a shared RNG on every query, which lanes cannot do concurrently, so
-// installing one in a thread-parallel world permanently falls the
-// engine back to serial merged execution (still deterministic — the
-// fallback point is itself a pure function of the scenario).
+// monitor-degradation ramps call this mid-run.
 func (w *World) SetMonitorNoise(maxErr float64, staleness time.Duration) error {
-	if err := w.mon.setNoise(maxErr, staleness); err != nil {
-		return err
-	}
-	if w.parallel && !w.mon.monitor.stable {
-		w.Sim.DisableParallel()
-	}
-	return nil
+	return w.mon.setNoise(maxErr, staleness)
 }
 
 // ForceOffline injects an outage: id is treated as offline by the
@@ -270,8 +254,7 @@ func (w *World) ForceOffline(id ids.NodeID, until time.Duration) {
 // online bitset — one bit probe, where the trace itself would cost an
 // epoch division and a row of its host-major matrix per host. The
 // bitset is rebuilt lazily when the clock passes the instant it holds
-// until; the parallel engine's window hook does that before any lane
-// starts, so lanes only ever read it.
+// until.
 func (w *World) onlineAt(h int) bool {
 	if now := w.Sim.Now(); now >= w.liveUntil {
 		w.syncLive(now)
@@ -323,23 +306,11 @@ func (w *World) installNodes(pred *core.Predicate) error {
 		return nstar * pdf.IntervalMass(lo, math.Min(hi, 1))
 	}
 	for h, id := range w.hosts {
-		// In a thread-parallel world every per-node dependency must be
-		// lane-affine: the node's clock is its lane clock, its timers land
-		// on its lane's heap, and its randomness is its lane's stream.
-		var sched runtime.Scheduler = w.Sim
-		clock := w.Sim.Now
-		rng := w.Sim.Rand()
-		if w.parallel {
-			hs := w.Sim.HostScheduler(int32(h))
-			sched = hs
-			clock = hs.Now
-			rng = w.Sim.LaneRand(int32(h))
-		}
 		memCfg := core.Config{
 			Predicate:     pred,
 			Monitor:       w.Monitor,
 			Hashes:        w.Hashes,
-			Clock:         clock,
+			Clock:         w.Sim.Now,
 			VerifyCushion: w.Cfg.Cushion,
 			PairIdx:       w.PairIdx,
 			SelfIdx:       int32(h),
@@ -376,10 +347,10 @@ func (w *World) installNodes(pred *core.Predicate) error {
 		h := h
 		env, err := runtime.NewVirtual(runtime.VirtualConfig{
 			Self:      id,
-			Scheduler: sched,
+			Scheduler: w.Sim,
 			Fabric:    runtime.NetFabric(w.Net),
 			Online:    func() bool { return w.onlineAt(h) },
-			RNG:       rng,
+			RNG:       w.Sim.Rand(),
 		})
 		if err != nil {
 			return err
@@ -438,9 +409,6 @@ func (w *World) startDrivers() error {
 		rb := int(r * driverBuckets / int64(cfg.RefreshPeriod))
 		refresh[rb] = append(refresh[rb], int32(h))
 	}
-	if w.parallel {
-		return w.startDriversParallel(disc, refresh)
-	}
 	for b, cohort := range disc {
 		if len(cohort) == 0 {
 			continue
@@ -470,106 +438,6 @@ func (w *World) startDrivers() error {
 		}
 	}
 	return nil
-}
-
-// startDriversParallel schedules the cohort drivers of a thread-parallel
-// world: the stagger draws above are identical to the serial engine's,
-// but each (bucket, lane) sub-cohort gets its own lane-affine periodic
-// event (EveryHost), so every driver tick runs inside its lane's slice
-// of the window and only ever touches lane-owned node state. Shared
-// shuffle mutations are funneled through Sim.Defer via per-host
-// preallocated closures.
-func (w *World) startDriversParallel(disc, refresh [][]int32) error {
-	cfg := w.Cfg
-	w.tickFns = make([]func(), len(w.hosts))
-	w.rejoinFns = make([]func(), len(w.hosts))
-	for h := range w.hosts {
-		h := h
-		id := w.hosts[h]
-		w.tickFns[h] = func() { w.Shuffle.TickIdx(h) }
-		w.rejoinFns[h] = func() { w.Shuffle.Join(id, w.randomSeeds(id, 4)) }
-	}
-	lanes := cfg.Shards
-	for b, cohort := range disc {
-		offset := time.Duration(int64(b) * int64(cfg.ProtocolPeriod) / driverBuckets)
-		for _, sub := range splitByLane(cohort, lanes) {
-			sub := sub
-			lane := int(sub[0]) % lanes
-			err := w.Sim.EveryHost(offset, cfg.ProtocolPeriod, sub[0], nil, func() {
-				w.discoverCohortLane(lane, sub)
-			})
-			if err != nil {
-				return err
-			}
-		}
-	}
-	for b, cohort := range refresh {
-		offset := time.Duration(int64(b) * int64(cfg.RefreshPeriod) / driverBuckets)
-		for _, sub := range splitByLane(cohort, lanes) {
-			sub := sub
-			err := w.Sim.EveryHost(offset, cfg.RefreshPeriod, sub[0], nil, func() {
-				for _, h := range sub {
-					if w.onlineAt(int(h)) {
-						w.members[h].Refresh()
-					}
-				}
-			})
-			if err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
-// splitByLane partitions a cohort of host indexes by owning lane
-// (host mod lanes), dropping empty groups; order inside each group
-// preserves the cohort order.
-func splitByLane(cohort []int32, lanes int) [][]int32 {
-	groups := make([][]int32, lanes)
-	for _, h := range cohort {
-		l := int(h) % lanes
-		groups[l] = append(groups[l], h)
-	}
-	out := groups[:0]
-	for _, g := range groups {
-		if len(g) > 0 {
-			out = append(out, g)
-		}
-	}
-	return out
-}
-
-// laneScratch is one lane's private discovery scratch buffers (the
-// parallel analogue of World.viewScratch/idxScratch).
-type laneScratch struct {
-	view []ids.NodeID
-	idx  []int32
-}
-
-// discoverCohortLane is discoverCohort for one lane's slice of a cohort,
-// running inside a parallel window on the lane's worker. Reading a
-// node's own view and resolving its entries is lane-safe (views only
-// mutate at barriers); the CYCLON exchange and rejoin bootstrap touch
-// other nodes' views and the world RNG, so they are deferred to the
-// window barrier, where they run serially in deterministic (at, seq)
-// order. Discovery therefore consumes the pre-tick view — a relaxed but
-// deterministic schedule (DESIGN.md §14).
-func (w *World) discoverCohortLane(lane int, cohort []int32) {
-	sc := &w.laneScratch[lane]
-	for _, h := range cohort {
-		if !w.onlineAt(int(h)) {
-			continue
-		}
-		if w.Shuffle.ViewLenIdx(int(h)) == 0 {
-			// Rejoin after an outage emptied the view: bootstrap anew.
-			w.Sim.Defer(h, w.rejoinFns[h])
-		}
-		w.Sim.Defer(h, w.tickFns[h])
-		sc.view, sc.idx =
-			w.Shuffle.AppendViewCand(sc.view[:0], sc.idx[:0], int(h))
-		w.members[h].DiscoverIdx(sc.view, sc.idx)
-	}
 }
 
 // discoverCohort runs one discovery/shuffle round for every online node

@@ -78,15 +78,6 @@ type WorldConfig struct {
 	// keeps the single global heap. Any value produces bit-identical
 	// output for a given (trace, seed) — see DESIGN.md §14.
 	Shards int
-	// ShardThreads > 1 executes the shard heaps on that many worker
-	// threads inside conservative lookahead windows (DESIGN.md §14).
-	// Output is a pure function of (trace, seed, Shards, Latency) —
-	// bit-identical across runs and GOMAXPROCS — but follows a different
-	// canonical event order than ShardThreads ≤ 1. The engine silently
-	// stays serial when the configuration rules out windows: shards ≤ 1,
-	// an unbounded latency model, a custom Predicate, the distributed
-	// monitor, monitor noise, adversaries, or auditing.
-	ShardThreads int
 	// Audit, when non-nil, gives every node the receiving-side audit
 	// layer (suspicion scores, blacklist, eviction).
 	Audit *audit.Params
@@ -203,16 +194,6 @@ type World struct {
 	viewScratch []ids.NodeID
 	idxScratch  []int32
 
-	// parallel marks a world running the thread-parallel engine; the
-	// fields below exist only then. laneScratch is the per-lane analogue
-	// of viewScratch/idxScratch (each lane's discovery driver owns its
-	// slot). tickFns/rejoinFns are per-host closures handed to Sim.Defer
-	// — preallocated so cohort ticks stay allocation-free.
-	parallel    bool
-	laneScratch []laneScratch
-	tickFns     []func()
-	rejoinFns   []func()
-
 	// PairIdx memoizes H(x,y) keyed by dense host-index pairs, shared by
 	// every membership in the world.
 	PairIdx *ids.PairIndexCache
@@ -266,29 +247,9 @@ func NewWorld(cfg WorldConfig) (*World, error) {
 	w.PDF = pdf
 	w.NStar = tr.MeanOnline()
 
-	pred, hs, err := buildPredicate(cfg, w.PDF, w.NStar)
+	pred, err := buildPredicate(cfg, w.PDF, w.NStar)
 	if err != nil {
 		return nil, err
-	}
-	// Thread-parallel execution: only configurations whose whole event
-	// graph is lane-safe qualify (no custom predicate internals, no
-	// mid-run RNG-drawing monitor layers, no adversary taps or audit
-	// trails), and the latency model must guarantee a positive lookahead.
-	if cfg.ShardThreads > 1 && cfg.Shards > 1 &&
-		cfg.Predicate == nil && !cfg.DistributedMonitor &&
-		cfg.MonitorErr == 0 && cfg.MonitorStaleness == 0 &&
-		cfg.Adversary == nil && cfg.Audit == nil {
-		if la := sim.LookaheadOf(cfg.Latency); la > 0 {
-			if err := w.Sim.SetParallel(cfg.ShardThreads, la); err != nil {
-				return nil, err
-			}
-			w.parallel = true
-			w.laneScratch = make([]laneScratch, cfg.Shards)
-			// The memo caches become cross-thread shared state.
-			w.Hashes.Shared()
-			w.PairIdx.Shared()
-			hs.Shared()
-		}
 	}
 	w.Net = sim.NewNetwork(w.Sim, cfg.Latency, w.nodeOnline, 0)
 	w.Net.Bind(w.hosts, w.onlineAt)
@@ -297,27 +258,8 @@ func NewWorld(cfg WorldConfig) (*World, error) {
 		return nil, err
 	}
 	w.mon = mon
-	if w.parallel {
-		// The hook runs in coordinator context before any lane starts, so
-		// what it refreshes is pure reads at window time: the online bitset
-		// (lanes see the window base as the clock) and, at each epoch
-		// boundary, the oracle's availability memo.
-		o, _ := mon.base.(*avmon.Oracle)
-		last := -2
-		w.Sim.SetWindowHook(func(base time.Duration) {
-			if base >= w.liveUntil {
-				w.syncLive(base)
-			}
-			if e := tr.EpochAt(base); o != nil && e != last {
-				last = e
-				o.Prefill(e)
-			}
-		})
-	}
 	w.Monitor = mon.monitor
 	if cfg.Metrics != nil {
-		// Instrument after the engine topology (shards, parallel lanes)
-		// is final: the lane instruments are sized from it.
 		w.Sim.Instrument(cfg.Metrics)
 		w.Col.Instrument(cfg.Metrics)
 		w.auditIns = audit.NewInstruments(cfg.Metrics)
@@ -367,11 +309,6 @@ func (w *World) Warmup(d time.Duration) { w.Sim.Run(w.Sim.Now() + d) }
 
 // RunFor advances the simulation by d.
 func (w *World) RunFor(d time.Duration) { w.Sim.Run(w.Sim.Now() + d) }
-
-// Stop releases the world's resources — the parallel engine's worker
-// goroutines in particular. Idempotent; serial worlds need no teardown
-// but callers should not have to care.
-func (w *World) Stop() { w.Sim.Close() }
 
 // NewRandomWorld builds the Figure-10 baseline: the same deployment but
 // over a consistent random overlay (SCAMP/CYCLON-like) whose expected

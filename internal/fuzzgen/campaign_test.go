@@ -3,6 +3,8 @@ package fuzzgen
 import (
 	"os"
 	"path/filepath"
+	"reflect"
+	"regexp"
 	"strings"
 	"testing"
 	"time"
@@ -16,7 +18,7 @@ func fastOptions() Options {
 	return Options{
 		Budget: time.Millisecond, // Min/Max drive the loop, not the clock
 		Gen:    GenOptions{MinHosts: 50, MaxHosts: 80, MaxEvents: 2},
-		Oracle: OracleConfig{ShardThreads: -1, MemnetMaxHosts: -1, RunManyMaxHosts: -1},
+		Oracle: OracleConfig{MemnetMaxHosts: -1, RunManyMaxHosts: -1},
 	}
 }
 
@@ -108,6 +110,28 @@ func TestCampaignWritesCorpusOnFailure(t *testing.T) {
 func syntheticOracleAlways() func(*scenario.Spec) []Violation {
 	return func(*scenario.Spec) []Violation {
 		return []Violation{{Oracle: "semantic", Detail: "synthetic"}}
+	}
+}
+
+// TestOracleBattery pins which oracles Check reports under, read off
+// the fail(...) calls in oracle.go: dropping or adding one is a visible
+// diff here.
+func TestOracleBattery(t *testing.T) {
+	src, err := os.ReadFile("oracle.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	seen := map[string]bool{}
+	for _, m := range regexp.MustCompile(`fail\("([a-z]+)"`).FindAllSubmatch(src, -1) {
+		if name := string(m[1]); !seen[name] {
+			seen[name] = true
+			got = append(got, name)
+		}
+	}
+	want := []string{"run", "determinism", "shards", "obs", "memnet", "runmany", "semantic"}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("oracle names %v, want %v", got, want)
 	}
 }
 

@@ -15,9 +15,6 @@ type OracleConfig struct {
 	// Shards is the shard count of the shard-invariance oracle
 	// (default 4).
 	Shards int
-	// ShardThreads is the worker count of the thread-parallel
-	// reproducibility oracle (default 2; < 2 disables it).
-	ShardThreads int
 	// MemnetMaxHosts caps the fleet size the memnet cross-engine
 	// oracle runs at — real node agents cost real memory (default 300;
 	// < 0 disables the oracle).
@@ -34,9 +31,6 @@ func (c OracleConfig) withDefaults() OracleConfig {
 	if c.Shards == 0 {
 		c.Shards = 4
 	}
-	if c.ShardThreads == 0 {
-		c.ShardThreads = 2
-	}
 	if c.MemnetMaxHosts == 0 {
 		c.MemnetMaxHosts = 300
 	}
@@ -52,7 +46,7 @@ func (c OracleConfig) withDefaults() OracleConfig {
 // Violation is one broken invariant: which oracle tripped and how.
 type Violation struct {
 	// Oracle names the invariant: run, determinism, shards, obs,
-	// threads, memnet, runmany, semantic.
+	// memnet, runmany, semantic.
 	Oracle string
 	// Detail describes the observed breakage.
 	Detail string
@@ -66,12 +60,9 @@ func (v Violation) String() string { return v.Oracle + ": " + v.Detail }
 //   - run: the spec executes on the sim engine without error or panic.
 //   - determinism: two identical sim runs render byte-identical
 //     reports (metrics + event log).
-//   - shards: sharding the event queue (Shards=k, single thread) is
-//     byte-identical to the single-heap run.
+//   - shards: sharding the event queue (Shards=k) is byte-identical
+//     to the single-heap run.
 //   - obs: arming a metrics registry and op tracer changes nothing.
-//   - threads: the thread-parallel engine is reproducible per
-//     (spec, shards), and silently serial (byte-identical to the
-//     single-thread order) for lane-unsafe specs.
 //   - memnet: the live-runtime backend executes the same spec without
 //     error, is itself deterministic, and produces the always-present
 //     overlay metrics. (Sim and memnet agree on shape and verdicts,
@@ -119,9 +110,6 @@ func Check(spec *scenario.Spec, cfg OracleConfig) []Violation {
 		fail("obs", "metrics+trace instrumentation changed the report:\n%s", firstDiff(base, obsRender))
 	}
 
-	if cfg.ShardThreads >= 2 {
-		checkThreads(spec, cfg, base, fail)
-	}
 	if cfg.MemnetMaxHosts >= 0 && specHosts(spec) <= cfg.MemnetMaxHosts {
 		checkMemnet(spec, fail)
 	}
@@ -130,46 +118,6 @@ func Check(spec *scenario.Spec, cfg OracleConfig) []Violation {
 	}
 	checkSemantics(spec, res, fail)
 	return vs
-}
-
-// checkThreads pins the thread-parallel contract: reproducible per
-// (spec, shards) across repeats and thread counts, and byte-identical
-// to the serial order when the configuration rules out lane-safe
-// execution (the silent-fallback rule, DESIGN.md §14).
-func checkThreads(spec *scenario.Spec, cfg OracleConfig, serial []byte, fail func(string, string, ...any)) {
-	opts := scenario.Options{Shards: cfg.Shards, ShardThreads: cfg.ShardThreads}
-	a, _, err := renderRun(spec, opts)
-	if err != nil {
-		fail("threads", "shards=%d threads=%d run errored: %v", cfg.Shards, cfg.ShardThreads, err)
-		return
-	}
-	b, _, err := renderRun(spec, opts)
-	switch {
-	case err != nil:
-		fail("threads", "repeated parallel run errored: %v", err)
-	case !bytes.Equal(a, b):
-		fail("threads", "repeated parallel run diverged:\n%s", firstDiff(a, b))
-	}
-	c, _, err := renderRun(spec, scenario.Options{Shards: cfg.Shards, ShardThreads: cfg.ShardThreads + 2})
-	switch {
-	case err != nil:
-		fail("threads", "threads=%d run errored: %v", cfg.ShardThreads+2, err)
-	case !bytes.Equal(a, c):
-		fail("threads", "threads=%d diverged from threads=%d:\n%s", cfg.ShardThreads+2, cfg.ShardThreads, firstDiff(a, c))
-	}
-	if laneUnsafe(spec) && !bytes.Equal(serial, a) {
-		fail("threads", "lane-unsafe spec did not fall back to the serial order:\n%s", firstDiff(serial, a))
-	}
-}
-
-// laneUnsafe reports whether the spec's configuration statically rules
-// out lane-safe parallel execution, in which case -shard-threads must
-// be a byte-level no-op (the executor falls back to the serial
-// tournament).
-func laneUnsafe(spec *scenario.Spec) bool {
-	return spec.Adversaries != nil || spec.Fleet.Audit != nil ||
-		spec.Fleet.DistributedMonitor || spec.Fleet.MonitorError > 0 ||
-		spec.Fleet.MonitorStaleness > 0
 }
 
 // checkMemnet runs the spec on the live runtime: same spec, real

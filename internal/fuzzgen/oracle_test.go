@@ -110,33 +110,3 @@ func TestSemanticOracle(t *testing.T) {
 		})
 	}
 }
-
-// TestLaneUnsafeMatchesEngineRule keeps the oracle's static
-// eligibility mirror aligned with the engine's (exp.NewWorld): specs
-// with adversaries, audit, degraded or distributed monitors must be
-// classified lane-unsafe; plain and verify-inbound specs must not.
-func TestLaneUnsafeMatchesEngineRule(t *testing.T) {
-	s := smallSpec()
-	if laneUnsafe(s) {
-		t.Error("plain spec classified lane-unsafe")
-	}
-	s.Fleet.VerifyInbound = true
-	if laneUnsafe(s) {
-		t.Error("verify-inbound is lane-safe in the engine but classified unsafe")
-	}
-	s = smallSpec()
-	s.Adversaries = &scenario.AdversariesSpec{Fraction: 0.1, Behaviors: []string{"inflate"}}
-	if !laneUnsafe(s) {
-		t.Error("adversarial spec classified lane-safe")
-	}
-	s = smallSpec()
-	s.Fleet.Audit = &scenario.AuditSpec{}
-	if !laneUnsafe(s) {
-		t.Error("audited spec classified lane-safe")
-	}
-	s = smallSpec()
-	s.Fleet.MonitorError = 0.05
-	if !laneUnsafe(s) {
-		t.Error("noisy-monitor spec classified lane-safe")
-	}
-}

@@ -19,7 +19,6 @@ import (
 	"math"
 	"net"
 	"strconv"
-	"sync"
 )
 
 // NodeID identifies a node by its network address (IP:port in the paper's
@@ -97,23 +96,11 @@ func SelfHash(x NodeID) float64 {
 // discovery re-tests the same (x,y) pairs every protocol period, so a
 // small map-backed cache removes nearly all SHA-256 work from the hot
 // path. The zero value is ready to use. HashCache is not safe for
-// concurrent use unless Shared is called; each simulated world or live
-// node owns its own.
+// concurrent use; each simulated world or live node owns its own.
 type HashCache struct {
 	m   map[pairKey]float64
 	max int
-	// mu guards m when the cache is shared between worker threads
-	// (Shared). The memoized values are pure functions of the key, so
-	// locking changes contention, never results.
-	mu     sync.RWMutex
-	locked bool
 }
-
-// Shared marks the cache as shared between worker threads: every
-// subsequent Pair call takes the cache lock. The thread-parallel
-// deployment engine calls this once at world assembly; single-threaded
-// worlds skip the locks entirely.
-func (c *HashCache) Shared() { c.locked = true }
 
 type pairKey struct{ x, y NodeID }
 
@@ -128,9 +115,6 @@ func NewHashCache(max int) *HashCache {
 
 // Pair returns H(x,y), computing and memoizing it on first use.
 func (c *HashCache) Pair(x, y NodeID) float64 {
-	if c.locked {
-		return c.pairLocked(x, y)
-	}
 	if c.m == nil {
 		c.m = make(map[pairKey]float64, 1024)
 	}
@@ -145,29 +129,6 @@ func (c *HashCache) Pair(x, y NodeID) float64 {
 		c.m = make(map[pairKey]float64, 1024)
 	}
 	c.m[k] = v
-	return v
-}
-
-// pairLocked is Pair under the shared-cache lock: read-locked lookup,
-// write-locked fill on miss.
-func (c *HashCache) pairLocked(x, y NodeID) float64 {
-	k := pairKey{x, y}
-	c.mu.RLock()
-	v, ok := c.m[k]
-	c.mu.RUnlock()
-	if ok {
-		return v
-	}
-	v = PairHash(x, y)
-	c.mu.Lock()
-	if c.m == nil {
-		c.m = make(map[pairKey]float64, 1024)
-	}
-	if c.max > 0 && len(c.m) >= c.max {
-		c.m = make(map[pairKey]float64, 1024)
-	}
-	c.m[k] = v
-	c.mu.Unlock()
 	return v
 }
 

@@ -3,7 +3,6 @@ package ids
 import (
 	"fmt"
 	"math/bits"
-	"sync"
 )
 
 // PairIndexCache memoizes PairHash over a fixed host universe, keyed by
@@ -19,8 +18,8 @@ import (
 // Values are identical to PairHash(hosts[x], hosts[y]) — the cache only
 // changes where the memo lives, never what H evaluates to.
 //
-// PairIndexCache is not safe for concurrent use unless Shared is
-// called; each world (or shard) owns its own.
+// PairIndexCache is not safe for concurrent use; each world owns its
+// own.
 type PairIndexCache struct {
 	hosts []NodeID
 	// keys holds packed pair keys biased by +1 so 0 means "empty slot"
@@ -30,17 +29,7 @@ type PairIndexCache struct {
 	used  int
 	max   int
 	shift uint
-	// mu guards the table when the cache is shared between worker
-	// threads (Shared). Values are pure functions of the key, so the
-	// lock changes contention, never results.
-	mu     sync.RWMutex
-	locked bool
 }
-
-// Shared marks the cache as shared between worker threads: every
-// subsequent Pair call takes the table lock. The thread-parallel
-// deployment engine calls this once at world assembly.
-func (c *PairIndexCache) Shared() { c.locked = true }
 
 const pairIdxInitSlots = 1 << 12
 
@@ -84,9 +73,6 @@ func (c *PairIndexCache) ID(i int32) NodeID { return c.hosts[i] }
 // so the key preserves argument order.
 func (c *PairIndexCache) Pair(x, y int32) float64 {
 	k := (uint64(uint32(x))<<32 | uint64(uint32(y))) + 1
-	if c.locked {
-		return c.pairLocked(k, x, y)
-	}
 	mask := uint64(len(c.keys)) - 1
 	i := (k * fibMix) >> c.shift
 	for {
@@ -100,47 +86,6 @@ func (c *PairIndexCache) Pair(x, y int32) float64 {
 		}
 		i = (i + 1) & mask
 	}
-}
-
-// pairLocked is Pair under the shared-cache lock: a read-locked probe,
-// then a write-locked re-probe + insert on miss (the table may have
-// been grown or reset by another thread in between, so the miss path
-// restarts the probe from scratch under the exclusive lock).
-func (c *PairIndexCache) pairLocked(k uint64, x, y int32) float64 {
-	c.mu.RLock()
-	mask := uint64(len(c.keys)) - 1
-	i := (k * fibMix) >> c.shift
-	for {
-		kk := c.keys[i]
-		if kk == k {
-			v := c.vals[i]
-			c.mu.RUnlock()
-			return v
-		}
-		if kk == 0 {
-			break
-		}
-		i = (i + 1) & mask
-	}
-	c.mu.RUnlock()
-	v := PairHash(c.hosts[x], c.hosts[y])
-	c.mu.Lock()
-	mask = uint64(len(c.keys)) - 1
-	i = (k * fibMix) >> c.shift
-	for {
-		kk := c.keys[i]
-		if kk == k {
-			v = c.vals[i]
-			break
-		}
-		if kk == 0 {
-			c.store(k, v, i)
-			break
-		}
-		i = (i + 1) & mask
-	}
-	c.mu.Unlock()
-	return v
 }
 
 // store writes a new entry at slot (known empty), growing — or, at the

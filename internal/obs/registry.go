@@ -123,13 +123,14 @@ func (h *Histogram) Buckets() (bounds []float64, counts []int64) {
 }
 
 // Registry holds named instruments. Names follow Prometheus
-// conventions and may carry a label suffix (`sim_lane_events_total` or
-// `sim_lane_events_total{lane="3"}`); everything up to the first '{'
-// is the metric family. Registration is idempotent: asking for an
-// existing name returns the existing instrument, so independent layers
-// can share counters without coordination. The zero value is not
-// usable; call NewRegistry. All methods are safe for concurrent use
-// and no-op (returning nil instruments) on a nil receiver.
+// conventions and may carry a label suffix (`audit_evictions_total` or
+// `audit_suspicions_total{reason="agg-hull-bounds"}`); everything up to
+// the first '{' is the metric family. Registration is idempotent:
+// asking for an existing name returns the existing instrument, so
+// independent layers can share counters without coordination. The zero
+// value is not usable; call NewRegistry. All methods are safe for
+// concurrent use and no-op (returning nil instruments) on a nil
+// receiver.
 type Registry struct {
 	mu         sync.Mutex
 	counters   map[string]*Counter
@@ -212,7 +213,7 @@ func formatFloat(v float64) string {
 }
 
 // labeled splits a registered name into the family and a label block
-// to splice extra labels into ("" when unlabeled, `lane="3"` when
+// to splice extra labels into ("" when unlabeled, `reason="x"` when
 // labeled).
 func labeled(name string) (fam, labels string) {
 	i := strings.IndexByte(name, '{')

@@ -78,7 +78,8 @@ func (t *Tracer) Dropped() int64 {
 // Snapshot returns the held spans in deterministic order: by virtual
 // time, then op id, then event fields. Sorting here (rather than
 // relying on arrival order) keeps exports byte-identical even when
-// worker threads raced to record within one window.
+// several recorders (live nodes, the worlds of a RunMany sweep) raced
+// to record.
 func (t *Tracer) Snapshot() []Span {
 	if t == nil {
 		return nil

@@ -273,9 +273,9 @@ func ratioAccuracy(a, b float64) float64 {
 // Collector aggregates operation outcomes across an experiment run.
 // The Router reports into it; experiments read it after the run.
 // A single mutex serializes every method: one collector is shared by
-// the whole fleet, and in a thread-parallel world report calls arrive
-// from concurrent shard workers. Operations are rare next to protocol
-// traffic, so the lock is uncontended in practice.
+// the whole fleet, and live nodes (memnet, TCP) report into it from
+// their own goroutines. Operations are rare next to protocol traffic,
+// so the lock is uncontended in practice.
 type Collector struct {
 	mu         sync.Mutex
 	anycasts   map[MsgID]*AnycastRecord

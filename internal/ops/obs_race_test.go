@@ -12,7 +12,7 @@ import (
 )
 
 // TestCollectorConcurrentAccess hammers one instrumented Collector from
-// writer goroutines (the shape of parallel worker lanes delivering ops
+// writer goroutines (the shape of live nodes delivering ops
 // concurrently) while reader goroutines take snapshot views and scrape
 // the registry mid-flight. Run under -race (the CI race job covers this
 // package) it pins that instrumented bump sites and snapshot reads
@@ -27,7 +27,7 @@ func TestCollectorConcurrentAccess(t *testing.T) {
 	stop := make(chan struct{})
 
 	// Readers: snapshot views plus a full Prometheus scrape, in a loop
-	// until the writers finish — the mid-window read pattern.
+	// until the writers finish — the mid-run read pattern.
 	for r := 0; r < 4; r++ {
 		wg.Add(1)
 		go func() {

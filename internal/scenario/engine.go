@@ -37,14 +37,13 @@ type Options struct {
 	// for every value — sharding is a queue-shape choice, not a
 	// semantic one (DESIGN.md §14). Rejected on the memnet backend.
 	Shards int
-	// ShardThreads > 1 drains the shard heaps on that many worker
-	// threads inside conservative lookahead windows (DESIGN.md §14).
-	// Output is reproducible for a fixed (spec, Shards) — identical
-	// across runs, GOMAXPROCS, and any thread count ≥ 2 — but follows a
-	// different canonical order than ShardThreads ≤ 1. Worlds whose
-	// configuration rules out lane-safe execution (adversaries, audit,
-	// monitor noise, distributed monitor, unbounded latency) silently
-	// run serial. Rejected on the memnet backend.
+	// ShardThreads is ignored on both backends: the engine schedules
+	// every world serially (DESIGN.md §14).
+	//
+	// Deprecated: the field exists only because the frozen benchmark
+	// harness still sets it for its informational par2 rep; it goes
+	// when a benchmark-archetype PR drops par2. A value > 1 is noted on
+	// the "fleet ready" log line.
 	ShardThreads int
 	// Metrics, when non-nil, instruments the deployment into this
 	// registry (internal/obs). Determinism-neutral: the report and
@@ -114,8 +113,12 @@ func Run(spec *Spec, opts Options) (*Result, error) {
 	if c, ok := w.(interface{ Stop() }); ok {
 		defer c.Stop()
 	}
-	fmt.Fprintf(logw, "fleet ready (%s backend): %d hosts, N*=%.0f; warming up %v\n",
-		backendName(opts.Backend), len(w.Hosts()), w.StableSize(), spec.Warmup.D())
+	ignored := ""
+	if opts.ShardThreads > 1 {
+		ignored = fmt.Sprintf("; ShardThreads=%d ignored (serial engine)", opts.ShardThreads)
+	}
+	fmt.Fprintf(logw, "fleet ready (%s backend): %d hosts, N*=%.0f; warming up %v%s\n",
+		backendName(opts.Backend), len(w.Hosts()), w.StableSize(), spec.Warmup.D(), ignored)
 	w.Warmup(spec.Warmup.D())
 
 	run := &runState{w: w, spec: spec, log: logw, base: w.Now()}
@@ -160,9 +163,6 @@ func buildDeployment(spec *Spec, opts Options) (exp.Deployment, error) {
 	backend := opts.Backend
 	if opts.Shards > 1 && backend == BackendMemnet {
 		return nil, fmt.Errorf("scenario: -shards applies to the sim backend only (memnet runs real goroutine-per-node agents)")
-	}
-	if opts.ShardThreads > 1 && backend == BackendMemnet {
-		return nil, fmt.Errorf("scenario: -shard-threads applies to the sim backend only (memnet runs real goroutine-per-node agents)")
 	}
 	var tr *trace.Trace
 	if spec.Fleet.Trace != "" {
@@ -210,7 +210,6 @@ func buildDeployment(spec *Spec, opts Options) (exp.Deployment, error) {
 		Audit:              spec.Fleet.Audit.params(),
 		Adversary:          spec.Adversaries.config(),
 		Shards:             opts.Shards,
-		ShardThreads:       opts.ShardThreads,
 		Metrics:            opts.Metrics,
 		OpTrace:            opts.OpTrace,
 	}

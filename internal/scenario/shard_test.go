@@ -2,25 +2,16 @@ package scenario
 
 import (
 	"bytes"
+	"runtime"
+	"strings"
 	"testing"
 	"time"
 )
 
-// renderRun executes spec with the given shard count and renders the
-// full report — metrics, event log, assertion outcomes — to bytes.
+// renderRun is renderRunObs with only the shard count set.
 func renderRun(t *testing.T, spec *Spec, shards int) []byte {
 	t.Helper()
-	res, err := Run(spec, Options{Shards: shards})
-	if err != nil {
-		t.Fatalf("shards=%d: %v", shards, err)
-	}
-	var buf bytes.Buffer
-	res.WriteReport(&buf)
-	for _, line := range res.EventLog {
-		buf.WriteString(line)
-		buf.WriteByte('\n')
-	}
-	return buf.Bytes()
+	return renderRunObs(t, spec, Options{Shards: shards})
 }
 
 // TestShardCountInvariance pins the tentpole guarantee end to end: the
@@ -85,5 +76,55 @@ func TestShardsRejectedOnMemnet(t *testing.T) {
 	}
 	if _, err := Run(spec, Options{Backend: BackendMemnet, Shards: 4}); err == nil {
 		t.Fatal("want error for -shards on memnet backend")
+	}
+}
+
+// TestShardThreadsIgnored pins the one residue of the removed
+// thread-parallel engine: Options.ShardThreads still compiles for the
+// frozen benchmark harness, changes no byte of the report on either
+// backend, and is called out once on the "fleet ready" progress line.
+func TestShardThreadsIgnored(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full-scenario sweep")
+	}
+	spec, err := LoadFile("../../scenarios/mixed-workload.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var log strings.Builder
+	got := renderRunObs(t, spec, Options{Shards: 8, ShardThreads: 2, Log: &log})
+	if !bytes.Equal(got, renderRun(t, spec, 8)) || !bytes.Equal(got, renderRun(t, spec, 0)) {
+		t.Fatal("ShardThreads=2 changed the report")
+	}
+	const notice = "; ShardThreads=2 ignored (serial engine)"
+	first, _, _ := strings.Cut(log.String(), "\n")
+	if !strings.HasPrefix(first, "fleet ready") || !strings.HasSuffix(first, notice) ||
+		strings.Count(log.String(), "ShardThreads") != 1 {
+		t.Fatalf("want the notice once, on the fleet-ready line; log starts %q", first)
+	}
+	if n := strings.Count(log.String(), "\n"); n != 1+len(spec.Events) {
+		t.Fatalf("progress log has %d lines for %d events; the notice must not add one", n, len(spec.Events))
+	}
+
+	log.Reset()
+	if _, err := Run(tinySpec(), Options{Backend: BackendMemnet, ShardThreads: 2, Log: &log}); err != nil {
+		t.Fatalf("ShardThreads on memnet: %v", err)
+	}
+	if strings.Count(log.String(), notice) != 1 {
+		t.Fatalf("memnet log lacks the notice: %q", log.String())
+	}
+}
+
+// TestSimRunOwnsNoGoroutines pins that a sim world has nothing to tear
+// down: Run on the sharded engine returns with no more goroutines than
+// it was called with (fewer is possible only when a straggler from an
+// earlier test exits meanwhile).
+func TestSimRunOwnsNoGoroutines(t *testing.T) {
+	before := runtime.NumGoroutine()
+	if _, err := Run(tinySpec(), Options{Shards: 8}); err != nil {
+		t.Fatal(err)
+	}
+	if after := runtime.NumGoroutine(); after > before {
+		t.Fatalf("goroutines: %d before Run, %d after", before, after)
 	}
 }

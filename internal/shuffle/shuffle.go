@@ -116,9 +116,8 @@ type Cyclon struct {
 	// receiving view's owner or one of its entries. A merge claims a fresh
 	// generation instead of clearing the table, so dedupe costs O(v + l)
 	// per merge rather than O(v·l); when gen wraps the table is zeroed.
-	// One table serves every view because merges never interleave — the
-	// thread-parallel engine runs exchanges only at its window barrier,
-	// serially (exp.World defers TickIdx), so no lane ever touches it.
+	// One table serves every view because merges never interleave: a
+	// Cyclon belongs to one single-threaded world.
 	stamp []uint32
 	gen   uint32
 	// ages mirrors the receiving view's entry ages during a merge, so the

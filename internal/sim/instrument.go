@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"fmt"
 	"time"
 
 	"avmem/internal/obs"
@@ -10,70 +9,39 @@ import (
 // This file wires the engine into the obs metrics registry. The
 // instrumentation is determinism-neutral by construction: it records
 // values the engine already computed (event counts, virtual
-// timestamps, outbox sizes) into atomic instruments, and its only
-// wall-clock reads time worker drains — which cannot influence event
-// order. Counter updates commute, so totals are identical regardless
-// of thread interleaving. An uninstrumented world (w.obs == nil) pays
-// one predictable nil check per event.
+// timestamps) into atomic instruments and never reads the wall clock.
+// An uninstrumented world (w.obs == nil) pays one predictable nil check
+// per event.
 
-// obsFlushEvery is how many fired events the serial loops batch
+// obsFlushEvery is how many fired events the run loops batch
 // locally before flushing to the shared atomic counter. Batching keeps
 // the per-event cost to an increment-and-compare; the live /metrics
 // and -progress readers see totals at most one batch stale.
 const obsFlushEvery = 4096
 
-// simObs is the engine's instrument set. Scalar batch state is owned
-// by whichever goroutine runs the event loop (coordinator in parallel
-// worlds); everything shared is an atomic obs instrument.
+// simObs is the engine's instrument set. The batch count is owned by
+// the goroutine running the event loop; everything a live /metrics
+// scrape reads is an atomic obs instrument.
 type simObs struct {
 	events *obs.Counter // sim_events_total
 	vtime  *obs.Gauge   // sim_virtual_time_seconds
-	batch  int          // serial-loop local event count since last flush
-
-	serialSteps  *obs.Counter   // sim_parallel_serial_steps_total
-	disabled     *obs.Counter   // sim_parallel_disabled_total
-	windows      *obs.Counter   // sim_parallel_windows_total
-	windowEvents *obs.Histogram // sim_parallel_window_lane_events
-	outboxFlush  *obs.Histogram // sim_parallel_outbox_flush_events
-	laneEvents   []*obs.Counter // sim_lane_events_total{lane="i"}
-	laneStallNs  []*obs.Counter // sim_lane_stall_nanoseconds_total{lane="i"}
-	laneBusyNs   []*obs.Counter // sim_lane_busy_nanoseconds_total{lane="i"}
+	batch  int          // local event count since last flush
 }
 
 // Instrument registers the engine's metrics in reg and starts
-// recording into them. Call it after SetShards/SetParallel (lane
-// instruments are sized from the configured topology) and before the
-// first Run. A nil registry leaves the world uninstrumented.
+// recording into them. Call it before the first Run. A nil registry
+// leaves the world uninstrumented.
 func (w *World) Instrument(reg *obs.Registry) {
 	if reg == nil {
 		return
 	}
-	o := &simObs{
+	w.obs = &simObs{
 		events: reg.Counter("sim_events_total"),
 		vtime:  reg.Gauge("sim_virtual_time_seconds"),
 	}
-	if w.par != nil {
-		o.serialSteps = reg.Counter("sim_parallel_serial_steps_total")
-		o.disabled = reg.Counter("sim_parallel_disabled_total")
-		o.windows = reg.Counter("sim_parallel_windows_total")
-		o.windowEvents = reg.Histogram("sim_parallel_window_lane_events",
-			1, 4, 16, 64, 256, 1024, 4096)
-		o.outboxFlush = reg.Histogram("sim_parallel_outbox_flush_events",
-			1, 4, 16, 64, 256, 1024, 4096)
-		nl := len(w.par.lanes)
-		o.laneEvents = make([]*obs.Counter, nl)
-		o.laneStallNs = make([]*obs.Counter, nl)
-		o.laneBusyNs = make([]*obs.Counter, nl)
-		for i := 0; i < nl; i++ {
-			o.laneEvents[i] = reg.Counter(fmt.Sprintf(`sim_lane_events_total{lane="%d"}`, i))
-			o.laneStallNs[i] = reg.Counter(fmt.Sprintf(`sim_lane_stall_nanoseconds_total{lane="%d"}`, i))
-			o.laneBusyNs[i] = reg.Counter(fmt.Sprintf(`sim_lane_busy_nanoseconds_total{lane="%d"}`, i))
-		}
-	}
-	w.obs = o
 }
 
-// step accounts one event fired by a serial loop.
+// step accounts one fired event.
 func (o *simObs) step(now time.Duration) {
 	o.batch++
 	if o.batch >= obsFlushEvery {
@@ -88,29 +56,5 @@ func (o *simObs) flush(now time.Duration) {
 		o.events.Add(int64(o.batch))
 		o.batch = 0
 	}
-	o.vtime.Set(now.Seconds())
-}
-
-// windowDone accounts one finished parallel window: per-lane event
-// counts and per-lane busy/stall wall time (stall = window wall time
-// the lane spent waiting at the barrier rather than draining). Called
-// by the coordinator with the lanes quiesced, before the processed
-// counters are folded and reset.
-func (o *simObs) windowDone(now time.Duration, lanes []lane, wallNs int64) {
-	total := int64(0)
-	for i := range lanes {
-		p := int64(lanes[i].processed)
-		total += p
-		o.laneEvents[i].Add(p)
-		o.windowEvents.Observe(float64(p))
-		busy := lanes[i].drainNs
-		lanes[i].drainNs = 0
-		o.laneBusyNs[i].Add(busy)
-		if wallNs > busy {
-			o.laneStallNs[i].Add(wallNs - busy)
-		}
-	}
-	o.windows.Inc()
-	o.events.Add(total)
 	o.vtime.Set(now.Seconds())
 }

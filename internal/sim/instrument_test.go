@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"reflect"
 	"testing"
 	"time"
 
@@ -31,54 +32,19 @@ func TestInstrumentSerialCounts(t *testing.T) {
 }
 
 // TestInstrumentNeutralTranscript is the engine-level determinism
-// guarantee: an instrumented parallel world produces exactly the
-// transcript of an uninstrumented one.
+// guarantee: an instrumented world, single heap or sharded, fires
+// exactly the schedule of an uninstrumented one and counts every event
+// Run reports.
 func TestInstrumentNeutralTranscript(t *testing.T) {
-	want := runPingTranscript(t, 7, 8, 4)
-
-	w, tr := parallelPingWorld(t, 7, 8, 4)
-	defer w.Close()
-	reg := obs.NewRegistry()
-	w.Instrument(reg)
-	n := w.Run(30 * time.Second)
-	if !equalTranscripts(*tr, want) {
-		t.Fatal("instrumentation changed the event transcript")
-	}
-
-	// The window accounting must agree with the run: lane events plus
-	// serial steps equal the total, and the total matches Run's count.
-	if got := reg.Counter("sim_events_total").Value(); got != int64(n) {
-		t.Fatalf("sim_events_total=%d, Run returned %d", got, n)
-	}
-	if reg.Counter("sim_parallel_windows_total").Value() == 0 {
-		t.Fatal("no parallel windows recorded")
-	}
-	var lanes int64
-	for i := 0; i < 8; i++ {
-		lanes += reg.Counter(laneCounterName("sim_lane_events_total", i)).Value()
-	}
-	serial := reg.Counter("sim_parallel_serial_steps_total").Value()
-	if lanes+serial != int64(n) {
-		t.Fatalf("lane events %d + serial %d != total %d", lanes, serial, n)
-	}
-}
-
-func laneCounterName(fam string, lane int) string {
-	return fam + `{lane="` + string(rune('0'+lane)) + `"}`
-}
-
-// TestInstrumentDisabledFallbackCounted pins the serial-fallback trip
-// counter.
-func TestInstrumentDisabledFallbackCounted(t *testing.T) {
-	w, _ := parallelPingWorld(t, 3, 4, 2)
-	defer w.Close()
-	reg := obs.NewRegistry()
-	w.Instrument(reg)
-	w.Run(2 * time.Second)
-	w.DisableParallel()
-	w.DisableParallel() // idempotent: only the first transition counts
-	w.Run(4 * time.Second)
-	if got := reg.Counter("sim_parallel_disabled_total").Value(); got != 1 {
-		t.Fatalf("sim_parallel_disabled_total=%d, want 1", got)
+	for _, shards := range []int{1, 8} {
+		want := fireLog(t, shards)
+		reg := obs.NewRegistry()
+		got, n := fireLogObs(t, shards, reg)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("shards=%d: instrumentation changed the fire order", shards)
+		}
+		if c := reg.Counter("sim_events_total").Value(); c != int64(n) {
+			t.Fatalf("shards=%d: sim_events_total=%d, Run returned %d", shards, c, n)
+		}
 	}
 }

@@ -103,57 +103,12 @@ func (n *Network) Register(id ids.NodeID, h Handler) {
 	n.handlers[id] = h
 }
 
-// Stats returns a copy of the activity counters. In a parallel world
-// the per-lane slices are folded in (quiesced context only).
-func (n *Network) Stats() NetworkStats {
-	s := n.stats
-	if p := n.world.par; p != nil {
-		for i := range p.lanes {
-			st := &p.lanes[i].stats
-			s.Sent += st.Sent
-			s.Delivered += st.Delivered
-			s.Dropped += st.Dropped
-		}
-	}
-	return s
-}
+// Stats returns a copy of the activity counters.
+func (n *Network) Stats() NetworkStats { return n.stats }
 
 // ResetStats zeroes the activity counters (used between experiment
 // phases so warmup traffic does not pollute measurements).
-func (n *Network) ResetStats() {
-	n.stats = NetworkStats{}
-	if p := n.world.par; p != nil {
-		for i := range p.lanes {
-			p.lanes[i].stats = NetworkStats{}
-		}
-	}
-}
-
-// laneIdx resolves id's lane in a parallel world, or -1 for hosts
-// outside the bound universe.
-func (n *Network) laneIdx(p *parallelExec, id ids.NodeID) int {
-	if i, ok := n.idx[id]; ok {
-		return p.laneFor(i)
-	}
-	return -1
-}
-
-// statsFor picks the counter slice a delivery-side event should write:
-// the target's lane, the sender's lane for unbound targets (the event
-// runs on the sender's lane then), or the global counters.
-func (n *Network) statsFor(from, to ids.NodeID) *NetworkStats {
-	p := n.world.par
-	if p == nil {
-		return &n.stats
-	}
-	if l := n.laneIdx(p, to); l >= 0 {
-		return &p.lanes[l].stats
-	}
-	if l := n.laneIdx(p, from); l >= 0 {
-		return &p.lanes[l].stats
-	}
-	return &n.stats
-}
+func (n *Network) ResetStats() { n.stats = NetworkStats{} }
 
 // Online reports whether the network considers id online right now.
 func (n *Network) Online(id ids.NodeID) bool {
@@ -182,16 +137,12 @@ func (n *Network) handlerFor(to ids.NodeID) Handler {
 // counting drops for offline or unregistered targets. It is the firing
 // half of Send, invoked by the scheduler's value events.
 func (n *Network) deliver(from, to ids.NodeID, msg any) {
-	st := &n.stats
-	if n.world.par != nil {
-		st = n.statsFor(from, to)
-	}
 	h := n.handlerFor(to)
 	if h == nil {
-		st.Dropped++
+		n.stats.Dropped++
 		return
 	}
-	st.Delivered++
+	n.stats.Delivered++
 	h(from, msg)
 }
 
@@ -200,10 +151,6 @@ func (n *Network) deliver(from, to ids.NodeID, msg any) {
 // drop the message (counted in stats). The delivery is scheduled as a
 // closure-free value event.
 func (n *Network) Send(from, to ids.NodeID, msg any) {
-	if p := n.world.par; p != nil {
-		n.sendLane(p, from, to, msg)
-		return
-	}
 	n.stats.Sent++
 	lat := n.latency.Sample(n.world.Rand())
 	host := int32(-1)
@@ -217,39 +164,6 @@ func (n *Network) Send(from, to ids.NodeID, msg any) {
 	n.world.schedule(n.world.now+lat, &payload{kind: evDeliver, net: n, from: from, to: to, msg: msg}, host)
 }
 
-// sendLane is Send in a parallel world: the latency draw, sequence
-// number, and Sent counter all come from the sender's lane, and the
-// delivery lands on the target's lane — directly for same-lane sends,
-// through the deterministic src→dst outbox otherwise. Senders outside
-// the bound universe use the coordinator context (quiesced callers
-// only).
-func (n *Network) sendLane(p *parallelExec, from, to ids.NodeID, msg any) {
-	w := n.world
-	sl := n.laneIdx(p, from)
-	if sl < 0 {
-		n.stats.Sent++
-		lat := n.latency.Sample(w.rng)
-		deliver := &payload{kind: evDeliver, net: n, from: from, to: to, msg: msg}
-		if tl := n.laneIdx(p, to); tl >= 0 {
-			w.sh.shards[tl].push(w.now+lat, w.globalSeq(), deliver)
-		} else {
-			w.events.push(w.now+lat, w.globalSeq(), deliver)
-		}
-		return
-	}
-	ls := &p.lanes[sl]
-	ls.stats.Sent++
-	lat := n.latency.Sample(ls.rng)
-	tl := n.laneIdx(p, to)
-	if tl < 0 {
-		// Unbound target: deliver on the sender's own lane via the
-		// handler-map path.
-		tl = sl
-	}
-	p.pushFrom(sl, tl, event{at: p.laneNow(sl) + lat, seq: p.laneSeq(sl),
-		payload: payload{kind: evDeliver, net: n, from: from, to: to, msg: msg}})
-}
-
 // SendCall delivers msg like Send but also reports the outcome to the
 // sender: onResult(true) fires when the target acknowledged (one
 // round-trip after sending), onResult(false) fires after ackTimeout when
@@ -258,15 +172,6 @@ func (n *Network) sendLane(p *parallelExec, from, to ids.NodeID, msg any) {
 // attempt and the verdict are value events, like Send's delivery: the
 // callback and both latencies ride in the attempt's payload.
 func (n *Network) SendCall(from, to ids.NodeID, msg any, onResult func(ok bool)) {
-	if p := n.world.par; p != nil {
-		if sl := n.laneIdx(p, from); sl >= 0 {
-			n.callLane(p, sl, from, to, msg, onResult)
-			return
-		}
-		// Unbound sender: fall through to the serial path, which runs in
-		// coordinator context (quiesced callers only) — schedule and the
-		// world RNG are coordinator-owned there.
-	}
 	n.stats.Sent++
 	out := n.latency.Sample(n.world.Rand())
 	back := n.latency.Sample(n.world.Rand())
@@ -296,46 +201,4 @@ func (n *Network) attempt(call *payload) {
 		n.world.schedule(n.world.now+call.back,
 			&payload{kind: evResult, ok: true, onResult: call.onResult}, -1)
 	}
-}
-
-// callLane is SendCall in a parallel world. Both latency draws come
-// from the sender's lane at send time (mirroring the serial path); the
-// delivery closure runs on the target's lane, and the ack / timeout
-// closures hop back to the sender's lane through the outboxes. Every
-// cross-lane hop is at least one lookahead long (out ≥ lookahead,
-// back ≥ lookahead, and the failure report fires ackTimeout − out ≥
-// lookahead after the delivery attempt), so the conservative window
-// invariant holds on every edge.
-func (n *Network) callLane(p *parallelExec, sl int, from, to ids.NodeID, msg any, onResult func(ok bool)) {
-	ls := &p.lanes[sl]
-	ls.stats.Sent++
-	out := n.latency.Sample(ls.rng)
-	back := n.latency.Sample(ls.rng)
-	t0 := p.laneNow(sl)
-	tl := n.laneIdx(p, to)
-	if tl < 0 {
-		tl = sl
-	}
-	attempt := func() {
-		// Runs on lane tl at t0+out.
-		h := n.handlerFor(to)
-		st := &p.lanes[tl].stats
-		if h == nil {
-			st.Dropped++
-			if onResult != nil {
-				// Failure is detected only after the ack timeout expires,
-				// back on the sender's lane.
-				p.pushFrom(tl, sl, event{at: t0 + n.ackTimeout, seq: p.laneSeq(tl),
-					payload: payload{kind: evFunc, fn: func() { onResult(false) }}})
-			}
-			return
-		}
-		st.Delivered++
-		h(from, msg)
-		if onResult != nil {
-			p.pushFrom(tl, sl, event{at: p.laneNow(tl) + back, seq: p.laneSeq(tl),
-				payload: payload{kind: evFunc, fn: func() { onResult(true) }}})
-		}
-	}
-	p.pushFrom(sl, tl, event{at: t0 + out, seq: p.laneSeq(sl), payload: payload{kind: evFunc, fn: attempt}})
 }

@@ -84,9 +84,6 @@ func (w *World) SetShards(n int) error {
 	if n > maxShards {
 		return fmt.Errorf("sim: shard count %d exceeds max %d", n, maxShards)
 	}
-	if w.par != nil {
-		return fmt.Errorf("sim: cannot reshape the queue after SetParallel")
-	}
 	old := w.events.drain(nil)
 	if w.sh != nil {
 		for i := range w.sh.shards {

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"avmem/internal/ids"
+	"avmem/internal/obs"
 )
 
 // fireLog runs a deterministic pseudo-random schedule — timers and
@@ -15,10 +16,19 @@ import (
 // with the given shard count and returns the observed fire order.
 func fireLog(t *testing.T, shards int) []string {
 	t.Helper()
+	log, _ := fireLogObs(t, shards, nil)
+	return log
+}
+
+// fireLogObs is fireLog on a world instrumented into reg (nil: not
+// instrumented); it also returns Run's event count.
+func fireLogObs(t *testing.T, shards int, reg *obs.Registry) ([]string, int) {
+	t.Helper()
 	w := NewWorld(42)
 	if err := w.SetShards(shards); err != nil {
 		t.Fatal(err)
 	}
+	w.Instrument(reg)
 	hosts := make([]ids.NodeID, 16)
 	for i := range hosts {
 		hosts[i] = ids.NodeID(fmt.Sprintf("h%02d", i))
@@ -53,8 +63,8 @@ func fireLog(t *testing.T, shards int) []string {
 			})
 		}
 	}
-	w.Run(time.Second)
-	return log
+	n := w.Run(time.Second)
+	return log, n
 }
 
 // TestShardedOrderIdentical pins the tentpole determinism claim: the

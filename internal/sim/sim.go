@@ -4,17 +4,11 @@
 // semantics.
 //
 // All of the paper's experiments execute on this engine. Determinism is
-// a design goal (DESIGN.md §5): by default the world is single-threaded
-// and events with equal timestamps fire in scheduling order, so a
-// (trace, seed) pair regenerates every figure bit-identically.
-//
-// Worlds upgraded with SetShards + SetParallel execute under the
-// conservative-window thread-parallel engine (parallel.go): per-shard
-// worker threads drain their own heaps inside lookahead-bounded windows.
-// That engine keeps a relaxed determinism contract — bit-identical for a
-// fixed (trace, seed, shards, lookahead) across repeated runs and any
-// GOMAXPROCS, but a different canonical order than the serial engine.
-// See DESIGN.md §14.
+// a design goal (DESIGN.md §5): the world is single-threaded and events
+// with equal timestamps fire in scheduling order, so a (trace, seed)
+// pair regenerates every figure bit-identically. SetShards splits the
+// queue into per-shard heaps merged in the same (at, seq) order, so the
+// shard count never changes what a world executes (DESIGN.md §14).
 package sim
 
 import (
@@ -31,19 +25,12 @@ type World struct {
 	now    time.Duration
 	events eventHeap
 	seq    uint64
-	seed   int64
 	rng    *rand.Rand
 	// sh, when non-nil, replaces the single global heap with per-shard
 	// heaps merged in (at, seq) order (SetShards; shard.go). The merged
 	// schedule is identical either way — sharding changes the queue's
 	// shape, never its order.
 	sh *shardedQueue
-	// par, when non-nil, is the conservative-window thread-parallel
-	// executor (SetParallel; parallel.go). The shard heaps become lanes,
-	// the global heap keeps coordinator-context events, and sequence
-	// numbers carry a context tag — a different (still deterministic)
-	// canonical order than the serial engines.
-	par *parallelExec
 	// obs, when non-nil, is the metrics instrumentation installed by
 	// Instrument (instrument.go). Determinism-neutral: the run loops
 	// only record what they already computed.
@@ -52,7 +39,7 @@ type World struct {
 
 // NewWorld creates a world at time zero with a deterministic RNG.
 func NewWorld(seed int64) *World {
-	return &World{seed: seed, rng: rand.New(rand.NewSource(seed))}
+	return &World{rng: rand.New(rand.NewSource(seed))}
 }
 
 // Now returns the current virtual time.
@@ -63,9 +50,6 @@ func (w *World) Rand() *rand.Rand { return w.rng }
 
 // At schedules fn to run at virtual time at. Times in the past run at
 // the current instant (never before already-queued same-time events).
-// In a parallel world, At is coordinator-context: it may only be called
-// while the world is quiesced or from a global/deferred callback, never
-// from lane code inside a window (lane code uses AtHost).
 func (w *World) At(at time.Duration, fn func()) {
 	if fn == nil {
 		return
@@ -74,20 +58,14 @@ func (w *World) At(at time.Duration, fn func()) {
 }
 
 // schedule queues one event of any shape under the next sequence number
-// — the single point where the serial engines assign (at, seq) keys, so
-// closures, deliveries and the SendCall events interleave exactly as if
-// each had been an At closure. host is the target's dense host index
-// when the caller knows it (sharded worlds use it to land the event in
-// the owning shard's heap), or -1. In a parallel world this is the
-// coordinator context: the key carries the global tag and the event
-// stays on the global heap.
+// — the single point where (at, seq) keys are assigned, so closures,
+// deliveries and the SendCall events interleave exactly as if each had
+// been an At closure. host is the target's dense host index when the
+// caller knows it (sharded worlds use it to land the event in the
+// owning shard's heap), or -1.
 func (w *World) schedule(at time.Duration, p *payload, host int32) {
 	if at < w.now {
 		at = w.now
-	}
-	if w.par != nil {
-		w.events.push(at, w.globalSeq(), p)
-		return
 	}
 	w.seq++
 	if w.sh != nil {
@@ -126,9 +104,6 @@ func (w *World) Every(offset, period time.Duration, stop func() bool, fn func())
 // event by event, and leaves the clock at until. It returns the number
 // of events processed.
 func (w *World) Run(until time.Duration) int {
-	if w.par != nil {
-		return w.runParallel(until, 0)
-	}
 	if w.sh != nil {
 		n := w.runSharded(until)
 		if until > w.now {
@@ -160,9 +135,6 @@ func (w *World) Run(until time.Duration) int {
 // bounds runaway execution (<= 0 means no bound). It returns the number
 // of events processed.
 func (w *World) RunAll(maxEvents int) int {
-	if w.par != nil {
-		return w.runParallel(maxDuration, maxEvents)
-	}
 	if w.sh != nil {
 		return w.runAllSharded(maxEvents)
 	}
@@ -188,9 +160,7 @@ func (w *World) RunAll(maxEvents int) int {
 // Pending returns the number of queued events.
 func (w *World) Pending() int {
 	if w.sh != nil {
-		// A parallel world keeps coordinator-context events in the
-		// global heap alongside the lane heaps (empty otherwise).
-		return w.sh.pending() + len(w.events.keys)
+		return w.sh.pending()
 	}
 	return len(w.events.keys)
 }
@@ -199,7 +169,7 @@ func (w *World) Pending() int {
 type evKind uint8
 
 const (
-	// evFunc runs a closure (At/After/Every and the lane timers).
+	// evFunc runs a closure (At/After/Every).
 	evFunc evKind = iota
 	// evDeliver is the firing half of Network.Send.
 	evDeliver
@@ -229,9 +199,8 @@ type payload struct {
 	out, back time.Duration
 }
 
-// event is a payload with its ordering key — the form in which lanes
-// buffer cross-lane sends and SetShards migrates a queue. Heaps store
-// the two halves apart.
+// event is a payload with its ordering key — the form in which
+// SetShards migrates a queue. Heaps store the two halves apart.
 type event struct {
 	at  time.Duration
 	seq uint64

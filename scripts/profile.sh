@@ -12,15 +12,10 @@
 #   scripts/profile.sh scenarios/churn-storm.json   # another scenario
 #   scripts/profile.sh scenarios/mixed-workload.json -shards 8
 #                                                   # extra run flags pass through
-#   scripts/profile.sh scenarios/mixed-workload.json -shards 8 -shard-threads 4
-#                                                   # thread-parallel engine; the mutex/block
-#                                                   # profiles show barrier + shared-cache cost
 #
 # Inspect with:
 #   go tool pprof -top profiles/cpu.pprof
 #   go tool pprof -top -sample_index=alloc_space profiles/mem.pprof
-#   go tool pprof -top profiles/mutex.pprof
-#   go tool pprof -top profiles/block.pprof
 #   go tool trace profiles/exec.trace
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -33,9 +28,7 @@ go build -o profiles/avmemsim ./cmd/avmemsim
 profiles/avmemsim run -q \
   -cpuprofile profiles/cpu.pprof \
   -memprofile profiles/mem.pprof \
-  -mutexprofile profiles/mutex.pprof \
-  -blockprofile profiles/block.pprof \
   -trace profiles/exec.trace \
   "$@" "${scenario}"
-echo "wrote profiles/{cpu,mem,mutex,block}.pprof profiles/exec.trace" >&2
+echo "wrote profiles/{cpu,mem}.pprof profiles/exec.trace" >&2
 echo "try: go tool pprof -top profiles/cpu.pprof" >&2
