@@ -40,18 +40,17 @@ type Reply struct {
 //   - feeding inbound replies to HandleReply.
 //
 // With UseIndex configured the agent addresses its view by dense host
-// index, as Cyclon does: every entry it holds carries idx1 > 0 exactly
-// when the universe confirms that index names the entry's ID, so the
-// self and duplicate checks of a merge compare int32s and the owner's
-// discovery reads indexes straight off the view (AppendViewCand).
-// Unlike Cyclon, whose entries never leave the process, an agent's
-// entries arrive from a wire or an adversary: the memo on a received
-// entry is checked against the universe (one array load) and
-// re-resolved from the identifier when it is missing or names another
-// host — the identifier always wins. Entries outside the universe, and
-// every entry of an agent without UseIndex, stay at idx1 == 0 and are
-// compared by identifier. Decisions and RNG draws are the same either
-// way.
+// index: every entry it holds carries idx1 > 0 exactly when the universe
+// confirms that index names the entry's ID, so the self and duplicate
+// checks of a merge compare int32s and the owner's discovery reads
+// indexes straight off the view (AppendViewCand). An agent's entries
+// arrive from a wire or an adversary, so — as Cyclon does with what a Tap
+// hands back — the memo on a received entry is checked against the
+// universe (one array load) and re-resolved from the identifier when it
+// is missing or names another host: the identifier always wins. Entries
+// outside the universe, and every entry of an agent without UseIndex,
+// stay at idx1 == 0 and are compared by identifier. Decisions and RNG
+// draws are the same either way.
 //
 // Agent is safe for concurrent use.
 type Agent struct {
@@ -71,10 +70,12 @@ type Agent struct {
 
 	// Scratch, reused under mu: the permutation sampleLocked draws, and
 	// mergeLocked's compact mirrors of the view's indexes and ages (the
-	// duplicate and eviction-victim scans walk these, not the entries).
-	perm []int
-	idxs []int32
-	ages []int
+	// duplicate scan and the eviction-victim cursor walk these, not the
+	// entries).
+	perm    []int
+	idxs    []int32
+	ages    []int
+	victims victimCursor[int]
 }
 
 // NewAgent creates a live shuffle agent for self.
@@ -254,9 +255,10 @@ func (a *Agent) mergeLocked(received []Entry) {
 	}
 }
 
-// beginMerge rebuilds the index and age mirrors addLocked scans.
+// beginMerge rebuilds the index and age mirrors addLocked scans and
+// restarts the victim cursor.
 func (a *Agent) beginMerge() {
-	a.idxs, a.ages = a.idxs[:0], a.ages[:0]
+	a.idxs, a.ages, a.victims = a.idxs[:0], a.ages[:0], victimCursor[int]{}
 	for i := range a.entries {
 		a.idxs = append(a.idxs, a.entries[i].idx1)
 		a.ages = append(a.ages, a.entries[i].Age)
@@ -299,7 +301,7 @@ func (a *Agent) addLocked(e Entry) {
 		a.ages = append(a.ages, e.Age)
 		return
 	}
-	if oldest := oldestAge(a.ages); a.ages[oldest] >= e.Age {
+	if oldest := a.victims.next(a.ages); a.ages[oldest] >= e.Age {
 		a.entries[oldest] = e
 		a.idxs[oldest] = e.idx1
 		a.ages[oldest] = e.Age

@@ -9,13 +9,28 @@ import (
 	"avmem/internal/ids"
 )
 
-// diffHarness drives an index-resolved Cyclon and an identifier-only
-// Cyclon through the same schedule from the same seeds. Everything the
-// index changes — view lookup, liveness, merge's duplicate and
-// registration checks — is an addressing choice, so the two must expose
-// identical views after every step.
+// cyclon is what the differential schedule drives: the packed Cyclon and
+// the reference model share it.
+type cyclon interface {
+	UseIndex(indexOf func(ids.NodeID) int, onlineAt func(i int) bool)
+	SetTap(*Tap)
+	Join(x ids.NodeID, seeds []ids.NodeID)
+	Leave(x ids.NodeID)
+	Tick(x ids.NodeID)
+	TickIdx(i int)
+	View(x ids.NodeID) []ids.NodeID
+	Nodes() []ids.NodeID
+}
+
+// diffHarness drives three services through the same schedule from the
+// same seeds: a packed Cyclon on a host index, a packed Cyclon that only
+// ever sees identifiers (every code a stray), and the reference model
+// (cyclon_ref_test.go) on the same index. The index is an addressing
+// choice and the packed layout a storage choice, so all three must
+// expose identical views and registered sets, and be about to draw the
+// same random number, after every step.
 type diffHarness struct {
-	t *testing.T
+	t testing.TB
 	// universe is what indexOf resolves; outside holds identifiers it
 	// answers -1 for (they may still Join). The last few universe ids
 	// never join: they are the in-universe strays.
@@ -23,6 +38,9 @@ type diffHarness struct {
 	index             map[ids.NodeID]int
 	up                []bool // shared liveness, by universe index
 	idx, byID         *Cyclon
+	ref               *refCyclon
+	all               [3]cyclon     // idx, byID, ref
+	rngs              [3]*rand.Rand // the services' own streams, in that order
 	joined            map[ids.NodeID]bool
 }
 
@@ -32,7 +50,7 @@ const (
 	diffOutside  = 4
 )
 
-func newDiffHarness(t *testing.T, seed int64, useIndexFirst bool) *diffHarness {
+func newDiffHarness(t testing.TB, seed int64, useIndexFirst bool) *diffHarness {
 	t.Helper()
 	h := &diffHarness{t: t, index: map[ids.NodeID]int{}, joined: map[ids.NodeID]bool{}}
 	for i := 0; i < diffUniverse; i++ {
@@ -53,15 +71,25 @@ func newDiffHarness(t *testing.T, seed int64, useIndexFirst bool) *diffHarness {
 	// The index treats unknown identifiers as offline; the identifier
 	// side must say the same for the comparison to be fair.
 	online := func(id ids.NodeID) bool { i := indexOf(id); return i >= 0 && h.up[i] }
-	mk := func() *Cyclon {
-		c, err := NewCyclon(7, 4, online, rand.New(rand.NewSource(seed)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return c
+	for i := range h.rngs {
+		h.rngs[i] = rand.New(rand.NewSource(seed))
 	}
-	h.idx, h.byID = mk(), mk()
-	use := func() { h.idx.UseIndex(indexOf, func(i int) bool { return h.up[i] }) }
+	var err error
+	if h.idx, err = NewCyclon(7, 4, online, h.rngs[0]); err != nil {
+		t.Fatal(err)
+	}
+	if h.byID, err = NewCyclon(7, 4, online, h.rngs[1]); err != nil {
+		t.Fatal(err)
+	}
+	if h.ref, err = newRefCyclon(7, 4, online, h.rngs[2]); err != nil {
+		t.Fatal(err)
+	}
+	h.all = [3]cyclon{h.idx, h.byID, h.ref}
+	use := func() {
+		onlineAt := func(i int) bool { return h.up[i] }
+		h.idx.UseIndex(indexOf, onlineAt)
+		h.ref.UseIndex(indexOf, onlineAt)
+	}
 	if useIndexFirst {
 		use()
 	}
@@ -69,16 +97,17 @@ func newDiffHarness(t *testing.T, seed int64, useIndexFirst bool) *diffHarness {
 		h.join(h.universe[i], []ids.NodeID{h.universe[(i+1)%diffJoiners], h.universe[(i+7)%diffJoiners]})
 	}
 	if !useIndexFirst {
-		use() // views and their entries predate the index: lazily resolved
+		use() // views and their entries predate the index: re-coded here
 	}
-	h.idx.SetTap(diffTap(seed, h))
-	h.byID.SetTap(diffTap(seed, h))
+	for _, c := range h.all {
+		c.SetTap(diffTap(seed, h))
+	}
 	return h
 }
 
 // diffTap builds an exchange interceptor that rewrites, drops and
-// refuses deterministically from its own stream; each Cyclon gets its
-// own copy, and identical exchanges draw identically from both.
+// refuses deterministically from its own stream; each service gets its
+// own copy, and identical exchanges draw identically from all of them.
 func diffTap(seed int64, h *diffHarness) *Tap {
 	rng := rand.New(rand.NewSource(seed ^ 0x7a9))
 	return &Tap{
@@ -114,15 +143,16 @@ func diffTap(seed int64, h *diffHarness) *Tap {
 }
 
 func (h *diffHarness) join(id ids.NodeID, seeds []ids.NodeID) {
-	h.idx.Join(id, seeds)
-	h.byID.Join(id, seeds)
+	for _, c := range h.all {
+		c.Join(id, seeds)
+	}
 	h.joined[id] = true
 }
 
 // anyID draws from everything a schedule may name: joiners, strays,
 // identifiers outside the universe, and the nil identifier.
-func (h *diffHarness) anyID(rng *rand.Rand) ids.NodeID {
-	switch n := rng.Intn(diffUniverse + diffOutside + 1); {
+func (h *diffHarness) anyID(pick func(n int) int) ids.NodeID {
+	switch n := pick(diffUniverse + diffOutside + 1); {
 	case n < diffUniverse:
 		return h.universe[n]
 	case n < diffUniverse+diffOutside:
@@ -131,61 +161,79 @@ func (h *diffHarness) anyID(rng *rand.Rand) ids.NodeID {
 	return ids.Nil
 }
 
-// step applies one random operation to both services.
-func (h *diffHarness) step(rng *rand.Rand) {
-	switch op := rng.Intn(20); {
+// step applies one operation to all three services; pick(n) chooses in
+// [0, n) — a seeded stream in the tests, the input bytes under fuzzing.
+func (h *diffHarness) step(pick func(n int) int) {
+	switch op := pick(20); {
 	case op == 0: // join or re-seed, possibly an identifier outside the universe
-		id := h.universe[rng.Intn(diffJoiners)]
-		if rng.Intn(6) == 0 {
-			id = h.outside[rng.Intn(diffOutside)]
+		id := h.universe[pick(diffJoiners)]
+		if pick(6) == 0 {
+			id = h.outside[pick(diffOutside)]
 		}
-		seeds := make([]ids.NodeID, rng.Intn(5))
+		seeds := make([]ids.NodeID, pick(5))
 		for i := range seeds {
-			seeds[i] = h.anyID(rng)
+			seeds[i] = h.anyID(pick)
 		}
 		h.join(id, seeds)
 	case op == 1: // permanent departure
-		id := h.universe[rng.Intn(diffJoiners)]
-		h.idx.Leave(id)
-		h.byID.Leave(id)
+		id := h.universe[pick(diffJoiners)]
+		for _, c := range h.all {
+			c.Leave(id)
+		}
 		delete(h.joined, id)
 	case op == 2: // churn
-		i := rng.Intn(diffUniverse)
+		i := pick(diffUniverse)
 		h.up[i] = !h.up[i]
 	default:
-		id := h.anyID(rng)
-		if i, ok := h.index[id]; ok && rng.Intn(2) == 0 {
+		id := h.anyID(pick)
+		if i, ok := h.index[id]; ok && pick(2) == 0 {
 			h.idx.TickIdx(i)
+			h.ref.TickIdx(i)
 		} else {
 			h.idx.Tick(id)
+			h.ref.Tick(id)
 		}
 		h.byID.Tick(id)
 	}
 }
 
-// check compares every view, registered or not.
+// check compares every view, registered or not, the registered sets, and
+// the services' next RNG draw (consumed from all three alike).
 func (h *diffHarness) check(step int) {
 	h.t.Helper()
+	names := [3]string{"indexed", "identifier", "reference"}
 	for _, id := range append(append([]ids.NodeID(nil), h.universe...), h.outside...) {
-		a, b := h.idx.View(id), h.byID.View(id)
-		if !slices.Equal(a, b) {
-			h.t.Fatalf("step %d: views of %s diverge\n indexed:    %v\n identifier: %v", step, id, a, b)
+		want := h.ref.View(id)
+		for k, c := range h.all[:2] {
+			if got := c.View(id); !slices.Equal(got, want) {
+				h.t.Fatalf("step %d: views of %s diverge\n %s: %v\n reference: %v", step, id, names[k], got, want)
+			}
 		}
 	}
-	if a, b := h.idx.Nodes(), h.byID.Nodes(); !slices.Equal(a, b) {
-		h.t.Fatalf("step %d: registered sets diverge: %v vs %v", step, a, b)
+	want := h.ref.Nodes()
+	for k, c := range h.all[:2] {
+		if got := c.Nodes(); !slices.Equal(got, want) {
+			h.t.Fatalf("step %d: registered sets diverge: %s %v, reference %v", step, names[k], got, want)
+		}
+	}
+	draw := h.rngs[2].Int63()
+	for k, rng := range h.rngs[:2] {
+		if rng.Int63() != draw {
+			h.t.Fatalf("step %d: the %s service has drawn differently from the reference", step, names[k])
+		}
 	}
 }
 
 // TestIndexedCyclonMatchesIdentifierCyclon is the differential test of
-// the index-dense maintenance path.
+// the packed Cyclon — on a host index and on identifiers alone — against
+// the reference model.
 func TestIndexedCyclonMatchesIdentifierCyclon(t *testing.T) {
 	for seed := int64(1); seed <= 6; seed++ {
 		h := newDiffHarness(t, seed, seed%2 == 0)
 		h.check(-1)
 		rng := rand.New(rand.NewSource(seed * 31))
 		for step := 0; step < 3000; step++ {
-			h.step(rng)
+			h.step(rng.Intn)
 			h.check(step)
 		}
 		if len(h.joined) == 0 {
@@ -214,6 +262,15 @@ func refMerge(self ids.NodeID, capacity int, entries, received []Entry, register
 	return entries
 }
 
+// unpack returns v's entries in wire form, without memos.
+func (c *Cyclon) unpack(v *view) []Entry {
+	out := make([]Entry, len(v.codes))
+	for k, code := range v.codes {
+		out[k] = Entry{ID: c.idOf(code), Age: int(v.ages[k])}
+	}
+	return out
+}
+
 // TestMergeMatchesReference: same survivors, same victims, same
 // tie-break as the reference fold, on views dense with equal ages, for
 // exchange merges and Join seeding, with and without the index.
@@ -224,54 +281,68 @@ func TestMergeMatchesReference(t *testing.T) {
 		if indexed {
 			c = h.idx
 		}
-		c.SetTap(nil)
 		rng := rand.New(rand.NewSource(17))
-		registered := func(id ids.NodeID) bool { return c.views[id] != nil }
+		registered := func(id ids.NodeID) bool { return c.viewOf(id) != nil }
 		for trial := 0; trial < 4000; trial++ {
-			v := c.views[h.universe[rng.Intn(diffJoiners/2)]]
-			v.entries = v.entries[:0]
-			for _, p := range rng.Perm(diffUniverse)[:rng.Intn(v.cap+1)] {
+			v := c.viewOf(h.universe[rng.Intn(diffJoiners/2)])
+			v.codes, v.ages = v.codes[:0], v.ages[:0]
+			for _, p := range rng.Perm(diffUniverse)[:rng.Intn(c.viewSize+1)] {
 				if h.universe[p] != v.self {
-					v.entries = append(v.entries, Entry{ID: h.universe[p], Age: rng.Intn(4) - 1})
+					v.codes = append(v.codes, c.intern(h.universe[p]))
+					v.ages = append(v.ages, int32(rng.Intn(4)-1))
 				}
 			}
 			received := make([]Entry, rng.Intn(9))
 			for i := range received {
-				received[i] = Entry{ID: h.anyID(rng), Age: rng.Intn(5) - 1}
+				received[i] = Entry{ID: h.anyID(rng.Intn), Age: rng.Intn(5) - 1}
 			}
 			seeding := rng.Intn(4) == 0
-			want := refMerge(v.self, v.cap, slices.Clone(v.entries), received, registered, seeding)
-			c.merge(v, received, seeding)
-			same := slices.EqualFunc(v.entries, want, func(a, b Entry) bool { return a.ID == b.ID && a.Age == b.Age })
-			if !same {
-				t.Fatalf("indexed=%v trial %d (seeding=%v): merge left %v, reference %v", indexed, trial, seeding, v.entries, want)
+			want := refMerge(v.self, c.viewSize, c.unpack(v), received, registered, seeding)
+			in := &offer{}
+			if seeding { // as Join packs its seeds, ages kept
+				for _, e := range received {
+					if !e.ID.IsNil() {
+						in.add(c.intern(e.ID), int32(e.Age))
+					}
+				}
+			} else {
+				in = c.received(received)
+			}
+			c.merge(v, in, seeding)
+			if got := c.unpack(v); !slices.Equal(got, want) {
+				t.Fatalf("indexed=%v trial %d (seeding=%v): merge left %v, reference %v", indexed, trial, seeding, got, want)
 			}
 		}
 	}
 }
 
 // TestStampGenerationWrap: when the merge generation overflows, stale
-// stamps must not read as current. Each round poisons the table with the
-// first post-wrap generation and parks the counter on the brink, so a
-// wrap that skipped the clear would take every received entry of the
-// next merge for a duplicate and the two services would part ways.
+// stamps must not read as current. Each round poisons both stamp tables
+// of both packed services with the first post-wrap generation and parks
+// the counter on the brink, so a wrap that skipped the clear would take
+// every received entry of the next merge for a duplicate and the service
+// would part ways with the reference.
 func TestStampGenerationWrap(t *testing.T) {
 	h := newDiffHarness(t, 9, true)
 	rng := rand.New(rand.NewSource(99))
-	for step := 0; step < 200; step++ { // size the stamp table
-		h.step(rng)
+	for step := 0; step < 200; step++ { // size the code tables
+		h.step(rng.Intn)
 	}
 	wraps := 0
 	for round := 0; round < 200; round++ {
-		for i := range h.idx.stamp {
-			h.idx.stamp[i] = 1
+		for _, c := range []*Cyclon{h.idx, h.byID} {
+			for _, stamp := range [][]uint32{c.hosts.stamp, c.strays.stamp} {
+				for i := range stamp {
+					stamp[i] = 1
+				}
+			}
+			c.gen = math.MaxUint32
 		}
-		h.idx.gen = math.MaxUint32
 		for step := 0; step < 10; step++ {
-			h.step(rng)
+			h.step(rng.Intn)
 			h.check(round*10 + step)
 		}
-		if h.idx.gen < math.MaxUint32 {
+		if h.idx.gen < math.MaxUint32 && h.byID.gen < math.MaxUint32 {
 			wraps++
 		}
 	}
@@ -280,37 +351,119 @@ func TestStampGenerationWrap(t *testing.T) {
 	}
 }
 
-// TestTickIdxDoesNotAllocate pins the steady-state tick at zero
-// allocations: stamp table, age mirror and exchange buffers are all
-// reused scratch.
-func TestTickIdxDoesNotAllocate(t *testing.T) {
-	const n = 300
-	c, err := NewCyclon(17, 4, nil, rand.New(rand.NewSource(3)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	nodes := make([]ids.NodeID, n)
+// TestTapMemoIsVerified: the index memo on an entry a Tap hands back is
+// a hint from outside, never trusted blindly. One service's Tap forges
+// every memo — another host's index, an index beyond the table, an index
+// on an identifier outside the universe — while its twin's Tap returns
+// the same entries without memos; the identifier must win, so the two
+// hold the same views throughout.
+func TestTapMemoIsVerified(t *testing.T) {
+	const n = 24
+	hosts := make([]ids.NodeID, n)
 	index := make(map[ids.NodeID]int, n)
-	for i := range nodes {
-		nodes[i] = ids.Synthetic(i)
-		index[nodes[i]] = i
+	for i := range hosts {
+		hosts[i] = ids.Synthetic(i)
+		index[hosts[i]] = i
 	}
-	c.UseIndex(func(id ids.NodeID) int {
+	outsider := ids.Synthetic(9000)
+	indexOf := func(id ids.NodeID) int {
 		if i, ok := index[id]; ok {
 			return i
 		}
 		return -1
-	}, func(i int) bool { return i%5 != 0 })
-	for i, id := range nodes {
-		c.Join(id, []ids.NodeID{nodes[(i+1)%n], nodes[(i+2)%n], nodes[(i+3)%n]})
 	}
-	for round := 0; round < 40; round++ {
-		for i := range nodes {
-			c.TickIdx(i)
+	mk := func(forge bool) *Cyclon {
+		c, err := NewCyclon(6, 3, nil, rand.New(rand.NewSource(5)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.UseIndex(indexOf, func(int) bool { return true })
+		for i, id := range hosts {
+			c.Join(id, []ids.NodeID{hosts[(i+1)%n], hosts[(i+5)%n], outsider})
+		}
+		c.Join(outsider, hosts[:3])
+		calls := 0
+		c.SetTap(&Tap{Outbound: func(owner ids.NodeID, reply bool, entries []Entry) ([]Entry, float64, bool) {
+			out := append(make([]Entry, 0, len(entries)+1), entries...)
+			out = append(out, Entry{ID: outsider, Age: 1})
+			for k := range out {
+				out[k].idx1 = 0
+				if forge {
+					calls++
+					switch calls % 3 {
+					case 0:
+						out[k].idx1 = int32((indexOf(out[k].ID)+1+calls%(n-1))%n) + 1 // another host
+					case 1:
+						out[k].idx1 = 1 << 20 // beyond the host table
+					case 2:
+						out[k].idx1 = int32(calls%n) + 1 // any host, also on the outsider
+					}
+				}
+			}
+			return out, 0, false
+		}})
+		return c
+	}
+	forged, clean := mk(true), mk(false)
+	for step := 0; step < 4000; step++ {
+		forged.TickIdx(step % n)
+		clean.TickIdx(step % n)
+		for _, id := range append(hosts[:n:n], outsider) {
+			if a, b := forged.View(id), clean.View(id); !slices.Equal(a, b) {
+				t.Fatalf("step %d: a forged memo changed the view of %s: %v, without memos %v", step, id, a, b)
+			}
 		}
 	}
-	i := 0
-	if avg := testing.AllocsPerRun(2000, func() { c.TickIdx(i % n); i++ }); avg != 0 {
-		t.Errorf("TickIdx allocates %.2f objects per call in steady state, want 0", avg)
+}
+
+// TestTickIdxDoesNotAllocate pins the steady-state tick at zero
+// allocations, with and without a Tap: code tables, sampled offers and
+// the entries built for the Tap's hooks are all reused scratch. The
+// pass-through Tap sets all three hooks, so both halves of every
+// exchange are unpacked into entries and packed back.
+func TestTickIdxDoesNotAllocate(t *testing.T) {
+	passThrough := &Tap{
+		Outbound: func(owner ids.NodeID, reply bool, entries []Entry) ([]Entry, float64, bool) {
+			return entries, 0.5, false
+		},
+		Inbound: func(receiver, sender ids.NodeID, reply bool, entries []Entry, claim float64) bool { return true },
+		Refuse:  func(owner ids.NodeID) bool { return false },
+	}
+	for _, tc := range []struct {
+		name string
+		tap  *Tap
+	}{{"untapped", nil}, {"tapped", passThrough}} {
+		t.Run(tc.name, func(t *testing.T) {
+			const n = 300
+			c, err := NewCyclon(17, 4, nil, rand.New(rand.NewSource(3)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			nodes := make([]ids.NodeID, n)
+			index := make(map[ids.NodeID]int, n)
+			for i := range nodes {
+				nodes[i] = ids.Synthetic(i)
+				index[nodes[i]] = i
+			}
+			c.UseIndex(func(id ids.NodeID) int {
+				if i, ok := index[id]; ok {
+					return i
+				}
+				return -1
+			}, func(i int) bool { return i%5 != 0 })
+			c.SetTap(tc.tap)
+			for i, id := range nodes {
+				c.Join(id, []ids.NodeID{nodes[(i+1)%n], nodes[(i+2)%n], nodes[(i+3)%n]})
+			}
+			for round := 0; round < 40; round++ {
+				for i := range nodes {
+					c.TickIdx(i)
+				}
+			}
+			i := 0
+			if avg := testing.AllocsPerRun(2000, func() { c.TickIdx(i % n); i++ }); avg != 0 {
+				t.Errorf("TickIdx allocates %.2f objects per call in steady state, want 0", avg)
+			}
+		})
 	}
 }

@@ -32,61 +32,77 @@ type Service interface {
 	View(x ids.NodeID) []ids.NodeID
 }
 
-// Entry is one coarse-view slot: a peer and its CYCLON age.
+// Entry is one coarse-view slot on the wire: a peer and its CYCLON age.
+// It is what an Agent stores and what crosses a Tap; Cyclon keeps its
+// views packed (see view) and builds entries only at the Tap boundary.
 type Entry struct {
 	ID  ids.NodeID
 	Age int
-	// idx1 memoizes the peer's dense host index plus one (0 = unresolved,
-	// -1 = outside the index universe) once UseIndex is configured. The
-	// memo travels with the entry through exchanges and is trusted: every
-	// liveness, duplicate and registration check on a resolved entry is an
-	// array probe at that index, never a lookup of ID.
+	// idx1 memoizes the peer's dense host index plus one (0 = none). It is
+	// a hint that travels with the entry: whoever receives one checks it
+	// against its own host table before use, and the identifier wins.
 	idx1 int32
 }
 
-// View is one node's bounded coarse view. The zero value is unusable;
-// create views through Cyclon.
+// view is one node's bounded coarse view, packed: entry k is the node
+// coded codes[k] at age ages[k]. Both slices are cut from one backing
+// array of capacity 2·viewSize — 8 bytes per entry — so ageing, the
+// partner scan, sampling and the eviction search walk dense int32s.
+// Create views through Cyclon.
 type view struct {
-	self    ids.NodeID
-	cap     int
-	entries []Entry
-	// idx1 memoizes self's dense host index plus one, as Entry.idx1 does.
-	idx1 int32
+	self  ids.NodeID
+	code  int32 // self, in the Cyclon's code space
+	codes []int32
+	ages  []int32
 }
 
-// holdsID reports whether an entry of v names id — the identifier
-// fallback for received entries the index cannot resolve.
-func (v *view) holdsID(id ids.NodeID) bool {
-	for i := range v.entries {
-		if v.entries[i].ID == id {
-			return true
-		}
-	}
-	return false
+// remove deletes entry k, keeping the order of the rest.
+func (v *view) remove(k int) {
+	v.codes = append(v.codes[:k], v.codes[k+1:]...)
+	v.ages = append(v.ages[:k], v.ages[k+1:]...)
 }
 
-// oldestIndex returns the index of the entry with the greatest age.
-func oldestIndex(entries []Entry) int {
-	oldest := 0
-	for i := 1; i < len(entries); i++ {
-		if entries[i].Age > entries[oldest].Age {
-			oldest = i
-		}
-	}
-	return oldest
+// offer is a batch of entries in packed form: the subset one side of an
+// exchange contributes, or the seeds of a Join.
+type offer struct {
+	codes, ages []int32
 }
 
-// oldestAge is oldestIndex over a compact mirror of the entries' ages:
-// the first position holding the greatest age.
-func oldestAge(ages []int) int {
-	oldest := 0
-	for j := 1; j < len(ages); j++ {
-		if ages[j] > ages[oldest] {
-			oldest = j
-		}
-	}
-	return oldest
+func (o *offer) reset() { o.codes, o.ages = o.codes[:0], o.ages[:0] }
+
+func (o *offer) add(code, age int32) {
+	o.codes = append(o.codes, code)
+	o.ages = append(o.ages, age)
 }
+
+// codeTable is everything Cyclon keeps per code on one side of the code
+// space; the three slices always have the same length.
+type codeTable struct {
+	ids   []ids.NodeID // the identifier behind the code (Nil = never interned)
+	views []*view      // the registered view, nil when departed or never joined
+	// stamp is merge's duplicate set: stamp[k] == gen marks the node as the
+	// receiving view's owner or one of its entries. A merge claims a fresh
+	// generation instead of clearing the table, so dedupe costs O(v + l)
+	// per merge rather than O(v·l); when gen wraps the table is zeroed.
+	// One table serves every view because merges never interleave: a
+	// Cyclon belongs to one single-threaded world.
+	stamp []uint32
+}
+
+// grow extends the table to hold at least n codes.
+func (t *codeTable) grow(n int) {
+	if d := n - len(t.ids); d > 0 {
+		t.ids = append(t.ids, make([]ids.NodeID, d)...)
+		t.views = append(t.views, make([]*view, d)...)
+		t.stamp = append(t.stamp, make([]uint32, d)...)
+	}
+}
+
+// maxAge bounds the ages Cyclon stores: an Entry.Age beyond ±maxAge
+// saturates there on its way in from a Tap, which leaves 2^30 protocol
+// periods of ageing before an int32 could wrap. No in-tree behaviour sets
+// an age at all — honest ages start at 0 and grow by one per period.
+const maxAge = 1 << 30
 
 // Cyclon runs the age-based shuffling protocol across a set of nodes.
 // It is driven explicitly: the simulation calls Tick(x) once per
@@ -94,44 +110,43 @@ func oldestAge(ages []int) int {
 // its timer loop. Cyclon is not safe for concurrent use; wrap it if the
 // caller is concurrent.
 //
-// With UseIndex configured, everything a tick touches is addressed by
-// dense host index: the initiator's and partner's views (viewsByIdx),
-// liveness (onlineAt), the departed/never-joined check, and merge's
-// duplicate check (the stamp table below). The identifier-keyed views
-// map and the linear identifier scan remain only as the fallback for
-// entries the index cannot resolve — identifiers outside the universe —
-// and for a Cyclon that never had UseIndex called.
+// Every node Cyclon has been told about — joined, seeded, or both — is
+// named by one int32 code. A code >= 0 is the node's dense host index,
+// for identifiers UseIndex resolves; a code < 0 is the complement of a
+// slot in a Cyclon-private stray table, where every other identifier is
+// interned on first sight (all of them, for a Cyclon that never had
+// UseIndex called). Views, liveness, registration and merge's duplicate
+// check are array probes at the code on either side; an identifier is
+// looked up only where one enters — Join, the identifier-keyed entry
+// points, and entries a Tap hands back.
 type Cyclon struct {
 	viewSize   int
 	shuffleLen int
 	rng        *rand.Rand
 	online     func(ids.NodeID) bool
-	views      map[ids.NodeID]*view
 
-	// Index fast path (UseIndex): dense host index in place of NodeID.
-	indexOf    func(ids.NodeID) int
-	onlineAt   func(i int) bool
-	viewsByIdx []*view
-	// stamp is merge's duplicate set: stamp[i] == gen marks host i as the
-	// receiving view's owner or one of its entries. A merge claims a fresh
-	// generation instead of clearing the table, so dedupe costs O(v + l)
-	// per merge rather than O(v·l); when gen wraps the table is zeroed.
-	// One table serves every view because merges never interleave: a
-	// Cyclon belongs to one single-threaded world.
-	stamp []uint32
-	gen   uint32
-	// ages mirrors the receiving view's entry ages during a merge, so the
-	// eviction-victim search walks a compact array instead of the entries.
-	ages []int
+	// UseIndex: the dense host index and its liveness probe.
+	indexOf  func(ids.NodeID) int
+	onlineAt func(i int) bool
+
+	// The code space: hosts[code] for code >= 0, strays[^code] below, and
+	// the identifier → stray slot map behind intern and find.
+	hosts, strays codeTable
+	strayOf       map[ids.NodeID]int32
+	gen           uint32 // the current merge's stamp generation
+
 	// leaves counts Leave calls. While zero — the whole lifetime of a
 	// simulated deployment — the per-entry departed-node scan in Tick is
 	// skipped (the partner's view resolution still catches strays).
 	leaves int
 	// Exchange scratch, reused across ticks: an index permutation for
-	// partial Fisher–Yates sampling and the two offered-entry buffers.
-	// merge copies entries out, so nothing retains these between calls.
+	// partial Fisher–Yates sampling, the two sampled offers, the batch a
+	// Join or a Tap hands to merge, and the entries built for a Tap. merge
+	// copies out of its input, so nothing retains these between calls.
 	permScratch []int
-	outX, outQ  []Entry
+	outX, outQ  offer
+	recv        offer
+	tapBuf      []Entry
 	// tap, when set, intercepts every exchange (adversary injection and
 	// audit observation); nil is the zero-cost honest path.
 	tap *Tap
@@ -145,6 +160,12 @@ type Cyclon struct {
 // got, and Refuse models a free-rider ignoring exchange requests. All
 // fields are optional; a nil Tap (the default) leaves exchanges
 // untouched.
+//
+// The entries a hook receives live in scratch the Cyclon reuses for the
+// next offer: a hook may rewrite them in place or return another slice,
+// but must not keep them past its return. Entries a hook returns are
+// taken by identifier — nil identifiers are dropped, and the index memo
+// of an entry is used only when the host table confirms it.
 type Tap struct {
 	// Outbound lets owner rewrite the entries it contributes to an
 	// exchange and attach its availability claim, or drop its half of
@@ -190,160 +211,202 @@ func NewCyclon(viewSize, shuffleLen int, online func(ids.NodeID) bool, rng *rand
 		shuffleLen: shuffleLen,
 		rng:        rng,
 		online:     online,
-		views:      make(map[ids.NodeID]*view, 2048),
+		strayOf:    make(map[ids.NodeID]int32),
 	}, nil
+}
+
+// table returns the side of the code space code lives on and its slot
+// there.
+func (c *Cyclon) table(code int32) (*codeTable, int) {
+	if code >= 0 {
+		return &c.hosts, int(code)
+	}
+	return &c.strays, int(^code)
+}
+
+// idOf returns the identifier behind a code.
+func (c *Cyclon) idOf(code int32) ids.NodeID {
+	t, k := c.table(code)
+	return t.ids[k]
+}
+
+// viewAt returns the registered view of the node coded code, nil when it
+// departed or never joined.
+func (c *Cyclon) viewAt(code int32) *view {
+	t, k := c.table(code)
+	return t.views[k]
+}
+
+// intern returns id's code, assigning one on first sight: the host index
+// when UseIndex resolves id, a fresh stray slot otherwise.
+func (c *Cyclon) intern(id ids.NodeID) int32 {
+	if c.indexOf != nil {
+		if i := c.indexOf(id); i >= 0 {
+			c.hosts.grow(i + 1)
+			c.hosts.ids[i] = id
+			return int32(i)
+		}
+	}
+	s, ok := c.strayOf[id]
+	if !ok {
+		s = int32(len(c.strays.ids))
+		c.strays.grow(int(s) + 1)
+		c.strays.ids[s] = id
+		c.strayOf[id] = s
+	}
+	return ^s
+}
+
+// find returns id's code without assigning one; ok is false for an
+// identifier Cyclon was never told about, which therefore names no view.
+func (c *Cyclon) find(id ids.NodeID) (code int32, ok bool) {
+	if c.indexOf != nil {
+		if i := c.indexOf(id); i >= 0 {
+			return int32(i), i < len(c.hosts.ids)
+		}
+	}
+	s, ok := c.strayOf[id]
+	return ^s, ok
+}
+
+// viewOf returns x's registered view, nil when there is none.
+func (c *Cyclon) viewOf(x ids.NodeID) *view {
+	code, ok := c.find(x)
+	if !ok {
+		return nil
+	}
+	return c.viewAt(code)
+}
+
+// viewByIdx returns host i's registered view, nil when there is none.
+func (c *Cyclon) viewByIdx(i int) *view {
+	if i < 0 || i >= len(c.hosts.views) {
+		return nil
+	}
+	return c.hosts.views[i]
 }
 
 // Join registers x with an initial view drawn from seeds (typically a
 // handful of random online nodes, the bootstrap-server story). Calling
 // Join for an existing node re-seeds without clearing what remains.
 func (c *Cyclon) Join(x ids.NodeID, seeds []ids.NodeID) {
-	v := c.views[x]
+	code := c.intern(x)
+	v := c.viewAt(code)
 	if v == nil {
-		v = &view{self: x, cap: c.viewSize, entries: make([]Entry, 0, c.viewSize)}
-		c.views[x] = v
-		if c.indexOf != nil {
-			c.indexView(v)
+		v = c.newView(x, code)
+	}
+	c.recv.reset()
+	for _, s := range seeds {
+		if !s.IsNil() {
+			c.recv.add(c.intern(s), 0)
 		}
 	}
-	c.outX = c.outX[:0]
-	for _, s := range seeds {
-		c.outX = append(c.outX, Entry{ID: s})
-	}
-	c.merge(v, c.outX, true)
+	c.merge(v, &c.recv, true)
 }
 
-// indexView memoizes v's dense host index and enters it in viewsByIdx.
-func (c *Cyclon) indexView(v *view) {
-	i := c.indexOf(v.self)
-	if i < 0 {
-		v.idx1 = -1
-		return
+// newView registers an empty view for the node x coded code.
+func (c *Cyclon) newView(x ids.NodeID, code int32) *view {
+	buf := make([]int32, 2*c.viewSize)
+	v := &view{
+		self:  x,
+		code:  code,
+		codes: buf[:0:c.viewSize],
+		ages:  buf[c.viewSize:c.viewSize],
 	}
-	v.idx1 = int32(i) + 1
-	for len(c.viewsByIdx) <= i {
-		c.viewsByIdx = append(c.viewsByIdx, nil)
-	}
-	c.viewsByIdx[i] = v
-}
-
-// resolveEntry memoizes e's dense host index (sentinel -1 = unknown).
-func (c *Cyclon) resolveEntry(e *Entry) {
-	if c.indexOf == nil || e.idx1 != 0 {
-		return
-	}
-	if i := c.indexOf(e.ID); i >= 0 {
-		e.idx1 = int32(i) + 1
-	} else {
-		e.idx1 = -1
-	}
-}
-
-// viewOf returns the registered view of the node e names (nil when it
-// departed or never joined): an index-table probe for resolved entries.
-func (c *Cyclon) viewOf(e *Entry) *view {
-	c.resolveEntry(e)
-	if e.idx1 > 0 {
-		return c.viewByIdx(int(e.idx1 - 1))
-	}
-	return c.views[e.ID]
+	t, k := c.table(code)
+	t.views[k] = v
+	return v
 }
 
 // Leave removes x entirely (a permanent departure; churned-offline nodes
-// should simply fail the online check instead).
+// should simply fail the online check instead). Its code stays interned:
+// entries naming it wash out of other views as they are encountered.
 func (c *Cyclon) Leave(x ids.NodeID) {
-	if v := c.views[x]; v != nil && v.idx1 > 0 && int(v.idx1-1) < len(c.viewsByIdx) {
-		c.viewsByIdx[v.idx1-1] = nil
+	if code, ok := c.find(x); ok {
+		t, k := c.table(code)
+		t.views[k] = nil
 	}
-	delete(c.views, x)
 	c.leaves++
 }
 
 // UseIndex switches the service to a dense host index: a node is online
-// iff onlineAt(indexOf(id)), and views, duplicates and registration are
-// looked up at that index. Entries memoize their index on first
-// resolution, so steady-state ticks never look an identifier up.
+// iff onlineAt(indexOf(id)), and the node's code is that index.
 // indexOf must be a pure function returning a stable, distinct
 // non-negative index for every node the service will see (negative
-// means unknown → treated offline). Views joined before the call are
-// backfilled into the index table, so the *Idx entry points work
-// regardless of Join/UseIndex order.
+// means unknown → treated offline, and coded as a stray). Everything
+// interned before the call — every registered view and every entry in
+// one — is re-coded under the new index here, once, so the *Idx entry
+// points work regardless of Join/UseIndex order and no stale code
+// survives the switch.
 func (c *Cyclon) UseIndex(indexOf func(ids.NodeID) int, onlineAt func(i int) bool) {
 	if indexOf == nil || onlineAt == nil {
 		return
 	}
-	c.indexOf = indexOf
-	c.onlineAt = onlineAt
-	for _, v := range c.views {
-		if v.idx1 == 0 {
-			c.indexView(v)
+	old := *c // the code space as it was: tables and identifiers
+	c.indexOf, c.onlineAt = indexOf, onlineAt
+	c.hosts, c.strays = codeTable{}, codeTable{}
+	c.strayOf = make(map[ids.NodeID]int32)
+	for _, t := range [2]*codeTable{&old.hosts, &old.strays} {
+		for _, v := range t.views {
+			if v == nil {
+				continue
+			}
+			for k, code := range v.codes {
+				v.codes[k] = c.intern(old.idOf(code))
+			}
+			v.code = c.intern(v.self)
+			nt, nk := c.table(v.code)
+			nt.views[nk] = v
 		}
 	}
 }
 
-// entryOnline reports liveness for a view entry, memoizing its index.
-func (c *Cyclon) entryOnline(e *Entry) bool {
-	if c.onlineAt == nil {
-		return c.online(e.ID)
+// codeOnline reports liveness for a code: the index probe once UseIndex
+// is configured (strays are outside the universe, hence offline), the
+// identifier probe before.
+func (c *Cyclon) codeOnline(code int32) bool {
+	if c.onlineAt != nil {
+		return code >= 0 && c.onlineAt(int(code))
 	}
-	c.resolveEntry(e)
-	if e.idx1 < 0 {
-		return false
-	}
-	return c.onlineAt(int(e.idx1 - 1))
-}
-
-// viewOnline reports liveness for a view's owner (indexed at Join).
-func (c *Cyclon) viewOnline(v *view) bool {
-	if c.onlineAt == nil {
-		return c.online(v.self)
-	}
-	return v.idx1 > 0 && c.onlineAt(int(v.idx1-1))
+	return c.online(c.strays.ids[^code])
 }
 
 // View implements Service.
 func (c *Cyclon) View(x ids.NodeID) []ids.NodeID {
-	v := c.views[x]
+	v := c.viewOf(x)
 	if v == nil {
 		return nil
 	}
-	out := make([]ids.NodeID, len(v.entries))
-	for i, e := range v.entries {
-		out[i] = e.ID
+	return c.appendIDs(make([]ids.NodeID, 0, len(v.codes)), v)
+}
+
+// appendIDs appends the identifiers of v's entries to dst.
+func (c *Cyclon) appendIDs(dst []ids.NodeID, v *view) []ids.NodeID {
+	for _, code := range v.codes {
+		dst = append(dst, c.idOf(code))
 	}
-	return out
+	return dst
 }
 
 // ViewLen returns the current number of entries in x's coarse view
 // without copying it.
 func (c *Cyclon) ViewLen(x ids.NodeID) int {
-	v := c.views[x]
+	v := c.viewOf(x)
 	if v == nil {
 		return 0
 	}
-	return len(v.entries)
+	return len(v.codes)
 }
 
 // AppendView appends x's current coarse-view identifiers to dst and
 // returns it — the allocation-free variant of View for callers that
 // reuse a scratch buffer across nodes. The result aliases dst.
 func (c *Cyclon) AppendView(dst []ids.NodeID, x ids.NodeID) []ids.NodeID {
-	v := c.views[x]
+	v := c.viewOf(x)
 	if v == nil {
 		return dst
 	}
-	for _, e := range v.entries {
-		dst = append(dst, e.ID)
-	}
-	return dst
-}
-
-// viewByIdx resolves a view through the index table (UseIndex + Join).
-func (c *Cyclon) viewByIdx(i int) *view {
-	if i < 0 || i >= len(c.viewsByIdx) {
-		return nil
-	}
-	return c.viewsByIdx[i]
+	return c.appendIDs(dst, v)
 }
 
 // ViewLenIdx is ViewLen keyed by liveness index — no map lookup.
@@ -352,7 +415,7 @@ func (c *Cyclon) ViewLenIdx(i int) int {
 	if v == nil {
 		return 0
 	}
-	return len(v.entries)
+	return len(v.codes)
 }
 
 // AppendViewIdx is AppendView keyed by liveness index — no map lookup.
@@ -361,26 +424,21 @@ func (c *Cyclon) AppendViewIdx(dst []ids.NodeID, i int) []ids.NodeID {
 	if v == nil {
 		return dst
 	}
-	for j := range v.entries {
-		dst = append(dst, v.entries[j].ID)
-	}
-	return dst
+	return c.appendIDs(dst, v)
 }
 
-// AppendViewCand appends node i's view entries with their memoized
-// liveness indexes (−1 = unknown) to the parallel dst/dstIdx buffers —
-// the zero-lookup feed for core.Membership.DiscoverIdx. Entries are
-// index-resolved in place, so steady state appends are pure copies.
+// AppendViewCand appends node i's view entries with their liveness
+// indexes (−1 = outside the index) to the parallel dst/dstIdx buffers —
+// the zero-lookup feed for core.Membership.DiscoverIdx: a code is the
+// index, so the appends are pure copies.
 func (c *Cyclon) AppendViewCand(dst []ids.NodeID, dstIdx []int32, i int) ([]ids.NodeID, []int32) {
 	v := c.viewByIdx(i)
 	if v == nil {
 		return dst, dstIdx
 	}
-	for j := range v.entries {
-		e := &v.entries[j]
-		c.resolveEntry(e)
-		dst = append(dst, e.ID)
-		dstIdx = append(dstIdx, e.idx1-1)
+	for _, code := range v.codes {
+		dst = append(dst, c.idOf(code))
+		dstIdx = append(dstIdx, max(code, -1))
 	}
 	return dst, dstIdx
 }
@@ -409,20 +467,18 @@ func (c *Cyclon) ViewSize() int { return c.viewSize }
 // normally, and get evicted by merge pressure from fresher entries.
 // Entries for permanently departed nodes (Leave) are discarded.
 func (c *Cyclon) Tick(x ids.NodeID) {
-	vx := c.views[x]
-	if vx == nil {
-		return
+	if vx := c.viewOf(x); vx != nil {
+		c.tick(vx)
 	}
-	c.tick(vx)
 }
 
 // tick is the shared body of Tick and TickIdx.
 func (c *Cyclon) tick(vx *view) {
-	if !c.viewOnline(vx) {
+	if !c.codeOnline(vx.code) {
 		return
 	}
-	for i := range vx.entries {
-		vx.entries[i].Age++
+	for k := range vx.ages {
+		vx.ages[k]++
 	}
 	// Partner = the oldest entry whose node is online and registered.
 	// Departed (unregistered) nodes are dropped as encountered; while no
@@ -430,19 +486,18 @@ func (c *Cyclon) tick(vx *view) {
 	checkDeparted := c.leaves > 0
 	for {
 		partner := -1
-		for i := range vx.entries {
-			e := &vx.entries[i]
-			if checkDeparted && c.viewOf(e) == nil {
+		for k, code := range vx.codes {
+			if checkDeparted && c.viewAt(code) == nil {
 				// Permanently gone: remove and rescan.
-				vx.entries = append(vx.entries[:i], vx.entries[i+1:]...)
+				vx.remove(k)
 				partner = -2
 				break
 			}
-			if !c.entryOnline(e) {
+			if !c.codeOnline(code) {
 				continue
 			}
-			if partner < 0 || e.Age > vx.entries[partner].Age {
-				partner = i
+			if partner < 0 || vx.ages[k] > vx.ages[partner] {
+				partner = k
 			}
 		}
 		if partner == -2 {
@@ -451,10 +506,10 @@ func (c *Cyclon) tick(vx *view) {
 		if partner < 0 {
 			return // no online partner this round
 		}
-		vq := c.viewOf(&vx.entries[partner])
+		vq := c.viewAt(vx.codes[partner])
 		if vq == nil {
 			// Unregistered stray (seeded but never joined): drop, rescan.
-			vx.entries = append(vx.entries[:partner], vx.entries[partner+1:]...)
+			vx.remove(partner)
 			continue
 		}
 		c.exchange(vx, vq, partner)
@@ -470,22 +525,24 @@ func (c *Cyclon) SetTap(t *Tap) { c.tap = t }
 func (c *Cyclon) exchange(vx, vq *view, qIdx int) {
 	// The initiator discards its entry for the responder and sends a
 	// fresh self-entry plus up to shuffleLen-1 random others.
-	vx.entries = append(vx.entries[:qIdx], vx.entries[qIdx+1:]...)
-	c.outX = c.sampleEntries(c.outX[:0], vx, c.shuffleLen-1)
-	c.outX = append(c.outX, Entry{ID: vx.self, Age: 0, idx1: vx.idx1})
+	vx.remove(qIdx)
+	c.outX.reset()
+	c.sample(&c.outX, vx, c.shuffleLen-1)
+	c.outX.add(vx.code, 0)
 
-	c.outQ = c.sampleEntries(c.outQ[:0], vq, c.shuffleLen)
+	c.outQ.reset()
+	c.sample(&c.outQ, vq, c.shuffleLen)
 
 	if c.tap == nil {
-		c.merge(vq, c.outX, false)
-		c.merge(vx, c.outQ, false)
+		c.merge(vq, &c.outX, false)
+		c.merge(vx, &c.outQ, false)
 		return
 	}
 	// Request half: the initiator's offer crosses the tap; a dropping
 	// initiator, a refusing responder, or a rejecting responder ends
 	// the exchange with the initiator's entry for it already spent —
 	// the cost an unanswered live request has.
-	offerX, claimX, dropX := c.tapOutbound(vx.self, false, c.outX)
+	offerX, claimX, dropX := c.tapOutbound(vx.self, false, c.entries(&c.outX))
 	if dropX {
 		return
 	}
@@ -495,16 +552,53 @@ func (c *Cyclon) exchange(vx, vq *view, qIdx int) {
 	if !c.tapInbound(vq.self, vx.self, false, offerX, claimX) {
 		return
 	}
-	c.merge(vq, offerX, false)
-	// Reply half: a dropped reply leaves the initiator empty-handed.
-	offerQ, claimQ, dropQ := c.tapOutbound(vq.self, true, c.outQ)
+	c.merge(vq, c.received(offerX), false)
+	// Reply half: a dropped reply leaves the initiator empty-handed. The
+	// request's entries are spent by now, so the reply reuses their buffer.
+	offerQ, claimQ, dropQ := c.tapOutbound(vq.self, true, c.entries(&c.outQ))
 	if dropQ {
 		return
 	}
 	if !c.tapInbound(vx.self, vq.self, true, offerQ, claimQ) {
 		return
 	}
-	c.merge(vx, offerQ, false)
+	c.merge(vx, c.received(offerQ), false)
+}
+
+// entries unpacks an offer into the Tap's wire form, in Cyclon-owned
+// scratch: identifier, age, and the host index as the entry's memo.
+func (c *Cyclon) entries(o *offer) []Entry {
+	c.tapBuf = c.tapBuf[:0]
+	for k, code := range o.codes {
+		c.tapBuf = append(c.tapBuf, Entry{ID: c.idOf(code), Age: int(o.ages[k]), idx1: max(code, -1) + 1})
+	}
+	return c.tapBuf
+}
+
+// received packs the entries a Tap let through for an exchange merge.
+// They come from outside: each is coded from its identifier — the memo
+// only saves the lookup when the host table confirms it names that
+// identifier — and ages saturate at ±maxAge. Nil identifiers are
+// dropped, and so is an identifier without a code: it names no
+// registered view, which an exchange merge would refuse anyway, and not
+// interning it keeps invented identifiers from growing the stray table.
+func (c *Cyclon) received(entries []Entry) *offer {
+	c.recv.reset()
+	for i := range entries {
+		e := &entries[i]
+		if e.ID.IsNil() {
+			continue
+		}
+		code := e.idx1 - 1
+		if code < 0 || int(code) >= len(c.hosts.ids) || c.hosts.ids[code] != e.ID {
+			var ok bool
+			if code, ok = c.find(e.ID); !ok {
+				continue
+			}
+		}
+		c.recv.add(code, int32(min(max(e.Age, -maxAge), maxAge)))
+	}
+	return &c.recv
 }
 
 // tapOutbound runs the Outbound hook, defaulting to the honest offer.
@@ -523,18 +617,18 @@ func (c *Cyclon) tapInbound(receiver, sender ids.NodeID, reply bool, entries []E
 	return c.tap.Inbound(receiver, sender, reply, entries, claim)
 }
 
-// sampleEntries appends up to n distinct random entries from v to dst
-// via a partial Fisher–Yates over a reusable index scratch.
-func (c *Cyclon) sampleEntries(dst []Entry, v *view, n int) []Entry {
-	m := len(v.entries)
+// sample appends up to n distinct random entries of v to dst via a
+// partial Fisher–Yates over a reusable index scratch.
+func (c *Cyclon) sample(dst *offer, v *view, n int) {
+	m := len(v.codes)
 	if n > m {
 		n = m
 	}
 	if n <= 0 {
-		return dst
+		return
 	}
 	if cap(c.permScratch) < m {
-		c.permScratch = make([]int, m)
+		c.permScratch = make([]int, c.viewSize)
 	}
 	idx := c.permScratch[:m]
 	for i := range idx {
@@ -543,9 +637,8 @@ func (c *Cyclon) sampleEntries(dst []Entry, v *view, n int) []Entry {
 	for i := 0; i < n; i++ {
 		j := i + c.rng.Intn(m-i)
 		idx[i], idx[j] = idx[j], idx[i]
-		dst = append(dst, v.entries[idx[i]])
+		dst.add(v.codes[idx[i]], v.ages[idx[i]])
 	}
-	return dst
 }
 
 // merge folds received entries into v, skipping self, duplicates, and —
@@ -553,83 +646,61 @@ func (c *Cyclon) sampleEntries(dst []Entry, v *view, n int) []Entry {
 // entries for unregistered (departed or never-joined) nodes: without
 // that check, two nodes could ping-pong a departed entry between their
 // views forever. A full view takes an entry in place of its oldest one
-// (the first among equals): always when seeding, otherwise only if the
-// newcomer is no older.
-//
-// Index-resolved entries are deduplicated and checked for registration
-// by array probe (stamp, viewsByIdx); only entries outside the index
-// universe fall back to the identifier scan and the views map.
-func (c *Cyclon) merge(v *view, received []Entry, seeding bool) {
+// (the first among equals, found by a victimCursor): always when
+// seeding, otherwise only if the newcomer is no older.
+func (c *Cyclon) merge(v *view, received *offer, seeding bool) {
 	c.gen++
 	if c.gen == 0 {
-		clear(c.stamp)
+		clear(c.hosts.stamp)
+		clear(c.strays.stamp)
 		c.gen = 1
 	}
-	if v.idx1 > 0 {
-		c.mark(int(v.idx1 - 1))
+	c.mark(v.code)
+	for _, code := range v.codes {
+		c.mark(code)
 	}
-	ages := c.ages[:0]
-	for i := range v.entries {
-		e := &v.entries[i]
-		if e.idx1 == 0 {
-			c.resolveEntry(e)
-		}
-		if e.idx1 > 0 {
-			c.mark(int(e.idx1 - 1))
-		}
-		ages = append(ages, e.Age)
-	}
-	for i := range received {
-		e := received[i]
-		if e.ID.IsNil() {
+	var victims victimCursor[int32]
+	for i, code := range received.codes {
+		age := received.ages[i]
+		t, k := c.table(code)
+		if t.stamp[k] == c.gen {
 			continue
 		}
-		c.resolveEntry(&e)
-		if e.idx1 > 0 {
-			h := int(e.idx1 - 1)
-			if h < len(c.stamp) && c.stamp[h] == c.gen {
-				continue
-			}
-			if !seeding && c.viewByIdx(h) == nil {
-				continue
-			}
-		} else if e.ID == v.self || v.holdsID(e.ID) || (!seeding && c.views[e.ID] == nil) {
+		if !seeding && t.views[k] == nil {
 			continue
 		}
-		if len(v.entries) < v.cap {
-			v.entries = append(v.entries, e)
-			ages = append(ages, e.Age)
+		if len(v.codes) < c.viewSize {
+			v.codes = append(v.codes, code)
+			v.ages = append(v.ages, age)
 		} else {
-			oldest := oldestAge(ages)
-			if !seeding && ages[oldest] < e.Age {
+			oldest := victims.next(v.ages)
+			if !seeding && v.ages[oldest] < age {
 				continue
 			}
-			if out := v.entries[oldest].idx1; out > 0 {
-				c.stamp[out-1] = 0 // gen is never 0
-			}
-			v.entries[oldest] = e
-			ages[oldest] = e.Age
+			ot, ok := c.table(v.codes[oldest])
+			ot.stamp[ok] = 0 // gen is never 0
+			v.codes[oldest] = code
+			v.ages[oldest] = age
 		}
-		if e.idx1 > 0 {
-			c.mark(int(e.idx1 - 1))
-		}
+		t.stamp[k] = c.gen
 	}
-	c.ages = ages
 }
 
-// mark stamps host h into the current merge generation.
-func (c *Cyclon) mark(h int) {
-	if h >= len(c.stamp) {
-		c.stamp = append(c.stamp, make([]uint32, h+1-len(c.stamp))...)
-	}
-	c.stamp[h] = c.gen
+// mark stamps a code into the current merge generation.
+func (c *Cyclon) mark(code int32) {
+	t, k := c.table(code)
+	t.stamp[k] = c.gen
 }
 
 // Nodes returns all registered node ids in deterministic order.
 func (c *Cyclon) Nodes() []ids.NodeID {
-	out := make([]ids.NodeID, 0, len(c.views))
-	for id := range c.views {
-		out = append(out, id)
+	var out []ids.NodeID
+	for _, t := range [2]*codeTable{&c.hosts, &c.strays} {
+		for _, v := range t.views {
+			if v != nil {
+				out = append(out, v.self)
+			}
+		}
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out

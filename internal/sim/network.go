@@ -73,6 +73,8 @@ func NewNetwork(w *World, latency LatencyModel, online OnlineFunc, ackTimeout ti
 // OnlineFunc entirely. Handlers registered before the call are migrated
 // into the table, so Bind and Register compose in either order;
 // typically hosts is the churn trace's population in trace-index order.
+// The universe is fixed: bind once, before any traffic — a delivery in
+// flight carries the host index its Send resolved.
 func (n *Network) Bind(hosts []ids.NodeID, onlineAt func(i int) bool) {
 	if len(hosts) == 0 || onlineAt == nil {
 		return
@@ -122,10 +124,7 @@ func (n *Network) Online(id ids.NodeID) bool {
 // target is unregistered or offline right now.
 func (n *Network) handlerFor(to ids.NodeID) Handler {
 	if i, ok := n.idx[to]; ok {
-		if h := n.byIdx[i]; h != nil && n.onlineAt(int(i)) {
-			return h
-		}
-		return nil
+		return n.handlerAt(int(i))
 	}
 	if h, ok := n.handlers[to]; ok && n.online(to) {
 		return h
@@ -133,11 +132,27 @@ func (n *Network) handlerFor(to ids.NodeID) Handler {
 	return nil
 }
 
+// handlerAt is handlerFor for bound host i.
+func (n *Network) handlerAt(i int) Handler {
+	if h := n.byIdx[i]; h != nil && n.onlineAt(i) {
+		return h
+	}
+	return nil
+}
+
 // deliver hands a message to the target's handler at delivery time,
 // counting drops for offline or unregistered targets. It is the firing
-// half of Send, invoked by the scheduler's value events.
-func (n *Network) deliver(from, to ids.NodeID, msg any) {
-	h := n.handlerFor(to)
+// half of Send, invoked by the scheduler's value events. to1 is the
+// target's bound host index plus one when Send already resolved it (0
+// otherwise): the handler and liveness are then read at that index
+// instead of probing the identifier map a second time.
+func (n *Network) deliver(from, to ids.NodeID, to1 int32, msg any) {
+	var h Handler
+	if to1 > 0 {
+		h = n.handlerAt(int(to1 - 1))
+	} else {
+		h = n.handlerFor(to)
+	}
 	if h == nil {
 		n.stats.Dropped++
 		return
@@ -153,15 +168,16 @@ func (n *Network) deliver(from, to ids.NodeID, msg any) {
 func (n *Network) Send(from, to ids.NodeID, msg any) {
 	n.stats.Sent++
 	lat := n.latency.Sample(n.world.Rand())
-	host := int32(-1)
+	var to1 int32
 	if n.world.sh != nil {
 		// Resolve the target's host index only when the queue is
-		// sharded — it routes the delivery to the owning shard's heap.
+		// sharded — it routes the delivery to the owning shard's heap,
+		// and rides along so deliver need not resolve it again.
 		if i, ok := n.idx[to]; ok {
-			host = i
+			to1 = i + 1
 		}
 	}
-	n.world.schedule(n.world.now+lat, &payload{kind: evDeliver, net: n, from: from, to: to, msg: msg}, host)
+	n.world.schedule(n.world.now+lat, &payload{kind: evDeliver, to1: to1, net: n, from: from, to: to, msg: msg})
 }
 
 // SendCall delivers msg like Send but also reports the outcome to the
@@ -176,7 +192,7 @@ func (n *Network) SendCall(from, to ids.NodeID, msg any, onResult func(ok bool))
 	out := n.latency.Sample(n.world.Rand())
 	back := n.latency.Sample(n.world.Rand())
 	n.world.schedule(n.world.now+out, &payload{kind: evAttempt, net: n,
-		from: from, to: to, msg: msg, onResult: onResult, out: out, back: back}, -1)
+		from: from, to: to, msg: msg, onResult: onResult, out: out, back: back})
 }
 
 // attempt is the firing half of SendCall: hand the message to the
@@ -191,7 +207,7 @@ func (n *Network) attempt(call *payload) {
 		n.stats.Dropped++
 		if call.onResult != nil {
 			n.world.schedule(n.world.now+n.ackTimeout-call.out,
-				&payload{kind: evResult, onResult: call.onResult}, -1)
+				&payload{kind: evResult, onResult: call.onResult})
 		}
 		return
 	}
@@ -199,6 +215,6 @@ func (n *Network) attempt(call *payload) {
 	h(call.from, call.msg)
 	if call.onResult != nil {
 		n.world.schedule(n.world.now+call.back,
-			&payload{kind: evResult, ok: true, onResult: call.onResult}, -1)
+			&payload{kind: evResult, ok: true, onResult: call.onResult})
 	}
 }

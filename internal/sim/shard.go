@@ -33,16 +33,16 @@ type shardedQueue struct {
 	shards []eventHeap
 }
 
-// push places the event in its shard: host-owned events by host index,
-// the rest round-robin by sequence number. Placement is a pure function
-// of the event, so it is reproducible — but note it does not need to be
-// for determinism (see the type comment); any placement yields the
-// same merged order.
-func (q *shardedQueue) push(at time.Duration, seq uint64, p *payload, host int32) {
+// push places the event in its shard: host-owned events (p.to1) by host
+// index, the rest round-robin by sequence number. Placement is a pure
+// function of the event, so it is reproducible — but note it does not
+// need to be for determinism (see the type comment); any placement
+// yields the same merged order.
+func (q *shardedQueue) push(at time.Duration, seq uint64, p *payload) {
 	n := uint64(len(q.shards))
 	var i uint64
-	if host >= 0 {
-		i = uint64(host) % n
+	if p.to1 > 0 {
+		i = uint64(p.to1-1) % n
 	} else {
 		i = seq % n
 	}
@@ -99,9 +99,7 @@ func (w *World) SetShards(n int) error {
 	}
 	w.sh = &shardedQueue{shards: make([]eventHeap, n)}
 	for i := range old {
-		// Host affinity is not tracked post-hoc; round-robin migration
-		// is fine — placement never affects order.
-		w.sh.push(old[i].at, old[i].seq, &old[i].payload, -1)
+		w.sh.push(old[i].at, old[i].seq, &old[i].payload)
 	}
 	return nil
 }

@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"testing"
 	"time"
+	"unsafe"
 
 	"avmem/internal/ids"
 	"avmem/internal/obs"
@@ -182,5 +183,72 @@ func TestSetShardsBounds(t *testing.T) {
 	}
 	if err := w.SetShards(0); err != nil || w.Shards() != 1 {
 		t.Fatalf("SetShards(0): err=%v shards=%d", err, w.Shards())
+	}
+}
+
+// TestShardedDeliveryReadsTargetAtFiring: a sharded Send resolves its
+// target's host index once and the delivery carries it, but what the
+// index is used for — handler and liveness — is still read when the
+// delivery fires. A handler unregistered, a handler replaced and a host
+// gone offline between Send and delivery behave as on the one-heap
+// engine, and so does a target outside the bound universe.
+func TestShardedDeliveryReadsTargetAtFiring(t *testing.T) {
+	run := func(shards int) ([]string, NetworkStats) {
+		w := NewWorld(5)
+		if err := w.SetShards(shards); err != nil {
+			t.Fatal(err)
+		}
+		hosts := make([]ids.NodeID, 16)
+		for i := range hosts {
+			hosts[i] = ids.NodeID(fmt.Sprintf("h%02d", i))
+		}
+		up := make([]bool, len(hosts))
+		for i := range up {
+			up[i] = true
+		}
+		net := NewNetwork(w, FixedLatency(10*time.Millisecond), nil, 0)
+		net.Bind(hosts, func(i int) bool { return up[i] })
+		var got []string
+		handler := func(tag string) Handler {
+			return func(from ids.NodeID, msg any) { got = append(got, fmt.Sprintf("%s<-%v@%v", tag, msg, w.Now())) }
+		}
+		for _, id := range hosts {
+			net.Register(id, handler(string(id)))
+		}
+		net.Register("unbound", handler("unbound"))
+
+		net.Send(hosts[0], hosts[9], "to-unregistered")
+		net.Send(hosts[0], hosts[10], "to-offline")
+		net.Send(hosts[0], hosts[11], "to-replaced")
+		net.Send(hosts[0], hosts[12], "to-returned")
+		net.Send(hosts[0], "unbound", "to-unbound")
+		net.Send(hosts[0], "nobody", "to-nobody")
+		up[12] = false
+		w.At(5*time.Millisecond, func() {
+			net.Register(hosts[9], nil)
+			up[10] = false
+			net.Register(hosts[11], handler("h11'"))
+			up[12] = true
+		})
+		w.Run(time.Second)
+		return got, net.Stats()
+	}
+	want := []string{"h11'<-to-replaced@10ms", "h12<-to-returned@10ms", "unbound<-to-unbound@10ms"}
+	for _, shards := range []int{1, 8} {
+		got, stats := run(shards)
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("shards=%d: delivered %v, want %v", shards, got, want)
+		}
+		if stats != (NetworkStats{Sent: 6, Delivered: 3, Dropped: 3}) {
+			t.Errorf("shards=%d: stats %+v", shards, stats)
+		}
+	}
+}
+
+// TestPayloadSize: the resolved host index rides in what was padding, so
+// a slab slot is no larger than before it was carried.
+func TestPayloadSize(t *testing.T) {
+	if got := unsafe.Sizeof(payload{}); got != 96 {
+		t.Errorf("payload is %d bytes, want 96", got)
 	}
 }

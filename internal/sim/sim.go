@@ -54,22 +54,21 @@ func (w *World) At(at time.Duration, fn func()) {
 	if fn == nil {
 		return
 	}
-	w.schedule(at, &payload{kind: evFunc, fn: fn}, -1)
+	w.schedule(at, &payload{kind: evFunc, fn: fn})
 }
 
 // schedule queues one event of any shape under the next sequence number
 // — the single point where (at, seq) keys are assigned, so closures,
 // deliveries and the SendCall events interleave exactly as if each had
-// been an At closure. host is the target's dense host index when the
-// caller knows it (sharded worlds use it to land the event in the
-// owning shard's heap), or -1.
-func (w *World) schedule(at time.Duration, p *payload, host int32) {
+// been an At closure. A sharded world lands a delivery whose target Send
+// resolved (p.to1) in the owning shard's heap.
+func (w *World) schedule(at time.Duration, p *payload) {
 	if at < w.now {
 		at = w.now
 	}
 	w.seq++
 	if w.sh != nil {
-		w.sh.push(at, w.seq, p, host)
+		w.sh.push(at, w.seq, p)
 		return
 	}
 	w.events.push(at, w.seq, p)
@@ -187,7 +186,11 @@ const (
 type payload struct {
 	kind evKind
 	ok   bool // evResult: the verdict
-	net  *Network
+	// to1 is an evDeliver's target as a bound host index plus one, when
+	// Send resolved it (0 = unresolved): it picks the event's shard heap
+	// and saves deliver the lookup. It sits in the padding before net.
+	to1 int32
+	net *Network
 	// from, to, msg: the message of evDeliver and evAttempt.
 	from, to ids.NodeID
 	msg      any
@@ -319,9 +322,9 @@ func (h *eventHeap) fire(slot uint32) {
 		h.release(slot)
 		fn()
 	case evDeliver:
-		n, from, to, msg := p.net, p.from, p.to, p.msg
+		n, from, to, to1, msg := p.net, p.from, p.to, p.to1, p.msg
 		h.release(slot)
-		n.deliver(from, to, msg)
+		n.deliver(from, to, to1, msg)
 	case evAttempt:
 		call := *p
 		h.release(slot)
