@@ -1,9 +1,11 @@
 package avmem
 
 // Documentation checks, run by the CI docs job (and ordinary go test):
-// markdown links in the top-level documents must resolve, and every
-// package must carry a godoc package comment. They live at the repo
-// root so the repository layout is in reach without configuration.
+// markdown links in the top-level documents must resolve, every package
+// must carry a godoc package comment, the counts README's repository map
+// quotes must match the tree, and new CHANGES.md entries must stay short.
+// They live at the repo root so the repository layout is in reach
+// without configuration.
 
 import (
 	"go/parser"
@@ -11,6 +13,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -100,5 +103,64 @@ func TestPackageComments(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+}
+
+// numberWords are the spelled-out counts README uses.
+var numberWords = []string{"zero", "one", "two", "three", "four", "five", "six", "seven", "eight",
+	"nine", "ten", "eleven", "twelve", "thirteen", "fourteen", "fifteen", "sixteen"}
+
+// TestReadmeMapCounts holds the two counts README's repository map
+// quotes to the tree: the DESIGN.md section range ("§1–§N") against the
+// numbered "## §k" headings, and the number of checked-in scenarios
+// ("N checked-in") against scenarios/*.json.
+func TestReadmeMapCounts(t *testing.T) {
+	readme, err := os.ReadFile("README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	design, err := os.ReadFile("DESIGN.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sections := len(regexp.MustCompile(`(?m)^## §\d+ `).FindAll(design, -1))
+	m := regexp.MustCompile(`\(DESIGN\.md\) — architecture, §1–§(\d+)`).FindSubmatch(readme)
+	if m == nil {
+		t.Fatal("README.md: repository map no longer quotes DESIGN.md's section range")
+	}
+	if quoted, _ := strconv.Atoi(string(m[1])); quoted != sections {
+		t.Errorf("README.md says DESIGN.md has §1–§%d, DESIGN.md has %d numbered sections", quoted, sections)
+	}
+	scenarios, err := filepath.Glob("scenarios/*.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	m = regexp.MustCompile(`\(scenarios/\) — (\w+) checked-in`).FindSubmatch(readme)
+	if m == nil {
+		t.Fatal("README.md: repository map no longer quotes the scenario count")
+	}
+	if len(scenarios) >= len(numberWords) || string(m[1]) != numberWords[len(scenarios)] {
+		t.Errorf("README.md says %s checked-in scenarios, scenarios/ holds %d", m[1], len(scenarios))
+	}
+}
+
+// TestChangesEntrySize keeps CHANGES.md what its README line says it is —
+// one line per merged PR: entries from PR 21 on stay under 1 KB (numbers
+// and transcripts belong in EXPERIMENTS.md). Older entries are
+// grandfathered until they are trimmed.
+func TestChangesEntrySize(t *testing.T) {
+	data, err := os.ReadFile("CHANGES.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	entry := regexp.MustCompile(`^- PR (\d+)`)
+	for i, line := range strings.Split(string(data), "\n") {
+		m := entry.FindStringSubmatch(line)
+		if m == nil {
+			continue
+		}
+		if pr, _ := strconv.Atoi(m[1]); pr >= 21 && len(line) >= 1024 {
+			t.Errorf("CHANGES.md:%d: the PR %d entry is %d bytes, want under 1024", i+1, pr, len(line))
+		}
 	}
 }

@@ -1,122 +1,64 @@
 package core
 
-// idxSet is a small open-addressing table keyed by dense host index,
-// each key carrying one of two tags. It replaces a Go map on the indexed
-// discovery path: one multiply, one mask and (at the load it is kept
-// under) about one 4-byte probe per lookup, no hashing of wide keys and
-// no allocation after the table exists.
+// idxSet is the set of dense host indexes of a membership's indexed
+// neighbors: a small open-addressing table, one multiply, one mask and
+// about one 4-byte probe per lookup, sized by the sliver (128 slots to
+// start with, doubled to stay under half load). It answers discovery's
+// "already a neighbor?" for view slots that carry no verdict yet.
 //
-// Deletions leave tombstones, which only reset reclaims. The table does
-// not grow on its own: put reports a full table and the owner rebuilds
-// it (reset, then re-put what must survive).
+// There is no delete: Refresh, the only caller that removes neighbors,
+// rebuilds the set from the neighbor list it has just compacted.
 type idxSet struct {
-	// slots holds (index+1)<<1 | tag; 0 is an empty slot, idxTomb a
-	// deleted one. The length is zero or a power of two.
+	// slots holds index+1; 0 is an empty slot. The length is zero or a
+	// power of two.
 	slots []uint32
-	// used counts non-empty slots, tombstones included; neighbors counts
-	// keys currently tagged idxNeighbor.
-	used      int
-	neighbors int
+	n     int
 }
 
-// Tags find reports; idxAbsent is find's answer for a missing key.
-const (
-	idxNeighbor uint32 = 0
-	idxRejected uint32 = 1
-	idxAbsent   uint32 = 2
+const idxMinSlots = 128
 
-	idxTomb     uint32 = 1 // key 0 never occurs, so 0<<1|1 is free
-	idxMinSlots        = 512
-)
-
-// home returns the first probe position of index yi.
-func (s *idxSet) home(yi int32) uint32 {
-	return (uint32(yi) * 2654435761) & (uint32(len(s.slots)) - 1)
-}
-
-// find returns yi's tag, or idxAbsent.
-func (s *idxSet) find(yi int32) uint32 {
+// has reports whether yi is in the set.
+func (s *idxSet) has(yi int32) bool {
 	if len(s.slots) == 0 {
-		return idxAbsent
+		return false
 	}
-	key := uint32(yi+1) << 1
-	mask := uint32(len(s.slots)) - 1
-	for i := s.home(yi); ; i = (i + 1) & mask {
-		switch v := s.slots[i]; {
-		case v&^1 == key:
-			return v & 1
-		case v == 0:
-			return idxAbsent
-		}
-	}
-}
-
-// put tags yi, inserting it if absent. It returns false, changing
-// nothing, when an insert would push the table past 3/4 load.
-func (s *idxSet) put(yi int32, tag uint32) bool {
-	if len(s.slots) == 0 {
-		s.reset(0)
-	}
-	key := uint32(yi+1) << 1
-	mask := uint32(len(s.slots)) - 1
-	free := -1
-	for i := s.home(yi); ; i = (i + 1) & mask {
-		v := s.slots[i]
-		if v&^1 == key {
-			s.neighbors += int(v&1) - int(tag)
-			s.slots[i] = key | tag
+	key, mask := uint32(yi+1), uint32(len(s.slots))-1
+	for i := (uint32(yi) * 2654435761) & mask; ; i = (i + 1) & mask {
+		switch s.slots[i] {
+		case key:
 			return true
+		case 0:
+			return false
 		}
-		if v == idxTomb && free < 0 {
-			free = int(i)
-		}
-		if v != 0 {
-			continue
-		}
-		if free < 0 {
-			if (s.used+1)*4 >= len(s.slots)*3 {
-				return false
+	}
+}
+
+// add inserts yi, growing the table when it would pass half load.
+func (s *idxSet) add(yi int32) {
+	if (s.n+1)*2 > len(s.slots) {
+		old := s.slots
+		s.slots, s.n = make([]uint32, max(2*len(old), idxMinSlots)), 0
+		for _, v := range old {
+			if v != 0 {
+				s.add(int32(v - 1))
 			}
-			free = int(i)
-			s.used++
 		}
-		s.slots[free] = key | tag
-		s.neighbors += 1 - int(tag)
-		return true
 	}
-}
-
-// del removes yi, leaving a tombstone.
-func (s *idxSet) del(yi int32) {
-	if len(s.slots) == 0 {
-		return
-	}
-	key := uint32(yi+1) << 1
-	mask := uint32(len(s.slots)) - 1
-	for i := s.home(yi); ; i = (i + 1) & mask {
-		switch v := s.slots[i]; {
-		case v&^1 == key:
-			s.neighbors -= 1 - int(v&1)
-			s.slots[i] = idxTomb
+	key, mask := uint32(yi+1), uint32(len(s.slots))-1
+	for i := (uint32(yi) * 2654435761) & mask; ; i = (i + 1) & mask {
+		switch s.slots[i] {
+		case key:
 			return
-		case v == 0:
+		case 0:
+			s.slots[i] = key
+			s.n++
 			return
 		}
 	}
 }
 
-// reset empties the table, sizing it so that n keys stay under half
-// load (and never below idxMinSlots). The backing array is reused when
-// the size does not change.
-func (s *idxSet) reset(n int) {
-	size := max(len(s.slots), idxMinSlots)
-	for n*2 > size {
-		size *= 2
-	}
-	if size == len(s.slots) {
-		clear(s.slots)
-	} else {
-		s.slots = make([]uint32, size)
-	}
-	s.used, s.neighbors = 0, 0
+// reset empties the set, keeping its table.
+func (s *idxSet) reset() {
+	clear(s.slots)
+	s.n = 0
 }

@@ -10,94 +10,69 @@ import (
 	"avmem/internal/ids"
 )
 
-// TestIdxSetMatchesMapOracle drives the index set through random puts,
-// retags, deletes and owner-side rebuilds against a plain map. Neighbor
-// tags are exact at all times; rejection tags are advisory — a rebuild
-// may forget them, but the set must never invent one.
+// TestIdxSetMatchesMapOracle drives the neighbor index set through
+// random adds, re-adds and owner-side rebuilds (reset, then re-add the
+// survivors — what Refresh does after an eviction) against a plain map:
+// membership is exact at all times, the table stays under half load and
+// grows from its 128-slot floor only when the neighbors need it.
 func TestIdxSetMatchesMapOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	var s idxSet
-	oracle := map[int32]uint32{}
-	neighbors := func() (n int) {
-		for _, tag := range oracle {
-			if tag == idxNeighbor {
-				n++
-			}
-		}
-		return n
-	}
-	// rebuild is what Membership does on a full table or a regime change:
-	// reset, then re-put exactly the neighbors.
-	rebuild := func() {
-		s.reset(neighbors())
-		for k, tag := range oracle {
-			if tag == idxNeighbor {
-				if !s.put(k, idxNeighbor) {
-					t.Fatal("put failed right after reset")
-				}
-			} else {
-				delete(oracle, k)
-			}
-		}
-	}
+	oracle := map[int32]bool{}
 	const universe = 3000
-	rebuilds, tombReuse := 0, 0
+	rebuilds, grown := 0, 0
 	for step := 0; step < 200000; step++ {
 		k := int32(rng.Intn(universe))
 		switch op := rng.Intn(10); {
-		case op < 5:
-			tag := idxRejected
-			if rng.Intn(4) == 0 {
-				tag = idxNeighbor
+		case op < 3:
+			slots := len(s.slots)
+			s.add(k)
+			oracle[k] = true
+			if len(s.slots) != slots && slots != 0 {
+				grown++
 			}
-			used := s.used
-			if !s.put(k, tag) {
-				rebuild()
-				rebuilds++
-				if !s.put(k, tag) {
-					t.Fatalf("step %d: put(%d) failed after a rebuild", step, k)
+		case op == 3 && rng.Intn(50) == 0:
+			// Refresh evicted some neighbors: rebuild from the survivors.
+			s.reset()
+			for have := range oracle {
+				if rng.Intn(3) == 0 {
+					delete(oracle, have)
+				} else {
+					s.add(have)
 				}
-			} else if _, had := oracle[k]; !had && s.used == used && len(oracle) > 0 {
-				tombReuse++
 			}
-			oracle[k] = tag
-		case op < 8:
-			s.del(k)
-			delete(oracle, k)
-		case op == 8 && rng.Intn(200) == 0:
-			rebuild() // regime change
+			rebuilds++
 		}
-		got, want := s.find(k), idxAbsent
-		if tag, ok := oracle[k]; ok {
-			want = tag
+		if got := s.has(k); got != oracle[k] {
+			t.Fatalf("step %d: has(%d) = %v, oracle says %v", step, k, got, oracle[k])
 		}
-		if got != want {
-			t.Fatalf("step %d: find(%d) = %d, oracle says %d", step, k, got, want)
+		if s.n != len(oracle) {
+			t.Fatalf("step %d: set counts %d keys, oracle %d", step, s.n, len(oracle))
 		}
-		if s.neighbors != neighbors() {
-			t.Fatalf("step %d: set counts %d neighbors, oracle %d", step, s.neighbors, neighbors())
-		}
-		if s.used*4 >= len(s.slots)*3 && len(s.slots) > 0 {
-			t.Fatalf("step %d: load %d/%d reached 3/4", step, s.used, len(s.slots))
+		if s.n*2 > len(s.slots) {
+			t.Fatalf("step %d: load %d/%d passed 1/2", step, s.n, len(s.slots))
 		}
 	}
 	for k := int32(0); k < universe; k++ {
-		want := idxAbsent
-		if tag, ok := oracle[k]; ok {
-			want = tag
-		}
-		if got := s.find(k); got != want {
-			t.Fatalf("final sweep: find(%d) = %d, oracle says %d", k, got, want)
+		if got := s.has(k); got != oracle[k] {
+			t.Fatalf("final sweep: has(%d) = %v, oracle says %v", k, got, oracle[k])
 		}
 	}
-	if rebuilds == 0 || tombReuse == 0 || len(s.slots) <= idxMinSlots {
-		t.Fatalf("schedule too tame: %d rebuilds, %d tombstone reuses, %d slots", rebuilds, tombReuse, len(s.slots))
+	if rebuilds == 0 || grown == 0 {
+		t.Fatalf("schedule too tame: %d rebuilds, %d growths, %d slots", rebuilds, grown, len(s.slots))
+	}
+	var small idxSet
+	for k := int32(0); k < idxMinSlots/2; k++ {
+		small.add(k * 37)
+	}
+	if len(small.slots) != idxMinSlots {
+		t.Fatalf("%d keys took %d slots, want the %d-slot floor", small.n, len(small.slots), idxMinSlots)
 	}
 }
 
 // indexedPair is one node seen through two memberships over the same
 // monitor and predicate: one wired like exp.World (index universe,
-// indexed monitor, epoch-stable rejection cache), one identifier-only.
+// indexed monitor, epoch-stable slot memos), one identifier-only.
 type indexedPair struct {
 	hosts       []ids.NodeID
 	avail       []float64
@@ -133,11 +108,7 @@ func (p *indexedPair) AvailabilityIdx(h int) (float64, bool) {
 // availability is current.)
 func (p *indexedPair) audit(t *testing.T, step int) (admitted int) {
 	t.Helper()
-	idxs := make([]int32, len(p.hosts))
-	for i := range idxs {
-		idxs[i] = int32(i)
-	}
-	admitted = p.byIdx.DiscoverIdx(p.hosts, idxs)
+	admitted = p.byIdx.DiscoverView(p.allIdx(), make([]uint64, len(p.hosts)), nil)
 	p.byID.Discover(p.hosts)
 	m := p.byIdx
 	pred, selfAv := m.Predicate(), m.SelfInfo().Availability
@@ -152,6 +123,16 @@ func (p *indexedPair) audit(t *testing.T, step int) (admitted int) {
 		}
 	}
 	return admitted
+}
+
+// allIdx returns every host index, parallel to hosts: the whole universe
+// as one view.
+func (p *indexedPair) allIdx() []int32 {
+	idxs := make([]int32, len(p.hosts))
+	for i := range idxs {
+		idxs[i] = int32(i)
+	}
+	return idxs
 }
 
 func newIndexedPair(t testing.TB, n int, pred *Predicate, rng *rand.Rand) *indexedPair {
@@ -201,15 +182,43 @@ func paperLike(t testing.TB, nStar float64) *Predicate {
 	return pred
 }
 
-// TestDiscoverIdxMatchesDiscover: the indexed path — index set, carried
-// rejections, memoized self threshold, stored pair hashes — must admit,
-// keep, reclassify and evict exactly what the identifier path does,
-// through availability drift, epoch rolls, monitor instability, unknown
-// and blocked peers, and candidates that arrive without an index.
+// TestDiscoverIdxMatchesDiscover: the indexed path — index set, slot
+// memos and delta passes, memoized self threshold, stored pair hashes —
+// must admit, keep, reclassify and evict exactly what the identifier
+// path does, through availability drift, epoch rolls, monitor
+// instability, unknown and blocked peers, and slots whose occupant
+// arrives without an index. The indexed side keeps one coarse view whose
+// slots turn over a few at a time, as a shuffle's do, and discovers over
+// it in place; the identifier side is handed the same view's
+// identifiers.
 func TestDiscoverIdxMatchesDiscover(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
-	const n = 400
+	const n, slots = 400, 20
 	p := newIndexedPair(t, n, paperLike(t, 500), rng)
+	var (
+		codes  []int32
+		memo   []uint64
+		cands  []ids.NodeID // parallel to codes: what the identifier side sees
+		strays []ids.NodeID
+	)
+	fresh := func() (int32, ids.NodeID) {
+		h := rng.Intn(n)
+		code, id := int32(h), p.hosts[h]
+		switch rng.Intn(12) {
+		case 0: // arrives unresolved
+			code = ^int32(len(strays))
+			strays = append(strays, id)
+		case 1: // outside the universe
+			id = ids.Synthetic(9000 + h)
+			code = ^int32(len(strays))
+			strays = append(strays, id)
+		case 2:
+			id = ids.Nil
+			code = ^int32(len(strays))
+			strays = append(strays, id)
+		}
+		return code, id
+	}
 	admitted, evicted := 0, 0
 	for step := 0; step < 6000; step++ {
 		p.now += time.Minute
@@ -237,21 +246,16 @@ func TestDiscoverIdxMatchesDiscover(t *testing.T) {
 			evicted += a
 			admitted += p.audit(t, step)
 		default:
-			cands := make([]ids.NodeID, 20)
-			idxs := make([]int32, len(cands))
-			for i := range cands {
-				h := rng.Intn(n)
-				cands[i], idxs[i] = p.hosts[h], int32(h)
-				switch rng.Intn(12) {
-				case 0:
-					idxs[i] = -1 // arrives unresolved
-				case 1:
-					cands[i], idxs[i] = ids.Synthetic(9000+h), -1 // outside the universe
-				case 2:
-					cands[i] = ids.Nil
+			for turn := 6; turn > 0; turn-- { // a third of the view turns over
+				code, id := fresh()
+				if len(codes) < slots {
+					codes, memo, cands = append(codes, code), append(memo, 0), append(cands, id)
+				} else {
+					k := rng.Intn(slots)
+					codes[k], memo[k], cands[k] = code, 0, id
 				}
 			}
-			a, b := p.byIdx.DiscoverIdx(cands, idxs), p.byID.Discover(cands)
+			a, b := p.byIdx.DiscoverView(codes, memo, strays), p.byID.Discover(cands)
 			if a != b {
 				t.Fatalf("step %d: admitted %d indexed, %d by identifier", step, a, b)
 			}
@@ -272,26 +276,65 @@ func TestDiscoverIdxMatchesDiscover(t *testing.T) {
 			}
 		}
 	}
-	if admitted < 100 || evicted < 20 || p.byIdx.SliverSize(SliverHorizontal) == 0 || p.byIdx.SliverSize(SliverVertical) == 0 {
-		t.Fatalf("schedule too tame: %d admitted, %d evicted, HS=%d VS=%d", admitted, evicted,
-			p.byIdx.SliverSize(SliverHorizontal), p.byIdx.SliverSize(SliverVertical))
+	s := p.byIdx.DiscoveryStats()
+	if admitted < 100 || evicted < 20 || s.Skipped < 1000 || s.Hashes >= s.Evaluated ||
+		p.byIdx.SliverSize(SliverHorizontal) == 0 || p.byIdx.SliverSize(SliverVertical) == 0 {
+		t.Fatalf("schedule too tame: %d admitted, %d evicted, HS=%d VS=%d, %+v", admitted, evicted,
+			p.byIdx.SliverSize(SliverHorizontal), p.byIdx.SliverSize(SliverVertical), s)
 	}
 }
 
-// TestDiscoverIdxSteadyStateDoesNotAllocate: once every candidate is a
-// neighbor or rejected for the epoch, a discovery round is index-set
-// probes only.
+// TestDiscoverIdxSteadyStateDoesNotAllocate: a discovery pass over a
+// view allocates nothing once its neighbors are in — not the delta pass
+// that skips every judged slot, and not the full pass after an epoch
+// roll, which re-judges them all from the hashes their words hold.
 func TestDiscoverIdxSteadyStateDoesNotAllocate(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	p := newIndexedPair(t, 300, paperLike(t, 500), rng)
-	cands := make([]ids.NodeID, 45)
-	idxs := make([]int32, len(cands))
-	for i, h := range rng.Perm(299)[:len(cands)] {
-		cands[i], idxs[i] = p.hosts[h+1], int32(h+1)
+	codes := make([]int32, 45)
+	memo := make([]uint64, len(codes))
+	for i, h := range rng.Perm(299)[:len(codes)] {
+		codes[i] = int32(h + 1)
 	}
-	p.byIdx.DiscoverIdx(cands, idxs)
-	if avg := testing.AllocsPerRun(500, func() { p.byIdx.DiscoverIdx(cands, idxs) }); avg != 0 {
-		t.Errorf("steady-state DiscoverIdx allocates %.2f objects per round, want 0", avg)
+	p.byIdx.DiscoverView(codes, memo, nil)
+	before := p.byIdx.DiscoveryStats()
+	if avg := testing.AllocsPerRun(500, func() { p.byIdx.DiscoverView(codes, memo, nil) }); avg != 0 {
+		t.Errorf("steady-state delta pass allocates %.2f objects per round, want 0", avg)
+	}
+	if s := p.byIdx.DiscoveryStats(); s.FullPasses != before.FullPasses || s.Hashes != before.Hashes {
+		t.Errorf("steady-state passes were not delta passes: %+v after %+v", s, before)
+	}
+	if avg := testing.AllocsPerRun(500, func() { p.epoch++; p.byIdx.DiscoverView(codes, memo, nil) }); avg != 0 {
+		t.Errorf("full pass over judged slots allocates %.2f objects per round, want 0", avg)
+	}
+	if s := p.byIdx.DiscoveryStats(); s.FullPasses < before.FullPasses+500 || s.Hashes != before.Hashes {
+		t.Errorf("epoch rolls did not force hash-free full passes: %+v after %+v", s, before)
+	}
+}
+
+// TestConfigStatsIsShared: memberships handed one Config.Stats count into
+// it and nowhere else — what lets a deployment publish discovery totals
+// by reading one struct — and a membership handed none keeps its own.
+func TestConfigStatsIsShared(t *testing.T) {
+	p := newIndexedPair(t, 100, paperLike(t, 500), rand.New(rand.NewSource(5)))
+	var shared DiscoveryStats
+	cfg := p.byIdx.cfg
+	cfg.Stats = &shared
+	var sharing [2]*Membership
+	for h := range sharing {
+		cfg.SelfIdx = int32(h)
+		m, err := NewMembership(p.hosts[h], cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m.DiscoverView(p.allIdx(), make([]uint64, len(p.hosts)), nil)
+		sharing[h] = m
+	}
+	p.byIdx.DiscoverView(p.allIdx(), make([]uint64, len(p.hosts)), nil)
+	own := p.byIdx.DiscoveryStats()
+	if own.Passes != 1 || shared.Passes != 2 || shared.Offered != 2*own.Offered || shared.Hashes <= own.Hashes ||
+		sharing[0].DiscoveryStats() != shared || sharing[1].DiscoveryStats() != shared {
+		t.Fatalf("two sharing memberships counted %+v, a third on its own %+v", shared, own)
 	}
 }
 
@@ -303,10 +346,7 @@ func TestNeighborHashMatchesPairHash(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	const n = 300
 	p := newIndexedPair(t, n, paperLike(t, 400), rng)
-	idxs := make([]int32, n)
-	for i := range idxs {
-		idxs[i] = int32(i)
-	}
+	idxs := p.allIdx()
 	check := func(stage string, m *Membership) {
 		t.Helper()
 		seen := 0

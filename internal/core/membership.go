@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"time"
 
 	"avmem/internal/avmon"
@@ -78,8 +79,8 @@ type Config struct {
 	Blocked func(ids.NodeID) bool
 
 	// PairIdx, when non-nil, enables the index-keyed fast path: it names
-	// the dense host-index universe, and candidates fed through
-	// DiscoverIdx with an index in it skip all identifier-keyed lookups.
+	// the dense host-index universe, and view slots fed through
+	// DiscoverView with an index in it skip all identifier-keyed lookups.
 	// SelfIdx must then be this node's index in that universe.
 	PairIdx *ids.PairIndexCache
 	SelfIdx int32
@@ -89,11 +90,14 @@ type Config struct {
 	// MonitorEpoch, when set, reports the monitor's current epoch and
 	// whether its availability answers are pure, epoch-constant reads
 	// (true for a noiseless oracle; false when queries draw noise RNG
-	// or reflect live ping rounds). While stable, discovery caches
-	// predicate rejections for the epoch: the protocol period is much
-	// shorter than an epoch, so most ticks re-evaluate identical
-	// (hash, selfAvail, avY) triples.
+	// or reflect live ping rounds). While stable, a verdict holds for the
+	// epoch — many protocol periods — so DiscoverView judges only the view
+	// slots the shuffle changed.
 	MonitorEpoch func() (epoch int, stable bool)
+	// Stats, when non-nil, is where the membership counts its discovery
+	// work instead of in a struct of its own: a single-threaded deployment
+	// shares one across its memberships and reads the totals in one load.
+	Stats *DiscoveryStats
 }
 
 func (c Config) validate() error {
@@ -121,16 +125,13 @@ func (c Config) validate() error {
 // Storage is three incrementally-maintained slices sorted by node ID —
 // the full list plus one per sliver — so Neighbors can hand out a
 // cached read-only view without allocating or sorting per call, and
-// SliverSize is O(1). Two sets mirror the full list for O(1) duplicate
-// checks during discovery: member by identifier, idx by dense host
-// index (indexed memberships only).
+// SliverSize is O(1). The identifier-keyed duplicate check is a binary
+// search of the full list; the indexed one probes idx.
 type Membership struct {
 	cfg       Config
 	self      ids.NodeID
 	selfAvail float64
 	selfKnown bool
-	// member is the set of current neighbor identifiers.
-	member map[ids.NodeID]struct{}
 	// all, hs, vs are the cached views, each sorted by ID. Entries are
 	// duplicated between all and their sliver list; Refresh keeps the
 	// copies coherent.
@@ -145,20 +146,25 @@ type Membership struct {
 	// reset (the SHA recompute after a reset is cheap and allocation-
 	// free). Never allocated while every candidate arrives indexed.
 	pairMemo map[ids.NodeID]float64
-	// idx holds, by dense host index, every indexed neighbor and every
-	// candidate the predicate rejected in the current (epoch, self-claim)
-	// regime — see Config.MonitorEpoch — so the indexed discovery path
-	// settles "already a neighbor" and "rejected this epoch" in one
-	// probe. rejEpoch/rejVer name the regime the rejections belong to;
-	// rejVer pairs with selfVer, bumped whenever the self claim moves.
-	idx      idxSet
-	rejEpoch int
-	rejVer   uint64
-	selfVer  uint64
+	// idx is the set of indexed neighbors, by dense host index.
+	idx idxSet
+	// passEpoch, passVer and passStable are the regime of the last
+	// DiscoverView pass — the monitor's epoch, the self-claim version
+	// (selfVer, bumped whenever the claim moves) and whether the monitor
+	// was stable: the verdicts that pass left in the view's memo words
+	// stand exactly while the regime does. refull forces the next pass to
+	// re-judge every slot all the same: Refresh sets it when it evicts a
+	// neighbor whose word the next pass could not take at face value.
+	passEpoch  int
+	passVer    uint64
+	passStable bool
+	refull     bool
+	selfVer    uint64
 	// hasUnindexed records that at least one neighbor was admitted
-	// without a known index; the indexed duplicate check then falls
-	// back to the identifier set (correctness net, not a hot path).
+	// without a known index; the indexed duplicate check then also
+	// searches the full list (correctness net, not a hot path).
 	hasUnindexed bool
+	stats        *DiscoveryStats
 	// hsThr memoizes the horizontal threshold for the current self claim
 	// (hsKnown; cleared whenever the claim moves) when the predicate's
 	// horizontal side depends on av(x) alone (hsByX): II.B's O(buckets)
@@ -205,10 +211,9 @@ func NewMembership(self ids.NodeID, cfg Config) (*Membership, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	m := &Membership{
-		cfg:    cfg,
-		self:   self,
-		member: make(map[ids.NodeID]struct{}, 8),
+	m := &Membership{cfg: cfg, self: self, stats: cfg.Stats}
+	if m.stats == nil {
+		m.stats = new(DiscoveryStats)
 	}
 	switch cfg.Predicate.Horizontal.(type) {
 	case ConstantHorizontal, LogConstantHorizontal, *CachedByX:
@@ -340,11 +345,10 @@ func (m *Membership) Discover(candidates []ids.NodeID) int {
 	return added
 }
 
-// admit inserts a new neighbor into all views and the duplicate sets.
+// admit inserts a new neighbor into all views and the index set.
 func (m *Membership) admit(nb Neighbor) {
-	m.member[nb.ID] = struct{}{}
 	if nb.idx1 > 0 {
-		m.idxPut(nb.idx1-1, idxNeighbor)
+		m.idx.add(nb.idx1 - 1)
 	} else if m.cfg.PairIdx != nil {
 		m.hasUnindexed = true
 	}
@@ -353,103 +357,152 @@ func (m *Membership) admit(nb Neighbor) {
 	*view = insertNeighbor(*view, nb)
 }
 
+// DiscoveryStats counts the work of the indexed discovery loop in plain
+// fields, published as metrics by whoever owns the deployment.
+type DiscoveryStats struct {
+	Passes     int64 // passes of the loop
+	FullPasses int64 // ... that re-judged every slot
+	Offered    int64 // slots offered
+	Skipped    int64 // ... settled by their memo word alone
+	Evaluated  int64 // candidates that reached a predicate verdict
+	Hashes     int64 // pair hashes computed rather than read from a word
+	Admitted   int64 // neighbors added
+}
+
+// DiscoveryStats returns the counters so far (Config.Stats's when set).
+func (m *Membership) DiscoveryStats() DiscoveryStats { return *m.stats }
+
+// memoJudged marks a memo word as holding a verdict's pair hash. H is in
+// [0,1), so the sign bit of its float64 is free, and a marked word is
+// never zero.
+const memoJudged = 1 << 63
+
+// regime reads the monitor's epoch and stability and reports whether the
+// verdicts of the last DiscoverView pass still stand: the monitor stable
+// then and now, the same epoch, the same self claim.
+func (m *Membership) regime() (ep int, stable, stands bool) {
+	if m.cfg.MonitorEpoch != nil {
+		ep, stable = m.cfg.MonitorEpoch()
+	}
+	return ep, stable, stable && m.passStable && ep == m.passEpoch && m.selfVer == m.passVer
+}
+
+// DiscoverView is Discover over a coarse view read in place. codes[k]
+// names the occupant of view slot k — its dense host index (which
+// requires Config.PairIdx), or for a negative code the identifier
+// strays[^code], which takes Discover's identifier path — and memo[k] is
+// the slot's memo word, private to this membership: the view's owner
+// zeroes it whenever the slot's occupant changes and moves it with the
+// occupant, and nobody else writes it. A predicate verdict, admitted or
+// not, leaves H(self, y) in the word; a candidate that got none (blocked,
+// or the monitor had no answer) leaves it zero.
+//
+// While the monitor is stable a verdict is a pure function of the
+// (epoch, self claim) regime and the pair, so when the regime of the last
+// pass still stands this is a delta pass: a non-zero word settles its
+// slot — the occupant is a neighbor or would be rejected again — and only
+// the slots the shuffle changed are judged. Every way a word can stop
+// telling the truth forces a full pass instead (a new epoch, a moved self
+// claim, an unstable monitor now or at the last pass, a Refresh eviction
+// the predicate alone does not explain), which re-judges every slot but
+// takes the pair hash from the word: SHA-256 runs once per residency of a
+// pair in the view.
+func (m *Membership) DiscoverView(codes []int32, memo []uint64, strays []ids.NodeID) int {
+	return m.discover(codes, memo[:len(codes)], strays, false)
+}
+
 // DiscoverIdx is Discover for candidates that carry their dense host
-// index (idxs parallel to candidates; a negative index means unknown).
-// With Config.PairIdx and MonitorIdx configured, a candidate that is
-// already a neighbor or was rejected earlier in the epoch costs one
-// probe of the index set — no identifier is hashed and no Go map is
-// touched anywhere on the admit-nothing path, which is the common case
-// once the overlay has converged. Candidates without an index take the
-// identifier-keyed path of Discover.
+// index (idxs parallel to candidates; a negative index means unknown):
+// DiscoverView's loop for callers without a view to keep words in, every
+// candidate judged afresh.
 func (m *Membership) DiscoverIdx(candidates []ids.NodeID, idxs []int32) int {
 	if len(idxs) != len(candidates) || m.cfg.PairIdx == nil {
 		return m.Discover(candidates)
 	}
+	return m.discover(idxs, nil, candidates, true)
+}
+
+// discover is the indexed discovery loop. With byPos, names is parallel
+// to codes and there are no memo words (DiscoverIdx); otherwise names
+// holds the strays and memo the view's words (DiscoverView).
+func (m *Membership) discover(codes []int32, memo []uint64, names []ids.NodeID, byPos bool) int {
 	if !m.selfKnown {
 		m.RefreshSelf()
 	}
-	caching := false
-	if m.cfg.MonitorEpoch != nil {
-		if ep, stable := m.cfg.MonitorEpoch(); stable {
-			caching = true
-			if ep != m.rejEpoch || m.rejVer != m.selfVer {
-				// The regime moved on: its rejections no longer hold.
-				if m.idx.used != m.idx.neighbors {
-					m.rebuildIdx()
-				}
-				m.rejEpoch, m.rejVer = ep, m.selfVer
-			}
-		}
+	delta := false
+	if !byPos {
+		ep, stable, stands := m.regime()
+		delta = stands && !m.refull
+		m.passEpoch, m.passVer, m.passStable, m.refull = ep, m.selfVer, stable, false
 	}
 	now := m.cfg.Clock()
+	var skipped, evaluated, hashes int64
 	added := 0
-	for j, y := range candidates {
-		yi := idxs[j]
+	for k, yi := range codes {
+		var word uint64
+		if !byPos {
+			if word = memo[k]; word != 0 && delta {
+				skipped++
+				continue
+			}
+		}
 		if yi < 0 {
-			if m.discoverOne(y, now) {
+			j := int(^yi)
+			if byPos {
+				j = k
+			}
+			if m.discoverOne(names[j], now) {
 				added++
 			}
 			continue
 		}
-		if yi == m.cfg.SelfIdx || y.IsNil() {
+		if yi == m.cfg.SelfIdx || m.idx.has(yi) {
 			continue
 		}
-		// A rejection counts only while the monitor is stable: the tag may
-		// date from before a noise layer was swapped in.
-		if tag := m.idx.find(yi); tag == idxNeighbor || (tag == idxRejected && caching) {
+		var y ids.NodeID
+		if byPos {
+			y = names[k]
+		} else {
+			y = m.cfg.PairIdx.ID(yi)
+		}
+		if y.IsNil() || (m.hasUnindexed && m.Contains(y)) {
 			continue
 		}
-		if m.hasUnindexed {
-			if _, exists := m.member[y]; exists {
-				continue
-			}
+		avY, ok := 0.0, false
+		if m.cfg.Blocked == nil || !m.cfg.Blocked(y) {
+			avY, ok = m.availability(y, yi)
 		}
-		if m.cfg.Blocked != nil && m.cfg.Blocked(y) {
-			continue
-		}
-		avY, ok := m.availability(y, yi)
 		if !ok {
-			continue
-		}
-		// The pair hash is computed directly: the rejection tags already
-		// absorb within-epoch repeats, so most candidates reaching this
-		// point are first-time pairs a memo could not have served — and a
-		// deployment-wide memo table outgrows the CPU cache, making the
-		// probe cost more than one short SHA-256.
-		h := ids.PairHash(m.self, y)
-		match, kind := m.eval(h, avY)
-		if !match {
-			if caching {
-				m.idxPut(yi, idxRejected)
+			// No verdict: the slot must be judged again next pass.
+			if word != 0 {
+				memo[k] = 0
 			}
 			continue
 		}
-		m.admit(Neighbor{ID: y, Availability: avY, Sliver: kind, FetchedAt: now, hash: h, idx1: yi + 1})
-		added++
-	}
-	return added
-}
-
-// idxPut tags yi in the index set. A full table is rebuilt from the
-// neighbor list rather than grown past what the neighbors need — the
-// rejections it forgets are advisory, and the per-epoch candidate set is
-// normally far smaller than the table.
-func (m *Membership) idxPut(yi int32, tag uint32) {
-	if !m.idx.put(yi, tag) {
-		m.rebuildIdx()
-		m.idx.put(yi, tag)
-	}
-}
-
-// rebuildIdx empties the index set of rejections and tombstones,
-// keeping exactly the indexed neighbors.
-func (m *Membership) rebuildIdx() {
-	m.idx.reset(len(m.all))
-	for i := range m.all {
-		if k := m.all[i].idx1; k > 0 {
-			m.idx.put(k-1, idxNeighbor)
+		h := math.Float64frombits(word &^ memoJudged)
+		if word == 0 {
+			h = ids.PairHash(m.self, y)
+			hashes++
+			if !byPos {
+				memo[k] = math.Float64bits(h) | memoJudged
+			}
+		}
+		evaluated++
+		if match, kind := m.eval(h, avY); match {
+			m.admit(Neighbor{ID: y, Availability: avY, Sliver: kind, FetchedAt: now, hash: h, idx1: yi + 1})
+			added++
 		}
 	}
+	m.stats.Passes++
+	if !delta {
+		m.stats.FullPasses++
+	}
+	m.stats.Offered += int64(len(codes))
+	m.stats.Skipped += skipped
+	m.stats.Evaluated += evaluated
+	m.stats.Hashes += hashes
+	m.stats.Admitted += int64(added)
+	return added
 }
 
 // discoverOne runs the identifier-keyed discovery test for a single
@@ -458,7 +511,7 @@ func (m *Membership) discoverOne(y ids.NodeID, now time.Duration) bool {
 	if y == m.self || y.IsNil() {
 		return false
 	}
-	if _, exists := m.member[y]; exists {
+	if m.Contains(y) {
 		return false
 	}
 	if m.cfg.Blocked != nil && m.cfg.Blocked(y) {
@@ -485,27 +538,24 @@ func (m *Membership) discoverOne(y ids.NodeID, now time.Duration) bool {
 func (m *Membership) Refresh() int {
 	m.RefreshSelf()
 	now := m.cfg.Clock()
-	evicted := 0
+	evicted, unjudged := 0, 0
 	// Compact the full list in place (the write index never passes the
 	// read index), then rebuild the sliver views from it — still sorted,
 	// since the full list is. Buffer capacity is reused across rounds.
 	keep := m.all[:0]
 	for i := range m.all {
 		nb := m.all[i]
-		if m.cfg.Blocked != nil && m.cfg.Blocked(nb.ID) {
-			m.drop(&nb)
-			evicted++
-			continue
+		avY, ok := 0.0, false
+		if m.cfg.Blocked == nil || !m.cfg.Blocked(nb.ID) {
+			avY, ok = m.availability(nb.ID, nb.idx1-1)
 		}
-		avY, ok := m.availability(nb.ID, nb.idx1-1)
 		if !ok {
-			m.drop(&nb)
 			evicted++
+			unjudged++
 			continue
 		}
 		match, kind := m.eval(nb.hash, avY)
 		if !match {
-			m.drop(&nb)
 			evicted++
 			continue
 		}
@@ -524,21 +574,28 @@ func (m *Membership) Refresh() int {
 		view := m.sliverView(m.all[i].Sliver)
 		*view = append(*view, m.all[i])
 	}
-	return evicted
-}
-
-// drop removes a neighbor from the duplicate sets.
-func (m *Membership) drop(nb *Neighbor) {
-	delete(m.member, nb.ID)
-	if nb.idx1 > 0 {
-		m.idx.del(nb.idx1 - 1)
+	if evicted > 0 {
+		m.idx.reset()
+		for i := range m.all {
+			if k := m.all[i].idx1; k > 0 {
+				m.idx.add(k - 1)
+			}
+		}
+		// An evicted neighbor may still sit in the coarse view under a memo
+		// word. The next delta pass may skip it only if it would reject it:
+		// true when the predicate evicted it in the regime that pass will
+		// find standing, not when it went unjudged or the regime has moved.
+		if _, _, stands := m.regime(); unjudged > 0 || !stands {
+			m.refull = true
+		}
 	}
+	return evicted
 }
 
 // Contains reports whether id is currently a neighbor (either sliver).
 func (m *Membership) Contains(id ids.NodeID) bool {
-	_, ok := m.member[id]
-	return ok
+	i := searchNeighbors(m.all, id)
+	return i < len(m.all) && m.all[i].ID == id
 }
 
 // Lookup returns the neighbor entry for id, if present.

@@ -52,6 +52,9 @@ type Cluster struct {
 	hosts []ids.NodeID
 	nodes []*node.Node
 	mon   *monitorStack
+	// discovery is where every node's membership counts its discovery
+	// work (node.Universe.Discovery): one struct for the metrics flush.
+	discovery core.DiscoveryStats
 	// forcedDownUntil[h] holds a scenario-injected outage lift time
 	// (zero = none); see World.ForceOffline for the sweep discipline.
 	forcedDownUntil []time.Duration
@@ -108,12 +111,12 @@ func NewCluster(cfg WorldConfig) (*Cluster, error) {
 	c.Monitor = mon.monitor
 	// Every node is handed the host-index universe World's memberships
 	// run on: the shared host table, the trace's identifier resolver, and
-	// the monitor's epoch for the per-epoch rejection tags.
+	// the monitor's epoch that scopes discovery's slot memos.
 	pairs, err := ids.NewPairIndexCache(c.hosts, 0)
 	if err != nil {
 		return nil, err
 	}
-	universe := &node.Universe{Pairs: pairs, IndexOf: tr.HostIndex, MonitorEpoch: mon.epoch}
+	universe := &node.Universe{Pairs: pairs, IndexOf: tr.HostIndex, MonitorEpoch: mon.epoch, Discovery: &c.discovery}
 	adv, err := buildAdversaries(cfg.Adversary, tr, cfg.Seed)
 	if err != nil {
 		return nil, err
@@ -127,6 +130,8 @@ func NewCluster(cfg WorldConfig) (*Cluster, error) {
 		c.Sched.Instrument(cfg.Metrics)
 		c.Col.Instrument(cfg.Metrics)
 		auditIns = audit.NewInstruments(cfg.Metrics)
+		disc := newDiscoveryObs(cfg.Metrics)
+		c.Sched.OnFlush(func() { disc.publish(c.discovery, 0) })
 	}
 	// The same band-census estimator the sim engine arms its routers
 	// with (see installNodes): keeps the two engines' PDF sanity checks

@@ -94,8 +94,8 @@ type switchMonitor struct {
 	hosts    []ids.NodeID
 	// stable reports that the current inner service answers queries as
 	// pure, epoch-constant reads (the noiseless oracle) — the gate for
-	// discovery's per-epoch rejection cache. Noise wraps and live ping
-	// overlays clear it.
+	// discovery's delta passes. Noise wraps and live ping overlays clear
+	// it.
 	stable bool
 }
 
@@ -139,7 +139,8 @@ type monitorStack struct {
 // epoch implements core.Config.MonitorEpoch for every membership of the
 // deployment: the trace epoch, stable only while the active monitor is
 // the noiseless oracle (noise wraps draw RNG per query and ping overlays
-// drift between queries, so discovery must not cache around them).
+// drift between queries, so discovery must not carry verdicts across
+// them).
 func (s *monitorStack) epoch() (int, bool) {
 	if !s.monitor.stable {
 		return 0, false
@@ -316,6 +317,7 @@ func (w *World) installNodes(pred *core.Predicate) error {
 			SelfIdx:       int32(h),
 			MonitorIdx:    w.mon.monitor,
 			MonitorEpoch:  w.mon.epoch,
+			Stats:         &w.discovery,
 		}
 		var auditor *audit.Auditor
 		if w.auditors != nil {
@@ -441,7 +443,8 @@ func (w *World) startDrivers() error {
 }
 
 // discoverCohort runs one discovery/shuffle round for every online node
-// of a cohort, reusing the world's view scratch buffer across nodes.
+// of a cohort; discovery reads each node's view, memo words included, in
+// place.
 func (w *World) discoverCohort(cohort []int32) {
 	for _, h := range cohort {
 		if !w.onlineAt(int(h)) {
@@ -453,9 +456,8 @@ func (w *World) discoverCohort(cohort []int32) {
 			w.Shuffle.Join(id, w.randomSeeds(id, 4))
 		}
 		w.Shuffle.TickIdx(int(h))
-		w.viewScratch, w.idxScratch =
-			w.Shuffle.AppendViewCand(w.viewScratch[:0], w.idxScratch[:0], int(h))
-		w.members[h].DiscoverIdx(w.viewScratch, w.idxScratch)
+		codes, memo := w.Shuffle.ViewSlots(int(h))
+		w.members[h].DiscoverView(codes, memo, w.Shuffle.StrayIDs())
 	}
 }
 

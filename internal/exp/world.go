@@ -166,6 +166,9 @@ type World struct {
 	hosts   []ids.NodeID
 	members []*core.Membership
 	routers []*ops.Router
+	// discovery is where every membership counts its discovery work
+	// (core.Config.Stats): one struct for the metrics flush to read.
+	discovery core.DiscoveryStats
 
 	// adv is the Byzantine cohort (nil when honest); auditors and trail
 	// are the audit layer (nil slices/pointer when auditing is off).
@@ -189,11 +192,6 @@ type World struct {
 	// (monotone) instant it was built until liveUntil — see syncLive.
 	live      []uint64
 	liveUntil time.Duration
-	// viewScratch and idxScratch are reused across cohort-tick discovery
-	// calls (candidate identifiers and their dense host indexes).
-	viewScratch []ids.NodeID
-	idxScratch  []int32
-
 	// PairIdx memoizes H(x,y) keyed by dense host-index pairs, shared by
 	// every membership in the world.
 	PairIdx *ids.PairIndexCache
@@ -263,6 +261,8 @@ func NewWorld(cfg WorldConfig) (*World, error) {
 		w.Sim.Instrument(cfg.Metrics)
 		w.Col.Instrument(cfg.Metrics)
 		w.auditIns = audit.NewInstruments(cfg.Metrics)
+		disc := newDiscoveryObs(cfg.Metrics)
+		w.Sim.OnFlush(func() { disc.publish(w.discovery, w.Shuffle.ReceivedDropped()) })
 	}
 	cyc, err := shuffle.NewCyclon(cfg.ViewSize, cfg.ShuffleLen, w.nodeOnline, w.Sim.Rand())
 	if err != nil {

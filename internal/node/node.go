@@ -143,6 +143,11 @@ type Universe struct {
 	// MonitorEpoch optionally reports the monitor's epoch and whether its
 	// answers are currently epoch-constant (core.Config.MonitorEpoch).
 	MonitorEpoch func() (epoch int, stable bool)
+	// Discovery optionally names one core.DiscoveryStats for every node of
+	// the deployment to count its discovery work into (core.Config.Stats)
+	// — for deployments that run their nodes on one thread, as the
+	// virtual-time cluster does; the counters are plain fields.
+	Discovery *core.DiscoveryStats
 }
 
 func (c *Config) validate() error {
@@ -210,11 +215,8 @@ type Node struct {
 	stopped chan struct{}
 	running bool
 	// agent is the built-in live CYCLON (Seeds mode); nil in Peers mode.
-	// cand/candIdx are the discovery round's candidate buffers (the
-	// agent's view and its host indexes), reused across rounds under mu.
-	agent   *shuffle.Agent
-	cand    []ids.NodeID
-	candIdx []int32
+	// Discovery runs mem.DiscoverView over its view in place.
+	agent *shuffle.Agent
 	// auditor is the receiving-side audit layer (nil when Audit unset).
 	auditor *audit.Auditor
 	// claimBits/claimAt cache the node's own availability claim (float
@@ -304,6 +306,7 @@ func New(cfg Config) (*Node, error) {
 		memCfg.SelfIdx = int32(u.IndexOf(cfg.Self))
 		memCfg.MonitorIdx, _ = cfg.Monitor.(avmon.IndexedService)
 		memCfg.MonitorEpoch = u.MonitorEpoch
+		memCfg.Stats = u.Discovery
 	}
 	if n.auditor != nil {
 		memCfg.Blocked = n.auditor.Blocked
@@ -451,23 +454,16 @@ func (n *Node) discoverLocked(external []ids.NodeID) {
 		n.mem.Discover(external)
 		return
 	}
-	peer, peerIdx, req, ok := n.agent.TickIdx()
+	// One agent call ticks the shuffle (re-bootstrapping an emptied view
+	// from the seeds) and judges the round's candidates — the view plus
+	// the partner the tick removed pending its reply — so no inbound
+	// shuffle message can land between the two. Without a Universe every
+	// candidate is a stray and this is mem.Discover.
+	peer, req, ok := n.agent.TickDiscover(n.cfg.Seeds, n.mem.DiscoverView)
 	if ok {
 		req.SenderAvail = n.selfClaim()
 		n.env.Send(peer, req)
-	} else {
-		n.agent.Seed(n.cfg.Seeds) // view emptied: re-bootstrap
 	}
-	n.cand, n.candIdx = n.agent.AppendViewCand(n.cand[:0], n.candIdx[:0])
-	if ok {
-		// Tick removes the shuffle partner from the view pending its
-		// reply, but the partner is still the freshest-known peer — keep
-		// it as a discovery candidate (in a two-node deployment the view
-		// would otherwise be empty at every tick).
-		n.cand, n.candIdx = append(n.cand, peer), append(n.candIdx, peerIdx)
-	}
-	// Without a universe every index is −1 and this is Discover.
-	n.mem.DiscoverIdx(n.cand, n.candIdx)
 }
 
 // refreshTick runs one refresh round; the gate holds n.mu.

@@ -17,15 +17,15 @@ import (
 	"avmem/internal/transport"
 )
 
-// universeCluster deploys 60 real nodes on a churn trace, the paper
-// predicate and the trace oracle (optionally behind a noise layer, whose
+// universeCluster deploys hostCount real nodes on a churn trace, the
+// paper predicate and the trace oracle (optionally behind a noise layer, whose
 // shared RNG makes the result sensitive to the order of every monitor
 // query in the deployment) — the way exp.Cluster does — handing every
 // node the host-index universe or not.
-func universeCluster(t *testing.T, withUniverse, noisy bool) (*sim.World, []*Node) {
+func universeCluster(t *testing.T, hostCount int, withUniverse, noisy bool) (*sim.World, []*Node) {
 	t.Helper()
 	tr, err := trace.Generate(trace.GenConfig{
-		Hosts: 60, Epochs: 30, Epoch: 20 * time.Minute, Seed: 7,
+		Hosts: hostCount, Epochs: 30, Epoch: 20 * time.Minute, Seed: 7,
 		MeanSessionEpochs: 9, DiurnalAmplitude: 0.1,
 	})
 	if err != nil {
@@ -51,7 +51,9 @@ func universeCluster(t *testing.T, withUniverse, noisy bool) (*sim.World, []*Nod
 			t.Fatal(err)
 		}
 	}
-	pred, err := core.PaperPredicate(0.1, 1, 1, tr.MeanOnline(), avdist.Overnet(0))
+	// Sized for at least 30 hosts, so that the predicate still refuses
+	// some pairs in the two-node deployment.
+	pred, err := core.PaperPredicate(0.1, 1, 1, max(tr.MeanOnline(), 30), avdist.Overnet(0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,8 +112,9 @@ func universeCluster(t *testing.T, withUniverse, noisy bool) (*sim.World, []*Nod
 // identical slivers (every cached field, the admitting pair hash
 // included) and identical coarse views on every node after 400 protocol
 // periods of churn, epoch changes and refresh rounds — under the stable
-// oracle, where indexed discovery skips candidates by rejection tag, and
-// under a noisy monitor, where it must re-query in the same order.
+// oracle, where indexed discovery skips judged view slots by their memo
+// word, and under a noisy monitor, where it must re-query in the same
+// order.
 func TestUniverseDoesNotChangeDecisions(t *testing.T) {
 	for _, noisy := range []bool{false, true} {
 		name := "oracle"
@@ -119,39 +122,73 @@ func TestUniverseDoesNotChangeDecisions(t *testing.T) {
 			name = "noisy"
 		}
 		t.Run(name, func(t *testing.T) {
-			wi, indexed := universeCluster(t, true, noisy)
-			wb, byID := universeCluster(t, false, noisy)
+			wi, indexed := universeCluster(t, 60, true, noisy)
+			wb, byID := universeCluster(t, 60, false, noisy)
 			wi.Run(400 * time.Minute)
 			wb.Run(400 * time.Minute)
-			total, rejected := 0, false
-			for h := range indexed {
-				// Neighbor's unexported index memo differs by design; compare
-				// what operations can read.
-				ni, nb := indexed[h].Neighbors(core.HSVS), byID[h].Neighbors(core.HSVS)
-				if len(ni) != len(nb) {
-					t.Fatalf("host %d: %d neighbors indexed, %d by identifier", h, len(ni), len(nb))
-				}
-				for j := range ni {
-					a, b := ni[j], nb[j]
-					if a.ID != b.ID || a.Availability != b.Availability || a.Sliver != b.Sliver ||
-						a.FetchedAt != b.FetchedAt || a.PairHash() != b.PairHash() {
-						t.Fatalf("host %d neighbor %d: %+v indexed, %+v by identifier", h, j, a, b)
-					}
-				}
-				if vi, vb := indexed[h].CoarseView(), byID[h].CoarseView(); !slices.Equal(vi, vb) {
-					t.Fatalf("host %d coarse views diverge:\n indexed    %v\n identifier %v", h, vi, vb)
-				}
-				total += len(ni)
-				if len(ni) < len(indexed[h].CoarseView()) {
-					rejected = true
-				}
-			}
+			total, rejected := sameMemberships(t, indexed, byID)
 			// The comparison is vacuous unless the predicate both admits and
 			// refuses within reach of the views.
 			if total == 0 || !rejected {
 				t.Fatalf("degenerate deployment: %d neighbors in total, rejections seen: %v", total, rejected)
 			}
 		})
+	}
+}
+
+// sameMemberships compares two deployments host by host — slivers with
+// every cached field, and coarse views — returning the neighbor total and
+// whether some node holds fewer neighbors than view entries.
+func sameMemberships(t *testing.T, indexed, byID []*Node) (total int, rejected bool) {
+	t.Helper()
+	for h := range indexed {
+		// Neighbor's unexported index memo differs by design; compare
+		// what operations can read.
+		ni, nb := indexed[h].Neighbors(core.HSVS), byID[h].Neighbors(core.HSVS)
+		if len(ni) != len(nb) {
+			t.Fatalf("host %d: %d neighbors indexed, %d by identifier", h, len(ni), len(nb))
+		}
+		for j := range ni {
+			a, b := ni[j], nb[j]
+			if a.ID != b.ID || a.Availability != b.Availability || a.Sliver != b.Sliver ||
+				a.FetchedAt != b.FetchedAt || a.PairHash() != b.PairHash() {
+				t.Fatalf("host %d neighbor %d: %+v indexed, %+v by identifier", h, j, a, b)
+			}
+		}
+		if vi, vb := indexed[h].CoarseView(), byID[h].CoarseView(); !slices.Equal(vi, vb) {
+			t.Fatalf("host %d coarse views diverge:\n indexed    %v\n identifier %v", h, vi, vb)
+		}
+		total += len(ni)
+		if len(ni) < len(indexed[h].CoarseView()) {
+			rejected = true
+		}
+	}
+	return total, rejected
+}
+
+// TestUniverseTwoNodes is the same comparison on the smallest deployment:
+// with one peer, every tick spends the whole view on the shuffle request,
+// so the partner Tick has just removed — kept on offer for the round with
+// the memo word its slot had — is the only discovery candidate there ever
+// is. Compared every ten periods, through the epoch changes and refresh
+// rounds that evict and re-admit it.
+func TestUniverseTwoNodes(t *testing.T) {
+	for _, noisy := range []bool{false, true} {
+		wi, indexed := universeCluster(t, 2, true, noisy)
+		wb, byID := universeCluster(t, 2, false, noisy)
+		seen, changes, last := 0, 0, -1
+		for at := 10 * time.Minute; at <= 400*time.Minute; at += 10 * time.Minute {
+			wi.Run(at)
+			wb.Run(at)
+			total, _ := sameMemberships(t, indexed, byID)
+			seen += total
+			if total != last {
+				last, changes = total, changes+1
+			}
+		}
+		if seen == 0 || changes < 2 {
+			t.Fatalf("noisy=%v: degenerate pair: %d neighbors seen over the run, %d changes", noisy, seen, changes)
+		}
 	}
 }
 
@@ -166,6 +203,61 @@ func (f *sinkFabric) Unregister(ids.NodeID)                        {}
 func (f *sinkFabric) Send(_, to ids.NodeID, _ any)                 { f.to, f.sent = to, f.sent+1 }
 func (f *sinkFabric) SendCall(_, to ids.NodeID, _ any, _ func(bool)) {
 	f.to, f.sent = to, f.sent+1
+}
+
+// replyingFabric answers every shuffle request on the spot, before Send
+// returns, with an empty reply from the addressee: the fastest partner a
+// real-time transport can produce.
+type replyingFabric struct {
+	sinkFabric
+	deliver func(from ids.NodeID, msg any)
+}
+
+func (f *replyingFabric) Send(from, to ids.NodeID, msg any) {
+	f.sinkFabric.Send(from, to, msg)
+	if _, ok := msg.(shuffle.Request); ok {
+		f.deliver(to, shuffle.Reply{})
+	}
+}
+
+// TestFastReplyKeepsPartnerOnOffer: inbound shuffle traffic reaches the
+// agent without the node's lock, so a reply can land at any point of a
+// discovery round. The partner the tick removed must be judged all the
+// same — tick and verdict are one critical section of the agent, entered
+// before the request leaves. In a two-node deployment the partner is the
+// only candidate there is, so losing it shows as an empty sliver.
+func TestFastReplyKeepsPartnerOnOffer(t *testing.T) {
+	for _, withUniverse := range []bool{true, false} {
+		all := []ids.NodeID{ids.Synthetic(0), ids.Synthetic(1)}
+		fabric := &replyingFabric{}
+		env, err := runtime.NewVirtual(runtime.VirtualConfig{Self: all[0], Scheduler: sim.NewWorld(1), Fabric: fabric, Seed: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := Config{
+			Self: all[0], Predicate: acceptAll(t), Monitor: avmon.Static{all[0]: 0.5, all[1]: 0.5},
+			Seeds: all[1:], ViewSize: 8, Env: env, Seed: 1,
+		}
+		if withUniverse {
+			pairs, err := ids.NewPairIndexCache(all, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg.Universe = &Universe{Pairs: pairs, IndexOf: func(id ids.NodeID) int { return slices.Index(all, id) }}
+		}
+		n, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fabric.deliver = n.handleMessage
+		n.DiscoverNow()
+		if fabric.sent != 1 || fabric.to != all[1] {
+			t.Fatalf("universe=%v: %d requests sent, last to %v; want one to %v", withUniverse, fabric.sent, fabric.to, all[1])
+		}
+		if hs, vs := n.SliverSizes(); hs+vs != 1 {
+			t.Errorf("universe=%v: %d neighbors after a round whose reply beat the verdict, want the partner", withUniverse, hs+vs)
+		}
+	}
 }
 
 // TestConvergedDiscoveryTickAllocatesOnlyWhatItSends pins the discovery

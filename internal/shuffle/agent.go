@@ -33,8 +33,9 @@ type Reply struct {
 // runs inside each node and performs the age-based shuffle over a real
 // transport. The owner wires it up by:
 //
-//   - calling Tick once per protocol period, sending the returned
-//     request to the returned peer;
+//   - calling TickDiscover (or Tick, for an owner with no discovery) once
+//     per protocol period, sending the returned request to the returned
+//     peer;
 //   - feeding inbound requests to HandleRequest and sending the
 //     returned reply back to the requester;
 //   - feeding inbound replies to HandleReply.
@@ -43,14 +44,14 @@ type Reply struct {
 // index: every entry it holds carries idx1 > 0 exactly when the universe
 // confirms that index names the entry's ID, so the self and duplicate
 // checks of a merge compare int32s and the owner's discovery reads
-// indexes straight off the view (AppendViewCand). An agent's entries
-// arrive from a wire or an adversary, so — as Cyclon does with what a Tap
-// hands back — the memo on a received entry is checked against the
-// universe (one array load) and re-resolved from the identifier when it
-// is missing or names another host: the identifier always wins. Entries
-// outside the universe, and every entry of an agent without UseIndex,
-// stay at idx1 == 0 and are compared by identifier. Decisions and RNG
-// draws are the same either way.
+// indexes and memo words straight off the view (TickDiscover). An agent's
+// entries arrive from a wire or an adversary, so — as Cyclon does with
+// what a Tap hands back — the memo on a received entry is checked
+// against the universe (one array load) and re-resolved from the
+// identifier when it is missing or names another host: the identifier
+// always wins. Entries outside the universe, and every entry of an agent
+// without UseIndex, stay at idx1 == 0 and are compared by identifier.
+// Decisions and RNG draws are the same either way.
 //
 // Agent is safe for concurrent use.
 type Agent struct {
@@ -61,6 +62,10 @@ type Agent struct {
 	rng     *rand.Rand
 	entries []Entry
 	cap     int
+	// memo is parallel to entries: one word per slot for the owner's
+	// discovery (see view.memo), zeroed when a slot takes a new occupant
+	// and moved with its occupant.
+	memo []uint64
 
 	// Index universe (UseIndex): the host table in index order, the
 	// identifier resolver behind it, and self's index plus one.
@@ -76,6 +81,9 @@ type Agent struct {
 	idxs    []int32
 	ages    []int
 	victims victimCursor[int]
+	// judgeLocked's scratch: the candidates' codes and the strays among them.
+	codes  []int32
+	strays []ids.NodeID
 }
 
 // NewAgent creates a live shuffle agent for self.
@@ -97,6 +105,7 @@ func NewAgent(self ids.NodeID, viewSize, shuffleLen int, seed int64) (*Agent, er
 		shuffleLen: shuffleLen,
 		rng:        rand.New(rand.NewSource(seed)),
 		entries:    make([]Entry, 0, viewSize),
+		memo:       make([]uint64, 0, viewSize),
 		cap:        viewSize,
 	}, nil
 }
@@ -141,6 +150,10 @@ func (a *Agent) resolve(e *Entry) {
 func (a *Agent) Seed(peers []ids.NodeID) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
+	a.seedLocked(peers)
+}
+
+func (a *Agent) seedLocked(peers []ids.NodeID) {
 	a.beginMerge()
 	for _, p := range peers {
 		a.addLocked(Entry{ID: p})
@@ -158,47 +171,71 @@ func (a *Agent) View() []ids.NodeID {
 	return out
 }
 
-// AppendViewCand appends the view's identifiers and their dense host
-// indexes (−1 = unknown) to the parallel dst/dstIdx buffers — the
-// allocation-free feed for core.Membership.DiscoverIdx, in View's order.
-func (a *Agent) AppendViewCand(dst []ids.NodeID, dstIdx []int32) ([]ids.NodeID, []int32) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	for i := range a.entries {
-		dst = append(dst, a.entries[i].ID)
-		dstIdx = append(dstIdx, a.entries[i].idx1-1)
-	}
-	return dst, dstIdx
-}
-
-// Tick starts one shuffle round: it ages the view, picks the oldest
-// peer, and returns the request to send to it. ok is false when the
-// view is empty (nothing to shuffle with — re-Seed).
+// Tick is TickDiscover for an owner that runs no discovery.
 func (a *Agent) Tick() (peer ids.NodeID, req Request, ok bool) {
-	peer, _, req, ok = a.TickIdx()
-	return peer, req, ok
+	return a.TickDiscover(nil, nil)
 }
 
-// TickIdx is Tick that also returns the peer's dense host index
-// (−1 = unknown), for owners that keep the peer as a discovery candidate.
-func (a *Agent) TickIdx() (peer ids.NodeID, peerIdx int32, req Request, ok bool) {
+// TickDiscover starts one shuffle round and runs the owner's discovery
+// over it, under one acquisition of the agent's lock. It ages the view,
+// picks the oldest peer and returns the request to send to it; ok is
+// false when the view is empty (nothing to shuffle with), in which case
+// the view is re-seeded from reseed first. It then calls judge —
+// core.Membership.DiscoverView — on the round's candidates in place: the
+// view in View's order, then the partner. The partner's entry leaves the
+// view pending its reply, but it is still the freshest-known peer, so it
+// stays a candidate for this round (in a two-node deployment the view
+// would otherwise be empty at every tick), carrying the word its slot
+// had; no inbound message can come between the removal and the verdict.
+// codes[k] is candidate k's dense host index, or for a negative code the
+// complement of its position in strays, and memo[k] its slot's word,
+// which judge may rewrite. A nil judge is skipped.
+func (a *Agent) TickDiscover(reseed []ids.NodeID, judge func(codes []int32, memo []uint64, strays []ids.NodeID) int) (peer ids.NodeID, req Request, ok bool) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	if len(a.entries) == 0 {
-		return ids.Nil, -1, Request{}, false
+		a.seedLocked(reseed)
+		a.judgeLocked(len(a.entries), judge)
+		return ids.Nil, Request{}, false
 	}
 	for i := range a.entries {
 		a.entries[i].Age++
 	}
 	oldest := oldestIndex(a.entries)
-	peer, peerIdx = a.entries[oldest].ID, a.entries[oldest].idx1-1
+	partner, word := a.entries[oldest], a.memo[oldest]
 	// Remove the partner's entry; it is replaced by whatever comes back.
-	a.entries = append(a.entries[:oldest], a.entries[oldest+1:]...)
+	// Until this call returns it sits, word and all, in the slot the
+	// removal freed, just past the end of the view.
+	last := len(a.entries) - 1
+	copy(a.entries[oldest:], a.entries[oldest+1:])
+	copy(a.memo[oldest:], a.memo[oldest+1:])
+	a.entries[last], a.memo[last] = partner, word
+	a.entries, a.memo = a.entries[:last], a.memo[:last]
+	a.judgeLocked(last+1, judge)
 
 	// The offer is a fresh slice: it travels with the message.
 	out := a.sampleLocked(a.shuffleLen-1, 1)
 	out = append(out, Entry{ID: a.self, Age: 0, idx1: a.selfIdx1})
-	return peer, peerIdx, Request{Entries: out}, true
+	return partner.ID, Request{Entries: out}, true
+}
+
+// judgeLocked codes the first n slots (the view, and past its end the
+// partner TickDiscover holds there) and hands them to judge with their
+// words. Caller holds mu.
+func (a *Agent) judgeLocked(n int, judge func(codes []int32, memo []uint64, strays []ids.NodeID) int) int {
+	if judge == nil {
+		return 0
+	}
+	a.codes, a.strays = a.codes[:0], a.strays[:0]
+	for _, e := range a.entries[:n] {
+		code := e.idx1 - 1
+		if code < 0 {
+			code = ^int32(len(a.strays))
+			a.strays = append(a.strays, e.ID)
+		}
+		a.codes = append(a.codes, code)
+	}
+	return judge(a.codes, a.memo[:n], a.strays)
 }
 
 // HandleRequest processes an inbound shuffle request and returns the
@@ -297,12 +334,14 @@ func (a *Agent) addLocked(e Entry) {
 	}
 	if len(a.entries) < a.cap {
 		a.entries = append(a.entries, e)
+		a.memo = append(a.memo, 0)
 		a.idxs = append(a.idxs, e.idx1)
 		a.ages = append(a.ages, e.Age)
 		return
 	}
 	if oldest := a.victims.next(a.ages); a.ages[oldest] >= e.Age {
 		a.entries[oldest] = e
+		a.memo[oldest] = 0
 		a.idxs[oldest] = e.idx1
 		a.ages[oldest] = e.Age
 	}

@@ -2,6 +2,7 @@ package shuffle_test
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"avmem/internal/ids"
@@ -18,6 +19,9 @@ type agentPair struct {
 	id        ids.NodeID
 	idx, byID *shuffle.Agent
 	ref       *refAgent
+	// lastWords is each agent's memo as the last judge left it, by
+	// occupant: a Tick changes no occupant, so it must change no word.
+	lastWords [2]map[ids.NodeID]uint64
 }
 
 // refAgent is the agent as first written — rand.Perm sampling, a string
@@ -121,11 +125,16 @@ type agentDiff struct {
 	pairs    []*agentPair
 	up       []bool
 	rng      *rand.Rand // the schedule's own stream
+	// words maps every serial the test wrote into an agent's memo word to
+	// the occupant it was written for; memoRng picks the slots.
+	words   map[uint64]ids.NodeID
+	memoRng *rand.Rand
 }
 
 func newAgentDiff(t *testing.T, seed int64) *agentDiff {
 	t.Helper()
-	d := &agentDiff{t: t, index: map[ids.NodeID]int{}, rng: rand.New(rand.NewSource(seed))}
+	d := &agentDiff{t: t, index: map[ids.NodeID]int{}, rng: rand.New(rand.NewSource(seed)),
+		words: map[uint64]ids.NodeID{}, memoRng: rand.New(rand.NewSource(seed ^ 0x3e30))}
 	for i := 0; i < agentUniverse; i++ {
 		d.universe = append(d.universe, ids.Synthetic(i))
 		d.index[d.universe[i]] = i
@@ -271,15 +280,13 @@ func (d *agentDiff) checkPair(step int, p *agentPair) {
 	}
 	// The invariant the int32 compares rest on: a memo is present exactly
 	// when the universe knows the identifier, and names it.
-	cand, candIdx := p.idx.AppendViewCand(nil, nil)
-	for j, e := range si {
+	for _, e := range si {
 		want, known := d.index[e.ID]
 		if !known {
 			want = -1
 		}
-		if cand[j] != e.ID || int(candIdx[j]) != want || int(e.Idx1()) != want+1 {
-			d.t.Fatalf("step %d: %v holds %v with memo %d / candidate (%v,%d), universe says %d",
-				step, p.id, e.ID, e.Idx1(), cand[j], candIdx[j], want)
+		if int(e.Idx1()) != want+1 {
+			d.t.Fatalf("step %d: %v holds %v with memo %d, universe says %d", step, p.id, e.ID, e.Idx1(), want)
 		}
 	}
 	for _, e := range sb {
@@ -287,14 +294,91 @@ func (d *agentDiff) checkPair(step int, p *agentPair) {
 			d.t.Fatalf("step %d: identifier-only %v trusted a foreign memo on %v", step, p.id, e.ID)
 		}
 	}
+	for which, a := range []*shuffle.Agent{p.idx, p.byID} {
+		var saw []ids.NodeID
+		a.Discover(d.judge(step, p, which, false, &saw))
+		d.checkOffered(step, p, which, saw, ids.Nil)
+	}
+}
+
+// judge plays the owner's discovery on one agent of a pair (0 indexed,
+// 1 identifier-only): an indexed agent codes every identifier the
+// universe knows by its index and the rest as strays; every non-zero memo
+// word still sits beside the occupant the test wrote it for — the agent
+// zeroes a word when its slot changes hands and moves it when the
+// occupant moves, the removed partner's included — and, inside a tick,
+// is the word the last judge left there. It then writes a few fresh words
+// for later steps to carry, and reports the candidates it saw.
+func (d *agentDiff) judge(step int, p *agentPair, which int, inTick bool, saw *[]ids.NodeID) func(codes []int32, memo []uint64, strays []ids.NodeID) int {
+	return func(codes []int32, memo []uint64, strays []ids.NodeID) int {
+		d.t.Helper()
+		last := p.lastWords[which]
+		p.lastWords[which] = map[ids.NodeID]uint64{}
+		if len(memo) != len(codes) {
+			d.t.Fatalf("step %d: %v agent %d: %d codes, %d words", step, p.id, which, len(codes), len(memo))
+		}
+		for k, code := range codes {
+			id, idx := ids.Nil, -1
+			if code >= 0 {
+				id, idx = d.universe[code], int(code)
+			} else {
+				id = strays[^code]
+			}
+			if known, ok := d.index[id]; which == 0 && ok && idx != known {
+				d.t.Fatalf("step %d: %v offers %v as code %d, universe says %d", step, p.id, id, code, known)
+			}
+			if which == 1 && code >= 0 {
+				d.t.Fatalf("step %d: identifier-only %v slot %d: coded %v as %d", step, p.id, k, id, code)
+			}
+			if w := memo[k]; w != 0 && d.words[w] != id {
+				d.t.Fatalf("step %d: %v agent %d slot %d: word %d written for %v sits beside %v",
+					step, p.id, which, k, w, d.words[w], id)
+			}
+			if inTick && memo[k] != last[id] {
+				d.t.Fatalf("step %d: %v agent %d: the tick turned the word beside %v from %d into %d",
+					step, p.id, which, id, last[id], memo[k])
+			}
+			if d.memoRng.Intn(3) == 0 {
+				serial := uint64(len(d.words) + 1)
+				d.words[serial] = id
+				memo[k] = serial
+			}
+			p.lastWords[which][id] = memo[k]
+			*saw = append(*saw, id)
+		}
+		return len(codes)
+	}
+}
+
+// checkOffered pins what a judge is offered: the view in order, then the
+// partner when the judge ran inside the tick that removed it.
+func (d *agentDiff) checkOffered(step int, p *agentPair, which int, saw []ids.NodeID, partner ids.NodeID) {
+	d.t.Helper()
+	var want []ids.NodeID
+	for _, e := range []*shuffle.Agent{p.idx, p.byID}[which].Snapshot() {
+		want = append(want, e.ID)
+	}
+	if !partner.IsNil() {
+		want = append(want, partner)
+	}
+	if !slices.Equal(saw, want) {
+		d.t.Fatalf("step %d: %v agent %d was offered %v, want view + partner %v", step, p.id, which, saw, want)
+	}
 }
 
 // exchange runs one shuffle round initiated by pair i on both sides.
 func (d *agentDiff) exchange(step, i int) {
 	p := d.pairs[i]
-	peerI, idxI, reqI, okI := p.idx.TickIdx()
-	peerB, reqB, okB := p.byID.Tick()
+	d.checkPair(step, p) // records the words the tick must carry
+	// An emptied view re-seeds inside the tick, before the judge runs.
+	seeds := []ids.NodeID{d.universe[d.rng.Intn(agentHosts)], d.outside[d.rng.Intn(agentOutside)]}
+	var sawI, sawB []ids.NodeID
+	peerI, reqI, okI := p.idx.TickDiscover(seeds, d.judge(step, p, 0, true, &sawI))
+	peerB, reqB, okB := p.byID.TickDiscover(seeds, d.judge(step, p, 1, true, &sawB))
 	peerR, reqR, okR := p.ref.tick()
+	if !okR {
+		p.ref.seed(seeds)
+	}
 	if okI != okB || peerI != peerB || !sameEntries(reqI.Entries, reqB.Entries) ||
 		okI != okR || peerI != peerR || !sameEntries(reqI.Entries, reqR) {
 		d.t.Fatalf("step %d: %v ticks diverge: (%v,%v,%v) vs (%v,%v,%v) vs reference (%v,%v,%v)",
@@ -307,20 +391,13 @@ func (d *agentDiff) exchange(step, i int) {
 			d.t.Fatalf("step %d: %v offered %v with memo %d, want %d", step, p.id, e.ID, e.Idx1(), want+1)
 		}
 	}
+	// The removed partner stays on offer, its memo word with it.
+	d.checkOffered(step, p, 0, sawI, peerI)
+	d.checkOffered(step, p, 1, sawB, peerB)
 	if !okI {
-		seeds := []ids.NodeID{d.universe[d.rng.Intn(agentHosts)], d.outside[d.rng.Intn(agentOutside)]}
-		p.idx.Seed(seeds)
-		p.byID.Seed(seeds)
-		p.ref.seed(seeds)
 		return
 	}
 	want, known := d.index[peerI]
-	if !known {
-		want = -1
-	}
-	if int(idxI) != want {
-		d.t.Fatalf("step %d: %v's partner %v came with index %d, universe says %d", step, p.id, peerI, idxI, want)
-	}
 	if !known || want >= agentHosts || !d.up[want] {
 		return // outsider, stray or churned-out partner: the request is lost
 	}

@@ -210,14 +210,37 @@ func TestAgentConcurrentSafety(t *testing.T) {
 			for i := 0; i < 100; i++ {
 				switch g % 4 {
 				case 0:
-					a.Tick()
+					// The partner a tick removes must reach the round's judge
+					// whatever merges the other goroutines squeeze in: the
+					// tick and the verdict are one critical section.
+					var offered ids.NodeID
+					peer, _, ok := a.TickDiscover(nil, func(codes []int32, memo []uint64, strays []ids.NodeID) int {
+						if k := len(codes) - 1; k < 0 {
+							offered = ids.Nil
+						} else if c := codes[k]; c >= 0 {
+							offered = peers[c]
+						} else {
+							offered = strays[^c]
+						}
+						return 0
+					})
+					if ok && offered != peer {
+						t.Errorf("tick removed partner %v, the judge's last candidate was %v", peer, offered)
+					}
 				case 1:
 					a.HandleRequest("x", Request{Entries: []Entry{{ID: ids.Synthetic(i)}}})
 				case 2:
 					a.HandleReply("y", Reply{Entries: []Entry{{ID: ids.Synthetic(i + 500)}}})
 				default:
 					a.View()
-					a.AppendViewCand(nil, nil)
+					// Discovery rewrites memo words under the agent's lock
+					// while ticks and merges shift and zero them.
+					a.Discover(func(codes []int32, memo []uint64, strays []ids.NodeID) int {
+						for k := range memo {
+							memo[k] = uint64(i + 1)
+						}
+						return len(codes) + len(strays)
+					})
 				}
 			}
 		}(g)

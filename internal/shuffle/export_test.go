@@ -1,5 +1,7 @@
 package shuffle
 
+import "avmem/internal/ids"
+
 // Test-only windows into Agent and Entry for the external-package
 // differential tests (agent_index_test.go imports internal/transport,
 // which imports this package).
@@ -20,3 +22,12 @@ func (a *Agent) NextDraw() int64 {
 
 // Idx1 exposes the entry's index memo (host index plus one; 0 = none).
 func (e Entry) Idx1() int32 { return e.idx1 }
+
+// Discover runs judge over the view as it stands, outside a tick (no
+// partner on offer): how the tests read and write memo words between
+// protocol steps.
+func (a *Agent) Discover(judge func(codes []int32, memo []uint64, strays []ids.NodeID) int) int {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	return a.judgeLocked(len(a.entries), judge)
+}

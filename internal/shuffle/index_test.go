@@ -29,6 +29,14 @@ type cyclon interface {
 // choice and the packed layout a storage choice, so all three must
 // expose identical views and registered sets, and be about to draw the
 // same random number, after every step.
+//
+// The harness also plays the view owner's discovery on both packed
+// services: after every step it writes fresh serial numbers into a few
+// memo words, remembering which occupant each was written for, and checks
+// that every non-zero word still sits beside that occupant — the shuffle
+// must zero a word when its slot changes hands and move it when the
+// occupant moves, through re-seeding, wash-out, tapped and refused
+// exchanges, and UseIndex re-coding.
 type diffHarness struct {
 	t testing.TB
 	// universe is what indexOf resolves; outside holds identifiers it
@@ -42,6 +50,11 @@ type diffHarness struct {
 	all               [3]cyclon     // idx, byID, ref
 	rngs              [3]*rand.Rand // the services' own streams, in that order
 	joined            map[ids.NodeID]bool
+	// words maps every serial written into a memo word to the occupant it
+	// was written for; memoRng picks the slots (its own stream, so the
+	// writes do not consume schedule choices).
+	words   map[uint64]ids.NodeID
+	memoRng *rand.Rand
 }
 
 const (
@@ -52,7 +65,8 @@ const (
 
 func newDiffHarness(t testing.TB, seed int64, useIndexFirst bool) *diffHarness {
 	t.Helper()
-	h := &diffHarness{t: t, index: map[ids.NodeID]int{}, joined: map[ids.NodeID]bool{}}
+	h := &diffHarness{t: t, index: map[ids.NodeID]int{}, joined: map[ids.NodeID]bool{},
+		words: map[uint64]ids.NodeID{}, memoRng: rand.New(rand.NewSource(seed ^ 0x3e30))}
 	for i := 0; i < diffUniverse; i++ {
 		id := ids.Synthetic(i)
 		h.universe = append(h.universe, id)
@@ -97,7 +111,8 @@ func newDiffHarness(t testing.TB, seed int64, useIndexFirst bool) *diffHarness {
 		h.join(h.universe[i], []ids.NodeID{h.universe[(i+1)%diffJoiners], h.universe[(i+7)%diffJoiners]})
 	}
 	if !useIndexFirst {
-		use() // views and their entries predate the index: re-coded here
+		h.checkMemo(-2) // words written before the index must survive it
+		use()           // views and their entries predate the index: re-coded here
 	}
 	for _, c := range h.all {
 		c.SetTap(diffTap(seed, h))
@@ -222,6 +237,50 @@ func (h *diffHarness) check(step int) {
 			h.t.Fatalf("step %d: the %s service has drawn differently from the reference", step, names[k])
 		}
 	}
+	h.checkMemo(step)
+}
+
+// checkMemo holds both packed services to the memo-word contract, then
+// writes a few more words for the next step to carry.
+func (h *diffHarness) checkMemo(step int) {
+	h.t.Helper()
+	for which, c := range []*Cyclon{h.idx, h.byID} {
+		seen := map[uint64]bool{}
+		var views []*view
+		for _, t := range [2]*codeTable{&c.hosts, &c.strays} {
+			for _, v := range t.views {
+				if v != nil {
+					views = append(views, v)
+				}
+			}
+		}
+		for _, v := range views {
+			if len(v.memo) != len(v.codes) || len(v.ages) != len(v.codes) {
+				h.t.Fatalf("step %d: service %d, view of %s: %d codes, %d ages, %d words",
+					step, which, v.self, len(v.codes), len(v.ages), len(v.memo))
+			}
+			for k, w := range v.memo {
+				if w == 0 {
+					continue
+				}
+				if got, want := c.idOf(v.codes[k]), h.words[w]; got != want || seen[w] {
+					h.t.Fatalf("step %d: service %d, view of %s slot %d: word %d written for %s sits beside %s (seen before: %v)",
+						step, which, v.self, k, w, want, got, seen[w])
+				}
+				seen[w] = true
+			}
+		}
+		for n := 0; n < 3 && len(views) > 0; n++ {
+			v := views[h.memoRng.Intn(len(views))]
+			if len(v.codes) == 0 {
+				continue
+			}
+			k := h.memoRng.Intn(len(v.codes))
+			serial := uint64(len(h.words) + 1)
+			h.words[serial] = c.idOf(v.codes[k])
+			v.memo[k] = serial
+		}
+	}
 }
 
 // TestIndexedCyclonMatchesIdentifierCyclon is the differential test of
@@ -285,11 +344,12 @@ func TestMergeMatchesReference(t *testing.T) {
 		registered := func(id ids.NodeID) bool { return c.viewOf(id) != nil }
 		for trial := 0; trial < 4000; trial++ {
 			v := c.viewOf(h.universe[rng.Intn(diffJoiners/2)])
-			v.codes, v.ages = v.codes[:0], v.ages[:0]
+			v.codes, v.ages, v.memo = v.codes[:0], v.ages[:0], v.memo[:0]
 			for _, p := range rng.Perm(diffUniverse)[:rng.Intn(c.viewSize+1)] {
 				if h.universe[p] != v.self {
 					v.codes = append(v.codes, c.intern(h.universe[p]))
 					v.ages = append(v.ages, int32(rng.Intn(4)-1))
+					v.memo = append(v.memo, 0)
 				}
 			}
 			received := make([]Entry, rng.Intn(9))
@@ -465,5 +525,70 @@ func TestTickIdxDoesNotAllocate(t *testing.T) {
 				t.Errorf("TickIdx allocates %.2f objects per call in steady state, want 0", avg)
 			}
 		})
+	}
+}
+
+// TestJoinAllocatesNoMemoPerView: a new node's Join costs what it did
+// before views carried memo words — the view and its code/age buffer —
+// because the words are cut from a slab shared by memoChunk views. One
+// make per view would show here as a third object (and as setup time and
+// ten thousand more heap objects on the 10 000-host workload).
+func TestJoinAllocatesNoMemoPerView(t *testing.T) {
+	const n = 3000
+	c, err := NewCyclon(17, 4, nil, rand.New(rand.NewSource(3)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	nodes := make([]ids.NodeID, n)
+	index := make(map[ids.NodeID]int, n)
+	for i := range nodes {
+		nodes[i] = ids.Synthetic(i)
+		index[nodes[i]] = i
+	}
+	c.UseIndex(func(id ids.NodeID) int { return index[id] }, func(int) bool { return true })
+	c.Join(nodes[n-1], nodes[:3]) // sizes the host table once
+	i := 0
+	avg := testing.AllocsPerRun(n-memoChunk, func() {
+		c.Join(nodes[i], []ids.NodeID{nodes[(i+1)%n], nodes[(i+2)%n], nodes[(i+3)%n]})
+		i++
+	})
+	if avg > 2 {
+		t.Errorf("Join of a new node allocates %.0f objects, want 2 (view + code/age buffer)", avg)
+	}
+	for _, id := range nodes[:i] {
+		if c.ViewLen(id) == 0 {
+			t.Fatalf("%s joined with an empty view", id)
+		}
+	}
+}
+
+// TestReceivedDropsAreCounted: an entry a Tap hands back under an
+// identifier Cyclon was never told about is refused — it names no view
+// and must not grow the stray table — and every such refusal is counted
+// (shuffle_received_dropped_total), not dropped in silence.
+func TestReceivedDropsAreCounted(t *testing.T) {
+	c, err := NewCyclon(4, 2, nil, rand.New(rand.NewSource(1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	nodes := []ids.NodeID{"a", "b", "c", "d"}
+	for i, id := range nodes {
+		c.Join(id, []ids.NodeID{nodes[(i+1)%4], nodes[(i+2)%4]})
+	}
+	offers := 0
+	c.SetTap(&Tap{Outbound: func(owner ids.NodeID, reply bool, entries []Entry) ([]Entry, float64, bool) {
+		offers++
+		return append(append([]Entry(nil), entries...), Entry{ID: "ghost"}, Entry{ID: ids.Nil}), 0, false
+	}})
+	for round := 0; round < 10; round++ {
+		for _, id := range nodes {
+			c.Tick(id)
+		}
+	}
+	if offers == 0 || c.ReceivedDropped() != offers {
+		t.Fatalf("%d tapped offers each carried one unknown identifier, %d drops counted", offers, c.ReceivedDropped())
+	}
+	if _, known := c.strayOf["ghost"]; known {
+		t.Fatal("an invented identifier was interned")
 	}
 }

@@ -46,20 +46,27 @@ type Entry struct {
 
 // view is one node's bounded coarse view, packed: entry k is the node
 // coded codes[k] at age ages[k]. Both slices are cut from one backing
-// array of capacity 2·viewSize — 8 bytes per entry — so ageing, the
-// partner scan, sampling and the eviction search walk dense int32s.
-// Create views through Cyclon.
+// array of capacity 2·viewSize, so ageing, the partner scan, sampling and
+// the eviction search walk dense int32s. memo[k] is the slot's memo word
+// — 16 bytes per entry in all: the shuffle never reads it, it belongs to
+// the view owner's discovery (core.Membership.DiscoverView) and holds
+// what that learned about the slot's current occupant. Cyclon's part is
+// to keep each word beside the occupant it was written for: zeroed when
+// the occupant changes, moved when the occupant moves. Create views
+// through Cyclon.
 type view struct {
 	self  ids.NodeID
 	code  int32 // self, in the Cyclon's code space
 	codes []int32
 	ages  []int32
+	memo  []uint64
 }
 
 // remove deletes entry k, keeping the order of the rest.
 func (v *view) remove(k int) {
 	v.codes = append(v.codes[:k], v.codes[k+1:]...)
 	v.ages = append(v.ages[:k], v.ages[k+1:]...)
+	v.memo = append(v.memo[:k], v.memo[k+1:]...)
 }
 
 // offer is a batch of entries in packed form: the subset one side of an
@@ -97,6 +104,9 @@ func (t *codeTable) grow(n int) {
 		t.stamp = append(t.stamp, make([]uint32, d)...)
 	}
 }
+
+// memoChunk is how many views' memo words one slab allocation holds.
+const memoChunk = 512
 
 // maxAge bounds the ages Cyclon stores: an Entry.Age beyond ±maxAge
 // saturates there on its way in from a Tap, which leaves 2^30 protocol
@@ -147,6 +157,12 @@ type Cyclon struct {
 	outX, outQ  offer
 	recv        offer
 	tapBuf      []Entry
+	// memoSlab is the unused tail of the current memo chunk: newView cuts
+	// each view's words from it, so a deployment's memo costs one
+	// allocation per memoChunk views rather than one per view.
+	memoSlab []uint64
+	// dropped counts the entries received refused for naming no code.
+	dropped int
 	// tap, when set, intercepts every exchange (adversary injection and
 	// audit observation); nil is the zero-cost honest path.
 	tap *Tap
@@ -307,12 +323,17 @@ func (c *Cyclon) Join(x ids.NodeID, seeds []ids.NodeID) {
 // newView registers an empty view for the node x coded code.
 func (c *Cyclon) newView(x ids.NodeID, code int32) *view {
 	buf := make([]int32, 2*c.viewSize)
+	if len(c.memoSlab) < c.viewSize {
+		c.memoSlab = make([]uint64, memoChunk*c.viewSize)
+	}
 	v := &view{
 		self:  x,
 		code:  code,
 		codes: buf[:0:c.viewSize],
 		ages:  buf[c.viewSize:c.viewSize],
+		memo:  c.memoSlab[:0:c.viewSize],
 	}
+	c.memoSlab = c.memoSlab[c.viewSize:]
 	t, k := c.table(code)
 	t.views[k] = v
 	return v
@@ -337,7 +358,8 @@ func (c *Cyclon) Leave(x ids.NodeID) {
 // interned before the call — every registered view and every entry in
 // one — is re-coded under the new index here, once, so the *Idx entry
 // points work regardless of Join/UseIndex order and no stale code
-// survives the switch.
+// survives the switch. Memo words stay where they are: the occupants do
+// not change, only their names.
 func (c *Cyclon) UseIndex(indexOf func(ids.NodeID) int, onlineAt func(i int) bool) {
 	if indexOf == nil || onlineAt == nil {
 		return
@@ -377,15 +399,11 @@ func (c *Cyclon) View(x ids.NodeID) []ids.NodeID {
 	if v == nil {
 		return nil
 	}
-	return c.appendIDs(make([]ids.NodeID, 0, len(v.codes)), v)
-}
-
-// appendIDs appends the identifiers of v's entries to dst.
-func (c *Cyclon) appendIDs(dst []ids.NodeID, v *view) []ids.NodeID {
-	for _, code := range v.codes {
-		dst = append(dst, c.idOf(code))
+	out := make([]ids.NodeID, len(v.codes))
+	for k, code := range v.codes {
+		out[k] = c.idOf(code)
 	}
-	return dst
+	return out
 }
 
 // ViewLen returns the current number of entries in x's coarse view
@@ -398,17 +416,6 @@ func (c *Cyclon) ViewLen(x ids.NodeID) int {
 	return len(v.codes)
 }
 
-// AppendView appends x's current coarse-view identifiers to dst and
-// returns it — the allocation-free variant of View for callers that
-// reuse a scratch buffer across nodes. The result aliases dst.
-func (c *Cyclon) AppendView(dst []ids.NodeID, x ids.NodeID) []ids.NodeID {
-	v := c.viewOf(x)
-	if v == nil {
-		return dst
-	}
-	return c.appendIDs(dst, v)
-}
-
 // ViewLenIdx is ViewLen keyed by liveness index — no map lookup.
 func (c *Cyclon) ViewLenIdx(i int) int {
 	v := c.viewByIdx(i)
@@ -418,30 +425,27 @@ func (c *Cyclon) ViewLenIdx(i int) int {
 	return len(v.codes)
 }
 
-// AppendViewIdx is AppendView keyed by liveness index — no map lookup.
-func (c *Cyclon) AppendViewIdx(dst []ids.NodeID, i int) []ids.NodeID {
+// ViewSlots hands out node i's view in place for one discovery pass
+// (core.Membership.DiscoverView): codes[k] is slot k's occupant — its
+// host index, or for a negative code the complement of its position in
+// StrayIDs — and memo[k] the word the owner may write about it. Both
+// alias the view and are valid until the next call that changes it
+// (TickIdx, Join, an exchange initiated by another node).
+func (c *Cyclon) ViewSlots(i int) (codes []int32, memo []uint64) {
 	v := c.viewByIdx(i)
 	if v == nil {
-		return dst
+		return nil, nil
 	}
-	return c.appendIDs(dst, v)
+	return v.codes, v.memo
 }
 
-// AppendViewCand appends node i's view entries with their liveness
-// indexes (−1 = outside the index) to the parallel dst/dstIdx buffers —
-// the zero-lookup feed for core.Membership.DiscoverIdx: a code is the
-// index, so the appends are pure copies.
-func (c *Cyclon) AppendViewCand(dst []ids.NodeID, dstIdx []int32, i int) ([]ids.NodeID, []int32) {
-	v := c.viewByIdx(i)
-	if v == nil {
-		return dst, dstIdx
-	}
-	for _, code := range v.codes {
-		dst = append(dst, c.idOf(code))
-		dstIdx = append(dstIdx, max(code, -1))
-	}
-	return dst, dstIdx
-}
+// StrayIDs returns the identifiers behind negative codes: code names
+// StrayIDs()[^code]. The slice is replaced when a new stray is interned.
+func (c *Cyclon) StrayIDs() []ids.NodeID { return c.strays.ids }
+
+// ReceivedDropped returns how many entries coming back from a Tap were
+// dropped because their identifier names no node Cyclon knows.
+func (c *Cyclon) ReceivedDropped() int { return c.dropped }
 
 // TickIdx is Tick keyed by liveness index — no map lookup for the
 // initiator's own view.
@@ -593,6 +597,7 @@ func (c *Cyclon) received(entries []Entry) *offer {
 		if code < 0 || int(code) >= len(c.hosts.ids) || c.hosts.ids[code] != e.ID {
 			var ok bool
 			if code, ok = c.find(e.ID); !ok {
+				c.dropped++
 				continue
 			}
 		}
@@ -647,7 +652,8 @@ func (c *Cyclon) sample(dst *offer, v *view, n int) {
 // that check, two nodes could ping-pong a departed entry between their
 // views forever. A full view takes an entry in place of its oldest one
 // (the first among equals, found by a victimCursor): always when
-// seeding, otherwise only if the newcomer is no older.
+// seeding, otherwise only if the newcomer is no older. A slot that takes
+// a new occupant starts with a zero memo word.
 func (c *Cyclon) merge(v *view, received *offer, seeding bool) {
 	c.gen++
 	if c.gen == 0 {
@@ -672,6 +678,7 @@ func (c *Cyclon) merge(v *view, received *offer, seeding bool) {
 		if len(v.codes) < c.viewSize {
 			v.codes = append(v.codes, code)
 			v.ages = append(v.ages, age)
+			v.memo = append(v.memo, 0)
 		} else {
 			oldest := victims.next(v.ages)
 			if !seeding && v.ages[oldest] < age {
@@ -681,6 +688,7 @@ func (c *Cyclon) merge(v *view, received *offer, seeding bool) {
 			ot.stamp[ok] = 0 // gen is never 0
 			v.codes[oldest] = code
 			v.ages[oldest] = age
+			v.memo[oldest] = 0
 		}
 		t.stamp[k] = c.gen
 	}

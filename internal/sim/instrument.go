@@ -26,6 +26,7 @@ type simObs struct {
 	events *obs.Counter // sim_events_total
 	vtime  *obs.Gauge   // sim_virtual_time_seconds
 	batch  int          // local event count since last flush
+	hook   func()       // the owner's own flush (OnFlush), nil when unset
 }
 
 // Instrument registers the engine's metrics in reg and starts
@@ -38,6 +39,17 @@ func (w *World) Instrument(reg *obs.Registry) {
 	w.obs = &simObs{
 		events: reg.Counter("sim_events_total"),
 		vtime:  reg.Gauge("sim_virtual_time_seconds"),
+	}
+}
+
+// OnFlush registers fn to run whenever the engine publishes its own
+// counters — at batch boundaries and on run-loop exit, on the goroutine
+// running the loop — so a deployment can publish plain counters it keeps
+// next to its state on the same schedule. No-op on an uninstrumented
+// world.
+func (w *World) OnFlush(fn func()) {
+	if w.obs != nil {
+		w.obs.hook = fn
 	}
 }
 
@@ -57,4 +69,7 @@ func (o *simObs) flush(now time.Duration) {
 		o.batch = 0
 	}
 	o.vtime.Set(now.Seconds())
+	if o.hook != nil {
+		o.hook()
+	}
 }
