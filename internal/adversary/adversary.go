@@ -32,7 +32,6 @@ import (
 	"avmem/internal/ops"
 	"avmem/internal/runtime"
 	"avmem/internal/shuffle"
-	"avmem/internal/transport"
 )
 
 // Decision is a behavior's verdict on one outbound message.
@@ -541,8 +540,8 @@ func Wrap(env runtime.Env, b Behavior) runtime.Env {
 }
 
 // Send implements runtime.Env.
-func (w *wrapped) Send(to ids.NodeID, msg any) {
-	d := w.b.Outbound(to, msg)
+func (w *wrapped) Send(to ids.Addr, msg any) {
+	d := w.b.Outbound(to.ID(), msg)
 	if d.Drop {
 		return
 	}
@@ -554,8 +553,8 @@ func (w *wrapped) Send(to ids.NodeID, msg any) {
 }
 
 // SendCall implements runtime.Env.
-func (w *wrapped) SendCall(to ids.NodeID, msg any, onResult func(ok bool)) {
-	d := w.b.Outbound(to, msg)
+func (w *wrapped) SendCall(to ids.Addr, msg any, onResult func(ok bool)) {
+	d := w.b.Outbound(to.ID(), msg)
 	if d.Drop {
 		if onResult != nil {
 			// The verdict arrives asynchronously, like a real ack/nack.
@@ -575,15 +574,15 @@ func (w *wrapped) SendCall(to ids.NodeID, msg any, onResult func(ok bool)) {
 // inject their own traffic in reaction to what was delivered. The
 // fabrications go out through the underlying Env directly — they are
 // already adversarial and bypass the Outbound rewrite chain.
-func (w *wrapped) Register(h transport.Handler) error {
+func (w *wrapped) Register(h runtime.Handler) error {
 	reactor, _ := w.b.(Reactor)
-	return w.Env.Register(func(from ids.NodeID, msg any) {
+	return w.Env.Register(func(from ids.Addr, msg any) {
 		if reactor != nil {
-			for _, f := range reactor.React(from, msg) {
-				w.Env.Send(f.To, f.Msg)
+			for _, f := range reactor.React(from.ID(), msg) {
+				w.Env.Send(f.To.Addr(), f.Msg)
 			}
 		}
-		if !w.b.Inbound(from, msg) {
+		if !w.b.Inbound(from.ID(), msg) {
 			return
 		}
 		h(from, msg)

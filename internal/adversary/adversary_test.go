@@ -142,7 +142,7 @@ func TestWrapInterceptsEnv(t *testing.T) {
 	w := sim.NewWorld(1)
 	net := transport.NewMemnet(transport.MemnetConfig{After: w.After, Seed: 2})
 	env, err := runtime.NewVirtual(runtime.VirtualConfig{
-		Self: "adv", Scheduler: w, Fabric: net, Seed: 3,
+		Self: ids.NodeID("adv").Addr(), Scheduler: w, Fabric: runtime.TransportFabric(net), Seed: 3,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -152,27 +152,28 @@ func TestWrapInterceptsEnv(t *testing.T) {
 		NewSelectiveForward("adv", 1.0, 4), Inflate{To: 0.9}))
 
 	// A peer records what actually crosses the fabric.
+	peer := ids.NodeID("peer").Addr()
 	var got []any
 	peerEnv, err := runtime.NewVirtual(runtime.VirtualConfig{
-		Self: "peer", Scheduler: w, Fabric: net, Seed: 5,
+		Self: peer, Scheduler: w, Fabric: runtime.TransportFabric(net), Seed: 5,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := peerEnv.Register(func(from ids.NodeID, msg any) { got = append(got, msg) }); err != nil {
+	if err := peerEnv.Register(func(from ids.Addr, msg any) { got = append(got, msg) }); err != nil {
 		t.Fatal(err)
 	}
-	if err := wrapped.Register(func(from ids.NodeID, msg any) {}); err != nil {
+	if err := wrapped.Register(func(from ids.Addr, msg any) {}); err != nil {
 		t.Fatal(err)
 	}
 
 	// A relayed operation is black-holed with a fake ack.
 	acked := false
-	wrapped.SendCall("peer", ops.AnycastMsg{ID: ops.MsgID{Origin: "other", Seq: 1}}, func(ok bool) {
+	wrapped.SendCall(peer, ops.AnycastMsg{ID: ops.MsgID{Origin: "other", Seq: 1}}, func(ok bool) {
 		acked = ok
 	})
 	// An own operation crosses, with its claim inflated.
-	wrapped.Send("peer", ops.AnycastMsg{ID: ops.MsgID{Origin: "adv", Seq: 1}, SenderAvail: 0.2})
+	wrapped.Send(peer, ops.AnycastMsg{ID: ops.MsgID{Origin: "adv", Seq: 1}, SenderAvail: 0.2})
 	w.Run(time.Second)
 
 	if !acked {

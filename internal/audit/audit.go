@@ -180,8 +180,24 @@ type Config struct {
 	SelfInfo func() core.NodeInfo
 	// Clock supplies the current virtual or wall time.
 	Clock func() time.Duration
-	// Hashes optionally shares the deployment's pair-hash cache.
+	// Hashes optionally shares the deployment's pair-hash cache (the
+	// identifier path of the predicate recheck).
 	Hashes *ids.HashCache
+	// PairIdx, when non-nil, names the deployment's dense host-index
+	// universe (SelfIdx is this node's index in it): a sender whose address
+	// memo verifies against it — or whose identifier IndexOf resolves — is
+	// audited by host index, with the recheck hash taken from the cache
+	// and the monitor asked through MonitorIdx. Decisions are identical
+	// either way.
+	PairIdx *ids.PairIndexCache
+	SelfIdx int32
+	// IndexOf optionally resolves an identifier to its index in PairIdx
+	// (negative = not in the universe), for senders that arrive without a
+	// usable memo.
+	IndexOf func(ids.NodeID) int
+	// MonitorIdx optionally answers availability queries by host index
+	// (the same service as Monitor, minus the identifier lookup).
+	MonitorIdx avmon.IndexedService
 	// Trail optionally shares the deployment-wide eviction registry.
 	Trail *Trail
 	// Obs optionally shares the deployment-wide audit instruments
@@ -205,6 +221,9 @@ func (c Config) validate() error {
 	if c.Clock == nil {
 		return fmt.Errorf("audit: Config.Clock is required")
 	}
+	if c.PairIdx != nil && (c.SelfIdx < 0 || int(c.SelfIdx) >= c.PairIdx.Hosts() || c.PairIdx.ID(c.SelfIdx) != c.Self) {
+		return fmt.Errorf("audit: SelfIdx %d does not name %q in the host universe", c.SelfIdx, c.Self)
+	}
 	return c.Params.validate()
 }
 
@@ -214,19 +233,40 @@ type suspect struct {
 	evicted bool
 }
 
+// peer is a sender as the auditor knows it for the length of one call:
+// the identifier, the dense peer number its one suspicion record lives
+// under, and its verified host index (-1 when it has none).
+type peer struct {
+	id  ids.NodeID
+	num uint32
+	idx int32
+}
+
+// internedBit marks the peer numbers the auditor hands out itself, apart
+// from the host indexes of the universe.
+const internedBit = 1 << 31
+
 // Auditor is one node's receiving-side audit state: per-peer suspicion
 // scores and the local blacklist. It implements ops.Auditor, so the
 // operation router consults it on every inbound message, and its
 // Blocked method doubles as the membership layer's blocklist. Auditor
 // is not safe for concurrent use; the owning node serializes calls
 // (exactly like core.Membership).
+//
+// All per-peer state is one table keyed by a dense peer number: the
+// peer's host index when it is in the configured universe, a number the
+// auditor interns for its identifier otherwise. Every entry point —
+// inbound messages, tapped shuffle exchanges, aggregation-partial
+// reports, Blocked, Suspicion — reaches the table through resolve, so a
+// peer has exactly one record whichever path reported it and however its
+// address arrived (memo, no memo, wrong memo).
 type Auditor struct {
-	cfg Config
-	// peers holds value entries (not pointers): suspicion state is two
-	// words, so boxing every suspect behind its own allocation bought
-	// nothing but allocator traffic on the audit hot path.
-	peers map[ids.NodeID]suspect
-	// evicted counts local evictions (cheap accessor for probes).
+	cfg   Config
+	peers peerTable
+	// interned numbers the peers outside the universe (all of them when
+	// there is none); nil until the first such peer.
+	interned map[ids.NodeID]uint32
+	// evictions counts local evictions (cheap accessor for probes).
 	evictions int
 }
 
@@ -241,25 +281,69 @@ func New(cfg Config) (*Auditor, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	return &Auditor{cfg: cfg, peers: make(map[ids.NodeID]suspect, 64)}, nil
+	return &Auditor{cfg: cfg}, nil
 }
 
-// Blocked implements ops.Auditor: whether id has been audited out. The
-// router and the membership layer ask once per inbound message and per
-// neighbor, so an auditor that has evicted nobody answers without
-// touching the map.
-func (a *Auditor) Blocked(id ids.NodeID) bool {
+// resolve maps an address to the peer it names. The memo is checked
+// against the auditor's own universe — hosts[i] must be the identifier,
+// whatever a fabric vouched for — and the identifier always wins: a
+// missing or wrong memo falls back to IndexOf, and a peer outside the
+// universe to its interned number. With intern unset an unknown outsider
+// is not numbered and ok is false: nothing can be on record for it.
+func (a *Auditor) resolve(addr ids.Addr, intern bool) (p peer, ok bool) {
+	id := addr.ID()
+	if u := a.cfg.PairIdx; u != nil {
+		if i := addr.Index(); i >= 0 && int(i) < u.Hosts() && u.ID(i) == id {
+			return peer{id: id, num: uint32(i), idx: i}, true
+		}
+		if a.cfg.IndexOf != nil {
+			if i := a.cfg.IndexOf(id); i >= 0 && i < u.Hosts() {
+				return peer{id: id, num: uint32(i), idx: int32(i)}, true
+			}
+		}
+	}
+	k, known := a.interned[id]
+	if !known {
+		if !intern {
+			return peer{}, false
+		}
+		if a.interned == nil {
+			a.interned = make(map[ids.NodeID]uint32, 16)
+		}
+		k = uint32(len(a.interned))
+		a.interned[id] = k
+		a.cfg.Obs.internedPeer()
+	}
+	return peer{id: id, num: internedBit | k, idx: -1}, true
+}
+
+// Blocked implements ops.Auditor: whether the peer has been audited out.
+// The router and the membership layer ask once per inbound message and
+// per neighbor, so an auditor that has evicted nobody answers without
+// resolving anything.
+func (a *Auditor) Blocked(addr ids.Addr) bool {
 	if a.evictions == 0 {
 		return false
 	}
-	s, ok := a.peers[id]
-	return ok && s.evicted
+	p, ok := a.resolve(addr, false)
+	return ok && a.blocked(p)
+}
+
+// blocked is Blocked for a resolved peer.
+func (a *Auditor) blocked(p peer) bool {
+	if a.evictions == 0 {
+		return false
+	}
+	s := a.peers.get(p.num)
+	return s != nil && s.evicted
 }
 
 // Suspicion returns the current suspicion score of id.
 func (a *Auditor) Suspicion(id ids.NodeID) float64 {
-	if s, ok := a.peers[id]; ok {
-		return s.score
+	if p, ok := a.resolve(id.Addr(), false); ok {
+		if s := a.peers.get(p.num); s != nil {
+			return s.score
+		}
 	}
 	return 0
 }
@@ -272,11 +356,12 @@ func (a *Auditor) Evictions() int { return a.evictions }
 // sender blacklisted, drop). It understands operation messages
 // (availability claim + in-neighbor predicate recheck) and shuffle
 // exchanges (availability claim; self-advertising reply check).
-func (a *Auditor) ObserveInbound(from ids.NodeID, msg any) bool {
-	if from.IsNil() || from == a.cfg.Self {
+func (a *Auditor) ObserveInbound(sender ids.Addr, msg any) bool {
+	if sender.IsNil() || sender.ID() == a.cfg.Self {
 		return true
 	}
-	if a.Blocked(from) {
+	from, _ := a.resolve(sender, true)
+	if a.blocked(from) {
 		return false
 	}
 	switch m := msg.(type) {
@@ -311,7 +396,16 @@ func (a *Auditor) ObserveInbound(from ids.NodeID, msg any) bool {
 	case shuffle.Reply:
 		a.observeShuffle(from, m.SenderAvail, m.Entries, true)
 	}
-	return !a.Blocked(from)
+	return !a.blocked(from)
+}
+
+// availability asks the monitor about a peer — by host index when it has
+// one and the monitor answers by index, by identifier otherwise.
+func (a *Auditor) availability(p peer) (float64, bool) {
+	if p.idx >= 0 && a.cfg.MonitorIdx != nil {
+		return a.cfg.MonitorIdx.AvailabilityIdx(int(p.idx))
+	}
+	return a.cfg.Monitor.Availability(p.id)
 }
 
 // observeOp audits one operation message: the AVMON claim cross-check
@@ -319,8 +413,8 @@ func (a *Auditor) ObserveInbound(from ids.NodeID, msg any) bool {
 // the monitor cannot answer for yields no evidence either way — a
 // young or degraded monitor (e.g. the distributed estimator before its
 // pings accumulate) must not turn honest peers into suspects.
-func (a *Auditor) observeOp(from ids.NodeID, claim float64) {
-	est, known := a.cfg.Monitor.Availability(from)
+func (a *Auditor) observeOp(from peer, claim float64) {
+	est, known := a.availability(from)
 	if !known {
 		return
 	}
@@ -338,8 +432,8 @@ func (a *Auditor) observeOp(from ids.NodeID, claim float64) {
 // observeClaim audits only the availability claim of one message —
 // the hard AVMON cross-check, with no predicate recheck (see the
 // range-cast/aggregation cases in ObserveInbound for why).
-func (a *Auditor) observeClaim(from ids.NodeID, claim float64) {
-	est, known := a.cfg.Monitor.Availability(from)
+func (a *Auditor) observeClaim(from peer, claim float64) {
+	est, known := a.availability(from)
 	if !known {
 		return
 	}
@@ -354,16 +448,16 @@ func (a *Auditor) observeClaim(from ids.NodeID, claim float64) {
 // self-advertising violation (hard proof needing no monitor — an
 // honest responder's sample never contains itself), then the claim
 // cross-check when the monitor can answer.
-func (a *Auditor) observeShuffle(from ids.NodeID, claim float64, entries []shuffle.Entry, reply bool) {
+func (a *Auditor) observeShuffle(from peer, claim float64, entries []shuffle.Entry, reply bool) {
 	if reply {
 		for i := range entries {
-			if entries[i].ID == from {
+			if entries[i].ID == from.id {
 				a.hit(from, a.cfg.Params.HardWeight, "self-advertising-reply")
 				return
 			}
 		}
 	}
-	est, known := a.cfg.Monitor.Availability(from)
+	est, known := a.availability(from)
 	if !known {
 		return
 	}
@@ -382,8 +476,12 @@ func (a *Auditor) observeShuffle(from ids.NodeID, claim float64, entries []shuff
 // flag an honest relay once — so it lands as decaying soft evidence:
 // persistent manglers accumulate toward eviction, one-off noise decays
 // away through clean observations.
-func (a *Auditor) SuspectAggPartial(from ids.NodeID, reason string) {
-	if from.IsNil() || from == a.cfg.Self || a.Blocked(from) {
+func (a *Auditor) SuspectAggPartial(sender ids.Addr, reason string) {
+	if sender.IsNil() || sender.ID() == a.cfg.Self {
+		return
+	}
+	from, _ := a.resolve(sender, true)
+	if a.blocked(from) {
 		return
 	}
 	a.hit(from, a.cfg.Params.SoftWeight, reason)
@@ -404,35 +502,40 @@ func (a *Auditor) claimLie(claim, est float64) bool {
 }
 
 // recheck evaluates the consistent in-neighbor predicate M(from, self)
-// from the receiver's own information, cushioned like §4.1.
-func (a *Auditor) recheck(from ids.NodeID, est float64) bool {
+// from the receiver's own information, cushioned like §4.1. The pair
+// hash comes from the universe's index-keyed cache when the sender has a
+// host index — the same value the identifier-keyed cache holds.
+func (a *Auditor) recheck(from peer, est float64) bool {
+	self := a.cfg.SelfInfo()
+	if from.idx >= 0 {
+		match, _ := a.cfg.Predicate.Eval(a.cfg.PairIdx.Pair(from.idx, a.cfg.SelfIdx),
+			est, self.Availability, a.cfg.Params.RecheckCushion)
+		return match
+	}
 	match, _ := a.cfg.Predicate.EvalNodes(
-		core.NodeInfo{ID: from, Availability: est},
-		a.cfg.SelfInfo(),
+		core.NodeInfo{ID: from.id, Availability: est}, self,
 		a.cfg.Params.RecheckCushion, a.cfg.Hashes)
 	return match
 }
 
 // hit raises a peer's suspicion and evicts it at the threshold.
-func (a *Auditor) hit(from ids.NodeID, weight float64, reason string) {
-	s := a.peers[from]
+func (a *Auditor) hit(from peer, weight float64, reason string) {
+	s := a.peers.put(from.num)
 	if s.evicted {
 		return
 	}
 	a.cfg.Obs.suspicion(reason)
 	s.score += weight
-	a.peers[from] = s
 	if s.score < a.cfg.Params.EvictThreshold {
 		return
 	}
 	s.evicted = true
-	a.peers[from] = s
 	a.evictions++
 	a.cfg.Obs.eviction()
 	if a.cfg.Trail != nil {
 		a.cfg.Trail.record(Eviction{
 			Observer: a.cfg.Self,
-			Suspect:  from,
+			Suspect:  from.id,
 			At:       a.cfg.Clock(),
 			Reason:   reason,
 		})
@@ -442,9 +545,9 @@ func (a *Auditor) hit(from ids.NodeID, weight float64, reason string) {
 // clean decays a peer's suspicion after a well-formed message — the
 // downward half of the hysteresis that absorbs occasional noise-driven
 // misses without letting persistent misbehavior hide.
-func (a *Auditor) clean(from ids.NodeID) {
-	s, ok := a.peers[from]
-	if !ok || s.evicted || s.score == 0 {
+func (a *Auditor) clean(from peer) {
+	s := a.peers.get(from.num)
+	if s == nil || s.evicted || s.score == 0 {
 		return
 	}
 	a.cfg.Obs.clean()
@@ -452,5 +555,60 @@ func (a *Auditor) clean(from ids.NodeID) {
 	if s.score < 0 {
 		s.score = 0
 	}
-	a.peers[from] = s
+}
+
+// peerTable is the suspicion table: peer number → record, a small
+// open-addressing table (linear probing, doubled to stay under half
+// load). Records are only ever added — an honest node's auditor keeps a
+// handful, an empty table answers without hashing — and a record pointer
+// is valid until the next put.
+type peerTable struct {
+	// keys holds peer number + 1; 0 is an empty slot. The length is zero
+	// or a power of two.
+	keys []uint32
+	recs []suspect
+	n    int
+}
+
+const peerTableMinSlots = 16
+
+// get returns the record of peer num, or nil.
+func (t *peerTable) get(num uint32) *suspect {
+	if t.n == 0 {
+		return nil
+	}
+	key, mask := num+1, uint32(len(t.keys))-1
+	for i := (num * 2654435761) & mask; ; i = (i + 1) & mask {
+		switch t.keys[i] {
+		case key:
+			return &t.recs[i]
+		case 0:
+			return nil
+		}
+	}
+}
+
+// put returns the record of peer num, adding a zero one if there is none.
+func (t *peerTable) put(num uint32) *suspect {
+	if s := t.get(num); s != nil {
+		return s
+	}
+	if (t.n+1)*2 > len(t.keys) {
+		keys, recs := t.keys, t.recs
+		size := max(2*len(keys), peerTableMinSlots)
+		t.keys, t.recs, t.n = make([]uint32, size), make([]suspect, size), 0
+		for i, k := range keys {
+			if k != 0 {
+				*t.put(k - 1) = recs[i]
+			}
+		}
+	}
+	key, mask := num+1, uint32(len(t.keys))-1
+	i := (num * 2654435761) & mask
+	for t.keys[i] != 0 {
+		i = (i + 1) & mask
+	}
+	t.keys[i] = key
+	t.n++
+	return &t.recs[i]
 }

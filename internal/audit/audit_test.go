@@ -21,6 +21,9 @@ type fixture struct {
 	trail   *Trail
 }
 
+// addr is id as it arrives off a transport: no memo.
+func addr(id ids.NodeID) ids.Addr { return id.Addr() }
+
 func newFixture(t *testing.T, params Params) *fixture {
 	t.Helper()
 	f := &fixture{
@@ -56,7 +59,7 @@ func newFixture(t *testing.T, params Params) *fixture {
 func TestClaimInflationEvictsAtOnce(t *testing.T) {
 	f := newFixture(t, Params{})
 	// An honest claim equals the monitor estimate: no suspicion.
-	if !f.auditor.ObserveInbound("peer", ops.AnycastMsg{SenderAvail: 0.5}) {
+	if !f.auditor.ObserveInbound(addr("peer"), ops.AnycastMsg{SenderAvail: 0.5}) {
 		t.Fatal("honest message dropped")
 	}
 	if s := f.auditor.Suspicion("peer"); s != 0 {
@@ -64,23 +67,23 @@ func TestClaimInflationEvictsAtOnce(t *testing.T) {
 	}
 	// Inflating beyond the tolerance is provable lying: one message
 	// evicts.
-	f.auditor.ObserveInbound("peer", ops.AnycastMsg{SenderAvail: 0.97})
-	if !f.auditor.Blocked("peer") {
+	f.auditor.ObserveInbound(addr("peer"), ops.AnycastMsg{SenderAvail: 0.97})
+	if !f.auditor.Blocked(addr("peer")) {
 		t.Fatal("inflated claim did not evict")
 	}
 	if at, ok := f.trail.FirstEviction("peer"); !ok || at != f.now {
 		t.Fatalf("trail missing eviction: %v %v", at, ok)
 	}
 	// Blocked senders stay dropped.
-	if f.auditor.ObserveInbound("peer", ops.AnycastMsg{SenderAvail: 0.5}) {
+	if f.auditor.ObserveInbound(addr("peer"), ops.AnycastMsg{SenderAvail: 0.5}) {
 		t.Fatal("blocked sender accepted")
 	}
 }
 
 func TestUnderstatementIsNotEvidence(t *testing.T) {
 	f := newFixture(t, Params{})
-	f.auditor.ObserveInbound("other", ops.AnycastMsg{SenderAvail: 0.1})
-	if f.auditor.Blocked("other") || f.auditor.Suspicion("other") != 0 {
+	f.auditor.ObserveInbound(addr("other"), ops.AnycastMsg{SenderAvail: 0.1})
+	if f.auditor.Blocked(addr("other")) || f.auditor.Suspicion("other") != 0 {
 		t.Fatal("understating availability was treated as a lie")
 	}
 }
@@ -88,13 +91,13 @@ func TestUnderstatementIsNotEvidence(t *testing.T) {
 func TestClaimWarmupSuppressesEarlyEvidence(t *testing.T) {
 	f := newFixture(t, Params{})
 	f.now = 30 * time.Minute // before the 1h default warmup
-	f.auditor.ObserveInbound("peer", ops.AnycastMsg{SenderAvail: 0.97})
-	if f.auditor.Blocked("peer") {
+	f.auditor.ObserveInbound(addr("peer"), ops.AnycastMsg{SenderAvail: 0.97})
+	if f.auditor.Blocked(addr("peer")) {
 		t.Fatal("claim evidence accepted before warmup")
 	}
 	f.now = 2 * time.Hour
-	f.auditor.ObserveInbound("peer", ops.AnycastMsg{SenderAvail: 0.97})
-	if !f.auditor.Blocked("peer") {
+	f.auditor.ObserveInbound(addr("peer"), ops.AnycastMsg{SenderAvail: 0.97})
+	if !f.auditor.Blocked(addr("peer")) {
 		t.Fatal("claim evidence ignored after warmup")
 	}
 }
@@ -102,28 +105,28 @@ func TestClaimWarmupSuppressesEarlyEvidence(t *testing.T) {
 func TestSelfAdvertisingReplyEvicts(t *testing.T) {
 	f := newFixture(t, Params{})
 	// Replies naming other nodes are fine.
-	f.auditor.ObserveInbound("peer", shuffle.Reply{
+	f.auditor.ObserveInbound(addr("peer"), shuffle.Reply{
 		SenderAvail: 0.5,
 		Entries:     []shuffle.Entry{{ID: "other"}},
 	})
-	if f.auditor.Blocked("peer") {
+	if f.auditor.Blocked(addr("peer")) {
 		t.Fatal("clean reply evicted the sender")
 	}
 	// A reply naming its own sender is standalone proof of poisoning.
-	f.auditor.ObserveInbound("peer", shuffle.Reply{
+	f.auditor.ObserveInbound(addr("peer"), shuffle.Reply{
 		SenderAvail: 0.5,
 		Entries:     []shuffle.Entry{{ID: "other"}, {ID: "peer"}},
 	})
-	if !f.auditor.Blocked("peer") {
+	if !f.auditor.Blocked(addr("peer")) {
 		t.Fatal("self-advertising reply not evicted")
 	}
 	// Requests legitimately contain the sender (the CYCLON self-entry).
 	f2 := newFixture(t, Params{})
-	f2.auditor.ObserveInbound("peer", shuffle.Request{
+	f2.auditor.ObserveInbound(addr("peer"), shuffle.Request{
 		SenderAvail: 0.5,
 		Entries:     []shuffle.Entry{{ID: "peer"}},
 	})
-	if f2.auditor.Blocked("peer") {
+	if f2.auditor.Blocked(addr("peer")) {
 		t.Fatal("self-entry in a request treated as a violation")
 	}
 }
@@ -162,7 +165,7 @@ func TestSuspicionHysteresisUnderMonitorNoise(t *testing.T) {
 	// which way this pair falls and assert the hysteresis accordingly.
 	failing := ids.PairHash("peer", "self") > 0.5+params.RecheckCushion
 	for i := 0; i < 10; i++ {
-		a.ObserveInbound("peer", ops.AnycastMsg{SenderAvail: 0.5})
+		a.ObserveInbound(addr("peer"), ops.AnycastMsg{SenderAvail: 0.5})
 	}
 	s := a.Suspicion("peer")
 	if failing {
@@ -172,13 +175,13 @@ func TestSuspicionHysteresisUnderMonitorNoise(t *testing.T) {
 		if s == 0 {
 			t.Fatal("failing rechecks raised no suspicion")
 		}
-		if a.Blocked("peer") {
+		if a.Blocked(addr("peer")) {
 			t.Fatal("soft evidence evicted before threshold")
 		}
 		// Clean observations decay the score back down (hysteresis): a
 		// well-formed shuffle request has no recheck, so it is clean.
 		before := a.Suspicion("peer")
-		a.ObserveInbound("peer", shuffle.Request{SenderAvail: 0.5})
+		a.ObserveInbound(addr("peer"), shuffle.Request{SenderAvail: 0.5})
 		if got := a.Suspicion("peer"); got >= before {
 			t.Fatalf("clean observation did not decay suspicion: %v -> %v", before, got)
 		}
@@ -210,12 +213,12 @@ func TestSoftEvidenceEventuallyEvicts(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 3; i++ {
-		if a.Blocked("peer") {
+		if a.Blocked(addr("peer")) {
 			t.Fatalf("evicted after %d soft hits, want 3", i)
 		}
-		a.ObserveInbound("peer", ops.AnycastMsg{SenderAvail: 0.5})
+		a.ObserveInbound(addr("peer"), ops.AnycastMsg{SenderAvail: 0.5})
 	}
-	if !a.Blocked("peer") {
+	if !a.Blocked(addr("peer")) {
 		t.Fatal("persistent soft evidence never evicted")
 	}
 	if a.Evictions() != 1 {
@@ -245,8 +248,8 @@ func TestUnverifiableClaimIsNotEvidence(t *testing.T) {
 	// The monitor does not know "stranger": its claim cannot be
 	// cross-checked, and the predicate recheck also fails (unknown
 	// availability) — a soft hit, not an eviction.
-	f.auditor.ObserveInbound("stranger", ops.AnycastMsg{SenderAvail: 0.99})
-	if f.auditor.Blocked("stranger") {
+	f.auditor.ObserveInbound(addr("stranger"), ops.AnycastMsg{SenderAvail: 0.99})
+	if f.auditor.Blocked(addr("stranger")) {
 		t.Fatal("unverifiable sender evicted on one message")
 	}
 }
@@ -293,22 +296,22 @@ func TestBlockedAnswersAcrossFirstEviction(t *testing.T) {
 		evicted int
 	}{
 		{"clean slate", func() bool { return true }, true, nil, 0},
-		{"honest traffic", func() bool { return a.ObserveInbound("peer", honest) }, true, nil, 0},
-		{"soft hit on other", func() bool { a.SuspectAggPartial("other", "agg-count-bounds"); return true }, true, nil, 0},
-		{"second soft hit stays under the threshold", func() bool { a.SuspectAggPartial("other", "agg-count-bounds"); return true }, true, nil, 0},
-		{"other still heard", func() bool { return a.ObserveInbound("other", ops.AggMsg{}) }, true, nil, 0},
-		{"lie evicts peer: the first eviction", func() bool { return a.ObserveInbound("peer", lie) }, false, map[ids.NodeID]bool{"peer": true}, 1},
-		{"peer now dropped even when honest", func() bool { return a.ObserveInbound("peer", honest) }, false, map[ids.NodeID]bool{"peer": true}, 1},
-		{"other unaffected", func() bool { return a.ObserveInbound("other", ops.AggMsg{}) }, true, map[ids.NodeID]bool{"peer": true}, 1},
-		{"third soft hit lands on the earlier score", func() bool { a.SuspectAggPartial("other", "agg-count-bounds"); return true }, true, map[ids.NodeID]bool{"peer": true, "other": true}, 2},
-		{"other now dropped", func() bool { return a.ObserveInbound("other", ops.AggMsg{}) }, false, map[ids.NodeID]bool{"peer": true, "other": true}, 2},
+		{"honest traffic", func() bool { return a.ObserveInbound(addr("peer"), honest) }, true, nil, 0},
+		{"soft hit on other", func() bool { a.SuspectAggPartial(addr("other"), "agg-count-bounds"); return true }, true, nil, 0},
+		{"second soft hit stays under the threshold", func() bool { a.SuspectAggPartial(addr("other"), "agg-count-bounds"); return true }, true, nil, 0},
+		{"other still heard", func() bool { return a.ObserveInbound(addr("other"), ops.AggMsg{}) }, true, nil, 0},
+		{"lie evicts peer: the first eviction", func() bool { return a.ObserveInbound(addr("peer"), lie) }, false, map[ids.NodeID]bool{"peer": true}, 1},
+		{"peer now dropped even when honest", func() bool { return a.ObserveInbound(addr("peer"), honest) }, false, map[ids.NodeID]bool{"peer": true}, 1},
+		{"other unaffected", func() bool { return a.ObserveInbound(addr("other"), ops.AggMsg{}) }, true, map[ids.NodeID]bool{"peer": true}, 1},
+		{"third soft hit lands on the earlier score", func() bool { a.SuspectAggPartial(addr("other"), "agg-count-bounds"); return true }, true, map[ids.NodeID]bool{"peer": true, "other": true}, 2},
+		{"other now dropped", func() bool { return a.ObserveInbound(addr("other"), ops.AggMsg{}) }, false, map[ids.NodeID]bool{"peer": true, "other": true}, 2},
 	}
 	for _, s := range steps {
 		if got := s.act(); got != s.accept {
 			t.Fatalf("%s: ObserveInbound = %v, want %v", s.name, got, s.accept)
 		}
 		for _, id := range []ids.NodeID{"peer", "other", "stranger", "self"} {
-			if got := a.Blocked(id); got != s.blocked[id] {
+			if got := a.Blocked(addr(id)); got != s.blocked[id] {
 				t.Fatalf("%s: Blocked(%s) = %v, want %v", s.name, id, got, s.blocked[id])
 			}
 		}

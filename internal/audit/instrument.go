@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"avmem/internal/obs"
+	"avmem/internal/ops"
 )
 
 // Instruments is the audit layer's shared instrument set. One
@@ -15,19 +16,17 @@ type Instruments struct {
 	suspicions map[string]*obs.Counter // audit_suspicions_total{reason=...}
 	evictions  *obs.Counter            // audit_evictions_total
 	cleans     *obs.Counter            // audit_cleans_total
+	interned   *obs.Counter            // audit_peers_interned_total
 }
 
 // suspicionReasons is the closed set of evidence labels hit() is
 // called with; pre-registering them keeps the hot path lock-free (the
 // map is read-only after NewInstruments).
-var suspicionReasons = []string{
+var suspicionReasons = append([]string{
 	"availability-claim",
 	"predicate-recheck",
 	"self-advertising-reply",
-	"agg-count-bounds",
-	"agg-hull-bounds",
-	"agg-avg-bounds",
-}
+}, ops.AggRejectReasons...)
 
 // NewInstruments registers the audit metrics in reg. Returns nil on a
 // nil registry (uninstrumented deployment).
@@ -39,6 +38,7 @@ func NewInstruments(reg *obs.Registry) *Instruments {
 		suspicions: make(map[string]*obs.Counter, len(suspicionReasons)),
 		evictions:  reg.Counter("audit_evictions_total"),
 		cleans:     reg.Counter("audit_cleans_total"),
+		interned:   reg.Counter("audit_peers_interned_total"),
 	}
 	for _, reason := range suspicionReasons {
 		ins.suspicions[reason] = reg.Counter(fmt.Sprintf("audit_suspicions_total{reason=%q}", reason))
@@ -70,4 +70,13 @@ func (ins *Instruments) clean() {
 		return
 	}
 	ins.cleans.Inc()
+}
+
+// internedPeer records a peer the auditor had to number itself: one that
+// is outside the host universe, or any peer when there is none.
+func (ins *Instruments) internedPeer() {
+	if ins == nil {
+		return
+	}
+	ins.interned.Inc()
 }

@@ -154,7 +154,7 @@ func newDiscoverDiff(t testing.TB, seed int64, pick func(n int) int) *discoverDi
 	cfg := Config{
 		Predicate:    paperLike(t, 40),
 		Clock:        func() time.Duration { return w.now },
-		Blocked:      func(id ids.NodeID) bool { return w.blocked[id] },
+		Blocked:      func(a ids.Addr) bool { return w.blocked[a.ID()] },
 		PairIdx:      pairs,
 		MonitorEpoch: func() (int, bool) { return w.epoch, w.stable },
 	}

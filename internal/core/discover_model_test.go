@@ -317,7 +317,7 @@ func (m *modelMembership) DiscoverIdx(candidates []ids.NodeID, idxs []int32) int
 				continue
 			}
 		}
-		if m.cfg.Blocked != nil && m.cfg.Blocked(y) {
+		if m.cfg.Blocked != nil && m.cfg.Blocked(y.Addr()) {
 			continue
 		}
 		avY, ok := m.availability(y, yi)
@@ -374,7 +374,7 @@ func (m *modelMembership) discoverOne(y ids.NodeID, now time.Duration) bool {
 	if _, exists := m.member[y]; exists {
 		return false
 	}
-	if m.cfg.Blocked != nil && m.cfg.Blocked(y) {
+	if m.cfg.Blocked != nil && m.cfg.Blocked(y.Addr()) {
 		return false
 	}
 	avY, ok := m.cfg.Monitor.Availability(y)
@@ -405,7 +405,7 @@ func (m *modelMembership) Refresh() int {
 	keep := m.all[:0]
 	for i := range m.all {
 		nb := m.all[i]
-		if m.cfg.Blocked != nil && m.cfg.Blocked(nb.ID) {
+		if m.cfg.Blocked != nil && m.cfg.Blocked(nb.ID.Addr()) {
 			m.drop(&nb)
 			evicted++
 			continue

@@ -151,7 +151,7 @@ func newIndexedPair(t testing.TB, n int, pred *Predicate, rng *rand.Rand) *index
 		Predicate: pred,
 		Monitor:   p,
 		Clock:     func() time.Duration { return p.now },
-		Blocked:   func(id ids.NodeID) bool { return p.blocked[id] },
+		Blocked:   func(a ids.Addr) bool { return p.blocked[a.ID()] },
 	}
 	if p.byID, err = NewMembership(p.hosts[0], cfg); err != nil {
 		t.Fatal(err)

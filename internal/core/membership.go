@@ -58,6 +58,10 @@ type Neighbor struct {
 // was admitted under — what dissemination orders sliver lists by.
 func (n Neighbor) PairHash() float64 { return n.hash }
 
+// Addr returns the neighbor's address with the host index it was admitted
+// under as the memo (memo-less when it was admitted by identifier).
+func (n *Neighbor) Addr() ids.Addr { return ids.AddrAt(n.ID, n.idx1-1) }
+
 // Config wires a Membership to its dependencies.
 type Config struct {
 	// Predicate is the application-specified AVMEM predicate.
@@ -75,8 +79,9 @@ type Config struct {
 	VerifyCushion float64
 	// Blocked, when non-nil, reports peers the owner's audit layer has
 	// evicted: Discover never admits them and Refresh drops them, so an
-	// audited-out node falls out of both slivers for good.
-	Blocked func(ids.NodeID) bool
+	// audited-out node falls out of both slivers for good. The address
+	// carries the peer's host index when the membership knows it.
+	Blocked func(ids.Addr) bool
 
 	// PairIdx, when non-nil, enables the index-keyed fast path: it names
 	// the dense host-index universe, and view slots fed through
@@ -164,7 +169,11 @@ type Membership struct {
 	// without a known index; the indexed duplicate check then also
 	// searches the full list (correctness net, not a hot path).
 	hasUnindexed bool
-	stats        *DiscoveryStats
+	// gen counts the mutations of the neighbor lists (admit and Refresh,
+	// the only two): whatever a reader derived from Neighbors(f) — the
+	// router's hash orders — stands exactly while Generation does.
+	gen   uint64
+	stats *DiscoveryStats
 	// hsThr memoizes the horizontal threshold for the current self claim
 	// (hsKnown; cleared whenever the claim moves) when the predicate's
 	// horizontal side depends on av(x) alone (hsByX): II.B's O(buckets)
@@ -347,6 +356,7 @@ func (m *Membership) Discover(candidates []ids.NodeID) int {
 
 // admit inserts a new neighbor into all views and the index set.
 func (m *Membership) admit(nb Neighbor) {
+	m.gen++
 	if nb.idx1 > 0 {
 		m.idx.add(nb.idx1 - 1)
 	} else if m.cfg.PairIdx != nil {
@@ -469,7 +479,7 @@ func (m *Membership) discover(codes []int32, memo []uint64, names []ids.NodeID, 
 			continue
 		}
 		avY, ok := 0.0, false
-		if m.cfg.Blocked == nil || !m.cfg.Blocked(y) {
+		if m.cfg.Blocked == nil || !m.cfg.Blocked(ids.AddrAt(y, yi)) {
 			avY, ok = m.availability(y, yi)
 		}
 		if !ok {
@@ -514,7 +524,7 @@ func (m *Membership) discoverOne(y ids.NodeID, now time.Duration) bool {
 	if m.Contains(y) {
 		return false
 	}
-	if m.cfg.Blocked != nil && m.cfg.Blocked(y) {
+	if m.cfg.Blocked != nil && m.cfg.Blocked(y.Addr()) {
 		return false
 	}
 	avY, ok := m.cfg.Monitor.Availability(y)
@@ -536,6 +546,7 @@ func (m *Membership) discoverOne(y ids.NodeID, now time.Duration) bool {
 // reclassifies entries whose sliver changed. It returns the number of
 // evicted neighbors.
 func (m *Membership) Refresh() int {
+	m.gen++
 	m.RefreshSelf()
 	now := m.cfg.Clock()
 	evicted, unjudged := 0, 0
@@ -546,7 +557,7 @@ func (m *Membership) Refresh() int {
 	for i := range m.all {
 		nb := m.all[i]
 		avY, ok := 0.0, false
-		if m.cfg.Blocked == nil || !m.cfg.Blocked(nb.ID) {
+		if m.cfg.Blocked == nil || !m.cfg.Blocked(nb.Addr()) {
 			avY, ok = m.availability(nb.ID, nb.idx1-1)
 		}
 		if !ok {
@@ -606,6 +617,10 @@ func (m *Membership) Lookup(id ids.NodeID) (Neighbor, bool) {
 	}
 	return Neighbor{}, false
 }
+
+// Generation returns the neighbor lists' mutation count: it moves
+// whenever a view Neighbors hands out may have changed, and only then.
+func (m *Membership) Generation() uint64 { return m.gen }
 
 // Size returns the total number of neighbors (both slivers).
 func (m *Membership) Size() int { return len(m.all) }

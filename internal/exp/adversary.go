@@ -225,13 +225,17 @@ func shuffleTap(adv *advState, hostIndex func(ids.NodeID) int,
 			if a == nil {
 				return true
 			}
+			// The tap knows the sender's host index: hand it over as the
+			// memo, and the exchange lands on the same record as the
+			// sender's operation traffic.
+			from := ids.AddrAt(sender, int32(hostIndex(sender)))
 			var msg any
 			if reply {
 				msg = shuffle.Reply{Entries: entries, SenderAvail: claim}
 			} else {
 				msg = shuffle.Request{Entries: entries, SenderAvail: claim}
 			}
-			return a.ObserveInbound(sender, msg)
+			return a.ObserveInbound(from, msg)
 		},
 		Refuse: func(owner ids.NodeID) bool {
 			b := adv.behavior(hostIndex(owner))

@@ -130,8 +130,16 @@ func NewCluster(cfg WorldConfig) (*Cluster, error) {
 		c.Sched.Instrument(cfg.Metrics)
 		c.Col.Instrument(cfg.Metrics)
 		auditIns = audit.NewInstruments(cfg.Metrics)
-		disc := newDiscoveryObs(cfg.Metrics)
-		c.Sched.OnFlush(func() { disc.publish(c.discovery, 0) })
+		flushed := newFlushObs(cfg.Metrics)
+		c.Sched.OnFlush(func() {
+			// Each node's router counts into a struct of its own; memnet has
+			// no address memos to count.
+			var flood ops.FloodStats
+			for _, n := range c.nodes {
+				flood.Add(n.FloodStats())
+			}
+			flushed.publish(c.discovery, 0, flood, sim.AddrMemoStats{})
+		})
 	}
 	// The same band-census estimator the sim engine arms its routers
 	// with (see installNodes): keeps the two engines' PDF sanity checks
@@ -141,14 +149,16 @@ func NewCluster(cfg WorldConfig) (*Cluster, error) {
 		return nstar * pdf.IntervalMass(lo, math.Min(hi, 1))
 	}
 
+	fabric := runtime.TransportFabric(c.Net)
 	for h, id := range c.hosts {
 		h := h
 		// The env RNG (annealing draws) gets a distinct stream from the
 		// node's agent RNG, mirroring the live path's Seed+1 offset.
 		env, err := runtime.NewVirtual(runtime.VirtualConfig{
-			Self:      id,
+			// Memnet moves identifiers: no memo survives it, so none is made.
+			Self:      id.Addr(),
 			Scheduler: c.Sched,
-			Fabric:    c.Net,
+			Fabric:    fabric,
 			Online:    func() bool { return c.onlineAt(h) },
 			Seed:      nodeSeed(cfg.Seed, h) + 1,
 		})

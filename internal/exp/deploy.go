@@ -332,6 +332,12 @@ func (w *World) installNodes(pred *core.Predicate) error {
 				Hashes:    w.Hashes,
 				Trail:     w.trail,
 				Obs:       w.auditIns,
+				// The host universe: senders are audited by the index their
+				// address memo carries, checked against PairIdx.
+				PairIdx:    w.PairIdx,
+				SelfIdx:    int32(h),
+				IndexOf:    w.Trace.HostIndex,
+				MonitorIdx: w.mon.monitor,
 			})
 			if err != nil {
 				return err
@@ -348,7 +354,9 @@ func (w *World) installNodes(pred *core.Predicate) error {
 
 		h := h
 		env, err := runtime.NewVirtual(runtime.VirtualConfig{
-			Self:      id,
+			// The host index is resolved here, once: it rides on every
+			// message this node sends.
+			Self:      ids.AddrAt(id, int32(h)),
 			Scheduler: w.Sim,
 			Fabric:    runtime.NetFabric(w.Net),
 			Online:    func() bool { return w.onlineAt(h) },
@@ -368,6 +376,7 @@ func (w *World) installNodes(pred *core.Predicate) error {
 			VerifyInbound: w.Cfg.VerifyInbound,
 			BandCensus:    bandCensus,
 			OpTrace:       w.Cfg.OpTrace,
+			Stats:         &w.flood,
 		}
 		if auditor != nil {
 			routerCfg.Auditor = auditor

@@ -1,0 +1,71 @@
+package exp
+
+import (
+	"avmem/internal/core"
+	"avmem/internal/obs"
+	"avmem/internal/ops"
+	"avmem/internal/sim"
+)
+
+// flushObs publishes the counters a deployment's layers keep as plain
+// fields next to their state — the engines are single-threaded, so every
+// membership counts into one core.DiscoveryStats (core.Config.Stats) and
+// every router into one ops.FloodStats (ops.RouterConfig.Stats), and the
+// simulated network counts what became of address memos — as
+// core_discovery_*_total, ops_seen_* / ops_hash_order_*,
+// sim_net_addr_memo_total{result} and shuffle_received_dropped_total
+// (entries the central shuffle refused for naming no node). The engine's
+// flush hook (sim.World.OnFlush) calls publish, which adds what is new
+// since the last call — so /metrics and -metrics-out show pair hashes per
+// pass, the share of duplicates the seen-set's front cache answered and
+// sorts per hash-order request without a profiler. Determinism-neutral:
+// it only reads, and reads a few structs however many hosts there are.
+type flushObs struct {
+	counters [len(flushedFamilies)]*obs.Counter
+	last     [len(flushedFamilies)]int64
+}
+
+// flushedFamilies names the metric families, in flushedFields order.
+var flushedFamilies = [...]string{
+	"core_discovery_passes_total",
+	"core_discovery_full_passes_total",
+	"core_discovery_slots_offered_total",
+	"core_discovery_slots_skipped_total",
+	"core_discovery_evaluated_total",
+	"core_discovery_pair_hashes_total",
+	"core_discovery_admitted_total",
+	"shuffle_received_dropped_total",
+	"ops_seen_checks_total",
+	"ops_seen_front_hits_total",
+	"ops_hash_order_requests_total",
+	"ops_hash_order_sorts_total",
+	`sim_net_addr_memo_total{result="hit"}`,
+	`sim_net_addr_memo_total{result="absent"}`,
+	`sim_net_addr_memo_total{result="mismatch"}`,
+}
+
+func flushedFields(s core.DiscoveryStats, dropped int, f ops.FloodStats, m sim.AddrMemoStats) [len(flushedFamilies)]int64 {
+	return [...]int64{s.Passes, s.FullPasses, s.Offered, s.Skipped, s.Evaluated, s.Hashes, s.Admitted,
+		int64(dropped),
+		f.SeenChecks, f.SeenFrontHits, f.OrderRequests, f.OrderSorts,
+		m.Hit, m.Absent, m.Mismatch}
+}
+
+func newFlushObs(reg *obs.Registry) *flushObs {
+	o := &flushObs{}
+	for i, name := range flushedFamilies {
+		o.counters[i] = reg.Counter(name)
+	}
+	return o
+}
+
+// publish adds the growth of the totals since the last call; dropped is
+// the central shuffle's count and memo the simulated network's (zero
+// where there is none).
+func (o *flushObs) publish(stats core.DiscoveryStats, dropped int, flood ops.FloodStats, memo sim.AddrMemoStats) {
+	total := flushedFields(stats, dropped, flood, memo)
+	for i, c := range o.counters {
+		c.Add(total[i] - o.last[i])
+	}
+	o.last = total
+}

@@ -1,0 +1,103 @@
+package exp
+
+import (
+	"testing"
+	"time"
+
+	"avmem/internal/core"
+	"avmem/internal/obs"
+	"avmem/internal/ops"
+	"avmem/internal/sim"
+)
+
+// TestDiscoveryCountersPublished: on both engines every membership
+// counts into the deployment's one core.DiscoveryStats, the registry's
+// core_discovery_*_total families read exactly that after a run (the
+// flush hook fires on run-loop exit), and they describe a loop that skips
+// and re-uses hashes — so the exported ratios mean what DESIGN.md §3 says
+// they mean.
+func TestDiscoveryCountersPublished(t *testing.T) {
+	for _, backend := range []string{BackendSim, BackendMemnet} {
+		reg := obs.NewRegistry()
+		d, err := NewDeployment(backend, WorldConfig{
+			Seed:           3,
+			Trace:          testClusterTrace(t, 3, 80),
+			ProtocolPeriod: 2 * time.Minute,
+			Metrics:        reg,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		stats := func() core.DiscoveryStats { return d.(*World).discovery }
+		if c, ok := d.(*Cluster); ok {
+			t.Cleanup(c.Stop)
+			stats = func() core.DiscoveryStats { return c.discovery }
+		}
+		d.Warmup(3 * time.Hour)
+		d.RunFor(time.Hour)
+		want := flushedFields(stats(), 0, ops.FloodStats{}, sim.AddrMemoStats{})
+		// 120 protocol periods: every host of the fleet must have counted.
+		if hosts := int64(len(d.Hosts())); want[0] < 20*hosts || d.Membership(d.Hosts()[0]).DiscoveryStats() != stats() {
+			t.Errorf("%s: %d passes for %d hosts, or a membership counting on its own", backend, want[0], hosts)
+		}
+		got := map[string]int64{}
+		for i, name := range flushedFamilies[:7] { // the core_discovery_* families
+			got[name] = reg.Counter(name).Value()
+			if got[name] != want[i] || want[i] == 0 {
+				t.Errorf("%s: %s = %d, the deployment counted %d (want equal, non-zero)", backend, name, got[name], want[i])
+			}
+		}
+		if got["core_discovery_slots_skipped_total"]*4 < got["core_discovery_slots_offered_total"] ||
+			got["core_discovery_pair_hashes_total"] >= got["core_discovery_evaluated_total"] ||
+			got["core_discovery_full_passes_total"] >= got["core_discovery_passes_total"] {
+			t.Errorf("%s: counters do not describe delta passes over memoized hashes: %v", backend, got)
+		}
+	}
+}
+
+// TestFloodCountersPublished: the flood path's own counters reach the
+// registry on both engines — one shared ops.FloodStats on the sim engine,
+// the nodes' own summed at flush on memnet — and read what the routers
+// counted; on the sim engine every address crosses the network with a
+// memo that verifies, except the origin-addressed results.
+func TestFloodCountersPublished(t *testing.T) {
+	for _, backend := range []string{BackendSim, BackendMemnet} {
+		reg := obs.NewRegistry()
+		d, err := NewDeployment(backend, WorldConfig{
+			Seed:           5,
+			Trace:          testClusterTrace(t, 5, 120),
+			ProtocolPeriod: 2 * time.Minute,
+			Metrics:        reg,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if c, ok := d.(*Cluster); ok {
+			t.Cleanup(c.Stop)
+		}
+		d.Warmup(4 * time.Hour)
+		res, err := RunMulticasts(d, MulticastSpec{Name: "flood", BandHi: 1.01,
+			Target: ops.Target{Lo: 0.3, Hi: 1}, Mode: ops.Flood, Flavor: core.HSVS, Runs: 1, PerRun: 12})
+		if err != nil || res.Entered == 0 {
+			t.Fatalf("%s: multicasts entered %d of %d (%v)", backend, res.Entered, res.Sent, err)
+		}
+		read := func(name string) int64 { return reg.Counter(name).Value() }
+		checks, front := read("ops_seen_checks_total"), read("ops_seen_front_hits_total")
+		requests, sorts := read("ops_hash_order_requests_total"), read("ops_hash_order_sorts_total")
+		if checks == 0 || front == 0 || front >= checks || requests == 0 || sorts == 0 || sorts > requests {
+			t.Errorf("%s: seen %d checks / %d front hits, hash orders %d requests / %d sorts", backend, checks, front, requests, sorts)
+		}
+		hit, absent, mismatch := read(`sim_net_addr_memo_total{result="hit"}`),
+			read(`sim_net_addr_memo_total{result="absent"}`), read(`sim_net_addr_memo_total{result="mismatch"}`)
+		if w, ok := d.(*World); ok {
+			if w.flood.SeenChecks != checks || w.flood.OrderSorts != sorts {
+				t.Errorf("sim: registry reads %d checks / %d sorts, the routers counted %+v", checks, sorts, w.flood)
+			}
+			if hit == 0 || mismatch != 0 || absent*10 > hit {
+				t.Errorf("sim: address memos hit %d, absent %d, mismatch %d", hit, absent, mismatch)
+			}
+		} else if hit+absent+mismatch != 0 {
+			t.Errorf("memnet: counted %d address memos on a fabric that carries none", hit+absent+mismatch)
+		}
+	}
+}

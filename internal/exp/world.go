@@ -169,6 +169,9 @@ type World struct {
 	// discovery is where every membership counts its discovery work
 	// (core.Config.Stats): one struct for the metrics flush to read.
 	discovery core.DiscoveryStats
+	// flood is the same for every router's flood-path work
+	// (ops.RouterConfig.Stats).
+	flood ops.FloodStats
 
 	// adv is the Byzantine cohort (nil when honest); auditors and trail
 	// are the audit layer (nil slices/pointer when auditing is off).
@@ -261,8 +264,10 @@ func NewWorld(cfg WorldConfig) (*World, error) {
 		w.Sim.Instrument(cfg.Metrics)
 		w.Col.Instrument(cfg.Metrics)
 		w.auditIns = audit.NewInstruments(cfg.Metrics)
-		disc := newDiscoveryObs(cfg.Metrics)
-		w.Sim.OnFlush(func() { disc.publish(w.discovery, w.Shuffle.ReceivedDropped()) })
+		flushed := newFlushObs(cfg.Metrics)
+		w.Sim.OnFlush(func() {
+			flushed.publish(w.discovery, w.Shuffle.ReceivedDropped(), w.flood, w.Net.AddrMemoStats())
+		})
 	}
 	cyc, err := shuffle.NewCyclon(cfg.ViewSize, cfg.ShuffleLen, w.nodeOnline, w.Sim.Rand())
 	if err != nil {

@@ -197,3 +197,38 @@ func Clamp01(v float64) float64 {
 		return v
 	}
 }
+
+// Addr is a NodeID as it crosses the runtime.Env seam: the identifier
+// plus an optional memo of the node's dense host index in a deployment's
+// fixed universe (trace order). The memo is a hint, never an identity —
+// whoever reads it checks it against the universe it indexes
+// (hosts[i] == ID) and falls back to the identifier when it does not
+// verify, so a wrong or forged memo costs a lookup and decides nothing.
+// Peers learned off the wire carry no memo. The zero Addr is Nil with no
+// memo.
+type Addr struct {
+	id NodeID
+	// idx1 is the host index plus one; 0 = no memo.
+	idx1 int32
+}
+
+// Addr returns id as a memo-less address.
+func (id NodeID) Addr() Addr { return Addr{id: id} }
+
+// AddrAt returns id with the memo "host index idx"; a negative idx means
+// unknown and yields the memo-less form.
+func AddrAt(id NodeID, idx int32) Addr {
+	if idx < 0 {
+		return Addr{id: id}
+	}
+	return Addr{id: id, idx1: idx + 1}
+}
+
+// ID returns the identifier — the only part of an Addr that names a node.
+func (a Addr) ID() NodeID { return a.id }
+
+// Index returns the memo'd host index, or -1 without a memo.
+func (a Addr) Index() int32 { return a.idx1 - 1 }
+
+// IsNil reports whether the address names no node.
+func (a Addr) IsNil() bool { return a.id == Nil }

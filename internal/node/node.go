@@ -267,7 +267,7 @@ func New(cfg Config) (*Node, error) {
 	n.base = adversary.Wrap(n.base, cfg.Behavior)
 	n.env = runtime.Gated(n.base, n.gate)
 	if cfg.Audit != nil {
-		auditor, err := audit.New(audit.Config{
+		auditCfg := audit.Config{
 			Self:      cfg.Self,
 			Params:    *cfg.Audit,
 			Predicate: cfg.Predicate,
@@ -277,7 +277,16 @@ func New(cfg Config) (*Node, error) {
 			Hashes:    cfg.Hashes,
 			Trail:     cfg.AuditTrail,
 			Obs:       cfg.AuditObs,
-		})
+		}
+		if u := cfg.Universe; u != nil {
+			// Senders arrive memo-less off a transport; the auditor resolves
+			// them through IndexOf and keys their records by host index.
+			auditCfg.PairIdx = u.Pairs
+			auditCfg.SelfIdx = int32(u.IndexOf(cfg.Self))
+			auditCfg.IndexOf = u.IndexOf
+			auditCfg.MonitorIdx, _ = cfg.Monitor.(avmon.IndexedService)
+		}
+		auditor, err := audit.New(auditCfg)
 		if err != nil {
 			return nil, err
 		}
@@ -462,7 +471,7 @@ func (n *Node) discoverLocked(external []ids.NodeID) {
 	peer, req, ok := n.agent.TickDiscover(n.cfg.Seeds, n.mem.DiscoverView)
 	if ok {
 		req.SenderAvail = n.selfClaim()
-		n.env.Send(peer, req)
+		n.env.Send(peer.Addr(), req)
 	}
 }
 
@@ -476,7 +485,7 @@ func (n *Node) refreshTick() {
 }
 
 // handleMessage is the fabric callback.
-func (n *Node) handleMessage(from ids.NodeID, msg any) {
+func (n *Node) handleMessage(from ids.Addr, msg any) {
 	// Shuffle traffic goes to the agent (it has its own lock and must
 	// not wait on operation handling). The audit layer inspects it
 	// first: a poisoned or lying exchange raises the sender's suspicion,
@@ -491,7 +500,7 @@ func (n *Node) handleMessage(from ids.NodeID, msg any) {
 		if !n.observeShuffle(from, msg) {
 			return
 		}
-		reply := n.agent.HandleRequest(from, m)
+		reply := n.agent.HandleRequest(from.ID(), m)
 		reply.SenderAvail = n.selfClaim()
 		n.env.Send(from, reply)
 		return
@@ -502,7 +511,7 @@ func (n *Node) handleMessage(from ids.NodeID, msg any) {
 		if !n.observeShuffle(from, msg) {
 			return
 		}
-		n.agent.HandleReply(from, m)
+		n.agent.HandleReply(from.ID(), m)
 		return
 	}
 	n.mu.Lock()
@@ -512,7 +521,7 @@ func (n *Node) handleMessage(from ids.NodeID, msg any) {
 
 // observeShuffle audits one inbound shuffle message; false means drop
 // (the sender is, or just became, blacklisted).
-func (n *Node) observeShuffle(from ids.NodeID, msg any) bool {
+func (n *Node) observeShuffle(from ids.Addr, msg any) bool {
 	if n.auditor == nil {
 		return true
 	}
@@ -634,6 +643,13 @@ func (n *Node) SliverSizes() (hs, vs int) {
 // snapshot accessors (Neighbors, SliverSizes) instead.
 func (n *Node) Membership() *core.Membership {
 	return n.mem
+}
+
+// FloodStats returns the router's flood-path counters so far.
+func (n *Node) FloodStats() ops.FloodStats {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	return n.router.FloodStats()
 }
 
 // Auditor exposes the node's audit layer (nil when auditing is off).

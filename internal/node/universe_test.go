@@ -72,7 +72,7 @@ func universeCluster(t *testing.T, hostCount int, withUniverse, noisy bool) (*si
 	nodes := make([]*Node, len(hosts))
 	for h, id := range hosts {
 		env, err := runtime.NewVirtual(runtime.VirtualConfig{
-			Self: id, Scheduler: w, Fabric: net, Seed: int64(h + 100),
+			Self: id.Addr(), Scheduler: w, Fabric: runtime.TransportFabric(net), Seed: int64(h + 100),
 			Online: func() bool { return online(h) },
 		})
 		if err != nil {
@@ -198,11 +198,11 @@ type sinkFabric struct {
 	sent int
 }
 
-func (f *sinkFabric) Register(ids.NodeID, transport.Handler) error { return nil }
-func (f *sinkFabric) Unregister(ids.NodeID)                        {}
-func (f *sinkFabric) Send(_, to ids.NodeID, _ any)                 { f.to, f.sent = to, f.sent+1 }
-func (f *sinkFabric) SendCall(_, to ids.NodeID, _ any, _ func(bool)) {
-	f.to, f.sent = to, f.sent+1
+func (f *sinkFabric) Register(ids.Addr, runtime.Handler) error { return nil }
+func (f *sinkFabric) Unregister(ids.Addr)                      {}
+func (f *sinkFabric) Send(_, to ids.Addr, _ any)               { f.to, f.sent = to.ID(), f.sent+1 }
+func (f *sinkFabric) SendCall(_, to ids.Addr, _ any, _ func(bool)) {
+	f.to, f.sent = to.ID(), f.sent+1
 }
 
 // replyingFabric answers every shuffle request on the spot, before Send
@@ -210,10 +210,10 @@ func (f *sinkFabric) SendCall(_, to ids.NodeID, _ any, _ func(bool)) {
 // real-time transport can produce.
 type replyingFabric struct {
 	sinkFabric
-	deliver func(from ids.NodeID, msg any)
+	deliver func(from ids.Addr, msg any)
 }
 
-func (f *replyingFabric) Send(from, to ids.NodeID, msg any) {
+func (f *replyingFabric) Send(from, to ids.Addr, msg any) {
 	f.sinkFabric.Send(from, to, msg)
 	if _, ok := msg.(shuffle.Request); ok {
 		f.deliver(to, shuffle.Reply{})
@@ -230,7 +230,7 @@ func TestFastReplyKeepsPartnerOnOffer(t *testing.T) {
 	for _, withUniverse := range []bool{true, false} {
 		all := []ids.NodeID{ids.Synthetic(0), ids.Synthetic(1)}
 		fabric := &replyingFabric{}
-		env, err := runtime.NewVirtual(runtime.VirtualConfig{Self: all[0], Scheduler: sim.NewWorld(1), Fabric: fabric, Seed: 1})
+		env, err := runtime.NewVirtual(runtime.VirtualConfig{Self: all[0].Addr(), Scheduler: sim.NewWorld(1), Fabric: fabric, Seed: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -275,7 +275,7 @@ func TestConvergedDiscoveryTickAllocatesOnlyWhatItSends(t *testing.T) {
 		}
 		fabric := &sinkFabric{}
 		w := sim.NewWorld(1)
-		env, err := runtime.NewVirtual(runtime.VirtualConfig{Self: all[0], Scheduler: w, Fabric: fabric, Seed: 1})
+		env, err := runtime.NewVirtual(runtime.VirtualConfig{Self: all[0].Addr(), Scheduler: w, Fabric: fabric, Seed: 1})
 		if err != nil {
 			t.Fatal(err)
 		}

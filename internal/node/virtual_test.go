@@ -32,9 +32,9 @@ func virtualCluster(t *testing.T, avails []float64) (*sim.World, []*Node) {
 	nodes := make([]*Node, 0, len(avails))
 	for i, id := range all {
 		env, err := runtime.NewVirtual(runtime.VirtualConfig{
-			Self:      id,
+			Self:      id.Addr(),
 			Scheduler: w,
-			Fabric:    net,
+			Fabric:    runtime.TransportFabric(net),
 			Seed:      int64(i + 1),
 		})
 		if err != nil {
@@ -130,7 +130,7 @@ func TestNodeSharedCollector(t *testing.T) {
 	var nodes []*Node
 	for i, id := range all {
 		env, err := runtime.NewVirtual(runtime.VirtualConfig{
-			Self: id, Scheduler: w, Fabric: net, Seed: int64(i + 1),
+			Self: id.Addr(), Scheduler: w, Fabric: runtime.TransportFabric(net), Seed: int64(i + 1),
 		})
 		if err != nil {
 			t.Fatal(err)

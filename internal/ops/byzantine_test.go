@@ -33,7 +33,7 @@ func TestAggResultBindingRejectsForgery(t *testing.T) {
 	// The forger races the genuine root: its fabricated result reaches
 	// the origin before any tree message has even propagated. It never
 	// saw the entry anycast's token, so it sends zero.
-	c.routers[origin].HandleMessage(c.nodes[4], AggResultMsg{
+	c.routers[origin].HandleMessage(c.nodes[4].Addr(), AggResultMsg{
 		ID: id, Result: plausiblePartial(), Token: 0,
 	})
 	rec, _ := c.col.Aggregate(id)
@@ -215,7 +215,7 @@ func TestOriginRejectsOutOfHullResult(t *testing.T) {
 	}
 	// The root itself lies: token and sender check out, the value does
 	// not — availability 100 is outside any band hull.
-	r.HandleMessage(inst.EnteredBy, AggResultMsg{
+	r.HandleMessage(inst.EnteredBy.Addr(), AggResultMsg{
 		ID: id, Token: inst.Token,
 		Result: agg.Partial{N: 3, Sum: 300, Min: 100, Max: 100, Depth: 1},
 	})

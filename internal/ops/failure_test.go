@@ -127,7 +127,7 @@ func TestDuplicateSuppressionBounded(t *testing.T) {
 	tgt, _ := Range(0.85, 0.95)
 	r := c.routers[c.nodes[1]]
 	for i := 0; i < maxSeen+100; i++ {
-		r.HandleMessage(c.nodes[0], MulticastMsg{
+		r.HandleMessage(c.nodes[0].Addr(), MulticastMsg{
 			ID:     MsgID{Origin: c.nodes[0], Seq: uint64(i)},
 			Target: tgt,
 			Spec:   MulticastSpec{Mode: Flood, Flavor: core.HSVS},

@@ -1,6 +1,7 @@
 package ops
 
 import (
+	"fmt"
 	"time"
 
 	"avmem/internal/obs"
@@ -24,9 +25,11 @@ type collectorObs struct {
 	rangecastSpam       *obs.Counter   // ops_rangecast_spam_total
 	rangecastDepth      *obs.Histogram // ops_rangecast_depth
 	aggResults          *obs.Counter   // ops_agg_results_total
-	aggRejectedPartials *obs.Counter   // ops_agg_rejected_partials_total
-	aggForgeryRejected  *obs.Counter   // ops_agg_forgery_rejected_total
-	aggForgeryAccepted  *obs.Counter   // ops_agg_forgery_accepted_total
+	// ops_agg_rejected_partials_total{reason=...}, read-only after
+	// Instrument
+	aggRejectedPartials map[string]*obs.Counter
+	aggForgeryRejected  *obs.Counter // ops_agg_forgery_rejected_total
+	aggForgeryAccepted  *obs.Counter // ops_agg_forgery_accepted_total
 }
 
 // Instrument registers the collector's metrics in reg and starts
@@ -48,13 +51,27 @@ func (c *Collector) Instrument(reg *obs.Registry) {
 		rangecastSpam:       reg.Counter("ops_rangecast_spam_total"),
 		rangecastDepth:      reg.Histogram("ops_rangecast_depth", 1, 2, 3, 4, 6, 8, 12),
 		aggResults:          reg.Counter("ops_agg_results_total"),
-		aggRejectedPartials: reg.Counter("ops_agg_rejected_partials_total"),
+		aggRejectedPartials: make(map[string]*obs.Counter, len(AggRejectReasons)),
 		aggForgeryRejected:  reg.Counter("ops_agg_forgery_rejected_total"),
 		aggForgeryAccepted:  reg.Counter("ops_agg_forgery_accepted_total"),
+	}
+	for _, reason := range AggRejectReasons {
+		ins.aggRejectedPartials[reason] = reg.Counter(AggRejectedCounter(reason))
 	}
 	c.mu.Lock()
 	c.ins = ins
 	c.mu.Unlock()
+}
+
+// AggRejectReasons is the closed set of reasons the PDF sanity checks
+// reject a merged partial for (Router.partialSuspect) — the labels of
+// ops_agg_rejected_partials_total and of the auditor's soft evidence.
+var AggRejectReasons = []string{"agg-count-bounds", "agg-hull-bounds", "agg-avg-bounds"}
+
+// AggRejectedCounter names the registry counter of partials rejected for
+// reason.
+func AggRejectedCounter(reason string) string {
+	return fmt.Sprintf("ops_agg_rejected_partials_total{reason=%q}", reason)
 }
 
 // obsAnycastLatencyMs converts a virtual latency to the histogram's

@@ -719,12 +719,16 @@ func (c *Collector) aggregateDone(id MsgID, p agg.Partial, at time.Duration) {
 // aggregatePartialRejected counts a merged partial dropped by the PDF
 // sanity checks somewhere in a tree (instance may belong to another
 // origin's operation; the counter is collector-wide).
-func (c *Collector) aggregatePartialRejected(instance MsgID) {
+// reason names the check that fired (partialSuspect) and labels the
+// counter, whether or not an auditor is listening.
+func (c *Collector) aggregatePartialRejected(instance MsgID, reason string) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.aggRejectedPartials++
 	if c.ins != nil {
-		c.ins.aggRejectedPartials.Inc()
+		// A reason outside AggRejectReasons finds a nil counter, which
+		// no-ops.
+		c.ins.aggRejectedPartials[reason].Inc()
 	}
 }
 

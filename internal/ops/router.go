@@ -1,10 +1,8 @@
 package ops
 
 import (
-	"cmp"
 	"fmt"
 	"math"
-	"slices"
 	"sort"
 	"time"
 
@@ -25,11 +23,13 @@ type Env interface {
 	// RandFloat returns a uniform float in [0,1) (simulated annealing).
 	RandFloat() float64
 	// Send delivers msg to the target with one hop latency, best effort.
-	Send(to ids.NodeID, msg any)
+	// The address may carry the target's host-index memo (ids.Addr); an
+	// Env that cannot use it ignores it.
+	Send(to ids.Addr, msg any)
 	// SendCall is Send plus an acknowledgment: onResult(true) after the
 	// target processed the message, onResult(false) when it could not
 	// be reached (retried-greedy forwarding relies on this).
-	SendCall(to ids.NodeID, msg any, onResult func(ok bool))
+	SendCall(to ids.Addr, msg any, onResult func(ok bool))
 	// Online reports whether this node itself is currently online.
 	Online() bool
 }
@@ -41,9 +41,9 @@ type Env interface {
 type Auditor interface {
 	// ObserveInbound audits one delivered message; false means the
 	// sender is blacklisted and the message must be dropped.
-	ObserveInbound(from ids.NodeID, msg any) bool
-	// Blocked reports whether id has been audited out.
-	Blocked(id ids.NodeID) bool
+	ObserveInbound(from ids.Addr, msg any) bool
+	// Blocked reports whether the peer has been audited out.
+	Blocked(peer ids.Addr) bool
 }
 
 // maxSeen bounds the duplicate-suppression set; operations are
@@ -64,10 +64,15 @@ type Router struct {
 	// blacklist that forwarding and dissemination honor.
 	auditor Auditor
 	// otrace, when non-nil, records causal op spans (trace.go).
-	otrace     *obs.Tracer
-	rejected   int
-	seq        uint64
+	otrace   *obs.Tracer
+	rejected int
+	seq      uint64
+	// seen is the duplicate-suppression set; front is a direct-mapped
+	// cache (slot Seq%4) of ids known to be in it. A flood delivers the
+	// same id once per in-band in-neighbor, back to back, so nearly every
+	// duplicate is answered by one compare and never reaches the map.
 	seen       map[MsgID]bool
+	front      [seenFront]MsgID
 	gossipSent map[MsgID]map[ids.NodeID]bool
 	// free recycles candidate buffers across anycast forwards. A buffer
 	// is owned by one in-flight attempt chain until the operation hits a
@@ -78,10 +83,12 @@ type Router struct {
 	// byDist is kept on the Router so sort.Sort receives an existing
 	// pointer and candidate ordering allocates nothing.
 	byDist distanceSorter
-	// scratch is the dissemination scratch: in-range filtering and
-	// hash-ordering happen synchronously, so one buffer per router
-	// suffices.
-	scratch []peerKey
+	// orders memoizes the dissemination orders (order.go), allocated on
+	// the first flood this node relays — most routers of a large world
+	// never see one.
+	orders *orderMemo
+	// stats is where the flood path counts its own work (FloodStats).
+	stats *FloodStats
 	// claimVal/claimAt/claimSet memoize the availability claim stamped
 	// on outbound messages: a fresh monitor self-query per claimCache
 	// window instead of per forwarded message (monitor estimates move
@@ -115,7 +122,7 @@ type Router struct {
 // dropped partial becomes decaying soft evidence against its sender,
 // feeding the suspicion/eviction state machine.
 type AggPartialAuditor interface {
-	SuspectAggPartial(from ids.NodeID, reason string)
+	SuspectAggPartial(from ids.Addr, reason string)
 }
 
 // claimCache bounds the claim memo's staleness.
@@ -149,13 +156,6 @@ func (s *distanceSorter) Less(i, j int) bool {
 		return di < dj
 	}
 	return s.nbs[i].ID < s.nbs[j].ID
-}
-
-// peerKey is one dissemination target with its (salted) pair-hash
-// ordering key.
-type peerKey struct {
-	key float64
-	id  ids.NodeID
 }
 
 // acquireCandidates pops a recycled candidate buffer, or allocates one
@@ -210,7 +210,31 @@ type RouterConfig struct {
 	// default AggValue, since only then are contributions availability
 	// claims.
 	BandCensus func(lo, hi float64) float64
+	// Stats, when non-nil, is where the router counts its flood-path work
+	// instead of in a struct of its own: a single-threaded deployment
+	// shares one across its routers and reads the totals in one load.
+	Stats *FloodStats
 }
+
+// FloodStats counts the work of the flood path in plain fields,
+// published as metrics by whoever owns the deployment.
+type FloodStats struct {
+	SeenChecks    int64 // duplicate-suppression lookups (markSeen)
+	SeenFrontHits int64 // ... answered by the front cache, no map probe
+	OrderRequests int64 // hash orders asked for by a dissemination hop
+	OrderSorts    int64 // ... that had to be sorted (memo miss or stale)
+}
+
+// Add adds o's counts to s.
+func (s *FloodStats) Add(o FloodStats) {
+	s.SeenChecks += o.SeenChecks
+	s.SeenFrontHits += o.SeenFrontHits
+	s.OrderRequests += o.OrderRequests
+	s.OrderSorts += o.OrderSorts
+}
+
+// FloodStats returns the counters so far (RouterConfig.Stats's when set).
+func (r *Router) FloodStats() FloodStats { return *r.stats }
 
 // NewRouter validates and builds a Router.
 func NewRouter(cfg RouterConfig) (*Router, error) {
@@ -238,6 +262,10 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 		aggValue:      cfg.AggValue,
 		bandCensus:    cfg.BandCensus,
 		valueChecks:   cfg.AggValue == nil,
+		stats:         cfg.Stats,
+	}
+	if r.stats == nil {
+		r.stats = new(FloodStats)
 	}
 	if r.aggValue == nil {
 		r.aggValue = r.selfClaim
@@ -317,7 +345,7 @@ func (r *Router) Anycast(target Target, opts AnycastOptions) (MsgID, error) {
 		SentAt:      r.env.Now(),
 		SenderAvail: r.selfClaim(),
 	}
-	r.handleAnycast(ids.Nil, msg)
+	r.handleAnycast(ids.Addr{}, msg)
 	return id, nil
 }
 
@@ -405,7 +433,7 @@ func (r *Router) Multicast(target Target, opts MulticastOptions) (MsgID, error) 
 		SenderAvail: r.selfClaim(),
 		Multicast:   &spec,
 	}
-	r.handleAnycast(ids.Nil, msg)
+	r.handleAnycast(ids.Addr{}, msg)
 	return id, nil
 }
 
@@ -474,7 +502,7 @@ func (r *Router) Rangecast(lo, hi float64, payload string, opts RangecastOptions
 		SenderAvail: r.selfClaim(),
 		Rangecast:   &spec,
 	}
-	r.handleAnycast(ids.Nil, msg)
+	r.handleAnycast(ids.Addr{}, msg)
 	return id, nil
 }
 
@@ -583,7 +611,7 @@ func (r *Router) Aggregate(op agg.Op, lo, hi float64, opts AggregateOptions) (Ms
 			SenderAvail: r.selfClaim(),
 			Aggregate:   &spec,
 		}
-		r.handleAnycast(ids.Nil, msg)
+		r.handleAnycast(ids.Addr{}, msg)
 	}
 	// The origin's resolution deadline: by then every tree has hit its
 	// own wave backstop and returned or never will. Deterministic in
@@ -628,7 +656,7 @@ func subTarget(hull Target, j, k int) Target {
 
 // HandleMessage is the network entry point: the simulator and live
 // runtime register it as the node's message handler.
-func (r *Router) HandleMessage(from ids.NodeID, msg any) {
+func (r *Router) HandleMessage(from ids.Addr, msg any) {
 	// The audit layer sees every message first: traffic from peers this
 	// node has evicted is discarded, delivery notices included.
 	if r.auditor != nil && !r.auditor.ObserveInbound(from, msg) {
@@ -663,17 +691,17 @@ func (r *Router) HandleMessage(from ids.NodeID, msg any) {
 		// the cross-tree median then resolves from the honest trees.
 		if band, tracked := r.aggChecks[m.ID]; tracked {
 			if reason := r.partialSuspect(band, m.Result); reason != "" {
-				r.col.aggregatePartialRejected(m.ID)
+				r.col.aggregatePartialRejected(m.ID, reason)
 				if ap, ok := r.auditor.(AggPartialAuditor); ok {
 					ap.SuspectAggPartial(from, reason)
 				}
 				return
 			}
 		}
-		r.col.aggregateResult(m.ID, from, m.Token, m.Result, r.env.Now())
+		r.col.aggregateResult(m.ID, from.ID(), m.Token, m.Result, r.env.Now())
 		return
 	}
-	if r.verifyInbound && !from.IsNil() && !r.mem.VerifyInbound(from) {
+	if r.verifyInbound && !from.IsNil() && !r.mem.VerifyInbound(from.ID()) {
 		r.rejected++
 		return
 	}
@@ -696,7 +724,7 @@ func (r *Router) HandleMessage(from ids.NodeID, msg any) {
 
 // handleAnycast processes an anycast hop at this node (paper §3.2.I):
 // terminate if inside the target, otherwise forward by policy.
-func (r *Router) handleAnycast(from ids.NodeID, m AnycastMsg) {
+func (r *Router) handleAnycast(from ids.Addr, m AnycastMsg) {
 	self := r.mem.SelfInfo()
 	if m.Target.Contains(self.Availability) {
 		switch {
@@ -710,11 +738,11 @@ func (r *Router) handleAnycast(from ids.NodeID, m AnycastMsg) {
 			r.rootAggregate(m)
 		default:
 			if r.otrace != nil {
-				r.span("anycast", "deliver", m.ID, m.Hops, from)
+				r.span("anycast", "deliver", m.ID, m.Hops, from.ID())
 			}
 			r.col.anycastDelivered(m.ID, m.Hops, r.env.Now()-m.SentAt)
 			if m.ID.Origin != self.ID {
-				r.env.Send(m.ID.Origin, DeliveredMsg{ID: m.ID, Hops: m.Hops, SentAt: m.SentAt})
+				r.env.Send(m.ID.Origin.Addr(), DeliveredMsg{ID: m.ID, Hops: m.Hops, SentAt: m.SentAt})
 			}
 		}
 		return
@@ -732,12 +760,12 @@ const unlimitedBudget = -1
 // RetriedGreedy additionally caps the number of attempts with the
 // message's retry budget (paper §3.2.I); Greedy and Annealing stop only
 // when the candidate list is exhausted.
-func (r *Router) forwardAnycast(from ids.NodeID, m AnycastMsg) {
+func (r *Router) forwardAnycast(from ids.Addr, m AnycastMsg) {
 	if m.TTL <= 0 {
 		r.col.anycastFailed(m.ID, OutcomeTTLExpired)
 		return
 	}
-	candidates := r.candidates(from, m.Flavor, m.Target)
+	candidates := r.candidates(from.ID(), m.Flavor, m.Target)
 	next := m
 	next.TTL--
 	next.Hops++
@@ -767,7 +795,7 @@ func (r *Router) attempt(candidates []core.Neighbor, m AnycastMsg, budget int) {
 	if m.Policy == RetriedGreedy {
 		m.Retry = budget
 	}
-	r.env.SendCall(choice.ID, m, func(ok bool) {
+	r.env.SendCall(choice.Addr(), m, func(ok bool) {
 		if ok {
 			r.releaseCandidates(candidates)
 			return
@@ -822,7 +850,7 @@ func (r *Router) candidates(from ids.NodeID, flavor core.Flavor, target Target) 
 	var sender core.Neighbor
 	hasSender := false
 	for i := range all {
-		if r.auditor != nil && r.auditor.Blocked(all[i].ID) {
+		if r.auditor != nil && r.auditor.Blocked(all[i].Addr()) {
 			continue
 		}
 		if all[i].ID == from {
@@ -847,23 +875,36 @@ func (r *Router) handleMulticast(m MulticastMsg) {
 	r.disseminate(m)
 }
 
+// seenFront is the size of the duplicate-suppression front cache.
+const seenFront = 4
+
 // markSeen records id in the duplicate-suppression set, reporting
-// whether it was already present. The set is lazily allocated — most
+// whether it was already present. A front slot only ever holds an id
+// that is in the set, and never the zero MsgID (no operation carries
+// it), so a front hit is a set hit. The set is lazily allocated — most
 // routers in a large world never see a dissemination message — and
-// reset wholesale (with the per-operation gossip ledger) when it hits
-// maxSeen.
+// reset wholesale, with the front cache and the per-operation gossip
+// ledger, when it hits maxSeen.
 func (r *Router) markSeen(id MsgID) bool {
-	if r.seen[id] {
+	r.stats.SeenChecks++
+	slot := &r.front[id.Seq%seenFront]
+	if *slot == id && id != (MsgID{}) {
+		r.stats.SeenFrontHits++
 		return true
 	}
-	if len(r.seen) >= maxSeen {
-		r.seen = make(map[MsgID]bool, 256)
-		r.gossipSent = nil
-	} else if r.seen == nil {
-		r.seen = make(map[MsgID]bool, 64)
+	dup := r.seen[id]
+	if !dup {
+		if len(r.seen) >= maxSeen {
+			r.seen = make(map[MsgID]bool, 256)
+			r.front = [seenFront]MsgID{}
+			r.gossipSent = nil
+		} else if r.seen == nil {
+			r.seen = make(map[MsgID]bool, 64)
+		}
+		r.seen[id] = true
 	}
-	r.seen[id] = true
-	return false
+	*slot = id
+	return dup
 }
 
 // disseminate is the stage-two entry: record the local delivery once,
@@ -889,8 +930,8 @@ func (r *Router) disseminate(m MulticastMsg) {
 		// Box the message once: every recipient shares one read-only
 		// interface value instead of re-boxing the struct per send.
 		var boxed any = m
-		for _, nb := range r.inRangeNeighbors(m) {
-			r.env.Send(nb.id, boxed)
+		for nb := range r.targets(m.Spec.Flavor, 0, m.Target.Contains) {
+			r.env.Send(nb.Addr(), boxed)
 		}
 	}
 }
@@ -913,76 +954,19 @@ func (r *Router) gossipRounds(m MulticastMsg, remaining int) {
 		// skipping peers already gossiped to (paper §3.2.II).
 		n := 0
 		var boxed any = m
-		for _, nb := range r.inRangeNeighbors(m) {
+		for nb := range r.targets(m.Spec.Flavor, 0, m.Target.Contains) {
 			if n >= m.Spec.Fanout {
 				break
 			}
-			if sent[nb.id] {
+			if sent[nb.ID] {
 				continue
 			}
-			sent[nb.id] = true
-			r.env.Send(nb.id, boxed)
+			sent[nb.ID] = true
+			r.env.Send(nb.Addr(), boxed)
 			n++
 		}
 	}
 	r.env.After(m.Spec.Period, func() { r.gossipRounds(m, remaining-1) })
-}
-
-// inRangeNeighbors returns this node's neighbors (dissemination flavor)
-// whose cached availability lies inside the multicast target, ordered
-// by the pair hash with this node. The order is deterministic per node
-// (the paper's "deterministic iteration through the list") but
-// uncorrelated across nodes — a globally shared order (say, sorted
-// identifiers) would starve the nodes that sort last, since every
-// gossiper would spend its fanout on the same prefix.
-// The result lives in the router's dissemination scratch: it is only
-// valid until the next inRangeNeighbors call, which is fine because
-// flooding and gossip consume it synchronously.
-func (r *Router) inRangeNeighbors(m MulticastMsg) []peerKey {
-	return r.scratchNeighbors(m.Spec.Flavor, m.Target.Contains, 0)
-}
-
-// scratchNeighbors fills the dissemination scratch with this node's
-// unblocked neighbors (given flavor) whose cached availability passes
-// contains, hash-ordered (see inRangeNeighbors for why the order must
-// be deterministic per node but uncorrelated across nodes). All three
-// dissemination families — multicast, range-cast, aggregation — share
-// it; the result is valid until the next scratchNeighbors call. A
-// nonzero salt remixes the ordering keys so the redundant trees of one
-// aggregation grow along different sliver orderings; salt 0 is the
-// legacy order.
-func (r *Router) scratchNeighbors(flavor core.Flavor, contains func(float64) bool, salt uint64) []peerKey {
-	all := r.mem.Neighbors(flavor)
-	out := r.scratch[:0]
-	for i := range all {
-		nb := &all[i]
-		if r.auditor != nil && r.auditor.Blocked(nb.ID) {
-			continue
-		}
-		if contains(nb.Availability) {
-			// The membership stored H(self, nb) when it admitted nb.
-			out = append(out, peerKey{key: saltKey(nb.PairHash(), salt), id: nb.ID})
-		}
-	}
-	slices.SortFunc(out, func(a, b peerKey) int { return cmp.Compare(a.key, b.key) })
-	r.scratch = out
-	return out
-}
-
-// saltKey remixes one ordering key with a per-tree salt (splitmix64
-// finalizer over the xored bits, folded back to [0,1)). Salt 0 — every
-// non-aggregation path — returns the key untouched.
-func saltKey(key float64, salt uint64) float64 {
-	if salt == 0 {
-		return key
-	}
-	z := math.Float64bits(key) ^ salt
-	z ^= z >> 30
-	z *= 0xBF58476D1CE4E5B9
-	z ^= z >> 27
-	z *= 0x94D049BB133111EB
-	z ^= z >> 31
-	return float64(z>>11) / (1 << 53)
 }
 
 // spreadRangecast is the range-cast stage-two entry: record the local
@@ -1010,8 +994,8 @@ func (r *Router) spreadRangecast(m RangecastMsg) {
 	next.Depth++
 	next.SenderAvail = r.selfClaim()
 	var boxed any = next
-	for _, nb := range r.scratchNeighbors(m.Spec.Flavor, m.Spec.Band.Contains, 0) {
-		r.env.Send(nb.id, boxed)
+	for nb := range r.targets(m.Spec.Flavor, 0, m.Spec.Band.Contains) {
+		r.env.Send(nb.Addr(), boxed)
 	}
 }
 
@@ -1032,7 +1016,7 @@ func (r *Router) rootAggregate(m AnycastMsg) {
 			r.col.aggregateResult(id, self.ID, spec.Token, p, r.env.Now())
 			return
 		}
-		r.env.Send(id.Origin, AggResultMsg{ID: id, Result: p, Token: spec.Token, SentAt: sentAt, SenderAvail: r.selfClaim()})
+		r.env.Send(id.Origin.Addr(), AggResultMsg{ID: id, Result: p, Token: spec.Token, SentAt: sentAt, SenderAvail: r.selfClaim()})
 	})
 	if !opened {
 		// A retried entry stage can deliver the same anycast to a second
@@ -1046,7 +1030,7 @@ func (r *Router) rootAggregate(m AnycastMsg) {
 // handleAggRequest processes an aggregation request at this node: join
 // the tree under the sender (first copy), or send an accounting
 // decline (duplicate copy, or this node lies outside the band).
-func (r *Router) handleAggRequest(from ids.NodeID, m AggMsg) {
+func (r *Router) handleAggRequest(from ids.Addr, m AggMsg) {
 	self := r.mem.SelfInfo()
 	if r.station.Seen(m.ID) || !m.Spec.Band.Contains(self.Availability) {
 		r.env.Send(from, r.declineMsg(m.ID))
@@ -1058,7 +1042,7 @@ func (r *Router) handleAggRequest(from ids.NodeID, m AggMsg) {
 		r.env.Send(parent, AggReplyMsg{ID: id, Partial: p, SenderAvail: r.selfClaim()})
 	})
 	r.trackAggCheck(id, m.Spec.Band)
-	r.station.Expect(id, r.forwardAgg(id, m.Spec, m.Depth, m.SentAt, from))
+	r.station.Expect(id, r.forwardAgg(id, m.Spec, m.Depth, m.SentAt, from.ID()))
 }
 
 // declineMsg returns the boxed accounting decline for tree id. A tree
@@ -1108,11 +1092,11 @@ func (r *Router) forwardAgg(id MsgID, spec AggregateSpec, depth int, sentAt time
 		}
 	}
 	kids := 0
-	for _, nb := range r.scratchNeighbors(spec.Flavor, spec.Band.Contains, spec.Salt) {
-		if nb.id == parent {
+	for nb := range r.targets(spec.Flavor, spec.Salt, spec.Band.Contains) {
+		if nb.ID == parent {
 			continue
 		}
-		r.env.SendCall(nb.id, boxed, nack)
+		r.env.SendCall(nb.Addr(), boxed, nack)
 		kids++
 	}
 	return kids
@@ -1122,13 +1106,17 @@ func (r *Router) forwardAgg(id MsgID, spec AggregateSpec, depth int, sentAt time
 // aggCountSlack × the band's expected census contributors (floored, so
 // sparse bands keep headroom), and — when contributions are
 // availability claims — value moments may exceed the band hull by at
-// most aggValueTol. Honest partials sit far inside both bounds; the
+// most AggValueTol. Honest partials sit far inside both bounds; the
 // slack absorbs churn-driven drift between the census estimate and the
 // live population.
 const (
 	aggCountSlack = 3.0
 	aggCountFloor = 8.0
-	aggValueTol   = 0.1
+	// AggValueTol is exported for the scenario fuzzer, whose oracle has to
+	// know how far an honest node's fresh availability claim (what it
+	// contributes) may drift from the cached one (what put it in the band)
+	// before a parent's hull check fires.
+	AggValueTol = 0.1
 )
 
 // partialSuspect validates a merged child partial against the
@@ -1145,8 +1133,8 @@ func (r *Router) partialSuspect(band Band, p agg.Partial) string {
 	if !r.valueChecks {
 		return ""
 	}
-	lo := band.Lo - aggValueTol
-	hi := math.Min(band.Hi, 1) + aggValueTol
+	lo := band.Lo - AggValueTol
+	hi := math.Min(band.Hi, 1) + AggValueTol
 	if p.Min < lo || p.Max > hi {
 		return "agg-hull-bounds"
 	}
@@ -1163,14 +1151,14 @@ func (r *Router) partialSuspect(band Band, p agg.Partial) string {
 // distribution is dropped — it still counts as a (contribution-free)
 // decline so convergence accounting stays exact — and reported to the
 // auditor as decaying soft evidence against the sender.
-func (r *Router) handleAggReply(from ids.NodeID, m AggReplyMsg) {
+func (r *Router) handleAggReply(from ids.Addr, m AggReplyMsg) {
 	if m.Decline {
 		r.station.Decline(m.ID)
 		return
 	}
 	if band, ok := r.aggChecks[m.ID]; ok {
 		if reason := r.partialSuspect(band, m.Partial); reason != "" {
-			r.col.aggregatePartialRejected(m.ID)
+			r.col.aggregatePartialRejected(m.ID, reason)
 			if ap, ok := r.auditor.(AggPartialAuditor); ok {
 				ap.SuspectAggPartial(from, reason)
 			}

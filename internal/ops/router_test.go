@@ -51,9 +51,9 @@ func newTestEnv(world *sim.World, net *sim.Network, self ids.NodeID, online func
 func (e *testEnv) Now() time.Duration               { return e.world.Now() }
 func (e *testEnv) After(d time.Duration, fn func()) { e.world.After(d, fn) }
 func (e *testEnv) RandFloat() float64               { return e.world.Rand().Float64() }
-func (e *testEnv) Send(to ids.NodeID, msg any)      { e.net.Send(e.self, to, msg) }
-func (e *testEnv) SendCall(to ids.NodeID, msg any, onResult func(ok bool)) {
-	e.net.SendCall(e.self, to, msg, onResult)
+func (e *testEnv) Send(to ids.Addr, msg any)        { e.net.SendAddr(e.self.Addr(), to, msg) }
+func (e *testEnv) SendCall(to ids.Addr, msg any, onResult func(ok bool)) {
+	e.net.SendCallAddr(e.self.Addr(), to, msg, onResult)
 }
 func (e *testEnv) Online() bool { return e.online() }
 
@@ -106,7 +106,7 @@ func newCluster(t *testing.T, pred *core.Predicate, avails []float64, verify boo
 			t.Fatal(err)
 		}
 		c.routers[id] = r
-		c.net.Register(id, r.HandleMessage)
+		c.net.RegisterAddr(id.Addr(), r.HandleMessage)
 	}
 	return c
 }
@@ -608,8 +608,8 @@ func TestDisseminationOrderMatchesPairHashPath(t *testing.T) {
 	everyone := func(float64) bool { return true }
 	for j := range want {
 		var got []int
-		for _, nb := range r.scratchNeighbors(core.HSVS, everyone, aggSalt(j)) {
-			got = append(got, index[nb.id])
+		for nb := range r.targets(core.HSVS, aggSalt(j), everyone) {
+			got = append(got, index[nb.ID])
 		}
 		if !reflect.DeepEqual(got, want[j]) {
 			t.Errorf("tree %d child order\n got %v\nwant %v", j, got, want[j])
@@ -624,7 +624,7 @@ type countingEnv struct {
 	calls int
 }
 
-func (e *countingEnv) SendCall(ids.NodeID, any, func(bool)) { e.calls++ }
+func (e *countingEnv) SendCall(ids.Addr, any, func(bool)) { e.calls++ }
 
 // TestForwardAggAllocatesPerForwardNotPerChild checks the aggregation
 // fan-out boxes its request and builds its nack callback once: the

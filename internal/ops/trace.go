@@ -29,7 +29,8 @@ func (r *Router) span(kind, ev string, id MsgID, hop int, src ids.NodeID) {
 // traceInbound classifies an inbound message into a span. Called from
 // HandleMessage after the audit gate: the trace shows the causal chain
 // the node actually processed.
-func (r *Router) traceInbound(from ids.NodeID, msg any) {
+func (r *Router) traceInbound(sender ids.Addr, msg any) {
+	from := sender.ID()
 	switch m := msg.(type) {
 	case DeliveredMsg:
 		r.span("anycast", "result", m.ID, m.Hops, from)

@@ -28,6 +28,11 @@ type LiveConfig struct {
 // serialized against their own state wrap it with Gated.
 type Live struct {
 	cfg LiveConfig
+	// self and fab are cfg.Self and cfg.Transport as the Fabric seam
+	// speaks them: everything the Env sends or registers crosses the one
+	// memo-dropping adapter (TransportFabric).
+	self ids.Addr
+	fab  Fabric
 
 	mu      sync.Mutex
 	rng     *rand.Rand
@@ -50,6 +55,8 @@ func NewLive(cfg LiveConfig) (*Live, error) {
 	}
 	return &Live{
 		cfg:    cfg,
+		self:   cfg.Self.Addr(),
+		fab:    TransportFabric(cfg.Transport),
 		rng:    rand.New(rand.NewSource(cfg.Seed)),
 		timers: make(map[int]*time.Timer, 8),
 	}, nil
@@ -135,8 +142,8 @@ func (e *Live) RandIntn(n int) int {
 }
 
 // Register implements Env and starts the Env's clock.
-func (e *Live) Register(h transport.Handler) error {
-	if err := e.cfg.Transport.Register(e.cfg.Self, h); err != nil {
+func (e *Live) Register(h Handler) error {
+	if err := e.fab.Register(e.self, h); err != nil {
 		return err
 	}
 	e.mu.Lock()
@@ -148,16 +155,14 @@ func (e *Live) Register(h transport.Handler) error {
 }
 
 // Unregister implements Env.
-func (e *Live) Unregister() { e.cfg.Transport.Unregister(e.cfg.Self) }
+func (e *Live) Unregister() { e.fab.Unregister(e.self) }
 
 // Send implements Env.
-func (e *Live) Send(to ids.NodeID, msg any) {
-	e.cfg.Transport.Send(e.cfg.Self, to, msg)
-}
+func (e *Live) Send(to ids.Addr, msg any) { e.fab.Send(e.self, to, msg) }
 
 // SendCall implements Env.
-func (e *Live) SendCall(to ids.NodeID, msg any, onResult func(ok bool)) {
-	e.cfg.Transport.SendCall(e.cfg.Self, to, msg, func(ok bool) {
+func (e *Live) SendCall(to ids.Addr, msg any, onResult func(ok bool)) {
+	e.fab.SendCall(e.self, to, msg, func(ok bool) {
 		e.mu.Lock()
 		dead := e.stopped
 		e.mu.Unlock()

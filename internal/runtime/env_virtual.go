@@ -16,13 +16,15 @@ import (
 // event on the single virtual clock, executed on one goroutine in a
 // reproducible order.
 type VirtualConfig struct {
-	// Self is the identity the Env is bound to.
-	Self ids.NodeID
+	// Self is the identity the Env is bound to, with its host-index memo
+	// when the deployment knows it — resolved once, here, and stamped on
+	// everything the Env sends.
+	Self ids.Addr
 	// Scheduler supplies virtual time and deferred execution
 	// (typically a sim.World).
 	Scheduler Scheduler
-	// Fabric moves messages (a sim.Network via NetFabric, or a
-	// transport implementation such as the deterministic Memnet).
+	// Fabric moves messages (a sim.Network via NetFabric, or a transport
+	// such as the deterministic Memnet via TransportFabric).
 	Fabric Fabric
 	// Online reports this node's current liveness (nil = always online).
 	Online func() bool
@@ -66,7 +68,7 @@ func NewVirtual(cfg VirtualConfig) (*Virtual, error) {
 }
 
 // Self implements Env.
-func (e *Virtual) Self() ids.NodeID { return e.cfg.Self }
+func (e *Virtual) Self() ids.NodeID { return e.cfg.Self.ID() }
 
 // Now implements Env.
 func (e *Virtual) Now() time.Duration { return e.cfg.Scheduler.Now() }
@@ -108,7 +110,7 @@ func (e *Virtual) RandFloat() float64 { return e.rng.Float64() }
 func (e *Virtual) RandIntn(n int) int { return e.rng.Intn(n) }
 
 // Register implements Env.
-func (e *Virtual) Register(h transport.Handler) error {
+func (e *Virtual) Register(h Handler) error {
 	return e.cfg.Fabric.Register(e.cfg.Self, h)
 }
 
@@ -116,12 +118,12 @@ func (e *Virtual) Register(h transport.Handler) error {
 func (e *Virtual) Unregister() { e.cfg.Fabric.Unregister(e.cfg.Self) }
 
 // Send implements Env.
-func (e *Virtual) Send(to ids.NodeID, msg any) {
+func (e *Virtual) Send(to ids.Addr, msg any) {
 	e.cfg.Fabric.Send(e.cfg.Self, to, msg)
 }
 
 // SendCall implements Env.
-func (e *Virtual) SendCall(to ids.NodeID, msg any, onResult func(ok bool)) {
+func (e *Virtual) SendCall(to ids.Addr, msg any, onResult func(ok bool)) {
 	e.cfg.Fabric.SendCall(e.cfg.Self, to, msg, onResult)
 }
 
@@ -146,22 +148,47 @@ type netFabric struct{ net *sim.Network }
 
 // NetFabric wraps a sim.Network as a Fabric, so virtual Envs bind the
 // simulator's message fabric through the same seam the live transports
-// use.
+// use. Address memos travel with the messages.
 func NetFabric(n *sim.Network) Fabric { return netFabric{net: n} }
 
 // Register implements Fabric.
-func (f netFabric) Register(self ids.NodeID, h transport.Handler) error {
-	f.net.Register(self, sim.Handler(h))
+func (f netFabric) Register(self ids.Addr, h Handler) error {
+	f.net.RegisterAddr(self, sim.AddrHandler(h))
 	return nil
 }
 
 // Unregister implements Fabric.
-func (f netFabric) Unregister(self ids.NodeID) { f.net.Register(self, nil) }
+func (f netFabric) Unregister(self ids.Addr) { f.net.RegisterAddr(self, nil) }
 
 // Send implements Fabric.
-func (f netFabric) Send(from, to ids.NodeID, msg any) { f.net.Send(from, to, msg) }
+func (f netFabric) Send(from, to ids.Addr, msg any) { f.net.SendAddr(from, to, msg) }
 
 // SendCall implements Fabric.
-func (f netFabric) SendCall(from, to ids.NodeID, msg any, onResult func(ok bool)) {
-	f.net.SendCall(from, to, msg, onResult)
+func (f netFabric) SendCall(from, to ids.Addr, msg any, onResult func(ok bool)) {
+	f.net.SendCallAddr(from, to, msg, onResult)
+}
+
+// transportFabric adapts a transport to the Fabric contract.
+type transportFabric struct{ t transport.Transport }
+
+// TransportFabric wraps a transport (TCP, Memory, Memnet) as a Fabric.
+// It is the one place a memo is dropped: a transport moves identifiers,
+// so whatever crosses it arrives memo-less and its receiver takes the
+// identifier path.
+func TransportFabric(t transport.Transport) Fabric { return transportFabric{t: t} }
+
+// Register implements Fabric: senders arrive memo-less.
+func (f transportFabric) Register(self ids.Addr, h Handler) error {
+	return f.t.Register(self.ID(), func(from ids.NodeID, msg any) { h(from.Addr(), msg) })
+}
+
+// Unregister implements Fabric.
+func (f transportFabric) Unregister(self ids.Addr) { f.t.Unregister(self.ID()) }
+
+// Send implements Fabric.
+func (f transportFabric) Send(from, to ids.Addr, msg any) { f.t.Send(from.ID(), to.ID(), msg) }
+
+// SendCall implements Fabric.
+func (f transportFabric) SendCall(from, to ids.Addr, msg any, onResult func(ok bool)) {
+	f.t.SendCall(from.ID(), to.ID(), msg, onResult)
 }

@@ -4,7 +4,6 @@ import (
 	"time"
 
 	"avmem/internal/ids"
-	"avmem/internal/transport"
 )
 
 // gated decorates an Env so every asynchronous callback — one-shot
@@ -54,7 +53,7 @@ func (g *gated) RandIntn(n int) int { return g.env.RandIntn(n) }
 // Register implements Env. The inbound handler is not gated: handlers
 // manage their own locking (shuffle traffic must not serialize behind
 // operation handling).
-func (g *gated) Register(h transport.Handler) error {
+func (g *gated) Register(h Handler) error {
 	return g.env.Register(h)
 }
 
@@ -62,10 +61,10 @@ func (g *gated) Register(h transport.Handler) error {
 func (g *gated) Unregister() { g.env.Unregister() }
 
 // Send implements Env.
-func (g *gated) Send(to ids.NodeID, msg any) { g.env.Send(to, msg) }
+func (g *gated) Send(to ids.Addr, msg any) { g.env.Send(to, msg) }
 
 // SendCall implements Env: the result callback fires inside the gate.
-func (g *gated) SendCall(to ids.NodeID, msg any, onResult func(ok bool)) {
+func (g *gated) SendCall(to ids.Addr, msg any, onResult func(ok bool)) {
 	if onResult == nil {
 		g.env.SendCall(to, msg, nil)
 		return

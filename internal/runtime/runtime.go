@@ -18,6 +18,12 @@
 // same node code to either engine. ops.Env is the structural subset the
 // operation router consumes — every runtime Env satisfies it.
 //
+// Peers are addressed by ids.Addr — an identifier plus an optional memo
+// of the peer's host index in the deployment's universe. The simulator's
+// network carries the memo with the message and verifies it where it is
+// used; a transport (TCP, Memory, Memnet) never sees it: TransportFabric
+// and Live drop it on the way out and hand senders over memo-less.
+//
 // Architecture: DESIGN.md §6 (the Runtime/Env layer).
 package runtime
 
@@ -26,8 +32,11 @@ import (
 
 	"avmem/internal/ids"
 	"avmem/internal/ops"
-	"avmem/internal/transport"
 )
+
+// Handler consumes a message delivered to a node; from carries the
+// sender's host-index memo when the fabric vouches for it.
+type Handler func(from ids.Addr, msg any)
 
 // Env is the single host-environment contract of the AVMEM runtime.
 // It embeds ops.Env (clock, one-shot timers, uniform randomness,
@@ -51,7 +60,7 @@ type Env interface {
 	RandIntn(n int) int
 	// Register binds the Env's identity to the message fabric and
 	// installs the inbound handler. It must precede Send/SendCall.
-	Register(h transport.Handler) error
+	Register(h Handler) error
 	// Unregister removes the identity from the fabric.
 	Unregister()
 }
@@ -66,20 +75,21 @@ type Scheduler interface {
 	After(d time.Duration, fn func())
 }
 
-// Fabric moves messages between identities. transport.Transport
-// implementations (TCP, Memory, Memnet) satisfy it directly; sim.Network
-// is adapted by NetFabric.
+// Fabric moves messages between addresses. sim.Network is adapted by
+// NetFabric, which carries the memos through; transport.Transport
+// implementations (TCP, Memory, Memnet) by TransportFabric, which drops
+// them.
 type Fabric interface {
 	// Register installs the message handler for self.
-	Register(self ids.NodeID, h transport.Handler) error
+	Register(self ids.Addr, h Handler) error
 	// Unregister removes self from the fabric.
-	Unregister(self ids.NodeID)
+	Unregister(self ids.Addr)
 	// Send delivers msg to the target, best effort.
-	Send(from, to ids.NodeID, msg any)
+	Send(from, to ids.Addr, msg any)
 	// SendCall delivers msg and reports the outcome exactly once:
 	// onResult(true) after the target acknowledged, onResult(false) when
 	// it was unreachable.
-	SendCall(from, to ids.NodeID, msg any, onResult func(ok bool))
+	SendCall(from, to ids.Addr, msg any, onResult func(ok bool))
 }
 
 // Stopper is implemented by Envs whose timers outlive a node and must be

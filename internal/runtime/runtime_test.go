@@ -10,12 +10,15 @@ import (
 	"avmem/internal/transport"
 )
 
+// peerA and peerB are the two memo-less addresses the tests talk between.
+var peerA, peerB = ids.NodeID("a").Addr(), ids.NodeID("b").Addr()
+
 func newVirtualPair(t *testing.T) (*sim.World, *transport.Memnet, *Virtual, *Virtual) {
 	t.Helper()
 	w := sim.NewWorld(1)
 	net := transport.NewMemnet(transport.MemnetConfig{After: w.After, Seed: 1})
 	mk := func(self ids.NodeID) *Virtual {
-		env, err := NewVirtual(VirtualConfig{Self: self, Scheduler: w, Fabric: net, Seed: 2})
+		env, err := NewVirtual(VirtualConfig{Self: self.Addr(), Scheduler: w, Fabric: TransportFabric(net), Seed: 2})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -27,24 +30,24 @@ func newVirtualPair(t *testing.T) (*sim.World, *transport.Memnet, *Virtual, *Vir
 func TestVirtualEnvMessaging(t *testing.T) {
 	w, _, a, b := newVirtualPair(t)
 	var got []any
-	if err := b.Register(func(from ids.NodeID, msg any) {
-		if from != "a" {
+	if err := b.Register(func(from ids.Addr, msg any) {
+		if from != a.cfg.Self {
 			t.Errorf("from = %v", from)
 		}
 		got = append(got, msg)
 	}); err != nil {
 		t.Fatal(err)
 	}
-	a.Send("b", "hello")
+	a.Send(peerB, "hello")
 	acked := false
-	a.SendCall("b", "call", func(ok bool) { acked = ok })
+	a.SendCall(peerB, "call", func(ok bool) { acked = ok })
 	w.RunAll(0)
 	if len(got) != 2 || !acked {
 		t.Fatalf("messages=%d acked=%v", len(got), acked)
 	}
 	b.Unregister()
 	nacked := false
-	a.SendCall("b", "call2", func(ok bool) { nacked = !ok })
+	a.SendCall(peerB, "call2", func(ok bool) { nacked = !ok })
 	w.RunAll(0)
 	if !nacked {
 		t.Error("unregistered peer acknowledged")
@@ -105,12 +108,12 @@ func TestGatedSerializesCallbacks(t *testing.T) {
 		fn()
 	}
 	g := Gated(a, gate)
-	if err := b.Register(func(ids.NodeID, any) {}); err != nil {
+	if err := b.Register(func(ids.Addr, any) {}); err != nil {
 		t.Fatal(err)
 	}
 	results := 0
 	g.After(time.Millisecond, func() { results++ })
-	g.SendCall("b", "x", func(ok bool) {
+	g.SendCall(peerB, "x", func(ok bool) {
 		if ok {
 			results++
 		}
@@ -141,23 +144,23 @@ func TestLiveEnvLifecycle(t *testing.T) {
 	}
 	a, b := mkLive("a"), mkLive("b")
 	got := make(chan any, 4)
-	if err := b.Register(func(from ids.NodeID, msg any) { got <- msg }); err != nil {
+	if err := b.Register(func(from ids.Addr, msg any) { got <- msg }); err != nil {
 		t.Fatal(err)
 	}
-	if err := a.Register(func(ids.NodeID, any) {}); err != nil {
+	if err := a.Register(func(ids.Addr, any) {}); err != nil {
 		t.Fatal(err)
 	}
 	if a.Now() < 0 {
 		t.Error("clock went backwards")
 	}
-	a.Send("b", "hi")
+	a.Send(peerB, "hi")
 	select {
 	case <-got:
 	case <-time.After(2 * time.Second):
 		t.Fatal("live delivery lost")
 	}
 	acks := make(chan bool, 1)
-	a.SendCall("b", "call", func(ok bool) { acks <- ok })
+	a.SendCall(peerB, "call", func(ok bool) { acks <- ok })
 	if ok := <-acks; !ok {
 		t.Fatal("live ack lost")
 	}
@@ -174,7 +177,7 @@ func TestLiveEnvLifecycle(t *testing.T) {
 	// After Stop, timers and ack callbacks are suppressed.
 	a.Stop()
 	a.After(time.Millisecond, func() { t.Error("timer fired after Stop") })
-	a.SendCall("b", "late", func(bool) { t.Error("ack fired after Stop") })
+	a.SendCall(peerB, "late", func(bool) { t.Error("ack fired after Stop") })
 	if a.Online() {
 		t.Error("stopped env reports online")
 	}
@@ -185,13 +188,13 @@ func TestLiveEnvLifecycle(t *testing.T) {
 func TestNewValidation(t *testing.T) {
 	w := sim.NewWorld(1)
 	net := transport.NewMemnet(transport.MemnetConfig{After: w.After})
-	if _, err := NewVirtual(VirtualConfig{Scheduler: w, Fabric: net}); err == nil {
+	if _, err := NewVirtual(VirtualConfig{Scheduler: w, Fabric: TransportFabric(net)}); err == nil {
 		t.Error("want error for missing identity")
 	}
-	if _, err := NewVirtual(VirtualConfig{Self: "a", Fabric: net}); err == nil {
+	if _, err := NewVirtual(VirtualConfig{Self: peerA, Fabric: TransportFabric(net)}); err == nil {
 		t.Error("want error for missing scheduler")
 	}
-	if _, err := NewVirtual(VirtualConfig{Self: "a", Scheduler: w}); err == nil {
+	if _, err := NewVirtual(VirtualConfig{Self: peerA, Scheduler: w}); err == nil {
 		t.Error("want error for missing fabric")
 	}
 	if _, err := NewLive(LiveConfig{Transport: net}); err == nil {
@@ -206,23 +209,23 @@ func TestNetFabricAdapter(t *testing.T) {
 	w := sim.NewWorld(1)
 	net := sim.NewNetwork(w, sim.FixedLatency(time.Millisecond), nil, 0)
 	f := NetFabric(net)
-	env, err := NewVirtual(VirtualConfig{Self: "a", Scheduler: w, Fabric: f, Seed: 1})
+	env, err := NewVirtual(VirtualConfig{Self: peerA, Scheduler: w, Fabric: f, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	got := 0
-	if err := f.Register("b", func(from ids.NodeID, msg any) { got++ }); err != nil {
+	if err := f.Register(peerB, func(from ids.Addr, msg any) { got++ }); err != nil {
 		t.Fatal(err)
 	}
-	env.Send("b", "x")
+	env.Send(peerB, "x")
 	okCh := false
-	env.SendCall("b", "y", func(ok bool) { okCh = ok })
+	env.SendCall(peerB, "y", func(ok bool) { okCh = ok })
 	w.RunAll(0)
 	if got != 2 || !okCh {
 		t.Fatalf("deliveries=%d ack=%v", got, okCh)
 	}
-	f.Unregister("b")
-	env.Send("b", "z")
+	f.Unregister(peerB)
+	env.Send(peerB, "z")
 	w.RunAll(0)
 	if got != 2 {
 		t.Error("unregistered sim handler still receiving")

@@ -19,7 +19,7 @@ func refSendCall(n *Network, from, to ids.NodeID, msg any, onResult func(ok bool
 	out := n.latency.Sample(n.world.Rand())
 	back := n.latency.Sample(n.world.Rand())
 	n.world.After(out, func() {
-		h := n.handlerFor(to)
+		h := n.handlerFor(to.Addr())
 		if h == nil {
 			n.stats.Dropped++
 			if onResult != nil {
@@ -28,7 +28,7 @@ func refSendCall(n *Network, from, to ids.NodeID, msg any, onResult func(ok bool
 			return
 		}
 		n.stats.Delivered++
-		h(from, msg)
+		h(from.Addr(), msg)
 		if onResult != nil {
 			n.world.After(back, func() { onResult(true) })
 		}

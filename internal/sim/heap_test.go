@@ -36,7 +36,7 @@ func TestHeapPopsInAtSeqOrder(t *testing.T) {
 			if k.at != want.at || k.seq != want.seq {
 				t.Fatalf("trial %d step %d: popped %v/%d, want %v/%d", trial, step, k.at, k.seq, want.at, want.seq)
 			}
-			h.fire(k.slot)
+			h.fire(k.slot, nil)
 			if fired != want.seq {
 				t.Fatalf("trial %d step %d: slot %d ran the payload of seq %d, want %d", trial, step, k.slot, fired, want.seq)
 			}
@@ -83,9 +83,8 @@ func TestHeapSeqTieBreakExhaustive(t *testing.T) {
 // collector could still reach.
 func TestSlabReusesAndZeroesSlots(t *testing.T) {
 	var h eventHeap
-	n := &Network{}
 	for i := 0; i < 3; i++ {
-		h.push(time.Duration(i), uint64(i+1), &payload{kind: evAttempt, net: n,
+		h.push(time.Duration(i), uint64(i+1), &payload{kind: evAttempt, net1: 1, to1: 2, from1: 3,
 			from: "a", to: "b", msg: i, fn: func() {}, onResult: func(bool) {}, out: 1, back: 2, ok: true})
 	}
 	k := h.pop()
@@ -95,7 +94,7 @@ func TestSlabReusesAndZeroesSlots(t *testing.T) {
 	// Consume the slot without running the attempt.
 	h.release(k.slot)
 	p := &h.slab[k.slot]
-	if p.kind != evFunc || p.ok || p.net != nil || p.from != "" || p.to != "" || p.msg != nil ||
+	if p.kind != evFunc || p.ok || p.net1 != 0 || p.to1 != 0 || p.from1 != 0 || p.from != "" || p.to != "" || p.msg != nil ||
 		p.fn != nil || p.onResult != nil || p.out != 0 || p.back != 0 {
 		t.Fatalf("released slot not zeroed: %+v", *p)
 	}
@@ -107,7 +106,7 @@ func TestSlabReusesAndZeroesSlots(t *testing.T) {
 	if got := h.keys[len(h.keys)-1].slot; got != k.slot {
 		t.Fatalf("new event took slot %d, want the released slot %d", got, k.slot)
 	}
-	h.fire(k.slot)
+	h.fire(k.slot, nil)
 	if !ran {
 		t.Fatal("reused slot did not run the new payload")
 	}
@@ -152,6 +151,6 @@ func BenchmarkSchedulerReschedule(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		k := w.events.pop()
 		w.now = k.at
-		w.events.fire(k.slot)
+		w.events.fire(k.slot, w.nets)
 	}
 }

@@ -6,8 +6,14 @@ import (
 	"avmem/internal/ids"
 )
 
-// Handler consumes a message delivered to a node.
+// Handler consumes a message delivered to a node, by identifier alone —
+// the form test rigs and the benchmark harness register.
 type Handler func(from ids.NodeID, msg any)
+
+// AddrHandler consumes a message delivered to a node. from carries the
+// sender's host-index memo when the sender supplied one and it verified
+// against the bound universe; otherwise it is memo-less.
+type AddrHandler func(from ids.Addr, msg any)
 
 // OnlineFunc reports whether a node is currently online. The network
 // consults it at delivery time, so a node that goes offline while a
@@ -22,32 +28,47 @@ type NetworkStats struct {
 	Dropped   int // messages lost to offline or unregistered targets
 }
 
+// AddrMemoStats counts what became of the host-index memos on the
+// addresses the network handled at delivery time (two per message).
+type AddrMemoStats struct {
+	Hit      int64 // memo present and hosts[i] is the identifier
+	Absent   int64 // no memo: the identifier path
+	Mismatch int64 // memo present but wrong: ignored, identifier path
+}
+
 // Network is the simulated message fabric: unicast with per-hop latency,
 // delivery only to online nodes, and optional delivery acknowledgments
 // for failure detection (retried-greedy forwarding needs them).
 type Network struct {
-	world   *World
+	world *World
+	// net1 is this network's position in world.nets plus one — how a
+	// queued event names it.
+	net1    uint8
 	latency LatencyModel
 	online  OnlineFunc
-	// ackTimeout is how long a caller of SendCall waits before declaring
-	// the attempt failed when no ack arrives.
+	// ackTimeout is how long a caller of SendCallAddr waits before
+	// declaring the attempt failed when no ack arrives.
 	ackTimeout time.Duration
-	handlers   map[ids.NodeID]Handler
+	handlers   map[ids.NodeID]AddrHandler
 	stats      NetworkStats
+	memo       AddrMemoStats
 
-	// Indexed fast path, populated by Bind: a fixed host universe gets a
-	// dense handler table and an index-based liveness probe, so a
-	// delivery resolves the target once (one map hit) and the rest is
-	// array reads. Hosts outside the bound universe fall back to the
-	// map + OnlineFunc path.
+	// Indexed path, populated by Bind: a fixed host universe gets a dense
+	// handler table and an index-based liveness probe. An address whose
+	// memo names its own slot of hosts is resolved by one slice read and a
+	// string compare; idx is the fallback for addresses without a usable
+	// memo. Hosts outside the bound universe go through the handlers map
+	// and the OnlineFunc.
+	hosts    []ids.NodeID
 	idx      map[ids.NodeID]int32
-	byIdx    []Handler
+	byIdx    []AddrHandler
 	onlineAt func(i int) bool
 }
 
 // NewNetwork creates a network on the world. latency defaults to the
 // paper's U[20,80] ms model; online defaults to "always online";
 // ackTimeout <= 0 defaults to 2× the worst-case paper latency (160 ms).
+// A world carries at most 255 networks.
 func NewNetwork(w *World, latency LatencyModel, online OnlineFunc, ackTimeout time.Duration) *Network {
 	if latency == nil {
 		latency = PaperLatency()
@@ -58,13 +79,19 @@ func NewNetwork(w *World, latency LatencyModel, online OnlineFunc, ackTimeout ti
 	if ackTimeout <= 0 {
 		ackTimeout = 160 * time.Millisecond
 	}
-	return &Network{
+	if len(w.nets) >= 255 {
+		panic("sim: more than 255 networks on one world")
+	}
+	n := &Network{
 		world:      w,
+		net1:       uint8(len(w.nets) + 1),
 		latency:    latency,
 		online:     online,
 		ackTimeout: ackTimeout,
-		handlers:   make(map[ids.NodeID]Handler, 1024),
+		handlers:   make(map[ids.NodeID]AddrHandler, 1024),
 	}
+	w.nets = append(w.nets, n)
+	return n
 }
 
 // Bind declares the fixed host universe and its index-based liveness
@@ -73,14 +100,15 @@ func NewNetwork(w *World, latency LatencyModel, online OnlineFunc, ackTimeout ti
 // OnlineFunc entirely. Handlers registered before the call are migrated
 // into the table, so Bind and Register compose in either order;
 // typically hosts is the churn trace's population in trace-index order.
-// The universe is fixed: bind once, before any traffic — a delivery in
-// flight carries the host index its Send resolved.
+// The universe is fixed: bind once, before any traffic — hosts is also
+// what address memos are verified against, and is kept, not copied.
 func (n *Network) Bind(hosts []ids.NodeID, onlineAt func(i int) bool) {
 	if len(hosts) == 0 || onlineAt == nil {
 		return
 	}
+	n.hosts = hosts
 	n.idx = make(map[ids.NodeID]int32, len(hosts))
-	n.byIdx = make([]Handler, len(hosts))
+	n.byIdx = make([]AddrHandler, len(hosts))
 	for i, id := range hosts {
 		n.idx[id] = int32(i)
 		if h, ok := n.handlers[id]; ok {
@@ -91,22 +119,38 @@ func (n *Network) Bind(hosts []ids.NodeID, onlineAt func(i int) bool) {
 	n.onlineAt = onlineAt
 }
 
-// Register installs the message handler for a node. A nil handler
-// unregisters the node.
+// Register is RegisterAddr for a handler that wants identifiers only.
 func (n *Network) Register(id ids.NodeID, h Handler) {
-	if i, ok := n.idx[id]; ok {
+	n.RegisterAddr(id.Addr(), h.withAddr())
+}
+
+// withAddr adapts h to the address form (nil stays nil).
+func (h Handler) withAddr() AddrHandler {
+	if h == nil {
+		return nil
+	}
+	return func(from ids.Addr, msg any) { h(from.ID(), msg) }
+}
+
+// RegisterAddr installs the message handler for a node. A nil handler
+// unregisters the node.
+func (n *Network) RegisterAddr(a ids.Addr, h AddrHandler) {
+	if i := n.indexOf(a); i >= 0 {
 		n.byIdx[i] = h
 		return
 	}
 	if h == nil {
-		delete(n.handlers, id)
+		delete(n.handlers, a.ID())
 		return
 	}
-	n.handlers[id] = h
+	n.handlers[a.ID()] = h
 }
 
 // Stats returns a copy of the activity counters.
 func (n *Network) Stats() NetworkStats { return n.stats }
+
+// AddrMemoStats returns a copy of the address-memo counters.
+func (n *Network) AddrMemoStats() AddrMemoStats { return n.memo }
 
 // ResetStats zeroes the activity counters (used between experiment
 // phases so warmup traffic does not pollute measurements).
@@ -120,89 +164,120 @@ func (n *Network) Online(id ids.NodeID) bool {
 	return n.online(id)
 }
 
+// memoIndex checks a's memo against the bound universe: the host index
+// when hosts[i] is a's identifier (in-process a pointer-equal string
+// compare), -1 when there is no memo or it names another slot, or none.
+// The identifier always wins: a memo that does not verify is only ever
+// ignored.
+func (n *Network) memoIndex(a ids.Addr) int {
+	i := a.Index()
+	if i < 0 {
+		n.memo.Absent++
+		return -1
+	}
+	if int(i) < len(n.hosts) && n.hosts[i] == a.ID() {
+		n.memo.Hit++
+		return int(i)
+	}
+	n.memo.Mismatch++
+	return -1
+}
+
+// indexOf resolves a to its bound host index — by memo when it verifies,
+// by identifier otherwise — or -1 for a host outside the universe.
+func (n *Network) indexOf(a ids.Addr) int {
+	if i := n.memoIndex(a); i >= 0 {
+		return i
+	}
+	if i, ok := n.idx[a.ID()]; ok {
+		return int(i)
+	}
+	return -1
+}
+
 // handlerFor resolves the live handler for a delivery: nil when the
 // target is unregistered or offline right now.
-func (n *Network) handlerFor(to ids.NodeID) Handler {
-	if i, ok := n.idx[to]; ok {
-		return n.handlerAt(int(i))
+func (n *Network) handlerFor(to ids.Addr) AddrHandler {
+	if i := n.indexOf(to); i >= 0 {
+		if h := n.byIdx[i]; h != nil && n.onlineAt(i) {
+			return h
+		}
+		return nil
 	}
-	if h, ok := n.handlers[to]; ok && n.online(to) {
+	if h, ok := n.handlers[to.ID()]; ok && n.online(to.ID()) {
 		return h
 	}
 	return nil
 }
 
-// handlerAt is handlerFor for bound host i.
-func (n *Network) handlerAt(i int) Handler {
-	if h := n.byIdx[i]; h != nil && n.onlineAt(i) {
-		return h
+// vouched returns from as the handler may see it: with its memo when it
+// verifies, stripped to the identifier when it does not.
+func (n *Network) vouched(from ids.Addr) ids.Addr {
+	if n.memoIndex(from) < 0 {
+		return from.ID().Addr()
 	}
-	return nil
+	return from
 }
 
 // deliver hands a message to the target's handler at delivery time,
 // counting drops for offline or unregistered targets. It is the firing
-// half of Send, invoked by the scheduler's value events. to1 is the
-// target's bound host index plus one when Send already resolved it (0
-// otherwise): the handler and liveness are then read at that index
-// instead of probing the identifier map a second time.
-func (n *Network) deliver(from, to ids.NodeID, to1 int32, msg any) {
-	var h Handler
-	if to1 > 0 {
-		h = n.handlerAt(int(to1 - 1))
-	} else {
-		h = n.handlerFor(to)
-	}
+// half of SendAddr, invoked by the scheduler's value events; both memos
+// are verified here, where they are used.
+func (n *Network) deliver(from, to ids.Addr, msg any) {
+	h := n.handlerFor(to)
 	if h == nil {
 		n.stats.Dropped++
 		return
 	}
 	n.stats.Delivered++
-	h(from, msg)
+	h(n.vouched(from), msg)
 }
 
-// Send delivers msg to to after one sampled hop latency, if the target
-// is online and registered at delivery time. Offline targets silently
-// drop the message (counted in stats). The delivery is scheduled as a
-// closure-free value event.
-func (n *Network) Send(from, to ids.NodeID, msg any) {
+// Send is SendAddr for two bare identifiers.
+func (n *Network) Send(from, to ids.NodeID, msg any) { n.SendAddr(from.Addr(), to.Addr(), msg) }
+
+// SendAddr delivers msg to to after one sampled hop latency, if the
+// target is online and registered at delivery time. Offline targets
+// silently drop the message (counted in stats). The delivery is
+// scheduled as a closure-free value event carrying both memos; nothing is
+// resolved here — a sharded queue places a memo-less delivery by its
+// sequence number, like any event without a host.
+func (n *Network) SendAddr(from, to ids.Addr, msg any) {
 	n.stats.Sent++
 	lat := n.latency.Sample(n.world.Rand())
-	var to1 int32
-	if n.world.sh != nil {
-		// Resolve the target's host index only when the queue is
-		// sharded — it routes the delivery to the owning shard's heap,
-		// and rides along so deliver need not resolve it again.
-		if i, ok := n.idx[to]; ok {
-			to1 = i + 1
-		}
-	}
-	n.world.schedule(n.world.now+lat, &payload{kind: evDeliver, to1: to1, net: n, from: from, to: to, msg: msg})
+	n.world.schedule(n.world.now+lat, &payload{kind: evDeliver, net1: n.net1,
+		to1: to.Index() + 1, from1: from.Index() + 1, from: from.ID(), to: to.ID(), msg: msg})
 }
 
-// SendCall delivers msg like Send but also reports the outcome to the
-// sender: onResult(true) fires when the target acknowledged (one
+// SendCall is SendCallAddr for two bare identifiers.
+func (n *Network) SendCall(from, to ids.NodeID, msg any, onResult func(ok bool)) {
+	n.SendCallAddr(from.Addr(), to.Addr(), msg, onResult)
+}
+
+// SendCallAddr delivers msg like SendAddr but also reports the outcome
+// to the sender: onResult(true) fires when the target acknowledged (one
 // round-trip after sending), onResult(false) fires after ackTimeout when
 // the target was offline or unregistered. This models the paper's
 // "each next-hop node is required to acknowledge receipt" rule. The
-// attempt and the verdict are value events, like Send's delivery: the
-// callback and both latencies ride in the attempt's payload.
-func (n *Network) SendCall(from, to ids.NodeID, msg any, onResult func(ok bool)) {
+// attempt and the verdict are value events, like SendAddr's delivery:
+// the callback and both latencies ride in the attempt's payload.
+func (n *Network) SendCallAddr(from, to ids.Addr, msg any, onResult func(ok bool)) {
 	n.stats.Sent++
 	out := n.latency.Sample(n.world.Rand())
 	back := n.latency.Sample(n.world.Rand())
-	n.world.schedule(n.world.now+out, &payload{kind: evAttempt, net: n,
-		from: from, to: to, msg: msg, onResult: onResult, out: out, back: back})
+	n.world.schedule(n.world.now+out, &payload{kind: evAttempt, net1: n.net1,
+		to1: to.Index() + 1, from1: from.Index() + 1, from: from.ID(), to: to.ID(),
+		msg: msg, onResult: onResult, out: out, back: back})
 }
 
-// attempt is the firing half of SendCall: hand the message to the
+// attempt is the firing half of SendCallAddr: hand the message to the
 // target if it is reachable now, then schedule the verdict — the ack one
 // return hop after the handler ran, or the nack once the sender's
 // ackTimeout (counted from the send) has expired. A nil callback
 // schedules nothing, so sequence numbers are consumed exactly where a
 // caller-visible event exists.
 func (n *Network) attempt(call *payload) {
-	h := n.handlerFor(call.to)
+	h := n.handlerFor(call.toAddr())
 	if h == nil {
 		n.stats.Dropped++
 		if call.onResult != nil {
@@ -212,7 +287,7 @@ func (n *Network) attempt(call *payload) {
 		return
 	}
 	n.stats.Delivered++
-	h(call.from, call.msg)
+	h(n.vouched(call.fromAddr()), call.msg)
 	if call.onResult != nil {
 		n.world.schedule(n.world.now+call.back,
 			&payload{kind: evResult, ok: true, onResult: call.onResult})

@@ -6,11 +6,12 @@ import (
 )
 
 // shardedQueue partitions the event queue across n per-shard 4-ary
-// heaps. Delivery events land in the heap of the shard that owns their
-// target host (hostShard = host mod n) — a cross-shard send is nothing
-// more than a push into the destination shard's heap, which doubles as
-// that shard's deterministic inbox. Closure events (timers, drivers)
-// have no host affinity and are spread round-robin by sequence number.
+// heaps. Delivery events whose target is named by host index land in the
+// heap of the shard that owns that host (hostShard = host mod n) — a
+// cross-shard send is nothing more than a push into the destination
+// shard's heap, which doubles as that shard's deterministic inbox.
+// Closure events (timers, drivers) have no host affinity and are spread
+// round-robin by sequence number.
 //
 // The scheduler advances all shards in lockstep under the shared
 // virtual clock: each step is a tournament over the shard heads that
@@ -33,11 +34,13 @@ type shardedQueue struct {
 	shards []eventHeap
 }
 
-// push places the event in its shard: host-owned events (p.to1) by host
-// index, the rest round-robin by sequence number. Placement is a pure
-// function of the event, so it is reproducible — but note it does not
-// need to be for determinism (see the type comment); any placement
-// yields the same merged order.
+// push places the event in its shard: a delivery or delivery attempt
+// whose target address carries a host-index memo (p.to1) by that index,
+// everything else round-robin by sequence number. The memo is used as
+// given — it is only verified when the event fires — which is fine:
+// placement is a pure function of the event, so it is reproducible, and
+// it does not even need to be for determinism (see the type comment);
+// any placement, a forged memo's included, yields the same merged order.
 func (q *shardedQueue) push(at time.Duration, seq uint64, p *payload) {
 	n := uint64(len(q.shards))
 	var i uint64
@@ -127,7 +130,7 @@ func (w *World) runSharded(until time.Duration) int {
 		}
 		k := w.sh.shards[s].pop()
 		w.now = k.at
-		w.sh.shards[s].fire(k.slot)
+		w.sh.shards[s].fire(k.slot, w.nets)
 		n++
 		if w.obs != nil {
 			w.obs.step(w.now)
@@ -152,7 +155,7 @@ func (w *World) runAllSharded(maxEvents int) int {
 		}
 		k := w.sh.shards[s].pop()
 		w.now = k.at
-		w.sh.shards[s].fire(k.slot)
+		w.sh.shards[s].fire(k.slot, w.nets)
 		n++
 		if w.obs != nil {
 			w.obs.step(w.now)

@@ -35,6 +35,9 @@ type World struct {
 	// Instrument (instrument.go). Determinism-neutral: the run loops
 	// only record what they already computed.
 	obs *simObs
+	// nets are the networks created on this world: a queued delivery names
+	// its network by position here (payload.net1) instead of by pointer.
+	nets []*Network
 }
 
 // NewWorld creates a world at time zero with a deterministic RNG.
@@ -60,8 +63,8 @@ func (w *World) At(at time.Duration, fn func()) {
 // schedule queues one event of any shape under the next sequence number
 // — the single point where (at, seq) keys are assigned, so closures,
 // deliveries and the SendCall events interleave exactly as if each had
-// been an At closure. A sharded world lands a delivery whose target Send
-// resolved (p.to1) in the owning shard's heap.
+// been an At closure. A sharded world lands a delivery whose target's
+// host index is known (p.to1) in the owning shard's heap.
 func (w *World) schedule(at time.Duration, p *payload) {
 	if at < w.now {
 		at = w.now
@@ -114,7 +117,7 @@ func (w *World) Run(until time.Duration) int {
 	for len(w.events.keys) > 0 && w.events.keys[0].at <= until {
 		k := w.events.pop()
 		w.now = k.at
-		w.events.fire(k.slot)
+		w.events.fire(k.slot, w.nets)
 		n++
 		if w.obs != nil {
 			w.obs.step(w.now)
@@ -144,7 +147,7 @@ func (w *World) RunAll(maxEvents int) int {
 		}
 		k := w.events.pop()
 		w.now = k.at
-		w.events.fire(k.slot)
+		w.events.fire(k.slot, w.nets)
 		n++
 		if w.obs != nil {
 			w.obs.step(w.now)
@@ -170,10 +173,10 @@ type evKind uint8
 const (
 	// evFunc runs a closure (At/After/Every).
 	evFunc evKind = iota
-	// evDeliver is the firing half of Network.Send.
+	// evDeliver is the firing half of Network.SendAddr.
 	evDeliver
-	// evAttempt is the delivery attempt of Network.SendCall; it carries
-	// the callback and both latencies drawn at send time.
+	// evAttempt is the delivery attempt of Network.SendCallAddr; it
+	// carries the callback and both latencies drawn at send time.
 	evAttempt
 	// evResult reports a SendCall outcome (ok) to its callback.
 	evResult
@@ -186,11 +189,16 @@ const (
 type payload struct {
 	kind evKind
 	ok   bool // evResult: the verdict
-	// to1 is an evDeliver's target as a bound host index plus one, when
-	// Send resolved it (0 = unresolved): it picks the event's shard heap
-	// and saves deliver the lookup. It sits in the padding before net.
-	to1 int32
-	net *Network
+	// net1 names the network of an evDeliver or evAttempt: its position in
+	// World.nets plus one. A byte instead of a pointer is what lets both
+	// address memos ride in the slot at its old size.
+	net1 uint8
+	// to1 and from1 are the host-index memos of the message's two
+	// addresses (index plus one, 0 = none) exactly as the sender handed
+	// them over — unverified until the event fires. to1 also picks the
+	// event's shard heap, for every kind that has a target; any value
+	// places the event somewhere and none changes when it fires.
+	to1, from1 int32
 	// from, to, msg: the message of evDeliver and evAttempt.
 	from, to ids.NodeID
 	msg      any
@@ -313,8 +321,9 @@ func (h *eventHeap) pop() eventKey {
 // fire runs the event in slot and recycles the slot. What the event
 // needs is read out and the slot zeroed — so the closure or message can
 // be collected — before anything runs: the callback may push, which
-// reuses free slots and may move the slab.
-func (h *eventHeap) fire(slot uint32) {
+// reuses free slots and may move the slab. nets is the owning world's
+// network table (payload.net1).
+func (h *eventHeap) fire(slot uint32, nets []*Network) {
 	p := &h.slab[slot]
 	switch p.kind {
 	case evFunc:
@@ -322,19 +331,23 @@ func (h *eventHeap) fire(slot uint32) {
 		h.release(slot)
 		fn()
 	case evDeliver:
-		n, from, to, to1, msg := p.net, p.from, p.to, p.to1, p.msg
+		n, from, to, msg := nets[p.net1-1], p.fromAddr(), p.toAddr(), p.msg
 		h.release(slot)
-		n.deliver(from, to, to1, msg)
+		n.deliver(from, to, msg)
 	case evAttempt:
 		call := *p
 		h.release(slot)
-		call.net.attempt(&call)
+		nets[call.net1-1].attempt(&call)
 	case evResult:
 		onResult, ok := p.onResult, p.ok
 		h.release(slot)
 		onResult(ok)
 	}
 }
+
+// fromAddr and toAddr reassemble the two addresses of a queued message.
+func (p *payload) fromAddr() ids.Addr { return ids.AddrAt(p.from, p.from1-1) }
+func (p *payload) toAddr() ids.Addr   { return ids.AddrAt(p.to, p.to1-1) }
 
 // release zeroes a consumed slot and returns it to the free list.
 func (h *eventHeap) release(slot uint32) {
