@@ -178,9 +178,9 @@ type (
 func NewNode(cfg NodeConfig) (*Node, error) { return node.New(cfg) }
 
 // NewMemoryTransport returns an in-process transport with per-message
-// latency drawn from [min, max].
+// latency drawn from [min, max]: a Memnet on the wall clock.
 func NewMemoryTransport(min, max time.Duration) Transport {
-	return transport.NewMemory(min, max)
+	return transport.NewMemnet(transport.MemnetConfig{Latency: transport.UniformLatencyFn(min, max)})
 }
 
 // NewTCPTransport returns the TCP transport (host:port NodeIDs).

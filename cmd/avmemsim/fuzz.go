@@ -12,7 +12,7 @@ import (
 
 // fuzzScenarios runs a metamorphic fuzz campaign: generate random valid
 // scenarios from consecutive seeds, run each through every invariant
-// oracle (determinism, shard/obs/thread invariance, cross-engine shape,
+// oracle (determinism, obs neutrality, RunMany agreement, cross-engine shape,
 // semantic bounds), and minimize any failure into the corpus directory.
 // Exits non-zero when any oracle tripped, so CI can gate on it.
 func fuzzScenarios(args []string, out io.Writer) error {

@@ -77,7 +77,6 @@ func runScenario(args []string, out io.Writer) error {
 	parallel := fs.Int("parallel", 0, "worlds in flight at once for a multi-seed sweep (0 = GOMAXPROCS)")
 	backend := fs.String("backend", scenario.BackendSim,
 		"execution engine: 'sim' (virtual-time simulator) or 'memnet' (real nodes on a deterministic in-process network)")
-	shards := fs.Int("shards", 0, "event-queue shards for the sim backend (0/1 = single heap; output is bit-identical for any value)")
 	cpuprofile := fs.String("cpuprofile", "", "write a CPU profile to this file")
 	memprofile := fs.String("memprofile", "", "write an end-of-run heap profile to this file")
 	tracefile := fs.String("trace", "", "write a runtime execution trace to this file")
@@ -98,7 +97,7 @@ func runScenario(args []string, out io.Writer) error {
 		return err
 	}
 	if fs.NArg() != 1 {
-		return fmt.Errorf("usage: avmemsim run [-q] [-backend sim|memnet] [-seeds N] [-parallel P] [-shards S] [-metrics-addr a] [-metrics-out f] [-metrics-hold d] [-trace-ops f] [-trace-jsonl f] [-progress] [-cpuprofile f] [-memprofile f] [-trace f] <scenario.json>")
+		return fmt.Errorf("usage: avmemsim run [-q] [-backend sim|memnet] [-seeds N] [-parallel P] [-metrics-addr a] [-metrics-out f] [-metrics-hold d] [-trace-ops f] [-trace-jsonl f] [-progress] [-cpuprofile f] [-memprofile f] [-trace f] <scenario.json>")
 	}
 	stopProf, err := startProfiles(*cpuprofile, *memprofile, *tracefile)
 	if err != nil {
@@ -120,7 +119,7 @@ func runScenario(args []string, out io.Writer) error {
 	if err != nil {
 		return err
 	}
-	opts := scenario.Options{Log: log, Backend: *backend, Shards: *shards}
+	opts := scenario.Options{Log: log, Backend: *backend}
 	if ob != nil {
 		// One registry/tracer serves the whole invocation; with
 		// -seeds > 1 the counters aggregate across every world of the

@@ -72,8 +72,10 @@ func TestRunRejectsBadFlags(t *testing.T) {
 	if err := run([]string{"-bogus"}, &out); err == nil {
 		t.Error("want error for unknown flag")
 	}
-	// Flags of the removed thread-parallel engine are no longer defined.
+	// Flags of the two removed executors (shard heaps, worker threads) are
+	// no longer defined.
 	for _, args := range [][]string{
+		{"-shards", "2"},
 		{"-shard-threads", "2"},
 		{"-mutexprofile", "m.pprof"},
 		{"-blockprofile", "b.pprof"},
@@ -144,6 +146,26 @@ func TestRunScenarioEndToEnd(t *testing.T) {
 	for _, want := range []string{"churn burst", "anycast batch", "PASS"} {
 		if !strings.Contains(text, want) {
 			t.Errorf("output missing %q:\n%s", want, text)
+		}
+	}
+
+	// Armed, the registry changes no byte of the report, and its dump
+	// carries the tracer's overflow and the event queue's depth.
+	dump := filepath.Join(t.TempDir(), "metrics.txt")
+	var armed strings.Builder
+	if err := run([]string{"run", "-metrics-out", dump, path}, &armed); err != nil {
+		t.Fatal(err)
+	}
+	if armed.String() != text {
+		t.Error("-metrics-out changed the report")
+	}
+	metrics, err := os.ReadFile(dump)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{"obs_trace_spans_dropped_total 0\n", "sim_queue_depth ", "sim_queue_depth_peak "} {
+		if !strings.Contains(string(metrics), want) {
+			t.Errorf("metrics dump missing %q", want)
 		}
 	}
 }

@@ -112,6 +112,10 @@ func (s *obsSetup) finish() error {
 		close(s.stop)
 		<-s.done
 	}
+	// What the op-trace ring evicted is a number on the run's registry —
+	// before the hold, so a final scrape carries it like -metrics-out does.
+	dropped := s.tracer.Dropped()
+	s.reg.Counter("obs_trace_spans_dropped_total").Add(dropped)
 	if s.srv != nil && s.flags.metricsHold > 0 {
 		fmt.Fprintf(s.errw, "telemetry: holding /metrics on http://%s for %v\n", s.srv.Addr, s.flags.metricsHold)
 		time.Sleep(s.flags.metricsHold)
@@ -132,8 +136,8 @@ func (s *obsSetup) finish() error {
 			firstErr = err
 		}
 	}
-	if d := s.tracer.Dropped(); d > 0 {
-		fmt.Fprintf(s.errw, "telemetry: op-trace ring dropped %d oldest spans (raise obs.DefaultTraceCap to keep more)\n", d)
+	if dropped > 0 {
+		fmt.Fprintf(s.errw, "telemetry: op-trace ring dropped %d oldest spans (raise obs.DefaultTraceCap to keep more)\n", dropped)
 	}
 	if s.flags.metricsOut != "" {
 		if s.flags.metricsOut == "-" {

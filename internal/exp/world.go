@@ -73,11 +73,6 @@ type WorldConfig struct {
 	Cushion float64
 	// Latency is the per-hop latency model (default U[20ms, 80ms]).
 	Latency sim.LatencyModel
-	// Shards partitions the simulator's event queue across this many
-	// per-shard heaps merged in deterministic (at, seq) order; 0 or 1
-	// keeps the single global heap. Any value produces bit-identical
-	// output for a given (trace, seed) — see DESIGN.md §14.
-	Shards int
 	// Audit, when non-nil, gives every node the receiving-side audit
 	// layer (suspicion scores, blacklist, eviction).
 	Audit *audit.Params
@@ -230,11 +225,6 @@ func NewWorld(cfg WorldConfig) (*World, error) {
 		avMemo:          make([]float64, tr.Hosts()),
 		avValid:         make([]bool, tr.Hosts()),
 		avEpoch:         -1,
-	}
-	if cfg.Shards > 1 {
-		if err := w.Sim.SetShards(cfg.Shards); err != nil {
-			return nil, err
-		}
 	}
 	pairIdx, err := ids.NewPairIndexCache(w.hosts, 0)
 	if err != nil {

@@ -129,7 +129,7 @@ func TestOracleBattery(t *testing.T) {
 			got = append(got, name)
 		}
 	}
-	want := []string{"run", "determinism", "shards", "obs", "memnet", "runmany", "semantic"}
+	want := []string{"run", "determinism", "obs", "memnet", "runmany", "semantic"}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("oracle names %v, want %v", got, want)
 	}
@@ -156,12 +156,12 @@ func TestReportWriteReport(t *testing.T) {
 	b.Reset()
 	rep := &Report{Ran: 1, Findings: []Finding{{
 		Seed:       9,
-		Violations: []Violation{{Oracle: "shards", Detail: "diverged"}},
+		Violations: []Violation{{Oracle: "obs", Detail: "diverged"}},
 		CorpusPath: "scenarios/fuzz-corpus/fuzz-seed9.json",
 	}}}
 	rep.WriteReport(&b)
 	out := b.String()
-	if !strings.Contains(out, "FAIL: seed 9") || !strings.Contains(out, "shards: diverged") {
+	if !strings.Contains(out, "FAIL: seed 9") || !strings.Contains(out, "obs: diverged") {
 		t.Fatalf("failure report incomplete: %q", out)
 	}
 }

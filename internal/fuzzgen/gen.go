@@ -4,13 +4,12 @@
 // and outage bursts, adversary mixes, audit knobs, every operation
 // family, engine configs), an oracle layer that checks each generated
 // world against the engines' metamorphic invariants (per-seed
-// determinism, shard-count invariance, observability neutrality,
-// serial/parallel RunMany agreement, sim/memnet shape agreement,
-// semantic bounds), a delta-debugging shrinker that minimizes failing
-// specs, and a budgeted campaign driver surfaced as `avmemsim fuzz`
-// and gated in CI on every PR. Minimized failures are written to
-// scenarios/fuzz-corpus/ where a regression suite replays them
-// forever.
+// determinism, observability neutrality, serial/parallel RunMany
+// agreement, sim/memnet shape agreement, semantic bounds), a
+// delta-debugging shrinker that minimizes failing specs, and a budgeted
+// campaign driver surfaced as `avmemsim fuzz` and gated in CI on every
+// PR. Minimized failures are written to scenarios/fuzz-corpus/ where a
+// regression suite replays them forever.
 //
 // Architecture: DESIGN.md §16 (generator grammar, invariant table,
 // shrinker algorithm).

@@ -15,9 +15,6 @@ import (
 // OracleConfig tunes the invariant layer. The zero value takes the
 // defaults noted on each field.
 type OracleConfig struct {
-	// Shards is the shard count of the shard-invariance oracle
-	// (default 4).
-	Shards int
 	// MemnetMaxHosts caps the fleet size the memnet cross-engine
 	// oracle runs at — real node agents cost real memory (default 300;
 	// < 0 disables the oracle).
@@ -31,9 +28,6 @@ type OracleConfig struct {
 }
 
 func (c OracleConfig) withDefaults() OracleConfig {
-	if c.Shards == 0 {
-		c.Shards = 4
-	}
 	if c.MemnetMaxHosts == 0 {
 		c.MemnetMaxHosts = 300
 	}
@@ -48,8 +42,8 @@ func (c OracleConfig) withDefaults() OracleConfig {
 
 // Violation is one broken invariant: which oracle tripped and how.
 type Violation struct {
-	// Oracle names the invariant: run, determinism, shards, obs,
-	// memnet, runmany, semantic.
+	// Oracle names the invariant: run, determinism, obs, memnet,
+	// runmany, semantic.
 	Oracle string
 	// Detail describes the observed breakage.
 	Detail string
@@ -63,8 +57,6 @@ func (v Violation) String() string { return v.Oracle + ": " + v.Detail }
 //   - run: the spec executes on the sim engine without error or panic.
 //   - determinism: two identical sim runs render byte-identical
 //     reports (metrics + event log).
-//   - shards: sharding the event queue (Shards=k) is byte-identical
-//     to the single-heap run.
 //   - obs: arming a metrics registry and op tracer changes nothing.
 //   - memnet: the live-runtime backend executes the same spec without
 //     error, is itself deterministic, and produces the always-present
@@ -95,14 +87,6 @@ func Check(spec *scenario.Spec, cfg OracleConfig) []Violation {
 		fail("determinism", "second identical run errored: %v", err)
 	case !bytes.Equal(base, again):
 		fail("determinism", "two identical sim runs rendered different reports:\n%s", firstDiff(base, again))
-	}
-
-	sharded, _, err := renderRun(spec, scenario.Options{Shards: cfg.Shards})
-	switch {
-	case err != nil:
-		fail("shards", "shards=%d run errored: %v", cfg.Shards, err)
-	case !bytes.Equal(base, sharded):
-		fail("shards", "shards=%d diverged from the single heap:\n%s", cfg.Shards, firstDiff(base, sharded))
 	}
 
 	obsRender, rejected, err := renderRunObserved(spec)

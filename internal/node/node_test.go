@@ -11,12 +11,12 @@ import (
 	"avmem/internal/transport"
 )
 
-// liveCluster spins up n live nodes over the in-memory transport with
+// liveCluster spins up n live nodes over a wall-clock memnet with
 // the given availabilities, an accept-all predicate (deterministic
 // topology), and a static monitor.
 func liveCluster(t *testing.T, avails []float64, pred *core.Predicate) ([]*Node, func()) {
 	t.Helper()
-	tr := transport.NewMemory(0, 0)
+	tr := transport.NewMemnet(transport.MemnetConfig{})
 	monitor := avmon.Static{}
 	idsList := make([]ids.NodeID, len(avails))
 	for i, av := range avails {
@@ -71,7 +71,7 @@ func acceptAll(t *testing.T) *core.Predicate {
 
 func TestNewValidation(t *testing.T) {
 	pred := acceptAll(t)
-	tr := transport.NewMemory(0, 0)
+	tr := transport.NewMemnet(transport.MemnetConfig{})
 	defer tr.Close()
 	mon := avmon.Static{"a": 0.5}
 	peers := PeerFunc(func(ids.NodeID) []ids.NodeID { return nil })
@@ -286,7 +286,7 @@ func NewTCPForTest(t *testing.T) transport.Transport {
 func TestLiveSeedsModeShuffleDiscovery(t *testing.T) {
 	// Seeds mode: no external PeerSource — nodes bootstrap from a few
 	// seeds and fill their coarse views through live CYCLON exchanges.
-	tr := transport.NewMemory(0, 0)
+	tr := transport.NewMemnet(transport.MemnetConfig{})
 	defer tr.Close()
 	const n = 12
 	monitor := avmon.Static{}
@@ -334,7 +334,7 @@ func TestLiveSeedsModeShuffleDiscovery(t *testing.T) {
 }
 
 func TestNewSeedsAndPeersMutuallyExclusive(t *testing.T) {
-	tr := transport.NewMemory(0, 0)
+	tr := transport.NewMemnet(transport.MemnetConfig{})
 	defer tr.Close()
 	pred := acceptAll(t)
 	mon := avmon.Static{"a": 0.5}

@@ -171,7 +171,7 @@ func (f netFabric) SendCall(from, to ids.Addr, msg any, onResult func(ok bool)) 
 // transportFabric adapts a transport to the Fabric contract.
 type transportFabric struct{ t transport.Transport }
 
-// TransportFabric wraps a transport (TCP, Memory, Memnet) as a Fabric.
+// TransportFabric wraps a transport (TCP, Memnet) as a Fabric.
 // It is the one place a memo is dropped: a transport moves identifiers,
 // so whatever crosses it arrives memo-less and its receiver takes the
 // identifier path.

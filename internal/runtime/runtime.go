@@ -21,7 +21,7 @@
 // Peers are addressed by ids.Addr — an identifier plus an optional memo
 // of the peer's host index in the deployment's universe. The simulator's
 // network carries the memo with the message and verifies it where it is
-// used; a transport (TCP, Memory, Memnet) never sees it: TransportFabric
+// used; a transport (TCP, Memnet) never sees it: TransportFabric
 // and Live drop it on the way out and hand senders over memo-less.
 //
 // Architecture: DESIGN.md §6 (the Runtime/Env layer).
@@ -77,7 +77,7 @@ type Scheduler interface {
 
 // Fabric moves messages between addresses. sim.Network is adapted by
 // NetFabric, which carries the memos through; transport.Transport
-// implementations (TCP, Memory, Memnet) by TransportFabric, which drops
+// implementations (TCP, Memnet) by TransportFabric, which drops
 // them.
 type Fabric interface {
 	// Register installs the message handler for self.

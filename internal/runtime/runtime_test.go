@@ -133,7 +133,7 @@ func TestGatedSerializesCallbacks(t *testing.T) {
 }
 
 func TestLiveEnvLifecycle(t *testing.T) {
-	tr := transport.NewMemorySeeded(0, 0, 1)
+	tr := transport.NewMemnet(transport.MemnetConfig{Seed: 1})
 	defer tr.Close()
 	mkLive := func(self ids.NodeID) *Live {
 		env, err := NewLive(LiveConfig{Self: self, Transport: tr, Seed: 1})

@@ -32,19 +32,14 @@ type Options struct {
 	// Backend selects the execution engine: BackendSim (default) or
 	// BackendMemnet. The same spec, events, and assertions run on both.
 	Backend string
-	// Shards partitions the sim backend's event queue across this many
-	// per-shard heaps (0 or 1 = single heap). Results are bit-identical
-	// for every value — sharding is a queue-shape choice, not a
-	// semantic one (DESIGN.md §14). Rejected on the memnet backend.
-	Shards int
-	// ShardThreads is ignored on both backends: the engine schedules
-	// every world serially (DESIGN.md §14).
+	// Shards and ShardThreads are ignored on both backends: a world has
+	// one event heap and runs it serially (DESIGN.md §14).
 	//
-	// Deprecated: the field exists only because the frozen benchmark
-	// harness still sets it for its informational par2 rep; it goes
-	// when a benchmark-archetype PR drops par2. A value > 1 is noted on
-	// the "fleet ready" log line.
-	ShardThreads int
+	// Deprecated: the fields exist only because the frozen benchmark
+	// harness still sets them (for maint-10k-sim and its informational
+	// par2 rep) and go when it stops. A value > 1 is noted on the "fleet
+	// ready" log line.
+	Shards, ShardThreads int
 	// Metrics, when non-nil, instruments the deployment into this
 	// registry (internal/obs). Determinism-neutral: the report and
 	// event log are byte-identical with or without it; scenario-level
@@ -114,8 +109,8 @@ func Run(spec *Spec, opts Options) (*Result, error) {
 		defer c.Stop()
 	}
 	ignored := ""
-	if opts.ShardThreads > 1 {
-		ignored = fmt.Sprintf("; ShardThreads=%d ignored (serial engine)", opts.ShardThreads)
+	if opts.Shards > 1 || opts.ShardThreads > 1 {
+		ignored = fmt.Sprintf("; Shards=%d ShardThreads=%d ignored (one heap, serial engine)", opts.Shards, opts.ShardThreads)
 	}
 	fmt.Fprintf(logw, "fleet ready (%s backend): %d hosts, N*=%.0f; warming up %v%s\n",
 		backendName(opts.Backend), len(w.Hosts()), w.StableSize(), spec.Warmup.D(), ignored)
@@ -160,10 +155,6 @@ func backendName(backend string) string {
 
 // buildDeployment assembles the fleet on the requested backend.
 func buildDeployment(spec *Spec, opts Options) (exp.Deployment, error) {
-	backend := opts.Backend
-	if opts.Shards > 1 && backend == BackendMemnet {
-		return nil, fmt.Errorf("scenario: -shards applies to the sim backend only (memnet runs real goroutine-per-node agents)")
-	}
 	var tr *trace.Trace
 	if spec.Fleet.Trace != "" {
 		f, err := os.Open(spec.Fleet.Trace)
@@ -209,7 +200,6 @@ func buildDeployment(spec *Spec, opts Options) (exp.Deployment, error) {
 		DistributedMonitor: spec.Fleet.DistributedMonitor,
 		Audit:              spec.Fleet.Audit.params(),
 		Adversary:          spec.Adversaries.config(),
-		Shards:             opts.Shards,
 		Metrics:            opts.Metrics,
 		OpTrace:            opts.OpTrace,
 	}
@@ -218,7 +208,7 @@ func buildDeployment(spec *Spec, opts Options) (exp.Deployment, error) {
 		// runs (post-warmup), not by end-of-trace availability.
 		cfg.Adversary.SelectAt = spec.Warmup.D()
 	}
-	d, err := exp.NewDeployment(backend, cfg)
+	d, err := exp.NewDeployment(opts.Backend, cfg)
 	if err != nil {
 		return nil, fmt.Errorf("scenario: %w", err)
 	}

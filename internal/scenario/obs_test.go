@@ -63,24 +63,12 @@ func TestObsNeutralSimSerial(t *testing.T) {
 	}
 }
 
-// TestObsNeutralSimSharded pins the same contract on the sharded
-// engine (Shards > 1).
-func TestObsNeutralSimSharded(t *testing.T) {
-	want := renderRunObs(t, tinySpec(), Options{Shards: 4})
-	opts, reg, tr := obsOpts(Options{Shards: 4})
-	got := renderRunObs(t, tinySpec(), opts)
-	requireObserved(t, reg, tr)
-	if !bytes.Equal(got, want) {
-		t.Fatal("metrics+trace instrumentation changed the sharded sim report")
-	}
-}
-
-// TestObsLiveScrapeDuringShardedRun scrapes the registry continuously
+// TestObsLiveScrapeDuringRun scrapes the registry continuously
 // while the event loop is flushing its batched counters into it: the
 // pattern of the /metrics goroutine reading mid-run. Under -race this
 // pins that live snapshot reads are consistent with the loop's
 // concurrent writes, and that they do not perturb the run's output.
-func TestObsLiveScrapeDuringShardedRun(t *testing.T) {
+func TestObsLiveScrapeDuringRun(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-scenario sweep")
 	}
@@ -88,9 +76,9 @@ func TestObsLiveScrapeDuringShardedRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := renderRun(t, spec, 8)
+	want := renderRunObs(t, spec, Options{})
 
-	opts, reg, tr := obsOpts(Options{Shards: 8})
+	opts, reg, tr := obsOpts(Options{})
 	stop := make(chan struct{})
 	scraped := make(chan struct{})
 	go func() {
@@ -114,7 +102,7 @@ func TestObsLiveScrapeDuringShardedRun(t *testing.T) {
 	<-scraped
 	requireObserved(t, reg, tr)
 	if !bytes.Equal(got, want) {
-		t.Fatal("mid-run registry scrapes changed the sharded report")
+		t.Fatal("mid-run registry scrapes changed the report")
 	}
 }
 

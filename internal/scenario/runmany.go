@@ -99,7 +99,7 @@ func RunMany(spec *Spec, seeds []int64, parallelism int, opts Options) (*MultiRe
 				// seed; Run builds a fully independent world from it.
 				s := *spec
 				s.Seed = seeds[i]
-				res, err := Run(&s, Options{Backend: opts.Backend, Shards: opts.Shards})
+				res, err := Run(&s, Options{Backend: opts.Backend})
 				runs[i], errs[i] = res, err
 				logMu.Lock()
 				if err != nil {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 	"time"
+	"unsafe"
 
 	"avmem/internal/ids"
 )
@@ -17,12 +18,9 @@ type addrNet struct {
 	log   []string
 }
 
-func newAddrNet(t *testing.T, shards int, bind bool) *addrNet {
+func newAddrNet(t *testing.T, bind bool) *addrNet {
 	t.Helper()
 	a := &addrNet{w: NewWorld(1), hosts: []ids.NodeID{"h0", "h1", "h2", "h3", "h4"}}
-	if err := a.w.SetShards(shards); err != nil {
-		t.Fatal(err)
-	}
 	a.net = NewNetwork(a.w, FixedLatency(time.Millisecond), func(id ids.NodeID) bool { return id != "h3" }, 0)
 	if bind {
 		a.net.Bind(a.hosts, func(i int) bool { return i != 3 })
@@ -50,49 +48,47 @@ func (a *addrNet) at(i int) ids.Addr { return ids.AddrAt(a.hosts[i], int32(i)) }
 // follows that identifier's liveness, the handler sees a sender memo only
 // if it verified, and every memo that did not is counted.
 func TestForgedMemoLosesToTheIdentifier(t *testing.T) {
-	for _, shards := range []int{1, 4} {
-		a := newAddrNet(t, shards, true)
-		honest, h1 := a.at(0), a.hosts[1]
+	a := newAddrNet(t, true)
+	honest, h1 := a.at(0), a.hosts[1]
 
-		// Index of another host, out of range, and the largest there is.
-		for _, forged := range []ids.Addr{ids.AddrAt(h1, 2), ids.AddrAt(h1, 99), ids.AddrAt(h1, 1<<31-1)} {
-			before := a.net.AddrMemoStats()
-			a.net.SendAddr(honest, forged, "send")
-			acked := false
-			a.net.SendCallAddr(honest, forged, "call", func(ok bool) { acked = ok })
-			got := a.run()
-			if want := []string{"h1<-h0/0:send", "h1<-h0/0:call"}; fmt.Sprint(got) != fmt.Sprint(want) || !acked {
-				t.Errorf("shards=%d to=%v/%d: delivered %v (acked %v), want %v", shards, forged.ID(), forged.Index(), got, acked, want)
-			}
-			if d := a.net.AddrMemoStats(); d.Mismatch-before.Mismatch != 2 || d.Hit-before.Hit != 2 {
-				t.Errorf("shards=%d: two forged targets and two honest senders counted as %+v -> %+v", shards, before, d)
-			}
-		}
-
-		// Liveness is the identifier's: h3 is offline, h2 is not.
-		nacked := false
-		a.net.SendCallAddr(honest, ids.AddrAt("h3", 2), "to-offline", func(ok bool) { nacked = !ok })
-		a.net.SendAddr(honest, ids.AddrAt("h2", 3), "to-online")
-		if got := a.run(); fmt.Sprint(got) != "[h2<-h0/0:to-online]" || !nacked {
-			t.Errorf("shards=%d: delivered %v (nacked %v): a forged memo moved a message between an online and an offline host", shards, got, nacked)
-		}
-
-		// A forged sender memo is stripped, not handed on.
+	// Index of another host, out of range, and the largest there is.
+	for _, forged := range []ids.Addr{ids.AddrAt(h1, 2), ids.AddrAt(h1, 99), ids.AddrAt(h1, 1<<31-1)} {
 		before := a.net.AddrMemoStats()
-		a.net.SendAddr(ids.AddrAt("h0", 4), a.at(1), "forged-from")
-		a.net.SendAddr(ids.NodeID("h0").Addr(), a.at(1), "bare-from")
-		a.net.SendAddr(ids.AddrAt("stranger", 1), ids.NodeID("h1").Addr(), "outsider")
-		if got, want := a.run(), "[h1<-h0/-1:forged-from h1<-h0/-1:bare-from h1<-stranger/-1:outsider]"; fmt.Sprint(got) != want {
-			t.Errorf("shards=%d: delivered %v, want %v", shards, got, want)
+		a.net.SendAddr(honest, forged, "send")
+		acked := false
+		a.net.SendCallAddr(honest, forged, "call", func(ok bool) { acked = ok })
+		got := a.run()
+		if want := []string{"h1<-h0/0:send", "h1<-h0/0:call"}; fmt.Sprint(got) != fmt.Sprint(want) || !acked {
+			t.Errorf("to=%v/%d: delivered %v (acked %v), want %v", forged.ID(), forged.Index(), got, acked, want)
 		}
-		if d := a.net.AddrMemoStats(); d.Mismatch-before.Mismatch != 2 || d.Absent-before.Absent < 1 {
-			t.Errorf("shards=%d: forged and absent sender memos counted as %+v -> %+v", shards, before, d)
+		if d := a.net.AddrMemoStats(); d.Mismatch-before.Mismatch != 2 || d.Hit-before.Hit != 2 {
+			t.Errorf("two forged targets and two honest senders counted as %+v -> %+v", before, d)
 		}
+	}
+
+	// Liveness is the identifier's: h3 is offline, h2 is not.
+	nacked := false
+	a.net.SendCallAddr(honest, ids.AddrAt("h3", 2), "to-offline", func(ok bool) { nacked = !ok })
+	a.net.SendAddr(honest, ids.AddrAt("h2", 3), "to-online")
+	if got := a.run(); fmt.Sprint(got) != "[h2<-h0/0:to-online]" || !nacked {
+		t.Errorf("delivered %v (nacked %v): a forged memo moved a message between an online and an offline host", got, nacked)
+	}
+
+	// A forged sender memo is stripped, not handed on.
+	before := a.net.AddrMemoStats()
+	a.net.SendAddr(ids.AddrAt("h0", 4), a.at(1), "forged-from")
+	a.net.SendAddr(ids.NodeID("h0").Addr(), a.at(1), "bare-from")
+	a.net.SendAddr(ids.AddrAt("stranger", 1), ids.NodeID("h1").Addr(), "outsider")
+	if got, want := a.run(), "[h1<-h0/-1:forged-from h1<-h0/-1:bare-from h1<-stranger/-1:outsider]"; fmt.Sprint(got) != want {
+		t.Errorf("delivered %v, want %v", got, want)
+	}
+	if d := a.net.AddrMemoStats(); d.Mismatch-before.Mismatch != 2 || d.Absent-before.Absent < 1 {
+		t.Errorf("forged and absent sender memos counted as %+v -> %+v", before, d)
 	}
 
 	// An unbound network has no universe: every memo is a mismatch and
 	// the identifier path delivers.
-	a := newAddrNet(t, 1, false)
+	a = newAddrNet(t, false)
 	a.net.SendAddr(a.at(0), a.at(1), "unbound")
 	if got := a.run(); fmt.Sprint(got) != "[h1<-h0/-1:unbound]" {
 		t.Errorf("unbound: delivered %v", got)
@@ -104,37 +100,35 @@ func TestForgedMemoLosesToTheIdentifier(t *testing.T) {
 
 // TestVerifiedMemoProbesNoMap: with memos that verify, Send, SendCall,
 // deliver and attempt run on the dense tables alone — the test takes the
-// identifier maps away after binding and everything still arrives, on one
-// heap and on four, allocating nothing.
+// identifier maps away after binding and everything still arrives,
+// allocating nothing.
 func TestVerifiedMemoProbesNoMap(t *testing.T) {
-	for _, shards := range []int{1, 4} {
-		a := newAddrNet(t, shards, true)
-		a.net.idx, a.net.handlers = nil, nil
-		acks := 0
-		onResult := func(ok bool) {
-			if ok {
-				acks++
-			}
+	a := newAddrNet(t, true)
+	a.net.idx, a.net.handlers = nil, nil
+	acks := 0
+	onResult := func(ok bool) {
+		if ok {
+			acks++
 		}
-		var msg any = "m"
-		batch := func() {
-			for i := 0; i < 20; i++ {
-				a.net.SendAddr(a.at(i%5), a.at((i+1)%5), msg)
-				a.net.SendCallAddr(a.at(i%5), a.at((i+2)%5), msg, onResult)
-			}
-			a.w.RunAll(0)
-			a.log = a.log[:0]
+	}
+	var msg any = "m"
+	batch := func() {
+		for i := 0; i < 20; i++ {
+			a.net.SendAddr(a.at(i%5), a.at((i+1)%5), msg)
+			a.net.SendCallAddr(a.at(i%5), a.at((i+2)%5), msg, onResult)
 		}
-		batch()
-		if s, m := a.net.Stats(), a.net.AddrMemoStats(); s.Delivered != 32 || s.Dropped != 8 || acks != 16 || m.Absent+m.Mismatch != 0 {
-			t.Fatalf("shards=%d: stats %+v, %d acks, memos %+v; want 32 delivered, 8 dropped at the offline host", shards, s, acks, m)
-		}
-		for i := range a.hosts { // quiet handlers: what is left is the fabric's own
-			a.net.RegisterAddr(a.at(i), func(ids.Addr, any) {})
-		}
-		if got := testing.AllocsPerRun(20, batch); got != 0 {
-			t.Errorf("shards=%d: %v allocations per batch of memo'd sends and calls", shards, got)
-		}
+		a.w.RunAll(0)
+		a.log = a.log[:0]
+	}
+	batch()
+	if s, m := a.net.Stats(), a.net.AddrMemoStats(); s.Delivered != 32 || s.Dropped != 8 || acks != 16 || m.Absent+m.Mismatch != 0 {
+		t.Fatalf("stats %+v, %d acks, memos %+v; want 32 delivered, 8 dropped at the offline host", s, acks, m)
+	}
+	for i := range a.hosts { // quiet handlers: what is left is the fabric's own
+		a.net.RegisterAddr(a.at(i), func(ids.Addr, any) {})
+	}
+	if got := testing.AllocsPerRun(20, batch); got != 0 {
+		t.Errorf("%v allocations per batch of memo'd sends and calls", got)
 	}
 }
 
@@ -165,5 +159,13 @@ func TestSendBeforeBindAndIdentifierAdapters(t *testing.T) {
 	w.RunAll(0)
 	if s := net.Stats(); s.Dropped != 1 {
 		t.Errorf("Register(nil) left the handler in place: %+v", s)
+	}
+}
+
+// TestPayloadSize: both address memos ride in what was padding, so a slab
+// slot is no larger than before they were carried.
+func TestPayloadSize(t *testing.T) {
+	if got := unsafe.Sizeof(payload{}); got != 96 {
+		t.Errorf("payload is %d bytes, want 96", got)
 	}
 }

@@ -45,15 +45,11 @@ func (coarseLatency) Sample(rng *rand.Rand) time.Duration {
 }
 
 // callTranscript drives one scripted mix of acknowledged sends through
-// call on a world with the given shard count and returns everything an
-// observer can see: the firing transcript, the network counters, and
-// the next draw of the world RNG.
-func callTranscript(t *testing.T, shards int, call func(n *Network, from, to ids.NodeID, msg any, onResult func(bool))) ([]string, NetworkStats, int64) {
+// call and returns everything an observer can see: the firing
+// transcript, the network counters, and the next draw of the world RNG.
+func callTranscript(t *testing.T, call func(n *Network, from, to ids.NodeID, msg any, onResult func(bool))) ([]string, NetworkStats, int64) {
 	t.Helper()
 	w := NewWorld(11)
-	if err := w.SetShards(shards); err != nil {
-		t.Fatal(err)
-	}
 	hosts := []ids.NodeID{"h0", "h1", "h2", "h3", "h4", "h5"}
 	up := map[ids.NodeID]bool{"h0": true, "h1": true, "h2": true, "h3": true, "h4": true, "h5": true, "loose": true}
 	net := NewNetwork(w, coarseLatency{}, func(id ids.NodeID) bool { return up[id] }, 0)
@@ -121,36 +117,33 @@ func callTranscript(t *testing.T, shards int, call func(n *Network, from, to ids
 // TestSendCallMatchesClosureReference pins the claim the value-event
 // SendCall rests on: it consumes RNG draws and sequence numbers at
 // exactly the points the closure version did, so the schedule, the
-// counters and the RNG state are indistinguishable — on one heap and on
-// eight shards.
+// counters and the RNG state are indistinguishable.
 func TestSendCallMatchesClosureReference(t *testing.T) {
-	for _, shards := range []int{1, 8} {
-		wantLog, wantStats, wantRand := callTranscript(t, shards, refSendCall)
-		gotLog, gotStats, gotRand := callTranscript(t, shards, (*Network).SendCall)
-		kinds := map[string]bool{}
-		for _, line := range wantLog {
-			var at, kind string
-			fmt.Sscan(line, &at, &kind)
-			kinds[kind] = true
-		}
-		if !kinds["ack"] || !kinds["nack"] || !kinds["deliver"] || wantStats.Dropped == 0 {
-			t.Fatalf("shards=%d: script does not reach every path: kinds %v stats %+v", shards, kinds, wantStats)
-		}
-		if !reflect.DeepEqual(gotLog, wantLog) {
-			for i := range wantLog {
-				if i >= len(gotLog) || gotLog[i] != wantLog[i] {
-					t.Fatalf("shards=%d: transcripts diverge at line %d: got %q, want %q (lens %d / %d)",
-						shards, i, append(gotLog, "<end>")[i], wantLog[i], len(gotLog), len(wantLog))
-				}
+	wantLog, wantStats, wantRand := callTranscript(t, refSendCall)
+	gotLog, gotStats, gotRand := callTranscript(t, (*Network).SendCall)
+	kinds := map[string]bool{}
+	for _, line := range wantLog {
+		var at, kind string
+		fmt.Sscan(line, &at, &kind)
+		kinds[kind] = true
+	}
+	if !kinds["ack"] || !kinds["nack"] || !kinds["deliver"] || wantStats.Dropped == 0 {
+		t.Fatalf("script does not reach every path: kinds %v stats %+v", kinds, wantStats)
+	}
+	if !reflect.DeepEqual(gotLog, wantLog) {
+		for i := range wantLog {
+			if i >= len(gotLog) || gotLog[i] != wantLog[i] {
+				t.Fatalf("transcripts diverge at line %d: got %q, want %q (lens %d / %d)",
+					i, append(gotLog, "<end>")[i], wantLog[i], len(gotLog), len(wantLog))
 			}
-			t.Fatalf("shards=%d: transcript has %d extra lines", shards, len(gotLog)-len(wantLog))
 		}
-		if gotStats != wantStats {
-			t.Errorf("shards=%d: stats %+v, want %+v", shards, gotStats, wantStats)
-		}
-		if gotRand != wantRand {
-			t.Errorf("shards=%d: world RNG state diverged", shards)
-		}
+		t.Fatalf("transcript has %d extra lines", len(gotLog)-len(wantLog))
+	}
+	if gotStats != wantStats {
+		t.Errorf("stats %+v, want %+v", gotStats, wantStats)
+	}
+	if gotRand != wantRand {
+		t.Errorf("world RNG state diverged")
 	}
 }
 
@@ -159,44 +152,39 @@ func TestSendCallMatchesClosureReference(t *testing.T) {
 // workload's depth, a send, its delivery and its verdict allocate
 // nothing.
 func TestSendPathsDoNotAllocate(t *testing.T) {
-	for _, shards := range []int{1, 8} {
-		w := NewWorld(1)
-		if err := w.SetShards(shards); err != nil {
-			t.Fatal(err)
+	w := NewWorld(1)
+	hosts := []ids.NodeID{"a", "b", "c", "d", "e", "f", "g", "h"}
+	net := NewNetwork(w, nil, nil, 0)
+	net.Bind(hosts, func(int) bool { return true })
+	for _, id := range hosts[:7] { // "h" unregistered: the nack path
+		net.Register(id, func(ids.NodeID, any) {})
+	}
+	var msg any = "payload"
+	acked := 0
+	onResult := func(ok bool) {
+		if ok {
+			acked++
 		}
-		hosts := []ids.NodeID{"a", "b", "c", "d", "e", "f", "g", "h"}
-		net := NewNetwork(w, nil, nil, 0)
-		net.Bind(hosts, func(int) bool { return true })
-		for _, id := range hosts[:7] { // "h" unregistered: the nack path
-			net.Register(id, func(ids.NodeID, any) {})
-		}
-		var msg any = "payload"
-		acked := 0
-		onResult := func(ok bool) {
-			if ok {
-				acked++
+	}
+	batch := func(send func(from, to ids.NodeID)) func() {
+		return func() {
+			for i := 0; i < 64; i++ {
+				send(hosts[i%8], hosts[(i*3+1)%8])
 			}
+			w.RunAll(0)
 		}
-		batch := func(send func(from, to ids.NodeID)) func() {
-			return func() {
-				for i := 0; i < 64; i++ {
-					send(hosts[i%8], hosts[(i*3+1)%8])
-				}
-				w.RunAll(0)
-			}
-		}
-		sends := batch(func(from, to ids.NodeID) { net.Send(from, to, msg) })
-		calls := batch(func(from, to ids.NodeID) { net.SendCall(from, to, msg, onResult) })
-		sends()
-		calls()
-		if got := testing.AllocsPerRun(50, sends); got != 0 {
-			t.Errorf("shards=%d: Send allocates %.1f times per 64-send batch", shards, got)
-		}
-		if got := testing.AllocsPerRun(50, calls); got != 0 {
-			t.Errorf("shards=%d: SendCall allocates %.1f times per 64-call batch", shards, got)
-		}
-		if acked == 0 {
-			t.Fatal("no call was acknowledged")
-		}
+	}
+	sends := batch(func(from, to ids.NodeID) { net.Send(from, to, msg) })
+	calls := batch(func(from, to ids.NodeID) { net.SendCall(from, to, msg, onResult) })
+	sends()
+	calls()
+	if got := testing.AllocsPerRun(50, sends); got != 0 {
+		t.Errorf("Send allocates %.1f times per 64-send batch", got)
+	}
+	if got := testing.AllocsPerRun(50, calls); got != 0 {
+		t.Errorf("SendCall allocates %.1f times per 64-call batch", got)
+	}
+	if acked == 0 {
+		t.Fatal("no call was acknowledged")
 	}
 }

@@ -1,17 +1,13 @@
 package sim
 
-import (
-	"time"
-
-	"avmem/internal/obs"
-)
+import "avmem/internal/obs"
 
 // This file wires the engine into the obs metrics registry. The
 // instrumentation is determinism-neutral by construction: it records
 // values the engine already computed (event counts, virtual
-// timestamps) into atomic instruments and never reads the wall clock.
-// An uninstrumented world (w.obs == nil) pays one predictable nil check
-// per event.
+// timestamps, the queue's length) into atomic instruments and never
+// reads the wall clock. An uninstrumented world (w.obs == nil) pays one
+// predictable nil check per event.
 
 // obsFlushEvery is how many fired events the run loops batch
 // locally before flushing to the shared atomic counter. Batching keeps
@@ -25,6 +21,8 @@ const obsFlushEvery = 4096
 type simObs struct {
 	events *obs.Counter // sim_events_total
 	vtime  *obs.Gauge   // sim_virtual_time_seconds
+	depth  *obs.Gauge   // sim_queue_depth: events queued at the last flush
+	peak   *obs.Gauge   // sim_queue_depth_peak: the deepest flush so far
 	batch  int          // local event count since last flush
 	hook   func()       // the owner's own flush (OnFlush), nil when unset
 }
@@ -39,6 +37,8 @@ func (w *World) Instrument(reg *obs.Registry) {
 	w.obs = &simObs{
 		events: reg.Counter("sim_events_total"),
 		vtime:  reg.Gauge("sim_virtual_time_seconds"),
+		depth:  reg.Gauge("sim_queue_depth"),
+		peak:   reg.Gauge("sim_queue_depth_peak"),
 	}
 }
 
@@ -53,22 +53,29 @@ func (w *World) OnFlush(fn func()) {
 	}
 }
 
-// step accounts one fired event.
-func (o *simObs) step(now time.Duration) {
+// step accounts one fired event of w.
+func (o *simObs) step(w *World) {
 	o.batch++
 	if o.batch >= obsFlushEvery {
-		o.flush(now)
+		o.flush(w)
 	}
 }
 
-// flush publishes the local batch and the clock to the shared
-// instruments. Called at batch boundaries and on loop exit.
-func (o *simObs) flush(now time.Duration) {
+// flush publishes the local batch, the clock and the queue depth to the
+// shared instruments. Called at batch boundaries and on loop exit, so the
+// depth is a sample every obsFlushEvery events, not every event's — the
+// peak is the deepest sample.
+func (o *simObs) flush(w *World) {
 	if o.batch > 0 {
 		o.events.Add(int64(o.batch))
 		o.batch = 0
 	}
-	o.vtime.Set(now.Seconds())
+	o.vtime.Set(w.now.Seconds())
+	queued := float64(len(w.events.keys))
+	o.depth.Set(queued)
+	if queued > o.peak.Value() {
+		o.peak.Set(queued)
+	}
 	if o.hook != nil {
 		o.hook()
 	}

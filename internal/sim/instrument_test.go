@@ -1,16 +1,20 @@
 package sim
 
 import (
+	"fmt"
+	"math/rand"
 	"reflect"
 	"testing"
 	"time"
 
+	"avmem/internal/ids"
 	"avmem/internal/obs"
 )
 
 // TestInstrumentSerialCounts pins the serial loop's event accounting:
-// the events counter equals the Run return value and the virtual-time
-// gauge tracks the clock.
+// the events counter equals the Run return value, the virtual-time
+// gauge tracks the clock, and the queue-depth gauges read the heap at
+// each flush.
 func TestInstrumentSerialCounts(t *testing.T) {
 	w := NewWorld(1)
 	reg := obs.NewRegistry()
@@ -19,9 +23,19 @@ func TestInstrumentSerialCounts(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		w.At(time.Duration(i)*time.Second, func() { fired++ })
 	}
-	n := w.Run(time.Minute)
+	gauges := func() [2]float64 {
+		return [2]float64{reg.Gauge("sim_queue_depth").Value(), reg.Gauge("sim_queue_depth_peak").Value()}
+	}
+	n := w.Run(3 * time.Second)
+	if got := gauges(); n != 4 || got != [2]float64{6, 6} {
+		t.Fatalf("after 4 of 10 events: n=%d, queue depth and peak %v, want 6 and 6", n, got)
+	}
+	n += w.Run(time.Minute)
 	if n != 10 || fired != 10 {
 		t.Fatalf("n=%d fired=%d", n, fired)
+	}
+	if got := gauges(); got != [2]float64{0, 6} {
+		t.Fatalf("drained: queue depth and peak %v, want 0 and 6", got)
 	}
 	if got := reg.Counter("sim_events_total").Value(); got != 10 {
 		t.Fatalf("sim_events_total=%d, want 10", got)
@@ -31,20 +45,65 @@ func TestInstrumentSerialCounts(t *testing.T) {
 	}
 }
 
+// fireLog runs a deterministic pseudo-random schedule — timers and
+// network sends, with deliberate same-timestamp collisions — on a world
+// instrumented into reg (nil: not instrumented) and returns the observed
+// fire order and Run's event count.
+func fireLog(reg *obs.Registry) ([]string, int) {
+	w := NewWorld(42)
+	w.Instrument(reg)
+	hosts := make([]ids.NodeID, 16)
+	for i := range hosts {
+		hosts[i] = ids.NodeID(fmt.Sprintf("h%02d", i))
+	}
+	net := NewNetwork(w, UniformLatency{Min: 0, Max: 10 * time.Millisecond}, nil, 0)
+	net.Bind(hosts, func(int) bool { return true })
+	var log []string
+	for i, id := range hosts {
+		i := i
+		net.Register(id, func(from ids.NodeID, msg any) {
+			log = append(log, fmt.Sprintf("deliver h%02d<-%s %v @%v", i, from, msg, w.Now()))
+		})
+	}
+	rng := rand.New(rand.NewSource(7))
+	for i := 0; i < 400; i++ {
+		i := i
+		// Coarse timestamps force plenty of (at) ties; order among them
+		// follows scheduling order (seq).
+		at := time.Duration(rng.Intn(20)) * time.Millisecond
+		switch i % 3 {
+		case 0:
+			w.At(at, func() { log = append(log, fmt.Sprintf("timer %d @%v", i, w.Now())) })
+		case 1:
+			from, to := hosts[rng.Intn(16)], hosts[rng.Intn(16)]
+			w.At(at, func() { net.Send(from, to, i) })
+		case 2:
+			from, to := hosts[rng.Intn(16)], hosts[rng.Intn(16)]
+			w.At(at, func() {
+				net.SendCall(from, to, i, func(ok bool) {
+					log = append(log, fmt.Sprintf("result %d %v @%v", i, ok, w.Now()))
+				})
+			})
+		}
+	}
+	n := w.Run(time.Second)
+	return log, n
+}
+
 // TestInstrumentNeutralTranscript is the engine-level determinism
-// guarantee: an instrumented world, single heap or sharded, fires
-// exactly the schedule of an uninstrumented one and counts every event
-// Run reports.
+// guarantee: an instrumented world fires exactly the schedule of an
+// uninstrumented one and counts every event Run reports.
 func TestInstrumentNeutralTranscript(t *testing.T) {
-	for _, shards := range []int{1, 8} {
-		want := fireLog(t, shards)
-		reg := obs.NewRegistry()
-		got, n := fireLogObs(t, shards, reg)
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("shards=%d: instrumentation changed the fire order", shards)
-		}
-		if c := reg.Counter("sim_events_total").Value(); c != int64(n) {
-			t.Fatalf("shards=%d: sim_events_total=%d, Run returned %d", shards, c, n)
-		}
+	want, _ := fireLog(nil)
+	if len(want) == 0 {
+		t.Fatal("empty fire log")
+	}
+	reg := obs.NewRegistry()
+	got, n := fireLog(reg)
+	if !reflect.DeepEqual(got, want) {
+		t.Fatal("instrumentation changed the fire order")
+	}
+	if c := reg.Counter("sim_events_total").Value(); c != int64(n) {
+		t.Fatalf("sim_events_total=%d, Run returned %d", c, n)
 	}
 }

@@ -240,8 +240,7 @@ func (n *Network) Send(from, to ids.NodeID, msg any) { n.SendAddr(from.Addr(), t
 // target is online and registered at delivery time. Offline targets
 // silently drop the message (counted in stats). The delivery is
 // scheduled as a closure-free value event carrying both memos; nothing is
-// resolved here — a sharded queue places a memo-less delivery by its
-// sequence number, like any event without a host.
+// resolved here.
 func (n *Network) SendAddr(from, to ids.Addr, msg any) {
 	n.stats.Sent++
 	lat := n.latency.Sample(n.world.Rand())

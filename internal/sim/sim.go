@@ -6,9 +6,8 @@
 // All of the paper's experiments execute on this engine. Determinism is
 // a design goal (DESIGN.md §5): the world is single-threaded and events
 // with equal timestamps fire in scheduling order, so a (trace, seed)
-// pair regenerates every figure bit-identically. SetShards splits the
-// queue into per-shard heaps merged in the same (at, seq) order, so the
-// shard count never changes what a world executes (DESIGN.md §14).
+// pair regenerates every figure bit-identically. One (at, seq) heap is
+// the whole determinism story (DESIGN.md §14).
 package sim
 
 import (
@@ -26,11 +25,6 @@ type World struct {
 	events eventHeap
 	seq    uint64
 	rng    *rand.Rand
-	// sh, when non-nil, replaces the single global heap with per-shard
-	// heaps merged in (at, seq) order (SetShards; shard.go). The merged
-	// schedule is identical either way — sharding changes the queue's
-	// shape, never its order.
-	sh *shardedQueue
 	// obs, when non-nil, is the metrics instrumentation installed by
 	// Instrument (instrument.go). Determinism-neutral: the run loops
 	// only record what they already computed.
@@ -63,17 +57,12 @@ func (w *World) At(at time.Duration, fn func()) {
 // schedule queues one event of any shape under the next sequence number
 // — the single point where (at, seq) keys are assigned, so closures,
 // deliveries and the SendCall events interleave exactly as if each had
-// been an At closure. A sharded world lands a delivery whose target's
-// host index is known (p.to1) in the owning shard's heap.
+// been an At closure.
 func (w *World) schedule(at time.Duration, p *payload) {
 	if at < w.now {
 		at = w.now
 	}
 	w.seq++
-	if w.sh != nil {
-		w.sh.push(at, w.seq, p)
-		return
-	}
 	w.events.push(at, w.seq, p)
 }
 
@@ -106,13 +95,6 @@ func (w *World) Every(offset, period time.Duration, stop func() bool, fn func())
 // event by event, and leaves the clock at until. It returns the number
 // of events processed.
 func (w *World) Run(until time.Duration) int {
-	if w.sh != nil {
-		n := w.runSharded(until)
-		if until > w.now {
-			w.now = until
-		}
-		return n
-	}
 	n := 0
 	for len(w.events.keys) > 0 && w.events.keys[0].at <= until {
 		k := w.events.pop()
@@ -120,14 +102,14 @@ func (w *World) Run(until time.Duration) int {
 		w.events.fire(k.slot, w.nets)
 		n++
 		if w.obs != nil {
-			w.obs.step(w.now)
+			w.obs.step(w)
 		}
 	}
 	if until > w.now {
 		w.now = until
 	}
 	if w.obs != nil {
-		w.obs.flush(w.now)
+		w.obs.flush(w)
 	}
 	return n
 }
@@ -137,9 +119,6 @@ func (w *World) Run(until time.Duration) int {
 // bounds runaway execution (<= 0 means no bound). It returns the number
 // of events processed.
 func (w *World) RunAll(maxEvents int) int {
-	if w.sh != nil {
-		return w.runAllSharded(maxEvents)
-	}
 	n := 0
 	for len(w.events.keys) > 0 {
 		if maxEvents > 0 && n >= maxEvents {
@@ -150,20 +129,17 @@ func (w *World) RunAll(maxEvents int) int {
 		w.events.fire(k.slot, w.nets)
 		n++
 		if w.obs != nil {
-			w.obs.step(w.now)
+			w.obs.step(w)
 		}
 	}
 	if w.obs != nil {
-		w.obs.flush(w.now)
+		w.obs.flush(w)
 	}
 	return n
 }
 
 // Pending returns the number of queued events.
 func (w *World) Pending() int {
-	if w.sh != nil {
-		return w.sh.pending()
-	}
 	return len(w.events.keys)
 }
 
@@ -195,9 +171,7 @@ type payload struct {
 	net1 uint8
 	// to1 and from1 are the host-index memos of the message's two
 	// addresses (index plus one, 0 = none) exactly as the sender handed
-	// them over — unverified until the event fires. to1 also picks the
-	// event's shard heap, for every kind that has a target; any value
-	// places the event somewhere and none changes when it fires.
+	// them over — unverified until the event fires.
 	to1, from1 int32
 	// from, to, msg: the message of evDeliver and evAttempt.
 	from, to ids.NodeID
@@ -208,14 +182,6 @@ type payload struct {
 	// call was sent: the nack fires ackTimeout − out after the attempt,
 	// the ack back after it.
 	out, back time.Duration
-}
-
-// event is a payload with its ordering key — the form in which
-// SetShards migrates a queue. Heaps store the two halves apart.
-type event struct {
-	at  time.Duration
-	seq uint64
-	payload
 }
 
 // eventKey is what the heap orders: 24 bytes, no pointers. slot indexes
@@ -353,16 +319,6 @@ func (p *payload) toAddr() ids.Addr   { return ids.AddrAt(p.to, p.to1-1) }
 func (h *eventHeap) release(slot uint32) {
 	h.slab[slot] = payload{}
 	h.free = append(h.free, slot)
-}
-
-// drain appends every queued event to out (heap order, not firing
-// order) and empties the heap.
-func (h *eventHeap) drain(out []event) []event {
-	for _, k := range h.keys {
-		out = append(out, event{at: k.at, seq: k.seq, payload: h.slab[k.slot]})
-	}
-	*h = eventHeap{}
-	return out
 }
 
 // LatencyModel samples one-way message latencies.

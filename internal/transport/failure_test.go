@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"math/rand"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -44,31 +45,24 @@ func expectExactlyOnceFailure(t *testing.T, tr Transport, from, to ids.NodeID) {
 	}
 }
 
-func TestMemorySendCallDeadPeerExactlyOnce(t *testing.T) {
-	m := NewMemory(0, 0)
-	defer m.Close()
-	expectExactlyOnceFailure(t, m, "a", "ghost")
-}
-
-func TestMemnetSendCallDeadPeerExactlyOnce(t *testing.T) {
-	m := NewMemnet(MemnetConfig{AckTimeout: 20 * time.Millisecond})
-	defer m.Close()
-	expectExactlyOnceFailure(t, m, "a", "ghost")
-}
-
-func TestTCPSendCallDeadPeerExactlyOnce(t *testing.T) {
-	tr := NewTCP(200*time.Millisecond, time.Second)
+// testDeadPeerExactlyOnce: a call to an address nothing listens on.
+func testDeadPeerExactlyOnce(t *testing.T, f fabric) {
+	tr := f.open()
 	defer tr.Close()
-	// Nothing listens on the target port.
-	expectExactlyOnceFailure(t, tr, "127.0.0.1:39410", "127.0.0.1:39411")
+	expectExactlyOnceFailure(t, tr, f.addr(), f.addr())
 }
 
-// stressUnregister hammers a transport with SendCall traffic while the
-// target registers and unregisters concurrently: no panic, and every
-// call reports exactly once. Run under -race in CI.
-func stressUnregister(t *testing.T, tr Transport, self ids.NodeID, senders int) {
-	t.Helper()
-	const perSender = 50
+func TestMemnetSendCallDeadPeerExactlyOnce(t *testing.T) { testDeadPeerExactlyOnce(t, memory) }
+func TestTCPSendCallDeadPeerExactlyOnce(t *testing.T)    { testDeadPeerExactlyOnce(t, tcp) }
+
+// TestMemnetUnregisterMidFlight hammers a wall-clock memnet with SendCall
+// traffic while the target registers and unregisters concurrently: no
+// panic, and every call reports exactly once. Run under -race in CI.
+func TestMemnetUnregisterMidFlight(t *testing.T) {
+	const senders, perSender = 8, 50
+	const self = ids.NodeID("flappy")
+	tr := NewMemnet(MemnetConfig{AckTimeout: 5 * time.Millisecond})
+	defer tr.Close()
 	var results atomic.Int32
 	handler := func(ids.NodeID, any) {}
 	if err := tr.Register(self, handler); err != nil {
@@ -110,16 +104,66 @@ func stressUnregister(t *testing.T, tr Transport, self ids.NodeID, senders int) 
 	}
 }
 
-func TestMemoryUnregisterMidFlight(t *testing.T) {
-	m := NewMemory(0, 0)
-	defer m.Close()
-	stressUnregister(t, m, "flappy", 8)
-}
-
-func TestMemnetUnregisterMidFlight(t *testing.T) {
-	m := NewMemnet(MemnetConfig{AckTimeout: 5 * time.Millisecond})
-	defer m.Close()
-	stressUnregister(t, m, "flappy", 8)
+// TestMemnetCloseRacesSenders closes a wall-clock memnet while eight
+// goroutines send and call on it — a node's own ticker goroutine racing
+// its fabric's shutdown. Close starts the moment the first send is being
+// planned, so that send's timer is the one a WaitGroup counts from zero.
+// Once Close has returned no handler runs, and every SendCall issued
+// before, during or after it reports exactly once. Under -race this
+// fails when a send is admitted outside m.mu: an Add at counter zero
+// concurrent with Close's Wait.
+func TestMemnetCloseRacesSenders(t *testing.T) {
+	const senders = 8
+	for iter := 0; iter < 200; iter++ {
+		planning := make(chan struct{})
+		var first sync.Once
+		m := NewMemnet(MemnetConfig{
+			AckTimeout: time.Millisecond,
+			Latency: func(*rand.Rand) time.Duration {
+				first.Do(func() { close(planning) })
+				return time.Millisecond
+			},
+		})
+		var closed atomic.Bool
+		var late, results atomic.Int32
+		if err := m.Register("peer", func(ids.NodeID, any) {
+			if closed.Load() {
+				late.Add(1)
+			}
+		}); err != nil {
+			t.Fatal(err)
+		}
+		var wg sync.WaitGroup
+		for s := 0; s < senders; s++ {
+			s := s
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				if s%2 == 0 {
+					m.Send("sender", "peer", s)
+					return
+				}
+				m.SendCall("sender", "peer", s, func(bool) { results.Add(1) })
+			}()
+		}
+		<-planning
+		m.Close()
+		closed.Store(true)
+		wg.Wait()
+		deadline := time.After(5 * time.Second)
+		for results.Load() < senders/2 {
+			select {
+			case <-deadline:
+				t.Fatalf("iteration %d: %d of %d SendCall results arrived", iter, results.Load(), senders/2)
+			case <-time.After(100 * time.Microsecond):
+			}
+		}
+		st := m.Stats()
+		if late.Load() != 0 || results.Load() != senders/2 || st.Sent != senders || st.Delivered+st.Dropped != senders {
+			t.Fatalf("iteration %d: %d handler runs after Close returned, %d results for %d calls, stats %+v",
+				iter, late.Load(), results.Load(), senders/2, st)
+		}
+	}
 }
 
 func TestMemnetFaultInjectionRaces(t *testing.T) {

@@ -137,7 +137,8 @@ func (m *Memnet) Unregister(self ids.NodeID) {
 
 // Close implements Transport: further deliveries are suppressed, and
 // on the built-in wall clock in-flight deliveries are drained before
-// returning.
+// returning — no handler runs once Close has returned, and a SendCall
+// issued after it reports false.
 func (m *Memnet) Close() error {
 	m.mu.Lock()
 	m.closed = true
@@ -150,7 +151,9 @@ func (m *Memnet) Close() error {
 }
 
 // schedule defers fn on the memnet clock, tracking the callback on the
-// built-in wall clock so Close can drain it.
+// built-in wall clock so Close can drain it. Called as is only from
+// inside a tracked callback (a send's ack and nack timers), where the
+// counter is already above zero; a send's first timer goes through admit.
 func (m *Memnet) schedule(d time.Duration, fn func()) {
 	if !m.ownClock {
 		m.after(d, fn)
@@ -158,6 +161,24 @@ func (m *Memnet) schedule(d time.Duration, fn func()) {
 	}
 	m.wg.Add(1)
 	m.after(d, func() { defer m.wg.Done(); fn() })
+}
+
+// admit schedules the first timer of a send, which arrives on the
+// sender's goroutine and may race Close. On the wall clock it checks
+// closed and counts the callback under m.mu, so no Add at counter zero
+// runs concurrently with Close's Wait: once closed, the send is counted
+// Dropped, no timer is armed, and admit reports false.
+func (m *Memnet) admit(d time.Duration, fn func()) bool {
+	if m.ownClock {
+		m.mu.Lock()
+		defer m.mu.Unlock()
+		if m.closed {
+			m.stats.Dropped++
+			return false
+		}
+	}
+	m.schedule(d, fn)
+	return true
 }
 
 // Kill makes a node unreachable (and its handler inert) until Restart —
@@ -293,24 +314,31 @@ func (m *Memnet) handlerFor(from, to ids.NodeID) Handler {
 	return h
 }
 
+// arrive settles a message once its latency has elapsed: it returns the
+// live handler and counts the message Delivered, or returns nil and counts
+// it Dropped when a fault consumed it or the target is unreachable now.
+func (m *Memnet) arrive(from, to ids.NodeID, dropped bool) Handler {
+	m.mu.Lock()
+	h := m.handlerFor(from, to)
+	if dropped {
+		h = nil
+	}
+	if h == nil {
+		m.stats.Dropped++
+	} else {
+		m.stats.Delivered++
+	}
+	m.mu.Unlock()
+	return h
+}
+
 // Send implements Transport.
 func (m *Memnet) Send(from, to ids.NodeID, msg any) {
 	m.mu.Lock()
 	lat, dropped := m.plan(from, to)
 	m.mu.Unlock()
-	m.schedule(lat, func() {
-		m.mu.Lock()
-		h := m.handlerFor(from, to)
-		if dropped {
-			h = nil
-		}
-		if h == nil {
-			m.stats.Dropped++
-		} else {
-			m.stats.Delivered++
-		}
-		m.mu.Unlock()
-		if h != nil {
+	m.admit(lat, func() {
+		if h := m.arrive(from, to, dropped); h != nil {
 			h(from, msg)
 		}
 	})
@@ -320,7 +348,8 @@ func (m *Memnet) Send(from, to ids.NodeID, msg any) {
 // after sending when the target processed the message (the return leg
 // rides the reverse to→from link, honoring its overrides);
 // onResult(false) fires once the AckTimeout expires when it did not.
-// The callback is invoked exactly once either way.
+// The callback is invoked exactly once either way, never on the
+// caller's stack.
 //
 // Failure detection mirrors sim.Network, the reference model the
 // engines are compared under: the nack fires at the later of AckTimeout
@@ -333,18 +362,8 @@ func (m *Memnet) SendCall(from, to ids.NodeID, msg any, onResult func(ok bool)) 
 	back := m.sampleLatency(to, from)
 	backDropped := m.sampleDrop(to, from)
 	m.mu.Unlock()
-	m.schedule(out, func() {
-		m.mu.Lock()
-		h := m.handlerFor(from, to)
-		if dropped {
-			h = nil
-		}
-		if h == nil {
-			m.stats.Dropped++
-		} else {
-			m.stats.Delivered++
-		}
-		m.mu.Unlock()
+	admitted := m.admit(out, func() {
+		h := m.arrive(from, to, dropped)
 		nack := func() {
 			wait := m.ackTimeout - out
 			if wait < 0 {
@@ -370,4 +389,9 @@ func (m *Memnet) SendCall(from, to ids.NodeID, msg any, onResult func(ok bool)) 
 		}
 		m.schedule(back, func() { onResult(true) })
 	})
+	if !admitted && onResult != nil {
+		// Closed: nobody will drain a timer. The caller may hold its own
+		// lock, so the verdict still arrives on another goroutine.
+		go onResult(false)
+	}
 }

@@ -1,7 +1,8 @@
 package transport
 
 import (
-	"sync"
+	"fmt"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -105,144 +106,153 @@ func TestCodecRejectsUnknown(t *testing.T) {
 	}
 }
 
-func TestMemoryDelivery(t *testing.T) {
-	m := NewMemory(0, 0)
-	defer m.Close()
-	var mu sync.Mutex
-	var got []any
-	if err := m.Register("b", func(from ids.NodeID, msg any) {
-		mu.Lock()
-		defer mu.Unlock()
-		got = append(got, msg)
-	}); err != nil {
-		t.Fatal(err)
-	}
-	m.Send("a", "b", sampleAnycast())
-	deadline := time.After(2 * time.Second)
-	for {
-		mu.Lock()
-		n := len(got)
-		mu.Unlock()
-		if n == 1 {
-			break
-		}
-		select {
-		case <-deadline:
-			t.Fatal("message never delivered")
-		case <-time.After(time.Millisecond):
-		}
-	}
+// fabric opens one of the two live transports for a contract case and
+// hands out addresses free on it: the first one a case asks for is where
+// it listens, the rest only send or stay dead.
+type fabric struct {
+	open func() Transport
+	addr func() ids.NodeID
 }
 
-func TestMemorySendCall(t *testing.T) {
-	m := NewMemory(0, 0)
-	defer m.Close()
-	if err := m.Register("b", func(ids.NodeID, any) {}); err != nil {
-		t.Fatal(err)
-	}
-	result := make(chan bool, 2)
-	m.SendCall("a", "b", sampleAnycast(), func(ok bool) { result <- ok })
-	if ok := <-result; !ok {
-		t.Error("want ack for registered target")
-	}
-	m.SendCall("a", "ghost", sampleAnycast(), func(ok bool) { result <- ok })
-	if ok := <-result; ok {
-		t.Error("want nack for unregistered target")
-	}
-}
+// lastAddr numbers the addresses handed out so no two cases share a port.
+var lastAddr atomic.Int32
 
-func TestMemoryUnregister(t *testing.T) {
-	m := NewMemory(0, 0)
-	defer m.Close()
-	if err := m.Register("b", func(ids.NodeID, any) {}); err != nil {
-		t.Fatal(err)
+// The contract cases below run on both fabrics. memory is Memnet on its
+// built-in wall clock — what avmem.NewMemoryTransport hands out — with a
+// short AckTimeout so nacks arrive quickly; tcp is real loopback sockets.
+var (
+	memory = fabric{
+		open: func() Transport { return NewMemnet(MemnetConfig{AckTimeout: 20 * time.Millisecond}) },
+		addr: func() ids.NodeID { return ids.NodeID(fmt.Sprintf("n%d", lastAddr.Add(1))) },
 	}
-	m.Unregister("b")
+	tcp = fabric{
+		open: func() Transport { return NewTCP(200*time.Millisecond, time.Second) },
+		addr: func() ids.NodeID { return ids.NodeID(fmt.Sprintf("127.0.0.1:%d", 39400+lastAddr.Add(1))) },
+	}
+)
+
+// callResult runs one SendCall and returns its verdict.
+func callResult(t *testing.T, tr Transport, from, to ids.NodeID) bool {
+	t.Helper()
 	result := make(chan bool, 1)
-	m.SendCall("a", "b", sampleAnycast(), func(ok bool) { result <- ok })
-	if ok := <-result; ok {
+	tr.SendCall(from, to, sampleAnycast(), func(ok bool) { result <- ok })
+	select {
+	case ok := <-result:
+		return ok
+	case <-time.After(5 * time.Second):
+		t.Fatal("SendCall never reported")
+		return false
+	}
+}
+
+// testDelivery: a Send reaches the registered handler intact and names
+// its sender.
+func testDelivery(t *testing.T, f fabric) {
+	tr := f.open()
+	defer tr.Close()
+	self, peer := f.addr(), f.addr()
+	type delivery struct {
+		from ids.NodeID
+		msg  any
+	}
+	received := make(chan delivery, 1)
+	if err := tr.Register(self, func(from ids.NodeID, msg any) { received <- delivery{from, msg} }); err != nil {
+		t.Fatal(err)
+	}
+	tr.Send(peer, self, sampleAnycast())
+	select {
+	case d := <-received:
+		if got, ok := d.msg.(ops.AnycastMsg); !ok || got != sampleAnycast() || d.from != peer {
+			t.Errorf("delivered %+v from %q, want the sample anycast from %q", d.msg, d.from, peer)
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("message never delivered")
+	}
+}
+
+// testSendCall: a call is acknowledged once the handler has the message,
+// and nacked when nothing listens at the target.
+func testSendCall(t *testing.T, f fabric) {
+	tr := f.open()
+	defer tr.Close()
+	self, peer := f.addr(), f.addr()
+	received := make(chan any, 1)
+	if err := tr.Register(self, func(from ids.NodeID, msg any) { received <- msg }); err != nil {
+		t.Fatal(err)
+	}
+	if !callResult(t, tr, peer, self) {
+		t.Fatal("want ack for registered target")
+	}
+	select {
+	case <-received:
+	case <-time.After(2 * time.Second):
+		t.Fatal("acknowledged message never dispatched")
+	}
+	if callResult(t, tr, peer, f.addr()) {
+		t.Error("want nack for a target that never registered")
+	}
+}
+
+// testUnregister: a target that registered and left nacks.
+func testUnregister(t *testing.T, f fabric) {
+	tr := f.open()
+	defer tr.Close()
+	self, peer := f.addr(), f.addr()
+	if err := tr.Register(self, func(ids.NodeID, any) {}); err != nil {
+		t.Fatal(err)
+	}
+	tr.Unregister(self)
+	if callResult(t, tr, peer, self) {
 		t.Error("want nack after unregister")
 	}
 }
 
+// testClosed: a closed transport runs no handler and still answers a
+// SendCall, with false.
+func testClosed(t *testing.T, f fabric) {
+	tr := f.open()
+	self, peer := f.addr(), f.addr()
+	if err := tr.Register(self, func(ids.NodeID, any) { t.Error("handler ran after Close") }); err != nil {
+		t.Fatal(err)
+	}
+	tr.Close()
+	tr.Send(peer, self, sampleAnycast())
+	expectExactlyOnceFailure(t, tr, peer, self)
+}
+
+func TestMemoryDelivery(t *testing.T)             { testDelivery(t, memory) }
+func TestTCPDelivery(t *testing.T)                { testDelivery(t, tcp) }
+func TestMemorySendCall(t *testing.T)             { testSendCall(t, memory) }
+func TestTCPUnreachable(t *testing.T)             { testSendCall(t, tcp) }
+func TestMemoryUnregister(t *testing.T)           { testUnregister(t, memory) }
+func TestTCPUnregisterStopsListener(t *testing.T) { testUnregister(t, tcp) }
+func TestMemoryClosed(t *testing.T)               { testClosed(t, memory) }
+func TestTCPClosed(t *testing.T)                  { testClosed(t, tcp) }
+
+// TestMemoryLatency: the wall-clock memnet really waits out its latency
+// model (TCP has none to test).
 func TestMemoryLatency(t *testing.T) {
-	m := NewMemory(20*time.Millisecond, 30*time.Millisecond)
+	m := NewMemnet(MemnetConfig{Latency: UniformLatencyFn(20*time.Millisecond, 30*time.Millisecond)})
 	defer m.Close()
 	if err := m.Register("b", func(ids.NodeID, any) {}); err != nil {
 		t.Fatal(err)
 	}
 	start := time.Now()
-	result := make(chan bool, 1)
-	m.SendCall("a", "b", sampleAnycast(), func(ok bool) { result <- ok })
-	<-result
-	if elapsed := time.Since(start); elapsed < 20*time.Millisecond {
-		t.Errorf("delivery took %v, want >= 20ms latency", elapsed)
+	if !callResult(t, m, "a", "b") {
+		t.Fatal("want ack")
 	}
-}
-
-func TestTCPDelivery(t *testing.T) {
-	tr := NewTCP(time.Second, 2*time.Second)
-	defer tr.Close()
-	self := ids.NodeID("127.0.0.1:39401")
-	received := make(chan any, 1)
-	if err := tr.Register(self, func(from ids.NodeID, msg any) {
-		received <- msg
-	}); err != nil {
-		t.Fatal(err)
-	}
-	result := make(chan bool, 1)
-	tr.SendCall("127.0.0.1:39402", self, sampleAnycast(), func(ok bool) { result <- ok })
-	if ok := <-result; !ok {
-		t.Fatal("want ack over TCP")
-	}
-	select {
-	case msg := <-received:
-		if got := msg.(ops.AnycastMsg); got.ID.Seq != 7 {
-			t.Errorf("message corrupted: %+v", got)
-		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("message never dispatched")
-	}
-}
-
-func TestTCPUnreachable(t *testing.T) {
-	tr := NewTCP(200*time.Millisecond, time.Second)
-	defer tr.Close()
-	result := make(chan bool, 1)
-	// Nothing listens on this port.
-	tr.SendCall("127.0.0.1:39403", "127.0.0.1:39404", sampleAnycast(), func(ok bool) { result <- ok })
-	select {
-	case ok := <-result:
-		if ok {
-			t.Error("want nack for unreachable target")
-		}
-	case <-time.After(3 * time.Second):
-		t.Fatal("failure never reported")
+	if elapsed := time.Since(start); elapsed < 40*time.Millisecond {
+		t.Errorf("round trip took %v, want >= 2 x 20ms latency", elapsed)
 	}
 }
 
 func TestTCPRegisterValidation(t *testing.T) {
 	tr := NewTCP(0, 0)
 	defer tr.Close()
-	if err := tr.Register("127.0.0.1:39405", nil); err == nil {
+	if err := tr.Register(tcp.addr(), nil); err == nil {
 		t.Error("want error for nil handler")
 	}
 	if err := tr.Register("not-an-address", func(ids.NodeID, any) {}); err == nil {
 		t.Error("want error for bad address")
-	}
-}
-
-func TestTCPUnregisterStopsListener(t *testing.T) {
-	tr := NewTCP(200*time.Millisecond, time.Second)
-	defer tr.Close()
-	self := ids.NodeID("127.0.0.1:39406")
-	if err := tr.Register(self, func(ids.NodeID, any) {}); err != nil {
-		t.Fatal(err)
-	}
-	tr.Unregister(self)
-	result := make(chan bool, 1)
-	tr.SendCall("127.0.0.1:39407", self, sampleAnycast(), func(ok bool) { result <- ok })
-	if ok := <-result; ok {
-		t.Error("want nack after unregister")
 	}
 }

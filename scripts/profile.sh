@@ -10,7 +10,7 @@
 # Usage:
 #   scripts/profile.sh                              # scenarios/mixed-workload.json
 #   scripts/profile.sh scenarios/churn-storm.json   # another scenario
-#   scripts/profile.sh scenarios/mixed-workload.json -shards 8
+#   scripts/profile.sh scenarios/mixed-workload.json -backend memnet
 #                                                   # extra run flags pass through
 #
 # Inspect with:
