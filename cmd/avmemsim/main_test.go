@@ -163,7 +163,7 @@ func TestRunScenarioEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{"obs_trace_spans_dropped_total 0\n", "sim_queue_depth ", "sim_queue_depth_peak "} {
+	for _, want := range []string{"obs_trace_spans_dropped_total 0\n", "sim_queue_depth ", "sim_queue_depth_peak ", "sim_queue_key_moves_total "} {
 		if !strings.Contains(string(metrics), want) {
 			t.Errorf("metrics dump missing %q", want)
 		}

@@ -200,10 +200,6 @@ type pending struct {
 	// before the caller even forwarded the request.
 	outstanding int
 	expected    bool
-	// waves counts deadline ticks so far; deadline is the tick budget
-	// (depth-staggered hard stop for children lost mid-operation).
-	waves    int
-	deadline int
 }
 
 // Station is the per-node aggregation state machine. It owns no wire
@@ -218,8 +214,8 @@ type Station[K comparable] struct {
 	done map[K]bool
 }
 
-// NewStation builds a Station; after schedules the deadline waves (the
-// host Env's timer).
+// NewStation builds a Station; after schedules the deadlines (the host
+// Env's timer).
 func NewStation[K comparable](params Params, after func(d time.Duration, fn func())) (*Station[K], error) {
 	if err := params.Validate(); err != nil {
 		return nil, err
@@ -261,11 +257,7 @@ func (s *Station[K]) Open(id K, depth int, local float64, contribute bool, final
 	if s.Seen(id) {
 		return false
 	}
-	levels := s.params.MaxDepth - depth
-	if levels < 0 {
-		levels = 0
-	}
-	p := &pending{finalize: finalize, deadline: levels + 1}
+	p := &pending{finalize: finalize}
 	if contribute {
 		p.acc.Observe(local, depth)
 	}
@@ -273,7 +265,15 @@ func (s *Station[K]) Open(id K, depth int, local float64, contribute bool, final
 		s.open = make(map[K]*pending, 8)
 	}
 	s.open[id] = p
-	s.tick(id, p)
+	// One timer per aggregation, at the depth-staggered deadline: the
+	// hard stop for children lost mid-operation. After an earlier
+	// convergence it finds the id retired and does nothing.
+	waves := max(s.params.MaxDepth-depth, 0) + 1
+	s.after(time.Duration(waves)*s.params.Wave, func() {
+		if cur, ok := s.open[id]; ok && cur == p {
+			s.conclude(id, p)
+		}
+	})
 	return true
 }
 
@@ -340,20 +340,4 @@ func (s *Station[K]) conclude(id K, p *pending) {
 	}
 	s.done[id] = true
 	p.finalize(p.acc)
-}
-
-// tick arms the next deadline wave for id.
-func (s *Station[K]) tick(id K, p *pending) {
-	s.after(s.params.Wave, func() {
-		cur, ok := s.open[id]
-		if !ok || cur != p {
-			return
-		}
-		p.waves++
-		if p.waves >= p.deadline {
-			s.conclude(id, p)
-			return
-		}
-		s.tick(id, p)
-	})
 }

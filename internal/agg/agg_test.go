@@ -331,6 +331,39 @@ func TestStationBeyondMaxDepthBackstop(t *testing.T) {
 	}
 }
 
+// TestStationOneTimerPerOpen pins the deadline's cost and timing: an Open
+// arms exactly one timer, an unconverged aggregation concludes at exactly
+// (MaxDepth−depth+1)×Wave, and after an early convergence the stale timer
+// fires as a no-op.
+func TestStationOneTimerPerOpen(t *testing.T) {
+	clk := &fakeClock{}
+	s := newTestStation(t, clk) // MaxDepth 4, Wave 1s
+	for depth := 0; depth <= 5; depth++ {
+		var at time.Duration = -1
+		start := clk.now
+		s.Open(depth, depth, 0.5, true, func(Partial) { at = clk.now - start })
+		if len(clk.queue) != 1 {
+			t.Fatalf("depth %d: Open armed %d timers, want 1", depth, len(clk.queue))
+		}
+		s.Expect(depth, 1) // the child never responds
+		clk.advance(time.Minute)
+		want := time.Duration(max(4-depth, 0)+1) * time.Second
+		if at != want {
+			t.Errorf("depth %d: concluded after %v, want %v", depth, at, want)
+		}
+	}
+	fired := 0
+	s.Open(99, 0, 0.5, true, func(Partial) { fired++ })
+	s.Expect(99, 0) // converges at once
+	if fired != 1 || len(clk.queue) != 1 {
+		t.Fatalf("early convergence: finalize ran %d times, %d timers queued; want 1 and 1", fired, len(clk.queue))
+	}
+	clk.advance(time.Minute)
+	if fired != 1 || len(clk.queue) != 0 || s.Pending() != 0 {
+		t.Errorf("stale timer: finalize ran %d times, %d timers queued, %d pending; want 1, 0, 0", fired, len(clk.queue), s.Pending())
+	}
+}
+
 // TestStationLateChildAfterConvergenceIgnored: a duplicate or late
 // child reply after accounting already converged must neither refire
 // finalize nor double-count — the id is retired, not pending.
@@ -351,7 +384,7 @@ func TestStationLateChildAfterConvergenceIgnored(t *testing.T) {
 	if got.N != 2 {
 		t.Fatalf("partial = %+v, want 2 contributions", got)
 	}
-	// The same child replaying its partial — and a stale deadline wave —
+	// The same child replaying its partial — and the stale deadline timer —
 	// must leave the concluded result alone.
 	s.Absorb(1, child)
 	s.Decline(1)

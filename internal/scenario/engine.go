@@ -33,7 +33,7 @@ type Options struct {
 	// BackendMemnet. The same spec, events, and assertions run on both.
 	Backend string
 	// Shards and ShardThreads are ignored on both backends: a world has
-	// one event heap and runs it serially (DESIGN.md §14).
+	// one event queue and runs it serially (DESIGN.md §14).
 	//
 	// Deprecated: the fields exist only because the frozen benchmark
 	// harness still sets them (for maint-10k-sim and its informational
@@ -110,7 +110,7 @@ func Run(spec *Spec, opts Options) (*Result, error) {
 	}
 	ignored := ""
 	if opts.Shards > 1 || opts.ShardThreads > 1 {
-		ignored = fmt.Sprintf("; Shards=%d ShardThreads=%d ignored (one heap, serial engine)", opts.Shards, opts.ShardThreads)
+		ignored = fmt.Sprintf("; Shards=%d ShardThreads=%d ignored (one event queue, serial engine)", opts.Shards, opts.ShardThreads)
 	}
 	fmt.Fprintf(logw, "fleet ready (%s backend): %d hosts, N*=%.0f; warming up %v%s\n",
 		backendName(opts.Backend), len(w.Hosts()), w.StableSize(), spec.Warmup.D(), ignored)

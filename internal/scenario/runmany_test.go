@@ -9,7 +9,7 @@ import (
 // TestRunDeterministic is the determinism contract of DESIGN.md §5: the
 // same (trace, seed) pair — here regenerated from the same spec — must
 // reproduce bit-identical scenario metrics, including across the cohort
-// ticks and value-heap scheduler.
+// ticks and the radix event queue.
 func TestRunDeterministic(t *testing.T) {
 	a, err := Run(tinySpec(), Options{})
 	if err != nil {

@@ -13,7 +13,7 @@ import (
 // report on either backend, and are called out once, on the "fleet ready"
 // progress line — the harness counts log lines, so the notice adds none.
 func TestShardOptionsIgnored(t *testing.T) {
-	const notice = "; Shards=8 ShardThreads=2 ignored (one heap, serial engine)"
+	const notice = "; Shards=8 ShardThreads=2 ignored (one event queue, serial engine)"
 	for _, backend := range []string{BackendSim, BackendMemnet} {
 		spec := tinySpec()
 		want := renderRunObs(t, spec, Options{Backend: backend})

@@ -5,9 +5,9 @@ import "avmem/internal/obs"
 // This file wires the engine into the obs metrics registry. The
 // instrumentation is determinism-neutral by construction: it records
 // values the engine already computed (event counts, virtual
-// timestamps, the queue's length) into atomic instruments and never
-// reads the wall clock. An uninstrumented world (w.obs == nil) pays one
-// predictable nil check per event.
+// timestamps, the queue's length and refill moves) into atomic
+// instruments and never reads the wall clock. An uninstrumented world
+// (w.obs == nil) pays one predictable nil check per event.
 
 // obsFlushEvery is how many fired events the run loops batch
 // locally before flushing to the shared atomic counter. Batching keeps
@@ -23,7 +23,9 @@ type simObs struct {
 	vtime  *obs.Gauge   // sim_virtual_time_seconds
 	depth  *obs.Gauge   // sim_queue_depth: events queued at the last flush
 	peak   *obs.Gauge   // sim_queue_depth_peak: the deepest flush so far
+	moves  *obs.Counter // sim_queue_key_moves_total: keys moved by refills
 	batch  int          // local event count since last flush
+	moved  uint64       // the queue's refill moves already published
 	hook   func()       // the owner's own flush (OnFlush), nil when unset
 }
 
@@ -39,6 +41,8 @@ func (w *World) Instrument(reg *obs.Registry) {
 		vtime:  reg.Gauge("sim_virtual_time_seconds"),
 		depth:  reg.Gauge("sim_queue_depth"),
 		peak:   reg.Gauge("sim_queue_depth_peak"),
+		moves:  reg.Counter("sim_queue_key_moves_total"),
+		moved:  w.events.moves,
 	}
 }
 
@@ -61,20 +65,24 @@ func (o *simObs) step(w *World) {
 	}
 }
 
-// flush publishes the local batch, the clock and the queue depth to the
-// shared instruments. Called at batch boundaries and on loop exit, so the
-// depth is a sample every obsFlushEvery events, not every event's — the
-// peak is the deepest sample.
+// flush publishes the local batch, the clock, the queue depth and the
+// refill moves to the shared instruments. Called at batch boundaries and
+// on loop exit, so the depth is a sample every obsFlushEvery events, not
+// every event's — the peak is the deepest sample.
 func (o *simObs) flush(w *World) {
 	if o.batch > 0 {
 		o.events.Add(int64(o.batch))
 		o.batch = 0
 	}
 	o.vtime.Set(w.now.Seconds())
-	queued := float64(len(w.events.keys))
+	queued := float64(w.events.n)
 	o.depth.Set(queued)
 	if queued > o.peak.Value() {
 		o.peak.Set(queued)
+	}
+	if m := w.events.moves; m > o.moved {
+		o.moves.Add(int64(m - o.moved))
+		o.moved = m
 	}
 	if o.hook != nil {
 		o.hook()

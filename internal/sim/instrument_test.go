@@ -43,6 +43,9 @@ func TestInstrumentSerialCounts(t *testing.T) {
 	if got := reg.Gauge("sim_virtual_time_seconds").Value(); got != 60 {
 		t.Fatalf("sim_virtual_time_seconds=%v, want 60", got)
 	}
+	if got := reg.Counter("sim_queue_key_moves_total").Value(); got == 0 || uint64(got) != w.events.moves {
+		t.Fatalf("sim_queue_key_moves_total=%d, the queue moved %d keys", got, w.events.moves)
+	}
 }
 
 // fireLog runs a deterministic pseudo-random schedule — timers and

@@ -273,8 +273,8 @@ func (n *Network) SendCallAddr(from, to ids.Addr, msg any, onResult func(ok bool
 // target if it is reachable now, then schedule the verdict — the ack one
 // return hop after the handler ran, or the nack once the sender's
 // ackTimeout (counted from the send) has expired. A nil callback
-// schedules nothing, so sequence numbers are consumed exactly where a
-// caller-visible event exists.
+// schedules nothing, so events are queued exactly where a caller-visible
+// one exists.
 func (n *Network) attempt(call *payload) {
 	h := n.handlerFor(call.toAddr())
 	if h == nil {

@@ -1,0 +1,403 @@
+package sim
+
+import (
+	"math"
+	"math/rand"
+	"reflect"
+	"sort"
+	"testing"
+	"time"
+	"unsafe"
+)
+
+// refKey is a pending event of the reference model: its deadline and its
+// insertion number, the tie-break the queue must reproduce.
+type refKey struct {
+	at  time.Duration
+	seq uint64
+}
+
+// sortRef orders the reference model by (at, seq).
+func sortRef(model []refKey) {
+	sort.Slice(model, func(i, j int) bool {
+		if model[i].at != model[j].at {
+			return model[i].at < model[j].at
+		}
+		return model[i].seq < model[j].seq
+	})
+}
+
+// TestHeapPopsInAtSeqOrder drives the queue through random insert/pop
+// interleavings and checks every pop returns exactly the (at, seq)-minimum
+// of what a sorted reference model says is pending — and that the slot the
+// key names still holds that event's own payload. Deadlines are drawn
+// from a few ticks after the last pop, as World.schedule clamps them, so
+// ties are common.
+func TestHeapPopsInAtSeqOrder(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for trial := 0; trial < 50; trial++ {
+		var q eventQueue
+		var model []refKey // reference of pending keys
+		var fired uint64   // seq of the payload that ran last
+		var now time.Duration
+		seq := uint64(0)
+		for step := 0; step < 400; step++ {
+			if len(model) == 0 || rng.Intn(3) != 0 {
+				seq++
+				s := seq
+				// Mostly near deadlines to force ties, sometimes far ones to
+				// spread keys over the high buckets.
+				at := now + time.Duration(rng.Intn(20))
+				if rng.Intn(8) == 0 {
+					at = now + time.Duration(rng.Int63n(1<<40))
+				}
+				q.push(at, &payload{kind: evFunc, fn: func() { fired = s }})
+				model = append(model, refKey{at: at, seq: s})
+				continue
+			}
+			sortRef(model)
+			want := model[0]
+			model = model[1:]
+			if !q.due(math.MaxInt64) {
+				t.Fatalf("trial %d step %d: queue reports nothing due, model holds %d", trial, step, len(model)+1)
+			}
+			k := q.pop()
+			if k.at != want.at {
+				t.Fatalf("trial %d step %d: popped at %v, want %v", trial, step, k.at, want.at)
+			}
+			now = k.at
+			q.fire(k.slot, nil)
+			if fired != want.seq {
+				t.Fatalf("trial %d step %d: slot %d ran the payload of seq %d, want %d", trial, step, k.slot, fired, want.seq)
+			}
+			if q.n != len(model) {
+				t.Fatalf("trial %d step %d: queue len %d, model len %d", trial, step, q.n, len(model))
+			}
+			if len(q.slab) != q.n+len(q.free) {
+				t.Fatalf("trial %d step %d: slab %d != pending %d + free %d", trial, step, len(q.slab), q.n, len(q.free))
+			}
+		}
+		// Drain: the remaining events must run in (at, seq) order.
+		sortRef(model)
+		for _, want := range model {
+			q.due(math.MaxInt64)
+			k := q.pop()
+			q.fire(k.slot, nil)
+			if k.at != want.at || fired != want.seq {
+				t.Fatalf("trial %d: drain ran %v/%d, want %v/%d", trial, k.at, fired, want.at, want.seq)
+			}
+		}
+		if q.due(math.MaxInt64) || q.n != 0 {
+			t.Fatalf("trial %d: %d keys left after the drain", trial, q.n)
+		}
+	}
+}
+
+// TestHeapSeqTieBreakExhaustive pushes many events at one identical
+// deadline and checks strict FIFO pops.
+func TestHeapSeqTieBreakExhaustive(t *testing.T) {
+	w := NewWorld(1)
+	const n = 3*chunkKeys + 1 // spans several chunks
+	got := make([]int, 0, n)
+	for i := 0; i < n; i++ {
+		i := i
+		w.At(time.Millisecond, func() { got = append(got, i) })
+	}
+	w.Run(time.Second)
+	if len(got) != n {
+		t.Fatalf("ran %d of %d events", len(got), n)
+	}
+	for i, v := range got {
+		if v != i {
+			t.Fatalf("same-deadline pop order broken at %d: got %d", i, v)
+		}
+	}
+}
+
+// TestRunNeverMovesBasePastHorizon: Run(t) stops short of the next event,
+// and an event scheduled afterwards between t and that event must fire
+// first. A queue that refilled around the far event while looking at it
+// would file the new one below its base.
+func TestRunNeverMovesBasePastHorizon(t *testing.T) {
+	w := NewWorld(1)
+	var order []string
+	w.At(10*time.Second, func() { order = append(order, "far") })
+	w.At(10*time.Second+1, func() { order = append(order, "far+1") })
+	w.At(time.Second, func() { order = append(order, "near") })
+	if n := w.Run(5 * time.Second); n != 1 {
+		t.Fatalf("Run(5s) fired %d events, want 1", n)
+	}
+	if w.events.base > 5*time.Second {
+		t.Fatalf("queue base %v moved past the horizon 5s", w.events.base)
+	}
+	w.At(7*time.Second, func() { order = append(order, "between") })
+	w.At(5*time.Second, func() { order = append(order, "at-horizon") })
+	w.Run(time.Minute)
+	want := []string{"near", "at-horizon", "between", "far", "far+1"}
+	if !reflect.DeepEqual(order, want) {
+		t.Fatalf("fire order %v, want %v", order, want)
+	}
+}
+
+// TestEventKeySize pins the queue's key at two words.
+func TestEventKeySize(t *testing.T) {
+	if got := unsafe.Sizeof(eventKey{}); got != 16 {
+		t.Fatalf("eventKey is %d bytes, want 16", got)
+	}
+}
+
+// TestQueueChunksBounded: the shared chunk free list keeps the chunks
+// ever allocated at about what the pending keys fill, however they spread
+// over the buckets — here 10⁶ events, at most 5000 pending, deadlines from
+// nanoseconds to days out.
+func TestQueueChunksBounded(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	var q eventQueue
+	var now time.Duration
+	peak := 0
+	push := func() {
+		at := now + time.Duration(rng.Int63n(1<<uint(rng.Intn(48))+1))
+		q.push(at, &payload{kind: evFunc})
+		peak = max(peak, q.n)
+	}
+	for q.n < 5000 {
+		push()
+	}
+	for fired := 0; fired < 1_000_000; fired++ {
+		q.due(math.MaxInt64)
+		k := q.pop()
+		now = k.at
+		q.release(k.slot)
+		// Hold the depth between 4000 and 5000: refill to the top after
+		// each dip, one push per pop otherwise.
+		for q.n < 4000 || (q.n < 5000 && rng.Intn(2) == 0) {
+			push()
+		}
+	}
+	bound := (peak+chunkKeys-1)/chunkKeys + 64
+	if len(q.chunks) > bound {
+		t.Fatalf("%d chunks allocated for a peak of %d pending keys, bound %d", len(q.chunks), peak, bound)
+	}
+	if q.moves == 0 {
+		t.Fatal("no key was ever moved by a refill")
+	}
+}
+
+// TestSlabReusesAndZeroesSlots pins the payload slab's two promises: a
+// fired event's slot is the next one handed out (the slab grows only
+// with the number of events pending at once), and it holds nothing the
+// collector could still reach.
+func TestSlabReusesAndZeroesSlots(t *testing.T) {
+	var q eventQueue
+	for i := 0; i < 3; i++ {
+		q.push(time.Duration(i), &payload{kind: evAttempt, net1: 1, to1: 2, from1: 3,
+			from: "a", to: "b", msg: i, fn: func() {}, onResult: func(bool) {}, out: 1, back: 2, ok: true})
+	}
+	q.due(math.MaxInt64)
+	k := q.pop()
+	if k.at != 0 {
+		t.Fatalf("popped at %v, want 0", k.at)
+	}
+	// Consume the slot without running the attempt.
+	q.release(k.slot)
+	p := &q.slab[k.slot]
+	if p.kind != evFunc || p.ok || p.net1 != 0 || p.to1 != 0 || p.from1 != 0 || p.from != "" || p.to != "" || p.msg != nil ||
+		p.fn != nil || p.onResult != nil || p.out != 0 || p.back != 0 {
+		t.Fatalf("released slot not zeroed: %+v", *p)
+	}
+	ran := false
+	q.push(9, &payload{kind: evFunc, fn: func() { ran = true }})
+	if len(q.slab) != 3 || len(q.free) != 0 {
+		t.Fatalf("slab %d / free %d after reuse, want 3 / 0", len(q.slab), len(q.free))
+	}
+	var last eventKey
+	for q.due(math.MaxInt64) {
+		last = q.pop()
+	}
+	if last.at != 9 || last.slot != k.slot {
+		t.Fatalf("new event took slot %d at %v, want the released slot %d at 9", last.slot, last.at, k.slot)
+	}
+	q.fire(last.slot, nil)
+	if !ran {
+		t.Fatal("reused slot did not run the new payload")
+	}
+}
+
+// TestFireSurvivesSlabGrowth fires an event whose callback pushes enough
+// to move the slab: fire must have finished with the slot before the
+// callback runs.
+func TestFireSurvivesSlabGrowth(t *testing.T) {
+	w := NewWorld(1)
+	ran := 0
+	w.At(0, func() {
+		for i := 0; i < 1000; i++ {
+			w.After(time.Millisecond, func() { ran++ })
+		}
+	})
+	w.Run(time.Second)
+	if ran != 1000 || w.Pending() != 0 {
+		t.Fatalf("ran %d of 1000, %d pending", ran, w.Pending())
+	}
+	if got := len(w.events.slab); got != 1000 {
+		t.Fatalf("slab grew to %d slots for 1000 concurrent events", got)
+	}
+}
+
+// schedulerAPI is what the queue fuzzer drives: the World and its
+// reference both implement it.
+type schedulerAPI interface {
+	Now() time.Duration
+	At(at time.Duration, fn func())
+	Run(until time.Duration) int
+	RunAll(maxEvents int) int
+	Pending() int
+}
+
+// refWorld is the reference scheduler: pending events in a plain slice,
+// the (at, seq)-minimum found by a scan before every pop.
+type refWorld struct {
+	now     time.Duration
+	seq     uint64
+	pending []refKey
+	fns     map[uint64]func()
+}
+
+func (r *refWorld) Now() time.Duration { return r.now }
+func (r *refWorld) Pending() int       { return len(r.pending) }
+
+func (r *refWorld) At(at time.Duration, fn func()) {
+	if at < r.now {
+		at = r.now
+	}
+	r.seq++
+	r.pending = append(r.pending, refKey{at: at, seq: r.seq})
+	r.fns[r.seq] = fn
+}
+
+// step fires the earliest event if it is due at or before until.
+func (r *refWorld) step(until time.Duration) bool {
+	if len(r.pending) == 0 {
+		return false
+	}
+	first := 0
+	for i, k := range r.pending {
+		if k.at < r.pending[first].at || (k.at == r.pending[first].at && k.seq < r.pending[first].seq) {
+			first = i
+		}
+	}
+	k := r.pending[first]
+	if k.at > until {
+		return false
+	}
+	last := len(r.pending) - 1
+	r.pending[first] = r.pending[last]
+	r.pending = r.pending[:last]
+	r.now = k.at
+	fn := r.fns[k.seq]
+	delete(r.fns, k.seq)
+	fn()
+	return true
+}
+
+func (r *refWorld) Run(until time.Duration) int {
+	n := 0
+	for r.step(until) {
+		n++
+	}
+	if until > r.now {
+		r.now = until
+	}
+	return n
+}
+
+func (r *refWorld) RunAll(maxEvents int) int {
+	n := 0
+	for (maxEvents <= 0 || n < maxEvents) && r.step(math.MaxInt64) {
+		n++
+	}
+	return n
+}
+
+// fuzzDelay maps one byte to a delay: the low nibble is a mantissa, the
+// high nibble a shift in steps of three bits, so the delays span zero,
+// nanosecond ties and days.
+func fuzzDelay(b byte) time.Duration {
+	return time.Duration(b&0x0f) << (3 * uint(b>>4))
+}
+
+// queueTranscript runs the fuzz program ops on s and returns what every
+// step observed. Two-byte instructions: schedule an event (which, when it
+// fires, may schedule a child at a tie-prone delay), Run to a horizon,
+// or RunAll with a small bound.
+func queueTranscript(s schedulerAPI, ops []byte) []int64 {
+	var log []int64
+	id := 0
+	var event func(delay time.Duration) func()
+	event = func(delay time.Duration) func() {
+		id++
+		me := id
+		return func() {
+			log = append(log, int64(me), int64(s.Now()))
+			if me%3 == 0 {
+				s.At(s.Now()+delay, event(delay/2))
+			}
+		}
+	}
+	for len(ops) >= 2 {
+		op, arg := ops[0], ops[1]
+		ops = ops[2:]
+		switch op % 4 {
+		case 0, 1:
+			s.At(s.Now()+fuzzDelay(arg), event(fuzzDelay(op)))
+		case 2:
+			log = append(log, -1, int64(s.Run(s.Now()+fuzzDelay(arg))))
+		case 3:
+			log = append(log, -2, int64(s.RunAll(int(arg%8)+1)))
+		}
+		log = append(log, -3, int64(s.Now()), int64(s.Pending()))
+	}
+	log = append(log, -4, int64(s.RunAll(0)), int64(s.Now()))
+	return log
+}
+
+// FuzzEventQueue interleaves scheduling, horizon runs and bounded drains
+// on a World and on the sorted reference scheduler: every event must fire
+// at the same time and in the same order, and Run, RunAll, Now and
+// Pending must agree after every step.
+func FuzzEventQueue(f *testing.F) {
+	f.Add([]byte{0, 0x11, 0, 0x11, 1, 0x52, 2, 0x10, 0, 0x01, 3, 7})
+	f.Add([]byte{0, 0xff, 0, 0x21, 2, 0x30, 0, 0x22, 2, 0xf0, 3, 1})
+	f.Fuzz(func(t *testing.T, ops []byte) {
+		if len(ops) > 1024 {
+			return
+		}
+		want := queueTranscript(&refWorld{fns: map[uint64]func(){}}, ops)
+		got := queueTranscript(NewWorld(1), ops)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("queue transcript diverged from the reference:\n got %v\nwant %v", got, want)
+		}
+	})
+}
+
+// BenchmarkSchedulerReschedule measures the periodic-driver hot cycle:
+// pop the due event, push its successor one period out — the pattern
+// every cohort tick and ping round executes. The whole cycle, refills
+// included, should not allocate.
+func BenchmarkSchedulerReschedule(b *testing.B) {
+	w := NewWorld(1)
+	const drivers = 1024
+	period := time.Minute
+	var tick func()
+	tick = func() { w.After(period, tick) }
+	for i := 0; i < drivers; i++ {
+		w.At(time.Duration(i)*time.Second, tick)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		w.events.due(math.MaxInt64)
+		k := w.events.pop()
+		w.now = k.at
+		w.events.fire(k.slot, w.nets)
+	}
+}

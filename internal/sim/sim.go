@@ -1,17 +1,20 @@
 // Package sim is a deterministic discrete-event simulator: a virtual
-// clock, an event heap, seeded randomness, and a message-passing network
+// clock, an event queue, seeded randomness, and a message-passing network
 // with a configurable per-hop latency model and online/offline delivery
 // semantics.
 //
 // All of the paper's experiments execute on this engine. Determinism is
 // a design goal (DESIGN.md §5): the world is single-threaded and events
 // with equal timestamps fire in scheduling order, so a (trace, seed)
-// pair regenerates every figure bit-identically. One (at, seq) heap is
-// the whole determinism story (DESIGN.md §14).
+// pair regenerates every figure bit-identically. One monotone radix
+// queue, FIFO among equal deadlines, is the whole determinism story
+// (DESIGN.md §14).
 package sim
 
 import (
 	"fmt"
+	"math"
+	"math/bits"
 	"math/rand"
 	"time"
 
@@ -22,8 +25,7 @@ import (
 // Create one with NewWorld; the zero value is not usable.
 type World struct {
 	now    time.Duration
-	events eventHeap
-	seq    uint64
+	events eventQueue
 	rng    *rand.Rand
 	// obs, when non-nil, is the metrics instrumentation installed by
 	// Instrument (instrument.go). Determinism-neutral: the run loops
@@ -54,16 +56,15 @@ func (w *World) At(at time.Duration, fn func()) {
 	w.schedule(at, &payload{kind: evFunc, fn: fn})
 }
 
-// schedule queues one event of any shape under the next sequence number
-// — the single point where (at, seq) keys are assigned, so closures,
-// deliveries and the SendCall events interleave exactly as if each had
-// been an At closure.
+// schedule queues one event of any shape — the single point where keys
+// are filed, so closures, deliveries and the SendCall events interleave
+// exactly as if each had been an At closure. Clamping at to now is what
+// keeps the queue monotone.
 func (w *World) schedule(at time.Duration, p *payload) {
 	if at < w.now {
 		at = w.now
 	}
-	w.seq++
-	w.events.push(at, w.seq, p)
+	w.events.push(at, p)
 }
 
 // After schedules fn to run d from now.
@@ -96,7 +97,7 @@ func (w *World) Every(offset, period time.Duration, stop func() bool, fn func())
 // of events processed.
 func (w *World) Run(until time.Duration) int {
 	n := 0
-	for len(w.events.keys) > 0 && w.events.keys[0].at <= until {
+	for w.events.due(until) {
 		k := w.events.pop()
 		w.now = k.at
 		w.events.fire(k.slot, w.nets)
@@ -120,10 +121,9 @@ func (w *World) Run(until time.Duration) int {
 // of events processed.
 func (w *World) RunAll(maxEvents int) int {
 	n := 0
-	for len(w.events.keys) > 0 {
-		if maxEvents > 0 && n >= maxEvents {
-			break
-		}
+	// The bound is checked first: due may refill, and a refill must not
+	// move the queue's base past the clock the loop leaves behind.
+	for (maxEvents <= 0 || n < maxEvents) && w.events.due(math.MaxInt64) {
 		k := w.events.pop()
 		w.now = k.at
 		w.events.fire(k.slot, w.nets)
@@ -140,7 +140,7 @@ func (w *World) RunAll(maxEvents int) int {
 
 // Pending returns the number of queued events.
 func (w *World) Pending() int {
-	return len(w.events.keys)
+	return w.events.n
 }
 
 // evKind names the four event shapes the queue carries.
@@ -159,7 +159,7 @@ const (
 )
 
 // payload is the body of a queued event: what to run when its key
-// reaches the head of the heap. The shapes share one struct so a slab
+// reaches the front of the queue. The shapes share one struct so a slab
 // slot fits any of them; scheduling never boxes through an interface
 // nor allocates a closure per message.
 type payload struct {
@@ -184,104 +184,173 @@ type payload struct {
 	out, back time.Duration
 }
 
-// eventKey is what the heap orders: 24 bytes, no pointers. slot indexes
-// the payload slab.
+// eventKey is what the queue orders: 16 bytes, no pointers. slot
+// indexes the payload slab.
 type eventKey struct {
 	at   time.Duration
-	seq  uint64
 	slot uint32
 }
 
-// before orders keys by (at, seq).
-func (a *eventKey) before(b *eventKey) bool {
-	if a.at != b.at {
-		return a.at < b.at
-	}
-	return a.seq < b.seq
+// chunkKeys is how many keys one chunk of a bucket holds.
+const chunkKeys = 128
+
+// keyChunk is a fixed block of keys. Chunks are allocated one at a time
+// and never move, so a pointer to one stays valid while the queue grows.
+type keyChunk [chunkKeys]eventKey
+
+// bucket is one radix bucket: a FIFO list of chunks, read from the head
+// and appended to at the tail.
+type bucket struct {
+	head, tail int32         // first and last chunk (indexes into eventQueue.chunks)
+	lo, hi     int32         // read position in head, write position in tail
+	n          int           // keys held; head and tail mean nothing at 0
+	min        time.Duration // the smallest at among them
 }
 
-// eventHeap is an index-based 4-ary min-heap of keys ordered by
-// (at, seq) — earliest deadline first, FIFO among equal deadlines — over
-// a slab of payloads that never move. Sifting therefore shuffles three
-// plain words per level instead of a pointer-carrying event, and the
-// collector never scans the key array. A 4-ary layout halves the tree
-// depth of a binary heap, which matters on push — the dominant operation
-// in a periodic-reschedule workload, where a pushed event almost always
-// carries a deadline at least one protocol period in the future and
-// therefore settles after a single parent comparison (the fast path
-// BenchmarkSchedulerReschedule measures). Slots vacated by fired events
-// are reused through a free list, so the slab is as long as the largest
-// number of events ever pending at once.
-type eventHeap struct {
-	keys []eventKey
-	slab []payload
-	free []uint32
+// eventQueue is a monotone radix queue (Ahuja, Mehlhorn, Orlin & Tarjan,
+// JACM 1990) of keys over a slab of payloads that never move. Virtual time
+// never runs backwards — World.schedule clamps at to now — so every key
+// pushed is at or after base, the time of the last refill, and a key lives
+// in bucket bits.Len64(at ^ base): bucket 0 holds the keys at exactly
+// base, bucket i ≥ 1 those whose highest bit differing from base is i−1.
+// Every key of a lower bucket is earlier than every key of a higher one.
+//
+// Pops come from the front of bucket 0. When it is empty, the lowest
+// non-empty bucket is redistributed once around its minimum (the new
+// base), which each bucket tracks on insert. A key moves only downwards,
+// so it moves at most 64 times and in practice a few.
+//
+// Equal deadlines pop in insertion order with no sequence number: pushes
+// append at a bucket's tail, and a bucket receives keys from a refill only
+// while it is empty (every lower bucket is, or the refill would have taken
+// that one), in the order the source held them. So every bucket holds its
+// keys in insertion order, and bucket 0 — one deadline — is FIFO.
+//
+// Buckets are lists of fixed chunks drawn from one shared free list, so
+// the queue holds about pending/chunkKeys chunks plus one partial chunk
+// per non-empty bucket, however the keys are spread over the buckets.
+// Slots vacated by fired events are reused through a free list too, so the
+// slab is as long as the largest number of events ever pending at once.
+type eventQueue struct {
+	base    time.Duration
+	n       int    // keys pending
+	nonzero uint64 // bit i−1 set iff bucket i ≥ 1 holds keys
+	buckets [65]bucket
+	chunks  []*keyChunk
+	next    []int32 // next[c]: the chunk after c in its bucket's list
+	spare   []int32 // chunks no bucket holds
+	moves   uint64  // keys redistributed by refills, ever
+	slab    []payload
+	free    []uint32
 }
 
-// push copies *p into a free slab slot and inserts its key, sifting the
-// hole up from the last leaf.
-func (h *eventHeap) push(at time.Duration, seq uint64, p *payload) {
+// push copies *p into a free slab slot and files its key.
+func (q *eventQueue) push(at time.Duration, p *payload) {
 	var slot uint32
-	if n := len(h.free); n > 0 {
-		slot = h.free[n-1]
-		h.free = h.free[:n-1]
-		h.slab[slot] = *p
+	if n := len(q.free); n > 0 {
+		slot = q.free[n-1]
+		q.free = q.free[:n-1]
+		q.slab[slot] = *p
 	} else {
-		slot = uint32(len(h.slab))
-		h.slab = append(h.slab, *p)
+		slot = uint32(len(q.slab))
+		q.slab = append(q.slab, *p)
 	}
-	k := eventKey{at: at, seq: seq, slot: slot}
-	h.keys = append(h.keys, k)
-	keys := h.keys
-	i := len(keys) - 1
-	for i > 0 {
-		parent := (i - 1) / 4
-		if !k.before(&keys[parent]) {
-			break
-		}
-		keys[i] = keys[parent]
-		i = parent
-	}
-	keys[i] = k
+	q.add(bits.Len64(uint64(at^q.base)), eventKey{at: at, slot: slot})
+	q.n++
 }
 
-// pop removes and returns the minimum key, sifting the displaced last
-// leaf down. The payload stays in its slot until fire consumes it.
-func (h *eventHeap) pop() eventKey {
-	keys := h.keys
-	top := keys[0]
-	last := len(keys) - 1
-	k := keys[last]
-	keys = keys[:last]
-	h.keys = keys
-	// Sift the hole at the root down: promote the smallest of up to four
-	// children until k fits.
-	i := 0
-	for {
-		first := 4*i + 1
-		if first >= last {
-			break
+// add appends k to the tail of bucket i.
+func (q *eventQueue) add(i int, k eventKey) {
+	b := &q.buckets[i]
+	if b.n == 0 {
+		c := q.newChunk()
+		b.head, b.tail, b.lo, b.hi, b.min = c, c, 0, 0, k.at
+		if i > 0 {
+			q.nonzero |= 1 << (i - 1)
 		}
-		min := first
-		end := first + 4
-		if end > last {
-			end = last
+	} else {
+		if b.hi == chunkKeys {
+			c := q.newChunk()
+			q.next[b.tail] = c
+			b.tail, b.hi = c, 0
 		}
-		for c := first + 1; c < end; c++ {
-			if keys[c].before(&keys[min]) {
-				min = c
-			}
+		if k.at < b.min {
+			b.min = k.at
 		}
-		if !keys[min].before(&k) {
-			break
-		}
-		keys[i] = keys[min]
-		i = min
 	}
-	if last > 0 {
-		keys[i] = k
+	q.chunks[b.tail][b.hi] = k
+	b.hi++
+	b.n++
+}
+
+// newChunk takes a chunk off the shared free list, allocating one only
+// when the list is empty.
+func (q *eventQueue) newChunk() int32 {
+	if n := len(q.spare); n > 0 {
+		c := q.spare[n-1]
+		q.spare = q.spare[:n-1]
+		return c
 	}
-	return top
+	q.chunks = append(q.chunks, new(keyChunk))
+	q.next = append(q.next, 0)
+	return int32(len(q.chunks) - 1)
+}
+
+// due reports whether the earliest pending key is at or before until,
+// refilling an empty bucket 0 when that key is due. It never refills
+// around a key beyond until: base must not pass until, or an event
+// scheduled later between until and that key would fall below base.
+func (q *eventQueue) due(until time.Duration) bool {
+	if q.buckets[0].n > 0 {
+		return q.base <= until
+	}
+	if q.nonzero == 0 {
+		return false
+	}
+	i := bits.TrailingZeros64(q.nonzero) + 1
+	if q.buckets[i].min > until {
+		return false
+	}
+	q.refill(i)
+	return true
+}
+
+// refill empties bucket i — the lowest non-empty one, with bucket 0
+// empty — into the buckets below it around its minimum, which becomes
+// base. Each source chunk returns to the free list once read.
+func (q *eventQueue) refill(i int) {
+	src := q.buckets[i]
+	q.buckets[i].n = 0
+	q.nonzero &^= 1 << (i - 1)
+	q.base = src.min
+	q.moves += uint64(src.n)
+	c := src.head
+	for left := src.n; left > 0; {
+		m := min(left, chunkKeys)
+		for _, k := range q.chunks[c][:m] {
+			q.add(bits.Len64(uint64(k.at^q.base)), k)
+		}
+		left -= m
+		q.spare = append(q.spare, c)
+		c = q.next[c]
+	}
+}
+
+// pop removes and returns the front key of bucket 0, which due has just
+// reported present. The payload stays in its slot until fire consumes it.
+func (q *eventQueue) pop() eventKey {
+	b := &q.buckets[0]
+	k := q.chunks[b.head][b.lo]
+	b.lo++
+	b.n--
+	q.n--
+	if b.n == 0 {
+		q.spare = append(q.spare, b.head) // head == tail: fully read
+	} else if b.lo == chunkKeys {
+		q.spare = append(q.spare, b.head)
+		b.head, b.lo = q.next[b.head], 0
+	}
+	return k
 }
 
 // fire runs the event in slot and recycles the slot. What the event
@@ -289,24 +358,24 @@ func (h *eventHeap) pop() eventKey {
 // be collected — before anything runs: the callback may push, which
 // reuses free slots and may move the slab. nets is the owning world's
 // network table (payload.net1).
-func (h *eventHeap) fire(slot uint32, nets []*Network) {
-	p := &h.slab[slot]
+func (q *eventQueue) fire(slot uint32, nets []*Network) {
+	p := &q.slab[slot]
 	switch p.kind {
 	case evFunc:
 		fn := p.fn
-		h.release(slot)
+		q.release(slot)
 		fn()
 	case evDeliver:
 		n, from, to, msg := nets[p.net1-1], p.fromAddr(), p.toAddr(), p.msg
-		h.release(slot)
+		q.release(slot)
 		n.deliver(from, to, msg)
 	case evAttempt:
 		call := *p
-		h.release(slot)
+		q.release(slot)
 		nets[call.net1-1].attempt(&call)
 	case evResult:
 		onResult, ok := p.onResult, p.ok
-		h.release(slot)
+		q.release(slot)
 		onResult(ok)
 	}
 }
@@ -316,9 +385,9 @@ func (p *payload) fromAddr() ids.Addr { return ids.AddrAt(p.from, p.from1-1) }
 func (p *payload) toAddr() ids.Addr   { return ids.AddrAt(p.to, p.to1-1) }
 
 // release zeroes a consumed slot and returns it to the free list.
-func (h *eventHeap) release(slot uint32) {
-	h.slab[slot] = payload{}
-	h.free = append(h.free, slot)
+func (q *eventQueue) release(slot uint32) {
+	q.slab[slot] = payload{}
+	q.free = append(q.free, slot)
 }
 
 // LatencyModel samples one-way message latencies.

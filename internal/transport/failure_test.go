@@ -166,6 +166,64 @@ func TestMemnetCloseRacesSenders(t *testing.T) {
 	}
 }
 
+// TestTCPCloseRacesSenders is TestMemnetCloseRacesSenders on loopback
+// sockets: eight goroutines send and call while the transport closes.
+// Once Close has returned no handler runs, and every SendCall issued
+// before, during or after it reports exactly once. Under -race this fails
+// when a send is admitted outside t.mu: an Add at counter zero concurrent
+// with Close's Wait.
+func TestTCPCloseRacesSenders(t *testing.T) {
+	if testing.Short() {
+		t.Skip("real sockets")
+	}
+	const senders = 8
+	for iter := 0; iter < 50; iter++ {
+		tr := NewTCP(200*time.Millisecond, time.Second)
+		peer := tcp.addr()
+		var closed atomic.Bool
+		var late, results atomic.Int32
+		if err := tr.Register(peer, func(ids.NodeID, any) {
+			if closed.Load() {
+				late.Add(1)
+			}
+		}); err != nil {
+			t.Fatal(err)
+		}
+		start := make(chan struct{})
+		var wg sync.WaitGroup
+		for s := 0; s < senders; s++ {
+			s := s
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				<-start
+				if s%2 == 0 {
+					tr.Send("127.0.0.1:1", peer, sampleAnycast())
+					return
+				}
+				tr.SendCall("127.0.0.1:1", peer, sampleAnycast(), func(bool) { results.Add(1) })
+			}()
+		}
+		close(start)
+		tr.Close()
+		closed.Store(true)
+		wg.Wait()
+		deadline := time.After(5 * time.Second)
+		for results.Load() < senders/2 {
+			select {
+			case <-deadline:
+				t.Fatalf("iteration %d: %d of %d SendCall results arrived", iter, results.Load(), senders/2)
+			case <-time.After(100 * time.Microsecond):
+			}
+		}
+		time.Sleep(time.Millisecond) // let a double report surface
+		if late.Load() != 0 || results.Load() != senders/2 {
+			t.Fatalf("iteration %d: %d handler runs after Close returned, %d results for %d calls",
+				iter, late.Load(), results.Load(), senders/2)
+		}
+	}
+}
+
 func TestMemnetFaultInjectionRaces(t *testing.T) {
 	// Kill/Restart, partitions, and link faults flapping while traffic
 	// flows: the memnet must stay consistent (callbacks exactly once).

@@ -71,9 +71,9 @@ func (t *TCP) Register(self ids.NodeID, h Handler) error {
 		return errors.New("transport: closed")
 	}
 	t.listeners[self] = ln
+	t.wg.Add(1)
 	t.mu.Unlock()
 
-	t.wg.Add(1)
 	go func() {
 		defer t.wg.Done()
 		for {
@@ -163,18 +163,39 @@ func (t *TCP) send(from, to ids.NodeID, msg any, wantAck bool) bool {
 	return ack[0] == 1
 }
 
-// Send implements Transport.
-func (t *TCP) Send(from, to ids.NodeID, msg any) {
+// admit counts one send goroutine for Close to wait on. It checks closed
+// and calls Add under t.mu, so no Add at counter zero runs concurrently
+// with Close's Wait; once closed it reports false and counts nothing.
+func (t *TCP) admit() bool {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if t.closed {
+		return false
+	}
 	t.wg.Add(1)
+	return true
+}
+
+// Send implements Transport. A Send after Close drops.
+func (t *TCP) Send(from, to ids.NodeID, msg any) {
+	if !t.admit() {
+		return
+	}
 	go func() {
 		defer t.wg.Done()
 		t.send(from, to, msg, false)
 	}()
 }
 
-// SendCall implements Transport.
+// SendCall implements Transport. A SendCall after Close reports false,
+// once, on another goroutine.
 func (t *TCP) SendCall(from, to ids.NodeID, msg any, onResult func(ok bool)) {
-	t.wg.Add(1)
+	if !t.admit() {
+		if onResult != nil {
+			go onResult(false)
+		}
+		return
+	}
 	go func() {
 		defer t.wg.Done()
 		ok := t.send(from, to, msg, true)
