@@ -150,7 +150,7 @@ func TestRunScenarioEndToEnd(t *testing.T) {
 	}
 
 	// Armed, the registry changes no byte of the report, and its dump
-	// carries the tracer's overflow and the event queue's depth.
+	// carries the tracer's overflow and the event queue's depth and chunks.
 	dump := filepath.Join(t.TempDir(), "metrics.txt")
 	var armed strings.Builder
 	if err := run([]string{"run", "-metrics-out", dump, path}, &armed); err != nil {
@@ -163,7 +163,7 @@ func TestRunScenarioEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{"obs_trace_spans_dropped_total 0\n", "sim_queue_depth ", "sim_queue_depth_peak ", "sim_queue_key_moves_total "} {
+	for _, want := range []string{"obs_trace_spans_dropped_total 0\n", "sim_queue_depth ", "sim_queue_depth_peak ", "sim_queue_chunks ", "sim_queue_key_moves_total "} {
 		if !strings.Contains(string(metrics), want) {
 			t.Errorf("metrics dump missing %q", want)
 		}

@@ -108,8 +108,9 @@ type Router struct {
 	// reported to the auditor as soft evidence.
 	bandCensus  func(lo, hi float64) float64
 	valueChecks bool
-	// lastDecline is the most recent boxed decline (declineMsg).
-	lastDecline any
+	// declines holds the boxed decline (declineMsg) of recent trees,
+	// direct-mapped by id.Seq; allocated on the first decline.
+	declines *[declineSlots]any
 	// aggChecks remembers the band of every aggregation this node is a
 	// tree member of, so child replies can be sanity-checked (the reply
 	// itself carries no band). Entries die with the station's pending op.
@@ -1045,17 +1046,25 @@ func (r *Router) handleAggRequest(from ids.Addr, m AggMsg) {
 	r.station.Expect(id, r.forwardAgg(id, m.Spec, m.Depth, m.SentAt, from.ID()))
 }
 
+// declineSlots is how many trees' declines a router keeps boxed.
+const declineSlots = 4
+
 // declineMsg returns the boxed accounting decline for tree id. A tree
-// member hears the same request from every other in-band neighbor, one
-// copy after the other, and owes each the same answer: the last box is
-// kept and shared, like the one boxed request of a flood (sent messages
-// are read-only).
+// member hears the same request from every other in-band neighbor and
+// owes each the same answer, while the copies of concurrent trees
+// interleave: each tree's box is kept in slot id.Seq%declineSlots and
+// shared, like the one boxed request of a flood (sent messages are
+// read-only).
 func (r *Router) declineMsg(id MsgID) any {
-	claim := r.selfClaim()
-	if d, ok := r.lastDecline.(AggReplyMsg); !ok || d.ID != id || d.SenderAvail != claim {
-		r.lastDecline = AggReplyMsg{ID: id, Decline: true, SenderAvail: claim}
+	if r.declines == nil {
+		r.declines = new([declineSlots]any)
 	}
-	return r.lastDecline
+	claim := r.selfClaim()
+	slot := &r.declines[id.Seq%declineSlots]
+	if d, ok := (*slot).(AggReplyMsg); !ok || d.ID != id || d.SenderAvail != claim {
+		*slot = AggReplyMsg{ID: id, Decline: true, SenderAvail: claim}
+	}
+	return *slot
 }
 
 // trackAggCheck remembers the band of a tree this node just joined,

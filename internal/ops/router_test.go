@@ -654,3 +654,29 @@ func TestForwardAggAllocatesPerForwardNotPerChild(t *testing.T) {
 		t.Fatalf("forwardAgg allocates %.0f times for 4 children, %.0f for 64; want the same, at most 2", few, many)
 	}
 }
+
+// TestInterleavedTreesShareDeclineBoxes: a node that declines the copies
+// of several concurrent trees in turn boxes each tree's decline once, not
+// once per copy — and every box answers its own tree.
+func TestInterleavedTreesShareDeclineBoxes(t *testing.T) {
+	c := newCluster(t, fullPredicate(t), []float64{0.2, 0.5, 0.8}, false)
+	self := c.nodes[0]
+	r, err := NewRouter(RouterConfig{Membership: c.members[self], Env: newTestEnv(c.world, c.net, self, nil), Collector: c.col})
+	if err != nil {
+		t.Fatal(err)
+	}
+	trees := []MsgID{{Origin: c.nodes[1], Seq: 7}, {Origin: c.nodes[2], Seq: 8}, {Origin: c.nodes[1], Seq: 9}}
+	for _, id := range trees {
+		r.declineMsg(id)
+	}
+	allocs := testing.AllocsPerRun(20, func() {
+		for _, id := range trees {
+			if d := r.declineMsg(id).(AggReplyMsg); d.ID != id || !d.Decline {
+				t.Fatalf("decline for %v answers %+v", id, d)
+			}
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("interleaved declines of %d trees allocate %.0f times per round, want 0", len(trees), allocs)
+	}
+}

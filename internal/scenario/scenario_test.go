@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"errors"
 	"strings"
 	"testing"
 )
@@ -222,6 +223,23 @@ func TestLoadReportsTypeErrorLine(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "line 3") {
 		t.Errorf("error %q does not locate line 3", err)
+	}
+}
+
+// TestLoadRejectsTimeOverflow: a warm-up plus an event offset past the
+// end of virtual time (int64 nanoseconds) is rejected at load, naming the
+// event's at, instead of wrapping the run's clock around. The largest
+// sum that fits is accepted.
+func TestLoadRejectsTimeOverflow(t *testing.T) {
+	spec := func(at string) string {
+		return `{"name":"x","warmup":"2000000h","events":[{"at":"1h","attack":{"cushion":0}},{"at":"` + at + `","attack":{"cushion":0}}]}`
+	}
+	_, err := Load(strings.NewReader(spec("1000000h")))
+	if !errors.Is(err, ErrTimeOverflow) || !strings.Contains(err.Error(), "events[1].at") {
+		t.Fatalf("overflowing spec: error %v, want ErrTimeOverflow naming events[1].at", err)
+	}
+	if _, err := Load(strings.NewReader(spec("500000h"))); err != nil {
+		t.Fatalf("spec ending at 2500000h rejected: %v", err)
 	}
 }
 

@@ -22,6 +22,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"strings"
 	"time"
@@ -679,6 +680,11 @@ func LoadFile(path string) (*Spec, error) {
 	return s, nil
 }
 
+// ErrTimeOverflow is wrapped by the validation error of a spec whose
+// warm-up plus an event's offset does not fit in virtual time (int64
+// nanoseconds, about 292 years).
+var ErrTimeOverflow = errors.New("virtual time overflows")
+
 // Problem is one validation failure, pinned to the offending key.
 type Problem struct {
 	// Path is the dotted key path, e.g. "events[2].churn_burst.fraction".
@@ -688,6 +694,8 @@ type Problem struct {
 	// Line is the key's 1-based source line when known (LoadFileAll),
 	// zero otherwise (e.g. a missing required key).
 	Line int
+	// err, when set, is the error Msg renders, kept for Validate to wrap.
+	err error
 }
 
 // String renders "path: msg", with a leading "line N: " when located.
@@ -709,11 +717,19 @@ func (ps *problems) add(path, format string, args ...any) {
 	ps.list = append(ps.list, Problem{Path: path, Msg: fmt.Sprintf(format, args...)})
 }
 
+// addErr records a failure that Validate returns wrapped.
+func (ps *problems) addErr(path string, err error) {
+	ps.list = append(ps.list, Problem{Path: path, Msg: err.Error(), err: err})
+}
+
 // Validate checks the spec is well formed and every referenced enum,
 // target, and metric exists; the first failure is returned as an error.
 // It does not build the world. Problems returns all failures at once.
 func (s *Spec) Validate() error {
 	if ps := s.Problems(); len(ps) > 0 {
+		if ps[0].err != nil {
+			return fmt.Errorf("scenario: %s: %w", ps[0].Path, ps[0].err)
+		}
 		return fmt.Errorf("scenario: %s", ps[0])
 	}
 	return nil
@@ -751,6 +767,10 @@ func (s *Spec) Problems() []Problem {
 		if s.Events[i].At < prev {
 			ps.add(path+".at", "%v is before event %d's %v (events must be time-ordered)",
 				s.Events[i].At.D(), i-1, prev.D())
+		}
+		if s.Warmup >= 0 && s.Events[i].At > math.MaxInt64-s.Warmup {
+			ps.addErr(path+".at", fmt.Errorf("%v after the %v warmup: %w",
+				s.Events[i].At.D(), s.Warmup.D(), ErrTimeOverflow))
 		}
 		prev = s.Events[i].At
 	}

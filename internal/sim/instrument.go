@@ -5,7 +5,7 @@ import "avmem/internal/obs"
 // This file wires the engine into the obs metrics registry. The
 // instrumentation is determinism-neutral by construction: it records
 // values the engine already computed (event counts, virtual
-// timestamps, the queue's length and refill moves) into atomic
+// timestamps, the queue's length, chunks and refill moves) into atomic
 // instruments and never reads the wall clock. An uninstrumented world
 // (w.obs == nil) pays one predictable nil check per event.
 
@@ -23,6 +23,7 @@ type simObs struct {
 	vtime  *obs.Gauge   // sim_virtual_time_seconds
 	depth  *obs.Gauge   // sim_queue_depth: events queued at the last flush
 	peak   *obs.Gauge   // sim_queue_depth_peak: the deepest flush so far
+	chunks *obs.Gauge   // sim_queue_chunks: key chunks the queue has allocated
 	moves  *obs.Counter // sim_queue_key_moves_total: keys moved by refills
 	batch  int          // local event count since last flush
 	moved  uint64       // the queue's refill moves already published
@@ -41,6 +42,7 @@ func (w *World) Instrument(reg *obs.Registry) {
 		vtime:  reg.Gauge("sim_virtual_time_seconds"),
 		depth:  reg.Gauge("sim_queue_depth"),
 		peak:   reg.Gauge("sim_queue_depth_peak"),
+		chunks: reg.Gauge("sim_queue_chunks"),
 		moves:  reg.Counter("sim_queue_key_moves_total"),
 		moved:  w.events.moves,
 	}
@@ -65,10 +67,10 @@ func (o *simObs) step(w *World) {
 	}
 }
 
-// flush publishes the local batch, the clock, the queue depth and the
-// refill moves to the shared instruments. Called at batch boundaries and
-// on loop exit, so the depth is a sample every obsFlushEvery events, not
-// every event's — the peak is the deepest sample.
+// flush publishes the local batch, the clock, the queue's depth, chunks
+// and refill moves to the shared instruments. Called at batch boundaries
+// and on loop exit, so the depth is a sample every obsFlushEvery events,
+// not every event's — the peak is the deepest sample.
 func (o *simObs) flush(w *World) {
 	if o.batch > 0 {
 		o.events.Add(int64(o.batch))
@@ -80,6 +82,7 @@ func (o *simObs) flush(w *World) {
 	if queued > o.peak.Value() {
 		o.peak.Set(queued)
 	}
+	o.chunks.Set(float64(len(w.events.chunks)))
 	if m := w.events.moves; m > o.moved {
 		o.moves.Add(int64(m - o.moved))
 		o.moved = m

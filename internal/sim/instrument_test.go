@@ -13,8 +13,8 @@ import (
 
 // TestInstrumentSerialCounts pins the serial loop's event accounting:
 // the events counter equals the Run return value, the virtual-time
-// gauge tracks the clock, and the queue-depth gauges read the heap at
-// each flush.
+// gauge tracks the clock, and the queue-depth and chunk gauges read the
+// queue at each flush.
 func TestInstrumentSerialCounts(t *testing.T) {
 	w := NewWorld(1)
 	reg := obs.NewRegistry()
@@ -45,6 +45,9 @@ func TestInstrumentSerialCounts(t *testing.T) {
 	}
 	if got := reg.Counter("sim_queue_key_moves_total").Value(); got == 0 || uint64(got) != w.events.moves {
 		t.Fatalf("sim_queue_key_moves_total=%d, the queue moved %d keys", got, w.events.moves)
+	}
+	if got := reg.Gauge("sim_queue_chunks").Value(); got == 0 || got != float64(len(w.events.chunks)) {
+		t.Fatalf("sim_queue_chunks=%v, the queue allocated %d chunks", got, len(w.events.chunks))
 	}
 }
 

@@ -244,8 +244,10 @@ func (n *Network) Send(from, to ids.NodeID, msg any) { n.SendAddr(from.Addr(), t
 func (n *Network) SendAddr(from, to ids.Addr, msg any) {
 	n.stats.Sent++
 	lat := n.latency.Sample(n.world.Rand())
-	n.world.schedule(n.world.now+lat, &payload{kind: evDeliver, net1: n.net1,
-		to1: to.Index() + 1, from1: from.Index() + 1, from: from.ID(), to: to.ID(), msg: msg})
+	p := n.world.schedule(n.world.now + lat)
+	p.kind, p.net1 = evDeliver, n.net1
+	p.to1, p.from1 = to.Index()+1, from.Index()+1
+	p.from, p.to, p.msg = from.ID(), to.ID(), msg
 }
 
 // SendCall is SendCallAddr for two bare identifiers.
@@ -264,9 +266,11 @@ func (n *Network) SendCallAddr(from, to ids.Addr, msg any, onResult func(ok bool
 	n.stats.Sent++
 	out := n.latency.Sample(n.world.Rand())
 	back := n.latency.Sample(n.world.Rand())
-	n.world.schedule(n.world.now+out, &payload{kind: evAttempt, net1: n.net1,
-		to1: to.Index() + 1, from1: from.Index() + 1, from: from.ID(), to: to.ID(),
-		msg: msg, onResult: onResult, out: out, back: back})
+	p := n.world.schedule(n.world.now + out)
+	p.kind, p.net1 = evAttempt, n.net1
+	p.to1, p.from1 = to.Index()+1, from.Index()+1
+	p.from, p.to, p.msg = from.ID(), to.ID(), msg
+	p.onResult, p.out, p.back = onResult, out, back
 }
 
 // attempt is the firing half of SendCallAddr: hand the message to the
@@ -280,15 +284,15 @@ func (n *Network) attempt(call *payload) {
 	if h == nil {
 		n.stats.Dropped++
 		if call.onResult != nil {
-			n.world.schedule(n.world.now+n.ackTimeout-call.out,
-				&payload{kind: evResult, onResult: call.onResult})
+			p := n.world.schedule(n.world.now + n.ackTimeout - call.out)
+			p.kind, p.onResult = evResult, call.onResult
 		}
 		return
 	}
 	n.stats.Delivered++
 	h(n.vouched(call.fromAddr()), call.msg)
 	if call.onResult != nil {
-		n.world.schedule(n.world.now+call.back,
-			&payload{kind: evResult, ok: true, onResult: call.onResult})
+		p := n.world.schedule(n.world.now + call.back)
+		p.kind, p.ok, p.onResult = evResult, true, call.onResult
 	}
 }

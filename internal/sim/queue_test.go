@@ -8,6 +8,8 @@ import (
 	"testing"
 	"time"
 	"unsafe"
+
+	"avmem/internal/ids"
 )
 
 // refKey is a pending event of the reference model: its deadline and its
@@ -45,13 +47,14 @@ func TestHeapPopsInAtSeqOrder(t *testing.T) {
 			if len(model) == 0 || rng.Intn(3) != 0 {
 				seq++
 				s := seq
-				// Mostly near deadlines to force ties, sometimes far ones to
-				// spread keys over the high buckets.
-				at := now + time.Duration(rng.Intn(20))
+				// Mostly near deadlines to force ties, sometimes far ones —
+				// up to the end of virtual time — to spread keys over every
+				// digit level.
+				at := saturated(now, time.Duration(rng.Intn(20)))
 				if rng.Intn(8) == 0 {
-					at = now + time.Duration(rng.Int63n(1<<40))
+					at = saturated(now, time.Duration(rng.Int63n(1<<uint(rng.Intn(63)))))
 				}
-				q.push(at, &payload{kind: evFunc, fn: func() { fired = s }})
+				q.push(at).fn = func() { fired = s }
 				model = append(model, refKey{at: at, seq: s})
 				continue
 			}
@@ -147,8 +150,9 @@ func TestEventKeySize(t *testing.T) {
 }
 
 // TestQueueChunksBounded: the shared chunk free list keeps the chunks
-// ever allocated at about what the pending keys fill, however they spread
-// over the buckets — here 10⁶ events, at most 5000 pending, deadlines from
+// ever allocated at what the pending keys fill plus at most one partial
+// chunk per bucket and one partial block, however the keys spread over
+// the buckets — here 10⁶ events, at most 5000 pending, deadlines from
 // nanoseconds to days out.
 func TestQueueChunksBounded(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
@@ -157,7 +161,7 @@ func TestQueueChunksBounded(t *testing.T) {
 	peak := 0
 	push := func() {
 		at := now + time.Duration(rng.Int63n(1<<uint(rng.Intn(48))+1))
-		q.push(at, &payload{kind: evFunc})
+		q.push(at)
 		peak = max(peak, q.n)
 	}
 	for q.n < 5000 {
@@ -174,7 +178,7 @@ func TestQueueChunksBounded(t *testing.T) {
 			push()
 		}
 	}
-	bound := (peak+chunkKeys-1)/chunkKeys + 64
+	bound := (peak+chunkKeys-1)/chunkKeys + numBuckets + chunkBlock - 1
 	if len(q.chunks) > bound {
 		t.Fatalf("%d chunks allocated for a peak of %d pending keys, bound %d", len(q.chunks), peak, bound)
 	}
@@ -190,8 +194,8 @@ func TestQueueChunksBounded(t *testing.T) {
 func TestSlabReusesAndZeroesSlots(t *testing.T) {
 	var q eventQueue
 	for i := 0; i < 3; i++ {
-		q.push(time.Duration(i), &payload{kind: evAttempt, net1: 1, to1: 2, from1: 3,
-			from: "a", to: "b", msg: i, fn: func() {}, onResult: func(bool) {}, out: 1, back: 2, ok: true})
+		*q.push(time.Duration(i)) = payload{kind: evAttempt, net1: 1, to1: 2, from1: 3,
+			from: "a", to: "b", msg: i, fn: func() {}, onResult: func(bool) {}, out: 1, back: 2, ok: true}
 	}
 	q.due(math.MaxInt64)
 	k := q.pop()
@@ -206,7 +210,7 @@ func TestSlabReusesAndZeroesSlots(t *testing.T) {
 		t.Fatalf("released slot not zeroed: %+v", *p)
 	}
 	ran := false
-	q.push(9, &payload{kind: evFunc, fn: func() { ran = true }})
+	q.push(9).fn = func() { ran = true }
 	if len(q.slab) != 3 || len(q.free) != 0 {
 		t.Fatalf("slab %d / free %d after reuse, want 3 / 0", len(q.slab), len(q.free))
 	}
@@ -221,6 +225,54 @@ func TestSlabReusesAndZeroesSlots(t *testing.T) {
 	if !ran {
 		t.Fatal("reused slot did not run the new payload")
 	}
+}
+
+// TestScheduledSlotIsZero: every slot schedule hands out is zero in
+// every field, so a caller that fills in place only the fields of its own
+// shape leaves nothing of an earlier event behind. The slots are reused
+// ones, each having carried closures, deliveries, attempts and both
+// verdicts over many fire cycles.
+func TestScheduledSlotIsZero(t *testing.T) {
+	w := NewWorld(1)
+	hosts := []ids.NodeID{"a", "b", "c"}
+	net := NewNetwork(w, UniformLatency{Min: time.Millisecond, Max: 9 * time.Millisecond}, nil, 20*time.Millisecond)
+	net.Bind(hosts, func(i int) bool { return i != 2 }) // calls to c nack
+	for _, id := range hosts {
+		net.RegisterAddr(id.Addr(), func(ids.Addr, any) {})
+	}
+	rng := rand.New(rand.NewSource(5))
+	addr := func() ids.Addr {
+		i := rng.Intn(len(hosts))
+		return ids.AddrAt(hosts[i], int32(i))
+	}
+	for round := 0; round < 50; round++ {
+		for i := 0; i < 30; i++ {
+			switch i % 3 {
+			case 0:
+				net.SendAddr(addr(), addr(), i)
+			case 1:
+				net.SendCallAddr(addr(), addr(), i, func(bool) {})
+			case 2:
+				w.After(time.Duration(rng.Intn(30))*time.Millisecond, func() {})
+			}
+		}
+		w.Run(w.Now() + time.Second)
+	}
+	slots := len(w.events.slab)
+	if w.Pending() != 0 || len(w.events.free) != slots {
+		t.Fatalf("%d pending, %d of %d slots free after the drain", w.Pending(), len(w.events.free), slots)
+	}
+	for i := 0; i < slots; i++ {
+		p := w.schedule(w.Now())
+		if !reflect.ValueOf(*p).IsZero() {
+			t.Fatalf("scheduled slot %d of %d is not zero: %+v", i, slots, *p)
+		}
+		p.fn = func() {}
+	}
+	if len(w.events.slab) != slots {
+		t.Fatalf("slab grew from %d to %d slots with every slot free", slots, len(w.events.slab))
+	}
+	w.Run(w.Now())
 }
 
 // TestFireSurvivesSlabGrowth fires an event whose callback pushes enough
@@ -318,11 +370,26 @@ func (r *refWorld) RunAll(maxEvents int) int {
 	return n
 }
 
-// fuzzDelay maps one byte to a delay: the low nibble is a mantissa, the
-// high nibble a shift in steps of three bits, so the delays span zero,
-// nanosecond ties and days.
+// fuzzDelay maps one byte to a delay: the low nibble is a mantissa m,
+// the high nibble h a shift of 4h bits, so the delays span zero,
+// nanosecond ties, every digit level of the queue and the digit
+// boundaries themselves (4<<4 = 2⁶, 1<<12, 4<<16, 1<<24, ...). h = 15 is
+// the end of virtual time less m.
 func fuzzDelay(b byte) time.Duration {
-	return time.Duration(b&0x0f) << (3 * uint(b>>4))
+	m, h := time.Duration(b&0x0f), uint(b>>4)
+	if h == 15 {
+		return math.MaxInt64 - m
+	}
+	return m << (4 * h)
+}
+
+// saturated is now+d, capped at the end of virtual time as World.After
+// caps it.
+func saturated(now, d time.Duration) time.Duration {
+	if d > math.MaxInt64-now {
+		return math.MaxInt64
+	}
+	return now + d
 }
 
 // queueTranscript runs the fuzz program ops on s and returns what every
@@ -339,7 +406,7 @@ func queueTranscript(s schedulerAPI, ops []byte) []int64 {
 		return func() {
 			log = append(log, int64(me), int64(s.Now()))
 			if me%3 == 0 {
-				s.At(s.Now()+delay, event(delay/2))
+				s.At(saturated(s.Now(), delay), event(delay/2))
 			}
 		}
 	}
@@ -348,9 +415,9 @@ func queueTranscript(s schedulerAPI, ops []byte) []int64 {
 		ops = ops[2:]
 		switch op % 4 {
 		case 0, 1:
-			s.At(s.Now()+fuzzDelay(arg), event(fuzzDelay(op)))
+			s.At(saturated(s.Now(), fuzzDelay(arg)), event(fuzzDelay(op)))
 		case 2:
-			log = append(log, -1, int64(s.Run(s.Now()+fuzzDelay(arg))))
+			log = append(log, -1, int64(s.Run(saturated(s.Now(), fuzzDelay(arg)))))
 		case 3:
 			log = append(log, -2, int64(s.RunAll(int(arg%8)+1)))
 		}
@@ -367,6 +434,14 @@ func queueTranscript(s schedulerAPI, ops []byte) []int64 {
 func FuzzEventQueue(f *testing.F) {
 	f.Add([]byte{0, 0x11, 0, 0x11, 1, 0x52, 2, 0x10, 0, 0x01, 3, 7})
 	f.Add([]byte{0, 0xff, 0, 0x21, 2, 0x30, 0, 0x22, 2, 0xf0, 3, 1})
+	// Ties on digit boundaries: events and children at 2⁶, 2·2⁶, 2¹², 2²⁴,
+	// 2³⁶ and 2⁴⁸ ns out, some due at once from different bases, with
+	// horizon runs stopping exactly on a boundary.
+	f.Add([]byte{0, 0x18, 0x14, 0x14, 1, 0x14, 2, 0x14, 0, 0x14, 0, 0x18, 3, 7,
+		0x31, 0x31, 0, 0x61, 1, 0x61, 2, 0x61, 0x14, 0x61, 0, 0x91, 0, 0xc1, 1, 0xc1, 2, 0xc1, 3, 7})
+	// The top digit level: deadlines and horizons at the end of virtual
+	// time, where every later schedule saturates onto one instant.
+	f.Add([]byte{0, 0xf0, 0, 0xff, 0xf0, 0xf0, 2, 0xc1, 0, 0xf0, 3, 7, 2, 0xf0, 0, 0x01, 0x31, 0x14, 3, 7})
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		if len(ops) > 1024 {
 			return

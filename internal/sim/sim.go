@@ -53,26 +53,38 @@ func (w *World) At(at time.Duration, fn func()) {
 	if fn == nil {
 		return
 	}
-	w.schedule(at, &payload{kind: evFunc, fn: fn})
+	w.schedule(at).fn = fn // kind evFunc is the zero value
 }
 
 // schedule queues one event of any shape — the single point where keys
 // are filed, so closures, deliveries and the SendCall events interleave
 // exactly as if each had been an At closure. Clamping at to now is what
-// keeps the queue monotone.
-func (w *World) schedule(at time.Duration, p *payload) {
+// keeps the queue monotone. It returns the event's zeroed slab slot for
+// the caller to fill in place; the pointer is valid until the next
+// schedule, which may move the slab.
+func (w *World) schedule(at time.Duration) *payload {
 	if at < w.now {
 		at = w.now
 	}
-	w.events.push(at, p)
+	return w.events.push(at)
 }
 
-// After schedules fn to run d from now.
-func (w *World) After(d time.Duration, fn func()) { w.At(w.now+d, fn) }
+// later returns now+d, saturated at the end of virtual time instead of
+// wrapping around to a negative time (which schedule would clamp to now).
+func (w *World) later(d time.Duration) time.Duration {
+	if d > math.MaxInt64-w.now {
+		return math.MaxInt64
+	}
+	return w.now + d
+}
+
+// After schedules fn to run d from now — at the end of virtual time
+// (math.MaxInt64) when now+d does not fit.
+func (w *World) After(d time.Duration, fn func()) { w.At(w.later(d), fn) }
 
 // Every schedules fn to run now+offset, then every period thereafter,
-// until stop returns true (checked before each run). period must be
-// positive.
+// until stop returns true (checked before each run) or the next run would
+// fall past the end of virtual time. period must be positive.
 func (w *World) Every(offset, period time.Duration, stop func() bool, fn func()) error {
 	if period <= 0 {
 		return fmt.Errorf("sim: period must be positive, got %v", period)
@@ -86,7 +98,9 @@ func (w *World) Every(offset, period time.Duration, stop func() bool, fn func())
 			return
 		}
 		fn()
-		w.After(period, tick)
+		if period <= math.MaxInt64-w.now {
+			w.At(w.now+period, tick)
+		}
 	}
 	w.After(offset, tick)
 	return nil
@@ -191,11 +205,26 @@ type eventKey struct {
 	slot uint32
 }
 
-// chunkKeys is how many keys one chunk of a bucket holds.
-const chunkKeys = 128
+// The queue's radix: a key is filed by the highest digitBits-wide digit
+// in which it differs from base, and by its own value of that digit —
+// digitWays buckets per digit level, levels levels to cover a
+// non-negative int64, plus bucket 0 for keys at exactly base.
+const (
+	digitBits  = 6
+	digitWays  = 1 << digitBits
+	levels     = (63 + digitBits - 1) / digitBits
+	numBuckets = 1 + levels*digitWays
+)
 
-// keyChunk is a fixed block of keys. Chunks are allocated one at a time
-// and never move, so a pointer to one stays valid while the queue grows.
+// chunkKeys is how many keys one chunk of a bucket holds; chunkBlock
+// chunks are allocated at once.
+const (
+	chunkKeys  = 32
+	chunkBlock = 16
+)
+
+// keyChunk is a fixed block of keys. Chunks never move, so a pointer to
+// one stays valid while the queue grows.
 type keyChunk [chunkKeys]eventKey
 
 // bucket is one radix bucket: a FIFO list of chunks, read from the head
@@ -207,18 +236,23 @@ type bucket struct {
 	min        time.Duration // the smallest at among them
 }
 
-// eventQueue is a monotone radix queue (Ahuja, Mehlhorn, Orlin & Tarjan,
-// JACM 1990) of keys over a slab of payloads that never move. Virtual time
-// never runs backwards — World.schedule clamps at to now — so every key
-// pushed is at or after base, the time of the last refill, and a key lives
-// in bucket bits.Len64(at ^ base): bucket 0 holds the keys at exactly
-// base, bucket i ≥ 1 those whose highest bit differing from base is i−1.
-// Every key of a lower bucket is earlier than every key of a higher one.
+// eventQueue is a monotone radix queue with 64-way digits (Ahuja,
+// Mehlhorn, Orlin & Tarjan, JACM 1990) of keys over a slab of payloads
+// that never move. Virtual time never runs backwards — World.schedule
+// clamps at to now — so every key pushed is at or after base, the time of
+// the last refill. Bucket 0 holds the keys at exactly base; any other key
+// lives in bucket (ℓ, d), where ℓ is the highest digit in which at differs
+// from base and d is at's value of that digit (bucketOf). Buckets are
+// ordered by (ℓ, d), and every key of a lower bucket is earlier than every
+// key of a higher one.
 //
 // Pops come from the front of bucket 0. When it is empty, the lowest
-// non-empty bucket is redistributed once around its minimum (the new
-// base), which each bucket tracks on insert. A key moves only downwards,
-// so it moves at most 64 times and in practice a few.
+// non-empty bucket — one TrailingZeros over the level mask, one over that
+// level's digit mask — is redistributed once around its minimum (the new
+// base), which each bucket tracks on insert. Its keys all share digit d
+// with the new base, so they land on lower levels, and every other bucket
+// stays right as it is. A key moves at most once per level and in practice
+// about three times.
 //
 // Equal deadlines pop in insertion order with no sequence number: pushes
 // append at a bucket's tail, and a bucket receives keys from a refill only
@@ -232,31 +266,45 @@ type bucket struct {
 // Slots vacated by fired events are reused through a free list too, so the
 // slab is as long as the largest number of events ever pending at once.
 type eventQueue struct {
-	base    time.Duration
-	n       int    // keys pending
-	nonzero uint64 // bit i−1 set iff bucket i ≥ 1 holds keys
-	buckets [65]bucket
-	chunks  []*keyChunk
-	next    []int32 // next[c]: the chunk after c in its bucket's list
-	spare   []int32 // chunks no bucket holds
-	moves   uint64  // keys redistributed by refills, ever
-	slab    []payload
-	free    []uint32
+	base      time.Duration
+	n         int                // keys pending
+	levelMask uint16             // bit ℓ set iff some bucket of level ℓ holds keys
+	digitMask [levels]uint64     // digitMask[ℓ] bit d set iff bucket (ℓ, d) holds keys
+	buckets   [numBuckets]bucket // 0, then (ℓ, d) at 1 + ℓ·digitWays + d
+	chunks    []*keyChunk
+	next      []int32 // next[c]: the chunk after c in its bucket's list
+	spare     []int32 // chunks no bucket holds
+	moves     uint64  // keys redistributed by refills, ever
+	slab      []payload
+	free      []uint32
 }
 
-// push copies *p into a free slab slot and files its key.
-func (q *eventQueue) push(at time.Duration, p *payload) {
+// bucketOf returns the bucket a key at at belongs in around base.
+func (q *eventQueue) bucketOf(at time.Duration) int {
+	x := uint64(at ^ q.base)
+	if x == 0 {
+		return 0
+	}
+	l := uint(bits.Len64(x)-1) / digitBits
+	d := uint(uint64(at)>>(l*digitBits)) & (digitWays - 1)
+	return 1 + int(l<<digitBits|d)
+}
+
+// push files a key at at and returns its slab slot, zeroed, for the
+// caller to fill in place. The pointer is valid until the next push: the
+// slab may move when it grows.
+func (q *eventQueue) push(at time.Duration) *payload {
 	var slot uint32
 	if n := len(q.free); n > 0 {
 		slot = q.free[n-1]
 		q.free = q.free[:n-1]
-		q.slab[slot] = *p
 	} else {
 		slot = uint32(len(q.slab))
-		q.slab = append(q.slab, *p)
+		q.slab = append(q.slab, payload{})
 	}
-	q.add(bits.Len64(uint64(at^q.base)), eventKey{at: at, slot: slot})
+	q.add(q.bucketOf(at), eventKey{at: at, slot: slot})
 	q.n++
+	return &q.slab[slot]
 }
 
 // add appends k to the tail of bucket i.
@@ -266,7 +314,9 @@ func (q *eventQueue) add(i int, k eventKey) {
 		c := q.newChunk()
 		b.head, b.tail, b.lo, b.hi, b.min = c, c, 0, 0, k.at
 		if i > 0 {
-			q.nonzero |= 1 << (i - 1)
+			l := (i - 1) >> digitBits
+			q.levelMask |= 1 << l
+			q.digitMask[l] |= 1 << ((i - 1) & (digitWays - 1))
 		}
 	} else {
 		if b.hi == chunkKeys {
@@ -283,17 +333,21 @@ func (q *eventQueue) add(i int, k eventKey) {
 	b.n++
 }
 
-// newChunk takes a chunk off the shared free list, allocating one only
-// when the list is empty.
+// newChunk takes a chunk off the shared free list, first refilling the
+// list with a block of new chunks when it is empty.
 func (q *eventQueue) newChunk() int32 {
-	if n := len(q.spare); n > 0 {
-		c := q.spare[n-1]
-		q.spare = q.spare[:n-1]
-		return c
+	if len(q.spare) == 0 {
+		blk := new([chunkBlock]keyChunk)
+		for i := range blk {
+			q.chunks = append(q.chunks, &blk[i])
+			q.next = append(q.next, 0)
+			q.spare = append(q.spare, int32(len(q.chunks)-1))
+		}
 	}
-	q.chunks = append(q.chunks, new(keyChunk))
-	q.next = append(q.next, 0)
-	return int32(len(q.chunks) - 1)
+	n := len(q.spare)
+	c := q.spare[n-1]
+	q.spare = q.spare[:n-1]
+	return c
 }
 
 // due reports whether the earliest pending key is at or before until,
@@ -304,10 +358,11 @@ func (q *eventQueue) due(until time.Duration) bool {
 	if q.buckets[0].n > 0 {
 		return q.base <= until
 	}
-	if q.nonzero == 0 {
+	if q.levelMask == 0 {
 		return false
 	}
-	i := bits.TrailingZeros64(q.nonzero) + 1
+	l := bits.TrailingZeros16(q.levelMask)
+	i := 1 + l<<digitBits + bits.TrailingZeros64(q.digitMask[l])
 	if q.buckets[i].min > until {
 		return false
 	}
@@ -321,14 +376,17 @@ func (q *eventQueue) due(until time.Duration) bool {
 func (q *eventQueue) refill(i int) {
 	src := q.buckets[i]
 	q.buckets[i].n = 0
-	q.nonzero &^= 1 << (i - 1)
+	l := (i - 1) >> digitBits
+	if q.digitMask[l] &^= 1 << ((i - 1) & (digitWays - 1)); q.digitMask[l] == 0 {
+		q.levelMask &^= 1 << l
+	}
 	q.base = src.min
 	q.moves += uint64(src.n)
 	c := src.head
 	for left := src.n; left > 0; {
 		m := min(left, chunkKeys)
 		for _, k := range q.chunks[c][:m] {
-			q.add(bits.Len64(uint64(k.at^q.base)), k)
+			q.add(q.bucketOf(k.at), k)
 		}
 		left -= m
 		q.spare = append(q.spare, c)

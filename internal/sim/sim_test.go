@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"math"
 	"testing"
 	"time"
 )
@@ -126,6 +127,48 @@ func TestEveryValidation(t *testing.T) {
 	}
 	if err := w.Every(0, time.Second, nil, nil); err == nil {
 		t.Error("want error for nil fn")
+	}
+}
+
+// TestAfterSaturates: a delay past the end of virtual time schedules the
+// event at the end, not at a wrapped-around negative time that schedule
+// would clamp to now.
+func TestAfterSaturates(t *testing.T) {
+	w := NewWorld(1)
+	w.Run(time.Hour)
+	var at time.Duration
+	w.After(math.MaxInt64, func() { at = w.Now() })
+	if n := w.Run(2 * time.Hour); n != 0 {
+		t.Fatalf("After(MaxInt64) at 1h fired within the next hour (%d events)", n)
+	}
+	if n := w.RunAll(0); n != 1 || at != math.MaxInt64 {
+		t.Fatalf("RunAll fired %d events, the last at %v; want 1 at %v", n, at, time.Duration(math.MaxInt64))
+	}
+}
+
+// TestEveryHugePeriodTerminates: a period that carries the next run past
+// the end of virtual time ends the schedule instead of re-firing at the
+// same instant forever.
+func TestEveryHugePeriodTerminates(t *testing.T) {
+	w := NewWorld(1)
+	w.Run(time.Hour)
+	var ticks []time.Duration
+	if err := w.Every(0, math.MaxInt64-10, nil, func() { ticks = append(ticks, w.Now()) }); err != nil {
+		t.Fatal(err)
+	}
+	w.Run(2 * time.Hour)
+	if n := w.RunAll(1000); n != 0 || len(ticks) != 1 || ticks[0] != time.Hour {
+		t.Fatalf("ticks %v, then RunAll fired %d more; want one tick at 1h", ticks, n)
+	}
+	// From time zero the second run still fits, at MaxInt64−10; the third
+	// would not.
+	w = NewWorld(1)
+	ticks = nil
+	if err := w.Every(0, math.MaxInt64-10, nil, func() { ticks = append(ticks, w.Now()) }); err != nil {
+		t.Fatal(err)
+	}
+	if n := w.RunAll(1000); n != 2 || len(ticks) != 2 || ticks[1] != math.MaxInt64-10 {
+		t.Fatalf("RunAll fired %d, ticks %v; want 2 ticks, the last at MaxInt64−10", n, ticks)
 	}
 }
 
