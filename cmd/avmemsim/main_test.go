@@ -32,23 +32,34 @@ func writeTinyTrace(t *testing.T) string {
 	return path
 }
 
+// traceScenario is a scenario over the archived trace at path whose one
+// event is the given JSON action.
+func traceScenario(t *testing.T, path, events string) string {
+	t.Helper()
+	return writeScenario(t, `{
+  "name": "from-trace",
+  "seed": 3,
+  "fleet": {"trace": "`+path+`", "protocol_period": "2m"},
+  "warmup": "8h",
+  "events": [`+events+`]
+}`)
+}
+
 func TestRunFig2FromTraceFile(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds a full world")
 	}
-	path := writeTinyTrace(t)
+	path := traceScenario(t, writeTinyTrace(t), `{"at": "0s", "label": "fig2-4", "overlay_probe": {}}`)
 	var out strings.Builder
 	start := time.Now()
-	err := run([]string{"-fig", "2", "-quick", "-trace", path, "-seed", "3"}, &out)
-	if err != nil {
+	if err := run([]string{"run", path}, &out); err != nil {
 		t.Fatal(err)
 	}
 	text := out.String()
-	if !strings.Contains(text, "Figure 2(a)") || !strings.Contains(text, "Figure 2(b,c)") {
-		t.Errorf("missing figure sections:\n%s", text)
-	}
-	if !strings.Contains(text, "150 hosts") {
-		t.Errorf("trace not loaded from file:\n%s", text)
+	for _, want := range []string{"150 hosts", "HS-median", "VS-in-links", "fig2-4/hs_median_sliver_size"} {
+		if !strings.Contains(text, want) {
+			t.Errorf("output missing %q:\n%s", want, text)
+		}
 	}
 	t.Logf("fig 2 regeneration took %v", time.Since(start))
 }
@@ -57,13 +68,16 @@ func TestRunFig5(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds a full world")
 	}
-	path := writeTinyTrace(t)
+	path := traceScenario(t, writeTinyTrace(t), `{"at": "0s", "label": "fig5-cushion0", "attack": {"cushion": 0}},
+    {"at": "0s", "label": "fig5-cushion0.1", "attack": {"cushion": 0.1}}`)
 	var out strings.Builder
-	if err := run([]string{"-fig", "5", "-quick", "-trace", path}, &out); err != nil {
+	if err := run([]string{"run", path}, &out); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(out.String(), "cushion=0") {
-		t.Errorf("missing attack table:\n%s", out.String())
+	for _, want := range []string{"cushion 0.10", "legit-reject", "fig5-cushion0/attack_accept_rate", "fig5-cushion0.1/attack_accept_rate"} {
+		if !strings.Contains(out.String(), want) {
+			t.Errorf("output missing %q:\n%s", want, out.String())
+		}
 	}
 }
 
@@ -72,8 +86,12 @@ func TestRunRejectsBadFlags(t *testing.T) {
 	if err := run([]string{"-bogus"}, &out); err == nil {
 		t.Error("want error for unknown flag")
 	}
-	// Flags of the two removed executors (shard heaps, worker threads) are
-	// no longer defined.
+	// With no subcommand there is nothing to run: the usage is the error.
+	if err := run(nil, &out); err == nil || !strings.Contains(err.Error(), "usage: avmemsim <command>") {
+		t.Errorf("no subcommand: error %v, want the usage", err)
+	}
+	// Flags of the two removed executors (shard heaps, worker threads)
+	// are no longer defined.
 	for _, args := range [][]string{
 		{"-shards", "2"},
 		{"-shard-threads", "2"},
@@ -88,26 +106,11 @@ func TestRunRejectsBadFlags(t *testing.T) {
 }
 
 func TestRunRejectsMissingTrace(t *testing.T) {
+	missing := filepath.Join(t.TempDir(), "does-not-exist.trace")
+	path := traceScenario(t, missing, `{"at": "0s", "overlay_probe": {}}`)
 	var out strings.Builder
-	if err := run([]string{"-fig", "2", "-trace", "/does/not/exist"}, &out); err == nil {
-		t.Error("want error for missing trace file")
-	}
-}
-
-func TestFmtNaN(t *testing.T) {
-	if got := fmtNaN(0.5); got != "0.500" {
-		t.Errorf("fmtNaN(0.5) = %q", got)
-	}
-	nan := 0.0
-	nan /= nan
-	if got := fmtNaN(nan); got != "-" {
-		t.Errorf("fmtNaN(NaN) = %q", got)
-	}
-}
-
-func TestFracHelper(t *testing.T) {
-	if frac(1, 2) != 0.5 || frac(1, 0) != 0 {
-		t.Error("frac helper wrong")
+	if err := run([]string{"run", path}, &out); err == nil || !strings.Contains(err.Error(), missing) {
+		t.Errorf("missing trace file: error %v, want one naming %s", err, missing)
 	}
 }
 
@@ -218,30 +221,46 @@ func TestValidateRejectsMalformedScenario(t *testing.T) {
 	}
 }
 
-// TestCheckedInScenariosValidate guards the example scenario files
-// against spec drift.
+// TestCheckedInScenariosValidate guards the scenario files — the
+// examples, the paper suite under paper/ and the fuzz corpus — against
+// spec drift.
 func TestCheckedInScenariosValidate(t *testing.T) {
 	dir := filepath.Join("..", "..", "scenarios")
-	entries, err := os.ReadDir(dir)
+	paths, err := scenarioFiles(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	found := 0
-	for _, e := range entries {
-		if e.IsDir() || !strings.HasSuffix(e.Name(), ".json") {
-			continue
-		}
-		found++
-		path := filepath.Join(dir, e.Name())
-		t.Run(e.Name(), func(t *testing.T) {
+	for _, path := range paths {
+		name, _ := filepath.Rel(dir, path)
+		t.Run(filepath.ToSlash(name), func(t *testing.T) {
 			var out strings.Builder
 			if err := run([]string{"validate", path}, &out); err != nil {
 				t.Errorf("checked-in scenario invalid: %v", err)
 			}
 		})
 	}
-	if found < 3 {
-		t.Errorf("expected at least 3 checked-in scenarios, found %d", found)
+	if len(paths) < 3 {
+		t.Errorf("expected at least 3 checked-in scenarios, found %d", len(paths))
+	}
+}
+
+// TestPaperScenarios runs the paper's §4 suite at its own scale (1442
+// hosts, 24 h warm-up): every figure's claim must hold.
+func TestPaperScenarios(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds three 1442-host worlds")
+	}
+	paths, err := filepath.Glob(filepath.Join("..", "..", "scenarios", "paper", "*.json"))
+	if err != nil || len(paths) != 3 {
+		t.Fatalf("paper suite: %v, %v", paths, err)
+	}
+	for _, path := range paths {
+		t.Run(filepath.Base(path), func(t *testing.T) {
+			var out strings.Builder
+			if err := run([]string{"run", "-q", path}, &out); err != nil {
+				t.Errorf("%v\n%s", err, out.String())
+			}
+		})
 	}
 }
 

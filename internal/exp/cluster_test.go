@@ -52,37 +52,21 @@ func TestClusterConvergesAndDelivers(t *testing.T) {
 	if mean := float64(total) / float64(len(online)); mean < 2 {
 		t.Fatalf("overlay never formed: mean membership size %.1f", mean)
 	}
-	res, err := RunAnycasts(c, AnycastSpec{
-		Name: "cluster-smoke", BandLo: 0, BandHi: 1.01,
-		Target: ops.Target{Lo: 0.5, Hi: 1},
-		Opts:   ops.DefaultAnycastOptions(),
-		Runs:   1, PerRun: 20,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Sent == 0 || res.FractionDelivered() < 0.5 {
-		t.Fatalf("cluster anycast broken: %+v", res)
+	recs := anycasts(t, c, 0, 1.01, ops.Target{Lo: 0.5, Hi: 1}, ops.DefaultAnycastOptions(), 20, 2*time.Second)
+	if f := deliveredFraction(recs); f < 0.5 {
+		t.Fatalf("cluster anycast broken: %d sent, %.2f delivered", len(recs), f)
 	}
 }
 
 func TestClusterDeterministicPerSeed(t *testing.T) {
-	run := func() (sizes []int, delivered int) {
+	run := func() (sizes []int, hits int) {
 		c := newTestCluster(t, 3)
 		c.Warmup(90 * time.Minute)
 		for _, id := range c.Hosts() {
 			sizes = append(sizes, c.Membership(id).Size())
 		}
-		res, err := RunAnycasts(c, AnycastSpec{
-			Name: "det", BandLo: 0, BandHi: 1.01,
-			Target: ops.Target{Lo: 0.4, Hi: 1},
-			Opts:   ops.DefaultAnycastOptions(),
-			Runs:   1, PerRun: 10,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return sizes, res.Delivered
+		recs := anycasts(t, c, 0, 1.01, ops.Target{Lo: 0.4, Hi: 1}, ops.DefaultAnycastOptions(), 10, 2*time.Second)
+		return sizes, delivered(recs)
 	}
 	sizesA, delA := run()
 	sizesB, delB := run()

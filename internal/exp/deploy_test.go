@@ -164,20 +164,12 @@ func TestChurnBurstRecovery(t *testing.T) {
 		}
 	}
 	w.RunFor(5 * time.Minute)
-	res, err := RunAnycasts(w, AnycastSpec{
-		Name:   "storm",
-		BandLo: 0, BandHi: 1.01,
-		Target: ops.Target{Lo: 0.85, Hi: 0.95},
-		Opts:   ops.AnycastOptions{Policy: ops.Greedy, Flavor: core.HSVS, TTL: 6},
-		Runs:   1, PerRun: 10,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Sent == 0 {
+	recs := anycasts(t, w, 0, 1.01, ops.Target{Lo: 0.85, Hi: 0.95},
+		ops.AnycastOptions{Policy: ops.Greedy, Flavor: core.HSVS, TTL: 6}, 10, 2*time.Second)
+	if len(recs) == 0 {
 		t.Fatal("no anycasts initiated during the storm")
 	}
-	if res.FractionDelivered() < 0.5 {
-		t.Errorf("delivery during 50%% outage = %.2f, want >= 0.5", res.FractionDelivered())
+	if f := deliveredFraction(recs); f < 0.5 {
+		t.Errorf("delivery during 50%% outage = %.2f, want >= 0.5", f)
 	}
 }

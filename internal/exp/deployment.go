@@ -15,9 +15,9 @@ import (
 
 // Deployment is the engine-agnostic surface of a running AVMEM
 // deployment. The simulated World and the memnet Cluster both implement
-// it, so the workload runners (RunAnycasts, RunMulticasts), the attack
-// probes, the scenario engine, and the public Sim API drive either
-// engine unchanged — the "one protocol core, two engines" contract.
+// it, so the overlay and attack probes, the scenario engine, and the
+// public Sim API drive either engine unchanged — the "one protocol
+// core, two engines" contract.
 //
 // Time methods advance or read the deployment's virtual clock; query
 // methods answer from ground truth (the churn trace overlaid with

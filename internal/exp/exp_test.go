@@ -234,66 +234,138 @@ func TestLegitimateRejectionFig6(t *testing.T) {
 	}
 }
 
+// anycasts initiates n anycasts on d, each from a random online node
+// whose true availability lies in [lo, hi), one every gap, lets them
+// settle for 30 s, and returns the records of those initiated.
+func anycasts(t testing.TB, d Deployment, lo, hi float64, target ops.Target, opts ops.AnycastOptions, n int, gap time.Duration) []*ops.AnycastRecord {
+	t.Helper()
+	var sent []ops.MsgID
+	for i := 0; i < n; i++ {
+		from, ok := d.PickInitiator(lo, hi)
+		if !ok {
+			continue
+		}
+		id, err := d.Anycast(from, target, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sent = append(sent, id)
+		d.RunFor(gap)
+	}
+	d.RunFor(30 * time.Second)
+	var recs []*ops.AnycastRecord
+	for _, id := range sent {
+		if rec, ok := d.Collector().Anycast(id); ok {
+			recs = append(recs, rec)
+		}
+	}
+	return recs
+}
+
+// delivered counts the recs that delivered.
+func delivered(recs []*ops.AnycastRecord) int {
+	n := 0
+	for _, rec := range recs {
+		if rec.Outcome == ops.OutcomeDelivered {
+			n++
+		}
+	}
+	return n
+}
+
+// deliveredFraction returns the share of recs that delivered (0 for
+// none).
+func deliveredFraction(recs []*ops.AnycastRecord) float64 {
+	if len(recs) == 0 {
+		return 0
+	}
+	return float64(delivered(recs)) / float64(len(recs))
+}
+
+// multicasts is anycasts for multicasts: one every 5 s from [lo, hi),
+// each told the target's eligible population at its initiation.
+func multicasts(t testing.TB, d Deployment, lo, hi float64, target ops.Target, opts ops.MulticastOptions, n int) []*ops.MulticastRecord {
+	t.Helper()
+	var sent []ops.MsgID
+	for i := 0; i < n; i++ {
+		from, ok := d.PickInitiator(lo, hi)
+		if !ok {
+			continue
+		}
+		opts.Eligible = d.EligibleFor(target)
+		id, err := d.Multicast(from, target, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sent = append(sent, id)
+		d.RunFor(5 * time.Second)
+	}
+	d.RunFor(30 * time.Second)
+	var recs []*ops.MulticastRecord
+	for _, id := range sent {
+		if rec, ok := d.Collector().Multicast(id); ok {
+			recs = append(recs, rec)
+		}
+	}
+	return recs
+}
+
+// meanOf averages f over recs (0 for none).
+func meanOf(recs []*ops.MulticastRecord, f func(*ops.MulticastRecord) float64) float64 {
+	vals := make([]float64, len(recs))
+	for i, rec := range recs {
+		vals[i] = f(rec)
+	}
+	return stats.Mean(vals)
+}
+
 func TestRunAnycastsDelivers(t *testing.T) {
 	w := smallWorld(t, 7)
-	spec := AnycastSpec{
-		Name:   "test",
-		BandLo: 1.0 / 3.0, BandHi: 2.0 / 3.0,
-		Target: ops.Target{Lo: 0.85, Hi: 0.95},
-		Opts:   ops.AnycastOptions{Policy: ops.Greedy, Flavor: core.HSVS, TTL: 6},
-		Runs:   1, PerRun: 20,
-	}
+	target := ops.Target{Lo: 0.85, Hi: 0.95}
 	// Make sure the target is populated in this small world.
-	if w.EligibleFor(spec.Target) == 0 {
-		spec.Target = ops.Target{Lo: 0.7, Hi: 1.0}
+	if w.EligibleFor(target) == 0 {
+		target = ops.Target{Lo: 0.7, Hi: 1.0}
 	}
-	res, err := RunAnycasts(w, spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Sent == 0 {
+	recs := anycasts(t, w, 1.0/3.0, 2.0/3.0, target,
+		ops.AnycastOptions{Policy: ops.Greedy, Flavor: core.HSVS, TTL: 6}, 20, 2*time.Second)
+	if len(recs) == 0 {
 		t.Skip("no initiators in band")
 	}
-	if res.FractionDelivered() < 0.6 {
-		t.Errorf("delivered %v of %d anycasts, want most", res.FractionDelivered(), res.Sent)
+	if f := deliveredFraction(recs); f < 0.6 {
+		t.Errorf("delivered %v of %d anycasts, want most", f, len(recs))
 	}
-	cdf := res.HopsCDF()
-	if len(cdf) != 7 {
-		t.Fatalf("hops CDF length = %d", len(cdf))
+	// Every delivery travels at most the TTL's hops, and deliveries take
+	// time.
+	var latency time.Duration
+	for _, rec := range recs {
+		if rec.Outcome != ops.OutcomeDelivered {
+			continue
+		}
+		if rec.Hops < 0 || rec.Hops > 6 {
+			t.Errorf("delivery after %d hops, want 0..6", rec.Hops)
+		}
+		latency += rec.Latency
 	}
-	if res.Delivered > 0 && cdf[6] < 0.999 {
-		t.Errorf("hops CDF does not reach 1: %v", cdf)
-	}
-	if res.Delivered > 0 && res.MeanLatency() <= 0 {
-		t.Error("mean latency not recorded")
+	if latency <= 0 {
+		t.Error("delivery latency not recorded")
 	}
 }
 
 func TestRunAnycastsRetriedGreedyHarsh(t *testing.T) {
 	w := smallWorld(t, 8)
-	spec := AnycastSpec{
-		Name:   "harsh",
-		BandLo: 2.0 / 3.0, BandHi: 1.01,
-		Target: ops.Target{Lo: 0.15, Hi: 0.25},
-		Opts:   ops.AnycastOptions{Policy: ops.RetriedGreedy, Flavor: core.HSVS, TTL: 6, Retry: 8},
-		Runs:   1, PerRun: 15,
-		Gap: 4 * time.Second,
-	}
-	res, err := RunAnycasts(w, spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Sent == 0 {
+	recs := anycasts(t, w, 2.0/3.0, 1.01, ops.Target{Lo: 0.15, Hi: 0.25},
+		ops.AnycastOptions{Policy: ops.RetriedGreedy, Flavor: core.HSVS, TTL: 6, Retry: 8}, 15, 4*time.Second)
+	if len(recs) == 0 {
 		t.Skip("no HIGH initiators online")
 	}
 	// Every message must have a terminal verdict with retried greedy
 	// (acknowledgments make losses detectable).
-	if res.Pending != 0 {
-		t.Errorf("retried greedy left %d pending", res.Pending)
-	}
-	total := res.Delivered + res.TTLExpired + res.RetryExpired
-	if total != res.Sent {
-		t.Errorf("outcomes %d != sent %d", total, res.Sent)
+	for _, rec := range recs {
+		switch rec.Outcome {
+		case ops.OutcomeDelivered, ops.OutcomeTTLExpired, ops.OutcomeRetryExpired:
+		default:
+			t.Errorf("retried greedy left %v without a verdict (%v)", rec.ID, rec.Outcome)
+		}
 	}
 }
 
@@ -303,117 +375,27 @@ func TestRunMulticastsFloodAndGossip(t *testing.T) {
 	if w.EligibleFor(target) < 5 {
 		t.Skip("target band too sparse in small world")
 	}
-	flood := MulticastSpec{
-		Name:   "flood",
-		BandLo: 0, BandHi: 1.01,
-		Target: target,
-		Mode:   ops.Flood, Flavor: core.HSVS,
-		Runs: 1, PerRun: 10,
-	}
-	fres, err := RunMulticasts(w, flood)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fres.Sent == 0 {
+	opts := ops.MulticastOptions{Anycast: ops.DefaultAnycastOptions(), Mode: ops.Flood, Flavor: core.HSVS}
+	flood := multicasts(t, w, 0, 1.01, target, opts, 10)
+	if len(flood) == 0 {
 		t.Skip("no initiators")
 	}
-	if fres.MeanReliability() < 0.5 {
-		t.Errorf("flood reliability = %v, want high", fres.MeanReliability())
+	reliability := func(r *ops.MulticastRecord) float64 { return r.Reliability() }
+	if r := meanOf(flood, reliability); r < 0.5 {
+		t.Errorf("flood reliability = %v, want high", r)
 	}
-	gossip := MulticastSpec{
-		Name:   "gossip",
-		BandLo: 0, BandHi: 1.01,
-		Target: target,
-		Mode:   ops.Gossip, Flavor: core.HSVS,
-		Fanout: 5, Rounds: 2, Period: time.Second,
-		Runs: 1, PerRun: 10,
-	}
-	gres, err := RunMulticasts(w, gossip)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if gres.Sent == 0 {
+	opts.Mode, opts.Fanout, opts.Rounds, opts.Period = ops.Gossip, 5, 2, time.Second
+	gossip := multicasts(t, w, 0, 1.01, target, opts, 10)
+	if len(gossip) == 0 {
 		t.Skip("no initiators")
 	}
 	// Gossip trades reliability for bandwidth; it should still reach a
 	// decent fraction but typically no more than flooding.
-	if gres.MeanReliability() < 0.2 {
-		t.Errorf("gossip reliability = %v, too low", gres.MeanReliability())
+	if r := meanOf(gossip, reliability); r < 0.2 {
+		t.Errorf("gossip reliability = %v, too low", r)
 	}
-	if fres.MeanSpamRatio() > 0.5 {
-		t.Errorf("flood spam ratio = %v, too high", fres.MeanSpamRatio())
-	}
-}
-
-func TestNewRandomWorldMatchesDegree(t *testing.T) {
-	gen := trace.DefaultGenConfig(10)
-	gen.Hosts = 220
-	gen.Epochs = 150
-	tr, err := trace.Generate(gen)
-	if err != nil {
-		t.Fatal(err)
-	}
-	w, err := NewRandomWorld(WorldConfig{
-		Seed:           10,
-		Trace:          tr,
-		ProtocolPeriod: 2 * time.Minute,
-	}, 30)
-	if err != nil {
-		t.Fatal(err)
-	}
-	w.Warmup(6 * time.Hour)
-	mean := w.MeanDegree()
-	if mean <= 2 {
-		t.Errorf("random overlay mean degree = %v, too sparse", mean)
-	}
-	// Under the uniform predicate, HS/VS classification still happens
-	// but acceptance is availability-independent: degree must not
-	// correlate strongly with availability. Compare low vs high halves.
-	var lo, hi, nLo, nHi float64
-	for _, id := range w.OnlineHosts() {
-		av := w.TrueAvailability(id)
-		d := float64(w.Membership(id).Size())
-		if av < 0.5 {
-			lo += d
-			nLo++
-		} else {
-			hi += d
-			nHi++
-		}
-	}
-	if nLo > 5 && nHi > 5 {
-		ratio := (hi / nHi) / (lo / nLo)
-		if ratio < 0.4 || ratio > 2.5 {
-			t.Errorf("random overlay degree correlates with availability: ratio %v", ratio)
-		}
-	}
-}
-
-func TestAnycastTableFormats(t *testing.T) {
-	res := []AnycastResult{{Name: "a", Sent: 10, Delivered: 5}}
-	out := AnycastTable(res)
-	if out == "" {
-		t.Error("empty table")
-	}
-}
-
-func TestFigSpecGenerators(t *testing.T) {
-	if got := len(Fig7Variants()); got != 4 {
-		t.Errorf("Fig7Variants = %d, want 4", got)
-	}
-	if got := len(Fig8Variants()); got != 12 {
-		t.Errorf("Fig8Variants = %d, want 12", got)
-	}
-	if got := len(Fig9Specs()); got != 4 {
-		t.Errorf("Fig9Specs = %d, want 4", got)
-	}
-	if got := len(Fig11Specs()); got != 5 {
-		t.Errorf("Fig11Specs = %d, want 5", got)
-	}
-	for _, s := range Fig8Variants() {
-		if err := s.Target.Validate(); err != nil {
-			t.Errorf("spec %q has invalid target: %v", s.Name, err)
-		}
+	if spam := meanOf(flood, func(r *ops.MulticastRecord) float64 { return r.SpamRatio() }); spam > 0.5 {
+		t.Errorf("flood spam ratio = %v, too high", spam)
 	}
 }
 
@@ -466,18 +448,9 @@ func TestDistributedMonitorWorld(t *testing.T) {
 	if w.EligibleFor(target) == 0 {
 		t.Skip("target empty")
 	}
-	res, err := RunAnycasts(w, AnycastSpec{
-		Name:   "dist-monitor",
-		BandLo: 0, BandHi: 1.01,
-		Target: target,
-		Opts:   ops.AnycastOptions{Policy: ops.Greedy, Flavor: core.HSVS, TTL: 6},
-		Runs:   1, PerRun: 15,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Sent > 0 && res.FractionDelivered() < 0.5 {
-		t.Errorf("delivered %v on distributed monitor, want most", res.FractionDelivered())
+	recs := anycasts(t, w, 0, 1.01, target, ops.AnycastOptions{Policy: ops.Greedy, Flavor: core.HSVS, TTL: 6}, 15, 2*time.Second)
+	if f := deliveredFraction(recs); len(recs) > 0 && f < 0.5 {
+		t.Errorf("delivered %v on distributed monitor, want most", f)
 	}
 }
 
@@ -489,31 +462,20 @@ func TestMulticastMessageAccounting(t *testing.T) {
 	if w.EligibleFor(target) < 5 {
 		t.Skip("target too sparse")
 	}
-	mk := func(mode ops.Mode) MulticastSpec {
-		return MulticastSpec{
-			Name:   mode.String(),
-			BandLo: 0, BandHi: 1.01,
-			Target: target,
-			Mode:   mode, Flavor: core.HSVS,
-			Fanout: 3, Rounds: 2, Period: time.Second,
-			Runs: 1, PerRun: 10,
-		}
+	// wire counts the messages a series of ten multicasts in mode puts on
+	// the network.
+	wire := func(mode ops.Mode) int {
+		before := w.NetworkSent()
+		multicasts(t, w, 0, 1.01, target, ops.MulticastOptions{Anycast: ops.DefaultAnycastOptions(),
+			Mode: mode, Flavor: core.HSVS, Fanout: 3, Rounds: 2, Period: time.Second}, 10)
+		return w.NetworkSent() - before
 	}
-	flood, err := RunMulticasts(w, mk(ops.Flood))
-	if err != nil {
-		t.Fatal(err)
+	flood, gossip := wire(ops.Flood), wire(ops.Gossip)
+	if flood == 0 || gossip == 0 {
+		t.Fatalf("message accounting empty: flood=%d gossip=%d", flood, gossip)
 	}
-	gossip, err := RunMulticasts(w, mk(ops.Gossip))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if flood.NetworkMessages == 0 || gossip.NetworkMessages == 0 {
-		t.Fatalf("message accounting empty: flood=%d gossip=%d",
-			flood.NetworkMessages, gossip.NetworkMessages)
-	}
-	if gossip.NetworkMessages >= flood.NetworkMessages {
-		t.Errorf("gossip used %d messages, flood %d — gossip should be cheaper",
-			gossip.NetworkMessages, flood.NetworkMessages)
+	if gossip >= flood {
+		t.Errorf("gossip used %d messages, flood %d — gossip should be cheaper", gossip, flood)
 	}
 }
 

@@ -76,10 +76,15 @@ func TestFloodCountersPublished(t *testing.T) {
 			t.Cleanup(c.Stop)
 		}
 		d.Warmup(4 * time.Hour)
-		res, err := RunMulticasts(d, MulticastSpec{Name: "flood", BandHi: 1.01,
-			Target: ops.Target{Lo: 0.3, Hi: 1}, Mode: ops.Flood, Flavor: core.HSVS, Runs: 1, PerRun: 12})
-		if err != nil || res.Entered == 0 {
-			t.Fatalf("%s: multicasts entered %d of %d (%v)", backend, res.Entered, res.Sent, err)
+		recs := multicasts(t, d, 0, 1.01, ops.Target{Lo: 0.3, Hi: 1},
+			ops.MulticastOptions{Anycast: ops.DefaultAnycastOptions(), Mode: ops.Flood, Flavor: core.HSVS}, 12)
+		if entered := meanOf(recs, func(r *ops.MulticastRecord) float64 {
+			if r.EnteredRange {
+				return 1
+			}
+			return 0
+		}); entered == 0 {
+			t.Fatalf("%s: none of %d multicasts entered the target", backend, len(recs))
 		}
 		read := func(name string) int64 { return reg.Counter(name).Value() }
 		checks, front := read("ops_seen_checks_total"), read("ops_seen_front_hits_total")

@@ -1,6 +1,8 @@
 package exp
 
 import (
+	"math"
+
 	"avmem/internal/core"
 	"avmem/internal/stats"
 )
@@ -25,7 +27,7 @@ type OverlaySnapshot struct {
 }
 
 // SnapshotOverlay captures Figures 2(a,b,c) from the current instant.
-func SnapshotOverlay(w *World) OverlaySnapshot {
+func SnapshotOverlay(w Deployment) OverlaySnapshot {
 	online := w.OnlineHosts()
 	snap := OverlaySnapshot{
 		OnlineCount: len(online),
@@ -57,17 +59,17 @@ type HorizontalScaling struct {
 }
 
 // ScanHorizontalScaling captures Figure 3 from the current instant.
-func ScanHorizontalScaling(w *World) HorizontalScaling {
+func ScanHorizontalScaling(w Deployment) HorizontalScaling {
 	online := w.OnlineHosts()
 	all := w.Hosts()
 	avails := make(map[string]float64, len(all))
 	for _, id := range all {
 		avails[string(id)] = w.TrueAvailability(id)
 	}
-	eps := w.Cfg.Epsilon
 	out := HorizontalScaling{Points: make([]stats.ScatterPoint, 0, len(online))}
 	for _, id := range online {
-		av := avails[string(id)]
+		m := w.Membership(id)
+		eps, av := m.Predicate().Epsilon, avails[string(id)]
 		candidates := 0
 		for _, other := range all {
 			if other == id {
@@ -81,7 +83,7 @@ func ScanHorizontalScaling(w *World) HorizontalScaling {
 				candidates++
 			}
 		}
-		hs := w.Membership(id).SliverSize(core.SliverHorizontal)
+		hs := m.SliverSize(core.SliverHorizontal)
 		out.Points = append(out.Points, stats.ScatterPoint{X: float64(candidates), Y: float64(hs)})
 	}
 	return out
@@ -143,7 +145,7 @@ type VSInDegree struct {
 }
 
 // ScanVSInDegree captures Figure 4 from the current instant.
-func ScanVSInDegree(w *World) VSInDegree {
+func ScanVSInDegree(w Deployment) VSInDegree {
 	online := w.OnlineHosts()
 	indeg := make(map[string]int, len(online))
 	for _, id := range online {
@@ -168,4 +170,24 @@ func ScanVSInDegree(w *World) VSInDegree {
 		out.Points = append(out.Points, stats.ScatterPoint{X: av, Y: d})
 	}
 	return out
+}
+
+// Spread summarizes Figure 4's claim as a single number: the largest
+// over the smallest mean incoming VS references per online node, across
+// the availability buckets holding at least three online nodes. Uniform
+// coverage yields 1; 0 means no bucket qualified or one drew no
+// references at all.
+func (v VSInDegree) Spread() float64 {
+	lo, hi := math.Inf(1), 0.0
+	for b, pop := range v.Population {
+		if pop < 3 {
+			continue
+		}
+		perNode := v.PerBucket[b] / float64(pop)
+		lo, hi = math.Min(lo, perNode), math.Max(hi, perNode)
+	}
+	if lo == 0 || math.IsInf(lo, 1) {
+		return 0
+	}
+	return hi / lo
 }

@@ -7,8 +7,8 @@ import (
 	"avmem/internal/ops"
 )
 
-// This file is the ground-truth query surface of a deployment: figure
-// runners and the scenario engine read the world through it instead of
+// This file is the ground-truth query surface of a deployment: the
+// probes and the scenario engine read the world through it instead of
 // reaching into the wiring.
 
 // Hosts returns all host identifiers.

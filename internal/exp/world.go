@@ -1,14 +1,11 @@
-// Package exp is the deployment-engine layer and experiment harness.
-// Two engines implement the shared Deployment surface (deployment.go):
-// World assembles a deployment inside the discrete-event simulator
-// (wiring, clocks, cohort protocol drivers — deploy.go), and Cluster
-// deploys real node.Node agents on a deterministic in-process memnet
-// (cluster.go). Both answer ground-truth queries (query.go), run the
-// workload series and attack probes, and regenerate the figures of the
-// paper's evaluation (§4) via one runner per figure. cmd/avmemsim
-// exposes the figure runners and both scenario backends on the command
-// line, and internal/scenario drives arbitrary declarative scenarios
-// on either engine.
+// Package exp is the deployment-engine layer. Two engines implement the
+// shared Deployment surface (deployment.go): World assembles a
+// deployment inside the discrete-event simulator (wiring, clocks, cohort
+// protocol drivers — deploy.go), and Cluster deploys real node.Node
+// agents on a deterministic in-process memnet (cluster.go). Both answer
+// ground-truth queries (query.go) and the overlay and attack probes of
+// the paper's evaluation (§4; overlay.go, attack.go). internal/scenario
+// drives every experiment on either engine.
 //
 // Architecture: DESIGN.md §9 (deployment engines and the scenario
 // layer).
@@ -89,6 +86,10 @@ type WorldConfig struct {
 	OpTrace *obs.Tracer
 }
 
+// DefaultEpsilon is the horizontal sliver half-width a zero
+// WorldConfig.Epsilon takes.
+const DefaultEpsilon = 0.1
+
 func (c *WorldConfig) applyDefaults() error {
 	if c.Trace == nil {
 		tr, err := trace.Generate(trace.DefaultGenConfig(c.Seed))
@@ -98,7 +99,7 @@ func (c *WorldConfig) applyDefaults() error {
 		c.Trace = tr
 	}
 	if c.Epsilon == 0 {
-		c.Epsilon = 0.1
+		c.Epsilon = DefaultEpsilon
 	}
 	// The paper leaves c1/c2 unstated; 3.0 calibrates the sliver sizes
 	// to the scales of Figures 2(b,c) (VS median ≈ 15–20, HS up to ~30
@@ -304,20 +305,3 @@ func (w *World) Warmup(d time.Duration) { w.Sim.Run(w.Sim.Now() + d) }
 
 // RunFor advances the simulation by d.
 func (w *World) RunFor(d time.Duration) { w.Sim.Run(w.Sim.Now() + d) }
-
-// NewRandomWorld builds the Figure-10 baseline: the same deployment but
-// over a consistent random overlay (SCAMP/CYCLON-like) whose expected
-// degree matches degree — typically the MeanDegree measured on the
-// corresponding AVMEM world after warmup.
-func NewRandomWorld(cfg WorldConfig, degree float64) (*World, error) {
-	if err := cfg.applyDefaults(); err != nil {
-		return nil, err
-	}
-	nStar := cfg.Trace.MeanOnline()
-	pred, err := core.RandomPredicate(cfg.Epsilon, degree, nStar)
-	if err != nil {
-		return nil, err
-	}
-	cfg.Predicate = pred
-	return NewWorld(cfg)
-}

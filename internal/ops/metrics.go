@@ -231,7 +231,7 @@ func (r *AggregateRecord) Latency() time.Duration {
 // An undelivered result scores 0; an operation whose ground truth and
 // result are both empty scores 1 (an empty band aggregated exactly).
 // Meaningful only when the initiator recorded ground truth
-// (AggregateOptions.Truth/Eligible — RunAggregates always does).
+// (AggregateOptions.Truth/Eligible — the scenario engine always does).
 func (r *AggregateRecord) Accuracy() float64 {
 	if !r.Done {
 		return 0

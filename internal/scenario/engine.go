@@ -1,13 +1,19 @@
 package scenario
 
 import (
+	"cmp"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"sort"
+	"strings"
 	"time"
 
+	"avmem/internal/agg"
+	"avmem/internal/core"
 	"avmem/internal/exp"
+	"avmem/internal/ids"
 	"avmem/internal/obs"
 	"avmem/internal/ops"
 	"avmem/internal/stats"
@@ -116,7 +122,7 @@ func Run(spec *Spec, opts Options) (*Result, error) {
 		backendName(opts.Backend), len(w.Hosts()), w.StableSize(), spec.Warmup.D(), ignored)
 	w.Warmup(spec.Warmup.D())
 
-	run := &runState{w: w, spec: spec, log: logw, base: w.Now()}
+	run := &runState{w: w, spec: spec, log: logw, base: w.Now(), labels: map[string]*tally{}}
 	for i := range spec.Events {
 		if err := run.fire(i, &spec.Events[i]); err != nil {
 			return nil, err
@@ -208,6 +214,17 @@ func buildDeployment(spec *Spec, opts Options) (exp.Deployment, error) {
 		// runs (post-warmup), not by end-of-trace availability.
 		cfg.Adversary.SelectAt = spec.Warmup.D()
 	}
+	if spec.Fleet.Overlay == "random" {
+		// The paper's Figure 10 baseline: SCAMP/CYCLON-like systems keep
+		// O(log N) views, so the consistent random overlay is sized to
+		// 2·ln N* expected neighbors.
+		nStar := tr.MeanOnline()
+		pred, err := core.RandomPredicate(cmp.Or(cfg.Epsilon, exp.DefaultEpsilon), 2*math.Log(nStar), nStar)
+		if err != nil {
+			return nil, fmt.Errorf("scenario: %w", err)
+		}
+		cfg.Predicate = pred
+	}
 	d, err := exp.NewDeployment(opts.Backend, cfg)
 	if err != nil {
 		return nil, fmt.Errorf("scenario: %w", err)
@@ -215,7 +232,7 @@ func buildDeployment(spec *Spec, opts Options) (exp.Deployment, error) {
 	return d, nil
 }
 
-// runState accumulates workload outcomes across the event sequence.
+// runState carries a run through its event sequence.
 type runState struct {
 	w    exp.Deployment
 	spec *Spec
@@ -225,43 +242,91 @@ type runState struct {
 	base   time.Duration
 	events []string
 
-	anySent, anyDelivered, anyDropped int
-	anyHops                           int
-	anyBatches                        int
-	// anyLatency and anyLatQ summarize delivery latencies incrementally
-	// (running moments + a bounded reservoir for quantiles) instead of
-	// holding every sample for the whole run.
-	anyLatency stats.Accumulator
-	anyLatQ    *stats.Reservoir
-
-	mcCount       int
-	mcReliability float64
-	mcSpam        float64
-
-	rcCount    int
-	rcCoverage float64
-	rcSpam     float64
-
-	agSent     int
-	agDone     int
-	agAccuracy float64
-	agCoverage float64
-	agHops     float64
-	agDiverge  float64
-	agRejected int
-	agForgRej  int
-	agForgAcc  int
-
-	attackProbes int
-	attackAccept float64
-	legitReject  float64
+	// total accumulates every event's outcomes, labels[l] those of the
+	// events labelled l.
+	total  tally
+	labels map[string]*tally
 
 	// onset is the virtual time the adversaries were first armed
-	// (detection latency baseline); bias holds the last bias probe.
-	onsetSet   bool
-	onset      time.Duration
-	biasProbed bool
-	bias       exp.BiasResult
+	// (detection latency baseline).
+	onsetSet bool
+	onset    time.Duration
+}
+
+// tally accumulates workload and probe outcomes: one event's, one
+// label's, or the whole run's.
+type tally struct {
+	anySent, anyDelivered, anyDropped, anyHops int
+	// anyLatency and anyLatQ summarize delivery latencies incrementally
+	// (running moments + a bounded reservoir for quantiles) instead of
+	// holding every sample for the whole run; an event keeps its own
+	// samples in anyLatMs until it is folded.
+	anyLatency stats.Accumulator
+	anyLatQ    *stats.Reservoir
+	anyLatMs   []float64
+
+	mcCount               int
+	mcReliability, mcSpam float64
+
+	rcCount            int
+	rcCoverage, rcSpam float64
+
+	agSent, agDone                            int
+	agAccuracy, agCoverage, agHops, agDiverge float64
+	agRejected, agForgRej, agForgAcc          int
+
+	attackProbes              int
+	attackAccept, legitReject float64
+
+	// bias and overlay hold the last probe of each kind.
+	biasProbed, overlayProbed bool
+	bias                      exp.BiasResult
+	overlay                   overlayShape
+}
+
+// overlayShape is an overlay probe's summary of Figures 2–4.
+type overlayShape struct {
+	hsMedian, vsMedian, sublinearity, vsSpread float64
+}
+
+// fold adds one event's outcomes e to t; seed seeds t's latency
+// reservoir.
+func (t *tally) fold(e *tally, seed int64) {
+	t.anySent += e.anySent
+	t.anyDelivered += e.anyDelivered
+	t.anyDropped += e.anyDropped
+	t.anyHops += e.anyHops
+	for _, ms := range e.anyLatMs {
+		if t.anyLatQ == nil {
+			t.anyLatQ = stats.NewReservoir(1024, seed)
+		}
+		t.anyLatency.Add(ms)
+		t.anyLatQ.Add(ms)
+	}
+	t.mcCount += e.mcCount
+	t.mcReliability += e.mcReliability
+	t.mcSpam += e.mcSpam
+	t.rcCount += e.rcCount
+	t.rcCoverage += e.rcCoverage
+	t.rcSpam += e.rcSpam
+	t.agSent += e.agSent
+	t.agDone += e.agDone
+	t.agAccuracy += e.agAccuracy
+	t.agCoverage += e.agCoverage
+	t.agHops += e.agHops
+	t.agDiverge += e.agDiverge
+	t.agRejected += e.agRejected
+	t.agForgRej += e.agForgRej
+	t.agForgAcc += e.agForgAcc
+	t.attackProbes += e.attackProbes
+	t.attackAccept = math.Max(t.attackAccept, e.attackAccept)
+	t.legitReject = math.Max(t.legitReject, e.legitReject)
+	if e.biasProbed {
+		t.biasProbed, t.bias = true, e.bias
+	}
+	if e.overlayProbed {
+		t.overlayProbed, t.overlay = true, e.overlay
+	}
 }
 
 func (r *runState) logf(format string, args ...any) {
@@ -271,33 +336,50 @@ func (r *runState) logf(format string, args ...any) {
 }
 
 // fire advances virtual time to the event's At (when it is still in the
-// future) and applies the action.
+// future), applies the action, and folds its outcomes into the run's
+// totals and its label's.
 func (r *runState) fire(i int, e *Event) error {
 	due := r.base + e.At.D()
 	if now := r.w.Now(); due > now {
 		r.w.RunFor(due - now)
 	}
+	var out tally
+	var err error
 	switch {
 	case e.ChurnBurst != nil:
-		return r.churnBurst(e.ChurnBurst)
+		err = r.churnBurst(e.ChurnBurst)
 	case e.Attack != nil:
-		return r.attack(e.Attack)
+		err = r.attack(e.Attack, &out)
 	case e.MonitorNoise != nil:
-		return r.monitorNoise(e.MonitorNoise)
+		err = r.monitorNoise(e.MonitorNoise)
 	case e.AnycastBatch != nil:
-		return r.anycastBatch(e.AnycastBatch)
+		err = r.anycastBatch(e.AnycastBatch, &out)
 	case e.MulticastBatch != nil:
-		return r.multicastBatch(e.MulticastBatch)
+		err = r.multicastBatch(e.MulticastBatch, &out)
 	case e.Rangecast != nil:
-		return r.rangecastBatch(e.Rangecast)
+		err = r.rangecastBatch(e.Rangecast, &out)
 	case e.Aggregate != nil:
-		return r.aggregateBatch(e.Aggregate)
+		err = r.aggregateBatch(e.Aggregate, &out)
 	case e.Adversary != nil:
-		return r.adversaryEvent(e.Adversary)
+		err = r.adversaryEvent(e.Adversary)
 	case e.BiasProbe != nil:
-		return r.biasProbe()
+		r.biasProbe(&out)
+	case e.OverlayProbe != nil:
+		r.overlayProbe(&out)
+	default:
+		return fmt.Errorf("scenario: event %d has no action", i)
 	}
-	return fmt.Errorf("scenario: event %d has no action", i)
+	if err != nil {
+		return err
+	}
+	r.total.fold(&out, r.spec.Seed)
+	if e.Label != "" {
+		if r.labels[e.Label] == nil {
+			r.labels[e.Label] = &tally{}
+		}
+		r.labels[e.Label].fold(&out, r.spec.Seed)
+	}
+	return nil
 }
 
 // adversaryEvent arms (onset) or disarms (offset) the Byzantine cohort.
@@ -320,12 +402,54 @@ func (r *runState) adversaryEvent(a *AdversaryEvent) error {
 }
 
 // biasProbe snapshots adversary over-representation in honest state.
-func (r *runState) biasProbe() error {
-	r.bias = exp.OverlayBias(r.w)
-	r.biasProbed = true
+func (r *runState) biasProbe(out *tally) {
+	b := exp.OverlayBias(r.w)
+	out.biasProbed, out.bias = true, b
 	r.logf("bias probe: coarse-view share %.3f (population %.3f, bias %.2f), membership share %.3f",
-		r.bias.CoarseShare, r.bias.PopulationShare, r.bias.Bias, r.bias.MembershipShare)
-	return nil
+		b.CoarseShare, b.PopulationShare, b.Bias, b.MembershipShare)
+}
+
+// overlayProbe snapshots the overlay's shape: Figures 2(b,c), 3 and 4.
+func (r *runState) overlayProbe(out *tally) {
+	snap := exp.SnapshotOverlay(r.w)
+	deg := exp.ScanVSInDegree(r.w)
+	out.overlayProbed = true
+	out.overlay = overlayShape{
+		hsMedian:     medianY(snap.HS),
+		vsMedian:     medianY(snap.VS),
+		sublinearity: exp.ScanHorizontalScaling(r.w).SublinearityRatio(),
+		vsSpread:     deg.Spread(),
+	}
+	online := make([]float64, len(deg.Population))
+	for i, n := range deg.Population {
+		online[i] = float64(n)
+	}
+	o := out.overlay
+	r.logf("overlay probe: %d online, HS median %.1f, VS median %.1f, HS sublinearity %.2f, VS in-degree spread %.2f%s",
+		snap.OnlineCount, o.hsMedian, o.vsMedian, o.sublinearity, o.vsSpread,
+		deciles("online HS-median VS-median VS-in-links", online, snap.HSMedian, snap.VSMedian, deg.PerBucket))
+}
+
+// medianY returns the median of the points' Y values.
+func medianY(points []stats.ScatterPoint) float64 {
+	ys := make([]float64, len(points))
+	for i, p := range points {
+		ys[i] = p.Y
+	}
+	return stats.Percentile(ys, 50)
+}
+
+// deciles renders per-availability-decile series as a table to follow a
+// log line, one column per word of names ("-" marks an empty decile).
+func deciles(names string, cols ...[]float64) string {
+	series := make([]stats.Series, len(cols))
+	for i, name := range strings.Fields(names) {
+		series[i].Name = name
+		for d, v := range cols[i] {
+			series[i].Points = append(series[i].Points, stats.ScatterPoint{X: float64(d) / 10, Y: v})
+		}
+	}
+	return "\n" + strings.TrimSuffix(stats.Table("avail", series...), "\n")
 }
 
 func (r *runState) churnBurst(b *ChurnBurst) error {
@@ -343,18 +467,14 @@ func (r *runState) churnBurst(b *ChurnBurst) error {
 	return nil
 }
 
-func (r *runState) attack(a *Attack) error {
+func (r *runState) attack(a *Attack, out *tally) error {
 	flood := exp.FloodingAttack(r.w, a.Cushion)
 	reject := exp.LegitimateRejection(r.w, a.Cushion)
-	r.attackProbes++
-	if flood.Overall > r.attackAccept {
-		r.attackAccept = flood.Overall
-	}
-	if reject.Overall > r.legitReject {
-		r.legitReject = reject.Overall
-	}
-	r.logf("attack probe (cushion %.2f): accept %.3f, legit-reject %.3f",
-		a.Cushion, flood.Overall, reject.Overall)
+	out.attackProbes = 1
+	out.attackAccept, out.legitReject = flood.Overall, reject.Overall
+	r.logf("attack probe (cushion %.2f): accept %.3f, legit-reject %.3f%s",
+		a.Cushion, flood.Overall, reject.Overall,
+		deciles("accept legit-reject", flood.PerBucket, reject.PerBucket))
 	return nil
 }
 
@@ -366,162 +486,220 @@ func (r *runState) monitorNoise(n *MonitorNoise) error {
 	return nil
 }
 
-func (r *runState) anycastBatch(b *AnycastBatch) error {
+// batch is the loop every workload event runs: count times, pick an
+// initiator whose true availability lies in [lo, hi), initiate one
+// operation there (initiate freezes the operation's ground truth first),
+// and let gap pass; after the last, let settle pass once. It returns the
+// initiated operations, whose records the caller folds into its tally.
+func (r *runState) batch(count int, lo, hi float64, gap, settle time.Duration,
+	initiate func(from ids.NodeID) (ops.MsgID, error)) ([]ops.MsgID, error) {
+	sent := make([]ops.MsgID, 0, count)
+	for i := 0; i < count; i++ {
+		from, ok := r.w.PickInitiator(lo, bandHi(hi))
+		if !ok {
+			continue
+		}
+		id, err := initiate(from)
+		if err != nil {
+			return nil, err
+		}
+		sent = append(sent, id)
+		r.w.RunFor(gap)
+	}
+	r.w.RunFor(settle)
+	return sent, nil
+}
+
+// weighted returns a batch's mean of sum over n, weighted back by n: the
+// form every per-operation mean takes before it joins a tally.
+func weighted(sum float64, n int) float64 { return mean(sum, n) * float64(n) }
+
+// mean returns sum/n, or 0 for an empty batch.
+func mean(sum float64, n int) float64 {
+	if n == 0 {
+		return 0
+	}
+	return sum / float64(n)
+}
+
+func (r *runState) anycastBatch(b *AnycastBatch, out *tally) error {
 	policy, _ := parsePolicy(b.Policy)
 	flavor, _ := parseFlavor(b.Flavor)
-	ttl := b.TTL
-	if ttl == 0 {
-		ttl = 6
-	}
-	spec := exp.AnycastSpec{
-		Name:   "scenario",
-		BandLo: b.BandLo, BandHi: bandHi(b.BandHi),
-		Target: b.target(),
-		Opts:   ops.AnycastOptions{Policy: policy, Flavor: flavor, TTL: ttl, Retry: b.Retry},
-		Runs:   1, PerRun: b.Count,
-		Gap: b.Gap.D(), Settle: b.Settle.D(),
-	}
-	res, err := exp.RunAnycasts(r.w, spec)
+	opts := ops.AnycastOptions{Policy: policy, Flavor: flavor, TTL: cmp.Or(b.TTL, 6), Retry: b.Retry}
+	target := b.target()
+	sent, err := r.batch(b.Count, b.BandLo, b.BandHi, cmp.Or(b.Gap.D(), 2*time.Second), cmp.Or(b.Settle.D(), 30*time.Second),
+		func(from ids.NodeID) (ops.MsgID, error) { return r.w.Anycast(from, target, opts) })
 	if err != nil {
 		return fmt.Errorf("scenario: anycast_batch: %w", err)
 	}
-	r.anyBatches++
-	r.anySent += res.Sent
-	r.anyDelivered += res.Delivered
-	r.anyDropped += res.RetryExpired + res.Pending
-	for h, n := range res.HopsHist {
-		r.anyHops += h * n
-	}
-	if r.anyLatQ == nil {
-		r.anyLatQ = stats.NewReservoir(1024, r.spec.Seed)
-	}
-	for _, l := range res.Latencies {
-		ms := float64(l.Milliseconds())
-		r.anyLatency.Add(ms)
-		r.anyLatQ.Add(ms)
+	ttlExpired := 0
+	for _, id := range sent {
+		rec, ok := r.w.Collector().Anycast(id)
+		if !ok {
+			continue
+		}
+		out.anySent++
+		switch rec.Outcome {
+		case ops.OutcomeDelivered:
+			out.anyDelivered++
+			out.anyHops += rec.Hops
+			out.anyLatMs = append(out.anyLatMs, float64(rec.Latency.Milliseconds()))
+		case ops.OutcomeTTLExpired:
+			ttlExpired++
+		default: // retries exhausted, or lost without a verdict
+			out.anyDropped++
+		}
 	}
 	r.logf("anycast batch: %d sent to %v, %.2f delivered (%d ttl-expired, %d dropped)",
-		res.Sent, spec.Target, res.FractionDelivered(), res.TTLExpired, res.RetryExpired+res.Pending)
+		out.anySent, target, mean(float64(out.anyDelivered), out.anySent), ttlExpired, out.anyDropped)
 	return nil
 }
 
-func (r *runState) multicastBatch(b *MulticastBatch) error {
+func (r *runState) multicastBatch(b *MulticastBatch, out *tally) error {
 	mode, _ := parseMode(b.Mode)
 	flavor, _ := parseFlavor(b.Flavor)
-	spec := exp.MulticastSpec{
-		Name:   "scenario",
-		BandLo: b.BandLo, BandHi: bandHi(b.BandHi),
-		Target: b.target(),
-		Mode:   mode, Flavor: flavor,
-		Fanout: b.Fanout, Rounds: b.Rounds, Period: b.Period.D(),
-		Runs: 1, PerRun: b.Count,
-		Gap: b.Gap.D(), Settle: b.Settle.D(),
+	opts := ops.MulticastOptions{Anycast: ops.DefaultAnycastOptions(), Mode: mode, Flavor: flavor,
+		Fanout: b.Fanout, Rounds: b.Rounds, Period: b.Period.D()}
+	if mode == ops.Gossip {
+		// The paper's gossip: fanout 5, Ng = 2 rounds, a 1 s period.
+		opts.Fanout, opts.Rounds, opts.Period = cmp.Or(opts.Fanout, 5), cmp.Or(opts.Rounds, 2), cmp.Or(opts.Period, time.Second)
 	}
-	res, err := exp.RunMulticasts(r.w, spec)
+	target := b.target()
+	sent, err := r.batch(b.Count, b.BandLo, b.BandHi, cmp.Or(b.Gap.D(), 5*time.Second), cmp.Or(b.Settle.D(), 30*time.Second),
+		func(from ids.NodeID) (ops.MsgID, error) {
+			opts.Eligible = r.w.EligibleFor(target)
+			return r.w.Multicast(from, target, opts)
+		})
 	if err != nil {
 		return fmt.Errorf("scenario: multicast_batch: %w", err)
 	}
-	r.mcCount += res.Sent
-	r.mcReliability += res.MeanReliability() * float64(res.Sent)
-	r.mcSpam += res.MeanSpamRatio() * float64(res.Sent)
-	r.logf("multicast batch: %d sent to %v (%s), reliability %.2f, spam %.2f",
-		res.Sent, spec.Target, mode, res.MeanReliability(), res.MeanSpamRatio())
+	var reliability, spam float64
+	var lastMs []float64 // last-delivery latency of each multicast that delivered (Fig 11)
+	for _, id := range sent {
+		rec, ok := r.w.Collector().Multicast(id)
+		if !ok {
+			continue
+		}
+		out.mcCount++
+		reliability += rec.Reliability()
+		spam += rec.SpamRatio()
+		if len(rec.Delivered) > 0 {
+			lastMs = append(lastMs, float64(rec.WorstLatency().Milliseconds()))
+		}
+	}
+	out.mcReliability, out.mcSpam = weighted(reliability, out.mcCount), weighted(spam, out.mcCount)
+	r.logf("multicast batch: %d sent to %v (%s), reliability %.2f, spam %.2f, last delivery p50 %.0f ms, max %.0f ms",
+		out.mcCount, target, mode, mean(reliability, out.mcCount), mean(spam, out.mcCount),
+		stats.Percentile(lastMs, 50), stats.Percentile(lastMs, 100))
 	return nil
 }
 
-func (r *runState) rangecastBatch(b *RangecastBatch) error {
+func (r *runState) rangecastBatch(b *RangecastBatch, out *tally) error {
 	flavor, _ := parseFlavor(b.Flavor)
-	spec := exp.RangecastSpec{
-		Name:   "scenario",
-		BandLo: b.BandLo, BandHi: bandHi(b.BandHi),
-		Band:    b.band(),
-		Payload: b.Payload,
-		Flavor:  flavor,
-		Runs:    1, PerRun: b.Count,
-		Gap: b.Gap.D(), Settle: b.Settle.D(),
-	}
-	res, err := exp.RunRangecasts(r.w, spec)
+	opts := ops.RangecastOptions{Anycast: ops.DefaultAnycastOptions(), Flavor: flavor}
+	band := b.band()
+	sent, err := r.batch(b.Count, b.BandLo, b.BandHi, cmp.Or(b.Gap.D(), 5*time.Second), cmp.Or(b.Settle.D(), 30*time.Second),
+		func(from ids.NodeID) (ops.MsgID, error) {
+			opts.Eligible = len(bandEligible(r.w, band))
+			return r.w.Rangecast(from, band.Lo, band.Hi, b.Payload, opts)
+		})
 	if err != nil {
 		return fmt.Errorf("scenario: rangecast: %w", err)
 	}
-	r.rcCount += res.Sent
-	r.rcCoverage += res.MeanCoverage() * float64(res.Sent)
-	r.rcSpam += res.MeanSpamRatio() * float64(res.Sent)
+	var coverage, spam float64
+	for _, id := range sent {
+		rec, ok := r.w.Collector().Rangecast(id)
+		if !ok {
+			continue
+		}
+		out.rcCount++
+		coverage += rec.Coverage()
+		spam += rec.SpamRatio()
+	}
+	out.rcCoverage, out.rcSpam = weighted(coverage, out.rcCount), weighted(spam, out.rcCount)
 	r.logf("rangecast batch: %d sent to %v, coverage %.2f, spam %.2f",
-		res.Sent, spec.Band, res.MeanCoverage(), res.MeanSpamRatio())
+		out.rcCount, band, mean(coverage, out.rcCount), mean(spam, out.rcCount))
 	return nil
 }
 
-func (r *runState) aggregateBatch(b *AggregateBatch) error {
+func (r *runState) aggregateBatch(b *AggregateBatch, out *tally) error {
 	op, _ := parseOp(b.Op)
 	flavor, _ := parseFlavor(b.Flavor)
-	spec := exp.AggregateSpec{
-		Name:   "scenario",
-		BandLo: b.BandLo, BandHi: bandHi(b.BandHi),
-		Band:       b.band(),
-		Op:         op,
-		Flavor:     flavor,
-		Redundancy: b.Redundancy,
-		Runs:       1, PerRun: b.Count,
-		Gap: b.Gap.D(), Settle: b.Settle.D(),
-	}
-	res, err := exp.RunAggregates(r.w, spec)
+	opts := ops.AggregateOptions{Anycast: ops.DefaultAnycastOptions(), Flavor: flavor, Redundancy: b.Redundancy}
+	band := b.band()
+	col := r.w.Collector()
+	rej0, forgRej0, forgAcc0 := col.AggCounters()
+	// An aggregation converges within MaxDepth+1 waves; the default gap
+	// spaces initiations past that so trees do not stack up.
+	sent, err := r.batch(b.Count, b.BandLo, b.BandHi, cmp.Or(b.Gap.D(), 10*time.Second), cmp.Or(b.Settle.D(), 30*time.Second),
+		func(from ids.NodeID) (ops.MsgID, error) {
+			// Ground truth frozen at initiation: accuracy measures what the
+			// overlay lost, not what churn changed underneath it.
+			opts.Eligible, opts.Truth = groundTruth(r.w, op, band)
+			return r.w.Aggregate(from, op, band.Lo, band.Hi, opts)
+		})
 	if err != nil {
 		return fmt.Errorf("scenario: aggregate: %w", err)
 	}
-	r.agSent += res.Sent
-	r.agDone += res.Done
-	r.agAccuracy += res.MeanAccuracy() * float64(res.Sent)
-	r.agCoverage += res.MeanCoverage() * float64(res.Sent)
-	r.agHops += res.MeanDepth() * float64(res.Done)
-	r.agDiverge += res.MeanDivergence() * float64(res.Done)
-	r.agRejected += res.RejectedPartials
-	r.agForgRej += res.ForgeryRejected
-	r.agForgAcc += res.ForgeryAccepted
+	var accuracy, coverage, divergence float64
+	depth := 0
+	for _, id := range sent {
+		rec, ok := col.Aggregate(id)
+		if !ok {
+			continue
+		}
+		out.agSent++
+		accuracy += rec.Accuracy()
+		coverage += rec.Coverage()
+		if rec.Done {
+			out.agDone++
+			depth += rec.TreeDepth()
+			divergence += rec.Divergence
+		}
+	}
+	rej1, forgRej1, forgAcc1 := col.AggCounters()
+	out.agRejected, out.agForgRej, out.agForgAcc = rej1-rej0, forgRej1-forgRej0, forgAcc1-forgAcc0
+	out.agAccuracy, out.agCoverage = weighted(accuracy, out.agSent), weighted(coverage, out.agSent)
+	out.agHops, out.agDiverge = weighted(float64(depth), out.agDone), weighted(divergence, out.agDone)
 	r.logf("aggregate batch: %d %v over %v, accuracy %.3f, coverage %.2f, done %d, divergence %.3f, rejected %d, forged %d/%d",
-		res.Sent, op, spec.Band, res.MeanAccuracy(), res.MeanCoverage(), res.Done,
-		res.MeanDivergence(), res.RejectedPartials, res.ForgeryAccepted, res.ForgeryAccepted+res.ForgeryRejected)
+		out.agSent, op, band, mean(accuracy, out.agSent), mean(coverage, out.agSent), out.agDone,
+		mean(divergence, out.agDone), out.agRejected, out.agForgAcc, out.agForgAcc+out.agForgRej)
 	return nil
 }
 
-// metrics computes the final metric map: workload aggregates plus an
-// end-of-run overlay snapshot.
+// bandEligible returns the online nodes whose true availability lies
+// in the half-open band — the ground-truth population range-cast
+// coverage and aggregation accuracy are measured against.
+func bandEligible(w exp.Deployment, b ops.Band) []ids.NodeID {
+	hi := b.Hi
+	if hi >= 1 {
+		// The band closes its top end at 1; OnlineInBand is half-open,
+		// so stretch past every capped estimate.
+		hi = 1.01
+	}
+	return w.OnlineInBand(b.Lo, hi)
+}
+
+// groundTruth computes the true aggregate over the online in-band
+// population at the current instant — what a perfect census would
+// report. The returned eligible count doubles as the coverage
+// denominator.
+func groundTruth(w exp.Deployment, op agg.Op, b ops.Band) (eligible int, truth float64) {
+	var p agg.Partial
+	for _, id := range bandEligible(w, b) {
+		p.Observe(w.TrueAvailability(id), 0)
+	}
+	return p.N, p.Value(op)
+}
+
+// metrics computes the final metric map: the run's workload and probe
+// metrics, each label's under "<label>/", and an end-of-run overlay
+// snapshot.
 func (r *runState) metrics() map[string]float64 {
 	m := make(map[string]float64, len(Metrics))
-	if r.anySent > 0 {
-		m["anycast_delivery_rate"] = float64(r.anyDelivered) / float64(r.anySent)
-		m["anycast_drop_rate"] = float64(r.anyDropped) / float64(r.anySent)
-	}
-	if r.anyDelivered > 0 {
-		m["anycast_mean_hops"] = float64(r.anyHops) / float64(r.anyDelivered)
-	}
-	if r.anyLatency.Count() > 0 {
-		m["anycast_mean_latency_ms"] = r.anyLatency.Mean()
-		m["anycast_p90_latency_ms"] = r.anyLatQ.Percentile(90)
-	}
-	if r.mcCount > 0 {
-		m["multicast_reliability"] = r.mcReliability / float64(r.mcCount)
-		m["multicast_spam_ratio"] = r.mcSpam / float64(r.mcCount)
-	}
-	if r.rcCount > 0 {
-		m["rangecast_coverage"] = r.rcCoverage / float64(r.rcCount)
-		m["rangecast_spam_ratio"] = r.rcSpam / float64(r.rcCount)
-	}
-	if r.agSent > 0 {
-		m["agg_accuracy"] = r.agAccuracy / float64(r.agSent)
-		m["agg_coverage"] = r.agCoverage / float64(r.agSent)
-		m["agg_completion_rate"] = float64(r.agDone) / float64(r.agSent)
-		m["agg_rejected_partials"] = float64(r.agRejected)
-		m["agg_forgery_rejected"] = float64(r.agForgRej)
-		m["agg_forgery_accepted"] = float64(r.agForgAcc)
-	}
-	if r.agDone > 0 {
-		m["agg_mean_hops"] = r.agHops / float64(r.agDone)
-		m["agg_divergence"] = r.agDiverge / float64(r.agDone)
-	}
-	if r.attackProbes > 0 {
-		m["attack_accept_rate"] = r.attackAccept
-		m["legit_reject_rate"] = r.legitReject
+	r.total.metrics(m, "")
+	for label, t := range r.labels {
+		t.metrics(m, label+"/")
 	}
 	if n := len(r.w.Adversaries()); n > 0 {
 		if hosts := len(r.w.Hosts()); hosts > 0 {
@@ -535,10 +713,6 @@ func (r *runState) metrics() map[string]float64 {
 				m["audit_mean_detection_s"] = stats.MeanDetection.Seconds()
 			}
 		}
-	}
-	if r.biasProbed {
-		m["overlay_bias"] = r.bias.Bias
-		m["overlay_adversary_share"] = r.bias.CoarseShare
 	}
 	// One pass over the host universe with incremental moments — no
 	// O(hosts) online-snapshot slice even at 100k hosts.
@@ -564,6 +738,57 @@ func (r *runState) metrics() map[string]float64 {
 		m["online_fraction"] = float64(sliver.Count()) / float64(hosts)
 	}
 	return m
+}
+
+// metrics writes the tally's workload and probe metrics into m, each
+// name behind prefix.
+func (t *tally) metrics(m map[string]float64, prefix string) {
+	set := func(name string, v float64) { m[prefix+name] = v }
+	if t.anySent > 0 {
+		set("anycast_delivery_rate", float64(t.anyDelivered)/float64(t.anySent))
+		set("anycast_drop_rate", float64(t.anyDropped)/float64(t.anySent))
+	}
+	if t.anyDelivered > 0 {
+		set("anycast_mean_hops", float64(t.anyHops)/float64(t.anyDelivered))
+	}
+	if t.anyLatency.Count() > 0 {
+		set("anycast_mean_latency_ms", t.anyLatency.Mean())
+		set("anycast_p90_latency_ms", t.anyLatQ.Percentile(90))
+	}
+	if t.mcCount > 0 {
+		set("multicast_reliability", t.mcReliability/float64(t.mcCount))
+		set("multicast_spam_ratio", t.mcSpam/float64(t.mcCount))
+	}
+	if t.rcCount > 0 {
+		set("rangecast_coverage", t.rcCoverage/float64(t.rcCount))
+		set("rangecast_spam_ratio", t.rcSpam/float64(t.rcCount))
+	}
+	if t.agSent > 0 {
+		set("agg_accuracy", t.agAccuracy/float64(t.agSent))
+		set("agg_coverage", t.agCoverage/float64(t.agSent))
+		set("agg_completion_rate", float64(t.agDone)/float64(t.agSent))
+		set("agg_rejected_partials", float64(t.agRejected))
+		set("agg_forgery_rejected", float64(t.agForgRej))
+		set("agg_forgery_accepted", float64(t.agForgAcc))
+	}
+	if t.agDone > 0 {
+		set("agg_mean_hops", t.agHops/float64(t.agDone))
+		set("agg_divergence", t.agDiverge/float64(t.agDone))
+	}
+	if t.attackProbes > 0 {
+		set("attack_accept_rate", t.attackAccept)
+		set("legit_reject_rate", t.legitReject)
+	}
+	if t.biasProbed {
+		set("overlay_bias", t.bias.Bias)
+		set("overlay_adversary_share", t.bias.CoarseShare)
+	}
+	if t.overlayProbed {
+		set("hs_median_sliver_size", t.overlay.hsMedian)
+		set("vs_median_sliver_size", t.overlay.vsMedian)
+		set("hs_sublinearity_ratio", t.overlay.sublinearity)
+		set("vs_indegree_spread", t.overlay.vsSpread)
+	}
 }
 
 // evaluate checks every assertion against the produced metrics.

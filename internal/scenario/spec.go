@@ -1,16 +1,17 @@
-// Package scenario is the declarative scenario engine: a JSON scenario
-// spec describes a fleet (hosts, churn trace, predicate parameters), a
-// timed event sequence (churn bursts, selfish-node attack probes,
-// monitor-noise ramps, anycast/multicast workload batches), and a set
-// of assertions over the metrics the run produces (delivery rate,
-// multicast reliability, spam, sliver-size bounds). The engine builds a
-// deployment with the internal/exp engine, fires the events in order on
-// the virtual clock, and evaluates the assertions — turning the fixed
-// figure-regeneration harness into "any scenario you can describe".
+// Package scenario is the declarative scenario engine, the one way to
+// describe an experiment: a JSON scenario spec describes a fleet (hosts,
+// churn trace, predicate parameters), a timed event sequence (churn
+// bursts, attack and overlay probes, monitor-noise ramps, workload
+// batches), and a set of assertions over the metrics the run produces
+// (delivery rate, multicast reliability, spam, sliver-size bounds). The
+// engine builds a deployment with the internal/exp engine, fires the
+// events in order on the virtual clock, and evaluates the assertions.
+// An event's label groups its metrics apart from the run's totals, so
+// one spec can carry every series of a figure.
 //
 // cmd/avmemsim exposes it as `avmemsim run <scenario.json>` and
 // `avmemsim validate <scenario.json>`; checked-in examples live under
-// scenarios/.
+// scenarios/, and the paper's §4 figures under scenarios/paper/.
 //
 // Architecture: DESIGN.md §9 (deployment engines and the scenario
 // layer); the README carries a spec cheat sheet.
@@ -122,6 +123,10 @@ type Fleet struct {
 	// (suspicion scores, hysteresis, blacklist/eviction). An empty
 	// object takes the defaults.
 	Audit *AuditSpec `json:"audit,omitempty"`
+	// Overlay "random" replaces the paper predicate with the consistent
+	// random overlay of the paper's Figure 10 baseline, 2·ln N* expected
+	// neighbors (SCAMP/CYCLON-like O(log N) views).
+	Overlay string `json:"overlay,omitempty"`
 }
 
 // AuditSpec tunes the audit layer (internal/audit). Zero fields take
@@ -242,7 +247,11 @@ type Event struct {
 	// At is the earliest firing time, relative to warmup end. Events
 	// fire in list order; an event whose At has already passed (because
 	// an earlier batch consumed virtual time) fires immediately.
-	At             Duration        `json:"at"`
+	At Duration `json:"at"`
+	// Label, when set, also reports the event's workload or probe
+	// metrics as "<label>/<metric>"; events sharing a label accumulate
+	// together, as one batch would.
+	Label          string          `json:"label,omitempty"`
 	ChurnBurst     *ChurnBurst     `json:"churn_burst,omitempty"`
 	Attack         *Attack         `json:"attack,omitempty"`
 	MonitorNoise   *MonitorNoise   `json:"monitor_noise,omitempty"`
@@ -252,6 +261,7 @@ type Event struct {
 	Aggregate      *AggregateBatch `json:"aggregate,omitempty"`
 	Adversary      *AdversaryEvent `json:"adversary,omitempty"`
 	BiasProbe      *BiasProbe      `json:"bias_probe,omitempty"`
+	OverlayProbe   *OverlayProbe   `json:"overlay_probe,omitempty"`
 }
 
 // AdversaryEvent arms (onset) or disarms (offset) the Byzantine
@@ -265,6 +275,12 @@ type AdversaryEvent struct {
 // measure); the last probe's values become the overlay_bias and
 // overlay_adversary_share metrics.
 type BiasProbe struct{}
+
+// OverlayProbe snapshots the overlay's shape (the paper's Figures 2–4):
+// median sliver sizes, the horizontal sliver's sublinear growth in its
+// candidate count, and the spread of vertical-sliver in-degree across
+// availability deciles. The last probe's values become the metrics.
+type OverlayProbe struct{}
 
 // ChurnBurst forces a fraction of the online population offline for a
 // fixed duration — a correlated failure (power event, partition) on top
@@ -415,7 +431,7 @@ var Metrics = map[string]string{
 	"legit_reject_rate":       "worst per-probe fraction of legitimate neighbor messages rejected",
 	"mean_sliver_size":        "mean total membership-list size across online nodes at run end",
 	"max_sliver_size":         "largest total membership-list size across online nodes at run end",
-	"mean_degree":             "alias of mean_sliver_size (kept for symmetry with the figure harness)",
+	"mean_degree":             "alias of mean_sliver_size (the paper's mean degree)",
 	"online_fraction":         "fraction of the population online at run end",
 
 	"rangecast_coverage":    "mean delivered/eligible across all range-casts",
@@ -435,6 +451,11 @@ var Metrics = map[string]string{
 	"audit_mean_detection_s":    "mean seconds from adversary onset to first honest eviction, over detected adversaries",
 	"overlay_bias":              "last bias probe: adversary coarse-view share over population share (1 = unbiased)",
 	"overlay_adversary_share":   "last bias probe: adversary share of honest nodes' coarse views",
+
+	"hs_median_sliver_size": "last overlay probe: median horizontal-sliver size across online nodes (Fig 2b)",
+	"vs_median_sliver_size": "last overlay probe: median vertical-sliver size across online nodes (Fig 2c)",
+	"hs_sublinearity_ratio": "last overlay probe: HS size growth over candidate-count growth, densest vs sparsest quartile (Fig 3; < 1 is sublinear)",
+	"vs_indegree_spread":    "last overlay probe: largest over smallest mean incoming VS references per online node across availability deciles (Fig 4; 1 = uniform)",
 }
 
 // Load parses and validates a scenario spec from r. Unknown fields are
@@ -752,6 +773,9 @@ func (s *Spec) Problems() []Problem {
 	if _, err := availabilityPDF(s.Fleet.Availability); err != nil {
 		ps.add("fleet.availability", "%v", err)
 	}
+	if o := s.Fleet.Overlay; o != "" && o != "random" {
+		ps.add("fleet.overlay", "unknown overlay %q (omit it for the AVMEM predicate, or \"random\")", o)
+	}
 	s.Fleet.Audit.problems(ps)
 	s.Adversaries.problems(ps)
 	if s.Warmup < 0 {
@@ -761,7 +785,9 @@ func (s *Spec) Problems() []Problem {
 		ps.add("events", "at least one event is required")
 	}
 	prev := Duration(0)
+	labels := map[string]bool{}
 	for i := range s.Events {
+		labels[s.Events[i].Label] = true
 		path := fmt.Sprintf("events[%d]", i)
 		s.Events[i].problems(ps, path, s.Adversaries != nil)
 		if s.Events[i].At < prev {
@@ -776,7 +802,14 @@ func (s *Spec) Problems() []Problem {
 	}
 	for i, a := range s.Assertions {
 		path := fmt.Sprintf("assertions[%d]", i)
-		if _, ok := Metrics[a.Metric]; !ok {
+		label, metric, labelled := strings.Cut(a.Metric, "/")
+		if !labelled {
+			metric = label
+		} else if !labels[label] || label == "" {
+			ps.add(path+".metric", "unknown label %q (no event carries it)", label)
+			continue
+		}
+		if _, ok := Metrics[metric]; !ok {
 			ps.add(path+".metric", "unknown metric %q", a.Metric)
 			continue
 		}
@@ -842,6 +875,9 @@ func (e *Event) problems(ps *problems, path string, haveAdversaries bool) {
 	if e.At < 0 {
 		ps.add(path+".at", "must be non-negative, got %v", e.At.D())
 	}
+	if strings.Contains(e.Label, "/") {
+		ps.add(path+".label", "%q: a label may not contain '/' (it separates the label from the metric)", e.Label)
+	}
 	n := 0
 	if e.ChurnBurst != nil {
 		n++
@@ -903,8 +939,11 @@ func (e *Event) problems(ps *problems, path string, haveAdversaries bool) {
 			ps.add(path+".bias_probe", "requires an adversaries block")
 		}
 	}
+	if e.OverlayProbe != nil {
+		n++
+	}
 	if n != 1 {
-		ps.add(path, "exactly one action per event (churn_burst, attack, monitor_noise, anycast_batch, multicast_batch, rangecast, aggregate, adversary, bias_probe), got %d", n)
+		ps.add(path, "exactly one action per event (churn_burst, attack, monitor_noise, anycast_batch, multicast_batch, rangecast, aggregate, adversary, bias_probe, overlay_probe), got %d", n)
 	}
 }
 

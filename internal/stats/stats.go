@@ -226,7 +226,7 @@ type Series struct {
 }
 
 // Table renders one or more series as an aligned text table with a
-// header, the form the harness prints for every figure.
+// header, the form the scenario probes print their per-decile rows in.
 func Table(xLabel string, series ...Series) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%-14s", xLabel)

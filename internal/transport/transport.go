@@ -53,6 +53,10 @@ const (
 	KindAnycast        = "anycast"
 	KindMulticast      = "multicast"
 	KindDelivered      = "delivered"
+	KindRangecast      = "rangecast"
+	KindAgg            = "agg"
+	KindAggReply       = "agg-reply"
+	KindAggResult      = "agg-result"
 	KindShuffleRequest = "shuffle-request"
 	KindShuffleReply   = "shuffle-reply"
 )
@@ -67,6 +71,14 @@ func Encode(from ids.NodeID, msg any) (Envelope, error) {
 		kind = KindMulticast
 	case ops.DeliveredMsg:
 		kind = KindDelivered
+	case ops.RangecastMsg:
+		kind = KindRangecast
+	case ops.AggMsg:
+		kind = KindAgg
+	case ops.AggReplyMsg:
+		kind = KindAggReply
+	case ops.AggResultMsg:
+		kind = KindAggResult
 	case shuffle.Request:
 		kind = KindShuffleRequest
 	case shuffle.Reply:
@@ -85,36 +97,33 @@ func Encode(from ids.NodeID, msg any) (Envelope, error) {
 func Decode(env Envelope) (any, error) {
 	switch env.Kind {
 	case KindAnycast:
-		var m ops.AnycastMsg
-		if err := json.Unmarshal(env.Body, &m); err != nil {
-			return nil, fmt.Errorf("transport: decoding anycast: %w", err)
-		}
-		return m, nil
+		return decode[ops.AnycastMsg](env)
 	case KindMulticast:
-		var m ops.MulticastMsg
-		if err := json.Unmarshal(env.Body, &m); err != nil {
-			return nil, fmt.Errorf("transport: decoding multicast: %w", err)
-		}
-		return m, nil
+		return decode[ops.MulticastMsg](env)
 	case KindDelivered:
-		var m ops.DeliveredMsg
-		if err := json.Unmarshal(env.Body, &m); err != nil {
-			return nil, fmt.Errorf("transport: decoding delivered: %w", err)
-		}
-		return m, nil
+		return decode[ops.DeliveredMsg](env)
+	case KindRangecast:
+		return decode[ops.RangecastMsg](env)
+	case KindAgg:
+		return decode[ops.AggMsg](env)
+	case KindAggReply:
+		return decode[ops.AggReplyMsg](env)
+	case KindAggResult:
+		return decode[ops.AggResultMsg](env)
 	case KindShuffleRequest:
-		var m shuffle.Request
-		if err := json.Unmarshal(env.Body, &m); err != nil {
-			return nil, fmt.Errorf("transport: decoding shuffle request: %w", err)
-		}
-		return m, nil
+		return decode[shuffle.Request](env)
 	case KindShuffleReply:
-		var m shuffle.Reply
-		if err := json.Unmarshal(env.Body, &m); err != nil {
-			return nil, fmt.Errorf("transport: decoding shuffle reply: %w", err)
-		}
-		return m, nil
+		return decode[shuffle.Reply](env)
 	default:
 		return nil, fmt.Errorf("transport: unknown message kind %q", env.Kind)
 	}
+}
+
+// decode unmarshals an envelope's body as a message of type M.
+func decode[M any](env Envelope) (any, error) {
+	var m M
+	if err := json.Unmarshal(env.Body, &m); err != nil {
+		return nil, fmt.Errorf("transport: decoding %s: %w", env.Kind, err)
+	}
+	return m, nil
 }
