@@ -124,6 +124,54 @@ func TestRangecastEmptyBand(t *testing.T) {
 	}
 }
 
+// TestHullBoundaryNode pins what a node sitting exactly on a target's
+// upper edge receives. The overlay is a path-like HS graph
+// 0.8 – 0.6 – {0.5, 0.42}: the initiator at 0.8 can only enter through
+// the node at 0.6. A multicast to the closed [0.4, 0.6] delivers to it;
+// a range-cast to the half-open [0.4, 0.6) counts it as spam, yet, as
+// the entry node, it still relays the payload into the band.
+func TestHullBoundaryNode(t *testing.T) {
+	avails := []float64{0.8, 0.6, 0.5, 0.42}
+	c := newCluster(t, chainPredicate(t, 0.21), avails, false)
+	edge := string(c.nodes[1])
+
+	tgt, _ := Range(0.4, 0.6)
+	mopts := DefaultMulticastOptions()
+	mopts.Eligible = 3
+	mid, err := c.routers[c.nodes[0]].Multicast(tgt, mopts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.run()
+	m, _ := c.col.Multicast(mid)
+	if _, ok := m.Delivered[edge]; !ok || len(m.Delivered) != 3 || m.Spam != 0 {
+		t.Errorf("multicast to %v: delivered %v, spam %d; want all three incl. the node at 0.6, no spam", tgt, m.Delivered, m.Spam)
+	}
+
+	ropts := DefaultRangecastOptions()
+	ropts.Eligible = 2
+	rid, err := c.routers[c.nodes[0]].Rangecast(0.4, 0.6, "edge", ropts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.run()
+	r, _ := c.col.Rangecast(rid)
+	if !r.EnteredRange {
+		t.Fatal("range-cast never entered the band")
+	}
+	if _, ok := r.Delivered[edge]; ok || r.Spam != 1 {
+		t.Errorf("range-cast to [0.4,0.6): delivered %v, spam %d; want the node at 0.6 counted as spam", r.Delivered, r.Spam)
+	}
+	for _, in := range []int{2, 3} {
+		if _, ok := r.Delivered[string(c.nodes[in])]; !ok {
+			t.Errorf("entry at the hull did not relay to in-band node %d: %v", in, r.Delivered)
+		}
+	}
+	if r.MaxDepth != 1 {
+		t.Errorf("max depth = %d, want 1 (one relay past the entry)", r.MaxDepth)
+	}
+}
+
 func TestRangecastValidation(t *testing.T) {
 	c := newCluster(t, fullPredicate(t), []float64{0.5, 0.9}, false)
 	r := c.routers[c.nodes[0]]
