@@ -210,9 +210,6 @@ func (i Inflate) Outbound(_ ids.NodeID, msg any) Decision {
 	case ops.MulticastMsg:
 		m.SenderAvail = i.To
 		return Decision{Msg: m}
-	case ops.RangecastMsg:
-		m.SenderAvail = i.To
-		return Decision{Msg: m}
 	case ops.AggMsg:
 		m.SenderAvail = i.To
 		return Decision{Msg: m}
@@ -333,8 +330,6 @@ func (s *SelectiveForward) Outbound(_ ids.NodeID, msg any) Decision {
 	case ops.AnycastMsg:
 		origin = m.ID.Origin
 	case ops.MulticastMsg:
-		origin = m.ID.Origin
-	case ops.RangecastMsg:
 		origin = m.ID.Origin
 	case ops.AggMsg:
 		origin = m.ID.Origin

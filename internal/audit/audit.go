@@ -368,16 +368,19 @@ func (a *Auditor) ObserveInbound(sender ids.Addr, msg any) bool {
 	case ops.AnycastMsg:
 		a.observeOp(from, m.SenderAvail)
 	case ops.MulticastMsg:
-		a.observeOp(from, m.SenderAvail)
-	// The range-cast/aggregation family gets the claim cross-check but
-	// not the §4.1 predicate recheck: its traffic is band-filtered, not
-	// predicate-greedy, and flows repeatedly between the same
-	// vertical-sliver pairs — rechecking those pairs on every tree
-	// message turns ordinary estimate drift into accumulated soft
-	// evidence against honest peers (observed as false evictions in the
-	// census regression). Claims remain hard evidence everywhere.
-	case ops.RangecastMsg:
-		a.observeClaim(from, m.SenderAvail)
+		// The range-cast/aggregation family (a half-open multicast, the
+		// aggregation tree) gets the claim cross-check but not the §4.1
+		// predicate recheck: its traffic is band-filtered, not
+		// predicate-greedy, and flows repeatedly between the same
+		// vertical-sliver pairs — rechecking those pairs on every tree
+		// message turns ordinary estimate drift into accumulated soft
+		// evidence against honest peers (observed as false evictions in
+		// the census regression). Claims remain hard evidence everywhere.
+		if m.Spec.HalfOpen {
+			a.observeClaim(from, m.SenderAvail)
+		} else {
+			a.observeOp(from, m.SenderAvail)
+		}
 	case ops.AggMsg:
 		a.observeClaim(from, m.SenderAvail)
 	case ops.AggReplyMsg:

@@ -44,9 +44,11 @@ func (a *refAuditor) ObserveInbound(from ids.NodeID, msg any) bool {
 	case ops.AnycastMsg:
 		a.observeOp(from, m.SenderAvail)
 	case ops.MulticastMsg:
-		a.observeOp(from, m.SenderAvail)
-	case ops.RangecastMsg:
-		a.observeClaim(from, m.SenderAvail)
+		if m.Spec.HalfOpen {
+			a.observeClaim(from, m.SenderAvail)
+		} else {
+			a.observeOp(from, m.SenderAvail)
+		}
 	case ops.AggMsg:
 		a.observeClaim(from, m.SenderAvail)
 	case ops.AggReplyMsg:
@@ -267,7 +269,7 @@ func runAuditSchedule(t *testing.T, data []byte) {
 		case 3, 4:
 			var msg any = ops.AggReplyMsg{SenderAvail: claim}
 			if op&16 != 0 {
-				msg = ops.RangecastMsg{SenderAvail: claim}
+				msg = ops.MulticastMsg{SenderAvail: claim, Spec: ops.MulticastSpec{HalfOpen: true}}
 			}
 			want = model.ObserveInbound(id, msg)
 			for name, a := range impls {

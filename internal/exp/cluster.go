@@ -386,15 +386,6 @@ func (c *Cluster) Multicast(from ids.NodeID, target ops.Target, opts ops.Multica
 	return n.Multicast(target, opts)
 }
 
-// Rangecast implements Deployment.
-func (c *Cluster) Rangecast(from ids.NodeID, lo, hi float64, payload string, opts ops.RangecastOptions) (ops.MsgID, error) {
-	n := c.Node(from)
-	if n == nil {
-		return ops.MsgID{}, unknownNode(from)
-	}
-	return n.Rangecast(lo, hi, payload, opts)
-}
-
 // Aggregate implements Deployment.
 func (c *Cluster) Aggregate(from ids.NodeID, op agg.Op, lo, hi float64, opts ops.AggregateOptions) (ops.MsgID, error) {
 	n := c.Node(from)

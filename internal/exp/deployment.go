@@ -67,11 +67,9 @@ type Deployment interface {
 	NetworkSent() int
 	// Anycast initiates an anycast at node from.
 	Anycast(from ids.NodeID, target ops.Target, opts ops.AnycastOptions) (ops.MsgID, error)
-	// Multicast initiates a multicast at node from.
+	// Multicast initiates a multicast at node from (a range-cast when
+	// opts.HalfOpen is set).
 	Multicast(from ids.NodeID, target ops.Target, opts ops.MulticastOptions) (ops.MsgID, error)
-	// Rangecast initiates a range-cast at node from: payload delivery
-	// to every node with availability in [lo, hi).
-	Rangecast(from ids.NodeID, lo, hi float64, payload string, opts ops.RangecastOptions) (ops.MsgID, error)
 	// Aggregate initiates an in-overlay aggregation at node from: op
 	// over the local values of every node in [lo, hi).
 	Aggregate(from ids.NodeID, op agg.Op, lo, hi float64, opts ops.AggregateOptions) (ops.MsgID, error)
@@ -164,15 +162,6 @@ func (w *World) Multicast(from ids.NodeID, target ops.Target, opts ops.Multicast
 		return ops.MsgID{}, unknownNode(from)
 	}
 	return r.Multicast(target, opts)
-}
-
-// Rangecast implements Deployment.
-func (w *World) Rangecast(from ids.NodeID, lo, hi float64, payload string, opts ops.RangecastOptions) (ops.MsgID, error) {
-	r := w.Router(from)
-	if r == nil {
-		return ops.MsgID{}, unknownNode(from)
-	}
-	return r.Rangecast(lo, hi, payload, opts)
 }
 
 // Aggregate implements Deployment.

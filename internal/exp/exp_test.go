@@ -256,7 +256,7 @@ func anycasts(t testing.TB, d Deployment, lo, hi float64, target ops.Target, opt
 	var recs []*ops.AnycastRecord
 	for _, id := range sent {
 		if rec, ok := d.Collector().Anycast(id); ok {
-			recs = append(recs, rec)
+			recs = append(recs, &rec)
 		}
 	}
 	return recs
@@ -304,7 +304,7 @@ func multicasts(t testing.TB, d Deployment, lo, hi float64, target ops.Target, o
 	var recs []*ops.MulticastRecord
 	for _, id := range sent {
 		if rec, ok := d.Collector().Multicast(id); ok {
-			recs = append(recs, rec)
+			recs = append(recs, &rec)
 		}
 	}
 	return recs

@@ -546,19 +546,12 @@ func (n *Node) Anycast(target ops.Target, opts ops.AnycastOptions) (ops.MsgID, e
 	return n.router.Anycast(target, opts)
 }
 
-// Multicast initiates a multicast and returns its operation ID.
+// Multicast initiates a multicast (a range-cast when opts.HalfOpen is
+// set) and returns its operation ID.
 func (n *Node) Multicast(target ops.Target, opts ops.MulticastOptions) (ops.MsgID, error) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	return n.router.Multicast(target, opts)
-}
-
-// Rangecast initiates a range-cast: payload delivery to every node
-// whose availability lies in the half-open band [lo, hi).
-func (n *Node) Rangecast(lo, hi float64, payload string, opts ops.RangecastOptions) (ops.MsgID, error) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.router.Rangecast(lo, hi, payload, opts)
 }
 
 // Aggregate initiates an in-overlay aggregation of op over the local
@@ -571,55 +564,31 @@ func (n *Node) Aggregate(op agg.Op, lo, hi float64, opts ops.AggregateOptions) (
 	return n.router.Aggregate(op, lo, hi, opts)
 }
 
+// The *Result accessors return a copy of an operation record this node
+// initiated. The collector takes it under its own lock and clones the
+// record's map and slice: other nodes sharing the collector
+// (Config.Collector) keep writing the original from their goroutines,
+// which the node's own lock does not order.
+
 // AnycastResult returns the current record of an anycast this node
 // initiated.
 func (n *Node) AnycastResult(id ops.MsgID) (ops.AnycastRecord, bool) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	r, ok := n.col.Anycast(id)
-	if !ok {
-		return ops.AnycastRecord{}, false
-	}
-	return *r, true
+	return n.col.Anycast(id)
 }
 
-// MulticastResult returns the current record of a multicast this node
-// initiated. The Delivered map reflects only deliveries observed by
-// this node's collector (its own receipt) unless the deployment shares
-// a collector through Config.Collector.
+// MulticastResult returns the current record of a multicast or
+// range-cast this node initiated. The Delivered map reflects only
+// deliveries observed by this node's collector (its own receipt) unless
+// the deployment shares a collector through Config.Collector.
 func (n *Node) MulticastResult(id ops.MsgID) (ops.MulticastRecord, bool) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	r, ok := n.col.Multicast(id)
-	if !ok {
-		return ops.MulticastRecord{}, false
-	}
-	return *r, true
-}
-
-// RangecastResult returns the current record of a range-cast this node
-// initiated (see MulticastResult for collector-sharing semantics).
-func (n *Node) RangecastResult(id ops.MsgID) (ops.RangecastRecord, bool) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	r, ok := n.col.Rangecast(id)
-	if !ok {
-		return ops.RangecastRecord{}, false
-	}
-	return *r, true
+	return n.col.Multicast(id)
 }
 
 // AggregateResult returns the current record of an aggregation this
 // node initiated; Done flips once the tree's combined partial came
 // back from the root.
 func (n *Node) AggregateResult(id ops.MsgID) (ops.AggregateRecord, bool) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	r, ok := n.col.Aggregate(id)
-	if !ok {
-		return ops.AggregateRecord{}, false
-	}
-	return *r, true
+	return n.col.Aggregate(id)
 }
 
 // Neighbors returns a snapshot of the node's current AVMEM neighbors.

@@ -13,8 +13,8 @@ import (
 
 // liveCluster spins up n live nodes over a wall-clock memnet with
 // the given availabilities, an accept-all predicate (deterministic
-// topology), and a static monitor.
-func liveCluster(t *testing.T, avails []float64, pred *core.Predicate) ([]*Node, func()) {
+// topology), and a static monitor. A non-nil col is shared by every node.
+func liveCluster(t *testing.T, avails []float64, pred *core.Predicate, col *ops.Collector) ([]*Node, func()) {
 	t.Helper()
 	tr := transport.NewMemnet(transport.MemnetConfig{})
 	monitor := avmon.Static{}
@@ -42,6 +42,7 @@ func liveCluster(t *testing.T, avails []float64, pred *core.Predicate) ([]*Node,
 			Transport:      tr,
 			ProtocolPeriod: 50 * time.Millisecond,
 			RefreshPeriod:  time.Second,
+			Collector:      col,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -95,7 +96,7 @@ func TestNewValidation(t *testing.T) {
 }
 
 func TestStartStopLifecycle(t *testing.T) {
-	nodes, cleanup := liveCluster(t, []float64{0.5}, acceptAll(t))
+	nodes, cleanup := liveCluster(t, []float64{0.5}, acceptAll(t), nil)
 	defer cleanup()
 	if err := nodes[0].Start(); err == nil {
 		t.Error("want error for double start")
@@ -105,7 +106,7 @@ func TestStartStopLifecycle(t *testing.T) {
 }
 
 func TestLiveDiscoveryBuildsSlivers(t *testing.T) {
-	nodes, cleanup := liveCluster(t, []float64{0.5, 0.55, 0.9}, acceptAll(t))
+	nodes, cleanup := liveCluster(t, []float64{0.5, 0.55, 0.9}, acceptAll(t), nil)
 	defer cleanup()
 	deadline := time.After(3 * time.Second)
 	for {
@@ -126,7 +127,7 @@ func TestLiveDiscoveryBuildsSlivers(t *testing.T) {
 }
 
 func TestLiveAnycastDelivers(t *testing.T) {
-	nodes, cleanup := liveCluster(t, []float64{0.5, 0.9}, acceptAll(t))
+	nodes, cleanup := liveCluster(t, []float64{0.5, 0.9}, acceptAll(t), nil)
 	defer cleanup()
 	// Wait for discovery.
 	deadline := time.After(3 * time.Second)
@@ -167,7 +168,7 @@ func TestLiveAnycastDelivers(t *testing.T) {
 }
 
 func TestLiveMulticastReachesInitiatorRange(t *testing.T) {
-	nodes, cleanup := liveCluster(t, []float64{0.9, 0.88, 0.86, 0.3}, acceptAll(t))
+	nodes, cleanup := liveCluster(t, []float64{0.9, 0.88, 0.86, 0.3}, acceptAll(t), nil)
 	defer cleanup()
 	deadline := time.After(3 * time.Second)
 	for {
@@ -202,6 +203,53 @@ func TestLiveMulticastReachesInitiatorRange(t *testing.T) {
 			rec, _ := nodes[0].MulticastResult(id)
 			t.Fatalf("multicast made no progress: %+v", rec)
 		case <-time.After(10 * time.Millisecond):
+		}
+	}
+}
+
+// TestSharedCollectorResultsDoNotRace: live nodes that share one
+// collector report into it from their own goroutines. One node
+// multicasts while another polls the record through its own result
+// accessor, walking the Delivered map as deliveries land; run under
+// -race, the poll must never read memory a handler is writing.
+func TestSharedCollectorResultsDoNotRace(t *testing.T) {
+	avails := []float64{0.9, 0.88, 0.86, 0.87}
+	nodes, cleanup := liveCluster(t, avails, acceptAll(t), ops.NewCollector())
+	defer cleanup()
+	deadline := time.Now().Add(3 * time.Second)
+	for {
+		if hs, vs := nodes[0].SliverSizes(); hs+vs >= len(avails)-1 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("discovery never completed")
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	target, err := ops.Range(0.85, 0.95)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := ops.DefaultMulticastOptions()
+	opts.Eligible = len(avails)
+	for round := 0; round < 5; round++ {
+		id, err := nodes[0].Multicast(target, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		deadline := time.Now().Add(3 * time.Second)
+		for {
+			rec, ok := nodes[1].MulticastResult(id)
+			seen := 0
+			for range rec.Delivered {
+				seen++
+			}
+			if ok && seen == len(avails) {
+				break
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("round %d: multicast reached %d of %d nodes", round, seen, len(avails))
+			}
 		}
 	}
 }
@@ -348,7 +396,7 @@ func TestNewSeedsAndPeersMutuallyExclusive(t *testing.T) {
 }
 
 func TestCoarseViewNilInPeersMode(t *testing.T) {
-	nodes, cleanup := liveCluster(t, []float64{0.5}, acceptAll(t))
+	nodes, cleanup := liveCluster(t, []float64{0.5}, acceptAll(t), nil)
 	defer cleanup()
 	if got := nodes[0].CoarseView(); got != nil {
 		t.Errorf("CoarseView in Peers mode = %v, want nil", got)

@@ -162,7 +162,7 @@ func (c *wireCheck) seen() int {
 
 // TestEveryRouterMessageCrossesTheWire runs every operation family — and
 // the shuffle that fills the coarse views — between live nodes whose
-// every message round-trips the TCP codec, until all nine kinds the wire
+// every message round-trips the TCP codec, until all eight kinds the wire
 // defines have crossed it.
 func TestEveryRouterMessageCrossesTheWire(t *testing.T) {
 	tr := &wireCheck{Transport: transport.NewMemnet(transport.MemnetConfig{}), t: t, kinds: map[string]bool{}}
@@ -207,7 +207,11 @@ func TestEveryRouterMessageCrossesTheWire(t *testing.T) {
 			high, _ := ops.Range(0.85, 0.95)
 			return origin.Multicast(high, ops.DefaultMulticastOptions())
 		},
-		func() (ops.MsgID, error) { return origin.Rangecast(0.85, 1, "payload", ops.DefaultRangecastOptions()) },
+		func() (ops.MsgID, error) {
+			opts := ops.DefaultMulticastOptions()
+			opts.HalfOpen, opts.Payload = true, "payload"
+			return origin.Multicast(ops.Target{Lo: 0.85, Hi: 1}, opts)
+		},
 		func() (ops.MsgID, error) { return origin.Aggregate(agg.Count, 0.2, 1, ops.DefaultAggregateOptions()) },
 		func() (ops.MsgID, error) {
 			return origin.Aggregate(agg.Count, 0.45, 0.55, ops.DefaultAggregateOptions())
@@ -218,7 +222,7 @@ func TestEveryRouterMessageCrossesTheWire(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	waitFor(t, "all nine message kinds on the wire", func() bool { return tr.seen() == 9 })
+	waitFor(t, "all eight message kinds on the wire", func() bool { return tr.seen() == 8 })
 }
 
 // arrivals is a transport that remembers which message types it handed
@@ -289,10 +293,12 @@ func TestLiveRangecastAndAggregateOverTCP(t *testing.T) {
 	origin := nodes[0]
 
 	// The origin lies in the band, enters it itself, and relays onward.
-	if _, err := origin.Rangecast(0.4, 1, "payload", ops.DefaultRangecastOptions()); err != nil {
+	opts := ops.DefaultMulticastOptions()
+	opts.HalfOpen, opts.Payload = true, "payload"
+	if _, err := origin.Multicast(ops.Target{Lo: 0.4, Hi: 1}, opts); err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, "the range-cast to reach the other band member", func() bool { return tr.got(all[1], "ops.RangecastMsg") })
+	waitFor(t, "the range-cast to reach the other band member", func() bool { return tr.got(all[1], "ops.MulticastMsg") })
 
 	for _, tc := range []struct {
 		lo, hi float64

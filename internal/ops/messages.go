@@ -80,8 +80,9 @@ func (m Mode) String() string {
 }
 
 // AnycastMsg is the wire message for {threshold,range}-anycast. It is
-// also the first stage of a multicast: when Multicast is non-nil, a
-// node inside the target switches to dissemination instead of
+// also the first stage of a multicast (range-casts included) and of an
+// aggregation: when Multicast or Aggregate is non-nil, a node inside the
+// target switches to dissemination or to rooting the tree instead of
 // terminating the operation.
 type AnycastMsg struct {
 	ID     MsgID
@@ -106,10 +107,6 @@ type AnycastMsg struct {
 	// Multicast carries stage-two parameters when this anycast fronts a
 	// multicast operation.
 	Multicast *MulticastSpec
-	// Rangecast carries stage-two parameters when this anycast fronts a
-	// range-cast: a node inside the band switches to band-filtered
-	// payload dissemination.
-	Rangecast *RangecastSpec
 	// Aggregate carries stage-two parameters when this anycast fronts
 	// an aggregation: the first node inside the band becomes the root
 	// of the partial-combining tree.
@@ -126,9 +123,16 @@ type MulticastSpec struct {
 	Rounds int
 	// Period is the gossip period (paper: 1 s).
 	Period time.Duration
+	// HalfOpen makes the target the half-open Band [Lo, Hi) — a
+	// range-cast (DESIGN.md §13): a node exactly at Hi below 1 is not
+	// addressed, so adjacent bands tile.
+	HalfOpen bool
+	// Payload is the management payload delivered to every target member.
+	Payload string
 }
 
-// MulticastMsg is the wire message of the dissemination stage.
+// MulticastMsg is the wire message of the dissemination stage: a
+// target-filtered flood or gossip with per-node duplicate suppression.
 type MulticastMsg struct {
 	ID     MsgID
 	Target Target
@@ -137,32 +141,18 @@ type MulticastMsg struct {
 	// SenderAvail is the disseminating node's claimed availability (see
 	// AnycastMsg.SenderAvail).
 	SenderAvail float64
-}
-
-// RangecastSpec carries the dissemination parameters of a range-cast.
-type RangecastSpec struct {
-	// Band is the half-open availability interval the payload
-	// addresses; dissemination forwards only to neighbors whose cached
-	// availability lies inside it (no flooding outside the band).
-	Band Band
-	// Flavor selects the sliver lists used for dissemination.
-	Flavor core.Flavor
-	// Payload is the management payload delivered to every band member.
-	Payload string
-}
-
-// RangecastMsg is the wire message of the range-cast dissemination
-// stage: a band-filtered flood with per-node duplicate suppression.
-type RangecastMsg struct {
-	ID   MsgID
-	Spec RangecastSpec
 	// Depth counts dissemination hops from the entry node (the entry
 	// delivery is depth 0).
-	Depth  int
-	SentAt time.Duration
-	// SenderAvail is the forwarding node's claimed availability (see
-	// AnycastMsg.SenderAvail).
-	SenderAvail float64
+	Depth int
+}
+
+// contains reports whether availability av lies in the message's target:
+// the closed interval, or the half-open band of a range-cast.
+func (m *MulticastMsg) contains(av float64) bool {
+	if m.Spec.HalfOpen {
+		return Band{Lo: m.Target.Lo, Hi: m.Target.Hi}.Contains(av)
+	}
+	return m.Target.Contains(av)
 }
 
 // AggregateSpec carries the tree-building parameters of an in-overlay

@@ -1,7 +1,9 @@
 package ops
 
 import (
+	"maps"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -50,10 +52,12 @@ type AnycastRecord struct {
 	Latency time.Duration
 }
 
-// MulticastRecord accumulates the result of one multicast.
+// MulticastRecord accumulates the result of one multicast or range-cast.
 type MulticastRecord struct {
 	ID     MsgID
 	Target Target
+	// HalfOpen marks a range-cast: Target is the half-open band [Lo, Hi).
+	HalfOpen bool
 	// Eligible is the number of online in-range nodes at initiation
 	// (set by the experiment; denominators for reliability and spam).
 	Eligible int
@@ -67,12 +71,16 @@ type MulticastRecord struct {
 	SentAt time.Duration
 	// LastDelivery is the latest first-delivery time observed.
 	LastDelivery time.Duration
+	// MaxDepth is the deepest dissemination hop count of an in-range
+	// delivery.
+	MaxDepth int
 }
 
-// Reliability returns delivered/eligible, capped at 1: Eligible is an
-// initiation-time snapshot while Delivered integrates over the whole
-// dissemination, so churn drifting extra nodes into the target can
-// deliver to more in-range receivers than the snapshot counted.
+// Reliability returns delivered/eligible — a range-cast's coverage —
+// capped at 1: Eligible is an initiation-time snapshot while Delivered
+// integrates over the whole dissemination, so churn drifting extra nodes
+// into the target can deliver to more in-range receivers than the
+// snapshot counted.
 func (r *MulticastRecord) Reliability() float64 {
 	if r.Eligible == 0 {
 		return 0
@@ -93,56 +101,6 @@ func (r *MulticastRecord) SpamRatio() float64 {
 // last receiving node obtaining the multicast"). Zero if nothing was
 // delivered.
 func (r *MulticastRecord) WorstLatency() time.Duration {
-	if len(r.Delivered) == 0 {
-		return 0
-	}
-	return r.LastDelivery - r.SentAt
-}
-
-// RangecastRecord accumulates the result of one range-cast.
-type RangecastRecord struct {
-	ID   MsgID
-	Band Band
-	// Eligible is the number of online in-band nodes at initiation
-	// (set by the experiment; the coverage denominator).
-	Eligible int
-	// Delivered maps in-band receivers to their first delivery time.
-	Delivered map[string]time.Duration
-	// Spam counts first deliveries to nodes outside the band.
-	Spam int
-	// EnteredRange reports whether stage one (the anycast) reached the
-	// band.
-	EnteredRange bool
-	// SentAt is the initiation time; LastDelivery the latest first
-	// delivery observed.
-	SentAt       time.Duration
-	LastDelivery time.Duration
-	// MaxDepth is the deepest dissemination hop count observed.
-	MaxDepth int
-}
-
-// Coverage returns delivered/eligible, capped at 1: Eligible is an
-// initiation-time snapshot while Delivered integrates over the whole
-// dissemination, so churn drifting extra nodes into the band can
-// deliver to more in-band receivers than the snapshot counted.
-func (r *RangecastRecord) Coverage() float64 {
-	if r.Eligible == 0 {
-		return 0
-	}
-	return math.Min(1, float64(len(r.Delivered))/float64(r.Eligible))
-}
-
-// SpamRatio returns out-of-band receptions per eligible node.
-func (r *RangecastRecord) SpamRatio() float64 {
-	if r.Eligible == 0 {
-		return 0
-	}
-	return float64(r.Spam) / float64(r.Eligible)
-}
-
-// WorstLatency returns the time from initiation to the last first
-// delivery (zero if nothing was delivered).
-func (r *RangecastRecord) WorstLatency() time.Duration {
 	if len(r.Delivered) == 0 {
 		return 0
 	}
@@ -205,7 +163,7 @@ func (r *AggregateRecord) Value() float64 {
 }
 
 // Coverage returns contributors/eligible, capped at 1 for the same
-// snapshot-vs-drift reason as RangecastRecord.Coverage.
+// snapshot-vs-drift reason as MulticastRecord.Reliability.
 func (r *AggregateRecord) Coverage() float64 {
 	if r.Eligible == 0 {
 		return 0
@@ -275,12 +233,13 @@ func ratioAccuracy(a, b float64) float64 {
 // A single mutex serializes every method: one collector is shared by
 // the whole fleet, and live nodes (memnet, TCP) report into it from
 // their own goroutines. Operations are rare next to protocol traffic,
-// so the lock is uncontended in practice.
+// so the lock is uncontended in practice. For the same reason the
+// record getters return copies taken under the lock, their maps and
+// slices cloned: a reader never shares memory a router still writes.
 type Collector struct {
 	mu         sync.Mutex
 	anycasts   map[MsgID]*AnycastRecord
 	multicasts map[MsgID]*MulticastRecord
-	rangecasts map[MsgID]*RangecastRecord
 	aggregates map[MsgID]*AggregateRecord
 	// aggOf maps every tree-instance id (including instance 0, which
 	// reuses the logical id) to its logical aggregation record.
@@ -303,8 +262,7 @@ type Collector struct {
 func NewCollector() *Collector {
 	return &Collector{
 		anycasts:   make(map[MsgID]*AnycastRecord, 256),
-		multicasts: make(map[MsgID]*MulticastRecord, 64),
-		rangecasts: make(map[MsgID]*RangecastRecord, 64),
+		multicasts: make(map[MsgID]*MulticastRecord, 128),
 		aggregates: make(map[MsgID]*AggregateRecord, 64),
 		aggOf:      make(map[MsgID]MsgID, 64),
 	}
@@ -317,57 +275,57 @@ func (c *Collector) StartAnycast(id MsgID, target Target) {
 	c.anycasts[id] = &AnycastRecord{ID: id, Target: target, Outcome: OutcomePending}
 }
 
-// StartMulticast registers a multicast before initiation. eligible is
-// the online in-range population at initiation.
-func (c *Collector) StartMulticast(id MsgID, target Target, eligible int, sentAt time.Duration) {
+// StartMulticast registers a multicast (a range-cast when halfOpen)
+// before initiation. eligible is the online in-range population at
+// initiation.
+func (c *Collector) StartMulticast(id MsgID, target Target, halfOpen bool, eligible int, sentAt time.Duration) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.multicasts[id] = &MulticastRecord{
 		ID:        id,
 		Target:    target,
+		HalfOpen:  halfOpen,
 		Eligible:  eligible,
 		Delivered: make(map[string]time.Duration, eligible),
 		SentAt:    sentAt,
 	}
 }
 
-// Anycast returns the record for id, if registered.
-func (c *Collector) Anycast(id MsgID) (*AnycastRecord, bool) {
+// Anycast returns a copy of the record for id, if registered.
+func (c *Collector) Anycast(id MsgID) (AnycastRecord, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	r, ok := c.anycasts[id]
-	return r, ok
+	if !ok {
+		return AnycastRecord{}, false
+	}
+	return *r, true
 }
 
-// Multicast returns the record for id, if registered.
-func (c *Collector) Multicast(id MsgID) (*MulticastRecord, bool) {
+// Multicast returns a copy of the record for id, if registered.
+func (c *Collector) Multicast(id MsgID) (MulticastRecord, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	r, ok := c.multicasts[id]
-	return r, ok
+	if !ok {
+		return MulticastRecord{}, false
+	}
+	cp := *r
+	cp.Delivered = maps.Clone(r.Delivered)
+	return cp, true
 }
 
-// Anycasts returns all anycast records (map iteration order; callers
-// aggregate, never enumerate positionally).
-func (c *Collector) Anycasts() []*AnycastRecord {
+// Aggregate returns a copy of the record for id, if registered.
+func (c *Collector) Aggregate(id MsgID) (AggregateRecord, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	out := make([]*AnycastRecord, 0, len(c.anycasts))
-	for _, r := range c.anycasts {
-		out = append(out, r)
+	r, ok := c.aggregates[id]
+	if !ok {
+		return AggregateRecord{}, false
 	}
-	return out
-}
-
-// Multicasts returns all multicast records.
-func (c *Collector) Multicasts() []*MulticastRecord {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make([]*MulticastRecord, 0, len(c.multicasts))
-	for _, r := range c.multicasts {
-		out = append(out, r)
-	}
-	return out
+	cp := *r
+	cp.Instances = slices.Clone(r.Instances)
+	return cp, true
 }
 
 // anycastDelivered records the terminal delivered state (first success
@@ -418,20 +376,6 @@ func (c *Collector) multicastEntered(id MsgID) {
 	}
 }
 
-// StartRangecast registers a range-cast before initiation. eligible is
-// the online in-band population at initiation.
-func (c *Collector) StartRangecast(id MsgID, band Band, eligible int, sentAt time.Duration) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.rangecasts[id] = &RangecastRecord{
-		ID:        id,
-		Band:      band,
-		Eligible:  eligible,
-		Delivered: make(map[string]time.Duration, eligible),
-		SentAt:    sentAt,
-	}
-}
-
 // StartAggregate registers an aggregation before initiation. eligible
 // and truth are the experiment-supplied ground truth (truth may be
 // NaN).
@@ -448,33 +392,6 @@ func (c *Collector) StartAggregate(id MsgID, op agg.Op, band Band, eligible int,
 	}
 }
 
-// Rangecast returns the record for id, if registered.
-func (c *Collector) Rangecast(id MsgID) (*RangecastRecord, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	r, ok := c.rangecasts[id]
-	return r, ok
-}
-
-// Aggregate returns the record for id, if registered.
-func (c *Collector) Aggregate(id MsgID) (*AggregateRecord, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	r, ok := c.aggregates[id]
-	return r, ok
-}
-
-// Rangecasts returns all range-cast records.
-func (c *Collector) Rangecasts() []*RangecastRecord {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make([]*RangecastRecord, 0, len(c.rangecasts))
-	for _, r := range c.rangecasts {
-		out = append(out, r)
-	}
-	return out
-}
-
 // AggCounters returns the aggregation-defense counters:
 // rejectedPartials — merged partials dropped by the PDF sanity checks;
 // forgeryRejected — AggResultMsgs refused by token/sender binding;
@@ -484,58 +401,6 @@ func (c *Collector) AggCounters() (rejectedPartials, forgeryRejected, forgeryAcc
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.aggRejectedPartials, c.aggForgeryRejected, c.aggForgeryAccepted
-}
-
-// Aggregates returns all aggregation records.
-func (c *Collector) Aggregates() []*AggregateRecord {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make([]*AggregateRecord, 0, len(c.aggregates))
-	for _, r := range c.aggregates {
-		out = append(out, r)
-	}
-	return out
-}
-
-// rangecastEntered flags stage-one success.
-func (c *Collector) rangecastEntered(id MsgID) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if r, ok := c.rangecasts[id]; ok {
-		r.EnteredRange = true
-	}
-}
-
-// rangecastDelivered records a first delivery at node, in band or
-// spam, at dissemination depth.
-func (c *Collector) rangecastDelivered(id MsgID, node string, at time.Duration, inBand bool, depth int) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	r, ok := c.rangecasts[id]
-	if !ok {
-		return
-	}
-	if !inBand {
-		r.Spam++
-		if c.ins != nil {
-			c.ins.rangecastSpam.Inc()
-		}
-		return
-	}
-	if _, seen := r.Delivered[node]; seen {
-		return
-	}
-	r.Delivered[node] = at
-	if at > r.LastDelivery {
-		r.LastDelivery = at
-	}
-	if depth > r.MaxDepth {
-		r.MaxDepth = depth
-	}
-	if c.ins != nil {
-		c.ins.rangecastDelivered.Inc()
-		c.ins.rangecastDepth.Observe(float64(depth))
-	}
 }
 
 // addAggInstance registers one redundant tree instance under a logical
@@ -732,8 +597,10 @@ func (c *Collector) aggregatePartialRejected(instance MsgID, reason string) {
 	}
 }
 
-// multicastDelivered records a first delivery at node, inRange or spam.
-func (c *Collector) multicastDelivered(id MsgID, node string, at time.Duration, inRange bool) {
+// multicastDelivered records a first delivery at node, in range or
+// spam, at dissemination depth. A range-cast bumps the ops_rangecast_*
+// instruments, a multicast the ops_multicast_* ones.
+func (c *Collector) multicastDelivered(id MsgID, node string, at time.Duration, inRange bool, depth int) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	r, ok := c.multicasts[id]
@@ -743,7 +610,11 @@ func (c *Collector) multicastDelivered(id MsgID, node string, at time.Duration, 
 	if !inRange {
 		r.Spam++
 		if c.ins != nil {
-			c.ins.multicastSpam.Inc()
+			if r.HalfOpen {
+				c.ins.rangecastSpam.Inc()
+			} else {
+				c.ins.multicastSpam.Inc()
+			}
 		}
 		return
 	}
@@ -754,7 +625,15 @@ func (c *Collector) multicastDelivered(id MsgID, node string, at time.Duration, 
 	if at > r.LastDelivery {
 		r.LastDelivery = at
 	}
+	if depth > r.MaxDepth {
+		r.MaxDepth = depth
+	}
 	if c.ins != nil {
-		c.ins.multicastDelivered.Inc()
+		if r.HalfOpen {
+			c.ins.rangecastDelivered.Inc()
+			c.ins.rangecastDepth.Observe(float64(depth))
+		} else {
+			c.ins.multicastDelivered.Inc()
+		}
 	}
 }

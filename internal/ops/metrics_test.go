@@ -3,6 +3,8 @@ package ops
 import (
 	"testing"
 	"time"
+
+	"avmem/internal/agg"
 )
 
 func TestCollectorAnycastLifecycle(t *testing.T) {
@@ -15,16 +17,16 @@ func TestCollectorAnycastLifecycle(t *testing.T) {
 		t.Fatalf("record = %+v ok=%v", r, ok)
 	}
 	c.anycastDelivered(id, 3, 150*time.Millisecond)
-	if r.Outcome != OutcomeDelivered || r.Hops != 3 || r.Latency != 150*time.Millisecond {
+	if r, _ = c.Anycast(id); r.Outcome != OutcomeDelivered || r.Hops != 3 || r.Latency != 150*time.Millisecond {
 		t.Errorf("after delivery = %+v", r)
 	}
 	// Terminal states are sticky.
 	c.anycastFailed(id, OutcomeTTLExpired)
-	if r.Outcome != OutcomeDelivered {
+	if r, _ = c.Anycast(id); r.Outcome != OutcomeDelivered {
 		t.Error("failure overwrote delivery")
 	}
 	c.anycastDelivered(id, 9, time.Second)
-	if r.Hops != 3 {
+	if r, _ = c.Anycast(id); r.Hops != 3 {
 		t.Error("second delivery overwrote the first")
 	}
 }
@@ -41,7 +43,7 @@ func TestCollectorAnycastFailure(t *testing.T) {
 	}
 	// Late delivery cannot resurrect a failed operation.
 	c.anycastDelivered(id, 1, time.Millisecond)
-	if r.Outcome != OutcomeRetryExpired {
+	if r, _ = c.Anycast(id); r.Outcome != OutcomeRetryExpired {
 		t.Error("delivery overwrote failure")
 	}
 }
@@ -52,7 +54,7 @@ func TestCollectorUnknownIDsIgnored(t *testing.T) {
 	c.anycastDelivered(id, 1, time.Millisecond) // must not panic
 	c.anycastFailed(id, OutcomeTTLExpired)
 	c.multicastEntered(id)
-	c.multicastDelivered(id, "n", time.Millisecond, true)
+	c.multicastDelivered(id, "n", time.Millisecond, true, 0)
 	if _, ok := c.Anycast(id); ok {
 		t.Error("unregistered anycast materialized")
 	}
@@ -65,12 +67,12 @@ func TestMulticastRecordMetrics(t *testing.T) {
 	c := NewCollector()
 	id := MsgID{Origin: "a", Seq: 1}
 	tgt, _ := Range(0.8, 0.9)
-	c.StartMulticast(id, tgt, 4, 100*time.Millisecond)
+	c.StartMulticast(id, tgt, false, 4, 100*time.Millisecond)
 	c.multicastEntered(id)
-	c.multicastDelivered(id, "n1", 150*time.Millisecond, true)
-	c.multicastDelivered(id, "n2", 300*time.Millisecond, true)
-	c.multicastDelivered(id, "n1", 999*time.Millisecond, true) // duplicate
-	c.multicastDelivered(id, "out", 200*time.Millisecond, false)
+	c.multicastDelivered(id, "n1", 150*time.Millisecond, true, 0)
+	c.multicastDelivered(id, "n2", 300*time.Millisecond, true, 2)
+	c.multicastDelivered(id, "n1", 999*time.Millisecond, true, 5) // duplicate
+	c.multicastDelivered(id, "out", 200*time.Millisecond, false, 7)
 
 	r, ok := c.Multicast(id)
 	if !ok {
@@ -91,6 +93,9 @@ func TestMulticastRecordMetrics(t *testing.T) {
 	if r.Delivered["n1"] != 150*time.Millisecond {
 		t.Error("duplicate overwrote first delivery time")
 	}
+	if r.MaxDepth != 2 {
+		t.Errorf("MaxDepth = %d, want 2 (duplicates and spam do not count)", r.MaxDepth)
+	}
 }
 
 func TestMulticastRecordZeroEligible(t *testing.T) {
@@ -100,20 +105,26 @@ func TestMulticastRecordZeroEligible(t *testing.T) {
 	}
 }
 
-func TestCollectorEnumeration(t *testing.T) {
+// TestRecordGettersReturnDetachedCopies: a record read from the
+// collector shares nothing with the one the routers keep writing.
+func TestRecordGettersReturnDetachedCopies(t *testing.T) {
 	c := NewCollector()
 	tgt, _ := Range(0, 1)
-	for i := 0; i < 5; i++ {
-		c.StartAnycast(MsgID{Origin: "a", Seq: uint64(i)}, tgt)
+	mid, aid := MsgID{Origin: "m", Seq: 1}, MsgID{Origin: "a", Seq: 2}
+	c.StartMulticast(mid, tgt, true, 2, 0)
+	c.multicastDelivered(mid, "n1", 1, true, 1)
+	c.StartAggregate(aid, agg.Count, Band{Lo: 0, Hi: 1}, 2, 2, 0)
+	c.addAggInstance(aid, aid, 7)
+	m, _ := c.Multicast(mid)
+	a, _ := c.Aggregate(aid)
+	m.Delivered["forged"] = 9
+	a.Instances[0].Token = 8
+	c.multicastDelivered(mid, "n2", 2, true, 1)
+	if m2, _ := c.Multicast(mid); len(m2.Delivered) != 2 || len(m.Delivered) != 2 || !m2.HalfOpen {
+		t.Errorf("collector map %v, the copy's %v: they share storage", m2.Delivered, m.Delivered)
 	}
-	for i := 0; i < 3; i++ {
-		c.StartMulticast(MsgID{Origin: "m", Seq: uint64(i)}, tgt, 1, 0)
-	}
-	if got := len(c.Anycasts()); got != 5 {
-		t.Errorf("Anycasts len = %d", got)
-	}
-	if got := len(c.Multicasts()); got != 3 {
-		t.Errorf("Multicasts len = %d", got)
+	if a2, _ := c.Aggregate(aid); a2.Instances[0].Token != 7 {
+		t.Errorf("a write to the copy's Instances reached the collector: token %d", a2.Instances[0].Token)
 	}
 }
 
@@ -122,18 +133,11 @@ func TestCollectorEnumeration(t *testing.T) {
 // raw ratio past 1 — the metrics must cap there (found by the scenario
 // fuzzer: scenarios/fuzz-corpus/fuzz-seed14.json).
 func TestCoverageCapsAtOne(t *testing.T) {
-	rc := &RangecastRecord{
+	mc := &MulticastRecord{
 		Eligible: 2,
 		Delivered: map[string]time.Duration{
-			"n1": 1, "n2": 2, "n3": 3, // n3 drifted into the band mid-flight
+			"n1": 1, "n2": 2, "n3": 3, // n3 drifted into the target mid-flight
 		},
-	}
-	if got := rc.Coverage(); got != 1 {
-		t.Errorf("rangecast Coverage = %v, want capped 1", got)
-	}
-	mc := &MulticastRecord{
-		Eligible:  2,
-		Delivered: map[string]time.Duration{"n1": 1, "n2": 2, "n3": 3},
 	}
 	if got := mc.Reliability(); got != 1 {
 		t.Errorf("multicast Reliability = %v, want capped 1", got)
@@ -144,8 +148,8 @@ func TestCoverageCapsAtOne(t *testing.T) {
 		t.Errorf("aggregate Coverage = %v, want capped 1", got)
 	}
 	// The uncapped regime is untouched.
-	rc.Eligible = 6
-	if got := rc.Coverage(); got != 0.5 {
-		t.Errorf("rangecast Coverage = %v, want 0.5", got)
+	mc.Eligible = 6
+	if got := mc.Reliability(); got != 0.5 {
+		t.Errorf("multicast Reliability = %v, want 0.5", got)
 	}
 }

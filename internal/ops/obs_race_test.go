@@ -13,10 +13,10 @@ import (
 
 // TestCollectorConcurrentAccess hammers one instrumented Collector from
 // writer goroutines (the shape of live nodes delivering ops
-// concurrently) while reader goroutines take snapshot views and scrape
-// the registry mid-flight. Run under -race (the CI race job covers this
-// package) it pins that instrumented bump sites and snapshot reads
-// never observe torn state.
+// concurrently) while reader goroutines read records through the per-id
+// getters and scrape the registry mid-flight. Run under -race (the CI
+// race job covers this package) it pins that instrumented bump sites and
+// record reads never observe torn state.
 func TestCollectorConcurrentAccess(t *testing.T) {
 	reg := obs.NewRegistry()
 	c := NewCollector()
@@ -26,31 +26,32 @@ func TestCollectorConcurrentAccess(t *testing.T) {
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
 
-	// Readers: snapshot views plus a full Prometheus scrape, in a loop
-	// until the writers finish — the mid-run read pattern.
+	// Readers: per-id record reads plus a full Prometheus scrape, in a
+	// loop until the writers finish — the mid-run read pattern.
 	for r := 0; r < 4; r++ {
 		wg.Add(1)
-		go func() {
+		go func(r int) {
 			defer wg.Done()
-			for {
+			for i := 0; ; i++ {
 				select {
 				case <-stop:
 					return
 				default:
 				}
-				for _, rec := range c.Anycasts() {
-					_ = rec.ID
+				origin := ids.NodeID(fmt.Sprintf("10.0.0.%d:400%d", (r+i)%writers, (r+i)%writers))
+				if rec, ok := c.Anycast(MsgID{Origin: origin, Seq: uint64(i % opsPer)}); ok {
+					_ = rec.Outcome
 				}
-				_ = len(c.Multicasts())
-				_ = len(c.Rangecasts())
-				_ = len(c.Aggregates())
+				if rec, ok := c.Multicast(MsgID{Origin: origin, Seq: uint64(opsPer + i%opsPer)}); ok {
+					_ = len(rec.Delivered)
+				}
 				c.AggCounters()
 				if err := reg.WritePrometheus(io.Discard); err != nil {
 					t.Errorf("scrape: %v", err)
 					return
 				}
 			}
-		}()
+		}(r)
 	}
 
 	// Writers: the full anycast + multicast lifecycle, one origin per
@@ -72,8 +73,8 @@ func TestCollectorConcurrentAccess(t *testing.T) {
 					c.anycastFailed(id, OutcomeRetryExpired)
 				}
 				mid := MsgID{Origin: origin, Seq: uint64(opsPer + i)}
-				c.StartMulticast(mid, Target{Lo: 0.5, Hi: 1}, 4, 0)
-				c.multicastDelivered(mid, string(origin), time.Duration(i), true)
+				c.StartMulticast(mid, Target{Lo: 0.5, Hi: 1}, i%2 == 0, 4, 0)
+				c.multicastDelivered(mid, string(origin), time.Duration(i), true, 1)
 			}
 		}(w)
 	}
@@ -98,9 +99,6 @@ func TestCollectorConcurrentAccess(t *testing.T) {
 	close(stop)
 	<-doneWriters
 
-	if got := len(c.Anycasts()); got != writers*opsPer {
-		t.Fatalf("anycast records = %d, want %d", got, writers*opsPer)
-	}
 	delivered := reg.Counter("ops_anycast_delivered_total").Value()
 	ttl := reg.Counter("ops_anycast_ttl_expired_total").Value()
 	retry := reg.Counter("ops_anycast_retry_expired_total").Value()
@@ -108,7 +106,8 @@ func TestCollectorConcurrentAccess(t *testing.T) {
 		t.Fatalf("outcome counters %d+%d+%d don't sum to %d ops",
 			delivered, ttl, retry, writers*opsPer)
 	}
-	if got := reg.Counter("ops_multicast_delivered_total").Value(); got != int64(writers*opsPer) {
-		t.Fatalf("multicast delivered counter = %d, want %d", got, writers*opsPer)
+	mc, rc := reg.Counter("ops_multicast_delivered_total").Value(), reg.Counter("ops_rangecast_delivered_total").Value()
+	if mc != int64(writers*opsPer/2) || rc != int64(writers*opsPer/2) {
+		t.Fatalf("delivered counters: multicast %d, range-cast %d, want %d each", mc, rc, writers*opsPer/2)
 	}
 }

@@ -100,8 +100,9 @@ func (r *Router) order(flavor core.Flavor, salt uint64) ([]core.Neighbor, []int3
 }
 
 // targets walks this node's unblocked neighbors (given flavor) whose
-// cached availability passes contains, in (salted) hash order. All three
-// dissemination families — multicast, range-cast, aggregation — share it.
+// cached availability passes contains, in (salted) hash order. Both
+// dissemination paths — multicast (range-casts included) and the
+// aggregation tree — share it.
 // The neighbors are read in place: the walk is valid until the next
 // Discover or Refresh, which is fine because dissemination consumes it
 // synchronously. It is a one-line wrapper so that it inlines into the

@@ -254,17 +254,17 @@ func TestDisseminationMatchesScratchModel(t *testing.T) {
 			switch family := g.rng.Intn(4); {
 			case family == 0 && pick.salt == 0:
 				what = "flood"
-				g.r.disseminate(MulticastMsg{ID: g.nextID(), Target: band.Target(), Spec: MulticastSpec{Mode: Flood, Flavor: pick.flavor}})
+				g.r.disseminate(&MulticastMsg{ID: g.nextID(), Target: band.Target(), Spec: MulticastSpec{Mode: Flood, Flavor: pick.flavor}})
 				want = g.want(pick.flavor, band.Target().Contains, 0, ids.Nil, -1)
 			case family == 1 && pick.salt == 0:
 				what = "gossip"
 				fanout := 1 + g.rng.Intn(5)
-				g.r.disseminate(MulticastMsg{ID: g.nextID(), Target: band.Target(),
+				g.r.disseminate(&MulticastMsg{ID: g.nextID(), Target: band.Target(),
 					Spec: MulticastSpec{Mode: Gossip, Flavor: pick.flavor, Fanout: fanout, Rounds: 1, Period: time.Second}})
 				want = g.want(pick.flavor, band.Target().Contains, 0, ids.Nil, fanout)
 			case family == 2 && pick.salt == 0:
 				what = "rangecast"
-				g.r.spreadRangecast(RangecastMsg{ID: g.nextID(), Spec: RangecastSpec{Band: band, Flavor: pick.flavor}})
+				g.r.disseminate(&MulticastMsg{ID: g.nextID(), Target: band.Target(), Spec: MulticastSpec{Mode: Flood, Flavor: pick.flavor, HalfOpen: true}})
 				want = g.want(pick.flavor, band.Contains, 0, ids.Nil, -1)
 			default:
 				what = "aggregate"
@@ -406,11 +406,11 @@ func TestWarmOrderWalkDoesNotAllocate(t *testing.T) {
 	g.env.sent = make([]ids.Addr, 0, 1<<16)
 	flood := func() {
 		seq++
-		g.r.disseminate(MulticastMsg{ID: MsgID{Origin: "o", Seq: seq}, Target: band.Target(), Spec: MulticastSpec{Mode: Flood, Flavor: core.HSVS}})
+		g.r.disseminate(&MulticastMsg{ID: MsgID{Origin: "o", Seq: seq}, Target: band.Target(), Spec: MulticastSpec{Mode: Flood, Flavor: core.HSVS}})
 	}
 	rangecast := func() {
 		seq++
-		g.r.spreadRangecast(RangecastMsg{ID: MsgID{Origin: "o", Seq: seq}, Spec: RangecastSpec{Band: band, Flavor: core.HSVS}})
+		g.r.disseminate(&MulticastMsg{ID: MsgID{Origin: "o", Seq: seq}, Target: band.Target(), Spec: MulticastSpec{Mode: Flood, Flavor: core.HSVS, HalfOpen: true}})
 	}
 	flood()
 	rangecast() // the seen set has its buckets
@@ -456,6 +456,19 @@ func TestRouterSize(t *testing.T) {
 	r := newOrderRig(t, 1).r
 	if r.orders != nil {
 		t.Error("a router that relayed nothing holds an order memo")
+	}
+}
+
+// TestMessageSizes: every receiver copies a dissemination message out of
+// its interface box (router, auditor, adversary), and a relay boxes one,
+// so the merged multicast/range-cast message stays within the 128-byte
+// size class and the anycast, which lost its range-cast pointer, within 112.
+func TestMessageSizes(t *testing.T) {
+	if got := unsafe.Sizeof(MulticastMsg{}); got > 128 {
+		t.Errorf("MulticastMsg is %d bytes, want at most 128", got)
+	}
+	if got := unsafe.Sizeof(AnycastMsg{}); got > 112 {
+		t.Errorf("AnycastMsg is %d bytes, want at most 112", got)
 	}
 }
 

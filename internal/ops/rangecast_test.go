@@ -49,26 +49,32 @@ func TestBandSemantics(t *testing.T) {
 // (seconds, not the anycast's milliseconds) to play out.
 func (c *cluster) runLong() { c.world.Run(c.world.Now() + 2*time.Minute) }
 
+// rangecastOptions returns the default multicast options turned into a
+// range-cast of payload to eligible band members.
+func rangecastOptions(payload string, eligible int) MulticastOptions {
+	opts := DefaultMulticastOptions()
+	opts.HalfOpen, opts.Payload, opts.Eligible = true, payload, eligible
+	return opts
+}
+
 // TestRangecastFullBandCoverage: a full-range rangecast from any node
 // reaches every online node exactly once, spam-free.
 func TestRangecastFullBandCoverage(t *testing.T) {
 	avails := []float64{0.1, 0.3, 0.5, 0.7, 0.9}
 	c := newCluster(t, fullPredicate(t), avails, false)
-	opts := DefaultRangecastOptions()
-	opts.Eligible = len(avails)
-	id, err := c.routers[c.nodes[0]].Rangecast(0, 1, "config-v1", opts)
+	id, err := c.routers[c.nodes[0]].Multicast(Target{Lo: 0, Hi: 1}, rangecastOptions("config-v1", len(avails)))
 	if err != nil {
 		t.Fatal(err)
 	}
 	c.run()
-	rec, ok := c.col.Rangecast(id)
+	rec, ok := c.col.Multicast(id)
 	if !ok {
 		t.Fatal("no record")
 	}
 	if !rec.EnteredRange {
 		t.Error("full-band rangecast did not enter")
 	}
-	if got := rec.Coverage(); got != 1 {
+	if got := rec.Reliability(); got != 1 {
 		t.Errorf("coverage = %v, want 1 (delivered %d/%d)", got, len(rec.Delivered), rec.Eligible)
 	}
 	if rec.Spam != 0 {
@@ -81,14 +87,12 @@ func TestRangecastFullBandCoverage(t *testing.T) {
 func TestRangecastBandFiltering(t *testing.T) {
 	avails := []float64{0.2, 0.4, 0.6, 0.8} // band [0.4, 0.8): nodes 1, 2
 	c := newCluster(t, fullPredicate(t), avails, false)
-	opts := DefaultRangecastOptions()
-	opts.Eligible = 2
-	id, err := c.routers[c.nodes[0]].Rangecast(0.4, 0.8, "mid", opts)
+	id, err := c.routers[c.nodes[0]].Multicast(Target{Lo: 0.4, Hi: 0.8}, rangecastOptions("mid", 2))
 	if err != nil {
 		t.Fatal(err)
 	}
 	c.run()
-	rec, _ := c.col.Rangecast(id)
+	rec, _ := c.col.Multicast(id)
 	if len(rec.Delivered) != 2 {
 		t.Fatalf("delivered to %v, want the two in-band nodes", rec.Delivered)
 	}
@@ -97,8 +101,8 @@ func TestRangecastBandFiltering(t *testing.T) {
 			t.Errorf("in-band node %d missing from %v", in, rec.Delivered)
 		}
 	}
-	if rec.Coverage() != 1 {
-		t.Errorf("coverage = %v", rec.Coverage())
+	if rec.Reliability() != 1 {
+		t.Errorf("coverage = %v", rec.Reliability())
 	}
 }
 
@@ -107,12 +111,12 @@ func TestRangecastBandFiltering(t *testing.T) {
 func TestRangecastEmptyBand(t *testing.T) {
 	c := newCluster(t, fullPredicate(t), []float64{0.3, 0.5, 0.7}, false)
 	before := c.net.Stats().Sent
-	id, err := c.routers[c.nodes[0]].Rangecast(0.5, 0.5, "noop", DefaultRangecastOptions())
+	id, err := c.routers[c.nodes[0]].Multicast(Target{Lo: 0.5, Hi: 0.5}, rangecastOptions("noop", 0))
 	if err != nil {
 		t.Fatal(err)
 	}
 	c.run()
-	rec, ok := c.col.Rangecast(id)
+	rec, ok := c.col.Multicast(id)
 	if !ok {
 		t.Fatal("no record")
 	}
@@ -148,14 +152,12 @@ func TestHullBoundaryNode(t *testing.T) {
 		t.Errorf("multicast to %v: delivered %v, spam %d; want all three incl. the node at 0.6, no spam", tgt, m.Delivered, m.Spam)
 	}
 
-	ropts := DefaultRangecastOptions()
-	ropts.Eligible = 2
-	rid, err := c.routers[c.nodes[0]].Rangecast(0.4, 0.6, "edge", ropts)
+	rid, err := c.routers[c.nodes[0]].Multicast(tgt, rangecastOptions("edge", 2))
 	if err != nil {
 		t.Fatal(err)
 	}
 	c.run()
-	r, _ := c.col.Rangecast(rid)
+	r, _ := c.col.Multicast(rid)
 	if !r.EnteredRange {
 		t.Fatal("range-cast never entered the band")
 	}
@@ -175,12 +177,12 @@ func TestHullBoundaryNode(t *testing.T) {
 func TestRangecastValidation(t *testing.T) {
 	c := newCluster(t, fullPredicate(t), []float64{0.5, 0.9}, false)
 	r := c.routers[c.nodes[0]]
-	if _, err := r.Rangecast(0.9, 0.5, "x", DefaultRangecastOptions()); err == nil {
+	if _, err := r.Multicast(Target{Lo: 0.9, Hi: 0.5}, rangecastOptions("x", 0)); err == nil {
 		t.Error("want error for inverted band")
 	}
-	bad := DefaultRangecastOptions()
+	bad := rangecastOptions("x", 0)
 	bad.Anycast.TTL = 0
-	if _, err := r.Rangecast(0.2, 0.8, "x", bad); err == nil {
+	if _, err := r.Multicast(Target{Lo: 0.2, Hi: 0.8}, bad); err == nil {
 		t.Error("want error for bad anycast options")
 	}
 }

@@ -51,8 +51,9 @@ type Auditor interface {
 const maxSeen = 1 << 14
 
 // Router executes management operations at one node: it initiates
-// anycasts and multicasts, forwards in-flight messages according to
-// their policy, and reports outcomes into a shared Collector.
+// anycasts, multicasts and aggregations, forwards in-flight messages
+// according to their policy, and reports outcomes into a shared
+// Collector.
 type Router struct {
 	mem *core.Membership
 	env Env
@@ -302,16 +303,25 @@ func DefaultAnycastOptions() AnycastOptions {
 	return AnycastOptions{Policy: Greedy, Flavor: core.HSVS, TTL: 6}
 }
 
+// validFlavor checks one of the three sliver flavors was chosen; what
+// names the option in the error.
+func validFlavor(f core.Flavor, what string) error {
+	switch f {
+	case core.HSOnly, core.VSOnly, core.HSVS:
+		return nil
+	default:
+		return fmt.Errorf("ops: invalid %sflavor %v", what, f)
+	}
+}
+
 func (o AnycastOptions) validate() error {
 	switch o.Policy {
 	case Greedy, RetriedGreedy, Annealing:
 	default:
 		return fmt.Errorf("ops: invalid policy %v", o.Policy)
 	}
-	switch o.Flavor {
-	case core.HSOnly, core.VSOnly, core.HSVS:
-	default:
-		return fmt.Errorf("ops: invalid flavor %v", o.Flavor)
+	if err := validFlavor(o.Flavor, ""); err != nil {
+		return err
 	}
 	if o.TTL <= 0 {
 		return fmt.Errorf("ops: TTL must be positive, got %d", o.TTL)
@@ -363,6 +373,12 @@ type MulticastOptions struct {
 	Rounds int
 	// Period is the gossip period (paper: 1 s).
 	Period time.Duration
+	// HalfOpen addresses the half-open band [Lo, Hi) instead of the
+	// closed target: a range-cast. An empty band completes at once,
+	// with nothing delivered.
+	HalfOpen bool
+	// Payload is delivered to every node in the target.
+	Payload string
 	// Eligible is the online in-range population at initiation, the
 	// denominator of reliability and spam (supplied by the caller,
 	// which in experiments knows ground truth).
@@ -383,10 +399,8 @@ func (o MulticastOptions) validate() error {
 	if err := o.Anycast.validate(); err != nil {
 		return err
 	}
-	switch o.Flavor {
-	case core.HSOnly, core.VSOnly, core.HSVS:
-	default:
-		return fmt.Errorf("ops: invalid multicast flavor %v", o.Flavor)
+	if err := validFlavor(o.Flavor, "multicast "); err != nil {
+		return err
 	}
 	switch o.Mode {
 	case Flood:
@@ -402,7 +416,10 @@ func (o MulticastOptions) validate() error {
 }
 
 // Multicast initiates a {threshold,range}-multicast toward target and
-// returns its operation ID.
+// returns its operation ID. With opts.HalfOpen it is a range-cast: the
+// payload goes to every node in the half-open band [Lo, Hi). Stage one is
+// an anycast toward the closed target; stage two floods or gossips along
+// target-filtered sliver lists with per-node duplicate suppression.
 func (r *Router) Multicast(target Target, opts MulticastOptions) (MsgID, error) {
 	if err := target.Validate(); err != nil {
 		return MsgID{}, err
@@ -412,16 +429,23 @@ func (r *Router) Multicast(target Target, opts MulticastOptions) (MsgID, error) 
 	}
 	id := r.nextID()
 	if r.otrace != nil {
-		r.span("multicast", "init", id, 0, ids.Nil)
+		r.span(multicastKind(opts.HalfOpen), "init", id, 0, ids.Nil)
 	}
 	now := r.env.Now()
-	r.col.StartMulticast(id, target, opts.Eligible, now)
+	r.col.StartMulticast(id, target, opts.HalfOpen, opts.Eligible, now)
+	if opts.HalfOpen && (Band{Lo: target.Lo, Hi: target.Hi}).Empty() {
+		// Nothing is addressable: complete vacuously instead of walking
+		// the overlay until the TTL dies.
+		return id, nil
+	}
 	spec := MulticastSpec{
-		Mode:   opts.Mode,
-		Flavor: opts.Flavor,
-		Fanout: opts.Fanout,
-		Rounds: opts.Rounds,
-		Period: opts.Period,
+		Mode:     opts.Mode,
+		Flavor:   opts.Flavor,
+		Fanout:   opts.Fanout,
+		Rounds:   opts.Rounds,
+		Period:   opts.Period,
+		HalfOpen: opts.HalfOpen,
+		Payload:  opts.Payload,
 	}
 	msg := AnycastMsg{
 		ID:          id,
@@ -433,75 +457,6 @@ func (r *Router) Multicast(target Target, opts MulticastOptions) (MsgID, error) 
 		SentAt:      now,
 		SenderAvail: r.selfClaim(),
 		Multicast:   &spec,
-	}
-	r.handleAnycast(ids.Addr{}, msg)
-	return id, nil
-}
-
-// RangecastOptions parameterizes a range-cast initiation.
-type RangecastOptions struct {
-	// Anycast configures stage one (entering the band).
-	Anycast AnycastOptions
-	// Flavor selects the sliver lists used for dissemination.
-	Flavor core.Flavor
-	// Eligible is the online in-band population at initiation (the
-	// coverage denominator, supplied by the experiment harness).
-	Eligible int
-}
-
-// DefaultRangecastOptions returns greedy HS+VS entry and HS+VS
-// dissemination.
-func DefaultRangecastOptions() RangecastOptions {
-	return RangecastOptions{Anycast: DefaultAnycastOptions(), Flavor: core.HSVS}
-}
-
-func (o RangecastOptions) validate() error {
-	if err := o.Anycast.validate(); err != nil {
-		return err
-	}
-	switch o.Flavor {
-	case core.HSOnly, core.VSOnly, core.HSVS:
-		return nil
-	default:
-		return fmt.Errorf("ops: invalid rangecast flavor %v", o.Flavor)
-	}
-}
-
-// Rangecast initiates a range-cast: payload delivery to every node
-// whose availability lies in the half-open band [lo, hi). Stage one is
-// a plain anycast toward the band's closed hull; stage two floods the
-// payload along band-filtered sliver lists with per-node duplicate
-// suppression, so no message ever leaves the band's neighborhood.
-func (r *Router) Rangecast(lo, hi float64, payload string, opts RangecastOptions) (MsgID, error) {
-	band := Band{Lo: lo, Hi: hi}
-	if err := band.Validate(); err != nil {
-		return MsgID{}, err
-	}
-	if err := opts.validate(); err != nil {
-		return MsgID{}, err
-	}
-	id := r.nextID()
-	if r.otrace != nil {
-		r.span("rangecast", "init", id, 0, ids.Nil)
-	}
-	now := r.env.Now()
-	r.col.StartRangecast(id, band, opts.Eligible, now)
-	if band.Empty() {
-		// Nothing is addressable: complete vacuously instead of walking
-		// the overlay until the TTL dies.
-		return id, nil
-	}
-	spec := RangecastSpec{Band: band, Flavor: opts.Flavor, Payload: payload}
-	msg := AnycastMsg{
-		ID:          id,
-		Target:      band.Target(),
-		Policy:      opts.Anycast.Policy,
-		Flavor:      opts.Anycast.Flavor,
-		TTL:         opts.Anycast.TTL,
-		Retry:       opts.Anycast.Retry,
-		SentAt:      now,
-		SenderAvail: r.selfClaim(),
-		Rangecast:   &spec,
 	}
 	r.handleAnycast(ids.Addr{}, msg)
 	return id, nil
@@ -544,12 +499,7 @@ func (o AggregateOptions) validate() error {
 	if o.Redundancy < 0 || o.Redundancy > maxAggRedundancy {
 		return fmt.Errorf("ops: redundancy must be in [0,%d], got %d", maxAggRedundancy, o.Redundancy)
 	}
-	switch o.Flavor {
-	case core.HSOnly, core.VSOnly, core.HSVS:
-		return nil
-	default:
-		return fmt.Errorf("ops: invalid aggregate flavor %v", o.Flavor)
-	}
+	return validFlavor(o.Flavor, "aggregate ")
 }
 
 // Aggregate initiates an in-overlay aggregation: op over the local
@@ -710,9 +660,7 @@ func (r *Router) HandleMessage(from ids.Addr, msg any) {
 	case AnycastMsg:
 		r.handleAnycast(from, m)
 	case MulticastMsg:
-		r.handleMulticast(m)
-	case RangecastMsg:
-		r.spreadRangecast(m)
+		r.disseminate(&m)
 	case AggMsg:
 		r.handleAggRequest(from, m)
 	case AggReplyMsg:
@@ -731,10 +679,7 @@ func (r *Router) handleAnycast(from ids.Addr, m AnycastMsg) {
 		switch {
 		case m.Multicast != nil:
 			r.col.multicastEntered(m.ID)
-			r.disseminate(MulticastMsg{ID: m.ID, Target: m.Target, Spec: *m.Multicast, SentAt: m.SentAt})
-		case m.Rangecast != nil:
-			r.col.rangecastEntered(m.ID)
-			r.spreadRangecast(RangecastMsg{ID: m.ID, Spec: *m.Rangecast, SentAt: m.SentAt})
+			r.disseminate(&MulticastMsg{ID: m.ID, Target: m.Target, Spec: *m.Multicast, SentAt: m.SentAt})
 		case m.Aggregate != nil:
 			r.rootAggregate(m)
 		default:
@@ -871,11 +816,6 @@ func (r *Router) candidates(from ids.NodeID, flavor core.Flavor, target Target) 
 	return out
 }
 
-// handleMulticast processes a dissemination-stage message.
-func (r *Router) handleMulticast(m MulticastMsg) {
-	r.disseminate(m)
-}
-
 // seenFront is the size of the duplicate-suppression front cache.
 const seenFront = 4
 
@@ -908,30 +848,38 @@ func (r *Router) markSeen(id MsgID) bool {
 	return dup
 }
 
-// disseminate is the stage-two entry: record the local delivery once,
-// then flood or gossip onward if this node lies inside the target.
-func (r *Router) disseminate(m MulticastMsg) {
+// disseminate is the stage-two entry of multicasts and range-casts:
+// record the local delivery once (duplicate-suppressed by operation id),
+// then flood or gossip onward to in-target neighbors if this node itself
+// lies inside the target. An out-of-target receiver — reachable only
+// through a stale cached availability — consumes spam and does not
+// forward, so the message never propagates outside the target's overlay
+// neighborhood. The one exception is the entry node (depth 0): a
+// range-cast's anycast stops on the band's closed hull, so the entry can
+// sit exactly at Hi, outside the band, and it still relays into it. A
+// multicast's entry always lies inside its closed target.
+func (r *Router) disseminate(m *MulticastMsg) {
 	if r.markSeen(m.ID) {
 		return
 	}
 
 	self := r.mem.SelfInfo()
-	inRange := m.Target.Contains(self.Availability)
-	r.col.multicastDelivered(m.ID, string(self.ID), r.env.Now(), inRange)
-	if !inRange {
-		// A node outside the target consumed spam; it does not forward.
+	inRange := m.contains(self.Availability)
+	r.col.multicastDelivered(m.ID, string(self.ID), r.env.Now(), inRange, m.Depth)
+	if !inRange && m.Depth > 0 {
 		return
 	}
 	// Onward copies carry this node's own availability claim.
+	m.Depth++
 	m.SenderAvail = r.selfClaim()
 	switch m.Spec.Mode {
 	case Gossip:
-		r.gossipRounds(m, m.Spec.Rounds)
+		r.gossipRounds(*m, m.Spec.Rounds)
 	default: // Flood
 		// Box the message once: every recipient shares one read-only
 		// interface value instead of re-boxing the struct per send.
-		var boxed any = m
-		for nb := range r.targets(m.Spec.Flavor, 0, m.Target.Contains) {
+		var boxed any = *m
+		for nb := range r.targets(m.Spec.Flavor, 0, m.contains) {
 			r.env.Send(nb.Addr(), boxed)
 		}
 	}
@@ -955,7 +903,7 @@ func (r *Router) gossipRounds(m MulticastMsg, remaining int) {
 		// skipping peers already gossiped to (paper §3.2.II).
 		n := 0
 		var boxed any = m
-		for nb := range r.targets(m.Spec.Flavor, 0, m.Target.Contains) {
+		for nb := range r.targets(m.Spec.Flavor, 0, m.contains) {
 			if n >= m.Spec.Fanout {
 				break
 			}
@@ -968,36 +916,6 @@ func (r *Router) gossipRounds(m MulticastMsg, remaining int) {
 		}
 	}
 	r.env.After(m.Spec.Period, func() { r.gossipRounds(m, remaining-1) })
-}
-
-// spreadRangecast is the range-cast stage-two entry: record the local
-// delivery once (duplicate-suppressed by operation id), then flood
-// onward to in-band neighbors if this node itself lies inside the
-// band. Like multicast flooding, an out-of-band receiver — reachable
-// only through a stale cached availability — consumes spam and does
-// not forward, so the payload never propagates outside the band's
-// overlay neighborhood.
-func (r *Router) spreadRangecast(m RangecastMsg) {
-	if r.markSeen(m.ID) {
-		return
-	}
-
-	self := r.mem.SelfInfo()
-	inBand := m.Spec.Band.Contains(self.Availability)
-	r.col.rangecastDelivered(m.ID, string(self.ID), r.env.Now(), inBand, m.Depth)
-	if !inBand && m.Depth > 0 {
-		return
-	}
-	// The depth-0 exception: the entry node can sit exactly on the
-	// band's closed hull (the anycast attractor), in which case it
-	// relays into the band without being a member itself.
-	next := m
-	next.Depth++
-	next.SenderAvail = r.selfClaim()
-	var boxed any = next
-	for nb := range r.targets(m.Spec.Flavor, 0, m.Spec.Band.Contains) {
-		r.env.Send(nb.Addr(), boxed)
-	}
 }
 
 // rootAggregate turns the entry node of an aggregation's anycast stage

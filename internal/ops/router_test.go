@@ -572,7 +572,7 @@ func TestDuplicateMulticastIgnored(t *testing.T) {
 	c := newCluster(t, fullPredicate(t), avails, false)
 	tgt, _ := Range(0.85, 0.95)
 	id := MsgID{Origin: c.nodes[0], Seq: 99}
-	c.col.StartMulticast(id, tgt, 2, 0)
+	c.col.StartMulticast(id, tgt, false, 2, 0)
 	m := MulticastMsg{ID: id, Target: tgt, Spec: MulticastSpec{Mode: Flood, Flavor: core.HSVS}}
 	c.net.Send(c.nodes[0], c.nodes[1], m)
 	c.net.Send(c.nodes[0], c.nodes[1], m)

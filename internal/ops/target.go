@@ -11,8 +11,10 @@
 // the two dissemination modes of §3.2.II — flooding and gossip. Every
 // algorithm comes in the three sliver flavors (HS-only, VS-only,
 // HS+VS), giving the paper's nine anycast and six multicast variants.
-// Range-cast and aggregation reuse the anycast machinery as their
-// entry stage and disseminate through band-filtered sliver lists.
+// A range-cast is a multicast whose target is half-open and which
+// carries a payload (MulticastOptions.HalfOpen): one message, one
+// record, one dissemination path. Aggregation reuses the anycast as its
+// entry stage and grows its tree along band-filtered sliver lists.
 //
 // Architecture: DESIGN.md §4 (routing with reusable scratch) and §13
 // (range-cast & aggregation).

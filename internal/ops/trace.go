@@ -40,17 +40,18 @@ func (r *Router) traceInbound(sender ids.Addr, msg any) {
 		kind := "anycast"
 		switch {
 		case m.Multicast != nil:
-			kind = "multicast"
-		case m.Rangecast != nil:
-			kind = "rangecast"
+			kind = multicastKind(m.Multicast.HalfOpen)
 		case m.Aggregate != nil:
 			kind = "aggregate"
 		}
 		r.span(kind, "hop", m.ID, m.Hops, from)
 	case MulticastMsg:
-		r.span("multicast", "deliver", m.ID, 0, from)
-	case RangecastMsg:
-		r.span("rangecast", "deliver", m.ID, m.Depth, from)
+		// A multicast's deliver spans carry hop 0, a range-cast's its depth.
+		hop := 0
+		if m.Spec.HalfOpen {
+			hop = m.Depth
+		}
+		r.span(multicastKind(m.Spec.HalfOpen), "deliver", m.ID, hop, from)
 	case AggMsg:
 		r.span("aggregate", "request", m.ID, m.Depth, from)
 	case AggReplyMsg:
@@ -60,4 +61,13 @@ func (r *Router) traceInbound(sender ids.Addr, msg any) {
 		}
 		r.span("aggregate", ev, m.ID, 0, from)
 	}
+}
+
+// multicastKind is the span kind of a dissemination: range-casts (a
+// half-open target) keep the name of their own operation family.
+func multicastKind(halfOpen bool) string {
+	if halfOpen {
+		return "rangecast"
+	}
+	return "multicast"
 }

@@ -354,10 +354,8 @@ func (r *runState) fire(i int, e *Event) error {
 		err = r.monitorNoise(e.MonitorNoise)
 	case e.AnycastBatch != nil:
 		err = r.anycastBatch(e.AnycastBatch, &out)
-	case e.MulticastBatch != nil:
-		err = r.multicastBatch(e.MulticastBatch, &out)
-	case e.Rangecast != nil:
-		err = r.rangecastBatch(e.Rangecast, &out)
+	case e.MulticastBatch != nil, e.Rangecast != nil:
+		err = r.dissemBatch(e, &out)
 	case e.Aggregate != nil:
 		err = r.aggregateBatch(e.Aggregate, &out)
 	case e.Adversary != nil:
@@ -555,70 +553,74 @@ func (r *runState) anycastBatch(b *AnycastBatch, out *tally) error {
 	return nil
 }
 
-func (r *runState) multicastBatch(b *MulticastBatch, out *tally) error {
-	mode, _ := parseMode(b.Mode)
-	flavor, _ := parseFlavor(b.Flavor)
-	opts := ops.MulticastOptions{Anycast: ops.DefaultAnycastOptions(), Mode: mode, Flavor: flavor,
-		Fanout: b.Fanout, Rounds: b.Rounds, Period: b.Period.D()}
-	if mode == ops.Gossip {
-		// The paper's gossip: fanout 5, Ng = 2 rounds, a 1 s period.
-		opts.Fanout, opts.Rounds, opts.Period = cmp.Or(opts.Fanout, 5), cmp.Or(opts.Rounds, 2), cmp.Or(opts.Period, time.Second)
+// dissemBatch runs a multicast_batch or a rangecast event. Both initiate
+// Deployment.Multicast — a range-cast's target is half-open and carries
+// its payload — and both fold the same MulticastRecord fields. Each keeps
+// its own eligible population (the closed target's, or the band's), its
+// metric names and its log line.
+func (r *runState) dissemBatch(e *Event, out *tally) error {
+	opts := ops.MulticastOptions{Anycast: ops.DefaultAnycastOptions(), Mode: ops.Flood}
+	var (
+		kind        string
+		count       int
+		lo, hi      float64
+		gap, settle Duration
+		flavor      string
+		target      ops.Target
+		eligible    func() int
+	)
+	if b := e.MulticastBatch; b != nil {
+		kind, count, lo, hi, gap, settle, flavor = "multicast_batch", b.Count, b.BandLo, b.BandHi, b.Gap, b.Settle, b.Flavor
+		opts.Mode, _ = parseMode(b.Mode)
+		opts.Fanout, opts.Rounds, opts.Period = b.Fanout, b.Rounds, b.Period.D()
+		if opts.Mode == ops.Gossip {
+			// The paper's gossip: fanout 5, Ng = 2 rounds, a 1 s period.
+			opts.Fanout, opts.Rounds, opts.Period = cmp.Or(opts.Fanout, 5), cmp.Or(opts.Rounds, 2), cmp.Or(opts.Period, time.Second)
+		}
+		target = b.target()
+		eligible = func() int { return r.w.EligibleFor(target) }
+	} else {
+		b := e.Rangecast
+		kind, count, lo, hi, gap, settle, flavor = "rangecast", b.Count, b.BandLo, b.BandHi, b.Gap, b.Settle, b.Flavor
+		opts.HalfOpen, opts.Payload = true, b.Payload
+		band := b.band()
+		target = band.Target()
+		eligible = func() int { return len(bandEligible(r.w, band)) }
 	}
-	target := b.target()
-	sent, err := r.batch(b.Count, b.BandLo, b.BandHi, cmp.Or(b.Gap.D(), 5*time.Second), cmp.Or(b.Settle.D(), 30*time.Second),
+	opts.Flavor, _ = parseFlavor(flavor)
+	sent, err := r.batch(count, lo, hi, cmp.Or(gap.D(), 5*time.Second), cmp.Or(settle.D(), 30*time.Second),
 		func(from ids.NodeID) (ops.MsgID, error) {
-			opts.Eligible = r.w.EligibleFor(target)
+			opts.Eligible = eligible()
 			return r.w.Multicast(from, target, opts)
 		})
 	if err != nil {
-		return fmt.Errorf("scenario: multicast_batch: %w", err)
+		return fmt.Errorf("scenario: %s: %w", kind, err)
 	}
-	var reliability, spam float64
+	n := 0
+	var reach, spam float64
 	var lastMs []float64 // last-delivery latency of each multicast that delivered (Fig 11)
 	for _, id := range sent {
 		rec, ok := r.w.Collector().Multicast(id)
 		if !ok {
 			continue
 		}
-		out.mcCount++
-		reliability += rec.Reliability()
+		n++
+		reach += rec.Reliability()
 		spam += rec.SpamRatio()
 		if len(rec.Delivered) > 0 {
 			lastMs = append(lastMs, float64(rec.WorstLatency().Milliseconds()))
 		}
 	}
-	out.mcReliability, out.mcSpam = weighted(reliability, out.mcCount), weighted(spam, out.mcCount)
+	if opts.HalfOpen {
+		out.rcCount, out.rcCoverage, out.rcSpam = n, weighted(reach, n), weighted(spam, n)
+		r.logf("rangecast batch: %d sent to %v, coverage %.2f, spam %.2f",
+			n, e.Rangecast.band(), mean(reach, n), mean(spam, n))
+		return nil
+	}
+	out.mcCount, out.mcReliability, out.mcSpam = n, weighted(reach, n), weighted(spam, n)
 	r.logf("multicast batch: %d sent to %v (%s), reliability %.2f, spam %.2f, last delivery p50 %.0f ms, max %.0f ms",
-		out.mcCount, target, mode, mean(reliability, out.mcCount), mean(spam, out.mcCount),
+		n, target, opts.Mode, mean(reach, n), mean(spam, n),
 		stats.Percentile(lastMs, 50), stats.Percentile(lastMs, 100))
-	return nil
-}
-
-func (r *runState) rangecastBatch(b *RangecastBatch, out *tally) error {
-	flavor, _ := parseFlavor(b.Flavor)
-	opts := ops.RangecastOptions{Anycast: ops.DefaultAnycastOptions(), Flavor: flavor}
-	band := b.band()
-	sent, err := r.batch(b.Count, b.BandLo, b.BandHi, cmp.Or(b.Gap.D(), 5*time.Second), cmp.Or(b.Settle.D(), 30*time.Second),
-		func(from ids.NodeID) (ops.MsgID, error) {
-			opts.Eligible = len(bandEligible(r.w, band))
-			return r.w.Rangecast(from, band.Lo, band.Hi, b.Payload, opts)
-		})
-	if err != nil {
-		return fmt.Errorf("scenario: rangecast: %w", err)
-	}
-	var coverage, spam float64
-	for _, id := range sent {
-		rec, ok := r.w.Collector().Rangecast(id)
-		if !ok {
-			continue
-		}
-		out.rcCount++
-		coverage += rec.Coverage()
-		spam += rec.SpamRatio()
-	}
-	out.rcCoverage, out.rcSpam = weighted(coverage, out.rcCount), weighted(spam, out.rcCount)
-	r.logf("rangecast batch: %d sent to %v, coverage %.2f, spam %.2f",
-		out.rcCount, band, mean(coverage, out.rcCount), mean(spam, out.rcCount))
 	return nil
 }
 

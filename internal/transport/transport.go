@@ -53,7 +53,6 @@ const (
 	KindAnycast        = "anycast"
 	KindMulticast      = "multicast"
 	KindDelivered      = "delivered"
-	KindRangecast      = "rangecast"
 	KindAgg            = "agg"
 	KindAggReply       = "agg-reply"
 	KindAggResult      = "agg-result"
@@ -71,8 +70,6 @@ func Encode(from ids.NodeID, msg any) (Envelope, error) {
 		kind = KindMulticast
 	case ops.DeliveredMsg:
 		kind = KindDelivered
-	case ops.RangecastMsg:
-		kind = KindRangecast
 	case ops.AggMsg:
 		kind = KindAgg
 	case ops.AggReplyMsg:
@@ -102,8 +99,6 @@ func Decode(env Envelope) (any, error) {
 		return decode[ops.MulticastMsg](env)
 	case KindDelivered:
 		return decode[ops.DeliveredMsg](env)
-	case KindRangecast:
-		return decode[ops.RangecastMsg](env)
 	case KindAgg:
 		return decode[ops.AggMsg](env)
 	case KindAggReply:

@@ -25,9 +25,6 @@ func wireSamples() []any {
 		ops.DeliveredMsg{ID: ops.MsgID{Origin: "10.0.0.1:4000", Seq: 9}, Hops: 3},
 		shuffle.Request{Entries: []shuffle.Entry{{ID: "10.0.0.3:4000", Age: 2}}, SenderAvail: 0.4},
 		shuffle.Reply{Entries: []shuffle.Entry{{ID: "10.0.0.4:4000"}}, SenderAvail: 0.7},
-		ops.RangecastMsg{ID: ops.MsgID{Origin: "10.0.0.5:4000", Seq: 4},
-			Spec:  ops.RangecastSpec{Band: ops.Band{Lo: 0.5, Hi: 1}, Flavor: core.HSVS, Payload: "upgrade v2"},
-			Depth: 2, SentAt: 3 * time.Second, SenderAvail: 0.8},
 		ops.AggMsg{ID: ops.MsgID{Origin: "10.0.0.6:4000", Seq: 5},
 			Spec:  ops.AggregateSpec{Op: agg.Avg, Band: ops.Band{Lo: 0.2, Hi: 0.6}, Flavor: core.VSOnly, Salt: 77},
 			Depth: 1, SentAt: time.Second, SenderAvail: 0.4},
@@ -36,6 +33,14 @@ func wireSamples() []any {
 		ops.AggResultMsg{ID: ops.MsgID{Origin: "10.0.0.6:4000", Seq: 5},
 			Result: agg.Partial{N: 7, Sum: 2.5, Min: 0.2, Max: 0.58, Depth: 3}, Token: 0xfeedface, SentAt: time.Second, SenderAvail: 0.5},
 	}
+}
+
+// rangecastSample is a range-cast as it crosses the wire: a multicast
+// whose target is half-open, with a payload and a dissemination depth.
+func rangecastSample() ops.MulticastMsg {
+	return ops.MulticastMsg{ID: ops.MsgID{Origin: "10.0.0.5:4000", Seq: 4}, Target: ops.Target{Lo: 0.5, Hi: 1},
+		Spec:  ops.MulticastSpec{Mode: ops.Flood, Flavor: core.HSVS, HalfOpen: true, Payload: "upgrade v2"},
+		Depth: 2, SentAt: 3 * time.Second, SenderAvail: 0.8}
 }
 
 // TestCodecRoundTripsEveryKind: every kind the wire carries — one sample
@@ -59,8 +64,8 @@ func TestCodecRoundTripsEveryKind(t *testing.T) {
 			t.Errorf("%s: round trip gave %+v (%v), want %+v", env.Kind, back, err, msg)
 		}
 	}
-	if len(kinds) != 9 {
-		t.Errorf("%d kinds on the wire, want 9", len(kinds))
+	if len(kinds) != 8 {
+		t.Errorf("%d kinds on the wire, want 8", len(kinds))
 	}
 }
 
@@ -131,6 +136,7 @@ func FuzzReadFrame(f *testing.F) {
 	f.Add(rawFrame(`{"from":"a:1","memo":3,"kind":"anycast","body":{}}`))
 	f.Add(rawFrame(`{"from":"a:1","kind":"anycast","body":[]}`))
 	f.Add(rawFrame(`{"from":"a:1","kind":"nonsense","body":{}}`))
+	f.Add(frame(f, "10.0.0.9:4000", rangecastSample()))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		env, err := readFrame(bufio.NewReader(bytes.NewReader(data))) // as TCP.serve reads a connection
 		if len(data) >= 4 {

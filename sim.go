@@ -178,11 +178,11 @@ func (s *Sim) Anycast(from NodeID, target Target, opts AnycastOptions) (AnycastR
 		s.w.RunFor(time.Second)
 		rec, ok := col.Anycast(id)
 		if ok && rec.Outcome != ops.OutcomePending {
-			return *rec, nil
+			return rec, nil
 		}
 	}
 	rec, _ := col.Anycast(id)
-	return *rec, nil
+	return rec, nil
 }
 
 // Multicast initiates a multicast from the given node (or a random
@@ -208,7 +208,7 @@ func (s *Sim) Multicast(from NodeID, target Target, opts MulticastOptions) (Mult
 	if !ok {
 		return MulticastRecord{}, fmt.Errorf("avmem: multicast record vanished")
 	}
-	return *rec, nil
+	return rec, nil
 }
 
 func (s *Sim) resolveInitiator(from NodeID) (NodeID, error) {
