@@ -17,14 +17,14 @@ import (
 	"avmem/internal/runtime"
 	"avmem/internal/sim"
 	"avmem/internal/trace"
-	"avmem/internal/transport"
 )
 
 // Cluster is the second deployment engine: the same churn trace,
 // predicate, and monitoring stack as World, but the population consists
 // of real node.Node agents — the live runtime with its CYCLON shuffle
-// agent, per-node timers, and transport-level messaging — bound to
-// virtual-time Envs over a deterministic, seedable memnet. Where World
+// agent, per-node timers, and Env-level messaging — bound to virtual-time
+// Envs over the simulator's own network. Only the fabric is simulated;
+// the node code is the one a deployment ships. Where World
 // answers "what does the protocol do", Cluster answers "what does the
 // shipped node binary do": every scenario that runs on the simulator
 // runs here against the live code path, reproducibly per seed.
@@ -36,13 +36,12 @@ import (
 type Cluster struct {
 	Cfg   WorldConfig
 	Trace *trace.Trace
-	// Sched is the virtual clock every node timer and memnet delivery
-	// runs on.
+	// Sched is the virtual clock every node timer and delivery runs on.
 	Sched *sim.World
-	// Net is the deterministic in-process network carrying all traffic,
-	// with fault injection (kill/restart, link faults, partitions)
-	// available to harnesses.
-	Net     *transport.Memnet
+	// Net is the simulated network carrying all traffic, bound to the
+	// trace's host universe: messages are closure-free value events, and
+	// the address memos every node stamps travel with them.
+	Net     *sim.Network
 	PDF     *avdist.PDF
 	NStar   float64
 	Monitor avmon.Service
@@ -66,7 +65,7 @@ type Cluster struct {
 
 var _ Deployment = (*Cluster)(nil)
 
-// NewCluster assembles a memnet deployment of real nodes and schedules
+// NewCluster assembles a deployment of real nodes and schedules
 // their staggered starts within the first protocol period. Nodes run in
 // Seeds mode: each bootstraps from a few random peers and fills its
 // coarse view through live CYCLON exchanges, the deployed-agent story.
@@ -96,13 +95,8 @@ func NewCluster(cfg WorldConfig) (*Cluster, error) {
 	if err != nil {
 		return nil, err
 	}
-	latency := cfg.Latency
-	c.Net = transport.NewMemnet(transport.MemnetConfig{
-		After:   c.Sched.After,
-		Seed:    cfg.Seed + 1,
-		Latency: func(rng *rand.Rand) time.Duration { return latency.Sample(rng) },
-		Online:  c.nodeOnline,
-	})
+	c.Net = sim.NewNetwork(c.Sched, privateLatency{cfg.Latency, rand.New(rand.NewSource(cfg.Seed + 1))}, c.nodeOnline, 0)
+	c.Net.Bind(c.hosts, c.onlineAt)
 	mon, err := buildMonitorStack(cfg, tr, c.hosts, c.Sched, c.nodeOnline, c.onlineAt)
 	if err != nil {
 		return nil, err
@@ -132,13 +126,12 @@ func NewCluster(cfg WorldConfig) (*Cluster, error) {
 		auditIns = audit.NewInstruments(cfg.Metrics)
 		flushed := newFlushObs(cfg.Metrics)
 		c.Sched.OnFlush(func() {
-			// Each node's router counts into a struct of its own; memnet has
-			// no address memos to count.
+			// Each node's router counts into a struct of its own.
 			var flood ops.FloodStats
 			for _, n := range c.nodes {
 				flood.Add(n.FloodStats())
 			}
-			flushed.publish(c.discovery, 0, flood, sim.AddrMemoStats{})
+			flushed.publish(c.discovery, 0, flood, c.Net.AddrMemoStats())
 		})
 	}
 	// The same band-census estimator the sim engine arms its routers
@@ -149,14 +142,13 @@ func NewCluster(cfg WorldConfig) (*Cluster, error) {
 		return nstar * pdf.IntervalMass(lo, math.Min(hi, 1))
 	}
 
-	fabric := runtime.TransportFabric(c.Net)
+	fabric := runtime.NetFabric(c.Net)
 	for h, id := range c.hosts {
 		h := h
 		// The env RNG (annealing draws) gets a distinct stream from the
 		// node's agent RNG, mirroring the live path's Seed+1 offset.
 		env, err := runtime.NewVirtual(runtime.VirtualConfig{
-			// Memnet moves identifiers: no memo survives it, so none is made.
-			Self:      id.Addr(),
+			Self:      ids.AddrAt(id, int32(h)),
 			Scheduler: c.Sched,
 			Fabric:    fabric,
 			Online:    func() bool { return c.onlineAt(h) },
@@ -196,8 +188,8 @@ func NewCluster(cfg WorldConfig) (*Cluster, error) {
 		// live counterpart of the simulator's per-node driver offsets.
 		offset := time.Duration(c.Sched.Rand().Int63n(int64(cfg.ProtocolPeriod)))
 		c.Sched.After(offset, func() {
-			// Registration on a memnet cannot fail; a failure here would
-			// be a wiring bug, not an operational condition.
+			// Registration on the simulated network cannot fail; a failure
+			// here would be a wiring bug, not an operational condition.
 			if err := n.Start(); err != nil {
 				panic(fmt.Sprintf("exp: starting cluster node: %v", err))
 			}
@@ -205,6 +197,18 @@ func NewCluster(cfg WorldConfig) (*Cluster, error) {
 	}
 	return c, nil
 }
+
+// privateLatency samples model from a stream of its own, ignoring the
+// world RNG sim.Network hands it, so message latencies and the world's
+// own draws (start offsets, bootstrap seeds, initiator picks) never
+// interleave in one stream.
+type privateLatency struct {
+	model sim.LatencyModel
+	rng   *rand.Rand
+}
+
+// Sample implements sim.LatencyModel.
+func (l privateLatency) Sample(*rand.Rand) time.Duration { return l.model.Sample(l.rng) }
 
 // nodeSeed derives a node's private RNG seed from the cluster seed and
 // the node's trace index (a splitmix-style spread keeps streams
@@ -222,7 +226,6 @@ func (c *Cluster) Stop() {
 	for _, n := range c.nodes {
 		n.Stop()
 	}
-	_ = c.Net.Close()
 }
 
 // onlineAt is the hot-path liveness check by trace host index: the
@@ -236,8 +239,8 @@ func (c *Cluster) onlineAt(h int) bool {
 	return c.Trace.UpAtIndex(h, now)
 }
 
-// nodeOnline is the id-keyed liveness check (memnet delivery gates and
-// the distributed monitor use it).
+// nodeOnline is the id-keyed liveness check (the network's gate for
+// hosts outside the universe, and the distributed monitor use it).
 func (c *Cluster) nodeOnline(id ids.NodeID) bool {
 	h := c.Trace.HostIndex(id)
 	return h >= 0 && c.onlineAt(h)
@@ -365,9 +368,6 @@ func (c *Cluster) Warmup(d time.Duration) { c.RunFor(d) }
 // StableSize implements Deployment.
 func (c *Cluster) StableSize() float64 { return c.NStar }
 
-// NetworkSent implements Deployment.
-func (c *Cluster) NetworkSent() int { return c.Net.Stats().Sent }
-
 // Anycast implements Deployment.
 func (c *Cluster) Anycast(from ids.NodeID, target ops.Target, opts ops.AnycastOptions) (ops.MsgID, error) {
 	n := c.Node(from)
@@ -395,7 +395,7 @@ func (c *Cluster) Aggregate(from ids.NodeID, op agg.Op, lo, hi float64, opts ops
 	return n.Aggregate(op, lo, hi, opts)
 }
 
-// ForceOffline implements Deployment: id drops off the memnet and out
+// ForceOffline implements Deployment: id drops off the network and out
 // of its own protocol drivers until the given virtual time, regardless
 // of its churn trace. The lift-time sweep keeps liveness reads pure
 // (see World.ForceOffline).

@@ -94,12 +94,16 @@ func TestClusterForceOffline(t *testing.T) {
 	if c.Online(victim) {
 		t.Fatal("forced-offline node still online")
 	}
-	// While down, the memnet drops traffic to the victim.
-	ok := true
-	c.Net.SendCall("probe", victim, struct{}{}, func(r bool) { ok = r })
-	c.RunFor(time.Second)
-	if ok {
-		t.Error("memnet acknowledged delivery to a forced-offline node")
+	// While down, the network drops traffic to the victim, however it is
+	// addressed.
+	h := int32(c.Trace.HostIndex(victim))
+	for _, to := range []ids.Addr{victim.Addr(), ids.AddrAt(victim, h)} {
+		ok := true
+		c.Net.SendCallAddr(ids.NodeID("probe").Addr(), to, struct{}{}, func(r bool) { ok = r })
+		c.RunFor(time.Second)
+		if ok {
+			t.Errorf("network acknowledged delivery to a forced-offline node addressed %v", to)
+		}
 	}
 	// The outage lifts on schedule; the trace resumes control.
 	c.RunFor(35 * time.Minute)

@@ -62,9 +62,6 @@ type Deployment interface {
 	Warmup(d time.Duration)
 	// StableSize returns N*, the trace's mean online population.
 	StableSize() float64
-	// NetworkSent returns the cumulative count of messages handed to the
-	// deployment's network fabric.
-	NetworkSent() int
 	// Anycast initiates an anycast at node from.
 	Anycast(from ids.NodeID, target ops.Target, opts ops.AnycastOptions) (ops.MsgID, error)
 	// Multicast initiates a multicast at node from (a range-cast when
@@ -104,7 +101,8 @@ const (
 	// BackendSim is the virtual-time simulator engine (World).
 	BackendSim = "sim"
 	// BackendMemnet is the live-runtime engine (Cluster): real
-	// node.Node agents on the deterministic in-process memnet.
+	// node.Node agents on the simulated network. The name is the one
+	// scenario files and the CLI have always used.
 	BackendMemnet = "memnet"
 )
 
@@ -142,9 +140,6 @@ func (w *World) Now() time.Duration { return w.Sim.Now() }
 
 // StableSize implements Deployment.
 func (w *World) StableSize() float64 { return w.NStar }
-
-// NetworkSent implements Deployment.
-func (w *World) NetworkSent() int { return w.Net.Stats().Sent }
 
 // Anycast implements Deployment.
 func (w *World) Anycast(from ids.NodeID, target ops.Target, opts ops.AnycastOptions) (ops.MsgID, error) {

@@ -465,10 +465,10 @@ func TestMulticastMessageAccounting(t *testing.T) {
 	// wire counts the messages a series of ten multicasts in mode puts on
 	// the network.
 	wire := func(mode ops.Mode) int {
-		before := w.NetworkSent()
+		before := w.Net.Stats().Sent
 		multicasts(t, w, 0, 1.01, target, ops.MulticastOptions{Anycast: ops.DefaultAnycastOptions(),
 			Mode: mode, Flavor: core.HSVS, Fanout: 3, Rounds: 2, Period: time.Second}, 10)
-		return w.NetworkSent() - before
+		return w.Net.Stats().Sent - before
 	}
 	flood, gossip := wire(ops.Flood), wire(ops.Gossip)
 	if flood == 0 || gossip == 0 {

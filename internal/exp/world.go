@@ -2,7 +2,7 @@
 // shared Deployment surface (deployment.go): World assembles a
 // deployment inside the discrete-event simulator (wiring, clocks, cohort
 // protocol drivers — deploy.go), and Cluster deploys real node.Node
-// agents on a deterministic in-process memnet (cluster.go). Both answer
+// agents on the same simulated network (cluster.go). Both answer
 // ground-truth queries (query.go) and the overlay and attack probes of
 // the paper's evaluation (§4; overlay.go, attack.go). internal/scenario
 // drives every experiment on either engine.
@@ -37,7 +37,7 @@ type WorldConfig struct {
 	Trace *trace.Trace
 	// Epsilon is the horizontal sliver half-width (default 0.1).
 	Epsilon float64
-	// C1, C2 are the predicate constants (default 1.0 each).
+	// C1, C2 are the predicate constants (default 3 each).
 	C1, C2 float64
 	// Predicate overrides the paper predicate entirely (e.g. the
 	// random-overlay baseline of Figure 10). When set, Epsilon/C1/C2

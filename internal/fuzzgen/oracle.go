@@ -108,7 +108,7 @@ func Check(spec *scenario.Spec, cfg OracleConfig) []Violation {
 }
 
 // checkMemnet runs the spec on the live runtime: same spec, real
-// node.Node agents on the deterministic memnet. The cross-engine
+// node.Node agents on the simulated network. The cross-engine
 // contract is shape-level, not byte-level.
 func checkMemnet(spec *scenario.Spec, fail func(string, string, ...any)) {
 	a, res, err := renderRun(spec, scenario.Options{Backend: scenario.BackendMemnet})

@@ -471,7 +471,7 @@ func (n *Node) discoverLocked(external []ids.NodeID) {
 	peer, req, ok := n.agent.TickDiscover(n.cfg.Seeds, n.mem.DiscoverView)
 	if ok {
 		req.SenderAvail = n.selfClaim()
-		n.env.Send(peer.Addr(), req)
+		n.env.Send(peer, req)
 	}
 }
 

@@ -318,3 +318,77 @@ func TestConvergedDiscoveryTickAllocatesOnlyWhatItSends(t *testing.T) {
 		}
 	}
 }
+
+// shuffleRoundTrip builds two unstarted nodes, a and b, on fabric (over
+// w's virtual clock), each holding only the other in its view, and
+// returns one round trip of their shuffle: a ticks and sends its offer,
+// the clock delivers it, b answers, the clock delivers the answer. A
+// two-node view empties when its partner leaves it, so the round ends by
+// seeding b back in, which allocates nothing.
+func shuffleRoundTrip(t *testing.T, w *sim.World, fabric runtime.Fabric) (roundTrip func(), a *Node) {
+	t.Helper()
+	all := []ids.NodeID{ids.Synthetic(0), ids.Synthetic(1)}
+	pairs, err := ids.NewPairIndexCache(all, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	universe := &Universe{Pairs: pairs, IndexOf: func(id ids.NodeID) int { return slices.Index(all, id) }}
+	nodes := make([]*Node, len(all))
+	for i, id := range all {
+		env, err := runtime.NewVirtual(runtime.VirtualConfig{Self: ids.AddrAt(id, int32(i)), Scheduler: w, Fabric: fabric, Seed: int64(i + 1)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		n, err := New(Config{
+			Self: id, Predicate: acceptAll(t), Monitor: avmon.Static{all[0]: 0.5, all[1]: 0.5},
+			Seeds: []ids.NodeID{all[1-i]}, ViewSize: 8, Env: env, Seed: int64(i + 1), Universe: universe,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Registered, not started: no periodic driver shares the clock.
+		if err := n.env.Register(n.handleMessage); err != nil {
+			t.Fatal(err)
+		}
+		nodes[i] = n
+	}
+	partner := all[1:]
+	return func() {
+		nodes[0].DiscoverNow()
+		w.Run(w.Now() + time.Second)
+		nodes[0].agent.Seed(partner)
+	}, nodes[0]
+}
+
+// TestShuffleRoundTripAllocatesOnlyWhatItSends pins what real nodes cost
+// on the simulator's own network: a shuffle round trip allocates the two
+// offers and the two boxes their messages travel in, and nothing else —
+// each delivery is a value event in the queue's slab, not a closure. The
+// same round trip over a Memnet on the same clock pays a delivery closure
+// per message on top.
+func TestShuffleRoundTripAllocatesOnlyWhatItSends(t *testing.T) {
+	measure := func(w *sim.World, fabric runtime.Fabric) float64 {
+		roundTrip, a := shuffleRoundTrip(t, w, fabric)
+		for i := 0; i < 50; i++ {
+			roundTrip()
+		}
+		if hs, vs := a.SliverSizes(); hs+vs != 1 {
+			t.Fatalf("%T: the initiator holds %d neighbors, want its partner", fabric, hs+vs)
+		}
+		return testing.AllocsPerRun(100, roundTrip)
+	}
+	w := sim.NewWorld(1)
+	net := sim.NewNetwork(w, nil, nil, 0)
+	net.Bind([]ids.NodeID{ids.Synthetic(0), ids.Synthetic(1)}, func(int) bool { return true })
+	if got := measure(w, runtime.NetFabric(net)); got != 4 {
+		t.Errorf("a round trip on the simulated network allocates %.2f times, want 4 (two offers, two boxes)", got)
+	}
+	if s := net.Stats(); s.Delivered != s.Sent || s.Sent < 300 {
+		t.Fatalf("network delivered %d of %d messages, want every one of at least 300", s.Delivered, s.Sent)
+	}
+	w = sim.NewWorld(1)
+	memnet := transport.NewMemnet(transport.MemnetConfig{After: w.After, Seed: 1})
+	if got := measure(w, runtime.TransportFabric(memnet)); got <= 4 {
+		t.Errorf("a round trip on a Memnet allocates %.2f times, want more than the simulated network's 4", got)
+	}
+}

@@ -11,10 +11,10 @@ import (
 )
 
 // VirtualConfig assembles a virtual-time Env. Many virtual Envs share
-// one Scheduler and one Fabric — that sharing is what makes a memnet
-// cluster of real nodes deterministic: every timer and delivery is an
-// event on the single virtual clock, executed on one goroutine in a
-// reproducible order.
+// one Scheduler and one Fabric — that sharing is what makes a cluster of
+// real nodes deterministic: every timer and delivery is an event on the
+// single virtual clock, executed on one goroutine in a reproducible
+// order.
 type VirtualConfig struct {
 	// Self is the identity the Env is bound to, with its host-index memo
 	// when the deployment knows it — resolved once, here, and stamped on
@@ -24,7 +24,7 @@ type VirtualConfig struct {
 	// (typically a sim.World).
 	Scheduler Scheduler
 	// Fabric moves messages (a sim.Network via NetFabric, or a transport
-	// such as the deterministic Memnet via TransportFabric).
+	// via TransportFabric).
 	Fabric Fabric
 	// Online reports this node's current liveness (nil = always online).
 	Online func() bool

@@ -26,8 +26,8 @@ const (
 	// logic driven by the deployment engine's cohort ticks.
 	BackendSim = exp.BackendSim
 	// BackendMemnet is the live runtime (exp.Cluster): real node.Node
-	// agents on a deterministic, seedable in-process memnet, executing
-	// on the same virtual clock.
+	// agents on the simulator's network, executing on the same virtual
+	// clock.
 	BackendMemnet = exp.BackendMemnet
 )
 

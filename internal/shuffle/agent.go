@@ -173,12 +173,14 @@ func (a *Agent) View() []ids.NodeID {
 
 // Tick is TickDiscover for an owner that runs no discovery.
 func (a *Agent) Tick() (peer ids.NodeID, req Request, ok bool) {
-	return a.TickDiscover(nil, nil)
+	to, req, ok := a.TickDiscover(nil, nil)
+	return to.ID(), req, ok
 }
 
 // TickDiscover starts one shuffle round and runs the owner's discovery
 // over it, under one acquisition of the agent's lock. It ages the view,
-// picks the oldest peer and returns the request to send to it; ok is
+// picks the oldest peer and returns the request to send to it, addressed
+// with the peer's host-index memo when the universe resolved it; ok is
 // false when the view is empty (nothing to shuffle with), in which case
 // the view is re-seeded from reseed first. It then calls judge —
 // core.Membership.DiscoverView — on the round's candidates in place: the
@@ -190,13 +192,13 @@ func (a *Agent) Tick() (peer ids.NodeID, req Request, ok bool) {
 // codes[k] is candidate k's dense host index, or for a negative code the
 // complement of its position in strays, and memo[k] its slot's word,
 // which judge may rewrite. A nil judge is skipped.
-func (a *Agent) TickDiscover(reseed []ids.NodeID, judge func(codes []int32, memo []uint64, strays []ids.NodeID) int) (peer ids.NodeID, req Request, ok bool) {
+func (a *Agent) TickDiscover(reseed []ids.NodeID, judge func(codes []int32, memo []uint64, strays []ids.NodeID) int) (peer ids.Addr, req Request, ok bool) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	if len(a.entries) == 0 {
 		a.seedLocked(reseed)
 		a.judgeLocked(len(a.entries), judge)
-		return ids.Nil, Request{}, false
+		return ids.Addr{}, Request{}, false
 	}
 	for i := range a.entries {
 		a.entries[i].Age++
@@ -216,7 +218,7 @@ func (a *Agent) TickDiscover(reseed []ids.NodeID, judge func(codes []int32, memo
 	// The offer is a fresh slice: it travels with the message.
 	out := a.sampleLocked(a.shuffleLen-1, 1)
 	out = append(out, Entry{ID: a.self, Age: 0, idx1: a.selfIdx1})
-	return partner.ID, Request{Entries: out}, true
+	return ids.AddrAt(partner.ID, partner.idx1-1), Request{Entries: out}, true
 }
 
 // judgeLocked codes the first n slots (the view, and past its end the

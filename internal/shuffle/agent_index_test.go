@@ -373,8 +373,14 @@ func (d *agentDiff) exchange(step, i int) {
 	// An emptied view re-seeds inside the tick, before the judge runs.
 	seeds := []ids.NodeID{d.universe[d.rng.Intn(agentHosts)], d.outside[d.rng.Intn(agentOutside)]}
 	var sawI, sawB []ids.NodeID
-	peerI, reqI, okI := p.idx.TickDiscover(seeds, d.judge(step, p, 0, true, &sawI))
-	peerB, reqB, okB := p.byID.TickDiscover(seeds, d.judge(step, p, 1, true, &sawB))
+	toI, reqI, okI := p.idx.TickDiscover(seeds, d.judge(step, p, 0, true, &sawI))
+	toB, reqB, okB := p.byID.TickDiscover(seeds, d.judge(step, p, 1, true, &sawB))
+	peerI, peerB := toI.ID(), toB.ID()
+	// The indexed agent addresses its partner with the memo it holds for
+	// it; the identifier-only agent has none to give.
+	if want, known := d.index[peerI]; known && toI.Index() != int32(want) || !known && toI.Index() >= 0 || toB.Index() >= 0 {
+		d.t.Fatalf("step %d: %v addressed its partner as %v / %v, universe index %d", step, p.id, toI, toB, want)
+	}
 	peerR, reqR, okR := p.ref.tick()
 	if !okR {
 		p.ref.seed(seeds)

@@ -224,7 +224,7 @@ func TestAgentConcurrentSafety(t *testing.T) {
 						}
 						return 0
 					})
-					if ok && offered != peer {
+					if ok && offered != peer.ID() {
 						t.Errorf("tick removed partner %v, the judge's last candidate was %v", peer, offered)
 					}
 				case 1:

@@ -34,9 +34,8 @@ type MemnetStats struct {
 // MemnetConfig assembles a deterministic in-process network.
 type MemnetConfig struct {
 	// After defers fn by d. nil uses wall-clock timers (time.AfterFunc);
-	// the scenario engine injects the virtual-time simulator's scheduler
-	// here, which makes every delivery an event on the deterministic
-	// virtual clock.
+	// a test may inject a virtual-time scheduler here, which makes every
+	// delivery an event on its deterministic clock.
 	After func(d time.Duration, fn func())
 	// Seed drives all latency and drop sampling.
 	Seed int64
@@ -49,9 +48,7 @@ type MemnetConfig struct {
 	// Drop is the global message-drop probability in [0,1).
 	Drop float64
 	// Online gates delivery-time liveness by identity (nil = every
-	// registered node is live). The scenario engine points this at the
-	// churn trace, so live nodes miss deliveries exactly when their
-	// simulated counterparts would.
+	// registered node is live).
 	Online func(id ids.NodeID) bool
 }
 

@@ -1,13 +1,11 @@
 // Package transport carries AVMEM operation messages between live
 // nodes. Two implementations are provided: Memnet, the in-process
-// network — on its built-in wall clock for tests, examples and
-// single-process clusters, on an injected virtual clock the
-// deterministic fabric behind the memnet engine — and a TCP transport
-// for real deployments.
+// network of tests, examples and single-process clusters, and a TCP
+// transport for real deployments.
 //
-// The simulation path (internal/sim) does not use this package; it has
-// its own virtual-time network. Both expose the same send semantics so
-// internal/ops runs unchanged on either.
+// Neither simulation engine uses this package: both deploy their nodes
+// on internal/sim's virtual-time network. Both expose the same send
+// semantics so internal/ops runs unchanged on either.
 //
 // Architecture: DESIGN.md §11 (live runtime) and §6 (the Runtime/Env
 // contract).
