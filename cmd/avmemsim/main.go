@@ -68,7 +68,7 @@ func runScenario(args []string, out io.Writer) error {
 	seeds := fs.Int("seeds", 1, "number of consecutive seeds to sweep, starting at the spec's seed")
 	parallel := fs.Int("parallel", 0, "worlds in flight at once for a multi-seed sweep (0 = GOMAXPROCS)")
 	backend := fs.String("backend", scenario.BackendSim,
-		"execution engine: 'sim' (virtual-time simulator) or 'memnet' (real nodes on a deterministic in-process network)")
+		"execution engine: 'sim' (virtual-time simulator) or 'memnet' (real nodes on the simulated network)")
 	cpuprofile := fs.String("cpuprofile", "", "write a CPU profile to this file")
 	memprofile := fs.String("memprofile", "", "write an end-of-run heap profile to this file")
 	tracefile := fs.String("trace", "", "write a runtime execution trace to this file")

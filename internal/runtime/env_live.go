@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"avmem/internal/ids"
+	"avmem/internal/stats"
 	"avmem/internal/transport"
 )
 
@@ -57,7 +58,7 @@ func NewLive(cfg LiveConfig) (*Live, error) {
 		cfg:    cfg,
 		self:   cfg.Self.Addr(),
 		fab:    TransportFabric(cfg.Transport),
-		rng:    rand.New(rand.NewSource(cfg.Seed)),
+		rng:    rand.New(stats.NewSplitMix64(cfg.Seed)),
 		timers: make(map[int]*time.Timer, 8),
 	}, nil
 }

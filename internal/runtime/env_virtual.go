@@ -7,6 +7,7 @@ import (
 
 	"avmem/internal/ids"
 	"avmem/internal/sim"
+	"avmem/internal/stats"
 	"avmem/internal/transport"
 )
 
@@ -62,7 +63,7 @@ func NewVirtual(cfg VirtualConfig) (*Virtual, error) {
 	}
 	rng := cfg.RNG
 	if rng == nil {
-		rng = rand.New(rand.NewSource(cfg.Seed))
+		rng = rand.New(stats.NewSplitMix64(cfg.Seed))
 	}
 	return &Virtual{cfg: cfg, rng: rng}, nil
 }

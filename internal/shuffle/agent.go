@@ -6,6 +6,7 @@ import (
 	"sync"
 
 	"avmem/internal/ids"
+	"avmem/internal/stats"
 )
 
 // Request is the initiator half of one CYCLON exchange: the entries the
@@ -73,10 +74,10 @@ type Agent struct {
 	indexOf  func(ids.NodeID) int
 	selfIdx1 int32
 
-	// Scratch, reused under mu: the permutation sampleLocked draws, and
-	// mergeLocked's compact mirrors of the view's indexes and ages (the
-	// duplicate scan and the eviction-victim cursor walk these, not the
-	// entries).
+	// Scratch, reused under mu: the index permutation sampleLocked
+	// shuffles a prefix of, and mergeLocked's compact mirrors of the
+	// view's indexes and ages (the duplicate scan and the eviction-victim
+	// cursor walk these, not the entries).
 	perm    []int
 	idxs    []int32
 	ages    []int
@@ -103,7 +104,7 @@ func NewAgent(self ids.NodeID, viewSize, shuffleLen int, seed int64) (*Agent, er
 	return &Agent{
 		self:       self,
 		shuffleLen: shuffleLen,
-		rng:        rand.New(rand.NewSource(seed)),
+		rng:        rand.New(stats.NewSplitMix64(seed)),
 		entries:    make([]Entry, 0, viewSize),
 		memo:       make([]uint64, 0, viewSize),
 		cap:        viewSize,
@@ -257,30 +258,30 @@ func (a *Agent) HandleReply(from ids.NodeID, reply Reply) {
 	a.mergeLocked(reply.Entries)
 }
 
-// sampleLocked picks up to n distinct random entries into a fresh slice
-// with room for extra more. It draws exactly what rand.Perm(len(view))
-// draws — the whole permutation, whatever n is — into the agent's
+// sampleLocked picks min(n, len(view)) distinct random entries into a
+// fresh slice with room for extra more: the partial Fisher–Yates Cyclon
+// samples with, one Intn draw per entry picked, over the agent's index
 // scratch. Caller holds mu.
 func (a *Agent) sampleLocked(n, extra int) []Entry {
 	m := len(a.entries)
-	if n <= 0 || m == 0 {
+	if n > m {
+		n = m
+	}
+	if n <= 0 {
 		return nil
 	}
 	if cap(a.perm) < m {
 		a.perm = make([]int, a.cap)
 	}
-	perm := a.perm[:m]
-	for i := range perm {
-		j := a.rng.Intn(i + 1)
-		perm[i] = perm[j]
-		perm[j] = i
-	}
-	if n > m {
-		n = m
+	idx := a.perm[:m]
+	for i := range idx {
+		idx[i] = i
 	}
 	out := make([]Entry, 0, n+extra)
-	for _, i := range perm[:n] {
-		out = append(out, a.entries[i])
+	for i := 0; i < n; i++ {
+		j := i + a.rng.Intn(m-i)
+		idx[i], idx[j] = idx[j], idx[i]
+		out = append(out, a.entries[idx[i]])
 	}
 	return out
 }

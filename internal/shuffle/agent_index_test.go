@@ -7,6 +7,7 @@ import (
 
 	"avmem/internal/ids"
 	"avmem/internal/shuffle"
+	"avmem/internal/stats"
 	"avmem/internal/transport"
 )
 
@@ -24,10 +25,11 @@ type agentPair struct {
 	lastWords [2]map[ids.NodeID]uint64
 }
 
-// refAgent is the agent as first written — rand.Perm sampling, a string
-// scan per duplicate check, a full oldest-entry scan per eviction — kept
-// as the executable definition of what Agent's scratch permutation,
-// index compares and age mirror must reproduce, RNG draw for RNG draw.
+// refAgent is the agent at its plainest — a partial Fisher–Yates over a
+// fresh index slice on a splitmix64 stream, a string scan per duplicate
+// check, a full oldest-entry scan per eviction — kept as the executable
+// definition of what Agent's index scratch, index compares and age mirror
+// must reproduce, RNG draw for RNG draw.
 type refAgent struct {
 	self       ids.NodeID
 	cap, shufL int
@@ -74,13 +76,16 @@ func (a *refAgent) sample(n int) []shuffle.Entry {
 	if n <= 0 || len(a.entries) == 0 {
 		return nil
 	}
-	perm := a.rng.Perm(len(a.entries))
-	if n > len(perm) {
-		n = len(perm)
+	m := len(a.entries)
+	idx := make([]int, m)
+	for i := range idx {
+		idx[i] = i
 	}
 	var out []shuffle.Entry
-	for _, i := range perm[:n] {
-		out = append(out, a.entries[i])
+	for i := 0; i < min(n, m); i++ {
+		j := i + a.rng.Intn(m-i)
+		idx[i], idx[j] = idx[j], idx[i]
+		out = append(out, a.entries[idx[i]])
 	}
 	return out
 }
@@ -150,7 +155,7 @@ func newAgentDiff(t *testing.T, seed int64) *agentDiff {
 	}
 	for i := 0; i < agentHosts; i++ {
 		p := &agentPair{id: d.universe[i], ref: &refAgent{self: d.universe[i], cap: agentView, shufL: agentLen,
-			rng: rand.New(rand.NewSource(seed + int64(i) + 1))}}
+			rng: rand.New(stats.NewSplitMix64(seed + int64(i) + 1))}}
 		for _, a := range []**shuffle.Agent{&p.idx, &p.byID} {
 			var err error
 			if *a, err = shuffle.NewAgent(p.id, agentView, agentLen, seed+int64(i)+1); err != nil {

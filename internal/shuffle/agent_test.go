@@ -1,10 +1,13 @@
 package shuffle
 
 import (
+	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
 	"avmem/internal/ids"
+	"avmem/internal/stats"
 )
 
 // agentNet runs a set of agents with synchronous message delivery —
@@ -246,4 +249,88 @@ func TestAgentConcurrentSafety(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
+}
+
+// countingSource counts the draws a rand.Rand takes from the stream under
+// it.
+type countingSource struct {
+	rand.Source
+	draws int
+}
+
+func (s *countingSource) Int63() int64 { s.draws++; return s.Source.Int63() }
+
+// TestAgentSampleIsPartialFisherYates pins sampleLocked: min(n, view)
+// distinct entries of the view, one draw per entry picked — not one per
+// view slot — and every entry as likely as any other.
+func TestAgentSampleIsPartialFisherYates(t *testing.T) {
+	const view = 8
+	a, err := NewAgent(ids.Synthetic(999), view, 4, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	peers := make([]ids.NodeID, view)
+	for i := range peers {
+		peers[i] = ids.Synthetic(i)
+	}
+	a.Seed(peers)
+	src := &countingSource{Source: stats.NewSplitMix64(11)}
+	a.rng = rand.New(src)
+	for _, n := range []int{0, 1, 3, view - 1, view, view + 5} {
+		before := src.draws
+		out := a.sampleLocked(n, 1)
+		want := min(n, view)
+		if len(out) != want || (want > 0 && cap(out) != want+1) {
+			t.Fatalf("sample(%d) = %d entries with room for %d, want %d with room for %d", n, len(out), cap(out), want, want+1)
+		}
+		if draws := src.draws - before; draws != want {
+			t.Errorf("sample(%d) took %d draws, want %d", n, draws, want)
+		}
+		seen := map[ids.NodeID]bool{}
+		for _, e := range out {
+			if seen[e.ID] || !slices.Contains(peers, e.ID) {
+				t.Fatalf("sample(%d) = %v: repeats an entry or invents one", n, out)
+			}
+			seen[e.ID] = true
+		}
+	}
+	// χ² of how often each entry is picked by 20k samples of 3: with 7
+	// degrees of freedom, a uniform sampler exceeds 24.32 once in 1000.
+	const trials, n = 20000, 3
+	picks := map[ids.NodeID]int{}
+	for i := 0; i < trials; i++ {
+		for _, e := range a.sampleLocked(n, 0) {
+			picks[e.ID]++
+		}
+	}
+	expect, chi2 := float64(trials*n)/view, 0.0
+	for _, id := range peers {
+		d := float64(picks[id]) - expect
+		chi2 += d * d / expect
+	}
+	if chi2 > 24.32 {
+		t.Errorf("χ² = %.1f over %v, want ≤ 24.32 for uniform picks", chi2, picks)
+	}
+}
+
+// TestAgentDrawsTheSplitMix64Stream: a seeded agent's randomness is the
+// splitmix64 stream of its seed, written out here from the generator's
+// definition.
+func TestAgentDrawsTheSplitMix64Stream(t *testing.T) {
+	const seed = 42
+	a, err := NewAgent(ids.Synthetic(1), 8, 4, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	state := uint64(seed)
+	for i := 0; i < 5; i++ {
+		state += 0x9E3779B97F4A7C15
+		z := state
+		z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
+		z = (z ^ (z >> 27)) * 0x94D049BB133111EB
+		z ^= z >> 31
+		if got, want := a.NextDraw(), int64(z>>1); got != want {
+			t.Fatalf("draw %d = %d, want splitmix64's %d", i, got, want)
+		}
+	}
 }

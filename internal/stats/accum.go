@@ -2,6 +2,7 @@ package stats
 
 import (
 	"math"
+	"math/rand"
 	"sort"
 )
 
@@ -58,16 +59,42 @@ func (a *Accumulator) Max() float64 {
 	return a.max
 }
 
+// SplitMix64 is Steele, Lea and Flood's splitmix64 generator as an
+// 8-byte rand.Source64: what a per-node stream runs on where math/rand's
+// own source would carry 4.9 KB of state for every node. The zero value
+// is the stream of seed 0.
+type SplitMix64 struct{ state uint64 }
+
+var _ rand.Source64 = (*SplitMix64)(nil)
+
+// NewSplitMix64 returns the stream seeded with seed.
+func NewSplitMix64(seed int64) *SplitMix64 { return &SplitMix64{state: uint64(seed)} }
+
+// Uint64 implements rand.Source64.
+func (s *SplitMix64) Uint64() uint64 {
+	s.state += 0x9E3779B97F4A7C15
+	z := s.state
+	z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
+	z = (z ^ (z >> 27)) * 0x94D049BB133111EB
+	return z ^ (z >> 31)
+}
+
+// Int63 implements rand.Source: the top 63 bits of the next Uint64.
+func (s *SplitMix64) Int63() int64 { return int64(s.Uint64() >> 1) }
+
+// Seed implements rand.Source.
+func (s *SplitMix64) Seed(seed int64) { s.state = uint64(seed) }
+
 // Reservoir is a bounded-memory streaming quantile sketch: classic
 // reservoir sampling (Vitter's algorithm R) over at most K observations,
 // with quantiles read off the sample. Randomness comes from a private
 // seeded splitmix64 stream, so a Reservoir is deterministic for a given
 // (seed, input sequence) and never perturbs any simulation RNG.
 type Reservoir struct {
-	k     int
-	n     int64
-	buf   []float64
-	state uint64
+	k   int
+	n   int64
+	buf []float64
+	rng SplitMix64
 }
 
 // NewReservoir creates a sketch keeping at most k samples (k <= 0
@@ -76,16 +103,7 @@ func NewReservoir(k int, seed int64) *Reservoir {
 	if k <= 0 {
 		k = 1024
 	}
-	return &Reservoir{k: k, state: uint64(seed)*0x9E3779B97F4A7C15 + 1}
-}
-
-// next is splitmix64, the same mixer the trace generator trusts.
-func (r *Reservoir) next() uint64 {
-	r.state += 0x9E3779B97F4A7C15
-	z := r.state
-	z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
-	z = (z ^ (z >> 27)) * 0x94D049BB133111EB
-	return z ^ (z >> 31)
+	return &Reservoir{k: k, rng: SplitMix64{state: uint64(seed)*0x9E3779B97F4A7C15 + 1}}
 }
 
 // Add offers one observation to the sketch.
@@ -96,7 +114,7 @@ func (r *Reservoir) Add(v float64) {
 		return
 	}
 	// Replace a random kept sample with probability k/n.
-	if j := int64(r.next() % uint64(r.n)); j < int64(r.k) {
+	if j := int64(r.rng.Uint64() % uint64(r.n)); j < int64(r.k) {
 		r.buf[j] = v
 	}
 }

@@ -66,3 +66,23 @@ func TestReservoirEmpty(t *testing.T) {
 		t.Fatal("empty reservoir should report NaN")
 	}
 }
+
+// TestSplitMix64KnownAnswers: the first outputs of the seed-0 stream are
+// splitmix64's published ones, Int63 is the top 63 bits of Uint64, and
+// Seed restarts a stream.
+func TestSplitMix64KnownAnswers(t *testing.T) {
+	want := []uint64{0xe220a8397b1dcdaf, 0x6e789e6aa1b965f4, 0x06c45d188009454f}
+	var s SplitMix64
+	for i, w := range want {
+		if got := s.Uint64(); got != w {
+			t.Fatalf("output %d = %#x, want %#x", i, got, w)
+		}
+	}
+	s.Seed(0)
+	if got := s.Int63(); got != int64(want[0]>>1) {
+		t.Errorf("Int63 = %#x, want %#x", got, want[0]>>1)
+	}
+	if a, b := NewSplitMix64(5).Uint64(), NewSplitMix64(5).Uint64(); a != b {
+		t.Errorf("two streams of seed 5 start %#x and %#x", a, b)
+	}
+}

@@ -1,7 +1,9 @@
 // Package stats provides the small statistics toolkit the experiment
 // harness uses to turn raw simulation measurements into exactly the
 // series the paper's figures plot: empirical CDFs, availability-bucketed
-// means, scatter series, histograms, and summary statistics.
+// means, scatter series, histograms, and summary statistics — plus the
+// splitmix64 source its reservoir samples with, which per-node streams
+// (shuffle agents, runtime Envs) run on too (DESIGN.md §7).
 //
 // Architecture: DESIGN.md §9 (deployment engines and the scenario
 // layer — reporting).

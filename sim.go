@@ -41,8 +41,8 @@ type SimConfig struct {
 	Trace *Trace
 	// Backend selects the execution engine: "sim" (default) runs the
 	// virtual-time simulator's deployment engine; "memnet" runs real
-	// live-runtime nodes on a deterministic in-process network, on the
-	// same virtual clock. The API is identical on both.
+	// live-runtime nodes on the same simulated network and virtual
+	// clock. The API is identical on both.
 	Backend string
 }
 
@@ -52,7 +52,7 @@ const AutoInitiator = NodeID("")
 // Sim is a deterministic AVMEM deployment on a virtual clock: the whole
 // population, its churn, membership maintenance, and operations —
 // executed by the simulator's deployment engine or, with the "memnet"
-// backend, by real live-runtime nodes over an in-process network. Sim
+// backend, by real live-runtime nodes over the same network. Sim
 // is not safe for concurrent use.
 type Sim struct {
 	w exp.Deployment
