@@ -71,8 +71,9 @@ func TestIdxSetMatchesMapOracle(t *testing.T) {
 }
 
 // indexedPair is one node seen through two memberships over the same
-// monitor and predicate: one wired like exp.World (index universe,
-// indexed monitor, epoch-stable slot memos), one identifier-only.
+// monitor and predicate: one wired like exp.Deployment's sim engine
+// (index universe, indexed monitor, epoch-stable slot memos), one
+// identifier-only.
 type indexedPair struct {
 	hosts       []ids.NodeID
 	avail       []float64

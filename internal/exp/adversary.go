@@ -262,7 +262,7 @@ type BiasResult struct {
 
 // OverlayBias probes any deployment for adversary over-representation
 // in honest nodes' coarse views and membership lists.
-func OverlayBias(w Deployment) BiasResult {
+func OverlayBias(w *Deployment) BiasResult {
 	advs := w.Adversaries()
 	res := BiasResult{}
 	hosts := w.Hosts()
@@ -346,7 +346,7 @@ func (s EvictionStats) FalsePositiveRate() float64 {
 // EvictionReport probes any deployment's audit trail. onset is the
 // virtual time the adversaries were switched on (detection latency is
 // measured from it; evictions recorded before onset still count).
-func EvictionReport(w Deployment, onset time.Duration) EvictionStats {
+func EvictionReport(w *Deployment, onset time.Duration) EvictionStats {
 	advs := w.Adversaries()
 	stats := EvictionStats{
 		Adversaries: len(advs),

@@ -42,11 +42,11 @@ func advTestConfig(t *testing.T) WorldConfig {
 // scenario comparisons would be meaningless.
 func TestCohortSelectionDeterministicAcrossEngines(t *testing.T) {
 	cfg := advTestConfig(t)
-	w, err := NewWorld(cfg)
+	w, err := NewDeployment(BackendSim, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := NewCluster(cfg)
+	c, err := NewDeployment(BackendMemnet, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,11 +73,11 @@ func TestCohortSelectionDeterministicAcrossEngines(t *testing.T) {
 // evictions by honest observers, and probe outputs.
 func TestAdversariesDetectedAndEvicted(t *testing.T) {
 	cfg := advTestConfig(t)
-	w, err := NewWorld(cfg)
+	w, err := NewDeployment(BackendSim, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	w.Warmup(4 * time.Hour)
+	w.RunFor(4 * time.Hour)
 	if got := len(w.EngagedAdversaries()); got != 0 {
 		t.Fatalf("%d adversaries engaged while disarmed", got)
 	}
@@ -123,7 +123,7 @@ func TestHonestDeploymentProbes(t *testing.T) {
 	cfg := advTestConfig(t)
 	cfg.Audit = nil
 	cfg.Adversary = nil
-	w, err := NewWorld(cfg)
+	w, err := NewDeployment(BackendSim, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -22,8 +22,8 @@ type AttackResult struct {
 // message from sender x arriving at receiver y, using y's information:
 // the (possibly noisy/stale) monitoring answer for x and y's own cached
 // availability.
-func verifyPair(w Deployment, x, y ids.NodeID, cushion float64) bool {
-	avX, ok := w.MonitorService().Availability(x)
+func verifyPair(w *Deployment, x, y ids.NodeID, cushion float64) bool {
+	avX, ok := w.Monitor.Availability(x)
 	if !ok {
 		return false
 	}
@@ -31,7 +31,7 @@ func verifyPair(w Deployment, x, y ids.NodeID, cushion float64) bool {
 	ok2, _ := my.Predicate().EvalNodes(
 		core.NodeInfo{ID: x, Availability: avX},
 		my.SelfInfo(),
-		cushion, w.HashCache())
+		cushion, w.Hashes)
 	return ok2
 }
 
@@ -40,7 +40,7 @@ func verifyPair(w Deployment, x, y ids.NodeID, cushion float64) bool {
 // neighbor lists; we measure the fraction of those non-neighbors that
 // would accept (verify) the message, per availability bucket of x.
 // The paper's claim: under 10% regardless of x's availability.
-func FloodingAttack(w Deployment, cushion float64) AttackResult {
+func FloodingAttack(w *Deployment, cushion float64) AttackResult {
 	online := w.OnlineHosts()
 	points := make([]stats.ScatterPoint, 0, len(online))
 	var acceptedTotal, pairTotal float64
@@ -76,7 +76,7 @@ func FloodingAttack(w Deployment, cushion float64) AttackResult {
 // legitimate messages that y would reject because its own (stale or
 // noisy) information disagrees. The paper's claim: below 30% with no
 // cushion, below 20% with cushion 0.1.
-func LegitimateRejection(w Deployment, cushion float64) AttackResult {
+func LegitimateRejection(w *Deployment, cushion float64) AttackResult {
 	online := w.OnlineHosts()
 	points := make([]stats.ScatterPoint, 0, len(online))
 	var rejectedTotal, pairTotal float64

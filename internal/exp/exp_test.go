@@ -13,7 +13,7 @@ import (
 
 // smallWorld builds a scaled-down deployment that keeps tests fast:
 // 220 hosts over ~2 days, 2-minute protocol period, 6-hour warmup.
-func smallWorld(t testing.TB, seed int64) *World {
+func smallWorld(t testing.TB, seed int64) *Deployment {
 	t.Helper()
 	return worldOf(t, seed, 220, 6*time.Hour)
 }
@@ -21,12 +21,12 @@ func smallWorld(t testing.TB, seed int64) *World {
 // mediumWorld (600 hosts, 10-hour warmup) is big enough for the
 // log(N*)/N* threshold regime that Figures 3 and 5 depend on;
 // predicates saturate in tiny worlds and hide those shapes.
-func mediumWorld(t testing.TB, seed int64) *World {
+func mediumWorld(t testing.TB, seed int64) *Deployment {
 	t.Helper()
 	return worldOf(t, seed, 600, 10*time.Hour)
 }
 
-func worldOf(t testing.TB, seed int64, hosts int, warmup time.Duration) *World {
+func worldOf(t testing.TB, seed int64, hosts int, warmup time.Duration) *Deployment {
 	t.Helper()
 	gen := trace.DefaultGenConfig(seed)
 	gen.Hosts = hosts
@@ -35,7 +35,7 @@ func worldOf(t testing.TB, seed int64, hosts int, warmup time.Duration) *World {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w, err := NewWorld(WorldConfig{
+	w, err := NewDeployment(BackendSim, WorldConfig{
 		Seed:           seed,
 		Trace:          tr,
 		ProtocolPeriod: 2 * time.Minute,
@@ -43,7 +43,7 @@ func worldOf(t testing.TB, seed int64, hosts int, warmup time.Duration) *World {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w.Warmup(warmup)
+	w.RunFor(warmup)
 	return w
 }
 
@@ -213,7 +213,7 @@ func TestLegitimateRejectionFig6(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w, err := NewWorld(WorldConfig{
+	w, err := NewDeployment(BackendSim, WorldConfig{
 		Seed:             6,
 		Trace:            tr,
 		ProtocolPeriod:   2 * time.Minute,
@@ -223,7 +223,7 @@ func TestLegitimateRejectionFig6(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w.Warmup(6 * time.Hour)
+	w.RunFor(6 * time.Hour)
 	res0 := LegitimateRejection(w, 0)
 	res1 := LegitimateRejection(w, 0.1)
 	if res1.Overall > res0.Overall {
@@ -237,7 +237,7 @@ func TestLegitimateRejectionFig6(t *testing.T) {
 // anycasts initiates n anycasts on d, each from a random online node
 // whose true availability lies in [lo, hi), one every gap, lets them
 // settle for 30 s, and returns the records of those initiated.
-func anycasts(t testing.TB, d Deployment, lo, hi float64, target ops.Target, opts ops.AnycastOptions, n int, gap time.Duration) []*ops.AnycastRecord {
+func anycasts(t testing.TB, d *Deployment, lo, hi float64, target ops.Target, opts ops.AnycastOptions, n int, gap time.Duration) []*ops.AnycastRecord {
 	t.Helper()
 	var sent []ops.MsgID
 	for i := 0; i < n; i++ {
@@ -255,7 +255,7 @@ func anycasts(t testing.TB, d Deployment, lo, hi float64, target ops.Target, opt
 	d.RunFor(30 * time.Second)
 	var recs []*ops.AnycastRecord
 	for _, id := range sent {
-		if rec, ok := d.Collector().Anycast(id); ok {
+		if rec, ok := d.Collector.Anycast(id); ok {
 			recs = append(recs, &rec)
 		}
 	}
@@ -284,7 +284,7 @@ func deliveredFraction(recs []*ops.AnycastRecord) float64 {
 
 // multicasts is anycasts for multicasts: one every 5 s from [lo, hi),
 // each told the target's eligible population at its initiation.
-func multicasts(t testing.TB, d Deployment, lo, hi float64, target ops.Target, opts ops.MulticastOptions, n int) []*ops.MulticastRecord {
+func multicasts(t testing.TB, d *Deployment, lo, hi float64, target ops.Target, opts ops.MulticastOptions, n int) []*ops.MulticastRecord {
 	t.Helper()
 	var sent []ops.MsgID
 	for i := 0; i < n; i++ {
@@ -303,7 +303,7 @@ func multicasts(t testing.TB, d Deployment, lo, hi float64, target ops.Target, o
 	d.RunFor(30 * time.Second)
 	var recs []*ops.MulticastRecord
 	for _, id := range sent {
-		if rec, ok := d.Collector().Multicast(id); ok {
+		if rec, ok := d.Collector.Multicast(id); ok {
 			recs = append(recs, &rec)
 		}
 	}
@@ -410,7 +410,7 @@ func TestDistributedMonitorWorld(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w, err := NewWorld(WorldConfig{
+	w, err := NewDeployment(BackendSim, WorldConfig{
 		Seed:               14,
 		Trace:              tr,
 		ProtocolPeriod:     2 * time.Minute,
@@ -419,7 +419,7 @@ func TestDistributedMonitorWorld(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w.Warmup(8 * time.Hour)
+	w.RunFor(8 * time.Hour)
 
 	// The distributed estimates should track ground truth reasonably.
 	var totalErr float64

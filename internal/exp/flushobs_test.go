@@ -28,16 +28,12 @@ func TestDiscoveryCountersPublished(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		stats := func() core.DiscoveryStats { return d.(*World).discovery }
-		if c, ok := d.(*Cluster); ok {
-			t.Cleanup(c.Stop)
-			stats = func() core.DiscoveryStats { return c.discovery }
-		}
-		d.Warmup(3 * time.Hour)
+		t.Cleanup(d.Stop)
+		d.RunFor(3 * time.Hour)
 		d.RunFor(time.Hour)
-		want := flushedFields(stats(), 0, ops.FloodStats{}, sim.AddrMemoStats{})
+		want := flushedFields(d.discovery, 0, ops.FloodStats{}, sim.AddrMemoStats{})
 		// 120 protocol periods: every host of the fleet must have counted.
-		if hosts := int64(len(d.Hosts())); want[0] < 20*hosts || d.Membership(d.Hosts()[0]).DiscoveryStats() != stats() {
+		if hosts := int64(len(d.Hosts())); want[0] < 20*hosts || d.Membership(d.Hosts()[0]).DiscoveryStats() != d.discovery {
 			t.Errorf("%s: %d passes for %d hosts, or a membership counting on its own", backend, want[0], hosts)
 		}
 		got := map[string]int64{}
@@ -72,10 +68,8 @@ func TestFloodCountersPublished(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if c, ok := d.(*Cluster); ok {
-			t.Cleanup(c.Stop)
-		}
-		d.Warmup(4 * time.Hour)
+		t.Cleanup(d.Stop)
+		d.RunFor(4 * time.Hour)
 		recs := multicasts(t, d, 0, 1.01, ops.Target{Lo: 0.3, Hi: 1},
 			ops.MulticastOptions{Anycast: ops.DefaultAnycastOptions(), Mode: ops.Flood, Flavor: core.HSVS}, 12)
 		if entered := meanOf(recs, func(r *ops.MulticastRecord) float64 {
@@ -94,8 +88,8 @@ func TestFloodCountersPublished(t *testing.T) {
 		}
 		hit, absent, mismatch := read(`sim_net_addr_memo_total{result="hit"}`),
 			read(`sim_net_addr_memo_total{result="absent"}`), read(`sim_net_addr_memo_total{result="mismatch"}`)
-		if w, ok := d.(*World); ok && (w.flood.SeenChecks != checks || w.flood.OrderSorts != sorts) {
-			t.Errorf("sim: registry reads %d checks / %d sorts, the routers counted %+v", checks, sorts, w.flood)
+		if backend == BackendSim && (d.flood.SeenChecks != checks || d.flood.OrderSorts != sorts) {
+			t.Errorf("sim: registry reads %d checks / %d sorts, the routers counted %+v", checks, sorts, d.flood)
 		}
 		// Both engines' nodes send over the simulated network, stamped with
 		// their host index: the memos must reach it and verify.

@@ -27,7 +27,7 @@ type OverlaySnapshot struct {
 }
 
 // SnapshotOverlay captures Figures 2(a,b,c) from the current instant.
-func SnapshotOverlay(w Deployment) OverlaySnapshot {
+func SnapshotOverlay(w *Deployment) OverlaySnapshot {
 	online := w.OnlineHosts()
 	snap := OverlaySnapshot{
 		OnlineCount: len(online),
@@ -59,7 +59,7 @@ type HorizontalScaling struct {
 }
 
 // ScanHorizontalScaling captures Figure 3 from the current instant.
-func ScanHorizontalScaling(w Deployment) HorizontalScaling {
+func ScanHorizontalScaling(w *Deployment) HorizontalScaling {
 	online := w.OnlineHosts()
 	all := w.Hosts()
 	avails := make(map[string]float64, len(all))
@@ -145,7 +145,7 @@ type VSInDegree struct {
 }
 
 // ScanVSInDegree captures Figure 4 from the current instant.
-func ScanVSInDegree(w Deployment) VSInDegree {
+func ScanVSInDegree(w *Deployment) VSInDegree {
 	online := w.OnlineHosts()
 	indeg := make(map[string]int, len(online))
 	for _, id := range online {

@@ -20,8 +20,8 @@ import (
 // universeCluster deploys hostCount real nodes on a churn trace, the
 // paper predicate and the trace oracle (optionally behind a noise layer, whose
 // shared RNG makes the result sensitive to the order of every monitor
-// query in the deployment) — the way exp.Cluster does — handing every
-// node the host-index universe or not.
+// query in the deployment) — the way exp.Deployment's memnet engine does —
+// handing every node the host-index universe or not.
 func universeCluster(t *testing.T, hostCount int, withUniverse, noisy bool) (*sim.World, []*Node) {
 	t.Helper()
 	tr, err := trace.Generate(trace.GenConfig{

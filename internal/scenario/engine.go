@@ -22,12 +22,12 @@ import (
 
 // Backends name the execution engines a scenario can run on.
 const (
-	// BackendSim is the virtual-time simulator (exp.World): protocol
-	// logic driven by the deployment engine's cohort ticks.
+	// BackendSim installs protocol state on every host of an
+	// exp.Deployment, driven by the deployment's cohort ticks.
 	BackendSim = exp.BackendSim
-	// BackendMemnet is the live runtime (exp.Cluster): real node.Node
-	// agents on the simulator's network, executing on the same virtual
-	// clock.
+	// BackendMemnet installs a real node.Node agent on every host of an
+	// exp.Deployment: the live runtime on the simulator's network,
+	// executing on the same virtual clock.
 	BackendMemnet = exp.BackendMemnet
 )
 
@@ -109,18 +109,14 @@ func Run(spec *Spec, opts Options) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Backends that own resources (the memnet cluster's nodes and
-	// fabric) expose Stop; tear them down when the run ends.
-	if c, ok := w.(interface{ Stop() }); ok {
-		defer c.Stop()
-	}
+	defer w.Stop()
 	ignored := ""
 	if opts.Shards > 1 || opts.ShardThreads > 1 {
 		ignored = fmt.Sprintf("; Shards=%d ShardThreads=%d ignored (one event queue, serial engine)", opts.Shards, opts.ShardThreads)
 	}
 	fmt.Fprintf(logw, "fleet ready (%s backend): %d hosts, N*=%.0f; warming up %v%s\n",
-		backendName(opts.Backend), len(w.Hosts()), w.StableSize(), spec.Warmup.D(), ignored)
-	w.Warmup(spec.Warmup.D())
+		backendName(opts.Backend), len(w.Hosts()), w.NStar, spec.Warmup.D(), ignored)
+	w.RunFor(spec.Warmup.D())
 
 	run := &runState{w: w, spec: spec, log: logw, base: w.Now(), labels: map[string]*tally{}}
 	for i := range spec.Events {
@@ -160,7 +156,7 @@ func backendName(backend string) string {
 }
 
 // buildDeployment assembles the fleet on the requested backend.
-func buildDeployment(spec *Spec, opts Options) (exp.Deployment, error) {
+func buildDeployment(spec *Spec, opts Options) (*exp.Deployment, error) {
 	var tr *trace.Trace
 	if spec.Fleet.Trace != "" {
 		f, err := os.Open(spec.Fleet.Trace)
@@ -234,7 +230,7 @@ func buildDeployment(spec *Spec, opts Options) (exp.Deployment, error) {
 
 // runState carries a run through its event sequence.
 type runState struct {
-	w    exp.Deployment
+	w    *exp.Deployment
 	spec *Spec
 	log  io.Writer
 	// base is the virtual time at warmup end; event At times are
@@ -457,7 +453,7 @@ func (r *runState) churnBurst(b *ChurnBurst) error {
 		k = len(online)
 	}
 	until := r.w.Now() + b.Duration.D()
-	perm := r.w.Rand().Perm(len(online))
+	perm := r.w.Rand.Perm(len(online))
 	for _, idx := range perm[:k] {
 		r.w.ForceOffline(online[idx], until)
 	}
@@ -532,7 +528,7 @@ func (r *runState) anycastBatch(b *AnycastBatch, out *tally) error {
 	}
 	ttlExpired := 0
 	for _, id := range sent {
-		rec, ok := r.w.Collector().Anycast(id)
+		rec, ok := r.w.Collector.Anycast(id)
 		if !ok {
 			continue
 		}
@@ -600,7 +596,7 @@ func (r *runState) dissemBatch(e *Event, out *tally) error {
 	var reach, spam float64
 	var lastMs []float64 // last-delivery latency of each multicast that delivered (Fig 11)
 	for _, id := range sent {
-		rec, ok := r.w.Collector().Multicast(id)
+		rec, ok := r.w.Collector.Multicast(id)
 		if !ok {
 			continue
 		}
@@ -629,7 +625,7 @@ func (r *runState) aggregateBatch(b *AggregateBatch, out *tally) error {
 	flavor, _ := parseFlavor(b.Flavor)
 	opts := ops.AggregateOptions{Anycast: ops.DefaultAnycastOptions(), Flavor: flavor, Redundancy: b.Redundancy}
 	band := b.band()
-	col := r.w.Collector()
+	col := r.w.Collector
 	rej0, forgRej0, forgAcc0 := col.AggCounters()
 	// An aggregation converges within MaxDepth+1 waves; the default gap
 	// spaces initiations past that so trees do not stack up.
@@ -672,7 +668,7 @@ func (r *runState) aggregateBatch(b *AggregateBatch, out *tally) error {
 // bandEligible returns the online nodes whose true availability lies
 // in the half-open band — the ground-truth population range-cast
 // coverage and aggregation accuracy are measured against.
-func bandEligible(w exp.Deployment, b ops.Band) []ids.NodeID {
+func bandEligible(w *exp.Deployment, b ops.Band) []ids.NodeID {
 	hi := b.Hi
 	if hi >= 1 {
 		// The band closes its top end at 1; OnlineInBand is half-open,
@@ -686,7 +682,7 @@ func bandEligible(w exp.Deployment, b ops.Band) []ids.NodeID {
 // population at the current instant — what a perfect census would
 // report. The returned eligible count doubles as the coverage
 // denominator.
-func groundTruth(w exp.Deployment, op agg.Op, b ops.Band) (eligible int, truth float64) {
+func groundTruth(w *exp.Deployment, op agg.Op, b ops.Band) (eligible int, truth float64) {
 	var p agg.Partial
 	for _, id := range bandEligible(w, b) {
 		p.Observe(w.TrueAvailability(id), 0)

@@ -202,7 +202,7 @@ func TestRandomOverlayMatchesDegree(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		w.Warmup(6 * time.Hour)
+		w.RunFor(6 * time.Hour)
 		degrees[overlay] = w.MeanDegree()
 		if overlay == "" {
 			continue

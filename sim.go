@@ -55,7 +55,7 @@ const AutoInitiator = NodeID("")
 // backend, by real live-runtime nodes over the same network. Sim
 // is not safe for concurrent use.
 type Sim struct {
-	w exp.Deployment
+	w *exp.Deployment
 }
 
 // NewSim assembles a simulated deployment at virtual time zero. Call
@@ -104,7 +104,7 @@ func NewSim(cfg SimConfig) (*Sim, error) {
 }
 
 // Warmup advances virtual time by d, letting the overlay form.
-func (s *Sim) Warmup(d time.Duration) { s.w.Warmup(d) }
+func (s *Sim) Warmup(d time.Duration) { s.w.RunFor(d) }
 
 // RunFor advances virtual time by d.
 func (s *Sim) RunFor(d time.Duration) { s.w.RunFor(d) }
@@ -172,7 +172,7 @@ func (s *Sim) Anycast(from NodeID, target Target, opts AnycastOptions) (AnycastR
 	if err != nil {
 		return AnycastRecord{}, err
 	}
-	col := s.w.Collector()
+	col := s.w.Collector
 	deadline := s.w.Now() + opHorizon
 	for s.w.Now() < deadline {
 		s.w.RunFor(time.Second)
@@ -204,7 +204,7 @@ func (s *Sim) Multicast(from NodeID, target Target, opts MulticastOptions) (Mult
 		settle += time.Duration(opts.Rounds+4) * opts.Period
 	}
 	s.w.RunFor(settle)
-	rec, ok := s.w.Collector().Multicast(id)
+	rec, ok := s.w.Collector.Multicast(id)
 	if !ok {
 		return MulticastRecord{}, fmt.Errorf("avmem: multicast record vanished")
 	}
