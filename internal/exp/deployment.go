@@ -302,7 +302,7 @@ func NewDeployment(backend string, cfg WorldConfig) (*Deployment, error) {
 		return nil, err
 	}
 	latency := cfg.Latency
-	if backend == BackendMemnet {
+	if backend == BackendMemnet { // see privateLatency
 		latency = privateLatency{cfg.Latency, rand.New(rand.NewSource(cfg.Seed + 1))}
 	}
 	d.Net = sim.NewNetwork(d.Sim, latency, d.Online, 0)
