@@ -55,6 +55,15 @@ var distributedMonitorReports = map[string]string{
 	BackendMemnet: "8a55e73a09a18e18eb796ed99980b929099be841900d02e772b8a245330bc63b",
 }
 
+// selectiveForwardReports pins byzantine-census with "selective-forward"
+// added to its behavior mix. It is the one pinned run where aggregation
+// trees cross relays that drop their requests, so the fake verdicts the
+// dropping relays hand the tree fan-out show here first.
+var selectiveForwardReports = map[string]string{
+	BackendSim:    "81da6b6999bc32a607017399485e74f78746d0e8fe7b55e3f8ebf000223acae2",
+	BackendMemnet: "84739bfe2253a4a22e7febb835c913a0f275252ae86885cae869dfe669c20e47",
+}
+
 // TestGoldenReports is the in-tree byte-identity tripwire: the
 // out-of-module benchmark harness compares report_sha256 between two
 // commits, this compares against digests recorded in the tree. Rows come
@@ -93,6 +102,14 @@ func TestGoldenReports(t *testing.T) {
 			}
 			spec.Fleet.DistributedMonitor = true
 			checkDigest(t, spec, backend, distributedMonitorReports[backend])
+		})
+		t.Run(goldenName(backend, "byzantine-census.json+selective-forward"), func(t *testing.T) {
+			spec, err := LoadFile(filepath.Join("..", "..", "scenarios", "byzantine-census.json"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			spec.Adversaries.Behaviors = append(spec.Adversaries.Behaviors, "selective-forward")
+			checkDigest(t, spec, backend, selectiveForwardReports[backend])
 		})
 	}
 }
