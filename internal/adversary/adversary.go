@@ -564,6 +564,26 @@ func (w *wrapped) SendCall(to ids.Addr, msg any, onResult func(ok bool)) {
 	w.Env.SendCall(to, d.Msg, onResult)
 }
 
+// SendNack implements runtime.Env. A dropped message whose behavior
+// fakes an ack schedules nothing: the fake verdict would be a success,
+// which a nack-only caller never hears. Without FakeAck the nack arrives
+// asynchronously, as from SendCall; a delayed message is re-sent
+// nack-only.
+func (w *wrapped) SendNack(to ids.Addr, msg any, onNack func()) {
+	d := w.b.Outbound(to.ID(), msg)
+	if d.Drop {
+		if onNack != nil && !d.FakeAck {
+			w.Env.After(0, onNack)
+		}
+		return
+	}
+	if d.Delay > 0 {
+		w.Env.After(d.Delay, func() { w.Env.SendNack(to, d.Msg, onNack) })
+		return
+	}
+	w.Env.SendNack(to, d.Msg, onNack)
+}
+
 // Register implements runtime.Env: the inbound handler is filtered
 // through the behavior, and fabricating behaviors (Reactor) get to
 // inject their own traffic in reaction to what was delivered. The

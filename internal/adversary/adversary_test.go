@@ -196,6 +196,51 @@ func TestWrapInterceptsEnv(t *testing.T) {
 	}
 }
 
+// TestDroppedNackOnlySendQueuesNothing: a relay that black-holes a
+// nack-only send with a fake ack owes its caller nothing — a success is
+// never reported to it — so the drop queues no event and allocates
+// nothing. Without the fake ack the nack still arrives, asynchronously.
+func TestDroppedNackOnlySendQueuesNothing(t *testing.T) {
+	w := sim.NewWorld(1)
+	net := sim.NewNetwork(w, nil, nil, 0)
+	env, err := runtime.NewVirtual(runtime.VirtualConfig{
+		Self: ids.NodeID("adv").Addr(), Scheduler: w, Fabric: runtime.NetFabric(net), Seed: 3,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	peer := ids.NodeID("peer").Addr()
+	var relayed any = ops.AggMsg{ID: ops.MsgID{Origin: "other", Seq: 1}}
+	nacks := 0
+	onNack := func() { nacks++ }
+
+	blackHole := Wrap(env, NewSelectiveForward("adv", 1.0, 4))
+	blackHole.SendNack(peer, relayed, onNack)
+	if w.Pending() != 0 {
+		t.Fatalf("dropped nack-only send with a fake ack queued %d events, want 0", w.Pending())
+	}
+	if got := testing.AllocsPerRun(100, func() { blackHole.SendNack(peer, relayed, onNack) }); got != 0 {
+		t.Errorf("dropped nack-only send allocates %.1f times, want 0", got)
+	}
+
+	silent := Wrap(env, dropAll{})
+	silent.SendNack(peer, relayed, onNack)
+	if nacks != 0 || w.Pending() != 1 {
+		t.Fatalf("drop without a fake ack: %d nacks before the run, %d queued; want 0 and 1", nacks, w.Pending())
+	}
+	w.RunAll(0)
+	if nacks != 1 {
+		t.Fatalf("drop without a fake ack nacked %d times, want 1", nacks)
+	}
+}
+
+// dropAll drops every outbound message without faking an ack.
+type dropAll struct{}
+
+func (dropAll) Name() string                            { return "drop-all" }
+func (dropAll) Outbound(_ ids.NodeID, msg any) Decision { return Decision{Msg: msg, Drop: true} }
+func (dropAll) Inbound(ids.NodeID, any) bool            { return true }
+
 func TestProfileBuild(t *testing.T) {
 	if _, err := (Profile{}).Build("x", nil, 1, nil); err == nil {
 		t.Fatal("empty profile accepted")

@@ -191,8 +191,13 @@ func (p Params) Validate() error {
 // overflow is harmless.
 const maxDone = 1 << 14
 
-// pending is one in-flight aggregation at this node.
-type pending struct {
+// pending is one in-flight aggregation at this node. Records are
+// recycled: a record returns to its station's free list when its
+// deadline timer fires — the last reference to it, since one timer is
+// armed per Open — so the timer callback is bound once per record, not
+// once per Open.
+type pending[K comparable] struct {
+	id       K
 	acc      Partial
 	finalize func(Partial)
 	// outstanding counts forwarded-to children not yet accounted for;
@@ -200,6 +205,11 @@ type pending struct {
 	// before the caller even forwarded the request.
 	outstanding int
 	expected    bool
+	// live is set from Open until the aggregation concludes.
+	live bool
+	// deadline is the record's timer callback, bound when the record was
+	// first built.
+	deadline func()
 }
 
 // Station is the per-node aggregation state machine. It owns no wire
@@ -210,8 +220,10 @@ type Station[K comparable] struct {
 	params Params
 	after  func(d time.Duration, fn func())
 
-	open map[K]*pending
+	open map[K]*pending[K]
 	done map[K]bool
+	// free holds records whose deadline has fired, for Open to reuse.
+	free []*pending[K]
 }
 
 // NewStation builds a Station; after schedules the deadlines (the host
@@ -257,24 +269,45 @@ func (s *Station[K]) Open(id K, depth int, local float64, contribute bool, final
 	if s.Seen(id) {
 		return false
 	}
-	p := &pending{finalize: finalize}
+	p := s.record()
+	p.id, p.finalize, p.live = id, finalize, true
 	if contribute {
 		p.acc.Observe(local, depth)
 	}
 	if s.open == nil {
-		s.open = make(map[K]*pending, 8)
+		s.open = make(map[K]*pending[K], 8)
 	}
 	s.open[id] = p
 	// One timer per aggregation, at the depth-staggered deadline: the
 	// hard stop for children lost mid-operation. After an earlier
-	// convergence it finds the id retired and does nothing.
+	// convergence it finds the record concluded and only recycles it.
 	waves := max(s.params.MaxDepth-depth, 0) + 1
-	s.after(time.Duration(waves)*s.params.Wave, func() {
-		if cur, ok := s.open[id]; ok && cur == p {
-			s.conclude(id, p)
-		}
-	})
+	s.after(time.Duration(waves)*s.params.Wave, p.deadline)
 	return true
+}
+
+// record returns a zeroed pending record, reused from the free list when
+// one is there, with its deadline callback bound.
+func (s *Station[K]) record() *pending[K] {
+	if n := len(s.free); n > 0 {
+		p := s.free[n-1]
+		s.free = s.free[:n-1]
+		*p = pending[K]{deadline: p.deadline}
+		return p
+	}
+	p := &pending[K]{}
+	p.deadline = func() { s.expire(p) }
+	return p
+}
+
+// expire is a record's deadline: it concludes the aggregation if it is
+// still open and recycles the record, which nothing else references any
+// more.
+func (s *Station[K]) expire(p *pending[K]) {
+	if p.live {
+		s.conclude(p)
+	}
+	s.free = append(s.free, p)
 }
 
 // Expect records how many children the caller forwarded the request
@@ -290,7 +323,7 @@ func (s *Station[K]) Expect(id K, children int) {
 	}
 	p.expected = true
 	p.outstanding += children
-	s.maybeConverge(id, p)
+	s.maybeConverge(p)
 }
 
 // Absorb folds a child partial into a pending aggregation and marks
@@ -304,7 +337,7 @@ func (s *Station[K]) Absorb(id K, q Partial) {
 	}
 	p.acc.Merge(q)
 	p.outstanding--
-	s.maybeConverge(id, p)
+	s.maybeConverge(p)
 }
 
 // Decline marks one child accounted for without a contribution: the
@@ -316,7 +349,7 @@ func (s *Station[K]) Decline(id K) {
 		return
 	}
 	p.outstanding--
-	s.maybeConverge(id, p)
+	s.maybeConverge(p)
 }
 
 // Pending returns the number of in-flight aggregations (tests and
@@ -325,19 +358,21 @@ func (s *Station[K]) Pending() int { return len(s.open) }
 
 // maybeConverge finalizes once every forwarded-to child is accounted
 // for.
-func (s *Station[K]) maybeConverge(id K, p *pending) {
+func (s *Station[K]) maybeConverge(p *pending[K]) {
 	if !p.expected || p.outstanding > 0 {
 		return
 	}
-	s.conclude(id, p)
+	s.conclude(p)
 }
 
 // conclude retires the aggregation and reports its combined partial.
-func (s *Station[K]) conclude(id K, p *pending) {
-	delete(s.open, id)
+func (s *Station[K]) conclude(p *pending[K]) {
+	delete(s.open, p.id)
 	if s.done == nil || len(s.done) >= maxDone {
 		s.done = make(map[K]bool, 64)
 	}
-	s.done[id] = true
-	p.finalize(p.acc)
+	s.done[p.id] = true
+	finalize := p.finalize
+	p.live, p.finalize = false, nil
+	finalize(p.acc)
 }

@@ -204,6 +204,9 @@ func (f *sinkFabric) Send(_, to ids.Addr, _ any)               { f.to, f.sent = 
 func (f *sinkFabric) SendCall(_, to ids.Addr, _ any, _ func(bool)) {
 	f.to, f.sent = to.ID(), f.sent+1
 }
+func (f *sinkFabric) SendNack(_, to ids.Addr, _ any, _ func()) {
+	f.to, f.sent = to.ID(), f.sent+1
+}
 
 // replyingFabric answers every shuffle request on the spot, before Send
 // returns, with an empty reply from the addressee: the fastest partner a

@@ -85,6 +85,7 @@ func (e *sendLog) After(time.Duration, func())               {}
 func (e *sendLog) RandFloat() float64                        { return 0.5 }
 func (e *sendLog) Send(to ids.Addr, _ any)                   { e.sent = append(e.sent, to) }
 func (e *sendLog) SendCall(to ids.Addr, _ any, _ func(bool)) { e.sent = append(e.sent, to) }
+func (e *sendLog) SendNack(to ids.Addr, _ any, _ func())     { e.sent = append(e.sent, to) }
 func (e *sendLog) Online() bool                              { return true }
 
 // orderRig is one router over a membership whose slivers, pair hashes

@@ -30,6 +30,11 @@ type Env interface {
 	// target processed the message, onResult(false) when it could not
 	// be reached (retried-greedy forwarding relies on this).
 	SendCall(to ids.Addr, msg any, onResult func(ok bool))
+	// SendNack is SendCall for a caller that acts only on failure: onNack
+	// fires when SendCall's onResult(false) would, and a delivered
+	// message reports nothing — no success verdict is queued that nobody
+	// reads (the aggregation fan-out relies on this).
+	SendNack(to ids.Addr, msg any, onNack func())
 	// Online reports whether this node itself is currently online.
 	Online() bool
 }
@@ -1011,19 +1016,16 @@ func (r *Router) forwardAgg(id MsgID, spec AggregateSpec, depth int, sentAt time
 	// fabricated result past the origin's collector.
 	next := AggMsg{ID: id, Spec: spec, Depth: depth + 1, SentAt: sentAt, SenderAvail: r.selfClaim()}
 	next.Spec.Token = 0
-	// One boxed request and one nack callback serve every child.
+	// One boxed request and one nack callback serve every child; a
+	// delivered request reports nothing, since only failure counts here.
 	var boxed any = next
-	nack := func(ok bool) {
-		if !ok {
-			r.station.Decline(id)
-		}
-	}
+	nack := func() { r.station.Decline(id) }
 	kids := 0
 	for nb := range r.targets(spec.Flavor, spec.Salt, spec.Band.Contains) {
 		if nb.ID == parent {
 			continue
 		}
-		r.env.SendCall(nb.Addr(), boxed, nack)
+		r.env.SendNack(nb.Addr(), boxed, nack)
 		kids++
 	}
 	return kids

@@ -55,6 +55,9 @@ func (e *testEnv) Send(to ids.Addr, msg any)        { e.net.SendAddr(e.self.Addr
 func (e *testEnv) SendCall(to ids.Addr, msg any, onResult func(ok bool)) {
 	e.net.SendCallAddr(e.self.Addr(), to, msg, onResult)
 }
+func (e *testEnv) SendNack(to ids.Addr, msg any, onNack func()) {
+	e.net.SendNackAddr(e.self.Addr(), to, msg, onNack)
+}
 func (e *testEnv) Online() bool { return e.online() }
 
 // newCluster builds a cluster where node i has availability avails[i].
@@ -617,14 +620,16 @@ func TestDisseminationOrderMatchesPairHashPath(t *testing.T) {
 	}
 }
 
-// countingEnv is an Env that only counts acknowledged sends, so a test
-// can look at what the router itself allocates per forward.
+// countingEnv is an Env that only counts acknowledged sends (SendCall
+// and SendNack alike), so a test can look at what the router itself
+// allocates per forward.
 type countingEnv struct {
 	testEnv
 	calls int
 }
 
 func (e *countingEnv) SendCall(ids.Addr, any, func(bool)) { e.calls++ }
+func (e *countingEnv) SendNack(ids.Addr, any, func())     { e.calls++ }
 
 // TestForwardAggAllocatesPerForwardNotPerChild checks the aggregation
 // fan-out boxes its request and builds its nack callback once: the

@@ -174,6 +174,11 @@ func (e *Live) SendCall(to ids.Addr, msg any, onResult func(ok bool)) {
 	})
 }
 
+// SendNack implements Env as a filter over SendCall.
+func (e *Live) SendNack(to ids.Addr, msg any, onNack func()) {
+	e.SendCall(to, msg, nackOnly(onNack))
+}
+
 // Online implements Env.
 func (e *Live) Online() bool {
 	e.mu.Lock()

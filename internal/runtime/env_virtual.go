@@ -128,6 +128,11 @@ func (e *Virtual) SendCall(to ids.Addr, msg any, onResult func(ok bool)) {
 	e.cfg.Fabric.SendCall(e.cfg.Self, to, msg, onResult)
 }
 
+// SendNack implements Env.
+func (e *Virtual) SendNack(to ids.Addr, msg any, onNack func()) {
+	e.cfg.Fabric.SendNack(e.cfg.Self, to, msg, onNack)
+}
+
 // Online implements Env.
 func (e *Virtual) Online() bool {
 	if e.stopped {
@@ -169,6 +174,11 @@ func (f netFabric) SendCall(from, to ids.Addr, msg any, onResult func(ok bool)) 
 	f.net.SendCallAddr(from, to, msg, onResult)
 }
 
+// SendNack implements Fabric: the network files no ack event.
+func (f netFabric) SendNack(from, to ids.Addr, msg any, onNack func()) {
+	f.net.SendNackAddr(from, to, msg, onNack)
+}
+
 // transportFabric adapts a transport to the Fabric contract.
 type transportFabric struct{ t transport.Transport }
 
@@ -192,4 +202,9 @@ func (f transportFabric) Send(from, to ids.Addr, msg any) { f.t.Send(from.ID(), 
 // SendCall implements Fabric.
 func (f transportFabric) SendCall(from, to ids.Addr, msg any, onResult func(ok bool)) {
 	f.t.SendCall(from.ID(), to.ID(), msg, onResult)
+}
+
+// SendNack implements Fabric as a filter over the transport's SendCall.
+func (f transportFabric) SendNack(from, to ids.Addr, msg any, onNack func()) {
+	f.t.SendCall(from.ID(), to.ID(), msg, nackOnly(onNack))
 }

@@ -7,7 +7,8 @@ import (
 )
 
 // gated decorates an Env so every asynchronous callback — one-shot
-// timers, periodic ticks, and SendCall results — runs through a gate.
+// timers, periodic ticks, SendCall results and SendNack failures — runs
+// through a gate.
 // The owning node's gate takes its state lock and drops callbacks that
 // arrive after shutdown, which is exactly the serialization the live
 // engine needs; under a virtual Env the gate is an uncontended lock on
@@ -72,6 +73,17 @@ func (g *gated) SendCall(to ids.Addr, msg any, onResult func(ok bool)) {
 	g.env.SendCall(to, msg, func(ok bool) {
 		g.gate(func() { onResult(ok) })
 	})
+}
+
+// SendNack implements Env: the nack callback fires inside the gate. It
+// stays a SendNack below the gate, so a virtual fabric still files no
+// ack event for it.
+func (g *gated) SendNack(to ids.Addr, msg any, onNack func()) {
+	if onNack == nil {
+		g.env.SendNack(to, msg, nil)
+		return
+	}
+	g.env.SendNack(to, msg, func() { g.gate(onNack) })
 }
 
 // Online implements Env.

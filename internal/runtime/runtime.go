@@ -44,7 +44,7 @@ type Handler func(from ids.Addr, msg any)
 // surface: periodic timers for protocol drivers, integer randomness,
 // identity, and fabric registration.
 //
-// Callback discipline: After, Every, and SendCall callbacks fire on the
+// Callback discipline: After, Every, SendCall and SendNack callbacks fire on the
 // engine's thread (the simulator's event loop, or a timer/transport
 // goroutine in live mode). Owners that need mutual exclusion wrap the
 // Env with Gated rather than locking inside every callback.
@@ -90,6 +90,23 @@ type Fabric interface {
 	// onResult(true) after the target acknowledged, onResult(false) when
 	// it was unreachable.
 	SendCall(from, to ids.Addr, msg any, onResult func(ok bool))
+	// SendNack is SendCall reporting failure only: onNack fires when
+	// SendCall's onResult(false) would, and a delivery reports nothing.
+	SendNack(from, to ids.Addr, msg any, onNack func())
+}
+
+// nackOnly adapts a failure-only callback to a SendCall verdict, for the
+// fabrics and Envs whose SendNack is a filter over their SendCall (nil
+// stays nil).
+func nackOnly(onNack func()) func(ok bool) {
+	if onNack == nil {
+		return nil
+	}
+	return func(ok bool) {
+		if !ok {
+			onNack()
+		}
+	}
 }
 
 // Stopper is implemented by Envs whose timers outlive a node and must be

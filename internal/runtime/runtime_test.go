@@ -232,6 +232,84 @@ func TestNetFabricAdapter(t *testing.T) {
 	}
 }
 
+// TestSendNackReportsFailureOnly drives SendNack through every Env and
+// Fabric binding: a delivered message reports nothing, an unreachable
+// one calls onNack exactly once.
+func TestSendNackReportsFailureOnly(t *testing.T) {
+	check := func(name string, env Env, run func(), unregister func()) {
+		t.Helper()
+		nacks := 0
+		env.SendNack(peerB, "delivered", func() { nacks++ })
+		run()
+		if nacks != 0 {
+			t.Errorf("%s: delivered SendNack nacked %d times", name, nacks)
+		}
+		unregister()
+		env.SendNack(peerB, "lost", func() { nacks++ })
+		run()
+		if nacks != 1 {
+			t.Errorf("%s: unreachable SendNack nacked %d times, want 1", name, nacks)
+		}
+	}
+
+	w, _, a, b := newVirtualPair(t)
+	if err := b.Register(func(ids.Addr, any) {}); err != nil {
+		t.Fatal(err)
+	}
+	check("Virtual over TransportFabric", a, func() { w.RunAll(0) }, b.Unregister)
+
+	w, _, a, b = newVirtualPair(t)
+	if err := b.Register(func(ids.Addr, any) {}); err != nil {
+		t.Fatal(err)
+	}
+	gateRuns := 0
+	g := Gated(a, func(fn func()) { gateRuns++; fn() })
+	check("Gated", g, func() { w.RunAll(0) }, b.Unregister)
+	if gateRuns != 1 {
+		t.Errorf("Gated: the gate ran %d callbacks, want 1 (the nack)", gateRuns)
+	}
+
+	sw := sim.NewWorld(1)
+	net := sim.NewNetwork(sw, sim.FixedLatency(time.Millisecond), nil, 0)
+	f := NetFabric(net)
+	env, err := NewVirtual(VirtualConfig{Self: peerA, Scheduler: sw, Fabric: f, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Register(peerB, func(ids.Addr, any) {}); err != nil {
+		t.Fatal(err)
+	}
+	check("Virtual over NetFabric", env, func() { sw.RunAll(0) }, func() { f.Unregister(peerB) })
+
+	tr := transport.NewMemnet(transport.MemnetConfig{Seed: 1, AckTimeout: 20 * time.Millisecond})
+	defer tr.Close()
+	la, err := NewLive(LiveConfig{Self: "a", Transport: tr, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	lb, err := NewLive(LiveConfig{Self: "b", Transport: tr, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	delivered := make(chan struct{}, 1)
+	if err := lb.Register(func(ids.Addr, any) { delivered <- struct{}{} }); err != nil {
+		t.Fatal(err)
+	}
+	nacked := make(chan string, 2)
+	la.SendNack(peerB, "delivered", func() { nacked <- "delivered" })
+	<-delivered
+	lb.Unregister()
+	la.SendNack(peerB, "lost", func() { nacked <- "lost" })
+	select {
+	case got := <-nacked:
+		if got != "lost" {
+			t.Errorf("Live: the delivered SendNack nacked")
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("Live: unreachable SendNack never nacked")
+	}
+}
+
 // TestVirtualEverySteadyStateDoesNotAllocate pins the periodic driver's
 // cost: one tick closure is built per Every, and each firing reschedules
 // that same closure — no per-tick wrapper, so a steady-state tick

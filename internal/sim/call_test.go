@@ -46,8 +46,9 @@ func (coarseLatency) Sample(rng *rand.Rand) time.Duration {
 
 // callTranscript drives one scripted mix of acknowledged sends through
 // call and returns everything an observer can see: the firing
-// transcript, the network counters, and the next draw of the world RNG.
-func callTranscript(t *testing.T, call func(n *Network, from, to ids.NodeID, msg any, onResult func(bool))) ([]string, NetworkStats, int64) {
+// transcript, the network counters, and the next draw of the world RNG —
+// and, last, how many events the world fired.
+func callTranscript(t *testing.T, call func(n *Network, from, to ids.NodeID, msg any, onResult func(bool))) ([]string, NetworkStats, int64, int) {
 	t.Helper()
 	w := NewWorld(11)
 	hosts := []ids.NodeID{"h0", "h1", "h2", "h3", "h4", "h5"}
@@ -107,11 +108,11 @@ func callTranscript(t *testing.T, call func(n *Network, from, to ids.NodeID, msg
 	// gone at delivery time and nack.
 	w.At(70*time.Millisecond, func() { up["h4"] = false })
 	w.At(150*time.Millisecond, func() { up["h4"] = true })
-	w.Run(time.Second)
+	events := w.Run(time.Second)
 	if w.Pending() != 0 {
 		t.Fatalf("%d events still queued", w.Pending())
 	}
-	return log, net.Stats(), w.Rand().Int63()
+	return log, net.Stats(), w.Rand().Int63(), events
 }
 
 // TestSendCallMatchesClosureReference pins the claim the value-event
@@ -119,8 +120,8 @@ func callTranscript(t *testing.T, call func(n *Network, from, to ids.NodeID, msg
 // exactly the points the closure version did, so the schedule, the
 // counters and the RNG state are indistinguishable.
 func TestSendCallMatchesClosureReference(t *testing.T) {
-	wantLog, wantStats, wantRand := callTranscript(t, refSendCall)
-	gotLog, gotStats, gotRand := callTranscript(t, (*Network).SendCall)
+	wantLog, wantStats, wantRand, _ := callTranscript(t, refSendCall)
+	gotLog, gotStats, gotRand, _ := callTranscript(t, (*Network).SendCall)
 	kinds := map[string]bool{}
 	for _, line := range wantLog {
 		var at, kind string
@@ -144,6 +145,79 @@ func TestSendCallMatchesClosureReference(t *testing.T) {
 	}
 	if gotRand != wantRand {
 		t.Errorf("world RNG state diverged")
+	}
+
+	// The nack-only shape: SendNackAddr is SendCall with its acks
+	// ignored, one event fewer per ack.
+	acks := 0
+	refNack := func(n *Network, from, to ids.NodeID, msg any, onResult func(bool)) {
+		if onResult == nil {
+			n.SendCall(from, to, msg, nil)
+			return
+		}
+		n.SendCall(from, to, msg, func(ok bool) {
+			if ok {
+				acks++
+				return
+			}
+			onResult(false)
+		})
+	}
+	sendNack := func(n *Network, from, to ids.NodeID, msg any, onResult func(bool)) {
+		var onNack func()
+		if onResult != nil {
+			onNack = func() { onResult(false) }
+		}
+		n.SendNackAddr(from.Addr(), to.Addr(), msg, onNack)
+	}
+	wantLog, wantStats, wantRand, wantEvents := callTranscript(t, refNack)
+	gotLog, gotStats, gotRand, gotEvents := callTranscript(t, sendNack)
+	if acks == 0 || len(wantLog) == 0 {
+		t.Fatalf("nack-only script: %d acks ignored, %d lines", acks, len(wantLog))
+	}
+	if !reflect.DeepEqual(gotLog, wantLog) || gotStats != wantStats || gotRand != wantRand {
+		t.Fatalf("SendNackAddr diverges from SendCall with acks ignored:\n got %q %+v\nwant %q %+v", gotLog, gotStats, wantLog, wantStats)
+	}
+	if gotEvents != wantEvents-acks {
+		t.Errorf("SendNackAddr fired %d events, want %d (SendCall's %d less its %d acks)", gotEvents, wantEvents-acks, wantEvents, acks)
+	}
+}
+
+// TestSendNackFilesNoAck: a nack-only send to an online target is one
+// event, its handler running at the instant SendCall's would; to an
+// offline target its nack fires at SendCall's nack instant.
+func TestSendNackFilesNoAck(t *testing.T) {
+	for _, online := range []bool{true, false} {
+		// run sends one message from a to b and reports when b's handler
+		// ran, when a failure verdict arrived (-1: never) and how many
+		// events fired.
+		run := func(nackOnly bool) (handled, nacked time.Duration, events int) {
+			w := NewWorld(3)
+			net := NewNetwork(w, nil, func(ids.NodeID) bool { return online }, 0)
+			handled, nacked = -1, -1
+			net.Register("b", func(ids.NodeID, any) { handled = w.Now() })
+			if nackOnly {
+				net.SendNackAddr(ids.NodeID("a").Addr(), ids.NodeID("b").Addr(), "m", func() { nacked = w.Now() })
+			} else {
+				net.SendCall("a", "b", "m", func(ok bool) {
+					if !ok {
+						nacked = w.Now()
+					}
+				})
+			}
+			return handled, nacked, w.RunAll(0)
+		}
+		callHandled, callNacked, callEvents := run(false)
+		handled, nacked, events := run(true)
+		if handled != callHandled || nacked != callNacked {
+			t.Errorf("online=%v: handler at %v, nack at %v; SendCall's at %v and %v", online, handled, nacked, callHandled, callNacked)
+		}
+		if want := map[bool]int{true: 1, false: 2}[online]; events != want || callEvents != 2 {
+			t.Errorf("online=%v: SendNackAddr fired %d events (want %d), SendCall %d (want 2)", online, events, want, callEvents)
+		}
+		if online == (handled < 0) || online == (nacked >= 0) {
+			t.Errorf("online=%v: handled at %v, nacked at %v", online, handled, nacked)
+		}
 	}
 }
 
@@ -174,17 +248,24 @@ func TestSendPathsDoNotAllocate(t *testing.T) {
 			w.RunAll(0)
 		}
 	}
+	nacked := 0
+	onNack := func() { nacked++ }
 	sends := batch(func(from, to ids.NodeID) { net.Send(from, to, msg) })
 	calls := batch(func(from, to ids.NodeID) { net.SendCall(from, to, msg, onResult) })
+	nacks := batch(func(from, to ids.NodeID) { net.SendNackAddr(from.Addr(), to.Addr(), msg, onNack) })
 	sends()
 	calls()
+	nacks()
 	if got := testing.AllocsPerRun(50, sends); got != 0 {
 		t.Errorf("Send allocates %.1f times per 64-send batch", got)
 	}
 	if got := testing.AllocsPerRun(50, calls); got != 0 {
 		t.Errorf("SendCall allocates %.1f times per 64-call batch", got)
 	}
-	if acked == 0 {
-		t.Fatal("no call was acknowledged")
+	if got := testing.AllocsPerRun(50, nacks); got != 0 {
+		t.Errorf("SendNackAddr allocates %.1f times per 64-send batch", got)
+	}
+	if acked == 0 || nacked == 0 {
+		t.Fatalf("%d calls acknowledged, %d nack-only sends nacked; want both > 0", acked, nacked)
 	}
 }

@@ -28,6 +28,10 @@ type simObs struct {
 	batch  int          // local event count since last flush
 	moved  uint64       // the queue's refill moves already published
 	hook   func()       // the owner's own flush (OnFlush), nil when unset
+	// fired counts the events of each class (classNames) since the last
+	// flush, which adds them to byClass: sim_events_fired_total{kind}.
+	fired   [numClasses]int64
+	byClass [numClasses]*obs.Counter
 }
 
 // Instrument registers the engine's metrics in reg and starts
@@ -45,6 +49,9 @@ func (w *World) Instrument(reg *obs.Registry) {
 		chunks: reg.Gauge("sim_queue_chunks"),
 		moves:  reg.Counter("sim_queue_key_moves_total"),
 		moved:  w.events.moves,
+	}
+	for c, name := range classNames {
+		w.obs.byClass[c] = reg.Counter(`sim_events_fired_total{kind="` + name + `"}`)
 	}
 }
 
@@ -67,7 +74,7 @@ func (o *simObs) step(w *World) {
 	}
 }
 
-// flush publishes the local batch, the clock, the queue's depth, chunks
+// flush publishes the local batch and its per-class counts, the clock, the queue's depth, chunks
 // and refill moves to the shared instruments. Called at batch boundaries
 // and on loop exit, so the depth is a sample every obsFlushEvery events,
 // not every event's — the peak is the deepest sample.
@@ -75,6 +82,12 @@ func (o *simObs) flush(w *World) {
 	if o.batch > 0 {
 		o.events.Add(int64(o.batch))
 		o.batch = 0
+		for c, n := range o.fired {
+			if n > 0 {
+				o.byClass[c].Add(n)
+				o.fired[c] = 0
+			}
+		}
 	}
 	o.vtime.Set(w.now.Seconds())
 	queued := float64(w.events.n)

@@ -112,4 +112,43 @@ func TestInstrumentNeutralTranscript(t *testing.T) {
 	if c := reg.Counter("sim_events_total").Value(); c != int64(n) {
 		t.Fatalf("sim_events_total=%d, Run returned %d", c, n)
 	}
+	if sum := firedByKind(reg); sum != int64(n) {
+		t.Fatalf("sim_events_fired_total sums to %d, Run returned %d", sum, n)
+	}
+}
+
+// firedByKind sums sim_events_fired_total over its kinds.
+func firedByKind(reg *obs.Registry) int64 {
+	var sum int64
+	for _, kind := range classNames {
+		sum += reg.Counter(`sim_events_fired_total{kind="` + kind + `"}`).Value()
+	}
+	return sum
+}
+
+// TestInstrumentCountsEventKinds: each fired event is counted under its
+// kind, a verdict under its outcome, and a nack-only send to an online
+// target is its attempt alone.
+func TestInstrumentCountsEventKinds(t *testing.T) {
+	w := NewWorld(1)
+	reg := obs.NewRegistry()
+	w.Instrument(reg)
+	net := NewNetwork(w, nil, nil, 0)
+	net.Register("b", func(ids.NodeID, any) {})
+	a, b, gone := ids.NodeID("a").Addr(), ids.NodeID("b").Addr(), ids.NodeID("gone").Addr()
+	w.After(time.Millisecond, func() {})
+	net.SendAddr(a, b, "send")
+	net.SendCallAddr(a, b, "ack", func(bool) {})
+	net.SendCallAddr(a, gone, "nack", func(bool) {})
+	net.SendNackAddr(a, b, "delivered", func() {})
+	n := w.RunAll(0)
+	want := map[string]int64{"func": 1, "deliver": 1, "attempt": 3, "result-ok": 1, "result-nack": 1}
+	for kind, c := range want {
+		if got := reg.Counter(`sim_events_fired_total{kind="` + kind + `"}`).Value(); got != c {
+			t.Errorf("kind %s: %d events, want %d", kind, got, c)
+		}
+	}
+	if total := reg.Counter("sim_events_total").Value(); n != 7 || total != 7 || firedByKind(reg) != 7 {
+		t.Errorf("Run fired %d, sim_events_total %d, kinds sum to %d; want 7", n, total, firedByKind(reg))
+	}
 }

@@ -263,6 +263,23 @@ func (n *Network) SendCall(from, to ids.NodeID, msg any, onResult func(ok bool))
 // attempt and the verdict are value events, like SendAddr's delivery:
 // the callback and both latencies ride in the attempt's payload.
 func (n *Network) SendCallAddr(from, to ids.Addr, msg any, onResult func(ok bool)) {
+	n.sendAttempt(from, to, msg).onResult = onResult
+}
+
+// SendNackAddr is SendCallAddr for a caller that acts only on failure:
+// onNack fires exactly when SendCallAddr's onResult(false) would, and
+// nothing is queued where its onResult(true) would fire. Both latencies
+// are still drawn at send time, so the world RNG moves as under
+// SendCallAddr. The attempt carries onNack in its fn slot instead of
+// onResult; that is the whole difference between the two.
+func (n *Network) SendNackAddr(from, to ids.Addr, msg any, onNack func()) {
+	n.sendAttempt(from, to, msg).fn = onNack
+}
+
+// sendAttempt draws both hop latencies and files the attempt of an
+// acknowledged send, returning its slot for the caller to add the
+// callback to.
+func (n *Network) sendAttempt(from, to ids.Addr, msg any) *payload {
 	n.stats.Sent++
 	out := n.latency.Sample(n.world.Rand())
 	back := n.latency.Sample(n.world.Rand())
@@ -270,22 +287,24 @@ func (n *Network) SendCallAddr(from, to ids.Addr, msg any, onResult func(ok bool
 	p.kind, p.net1 = evAttempt, n.net1
 	p.to1, p.from1 = to.Index()+1, from.Index()+1
 	p.from, p.to, p.msg = from.ID(), to.ID(), msg
-	p.onResult, p.out, p.back = onResult, out, back
+	p.out, p.back = out, back
+	return p
 }
 
-// attempt is the firing half of SendCallAddr: hand the message to the
-// target if it is reachable now, then schedule the verdict — the ack one
-// return hop after the handler ran, or the nack once the sender's
-// ackTimeout (counted from the send) has expired. A nil callback
-// schedules nothing, so events are queued exactly where a caller-visible
-// one exists.
+// attempt is the firing half of SendCallAddr and SendNackAddr: hand the
+// message to the target if it is reachable now, then schedule the
+// verdict — the ack one return hop after the handler ran, or the nack
+// once the sender's ackTimeout (counted from the send) has expired. A
+// nil callback schedules nothing, and a nack-only attempt (fn set, no
+// onResult) schedules no ack, so events are queued exactly where a
+// caller-visible one exists.
 func (n *Network) attempt(call *payload) {
 	h := n.handlerFor(call.toAddr())
 	if h == nil {
 		n.stats.Dropped++
-		if call.onResult != nil {
+		if call.onResult != nil || call.fn != nil {
 			p := n.world.schedule(n.world.now + n.ackTimeout - call.out)
-			p.kind, p.onResult = evResult, call.onResult
+			p.kind, p.onResult, p.fn = evResult, call.onResult, call.fn
 		}
 		return
 	}

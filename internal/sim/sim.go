@@ -114,6 +114,9 @@ func (w *World) Run(until time.Duration) int {
 	for w.events.due(until) {
 		k := w.events.pop()
 		w.now = k.at
+		if w.obs != nil {
+			w.obs.fired[w.events.class(k.slot)]++
+		}
 		w.events.fire(k.slot, w.nets)
 		n++
 		if w.obs != nil {
@@ -140,6 +143,9 @@ func (w *World) RunAll(maxEvents int) int {
 	for (maxEvents <= 0 || n < maxEvents) && w.events.due(math.MaxInt64) {
 		k := w.events.pop()
 		w.now = k.at
+		if w.obs != nil {
+			w.obs.fired[w.events.class(k.slot)]++
+		}
 		w.events.fire(k.slot, w.nets)
 		n++
 		if w.obs != nil {
@@ -165,12 +171,33 @@ const (
 	evFunc evKind = iota
 	// evDeliver is the firing half of Network.SendAddr.
 	evDeliver
-	// evAttempt is the delivery attempt of Network.SendCallAddr; it
-	// carries the callback and both latencies drawn at send time.
+	// evAttempt is the delivery attempt of Network.SendCallAddr or
+	// SendNackAddr; it carries the callback and both latencies drawn at
+	// send time.
 	evAttempt
-	// evResult reports a SendCall outcome (ok) to its callback.
+	// evResult reports a SendCall outcome (ok) to its callback, or a
+	// SendNack failure to its nack callback.
 	evResult
 )
+
+// Event classes, the labels of sim_events_fired_total: the four kinds,
+// with evResult split by its verdict.
+const (
+	classResultNack = int(evResult) + 1
+	numClasses      = classResultNack + 1
+)
+
+// classNames label the event classes, indexed by class.
+var classNames = [numClasses]string{"func", "deliver", "attempt", "result-ok", "result-nack"}
+
+// class returns the event class of the payload in slot.
+func (q *eventQueue) class(slot uint32) int {
+	p := &q.slab[slot]
+	if p.kind == evResult && !p.ok {
+		return classResultNack
+	}
+	return int(p.kind)
+}
 
 // payload is the body of a queued event: what to run when its key
 // reaches the front of the queue. The shapes share one struct so a slab
@@ -190,8 +217,10 @@ type payload struct {
 	// from, to, msg: the message of evDeliver and evAttempt.
 	from, to ids.NodeID
 	msg      any
-	fn       func()        // evFunc
-	onResult func(ok bool) // evAttempt, evResult
+	// fn is the closure of an evFunc, and the callback of a nack-only
+	// evAttempt (SendNackAddr) and of the evResult it may file.
+	fn       func()
+	onResult func(ok bool) // evAttempt, evResult of SendCallAddr
 	// out, back are the two hop latencies of an evAttempt, drawn when the
 	// call was sent: the nack fires ackTimeout − out after the attempt,
 	// the ack back after it.
@@ -432,9 +461,13 @@ func (q *eventQueue) fire(slot uint32, nets []*Network) {
 		q.release(slot)
 		nets[call.net1-1].attempt(&call)
 	case evResult:
-		onResult, ok := p.onResult, p.ok
+		onResult, onNack, ok := p.onResult, p.fn, p.ok
 		q.release(slot)
-		onResult(ok)
+		if onNack != nil {
+			onNack()
+		} else {
+			onResult(ok)
+		}
 	}
 }
 
