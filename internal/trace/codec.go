@@ -106,11 +106,14 @@ func Read(r io.Reader) (*Trace, error) {
 	if err != nil {
 		return nil, err
 	}
+	// Rows go straight into their words; every row was checked to hold
+	// exactly epochs runes above.
 	for h, bits := range rows {
+		row := t.bits[h*t.words : (h+1)*t.words]
 		for e := 0; e < epochs; e++ {
 			switch bits[e] {
 			case '1':
-				t.SetUp(h, e, true)
+				row[e/64] |= 1 << uint(e%64)
 			case '0':
 				// already offline
 			default:

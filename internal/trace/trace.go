@@ -12,6 +12,7 @@ package trace
 
 import (
 	"fmt"
+	"math/bits"
 	"time"
 
 	"avmem/internal/ids"
@@ -148,26 +149,45 @@ func (t *Trace) UpAtIndex(h int, at time.Duration) bool {
 	return t.Up(h, t.EpochAt(at))
 }
 
-// OnlineCount returns how many hosts are online during epoch e.
+// OnlineCount returns how many hosts are online during epoch e: one
+// word read per host.
 func (t *Trace) OnlineCount(e int) int {
+	t.checkBounds(0, e)
 	n := 0
-	for h := range t.hosts {
-		if t.Up(h, e) {
-			n++
-		}
+	for w := e / 64; w < len(t.bits); w += t.words {
+		n += int(t.bits[w] >> uint(e%64) & 1)
 	}
 	return n
 }
 
 // OnlineHosts returns the indices of hosts online during epoch e.
 func (t *Trace) OnlineHosts(e int) []int {
+	t.checkBounds(0, e)
 	out := make([]int, 0, len(t.hosts)/2)
-	for h := range t.hosts {
-		if t.Up(h, e) {
+	for h, w := 0, e/64; w < len(t.bits); h, w = h+1, w+t.words {
+		if t.bits[w]>>uint(e%64)&1 != 0 {
 			out = append(out, h)
 		}
 	}
 	return out
+}
+
+// upCount returns how many epochs of [from, to] host h was online, with
+// 0 <= from <= to < Epochs: a popcount of the row words the window
+// covers, the two end words masked to it.
+func (t *Trace) upCount(h, from, to int) int {
+	row := t.bits[h*t.words : (h+1)*t.words]
+	lo, hi := from/64, to/64
+	head := ^uint64(0) << uint(from%64)
+	tail := ^uint64(0) >> uint(63-to%64)
+	if lo == hi {
+		return bits.OnesCount64(row[lo] & head & tail)
+	}
+	n := bits.OnesCount64(row[lo]&head) + bits.OnesCount64(row[hi]&tail)
+	for _, w := range row[lo+1 : hi] {
+		n += bits.OnesCount64(w)
+	}
+	return n
 }
 
 // Availability returns host h's long-term availability measured from
@@ -182,13 +202,7 @@ func (t *Trace) Availability(h, upto int) float64 {
 	if upto >= t.epochs {
 		upto = t.epochs - 1
 	}
-	up := 0
-	for e := 0; e <= upto; e++ {
-		if t.Up(h, e) {
-			up++
-		}
-	}
-	return float64(up) / float64(upto+1)
+	return float64(t.upCount(h, 0, upto)) / float64(upto+1)
 }
 
 // WindowAvailability returns the fraction of epochs in [from, to]
@@ -204,13 +218,7 @@ func (t *Trace) WindowAvailability(h, from, to int) float64 {
 	if to < from {
 		return 0
 	}
-	up := 0
-	for e := from; e <= to; e++ {
-		if t.Up(h, e) {
-			up++
-		}
-	}
-	return float64(up) / float64(to-from+1)
+	return float64(t.upCount(h, from, to)) / float64(to-from+1)
 }
 
 // AgedAvailability returns an exponentially aged availability at epoch
@@ -251,10 +259,12 @@ func (t *Trace) Availabilities(upto int) []float64 {
 
 // MeanOnline returns the mean number of online hosts per epoch across
 // the whole trace — an estimator for the paper's stable system size N*.
+// It popcounts the whole bitset: bits past the last epoch of a row are
+// never set.
 func (t *Trace) MeanOnline() float64 {
 	var sum int
-	for e := 0; e < t.epochs; e++ {
-		sum += t.OnlineCount(e)
+	for _, w := range t.bits {
+		sum += bits.OnesCount64(w)
 	}
 	return float64(sum) / float64(t.epochs)
 }
@@ -284,13 +294,7 @@ func (t *Trace) SmoothedAvailability(h, upto int) float64 {
 	if upto >= t.epochs {
 		upto = t.epochs - 1
 	}
-	up := 0
-	for e := 0; e <= upto; e++ {
-		if t.Up(h, e) {
-			up++
-		}
-	}
-	return float64(up+1) / float64(upto+3)
+	return float64(t.upCount(h, 0, upto)+1) / float64(upto+3)
 }
 
 // SmoothedAvailabilities returns every host's smoothed availability
