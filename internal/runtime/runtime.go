@@ -44,10 +44,11 @@ type Handler func(from ids.Addr, msg any)
 // surface: periodic timers for protocol drivers, integer randomness,
 // identity, and fabric registration.
 //
-// Callback discipline: After, Every, SendCall and SendNack callbacks fire on the
-// engine's thread (the simulator's event loop, or a timer/transport
-// goroutine in live mode). Owners that need mutual exclusion wrap the
-// Env with Gated rather than locking inside every callback.
+// Callback discipline: After, Every, SendCall and SendNack callbacks
+// fire on the engine's thread (the simulator's event loop, or a
+// timer/transport goroutine in live mode). Owners that need mutual
+// exclusion wrap the Env with Gated rather than locking inside every
+// callback.
 type Env interface {
 	ops.Env
 

@@ -74,10 +74,11 @@ func (o *simObs) step(w *World) {
 	}
 }
 
-// flush publishes the local batch and its per-class counts, the clock, the queue's depth, chunks
-// and refill moves to the shared instruments. Called at batch boundaries
-// and on loop exit, so the depth is a sample every obsFlushEvery events,
-// not every event's — the peak is the deepest sample.
+// flush publishes the local batch and its per-class counts, the clock,
+// the queue's depth, chunks and refill moves to the shared instruments.
+// Called at batch boundaries and on loop exit, so the depth is a sample
+// every obsFlushEvery events, not every event's — the peak is the
+// deepest sample.
 func (o *simObs) flush(w *World) {
 	if o.batch > 0 {
 		o.events.Add(int64(o.batch))
