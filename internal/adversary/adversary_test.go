@@ -203,6 +203,9 @@ func TestWrapInterceptsEnv(t *testing.T) {
 func TestDroppedNackOnlySendQueuesNothing(t *testing.T) {
 	w := sim.NewWorld(1)
 	net := sim.NewNetwork(w, nil, nil, 0)
+	if err := net.Bind([]ids.NodeID{"adv", "peer"}, func(int) bool { return true }); err != nil {
+		t.Fatal(err)
+	}
 	env, err := runtime.NewVirtual(runtime.VirtualConfig{
 		Self: ids.NodeID("adv").Addr(), Scheduler: w, Fabric: runtime.NetFabric(net), Seed: 3,
 	})

@@ -14,7 +14,9 @@
 //     is watched by a consistent, hash-selected set of monitors that
 //     ping it periodically; queries aggregate the monitors' empirical
 //     estimates. This is the deployable story (Morales & Gupta,
-//     ICDCS 2007) and converges to the oracle as pings accumulate.
+//     ICDCS 2007) and converges to the oracle as pings accumulate. It is
+//     built over a fixed host population, whose liveness it probes by
+//     host index.
 //
 // Architecture: DESIGN.md §7 (monitoring and shuffling services).
 package avmon
@@ -190,16 +192,14 @@ func (n *Noisy) Availability(target ids.NodeID) (float64, bool) {
 // period; a target's availability estimate is the fraction of pings it
 // answered, and queries return the median estimate across its monitors.
 //
-// State is index-based: the monitor relation and every (monitor, target)
-// ping counter live in flat slices keyed by host index, so a ping round
-// is a deterministic sweep of array reads — no map traffic, no
-// per-edge allocation — and liveness can be probed through an
-// index-based fast path (UseIndexedLiveness).
+// State is index-based: the monitor relation, every (monitor, target)
+// ping counter and liveness are keyed by host index, so a ping round is
+// a deterministic sweep of array reads — no map traffic, no per-edge
+// allocation.
 type Distributed struct {
 	hosts    []ids.NodeID
 	idx      map[ids.NodeID]int32
-	online   func(ids.NodeID) bool
-	onlineAt func(i int) bool // nil → fall back to online(hosts[i])
+	onlineAt func(i int) bool
 	// monitorsOf[t] lists the monitor indexes of target t; the ping
 	// counters of target t's k-th monitor live at edgeOff[t]+k.
 	monitorsOf [][]int32
@@ -213,18 +213,19 @@ var _ Service = (*Distributed)(nil)
 
 // NewDistributed builds the monitoring overlay over the given host
 // population. expectedMonitors sets the mean number of monitors per
-// target (the paper's AVMON uses a small constant); online reports
-// liveness (nil means always online); minPings is how many pings a
-// monitor needs before its estimate counts (<= 0 defaults to 3).
-func NewDistributed(hosts []ids.NodeID, expectedMonitors float64, online func(ids.NodeID) bool, minPings int) (*Distributed, error) {
+// target (the paper's AVMON uses a small constant); host i (in the order
+// of hosts) is online iff onlineAt(i), nil meaning always online;
+// minPings is how many pings a monitor needs before its estimate counts
+// (<= 0 defaults to 3).
+func NewDistributed(hosts []ids.NodeID, expectedMonitors float64, onlineAt func(i int) bool, minPings int) (*Distributed, error) {
 	if len(hosts) == 0 {
 		return nil, fmt.Errorf("avmon: no hosts")
 	}
 	if expectedMonitors <= 0 {
 		return nil, fmt.Errorf("avmon: expectedMonitors must be positive, got %v", expectedMonitors)
 	}
-	if online == nil {
-		online = func(ids.NodeID) bool { return true }
+	if onlineAt == nil {
+		onlineAt = func(int) bool { return true }
 	}
 	if minPings <= 0 {
 		minPings = 3
@@ -236,7 +237,7 @@ func NewDistributed(hosts []ids.NodeID, expectedMonitors float64, online func(id
 	d := &Distributed{
 		hosts:      append([]ids.NodeID(nil), hosts...),
 		idx:        make(map[ids.NodeID]int32, len(hosts)),
-		online:     online,
+		onlineAt:   onlineAt,
 		monitorsOf: make([][]int32, len(hosts)),
 		edgeOff:    make([]int, len(hosts)+1),
 		minPings:   minPings,
@@ -265,21 +266,6 @@ func NewDistributed(hosts []ids.NodeID, expectedMonitors float64, online func(id
 	return d, nil
 }
 
-// UseIndexedLiveness switches liveness probes to host indexes: host i
-// (in the order of the hosts slice given to NewDistributed) is online
-// iff onlineAt(i). Ping rounds then run entirely on array reads.
-func (d *Distributed) UseIndexedLiveness(onlineAt func(i int) bool) {
-	d.onlineAt = onlineAt
-}
-
-// up reports liveness of host index i through the fast path when bound.
-func (d *Distributed) up(i int32) bool {
-	if d.onlineAt != nil {
-		return d.onlineAt(int(i))
-	}
-	return d.online(d.hosts[i])
-}
-
 // Monitors returns the consistent monitor set of target in deterministic
 // (host-index) order; nil for an unknown target.
 func (d *Distributed) Monitors(target ids.NodeID) []ids.NodeID {
@@ -305,10 +291,10 @@ func (d *Distributed) TickAll() {
 		if len(monitors) == 0 {
 			continue
 		}
-		targetUp := d.up(int32(t))
+		targetUp := d.onlineAt(t)
 		off := d.edgeOff[t]
 		for k, m := range monitors {
-			if !d.up(m) {
+			if !d.onlineAt(int(m)) {
 				continue
 			}
 			e := off + k
@@ -358,40 +344,4 @@ var _ Service = Static(nil)
 func (s Static) Availability(target ids.NodeID) (float64, bool) {
 	v, ok := s[target]
 	return v, ok
-}
-
-// AgedOracle reports exponentially aged availability from the churn
-// trace: recent behaviour weighs more than distant history (the "aged"
-// variant of §3.1). Alpha in (0,1] is the per-epoch weight of the most
-// recent observation; small alpha approaches the long-term estimator,
-// large alpha tracks recent sessions.
-type AgedOracle struct {
-	tr    *trace.Trace
-	now   func() time.Duration
-	alpha float64
-}
-
-var _ Service = (*AgedOracle)(nil)
-
-// NewAgedOracle builds the aged-availability oracle.
-func NewAgedOracle(tr *trace.Trace, now func() time.Duration, alpha float64) (*AgedOracle, error) {
-	if tr == nil {
-		return nil, fmt.Errorf("avmon: nil trace")
-	}
-	if now == nil {
-		return nil, fmt.Errorf("avmon: nil clock")
-	}
-	if alpha <= 0 || alpha > 1 {
-		return nil, fmt.Errorf("avmon: alpha must be in (0,1], got %v", alpha)
-	}
-	return &AgedOracle{tr: tr, now: now, alpha: alpha}, nil
-}
-
-// Availability implements Service.
-func (o *AgedOracle) Availability(target ids.NodeID) (float64, bool) {
-	h := o.tr.HostIndex(target)
-	if h < 0 {
-		return 0, false
-	}
-	return o.tr.AgedAvailability(h, o.tr.EpochAt(o.now()), o.alpha), true
 }

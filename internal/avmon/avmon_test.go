@@ -240,18 +240,8 @@ func TestDistributedEstimatesConverge(t *testing.T) {
 	// Host i is online on tick t iff (t+i)%4 != 0 → availability 0.75,
 	// except host 0 which is always online.
 	tick := 0
-	online := func(id ids.NodeID) bool {
-		for i, h := range hosts {
-			if h == id {
-				if i == 0 {
-					return true
-				}
-				return (tick+i)%4 != 0
-			}
-		}
-		return false
-	}
-	d, err := NewDistributed(hosts, 10, online, 3)
+	onlineAt := func(i int) bool { return i == 0 || (tick+i)%4 != 0 }
+	d, err := NewDistributed(hosts, 10, onlineAt, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -298,46 +288,5 @@ func TestStatic(t *testing.T) {
 	}
 	if _, ok := s.Availability("b"); ok {
 		t.Error("missing key reported present")
-	}
-}
-
-func TestAgedOracleValidation(t *testing.T) {
-	tr := buildTrace(t)
-	clock := func() time.Duration { return 0 }
-	if _, err := NewAgedOracle(nil, clock, 0.1); err == nil {
-		t.Error("want error for nil trace")
-	}
-	if _, err := NewAgedOracle(tr, nil, 0.1); err == nil {
-		t.Error("want error for nil clock")
-	}
-	if _, err := NewAgedOracle(tr, clock, 0); err == nil {
-		t.Error("want error for alpha 0")
-	}
-	if _, err := NewAgedOracle(tr, clock, 1.5); err == nil {
-		t.Error("want error for alpha > 1")
-	}
-}
-
-func TestAgedOracleWeighsRecency(t *testing.T) {
-	// Host 0 alternates (up on even epochs); at epoch 9 (odd, down),
-	// the aged estimate should sit below the long-term 0.5; right after
-	// an up epoch it should sit above.
-	tr := buildTrace(t)
-	now := 9 * trace.DefaultEpoch
-	aged, err := NewAgedOracle(tr, func() time.Duration { return now }, 0.5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	vDown, ok := aged.Availability(ids.Synthetic(0))
-	if !ok {
-		t.Fatal("unknown host")
-	}
-	now = 8 * trace.DefaultEpoch // epoch 8 is up
-	vUp, _ := aged.Availability(ids.Synthetic(0))
-	if !(vUp > 0.5 && vDown < 0.5) {
-		t.Errorf("aged estimates do not track recency: up=%v down=%v", vUp, vDown)
-	}
-	if _, ok := aged.Availability("stranger"); ok {
-		t.Error("unknown host reported as known")
 	}
 }

@@ -146,20 +146,19 @@ func (s *monitorStack) epoch() (int, bool) {
 // engine's virtual clock, randomness, and the periodic tick the
 // distributed monitor's ping overlay runs on.
 func buildMonitorStack(cfg WorldConfig, tr *trace.Trace, hosts []ids.NodeID, sched *sim.World,
-	nodeOnline func(ids.NodeID) bool, onlineAt func(int) bool) (*monitorStack, error) {
+	onlineAt func(int) bool) (*monitorStack, error) {
 	var base avmon.Service
 	if cfg.DistributedMonitor {
 		expected := cfg.ExpectedMonitors
 		if expected == 0 {
 			expected = 8
 		}
-		dist, err := avmon.NewDistributed(hosts, expected, nodeOnline, 0)
+		// hosts is in trace-index order, so the monitor's host indexes
+		// coincide with the deployment's liveness indexes.
+		dist, err := avmon.NewDistributed(hosts, expected, onlineAt, 0)
 		if err != nil {
 			return nil, err
 		}
-		// hosts is in trace-index order, so the monitor's host indexes
-		// coincide with the deployment's liveness indexes.
-		dist.UseIndexedLiveness(onlineAt)
 		// One event per ping period covers the whole population — the
 		// monitoring overlay's cohort tick.
 		if err := sched.Every(0, cfg.ProtocolPeriod, nil, dist.TickAll); err != nil {

@@ -1,11 +1,13 @@
 package exp
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
 	"avmem/internal/core"
 	"avmem/internal/ops"
+	"avmem/internal/trace"
 )
 
 // TestRandomSeedsDistinctAndBounded: bootstrap seeds never repeat a
@@ -56,5 +58,32 @@ func TestChurnBurstRecovery(t *testing.T) {
 	}
 	if f := deliveredFraction(recs); f < 0.5 {
 		t.Errorf("delivery during 50%% outage = %.2f, want >= 0.5", f)
+	}
+}
+
+// BenchmarkNewDeployment times construction alone — trace statistics,
+// predicate, network, monitor, and every host's membership, router and
+// Cyclon join on the sim engine — on 7-day traces of the benchmark
+// workloads' sizes. The trace is generated outside the timer. Run it as
+// fixed, repeated work (go test -bench NewDeployment -count 10) rather
+// than reading setup time off one end-to-end run.
+func BenchmarkNewDeployment(b *testing.B) {
+	for _, hosts := range []int{2000, 10000} {
+		b.Run(fmt.Sprintf("%dk", hosts/1000), func(b *testing.B) {
+			gen := trace.DefaultGenConfig(1)
+			gen.Hosts, gen.Epochs = hosts, 7*24*3
+			tr, err := trace.Generate(gen)
+			if err != nil {
+				b.Fatal(err)
+			}
+			cfg := WorldConfig{Seed: 1, Trace: tr, ProtocolPeriod: 2 * time.Minute}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := NewDeployment(BackendSim, cfg); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

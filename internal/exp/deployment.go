@@ -305,9 +305,11 @@ func NewDeployment(backend string, cfg WorldConfig) (*Deployment, error) {
 	if backend == BackendMemnet { // see privateLatency
 		latency = privateLatency{cfg.Latency, rand.New(rand.NewSource(cfg.Seed + 1))}
 	}
-	d.Net = sim.NewNetwork(d.Sim, latency, d.Online, 0)
-	d.Net.Bind(d.hosts, d.onlineAt)
-	if d.mon, err = buildMonitorStack(cfg, tr, d.hosts, d.Sim, d.Online, d.onlineAt); err != nil {
+	d.Net = sim.NewNetwork(d.Sim, latency, nil, 0)
+	if err := d.Net.Bind(d.hosts, d.onlineAt); err != nil {
+		return nil, err
+	}
+	if d.mon, err = buildMonitorStack(cfg, tr, d.hosts, d.Sim, d.onlineAt); err != nil {
 		return nil, err
 	}
 	d.Monitor = d.mon.monitor

@@ -21,11 +21,13 @@ import (
 // cohort drivers.
 func (d *Deployment) installSim(pred *core.Predicate) error {
 	cfg := d.Cfg
-	cyc, err := shuffle.NewCyclon(cfg.ViewSize, cfg.ShuffleLen, d.Online, d.Rand)
+	cyc, err := shuffle.NewCyclon(cfg.ViewSize, cfg.ShuffleLen, nil, d.Rand)
 	if err != nil {
 		return err
 	}
-	cyc.UseIndex(d.Trace.HostIndex, d.onlineAt)
+	if err := cyc.UseIndex(d.Trace.HostIndex, d.onlineAt); err != nil {
+		return err
+	}
 	d.shuffle = cyc
 	if cfg.Audit != nil {
 		d.auditors = make([]*audit.Auditor, len(d.hosts))
@@ -140,7 +142,9 @@ func (d *Deployment) installNodes(pred *core.Predicate) error {
 			return err
 		}
 
-		d.shuffle.Join(id, d.randomSeeds(id, 4))
+		if err := d.shuffle.Join(id, d.randomSeeds(id, 4)); err != nil {
+			return err
+		}
 	}
 	return nil
 }
@@ -210,13 +214,17 @@ func (d *Deployment) discoverCohort(cohort []int32) {
 			continue
 		}
 		if d.shuffle.ViewLenIdx(int(h)) == 0 {
-			// Rejoin after an outage emptied the view: bootstrap anew.
+			// Rejoin after an outage emptied the view: bootstrap anew. A
+			// host and its seeds are trace hosts, so a refusal is a bug.
 			id := d.hosts[h]
-			d.shuffle.Join(id, d.randomSeeds(id, 4))
+			if err := d.shuffle.Join(id, d.randomSeeds(id, 4)); err != nil {
+				panic(err)
+			}
 		}
 		d.shuffle.TickIdx(int(h))
+		// Every code in a Cyclon view is a host index: there are no strays.
 		codes, memo := d.shuffle.ViewSlots(int(h))
-		d.members[h].DiscoverView(codes, memo, d.shuffle.StrayIDs())
+		d.members[h].DiscoverView(codes, memo, nil)
 	}
 }
 

@@ -17,8 +17,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
-	"net"
-	"strconv"
 )
 
 // NodeID identifies a node by its network address (IP:port in the paper's
@@ -34,12 +32,6 @@ func (id NodeID) IsNil() bool { return id == Nil }
 
 // String returns the identifier verbatim.
 func (id NodeID) String() string { return string(id) }
-
-// FromHostPort builds a NodeID from an address and port, in the canonical
-// "host:port" form used throughout the library.
-func FromHostPort(host string, port int) NodeID {
-	return NodeID(net.JoinHostPort(host, strconv.Itoa(port)))
-}
 
 // Synthetic returns a deterministic NodeID for the i-th simulated node.
 // Simulated identities are drawn from the 10.0.0.0/8 space so that they
@@ -134,56 +126,6 @@ func (c *HashCache) Pair(x, y NodeID) float64 {
 
 // Len reports the number of memoized pairs.
 func (c *HashCache) Len() int { return len(c.m) }
-
-// Band classifies availabilities into the paper's initiator bands:
-// LOW [0, 1/3), MID [1/3, 2/3), HIGH [2/3, 1].
-type Band int
-
-// Initiator bands used throughout the evaluation section.
-const (
-	BandLow Band = iota
-	BandMid
-	BandHigh
-)
-
-// String implements fmt.Stringer.
-func (b Band) String() string {
-	switch b {
-	case BandLow:
-		return "LOW"
-	case BandMid:
-		return "MID"
-	case BandHigh:
-		return "HIGH"
-	default:
-		return "Band(" + strconv.Itoa(int(b)) + ")"
-	}
-}
-
-// BandOf returns the band containing availability a.
-func BandOf(a float64) Band {
-	switch {
-	case a < 1.0/3.0:
-		return BandLow
-	case a < 2.0/3.0:
-		return BandMid
-	default:
-		return BandHigh
-	}
-}
-
-// BandInterval returns the availability interval [lo, hi) spanned by b
-// (hi is 1.0 inclusive for BandHigh; callers treat it as a closed end).
-func BandInterval(b Band) (lo, hi float64) {
-	switch b {
-	case BandLow:
-		return 0, 1.0 / 3.0
-	case BandMid:
-		return 1.0 / 3.0, 2.0 / 3.0
-	default:
-		return 2.0 / 3.0, 1.0
-	}
-}
 
 // Clamp01 clamps v into [0,1]. Availabilities and predicate outputs live
 // in the unit interval; every boundary computation funnels through here.

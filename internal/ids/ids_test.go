@@ -110,23 +110,6 @@ func TestSynthetic(t *testing.T) {
 	}
 }
 
-func TestFromHostPort(t *testing.T) {
-	tests := []struct {
-		host string
-		port int
-		want NodeID
-	}{
-		{"10.0.0.1", 4000, "10.0.0.1:4000"},
-		{"example.com", 80, "example.com:80"},
-		{"::1", 9000, "[::1]:9000"},
-	}
-	for _, tc := range tests {
-		if got := FromHostPort(tc.host, tc.port); got != tc.want {
-			t.Errorf("FromHostPort(%q,%d) = %q, want %q", tc.host, tc.port, got, tc.want)
-		}
-	}
-}
-
 func TestHashCache(t *testing.T) {
 	c := NewHashCache(0)
 	x, y := Synthetic(1), Synthetic(2)
@@ -160,49 +143,6 @@ func TestHashCacheEviction(t *testing.T) {
 	// Values must still be correct after eviction.
 	if got, want := c.Pair(Synthetic(0), Synthetic(1)), PairHash(Synthetic(0), Synthetic(1)); got != want {
 		t.Errorf("post-eviction value = %v, want %v", got, want)
-	}
-}
-
-func TestBandOf(t *testing.T) {
-	tests := []struct {
-		a    float64
-		want Band
-	}{
-		{0, BandLow},
-		{0.3332, BandLow},
-		{1.0 / 3.0, BandMid},
-		{0.5, BandMid},
-		{0.6665, BandMid},
-		{2.0 / 3.0, BandHigh},
-		{0.9, BandHigh},
-		{1.0, BandHigh},
-	}
-	for _, tc := range tests {
-		if got := BandOf(tc.a); got != tc.want {
-			t.Errorf("BandOf(%v) = %v, want %v", tc.a, got, tc.want)
-		}
-	}
-}
-
-func TestBandInterval(t *testing.T) {
-	for _, b := range []Band{BandLow, BandMid, BandHigh} {
-		lo, hi := BandInterval(b)
-		if lo >= hi {
-			t.Errorf("BandInterval(%v) = [%v,%v), degenerate", b, lo, hi)
-		}
-		mid := (lo + hi) / 2
-		if got := BandOf(mid); got != b {
-			t.Errorf("BandOf(midpoint of %v) = %v", b, got)
-		}
-	}
-}
-
-func TestBandString(t *testing.T) {
-	if BandLow.String() != "LOW" || BandMid.String() != "MID" || BandHigh.String() != "HIGH" {
-		t.Errorf("band strings wrong: %v %v %v", BandLow, BandMid, BandHigh)
-	}
-	if Band(42).String() != "Band(42)" {
-		t.Errorf("unknown band string = %q", Band(42).String())
 	}
 }
 

@@ -487,9 +487,9 @@ type AggregateOptions struct {
 	Redundancy int
 }
 
-// maxAggRedundancy bounds the redundancy degree; beyond a handful of
+// MaxAggRedundancy bounds the redundancy degree; beyond a handful of
 // trees the band's hull slices thinner than the population supports.
-const maxAggRedundancy = 8
+const MaxAggRedundancy = 8
 
 // DefaultAggregateOptions returns greedy HS+VS entry and an HS+VS
 // tree, with no ground truth recorded.
@@ -501,8 +501,8 @@ func (o AggregateOptions) validate() error {
 	if err := o.Anycast.validate(); err != nil {
 		return err
 	}
-	if o.Redundancy < 0 || o.Redundancy > maxAggRedundancy {
-		return fmt.Errorf("ops: redundancy must be in [0,%d], got %d", maxAggRedundancy, o.Redundancy)
+	if o.Redundancy < 0 || o.Redundancy > MaxAggRedundancy {
+		return fmt.Errorf("ops: redundancy must be in [0,%d], got %d", MaxAggRedundancy, o.Redundancy)
 	}
 	return validFlavor(o.Flavor, "aggregate ")
 }

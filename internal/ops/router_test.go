@@ -74,13 +74,15 @@ func newCluster(t *testing.T, pred *core.Predicate, avails []float64, verify boo
 		routers: make(map[ids.NodeID]*Router, len(avails)),
 		members: make(map[ids.NodeID]*core.Membership, len(avails)),
 	}
-	c.net = sim.NewNetwork(c.world, sim.FixedLatency(testHop),
-		func(id ids.NodeID) bool { return c.online[id] }, 0)
 	for i, av := range avails {
 		id := ids.Synthetic(i)
 		c.nodes = append(c.nodes, id)
 		c.monitor[id] = av
 		c.online[id] = true
+	}
+	c.net = sim.NewNetwork(c.world, sim.FixedLatency(testHop), nil, 0)
+	if err := c.net.Bind(c.nodes, func(i int) bool { return c.online[c.nodes[i]] }); err != nil {
+		t.Fatal(err)
 	}
 	hashes := ids.NewHashCache(0)
 	for _, id := range c.nodes {
@@ -109,7 +111,9 @@ func newCluster(t *testing.T, pred *core.Predicate, avails []float64, verify boo
 			t.Fatal(err)
 		}
 		c.routers[id] = r
-		c.net.RegisterAddr(id.Addr(), r.HandleMessage)
+		if err := c.net.RegisterAddr(id.Addr(), r.HandleMessage); err != nil {
+			t.Fatal(err)
+		}
 	}
 	return c
 }

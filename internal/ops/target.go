@@ -68,9 +68,6 @@ func (t Target) Distance(av float64) float64 {
 	}
 }
 
-// Width returns the availability width of the target.
-func (t Target) Width() float64 { return t.Hi - t.Lo }
-
 // String implements fmt.Stringer.
 func (t Target) String() string {
 	if t.Hi >= 1 && t.Lo > 0 {

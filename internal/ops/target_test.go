@@ -100,13 +100,6 @@ func TestTargetValidate(t *testing.T) {
 	}
 }
 
-func TestWidth(t *testing.T) {
-	tgt, _ := Range(0.2, 0.35)
-	if got := tgt.Width(); math.Abs(got-0.15) > 1e-12 {
-		t.Errorf("Width = %v", got)
-	}
-}
-
 func TestPolicyModeStrings(t *testing.T) {
 	if Greedy.String() != "greedy" || RetriedGreedy.String() != "retried-greedy" || Annealing.String() != "simulated-annealing" {
 		t.Error("policy strings wrong")

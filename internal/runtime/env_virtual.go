@@ -157,14 +157,15 @@ type netFabric struct{ net *sim.Network }
 // use. Address memos travel with the messages.
 func NetFabric(n *sim.Network) Fabric { return netFabric{net: n} }
 
-// Register implements Fabric.
+// Register implements Fabric: self must be a host of the network's
+// bound universe.
 func (f netFabric) Register(self ids.Addr, h Handler) error {
-	f.net.RegisterAddr(self, sim.AddrHandler(h))
-	return nil
+	return f.net.RegisterAddr(self, sim.AddrHandler(h))
 }
 
-// Unregister implements Fabric.
-func (f netFabric) Unregister(self ids.Addr) { f.net.RegisterAddr(self, nil) }
+// Unregister implements Fabric. An address outside the universe was
+// never registered, so its refusal leaves nothing to undo.
+func (f netFabric) Unregister(self ids.Addr) { _ = f.net.RegisterAddr(self, nil) }
 
 // Send implements Fabric.
 func (f netFabric) Send(from, to ids.Addr, msg any) { f.net.SendAddr(from, to, msg) }

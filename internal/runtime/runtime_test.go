@@ -208,6 +208,9 @@ func TestNewValidation(t *testing.T) {
 func TestNetFabricAdapter(t *testing.T) {
 	w := sim.NewWorld(1)
 	net := sim.NewNetwork(w, sim.FixedLatency(time.Millisecond), nil, 0)
+	if err := net.Bind([]ids.NodeID{peerA.ID(), peerB.ID()}, func(int) bool { return true }); err != nil {
+		t.Fatal(err)
+	}
 	f := NetFabric(net)
 	env, err := NewVirtual(VirtualConfig{Self: peerA, Scheduler: w, Fabric: f, Seed: 1})
 	if err != nil {
@@ -216,6 +219,9 @@ func TestNetFabricAdapter(t *testing.T) {
 	got := 0
 	if err := f.Register(peerB, func(from ids.Addr, msg any) { got++ }); err != nil {
 		t.Fatal(err)
+	}
+	if err := f.Register(ids.NodeID("c").Addr(), func(ids.Addr, any) {}); err == nil {
+		t.Error("a host outside the network's universe was registered")
 	}
 	env.Send(peerB, "x")
 	okCh := false
@@ -271,6 +277,9 @@ func TestSendNackReportsFailureOnly(t *testing.T) {
 
 	sw := sim.NewWorld(1)
 	net := sim.NewNetwork(sw, sim.FixedLatency(time.Millisecond), nil, 0)
+	if err := net.Bind([]ids.NodeID{peerA.ID(), peerB.ID()}, func(int) bool { return true }); err != nil {
+		t.Fatal(err)
+	}
 	f := NetFabric(net)
 	env, err := NewVirtual(VirtualConfig{Self: peerA, Scheduler: sw, Fabric: f, Seed: 1})
 	if err != nil {

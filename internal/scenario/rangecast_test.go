@@ -2,10 +2,13 @@ package scenario
 
 import (
 	"bytes"
+	"fmt"
 	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
+
+	"avmem/internal/ops"
 )
 
 // managementScenarioFiles are the checked-in range-cast/aggregation
@@ -237,5 +240,21 @@ func TestRangecastAggregateSpecValidation(t *testing.T) {
 	ok := `{"name":"x","events":[{"at":"0s","rangecast":{"count":5,"target_lo":0.5,"target_hi":0.5}}]}`
 	if _, err := Load(strings.NewReader(ok)); err != nil {
 		t.Errorf("empty band rejected: %v", err)
+	}
+}
+
+// TestAggregateRedundancyBound: a spec's redundancy is bounded by the
+// router's own ops.MaxAggRedundancy — the bound is admitted, one past it
+// fails Validate and the message names the bound.
+func TestAggregateRedundancyBound(t *testing.T) {
+	spec := func(r int) string {
+		return fmt.Sprintf(`{"name":"x","events":[{"at":"0s","aggregate":{"count":5,"op":"avg","target_lo":0.2,"target_hi":0.8,"redundancy":%d}}]}`, r)
+	}
+	if _, err := Load(strings.NewReader(spec(ops.MaxAggRedundancy))); err != nil {
+		t.Errorf("redundancy %d rejected: %v", ops.MaxAggRedundancy, err)
+	}
+	_, err := Load(strings.NewReader(spec(ops.MaxAggRedundancy + 1)))
+	if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("[0,%d]", ops.MaxAggRedundancy)) {
+		t.Errorf("redundancy %d: error %v, want one naming the bound %d", ops.MaxAggRedundancy+1, err, ops.MaxAggRedundancy)
 	}
 }

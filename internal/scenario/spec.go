@@ -1032,8 +1032,8 @@ func (b *AggregateBatch) validate() error {
 	if _, err := parseFlavor(b.Flavor); err != nil {
 		return err
 	}
-	if b.Redundancy < 0 || b.Redundancy > 8 {
-		return fmt.Errorf("redundancy must be in [0,8], got %d", b.Redundancy)
+	if b.Redundancy < 0 || b.Redundancy > ops.MaxAggRedundancy {
+		return fmt.Errorf("redundancy must be in [0,%d], got %d", ops.MaxAggRedundancy, b.Redundancy)
 	}
 	return nil
 }

@@ -3,7 +3,6 @@ package shuffle
 import (
 	"fmt"
 	"math/rand"
-	"sort"
 
 	"avmem/internal/ids"
 )
@@ -48,18 +47,16 @@ func refOldestAge(ages []int) int {
 }
 
 // refCyclon runs the age-based shuffling protocol across a set of nodes.
-// It is driven explicitly: the simulation calls Tick(x) once per
-// protocol period per online node; the live runtime does the same from
-// its timer loop. refCyclon is not safe for concurrent use; wrap it if the
+// It is driven explicitly: the simulation calls TickIdx once per
+// protocol period per online node. refCyclon is not safe for concurrent use; wrap it if the
 // caller is concurrent.
 //
 // With UseIndex configured, everything a tick touches is addressed by
 // dense host index: the initiator's and partner's views (viewsByIdx),
-// liveness (onlineAt), the departed/never-joined check, and merge's
+// liveness (onlineAt), the never-joined check, and merge's
 // duplicate check (the stamp table below). The identifier-keyed views
 // map and the linear identifier scan remain only as the fallback for
-// entries the index cannot resolve — identifiers outside the universe —
-// and for a refCyclon that never had UseIndex called.
+// entries the index cannot resolve — identifiers outside the universe.
 type refCyclon struct {
 	viewSize   int
 	shuffleLen int
@@ -82,10 +79,6 @@ type refCyclon struct {
 	// ages mirrors the receiving refView's entry ages during a merge, so the
 	// eviction-victim search walks a compact array instead of the entries.
 	ages []int
-	// leaves counts Leave calls. While zero — the whole lifetime of a
-	// simulated deployment — the per-entry departed-node scan in Tick is
-	// skipped (the partner's refView resolution still catches strays).
-	leaves int
 	// Exchange scratch, reused across ticks: an index permutation for
 	// partial Fisher–Yates sampling and the two offered-entry buffers.
 	// merge copies entries out, so nothing retains these between calls.
@@ -169,23 +162,13 @@ func (c *refCyclon) resolveEntry(e *Entry) {
 }
 
 // viewOf returns the registered refView of the node e names (nil when it
-// departed or never joined): an index-table probe for resolved entries.
+// never joined): an index-table probe for resolved entries.
 func (c *refCyclon) viewOf(e *Entry) *refView {
 	c.resolveEntry(e)
 	if e.idx1 > 0 {
 		return c.viewByIdx(int(e.idx1 - 1))
 	}
 	return c.views[e.ID]
-}
-
-// Leave removes x entirely (a permanent departure; churned-offline nodes
-// should simply fail the online check instead).
-func (c *refCyclon) Leave(x ids.NodeID) {
-	if v := c.views[x]; v != nil && v.idx1 > 0 && int(v.idx1-1) < len(c.viewsByIdx) {
-		c.viewsByIdx[v.idx1-1] = nil
-	}
-	delete(c.views, x)
-	c.leaves++
 }
 
 // UseIndex switches the service to a dense host index: a node is online
@@ -230,7 +213,7 @@ func (c *refCyclon) viewOnline(v *refView) bool {
 	return v.idx1 > 0 && c.onlineAt(int(v.idx1-1))
 }
 
-// View implements Service.
+// View returns the identifiers currently in x's coarse view.
 func (c *refCyclon) View(x ids.NodeID) []ids.NodeID {
 	v := c.views[x]
 	if v == nil {
@@ -243,30 +226,6 @@ func (c *refCyclon) View(x ids.NodeID) []ids.NodeID {
 	return out
 }
 
-// ViewLen returns the current number of entries in x's coarse refView
-// without copying it.
-func (c *refCyclon) ViewLen(x ids.NodeID) int {
-	v := c.views[x]
-	if v == nil {
-		return 0
-	}
-	return len(v.entries)
-}
-
-// AppendView appends x's current coarse-refView identifiers to dst and
-// returns it — the allocation-free variant of View for callers that
-// reuse a scratch buffer across nodes. The result aliases dst.
-func (c *refCyclon) AppendView(dst []ids.NodeID, x ids.NodeID) []ids.NodeID {
-	v := c.views[x]
-	if v == nil {
-		return dst
-	}
-	for _, e := range v.entries {
-		dst = append(dst, e.ID)
-	}
-	return dst
-}
-
 // viewByIdx resolves a refView through the index table (UseIndex + Join).
 func (c *refCyclon) viewByIdx(i int) *refView {
 	if i < 0 || i >= len(c.viewsByIdx) {
@@ -275,77 +234,16 @@ func (c *refCyclon) viewByIdx(i int) *refView {
 	return c.viewsByIdx[i]
 }
 
-// ViewLenIdx is ViewLen keyed by liveness index — no map lookup.
-func (c *refCyclon) ViewLenIdx(i int) int {
-	v := c.viewByIdx(i)
-	if v == nil {
-		return 0
-	}
-	return len(v.entries)
-}
-
-// AppendViewIdx is AppendView keyed by liveness index — no map lookup.
-func (c *refCyclon) AppendViewIdx(dst []ids.NodeID, i int) []ids.NodeID {
-	v := c.viewByIdx(i)
-	if v == nil {
-		return dst
-	}
-	for j := range v.entries {
-		dst = append(dst, v.entries[j].ID)
-	}
-	return dst
-}
-
-// AppendViewCand appends node i's refView entries with their memoized
-// liveness indexes (−1 = unknown) to the parallel dst/dstIdx buffers —
-// the zero-lookup feed for core.Membership.DiscoverIdx. Entries are
-// index-resolved in place, so steady state appends are pure copies.
-func (c *refCyclon) AppendViewCand(dst []ids.NodeID, dstIdx []int32, i int) ([]ids.NodeID, []int32) {
-	v := c.viewByIdx(i)
-	if v == nil {
-		return dst, dstIdx
-	}
-	for j := range v.entries {
-		e := &v.entries[j]
-		c.resolveEntry(e)
-		dst = append(dst, e.ID)
-		dstIdx = append(dstIdx, e.idx1-1)
-	}
-	return dst, dstIdx
-}
-
-// TickIdx is Tick keyed by liveness index — no map lookup for the
-// initiator's own refView.
+// TickIdx performs one CYCLON shuffle initiated by host i: ages its
+// entries, picks the oldest *online* neighbor q, and exchanges up to
+// shuffleLen entries with it.
 func (c *refCyclon) TickIdx(i int) {
 	if v := c.viewByIdx(i); v != nil {
 		c.tick(v)
 	}
 }
 
-// ViewSize returns the configured per-node refView bound.
-func (c *refCyclon) ViewSize() int { return c.viewSize }
-
-// Tick performs one CYCLON shuffle initiated by x: ages x's entries,
-// picks the oldest *online* neighbor q, and exchanges up to shuffleLen
-// entries with it.
-//
-// Entries for currently-offline nodes are deliberately kept: the coarse
-// refView is weakly consistent (paper §3.1 — it "may even contain stale
-// entries"), and AVMEM's discovery depends on that. In a churned system
-// most of the population is offline at any instant; if their entries
-// washed out, low-availability nodes would never be discovered as
-// neighbors. Stale entries are skipped as shuffle partners, age
-// normally, and get evicted by merge pressure from fresher entries.
-// Entries for permanently departed nodes (Leave) are discarded.
-func (c *refCyclon) Tick(x ids.NodeID) {
-	vx := c.views[x]
-	if vx == nil {
-		return
-	}
-	c.tick(vx)
-}
-
-// tick is the shared body of Tick and TickIdx.
+// tick is the body of TickIdx.
 func (c *refCyclon) tick(vx *refView) {
 	if !c.viewOnline(vx) {
 		return
@@ -353,29 +251,17 @@ func (c *refCyclon) tick(vx *refView) {
 	for i := range vx.entries {
 		vx.entries[i].Age++
 	}
-	// Partner = the oldest entry whose node is online and registered.
-	// Departed (unregistered) nodes are dropped as encountered; while no
-	// node has ever left, that scan is pure liveness probes.
-	checkDeparted := c.leaves > 0
+	// Partner = the oldest entry whose node is online.
 	for {
 		partner := -1
 		for i := range vx.entries {
 			e := &vx.entries[i]
-			if checkDeparted && c.viewOf(e) == nil {
-				// Permanently gone: remove and rescan.
-				vx.entries = append(vx.entries[:i], vx.entries[i+1:]...)
-				partner = -2
-				break
-			}
 			if !c.entryOnline(e) {
 				continue
 			}
 			if partner < 0 || e.Age > vx.entries[partner].Age {
 				partner = i
 			}
-		}
-		if partner == -2 {
-			continue // rescan after removal
 		}
 		if partner < 0 {
 			return // no online partner this round
@@ -479,9 +365,8 @@ func (c *refCyclon) sampleEntries(dst []Entry, v *refView, n int) []Entry {
 
 // merge folds received entries into v, skipping self, duplicates, and —
 // unless seeding (Join, whose bootstrap peers may not have joined yet) —
-// entries for unregistered (departed or never-joined) nodes: without
-// that check, two nodes could ping-pong a departed entry between their
-// views forever. A full refView takes an entry in place of its oldest one
+// entries for never-joined nodes: without that check, two nodes could
+// ping-pong such an entry between their views forever. A full refView takes an entry in place of its oldest one
 // (the first among equals): always when seeding, otherwise only if the
 // newcomer is no older.
 //
@@ -552,14 +437,4 @@ func (c *refCyclon) mark(h int) {
 		c.stamp = append(c.stamp, make([]uint32, h+1-len(c.stamp))...)
 	}
 	c.stamp[h] = c.gen
-}
-
-// Nodes returns all registered node ids in deterministic order.
-func (c *refCyclon) Nodes() []ids.NodeID {
-	out := make([]ids.NodeID, 0, len(c.views))
-	for id := range c.views {
-		out = append(out, id)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }

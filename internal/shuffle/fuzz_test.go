@@ -2,16 +2,16 @@ package shuffle
 
 import "testing"
 
-// FuzzCyclonSchedule drives the packed Cyclon — on a host index and on
-// identifiers alone — and the reference model through a schedule decoded
-// from the input: byte 0 seeds the services and the rewriting Tap, byte 1
-// picks whether UseIndex precedes the first joins, and every later byte
-// answers one choice of diffHarness.step (operation, identifier, seed
-// count, ...). The Tap is where entries built outside Cyclon enter it —
-// never-joined strays, identifiers outside the universe, nil
-// identifiers, negative ages, duplicates carrying a memo — so the target
-// covers that boundary; the oracle is the differential check after every
-// step. Seed corpus: testdata/fuzz/FuzzCyclonSchedule.
+// FuzzCyclonSchedule drives the packed Cyclon and the reference model
+// through a schedule decoded from the input: byte 0 seeds the services
+// and the rewriting Tap, byte 1 leaves the Tap out when odd, and every
+// later byte answers one choice of diffHarness.step (operation,
+// identifier, seed count, ...). The Tap is where entries built outside
+// Cyclon enter it — never-joined strays, identifiers outside the
+// universe, nil identifiers, negative ages, duplicates carrying a memo —
+// and Joins naming identifiers outside the universe must be refused, so
+// the target covers both boundaries; the oracle is the differential
+// check after every step. Seed corpus: testdata/fuzz/FuzzCyclonSchedule.
 func FuzzCyclonSchedule(f *testing.F) {
 	f.Add([]byte{1, 0, 0, 3, 0, 2, 7, 9, 5, 5, 5, 1, 3, 5, 0, 5, 1, 5, 2, 4, 5, 6})
 	f.Add([]byte{2, 1, 19, 0, 1, 19, 1, 1, 2, 3, 19, 3, 0})

@@ -5,13 +5,13 @@
 // eventually appears in any other node's view (expected discovery time
 // O(N/v) protocol periods for view size v).
 //
-// Two implementations are provided:
+// Two implementations of the CYCLON-style age-based shuffle (Voulgaris
+// et al.) are provided, with bounded views and pairwise exchanges:
 //
-//   - Cyclon: the CYCLON-style age-based shuffle (Voulgaris et al.),
-//     the faithful protocol with bounded views and pairwise exchanges.
-//   - UniformSampler: an idealized service that returns a fresh uniform
-//     sample of online nodes on every query — an upper bound useful for
-//     tests and ablations.
+//   - Cyclon runs the protocol for a whole simulated population at once,
+//     addressing every node by its dense index in a host universe bound
+//     before the first Join.
+//   - Agent runs it inside one live node, over a real transport.
 //
 // Architecture: DESIGN.md §7 (monitoring and shuffling services).
 package shuffle
@@ -19,18 +19,9 @@ package shuffle
 import (
 	"fmt"
 	"math/rand"
-	"sort"
 
 	"avmem/internal/ids"
 )
-
-// Service yields the current coarse view of a node. AVMEM's discovery
-// sub-protocol iterates these entries every protocol period.
-type Service interface {
-	// View returns the identifiers currently in x's coarse view. The
-	// returned slice is owned by the caller.
-	View(x ids.NodeID) []ids.NodeID
-}
 
 // Entry is one coarse-view slot on the wire: a peer and its CYCLON age.
 // It is what an Agent stores and what crosses a Tap; Cyclon keeps its
@@ -56,7 +47,7 @@ type Entry struct {
 // through Cyclon.
 type view struct {
 	self  ids.NodeID
-	code  int32 // self, in the Cyclon's code space
+	code  int32 // self's host index, its code
 	codes []int32
 	ages  []int32
 	memo  []uint64
@@ -82,29 +73,6 @@ func (o *offer) add(code, age int32) {
 	o.ages = append(o.ages, age)
 }
 
-// codeTable is everything Cyclon keeps per code on one side of the code
-// space; the three slices always have the same length.
-type codeTable struct {
-	ids   []ids.NodeID // the identifier behind the code (Nil = never interned)
-	views []*view      // the registered view, nil when departed or never joined
-	// stamp is merge's duplicate set: stamp[k] == gen marks the node as the
-	// receiving view's owner or one of its entries. A merge claims a fresh
-	// generation instead of clearing the table, so dedupe costs O(v + l)
-	// per merge rather than O(v·l); when gen wraps the table is zeroed.
-	// One table serves every view because merges never interleave: a
-	// Cyclon belongs to one single-threaded world.
-	stamp []uint32
-}
-
-// grow extends the table to hold at least n codes.
-func (t *codeTable) grow(n int) {
-	if d := n - len(t.ids); d > 0 {
-		t.ids = append(t.ids, make([]ids.NodeID, d)...)
-		t.views = append(t.views, make([]*view, d)...)
-		t.stamp = append(t.stamp, make([]uint32, d)...)
-	}
-}
-
 // memoChunk is how many views' memo words one slab allocation holds.
 const memoChunk = 512
 
@@ -115,40 +83,39 @@ const memoChunk = 512
 const maxAge = 1 << 30
 
 // Cyclon runs the age-based shuffling protocol across a set of nodes.
-// It is driven explicitly: the simulation calls Tick(x) once per
-// protocol period per online node; the live runtime does the same from
-// its timer loop. Cyclon is not safe for concurrent use; wrap it if the
-// caller is concurrent.
+// It is driven explicitly: the simulation calls TickIdx once per
+// protocol period per online node. Cyclon is not safe for concurrent
+// use; wrap it if the caller is concurrent.
 //
-// Every node Cyclon has been told about — joined, seeded, or both — is
-// named by one int32 code. A code >= 0 is the node's dense host index,
-// for identifiers UseIndex resolves; a code < 0 is the complement of a
-// slot in a Cyclon-private stray table, where every other identifier is
-// interned on first sight (all of them, for a Cyclon that never had
-// UseIndex called). Views, liveness, registration and merge's duplicate
-// check are array probes at the code on either side; an identifier is
-// looked up only where one enters — Join, the identifier-keyed entry
-// points, and entries a Tap hands back.
+// Every node is named by one int32 code: its dense index in the host
+// universe UseIndex binds, before the first Join. Views, liveness,
+// registration and merge's duplicate check are array probes at the code;
+// an identifier is looked up only where one enters — Join, View, and
+// entries a Tap hands back. An identifier outside the universe is never
+// coded: a Join naming one is refused, and a Tap entry naming one is
+// dropped and counted.
 type Cyclon struct {
 	viewSize   int
 	shuffleLen int
 	rng        *rand.Rand
-	online     func(ids.NodeID) bool
 
 	// UseIndex: the dense host index and its liveness probe.
 	indexOf  func(ids.NodeID) int
 	onlineAt func(i int) bool
 
-	// The code space: hosts[code] for code >= 0, strays[^code] below, and
-	// the identifier → stray slot map behind intern and find.
-	hosts, strays codeTable
-	strayOf       map[ids.NodeID]int32
-	gen           uint32 // the current merge's stamp generation
+	// Per code, in three slices of one length: the identifier behind it
+	// (Nil = never named), the registered view (nil = never joined), and
+	// merge's duplicate set — stamp[k] == gen marks the node as the
+	// receiving view's owner or one of its entries. A merge claims a fresh
+	// generation instead of clearing the set, so dedupe costs O(v + l) per
+	// merge rather than O(v·l); when gen wraps the set is zeroed. One set
+	// serves every view because merges never interleave: a Cyclon belongs
+	// to one single-threaded world.
+	names []ids.NodeID
+	views []*view
+	stamp []uint32
+	gen   uint32
 
-	// leaves counts Leave calls. While zero — the whole lifetime of a
-	// simulated deployment — the per-entry departed-node scan in Tick is
-	// skipped (the partner's view resolution still catches strays).
-	leaves int
 	// Exchange scratch, reused across ticks: an index permutation for
 	// partial Fisher–Yates sampling, the two sampled offers, the batch a
 	// Join or a Tap hands to merge, and the entries built for a Tap. merge
@@ -202,13 +169,15 @@ type Tap struct {
 	Refuse func(owner ids.NodeID) bool
 }
 
-var _ Service = (*Cyclon)(nil)
-
 // NewCyclon creates the shuffling service. viewSize is the per-node
 // coarse view bound v (the paper derives v ≈ √N as the sweet spot);
 // shuffleLen is the number of entries exchanged per shuffle (must be
-// <= viewSize); online reports current liveness (nil means always
-// online); rng drives peer and subset selection.
+// <= viewSize); rng drives peer and subset selection. Liveness comes
+// with the host universe, from UseIndex.
+//
+// Deprecated: online is retired and must be nil; it stays in the
+// signature only until the benchmark harness moves off it (ROADMAP.md
+// item 1(a)).
 func NewCyclon(viewSize, shuffleLen int, online func(ids.NodeID) bool, rng *rand.Rand) (*Cyclon, error) {
 	if viewSize <= 0 {
 		return nil, fmt.Errorf("shuffle: viewSize must be positive, got %d", viewSize)
@@ -216,108 +185,85 @@ func NewCyclon(viewSize, shuffleLen int, online func(ids.NodeID) bool, rng *rand
 	if shuffleLen <= 0 || shuffleLen > viewSize {
 		return nil, fmt.Errorf("shuffle: shuffleLen must be in [1,%d], got %d", viewSize, shuffleLen)
 	}
-	if online == nil {
-		online = func(ids.NodeID) bool { return true }
+	if online != nil {
+		return nil, fmt.Errorf("shuffle: the online argument is retired; bind liveness with UseIndex")
 	}
 	if rng == nil {
 		return nil, fmt.Errorf("shuffle: rng must not be nil")
 	}
-	return &Cyclon{
-		viewSize:   viewSize,
-		shuffleLen: shuffleLen,
-		rng:        rng,
-		online:     online,
-		strayOf:    make(map[ids.NodeID]int32),
-	}, nil
+	return &Cyclon{viewSize: viewSize, shuffleLen: shuffleLen, rng: rng}, nil
 }
 
-// table returns the side of the code space code lives on and its slot
-// there.
-func (c *Cyclon) table(code int32) (*codeTable, int) {
-	if code >= 0 {
-		return &c.hosts, int(code)
+// UseIndex binds the host universe: node id is coded indexOf(id), and is
+// online iff onlineAt(indexOf(id)). indexOf must be a pure function
+// returning a stable, distinct non-negative index for every node of the
+// universe, and a negative one for every other identifier. It must be
+// called once, before the first Join; a second call is refused.
+func (c *Cyclon) UseIndex(indexOf func(ids.NodeID) int, onlineAt func(i int) bool) error {
+	if indexOf == nil || onlineAt == nil {
+		return fmt.Errorf("shuffle: UseIndex needs an index and a liveness probe")
 	}
-	return &c.strays, int(^code)
-}
-
-// idOf returns the identifier behind a code.
-func (c *Cyclon) idOf(code int32) ids.NodeID {
-	t, k := c.table(code)
-	return t.ids[k]
-}
-
-// viewAt returns the registered view of the node coded code, nil when it
-// departed or never joined.
-func (c *Cyclon) viewAt(code int32) *view {
-	t, k := c.table(code)
-	return t.views[k]
-}
-
-// intern returns id's code, assigning one on first sight: the host index
-// when UseIndex resolves id, a fresh stray slot otherwise.
-func (c *Cyclon) intern(id ids.NodeID) int32 {
 	if c.indexOf != nil {
-		if i := c.indexOf(id); i >= 0 {
-			c.hosts.grow(i + 1)
-			c.hosts.ids[i] = id
-			return int32(i)
-		}
+		return fmt.Errorf("shuffle: the host universe is already bound")
 	}
-	s, ok := c.strayOf[id]
-	if !ok {
-		s = int32(len(c.strays.ids))
-		c.strays.grow(int(s) + 1)
-		c.strays.ids[s] = id
-		c.strayOf[id] = s
-	}
-	return ^s
+	c.indexOf, c.onlineAt = indexOf, onlineAt
+	return nil
 }
 
-// find returns id's code without assigning one; ok is false for an
-// identifier Cyclon was never told about, which therefore names no view.
-func (c *Cyclon) find(id ids.NodeID) (code int32, ok bool) {
-	if c.indexOf != nil {
-		if i := c.indexOf(id); i >= 0 {
-			return int32(i), i < len(c.hosts.ids)
-		}
+// intern returns id's code, naming it on first sight; ok is false for an
+// identifier outside the universe, which has none.
+func (c *Cyclon) intern(id ids.NodeID) (code int32, ok bool) {
+	i := c.indexOf(id)
+	if i < 0 {
+		return 0, false
 	}
-	s, ok := c.strayOf[id]
-	return ^s, ok
-}
-
-// viewOf returns x's registered view, nil when there is none.
-func (c *Cyclon) viewOf(x ids.NodeID) *view {
-	code, ok := c.find(x)
-	if !ok {
-		return nil
+	if d := i + 1 - len(c.names); d > 0 {
+		c.names = append(c.names, make([]ids.NodeID, d)...)
+		c.views = append(c.views, make([]*view, d)...)
+		c.stamp = append(c.stamp, make([]uint32, d)...)
 	}
-	return c.viewAt(code)
+	c.names[i] = id
+	return int32(i), true
 }
 
 // viewByIdx returns host i's registered view, nil when there is none.
 func (c *Cyclon) viewByIdx(i int) *view {
-	if i < 0 || i >= len(c.hosts.views) {
+	if i < 0 || i >= len(c.views) {
 		return nil
 	}
-	return c.hosts.views[i]
+	return c.views[i]
 }
 
 // Join registers x with an initial view drawn from seeds (typically a
 // handful of random online nodes, the bootstrap-server story). Calling
-// Join for an existing node re-seeds without clearing what remains.
-func (c *Cyclon) Join(x ids.NodeID, seeds []ids.NodeID) {
-	code := c.intern(x)
-	v := c.viewAt(code)
-	if v == nil {
-		v = c.newView(x, code)
+// Join for an existing node re-seeds without clearing what remains. A
+// Join before UseIndex, or naming a joiner or seed outside the universe,
+// is refused and changes no view.
+func (c *Cyclon) Join(x ids.NodeID, seeds []ids.NodeID) error {
+	if c.indexOf == nil {
+		return fmt.Errorf("shuffle: Join of %s before UseIndex", x)
+	}
+	code, ok := c.intern(x)
+	if !ok {
+		return fmt.Errorf("shuffle: joiner %s is outside the universe", x)
 	}
 	c.recv.reset()
 	for _, s := range seeds {
-		if !s.IsNil() {
-			c.recv.add(c.intern(s), 0)
+		if s.IsNil() {
+			continue
 		}
+		sc, ok := c.intern(s)
+		if !ok {
+			return fmt.Errorf("shuffle: seed %s of %s is outside the universe", s, x)
+		}
+		c.recv.add(sc, 0)
+	}
+	v := c.views[code]
+	if v == nil {
+		v = c.newView(x, code)
 	}
 	c.merge(v, &c.recv, true)
+	return nil
 }
 
 // newView registers an empty view for the node x coded code.
@@ -334,89 +280,29 @@ func (c *Cyclon) newView(x ids.NodeID, code int32) *view {
 		memo:  c.memoSlab[:0:c.viewSize],
 	}
 	c.memoSlab = c.memoSlab[c.viewSize:]
-	t, k := c.table(code)
-	t.views[k] = v
+	c.views[code] = v
 	return v
 }
 
-// Leave removes x entirely (a permanent departure; churned-offline nodes
-// should simply fail the online check instead). Its code stays interned:
-// entries naming it wash out of other views as they are encountered.
-func (c *Cyclon) Leave(x ids.NodeID) {
-	if code, ok := c.find(x); ok {
-		t, k := c.table(code)
-		t.views[k] = nil
-	}
-	c.leaves++
-}
-
-// UseIndex switches the service to a dense host index: a node is online
-// iff onlineAt(indexOf(id)), and the node's code is that index.
-// indexOf must be a pure function returning a stable, distinct
-// non-negative index for every node the service will see (negative
-// means unknown → treated offline, and coded as a stray). Everything
-// interned before the call — every registered view and every entry in
-// one — is re-coded under the new index here, once, so the *Idx entry
-// points work regardless of Join/UseIndex order and no stale code
-// survives the switch. Memo words stay where they are: the occupants do
-// not change, only their names.
-func (c *Cyclon) UseIndex(indexOf func(ids.NodeID) int, onlineAt func(i int) bool) {
-	if indexOf == nil || onlineAt == nil {
-		return
-	}
-	old := *c // the code space as it was: tables and identifiers
-	c.indexOf, c.onlineAt = indexOf, onlineAt
-	c.hosts, c.strays = codeTable{}, codeTable{}
-	c.strayOf = make(map[ids.NodeID]int32)
-	for _, t := range [2]*codeTable{&old.hosts, &old.strays} {
-		for _, v := range t.views {
-			if v == nil {
-				continue
-			}
-			for k, code := range v.codes {
-				v.codes[k] = c.intern(old.idOf(code))
-			}
-			v.code = c.intern(v.self)
-			nt, nk := c.table(v.code)
-			nt.views[nk] = v
-		}
-	}
-}
-
-// codeOnline reports liveness for a code: the index probe once UseIndex
-// is configured (strays are outside the universe, hence offline), the
-// identifier probe before.
-func (c *Cyclon) codeOnline(code int32) bool {
-	if c.onlineAt != nil {
-		return code >= 0 && c.onlineAt(int(code))
-	}
-	return c.online(c.strays.ids[^code])
-}
-
-// View implements Service.
+// View returns the identifiers currently in x's coarse view, nil when x
+// never joined. The returned slice is owned by the caller.
 func (c *Cyclon) View(x ids.NodeID) []ids.NodeID {
-	v := c.viewOf(x)
+	if c.indexOf == nil {
+		return nil
+	}
+	v := c.viewByIdx(c.indexOf(x))
 	if v == nil {
 		return nil
 	}
 	out := make([]ids.NodeID, len(v.codes))
 	for k, code := range v.codes {
-		out[k] = c.idOf(code)
+		out[k] = c.names[code]
 	}
 	return out
 }
 
-// ViewLen returns the current number of entries in x's coarse view
-// without copying it.
-func (c *Cyclon) ViewLen(x ids.NodeID) int {
-	v := c.viewOf(x)
-	if v == nil {
-		return 0
-	}
-	return len(v.codes)
-}
-
-// ViewLenIdx is ViewLen keyed by liveness index — no map lookup.
+// ViewLenIdx returns the current number of entries in host i's coarse
+// view without copying it.
 func (c *Cyclon) ViewLenIdx(i int) int {
 	v := c.viewByIdx(i)
 	if v == nil {
@@ -426,11 +312,10 @@ func (c *Cyclon) ViewLenIdx(i int) int {
 }
 
 // ViewSlots hands out node i's view in place for one discovery pass
-// (core.Membership.DiscoverView): codes[k] is slot k's occupant — its
-// host index, or for a negative code the complement of its position in
-// StrayIDs — and memo[k] the word the owner may write about it. Both
-// alias the view and are valid until the next call that changes it
-// (TickIdx, Join, an exchange initiated by another node).
+// (core.Membership.DiscoverView): codes[k] is slot k's occupant, by host
+// index, and memo[k] the word the owner may write about it. Both alias
+// the view and are valid until the next call that changes it (TickIdx,
+// Join, an exchange initiated by another node).
 func (c *Cyclon) ViewSlots(i int) (codes []int32, memo []uint64) {
 	v := c.viewByIdx(i)
 	if v == nil {
@@ -439,28 +324,16 @@ func (c *Cyclon) ViewSlots(i int) (codes []int32, memo []uint64) {
 	return v.codes, v.memo
 }
 
-// StrayIDs returns the identifiers behind negative codes: code names
-// StrayIDs()[^code]. The slice is replaced when a new stray is interned.
-func (c *Cyclon) StrayIDs() []ids.NodeID { return c.strays.ids }
-
 // ReceivedDropped returns how many entries coming back from a Tap were
-// dropped because their identifier names no node Cyclon knows.
+// dropped because their identifier is outside the universe.
 func (c *Cyclon) ReceivedDropped() int { return c.dropped }
-
-// TickIdx is Tick keyed by liveness index — no map lookup for the
-// initiator's own view.
-func (c *Cyclon) TickIdx(i int) {
-	if v := c.viewByIdx(i); v != nil {
-		c.tick(v)
-	}
-}
 
 // ViewSize returns the configured per-node view bound.
 func (c *Cyclon) ViewSize() int { return c.viewSize }
 
-// Tick performs one CYCLON shuffle initiated by x: ages x's entries,
-// picks the oldest *online* neighbor q, and exchanges up to shuffleLen
-// entries with it.
+// TickIdx performs one CYCLON shuffle initiated by host i: ages its
+// entries, picks the oldest *online* neighbor q, and exchanges up to
+// shuffleLen entries with it.
 //
 // Entries for currently-offline nodes are deliberately kept: the coarse
 // view is weakly consistent (paper §3.1 — it "may even contain stale
@@ -469,50 +342,31 @@ func (c *Cyclon) ViewSize() int { return c.viewSize }
 // washed out, low-availability nodes would never be discovered as
 // neighbors. Stale entries are skipped as shuffle partners, age
 // normally, and get evicted by merge pressure from fresher entries.
-// Entries for permanently departed nodes (Leave) are discarded.
-func (c *Cyclon) Tick(x ids.NodeID) {
-	if vx := c.viewOf(x); vx != nil {
-		c.tick(vx)
-	}
-}
-
-// tick is the shared body of Tick and TickIdx.
-func (c *Cyclon) tick(vx *view) {
-	if !c.codeOnline(vx.code) {
+func (c *Cyclon) TickIdx(i int) {
+	vx := c.viewByIdx(i)
+	if vx == nil || !c.onlineAt(i) {
 		return
 	}
 	for k := range vx.ages {
 		vx.ages[k]++
 	}
-	// Partner = the oldest entry whose node is online and registered.
-	// Departed (unregistered) nodes are dropped as encountered; while no
-	// node has ever left, that scan is pure liveness probes.
-	checkDeparted := c.leaves > 0
 	for {
+		// Partner = the oldest entry whose node is online.
 		partner := -1
 		for k, code := range vx.codes {
-			if checkDeparted && c.viewAt(code) == nil {
-				// Permanently gone: remove and rescan.
-				vx.remove(k)
-				partner = -2
-				break
-			}
-			if !c.codeOnline(code) {
+			if !c.onlineAt(int(code)) {
 				continue
 			}
 			if partner < 0 || vx.ages[k] > vx.ages[partner] {
 				partner = k
 			}
 		}
-		if partner == -2 {
-			continue // rescan after removal
-		}
 		if partner < 0 {
 			return // no online partner this round
 		}
-		vq := c.viewAt(vx.codes[partner])
+		vq := c.views[vx.codes[partner]]
 		if vq == nil {
-			// Unregistered stray (seeded but never joined): drop, rescan.
+			// Seeded but never joined: drop, rescan.
 			vx.remove(partner)
 			continue
 		}
@@ -574,7 +428,7 @@ func (c *Cyclon) exchange(vx, vq *view, qIdx int) {
 func (c *Cyclon) entries(o *offer) []Entry {
 	c.tapBuf = c.tapBuf[:0]
 	for k, code := range o.codes {
-		c.tapBuf = append(c.tapBuf, Entry{ID: c.idOf(code), Age: int(o.ages[k]), idx1: max(code, -1) + 1})
+		c.tapBuf = append(c.tapBuf, Entry{ID: c.names[code], Age: int(o.ages[k]), idx1: code + 1})
 	}
 	return c.tapBuf
 }
@@ -583,9 +437,7 @@ func (c *Cyclon) entries(o *offer) []Entry {
 // They come from outside: each is coded from its identifier — the memo
 // only saves the lookup when the host table confirms it names that
 // identifier — and ages saturate at ±maxAge. Nil identifiers are
-// dropped, and so is an identifier without a code: it names no
-// registered view, which an exchange merge would refuse anyway, and not
-// interning it keeps invented identifiers from growing the stray table.
+// dropped, and so, counted, is an identifier outside the universe.
 func (c *Cyclon) received(entries []Entry) *offer {
 	c.recv.reset()
 	for i := range entries {
@@ -594,9 +446,9 @@ func (c *Cyclon) received(entries []Entry) *offer {
 			continue
 		}
 		code := e.idx1 - 1
-		if code < 0 || int(code) >= len(c.hosts.ids) || c.hosts.ids[code] != e.ID {
+		if code < 0 || int(code) >= len(c.names) || c.names[code] != e.ID {
 			var ok bool
-			if code, ok = c.find(e.ID); !ok {
+			if code, ok = c.intern(e.ID); !ok {
 				c.dropped++
 				continue
 			}
@@ -648,31 +500,28 @@ func (c *Cyclon) sample(dst *offer, v *view, n int) {
 
 // merge folds received entries into v, skipping self, duplicates, and —
 // unless seeding (Join, whose bootstrap peers may not have joined yet) —
-// entries for unregistered (departed or never-joined) nodes: without
-// that check, two nodes could ping-pong a departed entry between their
-// views forever. A full view takes an entry in place of its oldest one
-// (the first among equals, found by a victimCursor): always when
-// seeding, otherwise only if the newcomer is no older. A slot that takes
-// a new occupant starts with a zero memo word.
+// entries for never-joined nodes, which would otherwise ping-pong between
+// views. A full view takes an entry in place of its oldest one (the first
+// among equals, found by a victimCursor): always when seeding, otherwise
+// only if the newcomer is no older. A slot that takes a new occupant
+// starts with a zero memo word.
 func (c *Cyclon) merge(v *view, received *offer, seeding bool) {
 	c.gen++
 	if c.gen == 0 {
-		clear(c.hosts.stamp)
-		clear(c.strays.stamp)
+		clear(c.stamp)
 		c.gen = 1
 	}
-	c.mark(v.code)
+	c.stamp[v.code] = c.gen
 	for _, code := range v.codes {
-		c.mark(code)
+		c.stamp[code] = c.gen
 	}
 	var victims victimCursor[int32]
 	for i, code := range received.codes {
 		age := received.ages[i]
-		t, k := c.table(code)
-		if t.stamp[k] == c.gen {
+		if c.stamp[code] == c.gen {
 			continue
 		}
-		if !seeding && t.views[k] == nil {
+		if !seeding && c.views[code] == nil {
 			continue
 		}
 		if len(v.codes) < c.viewSize {
@@ -684,82 +533,11 @@ func (c *Cyclon) merge(v *view, received *offer, seeding bool) {
 			if !seeding && v.ages[oldest] < age {
 				continue
 			}
-			ot, ok := c.table(v.codes[oldest])
-			ot.stamp[ok] = 0 // gen is never 0
+			c.stamp[v.codes[oldest]] = 0 // gen is never 0
 			v.codes[oldest] = code
 			v.ages[oldest] = age
 			v.memo[oldest] = 0
 		}
-		t.stamp[k] = c.gen
+		c.stamp[code] = c.gen
 	}
-}
-
-// mark stamps a code into the current merge generation.
-func (c *Cyclon) mark(code int32) {
-	t, k := c.table(code)
-	t.stamp[k] = c.gen
-}
-
-// Nodes returns all registered node ids in deterministic order.
-func (c *Cyclon) Nodes() []ids.NodeID {
-	var out []ids.NodeID
-	for _, t := range [2]*codeTable{&c.hosts, &c.strays} {
-		for _, v := range t.views {
-			if v != nil {
-				out = append(out, v.self)
-			}
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
-// UniformSampler is the idealized shuffling service: every View call
-// returns a fresh uniform sample (without replacement) of size up to
-// viewSize drawn from the currently online population. It models a
-// perfect shuffle and upper-bounds discovery speed.
-type UniformSampler struct {
-	viewSize int
-	rng      *rand.Rand
-	// Population enumerates candidate node ids; online filters them.
-	population func() []ids.NodeID
-	online     func(ids.NodeID) bool
-}
-
-var _ Service = (*UniformSampler)(nil)
-
-// NewUniformSampler constructs the idealized service. population must
-// not be nil; online nil means always online.
-func NewUniformSampler(viewSize int, population func() []ids.NodeID, online func(ids.NodeID) bool, rng *rand.Rand) (*UniformSampler, error) {
-	if viewSize <= 0 {
-		return nil, fmt.Errorf("shuffle: viewSize must be positive, got %d", viewSize)
-	}
-	if population == nil {
-		return nil, fmt.Errorf("shuffle: population must not be nil")
-	}
-	if rng == nil {
-		return nil, fmt.Errorf("shuffle: rng must not be nil")
-	}
-	if online == nil {
-		online = func(ids.NodeID) bool { return true }
-	}
-	return &UniformSampler{viewSize: viewSize, rng: rng, population: population, online: online}, nil
-}
-
-// View implements Service.
-func (u *UniformSampler) View(x ids.NodeID) []ids.NodeID {
-	all := u.population()
-	candidates := make([]ids.NodeID, 0, len(all))
-	for _, id := range all {
-		if id != x && u.online(id) {
-			candidates = append(candidates, id)
-		}
-	}
-	u.rng.Shuffle(len(candidates), func(i, j int) {
-		candidates[i], candidates[j] = candidates[j], candidates[i]
-	})
-	if len(candidates) > u.viewSize {
-		candidates = candidates[:u.viewSize]
-	}
-	return candidates
 }

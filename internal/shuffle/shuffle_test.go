@@ -7,28 +7,67 @@ import (
 	"avmem/internal/ids"
 )
 
-func newCyclonForTest(t *testing.T, n, viewSize int) (*Cyclon, []ids.NodeID) {
-	t.Helper()
-	rng := rand.New(rand.NewSource(7))
-	c, err := NewCyclon(viewSize, 3, nil, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
+// synthetic returns n synthetic identifiers: the universe of a test.
+func synthetic(n int) []ids.NodeID {
 	nodes := make([]ids.NodeID, n)
 	for i := range nodes {
 		nodes[i] = ids.Synthetic(i)
 	}
+	return nodes
+}
+
+// boundCyclon returns a Cyclon bound to the universe nodes, host i
+// online iff up(i) (nil: always).
+func boundCyclon(t testing.TB, viewSize, shuffleLen int, seed int64, nodes []ids.NodeID, up func(int) bool) *Cyclon {
+	t.Helper()
+	c, err := NewCyclon(viewSize, shuffleLen, nil, rand.New(rand.NewSource(seed)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	index := make(map[ids.NodeID]int, len(nodes))
+	for i, id := range nodes {
+		index[id] = i
+	}
+	if up == nil {
+		up = func(int) bool { return true }
+	}
+	indexOf := func(id ids.NodeID) int {
+		if i, ok := index[id]; ok {
+			return i
+		}
+		return -1
+	}
+	if err := c.UseIndex(indexOf, up); err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
+
+// mustJoin joins x with seeds, failing the test on a refusal.
+func mustJoin(t testing.TB, c *Cyclon, x ids.NodeID, seeds ...ids.NodeID) {
+	t.Helper()
+	if err := c.Join(x, seeds); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func newCyclonForTest(t *testing.T, n, viewSize int) (*Cyclon, []ids.NodeID) {
+	t.Helper()
+	nodes := synthetic(n)
+	c := boundCyclon(t, viewSize, 3, 7, nodes, nil)
 	// Bootstrap: each node seeds with a few ring neighbors — a weakly
 	// connected start the shuffle must randomize.
 	for i, id := range nodes {
-		seeds := []ids.NodeID{
-			nodes[(i+1)%n],
-			nodes[(i+2)%n],
-			nodes[(i+n-1)%n],
-		}
-		c.Join(id, seeds)
+		mustJoin(t, c, id, nodes[(i+1)%n], nodes[(i+2)%n], nodes[(i+n-1)%n])
 	}
 	return c, nodes
+}
+
+// tickAll runs one protocol period: every host initiates once.
+func tickAll(c *Cyclon, n int) {
+	for i := 0; i < n; i++ {
+		c.TickIdx(i)
+	}
 }
 
 func TestNewCyclonValidation(t *testing.T) {
@@ -44,6 +83,44 @@ func TestNewCyclonValidation(t *testing.T) {
 	}
 	if _, err := NewCyclon(8, 3, nil, nil); err == nil {
 		t.Error("want error for nil rng")
+	}
+	if _, err := NewCyclon(8, 3, func(ids.NodeID) bool { return true }, rng); err == nil {
+		t.Error("want error for the retired online argument")
+	}
+}
+
+// TestJoinOutsideTheUniverseIsRefused: a Join before UseIndex, of a
+// joiner outside the universe, or naming a seed outside it, is refused
+// and leaves every view as it was; so is a second UseIndex.
+func TestJoinOutsideTheUniverseIsRefused(t *testing.T) {
+	nodes := synthetic(4)
+	c, err := NewCyclon(4, 2, nil, rand.New(rand.NewSource(1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Join(nodes[0], nodes[1:2]); err == nil {
+		t.Error("Join before UseIndex was not refused")
+	}
+	c = boundCyclon(t, 4, 2, 1, nodes, nil)
+	mustJoin(t, c, nodes[0], nodes[1])
+	outsider := ids.Synthetic(99)
+	if err := c.Join(outsider, nodes[:1]); err == nil {
+		t.Error("Join of a joiner outside the universe was not refused")
+	}
+	if err := c.Join(nodes[0], []ids.NodeID{nodes[2], outsider}); err == nil {
+		t.Error("Join naming a seed outside the universe was not refused")
+	}
+	if err := c.Join(nodes[3], []ids.NodeID{outsider}); err == nil {
+		t.Error("Join naming a seed outside the universe was not refused")
+	}
+	if v := c.View(nodes[0]); len(v) != 1 || v[0] != nodes[1] {
+		t.Errorf("a refused Join changed a view: %v", v)
+	}
+	if c.View(nodes[3]) != nil || c.View(outsider) != nil {
+		t.Error("a refused Join registered a view")
+	}
+	if err := c.UseIndex(func(ids.NodeID) int { return 0 }, func(int) bool { return true }); err == nil {
+		t.Error("a second UseIndex was not refused")
 	}
 }
 
@@ -64,32 +141,21 @@ func TestJoinAndView(t *testing.T) {
 }
 
 func TestViewBounded(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	c, err := NewCyclon(4, 2, nil, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	x := ids.Synthetic(0)
-	seeds := make([]ids.NodeID, 20)
-	for i := range seeds {
-		seeds[i] = ids.Synthetic(i + 1)
-	}
-	c.Join(x, seeds)
-	if got := len(c.View(x)); got > 4 {
+	nodes := synthetic(21)
+	c := boundCyclon(t, 4, 2, 3, nodes, nil)
+	mustJoin(t, c, nodes[0], nodes[1:]...)
+	if got := len(c.View(nodes[0])); got > 4 {
 		t.Errorf("view size = %d exceeds capacity 4", got)
 	}
 }
 
 func TestJoinIgnoresSelfAndNil(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	c, err := NewCyclon(4, 2, nil, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	x := ids.Synthetic(0)
-	c.Join(x, []ids.NodeID{x, ids.Nil, ids.Synthetic(1)})
+	nodes := synthetic(2)
+	c := boundCyclon(t, 4, 2, 3, nodes, nil)
+	x := nodes[0]
+	mustJoin(t, c, x, x, ids.Nil, nodes[1])
 	v := c.View(x)
-	if len(v) != 1 || v[0] != ids.Synthetic(1) {
+	if len(v) != 1 || v[0] != nodes[1] {
 		t.Errorf("view = %v, want only synthetic 1", v)
 	}
 }
@@ -99,9 +165,7 @@ func TestShuffleSpreadsEntries(t *testing.T) {
 	c, nodes := newCyclonForTest(t, n, 8)
 	// Run many shuffle rounds.
 	for round := 0; round < 80; round++ {
-		for _, id := range nodes {
-			c.Tick(id)
-		}
+		tickAll(c, n)
 	}
 	// Every node should still have a healthy view, and the union of
 	// distinct peers seen in node 0's view over additional rounds should
@@ -111,9 +175,7 @@ func TestShuffleSpreadsEntries(t *testing.T) {
 		for _, id := range c.View(nodes[0]) {
 			distinct[id] = true
 		}
-		for _, id := range nodes {
-			c.Tick(id)
-		}
+		tickAll(c, n)
 	}
 	if len(distinct) < 15 {
 		t.Errorf("node 0 saw only %d distinct peers; shuffle not mixing", len(distinct))
@@ -128,9 +190,7 @@ func TestShuffleSpreadsEntries(t *testing.T) {
 func TestShuffleNoSelfNoDuplicates(t *testing.T) {
 	c, nodes := newCyclonForTest(t, 30, 6)
 	for round := 0; round < 60; round++ {
-		for _, id := range nodes {
-			c.Tick(id)
-		}
+		tickAll(c, len(nodes))
 		for _, id := range nodes {
 			seen := make(map[ids.NodeID]bool)
 			for _, peer := range c.View(id) {
@@ -150,35 +210,26 @@ func TestOfflineEntriesPersistButDoNotBlock(t *testing.T) {
 	// The coarse view is weakly consistent: entries for offline nodes
 	// are kept (they are what lets AVMEM discover low-availability
 	// neighbors) but must not stall shuffling among online nodes.
-	online := make(map[ids.NodeID]bool)
-	rng := rand.New(rand.NewSource(5))
-	c, err := NewCyclon(6, 3, func(id ids.NodeID) bool { return online[id] }, rng)
-	if err != nil {
-		t.Fatal(err)
+	nodes := synthetic(12)
+	online := make([]bool, len(nodes))
+	for i := range online {
+		online[i] = true
 	}
-	nodes := make([]ids.NodeID, 12)
-	for i := range nodes {
-		nodes[i] = ids.Synthetic(i)
-		online[nodes[i]] = true
-	}
+	c := boundCyclon(t, 6, 3, 5, nodes, func(i int) bool { return online[i] })
 	for i, id := range nodes {
-		c.Join(id, []ids.NodeID{nodes[(i+1)%12], nodes[(i+2)%12], nodes[(i+3)%12]})
+		mustJoin(t, c, id, nodes[(i+1)%12], nodes[(i+2)%12], nodes[(i+3)%12])
 	}
 	for round := 0; round < 30; round++ {
-		for _, id := range nodes {
-			c.Tick(id)
-		}
+		tickAll(c, len(nodes))
 	}
 	// Take half the nodes offline. Shuffling among the online half must
 	// continue: their views keep evolving.
 	for i := 6; i < 12; i++ {
-		online[nodes[i]] = false
+		online[i] = false
 	}
 	distinct := make(map[ids.NodeID]bool)
 	for round := 0; round < 60; round++ {
-		for _, id := range nodes[:6] {
-			c.Tick(id)
-		}
+		tickAll(c, 6)
 		for _, peer := range c.View(nodes[0]) {
 			distinct[peer] = true
 		}
@@ -194,68 +245,18 @@ func TestOfflineEntriesPersistButDoNotBlock(t *testing.T) {
 	}
 }
 
-func TestDepartedNodesRemoved(t *testing.T) {
-	rng := rand.New(rand.NewSource(6))
-	c, err := NewCyclon(6, 3, nil, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, b, d := ids.Synthetic(0), ids.Synthetic(1), ids.Synthetic(2)
-	c.Join(a, []ids.NodeID{b, d})
-	c.Join(b, []ids.NodeID{a, d})
-	c.Join(d, []ids.NodeID{a, b})
-	c.Leave(d) // permanent departure
-	for round := 0; round < 10; round++ {
-		c.Tick(a)
-		c.Tick(b)
-	}
-	for _, id := range []ids.NodeID{a, b} {
-		for _, peer := range c.View(id) {
-			if peer == d {
-				t.Errorf("departed node %v still referenced by %v", d, id)
-			}
-		}
-	}
-}
-
 func TestOfflineNodeTickNoop(t *testing.T) {
-	online := map[ids.NodeID]bool{}
-	rng := rand.New(rand.NewSource(5))
-	c, err := NewCyclon(6, 3, func(id ids.NodeID) bool { return online[id] }, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	x, y := ids.Synthetic(0), ids.Synthetic(1)
-	online[x], online[y] = false, true
-	c.Join(x, []ids.NodeID{y})
-	before := c.View(x)
-	c.Tick(x) // x offline: no-op
-	after := c.View(x)
+	nodes := synthetic(2)
+	c := boundCyclon(t, 6, 3, 5, nodes, func(i int) bool { return i == 1 })
+	mustJoin(t, c, nodes[0], nodes[1])
+	before := c.View(nodes[0])
+	c.TickIdx(0) // host 0 offline: no-op
+	after := c.View(nodes[0])
 	if len(before) != len(after) {
 		t.Errorf("offline tick changed view: %v -> %v", before, after)
 	}
-	c.Tick("ghost") // unregistered: no-op, no panic
-}
-
-func TestLeave(t *testing.T) {
-	c, nodes := newCyclonForTest(t, 5, 4)
-	c.Leave(nodes[0])
-	if got := c.View(nodes[0]); got != nil {
-		t.Errorf("view after leave = %v", got)
-	}
-	if got := len(c.Nodes()); got != 4 {
-		t.Errorf("Nodes len = %d, want 4", got)
-	}
-}
-
-func TestNodesSorted(t *testing.T) {
-	c, _ := newCyclonForTest(t, 10, 4)
-	ns := c.Nodes()
-	for i := 1; i < len(ns); i++ {
-		if ns[i-1] >= ns[i] {
-			t.Fatalf("Nodes not sorted: %v", ns)
-		}
-	}
+	c.TickIdx(7) // past the host table: no-op, no panic
+	c.TickIdx(-1)
 }
 
 func TestEventualDiscovery(t *testing.T) {
@@ -266,9 +267,7 @@ func TestEventualDiscovery(t *testing.T) {
 	target := nodes[n-1]
 	seen := false
 	for round := 0; round < 400 && !seen; round++ {
-		for _, id := range nodes {
-			c.Tick(id)
-		}
+		tickAll(c, n)
 		for _, peer := range c.View(nodes[0]) {
 			if peer == target {
 				seen = true
@@ -281,154 +280,18 @@ func TestEventualDiscovery(t *testing.T) {
 	}
 }
 
-func TestUniformSampler(t *testing.T) {
-	nodes := make([]ids.NodeID, 50)
-	for i := range nodes {
-		nodes[i] = ids.Synthetic(i)
-	}
-	online := func(id ids.NodeID) bool { return id != nodes[1] }
-	rng := rand.New(rand.NewSource(9))
-	u, err := NewUniformSampler(10, func() []ids.NodeID { return nodes }, online, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	v := u.View(nodes[0])
-	if len(v) != 10 {
-		t.Fatalf("sample size = %d, want 10", len(v))
-	}
-	for _, id := range v {
-		if id == nodes[0] {
-			t.Error("sample contains querier")
-		}
-		if id == nodes[1] {
-			t.Error("sample contains offline node")
-		}
-	}
-	// Two samples should differ (fresh randomness).
-	v2 := u.View(nodes[0])
-	same := len(v) == len(v2)
-	if same {
-		for i := range v {
-			if v[i] != v2[i] {
-				same = false
-				break
-			}
-		}
-	}
-	if same {
-		t.Error("two uniform samples identical; not reshuffling")
-	}
-}
-
-func TestUniformSamplerValidation(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	pop := func() []ids.NodeID { return nil }
-	if _, err := NewUniformSampler(0, pop, nil, rng); err == nil {
-		t.Error("want error for zero view size")
-	}
-	if _, err := NewUniformSampler(5, nil, nil, rng); err == nil {
-		t.Error("want error for nil population")
-	}
-	if _, err := NewUniformSampler(5, pop, nil, nil); err == nil {
-		t.Error("want error for nil rng")
-	}
-}
-
-func TestUniformSamplerSmallPopulation(t *testing.T) {
-	nodes := []ids.NodeID{ids.Synthetic(0), ids.Synthetic(1)}
-	rng := rand.New(rand.NewSource(2))
-	u, err := NewUniformSampler(10, func() []ids.NodeID { return nodes }, nil, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	v := u.View(nodes[0])
-	if len(v) != 1 || v[0] != nodes[1] {
-		t.Errorf("sample = %v, want just the other node", v)
-	}
-}
-
-// indexedCyclon builds a Cyclon whose liveness runs through UseIndex,
-// with Join called either before or after UseIndex.
-func indexedCyclon(t *testing.T, n int, joinFirst bool) (*Cyclon, []ids.NodeID, func(ids.NodeID) int) {
-	t.Helper()
-	rng := rand.New(rand.NewSource(11))
-	c, err := NewCyclon(6, 3, nil, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	nodes := make([]ids.NodeID, n)
-	index := map[ids.NodeID]int{}
-	for i := range nodes {
-		nodes[i] = ids.Synthetic(i)
-		index[nodes[i]] = i
-	}
-	indexOf := func(id ids.NodeID) int {
-		if i, ok := index[id]; ok {
-			return i
-		}
-		return -1
-	}
-	join := func() {
-		for i, id := range nodes {
-			c.Join(id, []ids.NodeID{nodes[(i+1)%n], nodes[(i+2)%n]})
-		}
-	}
-	use := func() { c.UseIndex(indexOf, func(int) bool { return true }) }
-	if joinFirst {
-		join()
-		use()
-	} else {
-		use()
-		join()
-	}
-	return c, nodes, indexOf
-}
-
-// TestUseIndexBackfillsExistingViews: the *Idx entry points must work
-// regardless of Join/UseIndex order.
-func TestUseIndexBackfillsExistingViews(t *testing.T) {
-	for _, joinFirst := range []bool{true, false} {
-		c, nodes, indexOf := indexedCyclon(t, 10, joinFirst)
-		for _, id := range nodes {
-			i := indexOf(id)
-			if got, want := c.ViewLenIdx(i), c.ViewLen(id); got != want {
-				t.Fatalf("joinFirst=%v: ViewLenIdx(%d)=%d, ViewLen=%d", joinFirst, i, got, want)
-			}
-		}
-		before := c.ViewLen(nodes[0])
-		c.TickIdx(indexOf(nodes[0]))
-		if before == 0 || c.ViewLen(nodes[0]) == 0 {
-			t.Fatalf("joinFirst=%v: TickIdx was a no-op on a joined view", joinFirst)
-		}
-	}
-}
-
-// TestLeaveClearsIndexTable: a departed node must be invisible through
-// the index entry points too, and its entries must wash out of peers.
-func TestLeaveClearsIndexTable(t *testing.T) {
-	c, nodes, indexOf := indexedCyclon(t, 10, true)
-	gone := nodes[3]
-	i := indexOf(gone)
-	c.Leave(gone)
-	if got := c.ViewLenIdx(i); got != 0 {
-		t.Errorf("ViewLenIdx after Leave = %d, want 0", got)
-	}
-	c.TickIdx(i) // must be a no-op, not a shuffle by a departed node
-	if got := c.View(gone); got != nil {
-		t.Errorf("view resurrected by TickIdx: %v", got)
-	}
-}
-
 // TestMergeRejectsNeverJoinedStrays: entries for nodes that were seeded
 // but never joined must not replicate through exchanges.
 func TestMergeRejectsNeverJoinedStrays(t *testing.T) {
-	c, nodes, _ := indexedCyclon(t, 10, true)
-	stray := ids.Synthetic(999) // outside the index and never joined
-	c.Join(nodes[0], []ids.NodeID{stray})
+	nodes := synthetic(11)
+	stray := nodes[10] // in the universe, never joined
+	c := boundCyclon(t, 6, 3, 11, nodes, nil)
+	for i, id := range nodes[:10] {
+		mustJoin(t, c, id, nodes[(i+1)%10], nodes[(i+2)%10])
+	}
+	mustJoin(t, c, nodes[0], stray)
 	for round := 0; round < 50; round++ {
-		for _, id := range nodes {
-			c.Tick(id)
-		}
+		tickAll(c, 10)
 	}
 	holders := 0
 	for _, id := range nodes {

@@ -18,20 +18,23 @@ type addrNet struct {
 	log   []string
 }
 
-func newAddrNet(t *testing.T, bind bool) *addrNet {
+func newAddrNet(t *testing.T) *addrNet {
 	t.Helper()
 	a := &addrNet{w: NewWorld(1), hosts: []ids.NodeID{"h0", "h1", "h2", "h3", "h4"}}
-	a.net = NewNetwork(a.w, FixedLatency(time.Millisecond), func(id ids.NodeID) bool { return id != "h3" }, 0)
-	if bind {
-		a.net.Bind(a.hosts, func(i int) bool { return i != 3 })
-	}
+	a.net = boundNet(t, a.w, FixedLatency(time.Millisecond), 0, a.hosts, func(i int) bool { return i != 3 })
 	for i, id := range a.hosts {
 		id := id
-		a.net.RegisterAddr(ids.AddrAt(id, int32(i)), func(from ids.Addr, msg any) {
+		a.register(i, func(from ids.Addr, msg any) {
 			a.log = append(a.log, fmt.Sprintf("%s<-%s/%d:%v", id, from.ID(), from.Index(), msg))
 		})
 	}
 	return a
+}
+
+func (a *addrNet) register(i int, h AddrHandler) {
+	if err := a.net.RegisterAddr(a.at(i), h); err != nil {
+		panic(err)
+	}
 }
 
 func (a *addrNet) run() []string {
@@ -48,7 +51,7 @@ func (a *addrNet) at(i int) ids.Addr { return ids.AddrAt(a.hosts[i], int32(i)) }
 // follows that identifier's liveness, the handler sees a sender memo only
 // if it verified, and every memo that did not is counted.
 func TestForgedMemoLosesToTheIdentifier(t *testing.T) {
-	a := newAddrNet(t, true)
+	a := newAddrNet(t)
 	honest, h1 := a.at(0), a.hosts[1]
 
 	// Index of another host, out of range, and the largest there is.
@@ -85,26 +88,15 @@ func TestForgedMemoLosesToTheIdentifier(t *testing.T) {
 	if d := a.net.AddrMemoStats(); d.Mismatch-before.Mismatch != 2 || d.Absent-before.Absent < 1 {
 		t.Errorf("forged and absent sender memos counted as %+v -> %+v", before, d)
 	}
-
-	// An unbound network has no universe: every memo is a mismatch and
-	// the identifier path delivers.
-	a = newAddrNet(t, false)
-	a.net.SendAddr(a.at(0), a.at(1), "unbound")
-	if got := a.run(); fmt.Sprint(got) != "[h1<-h0/-1:unbound]" {
-		t.Errorf("unbound: delivered %v", got)
-	}
-	if d := a.net.AddrMemoStats(); d.Hit != 0 || d.Mismatch == 0 {
-		t.Errorf("unbound: memo counters %+v", d)
-	}
 }
 
 // TestVerifiedMemoProbesNoMap: with memos that verify, Send, SendCall,
 // deliver and attempt run on the dense tables alone — the test takes the
-// identifier maps away after binding and everything still arrives,
+// identifier map away after binding and everything still arrives,
 // allocating nothing.
 func TestVerifiedMemoProbesNoMap(t *testing.T) {
-	a := newAddrNet(t, true)
-	a.net.idx, a.net.handlers = nil, nil
+	a := newAddrNet(t)
+	a.net.idx = nil
 	acks := 0
 	onResult := func(ok bool) {
 		if ok {
@@ -125,7 +117,7 @@ func TestVerifiedMemoProbesNoMap(t *testing.T) {
 		t.Fatalf("stats %+v, %d acks, memos %+v; want 32 delivered, 8 dropped at the offline host", s, acks, m)
 	}
 	for i := range a.hosts { // quiet handlers: what is left is the fabric's own
-		a.net.RegisterAddr(a.at(i), func(ids.Addr, any) {})
+		a.register(i, func(ids.Addr, any) {})
 	}
 	if got := testing.AllocsPerRun(20, batch); got != 0 {
 		t.Errorf("%v allocations per batch of memo'd sends and calls", got)
@@ -134,30 +126,48 @@ func TestVerifiedMemoProbesNoMap(t *testing.T) {
 
 // TestSendBeforeBindAndIdentifierAdapters: the identifier-typed Register,
 // Send and SendCall the benchmark harness compiles against are the same
-// fabric — a handler registered either way hears a message sent either
-// way, before or after Bind.
+// fabric — once the universe is bound, a handler registered either way
+// hears a message sent either way. Before Bind there is no universe: a
+// registration is refused and a send drops.
 func TestSendBeforeBindAndIdentifierAdapters(t *testing.T) {
 	w := NewWorld(1)
 	net := NewNetwork(w, FixedLatency(time.Millisecond), nil, 0)
 	var got []string
-	net.Register("h1", func(from ids.NodeID, msg any) { got = append(got, fmt.Sprint("id:", from, msg)) })
-	net.RegisterAddr(ids.NodeID("h2").Addr(), func(from ids.Addr, msg any) {
-		got = append(got, fmt.Sprint("addr:", from.ID(), from.Index(), msg))
-	})
+	idHandler := func(from ids.NodeID, msg any) { got = append(got, fmt.Sprint("id:", from, msg)) }
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("Register before Bind was admitted")
+			}
+		}()
+		net.Register("h1", idHandler)
+	}()
 	net.Send("h0", "h1", "before")
-	net.Bind([]ids.NodeID{"h0", "h1", "h2"}, func(int) bool { return true })
+	w.RunAll(0)
+	if s := net.Stats(); s.Dropped != 1 || len(got) != 0 {
+		t.Fatalf("a send before Bind was not dropped: %+v, %v", s, got)
+	}
+	if err := net.Bind([]ids.NodeID{"h0", "h1", "h2"}, func(int) bool { return true }); err != nil {
+		t.Fatal(err)
+	}
+	net.Register("h1", idHandler)
+	if err := net.RegisterAddr(ids.NodeID("h2").Addr(), func(from ids.Addr, msg any) {
+		got = append(got, fmt.Sprint("addr:", from.ID(), from.Index(), msg))
+	}); err != nil {
+		t.Fatal(err)
+	}
 	net.SendAddr(ids.AddrAt("h0", 0), ids.AddrAt("h1", 1), "memo-to-id-handler")
 	net.SendCall("h0", "h2", "id-to-addr-handler", nil)
 	net.SendAddr(ids.AddrAt("h0", 0), ids.AddrAt("h2", 2), "memo")
 	w.RunAll(0)
-	want := "[id:h0before id:h0memo-to-id-handler addr:h0-1id-to-addr-handler addr:h00memo]"
+	want := "[id:h0memo-to-id-handler addr:h0-1id-to-addr-handler addr:h00memo]"
 	if fmt.Sprint(got) != want {
 		t.Errorf("got %v\nwant %v", got, want)
 	}
 	net.Register("h1", nil)
 	net.Send("h0", "h1", "gone")
 	w.RunAll(0)
-	if s := net.Stats(); s.Dropped != 1 {
+	if s := net.Stats(); s.Dropped != 2 {
 		t.Errorf("Register(nil) left the handler in place: %+v", s)
 	}
 }

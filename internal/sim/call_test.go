@@ -52,10 +52,9 @@ func callTranscript(t *testing.T, call func(n *Network, from, to ids.NodeID, msg
 	t.Helper()
 	w := NewWorld(11)
 	hosts := []ids.NodeID{"h0", "h1", "h2", "h3", "h4", "h5"}
-	up := map[ids.NodeID]bool{"h0": true, "h1": true, "h2": true, "h3": true, "h4": true, "h5": true, "loose": true}
-	net := NewNetwork(w, coarseLatency{}, func(id ids.NodeID) bool { return up[id] }, 0)
+	up := map[ids.NodeID]bool{"h0": true, "h1": true, "h2": true, "h3": true, "h4": true, "h5": true}
 	// h5 stays unregistered; "loose" lives outside the bound universe.
-	net.Bind(hosts, func(i int) bool { return up[hosts[i]] })
+	net := boundNet(t, w, coarseLatency{}, 0, hosts, func(i int) bool { return up[hosts[i]] })
 	var log []string
 	note := func(kind string, from, to ids.NodeID) {
 		log = append(log, fmt.Sprintf("%v %s %s->%s", w.Now(), kind, from, to))
@@ -69,7 +68,7 @@ func callTranscript(t *testing.T, call func(n *Network, from, to ids.NodeID, msg
 			}
 		}
 	}
-	for _, id := range append(hosts[:5:5], "loose") {
+	for _, id := range hosts[:5] {
 		id := id
 		net.Register(id, func(from ids.NodeID, msg any) {
 			note("deliver", from, id)
@@ -88,7 +87,7 @@ func callTranscript(t *testing.T, call func(n *Network, from, to ids.NodeID, msg
 			w.At(at, func() { call(net, from, to, "plain", result(from, to)) })
 		case 1: // nil callback: delivered or dropped, no verdict event
 			w.At(at, func() { call(net, from, to, "quiet", nil) })
-		case 2: // target outside the bound universe
+		case 2: // target outside the bound universe: nack
 			w.At(at, func() { call(net, from, "loose", "plain", result(from, "loose")) })
 		case 3: // handler sends on
 			w.At(at, func() { call(net, from, "h2", "relay", result(from, "h2")) })
@@ -193,7 +192,7 @@ func TestSendNackFilesNoAck(t *testing.T) {
 		// events fired.
 		run := func(nackOnly bool) (handled, nacked time.Duration, events int) {
 			w := NewWorld(3)
-			net := NewNetwork(w, nil, func(ids.NodeID) bool { return online }, 0)
+			net := boundNet(t, w, nil, 0, ab, func(int) bool { return online })
 			handled, nacked = -1, -1
 			net.Register("b", func(ids.NodeID, any) { handled = w.Now() })
 			if nackOnly {
@@ -228,8 +227,7 @@ func TestSendNackFilesNoAck(t *testing.T) {
 func TestSendPathsDoNotAllocate(t *testing.T) {
 	w := NewWorld(1)
 	hosts := []ids.NodeID{"a", "b", "c", "d", "e", "f", "g", "h"}
-	net := NewNetwork(w, nil, nil, 0)
-	net.Bind(hosts, func(int) bool { return true })
+	net := boundNet(t, w, nil, 0, hosts, nil)
 	for _, id := range hosts[:7] { // "h" unregistered: the nack path
 		net.Register(id, func(ids.NodeID, any) {})
 	}

@@ -133,7 +133,7 @@ func TestInstrumentCountsEventKinds(t *testing.T) {
 	w := NewWorld(1)
 	reg := obs.NewRegistry()
 	w.Instrument(reg)
-	net := NewNetwork(w, nil, nil, 0)
+	net := boundNet(t, w, nil, 0, []ids.NodeID{"a", "b"}, nil)
 	net.Register("b", func(ids.NodeID, any) {})
 	a, b, gone := ids.NodeID("a").Addr(), ids.NodeID("b").Addr(), ids.NodeID("gone").Addr()
 	w.After(time.Millisecond, func() {})

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"time"
 
 	"avmem/internal/ids"
@@ -15,17 +16,11 @@ type Handler func(from ids.NodeID, msg any)
 // against the bound universe; otherwise it is memo-less.
 type AddrHandler func(from ids.Addr, msg any)
 
-// OnlineFunc reports whether a node is currently online. The network
-// consults it at delivery time, so a node that goes offline while a
-// message is in flight misses the delivery — the same semantics a churn
-// trace imposes on a real system.
-type OnlineFunc func(id ids.NodeID) bool
-
 // NetworkStats counts network activity for overhead and spam metrics.
 type NetworkStats struct {
 	Sent      int // messages handed to the network
 	Delivered int // messages that reached an online handler
-	Dropped   int // messages lost to offline or unregistered targets
+	Dropped   int // messages lost to offline, unregistered or unknown targets
 }
 
 // AddrMemoStats counts what became of the host-index memos on the
@@ -36,45 +31,47 @@ type AddrMemoStats struct {
 	Mismatch int64 // memo present but wrong: ignored, identifier path
 }
 
-// Network is the simulated message fabric: unicast with per-hop latency,
-// delivery only to online nodes, and optional delivery acknowledgments
-// for failure detection (retried-greedy forwarding needs them).
+// Network is the simulated message fabric over a fixed host universe:
+// unicast with per-hop latency, delivery only to online hosts, and
+// optional delivery acknowledgments for failure detection
+// (retried-greedy forwarding needs them).
 type Network struct {
 	world *World
 	// net1 is this network's position in world.nets plus one — how a
 	// queued event names it.
 	net1    uint8
 	latency LatencyModel
-	online  OnlineFunc
 	// ackTimeout is how long a caller of SendCallAddr waits before
 	// declaring the attempt failed when no ack arrives.
 	ackTimeout time.Duration
-	handlers   map[ids.NodeID]AddrHandler
 	stats      NetworkStats
 	memo       AddrMemoStats
 
-	// Indexed path, populated by Bind: a fixed host universe gets a dense
-	// handler table and an index-based liveness probe. An address whose
-	// memo names its own slot of hosts is resolved by one slice read and a
-	// string compare; idx is the fallback for addresses without a usable
-	// memo. Hosts outside the bound universe go through the handlers map
-	// and the OnlineFunc.
+	// The universe, set once by Bind: a dense handler table and an
+	// index-based liveness probe. An address whose memo names its own
+	// slot of hosts is resolved by one slice read and a string compare;
+	// idx is the fallback for addresses without a usable memo. An address
+	// outside the universe reaches nobody.
 	hosts    []ids.NodeID
 	idx      map[ids.NodeID]int32
-	byIdx    []AddrHandler
+	handlers []AddrHandler
 	onlineAt func(i int) bool
 }
 
 // NewNetwork creates a network on the world. latency defaults to the
-// paper's U[20,80] ms model; online defaults to "always online";
-// ackTimeout <= 0 defaults to 2× the worst-case paper latency (160 ms).
-// A world carries at most 255 networks.
-func NewNetwork(w *World, latency LatencyModel, online OnlineFunc, ackTimeout time.Duration) *Network {
+// paper's U[20,80] ms model; ackTimeout <= 0 defaults to 2× the
+// worst-case paper latency (160 ms). The network delivers nothing until
+// Bind declares its host universe. A world carries at most 255 networks.
+//
+// Deprecated: online is retired and must be nil (a non-nil one panics);
+// liveness comes with the universe, from Bind. It stays in the signature
+// only until the benchmark harness moves off it (ROADMAP.md item 1(a)).
+func NewNetwork(w *World, latency LatencyModel, online func(ids.NodeID) bool, ackTimeout time.Duration) *Network {
+	if online != nil {
+		panic("sim: NewNetwork's online argument is retired; bind liveness with Bind")
+	}
 	if latency == nil {
 		latency = PaperLatency()
-	}
-	if online == nil {
-		online = func(ids.NodeID) bool { return true }
 	}
 	if ackTimeout <= 0 {
 		ackTimeout = 160 * time.Millisecond
@@ -86,42 +83,40 @@ func NewNetwork(w *World, latency LatencyModel, online OnlineFunc, ackTimeout ti
 		world:      w,
 		net1:       uint8(len(w.nets) + 1),
 		latency:    latency,
-		online:     online,
 		ackTimeout: ackTimeout,
-		handlers:   make(map[ids.NodeID]AddrHandler, 1024),
 	}
 	w.nets = append(w.nets, n)
 	return n
 }
 
 // Bind declares the fixed host universe and its index-based liveness
-// probe: hosts[i] is online iff onlineAt(i). Handlers registered for
-// bound hosts live in a dense table and deliveries to them skip the
-// OnlineFunc entirely. Handlers registered before the call are migrated
-// into the table, so Bind and Register compose in either order;
-// typically hosts is the churn trace's population in trace-index order.
-// The universe is fixed: bind once, before any traffic — hosts is also
-// what address memos are verified against, and is kept, not copied.
-func (n *Network) Bind(hosts []ids.NodeID, onlineAt func(i int) bool) {
+// probe: hosts[i] is online iff onlineAt(i). Typically hosts is the churn
+// trace's population in trace-index order. Bind once, before any
+// registration or traffic — hosts is also what address memos are
+// verified against, and is kept, not copied; a second Bind is refused.
+func (n *Network) Bind(hosts []ids.NodeID, onlineAt func(i int) bool) error {
 	if len(hosts) == 0 || onlineAt == nil {
-		return
+		return fmt.Errorf("sim: Bind needs hosts and a liveness probe")
+	}
+	if n.hosts != nil {
+		return fmt.Errorf("sim: the network's universe is already bound")
 	}
 	n.hosts = hosts
 	n.idx = make(map[ids.NodeID]int32, len(hosts))
-	n.byIdx = make([]AddrHandler, len(hosts))
 	for i, id := range hosts {
 		n.idx[id] = int32(i)
-		if h, ok := n.handlers[id]; ok {
-			n.byIdx[i] = h
-			delete(n.handlers, id)
-		}
 	}
+	n.handlers = make([]AddrHandler, len(hosts))
 	n.onlineAt = onlineAt
+	return nil
 }
 
-// Register is RegisterAddr for a handler that wants identifiers only.
+// Register is RegisterAddr for a handler that wants identifiers only; it
+// panics where RegisterAddr returns an error.
 func (n *Network) Register(id ids.NodeID, h Handler) {
-	n.RegisterAddr(id.Addr(), h.withAddr())
+	if err := n.RegisterAddr(id.Addr(), h.withAddr()); err != nil {
+		panic(err)
+	}
 }
 
 // withAddr adapts h to the address form (nil stays nil).
@@ -132,18 +127,16 @@ func (h Handler) withAddr() AddrHandler {
 	return func(from ids.Addr, msg any) { h(from.ID(), msg) }
 }
 
-// RegisterAddr installs the message handler for a node. A nil handler
-// unregisters the node.
-func (n *Network) RegisterAddr(a ids.Addr, h AddrHandler) {
-	if i := n.indexOf(a); i >= 0 {
-		n.byIdx[i] = h
-		return
+// RegisterAddr installs the message handler for a host of the bound
+// universe; a nil handler unregisters it. An address outside the
+// universe is refused.
+func (n *Network) RegisterAddr(a ids.Addr, h AddrHandler) error {
+	i := n.indexOf(a)
+	if i < 0 {
+		return fmt.Errorf("sim: %s is outside the network's universe", a.ID())
 	}
-	if h == nil {
-		delete(n.handlers, a.ID())
-		return
-	}
-	n.handlers[a.ID()] = h
+	n.handlers[i] = h
+	return nil
 }
 
 // Stats returns a copy of the activity counters.
@@ -151,18 +144,6 @@ func (n *Network) Stats() NetworkStats { return n.stats }
 
 // AddrMemoStats returns a copy of the address-memo counters.
 func (n *Network) AddrMemoStats() AddrMemoStats { return n.memo }
-
-// ResetStats zeroes the activity counters (used between experiment
-// phases so warmup traffic does not pollute measurements).
-func (n *Network) ResetStats() { n.stats = NetworkStats{} }
-
-// Online reports whether the network considers id online right now.
-func (n *Network) Online(id ids.NodeID) bool {
-	if i, ok := n.idx[id]; ok {
-		return n.onlineAt(int(i))
-	}
-	return n.online(id)
-}
 
 // memoIndex checks a's memo against the bound universe: the host index
 // when hosts[i] is a's identifier (in-process a pointer-equal string
@@ -196,16 +177,10 @@ func (n *Network) indexOf(a ids.Addr) int {
 }
 
 // handlerFor resolves the live handler for a delivery: nil when the
-// target is unregistered or offline right now.
+// target is outside the universe, unregistered or offline right now.
 func (n *Network) handlerFor(to ids.Addr) AddrHandler {
-	if i := n.indexOf(to); i >= 0 {
-		if h := n.byIdx[i]; h != nil && n.onlineAt(i) {
-			return h
-		}
-		return nil
-	}
-	if h, ok := n.handlers[to.ID()]; ok && n.online(to.ID()) {
-		return h
+	if i := n.indexOf(to); i >= 0 && n.handlers[i] != nil && n.onlineAt(i) {
+		return n.handlers[i]
 	}
 	return nil
 }
@@ -220,7 +195,7 @@ func (n *Network) vouched(from ids.Addr) ids.Addr {
 }
 
 // deliver hands a message to the target's handler at delivery time,
-// counting drops for offline or unregistered targets. It is the firing
+// counting drops for offline, unregistered or unknown targets. It is the firing
 // half of SendAddr, invoked by the scheduler's value events; both memos
 // are verified here, where they are used.
 func (n *Network) deliver(from, to ids.Addr, msg any) {
@@ -237,8 +212,8 @@ func (n *Network) deliver(from, to ids.Addr, msg any) {
 func (n *Network) Send(from, to ids.NodeID, msg any) { n.SendAddr(from.Addr(), to.Addr(), msg) }
 
 // SendAddr delivers msg to to after one sampled hop latency, if the
-// target is online and registered at delivery time. Offline targets
-// silently drop the message (counted in stats). The delivery is
+// target is a host of the universe, online and registered at delivery
+// time. Any other target silently drops the message (counted in stats). The delivery is
 // scheduled as a closure-free value event carrying both memos; nothing is
 // resolved here.
 func (n *Network) SendAddr(from, to ids.Addr, msg any) {
@@ -258,7 +233,7 @@ func (n *Network) SendCall(from, to ids.NodeID, msg any, onResult func(ok bool))
 // SendCallAddr delivers msg like SendAddr but also reports the outcome
 // to the sender: onResult(true) fires when the target acknowledged (one
 // round-trip after sending), onResult(false) fires after ackTimeout when
-// the target was offline or unregistered. This models the paper's
+// the target was unreachable (offline, unregistered or unknown). This models the paper's
 // "each next-hop node is required to acknowledge receipt" rule. The
 // attempt and the verdict are value events, like SendAddr's delivery:
 // the callback and both latencies ride in the attempt's payload.

@@ -9,9 +9,26 @@ import (
 	"avmem/internal/ids"
 )
 
+// boundNet returns a network on w bound to hosts, host i online iff
+// up(i) (nil: always).
+func boundNet(t *testing.T, w *World, lat LatencyModel, ackTimeout time.Duration, hosts []ids.NodeID, up func(int) bool) *Network {
+	t.Helper()
+	n := NewNetwork(w, lat, nil, ackTimeout)
+	if up == nil {
+		up = func(int) bool { return true }
+	}
+	if err := n.Bind(hosts, up); err != nil {
+		t.Fatal(err)
+	}
+	return n
+}
+
+// ab is the two-host universe most tests here send across.
+var ab = []ids.NodeID{"a", "b"}
+
 func TestSendDelivers(t *testing.T) {
 	w := NewWorld(1)
-	n := NewNetwork(w, FixedLatency(50*time.Millisecond), nil, 0)
+	n := boundNet(t, w, FixedLatency(50*time.Millisecond), 0, ab, nil)
 	var got any
 	var gotFrom ids.NodeID
 	var at time.Duration
@@ -33,8 +50,7 @@ func TestSendDelivers(t *testing.T) {
 
 func TestSendToOfflineDrops(t *testing.T) {
 	w := NewWorld(1)
-	online := map[ids.NodeID]bool{"a": true}
-	n := NewNetwork(w, FixedLatency(time.Millisecond), func(id ids.NodeID) bool { return online[id] }, 0)
+	n := boundNet(t, w, FixedLatency(time.Millisecond), 0, ab, func(i int) bool { return i == 0 })
 	delivered := false
 	n.Register("b", func(ids.NodeID, any) { delivered = true })
 	n.Send("a", "b", "x")
@@ -49,18 +65,83 @@ func TestSendToOfflineDrops(t *testing.T) {
 
 func TestSendToUnregisteredDrops(t *testing.T) {
 	w := NewWorld(1)
-	n := NewNetwork(w, FixedLatency(time.Millisecond), nil, 0)
-	n.Send("a", "ghost", "x")
+	n := boundNet(t, w, FixedLatency(time.Millisecond), 0, ab, nil)
+	n.Send("a", "b", "x")
 	w.Run(time.Second)
 	if s := n.Stats(); s.Dropped != 1 {
 		t.Errorf("stats = %+v, want 1 drop", s)
 	}
 }
 
+// TestSendOutsideTheUniverseDrops: a target outside the bound universe —
+// by bare identifier or under a memo that names a host's slot — reaches
+// nobody: a send drops and a call nacks, each counted, and no handler can
+// be registered for it.
+func TestSendOutsideTheUniverseDrops(t *testing.T) {
+	w := NewWorld(1)
+	n := boundNet(t, w, FixedLatency(time.Millisecond), 0, ab, nil)
+	delivered := 0
+	n.Register("b", func(ids.NodeID, any) { delivered++ })
+	if err := n.RegisterAddr(ids.NodeID("ghost").Addr(), func(ids.Addr, any) { delivered++ }); err == nil {
+		t.Error("a handler outside the universe was registered")
+	}
+	nacks := 0
+	for _, to := range []ids.Addr{ids.NodeID("ghost").Addr(), ids.AddrAt("ghost", 1)} {
+		n.SendAddr(ids.AddrAt("a", 0), to, "send")
+		n.SendCallAddr(ids.AddrAt("a", 0), to, "call", func(ok bool) {
+			if !ok {
+				nacks++
+			}
+		})
+		n.SendNackAddr(ids.AddrAt("a", 0), to, "nack-only", func() { nacks++ })
+	}
+	w.Run(time.Second)
+	if delivered != 0 || nacks != 4 {
+		t.Errorf("%d deliveries and %d nacks, want 0 and 4", delivered, nacks)
+	}
+	if s := n.Stats(); s != (NetworkStats{Sent: 6, Dropped: 6}) {
+		t.Errorf("stats = %+v, want 6 sent and dropped", s)
+	}
+}
+
+// TestSecondBindIsRefused: the universe is fixed — a second Bind, and a
+// Bind without hosts or liveness, are refused and change nothing.
+func TestSecondBindIsRefused(t *testing.T) {
+	w := NewWorld(1)
+	n := NewNetwork(w, FixedLatency(time.Millisecond), nil, 0)
+	if n.Bind(nil, func(int) bool { return true }) == nil || n.Bind(ab, nil) == nil {
+		t.Error("a Bind without hosts or liveness was admitted")
+	}
+	if err := n.Bind(ab, func(int) bool { return true }); err != nil {
+		t.Fatal(err)
+	}
+	if err := n.Bind([]ids.NodeID{"c"}, func(int) bool { return true }); err == nil {
+		t.Error("a second Bind was admitted")
+	}
+	got := false
+	n.Register("b", func(ids.NodeID, any) { got = true })
+	n.Send("a", "b", "x")
+	w.Run(time.Second)
+	if !got {
+		t.Error("a refused Bind replaced the universe")
+	}
+}
+
+// TestRetiredOnlinePanics: NewNetwork's online argument is retired; a
+// non-nil one panics rather than being silently ignored.
+func TestRetiredOnlinePanics(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Error("NewNetwork accepted a non-nil online argument")
+		}
+	}()
+	NewNetwork(NewWorld(1), nil, func(ids.NodeID) bool { return true }, 0)
+}
+
 func TestOnlineAtDeliveryTimeMatters(t *testing.T) {
 	w := NewWorld(1)
 	up := true
-	n := NewNetwork(w, FixedLatency(100*time.Millisecond), func(ids.NodeID) bool { return up }, 0)
+	n := boundNet(t, w, FixedLatency(100*time.Millisecond), 0, ab, func(int) bool { return up })
 	delivered := false
 	n.Register("b", func(ids.NodeID, any) { delivered = true })
 	n.Send("a", "b", "x") // in flight for 100ms
@@ -73,7 +154,7 @@ func TestOnlineAtDeliveryTimeMatters(t *testing.T) {
 
 func TestSendCallAck(t *testing.T) {
 	w := NewWorld(1)
-	n := NewNetwork(w, FixedLatency(30*time.Millisecond), nil, 0)
+	n := boundNet(t, w, FixedLatency(30*time.Millisecond), 0, ab, nil)
 	n.Register("b", func(ids.NodeID, any) {})
 	var result *bool
 	var at time.Duration
@@ -89,8 +170,8 @@ func TestSendCallAck(t *testing.T) {
 
 func TestSendCallFailureAfterTimeout(t *testing.T) {
 	w := NewWorld(1)
-	n := NewNetwork(w, FixedLatency(30*time.Millisecond), nil, 200*time.Millisecond)
-	// "b" never registered → offline.
+	n := boundNet(t, w, FixedLatency(30*time.Millisecond), 200*time.Millisecond, ab, nil)
+	// "b" never registered → unreachable.
 	var result *bool
 	var at time.Duration
 	n.SendCall("a", "b", "x", func(ok bool) { result = &ok; at = w.Now() })
@@ -105,7 +186,7 @@ func TestSendCallFailureAfterTimeout(t *testing.T) {
 
 func TestSendCallNilCallback(t *testing.T) {
 	w := NewWorld(1)
-	n := NewNetwork(w, FixedLatency(time.Millisecond), nil, 0)
+	n := boundNet(t, w, FixedLatency(time.Millisecond), 0, ab, nil)
 	n.Register("b", func(ids.NodeID, any) {})
 	n.SendCall("a", "b", "x", nil) // must not panic
 	n.SendCall("a", "ghost", "x", nil)
@@ -114,7 +195,7 @@ func TestSendCallNilCallback(t *testing.T) {
 
 func TestRegisterNilUnregisters(t *testing.T) {
 	w := NewWorld(1)
-	n := NewNetwork(w, FixedLatency(time.Millisecond), nil, 0)
+	n := boundNet(t, w, FixedLatency(time.Millisecond), 0, ab, nil)
 	delivered := 0
 	n.Register("b", func(ids.NodeID, any) { delivered++ })
 	n.Send("a", "b", "1")
@@ -127,30 +208,25 @@ func TestRegisterNilUnregisters(t *testing.T) {
 	}
 }
 
-func TestResetStats(t *testing.T) {
-	w := NewWorld(1)
-	n := NewNetwork(w, FixedLatency(time.Millisecond), nil, 0)
-	n.Register("b", func(ids.NodeID, any) {})
-	n.Send("a", "b", "x")
-	w.Run(time.Second)
-	n.ResetStats()
-	if s := n.Stats(); s != (NetworkStats{}) {
-		t.Errorf("stats after reset = %+v", s)
-	}
-}
-
+// TestNetworkDefaults: with no latency model a hop takes the paper's
+// U[20,80] ms, and with no ackTimeout a nack fires 160 ms after the send.
 func TestNetworkDefaults(t *testing.T) {
 	w := NewWorld(1)
-	n := NewNetwork(w, nil, nil, 0)
-	if !n.Online("anyone") {
-		t.Error("default online func should return true")
-	}
-	got := false
-	n.Register("b", func(ids.NodeID, any) { got = true })
+	n := boundNet(t, w, nil, 0, ab, nil)
+	var got, nacked time.Duration = -1, -1
+	n.Register("b", func(ids.NodeID, any) { got = w.Now() })
 	n.Send("a", "b", "x")
+	n.SendCall("b", "a", "y", func(ok bool) {
+		if !ok {
+			nacked = w.Now()
+		}
+	})
 	w.Run(time.Second)
-	if !got {
-		t.Error("default latency model failed to deliver")
+	if got < 20*time.Millisecond || got > 80*time.Millisecond {
+		t.Errorf("default latency model delivered at %v, want within [20ms, 80ms]", got)
+	}
+	if nacked != 160*time.Millisecond {
+		t.Errorf("default ack timeout nacked at %v, want 160ms", nacked)
 	}
 }
 
@@ -159,8 +235,7 @@ func TestNetworkDefaults(t *testing.T) {
 func TestZeroLatencySameInstantOrder(t *testing.T) {
 	w := NewWorld(1)
 	hosts := []ids.NodeID{"a", "b", "c", "d", "e"}
-	net := NewNetwork(w, FixedLatency(0), nil, 0)
-	net.Bind(hosts, func(int) bool { return true })
+	net := boundNet(t, w, FixedLatency(0), 0, hosts, nil)
 	var got []string
 	for i, id := range hosts {
 		i := i
@@ -184,9 +259,8 @@ func TestZeroLatencySameInstantOrder(t *testing.T) {
 // address, but what the address is used for — handler and liveness — is
 // read when the delivery fires. A handler unregistered, a handler
 // replaced and a host gone offline or returned between Send and delivery
-// decide the message's fate, and so does a target outside the bound
-// universe — addressed by bare identifier, by a memo that verifies, or by
-// a forged one.
+// decide the message's fate; a target outside the bound universe is
+// dropped whether addressed by bare identifier or under a forged memo.
 func TestDeliveryReadsTargetAtFiring(t *testing.T) {
 	for _, memo := range []bool{false, true} {
 		w := NewWorld(5)
@@ -198,8 +272,7 @@ func TestDeliveryReadsTargetAtFiring(t *testing.T) {
 		for i := range up {
 			up[i] = true
 		}
-		net := NewNetwork(w, FixedLatency(10*time.Millisecond), nil, 0)
-		net.Bind(hosts, func(i int) bool { return up[i] })
+		net := boundNet(t, w, FixedLatency(10*time.Millisecond), 0, hosts, func(i int) bool { return up[i] })
 		var got []string
 		handler := func(tag string) Handler {
 			return func(from ids.NodeID, msg any) { got = append(got, fmt.Sprintf("%s<-%v@%v", tag, msg, w.Now())) }
@@ -207,7 +280,6 @@ func TestDeliveryReadsTargetAtFiring(t *testing.T) {
 		for _, id := range hosts {
 			net.Register(id, handler(string(id)))
 		}
-		net.Register("unbound", handler("unbound"))
 		// to addresses host i honestly; outside names an identifier no
 		// slot holds, under host 9's index when memos are in play.
 		to := func(i int) ids.Addr { return hosts[i].Addr() }
@@ -231,11 +303,11 @@ func TestDeliveryReadsTargetAtFiring(t *testing.T) {
 			up[12] = true
 		})
 		w.Run(time.Second)
-		want := []string{"h11'<-to-replaced@10ms", "h12<-to-returned@10ms", "unbound<-to-unbound@10ms"}
+		want := []string{"h11'<-to-replaced@10ms", "h12<-to-returned@10ms"}
 		if !reflect.DeepEqual(got, want) {
 			t.Errorf("memo=%v: delivered %v, want %v", memo, got, want)
 		}
-		if stats := net.Stats(); stats != (NetworkStats{Sent: 6, Delivered: 3, Dropped: 3}) {
+		if stats := net.Stats(); stats != (NetworkStats{Sent: 6, Delivered: 2, Dropped: 4}) {
 			t.Errorf("memo=%v: stats %+v", memo, stats)
 		}
 	}

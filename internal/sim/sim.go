@@ -1,7 +1,7 @@
 // Package sim is a deterministic discrete-event simulator: a virtual
 // clock, an event queue, seeded randomness, and a message-passing network
-// with a configurable per-hop latency model and online/offline delivery
-// semantics.
+// over a fixed host universe, with a configurable per-hop latency model
+// and online/offline delivery semantics.
 //
 // All of the paper's experiments execute on this engine. Determinism is
 // a design goal (DESIGN.md §5): the world is single-threaded and events

@@ -91,48 +91,6 @@ func Mean(values []float64) float64 {
 	return sum / float64(len(values))
 }
 
-// CDFPoint is one step of an empirical CDF: Fraction of samples <= Value.
-type CDFPoint struct {
-	Value    float64
-	Fraction float64
-}
-
-// CDF computes the empirical CDF of values as a step series, one point
-// per distinct value, suitable for direct plotting (the paper's Figures
-// 7 and 11–13 are CDFs).
-func CDF(values []float64) []CDFPoint {
-	if len(values) == 0 {
-		return nil
-	}
-	sorted := make([]float64, len(values))
-	copy(sorted, values)
-	sort.Float64s(sorted)
-	points := make([]CDFPoint, 0, len(sorted))
-	n := float64(len(sorted))
-	for i := 0; i < len(sorted); {
-		j := i
-		for j < len(sorted) && sorted[j] == sorted[i] {
-			j++
-		}
-		points = append(points, CDFPoint{Value: sorted[i], Fraction: float64(j) / n})
-		i = j
-	}
-	return points
-}
-
-// CDFAt evaluates an empirical CDF series at x: the fraction of samples
-// with value <= x.
-func CDFAt(points []CDFPoint, x float64) float64 {
-	frac := 0.0
-	for _, p := range points {
-		if p.Value > x {
-			break
-		}
-		frac = p.Fraction
-	}
-	return frac
-}
-
 // ScatterPoint is one (x, y) observation, e.g. (availability, sliver size).
 type ScatterPoint struct {
 	X float64

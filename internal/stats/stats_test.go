@@ -2,10 +2,8 @@ package stats
 
 import (
 	"math"
-	"sort"
 	"strings"
 	"testing"
-	"testing/quick"
 )
 
 func TestSummarize(t *testing.T) {
@@ -62,62 +60,6 @@ func TestMean(t *testing.T) {
 	}
 	if got := Mean(nil); got != 0 {
 		t.Errorf("Mean(nil) = %v, want 0", got)
-	}
-}
-
-func TestCDF(t *testing.T) {
-	points := CDF([]float64{3, 1, 2, 2})
-	want := []CDFPoint{{1, 0.25}, {2, 0.75}, {3, 1.0}}
-	if len(points) != len(want) {
-		t.Fatalf("CDF len = %d, want %d: %v", len(points), len(want), points)
-	}
-	for i := range want {
-		if points[i] != want[i] {
-			t.Errorf("CDF[%d] = %v, want %v", i, points[i], want[i])
-		}
-	}
-}
-
-func TestCDFEmpty(t *testing.T) {
-	if got := CDF(nil); got != nil {
-		t.Errorf("CDF(nil) = %v, want nil", got)
-	}
-}
-
-func TestCDFAt(t *testing.T) {
-	points := CDF([]float64{1, 2, 3, 4})
-	tests := []struct{ x, want float64 }{
-		{0.5, 0},
-		{1, 0.25},
-		{2.5, 0.5},
-		{4, 1},
-		{10, 1},
-	}
-	for _, tc := range tests {
-		if got := CDFAt(points, tc.x); got != tc.want {
-			t.Errorf("CDFAt(%v) = %v, want %v", tc.x, got, tc.want)
-		}
-	}
-}
-
-func TestCDFMonotoneProperty(t *testing.T) {
-	prop := func(raw []float64) bool {
-		if len(raw) == 0 {
-			return true
-		}
-		points := CDF(raw)
-		last := 0.0
-		for _, p := range points {
-			if p.Fraction < last {
-				return false
-			}
-			last = p.Fraction
-		}
-		return math.Abs(points[len(points)-1].Fraction-1.0) < 1e-12 &&
-			sort.SliceIsSorted(points, func(i, j int) bool { return points[i].Value < points[j].Value })
-	}
-	if err := quick.Check(prop, nil); err != nil {
-		t.Error(err)
 	}
 }
 

@@ -172,19 +172,14 @@ func (t *Trace) OnlineHosts(e int) []int {
 	return out
 }
 
-// upCount returns how many epochs of [from, to] host h was online, with
-// 0 <= from <= to < Epochs: a popcount of the row words the window
-// covers, the two end words masked to it.
-func (t *Trace) upCount(h, from, to int) int {
+// upCount returns how many of epochs 0..to host h was online, with
+// 0 <= to < Epochs: a popcount of the row words up to to's, that last
+// word masked to it.
+func (t *Trace) upCount(h, to int) int {
 	row := t.bits[h*t.words : (h+1)*t.words]
-	lo, hi := from/64, to/64
-	head := ^uint64(0) << uint(from%64)
-	tail := ^uint64(0) >> uint(63-to%64)
-	if lo == hi {
-		return bits.OnesCount64(row[lo] & head & tail)
-	}
-	n := bits.OnesCount64(row[lo]&head) + bits.OnesCount64(row[hi]&tail)
-	for _, w := range row[lo+1 : hi] {
+	hi := to / 64
+	n := bits.OnesCount64(row[hi] & (^uint64(0) >> uint(63-to%64)))
+	for _, w := range row[:hi] {
 		n += bits.OnesCount64(w)
 	}
 	return n
@@ -202,49 +197,7 @@ func (t *Trace) Availability(h, upto int) float64 {
 	if upto >= t.epochs {
 		upto = t.epochs - 1
 	}
-	return float64(t.upCount(h, 0, upto)) / float64(upto+1)
-}
-
-// WindowAvailability returns the fraction of epochs in [from, to]
-// (clamped, inclusive) during which host h was online.
-func (t *Trace) WindowAvailability(h, from, to int) float64 {
-	t.checkBounds(h, 0)
-	if from < 0 {
-		from = 0
-	}
-	if to >= t.epochs {
-		to = t.epochs - 1
-	}
-	if to < from {
-		return 0
-	}
-	return float64(t.upCount(h, from, to)) / float64(to-from+1)
-}
-
-// AgedAvailability returns an exponentially aged availability at epoch
-// upto: av_e = alpha*up_e + (1-alpha)*av_{e-1}, which weighs recent
-// behaviour more heavily (the "aged" variant mentioned in §3.1).
-// alpha must lie in (0, 1].
-func (t *Trace) AgedAvailability(h, upto int, alpha float64) float64 {
-	t.checkBounds(h, 0)
-	if alpha <= 0 || alpha > 1 {
-		return 0
-	}
-	if upto >= t.epochs {
-		upto = t.epochs - 1
-	}
-	av := 0.0
-	if t.Up(h, 0) {
-		av = 1.0
-	}
-	for e := 1; e <= upto; e++ {
-		obs := 0.0
-		if t.Up(h, e) {
-			obs = 1.0
-		}
-		av = alpha*obs + (1-alpha)*av
-	}
-	return av
+	return float64(t.upCount(h, upto)) / float64(upto+1)
 }
 
 // Availabilities returns every host's long-term availability through
@@ -294,7 +247,7 @@ func (t *Trace) SmoothedAvailability(h, upto int) float64 {
 	if upto >= t.epochs {
 		upto = t.epochs - 1
 	}
-	return float64(t.upCount(h, 0, upto)+1) / float64(upto+3)
+	return float64(t.upCount(h, upto)+1) / float64(upto+3)
 }
 
 // SmoothedAvailabilities returns every host's smoothed availability
@@ -305,28 +258,4 @@ func (t *Trace) SmoothedAvailabilities(upto int) []float64 {
 		out[h] = t.SmoothedAvailability(h, upto)
 	}
 	return out
-}
-
-// SessionStats summarizes host h's online sessions across the whole
-// trace: how many distinct sessions it had and their mean length in
-// epochs. Zero sessions yield (0, 0).
-func (t *Trace) SessionStats(h int) (sessions int, meanEpochs float64) {
-	t.checkBounds(h, 0)
-	upEpochs := 0
-	inSession := false
-	for e := 0; e < t.epochs; e++ {
-		if t.Up(h, e) {
-			upEpochs++
-			if !inSession {
-				sessions++
-				inSession = true
-			}
-		} else {
-			inSession = false
-		}
-	}
-	if sessions == 0 {
-		return 0, 0
-	}
-	return sessions, float64(upEpochs) / float64(sessions)
 }

@@ -188,42 +188,6 @@ func TestAvailability(t *testing.T) {
 	}
 }
 
-func TestWindowAvailability(t *testing.T) {
-	tr := mustNew(t, 1, 10)
-	tr.SetUp(0, 4, true)
-	tr.SetUp(0, 5, true)
-	if got := tr.WindowAvailability(0, 4, 5); got != 1.0 {
-		t.Errorf("WindowAvailability(4,5) = %v, want 1", got)
-	}
-	if got := tr.WindowAvailability(0, 0, 9); got != 0.2 {
-		t.Errorf("WindowAvailability(0,9) = %v, want 0.2", got)
-	}
-	if got := tr.WindowAvailability(0, 8, 2); got != 0 {
-		t.Errorf("inverted window = %v, want 0", got)
-	}
-	if got := tr.WindowAvailability(0, -5, 100); got != 0.2 {
-		t.Errorf("clamped window = %v, want 0.2", got)
-	}
-}
-
-func TestAgedAvailability(t *testing.T) {
-	tr := mustNew(t, 1, 10)
-	// Host down for epochs 0..8, up at 9: aged availability must exceed
-	// raw (0.1 raw; aged with alpha=0.5 gives 0.5).
-	tr.SetUp(0, 9, true)
-	raw := tr.Availability(0, 9)
-	aged := tr.AgedAvailability(0, 9, 0.5)
-	if aged <= raw {
-		t.Errorf("aged = %v should exceed raw = %v for recent uptime", aged, raw)
-	}
-	if got := tr.AgedAvailability(0, 9, 0); got != 0 {
-		t.Errorf("alpha=0 should yield 0, got %v", got)
-	}
-	if got := tr.AgedAvailability(0, 9, 1); got != 1 {
-		t.Errorf("alpha=1 tracks the last observation, got %v", got)
-	}
-}
-
 func TestAvailabilities(t *testing.T) {
 	tr := mustNew(t, 3, 4)
 	tr.SetUp(1, 0, true)
@@ -286,22 +250,5 @@ func TestSmoothedAvailabilities(t *testing.T) {
 	av := tr.SmoothedAvailabilities(3)
 	if av[0] != 1.0/6.0 || av[1] != 0.5 || av[2] != 1.0/6.0 {
 		t.Errorf("SmoothedAvailabilities = %v", av)
-	}
-}
-
-func TestSessionStats(t *testing.T) {
-	tr := mustNew(t, 2, 10)
-	// Host 0: sessions [0,1], [4], [7,8,9] → 3 sessions, mean 2.
-	for _, e := range []int{0, 1, 4, 7, 8, 9} {
-		tr.SetUp(0, e, true)
-	}
-	sessions, mean := tr.SessionStats(0)
-	if sessions != 3 || mean != 2 {
-		t.Errorf("SessionStats = (%d, %v), want (3, 2)", sessions, mean)
-	}
-	// Host 1 never up.
-	sessions, mean = tr.SessionStats(1)
-	if sessions != 0 || mean != 0 {
-		t.Errorf("empty SessionStats = (%d, %v)", sessions, mean)
 	}
 }
