@@ -219,10 +219,10 @@ func (i Inflate) Outbound(_ ids.NodeID, msg any) Decision {
 	case ops.AggResultMsg:
 		m.SenderAvail = i.To
 		return Decision{Msg: m}
-	case shuffle.Request:
+	case *shuffle.Request:
 		m.SenderAvail = i.To
 		return Decision{Msg: m}
-	case shuffle.Reply:
+	case *shuffle.Reply:
 		m.SenderAvail = i.To
 		return Decision{Msg: m}
 	}
@@ -258,16 +258,16 @@ func NewEclipse(self ids.NodeID, colluders []ids.NodeID, seed int64) *Eclipse {
 // Name implements Behavior.
 func (e *Eclipse) Name() string { return "eclipse" }
 
-// poison builds a poisoned entry list of roughly the honest offer's
-// size: fresh (age-0) colluder entries, which win every merge-pressure
-// comparison, plus a fresh self-entry.
-func (e *Eclipse) poison(to ids.NodeID, n int) []shuffle.Entry {
+// poison appends to out a poisoned entry list of roughly the honest
+// offer's size n: fresh (age-0) colluder entries, which win every
+// merge-pressure comparison, plus a fresh self-entry. Outbound passes the
+// message's own entries, emptied, so the offer is rewritten in place.
+func (e *Eclipse) poison(out []shuffle.Entry, to ids.NodeID, n int) []shuffle.Entry {
 	if n < 1 {
 		n = 1
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	out := make([]shuffle.Entry, 0, n)
 	out = append(out, shuffle.Entry{ID: e.self})
 	if len(e.colluders) > 0 {
 		for _, i := range e.rng.Perm(len(e.colluders)) {
@@ -287,11 +287,11 @@ func (e *Eclipse) poison(to ids.NodeID, n int) []shuffle.Entry {
 // Outbound implements Behavior.
 func (e *Eclipse) Outbound(to ids.NodeID, msg any) Decision {
 	switch m := msg.(type) {
-	case shuffle.Request:
-		m.Entries = e.poison(to, len(m.Entries))
+	case *shuffle.Request:
+		m.Entries = e.poison(m.Entries[:0], to, len(m.Entries))
 		return Decision{Msg: m}
-	case shuffle.Reply:
-		m.Entries = e.poison(to, len(m.Entries))
+	case *shuffle.Reply:
+		m.Entries = e.poison(m.Entries[:0], to, len(m.Entries))
 		return Decision{Msg: m}
 	}
 	return Decision{Msg: msg}
@@ -366,7 +366,7 @@ func (FreeRide) Outbound(_ ids.NodeID, msg any) Decision { return Decision{Msg: 
 
 // Inbound implements Behavior.
 func (FreeRide) Inbound(_ ids.NodeID, msg any) bool {
-	_, isReq := msg.(shuffle.Request)
+	_, isReq := msg.(*shuffle.Request)
 	return !isReq
 }
 

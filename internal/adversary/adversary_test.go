@@ -1,6 +1,7 @@
 package adversary
 
 import (
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -19,8 +20,8 @@ func TestInflateRewritesClaims(t *testing.T) {
 	cases := []any{
 		ops.AnycastMsg{SenderAvail: 0.3},
 		ops.MulticastMsg{SenderAvail: 0.3},
-		shuffle.Request{SenderAvail: 0.3},
-		shuffle.Reply{SenderAvail: 0.3},
+		&shuffle.Request{SenderAvail: 0.3},
+		&shuffle.Reply{SenderAvail: 0.3},
 	}
 	for _, msg := range cases {
 		d := b.Outbound("peer", msg)
@@ -30,9 +31,9 @@ func TestInflateRewritesClaims(t *testing.T) {
 			got = m.SenderAvail
 		case ops.MulticastMsg:
 			got = m.SenderAvail
-		case shuffle.Request:
+		case *shuffle.Request:
 			got = m.SenderAvail
-		case shuffle.Reply:
+		case *shuffle.Reply:
 			got = m.SenderAvail
 		}
 		if got != 0.98 {
@@ -53,8 +54,8 @@ func TestEclipsePoisonsShuffleTraffic(t *testing.T) {
 	colluders := []ids.NodeID{"adv1", "adv2", "adv3", "self"}
 	b := NewEclipse("self", colluders, 7)
 	honest := []shuffle.Entry{{ID: "h1", Age: 3}, {ID: "h2", Age: 1}, {ID: "h3"}}
-	d := b.Outbound("victim", shuffle.Reply{Entries: honest})
-	reply := d.Msg.(shuffle.Reply)
+	d := b.Outbound("victim", &shuffle.Reply{Entries: slices.Clone(honest)})
+	reply := d.Msg.(*shuffle.Reply)
 	if len(reply.Entries) == 0 || reply.Entries[0].ID != "self" {
 		t.Fatalf("poisoned reply does not lead with self: %v", reply.Entries)
 	}
@@ -72,8 +73,8 @@ func TestEclipsePoisonsShuffleTraffic(t *testing.T) {
 	}
 	// Determinism per seed.
 	b2 := NewEclipse("self", colluders, 7)
-	d2 := b2.Outbound("victim", shuffle.Reply{Entries: honest})
-	r2 := d2.Msg.(shuffle.Reply)
+	d2 := b2.Outbound("victim", &shuffle.Reply{Entries: slices.Clone(honest)})
+	r2 := d2.Msg.(*shuffle.Reply)
 	if len(r2.Entries) != len(reply.Entries) {
 		t.Fatalf("same seed produced different poison: %v vs %v", reply.Entries, r2.Entries)
 	}
@@ -95,17 +96,17 @@ func TestSelectiveForwardDropsOnlyRelays(t *testing.T) {
 	if !d.Drop || !d.FakeAck {
 		t.Fatalf("relay not black-holed: %+v", d)
 	}
-	if d2 := b.Outbound("peer", shuffle.Request{}); d2.Drop {
+	if d2 := b.Outbound("peer", &shuffle.Request{}); d2.Drop {
 		t.Fatal("shuffle traffic dropped by selective forwarding")
 	}
 }
 
 func TestFreeRideIgnoresShuffleRequests(t *testing.T) {
 	b := FreeRide{}
-	if b.Inbound("peer", shuffle.Request{}) {
+	if b.Inbound("peer", &shuffle.Request{}) {
 		t.Fatal("free-rider answered a shuffle request")
 	}
-	if !b.Inbound("peer", shuffle.Reply{}) || !b.Inbound("peer", ops.AnycastMsg{}) {
+	if !b.Inbound("peer", &shuffle.Reply{}) || !b.Inbound("peer", ops.AnycastMsg{}) {
 		t.Fatal("free-rider dropped non-request traffic")
 	}
 }
@@ -117,7 +118,7 @@ func TestMixSwitchGatesBehaviors(t *testing.T) {
 	if d := m.Outbound("peer", relay); d.Msg.(ops.AnycastMsg).SenderAvail != 0.3 {
 		t.Fatal("dormant mix rewrote traffic")
 	}
-	if !m.Inbound("peer", shuffle.Request{}) {
+	if !m.Inbound("peer", &shuffle.Request{}) {
 		t.Fatal("dormant mix dropped inbound traffic")
 	}
 	if m.Engaged() {
@@ -127,7 +128,7 @@ func TestMixSwitchGatesBehaviors(t *testing.T) {
 	if d := m.Outbound("peer", relay); d.Msg.(ops.AnycastMsg).SenderAvail != 0.98 {
 		t.Fatal("armed mix did not rewrite traffic")
 	}
-	if m.Inbound("peer", shuffle.Request{}) {
+	if m.Inbound("peer", &shuffle.Request{}) {
 		t.Fatal("armed free-riding mix answered a request")
 	}
 	if !m.Engaged() {

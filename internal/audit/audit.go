@@ -394,9 +394,9 @@ func (a *Auditor) ObserveInbound(sender ids.Addr, msg any) bool {
 	// cross-check the value, and tree members' merged partials face the
 	// router's PDF sanity checks, which feed SuspectAggPartial below.
 	// See DESIGN.md §13 ("trust model").
-	case shuffle.Request:
+	case *shuffle.Request:
 		a.observeShuffle(from, m.SenderAvail, m.Entries, false)
-	case shuffle.Reply:
+	case *shuffle.Reply:
 		a.observeShuffle(from, m.SenderAvail, m.Entries, true)
 	}
 	return !a.blocked(from)

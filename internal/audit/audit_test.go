@@ -105,7 +105,7 @@ func TestClaimWarmupSuppressesEarlyEvidence(t *testing.T) {
 func TestSelfAdvertisingReplyEvicts(t *testing.T) {
 	f := newFixture(t, Params{})
 	// Replies naming other nodes are fine.
-	f.auditor.ObserveInbound(addr("peer"), shuffle.Reply{
+	f.auditor.ObserveInbound(addr("peer"), &shuffle.Reply{
 		SenderAvail: 0.5,
 		Entries:     []shuffle.Entry{{ID: "other"}},
 	})
@@ -113,7 +113,7 @@ func TestSelfAdvertisingReplyEvicts(t *testing.T) {
 		t.Fatal("clean reply evicted the sender")
 	}
 	// A reply naming its own sender is standalone proof of poisoning.
-	f.auditor.ObserveInbound(addr("peer"), shuffle.Reply{
+	f.auditor.ObserveInbound(addr("peer"), &shuffle.Reply{
 		SenderAvail: 0.5,
 		Entries:     []shuffle.Entry{{ID: "other"}, {ID: "peer"}},
 	})
@@ -122,7 +122,7 @@ func TestSelfAdvertisingReplyEvicts(t *testing.T) {
 	}
 	// Requests legitimately contain the sender (the CYCLON self-entry).
 	f2 := newFixture(t, Params{})
-	f2.auditor.ObserveInbound(addr("peer"), shuffle.Request{
+	f2.auditor.ObserveInbound(addr("peer"), &shuffle.Request{
 		SenderAvail: 0.5,
 		Entries:     []shuffle.Entry{{ID: "peer"}},
 	})
@@ -181,7 +181,7 @@ func TestSuspicionHysteresisUnderMonitorNoise(t *testing.T) {
 		// Clean observations decay the score back down (hysteresis): a
 		// well-formed shuffle request has no recheck, so it is clean.
 		before := a.Suspicion("peer")
-		a.ObserveInbound(addr("peer"), shuffle.Request{SenderAvail: 0.5})
+		a.ObserveInbound(addr("peer"), &shuffle.Request{SenderAvail: 0.5})
 		if got := a.Suspicion("peer"); got >= before {
 			t.Fatalf("clean observation did not decay suspicion: %v -> %v", before, got)
 		}

@@ -53,9 +53,9 @@ func (a *refAuditor) ObserveInbound(from ids.NodeID, msg any) bool {
 		a.observeClaim(from, m.SenderAvail)
 	case ops.AggReplyMsg:
 		a.observeClaim(from, m.SenderAvail)
-	case shuffle.Request:
+	case *shuffle.Request:
 		a.observeShuffle(from, m.SenderAvail, m.Entries, false)
-	case shuffle.Reply:
+	case *shuffle.Reply:
 		a.observeShuffle(from, m.SenderAvail, m.Entries, true)
 	}
 	return !a.Blocked(from)
@@ -280,9 +280,9 @@ func runAuditSchedule(t *testing.T, data []byte) {
 			if op&16 != 0 {
 				entries = append(entries, shuffle.Entry{ID: id})
 			}
-			var msg any = shuffle.Request{SenderAvail: claim, Entries: entries}
+			var msg any = &shuffle.Request{SenderAvail: claim, Entries: entries}
 			if op&32 != 0 {
-				msg = shuffle.Reply{SenderAvail: claim, Entries: entries}
+				msg = &shuffle.Reply{SenderAvail: claim, Entries: entries}
 			}
 			want = model.ObserveInbound(id, msg)
 			for name, a := range impls {

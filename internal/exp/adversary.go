@@ -191,8 +191,26 @@ func (s *advState) engagedCohort() []ids.NodeID {
 // runtime gets from real shuffle messages. hostIndex resolves
 // identities; selfAvail supplies honest claims; auditorAt may return
 // nil (no audit layer).
+//
+// The offer crosses the hooks in the exact message types the live engine
+// intercepts, so one behavior implementation serves both engines. The
+// tap owns one request and one reply for that and refills them per hook
+// call: a deployment is single-threaded, and neither a behavior nor the
+// audit layer keeps a message past its return.
 func shuffleTap(adv *advState, hostIndex func(ids.NodeID) int,
 	selfAvail func(h int) float64, auditorAt func(h int) *audit.Auditor) *shuffle.Tap {
+	var req shuffle.Request
+	var rep shuffle.Reply
+	message := func(reply bool, entries []shuffle.Entry, claim float64) any {
+		if reply {
+			rep.Entries, rep.SenderAvail = entries, claim
+			return &rep
+		}
+		req.Entries, req.SenderAvail = entries, claim
+		return &req
+	}
+	// FreeRide's verdict on an (empty) inbound request is the refusal.
+	probe := new(shuffle.Request)
 	return &shuffle.Tap{
 		Outbound: func(owner ids.NodeID, reply bool, entries []shuffle.Entry) ([]shuffle.Entry, float64, bool) {
 			h := hostIndex(owner)
@@ -201,21 +219,13 @@ func shuffleTap(adv *advState, hostIndex func(ids.NodeID) int,
 			if b == nil {
 				return entries, claim, false
 			}
-			// Route the offer through the exact message types the live
-			// engine intercepts, so one behavior implementation serves
-			// both engines — including drop verdicts (delays degrade to
-			// passthrough; the central exchange is instantaneous).
-			var msg any
-			if reply {
-				msg = shuffle.Reply{Entries: entries, SenderAvail: claim}
-			} else {
-				msg = shuffle.Request{Entries: entries, SenderAvail: claim}
-			}
-			d := b.Outbound(ids.Nil, msg)
+			// Drop verdicts carry over; delays degrade to passthrough (the
+			// central exchange is instantaneous).
+			d := b.Outbound(ids.Nil, message(reply, entries, claim))
 			switch m := d.Msg.(type) {
-			case shuffle.Reply:
+			case *shuffle.Reply:
 				return m.Entries, m.SenderAvail, d.Drop
-			case shuffle.Request:
+			case *shuffle.Request:
 				return m.Entries, m.SenderAvail, d.Drop
 			}
 			return entries, claim, d.Drop
@@ -229,17 +239,11 @@ func shuffleTap(adv *advState, hostIndex func(ids.NodeID) int,
 			// memo, and the exchange lands on the same record as the
 			// sender's operation traffic.
 			from := ids.AddrAt(sender, int32(hostIndex(sender)))
-			var msg any
-			if reply {
-				msg = shuffle.Reply{Entries: entries, SenderAvail: claim}
-			} else {
-				msg = shuffle.Request{Entries: entries, SenderAvail: claim}
-			}
-			return a.ObserveInbound(from, msg)
+			return a.ObserveInbound(from, message(reply, entries, claim))
 		},
 		Refuse: func(owner ids.NodeID) bool {
 			b := adv.behavior(hostIndex(owner))
-			return b != nil && !b.Inbound(ids.Nil, shuffle.Request{})
+			return b != nil && !b.Inbound(ids.Nil, probe)
 		},
 	}
 }

@@ -207,12 +207,14 @@ type Node struct {
 	base runtime.Env
 	env  runtime.Env
 
-	mu      sync.Mutex
-	mem     *core.Membership
-	router  *ops.Router
-	col     *ops.Collector
-	stops   []func()
-	stopped chan struct{}
+	mu     sync.Mutex
+	mem    *core.Membership
+	router *ops.Router
+	col    *ops.Collector
+	stops  []func()
+	// stopped is set once, by Stop; every callback reads it before taking
+	// the lock (an atomic load, not a channel poll).
+	stopped atomic.Bool
 	running bool
 	// agent is the built-in live CYCLON (Seeds mode); nil in Peers mode.
 	// Discovery runs mem.DiscoverView over its view in place.
@@ -233,29 +235,21 @@ func New(cfg Config) (*Node, error) {
 		return nil, err
 	}
 	n := &Node{
-		cfg:     cfg,
-		col:     cfg.Collector,
-		stopped: make(chan struct{}),
+		cfg: cfg,
+		col: cfg.Collector,
 	}
 	if n.col == nil {
 		n.col = ops.NewCollector()
 	}
 	n.base = cfg.Env
 	if n.base == nil {
-		// The stopped channel (not the node lock) reports liveness, so
-		// the router may ask while the lock is held.
+		// The stopped flag (not the node lock) reports liveness, so the
+		// router may ask while the lock is held.
 		live, err := runtime.NewLive(runtime.LiveConfig{
 			Self:      cfg.Self,
 			Transport: cfg.Transport,
 			Seed:      cfg.Seed + 1,
-			Online: func() bool {
-				select {
-				case <-n.stopped:
-					return false
-				default:
-					return true
-				}
-			},
+			Online:    func() bool { return !n.stopped.Load() },
 		})
 		if err != nil {
 			return nil, err
@@ -368,10 +362,8 @@ func (n *Node) selfClaim() float64 {
 // gate serializes asynchronous Env callbacks (timer ticks, ack results)
 // against the node's state and drops them after Stop.
 func (n *Node) gate(fn func()) {
-	select {
-	case <-n.stopped:
+	if n.stopped.Load() {
 		return
-	default:
 	}
 	n.mu.Lock()
 	defer n.mu.Unlock()
@@ -414,7 +406,7 @@ func (n *Node) Stop() {
 		return
 	}
 	n.running = false
-	close(n.stopped)
+	n.stopped.Store(true)
 	for _, stop := range n.stops {
 		stop()
 	}
@@ -433,10 +425,8 @@ func (n *Node) Stop() {
 // DiscoverNow passes false so it also works on a built-but-unstarted
 // node.
 func (n *Node) discoverRound(requireRunning bool) {
-	select {
-	case <-n.stopped:
+	if n.stopped.Load() {
 		return
-	default:
 	}
 	var external []ids.NodeID
 	if n.agent == nil {
@@ -467,7 +457,8 @@ func (n *Node) discoverLocked(external []ids.NodeID) {
 	// from the seeds) and judges the round's candidates — the view plus
 	// the partner the tick removed pending its reply — so no inbound
 	// shuffle message can land between the two. Without a Universe every
-	// candidate is a stray and this is mem.Discover.
+	// candidate is a stray and this is mem.Discover. The request is handed
+	// on to the fabric; its recipient's HandleRequest recycles it.
 	peer, req, ok := n.agent.TickDiscover(n.cfg.Seeds, n.mem.DiscoverView)
 	if ok {
 		req.SenderAvail = n.selfClaim()
@@ -491,9 +482,10 @@ func (n *Node) handleMessage(from ids.Addr, msg any) {
 	// first: a poisoned or lying exchange raises the sender's suspicion,
 	// and traffic from audited-out peers is discarded. Auditing shuffle
 	// traffic takes the node lock (auditor state is not its own monitor),
-	// but never calls back out, so the agent stays uncontended.
+	// but never calls back out, so the agent stays uncontended. The agent
+	// consumes what it merges; a message dropped here is garbage.
 	switch m := msg.(type) {
-	case shuffle.Request:
+	case *shuffle.Request:
 		if n.agent == nil {
 			return
 		}
@@ -504,7 +496,7 @@ func (n *Node) handleMessage(from ids.Addr, msg any) {
 		reply.SenderAvail = n.selfClaim()
 		n.env.Send(from, reply)
 		return
-	case shuffle.Reply:
+	case *shuffle.Reply:
 		if n.agent == nil {
 			return
 		}

@@ -218,8 +218,8 @@ type replyingFabric struct {
 
 func (f *replyingFabric) Send(from, to ids.Addr, msg any) {
 	f.sinkFabric.Send(from, to, msg)
-	if _, ok := msg.(shuffle.Request); ok {
-		f.deliver(to, shuffle.Reply{})
+	if _, ok := msg.(*shuffle.Request); ok {
+		f.deliver(to, shuffle.NewReply())
 	}
 }
 
@@ -264,10 +264,12 @@ func TestFastReplyKeepsPartnerOnOffer(t *testing.T) {
 }
 
 // TestConvergedDiscoveryTickAllocatesOnlyWhatItSends pins the discovery
-// round of a node whose slivers have settled: the shuffle request's entry
-// slice and the box the message travels in — what leaves the node — and
-// nothing else. No View() copy, no candidate slice, no map growth; with
-// or without a universe.
+// round of a node whose slivers have settled: the shuffle request and its
+// entry slice — what leaves the node — and nothing else. No View() copy,
+// no candidate slice, no map growth; with or without a universe. The sink
+// drops every request, so none comes back to be recycled and each tick
+// pays for a new one; the partner's reply is recycled by the handler that
+// merges it and costs nothing once the pool is warm.
 func TestConvergedDiscoveryTickAllocatesOnlyWhatItSends(t *testing.T) {
 	for _, withUniverse := range []bool{true, false} {
 		all := make([]ids.NodeID, 12)
@@ -299,10 +301,10 @@ func TestConvergedDiscoveryTickAllocatesOnlyWhatItSends(t *testing.T) {
 		}
 		// One round trip per tick: the partner answers with its own entry,
 		// so the view the tick spent is whole again for the next one.
-		reply := shuffle.Reply{Entries: make([]shuffle.Entry, 1)}
 		tick := func() {
 			n.DiscoverNow()
-			reply.Entries[0] = shuffle.Entry{ID: fabric.to}
+			reply := shuffle.NewReply()
+			reply.Entries = append(reply.Entries, shuffle.Entry{ID: fabric.to})
 			n.agent.HandleReply(fabric.to, reply)
 		}
 		for i := 0; i < 50; i++ {
@@ -313,7 +315,7 @@ func TestConvergedDiscoveryTickAllocatesOnlyWhatItSends(t *testing.T) {
 		}
 		sent := fabric.sent
 		if avg := testing.AllocsPerRun(100, tick); avg != 2 {
-			t.Errorf("universe=%v: a converged discovery tick allocates %.2f times, want 2 (offer + message box)",
+			t.Errorf("universe=%v: a converged discovery tick allocates %.2f times, want 2 (request + its entries)",
 				withUniverse, avg)
 		}
 		if fabric.sent-sent < 100 {
@@ -364,11 +366,11 @@ func shuffleRoundTrip(t *testing.T, w *sim.World, fabric runtime.Fabric) (roundT
 }
 
 // TestShuffleRoundTripAllocatesOnlyWhatItSends pins what real nodes cost
-// on the simulator's own network: a shuffle round trip allocates the two
-// offers and the two boxes their messages travel in, and nothing else —
-// each delivery is a value event in the queue's slab, not a closure. The
-// same round trip over a Memnet on the same clock pays a delivery closure
-// per message on top.
+// on the simulator's own network: once the message pools are warm, a
+// shuffle round trip allocates nothing — each message is recycled by the
+// handler that merges it, and each delivery is a value event in the
+// queue's slab, not a closure. The same round trip over a Memnet on the
+// same clock pays a delivery closure per message.
 func TestShuffleRoundTripAllocatesOnlyWhatItSends(t *testing.T) {
 	measure := func(w *sim.World, fabric runtime.Fabric) float64 {
 		roundTrip, a := shuffleRoundTrip(t, w, fabric)
@@ -383,15 +385,59 @@ func TestShuffleRoundTripAllocatesOnlyWhatItSends(t *testing.T) {
 	w := sim.NewWorld(1)
 	net := sim.NewNetwork(w, nil, nil, 0)
 	net.Bind([]ids.NodeID{ids.Synthetic(0), ids.Synthetic(1)}, func(int) bool { return true })
-	if got := measure(w, runtime.NetFabric(net)); got != 4 {
-		t.Errorf("a round trip on the simulated network allocates %.2f times, want 4 (two offers, two boxes)", got)
+	if got := measure(w, runtime.NetFabric(net)); got != 0 {
+		t.Errorf("a round trip on the simulated network allocates %.2f times, want 0", got)
 	}
 	if s := net.Stats(); s.Delivered != s.Sent || s.Sent < 300 {
 		t.Fatalf("network delivered %d of %d messages, want every one of at least 300", s.Delivered, s.Sent)
 	}
 	w = sim.NewWorld(1)
 	memnet := transport.NewMemnet(transport.MemnetConfig{After: w.After, Seed: 1})
-	if got := measure(w, runtime.TransportFabric(memnet)); got <= 4 {
-		t.Errorf("a round trip on a Memnet allocates %.2f times, want more than the simulated network's 4", got)
+	if got := measure(w, runtime.TransportFabric(memnet)); got <= 0 {
+		t.Errorf("a round trip on a Memnet allocates %.2f times, want more than the simulated network's 0", got)
+	}
+}
+
+// TestStoppedNodeIgnoresDiscoveryAndCallbacks pins Stop's promise: once a
+// node is stopped, DiscoverNow sends nothing and every gated callback —
+// a timer armed before Stop, or one handed to the gate afterwards — is
+// dropped unrun.
+func TestStoppedNodeIgnoresDiscoveryAndCallbacks(t *testing.T) {
+	all := []ids.NodeID{ids.Synthetic(0), ids.Synthetic(1), ids.Synthetic(2), ids.Synthetic(3)}
+	fabric := &sinkFabric{}
+	w := sim.NewWorld(1)
+	env, err := runtime.NewVirtual(runtime.VirtualConfig{Self: all[0].Addr(), Scheduler: w, Fabric: fabric, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	n, err := New(Config{
+		Self: all[0], Predicate: acceptAll(t), Monitor: avmon.Static{all[0]: 0.5, all[1]: 0.5, all[2]: 0.5, all[3]: 0.5},
+		Seeds: all[1:], ViewSize: 8, Env: env, Seed: 1, ProtocolPeriod: time.Minute,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := n.Start(); err != nil {
+		t.Fatal(err)
+	}
+	w.Run(w.Now() + time.Second) // the first discovery round
+	if fabric.sent != 1 {
+		t.Fatalf("a started node sent %d shuffle requests in its first round, want 1", fabric.sent)
+	}
+	n.DiscoverNow()
+	if fabric.sent != 2 {
+		t.Fatalf("DiscoverNow on a running node sent %d requests in all, want 2", fabric.sent)
+	}
+	fired := 0
+	n.env.After(time.Second, func() { fired++ })
+	n.Stop()
+	n.DiscoverNow()
+	n.gate(func() { fired++ })
+	w.Run(w.Now() + time.Hour)
+	if fabric.sent != 2 {
+		t.Errorf("a stopped node sent %d more requests", fabric.sent-2)
+	}
+	if fired != 0 {
+		t.Errorf("%d gated callbacks ran on a stopped node", fired)
 	}
 }

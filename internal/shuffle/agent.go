@@ -3,6 +3,7 @@ package shuffle
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 
 	"avmem/internal/ids"
@@ -30,6 +31,34 @@ type Reply struct {
 	SenderAvail float64
 }
 
+// Exchange messages travel as pointers and are recycled: a message is
+// consumed once, by the handler that merges it (Agent.HandleRequest,
+// Agent.HandleReply), which returns it to these pools with its entry
+// slice kept for the next offer. A message dropped on the way — by a
+// fabric, a behavior or the audit layer — is simply garbage.
+var (
+	requests = sync.Pool{New: func() any { return new(Request) }}
+	replies  = sync.Pool{New: func() any { return new(Reply) }}
+)
+
+// NewRequest returns an empty request, recycled from an earlier exchange
+// when one is free. Handing it to HandleRequest gives it away.
+func NewRequest() *Request { return requests.Get().(*Request) }
+
+// NewReply returns an empty reply, recycled when one is free. Handing it
+// to HandleReply gives it away.
+func NewReply() *Reply { return replies.Get().(*Reply) }
+
+func recycleRequest(m *Request) {
+	m.Entries, m.SenderAvail = m.Entries[:0], 0
+	requests.Put(m)
+}
+
+func recycleReply(m *Reply) {
+	m.Entries, m.SenderAvail = m.Entries[:0], 0
+	replies.Put(m)
+}
+
 // Agent is the live, message-based counterpart of Cyclon: one Agent
 // runs inside each node and performs the age-based shuffle over a real
 // transport. The owner wires it up by:
@@ -41,32 +70,44 @@ type Reply struct {
 //     returned reply back to the requester;
 //   - feeding inbound replies to HandleReply.
 //
-// With UseIndex configured the agent addresses its view by dense host
-// index: every entry it holds carries idx1 > 0 exactly when the universe
-// confirms that index names the entry's ID, so the self and duplicate
-// checks of a merge compare int32s and the owner's discovery reads
-// indexes and memo words straight off the view (TickDiscover). An agent's
-// entries arrive from a wire or an adversary, so — as Cyclon does with
-// what a Tap hands back — the memo on a received entry is checked
-// against the universe (one array load) and re-resolved from the
-// identifier when it is missing or names another host: the identifier
-// always wins. Entries outside the universe, and every entry of an agent
-// without UseIndex, stay at idx1 == 0 and are compared by identifier.
-// Decisions and RNG draws are the same either way.
+// A handler consumes the message it is given and recycles it (see
+// NewRequest), so nothing may read or keep an inbound message, or its
+// entries, once its handler has been called. The messages the agent
+// returns belong to the caller until it hands them on.
+//
+// The view is stored as parallel columns, one slot per peer: its
+// identifier, its index memo, its age and the owner's memo word. With
+// UseIndex configured the agent addresses its view by dense host index:
+// every slot holds idx1 > 0 exactly when the universe confirms that index
+// names the slot's peer, so the self and duplicate checks of a merge
+// compare int32s and the owner's discovery reads indexes and memo words
+// straight off the view (TickDiscover). An agent's entries arrive from a
+// wire or an adversary, so — as Cyclon does with what a Tap hands back —
+// the memo on a received entry is checked against the universe (one
+// array load) and re-resolved from the identifier when it is missing or
+// names another host: the identifier always wins. Entries outside the
+// universe, and every entry of an agent without UseIndex, stay at
+// idx1 == 0 and are compared by identifier. Decisions and RNG draws are
+// the same either way. Received ages are clamped into [0, maxAge] and a
+// tick's ageing saturates there, so no peer can pin an entry by lying
+// about its age.
 //
 // Agent is safe for concurrent use.
 type Agent struct {
 	self       ids.NodeID
 	shuffleLen int
+	cap        int
 
-	mu      sync.Mutex
-	rng     *rand.Rand
-	entries []Entry
-	cap     int
-	// memo is parallel to entries: one word per slot for the owner's
-	// discovery (see view.memo), zeroed when a slot takes a new occupant
-	// and moved with its occupant.
-	memo []uint64
+	mu  sync.Mutex
+	rng *rand.Rand
+	// The view: slot k holds peers[k] at age ages[k]; idx1[k] is its host
+	// index plus one (0 = unresolved) and memo[k] the word the owner's
+	// discovery keeps about it (see view.memo), zeroed when the slot takes
+	// a new occupant and moved with its occupant.
+	peers []ids.NodeID
+	idx1  []int32
+	ages  []int32
+	memo  []uint64
 
 	// Index universe (UseIndex): the host table in index order, the
 	// identifier resolver behind it, and self's index plus one.
@@ -75,14 +116,9 @@ type Agent struct {
 	selfIdx1 int32
 
 	// Scratch, reused under mu: the index permutation sampleLocked
-	// shuffles a prefix of, and mergeLocked's compact mirrors of the
-	// view's indexes and ages (the duplicate scan and the eviction-victim
-	// cursor walk these, not the entries).
-	perm    []int
-	idxs    []int32
-	ages    []int
-	victims victimCursor[int]
-	// judgeLocked's scratch: the candidates' codes and the strays among them.
+	// shuffles a prefix of, and judgeLocked's candidate codes and the
+	// strays among them.
+	perm   []int
 	codes  []int32
 	strays []ids.NodeID
 }
@@ -104,10 +140,12 @@ func NewAgent(self ids.NodeID, viewSize, shuffleLen int, seed int64) (*Agent, er
 	return &Agent{
 		self:       self,
 		shuffleLen: shuffleLen,
-		rng:        rand.New(stats.NewSplitMix64(seed)),
-		entries:    make([]Entry, 0, viewSize),
-		memo:       make([]uint64, 0, viewSize),
 		cap:        viewSize,
+		rng:        rand.New(stats.NewSplitMix64(seed)),
+		peers:      make([]ids.NodeID, 0, viewSize),
+		idx1:       make([]int32, 0, viewSize),
+		ages:       make([]int32, 0, viewSize),
+		memo:       make([]uint64, 0, viewSize),
 	}, nil
 }
 
@@ -123,28 +161,27 @@ func (a *Agent) UseIndex(hosts []ids.NodeID, indexOf func(ids.NodeID) int) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	a.hosts, a.indexOf = hosts, indexOf
-	me := Entry{ID: a.self}
-	a.resolve(&me)
-	a.selfIdx1 = me.idx1
-	for i := range a.entries {
-		a.resolve(&a.entries[i])
+	a.selfIdx1 = a.resolve(a.self, 0)
+	for k, id := range a.peers {
+		a.idx1[k] = a.resolve(id, a.idx1[k])
 	}
 }
 
-// resolve settles e.idx1 for this agent: kept when the universe confirms
-// it names e.ID, otherwise looked up from the identifier (0 when the
-// universe does not know it, or there is no universe).
-func (a *Agent) resolve(e *Entry) {
-	if k := e.idx1; k > 0 && int(k) <= len(a.hosts) && a.hosts[k-1] == e.ID {
-		return
+// resolve returns id's index memo for this agent: k when the universe
+// confirms it names id, otherwise the index looked up from the identifier
+// plus one (0 when the universe does not know it, or there is no
+// universe).
+func (a *Agent) resolve(id ids.NodeID, k int32) int32 {
+	if k > 0 && int(k) <= len(a.hosts) && a.hosts[k-1] == id {
+		return k
 	}
-	e.idx1 = 0
 	if a.indexOf == nil {
-		return
+		return 0
 	}
-	if i := a.indexOf(e.ID); i >= 0 && i < len(a.hosts) {
-		e.idx1 = int32(i) + 1
+	if i := a.indexOf(id); i >= 0 && i < len(a.hosts) {
+		return int32(i) + 1
 	}
+	return 0
 }
 
 // Seed adds bootstrap peers to the view.
@@ -155,9 +192,9 @@ func (a *Agent) Seed(peers []ids.NodeID) {
 }
 
 func (a *Agent) seedLocked(peers []ids.NodeID) {
-	a.beginMerge()
+	var victims victimCursor
 	for _, p := range peers {
-		a.addLocked(Entry{ID: p})
+		a.addLocked(p, 0, 0, &victims)
 	}
 }
 
@@ -165,15 +202,11 @@ func (a *Agent) seedLocked(peers []ids.NodeID) {
 func (a *Agent) View() []ids.NodeID {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	out := make([]ids.NodeID, len(a.entries))
-	for i, e := range a.entries {
-		out[i] = e.ID
-	}
-	return out
+	return slices.Clone(a.peers)
 }
 
 // Tick is TickDiscover for an owner that runs no discovery.
-func (a *Agent) Tick() (peer ids.NodeID, req Request, ok bool) {
+func (a *Agent) Tick() (peer ids.NodeID, req *Request, ok bool) {
 	to, req, ok := a.TickDiscover(nil, nil)
 	return to.ID(), req, ok
 }
@@ -182,44 +215,57 @@ func (a *Agent) Tick() (peer ids.NodeID, req Request, ok bool) {
 // over it, under one acquisition of the agent's lock. It ages the view,
 // picks the oldest peer and returns the request to send to it, addressed
 // with the peer's host-index memo when the universe resolved it; ok is
-// false when the view is empty (nothing to shuffle with), in which case
-// the view is re-seeded from reseed first. It then calls judge —
-// core.Membership.DiscoverView — on the round's candidates in place: the
-// view in View's order, then the partner. The partner's entry leaves the
-// view pending its reply, but it is still the freshest-known peer, so it
-// stays a candidate for this round (in a two-node deployment the view
-// would otherwise be empty at every tick), carrying the word its slot
-// had; no inbound message can come between the removal and the verdict.
-// codes[k] is candidate k's dense host index, or for a negative code the
-// complement of its position in strays, and memo[k] its slot's word,
-// which judge may rewrite. A nil judge is skipped.
-func (a *Agent) TickDiscover(reseed []ids.NodeID, judge func(codes []int32, memo []uint64, strays []ids.NodeID) int) (peer ids.Addr, req Request, ok bool) {
+// false, and the request nil, when the view is empty (nothing to shuffle
+// with), in which case the view is re-seeded from reseed first. It then
+// calls judge — core.Membership.DiscoverView — on the round's candidates
+// in place: the view in View's order, then the partner. The partner's
+// entry leaves the view pending its reply, but it is still the
+// freshest-known peer, so it stays a candidate for this round (in a
+// two-node deployment the view would otherwise be empty at every tick),
+// carrying the word its slot had; no inbound message can come between
+// the removal and the verdict. codes[k] is candidate k's dense host
+// index, or for a negative code the complement of its position in
+// strays, and memo[k] its slot's word, which judge may rewrite. A nil
+// judge is skipped.
+func (a *Agent) TickDiscover(reseed []ids.NodeID, judge func(codes []int32, memo []uint64, strays []ids.NodeID) int) (peer ids.Addr, req *Request, ok bool) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	if len(a.entries) == 0 {
+	if len(a.peers) == 0 {
 		a.seedLocked(reseed)
-		a.judgeLocked(len(a.entries), judge)
-		return ids.Addr{}, Request{}, false
+		a.judgeLocked(len(a.peers), judge)
+		return ids.Addr{}, nil, false
 	}
-	for i := range a.entries {
-		a.entries[i].Age++
+	// Age every entry and find the oldest (the first among equals) in
+	// one pass.
+	oldest := 0
+	for k := range a.ages {
+		if a.ages[k] < maxAge {
+			a.ages[k]++
+		}
+		if a.ages[k] > a.ages[oldest] {
+			oldest = k
+		}
 	}
-	oldest := oldestIndex(a.entries)
-	partner, word := a.entries[oldest], a.memo[oldest]
-	// Remove the partner's entry; it is replaced by whatever comes back.
+	// Remove the partner's slot; it is replaced by whatever comes back.
 	// Until this call returns it sits, word and all, in the slot the
 	// removal freed, just past the end of the view.
-	last := len(a.entries) - 1
-	copy(a.entries[oldest:], a.entries[oldest+1:])
+	id, idx1, age, word := a.peers[oldest], a.idx1[oldest], a.ages[oldest], a.memo[oldest]
+	last := len(a.peers) - 1
+	copy(a.peers[oldest:], a.peers[oldest+1:])
+	copy(a.idx1[oldest:], a.idx1[oldest+1:])
+	copy(a.ages[oldest:], a.ages[oldest+1:])
 	copy(a.memo[oldest:], a.memo[oldest+1:])
-	a.entries[last], a.memo[last] = partner, word
-	a.entries, a.memo = a.entries[:last], a.memo[:last]
+	a.peers[last], a.idx1[last], a.ages[last], a.memo[last] = id, idx1, age, word
+	a.peers, a.idx1, a.ages, a.memo = a.peers[:last], a.idx1[:last], a.ages[:last], a.memo[:last]
 	a.judgeLocked(last+1, judge)
 
-	// The offer is a fresh slice: it travels with the message.
-	out := a.sampleLocked(a.shuffleLen-1, 1)
-	out = append(out, Entry{ID: a.self, Age: 0, idx1: a.selfIdx1})
-	return ids.AddrAt(partner.ID, partner.idx1-1), Request{Entries: out}, true
+	req = NewRequest()
+	if cap(req.Entries) < a.shuffleLen {
+		req.Entries = make([]Entry, 0, a.shuffleLen)
+	}
+	req.Entries = a.sampleLocked(req.Entries, a.shuffleLen-1)
+	req.Entries = append(req.Entries, Entry{ID: a.self, idx1: a.selfIdx1})
+	return ids.AddrAt(id, idx1-1), req, true
 }
 
 // judgeLocked codes the first n slots (the view, and past its end the
@@ -230,45 +276,49 @@ func (a *Agent) judgeLocked(n int, judge func(codes []int32, memo []uint64, stra
 		return 0
 	}
 	a.codes, a.strays = a.codes[:0], a.strays[:0]
-	for _, e := range a.entries[:n] {
-		code := e.idx1 - 1
+	peers := a.peers[:n]
+	for k, idx1 := range a.idx1[:n] {
+		code := idx1 - 1
 		if code < 0 {
 			code = ^int32(len(a.strays))
-			a.strays = append(a.strays, e.ID)
+			a.strays = append(a.strays, peers[k])
 		}
 		a.codes = append(a.codes, code)
 	}
 	return judge(a.codes, a.memo[:n], a.strays)
 }
 
-// HandleRequest processes an inbound shuffle request and returns the
-// reply to send back.
-func (a *Agent) HandleRequest(from ids.NodeID, req Request) Reply {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	out := a.sampleLocked(a.shuffleLen, 0)
-	a.mergeLocked(req.Entries)
-	return Reply{Entries: out}
-}
-
-// HandleReply folds a shuffle reply into the view.
-func (a *Agent) HandleReply(from ids.NodeID, reply Reply) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	a.mergeLocked(reply.Entries)
-}
-
-// sampleLocked picks min(n, len(view)) distinct random entries into a
-// fresh slice with room for extra more: the partial Fisher–Yates Cyclon
-// samples with, one Intn draw per entry picked, over the agent's index
-// scratch. Caller holds mu.
-func (a *Agent) sampleLocked(n, extra int) []Entry {
-	m := len(a.entries)
-	if n > m {
-		n = m
+// HandleRequest merges an inbound shuffle request, which it consumes,
+// and returns the reply to send back.
+func (a *Agent) HandleRequest(from ids.NodeID, req *Request) *Reply {
+	reply := NewReply()
+	if cap(reply.Entries) < a.shuffleLen {
+		reply.Entries = make([]Entry, 0, a.shuffleLen)
 	}
+	a.mu.Lock()
+	reply.Entries = a.sampleLocked(reply.Entries, a.shuffleLen)
+	a.mergeLocked(req.Entries)
+	a.mu.Unlock()
+	recycleRequest(req)
+	return reply
+}
+
+// HandleReply folds a shuffle reply, which it consumes, into the view.
+func (a *Agent) HandleReply(from ids.NodeID, reply *Reply) {
+	a.mu.Lock()
+	a.mergeLocked(reply.Entries)
+	a.mu.Unlock()
+	recycleReply(reply)
+}
+
+// sampleLocked appends min(n, len(view)) distinct random entries to dst:
+// the partial Fisher–Yates Cyclon samples with, one Intn draw per entry
+// picked, over the agent's index scratch. Caller holds mu.
+func (a *Agent) sampleLocked(dst []Entry, n int) []Entry {
+	m := len(a.peers)
+	n = min(n, m)
 	if n <= 0 {
-		return nil
+		return dst
 	}
 	if cap(a.perm) < m {
 		a.perm = make([]int, a.cap)
@@ -277,75 +327,57 @@ func (a *Agent) sampleLocked(n, extra int) []Entry {
 	for i := range idx {
 		idx[i] = i
 	}
-	out := make([]Entry, 0, n+extra)
 	for i := 0; i < n; i++ {
 		j := i + a.rng.Intn(m-i)
 		idx[i], idx[j] = idx[j], idx[i]
-		out = append(out, a.entries[idx[i]])
+		k := idx[i]
+		dst = append(dst, Entry{ID: a.peers[k], Age: int(a.ages[k]), idx1: a.idx1[k]})
 	}
-	return out
+	return dst
 }
 
 // mergeLocked folds received entries in, skipping self and duplicates,
 // evicting oldest entries under capacity pressure. Caller holds mu.
 func (a *Agent) mergeLocked(received []Entry) {
-	a.beginMerge()
-	for _, e := range received {
-		a.addLocked(e)
+	var victims victimCursor
+	for i := range received {
+		e := &received[i]
+		a.addLocked(e.ID, e.idx1, clampAge(e.Age), &victims)
 	}
 }
 
-// beginMerge rebuilds the index and age mirrors addLocked scans and
-// restarts the victim cursor.
-func (a *Agent) beginMerge() {
-	a.idxs, a.ages, a.victims = a.idxs[:0], a.ages[:0], victimCursor[int]{}
-	for i := range a.entries {
-		a.idxs = append(a.idxs, a.entries[i].idx1)
-		a.ages = append(a.ages, a.entries[i].Age)
-	}
-}
-
-// addLocked merges one entry (a copy: the sender may still hold the
-// slice it came from). An entry the universe resolves can only duplicate
-// another resolved entry, so it is compared by index; the rest are
-// compared by identifier against the unresolved entries. A full view
-// takes the entry in place of its oldest one (the first among equals) if
-// that one is no younger. Caller holds mu and has called beginMerge.
-func (a *Agent) addLocked(e Entry) {
-	if e.ID.IsNil() {
+// addLocked merges one entry: peer id at age, carrying index memo idx1.
+// An entry the universe resolves can only duplicate another resolved
+// entry, so it is compared by index; the rest are compared by identifier
+// against the unresolved slots. A full view takes the entry in place of
+// its oldest one (the first among equals, found by the merge's victim
+// cursor) if that one is no younger. Caller holds mu.
+func (a *Agent) addLocked(id ids.NodeID, idx1, age int32, victims *victimCursor) {
+	if id.IsNil() {
 		return
 	}
-	a.resolve(&e)
-	if e.idx1 > 0 {
-		if e.idx1 == a.selfIdx1 {
+	if idx1 = a.resolve(id, idx1); idx1 > 0 {
+		if idx1 == a.selfIdx1 || slices.Contains(a.idx1, idx1) {
 			return
-		}
-		for _, k := range a.idxs {
-			if k == e.idx1 {
-				return
-			}
 		}
 	} else {
-		if e.ID == a.self {
+		if id == a.self {
 			return
 		}
-		for i, k := range a.idxs {
-			if k == 0 && a.entries[i].ID == e.ID {
+		for k, have := range a.idx1 {
+			if have == 0 && a.peers[k] == id {
 				return
 			}
 		}
 	}
-	if len(a.entries) < a.cap {
-		a.entries = append(a.entries, e)
+	if len(a.peers) < a.cap {
+		a.peers = append(a.peers, id)
+		a.idx1 = append(a.idx1, idx1)
+		a.ages = append(a.ages, age)
 		a.memo = append(a.memo, 0)
-		a.idxs = append(a.idxs, e.idx1)
-		a.ages = append(a.ages, e.Age)
 		return
 	}
-	if oldest := a.victims.next(a.ages); a.ages[oldest] >= e.Age {
-		a.entries[oldest] = e
-		a.memo[oldest] = 0
-		a.idxs[oldest] = e.idx1
-		a.ages[oldest] = e.Age
+	if k := victims.next(a.ages); a.ages[k] >= age {
+		a.peers[k], a.idx1[k], a.ages[k], a.memo[k] = id, idx1, age, 0
 	}
 }

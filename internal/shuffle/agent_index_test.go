@@ -1,6 +1,7 @@
 package shuffle_test
 
 import (
+	"math"
 	"math/rand"
 	"slices"
 	"testing"
@@ -25,11 +26,12 @@ type agentPair struct {
 	lastWords [2]map[ids.NodeID]uint64
 }
 
-// refAgent is the agent at its plainest — a partial Fisher–Yates over a
-// fresh index slice on a splitmix64 stream, a string scan per duplicate
-// check, a full oldest-entry scan per eviction — kept as the executable
-// definition of what Agent's index scratch, index compares and age mirror
-// must reproduce, RNG draw for RNG draw.
+// refAgent is the agent at its plainest — rows of entries, a partial
+// Fisher–Yates over a fresh index slice on a splitmix64 stream, a string
+// scan per duplicate check, a full oldest-entry scan per eviction, ages
+// clamped into [0, MaxAge] on receipt and saturating there — kept as the
+// executable definition of what Agent's column view, index compares and
+// victim cursor must reproduce, RNG draw for RNG draw.
 type refAgent struct {
 	self       ids.NodeID
 	cap, shufL int
@@ -58,7 +60,7 @@ func (a *refAgent) tick() (ids.NodeID, []shuffle.Entry, bool) {
 		return ids.Nil, nil, false
 	}
 	for i := range a.entries {
-		a.entries[i].Age++
+		a.entries[i].Age = min(a.entries[i].Age+1, shuffle.MaxAge)
 	}
 	o := a.oldest()
 	peer := a.entries[o].ID
@@ -92,6 +94,7 @@ func (a *refAgent) sample(n int) []shuffle.Entry {
 
 func (a *refAgent) merge(received []shuffle.Entry) {
 	for _, e := range received {
+		e.Age = min(max(e.Age, 0), shuffle.MaxAge)
 		a.add(e)
 	}
 }
@@ -129,16 +132,28 @@ type agentDiff struct {
 	index    map[ids.NodeID]int
 	pairs    []*agentPair
 	up       []bool
-	rng      *rand.Rand // the schedule's own stream
+	// pick(n) makes the schedule's choices in [0, n): a seeded stream in
+	// the tests, the input bytes under fuzzing.
+	pick func(n int) int
+	// held are replies in flight that land after later steps.
+	held []heldReply
 	// words maps every serial the test wrote into an agent's memo word to
 	// the occupant it was written for; memoRng picks the slots.
 	words   map[uint64]ids.NodeID
 	memoRng *rand.Rand
 }
 
-func newAgentDiff(t *testing.T, seed int64) *agentDiff {
+// heldReply is one exchange's reply on all three copies of the responder,
+// on its way back to initiator p.
+type heldReply struct {
+	p, q           *agentPair
+	replyI, replyB *shuffle.Reply
+	replyR         []shuffle.Entry
+}
+
+func newAgentDiff(t *testing.T, seed int64, pick func(n int) int) *agentDiff {
 	t.Helper()
-	d := &agentDiff{t: t, index: map[ids.NodeID]int{}, rng: rand.New(rand.NewSource(seed)),
+	d := &agentDiff{t: t, index: map[ids.NodeID]int{}, pick: pick,
 		words: map[uint64]ids.NodeID{}, memoRng: rand.New(rand.NewSource(seed ^ 0x3e30))}
 	for i := 0; i < agentUniverse; i++ {
 		d.universe = append(d.universe, ids.Synthetic(i))
@@ -192,18 +207,27 @@ type rewrite struct {
 	outsider, known ids.NodeID
 }
 
+// extremeAges are the ages a peer can put on the wire that no honest
+// agent ever holds: each must be clamped on arrival, or the entry would
+// never be picked as partner nor evicted.
+var extremeAges = []int{math.MaxInt, math.MinInt, -1 << 40, 1 << 40, shuffle.MaxAge - 1, shuffle.MaxAge, shuffle.MaxAge + 1}
+
 func (d *agentDiff) drawRewrite(receiver, from ids.NodeID) rewrite {
-	return rewrite{
-		kind:     d.rng.Intn(6),
-		a:        d.rng.Intn(agentLen),
-		ageA:     d.rng.Intn(9) - 2,
+	rw := rewrite{
+		kind:     d.pick(6),
+		a:        d.pick(agentLen),
+		ageA:     d.pick(9) - 2,
 		receiver: receiver,
 		from:     from,
-		relabel:  d.universe[d.rng.Intn(agentUniverse)],
-		stray:    d.universe[agentHosts+d.rng.Intn(agentUniverse-agentHosts)],
-		outsider: d.outside[d.rng.Intn(agentOutside)],
-		known:    d.universe[d.rng.Intn(agentHosts)],
+		relabel:  d.universe[d.pick(agentUniverse)],
+		stray:    d.universe[agentHosts+d.pick(agentUniverse-agentHosts)],
+		outsider: d.outside[d.pick(agentOutside)],
+		known:    d.universe[d.pick(agentHosts)],
 	}
+	if d.pick(4) == 0 {
+		rw.ageA = extremeAges[d.pick(len(extremeAges))]
+	}
+	return rw
 }
 
 func (rw rewrite) apply(t *testing.T, from ids.NodeID, msg any) []shuffle.Entry {
@@ -254,9 +278,9 @@ func (rw rewrite) apply(t *testing.T, from ids.NodeID, msg any) []shuffle.Entry 
 
 func entriesOf(msg any) []shuffle.Entry {
 	switch m := msg.(type) {
-	case shuffle.Request:
+	case *shuffle.Request:
 		return m.Entries
-	case shuffle.Reply:
+	case *shuffle.Reply:
 		return m.Entries
 	}
 	return nil
@@ -371,12 +395,14 @@ func (d *agentDiff) checkOffered(step int, p *agentPair, which int, saw []ids.No
 	}
 }
 
-// exchange runs one shuffle round initiated by pair i on both sides.
+// exchange runs one shuffle round initiated by pair i on all three
+// copies. Every message is handed to the handler that consumes it, as a
+// node does, so the agents' pooled messages recycle through the round.
 func (d *agentDiff) exchange(step, i int) {
 	p := d.pairs[i]
 	d.checkPair(step, p) // records the words the tick must carry
 	// An emptied view re-seeds inside the tick, before the judge runs.
-	seeds := []ids.NodeID{d.universe[d.rng.Intn(agentHosts)], d.outside[d.rng.Intn(agentOutside)]}
+	seeds := []ids.NodeID{d.universe[d.pick(agentHosts)], d.outside[d.pick(agentOutside)]}
 	var sawI, sawB []ids.NodeID
 	toI, reqI, okI := p.idx.TickDiscover(seeds, d.judge(step, p, 0, true, &sawI))
 	toB, reqB, okB := p.byID.TickDiscover(seeds, d.judge(step, p, 1, true, &sawB))
@@ -390,10 +416,18 @@ func (d *agentDiff) exchange(step, i int) {
 	if !okR {
 		p.ref.seed(seeds)
 	}
-	if okI != okB || peerI != peerB || !sameEntries(reqI.Entries, reqB.Entries) ||
-		okI != okR || peerI != peerR || !sameEntries(reqI.Entries, reqR) {
-		d.t.Fatalf("step %d: %v ticks diverge: (%v,%v,%v) vs (%v,%v,%v) vs reference (%v,%v,%v)",
-			step, p.id, peerI, okI, reqI.Entries, peerB, okB, reqB.Entries, peerR, okR, reqR)
+	if okI != okB || peerI != peerB || okI != okR || peerI != peerR || (reqI == nil) != !okI || (reqB == nil) != !okB {
+		d.t.Fatalf("step %d: %v ticks diverge: (%v,%v) vs (%v,%v) vs reference (%v,%v)",
+			step, p.id, peerI, okI, peerB, okB, peerR, okR)
+	}
+	// The removed partner stays on offer, its memo word with it.
+	d.checkOffered(step, p, 0, sawI, peerI)
+	d.checkOffered(step, p, 1, sawB, peerB)
+	if !okI {
+		return
+	}
+	if !sameEntries(reqI.Entries, reqB.Entries) || !sameEntries(reqI.Entries, reqR) {
+		d.t.Fatalf("step %d: %v requests diverge: %v vs %v vs reference %v", step, p.id, reqI.Entries, reqB.Entries, reqR)
 	}
 	// What makes arrival a compare instead of a lookup: everything an
 	// indexed agent offers, its fresh self-entry included, carries its memo.
@@ -402,67 +436,127 @@ func (d *agentDiff) exchange(step, i int) {
 			d.t.Fatalf("step %d: %v offered %v with memo %d, want %d", step, p.id, e.ID, e.Idx1(), want+1)
 		}
 	}
-	// The removed partner stays on offer, its memo word with it.
-	d.checkOffered(step, p, 0, sawI, peerI)
-	d.checkOffered(step, p, 1, sawB, peerB)
-	if !okI {
-		return
-	}
 	want, known := d.index[peerI]
-	if !known || want >= agentHosts || !d.up[want] {
-		return // outsider, stray or churned-out partner: the request is lost
+	if !known || want >= agentHosts || !d.up[want] || d.pick(10) == 0 {
+		return // outsider, stray, churned-out partner or lost: the request is garbage
 	}
 	q := d.pairs[want]
 	rw := d.drawRewrite(q.id, p.id)
-	replyI := q.idx.HandleRequest(p.id, shuffle.Request{Entries: rw.apply(d.t, p.id, reqI)})
-	replyB := q.byID.HandleRequest(p.id, shuffle.Request{Entries: rw.apply(d.t, p.id, reqB)})
-	replyR := q.ref.handleRequest(rw.apply(d.t, p.id, shuffle.Request{Entries: reqR}))
+	reqI.Entries = rw.apply(d.t, p.id, reqI)
+	reqB.Entries = rw.apply(d.t, p.id, reqB)
+	replyI := q.idx.HandleRequest(p.id, reqI)
+	replyB := q.byID.HandleRequest(p.id, reqB)
+	replyR := q.ref.handleRequest(rw.apply(d.t, p.id, &shuffle.Request{Entries: reqR}))
 	if !sameEntries(replyI.Entries, replyB.Entries) || !sameEntries(replyI.Entries, replyR) {
 		d.t.Fatalf("step %d: %v replies diverge: %v vs %v vs reference %v",
 			step, q.id, replyI.Entries, replyB.Entries, replyR)
 	}
 	d.checkPair(step, q)
-	if d.rng.Intn(8) == 0 {
-		return // reply lost
+	r := heldReply{p: p, q: q, replyI: replyI, replyB: replyB, replyR: replyR}
+	switch d.pick(8) {
+	case 0: // reply lost
+	case 1: // in flight past later steps
+		d.held = append(d.held, r)
+	default:
+		d.deliver(step, r)
 	}
-	rw = d.drawRewrite(p.id, q.id)
-	p.idx.HandleReply(q.id, shuffle.Reply{Entries: rw.apply(d.t, q.id, replyI)})
-	p.byID.HandleReply(q.id, shuffle.Reply{Entries: rw.apply(d.t, q.id, replyB)})
-	p.ref.merge(rw.apply(d.t, q.id, shuffle.Reply{Entries: replyR}))
-	d.checkPair(step, p)
+}
+
+// deliver hands one reply to the initiator's three copies, unless the
+// initiator has churned out meanwhile.
+func (d *agentDiff) deliver(step int, r heldReply) {
+	if !d.up[slices.Index(d.pairs, r.p)] {
+		return
+	}
+	rw := d.drawRewrite(r.p.id, r.q.id)
+	r.replyI.Entries = rw.apply(d.t, r.q.id, r.replyI)
+	r.replyB.Entries = rw.apply(d.t, r.q.id, r.replyB)
+	r.p.idx.HandleReply(r.q.id, r.replyI)
+	r.p.byID.HandleReply(r.q.id, r.replyB)
+	r.p.ref.merge(rw.apply(d.t, r.q.id, &shuffle.Reply{Entries: r.replyR}))
+	d.checkPair(step, r.p)
+}
+
+// step applies one schedule operation: churn, a held reply landing, or
+// an exchange initiated by an online host.
+func (d *agentDiff) step(step int) {
+	switch op := d.pick(25); {
+	case op == 0:
+		h := d.pick(agentHosts)
+		d.up[h] = !d.up[h]
+	case op == 1 && len(d.held) > 0:
+		k := d.pick(len(d.held))
+		r := d.held[k]
+		d.held = slices.Delete(d.held, k, k+1)
+		d.deliver(step, r)
+	default:
+		if i := d.pick(agentHosts); d.up[i] {
+			d.exchange(step, i)
+		}
+	}
+}
+
+// finish checks every pair once more and requires the three copies of
+// each host to be about to draw the same random number.
+func (d *agentDiff) finish(step int) {
+	d.t.Helper()
+	for _, p := range d.pairs {
+		d.checkPair(step, p)
+		if a, b, r := p.idx.NextDraw(), p.byID.NextDraw(), p.ref.rng.Int63(); a != b || a != r {
+			d.t.Fatalf("%v RNG streams diverged: %d vs %d vs reference %d", p.id, a, b, r)
+		}
+	}
 }
 
 // TestAgentIndexedMatchesIdentifierOnly is the differential test for
 // UseIndex: indexed and identifier-only agents (and the reference model
 // they both replaced) from one seed, driven
-// through Seed/Tick/HandleRequest/HandleReply with churned partners and
-// tampered messages — entries that lost their memo over a JSON hop,
-// entries outside the universe, nil identifiers, self-advertising
-// senders, duplicates, and an entry re-labelled with another identifier
-// while keeping its memo — must agree on every view, request, reply and
-// on the next RNG draw.
+// through Seed/TickDiscover/HandleRequest/HandleReply with churned
+// partners, lost and late replies, and tampered messages — entries that
+// lost their memo over a JSON hop, entries outside the universe, nil
+// identifiers, self-advertising senders, duplicates, extreme ages, and an
+// entry re-labelled with another identifier while keeping its memo —
+// must agree on every view, request, reply and on the next RNG draw.
 func TestAgentIndexedMatchesIdentifierOnly(t *testing.T) {
 	for _, seed := range []int64{1, 2, 3} {
-		d := newAgentDiff(t, seed)
+		d := newAgentDiff(t, seed, rand.New(rand.NewSource(seed)).Intn)
 		for _, p := range d.pairs {
 			d.checkPair(-1, p)
 		}
 		for step := 0; step < 4000; step++ {
-			if d.rng.Intn(25) == 0 {
-				h := d.rng.Intn(agentHosts)
-				d.up[h] = !d.up[h]
-			}
-			if i := d.rng.Intn(agentHosts); d.up[i] {
-				d.exchange(step, i)
-			}
+			d.step(step)
 		}
-		for _, p := range d.pairs {
-			d.checkPair(4000, p)
-			if a, b, r := p.idx.NextDraw(), p.byID.NextDraw(), p.ref.rng.Int63(); a != b || a != r {
-				t.Fatalf("seed %d: %v RNG streams diverged: %d vs %d vs reference %d", seed, p.id, a, b, r)
-			}
-		}
+		d.finish(4000)
 	}
+}
+
+// FuzzAgentSchedule drives the agentPair harness through a schedule
+// decoded from the input: byte 0 seeds the agents, and every later byte
+// answers one choice of the schedule — churn, exchanges whose request or
+// reply is dropped, replies that land after later ticks, and rewrites
+// that carry extreme ages. The oracle is the differential check after
+// every handler call. Seed corpus: testdata/fuzz/FuzzAgentSchedule.
+func FuzzAgentSchedule(f *testing.F) {
+	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16})
+	f.Add([]byte{2, 1, 0, 200, 7, 1, 1, 3, 4, 0, 3, 1, 9, 9, 1, 0, 2, 5})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 1 {
+			return
+		}
+		choices := data[1:min(len(data), 4096)]
+		d := newAgentDiff(t, int64(data[0]), func(n int) int {
+			if len(choices) == 0 {
+				return 0
+			}
+			b := choices[0]
+			choices = choices[1:]
+			return int(b) % n
+		})
+		for step := 0; len(choices) > 0; step++ {
+			d.step(step)
+		}
+		d.finish(-1)
+	})
 }
 
 // TestAgentRelabelledEntryIsReResolved pins the one place the agent must
@@ -499,7 +593,7 @@ func TestAgentRelabelledEntryIsReResolved(t *testing.T) {
 	}
 	dst.UseIndex(universe, indexOf)
 	dst.Seed([]ids.NodeID{"a"})
-	dst.HandleReply("c", shuffle.Reply{Entries: []shuffle.Entry{forged}})
+	dst.HandleReply("c", &shuffle.Reply{Entries: []shuffle.Entry{forged}})
 	view := dst.Snapshot()
 	if len(view) != 2 || view[0].ID != "a" || view[1].ID != "b" {
 		t.Fatalf("view = %+v, want [a b]", view)

@@ -1,9 +1,9 @@
 package shuffle
 
 import (
+	"math"
 	"math/rand"
 	"slices"
-	"sync"
 	"testing"
 
 	"avmem/internal/ids"
@@ -185,72 +185,6 @@ func TestAgentSelfEntryPropagates(t *testing.T) {
 	}
 }
 
-func TestAgentConcurrentSafety(t *testing.T) {
-	a, err := NewAgent("self", 16, 4, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	peers := make([]ids.NodeID, 32)
-	for i := range peers {
-		peers[i] = ids.Synthetic(i + 1)
-	}
-	a.Seed(peers)
-	// Indexed, so the race detector also sees the resolver, the scratch
-	// permutation and the merge mirrors under concurrent callers.
-	a.UseIndex(peers, func(id ids.NodeID) int {
-		for i, p := range peers {
-			if p == id {
-				return i
-			}
-		}
-		return -1
-	})
-	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for i := 0; i < 100; i++ {
-				switch g % 4 {
-				case 0:
-					// The partner a tick removes must reach the round's judge
-					// whatever merges the other goroutines squeeze in: the
-					// tick and the verdict are one critical section.
-					var offered ids.NodeID
-					peer, _, ok := a.TickDiscover(nil, func(codes []int32, memo []uint64, strays []ids.NodeID) int {
-						if k := len(codes) - 1; k < 0 {
-							offered = ids.Nil
-						} else if c := codes[k]; c >= 0 {
-							offered = peers[c]
-						} else {
-							offered = strays[^c]
-						}
-						return 0
-					})
-					if ok && offered != peer.ID() {
-						t.Errorf("tick removed partner %v, the judge's last candidate was %v", peer, offered)
-					}
-				case 1:
-					a.HandleRequest("x", Request{Entries: []Entry{{ID: ids.Synthetic(i)}}})
-				case 2:
-					a.HandleReply("y", Reply{Entries: []Entry{{ID: ids.Synthetic(i + 500)}}})
-				default:
-					a.View()
-					// Discovery rewrites memo words under the agent's lock
-					// while ticks and merges shift and zero them.
-					a.Discover(func(codes []int32, memo []uint64, strays []ids.NodeID) int {
-						for k := range memo {
-							memo[k] = uint64(i + 1)
-						}
-						return len(codes) + len(strays)
-					})
-				}
-			}
-		}(g)
-	}
-	wg.Wait()
-}
-
 // countingSource counts the draws a rand.Rand takes from the stream under
 // it.
 type countingSource struct {
@@ -278,11 +212,13 @@ func TestAgentSampleIsPartialFisherYates(t *testing.T) {
 	a.rng = rand.New(src)
 	for _, n := range []int{0, 1, 3, view - 1, view, view + 5} {
 		before := src.draws
-		out := a.sampleLocked(n, 1)
+		// The sample is appended behind what the message already holds.
+		out := a.sampleLocked([]Entry{{ID: "kept"}}, n)
 		want := min(n, view)
-		if len(out) != want || (want > 0 && cap(out) != want+1) {
-			t.Fatalf("sample(%d) = %d entries with room for %d, want %d with room for %d", n, len(out), cap(out), want, want+1)
+		if len(out) != 1+want || out[0].ID != "kept" {
+			t.Fatalf("sample(%d) = %v, want the kept entry and %d sampled", n, out, want)
 		}
+		out = out[1:]
 		if draws := src.draws - before; draws != want {
 			t.Errorf("sample(%d) took %d draws, want %d", n, draws, want)
 		}
@@ -299,7 +235,7 @@ func TestAgentSampleIsPartialFisherYates(t *testing.T) {
 	const trials, n = 20000, 3
 	picks := map[ids.NodeID]int{}
 	for i := 0; i < trials; i++ {
-		for _, e := range a.sampleLocked(n, 0) {
+		for _, e := range a.sampleLocked(nil, n) {
 			picks[e.ID]++
 		}
 	}
@@ -332,5 +268,59 @@ func TestAgentDrawsTheSplitMix64Stream(t *testing.T) {
 		if got, want := a.NextDraw(), int64(z>>1); got != want {
 			t.Fatalf("draw %d = %d, want splitmix64's %d", i, got, want)
 		}
+	}
+}
+
+// TestReceivedAgeCannotPinAnEntry: an age off the wire is clamped into
+// [0, maxAge] on arrival and ageing saturates there, so an entry carrying
+// an age no honest agent holds — one that would wrap to the bottom of the
+// int range on the next tick, or one far below zero — is still picked as
+// partner within a view's worth of ticks of honest traffic. Cyclon bounds
+// what a Tap hands back the same way.
+func TestReceivedAgeCannotPinAnEntry(t *testing.T) {
+	const view = 4
+	for _, age := range []int{math.MaxInt, math.MinInt, -1 << 40, 1 << 40, -1, maxAge + 1} {
+		a, err := NewAgent("self", view, 2, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		a.Seed([]ids.NodeID{"p0", "p1", "p2"})
+		reply := NewReply()
+		reply.Entries = append(reply.Entries, Entry{ID: "pinned", Age: age})
+		a.HandleReply("p0", reply)
+		if !slices.Contains(a.View(), "pinned") {
+			t.Fatalf("age %d: the entry never entered the view %v", age, a.View())
+		}
+		fresh := 0
+		for tick := 1; ; tick++ {
+			peer, _, ok := a.Tick()
+			if !ok {
+				t.Fatalf("age %d: the view emptied", age)
+			}
+			if peer == "pinned" {
+				break
+			}
+			if tick > view {
+				t.Fatalf("age %d: still not partnered after %d ticks, view %v", age, tick, a.View())
+			}
+			// The partner answers with a fresh peer, as honest traffic does.
+			reply := NewReply()
+			reply.Entries = append(reply.Entries, Entry{ID: ids.Synthetic(fresh)})
+			fresh++
+			a.HandleReply(peer, reply)
+		}
+		for _, got := range a.Snapshot() {
+			if got.Age < 0 || got.Age > maxAge {
+				t.Fatalf("age %d: the view holds %v at age %d", age, got.ID, got.Age)
+			}
+		}
+		if got := clampAge(age); got < 0 || got > maxAge {
+			t.Fatalf("Cyclon would store age %d as %d", age, got)
+		}
+	}
+	c := boundCyclon(t, 4, 2, 1, synthetic(4), nil)
+	in := c.received([]Entry{{ID: ids.Synthetic(1), Age: math.MinInt}, {ID: ids.Synthetic(2), Age: math.MaxInt}})
+	if !slices.Equal(in.ages, []int32{0, maxAge}) {
+		t.Fatalf("Cyclon packed received ages %v, want [0 %d]", in.ages, maxAge)
 	}
 }

@@ -16,9 +16,9 @@ import (
 
 // refView is one node's bounded coarse view in the reference model.
 type refView struct {
-	self    ids.NodeID
-	cap     int
-	entries []Entry
+	self ids.NodeID
+	cap  int
+	rows []Entry
 	// idx1 memoizes self's dense host index plus one, as Entry.idx1 does.
 	idx1 int32
 }
@@ -26,16 +26,27 @@ type refView struct {
 // holdsID reports whether an entry of v names id — the identifier
 // fallback for received entries the index cannot resolve.
 func (v *refView) holdsID(id ids.NodeID) bool {
-	for i := range v.entries {
-		if v.entries[i].ID == id {
+	for i := range v.rows {
+		if v.rows[i].ID == id {
 			return true
 		}
 	}
 	return false
 }
 
-// refOldestAge is oldestIndex over a compact mirror of the entries' ages:
-// the first position holding the greatest age.
+// refOldest returns the first position among the entries holding the
+// greatest age.
+func refOldest(entries []Entry) int {
+	oldest := 0
+	for i := 1; i < len(entries); i++ {
+		if entries[i].Age > entries[oldest].Age {
+			oldest = i
+		}
+	}
+	return oldest
+}
+
+// refOldestAge is refOldest over a compact mirror of the entries' ages.
 func refOldestAge(ages []int) int {
 	oldest := 0
 	for j := 1; j < len(ages); j++ {
@@ -122,7 +133,7 @@ func newRefCyclon(viewSize, shuffleLen int, online func(ids.NodeID) bool, rng *r
 func (c *refCyclon) Join(x ids.NodeID, seeds []ids.NodeID) {
 	v := c.views[x]
 	if v == nil {
-		v = &refView{self: x, cap: c.viewSize, entries: make([]Entry, 0, c.viewSize)}
+		v = &refView{self: x, cap: c.viewSize, rows: make([]Entry, 0, c.viewSize)}
 		c.views[x] = v
 		if c.indexOf != nil {
 			c.indexView(v)
@@ -219,8 +230,8 @@ func (c *refCyclon) View(x ids.NodeID) []ids.NodeID {
 	if v == nil {
 		return nil
 	}
-	out := make([]ids.NodeID, len(v.entries))
-	for i, e := range v.entries {
+	out := make([]ids.NodeID, len(v.rows))
+	for i, e := range v.rows {
 		out[i] = e.ID
 	}
 	return out
@@ -248,28 +259,28 @@ func (c *refCyclon) tick(vx *refView) {
 	if !c.viewOnline(vx) {
 		return
 	}
-	for i := range vx.entries {
-		vx.entries[i].Age++
+	for i := range vx.rows {
+		vx.rows[i].Age++
 	}
 	// Partner = the oldest entry whose node is online.
 	for {
 		partner := -1
-		for i := range vx.entries {
-			e := &vx.entries[i]
+		for i := range vx.rows {
+			e := &vx.rows[i]
 			if !c.entryOnline(e) {
 				continue
 			}
-			if partner < 0 || e.Age > vx.entries[partner].Age {
+			if partner < 0 || e.Age > vx.rows[partner].Age {
 				partner = i
 			}
 		}
 		if partner < 0 {
 			return // no online partner this round
 		}
-		vq := c.viewOf(&vx.entries[partner])
+		vq := c.viewOf(&vx.rows[partner])
 		if vq == nil {
 			// Unregistered stray (seeded but never joined): drop, rescan.
-			vx.entries = append(vx.entries[:partner], vx.entries[partner+1:]...)
+			vx.rows = append(vx.rows[:partner], vx.rows[partner+1:]...)
 			continue
 		}
 		c.exchange(vx, vq, partner)
@@ -285,7 +296,7 @@ func (c *refCyclon) SetTap(t *Tap) { c.tap = t }
 func (c *refCyclon) exchange(vx, vq *refView, qIdx int) {
 	// The initiator discards its entry for the responder and sends a
 	// fresh self-entry plus up to shuffleLen-1 random others.
-	vx.entries = append(vx.entries[:qIdx], vx.entries[qIdx+1:]...)
+	vx.rows = append(vx.rows[:qIdx], vx.rows[qIdx+1:]...)
 	c.outX = c.sampleEntries(c.outX[:0], vx, c.shuffleLen-1)
 	c.outX = append(c.outX, Entry{ID: vx.self, Age: 0, idx1: vx.idx1})
 
@@ -341,7 +352,7 @@ func (c *refCyclon) tapInbound(receiver, sender ids.NodeID, reply bool, entries 
 // sampleEntries appends up to n distinct random entries from v to dst
 // via a partial Fisher–Yates over a reusable index scratch.
 func (c *refCyclon) sampleEntries(dst []Entry, v *refView, n int) []Entry {
-	m := len(v.entries)
+	m := len(v.rows)
 	if n > m {
 		n = m
 	}
@@ -358,7 +369,7 @@ func (c *refCyclon) sampleEntries(dst []Entry, v *refView, n int) []Entry {
 	for i := 0; i < n; i++ {
 		j := i + c.rng.Intn(m-i)
 		idx[i], idx[j] = idx[j], idx[i]
-		dst = append(dst, v.entries[idx[i]])
+		dst = append(dst, v.rows[idx[i]])
 	}
 	return dst
 }
@@ -383,8 +394,8 @@ func (c *refCyclon) merge(v *refView, received []Entry, seeding bool) {
 		c.mark(int(v.idx1 - 1))
 	}
 	ages := c.ages[:0]
-	for i := range v.entries {
-		e := &v.entries[i]
+	for i := range v.rows {
+		e := &v.rows[i]
 		if e.idx1 == 0 {
 			c.resolveEntry(e)
 		}
@@ -398,6 +409,9 @@ func (c *refCyclon) merge(v *refView, received []Entry, seeding bool) {
 		if e.ID.IsNil() {
 			continue
 		}
+		if !seeding { // an exchange's entries came back from a Tap
+			e.Age = min(max(e.Age, 0), maxAge)
+		}
 		c.resolveEntry(&e)
 		if e.idx1 > 0 {
 			h := int(e.idx1 - 1)
@@ -410,18 +424,18 @@ func (c *refCyclon) merge(v *refView, received []Entry, seeding bool) {
 		} else if e.ID == v.self || v.holdsID(e.ID) || (!seeding && c.views[e.ID] == nil) {
 			continue
 		}
-		if len(v.entries) < v.cap {
-			v.entries = append(v.entries, e)
+		if len(v.rows) < v.cap {
+			v.rows = append(v.rows, e)
 			ages = append(ages, e.Age)
 		} else {
 			oldest := refOldestAge(ages)
 			if !seeding && ages[oldest] < e.Age {
 				continue
 			}
-			if out := v.entries[oldest].idx1; out > 0 {
+			if out := v.rows[oldest].idx1; out > 0 {
 				c.stamp[out-1] = 0 // gen is never 0
 			}
-			v.entries[oldest] = e
+			v.rows[oldest] = e
 			ages[oldest] = e.Age
 		}
 		if e.idx1 > 0 {

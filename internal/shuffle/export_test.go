@@ -10,7 +10,11 @@ import "avmem/internal/ids"
 func (a *Agent) Snapshot() []Entry {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	return append([]Entry(nil), a.entries...)
+	out := make([]Entry, len(a.peers))
+	for k := range out {
+		out[k] = Entry{ID: a.peers[k], Age: int(a.ages[k]), idx1: a.idx1[k]}
+	}
+	return out
 }
 
 // NextDraw consumes and returns the agent's next RNG draw.
@@ -29,5 +33,8 @@ func (e Entry) Idx1() int32 { return e.idx1 }
 func (a *Agent) Discover(judge func(codes []int32, memo []uint64, strays []ids.NodeID) int) int {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	return a.judgeLocked(len(a.entries), judge)
+	return a.judgeLocked(len(a.peers), judge)
 }
+
+// MaxAge is the bound received ages are clamped to and ageing saturates at.
+const MaxAge = maxAge

@@ -271,7 +271,7 @@ func TestIndexedCyclonMatchesIdentifierCyclon(t *testing.T) {
 }
 
 // refMerge is the specification merge is checked against: the plain
-// quadratic fold — identifier scan for duplicates, oldestIndex over the
+// quadratic fold — identifier scan for duplicates, a full scan of the
 // entries for the victim (first position among the greatest ages).
 func refMerge(self ids.NodeID, capacity int, entries, received []Entry, registered func(ids.NodeID) bool, seeding bool) []Entry {
 	for _, e := range received {
@@ -281,9 +281,12 @@ func refMerge(self ids.NodeID, capacity int, entries, received []Entry, register
 		if !seeding && !registered(e.ID) {
 			continue
 		}
+		if !seeding { // received from a Tap: the age is clamped
+			e.Age = min(max(e.Age, 0), maxAge)
+		}
 		if len(entries) < capacity {
 			entries = append(entries, e)
-		} else if o := oldestIndex(entries); seeding || entries[o].Age >= e.Age {
+		} else if o := refOldest(entries); seeding || entries[o].Age >= e.Age {
 			entries[o] = e
 		}
 	}

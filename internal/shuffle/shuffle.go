@@ -11,7 +11,14 @@
 //   - Cyclon runs the protocol for a whole simulated population at once,
 //     addressing every node by its dense index in a host universe bound
 //     before the first Join.
-//   - Agent runs it inside one live node, over a real transport.
+//   - Agent runs it inside one live node, over a real transport,
+//     exchanging *Request and *Reply messages.
+//
+// Both store a view as parallel columns (peer, age, the owner's memo
+// word), not as rows of Entry: Entry is the wire form, and the form a Tap
+// sees. Exchange messages are recycled: the handler that merges a
+// message consumes it and returns it to a pool (see NewRequest). Ages
+// that arrive from outside are clamped into [0, maxAge].
 //
 // Architecture: DESIGN.md §7 (monitoring and shuffling services).
 package shuffle
@@ -24,8 +31,9 @@ import (
 )
 
 // Entry is one coarse-view slot on the wire: a peer and its CYCLON age.
-// It is what an Agent stores and what crosses a Tap; Cyclon keeps its
-// views packed (see view) and builds entries only at the Tap boundary.
+// It is what exchange messages carry and what crosses a Tap; Cyclon and
+// Agent keep their views in columns and build entries only at those
+// boundaries.
 type Entry struct {
 	ID  ids.NodeID
 	Age int
@@ -76,11 +84,18 @@ func (o *offer) add(code, age int32) {
 // memoChunk is how many views' memo words one slab allocation holds.
 const memoChunk = 512
 
-// maxAge bounds the ages Cyclon stores: an Entry.Age beyond ±maxAge
-// saturates there on its way in from a Tap, which leaves 2^30 protocol
-// periods of ageing before an int32 could wrap. No in-tree behaviour sets
-// an age at all — honest ages start at 0 and grow by one per period.
+// maxAge bounds the ages a view stores. An Entry.Age received from
+// outside — off a wire into an Agent, or back from a Tap into Cyclon — is
+// clamped into [0, maxAge]: an age below 0 would never be picked as
+// partner nor evicted, and one near the int range would wrap on the next
+// tick to the same effect, pinning the entry in an honest view. The
+// Agent's ageing saturates at maxAge; Cyclon's leaves 2^30 protocol
+// periods before an int32 could wrap. No in-tree behaviour sets an age at
+// all — honest ages start at 0 and grow by one per period.
 const maxAge = 1 << 30
+
+// clampAge returns a received age as a view stores it.
+func clampAge(age int) int32 { return int32(min(max(age, 0), maxAge)) }
 
 // Cyclon runs the age-based shuffling protocol across a set of nodes.
 // It is driven explicitly: the simulation calls TickIdx once per
@@ -436,7 +451,7 @@ func (c *Cyclon) entries(o *offer) []Entry {
 // received packs the entries a Tap let through for an exchange merge.
 // They come from outside: each is coded from its identifier — the memo
 // only saves the lookup when the host table confirms it names that
-// identifier — and ages saturate at ±maxAge. Nil identifiers are
+// identifier — and ages are clamped into [0, maxAge]. Nil identifiers are
 // dropped, and so, counted, is an identifier outside the universe.
 func (c *Cyclon) received(entries []Entry) *offer {
 	c.recv.reset()
@@ -453,7 +468,7 @@ func (c *Cyclon) received(entries []Entry) *offer {
 				continue
 			}
 		}
-		c.recv.add(code, int32(min(max(e.Age, -maxAge), maxAge)))
+		c.recv.add(code, clampAge(e.Age))
 	}
 	return &c.recv
 }
@@ -515,7 +530,7 @@ func (c *Cyclon) merge(v *view, received *offer, seeding bool) {
 	for _, code := range v.codes {
 		c.stamp[code] = c.gen
 	}
-	var victims victimCursor[int32]
+	var victims victimCursor
 	for i, code := range received.codes {
 		age := received.ages[i]
 		if c.stamp[code] == c.gen {

@@ -1,16 +1,5 @@
 package shuffle
 
-// oldestIndex returns the index of the entry with the greatest age.
-func oldestIndex(entries []Entry) int {
-	oldest := 0
-	for i := 1; i < len(entries); i++ {
-		if entries[i].Age > entries[oldest].Age {
-			oldest = i
-		}
-	}
-	return oldest
-}
-
 // victimCursor finds the successive eviction victims of one merge into a
 // full view: each call to next returns the first position holding the
 // greatest age, as a fresh scan would. The zero value starts a merge.
@@ -28,15 +17,15 @@ func oldestIndex(entries []Entry) int {
 // happens only when the level has no position left, so a merge of l
 // entries into a view of v costs O(v + l) while a level lasts, against
 // O(v·l) for a scan per eviction.
-type victimCursor[A int | int32] struct {
-	level A
+type victimCursor struct {
+	level int32
 	pos   int
 	valid bool
 }
 
 // next returns the position of the current victim in ages, which must be
 // non-empty.
-func (vc *victimCursor[A]) next(ages []A) int {
+func (vc *victimCursor) next(ages []int32) int {
 	if vc.valid {
 		level := vc.level
 		for j := vc.pos; j < len(ages); j++ {

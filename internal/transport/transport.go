@@ -74,9 +74,9 @@ func Encode(from ids.NodeID, msg any) (Envelope, error) {
 		kind = KindAggReply
 	case ops.AggResultMsg:
 		kind = KindAggResult
-	case shuffle.Request:
+	case *shuffle.Request:
 		kind = KindShuffleRequest
-	case shuffle.Reply:
+	case *shuffle.Reply:
 		kind = KindShuffleReply
 	default:
 		return Envelope{}, fmt.Errorf("transport: unsupported message type %T", msg)
@@ -104,9 +104,9 @@ func Decode(env Envelope) (any, error) {
 	case KindAggResult:
 		return decode[ops.AggResultMsg](env)
 	case KindShuffleRequest:
-		return decode[shuffle.Request](env)
+		return decodeRef[shuffle.Request](env)
 	case KindShuffleReply:
-		return decode[shuffle.Reply](env)
+		return decodeRef[shuffle.Reply](env)
 	default:
 		return nil, fmt.Errorf("transport: unknown message kind %q", env.Kind)
 	}
@@ -116,6 +116,16 @@ func Decode(env Envelope) (any, error) {
 func decode[M any](env Envelope) (any, error) {
 	var m M
 	if err := json.Unmarshal(env.Body, &m); err != nil {
+		return nil, fmt.Errorf("transport: decoding %s: %w", env.Kind, err)
+	}
+	return m, nil
+}
+
+// decodeRef is decode for a message that travels by pointer (the
+// shuffle exchange messages).
+func decodeRef[M any](env Envelope) (any, error) {
+	m := new(M)
+	if err := json.Unmarshal(env.Body, m); err != nil {
 		return nil, fmt.Errorf("transport: decoding %s: %w", env.Kind, err)
 	}
 	return m, nil

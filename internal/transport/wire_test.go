@@ -23,8 +23,8 @@ func wireSamples() []any {
 		sampleAnycast(),
 		sampleMulticast(),
 		ops.DeliveredMsg{ID: ops.MsgID{Origin: "10.0.0.1:4000", Seq: 9}, Hops: 3},
-		shuffle.Request{Entries: []shuffle.Entry{{ID: "10.0.0.3:4000", Age: 2}}, SenderAvail: 0.4},
-		shuffle.Reply{Entries: []shuffle.Entry{{ID: "10.0.0.4:4000"}}, SenderAvail: 0.7},
+		&shuffle.Request{Entries: []shuffle.Entry{{ID: "10.0.0.3:4000", Age: 2}}, SenderAvail: 0.4},
+		&shuffle.Reply{Entries: []shuffle.Entry{{ID: "10.0.0.4:4000"}}, SenderAvail: 0.7},
 		ops.AggMsg{ID: ops.MsgID{Origin: "10.0.0.6:4000", Seq: 5},
 			Spec:  ops.AggregateSpec{Op: agg.Avg, Band: ops.Band{Lo: 0.2, Hi: 0.6}, Flavor: core.VSOnly, Salt: 77},
 			Depth: 1, SentAt: time.Second, SenderAvail: 0.4},
