@@ -54,6 +54,38 @@ const two63 = float64(1 << 63)
 // boundary ambiguity. The function is pure: it depends only on the two
 // identifiers.
 func PairHash(x, y NodeID) float64 {
+	// Keep 63 bits: guarantees a value strictly below 1.0 after division.
+	return float64(pairDigest64(x, y)>>1) / two63
+}
+
+// oneBlock is the longest message one padded SHA-256 block holds: 64
+// bytes less the 0x80 terminator and the 8-byte bit length.
+const oneBlock = 55
+
+// pairDigest64 returns the first 8 bytes, big-endian, of
+// SHA-256(len(x)‖x‖len(y)‖y) with 32-bit big-endian lengths. Every
+// simulated identifier and every IPv4 host:port pair fits one block;
+// on a CPU with SHA-NI such a pair is padded here and compressed by
+// the assembly kernel, skipping the generic digest's buffering and
+// padding. Everything else takes pairDigestSum. Both give the same bits.
+func pairDigest64(x, y NodeID) uint64 {
+	n := 8 + len(x) + len(y)
+	if !useSHANI || n > oneBlock {
+		return pairDigestSum(x, y)
+	}
+	var b [64]byte
+	binary.BigEndian.PutUint32(b[:], uint32(len(x)))
+	copy(b[4:], x)
+	binary.BigEndian.PutUint32(b[4+len(x):], uint32(len(y)))
+	copy(b[8+len(x):], y)
+	b[n] = 0x80
+	binary.BigEndian.PutUint64(b[56:], uint64(n)<<3)
+	return pairBlockSHANI(&b)
+}
+
+// pairDigestSum is pairDigest64 through sha256.Sum256: the path for any
+// length and any CPU, and the reference the kernel is tested against.
+func pairDigestSum(x, y NodeID) uint64 {
 	// One-shot digest over a stack buffer: identical byte stream (and
 	// therefore identical hash values) to the streaming construction,
 	// without the per-call digest and sum allocations. Simulated and
@@ -70,9 +102,7 @@ func PairHash(x, y NodeID) float64 {
 	buf = binary.BigEndian.AppendUint32(buf, uint32(len(y)))
 	buf = append(buf, y...)
 	sum := sha256.Sum256(buf)
-	// Keep 63 bits: guarantees a value strictly below 1.0 after division.
-	v := binary.BigEndian.Uint64(sum[:8]) >> 1
-	return float64(v) / two63
+	return binary.BigEndian.Uint64(sum[:8])
 }
 
 // SelfHash returns a normalized hash of a single identifier in [0,1).

@@ -268,7 +268,7 @@ func TestTCPUnregisterMidFlight(t *testing.T) {
 	}
 	tr := NewTCP(200*time.Millisecond, time.Second)
 	defer tr.Close()
-	self := ids.NodeID("127.0.0.1:39412")
+	self := tcp.addr()
 	handler := func(ids.NodeID, any) {}
 	if err := tr.Register(self, handler); err != nil {
 		t.Fatal(err)

@@ -2,6 +2,7 @@ package transport
 
 import (
 	"fmt"
+	"net"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -114,8 +115,21 @@ type fabric struct {
 	addr func() ids.NodeID
 }
 
-// lastAddr numbers the addresses handed out so no two cases share a port.
+// lastAddr numbers the memory fabric's addresses so no two cases share one.
 var lastAddr atomic.Int32
+
+// freeLoopbackAddr returns a loopback address on a port the kernel has
+// just reported free: it listens on port 0, reads the port and closes.
+// A fixed port inside the ephemeral range (32768–60999 on Linux) can be
+// held at any time by an outbound connection's local end.
+func freeLoopbackAddr() ids.NodeID {
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		panic(fmt.Sprintf("no free loopback port: %v", err))
+	}
+	defer l.Close()
+	return ids.NodeID(l.Addr().String())
+}
 
 // The contract cases below run on both fabrics. memory is Memnet on its
 // built-in wall clock — what avmem.NewMemoryTransport hands out — with a
@@ -127,7 +141,7 @@ var (
 	}
 	tcp = fabric{
 		open: func() Transport { return NewTCP(200*time.Millisecond, time.Second) },
-		addr: func() ids.NodeID { return ids.NodeID(fmt.Sprintf("127.0.0.1:%d", 39400+lastAddr.Add(1))) },
+		addr: freeLoopbackAddr,
 	}
 )
 
