@@ -1,6 +1,7 @@
 package main
 
 import (
+	"net"
 	"os"
 	"path/filepath"
 	"testing"
@@ -15,6 +16,25 @@ func writePeersFile(t *testing.T, content string) string {
 		t.Fatal(err)
 	}
 	return path
+}
+
+// freeLoopbackAddrs returns n distinct loopback addresses on ports the
+// kernel has just reported free: each listens on port 0 and reads the
+// port, and all close once every port is read. A fixed port inside the
+// ephemeral range (32768–60999 on Linux) can be held at any time by an
+// outbound connection's local end.
+func freeLoopbackAddrs(t *testing.T, n int) []string {
+	t.Helper()
+	addrs := make([]string, n)
+	for i := range addrs {
+		l, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatalf("no free loopback port: %v", err)
+		}
+		defer l.Close()
+		addrs[i] = l.Addr().String()
+	}
+	return addrs
 }
 
 func TestLoadPeers(t *testing.T) {
@@ -103,14 +123,15 @@ func TestRunAnycastEndToEnd(t *testing.T) {
 	if testing.Short() {
 		t.Skip("binds TCP ports")
 	}
-	peersContent := "127.0.0.1:39601 0.30\n127.0.0.1:39602 0.92\n"
-	path := writePeersFile(t, peersContent)
+	addrs := freeLoopbackAddrs(t, 2)
+	initiator, responder := addrs[0], addrs[1]
+	path := writePeersFile(t, initiator+" 0.30\n"+responder+" 0.92\n")
 
 	// Start the high-availability responder in the background.
 	done := make(chan error, 1)
 	go func() {
 		done <- run([]string{
-			"-listen", "127.0.0.1:39602", "-peers", path,
+			"-listen", responder, "-peers", path,
 			"-period", "100ms",
 			"-anycast", "0.85,0.95", "-wait", "1s",
 		})
@@ -119,7 +140,7 @@ func TestRunAnycastEndToEnd(t *testing.T) {
 	// And the initiator in the foreground: it should discover the
 	// responder and deliver the anycast to it.
 	err := run([]string{
-		"-listen", "127.0.0.1:39601", "-peers", path,
+		"-listen", initiator, "-peers", path,
 		"-period", "100ms",
 		"-anycast", "0.85,0.95", "-wait", "1500ms",
 	})

@@ -12,7 +12,6 @@ import (
 	"avmem/internal/runtime"
 	"avmem/internal/shuffle"
 	"avmem/internal/sim"
-	"avmem/internal/transport"
 )
 
 func TestInflateRewritesClaims(t *testing.T) {
@@ -141,9 +140,12 @@ func TestMixSwitchGatesBehaviors(t *testing.T) {
 // registered handler is filtered.
 func TestWrapInterceptsEnv(t *testing.T) {
 	w := sim.NewWorld(1)
-	net := transport.NewMemnet(transport.MemnetConfig{After: w.After, Seed: 2})
+	net := sim.NewNetwork(w, nil, nil, 0)
+	if err := net.Bind([]ids.NodeID{"adv", "peer"}, func(int) bool { return true }); err != nil {
+		t.Fatal(err)
+	}
 	env, err := runtime.NewVirtual(runtime.VirtualConfig{
-		Self: ids.NodeID("adv").Addr(), Scheduler: w, Fabric: runtime.TransportFabric(net), Seed: 3,
+		Self: ids.NodeID("adv").Addr(), Scheduler: w, Fabric: runtime.NetFabric(net), Seed: 3,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -156,7 +158,7 @@ func TestWrapInterceptsEnv(t *testing.T) {
 	peer := ids.NodeID("peer").Addr()
 	var got []any
 	peerEnv, err := runtime.NewVirtual(runtime.VirtualConfig{
-		Self: peer, Scheduler: w, Fabric: runtime.TransportFabric(net), Seed: 5,
+		Self: peer, Scheduler: w, Fabric: runtime.NetFabric(net), Seed: 5,
 	})
 	if err != nil {
 		t.Fatal(err)

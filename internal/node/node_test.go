@@ -1,6 +1,7 @@
 package node
 
 import (
+	"net"
 	"testing"
 	"time"
 
@@ -257,11 +258,8 @@ func TestSharedCollectorResultsDoNotRace(t *testing.T) {
 func TestLiveNodeOverTCP(t *testing.T) {
 	tr := NewTCPForTest(t)
 	defer tr.Close()
-	monitor := avmon.Static{
-		"127.0.0.1:39501": 0.5,
-		"127.0.0.1:39502": 0.9,
-	}
-	all := []ids.NodeID{"127.0.0.1:39501", "127.0.0.1:39502"}
+	all := freeLoopbackAddrs(t, 2)
+	monitor := avmon.Static{all[0]: 0.5, all[1]: 0.9}
 	peers := PeerFunc(func(self ids.NodeID) []ids.NodeID {
 		out := make([]ids.NodeID, 0, 1)
 		for _, id := range all {
@@ -329,6 +327,25 @@ func TestLiveNodeOverTCP(t *testing.T) {
 func NewTCPForTest(t *testing.T) transport.Transport {
 	t.Helper()
 	return transport.NewTCP(500*time.Millisecond, 2*time.Second)
+}
+
+// freeLoopbackAddrs returns n distinct loopback addresses on ports the
+// kernel has just reported free: each listens on port 0 and reads the
+// port, and all close once every port is read. A fixed port inside the
+// ephemeral range (32768–60999 on Linux) can be held at any time by an
+// outbound connection's local end.
+func freeLoopbackAddrs(t *testing.T, n int) []ids.NodeID {
+	t.Helper()
+	addrs := make([]ids.NodeID, n)
+	for i := range addrs {
+		l, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatalf("no free loopback port: %v", err)
+		}
+		defer l.Close()
+		addrs[i] = ids.NodeID(l.Addr().String())
+	}
+	return addrs
 }
 
 func TestLiveSeedsModeShuffleDiscovery(t *testing.T) {

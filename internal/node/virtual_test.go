@@ -9,32 +9,38 @@ import (
 	"avmem/internal/ops"
 	"avmem/internal/runtime"
 	"avmem/internal/sim"
-	"avmem/internal/transport"
 )
 
-// virtualCluster spins up n real nodes on a shared virtual clock and a
-// deterministic memnet — the binding the scenario engine's memnet
-// backend uses — in Seeds mode with the given availabilities.
+// virtualNet is the simulator's network on w with the paper's latency
+// model, bound to hosts, every one of them always online.
+func virtualNet(t *testing.T, w *sim.World, hosts []ids.NodeID) *sim.Network {
+	t.Helper()
+	net := sim.NewNetwork(w, nil, nil, 0)
+	if err := net.Bind(hosts, func(int) bool { return true }); err != nil {
+		t.Fatal(err)
+	}
+	return net
+}
+
+// virtualCluster spins up n real nodes on a shared virtual clock and the
+// simulator's network — the binding both engines use — in Seeds mode
+// with the given availabilities.
 func virtualCluster(t *testing.T, avails []float64) (*sim.World, []*Node) {
 	t.Helper()
 	w := sim.NewWorld(1)
-	net := transport.NewMemnet(transport.MemnetConfig{
-		After:   w.After,
-		Seed:    1,
-		Latency: transport.UniformLatencyFn(20*time.Millisecond, 80*time.Millisecond),
-	})
 	monitor := avmon.Static{}
 	all := make([]ids.NodeID, len(avails))
 	for i, av := range avails {
 		all[i] = ids.Synthetic(i)
 		monitor[all[i]] = av
 	}
+	fabric := runtime.NetFabric(virtualNet(t, w, all))
 	nodes := make([]*Node, 0, len(avails))
 	for i, id := range all {
 		env, err := runtime.NewVirtual(runtime.VirtualConfig{
 			Self:      id.Addr(),
 			Scheduler: w,
-			Fabric:    runtime.TransportFabric(net),
+			Fabric:    fabric,
 			Seed:      int64(i + 1),
 		})
 		if err != nil {
@@ -121,16 +127,16 @@ func TestNodeVirtualDeterminism(t *testing.T) {
 // initiator's harness immediately.
 func TestNodeSharedCollector(t *testing.T) {
 	w := sim.NewWorld(1)
-	net := transport.NewMemnet(transport.MemnetConfig{After: w.After, Seed: 1})
 	monitor := avmon.Static{}
 	all := []ids.NodeID{ids.Synthetic(0), ids.Synthetic(1)}
 	monitor[all[0]] = 0.5
 	monitor[all[1]] = 0.9
+	fabric := runtime.NetFabric(virtualNet(t, w, all))
 	col := ops.NewCollector()
 	var nodes []*Node
 	for i, id := range all {
 		env, err := runtime.NewVirtual(runtime.VirtualConfig{
-			Self: id.Addr(), Scheduler: w, Fabric: runtime.TransportFabric(net), Seed: int64(i + 1),
+			Self: id.Addr(), Scheduler: w, Fabric: fabric, Seed: int64(i + 1),
 		})
 		if err != nil {
 			t.Fatal(err)

@@ -14,7 +14,6 @@ import (
 	"avmem/internal/obs"
 	"avmem/internal/ops"
 	"avmem/internal/runtime"
-	"avmem/internal/sim"
 	"avmem/internal/transport"
 )
 
@@ -33,15 +32,15 @@ func (e *spyEnv) Register(h runtime.Handler) error {
 }
 
 // TestWireSenderReachesNodeMemoLess sends a node a message over real TCP
-// from an Env whose own address and whose target address both carry
-// memos. The wire has no room for either: the node's handler is handed a
-// memo-less sender, and its auditor — which knows the host universe —
-// resolves that sender by identifier to the same record a memo'd address
-// names. Nobody is interned, nothing is keyed by a number a peer sent.
+// from a live Env, to a target address that carries a memo. The wire has
+// no room for one: the node's handler is handed a memo-less sender, and
+// its auditor — which knows the host universe — resolves that sender by
+// identifier to the same record a memo'd address names. Nobody is
+// interned, nothing is keyed by a number a peer sent.
 func TestWireSenderReachesNodeMemoLess(t *testing.T) {
 	tr := NewTCPForTest(t)
 	defer tr.Close()
-	hosts := []ids.NodeID{"127.0.0.1:39701", "127.0.0.1:39702"}
+	hosts := freeLoopbackAddrs(t, 2)
 	pairs, err := ids.NewPairIndexCache(hosts, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -78,11 +77,9 @@ func TestWireSenderReachesNodeMemoLess(t *testing.T) {
 	}
 	defer n.Stop()
 
-	// The sender: a virtual Env over the same transport, so that both its
-	// own address and the target's carry a memo up to the fabric adapter.
-	sender, err := runtime.NewVirtual(runtime.VirtualConfig{
-		Self: ids.AddrAt(hosts[1], 1), Scheduler: sim.NewWorld(1), Fabric: runtime.TransportFabric(tr),
-	})
+	// The sender: a live Env over the same transport, handed the target
+	// with its memo.
+	sender, err := runtime.NewLive(runtime.LiveConfig{Self: hosts[1], Transport: tr, Seed: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -258,7 +255,7 @@ func (a *arrivals) got(self ids.NodeID, typ string) bool {
 func TestLiveRangecastAndAggregateOverTCP(t *testing.T) {
 	tr := &arrivals{Transport: NewTCPForTest(t), seen: map[ids.NodeID]map[string]bool{}}
 	defer tr.Close()
-	all := []ids.NodeID{"127.0.0.1:39511", "127.0.0.1:39512"}
+	all := freeLoopbackAddrs(t, 2)
 	monitor := avmon.Static{all[0]: 0.5, all[1]: 0.9}
 	peers := PeerFunc(func(self ids.NodeID) []ids.NodeID {
 		if self == all[0] {

@@ -27,13 +27,13 @@ type LiveConfig struct {
 // Live is the wall-clock Env: real timers, real transport, goroutine
 // callbacks. It is safe for concurrent use; owners that need callbacks
 // serialized against their own state wrap it with Gated.
+//
+// A transport moves identifiers, so Live is where address memos are
+// dropped: it sends to the identifier of every target, and its handler
+// is handed memo-less senders, which the receiver resolves on the
+// identifier path.
 type Live struct {
 	cfg LiveConfig
-	// self and fab are cfg.Self and cfg.Transport as the Fabric seam
-	// speaks them: everything the Env sends or registers crosses the one
-	// memo-dropping adapter (TransportFabric).
-	self ids.Addr
-	fab  Fabric
 
 	mu      sync.Mutex
 	rng     *rand.Rand
@@ -56,8 +56,6 @@ func NewLive(cfg LiveConfig) (*Live, error) {
 	}
 	return &Live{
 		cfg:    cfg,
-		self:   cfg.Self.Addr(),
-		fab:    TransportFabric(cfg.Transport),
 		rng:    rand.New(stats.NewSplitMix64(cfg.Seed)),
 		timers: make(map[int]*time.Timer, 8),
 	}, nil
@@ -144,7 +142,7 @@ func (e *Live) RandIntn(n int) int {
 
 // Register implements Env and starts the Env's clock.
 func (e *Live) Register(h Handler) error {
-	if err := e.fab.Register(e.self, h); err != nil {
+	if err := e.cfg.Transport.Register(e.cfg.Self, func(from ids.NodeID, msg any) { h(from.Addr(), msg) }); err != nil {
 		return err
 	}
 	e.mu.Lock()
@@ -156,14 +154,14 @@ func (e *Live) Register(h Handler) error {
 }
 
 // Unregister implements Env.
-func (e *Live) Unregister() { e.fab.Unregister(e.self) }
+func (e *Live) Unregister() { e.cfg.Transport.Unregister(e.cfg.Self) }
 
 // Send implements Env.
-func (e *Live) Send(to ids.Addr, msg any) { e.fab.Send(e.self, to, msg) }
+func (e *Live) Send(to ids.Addr, msg any) { e.cfg.Transport.Send(e.cfg.Self, to.ID(), msg) }
 
 // SendCall implements Env.
 func (e *Live) SendCall(to ids.Addr, msg any, onResult func(ok bool)) {
-	e.fab.SendCall(e.self, to, msg, func(ok bool) {
+	e.cfg.Transport.SendCall(e.cfg.Self, to.ID(), msg, func(ok bool) {
 		e.mu.Lock()
 		dead := e.stopped
 		e.mu.Unlock()

@@ -8,7 +8,6 @@ import (
 	"avmem/internal/ids"
 	"avmem/internal/sim"
 	"avmem/internal/stats"
-	"avmem/internal/transport"
 )
 
 // VirtualConfig assembles a virtual-time Env. Many virtual Envs share
@@ -24,8 +23,7 @@ type VirtualConfig struct {
 	// Scheduler supplies virtual time and deferred execution
 	// (typically a sim.World).
 	Scheduler Scheduler
-	// Fabric moves messages (a sim.Network via NetFabric, or a transport
-	// via TransportFabric).
+	// Fabric moves messages (a sim.Network via NetFabric).
 	Fabric Fabric
 	// Online reports this node's current liveness (nil = always online).
 	Online func() bool
@@ -152,9 +150,8 @@ func (e *Virtual) Stop() { e.stopped = true }
 // netFabric adapts the simulator's network to the Fabric contract.
 type netFabric struct{ net *sim.Network }
 
-// NetFabric wraps a sim.Network as a Fabric, so virtual Envs bind the
-// simulator's message fabric through the same seam the live transports
-// use. Address memos travel with the messages.
+// NetFabric wraps a sim.Network as a Fabric. Address memos travel with
+// the messages.
 func NetFabric(n *sim.Network) Fabric { return netFabric{net: n} }
 
 // Register implements Fabric: self must be a host of the network's
@@ -178,34 +175,4 @@ func (f netFabric) SendCall(from, to ids.Addr, msg any, onResult func(ok bool)) 
 // SendNack implements Fabric: the network files no ack event.
 func (f netFabric) SendNack(from, to ids.Addr, msg any, onNack func()) {
 	f.net.SendNackAddr(from, to, msg, onNack)
-}
-
-// transportFabric adapts a transport to the Fabric contract.
-type transportFabric struct{ t transport.Transport }
-
-// TransportFabric wraps a transport (TCP, Memnet) as a Fabric.
-// It is the one place a memo is dropped: a transport moves identifiers,
-// so whatever crosses it arrives memo-less and its receiver takes the
-// identifier path.
-func TransportFabric(t transport.Transport) Fabric { return transportFabric{t: t} }
-
-// Register implements Fabric: senders arrive memo-less.
-func (f transportFabric) Register(self ids.Addr, h Handler) error {
-	return f.t.Register(self.ID(), func(from ids.NodeID, msg any) { h(from.Addr(), msg) })
-}
-
-// Unregister implements Fabric.
-func (f transportFabric) Unregister(self ids.Addr) { f.t.Unregister(self.ID()) }
-
-// Send implements Fabric.
-func (f transportFabric) Send(from, to ids.Addr, msg any) { f.t.Send(from.ID(), to.ID(), msg) }
-
-// SendCall implements Fabric.
-func (f transportFabric) SendCall(from, to ids.Addr, msg any, onResult func(ok bool)) {
-	f.t.SendCall(from.ID(), to.ID(), msg, onResult)
-}
-
-// SendNack implements Fabric as a filter over the transport's SendCall.
-func (f transportFabric) SendNack(from, to ids.Addr, msg any, onNack func()) {
-	f.t.SendCall(from.ID(), to.ID(), msg, nackOnly(onNack))
 }

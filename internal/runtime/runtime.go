@@ -6,9 +6,10 @@
 // fabric), and two families of implementations bind it:
 //
 //   - Virtual: a deterministic Env on the discrete-event simulator's
-//     clock. Many Virtual envs share one Scheduler and one Fabric, so a
-//     whole cluster of real nodes executes single-threaded in virtual
-//     time — fast, reproducible per seed, and race-free by construction.
+//     clock. Many Virtual envs share one Scheduler and one Fabric (a
+//     sim.Network, through NetFabric), so a whole cluster of real nodes
+//     executes single-threaded in virtual time — fast, reproducible per
+//     seed, and race-free by construction.
 //   - Live: a wall-clock Env over a transport.Transport. Timers are real
 //     timers, messages cross a real (TCP or in-process) network, and the
 //     owning node serializes asynchronous callbacks through a gate.
@@ -21,8 +22,8 @@
 // Peers are addressed by ids.Addr — an identifier plus an optional memo
 // of the peer's host index in the deployment's universe. The simulator's
 // network carries the memo with the message and verifies it where it is
-// used; a transport (TCP, Memnet) never sees it: TransportFabric
-// and Live drop it on the way out and hand senders over memo-less.
+// used; a transport (TCP, Memnet) never sees it: Live drops it on the
+// way out and hands senders over memo-less.
 //
 // Architecture: DESIGN.md §6 (the Runtime/Env layer).
 package runtime
@@ -76,10 +77,9 @@ type Scheduler interface {
 	After(d time.Duration, fn func())
 }
 
-// Fabric moves messages between addresses. sim.Network is adapted by
-// NetFabric, which carries the memos through; transport.Transport
-// implementations (TCP, Memnet) by TransportFabric, which drops
-// them.
+// Fabric moves messages between addresses for a virtual Env: a
+// sim.Network adapted by NetFabric, which carries the memos through, or
+// a test's fake.
 type Fabric interface {
 	// Register installs the message handler for self.
 	Register(self ids.Addr, h Handler) error
@@ -96,9 +96,8 @@ type Fabric interface {
 	SendNack(from, to ids.Addr, msg any, onNack func())
 }
 
-// nackOnly adapts a failure-only callback to a SendCall verdict, for the
-// fabrics and Envs whose SendNack is a filter over their SendCall (nil
-// stays nil).
+// nackOnly adapts a failure-only callback to a SendCall verdict, for an
+// Env whose SendNack is a filter over its SendCall (nil stays nil).
 func nackOnly(onNack func()) func(ok bool) {
 	if onNack == nil {
 		return nil

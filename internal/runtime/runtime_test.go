@@ -13,22 +13,26 @@ import (
 // peerA and peerB are the two memo-less addresses the tests talk between.
 var peerA, peerB = ids.NodeID("a").Addr(), ids.NodeID("b").Addr()
 
-func newVirtualPair(t *testing.T) (*sim.World, *transport.Memnet, *Virtual, *Virtual) {
+// newVirtualPair binds a and b on one instantaneous simulated network.
+func newVirtualPair(t *testing.T) (*sim.World, *Virtual, *Virtual) {
 	t.Helper()
 	w := sim.NewWorld(1)
-	net := transport.NewMemnet(transport.MemnetConfig{After: w.After, Seed: 1})
-	mk := func(self ids.NodeID) *Virtual {
-		env, err := NewVirtual(VirtualConfig{Self: self.Addr(), Scheduler: w, Fabric: TransportFabric(net), Seed: 2})
+	net := sim.NewNetwork(w, sim.FixedLatency(0), nil, 0)
+	if err := net.Bind([]ids.NodeID{peerA.ID(), peerB.ID()}, func(int) bool { return true }); err != nil {
+		t.Fatal(err)
+	}
+	mk := func(self ids.Addr) *Virtual {
+		env, err := NewVirtual(VirtualConfig{Self: self, Scheduler: w, Fabric: NetFabric(net), Seed: 2})
 		if err != nil {
 			t.Fatal(err)
 		}
 		return env
 	}
-	return w, net, mk("a"), mk("b")
+	return w, mk(peerA), mk(peerB)
 }
 
 func TestVirtualEnvMessaging(t *testing.T) {
-	w, _, a, b := newVirtualPair(t)
+	w, a, b := newVirtualPair(t)
 	var got []any
 	if err := b.Register(func(from ids.Addr, msg any) {
 		if from != a.cfg.Self {
@@ -55,7 +59,7 @@ func TestVirtualEnvMessaging(t *testing.T) {
 }
 
 func TestVirtualEnvTimers(t *testing.T) {
-	w, _, a, _ := newVirtualPair(t)
+	w, a, _ := newVirtualPair(t)
 	var ticks []time.Duration
 	stop := a.Every(10*time.Millisecond, 20*time.Millisecond, func() {
 		ticks = append(ticks, a.Now())
@@ -86,7 +90,7 @@ func TestVirtualEnvTimers(t *testing.T) {
 func (e *Virtual) stopSelfForTest() { e.Stop() }
 
 func TestVirtualEveryStopFunc(t *testing.T) {
-	w, _, a, _ := newVirtualPair(t)
+	w, a, _ := newVirtualPair(t)
 	count := 0
 	stop := a.Every(0, 10*time.Millisecond, func() { count++ })
 	w.Run(25 * time.Millisecond)
@@ -98,7 +102,7 @@ func TestVirtualEveryStopFunc(t *testing.T) {
 }
 
 func TestGatedSerializesCallbacks(t *testing.T) {
-	w, _, a, b := newVirtualPair(t)
+	w, a, b := newVirtualPair(t)
 	var mu sync.Mutex
 	inGate := 0
 	gate := func(fn func()) {
@@ -187,17 +191,17 @@ func TestLiveEnvLifecycle(t *testing.T) {
 
 func TestNewValidation(t *testing.T) {
 	w := sim.NewWorld(1)
-	net := transport.NewMemnet(transport.MemnetConfig{After: w.After})
-	if _, err := NewVirtual(VirtualConfig{Scheduler: w, Fabric: TransportFabric(net)}); err == nil {
+	fabric := NetFabric(sim.NewNetwork(w, nil, nil, 0))
+	if _, err := NewVirtual(VirtualConfig{Scheduler: w, Fabric: fabric}); err == nil {
 		t.Error("want error for missing identity")
 	}
-	if _, err := NewVirtual(VirtualConfig{Self: peerA, Fabric: TransportFabric(net)}); err == nil {
+	if _, err := NewVirtual(VirtualConfig{Self: peerA, Fabric: fabric}); err == nil {
 		t.Error("want error for missing scheduler")
 	}
 	if _, err := NewVirtual(VirtualConfig{Self: peerA, Scheduler: w}); err == nil {
 		t.Error("want error for missing fabric")
 	}
-	if _, err := NewLive(LiveConfig{Transport: net}); err == nil {
+	if _, err := NewLive(LiveConfig{Transport: transport.NewMemnet(transport.MemnetConfig{})}); err == nil {
 		t.Error("want error for missing identity")
 	}
 	if _, err := NewLive(LiveConfig{Self: "a"}); err == nil {
@@ -258,13 +262,13 @@ func TestSendNackReportsFailureOnly(t *testing.T) {
 		}
 	}
 
-	w, _, a, b := newVirtualPair(t)
+	w, a, b := newVirtualPair(t)
 	if err := b.Register(func(ids.Addr, any) {}); err != nil {
 		t.Fatal(err)
 	}
-	check("Virtual over TransportFabric", a, func() { w.RunAll(0) }, b.Unregister)
+	check("Virtual", a, func() { w.RunAll(0) }, b.Unregister)
 
-	w, _, a, b = newVirtualPair(t)
+	w, a, b = newVirtualPair(t)
 	if err := b.Register(func(ids.Addr, any) {}); err != nil {
 		t.Fatal(err)
 	}
@@ -274,21 +278,6 @@ func TestSendNackReportsFailureOnly(t *testing.T) {
 	if gateRuns != 1 {
 		t.Errorf("Gated: the gate ran %d callbacks, want 1 (the nack)", gateRuns)
 	}
-
-	sw := sim.NewWorld(1)
-	net := sim.NewNetwork(sw, sim.FixedLatency(time.Millisecond), nil, 0)
-	if err := net.Bind([]ids.NodeID{peerA.ID(), peerB.ID()}, func(int) bool { return true }); err != nil {
-		t.Fatal(err)
-	}
-	f := NetFabric(net)
-	env, err := NewVirtual(VirtualConfig{Self: peerA, Scheduler: sw, Fabric: f, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Register(peerB, func(ids.Addr, any) {}); err != nil {
-		t.Fatal(err)
-	}
-	check("Virtual over NetFabric", env, func() { sw.RunAll(0) }, func() { f.Unregister(peerB) })
 
 	tr := transport.NewMemnet(transport.MemnetConfig{Seed: 1, AckTimeout: 20 * time.Millisecond})
 	defer tr.Close()
@@ -324,7 +313,7 @@ func TestSendNackReportsFailureOnly(t *testing.T) {
 // that same closure — no per-tick wrapper, so a steady-state tick
 // allocates nothing (2000 nodes × two drivers tick all run long).
 func TestVirtualEverySteadyStateDoesNotAllocate(t *testing.T) {
-	w, _, a, _ := newVirtualPair(t)
+	w, a, _ := newVirtualPair(t)
 	const period = 10 * time.Millisecond
 	count := 0
 	stop := a.Every(0, period, func() { count++ })

@@ -3,6 +3,7 @@ package shuffle_test
 import (
 	"slices"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -14,11 +15,11 @@ import (
 // TestAgentConcurrentSafety runs agents from many goroutines at once;
 // run it under -race. One agent takes ticks, merges, view reads and
 // discovery passes from eight goroutines. Then six agents exchange
-// pooled messages over a wall-clock Memnet that drops some of them:
-// every message a handler consumes goes back to the pools while other
-// goroutines are drawing from them, so two live messages sharing an
-// entry slice would show as a race, or as an offer that does not end
-// with its sender's self-entry.
+// pooled messages over a wall-clock Memnet, their handlers discarding
+// every tenth arrival as lost in flight: every message a handler
+// consumes goes back to the pools while other goroutines are drawing
+// from them, so two live messages sharing an entry slice would show as
+// a race, or as an offer that does not end with its sender's self-entry.
 func TestAgentConcurrentSafety(t *testing.T) {
 	t.Run("one agent", oneAgentUnderContention)
 	t.Run("memnet", agentsOverMemnet)
@@ -96,8 +97,11 @@ func agentsOverMemnet(t *testing.T) {
 	net := transport.NewMemnet(transport.MemnetConfig{
 		Seed:    1,
 		Latency: transport.UniformLatencyFn(0, 200*time.Microsecond),
-		Drop:    0.1,
 	})
+	// Every tenth arrival, across all agents, is lost before its handler
+	// sees it: exchanges die mid-flight in both directions.
+	var arrivals atomic.Int64
+	lost := func() bool { return arrivals.Add(1)%10 == 0 }
 	agents := make([]*shuffle.Agent, n)
 	for i, id := range all {
 		a, err := shuffle.NewAgent(id, 4, 3, int64(i+1))
@@ -111,6 +115,9 @@ func agentsOverMemnet(t *testing.T) {
 		agents[i] = a
 		self := id
 		if err := net.Register(self, func(from ids.NodeID, msg any) {
+			if lost() {
+				return
+			}
 			switch m := msg.(type) {
 			case *shuffle.Request:
 				if k := len(m.Entries); k == 0 || m.Entries[k-1].ID != from {

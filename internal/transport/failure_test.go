@@ -224,44 +224,6 @@ func TestTCPCloseRacesSenders(t *testing.T) {
 	}
 }
 
-func TestMemnetFaultInjectionRaces(t *testing.T) {
-	// Kill/Restart, partitions, and link faults flapping while traffic
-	// flows: the memnet must stay consistent (callbacks exactly once).
-	m := NewMemnet(MemnetConfig{AckTimeout: 5 * time.Millisecond})
-	defer m.Close()
-	if err := m.Register("peer", func(ids.NodeID, any) {}); err != nil {
-		t.Fatal(err)
-	}
-	var results atomic.Int32
-	var wg sync.WaitGroup
-	const calls = 200
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for i := 0; i < calls; i++ {
-			m.SendCall("sender", "peer", sampleAnycast(), func(bool) { results.Add(1) })
-		}
-	}()
-	for i := 0; i < 20; i++ {
-		m.Kill("peer")
-		m.Partition([]ids.NodeID{"peer"}, []ids.NodeID{"sender"})
-		m.SetLinkDrop("sender", "peer", 0.5)
-		time.Sleep(time.Millisecond)
-		m.Restart("peer")
-		m.Heal()
-		m.SetLinkDrop("sender", "peer", -1)
-	}
-	wg.Wait()
-	deadline := time.After(10 * time.Second)
-	for results.Load() < calls {
-		select {
-		case <-deadline:
-			t.Fatalf("only %d/%d results arrived", results.Load(), calls)
-		case <-time.After(5 * time.Millisecond):
-		}
-	}
-}
-
 func TestTCPUnregisterMidFlight(t *testing.T) {
 	if testing.Short() {
 		t.Skip("real sockets")

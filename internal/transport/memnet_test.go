@@ -77,160 +77,77 @@ func TestMemnetDeterministicPerSeed(t *testing.T) {
 	}
 }
 
-func TestMemnetKillRestart(t *testing.T) {
-	w, m := virtualMemnet(1, MemnetConfig{})
-	delivered := 0
-	if err := m.Register("b", func(ids.NodeID, any) { delivered++ }); err != nil {
-		t.Fatal(err)
-	}
-	m.Kill("b")
-	var ok1 *bool
-	m.SendCall("a", "b", sampleAnycast(), func(ok bool) { ok1 = &ok })
-	w.RunAll(0)
-	if delivered != 0 || ok1 == nil || *ok1 {
-		t.Fatalf("killed node reachable: delivered=%d ok=%v", delivered, ok1)
-	}
-	m.Restart("b")
-	var ok2 *bool
-	m.SendCall("a", "b", sampleAnycast(), func(ok bool) { ok2 = &ok })
-	w.RunAll(0)
-	if delivered != 1 || ok2 == nil || !*ok2 {
-		t.Fatalf("restarted node unreachable: delivered=%d ok=%v", delivered, ok2)
-	}
-}
-
-func TestMemnetPartitionHeal(t *testing.T) {
-	w, m := virtualMemnet(1, MemnetConfig{})
-	got := map[ids.NodeID]int{}
-	for _, id := range []ids.NodeID{"a", "b", "c"} {
-		id := id
-		if err := m.Register(id, func(ids.NodeID, any) { got[id]++ }); err != nil {
-			t.Fatal(err)
+// scriptedLatency returns the given latencies in draw order, then
+// zero.
+func scriptedLatency(draws ...time.Duration) LatencyFn {
+	return func(*rand.Rand) time.Duration {
+		if len(draws) == 0 {
+			return 0
 		}
-	}
-	// {a} | {b}; c is in the implicit island of unlisted nodes.
-	m.Partition([]ids.NodeID{"a"}, []ids.NodeID{"b"})
-	m.Send("a", "b", sampleAnycast()) // cross-island: dropped
-	m.Send("b", "a", sampleAnycast()) // cross-island: dropped
-	m.Send("a", "c", sampleAnycast()) // cross-island: dropped
-	w.RunAll(0)
-	if got["a"]+got["b"]+got["c"] != 0 {
-		t.Fatalf("partitioned traffic delivered: %v", got)
-	}
-	m.Heal()
-	m.Send("a", "b", sampleAnycast())
-	m.Send("a", "c", sampleAnycast())
-	w.RunAll(0)
-	if got["b"] != 1 || got["c"] != 1 {
-		t.Fatalf("healed traffic lost: %v", got)
+		d := draws[0]
+		draws = draws[1:]
+		return d
 	}
 }
 
-func TestMemnetLinkFaults(t *testing.T) {
-	w, m := virtualMemnet(1, MemnetConfig{})
-	delivered := map[ids.NodeID]int{}
-	for _, id := range []ids.NodeID{"b", "c"} {
-		id := id
-		if err := m.Register(id, func(ids.NodeID, any) { delivered[id]++ }); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// a→b always drops; a→c gets a fixed 1s latency.
-	m.SetLinkDrop("a", "b", 1)
-	m.SetLinkLatency("a", "c", func(*rand.Rand) time.Duration { return time.Second })
-	m.Send("a", "b", sampleAnycast())
-	m.Send("a", "c", sampleAnycast())
-	w.Run(500 * time.Millisecond)
-	if delivered["c"] != 0 {
-		t.Error("link latency override ignored: delivery arrived early")
-	}
-	w.RunAll(0)
-	if delivered["b"] != 0 {
-		t.Error("drop-1.0 link delivered")
-	}
-	if delivered["c"] != 1 {
-		t.Error("latency-overridden link lost the message")
-	}
-	// Clearing the overrides restores the (instantaneous) global model.
-	m.SetLinkDrop("a", "b", -1)
-	m.SetLinkLatency("a", "c", nil)
-	m.Send("a", "b", sampleAnycast())
-	w.RunAll(0)
-	if delivered["b"] != 1 {
-		t.Error("cleared drop override still dropping")
-	}
-}
-
+// TestMemnetAckRidesReverseLink: a delivered call is acknowledged one
+// round trip after sending — the outbound draw, then the return draw,
+// both taken at send time in that order.
 func TestMemnetAckRidesReverseLink(t *testing.T) {
-	w, m := virtualMemnet(1, MemnetConfig{})
-	if err := m.Register("b", func(ids.NodeID, any) {}); err != nil {
+	w, m := virtualMemnet(1, MemnetConfig{Latency: scriptedLatency(30*time.Millisecond, 70*time.Millisecond)})
+	var deliveredAt time.Duration
+	if err := m.Register("b", func(ids.NodeID, any) { deliveredAt = w.Now() }); err != nil {
 		t.Fatal(err)
 	}
-	// Outbound a→b instantaneous; the ack's return leg b→a takes 1s.
-	m.SetLinkLatency("b", "a", func(*rand.Rand) time.Duration { return time.Second })
+	acks := 0
 	var ackAt time.Duration
 	m.SendCall("a", "b", sampleAnycast(), func(ok bool) {
 		if !ok {
 			t.Error("delivered call nacked")
 		}
+		acks++
 		ackAt = w.Now()
 	})
 	w.RunAll(0)
-	if ackAt != time.Second {
-		t.Errorf("ack arrived at %v, want 1s (reverse-link override)", ackAt)
+	if deliveredAt != 30*time.Millisecond {
+		t.Errorf("delivered at %v, want the 30ms outbound draw", deliveredAt)
+	}
+	if acks != 1 || ackAt != 100*time.Millisecond {
+		t.Errorf("%d acks, the last at %v; want one at 100ms (outbound plus return draw)", acks, ackAt)
 	}
 }
 
-func TestMemnetLostAckNacksAtTimeout(t *testing.T) {
-	w, m := virtualMemnet(1, MemnetConfig{AckTimeout: 160 * time.Millisecond})
-	delivered := 0
-	if err := m.Register("b", func(ids.NodeID, any) { delivered++ }); err != nil {
-		t.Fatal(err)
-	}
-	// The outbound a→b leg is clean; every ack on the reverse b→a link
-	// is lost. The message must arrive, yet the sender must conclude
-	// failure at the ack timeout.
-	m.SetLinkDrop("b", "a", 1)
-	var failedAt time.Duration
-	gotResult := false
-	m.SendCall("a", "b", sampleAnycast(), func(ok bool) {
-		if ok {
-			t.Error("lost ack reported success")
-		}
-		gotResult = true
-		failedAt = w.Now()
-	})
-	w.RunAll(0)
-	if delivered != 1 {
-		t.Fatalf("message not delivered: %d", delivered)
-	}
-	if !gotResult {
-		t.Fatal("onResult never fired")
-	}
-	if failedAt != 160*time.Millisecond {
-		t.Errorf("failure detected at %v, want the 160ms ack timeout", failedAt)
-	}
-}
-
+// TestMemnetOfflineTargetNacks: a call to an unregistered target reports
+// failure exactly once, at the later of AckTimeout and the outbound
+// latency — sim.Network's failure detection.
 func TestMemnetOfflineTargetNacks(t *testing.T) {
-	online := true
-	w, m := virtualMemnet(1, MemnetConfig{
-		AckTimeout: 160 * time.Millisecond,
-		Online:     func(ids.NodeID) bool { return online },
-	})
-	if err := m.Register("b", func(ids.NodeID, any) {}); err != nil {
-		t.Fatal(err)
-	}
-	online = false
-	var failedAt time.Duration
-	m.SendCall("a", "b", sampleAnycast(), func(ok bool) {
-		if ok {
-			t.Error("offline target acknowledged")
+	for _, c := range []struct{ out, want time.Duration }{
+		{30 * time.Millisecond, 160 * time.Millisecond},
+		{200 * time.Millisecond, 200 * time.Millisecond},
+	} {
+		w, m := virtualMemnet(1, MemnetConfig{
+			AckTimeout: 160 * time.Millisecond,
+			Latency:    scriptedLatency(c.out, 70*time.Millisecond),
+		})
+		if err := m.Register("b", func(ids.NodeID, any) {}); err != nil {
+			t.Fatal(err)
 		}
-		failedAt = w.Now()
-	})
-	w.RunAll(0)
-	if failedAt != 160*time.Millisecond {
-		t.Errorf("failure detected at %v, want the 160ms ack timeout", failedAt)
+		m.Unregister("b")
+		nacks := 0
+		var failedAt time.Duration
+		m.SendCall("a", "b", sampleAnycast(), func(ok bool) {
+			if ok {
+				t.Error("unregistered target acknowledged")
+			}
+			nacks++
+			failedAt = w.Now()
+		})
+		w.RunAll(0)
+		if nacks != 1 || failedAt != c.want {
+			t.Errorf("outbound %v: %d nacks, the last at %v; want one at %v", c.out, nacks, failedAt, c.want)
+		}
+		if st := m.Stats(); st.Sent != 1 || st.Dropped != 1 || st.Delivered != 0 {
+			t.Errorf("outbound %v: stats = %+v", c.out, st)
+		}
 	}
 }

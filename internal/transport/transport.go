@@ -1,10 +1,11 @@
-// Package transport carries AVMEM operation messages between live
-// nodes. Two implementations are provided: Memnet, the in-process
-// network of tests, examples and single-process clusters, and a TCP
-// transport for real deployments.
+// Package transport carries AVMEM operation messages between live,
+// wall-clock nodes (runtime.Live). Two implementations are provided:
+// Memnet, an in-process network with seeded latencies for examples and
+// single-process clusters, and a TCP transport for real deployments.
 //
-// Neither simulation engine uses this package: both deploy their nodes
-// on internal/sim's virtual-time network. Both expose the same send
+// Nothing that runs in virtual time uses this package: both engines,
+// and every test that runs nodes deterministically, deploy on
+// internal/sim's network. Both transports expose the same send
 // semantics so internal/ops runs unchanged on either.
 //
 // Architecture: DESIGN.md §11 (live runtime) and §6 (the Runtime/Env
