@@ -200,8 +200,11 @@ type Deployment struct {
 	members    []*core.Membership
 	initiators []initiator
 	// discovery is where every membership counts its discovery work
-	// (core.Config.Stats): one struct for the metrics flush to read.
+	// (core.Config.Stats), and flood where every router counts its
+	// flood-path work (ops.RouterConfig.Stats): one struct each for the
+	// metrics flush to read, on both engines.
 	discovery core.DiscoveryStats
+	flood     ops.FloodStats
 
 	// adv is the Byzantine cohort (nil when honest); trail is the shared
 	// eviction registry (nil when auditing is off).
@@ -230,11 +233,9 @@ type Deployment struct {
 	avValid []bool
 	avEpoch int
 
-	// The sim engine's state: the central shuffle, every router's
-	// flood-path counters (ops.RouterConfig.Stats), and the per-host
-	// audit layers (nil when auditing is off).
+	// The sim engine's state: the central shuffle and the per-host audit
+	// layers (nil when auditing is off).
 	shuffle  *shuffle.Cyclon
-	flood    ops.FloodStats
 	auditors []*audit.Auditor
 	// The memnet engine's live nodes (nil on the sim engine).
 	nodes []*node.Node
@@ -325,14 +326,11 @@ func NewDeployment(backend string, cfg WorldConfig) (*Deployment, error) {
 		d.auditIns = audit.NewInstruments(cfg.Metrics)
 		flushed := newFlushObs(cfg.Metrics)
 		d.Sim.OnFlush(func() {
-			dropped, flood := 0, d.flood
+			dropped := 0
 			if d.shuffle != nil {
 				dropped = d.shuffle.ReceivedDropped()
 			}
-			for _, n := range d.nodes { // each live node's router counts on its own
-				flood.Add(n.FloodStats())
-			}
-			flushed.publish(d.discovery, dropped, flood, d.Net.AddrMemoStats())
+			flushed.publish(d.discovery, dropped, d.flood, d.Net.AddrMemoStats())
 		})
 	}
 	if err := install(d, pred); err != nil {

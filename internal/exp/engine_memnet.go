@@ -30,8 +30,10 @@ func (d *Deployment) installMemnet(pred *core.Predicate) error {
 	cfg := d.Cfg
 	// Every node is handed the host-index universe the sim engine's
 	// memberships run on: the shared host table, the trace's identifier
-	// resolver, and the monitor's epoch that scopes discovery's slot memos.
-	universe := &node.Universe{Pairs: d.PairIdx, IndexOf: d.Trace.HostIndex, MonitorEpoch: d.mon.epoch, Discovery: &d.discovery}
+	// resolver, the monitor's epoch that scopes discovery's slot memos, and
+	// the deployment's discovery and flood-path counters.
+	universe := &node.Universe{Pairs: d.PairIdx, IndexOf: d.Trace.HostIndex, MonitorEpoch: d.mon.epoch,
+		Discovery: &d.discovery, Flood: &d.flood}
 	bandCensus := d.bandCensus
 	fabric := runtime.NetFabric(d.Net)
 	d.nodes = make([]*node.Node, len(d.hosts))

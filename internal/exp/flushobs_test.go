@@ -52,10 +52,11 @@ func TestDiscoveryCountersPublished(t *testing.T) {
 }
 
 // TestFloodCountersPublished: the flood path's own counters reach the
-// registry on both engines — one shared ops.FloodStats on the sim engine,
-// the nodes' own summed at flush on memnet — and read what the routers
-// counted; on both engines every address crosses the network with a
-// memo that verifies, except the origin-addressed results.
+// registry on both engines — every router, the memnet engine's nodes'
+// through node.Universe, counts into the deployment's one
+// ops.FloodStats — and read what the routers counted; on both engines
+// every address crosses the network with a memo that verifies, except
+// the origin-addressed results.
 func TestFloodCountersPublished(t *testing.T) {
 	for _, backend := range []string{BackendSim, BackendMemnet} {
 		reg := obs.NewRegistry()
@@ -88,8 +89,8 @@ func TestFloodCountersPublished(t *testing.T) {
 		}
 		hit, absent, mismatch := read(`sim_net_addr_memo_total{result="hit"}`),
 			read(`sim_net_addr_memo_total{result="absent"}`), read(`sim_net_addr_memo_total{result="mismatch"}`)
-		if backend == BackendSim && (d.flood.SeenChecks != checks || d.flood.OrderSorts != sorts) {
-			t.Errorf("sim: registry reads %d checks / %d sorts, the routers counted %+v", checks, sorts, d.flood)
+		if d.flood.SeenChecks != checks || d.flood.OrderSorts != sorts {
+			t.Errorf("%s: registry reads %d checks / %d sorts, the routers counted %+v", backend, checks, sorts, d.flood)
 		}
 		// Both engines' nodes send over the simulated network, stamped with
 		// their host index: the memos must reach it and verify.

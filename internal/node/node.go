@@ -148,6 +148,11 @@ type Universe struct {
 	// — for deployments that run their nodes on one thread, as the
 	// virtual-time cluster does; the counters are plain fields.
 	Discovery *core.DiscoveryStats
+	// Flood optionally names one ops.FloodStats for every node's router
+	// to count its flood-path work into (ops.RouterConfig.Stats), on the
+	// same one-thread terms as Discovery. Without it each router counts
+	// on its own.
+	Flood *ops.FloodStats
 }
 
 func (c *Config) validate() error {
@@ -330,6 +335,9 @@ func New(cfg Config) (*Node, error) {
 	}
 	if n.auditor != nil {
 		routerCfg.Auditor = n.auditor
+	}
+	if u := cfg.Universe; u != nil {
+		routerCfg.Stats = u.Flood
 	}
 	router, err := ops.NewRouter(routerCfg)
 	if err != nil {
@@ -604,13 +612,6 @@ func (n *Node) SliverSizes() (hs, vs int) {
 // snapshot accessors (Neighbors, SliverSizes) instead.
 func (n *Node) Membership() *core.Membership {
 	return n.mem
-}
-
-// FloodStats returns the router's flood-path counters so far.
-func (n *Node) FloodStats() ops.FloodStats {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.router.FloodStats()
 }
 
 // Auditor exposes the node's audit layer (nil when auditing is off).

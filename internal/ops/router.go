@@ -232,14 +232,6 @@ type FloodStats struct {
 	OrderSorts    int64 // ... that had to be sorted (memo miss or stale)
 }
 
-// Add adds o's counts to s.
-func (s *FloodStats) Add(o FloodStats) {
-	s.SeenChecks += o.SeenChecks
-	s.SeenFrontHits += o.SeenFrontHits
-	s.OrderRequests += o.OrderRequests
-	s.OrderSorts += o.OrderSorts
-}
-
 // FloodStats returns the counters so far (RouterConfig.Stats's when set).
 func (r *Router) FloodStats() FloodStats { return *r.stats }
 

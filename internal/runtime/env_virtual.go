@@ -82,23 +82,17 @@ func (e *Virtual) After(d time.Duration, fn func()) {
 	})
 }
 
-// Every implements Env. The stopped-Env check After wraps each callback
-// in is folded into the one tick closure built here, so a steady-state
-// tick reschedules itself without allocating.
+// Every implements Env on the Scheduler's own periodic timer: the
+// stopped-Env check After wraps each callback in is the timer's stop
+// check, so a steady-state tick allocates nothing, and a tick whose next
+// run would fall past the end of virtual time ends the timer.
 func (e *Virtual) Every(offset, period time.Duration, fn func()) (stop func()) {
 	if period <= 0 || fn == nil {
 		return func() {}
 	}
 	running := true
-	var tick func()
-	tick = func() {
-		if e.stopped || !running {
-			return
-		}
-		fn()
-		e.cfg.Scheduler.After(period, tick)
-	}
-	e.cfg.Scheduler.After(offset, tick)
+	// period and fn are valid, which is all Every refuses.
+	_ = e.cfg.Scheduler.Every(offset, period, func() bool { return e.stopped || !running }, fn)
 	return func() { running = false }
 }
 

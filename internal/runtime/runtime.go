@@ -75,6 +75,10 @@ type Scheduler interface {
 	Now() time.Duration
 	// After schedules fn to run d from now.
 	After(d time.Duration, fn func())
+	// Every schedules fn at now+offset and every period thereafter, until
+	// stop (nil: never) returns true before a run or the next run would
+	// fall past the end of virtual time. period must be positive.
+	Every(offset, period time.Duration, stop func() bool, fn func()) error
 }
 
 // Fabric moves messages between addresses for a virtual Env: a

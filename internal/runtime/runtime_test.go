@@ -1,6 +1,7 @@
 package runtime
 
 import (
+	"math"
 	"sync"
 	"testing"
 	"time"
@@ -83,6 +84,29 @@ func TestVirtualEnvTimers(t *testing.T) {
 		if ticks[i] != want[i] {
 			t.Errorf("tick %d at %v, want %v", i, ticks[i], want[i])
 		}
+	}
+}
+
+// TestVirtualEveryStopsAtEndOfTime is sim.TestEveryHugePeriodTerminates
+// for a node's timer: a tick whose next run would fall past the end of
+// virtual time ends the timer, as World.Every does, instead of re-firing
+// at math.MaxInt64 until RunAll's bound.
+func TestVirtualEveryStopsAtEndOfTime(t *testing.T) {
+	w, a, _ := newVirtualPair(t)
+	w.Run(time.Hour)
+	var ticks []time.Duration
+	defer a.Every(0, math.MaxInt64-10, func() { ticks = append(ticks, a.Now()) })()
+	w.Run(2 * time.Hour)
+	if n := w.RunAll(1000); n != 0 || len(ticks) != 1 || ticks[0] != time.Hour {
+		t.Fatalf("%d ticks, the last at %v, then RunAll fired %d more; want one tick at 1h", len(ticks), ticks[len(ticks)-1], n)
+	}
+	// From time zero the second run still fits, at MaxInt64−10; the third
+	// would not.
+	w, a, _ = newVirtualPair(t)
+	ticks = nil
+	defer a.Every(0, math.MaxInt64-10, func() { ticks = append(ticks, a.Now()) })()
+	if n := w.RunAll(1000); n != 2 || len(ticks) != 2 || ticks[1] != math.MaxInt64-10 {
+		t.Fatalf("RunAll fired %d, %d ticks; want 2 ticks, the last at MaxInt64−10", n, len(ticks))
 	}
 }
 

@@ -127,8 +127,10 @@ func firedByKind(reg *obs.Registry) int64 {
 }
 
 // TestInstrumentCountsEventKinds: each fired event is counted under its
-// kind, a verdict under its outcome, and a nack-only send to an online
-// target is its attempt alone.
+// kind, a verdict under its outcome, a nack-only send to an online
+// target is its attempt alone, and a periodic timer's first run is a
+// queued closure and every later run, the one that finds it stopped
+// included, a timer event.
 func TestInstrumentCountsEventKinds(t *testing.T) {
 	w := NewWorld(1)
 	reg := obs.NewRegistry()
@@ -141,14 +143,18 @@ func TestInstrumentCountsEventKinds(t *testing.T) {
 	net.SendCallAddr(a, b, "ack", func(bool) {})
 	net.SendCallAddr(a, gone, "nack", func(bool) {})
 	net.SendNackAddr(a, b, "delivered", func() {})
+	runs := 0
+	if err := w.Every(0, time.Millisecond, func() bool { return runs == 3 }, func() { runs++ }); err != nil {
+		t.Fatal(err)
+	}
 	n := w.RunAll(0)
-	want := map[string]int64{"func": 1, "deliver": 1, "attempt": 3, "result-ok": 1, "result-nack": 1}
+	want := map[string]int64{"func": 2, "deliver": 1, "attempt": 3, "result-ok": 1, "result-nack": 1, "timer": 3}
 	for kind, c := range want {
 		if got := reg.Counter(`sim_events_fired_total{kind="` + kind + `"}`).Value(); got != c {
 			t.Errorf("kind %s: %d events, want %d", kind, got, c)
 		}
 	}
-	if total := reg.Counter("sim_events_total").Value(); n != 7 || total != 7 || firedByKind(reg) != 7 {
-		t.Errorf("Run fired %d, sim_events_total %d, kinds sum to %d; want 7", n, total, firedByKind(reg))
+	if total := reg.Counter("sim_events_total").Value(); n != 11 || total != 11 || firedByKind(reg) != 11 {
+		t.Errorf("Run fired %d, sim_events_total %d, kinds sum to %d; want 11", n, total, firedByKind(reg))
 	}
 }

@@ -228,10 +228,10 @@ func TestSlabReusesAndZeroesSlots(t *testing.T) {
 }
 
 // TestScheduledSlotIsZero: every slot schedule hands out is zero in
-// every field, so a caller that fills in place only the fields of its own
-// shape leaves nothing of an earlier event behind. The slots are reused
-// ones, each having carried closures, deliveries, attempts and both
-// verdicts over many fire cycles.
+// every field except the push rank, which is the next one, so a caller
+// that fills in place only the fields of its own shape leaves nothing of
+// an earlier event behind. The slots are reused ones, each having carried
+// closures, deliveries, attempts and both verdicts over many fire cycles.
 func TestScheduledSlotIsZero(t *testing.T) {
 	w := NewWorld(1)
 	hosts := []ids.NodeID{"a", "b", "c"}
@@ -263,9 +263,15 @@ func TestScheduledSlotIsZero(t *testing.T) {
 		t.Fatalf("%d pending, %d of %d slots free after the drain", w.Pending(), len(w.events.free), slots)
 	}
 	for i := 0; i < slots; i++ {
+		rank := w.events.rank
 		p := w.schedule(w.Now())
-		if !reflect.ValueOf(*p).IsZero() {
-			t.Fatalf("scheduled slot %d of %d is not zero: %+v", i, slots, *p)
+		if p.rank != rank {
+			t.Fatalf("scheduled slot %d of %d has rank %d, want the next rank %d", i, slots, p.rank, rank)
+		}
+		rest := *p
+		rest.rank = 0
+		if !reflect.ValueOf(rest).IsZero() {
+			t.Fatalf("scheduled slot %d of %d is not zero but for its rank: %+v", i, slots, *p)
 		}
 		p.fn = func() {}
 	}
@@ -300,13 +306,15 @@ func TestFireSurvivesSlabGrowth(t *testing.T) {
 type schedulerAPI interface {
 	Now() time.Duration
 	At(at time.Duration, fn func())
+	Every(offset, period time.Duration, stop func() bool, fn func()) error
 	Run(until time.Duration) int
 	RunAll(maxEvents int) int
 	Pending() int
 }
 
 // refWorld is the reference scheduler: pending events in a plain slice,
-// the (at, seq)-minimum found by a scan before every pop.
+// the (at, seq)-minimum found by a scan before every pop. A periodic
+// timer is a closure that re-pushes itself with At after each run.
 type refWorld struct {
 	now     time.Duration
 	seq     uint64
@@ -324,6 +332,23 @@ func (r *refWorld) At(at time.Duration, fn func()) {
 	r.seq++
 	r.pending = append(r.pending, refKey{at: at, seq: r.seq})
 	r.fns[r.seq] = fn
+}
+
+// Every is World.Every as it was before periodic timers had rings: one
+// queued closure per timer, re-pushed one period later after each run.
+func (r *refWorld) Every(offset, period time.Duration, stop func() bool, fn func()) error {
+	var tick func()
+	tick = func() {
+		if stop != nil && stop() {
+			return
+		}
+		fn()
+		if period <= math.MaxInt64-r.now {
+			r.At(r.now+period, tick)
+		}
+	}
+	r.At(saturated(r.now, offset), tick)
+	return nil
 }
 
 // step fires the earliest event if it is due at or before until.
@@ -392,13 +417,28 @@ func saturated(now, d time.Duration) time.Duration {
 	return now + d
 }
 
+// timerPeriods are the periods a fuzz program's timers run at, indexed
+// by bits 3–6 of the instruction: 1 and 5 ns, P and 5P on digit
+// boundaries, whose runs coincide with each other and with events at
+// fuzzDelay's delays, up to periods that carry the second run to the end
+// of virtual time or past it.
+// timerRuns is how many runs a fuzz program's timer makes at most.
+const timerRuns = 8
+
+var timerPeriods = [16]time.Duration{1, 2, 5, 16, 1 << 6, 5 << 6, 1 << 12, 5 << 12, 1 << 24, 5 << 24,
+	1 << 36, 1 << 48, math.MaxInt64 / 4, math.MaxInt64 / 2, math.MaxInt64 - 15, math.MaxInt64}
+
 // queueTranscript runs the fuzz program ops on s and returns what every
 // step observed. Two-byte instructions: schedule an event (which, when it
 // fires, may schedule a child at a tie-prone delay), Run to a horizon,
-// or RunAll with a small bound.
+// RunAll with a small bound, start a periodic timer or stop one. A
+// timer stops itself after timerRuns runs, so every program ends; an even
+// one also schedules an event one period out from each run, due with its
+// own next run. All timers are stopped before the final drain.
 func queueTranscript(s schedulerAPI, ops []byte) []int64 {
 	var log []int64
 	id := 0
+	var stopped []*bool
 	var event func(delay time.Duration) func()
 	event = func(delay time.Duration) func() {
 		id++
@@ -419,18 +459,42 @@ func queueTranscript(s schedulerAPI, ops []byte) []int64 {
 		case 2:
 			log = append(log, -1, int64(s.Run(saturated(s.Now(), fuzzDelay(arg)))))
 		case 3:
-			log = append(log, -2, int64(s.RunAll(int(arg%8)+1)))
+			switch {
+			case op < 0x80:
+				log = append(log, -2, int64(s.RunAll(int(arg%8)+1)))
+			case op&0x04 == 0:
+				id++
+				me, runs, stop := id, 0, new(bool)
+				stopped = append(stopped, stop)
+				period := timerPeriods[op>>3&0x0f]
+				if err := s.Every(fuzzDelay(arg), period, func() bool { return *stop || runs >= timerRuns }, func() {
+					runs++
+					log = append(log, int64(me), int64(s.Now()))
+					if me%2 == 0 {
+						s.At(saturated(s.Now(), period), event(period/2))
+					}
+				}); err != nil {
+					panic(err)
+				}
+			case len(stopped) > 0:
+				*stopped[int(arg)%len(stopped)] = true
+			}
 		}
 		log = append(log, -3, int64(s.Now()), int64(s.Pending()))
+	}
+	for _, stop := range stopped {
+		*stop = true
 	}
 	log = append(log, -4, int64(s.RunAll(0)), int64(s.Now()))
 	return log
 }
 
-// FuzzEventQueue interleaves scheduling, horizon runs and bounded drains
-// on a World and on the sorted reference scheduler: every event must fire
-// at the same time and in the same order, and Run, RunAll, Now and
-// Pending must agree after every step.
+// FuzzEventQueue interleaves scheduling, periodic timers, horizon runs
+// and bounded drains on a World and on the sorted reference scheduler:
+// every event must fire at the same time and in the same order, and Run,
+// RunAll, Now and Pending must agree after every step. Each program runs
+// twice on a World: with push ranks from 0, and with ranks that wrap
+// around after its eighth push.
 func FuzzEventQueue(f *testing.F) {
 	f.Add([]byte{0, 0x11, 0, 0x11, 1, 0x52, 2, 0x10, 0, 0x01, 3, 7})
 	f.Add([]byte{0, 0xff, 0, 0x21, 2, 0x30, 0, 0x22, 2, 0xf0, 3, 1})
@@ -442,14 +506,36 @@ func FuzzEventQueue(f *testing.F) {
 	// The top digit level: deadlines and horizons at the end of virtual
 	// time, where every later schedule saturates onto one instant.
 	f.Add([]byte{0, 0xf0, 0, 0xff, 0xf0, 0xf0, 2, 0xc1, 0, 0xf0, 3, 7, 2, 0xf0, 0, 0x01, 0x31, 0x14, 3, 7})
+	// A timer of period 2²⁴ and long events due at its second run: one
+	// queued before the timer, one after its re-arm, and an even timer's
+	// own event, queued by the run before its re-arm.
+	f.Add([]byte{0, 0x61, 0xc3, 0x00, 2, 0x00, 0, 0x61, 0xcb, 0x00, 2, 0x62, 3, 7})
+	// Periods 2⁶ and 5·2⁶ from one offset: every fifth run of the first
+	// coincides with a run of the second, and events at 2⁶ and 2¹² ns
+	// fall on both.
+	f.Add([]byte{0xa3, 0x00, 0xab, 0x00, 0, 0x14, 0xa3, 0x14, 2, 0x31, 0, 0x31, 2, 0x91, 3, 7})
+	// Timers stopped before their first run, one of them tied with an
+	// event at its offset, and one stopped between two runs.
+	f.Add([]byte{0x83, 0x14, 0, 0x14, 0x87, 0x00, 0xa3, 0x01, 0x8b, 0x21, 0x87, 0x02, 2, 0x14, 0x87, 0x01, 2, 0x31, 3, 7})
+	// Timers at the end of virtual time: a run at MaxInt64 that cannot
+	// re-arm, a second run that just fits at MaxInt64−15, a 1 ns timer
+	// that steps onto the end, events saturated onto the same instant.
+	f.Add([]byte{0x83, 0xf0, 0xf3, 0x00, 0x83, 0xf3, 0xfb, 0x00, 0, 0xf0, 2, 0xf0, 0x8b, 0x00, 0, 0xff, 3, 7, 2, 0xf0})
+	// Push ranks wrapping around mid-tie: eight events at one instant,
+	// then a 1 ns timer and more events at its runs.
+	f.Add([]byte{0, 0x05, 0, 0x05, 0, 0x05, 0, 0x05, 0, 0x05, 0, 0x05, 0, 0x05, 0x83, 0x04, 0, 0x05, 0x8b, 0x03,
+		0, 0x06, 1, 0x05, 2, 0x07, 0, 0x01, 3, 7})
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		if len(ops) > 1024 {
 			return
 		}
 		want := queueTranscript(&refWorld{fns: map[uint64]func(){}}, ops)
-		got := queueTranscript(NewWorld(1), ops)
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("queue transcript diverged from the reference:\n got %v\nwant %v", got, want)
+		for _, rank := range []uint32{0, math.MaxUint32 - 7} {
+			w := NewWorld(1)
+			w.events.rank = rank
+			if got := queueTranscript(w, ops); !reflect.DeepEqual(got, want) {
+				t.Fatalf("queue transcript from rank %d diverged from the reference:\n got %v\nwant %v", rank, got, want)
+			}
 		}
 	})
 }

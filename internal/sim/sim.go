@@ -6,9 +6,14 @@
 // All of the paper's experiments execute on this engine. Determinism is
 // a design goal (DESIGN.md §5): the world is single-threaded and events
 // with equal timestamps fire in scheduling order, so a (trace, seed)
-// pair regenerates every figure bit-identically. One monotone radix
-// queue, FIFO among equal deadlines, is the whole determinism story
-// (DESIGN.md §14).
+// pair regenerates every figure bit-identically. Events live in one
+// monotone radix queue, FIFO among equal deadlines, and periodic timers
+// from their second run on in one FIFO ring per period. Every push and
+// every re-arm takes the next push rank, and the loop fires whichever of
+// the queue head and the earliest ring head comes first by (at, rank):
+// exactly the order the timers' re-pushes would have taken, as long as
+// two events due at the same instant were ranked fewer than 2³¹ ranks
+// apart (DESIGN.md §5, §14).
 package sim
 
 import (
@@ -34,11 +39,20 @@ type World struct {
 	// nets are the networks created on this world: a queued delivery names
 	// its network by position here (payload.net1) instead of by pointer.
 	nets []*Network
+	// rings hold the periodic timers past their first run, one ring per
+	// period (timerRing). timers counts their members; first indexes the
+	// ring whose head comes first by (at, rank), -1 when every ring is
+	// empty, and ringAt is that head's at (math.MaxInt64 when none) —
+	// the one value the run loop compares each queue event against.
+	rings  []timerRing
+	timers int
+	first  int
+	ringAt time.Duration
 }
 
 // NewWorld creates a world at time zero with a deterministic RNG.
 func NewWorld(seed int64) *World {
-	return &World{rng: rand.New(rand.NewSource(seed))}
+	return &World{rng: rand.New(rand.NewSource(seed)), first: -1, ringAt: math.MaxInt64}
 }
 
 // Now returns the current virtual time.
@@ -85,6 +99,11 @@ func (w *World) After(d time.Duration, fn func()) { w.At(w.later(d), fn) }
 // Every schedules fn to run now+offset, then every period thereafter,
 // until stop returns true (checked before each run) or the next run would
 // fall past the end of virtual time. period must be positive.
+//
+// The first run is a queued closure; from then on the timer is a member
+// of its period's ring, re-armed at its tail with the rank its re-push
+// would have taken, so it fires in exactly the order a closure re-pushed
+// after each run would, and a run allocates nothing.
 func (w *World) Every(offset, period time.Duration, stop func() bool, fn func()) error {
 	if period <= 0 {
 		return fmt.Errorf("sim: period must be positive, got %v", period)
@@ -92,17 +111,14 @@ func (w *World) Every(offset, period time.Duration, stop func() bool, fn func())
 	if fn == nil {
 		return fmt.Errorf("sim: nil periodic function")
 	}
-	var tick func()
-	tick = func() {
+	r := w.ring(period)
+	w.After(offset, func() {
 		if stop != nil && stop() {
 			return
 		}
 		fn()
-		if period <= math.MaxInt64-w.now {
-			w.At(w.now+period, tick)
-		}
-	}
-	w.After(offset, tick)
+		w.rearm(r, timer{stop: stop, fn: fn})
+	})
 	return nil
 }
 
@@ -110,19 +126,7 @@ func (w *World) Every(offset, period time.Duration, stop func() bool, fn func())
 // event by event, and leaves the clock at until. It returns the number
 // of events processed.
 func (w *World) Run(until time.Duration) int {
-	n := 0
-	for w.events.due(until) {
-		k := w.events.pop()
-		w.now = k.at
-		if w.obs != nil {
-			w.obs.fired[w.events.class(k.slot)]++
-		}
-		w.events.fire(k.slot, w.nets)
-		n++
-		if w.obs != nil {
-			w.obs.step(w)
-		}
-	}
+	n := w.run(until, 0)
 	if until > w.now {
 		w.now = until
 	}
@@ -137,31 +141,168 @@ func (w *World) Run(until time.Duration) int {
 // bounds runaway execution (<= 0 means no bound). It returns the number
 // of events processed.
 func (w *World) RunAll(maxEvents int) int {
-	n := 0
-	// The bound is checked first: due may refill, and a refill must not
-	// move the queue's base past the clock the loop leaves behind.
-	for (maxEvents <= 0 || n < maxEvents) && w.events.due(math.MaxInt64) {
-		k := w.events.pop()
-		w.now = k.at
-		if w.obs != nil {
-			w.obs.fired[w.events.class(k.slot)]++
-		}
-		w.events.fire(k.slot, w.nets)
-		n++
-		if w.obs != nil {
-			w.obs.step(w)
-		}
-	}
+	n := w.run(math.MaxInt64, maxEvents)
 	if w.obs != nil {
 		w.obs.flush(w)
 	}
 	return n
 }
 
-// Pending returns the number of queued events.
-func (w *World) Pending() int {
-	return w.events.n
+// run fires events at or before until, at most maxEvents of them (<= 0:
+// no bound), and returns how many it fired. The bound is checked first:
+// due may refill, and a refill must not move the queue's base past the
+// clock the loop leaves behind. For the same reason the queue is asked
+// only up to the earliest ring head: a ring timer that fires before the
+// queue's next key may schedule at its own instant, below a base moved to
+// that key.
+func (w *World) run(until time.Duration, maxEvents int) int {
+	n := 0
+	for maxEvents <= 0 || n < maxEvents {
+		if w.events.due(min(until, w.ringAt)) && (w.events.base < w.ringAt || !w.timerFirst()) {
+			k := w.events.pop()
+			w.now = k.at
+			if w.obs != nil {
+				w.obs.fired[w.events.class(k.slot)]++
+			}
+			w.events.fire(k.slot, w.nets)
+		} else if w.first >= 0 && w.ringAt <= until {
+			if w.obs != nil {
+				w.obs.fired[classTimer]++
+			}
+			w.fireTimer()
+		} else {
+			break
+		}
+		n++
+		if w.obs != nil {
+			w.obs.step(w)
+		}
+	}
+	return n
 }
+
+// Pending returns the number of pending events: queued ones and
+// periodic timers waiting in their rings.
+func (w *World) Pending() int {
+	return w.events.n + w.timers
+}
+
+// timer is a periodic timer waiting in its period's ring: its next run
+// and the push rank that run takes, its stop check and its function.
+type timer struct {
+	at   time.Duration
+	rank uint32
+	stop func() bool
+	fn   func()
+}
+
+// timerRing is the FIFO of every timer of one period, a circular buffer
+// read at head whose length is a power of two. A member is appended one
+// period after the run that re-armed it, with the next push rank, so it
+// is never earlier by (at, rank) than a member already held: the ring
+// stays sorted, and its head is its first timer. started counts the
+// timers ever started on the period, so the buffer is sized for all of
+// them at once.
+type timerRing struct {
+	period  time.Duration
+	buf     []timer
+	head, n int
+	started int
+}
+
+// ring counts one more timer started on period and returns the index of
+// its ring, adding an empty one for a new period.
+func (w *World) ring(period time.Duration) int {
+	for i := range w.rings {
+		if w.rings[i].period == period {
+			w.rings[i].started++
+			return i
+		}
+	}
+	w.rings = append(w.rings, timerRing{period: period, started: 1})
+	return len(w.rings) - 1
+}
+
+// rearm files t, which has just run at now, one period later at the tail
+// of ring r with the next push rank — or drops it when that run would
+// fall past the end of virtual time.
+func (w *World) rearm(r int, t timer) {
+	g := &w.rings[r]
+	if g.period > math.MaxInt64-w.now {
+		return
+	}
+	t.at, t.rank = w.now+g.period, w.events.rank
+	w.events.rank++
+	if g.n == len(g.buf) {
+		size := 8
+		for size <= len(g.buf) || size < g.started {
+			size *= 2
+		}
+		buf := make([]timer, size)
+		for i := range g.n {
+			buf[i] = g.buf[(g.head+i)&(len(g.buf)-1)]
+		}
+		g.buf, g.head = buf, 0
+	}
+	g.buf[(g.head+g.n)&(len(g.buf)-1)] = t
+	g.n++
+	w.timers++
+	if g.n == 1 {
+		w.nextTimer()
+	}
+}
+
+// fireTimer runs the earliest ring head, which the run loop has found
+// due before every queued event, and re-arms it.
+func (w *World) fireTimer() {
+	r := w.first
+	g := &w.rings[r]
+	t := g.buf[g.head]
+	g.buf[g.head] = timer{}
+	g.head = (g.head + 1) & (len(g.buf) - 1)
+	g.n--
+	w.timers--
+	w.nextTimer()
+	w.now = t.at
+	if t.stop != nil && t.stop() {
+		return
+	}
+	t.fn()
+	w.rearm(r, t)
+}
+
+// nextTimer finds the ring whose head comes first by (at, rank) and
+// caches it in first and ringAt.
+func (w *World) nextTimer() {
+	w.first, w.ringAt = -1, math.MaxInt64
+	for i := range w.rings {
+		g := &w.rings[i]
+		if g.n == 0 {
+			continue
+		}
+		h := &g.buf[g.head]
+		if w.first < 0 || h.at < w.ringAt || h.at == w.ringAt && rankBefore(h.rank, w.headRank()) {
+			w.first, w.ringAt = i, h.at
+		}
+	}
+}
+
+// headRank is the rank of the earliest ring head.
+func (w *World) headRank() uint32 {
+	g := &w.rings[w.first]
+	return g.buf[g.head].rank
+}
+
+// timerFirst reports whether the earliest ring head fires before the
+// queue head, both due at base: the tie is broken by push rank.
+func (w *World) timerFirst() bool {
+	return w.first >= 0 && rankBefore(w.headRank(), w.events.headRank())
+}
+
+// rankBefore reports whether push rank a was taken before b. Ranks wrap
+// around at 2³²; the difference read as signed is exact while the two
+// were taken fewer than 2³¹ ranks apart.
+func rankBefore(a, b uint32) bool { return int32(a-b) < 0 }
 
 // evKind names the four event shapes the queue carries.
 type evKind uint8
@@ -181,14 +322,17 @@ const (
 )
 
 // Event classes, the labels of sim_events_fired_total: the four kinds,
-// with evResult split by its verdict.
+// with evResult split by its verdict, and the runs of periodic timers
+// out of their rings ("func" counts only closures that went through the
+// queue, an Every's first run among them).
 const (
 	classResultNack = int(evResult) + 1
-	numClasses      = classResultNack + 1
+	classTimer      = classResultNack + 1
+	numClasses      = classTimer + 1
 )
 
 // classNames label the event classes, indexed by class.
-var classNames = [numClasses]string{"func", "deliver", "attempt", "result-ok", "result-nack"}
+var classNames = [numClasses]string{"func", "deliver", "attempt", "result-ok", "result-nack", "timer"}
 
 // class returns the event class of the payload in slot.
 func (q *eventQueue) class(slot uint32) int {
@@ -214,6 +358,10 @@ type payload struct {
 	// addresses (index plus one, 0 = none) exactly as the sender handed
 	// them over — unverified until the event fires.
 	to1, from1 int32
+	// rank is the push rank the event was filed with (eventQueue.rank),
+	// read only when the event ties with a ring timer on its deadline. It
+	// fills what was padding, so the slot stays 96 bytes.
+	rank uint32
 	// from, to, msg: the message of evDeliver and evAttempt.
 	from, to ids.NodeID
 	msg      any
@@ -228,7 +376,7 @@ type payload struct {
 }
 
 // eventKey is what the queue orders: 16 bytes, no pointers. slot
-// indexes the payload slab.
+// indexes the payload slab, which holds the key's push rank too.
 type eventKey struct {
 	at   time.Duration
 	slot uint32
@@ -304,6 +452,7 @@ type eventQueue struct {
 	next      []int32 // next[c]: the chunk after c in its bucket's list
 	spare     []int32 // chunks no bucket holds
 	moves     uint64  // keys redistributed by refills, ever
+	rank      uint32  // the push rank the next push or timer re-arm takes
 	slab      []payload
 	free      []uint32
 }
@@ -319,9 +468,9 @@ func (q *eventQueue) bucketOf(at time.Duration) int {
 	return 1 + int(l<<digitBits|d)
 }
 
-// push files a key at at and returns its slab slot, zeroed, for the
-// caller to fill in place. The pointer is valid until the next push: the
-// slab may move when it grows.
+// push files a key at at and returns its slab slot, zeroed but for the
+// push rank, for the caller to fill in place. The pointer is valid until
+// the next push: the slab may move when it grows.
 func (q *eventQueue) push(at time.Duration) *payload {
 	var slot uint32
 	if n := len(q.free); n > 0 {
@@ -333,7 +482,10 @@ func (q *eventQueue) push(at time.Duration) *payload {
 	}
 	q.add(q.bucketOf(at), eventKey{at: at, slot: slot})
 	q.n++
-	return &q.slab[slot]
+	p := &q.slab[slot]
+	p.rank = q.rank
+	q.rank++
+	return p
 }
 
 // add appends k to the tail of bucket i.
@@ -421,6 +573,13 @@ func (q *eventQueue) refill(i int) {
 		q.spare = append(q.spare, c)
 		c = q.next[c]
 	}
+}
+
+// headRank returns the push rank of the front key of bucket 0, which due
+// has just reported present.
+func (q *eventQueue) headRank() uint32 {
+	b := &q.buckets[0]
+	return q.slab[q.chunks[b.head][b.lo].slot].rank
 }
 
 // pop removes and returns the front key of bucket 0, which due has just
