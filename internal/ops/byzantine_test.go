@@ -232,6 +232,54 @@ func TestOriginRejectsOutOfHullResult(t *testing.T) {
 	}
 }
 
+// TestOriginVetsResultAfterJoiningItsOwnTree: an origin inside its own
+// band joins its second tree as a member and concludes there before that
+// tree's root reports. Concluding as a member must not end the origin's
+// own vetting: the root's out-of-hull result is still rejected and
+// counted, and leaves the instance slot empty.
+func TestOriginVetsResultAfterJoiningItsOwnTree(t *testing.T) {
+	// Node 0 (the origin) roots instance 0 in the band's lower slice;
+	// instance 1 enters the upper slice at 0.85 or 0.9, whose tree the
+	// origin joins.
+	c := newCluster(t, fullPredicate(t), []float64{0.45, 0.1, 0.85, 0.9}, false)
+	origin := c.nodes[0]
+	r := c.routers[origin]
+	r.bandCensus = func(lo, hi float64) float64 { return 5 * (hi - lo) }
+	lied := false
+	if err := c.net.RegisterAddr(origin.Addr(), func(from ids.Addr, msg any) {
+		if m, ok := msg.(AggResultMsg); ok && m.ID.Seq == 2 {
+			if !r.station.Seen(m.ID) {
+				t.Error("the origin never joined its second tree")
+			}
+			// The root lies in its own result: token and sender check
+			// out, availability 100 lies outside any band hull.
+			m.Result = agg.Partial{N: 3, Sum: 300, Min: 100, Max: 100, Depth: 1}
+			msg, lied = m, true
+		}
+		r.HandleMessage(from, msg)
+	}); err != nil {
+		t.Fatal(err)
+	}
+	opts := DefaultAggregateOptions()
+	opts.Redundancy = 2
+	opts.Eligible, opts.Truth = 3, 3
+	id, err := r.Aggregate(agg.Count, 0.4, 1, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.world.Run(c.world.Now() + time.Second)
+	if !lied {
+		t.Fatal("the second tree's root never reported")
+	}
+	if rej, _, _ := c.col.AggCounters(); rej != 1 {
+		t.Errorf("rejected partials = %d, want the root's lie only", rej)
+	}
+	rec, _ := c.col.Aggregate(id)
+	if len(rec.Instances) != 2 || rec.Instances[1].Done {
+		t.Errorf("the lying root filled its instance slot: %+v", rec.Instances)
+	}
+}
+
 // TestSubTargetPartitionsHull: the k entry slices tile the hull
 // exactly — no gap, no overlap, exact top end.
 func TestSubTargetPartitionsHull(t *testing.T) {

@@ -121,6 +121,10 @@ type Router struct {
 	// tree member of, so child replies can be sanity-checked (the reply
 	// itself carries no band). Entries die with the station's pending op.
 	aggChecks map[MsgID]Band
+	// originChecks remembers the band of every tree instance this node
+	// originated, so a root's result can be vetted; entries live until the
+	// origin's resolution deadline, whatever this node does as a member.
+	originChecks map[MsgID]Band
 }
 
 // AggPartialAuditor is the optional seam through which the router
@@ -546,7 +550,12 @@ func (r *Router) Aggregate(op agg.Op, lo, hi float64, opts AggregateOptions) (Ms
 		r.col.addAggInstance(id, inst, token)
 		// Arm the origin-side PDF sanity check: a root's claimed result
 		// is vetted against the band exactly like a child partial.
-		r.trackAggCheck(inst, band)
+		if r.bandCensus != nil {
+			if r.originChecks == nil {
+				r.originChecks = make(map[MsgID]Band, 8)
+			}
+			r.originChecks[inst] = band
+		}
 		spec := AggregateSpec{Op: op, Band: band, Flavor: opts.Flavor, Token: token, Salt: aggSalt(j)}
 		msg := AnycastMsg{
 			ID:          inst,
@@ -567,7 +576,7 @@ func (r *Router) Aggregate(op agg.Op, lo, hi float64, opts AggregateOptions) (Ms
 	p := r.station.Params()
 	r.env.After(time.Duration(p.MaxDepth+4)*p.Wave, func() {
 		for _, inst := range insts {
-			delete(r.aggChecks, inst)
+			delete(r.originChecks, inst)
 		}
 		r.col.aggregateFinalize(id, r.env.Now())
 	})
@@ -637,7 +646,7 @@ func (r *Router) HandleMessage(from ids.Addr, msg any) {
 		// relayed partial) leaves the band hull and is dropped here,
 		// reported to the auditor, and its tree instance stays pending —
 		// the cross-tree median then resolves from the honest trees.
-		if band, tracked := r.aggChecks[m.ID]; tracked {
+		if band, tracked := r.originChecks[m.ID]; tracked {
 			if reason := r.partialSuspect(band, m.Result); reason != "" {
 				r.col.aggregatePartialRejected(m.ID, reason)
 				if ap, ok := r.auditor.(AggPartialAuditor); ok {

@@ -19,12 +19,15 @@ import (
 // and says why. The memnet rows of mixed-workload, eclipse-attack,
 // rangecast-storm and byzantine-census were re-recorded when the live
 // agents moved to partial Fisher–Yates sampling on splitmix64 streams,
-// which changes every node's random draws.
+// which changes every node's random draws. Both byzantine-census rows
+// (and the two selective-forward rows below) were re-recorded when an
+// origin that joins its own tree as a member kept vetting that tree's
+// root result: a lying root there was accepted before.
 var goldenReports = map[string]map[string]string{
 	BackendSim: {
 		"availability-census.json":    "cae22c24b341692dfb4610658e62213b39ca1db76287e2a834676c8fcea49346",
 		"availability-inflation.json": "99469825fc683cc7052e531858c1506a77932c22dcaa2081b3efab2794f5104c",
-		"byzantine-census.json":       "10481c28dcda72a125eaa9a0e45667d29d49b955aff562eecc9d14e66dcd68ad",
+		"byzantine-census.json":       "d1a57027ef13d9fd5ac5cb2478eea937b97f8e4d58791e08c6cc2572597945d9",
 		"churn-storm.json":            "0d32fe7240aea7f07e2a70de1497b6e1dec36647f49212babeab28ff6425b533",
 		"eclipse-attack.json":         "5a150a87ed4de52dd618c4dd519a172c1973824068149f3be4e775e29cddbbc8",
 		"mixed-workload.json":         "3856ab215933a031e34ff96495bf9563b4c357f0488a8dd56c9c91a6bce08e65",
@@ -35,7 +38,7 @@ var goldenReports = map[string]map[string]string{
 	BackendMemnet: {
 		"availability-census.json":    "82f5aaa792c6a693f7992b21a63520d7b2c40602ed76b596981a7e7e71e961fa",
 		"availability-inflation.json": "3ab5c4f26dbce9648c45eaf18c1b4af70d3ae4101c8bf7853c20bf25bb29ebd0",
-		"byzantine-census.json":       "fad5d15a53709a4519c496f75729147bd6d018bffb134089ec1e2c511ad44363",
+		"byzantine-census.json":       "4cc1bfa2d216269df0d45e50ecbee23e08b0d9ea8c59ed781b637b4daa0c1e6c",
 		"churn-storm.json":            "0dfa25f9fa3159921bfdddb58a6470107f38c03c855c4db8146c08fd06ce09dd",
 		"eclipse-attack.json":         "50c8aa498ecd8054c0388e12b034c9a18f68d95bc973e67a0c6207fe3779850b",
 		"mixed-workload.json":         "af0d86d3b566bbcafd4e2631c08e8a827d387b23c3795ef4c58c3265d6b5d052",
@@ -60,8 +63,8 @@ var distributedMonitorReports = map[string]string{
 // trees cross relays that drop their requests, so the fake verdicts the
 // dropping relays hand the tree fan-out show here first.
 var selectiveForwardReports = map[string]string{
-	BackendSim:    "81da6b6999bc32a607017399485e74f78746d0e8fe7b55e3f8ebf000223acae2",
-	BackendMemnet: "84739bfe2253a4a22e7febb835c913a0f275252ae86885cae869dfe669c20e47",
+	BackendSim:    "29cfff1f914021dc8ed49a83d2092654690aefb4b58f05d24f990ade55953a6a",
+	BackendMemnet: "0563385dd5af5b81cb24da0e20cb4ae12bdaf9ef227cf58af50e59c39673c757",
 }
 
 // TestGoldenReports is the in-tree byte-identity tripwire: the
