@@ -152,54 +152,36 @@ func (p Partial) Value(op Op) float64 {
 	}
 }
 
-// Params tunes the aggregation wave timing. The zero value takes the
-// defaults.
-type Params struct {
-	// Wave is the per-level hold quantum of the deadline backstop: a
-	// node at depth d finalizes no later than Wave×(MaxDepth−d+1) after
-	// it joined the tree, so children (deeper, hence shorter budgets)
-	// hit their deadlines before their parents do. Default 1s —
-	// comfortably above the per-hop latency model, so a child's partial
-	// beats its parent's deadline even on the slowest link.
-	Wave time.Duration
+// The aggregation wave timing, in virtual time, hence free in either
+// engine.
+const (
+	// Wave is the per-level hold quantum of the deadline backstop: a node
+	// at depth d concludes no later than Wave×(MaxDepth−d+1) after it
+	// joined the tree, so children (deeper, hence shorter budgets) hit
+	// their deadlines before their parents do. Comfortably above the
+	// per-hop latency model, so a child's partial beats its parent's
+	// deadline even on the slowest link.
+	Wave = time.Second
 	// MaxDepth bounds the dissemination tree; nodes at MaxDepth stop
-	// forwarding (default 8, ≈ overlay diameter at paper scale).
-	MaxDepth int
-}
-
-// withDefaults resolves zero fields.
-func (p Params) withDefaults() Params {
-	if p.Wave == 0 {
-		p.Wave = time.Second
-	}
-	if p.MaxDepth == 0 {
-		p.MaxDepth = 8
-	}
-	return p
-}
-
-// Validate rejects nonsensical timing.
-func (p Params) Validate() error {
-	if p.Wave < 0 || p.MaxDepth < 0 {
-		return fmt.Errorf("agg: negative params %+v", p)
-	}
-	return nil
-}
+	// forwarding (≈ overlay diameter at paper scale).
+	MaxDepth = 8
+)
 
 // maxDone bounds the finished-operation suppression set; like the
 // router's seen set, aggregations are short-lived so a full reset on
 // overflow is harmless.
 const maxDone = 1 << 14
 
-// pending is one in-flight aggregation at this node. Records are
+// pending is one in-flight aggregation at this node: the combining
+// state plus the caller's own record of the tree (val). Records are
 // recycled: a record returns to its station's free list when its
 // deadline timer fires — the last reference to it, since one timer is
 // armed per Open — so the timer callback is bound once per record, not
 // once per Open.
-type pending[K comparable] struct {
-	id       K
-	acc      Partial
-	finalize func(Partial)
+type pending[K comparable, V any] struct {
+	id  K
+	acc Partial
+	val V
 	// outstanding counts forwarded-to children not yet accounted for;
 	// expected flips once Expect ran, so an aggregation cannot converge
 	// before the caller even forwarded the request.
@@ -215,41 +197,36 @@ type pending[K comparable] struct {
 // Station is the per-node aggregation state machine. It owns no wire
 // format and no locks: the caller (ops.Router under the simulator's
 // single thread, or node.Node under its gate) serializes access and
-// supplies the clockwork through After.
-type Station[K comparable] struct {
-	params Params
-	after  func(d time.Duration, fn func())
+// supplies the clockwork through After. Each open aggregation keeps one
+// record, which holds the caller's V next to the combining state.
+type Station[K comparable, V any] struct {
+	after    func(d time.Duration, fn func())
+	conclude func(id K, v *V, p Partial)
 
-	open map[K]*pending[K]
+	open map[K]*pending[K, V]
 	done map[K]bool
 	// free holds records whose deadline has fired, for Open to reuse.
-	free []*pending[K]
+	free []*pending[K, V]
 }
 
-// NewStation builds a Station; after schedules the deadlines (the host
-// Env's timer).
-func NewStation[K comparable](params Params, after func(d time.Duration, fn func())) (*Station[K], error) {
-	if err := params.Validate(); err != nil {
-		return nil, err
-	}
-	if after == nil {
-		return nil, fmt.Errorf("agg: after scheduler is required")
+// NewStation builds a Station. after schedules the deadlines (the host
+// Env's timer); conclude is called exactly once per Open — at
+// convergence or the deadline — with the id, the V given to Open, and
+// the combined partial. The caller sends the partial to the parent, or
+// to the origin at the tree root.
+func NewStation[K comparable, V any](after func(d time.Duration, fn func()), conclude func(id K, v *V, p Partial)) (*Station[K, V], error) {
+	if after == nil || conclude == nil {
+		return nil, fmt.Errorf("agg: after scheduler and conclude are required")
 	}
 	// open/done are allocated lazily: most stations in a large world
 	// never participate in an aggregation.
-	return &Station[K]{
-		params: params.withDefaults(),
-		after:  after,
-	}, nil
+	return &Station[K, V]{after: after, conclude: conclude}, nil
 }
-
-// Params returns the station's resolved timing parameters.
-func (s *Station[K]) Params() Params { return s.params }
 
 // Seen reports whether the station already holds (or held) operation
 // id — the duplicate-suppression test a receiver consults before
 // joining the tree (a duplicate receiver declines instead).
-func (s *Station[K]) Seen(id K) bool {
+func (s *Station[K, V]) Seen(id K) bool {
 	if s.done[id] {
 		return true
 	}
@@ -257,45 +234,53 @@ func (s *Station[K]) Seen(id K) bool {
 	return ok
 }
 
-// Open starts a pending aggregation for id at the given tree depth.
-// When contribute is true, local is folded in as this node's own value
-// (an out-of-band tree root relays without contributing). finalize is
-// called exactly once — at convergence or the deadline — with the
-// combined partial; the caller sends it to the parent, or to the
-// origin at the tree root. Open returns false for a duplicate id, in
-// which case nothing was started and the caller must decline rather
-// than forward again.
-func (s *Station[K]) Open(id K, depth int, local float64, contribute bool, finalize func(Partial)) bool {
+// Open starts a pending aggregation for id at the given tree depth,
+// keeping v in its record. When contribute is true, local is folded in
+// as this node's own value (an out-of-band tree root relays without
+// contributing). Open returns false for a duplicate id, in which case
+// nothing was started and the caller must decline rather than forward
+// again.
+func (s *Station[K, V]) Open(id K, depth int, local float64, contribute bool, v V) bool {
 	if s.Seen(id) {
 		return false
 	}
 	p := s.record()
-	p.id, p.finalize, p.live = id, finalize, true
+	p.id, p.val, p.live = id, v, true
 	if contribute {
 		p.acc.Observe(local, depth)
 	}
 	if s.open == nil {
-		s.open = make(map[K]*pending[K], 8)
+		s.open = make(map[K]*pending[K, V], 8)
 	}
 	s.open[id] = p
 	// One timer per aggregation, at the depth-staggered deadline: the
 	// hard stop for children lost mid-operation. After an earlier
 	// convergence it finds the record concluded and only recycles it.
-	waves := max(s.params.MaxDepth-depth, 0) + 1
-	s.after(time.Duration(waves)*s.params.Wave, p.deadline)
+	waves := max(MaxDepth-depth, 0) + 1
+	s.after(time.Duration(waves)*Wave, p.deadline)
 	return true
+}
+
+// Lookup returns the V of id's open record; false once the aggregation
+// concluded (or was never opened here).
+func (s *Station[K, V]) Lookup(id K) (*V, bool) {
+	p, ok := s.open[id]
+	if !ok {
+		return nil, false
+	}
+	return &p.val, true
 }
 
 // record returns a zeroed pending record, reused from the free list when
 // one is there, with its deadline callback bound.
-func (s *Station[K]) record() *pending[K] {
+func (s *Station[K, V]) record() *pending[K, V] {
 	if n := len(s.free); n > 0 {
 		p := s.free[n-1]
 		s.free = s.free[:n-1]
-		*p = pending[K]{deadline: p.deadline}
+		*p = pending[K, V]{deadline: p.deadline}
 		return p
 	}
-	p := &pending[K]{}
+	p := &pending[K, V]{}
 	p.deadline = func() { s.expire(p) }
 	return p
 }
@@ -303,20 +288,20 @@ func (s *Station[K]) record() *pending[K] {
 // expire is a record's deadline: it concludes the aggregation if it is
 // still open and recycles the record, which nothing else references any
 // more.
-func (s *Station[K]) expire(p *pending[K]) {
+func (s *Station[K, V]) expire(p *pending[K, V]) {
 	if p.live {
-		s.conclude(p)
+		s.finish(p)
 	}
 	s.free = append(s.free, p)
 }
 
 // Expect records how many children the caller forwarded the request
 // to, arming convergence detection: once every child is accounted for
-// by Absorb or Decline, the aggregation finalizes without waiting for
-// the deadline. A leaf (children == 0) finalizes immediately. The
+// by Absorb or Decline, the aggregation concludes without waiting for
+// the deadline. A leaf (children == 0) concludes immediately. The
 // count is added, not assigned, so a delivery failure that nacked
 // synchronously during forwarding (before Expect ran) stays accounted.
-func (s *Station[K]) Expect(id K, children int) {
+func (s *Station[K, V]) Expect(id K, children int) {
 	p, ok := s.open[id]
 	if !ok || p.expected {
 		return
@@ -330,7 +315,7 @@ func (s *Station[K]) Expect(id K, children int) {
 // one child accounted for. Partials for unknown or finished operations
 // are dropped — late stragglers after the deadline, or duplicates
 // after an overflow reset.
-func (s *Station[K]) Absorb(id K, q Partial) {
+func (s *Station[K, V]) Absorb(id K, q Partial) {
 	p, ok := s.open[id]
 	if !ok {
 		return
@@ -343,7 +328,7 @@ func (s *Station[K]) Absorb(id K, q Partial) {
 // Decline marks one child accounted for without a contribution: the
 // child was already in the tree through another parent, lies outside
 // the band, or was unreachable (the forwarding SendCall nacked).
-func (s *Station[K]) Decline(id K) {
+func (s *Station[K, V]) Decline(id K) {
 	p, ok := s.open[id]
 	if !ok {
 		return
@@ -354,25 +339,24 @@ func (s *Station[K]) Decline(id K) {
 
 // Pending returns the number of in-flight aggregations (tests and
 // debugging).
-func (s *Station[K]) Pending() int { return len(s.open) }
+func (s *Station[K, V]) Pending() int { return len(s.open) }
 
-// maybeConverge finalizes once every forwarded-to child is accounted
+// maybeConverge concludes once every forwarded-to child is accounted
 // for.
-func (s *Station[K]) maybeConverge(p *pending[K]) {
+func (s *Station[K, V]) maybeConverge(p *pending[K, V]) {
 	if !p.expected || p.outstanding > 0 {
 		return
 	}
-	s.conclude(p)
+	s.finish(p)
 }
 
-// conclude retires the aggregation and reports its combined partial.
-func (s *Station[K]) conclude(p *pending[K]) {
+// finish retires the aggregation and reports its combined partial.
+func (s *Station[K, V]) finish(p *pending[K, V]) {
 	delete(s.open, p.id)
 	if s.done == nil || len(s.done) >= maxDone {
 		s.done = make(map[K]bool, 64)
 	}
 	s.done[p.id] = true
-	finalize := p.finalize
-	p.live, p.finalize = false, nil
-	finalize(p.acc)
+	p.live = false
+	s.conclude(p.id, &p.val, p.acc)
 }

@@ -136,9 +136,11 @@ func TestOpValidateAndString(t *testing.T) {
 	}
 }
 
-func newTestStation(t *testing.T, clk *fakeClock) *Station[int] {
+// newTestStation builds a station whose records hold a per-Open
+// callback, which its conclusion calls.
+func newTestStation(t *testing.T, clk *fakeClock) *Station[int, func(Partial)] {
 	t.Helper()
-	s, err := NewStation[int](Params{Wave: time.Second, MaxDepth: 4}, clk.After)
+	s, err := NewStation(clk.After, func(_ int, finalize *func(Partial), p Partial) { (*finalize)(p) })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,8 +201,8 @@ func TestStationDeadlineBackstop(t *testing.T) {
 	var got *Partial
 	s.Open(1, 0, 0.5, true, func(p Partial) { got = &p })
 	s.Expect(1, 1) // the child never responds
-	// Depth 0 with MaxDepth 4 → deadline 5 waves.
-	clk.advance(4 * time.Second)
+	// Depth 0 with MaxDepth 8 → deadline 9 waves.
+	clk.advance(8 * time.Second)
 	if got != nil {
 		t.Fatal("finalized before the deadline")
 	}
@@ -293,18 +295,12 @@ func TestStationDoneSetBounded(t *testing.T) {
 
 func TestNewStationValidation(t *testing.T) {
 	clk := &fakeClock{}
-	if _, err := NewStation[int](Params{Wave: -1}, clk.After); err == nil {
-		t.Error("want error for negative wave")
-	}
-	if _, err := NewStation[int](Params{}, nil); err == nil {
+	conclude := func(int, *int, Partial) {}
+	if _, err := NewStation(nil, conclude); err == nil {
 		t.Error("want error for nil scheduler")
 	}
-	s, err := NewStation[int](Params{}, clk.After)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p := s.Params(); p.Wave != time.Second || p.MaxDepth != 8 {
-		t.Errorf("defaults = %+v", p)
+	if _, err := NewStation[int, int](clk.After, nil); err == nil {
+		t.Error("want error for nil conclude")
 	}
 }
 
@@ -314,9 +310,9 @@ func TestNewStationValidation(t *testing.T) {
 // or negative budget, so its partial always climbs out.
 func TestStationBeyondMaxDepthBackstop(t *testing.T) {
 	clk := &fakeClock{}
-	s := newTestStation(t, clk) // MaxDepth 4
+	s := newTestStation(t, clk)
 	var got *Partial
-	s.Open(1, 7, 0.5, true, func(p Partial) { got = &p })
+	s.Open(1, 11, 0.5, true, func(p Partial) { got = &p })
 	s.Expect(1, 1) // the child never responds
 	clk.advance(999 * time.Millisecond)
 	if got != nil {
@@ -326,8 +322,8 @@ func TestStationBeyondMaxDepthBackstop(t *testing.T) {
 	if got == nil {
 		t.Fatal("one-wave backstop did not fire at depth > MaxDepth")
 	}
-	if got.N != 1 || got.Depth != 7 {
-		t.Errorf("partial = %+v, want own value at depth 7", *got)
+	if got.N != 1 || got.Depth != 11 {
+		t.Errorf("partial = %+v, want own value at depth 11", *got)
 	}
 }
 
@@ -337,8 +333,8 @@ func TestStationBeyondMaxDepthBackstop(t *testing.T) {
 // fires as a no-op.
 func TestStationOneTimerPerOpen(t *testing.T) {
 	clk := &fakeClock{}
-	s := newTestStation(t, clk) // MaxDepth 4, Wave 1s
-	for depth := 0; depth <= 5; depth++ {
+	s := newTestStation(t, clk)
+	for depth := 0; depth <= MaxDepth+1; depth++ {
 		var at time.Duration = -1
 		start := clk.now
 		s.Open(depth, depth, 0.5, true, func(Partial) { at = clk.now - start })
@@ -347,7 +343,7 @@ func TestStationOneTimerPerOpen(t *testing.T) {
 		}
 		s.Expect(depth, 1) // the child never responds
 		clk.advance(time.Minute)
-		want := time.Duration(max(4-depth, 0)+1) * time.Second
+		want := time.Duration(max(MaxDepth-depth, 0)+1) * Wave
 		if at != want {
 			t.Errorf("depth %d: concluded after %v, want %v", depth, at, want)
 		}

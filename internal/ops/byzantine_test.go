@@ -162,7 +162,6 @@ func TestPartialSuspectBounds(t *testing.T) {
 	c := newCluster(t, fullPredicate(t), []float64{0.5, 0.9}, false)
 	r := c.routers[c.nodes[0]]
 	r.bandCensus = func(lo, hi float64) float64 { return 10 * (hi - lo) }
-	r.valueChecks = true
 	band := Band{Lo: 0.5, Hi: 1}
 	cases := []struct {
 		name string
@@ -180,12 +179,6 @@ func TestPartialSuspectBounds(t *testing.T) {
 		if got := r.partialSuspect(band, tc.p); got != tc.want {
 			t.Errorf("%s: suspect = %q, want %q", tc.name, got, tc.want)
 		}
-	}
-	// With a caller-supplied value source the hull says nothing about
-	// the values; only the count bound applies.
-	r.valueChecks = false
-	if got := r.partialSuspect(band, agg.Partial{N: 2, Sum: 101, Min: 0.7, Max: 100}); got != "" {
-		t.Errorf("value checks applied to non-availability values: %q", got)
 	}
 }
 

@@ -416,6 +416,18 @@ func (c *Collector) addAggInstance(primary, instance MsgID, token uint64) {
 	c.aggOf[instance] = primary
 }
 
+// aggregateBand returns the band of the logical aggregation tree
+// instance belongs to, for the origin's vetting of a root's result.
+func (c *Collector) aggregateBand(instance MsgID) (Band, bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	primary, ok := c.aggOf[instance]
+	if !ok {
+		return Band{}, false
+	}
+	return c.aggregates[primary].Band, true
+}
+
 // aggregateEntered flags stage-one success of one tree instance and
 // records the entry node that became its root — the identity result
 // binding checks senders against.

@@ -1,9 +1,10 @@
 package ops
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"time"
 
 	"avmem/internal/agg"
@@ -86,9 +87,6 @@ type Router struct {
 	// fires asynchronously and re-reads the list, so the buffer cannot
 	// be shared with concurrent forwards.
 	free [][]core.Neighbor
-	// byDist is kept on the Router so sort.Sort receives an existing
-	// pointer and candidate ordering allocates nothing.
-	byDist distanceSorter
 	// orders memoizes the dissemination orders (order.go), allocated on
 	// the first flood this node relays — most routers of a large world
 	// never see one.
@@ -104,27 +102,30 @@ type Router struct {
 	claimSet bool
 	// station is the in-overlay aggregation state machine (per-hop
 	// partial combining, duplicate suppression, convergence detection);
-	// aggValue supplies this node's contribution to aggregations.
-	station  *agg.Station[MsgID]
-	aggValue func() float64
-	// bandCensus, when non-nil, enables the PDF sanity checks: merged
-	// child partials whose contributor count exceeds the band's expected
-	// census (with slack) — or, when valueChecks is set, whose value
-	// moments leave the band hull (with tolerance) — are dropped and
-	// reported to the auditor as soft evidence.
-	bandCensus  func(lo, hi float64) float64
-	valueChecks bool
+	// each open record holds what this member knows of its tree.
+	station *agg.Station[MsgID, tree]
+	// bandCensus, when non-nil, enables the PDF sanity checks: partials
+	// whose contributor count exceeds the band's expected census (with
+	// slack) or whose value moments leave the band hull (with tolerance)
+	// are dropped and reported to the auditor as soft evidence.
+	bandCensus func(lo, hi float64) float64
 	// declines holds the boxed decline (declineMsg) of recent trees,
 	// direct-mapped by id.Seq; allocated on the first decline.
 	declines *[declineSlots]any
-	// aggChecks remembers the band of every aggregation this node is a
-	// tree member of, so child replies can be sanity-checked (the reply
-	// itself carries no band). Entries die with the station's pending op.
-	aggChecks map[MsgID]Band
-	// originChecks remembers the band of every tree instance this node
-	// originated, so a root's result can be vetted; entries live until the
-	// origin's resolution deadline, whatever this node does as a member.
-	originChecks map[MsgID]Band
+}
+
+// tree is what a member knows of one aggregation it joined, kept in its
+// station record until the aggregation concludes.
+type tree struct {
+	// band is the aggregation's band, which vets the children's partials
+	// (a reply carries none).
+	band Band
+	// parent is where a member's partial goes; a root reports to the
+	// origin instead, echoing the origin's token and the entry's sentAt.
+	parent ids.Addr
+	root   bool
+	token  uint64
+	sentAt time.Duration
 }
 
 // AggPartialAuditor is the optional seam through which the router
@@ -149,24 +150,6 @@ func (r *Router) selfClaim() float64 {
 		r.claimSet = true
 	}
 	return r.claimVal
-}
-
-// distanceSorter orders candidates by availability distance to the
-// target, ties broken by ID (the greedy metric).
-type distanceSorter struct {
-	target Target
-	nbs    []core.Neighbor
-}
-
-func (s *distanceSorter) Len() int      { return len(s.nbs) }
-func (s *distanceSorter) Swap(i, j int) { s.nbs[i], s.nbs[j] = s.nbs[j], s.nbs[i] }
-func (s *distanceSorter) Less(i, j int) bool {
-	di := s.target.Distance(s.nbs[i].Availability)
-	dj := s.target.Distance(s.nbs[j].Availability)
-	if di != dj {
-		return di < dj
-	}
-	return s.nbs[i].ID < s.nbs[j].ID
 }
 
 // acquireCandidates pops a recycled candidate buffer, or allocates one
@@ -205,21 +188,10 @@ type RouterConfig struct {
 	// this router initiates or processes (trace.go). Deployments share
 	// one tracer fleet-wide.
 	OpTrace *obs.Tracer
-	// Agg tunes the aggregation wave timing (zero fields take the agg
-	// defaults: 1s waves, depth 8).
-	Agg agg.Params
-	// AggValue supplies this node's contribution to aggregation
-	// operations. Nil aggregates the node's own availability claim —
-	// the availability-census workload; deployments can bind any local
-	// gauge (queue depth, free disk, version number) instead.
-	AggValue func() float64
 	// BandCensus, when non-nil, returns the deployment's expected
 	// online population inside the half-open availability band [lo, hi)
 	// — N* × the availability PDF's interval mass — and arms the PDF
-	// sanity checks on merged aggregation partials. Value-moment checks
-	// (min/max/avg inside the band hull) additionally require the
-	// default AggValue, since only then are contributions availability
-	// claims.
+	// sanity checks on aggregation partials.
 	BandCensus func(lo, hi float64) float64
 	// Stats, when non-nil, is where the router counts its flood-path work
 	// instead of in a struct of its own: a single-threaded deployment
@@ -250,10 +222,6 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 	if cfg.Collector == nil {
 		return nil, fmt.Errorf("ops: RouterConfig.Collector is required")
 	}
-	station, err := agg.NewStation[MsgID](cfg.Agg, cfg.Env.After)
-	if err != nil {
-		return nil, err
-	}
 	r := &Router{
 		mem:           cfg.Membership,
 		env:           cfg.Env,
@@ -261,18 +229,17 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 		verifyInbound: cfg.VerifyInbound,
 		auditor:       cfg.Auditor,
 		otrace:        cfg.OpTrace,
-		station:       station,
-		aggValue:      cfg.AggValue,
 		bandCensus:    cfg.BandCensus,
-		valueChecks:   cfg.AggValue == nil,
 		stats:         cfg.Stats,
 	}
 	if r.stats == nil {
 		r.stats = new(FloodStats)
 	}
-	if r.aggValue == nil {
-		r.aggValue = r.selfClaim
+	station, err := agg.NewStation(cfg.Env.After, r.concludeAgg)
+	if err != nil {
+		return nil, err
 	}
+	r.station = station
 	return r, nil
 }
 
@@ -347,17 +314,7 @@ func (r *Router) Anycast(target Target, opts AnycastOptions) (MsgID, error) {
 		r.span("anycast", "init", id, 0, ids.Nil)
 	}
 	r.col.StartAnycast(id, target)
-	msg := AnycastMsg{
-		ID:          id,
-		Target:      target,
-		Policy:      opts.Policy,
-		Flavor:      opts.Flavor,
-		TTL:         opts.TTL,
-		Retry:       opts.Retry,
-		SentAt:      r.env.Now(),
-		SenderAvail: r.selfClaim(),
-	}
-	r.handleAnycast(ids.Addr{}, msg)
+	r.enter(id, target, opts, r.env.Now(), nil, nil)
 	return id, nil
 }
 
@@ -448,18 +405,7 @@ func (r *Router) Multicast(target Target, opts MulticastOptions) (MsgID, error) 
 		HalfOpen: opts.HalfOpen,
 		Payload:  opts.Payload,
 	}
-	msg := AnycastMsg{
-		ID:          id,
-		Target:      target,
-		Policy:      opts.Anycast.Policy,
-		Flavor:      opts.Anycast.Flavor,
-		TTL:         opts.Anycast.TTL,
-		Retry:       opts.Anycast.Retry,
-		SentAt:      now,
-		SenderAvail: r.selfClaim(),
-		Multicast:   &spec,
-	}
-	r.handleAnycast(ids.Addr{}, msg)
+	r.enter(id, target, opts.Anycast, now, &spec, nil)
 	return id, nil
 }
 
@@ -539,48 +485,39 @@ func (r *Router) Aggregate(op agg.Op, lo, hi float64, opts AggregateOptions) (Ms
 		k = 1
 	}
 	hull := band.Target()
-	insts := make([]MsgID, 0, k)
 	for j := 0; j < k; j++ {
 		inst := id
 		if j > 0 {
 			inst = r.nextID()
 		}
-		insts = append(insts, inst)
 		token := r.mintToken()
 		r.col.addAggInstance(id, inst, token)
-		// Arm the origin-side PDF sanity check: a root's claimed result
-		// is vetted against the band exactly like a child partial.
-		if r.bandCensus != nil {
-			if r.originChecks == nil {
-				r.originChecks = make(map[MsgID]Band, 8)
-			}
-			r.originChecks[inst] = band
-		}
 		spec := AggregateSpec{Op: op, Band: band, Flavor: opts.Flavor, Token: token, Salt: aggSalt(j)}
-		msg := AnycastMsg{
-			ID:          inst,
-			Target:      subTarget(hull, j, k),
-			Policy:      opts.Anycast.Policy,
-			Flavor:      opts.Anycast.Flavor,
-			TTL:         opts.Anycast.TTL,
-			Retry:       opts.Anycast.Retry,
-			SentAt:      now,
-			SenderAvail: r.selfClaim(),
-			Aggregate:   &spec,
-		}
-		r.handleAnycast(ids.Addr{}, msg)
+		r.enter(inst, subTarget(hull, j, k), opts.Anycast, now, nil, &spec)
 	}
 	// The origin's resolution deadline: by then every tree has hit its
 	// own wave backstop and returned or never will. Deterministic in
 	// virtual time, so redundant runs stay bit-reproducible per seed.
-	p := r.station.Params()
-	r.env.After(time.Duration(p.MaxDepth+4)*p.Wave, func() {
-		for _, inst := range insts {
-			delete(r.originChecks, inst)
-		}
-		r.col.aggregateFinalize(id, r.env.Now())
-	})
+	r.env.After((agg.MaxDepth+4)*agg.Wave, func() { r.col.aggregateFinalize(id, r.env.Now()) })
 	return id, nil
+}
+
+// enter starts stage one of every operation family: an anycast toward
+// target under opts, carrying the multicast or aggregate spec (at most
+// one) that stage two runs once it is inside.
+func (r *Router) enter(id MsgID, target Target, opts AnycastOptions, now time.Duration, mc *MulticastSpec, ag *AggregateSpec) {
+	r.handleAnycast(ids.Addr{}, AnycastMsg{
+		ID:          id,
+		Target:      target,
+		Policy:      opts.Policy,
+		Flavor:      opts.Flavor,
+		TTL:         opts.TTL,
+		Retry:       opts.Retry,
+		SentAt:      now,
+		SenderAvail: r.selfClaim(),
+		Multicast:   mc,
+		Aggregate:   ag,
+	})
 }
 
 // mintToken draws a nonzero binding token from the node's RNG stream.
@@ -640,22 +577,15 @@ func (r *Router) HandleMessage(from ids.Addr, msg any) {
 	// recorded root — a fabricated result from a tree member (which
 	// never saw the token) is rejected and counted (DESIGN.md §13).
 	if m, ok := msg.(AggResultMsg); ok {
-		// The origin vets the root's claimed result against the band's
-		// availability distribution exactly as a parent vets a child
-		// partial: a root that lies in its own result (rather than in a
-		// relayed partial) leaves the band hull and is dropped here,
-		// reported to the auditor, and its tree instance stays pending —
-		// the cross-tree median then resolves from the honest trees.
-		if band, tracked := r.originChecks[m.ID]; tracked {
-			if reason := r.partialSuspect(band, m.Result); reason != "" {
-				r.col.aggregatePartialRejected(m.ID, reason)
-				if ap, ok := r.auditor.(AggPartialAuditor); ok {
-					ap.SuspectAggPartial(from, reason)
-				}
-				return
-			}
+		// The origin vets the root's claimed result against the band of
+		// its own record exactly as a parent vets a child partial: a root
+		// that lies in its own result (rather than in a relayed partial)
+		// leaves the band hull and is dropped here, reported to the
+		// auditor, and its tree instance stays pending — the cross-tree
+		// median then resolves from the honest trees.
+		if band, ok := r.col.aggregateBand(m.ID); ok && r.vetPartial(from, m.ID, band, m.Result) {
+			r.col.aggregateResult(m.ID, from.ID(), m.Token, m.Result, r.env.Now())
 		}
-		r.col.aggregateResult(m.ID, from.ID(), m.Token, m.Result, r.env.Now())
 		return
 	}
 	if r.verifyInbound && !from.IsNil() && !r.mem.VerifyInbound(from.ID()) {
@@ -815,10 +745,14 @@ func (r *Router) candidates(from ids.NodeID, flavor core.Flavor, target Target) 
 	if len(out) == 0 && hasSender {
 		out = append(out, sender)
 	}
-	r.byDist.target = target
-	r.byDist.nbs = out
-	sort.Sort(&r.byDist)
-	r.byDist.nbs = nil
+	// The greedy metric, ties broken by ID: a total order, so the sort
+	// algorithm cannot change the result.
+	slices.SortFunc(out, func(a, b core.Neighbor) int {
+		if c := cmp.Compare(target.Distance(a.Availability), target.Distance(b.Availability)); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.ID, b.ID)
+	})
 	return out
 }
 
@@ -934,22 +868,13 @@ func (r *Router) rootAggregate(m AnycastMsg) {
 	spec := *m.Aggregate
 	self := r.mem.SelfInfo()
 	r.col.aggregateEntered(m.ID, self.ID)
-	id, sentAt := m.ID, m.SentAt
-	opened := r.station.Open(id, 0, r.aggValue(), spec.Band.Contains(self.Availability), func(p agg.Partial) {
-		delete(r.aggChecks, id)
-		if id.Origin == self.ID {
-			r.col.aggregateResult(id, self.ID, spec.Token, p, r.env.Now())
-			return
-		}
-		r.env.Send(id.Origin.Addr(), AggResultMsg{ID: id, Result: p, Token: spec.Token, SentAt: sentAt, SenderAvail: r.selfClaim()})
-	})
-	if !opened {
+	t := tree{band: spec.Band, root: true, token: spec.Token, sentAt: m.SentAt}
+	if !r.station.Open(m.ID, 0, r.selfClaim(), spec.Band.Contains(self.Availability), t) {
 		// A retried entry stage can deliver the same anycast to a second
 		// in-band node after the first already rooted the tree.
 		return
 	}
-	r.trackAggCheck(id, spec.Band)
-	r.station.Expect(id, r.forwardAgg(id, spec, 0, sentAt, ids.Nil))
+	r.station.Expect(m.ID, r.forwardAgg(m.ID, spec, 0, m.SentAt, ids.Nil))
 }
 
 // handleAggRequest processes an aggregation request at this node: join
@@ -961,13 +886,23 @@ func (r *Router) handleAggRequest(from ids.Addr, m AggMsg) {
 		r.env.Send(from, r.declineMsg(m.ID))
 		return
 	}
-	id, parent := m.ID, from
-	r.station.Open(id, m.Depth, r.aggValue(), true, func(p agg.Partial) {
-		delete(r.aggChecks, id)
-		r.env.Send(parent, AggReplyMsg{ID: id, Partial: p, SenderAvail: r.selfClaim()})
-	})
-	r.trackAggCheck(id, m.Spec.Band)
-	r.station.Expect(id, r.forwardAgg(id, m.Spec, m.Depth, m.SentAt, from.ID()))
+	r.station.Open(m.ID, m.Depth, r.selfClaim(), true, tree{band: m.Spec.Band, parent: from})
+	r.station.Expect(m.ID, r.forwardAgg(m.ID, m.Spec, m.Depth, m.SentAt, from.ID()))
+}
+
+// concludeAgg is the station's one conclusion for every tree this node
+// is in: a member sends its subtree's partial to its parent, a root its
+// tree's result to the origin (or straight into the collector when it
+// is the origin).
+func (r *Router) concludeAgg(id MsgID, t *tree, p agg.Partial) {
+	switch {
+	case !t.root:
+		r.env.Send(t.parent, AggReplyMsg{ID: id, Partial: p, SenderAvail: r.selfClaim()})
+	case id.Origin == r.mem.Self():
+		r.col.aggregateResult(id, id.Origin, t.token, p, r.env.Now())
+	default:
+		r.env.Send(id.Origin.Addr(), AggResultMsg{ID: id, Result: p, Token: t.token, SentAt: t.sentAt, SenderAvail: r.selfClaim()})
+	}
 }
 
 // declineSlots is how many trees' declines a router keeps boxed.
@@ -991,25 +926,12 @@ func (r *Router) declineMsg(id MsgID) any {
 	return *slot
 }
 
-// trackAggCheck remembers the band of a tree this node just joined,
-// arming the PDF sanity checks on its child replies. The finalize
-// closure removes the entry, so the map tracks only pending trees.
-func (r *Router) trackAggCheck(id MsgID, band Band) {
-	if r.bandCensus == nil {
-		return
-	}
-	if r.aggChecks == nil {
-		r.aggChecks = make(map[MsgID]Band, 8)
-	}
-	r.aggChecks[id] = band
-}
-
 // forwardAgg grows the tree one level: the request goes to every
 // in-band neighbor except the parent, with delivery failures feeding
 // straight into convergence accounting (an unreachable child declines
 // by transport nack). Returns how many children were addressed.
 func (r *Router) forwardAgg(id MsgID, spec AggregateSpec, depth int, sentAt time.Duration, parent ids.NodeID) int {
-	if depth >= r.station.Params().MaxDepth {
+	if depth >= agg.MaxDepth {
 		return 0
 	}
 	// The binding token stays between origin, entry path, and root:
@@ -1034,9 +956,8 @@ func (r *Router) forwardAgg(id MsgID, spec AggregateSpec, depth int, sentAt time
 
 // PDF sanity-check tuning: a merged partial may claim at most
 // aggCountSlack × the band's expected census contributors (floored, so
-// sparse bands keep headroom), and — when contributions are
-// availability claims — value moments may exceed the band hull by at
-// most AggValueTol. Honest partials sit far inside both bounds; the
+// sparse bands keep headroom), and its value moments — availability
+// claims — may exceed the band hull by at most AggValueTol. Honest partials sit far inside both bounds; the
 // slack absorbs churn-driven drift between the census estimate and the
 // live population.
 const (
@@ -1060,9 +981,6 @@ func (r *Router) partialSuspect(band Band, p agg.Partial) string {
 	if float64(p.N) > aggCountSlack*math.Max(expected, aggCountFloor) {
 		return "agg-count-bounds"
 	}
-	if !r.valueChecks {
-		return ""
-	}
 	lo := band.Lo - AggValueTol
 	hi := math.Min(band.Hi, 1) + AggValueTol
 	if p.Min < lo || p.Max > hi {
@@ -1074,27 +992,35 @@ func (r *Router) partialSuspect(band Band, p agg.Partial) string {
 	return ""
 }
 
+// vetPartial reports whether partial p of tree id, received from from,
+// passes the PDF sanity checks against band (always, when they are not
+// armed). A suspect partial is counted and reported to the auditor as
+// decaying soft evidence against the sender.
+func (r *Router) vetPartial(from ids.Addr, id MsgID, band Band, p agg.Partial) bool {
+	if r.bandCensus == nil {
+		return true
+	}
+	reason := r.partialSuspect(band, p)
+	if reason == "" {
+		return true
+	}
+	r.col.aggregatePartialRejected(id, reason)
+	if ap, ok := r.auditor.(AggPartialAuditor); ok {
+		ap.SuspectAggPartial(from, reason)
+	}
+	return false
+}
+
 // handleAggReply folds a child's accounting reply into the pending
 // aggregation: a partial carries the child's whole subtree, a decline
-// carries nothing but still counts toward convergence. When the PDF
-// sanity checks are armed, a partial that contradicts the availability
-// distribution is dropped — it still counts as a (contribution-free)
-// decline so convergence accounting stays exact — and reported to the
-// auditor as decaying soft evidence against the sender.
+// carries nothing but still counts toward convergence. A partial that
+// fails vetting against the band in this member's record is dropped,
+// but still counts as a (contribution-free) decline so convergence
+// accounting stays exact.
 func (r *Router) handleAggReply(from ids.Addr, m AggReplyMsg) {
-	if m.Decline {
-		r.station.Decline(m.ID)
+	if t, ok := r.station.Lookup(m.ID); ok && !m.Decline && r.vetPartial(from, m.ID, t.band, m.Partial) {
+		r.station.Absorb(m.ID, m.Partial)
 		return
 	}
-	if band, ok := r.aggChecks[m.ID]; ok {
-		if reason := r.partialSuspect(band, m.Partial); reason != "" {
-			r.col.aggregatePartialRejected(m.ID, reason)
-			if ap, ok := r.auditor.(AggPartialAuditor); ok {
-				ap.SuspectAggPartial(from, reason)
-			}
-			r.station.Decline(m.ID)
-			return
-		}
-	}
-	r.station.Absorb(m.ID, m.Partial)
+	r.station.Decline(m.ID)
 }

@@ -625,15 +625,25 @@ func TestDisseminationOrderMatchesPairHashPath(t *testing.T) {
 }
 
 // countingEnv is an Env that only counts acknowledged sends (SendCall
-// and SendNack alike), so a test can look at what the router itself
-// allocates per forward.
+// and SendNack alike) and holds its timers until fire runs them, so a
+// test can look at what the router itself allocates per forward.
 type countingEnv struct {
 	testEnv
-	calls int
+	calls  int
+	timers []func()
 }
 
 func (e *countingEnv) SendCall(ids.Addr, any, func(bool)) { e.calls++ }
 func (e *countingEnv) SendNack(ids.Addr, any, func())     { e.calls++ }
+func (e *countingEnv) After(_ time.Duration, fn func())   { e.timers = append(e.timers, fn) }
+
+// fire runs and forgets every held timer.
+func (e *countingEnv) fire() {
+	for _, fn := range e.timers {
+		fn()
+	}
+	e.timers = e.timers[:0]
+}
 
 // TestForwardAggAllocatesPerForwardNotPerChild checks the aggregation
 // fan-out boxes its request and builds its nack callback once: the
@@ -661,6 +671,42 @@ func TestForwardAggAllocatesPerForwardNotPerChild(t *testing.T) {
 	few, many := perForward(4), perForward(64)
 	if few != many || many > 2 {
 		t.Fatalf("forwardAgg allocates %.0f times for 4 children, %.0f for 64; want the same, at most 2", few, many)
+	}
+}
+
+// TestWarmAggJoinAllocatesOnlyItsForward: once a member's station has
+// recycled records, joining a tree costs what its forward costs and
+// nothing more — the record keeps the member's tree, so no per-join
+// closure or side table is built.
+func TestWarmAggJoinAllocatesOnlyItsForward(t *testing.T) {
+	avails := make([]float64, 17)
+	for i := range avails {
+		avails[i] = 0.2 + 0.6*float64(i)/16
+	}
+	c := newCluster(t, fullPredicate(t), avails, false)
+	self, parent := c.nodes[0], c.nodes[1]
+	env := &countingEnv{testEnv: *newTestEnv(c.world, c.net, self, nil), timers: make([]func(), 0, 256)}
+	r, err := NewRouter(RouterConfig{Membership: c.members[self], Env: env, Collector: c.col})
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := AggregateSpec{Op: agg.Count, Band: Band{Lo: 0, Hi: 1}, Flavor: core.HSVS}
+	seq := uint64(0)
+	join := func() {
+		seq++
+		r.handleAggRequest(parent.Addr(), AggMsg{ID: MsgID{Origin: parent, Seq: seq}, Spec: spec, Depth: 1})
+	}
+	// Warm the station: more trees than the measurement joins open and
+	// reach their deadlines, so every measured join reuses a record.
+	for range 64 {
+		join()
+	}
+	env.fire()
+	joins := testing.AllocsPerRun(20, join)
+	id := MsgID{Origin: parent, Seq: 1}
+	forward := testing.AllocsPerRun(20, func() { r.forwardAgg(id, spec, 1, 0, parent) })
+	if joins > forward {
+		t.Fatalf("a warm join allocates %.0f times, its forward %.0f; want no more than the forward", joins, forward)
 	}
 }
 
