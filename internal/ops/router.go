@@ -78,9 +78,8 @@ type Router struct {
 	// cache (slot Seq%4) of ids known to be in it. A flood delivers the
 	// same id once per in-band in-neighbor, back to back, so nearly every
 	// duplicate is answered by one compare and never reaches the map.
-	seen       map[MsgID]bool
-	front      [seenFront]MsgID
-	gossipSent map[MsgID]map[ids.NodeID]bool
+	seen  map[MsgID]bool
+	front [seenFront]MsgID
 	// free recycles candidate buffers across anycast forwards. A buffer
 	// is owned by one in-flight attempt chain until the operation hits a
 	// terminal state or its SendCall acknowledges — the failure callback
@@ -764,8 +763,7 @@ const seenFront = 4
 // that is in the set, and never the zero MsgID (no operation carries
 // it), so a front hit is a set hit. The set is lazily allocated — most
 // routers in a large world never see a dissemination message — and
-// reset wholesale, with the front cache and the per-operation gossip
-// ledger, when it hits maxSeen.
+// reset wholesale, with the front cache, when it hits maxSeen.
 func (r *Router) markSeen(id MsgID) bool {
 	r.stats.SeenChecks++
 	slot := &r.front[id.Seq%seenFront]
@@ -778,7 +776,6 @@ func (r *Router) markSeen(id MsgID) bool {
 		if len(r.seen) >= maxSeen {
 			r.seen = make(map[MsgID]bool, 256)
 			r.front = [seenFront]MsgID{}
-			r.gossipSent = nil
 		} else if r.seen == nil {
 			r.seen = make(map[MsgID]bool, 64)
 		}
@@ -814,7 +811,7 @@ func (r *Router) disseminate(m *MulticastMsg) {
 	m.SenderAvail = r.selfClaim()
 	switch m.Spec.Mode {
 	case Gossip:
-		r.gossipRounds(*m, m.Spec.Rounds)
+		r.gossip(*m)
 	default: // Flood
 		// Box the message once: every recipient shares one read-only
 		// interface value instead of re-boxing the struct per send.
@@ -825,37 +822,42 @@ func (r *Router) disseminate(m *MulticastMsg) {
 	}
 }
 
-// gossipRounds runs one gossip round now and schedules the remainder.
-func (r *Router) gossipRounds(m MulticastMsg, remaining int) {
-	if remaining <= 0 {
+// gossip runs m's gossip rounds at this node, one now and one per
+// period after it, skipping rounds while offline. The chain keeps its
+// own sent-set and arms a round only while one is left.
+func (r *Router) gossip(m MulticastMsg) {
+	left := m.Spec.Rounds
+	if left <= 0 {
 		return
 	}
-	if r.env.Online() {
-		sent := r.gossipSent[m.ID]
-		if sent == nil {
-			sent = make(map[ids.NodeID]bool, m.Spec.Fanout*m.Spec.Rounds)
-			if r.gossipSent == nil {
-				r.gossipSent = make(map[MsgID]map[ids.NodeID]bool, 16)
+	var sent map[ids.NodeID]bool
+	var round func()
+	round = func() {
+		if r.env.Online() {
+			if sent == nil {
+				sent = make(map[ids.NodeID]bool, m.Spec.Fanout*m.Spec.Rounds)
 			}
-			r.gossipSent[m.ID] = sent
+			// Deterministic iteration through the in-range neighbor list,
+			// skipping peers already gossiped to (paper §3.2.II).
+			n := 0
+			var boxed any = m
+			for nb := range r.targets(m.Spec.Flavor, 0, m.contains) {
+				if n >= m.Spec.Fanout {
+					break
+				}
+				if sent[nb.ID] {
+					continue
+				}
+				sent[nb.ID] = true
+				r.env.Send(nb.Addr(), boxed)
+				n++
+			}
 		}
-		// Deterministic iteration through the in-range neighbor list,
-		// skipping peers already gossiped to (paper §3.2.II).
-		n := 0
-		var boxed any = m
-		for nb := range r.targets(m.Spec.Flavor, 0, m.contains) {
-			if n >= m.Spec.Fanout {
-				break
-			}
-			if sent[nb.ID] {
-				continue
-			}
-			sent[nb.ID] = true
-			r.env.Send(nb.Addr(), boxed)
-			n++
+		if left--; left > 0 {
+			r.env.After(m.Spec.Period, round)
 		}
 	}
-	r.env.After(m.Spec.Period, func() { r.gossipRounds(m, remaining-1) })
+	round()
 }
 
 // rootAggregate turns the entry node of an aggregation's anycast stage
