@@ -149,13 +149,10 @@ func buildMonitorStack(cfg WorldConfig, tr *trace.Trace, hosts []ids.NodeID, sch
 	onlineAt func(int) bool) (*monitorStack, error) {
 	var base avmon.Service
 	if cfg.DistributedMonitor {
-		expected := cfg.ExpectedMonitors
-		if expected == 0 {
-			expected = 8
-		}
 		// hosts is in trace-index order, so the monitor's host indexes
-		// coincide with the deployment's liveness indexes.
-		dist, err := avmon.NewDistributed(hosts, expected, onlineAt, 0)
+		// coincide with the deployment's liveness indexes; 8 monitors per
+		// target on average.
+		dist, err := avmon.NewDistributed(hosts, 8, onlineAt, 0)
 		if err != nil {
 			return nil, err
 		}

@@ -66,9 +66,6 @@ type WorldConfig struct {
 	// empirical estimates — the paper's actual deployment story.
 	// Estimates start cold; allow extra warmup.
 	DistributedMonitor bool
-	// ExpectedMonitors is the mean monitors per target for the
-	// distributed monitor (default 8).
-	ExpectedMonitors float64
 	// VerifyInbound makes every router verify senders (§4.1).
 	VerifyInbound bool
 	// Cushion is the verification cushion (§4.1; 0 or 0.1 in the paper).
