@@ -198,8 +198,8 @@ func TestOriginRejectsOutOfHullResult(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Run well short of the origin's redundancy deadline so the sanity
-	// tracking for the instance is still armed.
+	// Run until the root is on record, well short of the origin's
+	// resolution deadline.
 	c.world.Run(c.world.Now() + time.Second)
 	rec, _ := c.col.Aggregate(id)
 	inst := rec.Instances[0]
