@@ -72,20 +72,18 @@ func (e *Virtual) Self() ids.NodeID { return e.cfg.Self.ID() }
 // Now implements Env.
 func (e *Virtual) Now() time.Duration { return e.cfg.Scheduler.Now() }
 
-// After implements Env. Callbacks of a stopped Env are suppressed.
-func (e *Virtual) After(d time.Duration, fn func()) {
-	e.cfg.Scheduler.After(d, func() {
-		if e.stopped {
-			return
-		}
-		fn()
-	})
-}
+// After implements Env. Callbacks of a stopped Env are suppressed: the
+// queued event itself asks the Env (Stopped) when it comes due, so a
+// call allocates no wrapper.
+func (e *Virtual) After(d time.Duration, fn func()) { e.cfg.Scheduler.AfterUnless(d, e, fn) }
+
+// Stopped implements sim.Stoppable: true once Stop ran.
+func (e *Virtual) Stopped() bool { return e.stopped }
 
 // Every implements Env on the Scheduler's own periodic timer: the
-// stopped-Env check After wraps each callback in is the timer's stop
-// check, so a steady-state tick allocates nothing, and a tick whose next
-// run would fall past the end of virtual time ends the timer.
+// stopped-Env check is the timer's stop check, so a steady-state tick
+// allocates nothing, and a tick whose next run would fall past the end
+// of virtual time ends the timer.
 func (e *Virtual) Every(offset, period time.Duration, fn func()) (stop func()) {
 	if period <= 0 || fn == nil {
 		return func() {}

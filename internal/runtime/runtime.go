@@ -33,6 +33,7 @@ import (
 
 	"avmem/internal/ids"
 	"avmem/internal/ops"
+	"avmem/internal/sim"
 )
 
 // Handler consumes a message delivered to a node; from carries the
@@ -73,8 +74,9 @@ type Env interface {
 type Scheduler interface {
 	// Now returns the current virtual time.
 	Now() time.Duration
-	// After schedules fn to run d from now.
-	After(d time.Duration, fn func())
+	// AfterUnless schedules fn to run d from now, unless s reports
+	// stopped when it comes due.
+	AfterUnless(d time.Duration, s sim.Stoppable, fn func())
 	// Every schedules fn at now+offset and every period thereafter, until
 	// stop (nil: never) returns true before a run or the next run would
 	// fall past the end of virtual time. period must be positive.

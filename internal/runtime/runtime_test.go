@@ -351,3 +351,40 @@ func TestVirtualEverySteadyStateDoesNotAllocate(t *testing.T) {
 		t.Fatalf("only %d ticks fired during the measurement", count-before)
 	}
 }
+
+// TestVirtualAfterSteadyStateDoesNotAllocate pins a one-shot timer's
+// cost: the stopped-Env check rides in the queued event, so a warm After
+// allocates nothing of its own.
+func TestVirtualAfterSteadyStateDoesNotAllocate(t *testing.T) {
+	w, a, _ := newVirtualPair(t)
+	count := 0
+	fn := func() { count++ }
+	step := func() {
+		a.After(time.Millisecond, fn)
+		w.Run(w.Now() + time.Millisecond)
+	}
+	for range 10 {
+		step() // past any first-use growth of the event queue
+	}
+	if avg := testing.AllocsPerRun(200, step); avg != 0 {
+		t.Errorf("a steady-state After allocates %.2f times, want 0", avg)
+	}
+	if count != 211 {
+		t.Fatalf("%d callbacks ran, want 211", count)
+	}
+}
+
+// TestVirtualAfterSuppressedByStop: a callback scheduled before Stop
+// does not run after it. Its event still fires, as the no-op it became,
+// so a stop moves no event counts.
+func TestVirtualAfterSuppressedByStop(t *testing.T) {
+	w, a, b := newVirtualPair(t)
+	ran := map[string]bool{}
+	a.After(time.Second, func() { ran["a"] = true })
+	b.After(time.Second, func() { ran["b"] = true })
+	w.Run(500 * time.Millisecond)
+	a.Stop()
+	if n := w.RunAll(0); n != 2 || ran["a"] || !ran["b"] {
+		t.Fatalf("%d events fired, ran %v; want 2 events, only b's callback", n, ran)
+	}
+}

@@ -96,6 +96,23 @@ func (w *World) later(d time.Duration) time.Duration {
 // (math.MaxInt64) when now+d does not fit.
 func (w *World) After(d time.Duration, fn func()) { w.At(w.later(d), fn) }
 
+// Stoppable is the owner of callbacks scheduled with AfterUnless: once
+// it reports stopped, they fire as no-ops.
+type Stoppable interface{ Stopped() bool }
+
+// AfterUnless is After for a callback that belongs to s: the event asks
+// s when it comes due and skips fn once s is stopped. The check rides in
+// the queued event itself (its payload's otherwise unused message
+// field), so a caller with a stop condition allocates no wrapper closure
+// per call, and the event still fires, and counts, as a func.
+func (w *World) AfterUnless(d time.Duration, s Stoppable, fn func()) {
+	if fn == nil {
+		return
+	}
+	p := w.schedule(w.later(d))
+	p.fn, p.msg = fn, s
+}
+
 // Every schedules fn to run now+offset, then every period thereafter,
 // until stop returns true (checked before each run) or the next run would
 // fall past the end of virtual time. period must be positive.
@@ -362,7 +379,8 @@ type payload struct {
 	// read only when the event ties with a ring timer on its deadline. It
 	// fills what was padding, so the slot stays 96 bytes.
 	rank uint32
-	// from, to, msg: the message of evDeliver and evAttempt.
+	// from, to, msg: the message of evDeliver and evAttempt; msg is
+	// also the Stoppable of an AfterUnless evFunc.
 	from, to ids.NodeID
 	msg      any
 	// fn is the closure of an evFunc, and the callback of a nack-only
@@ -608,9 +626,11 @@ func (q *eventQueue) fire(slot uint32, nets []*Network) {
 	p := &q.slab[slot]
 	switch p.kind {
 	case evFunc:
-		fn := p.fn
+		fn, owner := p.fn, p.msg
 		q.release(slot)
-		fn()
+		if owner == nil || !owner.(Stoppable).Stopped() {
+			fn()
+		}
 	case evDeliver:
 		n, from, to, msg := nets[p.net1-1], p.fromAddr(), p.toAddr(), p.msg
 		q.release(slot)
