@@ -43,32 +43,23 @@ const (
 	Avg
 )
 
+// opNames names the operators.
+var opNames = [...]string{Count: "count", Sum: "sum", Min: "min", Max: "max", Avg: "avg"}
+
 // String implements fmt.Stringer.
 func (o Op) String() string {
-	switch o {
-	case Count:
-		return "count"
-	case Sum:
-		return "sum"
-	case Min:
-		return "min"
-	case Max:
-		return "max"
-	case Avg:
-		return "avg"
-	default:
+	if o < Count || o > Avg {
 		return fmt.Sprintf("Op(%d)", int(o))
 	}
+	return opNames[o]
 }
 
 // Validate checks the operator is known.
 func (o Op) Validate() error {
-	switch o {
-	case Count, Sum, Min, Max, Avg:
-		return nil
-	default:
+	if o < Count || o > Avg {
 		return fmt.Errorf("agg: invalid op %v", o)
 	}
+	return nil
 }
 
 // Partial is a combinable partial aggregate. It carries every moment
@@ -93,17 +84,7 @@ type Partial struct {
 // Observe folds one node-local value contributed at the given tree
 // depth into the partial.
 func (p *Partial) Observe(v float64, depth int) {
-	if p.N == 0 || v < p.Min {
-		p.Min = v
-	}
-	if p.N == 0 || v > p.Max {
-		p.Max = v
-	}
-	p.N++
-	p.Sum += v
-	if depth > p.Depth {
-		p.Depth = depth
-	}
+	p.Merge(Partial{N: 1, Sum: v, Min: v, Max: v, Depth: depth})
 }
 
 // Merge folds a child partial into this one.
@@ -127,28 +108,19 @@ func (p *Partial) Merge(q Partial) {
 // Value extracts the aggregate for op. An empty partial (no
 // contributors) yields NaN for the value operators and 0 for Count.
 func (p Partial) Value(op Op) float64 {
-	switch op {
-	case Count:
+	switch {
+	case op == Count:
 		return float64(p.N)
-	case Sum:
+	case op == Sum:
 		return p.Sum
-	case Min:
-		if p.N == 0 {
-			return math.NaN()
-		}
-		return p.Min
-	case Max:
-		if p.N == 0 {
-			return math.NaN()
-		}
-		return p.Max
-	case Avg:
-		if p.N == 0 {
-			return math.NaN()
-		}
-		return p.Sum / float64(p.N)
-	default:
+	case p.N == 0 || op < Count || op > Avg:
 		return math.NaN()
+	case op == Min:
+		return p.Min
+	case op == Max:
+		return p.Max
+	default: // Avg
+		return p.Sum / float64(p.N)
 	}
 }
 
@@ -167,17 +139,17 @@ const (
 	MaxDepth = 8
 )
 
-// maxDone bounds the finished-operation suppression set; like the
-// router's seen set, aggregations are short-lived so a full reset on
-// overflow is harmless.
-const maxDone = 1 << 14
+// maxDone bounds how many concluded operations a station remembers for
+// duplicate suppression; like the router's seen set, aggregations are
+// short-lived, so forgetting them all at once on overflow is harmless.
+// frontSize is how many records a station keeps in its front.
+const maxDone, frontSize = 1 << 14, 4
 
-// pending is one in-flight aggregation at this node: the combining
-// state plus the caller's own record of the tree (val). Records are
-// recycled: a record returns to its station's free list when its
-// deadline timer fires — the last reference to it, since one timer is
-// armed per Open — so the timer callback is bound once per record, not
-// once per Open.
+// pending is one aggregation at this node: the combining state plus the
+// caller's own record of the tree (val). Records are recycled: a record
+// returns to its station's free list when its deadline timer fires — one
+// timer is armed per Open — so its callbacks are bound once per record,
+// not once per Open.
 type pending[K comparable, V any] struct {
 	id  K
 	acc Partial
@@ -189,9 +161,10 @@ type pending[K comparable, V any] struct {
 	expected    bool
 	// live is set from Open until the aggregation concludes.
 	live bool
-	// deadline is the record's timer callback, bound when the record was
-	// first built.
-	deadline func()
+	// deadline is the record's timer callback; decline its nack callback
+	// (Open), which counts only while serial still names it (expire).
+	deadline, decline func()
+	serial            uint64
 }
 
 // Station is the per-node aggregation state machine. It owns no wire
@@ -203,8 +176,15 @@ type Station[K comparable, V any] struct {
 	after    func(d time.Duration, fn func())
 	conclude func(id K, v *V, p Partial)
 
-	open map[K]*pending[K, V]
-	done map[K]bool
+	// recs maps every operation the station holds or held to its record,
+	// nil once concluded; open and done count the two kinds of entry.
+	recs       map[K]*pending[K, V]
+	open, done int
+	// front holds the records last opened or found in recs (a front id is
+	// in recs): a tree's messages reach a member in bursts, so most
+	// lookups compare a few ids here and hash none.
+	front [frontSize]*pending[K, V]
+	next  int
 	// free holds records whose deadline has fired, for Open to reuse.
 	free []*pending[K, V]
 }
@@ -218,8 +198,8 @@ func NewStation[K comparable, V any](after func(d time.Duration, fn func()), con
 	if after == nil || conclude == nil {
 		return nil, fmt.Errorf("agg: after scheduler and conclude are required")
 	}
-	// open/done are allocated lazily: most stations in a large world
-	// never participate in an aggregation.
+	// recs is allocated lazily: most stations in a large world never
+	// participate in an aggregation.
 	return &Station[K, V]{after: after, conclude: conclude}, nil
 }
 
@@ -227,88 +207,126 @@ func NewStation[K comparable, V any](after func(d time.Duration, fn func()), con
 // id — the duplicate-suppression test a receiver consults before
 // joining the tree (a duplicate receiver declines instead).
 func (s *Station[K, V]) Seen(id K) bool {
-	if s.done[id] {
-		return true
+	_, seen := s.lookup(id)
+	return seen
+}
+
+// lookup returns id's record while the aggregation is open, and whether
+// the station holds or held id at all: from the front, or else from recs,
+// moving an open record into the front.
+func (s *Station[K, V]) lookup(id K) (*pending[K, V], bool) {
+	for _, p := range s.front {
+		if p != nil && p.id == id {
+			if !p.live {
+				return nil, true
+			}
+			return p, true
+		}
 	}
-	_, ok := s.open[id]
-	return ok
+	p, seen := s.recs[id]
+	if p != nil {
+		s.remember(p)
+	}
+	return p, seen
+}
+
+// remember puts p in the front, over its oldest entry.
+func (s *Station[K, V]) remember(p *pending[K, V]) {
+	s.front[s.next], s.next = p, (s.next+1)%frontSize
 }
 
 // Open starts a pending aggregation for id at the given tree depth,
 // keeping v in its record. When contribute is true, local is folded in
 // as this node's own value (an out-of-band tree root relays without
-// contributing). Open returns false for a duplicate id, in which case
-// nothing was started and the caller must decline rather than forward
-// again.
-func (s *Station[K, V]) Open(id K, depth int, local float64, contribute bool, v V) bool {
+// contributing). It returns the record's decline callback, the nack for
+// each forward, which accounts for a child as Decline does — or nil for
+// a duplicate id: then nothing started, and the caller must decline.
+func (s *Station[K, V]) Open(id K, depth int, local float64, contribute bool, v V) (decline func()) {
 	if s.Seen(id) {
-		return false
+		return nil
 	}
 	p := s.record()
 	p.id, p.val, p.live = id, v, true
 	if contribute {
 		p.acc.Observe(local, depth)
 	}
-	if s.open == nil {
-		s.open = make(map[K]*pending[K, V], 8)
+	if s.recs == nil {
+		s.recs = make(map[K]*pending[K, V], 8)
 	}
-	s.open[id] = p
+	s.recs[id] = p
+	s.open++
+	s.remember(p)
 	// One timer per aggregation, at the depth-staggered deadline: the
 	// hard stop for children lost mid-operation. After an earlier
 	// convergence it finds the record concluded and only recycles it.
 	waves := max(MaxDepth-depth, 0) + 1
 	s.after(time.Duration(waves)*Wave, p.deadline)
-	return true
+	return p.decline
 }
 
 // Lookup returns the V of id's open record; false once the aggregation
 // concluded (or was never opened here).
 func (s *Station[K, V]) Lookup(id K) (*V, bool) {
-	p, ok := s.open[id]
-	if !ok {
-		return nil, false
+	if p, _ := s.lookup(id); p != nil {
+		return &p.val, true
 	}
-	return &p.val, true
+	return nil, false
 }
 
 // record returns a zeroed pending record, reused from the free list when
-// one is there, with its deadline callback bound.
+// one is there, with its callbacks bound.
 func (s *Station[K, V]) record() *pending[K, V] {
 	if n := len(s.free); n > 0 {
 		p := s.free[n-1]
 		s.free = s.free[:n-1]
-		*p = pending[K, V]{deadline: p.deadline}
+		*p = pending[K, V]{deadline: p.deadline, decline: p.decline, serial: p.serial}
 		return p
 	}
 	p := &pending[K, V]{}
 	p.deadline = func() { s.expire(p) }
+	s.bindDecline(p)
 	return p
 }
 
+// bindDecline gives p a decline callback of its current serial.
+func (s *Station[K, V]) bindDecline(p *pending[K, V]) {
+	serial := p.serial
+	p.decline = func() {
+		if p.serial == serial {
+			s.account(p)
+		}
+	}
+}
+
 // expire is a record's deadline: it concludes the aggregation if it is
-// still open and recycles the record, which nothing else references any
-// more.
+// still open and recycles the record. After a convergence every child is
+// accounted for — a forward is nacked or answered, never both — so no
+// nack can still come, and the next tree takes the callback over. With
+// children outstanding a nack may yet arrive, as late as the transport
+// likes: that callback is retired for good (serial moves on), so a stale
+// nack never credits the next tree.
 func (s *Station[K, V]) expire(p *pending[K, V]) {
 	if p.live {
 		s.finish(p)
 	}
+	if !p.expected || p.outstanding != 0 {
+		p.serial++
+		s.bindDecline(p)
+	}
 	s.free = append(s.free, p)
 }
 
-// Expect records how many children the caller forwarded the request
-// to, arming convergence detection: once every child is accounted for
-// by Absorb or Decline, the aggregation concludes without waiting for
-// the deadline. A leaf (children == 0) concludes immediately. The
-// count is added, not assigned, so a delivery failure that nacked
-// synchronously during forwarding (before Expect ran) stays accounted.
+// Expect records how many children the caller forwarded the request to,
+// arming convergence detection: once Absorb, Decline or the decline
+// callback accounted for every child, the aggregation concludes without
+// waiting for the deadline; a leaf (children == 0) at once. The count is
+// added, so a nack that fired during forwarding stays accounted.
 func (s *Station[K, V]) Expect(id K, children int) {
-	p, ok := s.open[id]
-	if !ok || p.expected {
-		return
+	if p, _ := s.lookup(id); p != nil && !p.expected {
+		p.expected = true
+		p.outstanding += children
+		s.maybeConverge(p)
 	}
-	p.expected = true
-	p.outstanding += children
-	s.maybeConverge(p)
 }
 
 // Absorb folds a child partial into a pending aggregation and marks
@@ -316,47 +334,53 @@ func (s *Station[K, V]) Expect(id K, children int) {
 // are dropped — late stragglers after the deadline, or duplicates
 // after an overflow reset.
 func (s *Station[K, V]) Absorb(id K, q Partial) {
-	p, ok := s.open[id]
-	if !ok {
-		return
+	if p, _ := s.lookup(id); p != nil {
+		p.acc.Merge(q)
+		s.account(p)
 	}
-	p.acc.Merge(q)
-	p.outstanding--
-	s.maybeConverge(p)
 }
 
 // Decline marks one child accounted for without a contribution: the
-// child was already in the tree through another parent, lies outside
-// the band, or was unreachable (the forwarding SendCall nacked).
+// child was already in the tree through another parent, or lies outside
+// the band.
 func (s *Station[K, V]) Decline(id K) {
-	p, ok := s.open[id]
-	if !ok {
-		return
+	if p, _ := s.lookup(id); p != nil {
+		s.account(p)
 	}
-	p.outstanding--
-	s.maybeConverge(p)
 }
 
-// Pending returns the number of in-flight aggregations (tests and
-// debugging).
-func (s *Station[K, V]) Pending() int { return len(s.open) }
+// Pending returns the number of in-flight aggregations.
+func (s *Station[K, V]) Pending() int { return s.open }
 
-// maybeConverge concludes once every forwarded-to child is accounted
-// for.
-func (s *Station[K, V]) maybeConverge(p *pending[K, V]) {
-	if !p.expected || p.outstanding > 0 {
-		return
+// account marks one child of p accounted for, while p is open.
+func (s *Station[K, V]) account(p *pending[K, V]) {
+	if p.live {
+		p.outstanding--
+		s.maybeConverge(p)
 	}
-	s.finish(p)
+}
+
+// maybeConverge concludes once every forwarded-to child is accounted for.
+func (s *Station[K, V]) maybeConverge(p *pending[K, V]) {
+	if p.expected && p.outstanding <= 0 {
+		s.finish(p)
+	}
 }
 
 // finish retires the aggregation and reports its combined partial.
 func (s *Station[K, V]) finish(p *pending[K, V]) {
-	delete(s.open, p.id)
-	if s.done == nil || len(s.done) >= maxDone {
-		s.done = make(map[K]bool, 64)
-	}
-	s.done[p.id] = true
 	p.live = false
+	s.open--
+	if s.done >= maxDone {
+		// Forget every concluded id, in the front too.
+		for id, q := range s.recs {
+			if q == nil {
+				delete(s.recs, id)
+			}
+		}
+		s.done, s.front = 0, [frontSize]*pending[K, V]{}
+	}
+	s.recs[p.id] = nil
+	s.done++
 	s.conclude(p.id, &p.val, p.acc)
 }

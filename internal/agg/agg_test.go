@@ -154,7 +154,7 @@ func TestStationConvergesOnAccounting(t *testing.T) {
 	clk := &fakeClock{}
 	s := newTestStation(t, clk)
 	var got *Partial
-	if !s.Open(1, 0, 0.5, true, func(p Partial) { got = &p }) {
+	if s.Open(1, 0, 0.5, true, func(p Partial) { got = &p }) == nil {
 		t.Fatal("Open returned false for a fresh id")
 	}
 	s.Expect(1, 2)
@@ -245,14 +245,14 @@ func TestStationDuplicateSuppression(t *testing.T) {
 	clk := &fakeClock{}
 	s := newTestStation(t, clk)
 	s.Open(1, 0, 0.5, true, func(Partial) {})
-	if s.Open(1, 1, 0.6, true, func(Partial) {}) {
+	if s.Open(1, 1, 0.6, true, func(Partial) {}) != nil {
 		t.Error("reopened an in-flight id")
 	}
 	if !s.Seen(1) {
 		t.Error("open id not seen")
 	}
 	s.Expect(1, 0) // finalize
-	if s.Open(1, 1, 0.6, true, func(Partial) {}) {
+	if s.Open(1, 1, 0.6, true, func(Partial) {}) != nil {
 		t.Error("reopened a finished id")
 	}
 	if !s.Seen(1) {
@@ -288,8 +288,8 @@ func TestStationDoneSetBounded(t *testing.T) {
 		s.Open(i, 0, 0.5, true, func(Partial) {})
 		s.Expect(i, 0)
 	}
-	if len(s.done) > maxDone {
-		t.Errorf("done set grew to %d (bound %d)", len(s.done), maxDone)
+	if len(s.recs) > maxDone {
+		t.Errorf("suppression set grew to %d (bound %d)", len(s.recs), maxDone)
 	}
 }
 

@@ -9,6 +9,9 @@ import (
 
 // modelAgg is one Open in the map model: the value it was opened with,
 // the partial it should conclude with, and its convergence accounting.
+// nack is the decline callback the station returned for it, and late
+// how many of its children were still outstanding when it concluded:
+// the nacks a transport may still deliver through that callback.
 type modelAgg struct {
 	val         int
 	acc         Partial
@@ -17,6 +20,8 @@ type modelAgg struct {
 	deadline    time.Duration
 	serial      int // order of the Open, which orders equal deadlines
 	concluded   int
+	nack        func()
+	late        int
 }
 
 // conclusion is one call of a station's conclude.
@@ -38,6 +43,7 @@ type stationModel struct {
 }
 
 func (m *stationModel) conclude(id int, a *modelAgg, at time.Duration) {
+	a.late = max(a.outstanding, 0)
 	delete(m.open, id)
 	m.done[id] = true
 	a.concluded++
@@ -72,17 +78,25 @@ func (m *stationModel) advance(end time.Duration) {
 }
 
 // FuzzStationSchedule drives a Station and the map model through the
-// same schedule of Opens, Expects, Absorbs, Declines, lookups and clock
-// advances, four bytes per step. Every Open must conclude exactly once —
-// at convergence, or at its deadline — with its own value and exactly
-// the partials it absorbed, and a recycled record must never show an
-// earlier tree's value.
+// same schedule of Opens, Expects, Absorbs, Declines, lookups, clock
+// advances and transport nacks, four bytes per step. Every Open must
+// conclude exactly once — at convergence, or at its deadline — with its
+// own value and exactly the partials it absorbed, and a recycled record
+// must never show an earlier tree's value. A nack goes through the
+// decline callback an earlier Open returned, whenever the transport
+// could still send one: for a child of an open tree, or, after a
+// deadline conclusion, for a child that was still outstanding. It must
+// count for that tree while it is open and be a no-op once it
+// concluded, however often its record has been reused since.
 func FuzzStationSchedule(f *testing.F) {
-	// op byte: 0 Open, 1 Expect, 2 Absorb, 3 Decline, 4 advance, 5 Lookup.
+	// op byte: 0 Open, 1 Expect, 2 Absorb, 3 Decline, 4 advance, 5 Lookup,
+	// 6 nack (the second byte picks the Open).
 	f.Add([]byte{0, 1, 3, 40, 3, 1, 0, 0, 1, 1, 1, 0})                                                     // a nack before Expect
 	f.Add([]byte{0, 1, 3, 40, 1, 1, 0, 0, 3, 1, 0, 0, 2, 1, 9, 9})                                         // a decline and a partial after conclusion
 	f.Add([]byte{0, 5, 0, 10, 0, 5, 4, 200, 5, 5, 0, 0, 1, 5, 0, 0})                                       // a duplicate Open
 	f.Add([]byte{0, 1, 0, 40, 1, 1, 1, 0, 4, 0, 100, 0, 0, 2, 6, 90, 5, 2, 0, 0, 2, 2, 50, 3, 1, 2, 1, 0}) // reuse after a deadline
+	f.Add([]byte{0, 1, 0, 40, 1, 1, 2, 0, 4, 0, 100, 0, 0, 2, 0, 50, 1, 2, 1, 0, 6, 0, 0, 0, 6, 1, 0, 0})  // nack after a deadline conclusion, then record reuse
+	f.Add([]byte{0, 1, 0, 40, 6, 0, 0, 0, 1, 1, 3, 0, 6, 0, 0, 0, 3, 1, 0, 0, 6, 0, 0, 0, 4, 0, 100, 0})   // nacks before Expect (ignored), then until convergence
 	f.Fuzz(func(t *testing.T, prog []byte) {
 		clk := &fakeClock{}
 		var got []conclusion
@@ -94,7 +108,7 @@ func FuzzStationSchedule(f *testing.F) {
 		}
 		m := &stationModel{open: map[int]*modelAgg{}, done: map[int]bool{}}
 		for i := 0; i+4 <= len(prog); i += 4 {
-			op, id, b, c := prog[i]%6, int(prog[i+1]%32), prog[i+2], prog[i+3]
+			op, id, b, c := prog[i]%7, int(prog[i+1]%32), prog[i+2], prog[i+3]
 			switch op {
 			case 0:
 				depth := int(b % 12)
@@ -102,7 +116,8 @@ func FuzzStationSchedule(f *testing.F) {
 				contribute := b&0x80 == 0
 				val := 1000 + m.opens
 				timers := len(clk.queue)
-				opened := s.Open(id, depth, local, contribute, val)
+				nack := s.Open(id, depth, local, contribute, val)
+				opened := nack != nil
 				if wantOpen := m.open[id] == nil && !m.done[id]; opened != wantOpen {
 					t.Fatalf("step %d: Open(%d) = %v, want %v", i/4, id, opened, wantOpen)
 				}
@@ -115,7 +130,7 @@ func FuzzStationSchedule(f *testing.F) {
 				if len(clk.queue) != timers+1 {
 					t.Fatalf("step %d: Open armed %d timers, want 1", i/4, len(clk.queue)-timers)
 				}
-				a := &modelAgg{val: val, serial: m.opens, deadline: clk.now + time.Duration(max(MaxDepth-depth, 0)+1)*Wave}
+				a := &modelAgg{val: val, serial: m.opens, deadline: clk.now + time.Duration(max(MaxDepth-depth, 0)+1)*Wave, nack: nack}
 				if contribute {
 					a.acc.Observe(local, depth)
 				}
@@ -156,6 +171,20 @@ func FuzzStationSchedule(f *testing.F) {
 				if ok != (a != nil) || ok && *v != a.val {
 					t.Fatalf("step %d: Lookup(%d) = %v, %v; model open: %v", i/4, id, ok, v, a)
 				}
+			case 6:
+				if len(m.all) == 0 {
+					continue
+				}
+				a := m.all[int(prog[i+1])%len(m.all)]
+				switch {
+				case a.concluded == 0 && a.expected && a.outstanding > 0:
+					a.nack()
+					a.outstanding--
+					m.account(m.idOf(a), a, clk.now)
+				case a.concluded > 0 && a.late > 0:
+					a.nack() // a late nack: the tree it was for is over
+					a.late--
+				}
 			}
 			checkConclusions(t, i/4, got, m.want)
 			if s.Pending() != len(m.open) {
@@ -175,6 +204,16 @@ func FuzzStationSchedule(f *testing.F) {
 			t.Fatalf("after every deadline: %d pending, %d timers queued", s.Pending(), len(clk.queue))
 		}
 	})
+}
+
+// idOf returns the id a is open under.
+func (m *stationModel) idOf(a *modelAgg) int {
+	for id, b := range m.open {
+		if b == a {
+			return id
+		}
+	}
+	panic("agg: modelAgg not open")
 }
 
 func checkConclusions(t *testing.T, step int, got, want []conclusion) {

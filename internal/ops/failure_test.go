@@ -82,7 +82,7 @@ func TestAnnealIndexInBoundsProperty(t *testing.T) {
 			Policy: Annealing,
 			TTL:    int(ttl % 7),
 		}
-		candidates := r.candidates("", core.HSVS, m.Target)
+		candidates := r.candidates(nil, "", core.HSVS, m.Target)
 		if len(candidates) == 0 {
 			return true
 		}
@@ -107,7 +107,7 @@ func TestCandidatesSortedByGreedyMetricProperty(t *testing.T) {
 			lo, hi = hi, lo
 		}
 		tgt := Target{Lo: lo, Hi: hi}
-		candidates := r.candidates("", core.HSVS, tgt)
+		candidates := r.candidates(nil, "", core.HSVS, tgt)
 		for i := 1; i < len(candidates); i++ {
 			if tgt.Distance(candidates[i-1].Availability) > tgt.Distance(candidates[i].Availability)+1e-12 {
 				return false

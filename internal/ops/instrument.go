@@ -2,7 +2,6 @@ package ops
 
 import (
 	"fmt"
-	"time"
 
 	"avmem/internal/obs"
 )
@@ -72,10 +71,4 @@ var AggRejectReasons = []string{"agg-count-bounds", "agg-hull-bounds", "agg-avg-
 // reason.
 func AggRejectedCounter(reason string) string {
 	return fmt.Sprintf("ops_agg_rejected_partials_total{reason=%q}", reason)
-}
-
-// obsAnycastLatencyMs converts a virtual latency to the histogram's
-// millisecond scale.
-func obsAnycastLatencyMs(d time.Duration) float64 {
-	return float64(d) / float64(time.Millisecond)
 }

@@ -43,16 +43,10 @@ const (
 
 // String implements fmt.Stringer.
 func (p Policy) String() string {
-	switch p {
-	case Greedy:
-		return "greedy"
-	case RetriedGreedy:
-		return "retried-greedy"
-	case Annealing:
-		return "simulated-annealing"
-	default:
+	if p < Greedy || p > Annealing {
 		return fmt.Sprintf("Policy(%d)", int(p))
 	}
+	return [...]string{Greedy: "greedy", RetriedGreedy: "retried-greedy", Annealing: "simulated-annealing"}[p]
 }
 
 // Mode selects the multicast dissemination algorithm (paper §3.2.II).
@@ -69,14 +63,10 @@ const (
 
 // String implements fmt.Stringer.
 func (m Mode) String() string {
-	switch m {
-	case Flood:
-		return "flood"
-	case Gossip:
-		return "gossip"
-	default:
+	if m != Flood && m != Gossip {
 		return fmt.Sprintf("Mode(%d)", int(m))
 	}
+	return [...]string{Flood: "flood", Gossip: "gossip"}[m]
 }
 
 // AnycastMsg is the wire message for {threshold,range}-anycast. It is

@@ -27,18 +27,12 @@ const (
 	OutcomeRetryExpired
 )
 
-// String implements fmt.Stringer.
+// String implements fmt.Stringer; an unknown outcome reads as pending.
 func (o AnycastOutcome) String() string {
-	switch o {
-	case OutcomeDelivered:
-		return "delivered"
-	case OutcomeTTLExpired:
-		return "ttl-expired"
-	case OutcomeRetryExpired:
-		return "retry-expired"
-	default:
+	if o < OutcomeDelivered || o > OutcomeRetryExpired {
 		return "pending"
 	}
+	return [...]string{OutcomeDelivered: "delivered", OutcomeTTLExpired: "ttl-expired", OutcomeRetryExpired: "retry-expired"}[o]
 }
 
 // AnycastRecord accumulates the result of one anycast.
@@ -315,6 +309,19 @@ func (c *Collector) Multicast(id MsgID) (MulticastRecord, bool) {
 	return cp, true
 }
 
+// ReadMulticast calls read with id's record in place, under the
+// collector lock, and reports whether id is registered: no clone of the
+// delivered set. read must neither keep the record nor call back in.
+func (c *Collector) ReadMulticast(id MsgID, read func(*MulticastRecord)) bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	r, ok := c.multicasts[id]
+	if ok {
+		read(r)
+	}
+	return ok
+}
+
 // Aggregate returns a copy of the record for id, if registered.
 func (c *Collector) Aggregate(id MsgID) (AggregateRecord, bool) {
 	c.mu.Lock()
@@ -343,7 +350,7 @@ func (c *Collector) anycastDelivered(id MsgID, hops int, latency time.Duration) 
 	if c.ins != nil {
 		c.ins.anycastDelivered.Inc()
 		c.ins.anycastHops.Observe(float64(hops))
-		c.ins.anycastLatencyMs.Observe(obsAnycastLatencyMs(latency))
+		c.ins.anycastLatencyMs.Observe(float64(latency) / float64(time.Millisecond))
 	}
 }
 

@@ -236,7 +236,7 @@ func TestDisseminationMatchesScratchModel(t *testing.T) {
 		for i := 1; i < 40; i++ {
 			g.admit(i, float64(g.rng.Intn(6))/8)
 		}
-		sorts := g.r.FloodStats().OrderSorts
+		sorts := (*g.r.stats).OrderSorts
 		for step := 0; step < 300; step++ {
 			if g.rng.Intn(3) == 0 {
 				g.mutate()
@@ -274,7 +274,7 @@ func TestDisseminationMatchesScratchModel(t *testing.T) {
 					parent = all[g.rng.Intn(len(all))].ID
 				}
 				spec := AggregateSpec{Op: agg.Count, Band: band, Flavor: pick.flavor, Salt: pick.salt}
-				g.r.forwardAgg(g.nextID(), spec, 0, 0, parent)
+				g.r.forwardAgg(g.nextID(), spec, 0, 0, parent, func() {})
 				want = g.want(pick.flavor, band.Contains, pick.salt, parent, -1)
 			}
 			if len(want) == 0 && len(g.env.sent) == 0 {
@@ -285,8 +285,8 @@ func TestDisseminationMatchesScratchModel(t *testing.T) {
 					seed, step, what, pick.flavor, pick.salt, g.env.sent, want)
 			}
 		}
-		if grew := g.r.FloodStats().OrderSorts - sorts; grew == 0 || grew >= g.r.FloodStats().OrderRequests {
-			t.Errorf("seed %d: %d sorts for %d requests: the memo never hit, or never missed", seed, grew, g.r.FloodStats().OrderRequests)
+		if grew := (*g.r.stats).OrderSorts - sorts; grew == 0 || grew >= (*g.r.stats).OrderRequests {
+			t.Errorf("seed %d: %d sorts for %d requests: the memo never hit, or never missed", seed, grew, (*g.r.stats).OrderRequests)
 		}
 	}
 }
@@ -366,7 +366,7 @@ func TestMarkSeenMatchesBareMap(t *testing.T) {
 	if next < 2*maxSeen {
 		t.Fatalf("only %d distinct ids: the set never reset twice", next)
 	}
-	s := g.r.FloodStats()
+	s := (*g.r.stats)
 	if s.SeenFrontHits == 0 || s.SeenFrontHits >= s.SeenChecks {
 		t.Errorf("front cache answered %d of %d checks", s.SeenFrontHits, s.SeenChecks)
 	}
@@ -399,8 +399,8 @@ func TestWarmOrderWalkDoesNotAllocate(t *testing.T) {
 		spec := AggregateSpec{Op: agg.Count, Band: band, Flavor: core.HSVS, Salt: salt}
 		id := MsgID{Origin: "o", Seq: 1}
 		g.env.sent = make([]ids.Addr, 0, 1<<16)
-		if avg := testing.AllocsPerRun(50, func() { g.r.forwardAgg(id, spec, 0, 0, ids.Nil) }); avg > 2 {
-			t.Errorf("salt %d: a warm tree forward allocates %.1f times, want 2 (box, nack)", j, avg)
+		if avg := testing.AllocsPerRun(50, func() { g.r.forwardAgg(id, spec, 0, 0, ids.Nil, func() {}) }); avg != 1 {
+			t.Errorf("salt %d: a warm tree forward allocates %.1f times, want 1 (its box)", j, avg)
 		}
 	}
 	seq := uint64(100)

@@ -80,12 +80,9 @@ type Router struct {
 	// duplicate is answered by one compare and never reaches the map.
 	seen  map[MsgID]bool
 	front [seenFront]MsgID
-	// free recycles candidate buffers across anycast forwards. A buffer
-	// is owned by one in-flight attempt chain until the operation hits a
-	// terminal state or its SendCall acknowledges — the failure callback
-	// fires asynchronously and re-reads the list, so the buffer cannot
-	// be shared with concurrent forwards.
-	free [][]core.Neighbor
+	// chains recycles anycast attempt chains, each with its candidate
+	// buffer and bound result callback (chain).
+	chains []*chain
 	// orders memoizes the dissemination orders (order.go), allocated on
 	// the first flood this node relays — most routers of a large world
 	// never see one.
@@ -151,27 +148,6 @@ func (r *Router) selfClaim() float64 {
 	return r.claimVal
 }
 
-// acquireCandidates pops a recycled candidate buffer, or allocates one
-// sized for the current neighbor list.
-func (r *Router) acquireCandidates(capHint int) []core.Neighbor {
-	if n := len(r.free); n > 0 {
-		buf := r.free[n-1]
-		r.free[n-1] = nil
-		r.free = r.free[:n-1]
-		return buf[:0]
-	}
-	return make([]core.Neighbor, 0, capHint)
-}
-
-// releaseCandidates returns a buffer to the pool once no in-flight
-// callback can read it anymore.
-func (r *Router) releaseCandidates(buf []core.Neighbor) {
-	if cap(buf) == 0 {
-		return
-	}
-	r.free = append(r.free, buf[:0])
-}
-
 // RouterConfig assembles a Router.
 type RouterConfig struct {
 	Membership *core.Membership
@@ -206,9 +182,6 @@ type FloodStats struct {
 	OrderRequests int64 // hash orders asked for by a dissemination hop
 	OrderSorts    int64 // ... that had to be sorted (memo miss or stale)
 }
-
-// FloodStats returns the counters so far (RouterConfig.Stats's when set).
-func (r *Router) FloodStats() FloodStats { return *r.stats }
 
 // NewRouter validates and builds a Router.
 func NewRouter(cfg RouterConfig) (*Router, error) {
@@ -245,9 +218,6 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 // Self returns the owning node's identifier.
 func (r *Router) Self() ids.NodeID { return r.mem.Self() }
 
-// Rejected returns how many inbound messages failed verification.
-func (r *Router) Rejected() int { return r.rejected }
-
 // nextID mints a fresh operation identifier.
 func (r *Router) nextID() MsgID {
 	r.seq++
@@ -273,18 +243,14 @@ func DefaultAnycastOptions() AnycastOptions {
 // validFlavor checks one of the three sliver flavors was chosen; what
 // names the option in the error.
 func validFlavor(f core.Flavor, what string) error {
-	switch f {
-	case core.HSOnly, core.VSOnly, core.HSVS:
-		return nil
-	default:
+	if f < core.HSOnly || f > core.HSVS {
 		return fmt.Errorf("ops: invalid %sflavor %v", what, f)
 	}
+	return nil
 }
 
 func (o AnycastOptions) validate() error {
-	switch o.Policy {
-	case Greedy, RetriedGreedy, Annealing:
-	default:
+	if o.Policy < Greedy || o.Policy > Annealing {
 		return fmt.Errorf("ops: invalid policy %v", o.Policy)
 	}
 	if err := validFlavor(o.Flavor, ""); err != nil {
@@ -631,9 +597,6 @@ func (r *Router) handleAnycast(from ids.Addr, m AnycastMsg) {
 	r.forwardAnycast(from, m)
 }
 
-// unlimitedBudget marks policies without an explicit retry cap.
-const unlimitedBudget = -1
-
 // forwardAnycast picks the next hop by policy and sends with failure
 // detection. Transport-level failure of a next hop (offline target) is
 // observable — a connection attempt to a dead host fails — so every
@@ -646,50 +609,69 @@ func (r *Router) forwardAnycast(from ids.Addr, m AnycastMsg) {
 		r.col.anycastFailed(m.ID, OutcomeTTLExpired)
 		return
 	}
-	candidates := r.candidates(from.ID(), m.Flavor, m.Target)
-	next := m
-	next.TTL--
-	next.Hops++
-	next.SenderAvail = r.selfClaim()
-	budget := unlimitedBudget
-	if m.Policy == RetriedGreedy {
-		budget = m.Retry
+	var c *chain
+	if n := len(r.chains); n > 0 {
+		c, r.chains = r.chains[n-1], r.chains[:n-1]
+	} else {
+		c = &chain{}
+		c.result = func(ok bool) { r.result(c, ok) }
 	}
-	r.attempt(candidates, next, budget)
+	c.candidates = r.candidates(c.candidates, from.ID(), m.Flavor, m.Target)
+	c.m = m
+	c.m.TTL, c.m.Hops, c.m.SenderAvail = m.TTL-1, m.Hops+1, r.selfClaim()
+	c.budget = -1 // no cap but the candidates
+	if m.Policy == RetriedGreedy {
+		c.budget = m.Retry
+	}
+	r.attempt(c)
 }
 
-// attempt sends m to the policy's pick among candidates; on failure the
-// pick is removed and the next is attempted, spending one unit of a
-// bounded budget per failure. Exhausting either candidates or budget
-// fails the operation with OutcomeRetryExpired.
-func (r *Router) attempt(candidates []core.Neighbor, m AnycastMsg, budget int) {
-	if len(candidates) == 0 || budget == 0 {
-		r.col.anycastFailed(m.ID, OutcomeRetryExpired)
-		r.releaseCandidates(candidates)
+// chain is one anycast's attempt chain at this node: the message, the
+// candidate next hops left, the pick in flight, and the retry budget.
+// Chains are pooled per router with their candidate buffer and result,
+// the SendCall callback bound once per chain: SendCall reports each
+// attempt exactly once, so a chain is free again once its message was
+// taken or the operation failed.
+type chain struct {
+	m           AnycastMsg
+	candidates  []core.Neighbor
+	idx, budget int
+	result      func(ok bool)
+}
+
+// attempt sends c's message to the policy's pick among its candidates;
+// on failure the pick is removed and the next is attempted, spending
+// one unit of a bounded budget per failure. Exhausting either
+// candidates or budget fails the operation with OutcomeRetryExpired.
+func (r *Router) attempt(c *chain) {
+	if len(c.candidates) == 0 || c.budget == 0 {
+		r.col.anycastFailed(c.m.ID, OutcomeRetryExpired)
+		r.chains = append(r.chains, c)
 		return
 	}
-	idx := 0
-	if m.Policy == Annealing {
-		idx = r.annealIndex(candidates, m)
+	c.idx = 0
+	if c.m.Policy == Annealing {
+		c.idx = r.annealIndex(c.candidates, c.m)
 	}
-	choice := candidates[idx]
-	if m.Policy == RetriedGreedy {
-		m.Retry = budget
+	if c.m.Policy == RetriedGreedy {
+		c.m.Retry = c.budget
 	}
-	r.env.SendCall(choice.Addr(), m, func(ok bool) {
-		if ok {
-			r.releaseCandidates(candidates)
-			return
-		}
-		// Failed attempts remove the pick in place — the chain owns the
-		// buffer, so compaction preserves greedy order without copying.
-		rest := append(candidates[:idx], candidates[idx+1:]...)
-		nextBudget := budget
-		if budget > 0 {
-			nextBudget = budget - 1
-		}
-		r.attempt(rest, m, nextBudget)
-	})
+	r.env.SendCall(c.candidates[c.idx].Addr(), c.m, c.result)
+}
+
+// result is the verdict on c's attempt: a taken message frees the chain,
+// a failed one removes the pick in place — compaction preserves greedy
+// order without copying — and attempts the next.
+func (r *Router) result(c *chain, ok bool) {
+	if ok {
+		r.chains = append(r.chains, c)
+		return
+	}
+	c.candidates = append(c.candidates[:c.idx], c.candidates[c.idx+1:]...)
+	if c.budget > 0 {
+		c.budget--
+	}
+	r.attempt(c)
 }
 
 // annealIndex implements simulated annealing (paper §3.2.I): traverse
@@ -723,11 +705,14 @@ func (r *Router) annealIndex(candidates []core.Neighbor, m AnycastMsg) int {
 // greedy metric (availability distance to the target, ties by ID). The
 // immediate sender is excluded when alternatives exist — a loop-avoidance
 // refinement; with only the sender available we still use it rather
-// than drop. The result is a pooled buffer filled from the membership's
-// cached view; the caller (the attempt chain) owns it until release.
-func (r *Router) candidates(from ids.NodeID, flavor core.Flavor, target Target) []core.Neighbor {
+// than drop. The result is filled from the membership's cached view into
+// buf, the attempt chain's own buffer.
+func (r *Router) candidates(buf []core.Neighbor, from ids.NodeID, flavor core.Flavor, target Target) []core.Neighbor {
 	all := r.mem.Neighbors(flavor)
-	out := r.acquireCandidates(len(all))
+	out := buf[:0]
+	if cap(out) == 0 {
+		out = make([]core.Neighbor, 0, len(all))
+	}
 	var sender core.Neighbor
 	hasSender := false
 	for i := range all {
@@ -871,25 +856,26 @@ func (r *Router) rootAggregate(m AnycastMsg) {
 	self := r.mem.SelfInfo()
 	r.col.aggregateEntered(m.ID, self.ID)
 	t := tree{band: spec.Band, root: true, token: spec.Token, sentAt: m.SentAt}
-	if !r.station.Open(m.ID, 0, r.selfClaim(), spec.Band.Contains(self.Availability), t) {
-		// A retried entry stage can deliver the same anycast to a second
-		// in-band node after the first already rooted the tree.
-		return
+	// A retried entry stage can deliver the same anycast to a second
+	// in-band node after the first already rooted the tree: Open refuses.
+	if nack := r.station.Open(m.ID, 0, r.selfClaim(), spec.Band.Contains(self.Availability), t); nack != nil {
+		r.station.Expect(m.ID, r.forwardAgg(m.ID, spec, 0, m.SentAt, ids.Nil, nack))
 	}
-	r.station.Expect(m.ID, r.forwardAgg(m.ID, spec, 0, m.SentAt, ids.Nil))
 }
 
 // handleAggRequest processes an aggregation request at this node: join
 // the tree under the sender (first copy), or send an accounting
 // decline (duplicate copy, or this node lies outside the band).
 func (r *Router) handleAggRequest(from ids.Addr, m AggMsg) {
-	self := r.mem.SelfInfo()
-	if r.station.Seen(m.ID) || !m.Spec.Band.Contains(self.Availability) {
+	var nack func()
+	if m.Spec.Band.Contains(r.mem.SelfInfo().Availability) {
+		nack = r.station.Open(m.ID, m.Depth, r.selfClaim(), true, tree{band: m.Spec.Band, parent: from})
+	}
+	if nack == nil {
 		r.env.Send(from, r.declineMsg(m.ID))
 		return
 	}
-	r.station.Open(m.ID, m.Depth, r.selfClaim(), true, tree{band: m.Spec.Band, parent: from})
-	r.station.Expect(m.ID, r.forwardAgg(m.ID, m.Spec, m.Depth, m.SentAt, from.ID()))
+	r.station.Expect(m.ID, r.forwardAgg(m.ID, m.Spec, m.Depth, m.SentAt, from.ID(), nack))
 }
 
 // concludeAgg is the station's one conclusion for every tree this node
@@ -930,9 +916,10 @@ func (r *Router) declineMsg(id MsgID) any {
 
 // forwardAgg grows the tree one level: the request goes to every
 // in-band neighbor except the parent, with delivery failures feeding
-// straight into convergence accounting (an unreachable child declines
-// by transport nack). Returns how many children were addressed.
-func (r *Router) forwardAgg(id MsgID, spec AggregateSpec, depth int, sentAt time.Duration, parent ids.NodeID) int {
+// straight into convergence accounting: an unreachable child declines by
+// transport nack, through the station record's own decline callback.
+// Returns how many children were addressed.
+func (r *Router) forwardAgg(id MsgID, spec AggregateSpec, depth int, sentAt time.Duration, parent ids.NodeID, nack func()) int {
 	if depth >= agg.MaxDepth {
 		return 0
 	}
@@ -941,10 +928,9 @@ func (r *Router) forwardAgg(id MsgID, spec AggregateSpec, depth int, sentAt time
 	// fabricated result past the origin's collector.
 	next := AggMsg{ID: id, Spec: spec, Depth: depth + 1, SentAt: sentAt, SenderAvail: r.selfClaim()}
 	next.Spec.Token = 0
-	// One boxed request and one nack callback serve every child; a
-	// delivered request reports nothing, since only failure counts here.
+	// One boxed request and the record's nack callback serve every child;
+	// a delivered request reports nothing, since only failure counts here.
 	var boxed any = next
-	nack := func() { r.station.Decline(id) }
 	kids := 0
 	for nb := range r.targets(spec.Flavor, spec.Salt, spec.Band.Contains) {
 		if nb.ID == parent {

@@ -559,7 +559,7 @@ func TestVerifyInboundRejectsNonNeighborSender(t *testing.T) {
 	c.col.StartAnycast(msg.ID, tgt)
 	c.net.Send(attacker, victim, msg)
 	c.run()
-	if got := c.routers[victim].Rejected(); got != 1 {
+	if got := c.routers[victim].rejected; got != 1 {
 		t.Errorf("Rejected = %d, want 1", got)
 	}
 	r, _ := c.col.Anycast(msg.ID)
@@ -646,8 +646,9 @@ func (e *countingEnv) fire() {
 }
 
 // TestForwardAggAllocatesPerForwardNotPerChild checks the aggregation
-// fan-out boxes its request and builds its nack callback once: the
-// allocation count of one forward does not grow with the child count.
+// fan-out boxes its request once and builds no nack callback (the
+// station record's serves every child): one forward allocates exactly
+// once, whatever the child count.
 func TestForwardAggAllocatesPerForwardNotPerChild(t *testing.T) {
 	perForward := func(children int) float64 {
 		avails := make([]float64, children+1)
@@ -663,21 +664,22 @@ func TestForwardAggAllocatesPerForwardNotPerChild(t *testing.T) {
 		}
 		spec := AggregateSpec{Op: agg.Count, Band: Band{Lo: 0, Hi: 1}, Flavor: core.HSVS}
 		id := MsgID{Origin: self, Seq: 1}
-		if kids := r.forwardAgg(id, spec, 0, 0, ids.Nil); kids != children || env.calls != children {
+		if kids := r.forwardAgg(id, spec, 0, 0, ids.Nil, func() {}); kids != children || env.calls != children {
 			t.Fatalf("forwardAgg addressed %d children (%d calls), want %d", kids, env.calls, children)
 		}
-		return testing.AllocsPerRun(20, func() { r.forwardAgg(id, spec, 0, 0, ids.Nil) })
+		return testing.AllocsPerRun(20, func() { r.forwardAgg(id, spec, 0, 0, ids.Nil, func() {}) })
 	}
 	few, many := perForward(4), perForward(64)
-	if few != many || many > 2 {
-		t.Fatalf("forwardAgg allocates %.0f times for 4 children, %.0f for 64; want the same, at most 2", few, many)
+	if few != many || many != 1 {
+		t.Fatalf("forwardAgg allocates %.0f times for 4 children, %.0f for 64; want 1 (its box) for both", few, many)
 	}
 }
 
 // TestWarmAggJoinAllocatesOnlyItsForward: once a member's station has
 // recycled records, joining a tree costs what its forward costs and
-// nothing more — the record keeps the member's tree, so no per-join
-// closure or side table is built.
+// nothing more — the record keeps the member's tree and its nack
+// callback, so no per-join closure or side table is built — and a warm
+// forward allocates exactly its boxed request.
 func TestWarmAggJoinAllocatesOnlyItsForward(t *testing.T) {
 	avails := make([]float64, 17)
 	for i := range avails {
@@ -696,17 +698,55 @@ func TestWarmAggJoinAllocatesOnlyItsForward(t *testing.T) {
 		seq++
 		r.handleAggRequest(parent.Addr(), AggMsg{ID: MsgID{Origin: parent, Seq: seq}, Spec: spec, Depth: 1})
 	}
-	// Warm the station: more trees than the measurement joins open and
-	// reach their deadlines, so every measured join reuses a record.
+	// Warm the station: more trees than the measurement joins open, hear
+	// from every child and reach their deadlines, so every measured join
+	// reuses a record.
 	for range 64 {
+		before := env.calls
 		join()
+		for range env.calls - before {
+			r.station.Decline(MsgID{Origin: parent, Seq: seq})
+		}
 	}
 	env.fire()
 	joins := testing.AllocsPerRun(20, join)
 	id := MsgID{Origin: parent, Seq: 1}
-	forward := testing.AllocsPerRun(20, func() { r.forwardAgg(id, spec, 1, 0, parent) })
-	if joins > forward {
-		t.Fatalf("a warm join allocates %.0f times, its forward %.0f; want no more than the forward", joins, forward)
+	forward := testing.AllocsPerRun(20, func() { r.forwardAgg(id, spec, 1, 0, parent, func() {}) })
+	if joins > forward || forward != 1 {
+		t.Fatalf("a warm join allocates %.0f times, its forward %.0f; want no more than the forward, which boxes its request once", joins, forward)
+	}
+}
+
+// verdictEnv answers every SendCall at once, failing every other one.
+type verdictEnv struct {
+	testEnv
+	calls int
+}
+
+func (e *verdictEnv) SendCall(_ ids.Addr, _ any, onResult func(bool)) {
+	e.calls++
+	onResult(e.calls%2 == 0)
+}
+
+// TestRetriedGreedyHopAllocatesOnlyItsMessage: an anycast hop's attempt
+// chain comes from the router's pool with its candidate buffer and bound
+// result callback, so a warm hop allocates one box per attempt — its
+// message — and nothing else, a failed attempt and its retry included.
+func TestRetriedGreedyHopAllocatesOnlyItsMessage(t *testing.T) {
+	c := newCluster(t, fullPredicate(t), []float64{0.2, 0.4, 0.5, 0.6, 0.7}, false)
+	self := c.nodes[0]
+	env := &verdictEnv{testEnv: *newTestEnv(c.world, c.net, self, nil)}
+	r, err := NewRouter(RouterConfig{Membership: c.members[self], Env: env, Collector: c.col})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := AnycastMsg{ID: MsgID{Origin: self, Seq: 1}, Target: Target{Lo: 0.85, Hi: 0.95}, Policy: RetriedGreedy, Flavor: core.HSVS, TTL: 6, Retry: 3}
+	hop := func() { r.forwardAnycast(c.nodes[1].Addr(), m) }
+	hop() // warm the chain pool
+	before := env.calls
+	allocs := testing.AllocsPerRun(20, hop)
+	if attempts := float64(env.calls-before) / 21; attempts != 2 || allocs != attempts {
+		t.Fatalf("a warm hop of %.1f attempts allocates %.1f times, want 2 attempts and one box each", attempts, allocs)
 	}
 }
 
