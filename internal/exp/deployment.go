@@ -229,6 +229,8 @@ type Deployment struct {
 	avMemo  []float64
 	avValid []bool
 	avEpoch int
+	// band is InBand's buffer.
+	band []int
 
 	// The sim engine's state: the central shuffle and the per-host audit
 	// layers (nil when auditing is off).

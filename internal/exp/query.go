@@ -126,13 +126,13 @@ func (d *Deployment) TrueAvailability(id ids.NodeID) float64 {
 	if h < 0 {
 		return 0
 	}
-	return d.trueAvailabilityIdx(h)
+	return d.TrueAvailabilityAt(h)
 }
 
-// trueAvailabilityIdx is TrueAvailability keyed by host index, memoized
-// per epoch: the trace fold behind it is O(epochs) per call and probe
-// helpers issue it O(hosts) times per query.
-func (d *Deployment) trueAvailabilityIdx(h int) float64 {
+// TrueAvailabilityAt is TrueAvailability keyed by trace host index,
+// memoized per epoch: the trace fold behind it is O(epochs) per call and
+// probe helpers issue it O(hosts) times per query.
+func (d *Deployment) TrueAvailabilityAt(h int) float64 {
 	e := d.Trace.EpochAt(d.Sim.Now())
 	if e != d.avEpoch {
 		clear(d.avValid)
@@ -145,19 +145,21 @@ func (d *Deployment) trueAvailabilityIdx(h int) float64 {
 	return d.avMemo[h]
 }
 
-// OnlineInBand returns online nodes whose true availability lies in
-// [lo, hi).
-func (d *Deployment) OnlineInBand(lo, hi float64) []ids.NodeID {
-	out := make([]ids.NodeID, 0, 64)
-	for h, id := range d.hosts {
+// InBand returns the host indexes of the online nodes whose true
+// availability lies in [lo, hi), in host order. The slice is the
+// deployment's own, reused by the next call, so a query per operation
+// allocates nothing.
+func (d *Deployment) InBand(lo, hi float64) []int {
+	d.band = d.band[:0]
+	for h := range d.hosts {
 		if !d.onlineAt(h) {
 			continue
 		}
-		if av := d.trueAvailabilityIdx(h); av >= lo && av < hi {
-			out = append(out, id)
+		if av := d.TrueAvailabilityAt(h); av >= lo && av < hi {
+			d.band = append(d.band, h)
 		}
 	}
-	return out
+	return d.band
 }
 
 // EligibleFor counts online nodes whose true availability lies inside
@@ -165,7 +167,7 @@ func (d *Deployment) OnlineInBand(lo, hi float64) []ids.NodeID {
 func (d *Deployment) EligibleFor(t ops.Target) int {
 	n := 0
 	for h := range d.hosts {
-		if d.onlineAt(h) && t.Contains(d.trueAvailabilityIdx(h)) {
+		if d.onlineAt(h) && t.Contains(d.TrueAvailabilityAt(h)) {
 			n++
 		}
 	}
@@ -175,11 +177,11 @@ func (d *Deployment) EligibleFor(t ops.Target) int {
 // PickInitiator selects a random online node from the availability band
 // [lo, hi); ok is false when the band is empty.
 func (d *Deployment) PickInitiator(lo, hi float64) (ids.NodeID, bool) {
-	band := d.OnlineInBand(lo, hi)
+	band := d.InBand(lo, hi)
 	if len(band) == 0 {
 		return ids.Nil, false
 	}
-	return band[d.Rand.Intn(len(band))], true
+	return d.hosts[band[d.Rand.Intn(len(band))]], true
 }
 
 // MeanDegree returns the mean AVMEM neighbor count across online nodes

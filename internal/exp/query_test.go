@@ -185,7 +185,7 @@ func TestSetMonitorNoisePerturbsAndRestores(t *testing.T) {
 	})
 }
 
-// TestGroundTruthQueriesMatchTheirDefinition: OnlineInBand, EligibleFor
+// TestGroundTruthQueriesMatchTheirDefinition: InBand, EligibleFor
 // and MeanDegree loop by host index; each must still be what its name
 // says over OnlineHosts/TrueAvailability/Membership, in host order
 // (PickInitiator draws an index into that order), during a forced outage
@@ -208,8 +208,12 @@ func TestGroundTruthQueriesMatchTheirDefinition(t *testing.T) {
 			}
 			degree += d.Membership(id).Size()
 		}
-		if got := d.OnlineInBand(0.3, 0.8); len(band) == 0 || !slices.Equal(got, band) {
-			t.Errorf("OnlineInBand = %v, want %v", got, band)
+		var got []ids.NodeID
+		for _, h := range d.InBand(0.3, 0.8) {
+			got = append(got, d.Hosts()[h])
+		}
+		if len(band) == 0 || !slices.Equal(got, band) {
+			t.Errorf("InBand = %v, want %v", got, band)
 		}
 		if n := d.EligibleFor(target); n != eligible {
 			t.Errorf("EligibleFor = %d, want %d", n, eligible)

@@ -447,7 +447,7 @@ func deciles(names string, cols ...[]float64) string {
 }
 
 func (r *runState) churnBurst(b *ChurnBurst) error {
-	online := r.w.OnlineInBand(b.BandLo, bandHi(b.BandHi))
+	online := r.w.InBand(b.BandLo, bandHi(b.BandHi))
 	k := int(float64(len(online))*b.Fraction + 0.5)
 	if k > len(online) {
 		k = len(online)
@@ -455,7 +455,7 @@ func (r *runState) churnBurst(b *ChurnBurst) error {
 	until := r.w.Now() + b.Duration.D()
 	perm := r.w.Rand.Perm(len(online))
 	for _, idx := range perm[:k] {
-		r.w.ForceOffline(online[idx], until)
+		r.w.ForceOffline(r.w.Hosts()[online[idx]], until)
 	}
 	r.logf("churn burst: forced %d/%d online nodes offline for %v", k, len(online), b.Duration.D())
 	return nil
@@ -596,16 +596,14 @@ func (r *runState) dissemBatch(e *Event, out *tally) error {
 	var reach, spam float64
 	var lastMs []float64 // last-delivery latency of each multicast that delivered (Fig 11)
 	for _, id := range sent {
-		rec, ok := r.w.Collector.Multicast(id)
-		if !ok {
-			continue
-		}
-		n++
-		reach += rec.Reliability()
-		spam += rec.SpamRatio()
-		if len(rec.Delivered) > 0 {
-			lastMs = append(lastMs, float64(rec.WorstLatency().Milliseconds()))
-		}
+		r.w.Collector.ReadMulticast(id, func(rec *ops.MulticastRecord) {
+			n++
+			reach += rec.Reliability()
+			spam += rec.SpamRatio()
+			if len(rec.Delivered) > 0 {
+				lastMs = append(lastMs, float64(rec.WorstLatency().Milliseconds()))
+			}
+		})
 	}
 	if opts.HalfOpen {
 		out.rcCount, out.rcCoverage, out.rcSpam = n, weighted(reach, n), weighted(spam, n)
@@ -665,17 +663,18 @@ func (r *runState) aggregateBatch(b *AggregateBatch, out *tally) error {
 	return nil
 }
 
-// bandEligible returns the online nodes whose true availability lies
-// in the half-open band — the ground-truth population range-cast
-// coverage and aggregation accuracy are measured against.
-func bandEligible(w *exp.Deployment, b ops.Band) []ids.NodeID {
+// bandEligible returns the host indexes of the online nodes whose true
+// availability lies in the half-open band — the ground-truth population
+// range-cast coverage and aggregation accuracy are measured against — in
+// the deployment's reused buffer.
+func bandEligible(w *exp.Deployment, b ops.Band) []int {
 	hi := b.Hi
 	if hi >= 1 {
-		// The band closes its top end at 1; OnlineInBand is half-open,
-		// so stretch past every capped estimate.
+		// The band closes its top end at 1; InBand is half-open, so
+		// stretch past every capped estimate.
 		hi = 1.01
 	}
-	return w.OnlineInBand(b.Lo, hi)
+	return w.InBand(b.Lo, hi)
 }
 
 // groundTruth computes the true aggregate over the online in-band
@@ -684,8 +683,8 @@ func bandEligible(w *exp.Deployment, b ops.Band) []ids.NodeID {
 // denominator.
 func groundTruth(w *exp.Deployment, op agg.Op, b ops.Band) (eligible int, truth float64) {
 	var p agg.Partial
-	for _, id := range bandEligible(w, b) {
-		p.Observe(w.TrueAvailability(id), 0)
+	for _, h := range bandEligible(w, b) {
+		p.Observe(w.TrueAvailabilityAt(h), 0)
 	}
 	return p.N, p.Value(op)
 }
