@@ -13,7 +13,14 @@ import (
 // profile and execution trace record the whole run; the heap profile is
 // a single end-of-run snapshot taken after a forced GC, which is the
 // view that matters for a simulator whose live set is the world itself.
+// With a heap profile requested, every allocation is recorded
+// (runtime.MemProfileRate = 1) before the run starts, so the profile's
+// alloc_objects and alloc_space samples are exact per-site counts of
+// the whole run, not 512 KB samples scaled up.
 func startProfiles(cpu, mem, trace string) (stop func(), err error) {
+	if mem != "" {
+		runtime.MemProfileRate = 1
+	}
 	var stops []func()
 	fail := func(err error) (func(), error) {
 		for _, s := range stops {

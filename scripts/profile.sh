@@ -13,8 +13,15 @@
 #   scripts/profile.sh scenarios/mixed-workload.json -backend memnet
 #                                                   # extra run flags pass through
 #
+# The heap profile records every allocation (-memprofile sets
+# runtime.MemProfileRate = 1 before the run), so its per-site counts are
+# exact, not 512 KB samples: a claim about allocations quotes them. That
+# recording slows the run down, so the CPU profile of the same run
+# over-weights malloc; take CPU profiles from a run without -memprofile.
+#
 # Inspect with:
 #   go tool pprof -top profiles/cpu.pprof
+#   go tool pprof -top -sample_index=alloc_objects profiles/mem.pprof   # exact allocation counts per site
 #   go tool pprof -top -sample_index=alloc_space profiles/mem.pprof
 #   go tool trace profiles/exec.trace
 set -euo pipefail
