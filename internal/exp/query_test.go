@@ -223,3 +223,15 @@ func TestGroundTruthQueriesMatchTheirDefinition(t *testing.T) {
 		}
 	})
 }
+
+// TestPickInitiatorDoesNotAllocate: a pick draws from the deployment's
+// reused host-index buffer, so a warm pick allocates nothing.
+func TestPickInitiatorDoesNotAllocate(t *testing.T) {
+	d := newTestDeployment(t, BackendSim, 2, 2*time.Hour)
+	if _, ok := d.PickInitiator(0.3, 0.8); !ok {
+		t.Fatal("no online node in [0.3, 0.8)")
+	}
+	if avg := testing.AllocsPerRun(20, func() { d.PickInitiator(0.3, 0.8) }); avg != 0 {
+		t.Errorf("a warm PickInitiator allocates %.1f times, want 0", avg)
+	}
+}
