@@ -32,6 +32,7 @@ import (
 	"avmem/internal/ops"
 	"avmem/internal/runtime"
 	"avmem/internal/shuffle"
+	"avmem/internal/sim"
 )
 
 // Decision is a behavior's verdict on one outbound message.
@@ -588,7 +589,9 @@ func (w *wrapped) SendNack(to ids.Addr, msg any, onNack func()) {
 // through the behavior, and fabricating behaviors (Reactor) get to
 // inject their own traffic in reaction to what was delivered. The
 // fabrications go out through the underlying Env directly — they are
-// already adversarial and bypass the Outbound rewrite chain.
+// already adversarial and bypass the Outbound rewrite chain. A message
+// the behavior refuses that owns pooled buffers (sim.Recycler) goes back
+// to its pool: the handler it was bound for was its last holder.
 func (w *wrapped) Register(h runtime.Handler) error {
 	reactor, _ := w.b.(Reactor)
 	return w.Env.Register(func(from ids.Addr, msg any) {
@@ -598,6 +601,9 @@ func (w *wrapped) Register(h runtime.Handler) error {
 			}
 		}
 		if !w.b.Inbound(from.ID(), msg) {
+			if r, ok := msg.(sim.Recycler); ok {
+				r.Recycle()
+			}
 			return
 		}
 		h(from, msg)

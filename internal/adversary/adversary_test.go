@@ -240,6 +240,42 @@ func TestDroppedNackOnlySendQueuesNothing(t *testing.T) {
 	}
 }
 
+// TestRefusedInboundIsRecycled: an exchange message the behavior
+// refuses never reaches the node, and the interceptor, its last holder,
+// recycles it (its entries emptied for the next offer); what it lets
+// through is the handler's to consume.
+func TestRefusedInboundIsRecycled(t *testing.T) {
+	w := sim.NewWorld(1)
+	net := sim.NewNetwork(w, nil, nil, 0)
+	if err := net.Bind([]ids.NodeID{"adv", "peer"}, func(int) bool { return true }); err != nil {
+		t.Fatal(err)
+	}
+	env, err := runtime.NewVirtual(runtime.VirtualConfig{
+		Self: ids.NodeID("adv").Addr(), Scheduler: w, Fabric: runtime.NetFabric(net), Seed: 3,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var handled []any
+	if err := Wrap(env, FreeRide{}).Register(func(_ ids.Addr, msg any) { handled = append(handled, msg) }); err != nil {
+		t.Fatal(err)
+	}
+	req := &shuffle.Request{Entries: []shuffle.Entry{{ID: "x"}}, SenderAvail: 0.5}
+	reply := &shuffle.Reply{Entries: []shuffle.Entry{{ID: "y"}}, SenderAvail: 0.5}
+	net.Send("peer", "adv", req)
+	net.Send("peer", "adv", reply)
+	w.RunAll(0)
+	if len(handled) != 1 || handled[0] != reply {
+		t.Fatalf("the node was handed %v, want only the reply", handled)
+	}
+	if len(req.Entries) != 0 || req.SenderAvail != 0 {
+		t.Errorf("the refused request was not recycled: %+v", req)
+	}
+	if len(reply.Entries) != 1 || reply.SenderAvail != 0.5 {
+		t.Errorf("the delivered reply was touched before its handler: %+v", reply)
+	}
+}
+
 // dropAll drops every outbound message without faking an ack.
 type dropAll struct{}
 

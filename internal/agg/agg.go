@@ -174,6 +174,7 @@ type pending[K comparable, V any] struct {
 // record, which holds the caller's V next to the combining state.
 type Station[K comparable, V any] struct {
 	after    func(d time.Duration, fn func())
+	binder   Binder
 	conclude func(id K, v *V, p Partial)
 
 	// recs maps every operation the station holds or held to its record,
@@ -189,18 +190,31 @@ type Station[K comparable, V any] struct {
 	free []*pending[K, V]
 }
 
+// Binder wraps a callback once, as the host wraps the callbacks it runs
+// (a node's gate: ops.Binder).
+type Binder interface{ Bind(fn func()) func() }
+
 // NewStation builds a Station. after schedules the deadlines (the host
-// Env's timer); conclude is called exactly once per Open — at
-// convergence or the deadline — with the id, the V given to Open, and
-// the combined partial. The caller sends the partial to the parent, or
-// to the origin at the tree root.
-func NewStation[K comparable, V any](after func(d time.Duration, fn func()), conclude func(id K, v *V, p Partial)) (*Station[K, V], error) {
+// Env's timer); binder, when not nil, wraps each record callback — the
+// deadline and the decline — once, when the record binds it; conclude is
+// called exactly once per Open — at convergence or the deadline — with
+// the id, the V given to Open, and the combined partial. The caller sends
+// the partial to the parent, or to the origin at the tree root.
+func NewStation[K comparable, V any](after func(d time.Duration, fn func()), binder Binder, conclude func(id K, v *V, p Partial)) (*Station[K, V], error) {
 	if after == nil || conclude == nil {
 		return nil, fmt.Errorf("agg: after scheduler and conclude are required")
 	}
 	// recs is allocated lazily: most stations in a large world never
 	// participate in an aggregation.
-	return &Station[K, V]{after: after, conclude: conclude}, nil
+	return &Station[K, V]{after: after, binder: binder, conclude: conclude}, nil
+}
+
+// bind wraps a record callback with the binder, if there is one.
+func (s *Station[K, V]) bind(fn func()) func() {
+	if s.binder == nil {
+		return fn
+	}
+	return s.binder.Bind(fn)
 }
 
 // Seen reports whether the station already holds (or held) operation
@@ -283,7 +297,7 @@ func (s *Station[K, V]) record() *pending[K, V] {
 		return p
 	}
 	p := &pending[K, V]{}
-	p.deadline = func() { s.expire(p) }
+	p.deadline = s.bind(func() { s.expire(p) })
 	s.bindDecline(p)
 	return p
 }
@@ -291,11 +305,11 @@ func (s *Station[K, V]) record() *pending[K, V] {
 // bindDecline gives p a decline callback of its current serial.
 func (s *Station[K, V]) bindDecline(p *pending[K, V]) {
 	serial := p.serial
-	p.decline = func() {
+	p.decline = s.bind(func() {
 		if p.serial == serial {
 			s.account(p)
 		}
-	}
+	})
 }
 
 // expire is a record's deadline: it concludes the aggregation if it is

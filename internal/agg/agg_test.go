@@ -140,7 +140,7 @@ func TestOpValidateAndString(t *testing.T) {
 // callback, which its conclusion calls.
 func newTestStation(t *testing.T, clk *fakeClock) *Station[int, func(Partial)] {
 	t.Helper()
-	s, err := NewStation(clk.After, func(_ int, finalize *func(Partial), p Partial) { (*finalize)(p) })
+	s, err := NewStation(clk.After, nil, func(_ int, finalize *func(Partial), p Partial) { (*finalize)(p) })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -296,10 +296,10 @@ func TestStationDoneSetBounded(t *testing.T) {
 func TestNewStationValidation(t *testing.T) {
 	clk := &fakeClock{}
 	conclude := func(int, *int, Partial) {}
-	if _, err := NewStation(nil, conclude); err == nil {
+	if _, err := NewStation(nil, nil, conclude); err == nil {
 		t.Error("want error for nil scheduler")
 	}
-	if _, err := NewStation[int, int](clk.After, nil); err == nil {
+	if _, err := NewStation[int, int](clk.After, nil, nil); err == nil {
 		t.Error("want error for nil conclude")
 	}
 }

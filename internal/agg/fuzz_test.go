@@ -100,7 +100,7 @@ func FuzzStationSchedule(f *testing.F) {
 	f.Fuzz(func(t *testing.T, prog []byte) {
 		clk := &fakeClock{}
 		var got []conclusion
-		s, err := NewStation(clk.After, func(id int, v *int, p Partial) {
+		s, err := NewStation(clk.After, nil, func(id int, v *int, p Partial) {
 			got = append(got, conclusion{id: id, val: *v, p: p, at: clk.now})
 		})
 		if err != nil {

@@ -432,8 +432,14 @@ func (n *Node) Stop() {
 // happens under it. requireRunning gates the periodic driver;
 // DiscoverNow passes false so it also works on a built-but-unstarted
 // node.
+//
+// A node whose Env reports it offline (a trace-driven outage in a
+// virtual cluster) skips protocol work entirely, like its simulated
+// counterpart: the round returns before anything else, fetch included,
+// so an offline round has no effect at all — which is what lets an Env
+// skip an offline node's periodic runs outright (runtime.Env.Every).
 func (n *Node) discoverRound(requireRunning bool) {
-	if n.stopped.Load() {
+	if n.stopped.Load() || !n.base.Online() {
 		return
 	}
 	var external []ids.NodeID
@@ -448,14 +454,8 @@ func (n *Node) discoverRound(requireRunning bool) {
 	n.discoverLocked(external)
 }
 
-// discoverLocked applies one discovery round; caller holds n.mu. A node
-// whose Env reports it offline (a trace-driven outage in a virtual
-// cluster) skips protocol work entirely, like its simulated
-// counterpart.
+// discoverLocked applies one discovery round; caller holds n.mu.
 func (n *Node) discoverLocked(external []ids.NodeID) {
-	if !n.base.Online() {
-		return
-	}
 	n.cacheClaim()
 	if n.agent == nil {
 		n.mem.Discover(external)
@@ -474,7 +474,8 @@ func (n *Node) discoverLocked(external []ids.NodeID) {
 	}
 }
 
-// refreshTick runs one refresh round; the gate holds n.mu.
+// refreshTick runs one refresh round; the gate holds n.mu. Like
+// discoverRound, an offline round returns before it does anything.
 func (n *Node) refreshTick() {
 	if !n.base.Online() {
 		return
@@ -491,13 +492,12 @@ func (n *Node) handleMessage(from ids.Addr, msg any) {
 	// and traffic from audited-out peers is discarded. Auditing shuffle
 	// traffic takes the node lock (auditor state is not its own monitor),
 	// but never calls back out, so the agent stays uncontended. The agent
-	// consumes what it merges; a message dropped here is garbage.
+	// consumes what it merges; a message refused here is the node's to
+	// recycle, as the last holder of it (shuffle.NewRequest).
 	switch m := msg.(type) {
 	case *shuffle.Request:
-		if n.agent == nil {
-			return
-		}
-		if !n.observeShuffle(from, msg) {
+		if n.agent == nil || !n.observeShuffle(from, msg) {
+			m.Recycle()
 			return
 		}
 		reply := n.agent.HandleRequest(from.ID(), m)
@@ -505,10 +505,8 @@ func (n *Node) handleMessage(from ids.Addr, msg any) {
 		n.env.Send(from, reply)
 		return
 	case *shuffle.Reply:
-		if n.agent == nil {
-			return
-		}
-		if !n.observeShuffle(from, msg) {
+		if n.agent == nil || !n.observeShuffle(from, msg) {
+			m.Recycle()
 			return
 		}
 		n.agent.HandleReply(from.ID(), m)

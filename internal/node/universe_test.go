@@ -432,3 +432,109 @@ func TestStoppedNodeIgnoresDiscoveryAndCallbacks(t *testing.T) {
 		t.Errorf("%d gated callbacks ran on a stopped node", fired)
 	}
 }
+
+// TestDroppedShuffleRoundAllocatesNothing: a request sent to a partner
+// that is offline when it arrives is lost, as CYCLON expects — and the
+// network that drops it gives it back to its pool, so once the pools are
+// warm such a round allocates nothing either.
+func TestDroppedShuffleRoundAllocatesNothing(t *testing.T) {
+	w := sim.NewWorld(1)
+	net := sim.NewNetwork(w, nil, nil, 0)
+	if err := net.Bind([]ids.NodeID{ids.Synthetic(0), ids.Synthetic(1)}, func(i int) bool { return i == 0 }); err != nil {
+		t.Fatal(err)
+	}
+	round, _ := shuffleRoundTrip(t, w, runtime.NetFabric(net))
+	for i := 0; i < 50; i++ {
+		round()
+	}
+	// Under the race detector the pools drop recycled messages at random,
+	// so only the rounds themselves are checked there.
+	if got := testing.AllocsPerRun(100, round); got != 0 && !raceEnabled {
+		t.Errorf("a round whose request is dropped at an offline partner allocates %.2f times, want 0", got)
+	}
+	if s := net.Stats(); s.Dropped != s.Sent || s.Sent < 150 {
+		t.Fatalf("network dropped %d of %d requests, want every one of at least 150", s.Dropped, s.Sent)
+	}
+}
+
+// TestRefusedShuffleMessageIsRecycled: a node that refuses an exchange
+// message — here one with no shuffle agent to hand it to — is its last
+// holder and recycles it, so the next message comes from the pool.
+func TestRefusedShuffleMessageIsRecycled(t *testing.T) {
+	all := []ids.NodeID{ids.Synthetic(0), ids.Synthetic(1)}
+	env, err := runtime.NewVirtual(runtime.VirtualConfig{Self: all[0].Addr(), Scheduler: sim.NewWorld(1), Fabric: &sinkFabric{}, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	n, err := New(Config{
+		Self: all[0], Predicate: acceptAll(t), Monitor: avmon.Static{all[0]: 0.5, all[1]: 0.5},
+		Peers: PeerFunc(func(ids.NodeID) []ids.NodeID { return all[1:] }), Env: env, Seed: 1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	from := all[1].Addr()
+	refuse := func() {
+		req := shuffle.NewRequest()
+		req.Entries = append(req.Entries, shuffle.Entry{ID: all[1]})
+		n.handleMessage(from, req)
+		reply := shuffle.NewReply()
+		reply.Entries = append(reply.Entries, shuffle.Entry{ID: all[1]})
+		n.handleMessage(from, reply)
+	}
+	refuse()
+	if got := testing.AllocsPerRun(100, refuse); got != 0 && !raceEnabled {
+		t.Errorf("refusing a warm request and reply allocates %.2f times, want 0", got)
+	}
+}
+
+// TestOfflineRoundsDoNothing is why an Env may skip an offline node's
+// periodic runs outright (runtime.Env.Every): a discovery round of an
+// offline node returns before anything else, its PeerSource fetch
+// included, and so does a refresh — no fetch, no send, no membership
+// change, no claim cached — whether the Env skips the run or makes it.
+func TestOfflineRoundsDoNothing(t *testing.T) {
+	all := []ids.NodeID{ids.Synthetic(0), ids.Synthetic(1), ids.Synthetic(2)}
+	up, fetches := false, 0
+	peers := PeerFunc(func(ids.NodeID) []ids.NodeID { fetches++; return all[1:] })
+	for _, seeds := range []bool{false, true} {
+		fabric := &sinkFabric{}
+		w := sim.NewWorld(1)
+		env, err := runtime.NewVirtual(runtime.VirtualConfig{Self: all[0].Addr(), Scheduler: w, Fabric: fabric, Online: func() bool { return up }, Seed: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := Config{
+			Self: all[0], Predicate: acceptAll(t), Monitor: avmon.Static{all[0]: 0.5, all[1]: 0.5, all[2]: 0.5},
+			Env: env, Seed: 1, ProtocolPeriod: time.Minute, RefreshPeriod: time.Minute,
+		}
+		if seeds {
+			cfg.Seeds = all[1:]
+		} else {
+			cfg.Peers = peers
+		}
+		n, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		refresh := func() {
+			n.mu.Lock()
+			defer n.mu.Unlock()
+			n.refreshTick()
+		}
+		up, fetches = false, 0
+		w.Run(time.Hour)
+		n.DiscoverNow()
+		refresh()
+		if hs, vs := n.SliverSizes(); fetches != 0 || fabric.sent != 0 || hs+vs != 0 || n.claimAt.Load() != 0 {
+			t.Fatalf("seeds=%v: offline rounds fetched %d times, sent %d, admitted %d, cached a claim at %v",
+				seeds, fetches, fabric.sent, hs+vs, time.Duration(n.claimAt.Load()))
+		}
+		up = true
+		refresh()
+		n.DiscoverNow()
+		if hs, vs := n.SliverSizes(); hs+vs == 0 || (seeds && fabric.sent != 1) || (!seeds && fetches != 1) || n.claimAt.Load() != int64(time.Hour) {
+			t.Fatalf("seeds=%v: online rounds fetched %d times, sent %d, admitted %d", seeds, fetches, fabric.sent, hs+vs)
+		}
+	}
+}

@@ -40,6 +40,20 @@ type Env interface {
 	Online() bool
 }
 
+// Binder is implemented by an Env that wraps every asynchronous callback
+// handed to it (runtime.Gated: a node's gate). A router hands some
+// callbacks over many times — an anycast chain's result, an aggregation
+// record's decline and deadline — and binds those once instead, where it
+// builds them: Bind and BindResult wrap a callback as the Env would, and
+// Unwrapped is the Env beneath the wrapper, which takes a bound callback
+// as it is. Every other call goes to the Binder itself.
+type Binder interface {
+	Env
+	Bind(fn func()) func()
+	BindResult(fn func(ok bool)) func(ok bool)
+	Unwrapped() Env
+}
+
 // Auditor is the receiving-side audit seam (internal/audit implements
 // it). The router consults it on every inbound operation message and
 // excludes blacklisted peers from forwarding and dissemination, so
@@ -108,6 +122,9 @@ type Router struct {
 	// declines holds the boxed decline (declineMsg) of recent trees,
 	// direct-mapped by id.Seq; allocated on the first decline.
 	declines *[declineSlots]any
+	// bound is where the callbacks the router binds once go (Binder): the
+	// Env beneath env's wrapper, or env itself when it wraps nothing.
+	bound Env
 }
 
 // tree is what a member knows of one aggregation it joined, kept in its
@@ -207,7 +224,12 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 	if r.stats == nil {
 		r.stats = new(FloodStats)
 	}
-	station, err := agg.NewStation(cfg.Env.After, r.concludeAgg)
+	r.bound = cfg.Env
+	var binder agg.Binder
+	if b, ok := cfg.Env.(Binder); ok {
+		r.bound, binder = b.Unwrapped(), b
+	}
+	station, err := agg.NewStation(r.bound.After, binder, r.concludeAgg)
 	if err != nil {
 		return nil, err
 	}
@@ -615,6 +637,9 @@ func (r *Router) forwardAnycast(from ids.Addr, m AnycastMsg) {
 	} else {
 		c = &chain{}
 		c.result = func(ok bool) { r.result(c, ok) }
+		if b, ok := r.env.(Binder); ok {
+			c.result = b.BindResult(c.result)
+		}
 	}
 	c.candidates = r.candidates(c.candidates, from.ID(), m.Flavor, m.Target)
 	c.m = m
@@ -629,7 +654,8 @@ func (r *Router) forwardAnycast(from ids.Addr, m AnycastMsg) {
 // chain is one anycast's attempt chain at this node: the message, the
 // candidate next hops left, the pick in flight, and the retry budget.
 // Chains are pooled per router with their candidate buffer and result,
-// the SendCall callback bound once per chain: SendCall reports each
+// the SendCall callback bound once per chain — with the Env's wrapper
+// too, when it has one (Binder): SendCall reports each
 // attempt exactly once, so a chain is free again once its message was
 // taken or the operation failed.
 type chain struct {
@@ -656,7 +682,7 @@ func (r *Router) attempt(c *chain) {
 	if c.m.Policy == RetriedGreedy {
 		c.m.Retry = c.budget
 	}
-	r.env.SendCall(c.candidates[c.idx].Addr(), c.m, c.result)
+	r.bound.SendCall(c.candidates[c.idx].Addr(), c.m, c.result)
 }
 
 // result is the verdict on c's attempt: a taken message frees the chain,
@@ -917,8 +943,9 @@ func (r *Router) declineMsg(id MsgID) any {
 // forwardAgg grows the tree one level: the request goes to every
 // in-band neighbor except the parent, with delivery failures feeding
 // straight into convergence accounting: an unreachable child declines by
-// transport nack, through the station record's own decline callback.
-// Returns how many children were addressed.
+// transport nack, through the station record's own decline callback,
+// which the station bound once (Binder), so the sends go beneath the
+// Env's wrapper. Returns how many children were addressed.
 func (r *Router) forwardAgg(id MsgID, spec AggregateSpec, depth int, sentAt time.Duration, parent ids.NodeID, nack func()) int {
 	if depth >= agg.MaxDepth {
 		return 0
@@ -936,7 +963,7 @@ func (r *Router) forwardAgg(id MsgID, spec AggregateSpec, depth int, sentAt time
 		if nb.ID == parent {
 			continue
 		}
-		r.env.SendNack(nb.Addr(), boxed, nack)
+		r.bound.SendNack(nb.Addr(), boxed, nack)
 		kids++
 	}
 	return kids

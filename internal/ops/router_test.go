@@ -750,6 +750,101 @@ func TestRetriedGreedyHopAllocatesOnlyItsMessage(t *testing.T) {
 	}
 }
 
+// gateEnv is a Binder over under: what it binds runs through a counting
+// gate, and a callback handed to gateEnv itself is wrapped per call, as a
+// node's gated Env does — so wrapped counts what the router failed to
+// bind once.
+type gateEnv struct {
+	under                 Env
+	binds, gated, wrapped int
+}
+
+var _ Binder = (*gateEnv)(nil)
+
+func (e *gateEnv) Now() time.Duration               { return e.under.Now() }
+func (e *gateEnv) RandFloat() float64               { return e.under.RandFloat() }
+func (e *gateEnv) Online() bool                     { return e.under.Online() }
+func (e *gateEnv) Send(to ids.Addr, msg any)        { e.under.Send(to, msg) }
+func (e *gateEnv) Unwrapped() Env                   { return e.under }
+func (e *gateEnv) After(d time.Duration, fn func()) { e.wrapped++; e.under.After(d, e.Bind(fn)) }
+func (e *gateEnv) SendCall(to ids.Addr, msg any, onResult func(bool)) {
+	e.wrapped++
+	e.under.SendCall(to, msg, e.BindResult(onResult))
+}
+func (e *gateEnv) SendNack(to ids.Addr, msg any, onNack func()) {
+	e.wrapped++
+	e.under.SendNack(to, msg, e.Bind(onNack))
+}
+func (e *gateEnv) Bind(fn func()) func() {
+	e.binds++
+	return func() { e.gated++; fn() }
+}
+func (e *gateEnv) BindResult(fn func(bool)) func(bool) {
+	e.binds++
+	return func(ok bool) { e.gated++; fn(ok) }
+}
+
+// TestRouterBindsItsCallbacksOnce: on an Env that wraps its callbacks
+// (Binder), the callbacks the router hands over many times — an anycast
+// chain's result, an aggregation record's decline and deadline — are
+// bound once, where they are built, and go to the Env beneath the
+// wrapper: a warm hop or join binds nothing and wraps nothing, so it
+// allocates what it allocates on a bare Env, yet every verdict, nack and
+// deadline still runs through the gate.
+func TestRouterBindsItsCallbacksOnce(t *testing.T) {
+	c := newCluster(t, fullPredicate(t), []float64{0.2, 0.4, 0.5, 0.6, 0.7}, false)
+	self := c.nodes[0]
+	verdicts := &verdictEnv{testEnv: *newTestEnv(c.world, c.net, self, nil)}
+	env := &gateEnv{under: verdicts}
+	r, err := NewRouter(RouterConfig{Membership: c.members[self], Env: env, Collector: c.col})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := AnycastMsg{ID: MsgID{Origin: self, Seq: 1}, Target: Target{Lo: 0.85, Hi: 0.95}, Policy: RetriedGreedy, Flavor: core.HSVS, TTL: 6, Retry: 3}
+	hop := func() { r.forwardAnycast(c.nodes[1].Addr(), m) }
+	hop() // builds and binds the chain
+	binds, gated, calls := env.binds, env.gated, verdicts.calls
+	allocs := testing.AllocsPerRun(20, hop)
+	attempts := verdicts.calls - calls
+	if env.binds != binds || env.wrapped != 0 || env.gated-gated != attempts || allocs != 2 {
+		t.Fatalf("warm hops: %d binds, %d per-call wraps, %d of %d verdicts gated, %.1f allocs per hop; want 0, 0, all, 2 (one box per attempt)",
+			env.binds-binds, env.wrapped, env.gated-gated, attempts, allocs)
+	}
+
+	counting := &countingEnv{testEnv: *newTestEnv(c.world, c.net, self, nil), timers: make([]func(), 0, 256)}
+	env = &gateEnv{under: counting}
+	if r, err = NewRouter(RouterConfig{Membership: c.members[self], Env: env, Collector: c.col}); err != nil {
+		t.Fatal(err)
+	}
+	parent := c.nodes[1]
+	spec := AggregateSpec{Op: agg.Count, Band: Band{Lo: 0, Hi: 1}, Flavor: core.HSVS}
+	seq, kids := uint64(0), 0
+	join := func() {
+		seq++
+		before := counting.calls
+		r.handleAggRequest(parent.Addr(), AggMsg{ID: MsgID{Origin: parent, Seq: seq}, Spec: spec, Depth: 1})
+		kids = counting.calls - before
+	}
+	join() // builds and binds one record: its deadline and its decline
+	if env.binds != 2 || kids == 0 {
+		t.Fatalf("a first join bound %d callbacks and forwarded to %d children, want 2 and some", env.binds, kids)
+	}
+	for range 20 {
+		env.gated = 0
+		for range kids { // every child answers: the record will be reused
+			r.station.Decline(MsgID{Origin: parent, Seq: seq})
+		}
+		counting.fire() // the deadline recycles the record
+		if env.gated != 1 {
+			t.Fatalf("a deadline ran through the gate %d times, want 1", env.gated)
+		}
+		join()
+	}
+	if env.binds != 2 || env.wrapped != 0 {
+		t.Fatalf("joins that reuse a record: %d more binds, %d per-call wraps; want 0 and 0", env.binds-2, env.wrapped)
+	}
+}
+
 // TestInterleavedTreesShareDeclineBoxes: a node that declines the copies
 // of several concurrent trees in turn boxes each tree's decline once, not
 // once per copy — and every box answers its own tree.

@@ -100,7 +100,8 @@ func (e *Live) After(d time.Duration, fn func()) {
 	e.afterLocked(d, fn)
 }
 
-// Every implements Env.
+// Every implements Env: a tick of an offline Env skips fn and keeps the
+// period.
 func (e *Live) Every(offset, period time.Duration, fn func()) (stop func()) {
 	if period <= 0 || fn == nil {
 		return func() {}
@@ -115,7 +116,9 @@ func (e *Live) Every(offset, period time.Duration, fn func()) (stop func()) {
 		if !alive {
 			return
 		}
-		fn()
+		if e.Online() {
+			fn()
+		}
 		e.After(period, tick)
 	}
 	e.After(offset, tick)

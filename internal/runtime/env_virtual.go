@@ -26,6 +26,9 @@ type VirtualConfig struct {
 	// Fabric moves messages (a sim.Network via NetFabric).
 	Fabric Fabric
 	// Online reports this node's current liveness (nil = always online).
+	// When Self carries a host index, Online must agree with the liveness
+	// the Fabric's network binds for that host (sim.Network.Bind): the
+	// Scheduler's periodic timers sleep by that probe, not this one.
 	Online func() bool
 	// RNG is the Env's private randomness. Exactly one of RNG and Seed
 	// is used: a non-nil RNG is shared as given (the simulator passes
@@ -83,14 +86,26 @@ func (e *Virtual) Stopped() bool { return e.stopped }
 // Every implements Env on the Scheduler's own periodic timer: the
 // stopped-Env check is the timer's stop check, so a steady-state tick
 // allocates nothing, and a tick whose next run would fall past the end
-// of virtual time ends the timer.
+// of virtual time ends the timer. The timer carries Self's host index,
+// so the Scheduler skips a run while the host is offline without
+// touching the Env at all; an Env without a host index checks Online
+// before each run instead.
 func (e *Virtual) Every(offset, period time.Duration, fn func()) (stop func()) {
 	if period <= 0 || fn == nil {
 		return func() {}
 	}
 	running := true
-	// period and fn are valid, which is all Every refuses.
-	_ = e.cfg.Scheduler.Every(offset, period, func() bool { return e.stopped || !running }, fn)
+	host := int(e.cfg.Self.Index())
+	if host < 0 && e.cfg.Online != nil {
+		tick := fn
+		fn = func() {
+			if e.cfg.Online() {
+				tick()
+			}
+		}
+	}
+	// period and fn are valid, which is all EveryHost refuses.
+	_ = e.cfg.Scheduler.EveryHost(host, offset, period, func() bool { return e.stopped || !running }, fn)
 	return func() { running = false }
 }
 

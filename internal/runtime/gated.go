@@ -4,6 +4,7 @@ import (
 	"time"
 
 	"avmem/internal/ids"
+	"avmem/internal/ops"
 )
 
 // gated decorates an Env so every asynchronous callback — one-shot
@@ -13,12 +14,15 @@ import (
 // arrive after shutdown, which is exactly the serialization the live
 // engine needs; under a virtual Env the gate is an uncontended lock on
 // the single scheduler goroutine, so determinism is unaffected.
+// A callback handed over per call is wrapped per call; a router binds
+// the ones it hands over many times once (ops.Binder).
 type gated struct {
 	env  Env
 	gate func(fn func())
 }
 
 var _ Env = (*gated)(nil)
+var _ ops.Binder = (*gated)(nil)
 
 // Gated wraps env with a callback gate. A nil gate returns env
 // unchanged.
@@ -37,12 +41,32 @@ func (g *gated) Now() time.Duration { return g.env.Now() }
 
 // After implements Env: fn fires inside the gate.
 func (g *gated) After(d time.Duration, fn func()) {
-	g.env.After(d, func() { g.gate(fn) })
+	g.env.After(d, g.Bind(fn))
 }
+
+// Bind implements ops.Binder: fn gated, for a caller that hands it to
+// the Env beneath the gate (Unwrapped) many times.
+func (g *gated) Bind(fn func()) func() { return func() { g.gate(fn) } }
+
+// BindResult implements ops.Binder: onResult gated, its two runs bound
+// with it, so a verdict allocates nothing when it fires.
+func (g *gated) BindResult(onResult func(ok bool)) func(ok bool) {
+	taken, failed := func() { onResult(true) }, func() { onResult(false) }
+	return func(ok bool) {
+		if ok {
+			g.gate(taken)
+		} else {
+			g.gate(failed)
+		}
+	}
+}
+
+// Unwrapped implements ops.Binder: the Env beneath the gate.
+func (g *gated) Unwrapped() ops.Env { return g.env }
 
 // Every implements Env: each tick fires inside the gate.
 func (g *gated) Every(offset, period time.Duration, fn func()) (stop func()) {
-	return g.env.Every(offset, period, func() { g.gate(fn) })
+	return g.env.Every(offset, period, g.Bind(fn))
 }
 
 // RandFloat implements Env.
@@ -83,7 +107,7 @@ func (g *gated) SendNack(to ids.Addr, msg any, onNack func()) {
 		g.env.SendNack(to, msg, nil)
 		return
 	}
-	g.env.SendNack(to, msg, func() { g.gate(onNack) })
+	g.env.SendNack(to, msg, g.Bind(onNack))
 }
 
 // Online implements Env.

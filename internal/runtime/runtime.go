@@ -57,7 +57,9 @@ type Env interface {
 	// Self returns the identity this Env is bound to.
 	Self() ids.NodeID
 	// Every schedules fn at now+offset and every period thereafter until
-	// the returned stop function is called. period must be positive.
+	// the returned stop function is called. period must be positive. fn
+	// runs only while the Env is online: a run that falls while it is
+	// offline is skipped, and the timer keeps its period.
 	Every(offset, period time.Duration, fn func()) (stop func())
 	// RandIntn returns a uniform int in [0, n); n must be positive.
 	RandIntn(n int) int
@@ -77,10 +79,12 @@ type Scheduler interface {
 	// AfterUnless schedules fn to run d from now, unless s reports
 	// stopped when it comes due.
 	AfterUnless(d time.Duration, s sim.Stoppable, fn func())
-	// Every schedules fn at now+offset and every period thereafter, until
-	// stop (nil: never) returns true before a run or the next run would
-	// fall past the end of virtual time. period must be positive.
-	Every(offset, period time.Duration, stop func() bool, fn func()) error
+	// EveryHost schedules fn at now+offset and every period thereafter,
+	// until stop (nil: never) returns true before a run or the next run
+	// would fall past the end of virtual time. period must be positive.
+	// While host (an index of the universe the scheduler's network binds;
+	// -1 for none) is offline, a run calls neither stop nor fn.
+	EveryHost(host int, offset, period time.Duration, stop func() bool, fn func()) error
 }
 
 // Fabric moves messages between addresses for a virtual Env: a

@@ -2,11 +2,14 @@ package runtime
 
 import (
 	"math"
+	"slices"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"avmem/internal/ids"
+	"avmem/internal/ops"
 	"avmem/internal/sim"
 	"avmem/internal/transport"
 )
@@ -386,5 +389,147 @@ func TestVirtualAfterSuppressedByStop(t *testing.T) {
 	a.Stop()
 	if n := w.RunAll(0); n != 2 || ran["a"] || !ran["b"] {
 		t.Fatalf("%d events fired, ran %v; want 2 events, only b's callback", n, ran)
+	}
+}
+
+// TestVirtualEveryRunsOnlyWhileOnline pins Every's contract on the
+// virtual engine: fn runs only while the Env is online, and the timer
+// keeps its period through an outage. An Env whose Self carries a host
+// index sleeps by the network's liveness probe, which the Scheduler asks
+// without touching the Env; one without checks its own Online.
+func TestVirtualEveryRunsOnlyWhileOnline(t *testing.T) {
+	for _, memo := range []bool{true, false} {
+		w := sim.NewWorld(1)
+		up := true
+		net := sim.NewNetwork(w, sim.FixedLatency(0), nil, 0)
+		if err := net.Bind([]ids.NodeID{"a"}, func(int) bool { return up }); err != nil {
+			t.Fatal(err)
+		}
+		self := ids.NodeID("a").Addr()
+		if memo {
+			self = ids.AddrAt("a", 0)
+		}
+		asked := 0
+		env, err := NewVirtual(VirtualConfig{Self: self, Scheduler: w, Fabric: NetFabric(net), Online: func() bool { asked++; return up }, Seed: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var ticks []time.Duration
+		defer env.Every(0, 10*time.Millisecond, func() {
+			if !up {
+				t.Errorf("memo=%v: tick at %v while offline", memo, w.Now())
+			}
+			ticks = append(ticks, w.Now())
+		})()
+		w.At(15*time.Millisecond, func() { up = false })
+		w.At(35*time.Millisecond, func() { up = true })
+		fired := w.Run(50 * time.Millisecond)
+		want := []time.Duration{0, 10 * time.Millisecond, 40 * time.Millisecond, 50 * time.Millisecond}
+		if !slices.Equal(ticks, want) {
+			t.Errorf("memo=%v: ticks at %v, want %v", memo, ticks, want)
+		}
+		if fired != 8 {
+			t.Errorf("memo=%v: %d events fired, want 8 (6 runs, 2 toggles)", memo, fired)
+		}
+		if want := map[bool]int{true: 0, false: 6}[memo]; asked != want {
+			t.Errorf("memo=%v: the timer asked the Env's Online %d times, want %d", memo, asked, want)
+		}
+	}
+}
+
+// TestLiveEverySkipsWhileOffline: a Live Env keeps the same contract —
+// a tick while its Online reports false skips fn, and the timer goes on.
+func TestLiveEverySkipsWhileOffline(t *testing.T) {
+	tr := transport.NewMemnet(transport.MemnetConfig{Seed: 1})
+	defer tr.Close()
+	var up atomic.Bool
+	env, err := NewLive(LiveConfig{Self: "a", Transport: tr, Seed: 1, Online: up.Load})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer env.Stop()
+	fired := make(chan struct{}, 64)
+	defer env.Every(0, time.Millisecond, func() { fired <- struct{}{} })()
+	time.Sleep(20 * time.Millisecond)
+	if n := len(fired); n != 0 {
+		t.Fatalf("%d ticks ran while offline", n)
+	}
+	up.Store(true)
+	select {
+	case <-fired:
+	case <-time.After(2 * time.Second):
+		t.Fatal("the timer never ticked once the Env was back online")
+	}
+}
+
+// nodeGate is a gate like a node's: a lock, and callbacks dropped once
+// the owner stopped running.
+type nodeGate struct {
+	mu      sync.Mutex
+	running bool
+	runs    int
+}
+
+func (g *nodeGate) gate(fn func()) {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	if g.running {
+		g.runs++
+		fn()
+	}
+}
+
+// TestGatedBoundCallbacksAllocateNothing: a callback bound once through
+// a node's gated Env (ops.Binder) and handed to the Env beneath the gate
+// costs nothing per call — a warm SendCall, SendNack and After allocate
+// no wrapper — and still runs inside the gate.
+func TestGatedBoundCallbacksAllocateNothing(t *testing.T) {
+	w := sim.NewWorld(1)
+	net := sim.NewNetwork(w, sim.FixedLatency(time.Millisecond), nil, 0)
+	if err := net.Bind([]ids.NodeID{"a", "b", "c"}, func(int) bool { return true }); err != nil {
+		t.Fatal(err)
+	}
+	a, err := NewVirtual(VirtualConfig{Self: ids.AddrAt("a", 0), Scheduler: w, Fabric: NetFabric(net), Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := NewVirtual(VirtualConfig{Self: ids.AddrAt("b", 1), Scheduler: w, Fabric: NetFabric(net), Seed: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := b.Register(func(ids.Addr, any) {}); err != nil {
+		t.Fatal(err)
+	}
+	g := &nodeGate{running: true}
+	binder := Gated(a, g.gate).(ops.Binder)
+	oks, nacks, timers := 0, 0, 0
+	onResult := binder.BindResult(func(ok bool) {
+		if ok {
+			oks++
+		}
+	})
+	onNack := binder.Bind(func() { nacks++ })
+	onTimer := binder.Bind(func() { timers++ })
+	under := binder.Unwrapped()
+	var msg any = "x"
+	step := func() {
+		under.SendCall(ids.AddrAt("b", 1), msg, onResult)
+		under.SendNack(ids.AddrAt("c", 2), msg, onNack) // c never registered
+		under.After(time.Millisecond, onTimer)
+		w.Run(w.Now() + time.Second)
+	}
+	for range 10 {
+		step() // past any first-use growth of the event queue
+	}
+	if avg := testing.AllocsPerRun(100, step); avg != 0 {
+		t.Errorf("a warm bound SendCall, SendNack and After allocate %.2f times, want 0", avg)
+	}
+	if oks != 111 || nacks != 111 || timers != 111 || g.runs != 333 {
+		t.Fatalf("%d acks, %d nacks, %d timers, %d gate runs; want 111 each, 333 in the gate", oks, nacks, timers, g.runs)
+	}
+	g.running = false
+	step()
+	if oks != 111 || nacks != 111 || timers != 111 {
+		t.Fatal("a bound callback ran past its gate")
 	}
 }

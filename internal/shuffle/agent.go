@@ -31,11 +31,19 @@ type Reply struct {
 	SenderAvail float64
 }
 
-// Exchange messages travel as pointers and are recycled: a message is
-// consumed once, by the handler that merges it (Agent.HandleRequest,
-// Agent.HandleReply), which returns it to these pools with its entry
-// slice kept for the next offer. A message dropped on the way — by a
-// fabric, a behavior or the audit layer — is simply garbage.
+// Exchange messages travel as pointers and are recycled. A message has
+// one holder at a time, and the last one gives it back to these pools,
+// with its entry slice kept for the next offer: the handler that merges
+// it (Agent.HandleRequest, Agent.HandleReply), or whoever ends its life
+// undelivered — a fabric that drops it at an offline partner
+// (sim.Network), the audit layer or a behavior that refuses it — through
+// Recycle. Nothing else can still hold it then: the owner sends the
+// message the agent gave it once and forgets it; the adversary
+// interceptor rewrites it in place (Inflate, Eclipse) and passes the
+// same pointer on exactly once, at once or after a delay, and no
+// behavior keeps or fabricates from it; the audit layer reads its entries
+// and keeps none; a fabric's queued event lets go of it before
+// delivery; and a wire codec copies it out.
 var (
 	requests = sync.Pool{New: func() any { return new(Request) }}
 	replies  = sync.Pool{New: func() any { return new(Reply) }}
@@ -49,12 +57,16 @@ func NewRequest() *Request { return requests.Get().(*Request) }
 // to HandleReply gives it away.
 func NewReply() *Reply { return replies.Get().(*Reply) }
 
-func recycleRequest(m *Request) {
+// Recycle returns a request that will never be handled to its pool. Only
+// its last holder may call it, once (see NewRequest).
+func (m *Request) Recycle() {
 	m.Entries, m.SenderAvail = m.Entries[:0], 0
 	requests.Put(m)
 }
 
-func recycleReply(m *Reply) {
+// Recycle returns a reply that will never be handled to its pool (see
+// Request.Recycle).
+func (m *Reply) Recycle() {
 	m.Entries, m.SenderAvail = m.Entries[:0], 0
 	replies.Put(m)
 }
@@ -299,7 +311,7 @@ func (a *Agent) HandleRequest(from ids.NodeID, req *Request) *Reply {
 	reply.Entries = a.sampleLocked(reply.Entries, a.shuffleLen)
 	a.mergeLocked(req.Entries)
 	a.mu.Unlock()
-	recycleRequest(req)
+	req.Recycle()
 	return reply
 }
 
@@ -308,7 +320,7 @@ func (a *Agent) HandleReply(from ids.NodeID, reply *Reply) {
 	a.mu.Lock()
 	a.mergeLocked(reply.Entries)
 	a.mu.Unlock()
-	recycleReply(reply)
+	reply.Recycle()
 }
 
 // sampleLocked appends min(n, len(view)) distinct random entries to dst:

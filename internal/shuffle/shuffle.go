@@ -17,8 +17,9 @@
 // Both store a view as parallel columns (peer, age, the owner's memo
 // word), not as rows of Entry: Entry is the wire form, and the form a Tap
 // sees. Exchange messages are recycled: the handler that merges a
-// message consumes it and returns it to a pool (see NewRequest). Ages
-// that arrive from outside are clamped into [0, maxAge].
+// message consumes it and returns it to a pool, and a message dropped
+// undelivered or refused returns through its Recycle (see NewRequest).
+// Ages that arrive from outside are clamped into [0, maxAge].
 //
 // Architecture: DESIGN.md §7 (monitoring and shuffling services).
 package shuffle

@@ -25,8 +25,10 @@ type simObs struct {
 	peak   *obs.Gauge   // sim_queue_depth_peak: the deepest flush so far
 	chunks *obs.Gauge   // sim_queue_chunks: key chunks the queue has allocated
 	moves  *obs.Counter // sim_queue_key_moves_total: keys moved by refills
+	asleep *obs.Counter // sim_timer_runs_asleep_total: timer runs skipped, host offline
 	batch  int          // local event count since last flush
 	moved  uint64       // the queue's refill moves already published
+	slept  uint64       // the world's asleep count already published
 	hook   func()       // the owner's own flush (OnFlush), nil when unset
 	// fired counts the events of each class (classNames) since the last
 	// flush, which adds them to byClass: sim_events_fired_total{kind}.
@@ -48,7 +50,9 @@ func (w *World) Instrument(reg *obs.Registry) {
 		peak:   reg.Gauge("sim_queue_depth_peak"),
 		chunks: reg.Gauge("sim_queue_chunks"),
 		moves:  reg.Counter("sim_queue_key_moves_total"),
+		asleep: reg.Counter("sim_timer_runs_asleep_total"),
 		moved:  w.events.moves,
+		slept:  w.asleep,
 	}
 	for c, name := range classNames {
 		w.obs.byClass[c] = reg.Counter(`sim_events_fired_total{kind="` + name + `"}`)
@@ -75,7 +79,8 @@ func (o *simObs) step(w *World) {
 }
 
 // flush publishes the local batch and its per-class counts, the clock,
-// the queue's depth, chunks and refill moves to the shared instruments.
+// the queue's depth, chunks and refill moves, and the timer runs skipped
+// while their hosts slept to the shared instruments.
 // Called at batch boundaries and on loop exit, so the depth is a sample
 // every obsFlushEvery events, not every event's — the peak is the
 // deepest sample.
@@ -100,6 +105,10 @@ func (o *simObs) flush(w *World) {
 	if m := w.events.moves; m > o.moved {
 		o.moves.Add(int64(m - o.moved))
 		o.moved = m
+	}
+	if a := w.asleep; a > o.slept {
+		o.asleep.Add(int64(a - o.slept))
+		o.slept = a
 	}
 	if o.hook != nil {
 		o.hook()

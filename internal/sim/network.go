@@ -94,6 +94,8 @@ func NewNetwork(w *World, latency LatencyModel, online func(ids.NodeID) bool, ac
 // trace's population in trace-index order. Bind once, before any
 // registration or traffic — hosts is also what address memos are
 // verified against, and is kept, not copied; a second Bind is refused.
+// The first network bound on a world also lends it onlineAt, the probe
+// its host-bound timers sleep by (World.EveryHost).
 func (n *Network) Bind(hosts []ids.NodeID, onlineAt func(i int) bool) error {
 	if len(hosts) == 0 || onlineAt == nil {
 		return fmt.Errorf("sim: Bind needs hosts and a liveness probe")
@@ -108,6 +110,9 @@ func (n *Network) Bind(hosts []ids.NodeID, onlineAt func(i int) bool) error {
 	}
 	n.handlers = make([]AddrHandler, len(hosts))
 	n.onlineAt = onlineAt
+	if n.world.online == nil {
+		n.world.online = onlineAt
+	}
 	return nil
 }
 
@@ -194,6 +199,24 @@ func (n *Network) vouched(from ids.Addr) ids.Addr {
 	return from
 }
 
+// Recycler is a message that owns pooled buffers (a CYCLON exchange
+// message, shuffle.Request and shuffle.Reply). Whoever ends such a
+// message's life undelivered — the network that drops it, a handler that
+// refuses it — calls Recycle once, and nobody touches it after; a
+// delivered one is recycled by the handler that consumes it.
+type Recycler interface{ Recycle() }
+
+// drop counts a message lost to an offline, unregistered or unknown
+// target and gives it back to its pool when it owns one. The network
+// held the only reference: the sender handed it over, and the fired
+// event's slot was zeroed before delivery was attempted.
+func (n *Network) drop(msg any) {
+	n.stats.Dropped++
+	if r, ok := msg.(Recycler); ok {
+		r.Recycle()
+	}
+}
+
 // deliver hands a message to the target's handler at delivery time,
 // counting drops for offline, unregistered or unknown targets. It is the firing
 // half of SendAddr, invoked by the scheduler's value events; both memos
@@ -201,7 +224,7 @@ func (n *Network) vouched(from ids.Addr) ids.Addr {
 func (n *Network) deliver(from, to ids.Addr, msg any) {
 	h := n.handlerFor(to)
 	if h == nil {
-		n.stats.Dropped++
+		n.drop(msg)
 		return
 	}
 	n.stats.Delivered++
@@ -276,7 +299,7 @@ func (n *Network) sendAttempt(from, to ids.Addr, msg any) *payload {
 func (n *Network) attempt(call *payload) {
 	h := n.handlerFor(call.toAddr())
 	if h == nil {
-		n.stats.Dropped++
+		n.drop(call.msg)
 		if call.onResult != nil || call.fn != nil {
 			p := n.world.schedule(n.world.now + n.ackTimeout - call.out)
 			p.kind, p.onResult, p.fn = evResult, call.onResult, call.fn

@@ -312,3 +312,55 @@ func TestDeliveryReadsTargetAtFiring(t *testing.T) {
 		}
 	}
 }
+
+// pooled is a message that owns pooled buffers (Recycler), counting its
+// recycles.
+type pooled struct{ recycled int }
+
+func (m *pooled) Recycle() { m.recycled++ }
+
+// TestDroppedRecyclerIsRecycledOnce: a message that owns pooled buffers
+// and cannot be delivered — its target offline, unregistered or outside
+// the universe, on any send path — goes back to its pool exactly once,
+// and never reaches a handler afterwards, even once the target is up. A
+// delivered one is left to the handler that consumes it.
+func TestDroppedRecyclerIsRecycledOnce(t *testing.T) {
+	w := NewWorld(1)
+	up := false
+	n := boundNet(t, w, FixedLatency(10*time.Millisecond), 0, []ids.NodeID{"a", "b", "c"}, func(i int) bool { return i != 1 || up })
+	handled := 0
+	n.Register("b", func(ids.NodeID, any) { handled++ })
+	a, b, c, gone := ids.NodeID("a").Addr(), ids.NodeID("b").Addr(), ids.NodeID("c").Addr(), ids.NodeID("gone").Addr()
+	var msgs []*pooled
+	send := func(send func(msg any)) {
+		m := &pooled{}
+		msgs = append(msgs, m)
+		send(m)
+	}
+	send(func(m any) { n.SendAddr(a, b, m) })                    // offline
+	send(func(m any) { n.SendAddr(a, c, m) })                    // unregistered
+	send(func(m any) { n.SendAddr(a, gone, m) })                 // outside the universe
+	send(func(m any) { n.SendCallAddr(a, b, m, func(bool) {}) }) // offline, acknowledged
+	send(func(m any) { n.SendNackAddr(a, c, m, func() {}) })     // unregistered, nack-only
+	send(func(m any) { n.SendCallAddr(a, gone, m, nil) })        // outside, no callback
+	w.Run(time.Second)
+	up = true
+	w.Run(2 * time.Second)
+	for i, m := range msgs {
+		if m.recycled != 1 {
+			t.Errorf("dropped message %d recycled %d times, want 1", i, m.recycled)
+		}
+	}
+	if handled != 0 {
+		t.Fatalf("%d recycled messages reached a handler", handled)
+	}
+	delivered := &pooled{}
+	n.SendAddr(a, b, delivered)
+	w.Run(3 * time.Second)
+	if handled != 1 || delivered.recycled != 0 {
+		t.Fatalf("delivered message: handled %d times, recycled %d; want 1 and 0", handled, delivered.recycled)
+	}
+	if s := n.Stats(); s.Dropped != len(msgs) || s.Delivered != 1 {
+		t.Fatalf("stats %+v, want %d dropped and 1 delivered", s, len(msgs))
+	}
+}

@@ -307,6 +307,7 @@ type schedulerAPI interface {
 	Now() time.Duration
 	At(at time.Duration, fn func())
 	Every(offset, period time.Duration, stop func() bool, fn func()) error
+	EveryHost(host int, offset, period time.Duration, stop func() bool, fn func()) error
 	Run(until time.Duration) int
 	RunAll(maxEvents int) int
 	Pending() int
@@ -315,11 +316,13 @@ type schedulerAPI interface {
 // refWorld is the reference scheduler: pending events in a plain slice,
 // the (at, seq)-minimum found by a scan before every pop. A periodic
 // timer is a closure that re-pushes itself with At after each run.
+// online is the liveness probe of host-bound timers (nil: always up).
 type refWorld struct {
 	now     time.Duration
 	seq     uint64
 	pending []refKey
 	fns     map[uint64]func()
+	online  func(i int) bool
 }
 
 func (r *refWorld) Now() time.Duration { return r.now }
@@ -337,12 +340,21 @@ func (r *refWorld) At(at time.Duration, fn func()) {
 // Every is World.Every as it was before periodic timers had rings: one
 // queued closure per timer, re-pushed one period later after each run.
 func (r *refWorld) Every(offset, period time.Duration, stop func() bool, fn func()) error {
+	return r.EveryHost(-1, offset, period, stop, fn)
+}
+
+// EveryHost is the same closure for a host-bound timer: it re-pushes
+// itself after every run, and asks stop and calls fn only while the host
+// is online.
+func (r *refWorld) EveryHost(host int, offset, period time.Duration, stop func() bool, fn func()) error {
 	var tick func()
 	tick = func() {
-		if stop != nil && stop() {
-			return
+		if host < 0 || r.online == nil || r.online(host) {
+			if stop != nil && stop() {
+				return
+			}
+			fn()
 		}
-		fn()
 		if period <= math.MaxInt64-r.now {
 			r.At(r.now+period, tick)
 		}
@@ -428,14 +440,36 @@ const timerRuns = 8
 var timerPeriods = [16]time.Duration{1, 2, 5, 16, 1 << 6, 5 << 6, 1 << 12, 5 << 12, 1 << 24, 5 << 24,
 	1 << 36, 1 << 48, math.MaxInt64 / 4, math.MaxInt64 / 2, math.MaxInt64 - 15, math.MaxInt64}
 
-// queueTranscript runs the fuzz program ops on s and returns what every
-// step observed. Two-byte instructions: schedule an event (which, when it
-// fires, may schedule a child at a tie-prone delay), Run to a horizon,
-// RunAll with a small bound, start a periodic timer or stop one. A
-// timer stops itself after timerRuns runs, so every program ends; an even
-// one also schedules an event one period out from each run, due with its
-// own next run. All timers are stopped before the final drain.
-func queueTranscript(s schedulerAPI, ops []byte) []int64 {
+// fuzzHosts is how many hosts a fuzz program's timers belong to.
+const fuzzHosts = 4
+
+// fuzzLiveness is a fuzz program's scripted liveness schedule: host h
+// sleeps through the next sleeps[h] runs of its timers, the same count
+// on both schedulers, since each asks the probe exactly once per
+// host-bound run. Sleeping by runs rather than by time keeps every
+// program finite whatever its periods and horizons.
+type fuzzLiveness struct{ sleeps [fuzzHosts]int }
+
+// online is the probe both schedulers are bound to.
+func (l *fuzzLiveness) online(h int) bool {
+	if l.sleeps[h] > 0 {
+		l.sleeps[h]--
+		return false
+	}
+	return true
+}
+
+// queueTranscript runs the fuzz program ops on s, whose host-bound timers
+// sleep by live, and returns what every step observed. Two-byte
+// instructions: schedule an event (which, when it fires, may schedule a
+// child at a tie-prone delay), Run to a horizon, RunAll with a small
+// bound, start a periodic timer, stop one, or put a host to sleep for a
+// number of its timers' runs. Timer k belongs to host k%5 − 1 (none at
+// −1). A timer stops itself after timerRuns runs and a host sleeps
+// through at most 15, so every program ends; an even timer also schedules
+// an event one period out from each run, due with its own next run. All
+// timers are stopped before the final drain.
+func queueTranscript(s schedulerAPI, live *fuzzLiveness, ops []byte) []int64 {
 	var log []int64
 	id := 0
 	var stopped []*bool
@@ -467,7 +501,7 @@ func queueTranscript(s schedulerAPI, ops []byte) []int64 {
 				me, runs, stop := id, 0, new(bool)
 				stopped = append(stopped, stop)
 				period := timerPeriods[op>>3&0x0f]
-				if err := s.Every(fuzzDelay(arg), period, func() bool { return *stop || runs >= timerRuns }, func() {
+				if err := s.EveryHost(me%5-1, fuzzDelay(arg), period, func() bool { return *stop || runs >= timerRuns }, func() {
 					runs++
 					log = append(log, int64(me), int64(s.Now()))
 					if me%2 == 0 {
@@ -476,6 +510,8 @@ func queueTranscript(s schedulerAPI, ops []byte) []int64 {
 				}); err != nil {
 					panic(err)
 				}
+			case op&0x08 != 0:
+				live.sleeps[arg%fuzzHosts] = int(arg>>2) & 0x0f
 			case len(stopped) > 0:
 				*stopped[int(arg)%len(stopped)] = true
 			}
@@ -489,12 +525,12 @@ func queueTranscript(s schedulerAPI, ops []byte) []int64 {
 	return log
 }
 
-// FuzzEventQueue interleaves scheduling, periodic timers, horizon runs
-// and bounded drains on a World and on the sorted reference scheduler:
-// every event must fire at the same time and in the same order, and Run,
-// RunAll, Now and Pending must agree after every step. Each program runs
-// twice on a World: with push ranks from 0, and with ranks that wrap
-// around after its eighth push.
+// FuzzEventQueue interleaves scheduling, periodic timers, horizon runs,
+// bounded drains and hosts sleeping under their timers on a World and on
+// the sorted reference scheduler: every event must fire at the same time
+// and in the same order, and Run, RunAll, Now and Pending must agree
+// after every step. Each program runs twice on a World: with push ranks
+// from 0, and with ranks that wrap around after its eighth push.
 func FuzzEventQueue(f *testing.F) {
 	f.Add([]byte{0, 0x11, 0, 0x11, 1, 0x52, 2, 0x10, 0, 0x01, 3, 7})
 	f.Add([]byte{0, 0xff, 0, 0x21, 2, 0x30, 0, 0x22, 2, 0xf0, 3, 1})
@@ -525,15 +561,30 @@ func FuzzEventQueue(f *testing.F) {
 	// then a 1 ns timer and more events at its runs.
 	f.Add([]byte{0, 0x05, 0, 0x05, 0, 0x05, 0, 0x05, 0, 0x05, 0, 0x05, 0, 0x05, 0x83, 0x04, 0, 0x05, 0x8b, 0x03,
 		0, 0x06, 1, 0x05, 2, 0x07, 0, 0x01, 3, 7})
+	// A host asleep across a tie: host 0's 64 ns timer sleeps through its
+	// runs at 0 and 64 ns, the second due with an event queued before it
+	// was re-armed, which fires first.
+	f.Add([]byte{0xa3, 0x00, 0, 0x14, 0x8f, 0x08, 0, 0x14, 2, 0x31, 3, 7})
+	// A timer stopped while its host sleeps: two runs awake, then host 0
+	// sleeps through three, the stop lands after the first of them, and the
+	// timer is dropped, unrun, at its first run awake.
+	f.Add([]byte{0xa3, 0x00, 2, 0x14, 0x8f, 0x0c, 2, 0x14, 0x87, 0x00, 2, 0x61, 3, 7})
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		if len(ops) > 1024 {
 			return
 		}
-		want := queueTranscript(&refWorld{fns: map[uint64]func(){}}, ops)
+		ref := &refWorld{fns: map[uint64]func(){}}
+		live := &fuzzLiveness{}
+		ref.online = live.online
+		want := queueTranscript(ref, live, ops)
 		for _, rank := range []uint32{0, math.MaxUint32 - 7} {
 			w := NewWorld(1)
 			w.events.rank = rank
-			if got := queueTranscript(w, ops); !reflect.DeepEqual(got, want) {
+			live := &fuzzLiveness{}
+			if err := NewNetwork(w, nil, nil, 0).Bind([]ids.NodeID{"h0", "h1", "h2", "h3"}, live.online); err != nil {
+				t.Fatal(err)
+			}
+			if got := queueTranscript(w, live, ops); !reflect.DeepEqual(got, want) {
 				t.Fatalf("queue transcript from rank %d diverged from the reference:\n got %v\nwant %v", rank, got, want)
 			}
 		}

@@ -48,6 +48,12 @@ type World struct {
 	timers int
 	first  int
 	ringAt time.Duration
+	// online is the liveness probe of the first network bound on this
+	// world (Network.Bind): a host-bound timer's run is skipped while it
+	// reports the timer's host offline, and asleep counts those runs.
+	// Without a bound network every host is online.
+	online func(i int) bool
+	asleep uint64
 }
 
 // NewWorld creates a world at time zero with a deterministic RNG.
@@ -122,6 +128,17 @@ func (w *World) AfterUnless(d time.Duration, s Stoppable, fn func()) {
 // would have taken, so it fires in exactly the order a closure re-pushed
 // after each run would, and a run allocates nothing.
 func (w *World) Every(offset, period time.Duration, stop func() bool, fn func()) error {
+	return w.EveryHost(-1, offset, period, stop, fn)
+}
+
+// EveryHost is Every for a timer that belongs to host, an index of the
+// universe the world's first bound network declares (Network.Bind), or
+// -1 for none. While the network's liveness probe reports host offline,
+// a run calls neither stop nor fn: the timer is only re-armed, exactly
+// as a run would re-arm it, and still counts as a fired timer (and in
+// sim_timer_runs_asleep_total). A stop that turned true while the host
+// slept therefore drops the timer at its first run once the host is back.
+func (w *World) EveryHost(host int, offset, period time.Duration, stop func() bool, fn func()) error {
 	if period <= 0 {
 		return fmt.Errorf("sim: period must be positive, got %v", period)
 	}
@@ -129,14 +146,32 @@ func (w *World) Every(offset, period time.Duration, stop func() bool, fn func())
 		return fmt.Errorf("sim: nil periodic function")
 	}
 	r := w.ring(period)
-	w.After(offset, func() {
-		if stop != nil && stop() {
+	t := timer{host1: int32(max(host, -1)) + 1, stop: stop, fn: fn}
+	w.After(offset, func() { w.runTimer(r, t) })
+	return nil
+}
+
+// runTimer makes one run of t, a timer of ring r, at now: its stop check
+// and function unless its host sleeps, then its re-arm unless it
+// stopped.
+func (w *World) runTimer(r int, t timer) {
+	if t.host1 == 0 || !w.sleeps(t.host1) {
+		if t.stop != nil && t.stop() {
 			return
 		}
-		fn()
-		w.rearm(r, timer{stop: stop, fn: fn})
-	})
-	return nil
+		t.fn()
+	}
+	w.rearm(r, t)
+}
+
+// sleeps reports whether the host of a timer (its index plus one) is
+// offline now, counting the run it skips.
+func (w *World) sleeps(host1 int32) bool {
+	if w.online == nil || w.online(int(host1-1)) {
+		return false
+	}
+	w.asleep++
+	return true
 }
 
 // Run processes all events with timestamp <= until, advancing the clock
@@ -205,12 +240,15 @@ func (w *World) Pending() int {
 }
 
 // timer is a periodic timer waiting in its period's ring: its next run
-// and the push rank that run takes, its stop check and its function.
+// and the push rank that run takes, its host's index plus one (0 = none;
+// EveryHost), its stop check and its function. The host fills what would
+// be padding after the rank, so a member stays 32 bytes.
 type timer struct {
-	at   time.Duration
-	rank uint32
-	stop func() bool
-	fn   func()
+	at    time.Duration
+	rank  uint32
+	host1 int32
+	stop  func() bool
+	fn    func()
 }
 
 // timerRing is the FIFO of every timer of one period, a circular buffer
@@ -281,11 +319,7 @@ func (w *World) fireTimer() {
 	w.timers--
 	w.nextTimer()
 	w.now = t.at
-	if t.stop != nil && t.stop() {
-		return
-	}
-	t.fn()
-	w.rearm(r, t)
+	w.runTimer(r, t)
 }
 
 // nextTimer finds the ring whose head comes first by (at, rank) and

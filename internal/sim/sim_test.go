@@ -1,9 +1,14 @@
 package sim
 
 import (
+	"fmt"
 	"math"
+	"reflect"
 	"testing"
 	"time"
+
+	"avmem/internal/ids"
+	"avmem/internal/obs"
 )
 
 func TestEventOrdering(t *testing.T) {
@@ -239,5 +244,87 @@ func TestUniformLatencyDegenerate(t *testing.T) {
 func TestFixedLatency(t *testing.T) {
 	if got := FixedLatency(time.Second).Sample(nil); got != time.Second {
 		t.Errorf("FixedLatency = %v", got)
+	}
+}
+
+// TestHostTimerSleepsWhileOffline: a host-bound timer's runs while its
+// host is offline call neither stop nor fn, yet keep the timer's period
+// and its place among the events due with it, and count as fired timers
+// and in sim_timer_runs_asleep_total. A host-less timer never sleeps.
+func TestHostTimerSleepsWhileOffline(t *testing.T) {
+	w := NewWorld(1)
+	reg := obs.NewRegistry()
+	w.Instrument(reg)
+	up := []bool{true, true}
+	if err := NewNetwork(w, nil, nil, 0).Bind([]ids.NodeID{"a", "b"}, func(i int) bool { return up[i] }); err != nil {
+		t.Fatal(err)
+	}
+	var log []string
+	stops := 0
+	mark := func(name string) func() { return func() { log = append(log, fmt.Sprintf("%s@%v", name, w.Now())) } }
+	if err := w.EveryHost(1, 0, time.Second, func() bool { stops++; return false }, mark("b")); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.EveryHost(-1, 0, time.Second, nil, mark("none")); err != nil {
+		t.Fatal(err)
+	}
+	w.At(1500*time.Millisecond, func() { up[1] = false })
+	w.At(3*time.Second, mark("event")) // queued before b's run at 3 s re-armed: fires first
+	w.At(3*time.Second, func() { up[1] = true })
+	w.Run(4 * time.Second)
+	want := []string{"b@0s", "none@0s", "b@1s", "none@1s", "none@2s", "event@3s", "b@3s", "none@3s", "b@4s", "none@4s"}
+	if !reflect.DeepEqual(log, want) {
+		t.Fatalf("runs %v\nwant %v", log, want)
+	}
+	if stops != 4 {
+		t.Errorf("stop was asked %d times, want 4 (never while b slept)", stops)
+	}
+	if got := reg.Counter("sim_timer_runs_asleep_total").Value(); got != 1 {
+		t.Errorf("sim_timer_runs_asleep_total = %d, want 1", got)
+	}
+	if got := reg.Counter(`sim_events_fired_total{kind="timer"}`).Value(); got != 8 {
+		t.Errorf("%d timer runs counted, want 8 (the skipped one among them)", got)
+	}
+}
+
+// TestHostTimerStoppedAsleepDropsOnWake: a timer whose stop turned true
+// while its host slept is dropped, unrun, at its first run after the
+// host is back — the run that asks stop again.
+func TestHostTimerStoppedAsleepDropsOnWake(t *testing.T) {
+	w := NewWorld(1)
+	up := true
+	if err := NewNetwork(w, nil, nil, 0).Bind([]ids.NodeID{"a"}, func(int) bool { return up }); err != nil {
+		t.Fatal(err)
+	}
+	runs, stopped := 0, false
+	if err := w.EveryHost(0, 0, time.Second, func() bool { return stopped }, func() { runs++ }); err != nil {
+		t.Fatal(err)
+	}
+	w.Run(time.Second) // runs at 0 and 1 s
+	up = false
+	w.Run(2 * time.Second)
+	stopped = true
+	w.Run(3 * time.Second) // asleep at 2 and 3 s: still armed
+	if runs != 2 || w.Pending() != 1 {
+		t.Fatalf("%d runs, %d pending after sleeping through the stop; want 2 and 1", runs, w.Pending())
+	}
+	up = true
+	w.Run(10 * time.Second)
+	if runs != 2 || w.Pending() != 0 {
+		t.Fatalf("%d runs, %d pending once the host woke; want 2 and 0", runs, w.Pending())
+	}
+}
+
+// TestHostTimerWithoutNetworkRuns: on a world no network was bound on,
+// every host is online.
+func TestHostTimerWithoutNetworkRuns(t *testing.T) {
+	w := NewWorld(1)
+	runs := 0
+	if err := w.EveryHost(3, 0, time.Second, nil, func() { runs++ }); err != nil {
+		t.Fatal(err)
+	}
+	w.Run(2 * time.Second)
+	if runs != 3 {
+		t.Fatalf("%d runs, want 3", runs)
 	}
 }
