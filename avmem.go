@@ -15,26 +15,30 @@
 // it from public information), selfish nodes gain almost nothing by
 // spraying messages at non-neighbors: receivers verify and reject.
 //
-// The package offers two execution modes sharing the same core:
+// This package is the live-node API: a Node drives one real AVMEM agent
+// over a pluggable transport (in-memory for single-process clusters, TCP
+// for real ones). Experiments over a whole simulated deployment — the
+// paper's evaluation environment — are declarative scenario specs run by
+// cmd/avmemsim, on the simulator engine or on real nodes over a simulated
+// network:
 //
-//   - Sim: a deterministic trace-driven simulation of a whole
-//     deployment (the paper's evaluation environment). Use it to
-//     explore parameters and regenerate the paper's figures.
-//   - Node: a live runtime driving one real node over a pluggable
-//     transport (in-memory for single-process clusters, TCP for real
-//     ones).
+//	go run ./cmd/avmemsim run scenarios/examples/quickstart.json
+//	go run ./cmd/avmemsim run -backend memnet scenarios/examples/supernode.json
 //
-// Quick start:
+// Quick start with live nodes (examples/livecluster is the complete
+// program):
 //
-//	sim, err := avmem.NewSim(avmem.SimConfig{Hosts: 600, Seed: 1})
+//	tr := avmem.NewMemoryTransport(5*time.Millisecond, 20*time.Millisecond)
+//	n, err := avmem.NewNode(avmem.NodeConfig{Self: id, Predicate: pred,
+//		Monitor: monitor, Peers: peers, Transport: tr})
 //	if err != nil { ... }
-//	sim.Warmup(24 * time.Hour)
-//	target, _ := avmem.NewRange(0.85, 0.95)
-//	res, err := sim.Anycast(avmem.AutoInitiator, target, avmem.DefaultAnycastOptions())
-//	fmt.Println(res.Outcome, res.Hops, res.Latency)
+//	n.Start()
+//	target, _ := avmem.NewThreshold(0.8)
+//	msg, err := n.Anycast(target, avmem.DefaultAnycastOptions())
+//	rec, ok := n.AnycastResult(msg)
 //
-// See the examples/ directory for complete programs, DESIGN.md for the
-// architecture, and EXPERIMENTS.md for the paper-vs-measured record.
+// See DESIGN.md for the architecture and EXPERIMENTS.md for the
+// paper-vs-measured record.
 package avmem
 
 import (
@@ -46,7 +50,6 @@ import (
 	"avmem/internal/ids"
 	"avmem/internal/node"
 	"avmem/internal/ops"
-	"avmem/internal/trace"
 	"avmem/internal/transport"
 )
 
@@ -83,8 +86,6 @@ type (
 	SubPredicate = core.SubPredicate
 	// PDF is a discretized availability distribution.
 	PDF = avdist.PDF
-	// Trace is a churn trace (per-host uptime per 20-minute epoch).
-	Trace = trace.Trace
 )
 
 // Forwarding policies (paper §3.2.I).
@@ -118,7 +119,8 @@ const (
 // NewRange builds a range target [lo, hi] (range-anycast/-multicast).
 func NewRange(lo, hi float64) (Target, error) { return ops.Range(lo, hi) }
 
-// NewThreshold builds a threshold target: nodes with availability > b.
+// NewThreshold builds a threshold target: nodes with availability at
+// least b, the closed interval [b, 1].
 func NewThreshold(b float64) (Target, error) { return ops.Threshold(b) }
 
 // DefaultAnycastOptions returns the paper's defaults: greedy, HS+VS,

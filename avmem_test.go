@@ -5,175 +5,9 @@ import (
 	"time"
 
 	"avmem"
+	"avmem/internal/exp"
+	"avmem/internal/trace"
 )
-
-func newSmallSim(t testing.TB) *avmem.Sim {
-	t.Helper()
-	sim, err := avmem.NewSim(avmem.SimConfig{
-		Hosts:          220,
-		Days:           2,
-		Seed:           1,
-		ProtocolPeriod: 2 * time.Minute,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sim.Warmup(6 * time.Hour)
-	return sim
-}
-
-func TestSimLifecycle(t *testing.T) {
-	sim := newSmallSim(t)
-	if got := len(sim.Nodes()); got != 220 {
-		t.Errorf("Nodes = %d, want 220", got)
-	}
-	online := sim.OnlineNodes()
-	if len(online) == 0 {
-		t.Fatal("nobody online after warmup")
-	}
-	for _, id := range online[:3] {
-		if !sim.Online(id) {
-			t.Errorf("OnlineNodes returned offline node %v", id)
-		}
-		av := sim.Availability(id)
-		if av < 0 || av > 1 {
-			t.Errorf("availability out of range: %v", av)
-		}
-	}
-	if sim.MeanDegree() <= 0 {
-		t.Error("mean degree zero after warmup")
-	}
-	if sim.Now() != 6*time.Hour {
-		t.Errorf("Now = %v, want 6h", sim.Now())
-	}
-}
-
-func TestSimAnycastAuto(t *testing.T) {
-	sim := newSmallSim(t)
-	target, err := avmem.NewRange(0.6, 1.0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sim.Eligible(target) == 0 {
-		t.Skip("no eligible nodes in small sim")
-	}
-	rec, err := sim.Anycast(avmem.AutoInitiator, target, avmem.DefaultAnycastOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rec.Outcome != avmem.OutcomeDelivered {
-		t.Errorf("outcome = %v, want delivered", rec.Outcome)
-	}
-	if rec.Latency < 0 {
-		t.Errorf("negative latency %v", rec.Latency)
-	}
-}
-
-func TestSimAnycastExplicitInitiator(t *testing.T) {
-	sim := newSmallSim(t)
-	from, ok := sim.PickNode(0, 0.5)
-	if !ok {
-		t.Skip("no low-availability node online")
-	}
-	target, _ := avmem.NewThreshold(0.6)
-	if sim.Eligible(target) == 0 {
-		t.Skip("no eligible nodes")
-	}
-	rec, err := sim.Anycast(from, target, avmem.AnycastOptions{
-		Policy: avmem.RetriedGreedy,
-		Flavor: avmem.HSVS,
-		TTL:    6,
-		Retry:  8,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rec.Outcome == avmem.OutcomePending {
-		t.Error("retried-greedy anycast ended pending")
-	}
-}
-
-func TestSimAnycastUnknownInitiator(t *testing.T) {
-	sim := newSmallSim(t)
-	target, _ := avmem.NewThreshold(0.5)
-	if _, err := sim.Anycast("ghost", target, avmem.DefaultAnycastOptions()); err == nil {
-		t.Error("want error for unknown initiator")
-	}
-}
-
-func TestSimMulticastFlood(t *testing.T) {
-	sim := newSmallSim(t)
-	target, _ := avmem.NewThreshold(0.5)
-	if sim.Eligible(target) < 3 {
-		t.Skip("target too sparse")
-	}
-	rec, err := sim.Multicast(avmem.AutoInitiator, target, avmem.DefaultMulticastOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !rec.EnteredRange {
-		t.Error("multicast never entered range")
-	}
-	if rec.Reliability() < 0.5 {
-		t.Errorf("flood reliability = %v, want high", rec.Reliability())
-	}
-}
-
-func TestSimMulticastGossip(t *testing.T) {
-	sim := newSmallSim(t)
-	target, _ := avmem.NewThreshold(0.5)
-	if sim.Eligible(target) < 3 {
-		t.Skip("target too sparse")
-	}
-	opts := avmem.MulticastOptions{
-		Anycast: avmem.DefaultAnycastOptions(),
-		Mode:    avmem.Gossip,
-		Flavor:  avmem.HSVS,
-		Fanout:  5,
-		Rounds:  2,
-		Period:  time.Second,
-	}
-	rec, err := sim.Multicast(avmem.AutoInitiator, target, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rec.Delivered) == 0 {
-		t.Error("gossip delivered nothing")
-	}
-}
-
-func TestSimSliversAndNeighbors(t *testing.T) {
-	sim := newSmallSim(t)
-	var checked bool
-	for _, id := range sim.OnlineNodes() {
-		hs, vs := sim.SliverSizes(id)
-		nbs := sim.Neighbors(id, avmem.HSVS)
-		if hs+vs != len(nbs) {
-			t.Fatalf("sliver sizes %d+%d != neighbor count %d", hs, vs, len(nbs))
-		}
-		if len(nbs) > 0 {
-			checked = true
-			if got := len(sim.Neighbors(id, avmem.HSOnly)); got != hs {
-				t.Errorf("HSOnly neighbors = %d, want %d", got, hs)
-			}
-		}
-	}
-	if !checked {
-		t.Error("no node had neighbors")
-	}
-	if hs, vs := sim.SliverSizes("ghost"); hs != 0 || vs != 0 {
-		t.Error("unknown node has slivers")
-	}
-	if nbs := sim.Neighbors("ghost", avmem.HSVS); nbs != nil {
-		t.Error("unknown node has neighbors")
-	}
-}
-
-func TestNewSimValidation(t *testing.T) {
-	if _, err := avmem.NewSim(avmem.SimConfig{Hosts: -1, Seed: 1}); err == nil {
-		t.Error("want error for negative hosts")
-	}
-}
 
 func TestTargetHelpers(t *testing.T) {
 	if _, err := avmem.NewRange(0.5, 0.2); err == nil {
@@ -186,7 +20,7 @@ func TestTargetHelpers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !tgt.Contains(0.95) || tgt.Contains(0.85) {
+	if !tgt.Contains(0.95) || !tgt.Contains(0.9) || tgt.Contains(0.85) {
 		t.Error("threshold target misbehaves")
 	}
 }
@@ -272,42 +106,153 @@ func TestLiveFacade(t *testing.T) {
 	}
 }
 
-func TestSimMemnetBackend(t *testing.T) {
-	sim, err := avmem.NewSim(avmem.SimConfig{
-		Hosts:          120,
-		Days:           1,
+// newSmallSim builds a 220-host, two-day simulated deployment and warms
+// it up for six hours. The TestSim* tests drive it with the root
+// package's own targets and options: the live Node API and the
+// simulator take the same values, so these check that what a caller
+// builds with avmem.NewRange or avmem.DefaultAnycastOptions routes and
+// disseminates in a simulated overlay.
+func newSmallSim(t testing.TB) *exp.Deployment {
+	t.Helper()
+	gen := trace.DefaultGenConfig(1)
+	gen.Hosts = 220
+	gen.Epochs = 2 * 24 * 3
+	tr, err := trace.Generate(gen)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := exp.NewDeployment(exp.BackendSim, exp.WorldConfig{
 		Seed:           1,
+		Trace:          tr,
 		ProtocolPeriod: 2 * time.Minute,
-		Backend:        "memnet",
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	sim.Warmup(3 * time.Hour)
-	if len(sim.OnlineNodes()) == 0 {
-		t.Fatal("nobody online after warmup on memnet backend")
+	t.Cleanup(d.Stop)
+	d.RunFor(6 * time.Hour)
+	return d
+}
+
+// anyInitiator returns a random online node.
+func anyInitiator(t testing.TB, d *exp.Deployment) avmem.NodeID {
+	t.Helper()
+	id, ok := d.PickInitiator(0, 1.01)
+	if !ok {
+		t.Fatal("no online nodes to initiate from")
 	}
-	if sim.MeanDegree() <= 0 {
-		t.Error("overlay never formed on memnet backend")
-	}
-	target, err := avmem.NewRange(0.5, 1.0)
+	return id
+}
+
+// anycastToEnd initiates an anycast and advances virtual time, at most
+// two minutes (enough for every retry budget in the paper), until it
+// leaves the pending state.
+func anycastToEnd(t testing.TB, d *exp.Deployment, from avmem.NodeID, target avmem.Target, opts avmem.AnycastOptions) avmem.AnycastRecord {
+	t.Helper()
+	id, err := d.Anycast(from, target, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sim.Eligible(target) == 0 {
-		t.Skip("no eligible nodes in small cluster")
+	for deadline := d.Now() + 2*time.Minute; d.Now() < deadline; {
+		d.RunFor(time.Second)
+		if rec, ok := d.Collector.Anycast(id); ok && rec.Outcome != avmem.OutcomePending {
+			return rec
+		}
 	}
-	rec, err := sim.Anycast(avmem.AutoInitiator, target, avmem.DefaultAnycastOptions())
+	rec, _ := d.Collector.Anycast(id)
+	return rec
+}
+
+// multicastSettled initiates a multicast against the current eligible
+// count, lets dissemination settle and returns its record.
+func multicastSettled(t testing.TB, d *exp.Deployment, target avmem.Target, opts avmem.MulticastOptions) avmem.MulticastRecord {
+	t.Helper()
+	opts.Eligible = d.EligibleFor(target)
+	id, err := d.Multicast(anyInitiator(t, d), target, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
+	settle := 30 * time.Second
+	if opts.Mode == avmem.Gossip {
+		settle += time.Duration(opts.Rounds+4) * opts.Period
+	}
+	d.RunFor(settle)
+	rec, ok := d.Collector.Multicast(id)
+	if !ok {
+		t.Fatal("multicast record vanished")
+	}
+	return rec
+}
+
+func TestSimAnycastAuto(t *testing.T) {
+	d := newSmallSim(t)
+	target, err := avmem.NewRange(0.6, 1.0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d.EligibleFor(target) == 0 {
+		t.Skip("no eligible nodes in small sim")
+	}
+	rec := anycastToEnd(t, d, anyInitiator(t, d), target, avmem.DefaultAnycastOptions())
 	if rec.Outcome != avmem.OutcomeDelivered {
-		t.Errorf("memnet anycast outcome = %v, want delivered", rec.Outcome)
+		t.Errorf("outcome = %v, want delivered", rec.Outcome)
+	}
+	if rec.Latency < 0 {
+		t.Errorf("negative latency %v", rec.Latency)
 	}
 }
 
-func TestNewSimRejectsUnknownBackend(t *testing.T) {
-	if _, err := avmem.NewSim(avmem.SimConfig{Backend: "carrier-pigeon"}); err == nil {
-		t.Fatal("unknown backend accepted")
+func TestSimAnycastExplicitInitiator(t *testing.T) {
+	d := newSmallSim(t)
+	from, ok := d.PickInitiator(0, 0.5)
+	if !ok {
+		t.Skip("no low-availability node online")
+	}
+	target, _ := avmem.NewThreshold(0.6)
+	if d.EligibleFor(target) == 0 {
+		t.Skip("no eligible nodes")
+	}
+	rec := anycastToEnd(t, d, from, target, avmem.AnycastOptions{
+		Policy: avmem.RetriedGreedy,
+		Flavor: avmem.HSVS,
+		TTL:    6,
+		Retry:  8,
+	})
+	if rec.Outcome == avmem.OutcomePending {
+		t.Error("retried-greedy anycast ended pending")
+	}
+}
+
+func TestSimMulticastFlood(t *testing.T) {
+	d := newSmallSim(t)
+	target, _ := avmem.NewThreshold(0.5)
+	if d.EligibleFor(target) < 3 {
+		t.Skip("target too sparse")
+	}
+	rec := multicastSettled(t, d, target, avmem.DefaultMulticastOptions())
+	if !rec.EnteredRange {
+		t.Error("multicast never entered range")
+	}
+	if rec.Reliability() < 0.5 {
+		t.Errorf("flood reliability = %v, want high", rec.Reliability())
+	}
+}
+
+func TestSimMulticastGossip(t *testing.T) {
+	d := newSmallSim(t)
+	target, _ := avmem.NewThreshold(0.5)
+	if d.EligibleFor(target) < 3 {
+		t.Skip("target too sparse")
+	}
+	rec := multicastSettled(t, d, target, avmem.MulticastOptions{
+		Anycast: avmem.DefaultAnycastOptions(),
+		Mode:    avmem.Gossip,
+		Flavor:  avmem.HSVS,
+		Fanout:  5,
+		Rounds:  2,
+		Period:  time.Second,
+	})
+	if len(rec.Delivered) == 0 {
+		t.Error("gossip delivered nothing")
 	}
 }

@@ -110,10 +110,11 @@ func TestPackageComments(t *testing.T) {
 var numberWords = []string{"zero", "one", "two", "three", "four", "five", "six", "seven", "eight",
 	"nine", "ten", "eleven", "twelve", "thirteen", "fourteen", "fifteen", "sixteen"}
 
-// TestReadmeMapCounts holds the two counts README's repository map
-// quotes to the tree: the DESIGN.md section range ("§1–§N") against the
-// numbered "## §k" headings, and the number of checked-in scenarios
-// ("N checked-in") against scenarios/*.json.
+// TestReadmeMapCounts holds the counts README's repository map quotes to
+// the tree: the DESIGN.md section range ("§1–§N") against the numbered
+// "## §k" headings, the number of checked-in scenarios ("N checked-in")
+// against scenarios/*.json, and the number of example programs ("N
+// runnable") against the examples/*/ directories.
 func TestReadmeMapCounts(t *testing.T) {
 	readme, err := os.ReadFile("README.md")
 	if err != nil {
@@ -141,6 +142,23 @@ func TestReadmeMapCounts(t *testing.T) {
 	}
 	if len(scenarios) >= len(numberWords) || string(m[1]) != numberWords[len(scenarios)] {
 		t.Errorf("README.md says %s checked-in scenarios, scenarios/ holds %d", m[1], len(scenarios))
+	}
+	entries, err := os.ReadDir("examples")
+	if err != nil {
+		t.Fatal(err)
+	}
+	programs := 0
+	for _, e := range entries {
+		if e.IsDir() {
+			programs++
+		}
+	}
+	m = regexp.MustCompile(`\(examples/\) — (\w+) runnable`).FindSubmatch(readme)
+	if m == nil {
+		t.Fatal("README.md: repository map no longer quotes the example count")
+	}
+	if programs >= len(numberWords) || string(m[1]) != numberWords[programs] {
+		t.Errorf("README.md says %s runnable examples, examples/ holds %d", m[1], programs)
 	}
 }
 

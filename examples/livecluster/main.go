@@ -1,7 +1,8 @@
 // Live cluster: run real AVMEM nodes — goroutines, wall-clock timers,
 // and an in-memory transport with simulated latency — instead of the
 // virtual-time simulator. The same program works over TCP by swapping
-// the transport (see cmd/avmemnode for the TCP daemon).
+// the transport (see cmd/avmemnode for the TCP daemon). It exits 1
+// unless the anycast is delivered.
 //
 //	go run ./examples/livecluster
 package main
@@ -10,6 +11,7 @@ import (
 	"fmt"
 	"log"
 	"math/rand"
+	"os"
 	"time"
 
 	"avmem"
@@ -117,12 +119,15 @@ func main() {
 		if ok && rec.Outcome != avmem.OutcomePending {
 			fmt.Printf("outcome: %v after %d hops in %v\n",
 				rec.Outcome, rec.Hops, rec.Latency.Round(time.Millisecond))
+			if rec.Outcome != avmem.OutcomeDelivered {
+				os.Exit(1)
+			}
 			return
 		}
 		select {
 		case <-deadline:
 			fmt.Println("outcome: still pending after 5s")
-			return
+			os.Exit(1)
 		case <-time.After(20 * time.Millisecond):
 		}
 	}

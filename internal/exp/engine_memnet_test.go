@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"strings"
 	"testing"
 	"time"
 
@@ -44,6 +45,26 @@ func forEachBackend(t *testing.T, f func(t *testing.T, backend string)) {
 	for _, backend := range []string{BackendSim, BackendMemnet} {
 		t.Run(backend, func(t *testing.T) { f(t, backend) })
 	}
+}
+
+func TestNewDeploymentRejectsUnknownBackend(t *testing.T) {
+	_, err := NewDeployment("carrier-pigeon", WorldConfig{Seed: 1})
+	if err == nil || !strings.Contains(err.Error(), `unknown backend "carrier-pigeon"`) {
+		t.Fatalf("unknown backend: err = %v", err)
+	}
+}
+
+func TestDeploymentRejectsUnknownInitiator(t *testing.T) {
+	forEachBackend(t, func(t *testing.T, backend string) {
+		d := newTestDeployment(t, backend, 1, 0)
+		target := ops.Target{Lo: 0.5, Hi: 1}
+		if _, err := d.Anycast("ghost", target, ops.DefaultAnycastOptions()); err == nil {
+			t.Error("anycast from an unknown node accepted")
+		}
+		if _, err := d.Multicast("ghost", target, ops.DefaultMulticastOptions()); err == nil {
+			t.Error("multicast from an unknown node accepted")
+		}
+	})
 }
 
 func TestClusterConvergesAndDelivers(t *testing.T) {

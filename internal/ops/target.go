@@ -33,8 +33,8 @@ type Target struct {
 }
 
 // Threshold builds the target of a threshold operation: all nodes with
-// availability > b, i.e. the interval (b, 1]. (We represent it as
-// [b, 1] with an open test at Lo.)
+// availability at least b, the closed interval [b, 1] that Contains
+// tests.
 func Threshold(b float64) (Target, error) {
 	if b < 0 || b >= 1 {
 		return Target{}, fmt.Errorf("ops: threshold must be in [0,1), got %v", b)

@@ -8,21 +8,24 @@ import (
 )
 
 // goldenReports pins the SHA-256 of Result.WriteReport for every
-// top-level scenarios/*.json at its spec seed, on both backends, keyed by
-// backend and then file name. Between them the files cover the honest
-// maintenance + operations path, churn storms, monitor degradation, the
-// audit and adversary paths (the central shuffle tap on sim; poisoned
-// shuffle messages through every node's agent on memnet) and the
-// range-cast path, honest and under Byzantine relays. A pure performance
-// or structural change must leave every digest alone; a change that is
-// *meant* to move an outcome re-records them here, in the same commit,
-// and says why. The memnet rows of mixed-workload, eclipse-attack,
-// rangecast-storm and byzantine-census were re-recorded when the live
-// agents moved to partial Fisher–Yates sampling on splitmix64 streams,
-// which changes every node's random draws. Both byzantine-census rows
-// (and the two selective-forward rows below) were re-recorded when an
-// origin that joins its own tree as a member kept vetting that tree's
-// root result: a lying root there was accepted before.
+// top-level scenarios/*.json and every scenarios/examples/*.json at its
+// spec seed, on both backends, keyed by backend and then path under
+// scenarios/. A report ends in its PASS or FAIL lines, so an example's
+// digest also pins that its claims hold. Between them the files cover
+// the honest maintenance + operations path, churn storms, monitor
+// degradation, the audit and adversary paths (the central shuffle tap on
+// sim; poisoned shuffle messages through every node's agent on memnet)
+// and the range-cast path, honest and under Byzantine relays. A pure
+// performance or structural change must leave every digest alone; a
+// change that is *meant* to move an outcome re-records them here, in the
+// same commit, and says why. The memnet rows of mixed-workload,
+// eclipse-attack, rangecast-storm and byzantine-census were re-recorded
+// when the live agents moved to partial Fisher–Yates sampling on
+// splitmix64 streams, which changes every node's random draws. Both
+// byzantine-census rows (and the two selective-forward rows below) were
+// re-recorded when an origin that joins its own tree as a member kept
+// vetting that tree's root result: a lying root there was accepted
+// before.
 var goldenReports = map[string]map[string]string{
 	BackendSim: {
 		"availability-census.json":    "cae22c24b341692dfb4610658e62213b39ca1db76287e2a834676c8fcea49346",
@@ -34,6 +37,9 @@ var goldenReports = map[string]map[string]string{
 		"monitor-degradation.json":    "02500f5188743dff94ffed33f574ec4d455d6f21e0a2b22f0995650fcf2be58c",
 		"rangecast-storm.json":        "6aeaf184d3dfd2841bb240669d31cf1d9befa08cfa18a82dcb961aaab317d698",
 		"selfish-attack.json":         "6d63bab2f543e08ee4ee73b8fb4c3ed45d7f1ae09e17a22ec16a08de49d22647",
+		"examples/fingerprint.json":   "39b67cf7251cfaae8d7a0ff86b76ec9761bb63b8f92799de3359c6015284f3ec",
+		"examples/quickstart.json":    "5f3a160ca5f21fd6bb4a81638acc987d48ee2de8de0e7a13a0377500e3119918",
+		"examples/supernode.json":     "cdaba87857b727f005cfe46bca0f01433d9918cc888d1f5da28aedb23d834dc6",
 	},
 	BackendMemnet: {
 		"availability-census.json":    "82f5aaa792c6a693f7992b21a63520d7b2c40602ed76b596981a7e7e71e961fa",
@@ -45,6 +51,9 @@ var goldenReports = map[string]map[string]string{
 		"monitor-degradation.json":    "44b66593b7dcfd4f854133caa3814aff4d947b9c221fe1926d014cc60d0940fa",
 		"rangecast-storm.json":        "0cbf615e4633a86f17e24de8da95424dd7fe132fec0a41508e40477df2577ae9",
 		"selfish-attack.json":         "189a99f66357f600ab63e2634b0285fd709f38bb0db38c224c97adfce800e123",
+		"examples/fingerprint.json":   "0f72a0f2fe58868675891552b0a33018d4dc53ddc2b368aea0bb751f3e14ec9a",
+		"examples/quickstart.json":    "36850298db9d8f891b81dca8f326f12372390dcb5bb169c673a8511df6f4dbec",
+		"examples/supernode.json":     "bc003b266bffa545b3c5753a3c4aadc231c2e945f743149554b4da54c2d37c0c",
 	},
 }
 
@@ -70,22 +79,29 @@ var selectiveForwardReports = map[string]string{
 // TestGoldenReports is the in-tree byte-identity tripwire: the
 // out-of-module benchmark harness compares report_sha256 between two
 // commits, this compares against digests recorded in the tree. Rows come
-// from a glob of scenarios/*.json, so a new scenario file fails here
-// until its digests are recorded.
+// from globs of scenarios/*.json and scenarios/examples/*.json, so a new
+// scenario file fails here until its digests are recorded.
 func TestGoldenReports(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs full scenario worlds")
 	}
-	files, err := filepath.Glob(filepath.Join("..", "..", "scenarios", "*.json"))
+	dir := filepath.Join("..", "..", "scenarios")
+	top, err := filepath.Glob(filepath.Join(dir, "*.json"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(files) == 0 {
+	examples, err := filepath.Glob(filepath.Join(dir, "examples", "*.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(top) == 0 || len(examples) == 0 {
 		t.Fatal("no scenario files found")
 	}
+	files := append(top, examples...)
 	for _, backend := range []string{BackendSim, BackendMemnet} {
 		for _, path := range files {
-			file := filepath.Base(path)
+			rel, _ := filepath.Rel(dir, path) // cannot fail: the globs put path under dir
+			file := filepath.ToSlash(rel)
 			t.Run(goldenName(backend, file), func(t *testing.T) {
 				want, ok := goldenReports[backend][file]
 				if !ok {
