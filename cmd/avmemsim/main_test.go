@@ -3,6 +3,7 @@ package main
 import (
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -326,4 +327,41 @@ func TestValidateMultipleFiles(t *testing.T) {
 	if !strings.Contains(out.String(), "events") {
 		t.Errorf("bad file's problem not reported:\n%s", out.String())
 	}
+}
+
+// TestMemProfileShowsTheDeploymentInUse: the heap profile -memprofile
+// writes is taken while the deployment is reachable, so its inuse
+// samples hold the hosts' membership lists — not only what the command
+// itself keeps after the run.
+func TestMemProfileShowsTheDeploymentInUse(t *testing.T) {
+	defer func(rate int) { runtime.MemProfileRate = rate }(runtime.MemProfileRate)
+	path := filepath.Join(t.TempDir(), "mem.pprof")
+	var out strings.Builder
+	if err := run([]string{"run", "-q", "-memprofile", path, "../../scenarios/examples/quickstart.json"}, &out); err != nil {
+		t.Fatal(err)
+	}
+	if fi, err := os.Stat(path); err != nil || fi.Size() == 0 {
+		t.Fatalf("no heap profile written: %v", err)
+	}
+	// The file is the profile the runtime has published; read it in process.
+	n, _ := runtime.MemProfile(nil, true)
+	recs := make([]runtime.MemProfileRecord, n+64)
+	n, _ = runtime.MemProfile(recs, true)
+	var inuse int64
+	for _, r := range recs[:n] {
+		for frames := runtime.CallersFrames(r.Stack()); ; {
+			f, more := frames.Next()
+			if strings.HasPrefix(f.Function, "avmem/internal/core.") {
+				inuse += r.InUseBytes()
+				break
+			}
+			if !more {
+				break
+			}
+		}
+	}
+	if inuse < 1<<10 {
+		t.Fatalf("membership state in use in the heap profile: %d bytes, want the deployment's", inuse)
+	}
+	t.Logf("membership state in use: %d bytes", inuse)
 }

@@ -10,13 +10,14 @@ import (
 
 // startProfiles turns on the requested profilers and returns the
 // teardown that flushes them; any empty path is skipped. The CPU
-// profile and execution trace record the whole run; the heap profile is
-// a single end-of-run snapshot taken after a forced GC, which is the
-// view that matters for a simulator whose live set is the world itself.
-// With a heap profile requested, every allocation is recorded
-// (runtime.MemProfileRate = 1) before the run starts, so the profile's
-// alloc_objects and alloc_space samples are exact per-site counts of
-// the whole run, not 512 KB samples scaled up.
+// profile and execution trace record the whole run. With a heap profile
+// requested, every allocation is recorded (runtime.MemProfileRate = 1)
+// before the run starts, so the profile's alloc_objects and alloc_space
+// samples are exact per-site counts of the whole run, not 512 KB samples
+// scaled up. Its inuse samples are the live heap at the end of the run,
+// the world included: scenario.Run collects before it lets the
+// deployment go when every allocation is recorded, and the profile is
+// written as of that collection.
 func startProfiles(cpu, mem, trace string) (stop func(), err error) {
 	if mem != "" {
 		runtime.MemProfileRate = 1
@@ -64,7 +65,6 @@ func startProfiles(cpu, mem, trace string) (stop func(), err error) {
 				return
 			}
 			defer f.Close()
-			runtime.GC()
 			if err := pprof.WriteHeapProfile(f); err != nil {
 				fmt.Fprintln(os.Stderr, "avmemsim: memprofile:", err)
 			}

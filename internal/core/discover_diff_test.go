@@ -301,8 +301,8 @@ func (d *discoverDiff) check(step int) {
 	}
 	for _, f := range []Flavor{HSOnly, VSOnly, HSVS} {
 		// Neighbor is comparable: every field, the carried pair hash and
-		// index included.
-		if got, want := d.impl.Neighbors(f), d.model.Neighbors(f); !slices.Equal(got, want) {
+		// index included. The model keeps one list per flavor.
+		if got, want := d.impl.CopyNeighbors(f), d.model.Neighbors(f); !slices.Equal(got, want) {
 			d.t.Fatalf("step %d: %v lists diverge\n got:   %+v\n model: %+v", step, f, got, want)
 		}
 	}
@@ -442,6 +442,53 @@ func TestSlotMemoPins(t *testing.T) {
 			t.Fatalf("pass after a reproducible eviction was not a delta pass: %+v after %+v", s, before)
 		}
 	})
+}
+
+// TestRefreshMovesNeighborBetweenSlivers: a neighbor whose availability
+// drifts out of the self claim's ε-band, and back, stays admitted but
+// changes sliver at Refresh — in place in the one list, where every
+// flavor's view must still match the model's three lists.
+func TestRefreshMovesNeighborBetweenSlivers(t *testing.T) {
+	d := newDiscoverDiff(t, 5, func(int) int { return 0 })
+	m := d.impl
+	y, avHS, avVS := 0, -1.0, -1.0
+	for cand := 1; cand < diffHosts && y == 0; cand++ {
+		avHS, avVS = -1, -1
+		h := ids.PairHash(m.Self(), d.w.hosts[cand])
+		for av := 0.0; av <= 1; av += 0.01 {
+			switch ok, kind := m.Predicate().Eval(h, m.SelfInfo().Availability, av, 0); {
+			case ok && kind == SliverHorizontal:
+				avHS = av
+			case ok && kind == SliverVertical:
+				avVS = av
+			}
+		}
+		if avHS >= 0 && avVS >= 0 {
+			y = cand
+		}
+	}
+	if y == 0 {
+		t.Fatal("no host the predicate admits in both slivers")
+	}
+	d.view.add(int32(y))
+	want := func(step int, s Sliver) {
+		t.Helper()
+		d.check(step)
+		if nb, ok := m.Lookup(d.w.hosts[y]); !ok || nb.Sliver != s {
+			t.Fatalf("step %d: neighbor %v in %v, want in %v", step, ok, nb.Sliver, s)
+		}
+	}
+	d.w.avail[y] = avHS
+	d.pass(0)
+	want(0, SliverHorizontal)
+	d.w.epoch++
+	d.w.avail[y] = avVS
+	d.refresh(1)
+	want(1, SliverVertical)
+	d.w.epoch++
+	d.w.avail[y] = avHS
+	d.refresh(2)
+	want(2, SliverHorizontal)
 }
 
 // FuzzDiscoverSchedule decodes the same differential schedule from the

@@ -271,9 +271,9 @@ func TestDiscoverIdxMatchesDiscover(t *testing.T) {
 			return a.ID == b.ID && a.Availability == b.Availability && a.Sliver == b.Sliver && a.FetchedAt == b.FetchedAt
 		}
 		for _, f := range []Flavor{HSOnly, VSOnly, HSVS} {
-			if !slices.EqualFunc(p.byIdx.Neighbors(f), p.byID.Neighbors(f), same) {
+			if !slices.EqualFunc(p.byIdx.CopyNeighbors(f), p.byID.CopyNeighbors(f), same) {
 				t.Fatalf("step %d: %v lists diverge\n indexed:    %v\n identifier: %v",
-					step, f, p.byIdx.Neighbors(f), p.byID.Neighbors(f))
+					step, f, p.byIdx.CopyNeighbors(f), p.byID.CopyNeighbors(f))
 			}
 		}
 	}
@@ -352,7 +352,7 @@ func TestNeighborHashMatchesPairHash(t *testing.T) {
 		t.Helper()
 		seen := 0
 		for _, f := range []Flavor{HSOnly, VSOnly, HSVS} {
-			for _, nb := range m.Neighbors(f) {
+			for _, nb := range m.CopyNeighbors(f) {
 				seen++
 				if got, want := nb.PairHash(), ids.PairHash(m.Self(), nb.ID); got != want {
 					t.Fatalf("%s: %v neighbor %s carries hash %v, want H(self, y) = %v", stage, f, nb.ID, got, want)

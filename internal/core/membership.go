@@ -35,6 +35,17 @@ func (f Flavor) String() string {
 	}
 }
 
+// Admits reports whether flavor f reads neighbors of sliver s.
+func (f Flavor) Admits(s Sliver) bool {
+	switch f {
+	case HSOnly:
+		return s == SliverHorizontal
+	case VSOnly:
+		return s == SliverVertical
+	}
+	return f == HSVS
+}
+
 // Neighbor is one entry of a node's AVMEM membership list, with the
 // availability value cached at the last discovery/refresh — operations
 // deliberately use these cached values rather than re-querying the
@@ -127,22 +138,18 @@ func (c Config) validate() error {
 // the current coarse view, and Refresh once per refresh period.
 // Membership is not safe for concurrent use.
 //
-// Storage is three incrementally-maintained slices sorted by node ID —
-// the full list plus one per sliver — so Neighbors can hand out a
-// cached read-only view without allocating or sorting per call, and
-// SliverSize is O(1). The identifier-keyed duplicate check is a binary
-// search of the full list; the indexed one probes idx.
+// Storage is one incrementally-maintained slice sorted by node ID, each
+// entry carrying its sliver, so Neighbors hands out a read-only view
+// without allocating or sorting per call and a reader of one sliver
+// skips the other's entries as it walks. The identifier-keyed duplicate
+// check is a binary search of it; the indexed one probes idx.
 type Membership struct {
 	cfg       Config
 	self      ids.NodeID
 	selfAvail float64
 	selfKnown bool
-	// all, hs, vs are the cached views, each sorted by ID. Entries are
-	// duplicated between all and their sliver list; Refresh keeps the
-	// copies coherent.
+	// all is every neighbor, sorted by ID.
 	all []Neighbor
-	hs  []Neighbor
-	vs  []Neighbor
 	// pairMemo memoizes H(self, y) per candidate of the identifier-keyed
 	// discovery path. The hash depends only on the two identifiers, and
 	// discovery re-tests the same candidates every protocol period, so a
@@ -266,14 +273,6 @@ func insertNeighbor(list []Neighbor, nb Neighbor) []Neighbor {
 	return list
 }
 
-// sliverView returns the sliver list nb belongs to.
-func (m *Membership) sliverView(s Sliver) *[]Neighbor {
-	if s == SliverHorizontal {
-		return &m.hs
-	}
-	return &m.vs
-}
-
 // Self returns this node's identifier.
 func (m *Membership) Self() ids.NodeID { return m.self }
 
@@ -354,7 +353,7 @@ func (m *Membership) Discover(candidates []ids.NodeID) int {
 	return added
 }
 
-// admit inserts a new neighbor into all views and the index set.
+// admit inserts a new neighbor into the list and the index set.
 func (m *Membership) admit(nb Neighbor) {
 	m.gen++
 	if nb.idx1 > 0 {
@@ -363,8 +362,6 @@ func (m *Membership) admit(nb Neighbor) {
 		m.hasUnindexed = true
 	}
 	m.all = insertNeighbor(m.all, nb)
-	view := m.sliverView(nb.Sliver)
-	*view = insertNeighbor(*view, nb)
 }
 
 // DiscoveryStats counts the work of the indexed discovery loop in plain
@@ -550,9 +547,8 @@ func (m *Membership) Refresh() int {
 	m.RefreshSelf()
 	now := m.cfg.Clock()
 	evicted, unjudged := 0, 0
-	// Compact the full list in place (the write index never passes the
-	// read index), then rebuild the sliver views from it — still sorted,
-	// since the full list is. Buffer capacity is reused across rounds.
+	// Compact the list in place (the write index never passes the read
+	// index); its capacity is reused across rounds.
 	keep := m.all[:0]
 	for i := range m.all {
 		nb := m.all[i]
@@ -579,12 +575,6 @@ func (m *Membership) Refresh() int {
 		m.all[i] = Neighbor{}
 	}
 	m.all = keep
-	m.hs = m.hs[:0]
-	m.vs = m.vs[:0]
-	for i := range m.all {
-		view := m.sliverView(m.all[i].Sliver)
-		*view = append(*view, m.all[i])
-	}
 	if evicted > 0 {
 		m.idx.reset()
 		for i := range m.all {
@@ -627,37 +617,38 @@ func (m *Membership) Size() int { return len(m.all) }
 
 // SliverSize returns the number of neighbors in one sliver.
 func (m *Membership) SliverSize(s Sliver) int {
-	return len(*m.sliverView(s))
+	n := 0
+	for i := range m.all {
+		if m.all[i].Sliver == s {
+			n++
+		}
+	}
+	return n
 }
 
-// Neighbors returns the neighbor entries selected by flavor, sorted by
-// identifier for determinism. The returned slice is a cached view —
-// it is valid until the next Discover or Refresh and must not be
-// modified. It is rebuilt incrementally, so calling Neighbors performs
-// no allocation and no sorting; callers needing a stable snapshot use
-// CopyNeighbors.
+// Neighbors returns the list that holds flavor f's neighbors, sorted by
+// identifier for determinism: every neighbor of both slivers for a valid
+// flavor (nil otherwise), so a reader of HSOnly or VSOnly keeps only the
+// entries with f.Admits(nb.Sliver). The slice is the membership's own —
+// valid until the next Discover or Refresh, not to be modified — so the
+// call allocates and sorts nothing; CopyNeighbors takes a stable snapshot.
 func (m *Membership) Neighbors(f Flavor) []Neighbor {
-	switch f {
-	case HSOnly:
-		return m.hs
-	case VSOnly:
-		return m.vs
-	case HSVS:
-		return m.all
-	default:
+	if f != HSOnly && f != VSOnly && f != HSVS {
 		return nil
 	}
+	return m.all
 }
 
-// CopyNeighbors returns a freshly allocated snapshot of Neighbors(f)
-// that survives later Discover/Refresh rounds.
+// CopyNeighbors returns a freshly allocated snapshot of flavor f's
+// neighbors, in identifier order, that survives later Discover/Refresh
+// rounds.
 func (m *Membership) CopyNeighbors(f Flavor) []Neighbor {
-	view := m.Neighbors(f)
-	if len(view) == 0 {
-		return nil
+	var out []Neighbor
+	for _, nb := range m.Neighbors(f) {
+		if f.Admits(nb.Sliver) {
+			out = append(out, nb)
+		}
 	}
-	out := make([]Neighbor, len(view))
-	copy(out, view)
 	return out
 }
 

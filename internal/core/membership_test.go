@@ -209,17 +209,18 @@ func TestNeighborsFlavors(t *testing.T) {
 	w.monitor[h2] = 0.58
 	w.monitor[v1] = 0.05
 	m.Discover([]ids.NodeID{h1, h2, v1})
-	if got := len(m.Neighbors(HSOnly)); got != 2 {
-		t.Errorf("HS-only = %d, want 2", got)
-	}
-	if got := len(m.Neighbors(VSOnly)); got != 1 {
-		t.Errorf("VS-only = %d, want 1", got)
-	}
-	if got := len(m.Neighbors(HSVS)); got != 3 {
-		t.Errorf("HS+VS = %d, want 3", got)
-	}
-	if got := len(m.Neighbors(Flavor(0))); got != 0 {
-		t.Errorf("invalid flavor = %d, want 0", got)
+	// One list holds both slivers: Neighbors hands it out for any valid
+	// flavor, CopyNeighbors keeps the flavor's own entries.
+	for _, c := range []struct {
+		f           Flavor
+		own, listed int
+	}{{HSOnly, 2, 3}, {VSOnly, 1, 3}, {HSVS, 3, 3}, {Flavor(0), 0, 0}} {
+		if got := len(m.CopyNeighbors(c.f)); got != c.own {
+			t.Errorf("%v = %d, want %d", c.f, got, c.own)
+		}
+		if got := len(m.Neighbors(c.f)); got != c.listed {
+			t.Errorf("%v list holds %d, want %d", c.f, got, c.listed)
+		}
 	}
 	// Sorted by ID for determinism.
 	all := m.Neighbors(HSVS)

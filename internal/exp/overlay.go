@@ -150,7 +150,9 @@ func ScanVSInDegree(w *Deployment) VSInDegree {
 	indeg := make(map[string]int, len(online))
 	for _, id := range online {
 		for _, nb := range w.Membership(id).Neighbors(core.VSOnly) {
-			indeg[string(nb.ID)]++
+			if nb.Sliver == core.SliverVertical {
+				indeg[string(nb.ID)]++
+			}
 		}
 	}
 	out := VSInDegree{

@@ -37,7 +37,7 @@ func TestTheorem2BandConnectivity(t *testing.T) {
 		}
 		adj := make([][]int, len(band))
 		for i, id := range band {
-			for _, nb := range w.Membership(id).Neighbors(core.HSOnly) {
+			for _, nb := range w.Membership(id).CopyNeighbors(core.HSOnly) {
 				if j, ok := index[nb.ID]; ok {
 					adj[i] = append(adj[i], j)
 					adj[j] = append(adj[j], i)

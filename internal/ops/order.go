@@ -27,11 +27,11 @@ import (
 // every copy of every flood asks for one — while its sliver changes only
 // when discovery admits a neighbor or a refresh round runs. So the order
 // is sorted once per membership generation and kept as a permutation of
-// Neighbors(flavor); which neighbors a particular message may go to
-// (unblocked, cached availability inside its band) is decided while
-// walking it. Dropping elements from a totally ordered sequence leaves
-// the rest in order, so filter-after-sort walks exactly the sequence
-// filter-then-sort produced.
+// the flavor's entries of Neighbors(flavor); which of them a particular
+// message may go to (unblocked, cached availability inside its band) is
+// decided while walking it. Dropping elements from a totally ordered
+// sequence leaves the rest in order, so filter-after-sort walks exactly
+// the sequence filter-then-sort produced.
 
 // orderSlots is how many (flavor, salt) orders a router keeps: three
 // salted trees of one redundant aggregation plus the unsalted order of
@@ -39,8 +39,8 @@ import (
 const orderSlots = 4
 
 // hashOrder is one memoized order: perm[k] is the position in
-// Neighbors(flavor) of the k-th neighbor by (salted) pair hash. It stands
-// while the membership's generation is gen.
+// Neighbors(flavor) of the flavor's k-th neighbor by (salted) pair hash.
+// It stands while the membership's generation is gen.
 type hashOrder struct {
 	flavor core.Flavor // 0 = unused slot
 	salt   uint64
@@ -55,8 +55,9 @@ type orderMemo struct {
 	next  int
 }
 
-// order returns Neighbors(flavor) and its (salted) hash order, sorting
-// only when the memo holds none for the current generation.
+// order returns Neighbors(flavor) and the (salted) hash order of the
+// flavor's entries in it, sorting only when the memo holds none for the
+// current generation.
 func (r *Router) order(flavor core.Flavor, salt uint64) ([]core.Neighbor, []int32) {
 	r.stats.OrderRequests++
 	all := r.mem.Neighbors(flavor)
@@ -80,14 +81,22 @@ func (r *Router) order(flavor core.Flavor, salt uint64) ([]core.Neighbor, []int3
 	}
 	r.stats.OrderSorts++
 	e.gen = gen
-	if cap(e.perm) < len(all) {
+	n := 0
+	for i := range all {
+		if flavor.Admits(all[i].Sliver) {
+			n++
+		}
+	}
+	if cap(e.perm) < n {
 		// Exact size plus headroom for a sliver still filling up; no key
 		// array beside it — the comparator reads the keys where they live.
-		e.perm = make([]int32, len(all), len(all)+len(all)/4)
+		e.perm = make([]int32, 0, n+n/4)
 	}
-	e.perm = e.perm[:len(all)]
-	for i := range e.perm {
-		e.perm[i] = int32(i)
+	e.perm = e.perm[:0]
+	for i := range all {
+		if flavor.Admits(all[i].Sliver) {
+			e.perm = append(e.perm, int32(i))
+		}
 	}
 	slices.SortFunc(e.perm, func(a, b int32) int {
 		x, y := &all[a], &all[b]

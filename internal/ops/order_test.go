@@ -28,7 +28,7 @@ type peerKey struct {
 }
 
 func modelTargets(r *Router, flavor core.Flavor, contains func(float64) bool, salt uint64) []peerKey {
-	all := r.mem.Neighbors(flavor)
+	all := r.mem.CopyNeighbors(flavor)
 	var out []peerKey
 	for i := range all {
 		nb := &all[i]
@@ -270,7 +270,7 @@ func TestDisseminationMatchesScratchModel(t *testing.T) {
 			default:
 				what = "aggregate"
 				parent := ids.Nil
-				if all := g.mem.Neighbors(pick.flavor); len(all) > 0 && g.rng.Intn(2) == 0 {
+				if all := g.mem.CopyNeighbors(pick.flavor); len(all) > 0 && g.rng.Intn(2) == 0 {
 					parent = all[g.rng.Intn(len(all))].ID
 				}
 				spec := AggregateSpec{Op: agg.Count, Band: band, Flavor: pick.flavor, Salt: pick.salt}
@@ -441,7 +441,7 @@ func TestWarmOrderWalkDoesNotAllocate(t *testing.T) {
 	}
 	for i := range fresh.r.orders.slots {
 		s := &fresh.r.orders.slots[i]
-		if n := len(fresh.mem.Neighbors(s.flavor)); len(s.perm) != n || cap(s.perm) > n+n/4 {
+		if n := len(fresh.mem.CopyNeighbors(s.flavor)); len(s.perm) != n || cap(s.perm) > n+n/4 {
 			t.Errorf("slot %d: permutation len %d cap %d for %d neighbors", i, len(s.perm), cap(s.perm), n)
 		}
 	}

@@ -742,7 +742,7 @@ func (r *Router) candidates(buf []core.Neighbor, from ids.NodeID, flavor core.Fl
 	var sender core.Neighbor
 	hasSender := false
 	for i := range all {
-		if r.auditor != nil && r.auditor.Blocked(all[i].Addr()) {
+		if !flavor.Admits(all[i].Sliver) || r.auditor != nil && r.auditor.Blocked(all[i].Addr()) {
 			continue
 		}
 		if all[i].ID == from {

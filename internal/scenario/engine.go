@@ -6,6 +6,7 @@ import (
 	"io"
 	"math"
 	"os"
+	"runtime"
 	"sort"
 	"strings"
 	"time"
@@ -128,6 +129,12 @@ func Run(spec *Spec, opts Options) (*Result, error) {
 	res := &Result{Name: spec.Name, Metrics: run.metrics(), EventLog: run.events}
 	res.Failures = evaluate(spec.Assertions, res.Metrics)
 	publishMetrics(opts.Metrics, res)
+	if runtime.MemProfileRate == 1 {
+		// A heap profile records every allocation (avmemsim run
+		// -memprofile): collect while the deployment is reachable, so the
+		// profile written after the run shows it in use.
+		runtime.GC()
+	}
 	return res, nil
 }
 

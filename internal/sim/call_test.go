@@ -221,7 +221,7 @@ func TestSendNackFilesNoAck(t *testing.T) {
 }
 
 // TestSendPathsDoNotAllocate checks the steady state of both send
-// primitives: once the slab and the key array have grown to the
+// primitives: once the slab and the key chunks have grown to the
 // workload's depth, a send, its delivery and its verdict allocate
 // nothing.
 func TestSendPathsDoNotAllocate(t *testing.T) {

@@ -76,8 +76,9 @@ func TestHeapPopsInAtSeqOrder(t *testing.T) {
 			if q.n != len(model) {
 				t.Fatalf("trial %d step %d: queue len %d, model len %d", trial, step, q.n, len(model))
 			}
-			if len(q.slab) != q.n+len(q.free) {
-				t.Fatalf("trial %d step %d: slab %d != pending %d + free %d", trial, step, len(q.slab), q.n, len(q.free))
+			if int(q.slots) != q.n+len(q.free) || len(q.slab) != (int(q.slots)+slabChunk-1)/slabChunk {
+				t.Fatalf("trial %d step %d: slab %d slots in %d chunks, pending %d + free %d",
+					trial, step, q.slots, len(q.slab), q.n, len(q.free))
 			}
 		}
 		// Drain: the remaining events must run in (at, seq) order.
@@ -204,15 +205,15 @@ func TestSlabReusesAndZeroesSlots(t *testing.T) {
 	}
 	// Consume the slot without running the attempt.
 	q.release(k.slot)
-	p := &q.slab[k.slot]
+	p := q.at(k.slot)
 	if p.kind != evFunc || p.ok || p.net1 != 0 || p.to1 != 0 || p.from1 != 0 || p.from != "" || p.to != "" || p.msg != nil ||
 		p.fn != nil || p.onResult != nil || p.out != 0 || p.back != 0 {
 		t.Fatalf("released slot not zeroed: %+v", *p)
 	}
 	ran := false
 	q.push(9).fn = func() { ran = true }
-	if len(q.slab) != 3 || len(q.free) != 0 {
-		t.Fatalf("slab %d / free %d after reuse, want 3 / 0", len(q.slab), len(q.free))
+	if q.slots != 3 || len(q.free) != 0 {
+		t.Fatalf("slab %d / free %d after reuse, want 3 / 0", q.slots, len(q.free))
 	}
 	var last eventKey
 	for q.due(math.MaxInt64) {
@@ -258,7 +259,7 @@ func TestScheduledSlotIsZero(t *testing.T) {
 		}
 		w.Run(w.Now() + time.Second)
 	}
-	slots := len(w.events.slab)
+	slots := int(w.events.slots)
 	if w.Pending() != 0 || len(w.events.free) != slots {
 		t.Fatalf("%d pending, %d of %d slots free after the drain", w.Pending(), len(w.events.free), slots)
 	}
@@ -275,15 +276,15 @@ func TestScheduledSlotIsZero(t *testing.T) {
 		}
 		p.fn = func() {}
 	}
-	if len(w.events.slab) != slots {
-		t.Fatalf("slab grew from %d to %d slots with every slot free", slots, len(w.events.slab))
+	if int(w.events.slots) != slots {
+		t.Fatalf("slab grew from %d to %d slots with every slot free", slots, w.events.slots)
 	}
 	w.Run(w.Now())
 }
 
 // TestFireSurvivesSlabGrowth fires an event whose callback pushes enough
-// to move the slab: fire must have finished with the slot before the
-// callback runs.
+// to add slab chunks, reusing its own slot first: fire must have finished
+// with the slot before the callback runs.
 func TestFireSurvivesSlabGrowth(t *testing.T) {
 	w := NewWorld(1)
 	ran := 0
@@ -296,8 +297,36 @@ func TestFireSurvivesSlabGrowth(t *testing.T) {
 	if ran != 1000 || w.Pending() != 0 {
 		t.Fatalf("ran %d of 1000, %d pending", ran, w.Pending())
 	}
-	if got := len(w.events.slab); got != 1000 {
-		t.Fatalf("slab grew to %d slots for 1000 concurrent events", got)
+	if got, chunks := w.events.slots, len(w.events.slab); got != 1000 || chunks != (1000+slabChunk-1)/slabChunk {
+		t.Fatalf("slab grew to %d slots in %d chunks for 1000 concurrent events", got, chunks)
+	}
+}
+
+// TestHeldSlotSurvivesChunkGrowth: a slot pointer schedule handed out
+// still names its own event after three more chunks' worth of pushes —
+// filled only afterwards, every event runs its own payload, in order.
+func TestHeldSlotSurvivesChunkGrowth(t *testing.T) {
+	w := NewWorld(1)
+	const n = 3*slabChunk + 5
+	held := make([]*payload, n)
+	for i := range held {
+		held[i] = w.schedule(time.Duration(i))
+	}
+	if len(w.events.slab) != 4 {
+		t.Fatalf("%d events pending in %d chunks, want 4", n, len(w.events.slab))
+	}
+	var ran []int
+	for i, p := range held {
+		p.fn = func() { ran = append(ran, i) }
+	}
+	w.Run(time.Duration(n))
+	if len(ran) != n {
+		t.Fatalf("ran %d of %d events", len(ran), n)
+	}
+	for i, got := range ran {
+		if got != i {
+			t.Fatalf("event %d ran the payload filled for %d", i, got)
+		}
 	}
 }
 
@@ -569,6 +598,14 @@ func FuzzEventQueue(f *testing.F) {
 	// sleeps through three, the stop lands after the first of them, and the
 	// timer is dropped, unrun, at its first run awake.
 	f.Add([]byte{0xa3, 0x00, 2, 0x14, 0x8f, 0x0c, 2, 0x14, 0x87, 0x00, 2, 0x61, 3, 7})
+	// More than two slab chunks pending at once: 150 events 256 ns to
+	// 3.8 µs out — every third schedules a child when it fires — drained
+	// by a horizon run and a bounded one.
+	many := make([]byte, 0, 2*150+4)
+	for i := 0; i < 150; i++ {
+		many = append(many, 0, byte(0x21+i%15))
+	}
+	f.Add(append(many, 2, 0x31, 3, 7))
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		if len(ops) > 1024 {
 			return

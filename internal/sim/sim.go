@@ -80,8 +80,8 @@ func (w *World) At(at time.Duration, fn func()) {
 // are filed, so closures, deliveries and the SendCall events interleave
 // exactly as if each had been an At closure. Clamping at to now is what
 // keeps the queue monotone. It returns the event's zeroed slab slot for
-// the caller to fill in place; the pointer is valid until the next
-// schedule, which may move the slab.
+// the caller to fill in place; slots never move, so the pointer names
+// the event until it fires.
 func (w *World) schedule(at time.Duration) *payload {
 	if at < w.now {
 		at = w.now
@@ -387,7 +387,7 @@ var classNames = [numClasses]string{"func", "deliver", "attempt", "result-ok", "
 
 // class returns the event class of the payload in slot.
 func (q *eventQueue) class(slot uint32) int {
-	p := &q.slab[slot]
+	p := q.at(slot)
 	if p.kind == evResult && !p.ok {
 		return classResultNack
 	}
@@ -428,7 +428,7 @@ type payload struct {
 }
 
 // eventKey is what the queue orders: 16 bytes, no pointers. slot
-// indexes the payload slab, which holds the key's push rank too.
+// names a slot of the payload slab, which holds the key's push rank too.
 type eventKey struct {
 	at   time.Duration
 	slot uint32
@@ -450,6 +450,13 @@ const (
 const (
 	chunkKeys  = 32
 	chunkBlock = 16
+)
+
+// slabChunk is how many payloads one chunk of the slab holds: 6 KB, so a
+// world's first push allocates little.
+const (
+	slabShift = 6
+	slabChunk = 1 << slabShift
 )
 
 // keyChunk is a fixed block of keys. Chunks never move, so a pointer to
@@ -492,8 +499,10 @@ type bucket struct {
 // Buckets are lists of fixed chunks drawn from one shared free list, so
 // the queue holds about pending/chunkKeys chunks plus one partial chunk
 // per non-empty bucket, however the keys are spread over the buckets.
-// Slots vacated by fired events are reused through a free list too, so the
-// slab is as long as the largest number of events ever pending at once.
+// The payload slab is a list of fixed chunks of slots too, added one at a
+// time and never moved. Slots vacated by fired events are reused through a
+// free list, so the slab holds the largest number of events ever pending
+// at once, rounded up to a chunk.
 type eventQueue struct {
 	base      time.Duration
 	n         int                // keys pending
@@ -501,12 +510,18 @@ type eventQueue struct {
 	digitMask [levels]uint64     // digitMask[ℓ] bit d set iff bucket (ℓ, d) holds keys
 	buckets   [numBuckets]bucket // 0, then (ℓ, d) at 1 + ℓ·digitWays + d
 	chunks    []*keyChunk
-	next      []int32 // next[c]: the chunk after c in its bucket's list
-	spare     []int32 // chunks no bucket holds
-	moves     uint64  // keys redistributed by refills, ever
-	rank      uint32  // the push rank the next push or timer re-arm takes
-	slab      []payload
+	next      []int32               // next[c]: the chunk after c in its bucket's list
+	spare     []int32               // chunks no bucket holds
+	moves     uint64                // keys redistributed by refills, ever
+	rank      uint32                // the push rank the next push or timer re-arm takes
+	slab      []*[slabChunk]payload // slot s is slab[s>>slabShift][s%slabChunk]
+	slots     uint32                // slots ever handed out
 	free      []uint32
+}
+
+// at returns the payload in slot.
+func (q *eventQueue) at(slot uint32) *payload {
+	return &q.slab[slot>>slabShift][slot&(slabChunk-1)]
 }
 
 // bucketOf returns the bucket a key at at belongs in around base.
@@ -521,20 +536,21 @@ func (q *eventQueue) bucketOf(at time.Duration) int {
 }
 
 // push files a key at at and returns its slab slot, zeroed but for the
-// push rank, for the caller to fill in place. The pointer is valid until
-// the next push: the slab may move when it grows.
+// push rank, for the caller to fill in place.
 func (q *eventQueue) push(at time.Duration) *payload {
 	var slot uint32
 	if n := len(q.free); n > 0 {
 		slot = q.free[n-1]
 		q.free = q.free[:n-1]
 	} else {
-		slot = uint32(len(q.slab))
-		q.slab = append(q.slab, payload{})
+		if slot = q.slots; slot%slabChunk == 0 {
+			q.slab = append(q.slab, new([slabChunk]payload))
+		}
+		q.slots++
 	}
 	q.add(q.bucketOf(at), eventKey{at: at, slot: slot})
 	q.n++
-	p := &q.slab[slot]
+	p := q.at(slot)
 	p.rank = q.rank
 	q.rank++
 	return p
@@ -631,7 +647,7 @@ func (q *eventQueue) refill(i int) {
 // has just reported present.
 func (q *eventQueue) headRank() uint32 {
 	b := &q.buckets[0]
-	return q.slab[q.chunks[b.head][b.lo].slot].rank
+	return q.at(q.chunks[b.head][b.lo].slot).rank
 }
 
 // pop removes and returns the front key of bucket 0, which due has just
@@ -654,10 +670,10 @@ func (q *eventQueue) pop() eventKey {
 // fire runs the event in slot and recycles the slot. What the event
 // needs is read out and the slot zeroed — so the closure or message can
 // be collected — before anything runs: the callback may push, which
-// reuses free slots and may move the slab. nets is the owning world's
-// network table (payload.net1).
+// reuses free slots, this one first. nets is the owning world's network
+// table (payload.net1).
 func (q *eventQueue) fire(slot uint32, nets []*Network) {
-	p := &q.slab[slot]
+	p := q.at(slot)
 	switch p.kind {
 	case evFunc:
 		fn, owner := p.fn, p.msg
@@ -690,7 +706,7 @@ func (p *payload) toAddr() ids.Addr   { return ids.AddrAt(p.to, p.to1-1) }
 
 // release zeroes a consumed slot and returns it to the free list.
 func (q *eventQueue) release(slot uint32) {
-	q.slab[slot] = payload{}
+	*q.at(slot) = payload{}
 	q.free = append(q.free, slot)
 }
 
