@@ -70,6 +70,9 @@ type (
 	AnycastOptions = ops.AnycastOptions
 	// MulticastOptions parameterizes multicasts.
 	MulticastOptions = ops.MulticastOptions
+	// MulticastSpec is a multicast's dissemination stage, nested in
+	// MulticastOptions.
+	MulticastSpec = ops.MulticastSpec
 	// MsgID identifies one operation instance.
 	MsgID = ops.MsgID
 	// AnycastRecord is the outcome of one anycast.

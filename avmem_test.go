@@ -246,11 +246,13 @@ func TestSimMulticastGossip(t *testing.T) {
 	}
 	rec := multicastSettled(t, d, target, avmem.MulticastOptions{
 		Anycast: avmem.DefaultAnycastOptions(),
-		Mode:    avmem.Gossip,
-		Flavor:  avmem.HSVS,
-		Fanout:  5,
-		Rounds:  2,
-		Period:  time.Second,
+		MulticastSpec: avmem.MulticastSpec{
+			Mode:   avmem.Gossip,
+			Flavor: avmem.HSVS,
+			Fanout: 5,
+			Rounds: 2,
+			Period: time.Second,
+		},
 	})
 	if len(rec.Delivered) == 0 {
 		t.Error("gossip delivered nothing")

@@ -10,14 +10,15 @@
 // partials.
 //
 // The package is transport-agnostic: Partial is the pure combining
-// algebra, and Station is the per-node state machine — duplicate
-// suppression by operation id, child-partial absorption, and
-// convergence detection (a pending aggregation finalizes as soon as
-// every forwarded-to child is accounted for by a partial, a decline, or
-// a delivery failure, with a depth-staggered wave deadline as the hard
-// backstop for children lost mid-operation). ops.Router owns a Station
-// and binds it to the wire messages; internal/exp supplies ground truth
-// and accuracy accounting.
+// algebra, and Station is the per-node state machine — one open record
+// per operation id, child-partial absorption, and convergence detection
+// (a pending aggregation finalizes as soon as every forwarded-to child
+// is accounted for by a partial, a decline, or a delivery failure, with
+// a depth-staggered wave deadline as the hard backstop for children
+// lost mid-operation). ops.Router owns a Station,
+// binds it to the wire messages and decides, with its duplicate-
+// suppression set, which requests join a tree; internal/exp supplies
+// ground truth and accuracy accounting.
 package agg
 
 import (
@@ -139,11 +140,8 @@ const (
 	MaxDepth = 8
 )
 
-// maxDone bounds how many concluded operations a station remembers for
-// duplicate suppression; like the router's seen set, aggregations are
-// short-lived, so forgetting them all at once on overflow is harmless.
 // frontSize is how many records a station keeps in its front.
-const maxDone, frontSize = 1 << 14, 4
+const frontSize = 4
 
 // pending is one aggregation at this node: the combining state plus the
 // caller's own record of the tree (val). Records are recycled: a record
@@ -177,13 +175,11 @@ type Station[K comparable, V any] struct {
 	binder   Binder
 	conclude func(id K, v *V, p Partial)
 
-	// recs maps every operation the station holds or held to its record,
-	// nil once concluded; open and done count the two kinds of entry.
-	recs       map[K]*pending[K, V]
-	open, done int
-	// front holds the records last opened or found in recs (a front id is
-	// in recs): a tree's messages reach a member in bursts, so most
-	// lookups compare a few ids here and hash none.
+	// recs maps each open aggregation's id to its record.
+	recs map[K]*pending[K, V]
+	// front holds the records last opened or found in recs (a live front
+	// record is in recs): a tree's messages reach a member in bursts, so
+	// most lookups compare a few ids here and hash none.
 	front [frontSize]*pending[K, V]
 	next  int
 	// free holds records whose deadline has fired, for Open to reuse.
@@ -217,31 +213,20 @@ func (s *Station[K, V]) bind(fn func()) func() {
 	return s.binder.Bind(fn)
 }
 
-// Seen reports whether the station already holds (or held) operation
-// id — the duplicate-suppression test a receiver consults before
-// joining the tree (a duplicate receiver declines instead).
-func (s *Station[K, V]) Seen(id K) bool {
-	_, seen := s.lookup(id)
-	return seen
-}
-
-// lookup returns id's record while the aggregation is open, and whether
-// the station holds or held id at all: from the front, or else from recs,
-// moving an open record into the front.
-func (s *Station[K, V]) lookup(id K) (*pending[K, V], bool) {
+// lookup returns id's record while the aggregation is open, nil
+// otherwise: from the front, or else from recs, moving the record into
+// the front.
+func (s *Station[K, V]) lookup(id K) *pending[K, V] {
 	for _, p := range s.front {
-		if p != nil && p.id == id {
-			if !p.live {
-				return nil, true
-			}
-			return p, true
+		if p != nil && p.live && p.id == id {
+			return p
 		}
 	}
-	p, seen := s.recs[id]
+	p := s.recs[id]
 	if p != nil {
 		s.remember(p)
 	}
-	return p, seen
+	return p
 }
 
 // remember puts p in the front, over its oldest entry.
@@ -253,10 +238,12 @@ func (s *Station[K, V]) remember(p *pending[K, V]) {
 // keeping v in its record. When contribute is true, local is folded in
 // as this node's own value (an out-of-band tree root relays without
 // contributing). It returns the record's decline callback, the nack for
-// each forward, which accounts for a child as Decline does — or nil for
-// a duplicate id: then nothing started, and the caller must decline.
+// each forward, which accounts for a child as Decline does — or nil when
+// id's record is still open: then nothing started, and the caller must
+// decline. A concluded id may open again; the caller's duplicate
+// suppression decides whether it should.
 func (s *Station[K, V]) Open(id K, depth int, local float64, contribute bool, v V) (decline func()) {
-	if s.Seen(id) {
+	if s.lookup(id) != nil {
 		return nil
 	}
 	p := s.record()
@@ -268,7 +255,6 @@ func (s *Station[K, V]) Open(id K, depth int, local float64, contribute bool, v 
 		s.recs = make(map[K]*pending[K, V], 8)
 	}
 	s.recs[id] = p
-	s.open++
 	s.remember(p)
 	// One timer per aggregation, at the depth-staggered deadline: the
 	// hard stop for children lost mid-operation. After an earlier
@@ -281,7 +267,7 @@ func (s *Station[K, V]) Open(id K, depth int, local float64, contribute bool, v 
 // Lookup returns the V of id's open record; false once the aggregation
 // concluded (or was never opened here).
 func (s *Station[K, V]) Lookup(id K) (*V, bool) {
-	if p, _ := s.lookup(id); p != nil {
+	if p := s.lookup(id); p != nil {
 		return &p.val, true
 	}
 	return nil, false
@@ -336,7 +322,7 @@ func (s *Station[K, V]) expire(p *pending[K, V]) {
 // waiting for the deadline; a leaf (children == 0) at once. The count is
 // added, so a nack that fired during forwarding stays accounted.
 func (s *Station[K, V]) Expect(id K, children int) {
-	if p, _ := s.lookup(id); p != nil && !p.expected {
+	if p := s.lookup(id); p != nil && !p.expected {
 		p.expected = true
 		p.outstanding += children
 		s.maybeConverge(p)
@@ -345,10 +331,9 @@ func (s *Station[K, V]) Expect(id K, children int) {
 
 // Absorb folds a child partial into a pending aggregation and marks
 // one child accounted for. Partials for unknown or finished operations
-// are dropped — late stragglers after the deadline, or duplicates
-// after an overflow reset.
+// are dropped: late stragglers after the deadline.
 func (s *Station[K, V]) Absorb(id K, q Partial) {
-	if p, _ := s.lookup(id); p != nil {
+	if p := s.lookup(id); p != nil {
 		p.acc.Merge(q)
 		s.account(p)
 	}
@@ -358,13 +343,13 @@ func (s *Station[K, V]) Absorb(id K, q Partial) {
 // child was already in the tree through another parent, or lies outside
 // the band.
 func (s *Station[K, V]) Decline(id K) {
-	if p, _ := s.lookup(id); p != nil {
+	if p := s.lookup(id); p != nil {
 		s.account(p)
 	}
 }
 
 // Pending returns the number of in-flight aggregations.
-func (s *Station[K, V]) Pending() int { return s.open }
+func (s *Station[K, V]) Pending() int { return len(s.recs) }
 
 // account marks one child of p accounted for, while p is open.
 func (s *Station[K, V]) account(p *pending[K, V]) {
@@ -381,20 +366,10 @@ func (s *Station[K, V]) maybeConverge(p *pending[K, V]) {
 	}
 }
 
-// finish retires the aggregation and reports its combined partial.
+// finish retires the aggregation, forgetting its id, and reports its
+// combined partial.
 func (s *Station[K, V]) finish(p *pending[K, V]) {
 	p.live = false
-	s.open--
-	if s.done >= maxDone {
-		// Forget every concluded id, in the front too.
-		for id, q := range s.recs {
-			if q == nil {
-				delete(s.recs, id)
-			}
-		}
-		s.done, s.front = 0, [frontSize]*pending[K, V]{}
-	}
-	s.recs[p.id] = nil
-	s.done++
+	delete(s.recs, p.id)
 	s.conclude(p.id, &p.val, p.acc)
 }

@@ -239,8 +239,10 @@ func TestStationDeeperNodesHaveShorterDeadlines(t *testing.T) {
 	}
 }
 
-// TestStationDuplicateSuppression: an id can be opened once; later
-// opens — even after completion — report duplicate.
+// TestStationDuplicateSuppression: an id cannot be opened while its
+// record is open. Once it concluded the station holds nothing of it, so
+// it opens again: keeping a late copy out of a concluded tree is the
+// router's seen set (ops.TestLateDuplicateJoinsNoTree).
 func TestStationDuplicateSuppression(t *testing.T) {
 	clk := &fakeClock{}
 	s := newTestStation(t, clk)
@@ -248,15 +250,15 @@ func TestStationDuplicateSuppression(t *testing.T) {
 	if s.Open(1, 1, 0.6, true, func(Partial) {}) != nil {
 		t.Error("reopened an in-flight id")
 	}
-	if !s.Seen(1) {
-		t.Error("open id not seen")
+	if _, ok := s.Lookup(1); !ok {
+		t.Error("open id not found")
 	}
 	s.Expect(1, 0) // finalize
-	if s.Open(1, 1, 0.6, true, func(Partial) {}) != nil {
-		t.Error("reopened a finished id")
+	if _, ok := s.Lookup(1); ok {
+		t.Error("finished id still found")
 	}
-	if !s.Seen(1) {
-		t.Error("finished id not seen")
+	if s.Open(1, 1, 0.6, true, func(Partial) {}) == nil {
+		t.Error("a finished id did not open again")
 	}
 }
 
@@ -279,17 +281,21 @@ func TestStationNonContributingRoot(t *testing.T) {
 	}
 }
 
-// TestStationDoneSetBounded: the suppression set resets rather than
-// growing without bound.
-func TestStationDoneSetBounded(t *testing.T) {
+// TestStationKeepsNoConcludedRecord: an aggregation leaves nothing in
+// the station once it concluded, at convergence or at its deadline.
+func TestStationKeepsNoConcludedRecord(t *testing.T) {
 	clk := &fakeClock{}
 	s := newTestStation(t, clk)
-	for i := 0; i < maxDone+10; i++ {
+	for i := 0; i < 100; i++ {
 		s.Open(i, 0, 0.5, true, func(Partial) {})
-		s.Expect(i, 0)
+		s.Expect(i, i%2) // odd ids wait for a child that never answers
 	}
-	if len(s.recs) > maxDone {
-		t.Errorf("suppression set grew to %d (bound %d)", len(s.recs), maxDone)
+	if len(s.recs) != 50 {
+		t.Fatalf("%d records held, want the 50 still open", len(s.recs))
+	}
+	clk.advance(time.Minute)
+	if len(s.recs) != 0 || s.Pending() != 0 {
+		t.Errorf("%d records held, %d pending after every conclusion; want none", len(s.recs), s.Pending())
 	}
 }
 
@@ -388,8 +394,8 @@ func TestStationLateChildAfterConvergenceIgnored(t *testing.T) {
 	if fired != 1 {
 		t.Errorf("finalize refired (%d) on late replies", fired)
 	}
-	if !s.Seen(1) {
-		t.Error("concluded id no longer marked seen")
+	if _, ok := s.Lookup(1); ok {
+		t.Error("concluded id still found")
 	}
 	if s.Pending() != 0 {
 		t.Errorf("Pending = %d, want 0", s.Pending())

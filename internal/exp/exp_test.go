@@ -375,7 +375,7 @@ func TestRunMulticastsFloodAndGossip(t *testing.T) {
 	if w.EligibleFor(target) < 5 {
 		t.Skip("target band too sparse in small world")
 	}
-	opts := ops.MulticastOptions{Anycast: ops.DefaultAnycastOptions(), Mode: ops.Flood, Flavor: core.HSVS}
+	opts := ops.MulticastOptions{Anycast: ops.DefaultAnycastOptions(), MulticastSpec: ops.MulticastSpec{Mode: ops.Flood, Flavor: core.HSVS}}
 	flood := multicasts(t, w, 0, 1.01, target, opts, 10)
 	if len(flood) == 0 {
 		t.Skip("no initiators")
@@ -467,7 +467,7 @@ func TestMulticastMessageAccounting(t *testing.T) {
 	wire := func(mode ops.Mode) int {
 		before := w.Net.Stats().Sent
 		multicasts(t, w, 0, 1.01, target, ops.MulticastOptions{Anycast: ops.DefaultAnycastOptions(),
-			Mode: mode, Flavor: core.HSVS, Fanout: 3, Rounds: 2, Period: time.Second}, 10)
+			MulticastSpec: ops.MulticastSpec{Mode: mode, Flavor: core.HSVS, Fanout: 3, Rounds: 2, Period: time.Second}}, 10)
 		return w.Net.Stats().Sent - before
 	}
 	flood, gossip := wire(ops.Flood), wire(ops.Gossip)

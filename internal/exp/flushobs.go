@@ -13,6 +13,8 @@ import (
 // every router into one ops.FloodStats (ops.RouterConfig.Stats), and the
 // simulated network counts what became of address memos — as
 // core_discovery_*_total, ops_seen_* / ops_hash_order_*,
+// ops_inbound_rejected_total{reason} (messages the router dropped on
+// arrival: the auditor refused them, or the in-neighbor check failed),
 // sim_net_addr_memo_total{result} and shuffle_received_dropped_total
 // (entries the central shuffle refused for naming no node). The engine's
 // flush hook (sim.World.OnFlush) calls publish, which adds what is new
@@ -39,6 +41,8 @@ var flushedFamilies = [...]string{
 	"ops_seen_front_hits_total",
 	"ops_hash_order_requests_total",
 	"ops_hash_order_sorts_total",
+	`ops_inbound_rejected_total{reason="audit"}`,
+	`ops_inbound_rejected_total{reason="in-neighbor"}`,
 	`sim_net_addr_memo_total{result="hit"}`,
 	`sim_net_addr_memo_total{result="absent"}`,
 	`sim_net_addr_memo_total{result="mismatch"}`,
@@ -47,7 +51,7 @@ var flushedFamilies = [...]string{
 func flushedFields(s core.DiscoveryStats, dropped int, f ops.FloodStats, m sim.AddrMemoStats) [len(flushedFamilies)]int64 {
 	return [...]int64{s.Passes, s.FullPasses, s.Offered, s.Skipped, s.Evaluated, s.Hashes, s.Admitted,
 		int64(dropped),
-		f.SeenChecks, f.SeenFrontHits, f.OrderRequests, f.OrderSorts,
+		f.SeenChecks, f.SeenFrontHits, f.OrderRequests, f.OrderSorts, f.RejectedAudit, f.RejectedInNeighbor,
 		m.Hit, m.Absent, m.Mismatch}
 }
 

@@ -72,7 +72,7 @@ func TestFloodCountersPublished(t *testing.T) {
 		t.Cleanup(d.Stop)
 		d.RunFor(4 * time.Hour)
 		recs := multicasts(t, d, 0, 1.01, ops.Target{Lo: 0.3, Hi: 1},
-			ops.MulticastOptions{Anycast: ops.DefaultAnycastOptions(), Mode: ops.Flood, Flavor: core.HSVS}, 12)
+			ops.MulticastOptions{Anycast: ops.DefaultAnycastOptions(), MulticastSpec: ops.MulticastSpec{Mode: ops.Flood, Flavor: core.HSVS}}, 12)
 		if entered := meanOf(recs, func(r *ops.MulticastRecord) float64 {
 			if r.EnteredRange {
 				return 1

@@ -59,6 +59,7 @@ func TestWireSenderReachesNodeMemoLess(t *testing.T) {
 	}
 	spy := &spyEnv{Env: live, handled: make(chan ids.Addr, 4)} // more than the test sends
 	reg := obs.NewRegistry()
+	var flood ops.FloodStats
 	n, err := New(Config{
 		Self:      hosts[0],
 		Predicate: acceptAll(t),
@@ -67,7 +68,7 @@ func TestWireSenderReachesNodeMemoLess(t *testing.T) {
 		Env:       spy,
 		Audit:     &audit.Params{ClaimWarmup: time.Nanosecond},
 		AuditObs:  audit.NewInstruments(reg),
-		Universe:  &Universe{Pairs: pairs, IndexOf: indexOf},
+		Universe:  &Universe{Pairs: pairs, IndexOf: indexOf, Flood: &flood},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -85,7 +86,7 @@ func TestWireSenderReachesNodeMemoLess(t *testing.T) {
 	}
 	acked := make(chan bool, 1)
 	// An availability claim 0.6 above the monitor's estimate: hard evidence.
-	sender.SendCall(ids.AddrAt(hosts[0], 0), ops.AnycastMsg{ID: ops.MsgID{Origin: hosts[1], Seq: 1}, TTL: 1, SenderAvail: 0.9},
+	sender.SendCall(ids.AddrAt(hosts[0], 0), ops.AnycastMsg{ID: ops.MsgID{Origin: hosts[1], Seq: 1}, AnycastOptions: ops.AnycastOptions{TTL: 1}, SenderAvail: 0.9},
 		func(ok bool) { acked <- ok })
 	select {
 	case ok := <-acked:
@@ -107,9 +108,13 @@ func TestWireSenderReachesNodeMemoLess(t *testing.T) {
 	}
 	n.mu.Lock()
 	byID, byMemo := n.auditor.Blocked(hosts[1].Addr()), n.auditor.Blocked(ids.AddrAt(hosts[1], 1))
+	refused := flood
 	n.mu.Unlock()
 	if !byID || !byMemo {
 		t.Fatalf("the lying sender is blocked by identifier: %v, by memo'd address: %v; want one record behind both", byID, byMemo)
+	}
+	if refused.RejectedAudit != 1 || refused.RejectedInNeighbor != 0 {
+		t.Fatalf("the router counted %d audit refusals and %d in-neighbor ones, want the lie's 1 and 0", refused.RejectedAudit, refused.RejectedInNeighbor)
 	}
 	if got := reg.Counter("audit_peers_interned_total").Value(); got != 0 {
 		t.Fatalf("%d peers interned: a sender of the universe was not resolved to its host index", got)

@@ -17,12 +17,14 @@ func TestGossipSkipsRoundsWhileOffline(t *testing.T) {
 	c := newCluster(t, fullPredicate(t), avails, false)
 	tgt, _ := Range(0.85, 0.95)
 	opts := MulticastOptions{
-		Anycast:  DefaultAnycastOptions(),
-		Mode:     Gossip,
-		Flavor:   core.HSVS,
-		Fanout:   1, // slow dissemination so churn matters
-		Rounds:   4,
-		Period:   time.Second,
+		Anycast: DefaultAnycastOptions(),
+		MulticastSpec: MulticastSpec{
+			Mode:   Gossip,
+			Flavor: core.HSVS,
+			Fanout: 1, // slow dissemination so churn matters
+			Rounds: 4,
+			Period: time.Second,
+		},
 		Eligible: 4,
 	}
 	id, err := c.routers[c.nodes[0]].Multicast(tgt, opts)
@@ -78,9 +80,8 @@ func TestAnnealIndexInBoundsProperty(t *testing.T) {
 			lo, hi = hi, lo
 		}
 		m := AnycastMsg{
-			Target: Target{Lo: lo, Hi: hi},
-			Policy: Annealing,
-			TTL:    int(ttl % 7),
+			Target:         Target{Lo: lo, Hi: hi},
+			AnycastOptions: AnycastOptions{Policy: Annealing, TTL: int(ttl % 7)},
 		}
 		candidates := r.candidates(nil, "", core.HSVS, m.Target)
 		if len(candidates) == 0 {

@@ -10,8 +10,8 @@ import (
 // counters and hop/latency distributions. Bumps happen inside the
 // collector's existing mutex sections, on the same success/failure
 // paths that mutate the records — so the counters are exactly the
-// record deltas, and an uninstrumented collector (ins == nil) pays one
-// nil check per mutation.
+// record deltas. An uninstrumented collector's instruments are nil,
+// and every obs instrument no-ops on a nil receiver.
 type collectorObs struct {
 	anycastDelivered    *obs.Counter   // ops_anycast_delivered_total
 	anycastTTLExpired   *obs.Counter   // ops_anycast_ttl_expired_total
@@ -38,7 +38,7 @@ func (c *Collector) Instrument(reg *obs.Registry) {
 	if reg == nil {
 		return
 	}
-	ins := &collectorObs{
+	ins := collectorObs{
 		anycastDelivered:    reg.Counter("ops_anycast_delivered_total"),
 		anycastTTLExpired:   reg.Counter("ops_anycast_ttl_expired_total"),
 		anycastRetryExpired: reg.Counter("ops_anycast_retry_expired_total"),

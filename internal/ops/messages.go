@@ -77,13 +77,10 @@ func (m Mode) String() string {
 type AnycastMsg struct {
 	ID     MsgID
 	Target Target
-	Policy Policy
-	Flavor core.Flavor
-	// TTL is the remaining time-to-live in virtual hops; decremented at
-	// every forward.
-	TTL int
-	// Retry is the message's remaining retry budget (RetriedGreedy).
-	Retry int
+	// AnycastOptions travel with the message, their fields flat on the
+	// wire. TTL is the remaining time-to-live in virtual hops, decremented
+	// at every forward; Retry the remaining retry budget (RetriedGreedy).
+	AnycastOptions
 	// Hops counts virtual hops travelled so far.
 	Hops int
 	// SentAt is the operation's start time (for latency measurement).
@@ -105,6 +102,7 @@ type AnycastMsg struct {
 
 // MulticastSpec carries the dissemination parameters of a multicast.
 type MulticastSpec struct {
+	// Mode selects flooding or gossip; Flavor the sliver lists used.
 	Mode   Mode
 	Flavor core.Flavor
 	// Fanout and Rounds (Ng) parameterize gossip; the paper selects
@@ -163,8 +161,8 @@ type AggregateSpec struct {
 	Token uint64
 	// Salt perturbs the pair-hash ordering the tree grows along, so the
 	// redundant instances of one logical aggregation build disjointly
-	// shaped trees. Zero means the legacy (unsalted) ordering; unlike
-	// Token it is not secret and stays on the AggMsg copies.
+	// shaped trees. Zero means the unsalted ordering; unlike Token it is
+	// not secret and stays on the AggMsg copies.
 	Salt uint64
 }
 

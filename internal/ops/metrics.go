@@ -236,8 +236,8 @@ type Collector struct {
 	multicasts map[MsgID]*MulticastRecord
 	aggregates map[MsgID]*AggregateRecord
 	// aggOf maps every tree-instance id (including instance 0, which
-	// reuses the logical id) to its logical aggregation record.
-	aggOf map[MsgID]MsgID
+	// reuses the logical id) to its logical record and instance slot.
+	aggOf map[MsgID]aggSlot
 	// sawEntry is set once any tree root records its entry here — i.e.
 	// this collector is shared between origins and roots (both engines
 	// deploy one collector fleet-wide). Only then is a result accepted
@@ -247,9 +247,15 @@ type Collector struct {
 	aggRejectedPartials int
 	aggForgeryRejected  int
 	aggForgeryAccepted  int
-	// ins, when non-nil, mirrors record mutations into the obs metrics
-	// registry (instrument.go).
-	ins *collectorObs
+	// ins mirrors record mutations into the obs metrics registry
+	// (instrument.go); its instruments are nil, and no-ops, until then.
+	ins collectorObs
+}
+
+// aggSlot locates one tree instance: rec.Instances[i].
+type aggSlot struct {
+	rec *AggregateRecord
+	i   int
 }
 
 // NewCollector creates an empty collector.
@@ -258,7 +264,7 @@ func NewCollector() *Collector {
 		anycasts:   make(map[MsgID]*AnycastRecord, 256),
 		multicasts: make(map[MsgID]*MulticastRecord, 128),
 		aggregates: make(map[MsgID]*AggregateRecord, 64),
-		aggOf:      make(map[MsgID]MsgID, 64),
+		aggOf:      make(map[MsgID]aggSlot, 64),
 	}
 }
 
@@ -347,11 +353,9 @@ func (c *Collector) anycastDelivered(id MsgID, hops int, latency time.Duration) 
 	r.Outcome = OutcomeDelivered
 	r.Hops = hops
 	r.Latency = latency
-	if c.ins != nil {
-		c.ins.anycastDelivered.Inc()
-		c.ins.anycastHops.Observe(float64(hops))
-		c.ins.anycastLatencyMs.Observe(float64(latency) / float64(time.Millisecond))
-	}
+	c.ins.anycastDelivered.Inc()
+	c.ins.anycastHops.Observe(float64(hops))
+	c.ins.anycastLatencyMs.Observe(float64(latency) / float64(time.Millisecond))
 }
 
 // anycastFailed records a terminal failure if the operation is still
@@ -364,13 +368,11 @@ func (c *Collector) anycastFailed(id MsgID, outcome AnycastOutcome) {
 		return
 	}
 	r.Outcome = outcome
-	if c.ins != nil {
-		switch outcome {
-		case OutcomeTTLExpired:
-			c.ins.anycastTTLExpired.Inc()
-		case OutcomeRetryExpired:
-			c.ins.anycastRetryExpired.Inc()
-		}
+	switch outcome {
+	case OutcomeTTLExpired:
+		c.ins.anycastTTLExpired.Inc()
+	case OutcomeRetryExpired:
+		c.ins.anycastRetryExpired.Inc()
 	}
 }
 
@@ -385,11 +387,11 @@ func (c *Collector) multicastEntered(id MsgID) {
 
 // StartAggregate registers an aggregation before initiation. eligible
 // and truth are the experiment-supplied ground truth (truth may be
-// NaN).
+// NaN). An empty band resolves at once, exactly, to the empty aggregate.
 func (c *Collector) StartAggregate(id MsgID, op agg.Op, band Band, eligible int, truth float64, sentAt time.Duration) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.aggregates[id] = &AggregateRecord{
+	r := &AggregateRecord{
 		ID:       id,
 		Op:       op,
 		Band:     band,
@@ -397,6 +399,10 @@ func (c *Collector) StartAggregate(id MsgID, op agg.Op, band Band, eligible int,
 		Truth:    truth,
 		SentAt:   sentAt,
 	}
+	if band.Empty() {
+		r.Done, r.CompletedAt = true, sentAt
+	}
+	c.aggregates[id] = r
 }
 
 // AggCounters returns the aggregation-defense counters:
@@ -419,8 +425,8 @@ func (c *Collector) addAggInstance(primary, instance MsgID, token uint64) {
 	if !ok {
 		return
 	}
+	c.aggOf[instance] = aggSlot{r, len(r.Instances)}
 	r.Instances = append(r.Instances, AggInstance{ID: instance, Token: token})
-	c.aggOf[instance] = primary
 }
 
 // aggregateBand returns the band of the logical aggregation tree
@@ -428,11 +434,11 @@ func (c *Collector) addAggInstance(primary, instance MsgID, token uint64) {
 func (c *Collector) aggregateBand(instance MsgID) (Band, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	primary, ok := c.aggOf[instance]
+	s, ok := c.aggOf[instance]
 	if !ok {
 		return Band{}, false
 	}
-	return c.aggregates[primary].Band, true
+	return s.rec.Band, true
 }
 
 // aggregateEntered flags stage-one success of one tree instance and
@@ -442,16 +448,13 @@ func (c *Collector) aggregateEntered(instance MsgID, by ids.NodeID) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.sawEntry = true
-	primary, ok := c.aggOf[instance]
+	s, ok := c.aggOf[instance]
 	if !ok {
 		return
 	}
-	r := c.aggregates[primary]
-	r.EnteredRange = true
-	for i := range r.Instances {
-		if r.Instances[i].ID == instance && r.Instances[i].EnteredBy.IsNil() {
-			r.Instances[i].EnteredBy = by
-		}
+	s.rec.EnteredRange = true
+	if in := &s.rec.Instances[s.i]; in.EnteredBy.IsNil() {
+		in.EnteredBy = by
 	}
 }
 
@@ -465,33 +468,17 @@ func (c *Collector) aggregateEntered(instance MsgID, by ids.NodeID) {
 func (c *Collector) aggregateResult(instance MsgID, from ids.NodeID, token uint64, p agg.Partial, at time.Duration) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	primary, ok := c.aggOf[instance]
+	s, ok := c.aggOf[instance]
 	if !ok {
 		return
 	}
-	r := c.aggregates[primary]
-	var slot *AggInstance
-	for i := range r.Instances {
-		if r.Instances[i].ID == instance {
-			slot = &r.Instances[i]
-			break
-		}
-	}
-	if slot == nil || slot.Done {
+	r, slot := s.rec, &s.rec.Instances[s.i]
+	if slot.Done {
 		return
 	}
-	if token != slot.Token {
+	if token != slot.Token || !slot.EnteredBy.IsNil() && !from.IsNil() && from != slot.EnteredBy {
 		c.aggForgeryRejected++
-		if c.ins != nil {
-			c.ins.aggForgeryRejected.Inc()
-		}
-		return
-	}
-	if !slot.EnteredBy.IsNil() && !from.IsNil() && from != slot.EnteredBy {
-		c.aggForgeryRejected++
-		if c.ins != nil {
-			c.ins.aggForgeryRejected.Inc()
-		}
+		c.ins.aggForgeryRejected.Inc()
 		return
 	}
 	// Tripwire: in a shared-collector deployment (sawEntry) a networked
@@ -502,22 +489,18 @@ func (c *Collector) aggregateResult(instance MsgID, from ids.NodeID, token uint6
 	// agg_forgery_accepted == 0 on it.
 	if c.sawEntry && slot.EnteredBy.IsNil() && !from.IsNil() {
 		c.aggForgeryAccepted++
-		if c.ins != nil {
-			c.ins.aggForgeryAccepted.Inc()
-		}
+		c.ins.aggForgeryAccepted.Inc()
 	}
 	slot.Done = true
 	slot.Result = p
 	slot.CompletedAt = at
-	if c.ins != nil {
-		c.ins.aggResults.Inc()
-	}
+	c.ins.aggResults.Inc()
 	for i := range r.Instances {
 		if !r.Instances[i].Done {
 			return
 		}
 	}
-	c.finalizeLocked(primary, at)
+	c.finalizeLocked(r, at)
 }
 
 // aggAgree reports whether an instance value agrees with the
@@ -532,19 +515,20 @@ func aggAgree(v, median float64) bool {
 // agreement: the accepted result is the returned instance whose value
 // sits closest to the median of all returned values, and the fraction
 // of returned instances outside the agreement tolerance is recorded as
-// Divergence. With nothing returned the operation stays pending (the
-// legacy timeout shape); idempotent once resolved.
+// Divergence. With nothing returned the operation stays pending, as a
+// timeout; idempotent once resolved.
 func (c *Collector) aggregateFinalize(primary MsgID, at time.Duration) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.finalizeLocked(primary, at)
+	if r, ok := c.aggregates[primary]; ok {
+		c.finalizeLocked(r, at)
+	}
 }
 
-// finalizeLocked is aggregateFinalize with the lock already held
-// (aggregateResult resolves inline when the last instance returns).
-func (c *Collector) finalizeLocked(primary MsgID, at time.Duration) {
-	r, ok := c.aggregates[primary]
-	if !ok || r.Done {
+// finalizeLocked is aggregateFinalize of record r with the lock already
+// held (aggregateResult resolves inline when the last instance returns).
+func (c *Collector) finalizeLocked(r *AggregateRecord, at time.Duration) {
+	if r.Done {
 		return
 	}
 	done := make([]*AggInstance, 0, len(r.Instances))
@@ -586,20 +570,6 @@ func (c *Collector) finalizeLocked(primary MsgID, at time.Duration) {
 	r.CompletedAt = at
 }
 
-// aggregateDone resolves a logical aggregation directly, bypassing the
-// instance slots — the empty-band short circuit, where no tree exists.
-func (c *Collector) aggregateDone(id MsgID, p agg.Partial, at time.Duration) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	r, ok := c.aggregates[id]
-	if !ok || r.Done {
-		return
-	}
-	r.Done = true
-	r.Result = p
-	r.CompletedAt = at
-}
-
 // aggregatePartialRejected counts a merged partial dropped by the PDF
 // sanity checks somewhere in a tree (instance may belong to another
 // origin's operation; the counter is collector-wide).
@@ -609,11 +579,9 @@ func (c *Collector) aggregatePartialRejected(instance MsgID, reason string) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.aggRejectedPartials++
-	if c.ins != nil {
-		// A reason outside AggRejectReasons finds a nil counter, which
-		// no-ops.
-		c.ins.aggRejectedPartials[reason].Inc()
-	}
+	// A reason outside AggRejectReasons, or any reason before Instrument,
+	// finds a nil counter, which no-ops.
+	c.ins.aggRejectedPartials[reason].Inc()
 }
 
 // multicastDelivered records a first delivery at node, in range or
@@ -628,12 +596,10 @@ func (c *Collector) multicastDelivered(id MsgID, node string, at time.Duration, 
 	}
 	if !inRange {
 		r.Spam++
-		if c.ins != nil {
-			if r.HalfOpen {
-				c.ins.rangecastSpam.Inc()
-			} else {
-				c.ins.multicastSpam.Inc()
-			}
+		if r.HalfOpen {
+			c.ins.rangecastSpam.Inc()
+		} else {
+			c.ins.multicastSpam.Inc()
 		}
 		return
 	}
@@ -647,12 +613,10 @@ func (c *Collector) multicastDelivered(id MsgID, node string, at time.Duration, 
 	if depth > r.MaxDepth {
 		r.MaxDepth = depth
 	}
-	if c.ins != nil {
-		if r.HalfOpen {
-			c.ins.rangecastDelivered.Inc()
-			c.ins.rangecastDepth.Observe(float64(depth))
-		} else {
-			c.ins.multicastDelivered.Inc()
-		}
+	if r.HalfOpen {
+		c.ins.rangecastDelivered.Inc()
+		c.ins.rangecastDepth.Observe(float64(depth))
+	} else {
+		c.ins.multicastDelivered.Inc()
 	}
 }

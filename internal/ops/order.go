@@ -19,9 +19,9 @@ import (
 // identifiers) would starve the nodes that sort last, since every
 // gossiper would spend its fanout on the same prefix. A nonzero salt
 // remixes the keys so the redundant trees of one aggregation grow along
-// different sliver orderings; salt 0 is the legacy order. Equal keys fall
-// back to the identifier, so the order is total and never depends on how
-// the sort happened to visit its input.
+// different sliver orderings; salt 0 leaves them as they are. Equal keys
+// fall back to the identifier, so the order is total and never depends on
+// how the sort happened to visit its input.
 //
 // A relaying node sees the same few (flavor, salt) orders over and over —
 // every copy of every flood asks for one — while its sliver changes only

@@ -67,7 +67,9 @@ type Auditor interface {
 }
 
 // maxSeen bounds the duplicate-suppression set; operations are
-// short-lived so a full reset on overflow is harmless.
+// short-lived so a full reset on overflow is harmless: a tree whose id it
+// forgot mid-flight still has an open station record, which refuses a
+// second join.
 const maxSeen = 1 << 14
 
 // Router executes management operations at one node: it initiates
@@ -85,13 +87,13 @@ type Router struct {
 	// blacklist that forwarding and dissemination honor.
 	auditor Auditor
 	// otrace, when non-nil, records causal op spans (trace.go).
-	otrace   *obs.Tracer
-	rejected int
-	seq      uint64
-	// seen is the duplicate-suppression set; front is a direct-mapped
-	// cache (slot Seq%4) of ids known to be in it. A flood delivers the
-	// same id once per in-band in-neighbor, back to back, so nearly every
-	// duplicate is answered by one compare and never reaches the map.
+	otrace *obs.Tracer
+	seq    uint64
+	// seen is the duplicate-suppression set of every flood this node
+	// relays and every tree it joins; front is a direct-mapped cache (slot
+	// Seq%4) of ids known to be in it. A flood delivers the same id once
+	// per in-band in-neighbor, back to back, so nearly every duplicate is
+	// answered by one compare and never reaches the map.
 	seen  map[MsgID]bool
 	front [seenFront]MsgID
 	// chains recycles anycast attempt chains, each with its candidate
@@ -111,8 +113,8 @@ type Router struct {
 	claimAt  time.Duration
 	claimSet bool
 	// station is the in-overlay aggregation state machine (per-hop
-	// partial combining, duplicate suppression, convergence detection);
-	// each open record holds what this member knows of its tree.
+	// partial combining, convergence detection); each open record holds
+	// what this member knows of its tree.
 	station *agg.Station[MsgID, tree]
 	// bandCensus, when non-nil, enables the PDF sanity checks: partials
 	// whose contributor count exceeds the band's expected census (with
@@ -191,13 +193,16 @@ type RouterConfig struct {
 	Stats *FloodStats
 }
 
-// FloodStats counts the work of the flood path in plain fields,
-// published as metrics by whoever owns the deployment.
+// FloodStats counts the work of the flood path, and the inbound messages
+// the router dropped, in plain fields, published as metrics by whoever
+// owns the deployment.
 type FloodStats struct {
-	SeenChecks    int64 // duplicate-suppression lookups (markSeen)
-	SeenFrontHits int64 // ... answered by the front cache, no map probe
-	OrderRequests int64 // hash orders asked for by a dissemination hop
-	OrderSorts    int64 // ... that had to be sorted (memo miss or stale)
+	SeenChecks         int64 // duplicate-suppression lookups (markSeen)
+	SeenFrontHits      int64 // ... answered by the front cache, no map probe
+	OrderRequests      int64 // hash orders asked for by a dissemination hop
+	OrderSorts         int64 // ... that had to be sorted (memo miss or stale)
+	RejectedAudit      int64 // inbound messages the auditor refused
+	RejectedInNeighbor int64 // ... that failed the in-neighbor check
 }
 
 // NewRouter validates and builds a Router.
@@ -236,9 +241,6 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 	r.station = station
 	return r, nil
 }
-
-// Self returns the owning node's identifier.
-func (r *Router) Self() ids.NodeID { return r.mem.Self() }
 
 // nextID mints a fresh operation identifier.
 func (r *Router) nextID() MsgID {
@@ -309,21 +311,9 @@ func (r *Router) Anycast(target Target, opts AnycastOptions) (MsgID, error) {
 type MulticastOptions struct {
 	// Anycast configures stage one (entering the range).
 	Anycast AnycastOptions
-	// Mode selects flooding or gossip for stage two.
-	Mode Mode
-	// Flavor selects the sliver lists used for dissemination.
-	Flavor core.Flavor
-	// Fanout and Rounds parameterize gossip (fanout×Ng ≈ log N*).
-	Fanout int
-	Rounds int
-	// Period is the gossip period (paper: 1 s).
-	Period time.Duration
-	// HalfOpen addresses the half-open band [Lo, Hi) instead of the
-	// closed target: a range-cast. An empty band completes at once,
-	// with nothing delivered.
-	HalfOpen bool
-	// Payload is delivered to every node in the target.
-	Payload string
+	// MulticastSpec is stage two as the message carries it. With HalfOpen
+	// an empty band completes at once, with nothing delivered.
+	MulticastSpec
 	// Eligible is the online in-range population at initiation, the
 	// denominator of reliability and spam (supplied by the caller,
 	// which in experiments knows ground truth).
@@ -334,9 +324,8 @@ type MulticastOptions struct {
 // entry, flooding dissemination over HS+VS.
 func DefaultMulticastOptions() MulticastOptions {
 	return MulticastOptions{
-		Anycast: DefaultAnycastOptions(),
-		Mode:    Flood,
-		Flavor:  core.HSVS,
+		Anycast:       DefaultAnycastOptions(),
+		MulticastSpec: MulticastSpec{Mode: Flood, Flavor: core.HSVS},
 	}
 }
 
@@ -383,15 +372,7 @@ func (r *Router) Multicast(target Target, opts MulticastOptions) (MsgID, error) 
 		// the overlay until the TTL dies.
 		return id, nil
 	}
-	spec := MulticastSpec{
-		Mode:     opts.Mode,
-		Flavor:   opts.Flavor,
-		Fanout:   opts.Fanout,
-		Rounds:   opts.Rounds,
-		Period:   opts.Period,
-		HalfOpen: opts.HalfOpen,
-		Payload:  opts.Payload,
-	}
+	spec := opts.MulticastSpec
 	r.enter(id, target, opts.Anycast, now, &spec, nil)
 	return id, nil
 }
@@ -463,8 +444,7 @@ func (r *Router) Aggregate(op agg.Op, lo, hi float64, opts AggregateOptions) (Ms
 	now := r.env.Now()
 	r.col.StartAggregate(id, op, band, opts.Eligible, opts.Truth, now)
 	if band.Empty() {
-		// The empty band aggregates to the empty aggregate, exactly.
-		r.col.aggregateDone(id, agg.Partial{}, now)
+		// The collector resolved it on registration: no tree to grow.
 		return id, nil
 	}
 	k := opts.Redundancy
@@ -494,16 +474,13 @@ func (r *Router) Aggregate(op agg.Op, lo, hi float64, opts AggregateOptions) (Ms
 // one) that stage two runs once it is inside.
 func (r *Router) enter(id MsgID, target Target, opts AnycastOptions, now time.Duration, mc *MulticastSpec, ag *AggregateSpec) {
 	r.handleAnycast(ids.Addr{}, AnycastMsg{
-		ID:          id,
-		Target:      target,
-		Policy:      opts.Policy,
-		Flavor:      opts.Flavor,
-		TTL:         opts.TTL,
-		Retry:       opts.Retry,
-		SentAt:      now,
-		SenderAvail: r.selfClaim(),
-		Multicast:   mc,
-		Aggregate:   ag,
+		ID:             id,
+		Target:         target,
+		AnycastOptions: opts,
+		SentAt:         now,
+		SenderAvail:    r.selfClaim(),
+		Multicast:      mc,
+		Aggregate:      ag,
 	})
 }
 
@@ -514,9 +491,8 @@ func (r *Router) mintToken() uint64 {
 	return math.Float64bits(r.env.RandFloat()) | 1
 }
 
-// aggSalt derives the sliver-ordering salt of tree instance j.
-// Instance 0 keeps the legacy unsalted ordering, so single-tree
-// aggregations are unchanged.
+// aggSalt derives the sliver-ordering salt of tree instance j; instance
+// 0 grows along the unsalted order of floods and range-casts.
 func aggSalt(j int) uint64 { return uint64(j) * 0x9E3779B97F4A7C15 }
 
 // subTarget slices the band hull into k equal entry sub-intervals so
@@ -541,7 +517,7 @@ func (r *Router) HandleMessage(from ids.Addr, msg any) {
 	// The audit layer sees every message first: traffic from peers this
 	// node has evicted is discarded, delivery notices included.
 	if r.auditor != nil && !r.auditor.ObserveInbound(from, msg) {
-		r.rejected++
+		r.stats.RejectedAudit++
 		return
 	}
 	if r.otrace != nil {
@@ -576,7 +552,7 @@ func (r *Router) HandleMessage(from ids.Addr, msg any) {
 		return
 	}
 	if r.verifyInbound && !from.IsNil() && !r.mem.VerifyInbound(from.ID()) {
-		r.rejected++
+		r.stats.RejectedInNeighbor++
 		return
 	}
 	switch m := msg.(type) {
@@ -881,9 +857,12 @@ func (r *Router) rootAggregate(m AnycastMsg) {
 	spec := *m.Aggregate
 	self := r.mem.SelfInfo()
 	r.col.aggregateEntered(m.ID, self.ID)
+	// A retried entry stage can deliver the same anycast to a node that
+	// already rooted the tree, or joined it: it roots nothing.
+	if r.markSeen(m.ID) {
+		return
+	}
 	t := tree{band: spec.Band, root: true, token: spec.Token, sentAt: m.SentAt}
-	// A retried entry stage can deliver the same anycast to a second
-	// in-band node after the first already rooted the tree: Open refuses.
 	if nack := r.station.Open(m.ID, 0, r.selfClaim(), spec.Band.Contains(self.Availability), t); nack != nil {
 		r.station.Expect(m.ID, r.forwardAgg(m.ID, spec, 0, m.SentAt, ids.Nil, nack))
 	}
@@ -891,10 +870,11 @@ func (r *Router) rootAggregate(m AnycastMsg) {
 
 // handleAggRequest processes an aggregation request at this node: join
 // the tree under the sender (first copy), or send an accounting
-// decline (duplicate copy, or this node lies outside the band).
+// decline (duplicate copy, or this node lies outside the band, which
+// marks nothing seen).
 func (r *Router) handleAggRequest(from ids.Addr, m AggMsg) {
 	var nack func()
-	if m.Spec.Band.Contains(r.mem.SelfInfo().Availability) {
+	if m.Spec.Band.Contains(r.mem.SelfInfo().Availability) && !r.markSeen(m.ID) {
 		nack = r.station.Open(m.ID, m.Depth, r.selfClaim(), true, tree{band: m.Spec.Band, parent: from})
 	}
 	if nack == nil {

@@ -464,13 +464,9 @@ func TestMulticastGossipCoverageAndTermination(t *testing.T) {
 	c := newCluster(t, fullPredicate(t), avails, false)
 	tgt, _ := Range(0.85, 0.95)
 	opts := MulticastOptions{
-		Anycast:  DefaultAnycastOptions(),
-		Mode:     Gossip,
-		Flavor:   core.HSVS,
-		Fanout:   3,
-		Rounds:   3,
-		Period:   time.Second,
-		Eligible: 8,
+		Anycast:       DefaultAnycastOptions(),
+		MulticastSpec: MulticastSpec{Mode: Gossip, Flavor: core.HSVS, Fanout: 3, Rounds: 3, Period: time.Second},
+		Eligible:      8,
 	}
 	id, err := c.routers[c.nodes[0]].Multicast(tgt, opts)
 	if err != nil {
@@ -500,13 +496,9 @@ func TestMulticastGossipRespectsFanout(t *testing.T) {
 	c := newCluster(t, fullPredicate(t), avails, false)
 	tgt, _ := Range(0.85, 0.95)
 	opts := MulticastOptions{
-		Anycast:  DefaultAnycastOptions(),
-		Mode:     Gossip,
-		Flavor:   core.HSVS,
-		Fanout:   2,
-		Rounds:   1,
-		Period:   time.Second,
-		Eligible: 5,
+		Anycast:       DefaultAnycastOptions(),
+		MulticastSpec: MulticastSpec{Mode: Gossip, Flavor: core.HSVS, Fanout: 2, Rounds: 1, Period: time.Second},
+		Eligible:      5,
 	}
 	id, err := c.routers[c.nodes[0]].Multicast(tgt, opts)
 	if err != nil {
@@ -555,11 +547,11 @@ func TestVerifyInboundRejectsNonNeighborSender(t *testing.T) {
 	c := newCluster(t, p, []float64{0.5, 0.9}, true)
 	tgt, _ := Range(0.85, 0.95)
 	attacker, victim := c.nodes[0], c.nodes[1]
-	msg := AnycastMsg{ID: MsgID{Origin: attacker, Seq: 1}, Target: tgt, Policy: Greedy, Flavor: core.HSVS, TTL: 6}
+	msg := AnycastMsg{ID: MsgID{Origin: attacker, Seq: 1}, Target: tgt, AnycastOptions: DefaultAnycastOptions()}
 	c.col.StartAnycast(msg.ID, tgt)
 	c.net.Send(attacker, victim, msg)
 	c.run()
-	if got := c.routers[victim].rejected; got != 1 {
+	if got := c.routers[victim].stats.RejectedInNeighbor; got != 1 {
 		t.Errorf("Rejected = %d, want 1", got)
 	}
 	r, _ := c.col.Anycast(msg.ID)
@@ -587,6 +579,65 @@ func TestDuplicateMulticastIgnored(t *testing.T) {
 	r, _ := c.col.Multicast(id)
 	if len(r.Delivered) != 2 { // node1 once + node0 via flood-back
 		t.Errorf("delivered set = %v", r.Delivered)
+	}
+}
+
+// heldEnv keeps what the router sends, acknowledged or not, instead of
+// delivering it.
+type heldEnv struct {
+	testEnv
+	sent []any
+}
+
+func (e *heldEnv) Send(_ ids.Addr, msg any)               { e.sent = append(e.sent, msg) }
+func (e *heldEnv) SendNack(_ ids.Addr, msg any, _ func()) { e.sent = append(e.sent, msg) }
+
+// TestLateDuplicateJoinsNoTree: which copies of a tree's request join it
+// is the router's seen set, the one duplicate-suppression set of floods
+// and trees alike. A member that has concluded declines a late copy, and
+// an entry anycast that a retry brings to the same node twice roots the
+// tree once — whether or not the first tree is still open.
+func TestLateDuplicateJoinsNoTree(t *testing.T) {
+	c := newCluster(t, fullPredicate(t), []float64{0.5, 0.9, 0.55}, false)
+	self, parent := c.nodes[0], c.nodes[1]
+	env := &heldEnv{testEnv: *newTestEnv(c.world, c.net, self, nil)}
+	r, err := NewRouter(RouterConfig{Membership: c.members[self], Env: env, Collector: c.col})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A member alone in its band: it joins, has no child, and concludes.
+	alone := AggMsg{ID: MsgID{Origin: parent, Seq: 1}, Spec: AggregateSpec{Op: agg.Count, Band: Band{Lo: 0.4, Hi: 0.52}, Flavor: core.HSVS}, Depth: 1}
+	r.handleAggRequest(parent.Addr(), alone)
+	r.handleAggRequest(parent.Addr(), alone)
+	if len(env.sent) != 2 || r.station.Pending() != 0 {
+		t.Fatalf("a member alone in its band sent %d messages and holds %d trees, want its partial and a decline, and none", len(env.sent), r.station.Pending())
+	}
+	if p, ok := env.sent[0].(AggReplyMsg); !ok || p.Decline || p.Partial.N != 1 {
+		t.Errorf("the member's first answer is %+v, want its partial", env.sent[0])
+	}
+	if d, ok := env.sent[1].(AggReplyMsg); !ok || !d.Decline || d.ID != alone.ID {
+		t.Errorf("the late copy got %+v, want a decline", env.sent[1])
+	}
+	// A root with one child (node 2): the retried entry arrives once while
+	// the tree is open and once after it concluded, and roots nothing.
+	env.sent = nil
+	spec := AggregateSpec{Op: agg.Count, Band: Band{Lo: 0.4, Hi: 0.6}, Flavor: core.HSVS, Token: 5}
+	entry := AnycastMsg{ID: MsgID{Origin: parent, Seq: 2}, Target: spec.Band.Target(), AnycastOptions: DefaultAnycastOptions(), Aggregate: &spec}
+	r.handleAnycast(parent.Addr(), entry)
+	r.handleAnycast(c.nodes[2].Addr(), entry)
+	if len(env.sent) != 1 || r.station.Pending() != 1 {
+		t.Fatalf("two entries sent %d requests and opened %d trees, want 1 and 1", len(env.sent), r.station.Pending())
+	}
+	r.handleAggReply(c.nodes[2].Addr(), AggReplyMsg{ID: entry.ID, Partial: agg.Partial{N: 1, Sum: 0.55, Min: 0.55, Max: 0.55, Depth: 1}})
+	r.handleAnycast(c.nodes[2].Addr(), entry)
+	results := 0
+	for _, m := range env.sent {
+		if res, ok := m.(AggResultMsg); ok && res.ID == entry.ID && res.Result.N == 2 {
+			results++
+		}
+	}
+	if len(env.sent) != 2 || results != 1 || r.station.Pending() != 0 {
+		t.Errorf("the root sent %+v and holds %d trees, want its request and one result of both members, and none", env.sent, r.station.Pending())
 	}
 }
 
@@ -740,7 +791,8 @@ func TestRetriedGreedyHopAllocatesOnlyItsMessage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := AnycastMsg{ID: MsgID{Origin: self, Seq: 1}, Target: Target{Lo: 0.85, Hi: 0.95}, Policy: RetriedGreedy, Flavor: core.HSVS, TTL: 6, Retry: 3}
+	m := AnycastMsg{ID: MsgID{Origin: self, Seq: 1}, Target: Target{Lo: 0.85, Hi: 0.95},
+		AnycastOptions: AnycastOptions{Policy: RetriedGreedy, Flavor: core.HSVS, TTL: 6, Retry: 3}}
 	hop := func() { r.forwardAnycast(c.nodes[1].Addr(), m) }
 	hop() // warm the chain pool
 	before := env.calls
@@ -800,7 +852,8 @@ func TestRouterBindsItsCallbacksOnce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := AnycastMsg{ID: MsgID{Origin: self, Seq: 1}, Target: Target{Lo: 0.85, Hi: 0.95}, Policy: RetriedGreedy, Flavor: core.HSVS, TTL: 6, Retry: 3}
+	m := AnycastMsg{ID: MsgID{Origin: self, Seq: 1}, Target: Target{Lo: 0.85, Hi: 0.95},
+		AnycastOptions: AnycastOptions{Policy: RetriedGreedy, Flavor: core.HSVS, TTL: 6, Retry: 3}}
 	hop := func() { r.forwardAnycast(c.nodes[1].Addr(), m) }
 	hop() // builds and binds the chain
 	binds, gated, calls := env.binds, env.gated, verdicts.calls

@@ -562,7 +562,7 @@ func (r *runState) anycastBatch(b *AnycastBatch, out *tally) error {
 // its own eligible population (the closed target's, or the band's), its
 // metric names and its log line.
 func (r *runState) dissemBatch(e *Event, out *tally) error {
-	opts := ops.MulticastOptions{Anycast: ops.DefaultAnycastOptions(), Mode: ops.Flood}
+	opts := ops.MulticastOptions{Anycast: ops.DefaultAnycastOptions(), MulticastSpec: ops.MulticastSpec{Mode: ops.Flood}}
 	var (
 		kind        string
 		count       int

@@ -14,14 +14,11 @@ import (
 
 func sampleAnycast() ops.AnycastMsg {
 	return ops.AnycastMsg{
-		ID:     ops.MsgID{Origin: "10.0.0.1:4000", Seq: 7},
-		Target: ops.Target{Lo: 0.85, Hi: 0.95},
-		Policy: ops.RetriedGreedy,
-		Flavor: core.HSVS,
-		TTL:    6,
-		Retry:  8,
-		Hops:   2,
-		SentAt: 1500 * time.Millisecond,
+		ID:             ops.MsgID{Origin: "10.0.0.1:4000", Seq: 7},
+		Target:         ops.Target{Lo: 0.85, Hi: 0.95},
+		AnycastOptions: ops.AnycastOptions{Policy: ops.RetriedGreedy, Flavor: core.HSVS, TTL: 6, Retry: 8},
+		Hops:           2,
+		SentAt:         1500 * time.Millisecond,
 	}
 }
 
