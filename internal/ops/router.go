@@ -193,9 +193,8 @@ type RouterConfig struct {
 	Stats *FloodStats
 }
 
-// FloodStats counts the work of the flood path, and the inbound messages
-// the router dropped, in plain fields, published as metrics by whoever
-// owns the deployment.
+// FloodStats counts the flood path's work and the inbound messages the
+// router dropped, in plain fields the deployment's owner publishes.
 type FloodStats struct {
 	SeenChecks         int64 // duplicate-suppression lookups (markSeen)
 	SeenFrontHits      int64 // ... answered by the front cache, no map probe
