@@ -241,7 +241,7 @@ func TestOriginVetsResultAfterJoiningItsOwnTree(t *testing.T) {
 	lied := false
 	if err := c.net.RegisterAddr(origin.Addr(), func(from ids.Addr, msg any) {
 		if m, ok := msg.(AggResultMsg); ok && m.ID.Seq == 2 {
-			if !r.seen[m.ID] {
+			if _, joined := r.seen[m.ID]; !joined {
 				t.Error("the origin never joined its second tree")
 			}
 			// The root lies in its own result: token and sender check

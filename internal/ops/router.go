@@ -94,7 +94,7 @@ type Router struct {
 	// Seq%4) of ids known to be in it. A flood delivers the same id once
 	// per in-band in-neighbor, back to back, so nearly every duplicate is
 	// answered by one compare and never reaches the map.
-	seen  map[MsgID]bool
+	seen  map[MsgID]struct{}
 	front [seenFront]MsgID
 	// chains recycles anycast attempt chains, each with its candidate
 	// buffer and bound result callback (chain).
@@ -744,12 +744,19 @@ func (r *Router) candidates(buf []core.Neighbor, from ids.NodeID, flavor core.Fl
 // seenFront is the size of the duplicate-suppression front cache.
 const seenFront = 4
 
+// seenFirst is how many ids a fresh duplicate-suppression set is sized
+// for: one 64-slot table, which holds the few dozen ids a maintenance
+// workload's router sees in a run without regrowing (a set grown from
+// empty ends at the same table after four more allocations).
+const seenFirst = 56
+
 // markSeen records id in the duplicate-suppression set, reporting
 // whether it was already present. A front slot only ever holds an id
 // that is in the set, and never the zero MsgID (no operation carries
 // it), so a front hit is a set hit. The set is lazily allocated — most
-// routers in a large world never see a dissemination message — and
-// reset wholesale, with the front cache, when it hits maxSeen.
+// routers in a large world never see a dissemination message — sized
+// for seenFirst ids, and reset wholesale, with the front cache, when it
+// hits maxSeen.
 func (r *Router) markSeen(id MsgID) bool {
 	r.stats.SeenChecks++
 	slot := &r.front[id.Seq%seenFront]
@@ -757,15 +764,12 @@ func (r *Router) markSeen(id MsgID) bool {
 		r.stats.SeenFrontHits++
 		return true
 	}
-	dup := r.seen[id]
+	_, dup := r.seen[id]
 	if !dup {
-		if len(r.seen) >= maxSeen {
-			r.seen = make(map[MsgID]bool, 256)
-			r.front = [seenFront]MsgID{}
-		} else if r.seen == nil {
-			r.seen = make(map[MsgID]bool, 64)
+		if r.seen == nil || len(r.seen) >= maxSeen {
+			r.seen, r.front = make(map[MsgID]struct{}, seenFirst), [seenFront]MsgID{}
 		}
-		r.seen[id] = true
+		r.seen[id] = struct{}{}
 	}
 	*slot = id
 	return dup

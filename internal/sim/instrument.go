@@ -26,9 +26,11 @@ type simObs struct {
 	chunks *obs.Gauge   // sim_queue_chunks: key chunks the queue has allocated
 	moves  *obs.Counter // sim_queue_key_moves_total: keys moved by refills
 	asleep *obs.Counter // sim_timer_runs_asleep_total: timer runs skipped, host offline
+	shared *obs.Counter // sim_net_shared_copies_total: copies filed on another copy's delivery body
 	batch  int          // local event count since last flush
 	moved  uint64       // the queue's refill moves already published
 	slept  uint64       // the world's asleep count already published
+	copies uint64       // the networks' shared copies already published
 	hook   func()       // the owner's own flush (OnFlush), nil when unset
 	// fired counts the events of each class (classNames) since the last
 	// flush, which adds them to byClass: sim_events_fired_total{kind}.
@@ -51,8 +53,10 @@ func (w *World) Instrument(reg *obs.Registry) {
 		chunks: reg.Gauge("sim_queue_chunks"),
 		moves:  reg.Counter("sim_queue_key_moves_total"),
 		asleep: reg.Counter("sim_timer_runs_asleep_total"),
+		shared: reg.Counter("sim_net_shared_copies_total"),
 		moved:  w.events.moves,
 		slept:  w.asleep,
+		copies: w.sharedCopies(),
 	}
 	for c, name := range classNames {
 		w.obs.byClass[c] = reg.Counter(`sim_events_fired_total{kind="` + name + `"}`)
@@ -79,8 +83,9 @@ func (o *simObs) step(w *World) {
 }
 
 // flush publishes the local batch and its per-class counts, the clock,
-// the queue's depth, chunks and refill moves, and the timer runs skipped
-// while their hosts slept to the shared instruments.
+// the queue's depth, chunks and refill moves, the timer runs skipped
+// while their hosts slept and the networks' shared copies to the shared
+// instruments.
 // Called at batch boundaries and on loop exit, so the depth is a sample
 // every obsFlushEvery events, not every event's — the peak is the
 // deepest sample.
@@ -110,7 +115,21 @@ func (o *simObs) flush(w *World) {
 		o.asleep.Add(int64(a - o.slept))
 		o.slept = a
 	}
+	if c := w.sharedCopies(); c > o.copies {
+		o.shared.Add(int64(c - o.copies))
+		o.copies = c
+	}
 	if o.hook != nil {
 		o.hook()
 	}
+}
+
+// sharedCopies sums the copies the world's networks filed on another
+// copy's delivery body (Network.SendAddr).
+func (w *World) sharedCopies() uint64 {
+	var c uint64
+	for _, n := range w.nets {
+		c += n.shared
+	}
+	return c
 }

@@ -2,7 +2,9 @@ package sim
 
 import (
 	"fmt"
+	"math"
 	"time"
+	"unsafe"
 
 	"avmem/internal/ids"
 )
@@ -46,6 +48,15 @@ type Network struct {
 	ackTimeout time.Duration
 	stats      NetworkStats
 	memo       AddrMemoStats
+	// fan is the delivery body SendAddr filed or joined last, in slot
+	// fanSlot, which the next copy may join if it takes push rank
+	// fanRank at instant fanAt (SendAddr). shared counts the copies filed
+	// on another copy's body: sim_net_shared_copies_total.
+	fan     *payload
+	fanSlot uint32
+	fanRank uint32
+	fanAt   time.Duration
+	shared  uint64
 
 	// The universe, set once by Bind: a dense handler table and an
 	// index-based liveness probe. An address whose memo names its own
@@ -209,7 +220,9 @@ type Recycler interface{ Recycle() }
 // drop counts a message lost to an offline, unregistered or unknown
 // target and gives it back to its pool when it owns one. The network
 // held the only reference: the sender handed it over, and the fired
-// event's slot was zeroed before delivery was attempted.
+// event's slot was zeroed before delivery was attempted — or, for a
+// delivery body with copies still queued, holds it for those copies of
+// the same send.
 func (n *Network) drop(msg any) {
 	n.stats.Dropped++
 	if r, ok := msg.(Recycler); ok {
@@ -239,13 +252,64 @@ func (n *Network) Send(from, to ids.NodeID, msg any) { n.SendAddr(from.Addr(), t
 // time. Any other target silently drops the message (counted in stats). The delivery is
 // scheduled as a closure-free value event carrying both memos; nothing is
 // resolved here.
+//
+// A flood's fan-out — one boxed message sent from one sender to many
+// targets at one instant, no other push between the sends — is filed as
+// copies of one delivery body: the first copy takes a slab slot, and
+// each later one whose target memo verifies only a key naming its target
+// (joinable). Every copy still draws its own latency and takes its own
+// push rank, key and deliver event, so events fire exactly as if each
+// had its own slot.
 func (n *Network) SendAddr(from, to ids.Addr, msg any) {
 	n.stats.Sent++
-	lat := n.latency.Sample(n.world.Rand())
-	p := n.world.schedule(n.world.now + lat)
-	p.kind, p.net1 = evDeliver, n.net1
+	w := n.world
+	at := w.notBefore(w.now + n.latency.Sample(w.Rand()))
+	if i := n.joinable(from, to, msg); i >= 0 {
+		w.events.file(eventKey{at: at, slot: n.fanSlot, to1: i + 1})
+		n.fan.copies++
+		n.fanRank++
+		n.shared++
+		return
+	}
+	n.fanSlot = w.events.pushSlot(at)
+	p := w.events.at(n.fanSlot)
+	p.kind, p.net1, p.copies = evDeliver, n.net1, 1
 	p.to1, p.from1 = to.Index()+1, from.Index()+1
 	p.from, p.to, p.msg = from.ID(), to.ID(), msg
+	n.fan, n.fanRank, n.fanAt = p, p.rank+1, w.now
+}
+
+// joinable returns the host index of to when a send of msg from from to
+// to may be filed on the body of the last send, or -1 when it must start
+// a body of its own. It may when nothing has taken a push rank since
+// that body's last copy, at this instant; when the body still has
+// copies queued (a zero-latency model may have fired them all), below
+// the count's limit; when it carries the very same boxed message from
+// the same sender; and when to's memo verifies against the universe,
+// since a shared copy's target is named by its index alone.
+//
+// The ranks are what keep a shared copy's ties exact: a copy takes its
+// own rank, and so its own place in the queue's FIFO order, but its
+// body's rank settles a tie with a ring timer (payload.rank). All the copies' ranks are
+// consecutive, so no timer's rank lies between them, and the body's
+// first rank compares with any timer's exactly as each copy's own would.
+func (n *Network) joinable(from, to ids.Addr, msg any) int32 {
+	b, w := n.fan, n.world
+	if b == nil || w.events.rank != n.fanRank || w.now != n.fanAt || b.copies == 0 || b.copies == math.MaxUint16 ||
+		!sameBox(b.msg, msg) || b.from != from.ID() || b.from1 != from.Index()+1 {
+		return -1
+	}
+	if i := to.Index(); i >= 0 && int(i) < len(n.hosts) && n.hosts[i] == to.ID() {
+		return i
+	}
+	return -1
+}
+
+// sameBox reports whether a and b are one boxed value: the same type
+// word and data word. Unlike ==, it never panics on an uncomparable
+// dynamic type and costs two word compares whatever the type.
+func sameBox(a, b any) bool {
+	return *(*[2]unsafe.Pointer)(unsafe.Pointer(&a)) == *(*[2]unsafe.Pointer)(unsafe.Pointer(&b))
 }
 
 // SendCall is SendCallAddr for two bare identifiers.
@@ -302,7 +366,7 @@ func (n *Network) attempt(call *payload) {
 		n.drop(call.msg)
 		if call.onResult != nil || call.fn != nil {
 			p := n.world.schedule(n.world.now + n.ackTimeout - call.out)
-			p.kind, p.onResult, p.fn = evResult, call.onResult, call.fn
+			p.kind, p.onResult, p.fn = evNack, call.onResult, call.fn
 		}
 		return
 	}
@@ -310,6 +374,6 @@ func (n *Network) attempt(call *payload) {
 	h(n.vouched(call.fromAddr()), call.msg)
 	if call.onResult != nil {
 		p := n.world.schedule(n.world.now + call.back)
-		p.kind, p.ok, p.onResult = evResult, true, call.onResult
+		p.kind, p.onResult = evAck, call.onResult
 	}
 }

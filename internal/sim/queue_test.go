@@ -69,7 +69,7 @@ func TestHeapPopsInAtSeqOrder(t *testing.T) {
 				t.Fatalf("trial %d step %d: popped at %v, want %v", trial, step, k.at, want.at)
 			}
 			now = k.at
-			q.fire(k.slot, nil)
+			q.fire(k, nil)
 			if fired != want.seq {
 				t.Fatalf("trial %d step %d: slot %d ran the payload of seq %d, want %d", trial, step, k.slot, fired, want.seq)
 			}
@@ -86,7 +86,7 @@ func TestHeapPopsInAtSeqOrder(t *testing.T) {
 		for _, want := range model {
 			q.due(math.MaxInt64)
 			k := q.pop()
-			q.fire(k.slot, nil)
+			q.fire(k, nil)
 			if k.at != want.at || fired != want.seq {
 				t.Fatalf("trial %d: drain ran %v/%d, want %v/%d", trial, k.at, fired, want.at, want.seq)
 			}
@@ -196,7 +196,7 @@ func TestSlabReusesAndZeroesSlots(t *testing.T) {
 	var q eventQueue
 	for i := 0; i < 3; i++ {
 		*q.push(time.Duration(i)) = payload{kind: evAttempt, net1: 1, to1: 2, from1: 3,
-			from: "a", to: "b", msg: i, fn: func() {}, onResult: func(bool) {}, out: 1, back: 2, ok: true}
+			from: "a", to: "b", msg: i, fn: func() {}, onResult: func(bool) {}, out: 1, back: 2, copies: 4}
 	}
 	q.due(math.MaxInt64)
 	k := q.pop()
@@ -206,7 +206,7 @@ func TestSlabReusesAndZeroesSlots(t *testing.T) {
 	// Consume the slot without running the attempt.
 	q.release(k.slot)
 	p := q.at(k.slot)
-	if p.kind != evFunc || p.ok || p.net1 != 0 || p.to1 != 0 || p.from1 != 0 || p.from != "" || p.to != "" || p.msg != nil ||
+	if p.kind != evFunc || p.copies != 0 || p.net1 != 0 || p.to1 != 0 || p.from1 != 0 || p.from != "" || p.to != "" || p.msg != nil ||
 		p.fn != nil || p.onResult != nil || p.out != 0 || p.back != 0 {
 		t.Fatalf("released slot not zeroed: %+v", *p)
 	}
@@ -222,7 +222,7 @@ func TestSlabReusesAndZeroesSlots(t *testing.T) {
 	if last.at != 9 || last.slot != k.slot {
 		t.Fatalf("new event took slot %d at %v, want the released slot %d at 9", last.slot, last.at, k.slot)
 	}
-	q.fire(last.slot, nil)
+	q.fire(last, nil)
 	if !ran {
 		t.Fatal("reused slot did not run the new payload")
 	}
@@ -647,6 +647,6 @@ func BenchmarkSchedulerReschedule(b *testing.B) {
 		w.events.due(math.MaxInt64)
 		k := w.events.pop()
 		w.now = k.at
-		w.events.fire(k.slot, w.nets)
+		w.events.fire(k, w.nets)
 	}
 }

@@ -83,11 +83,11 @@ func (w *World) At(at time.Duration, fn func()) {
 // the caller to fill in place; slots never move, so the pointer names
 // the event until it fires.
 func (w *World) schedule(at time.Duration) *payload {
-	if at < w.now {
-		at = w.now
-	}
-	return w.events.push(at)
+	return w.events.push(w.notBefore(at))
 }
+
+// notBefore returns at, or now when at is in the past.
+func (w *World) notBefore(at time.Duration) time.Duration { return max(at, w.now) }
 
 // later returns now+d, saturated at the end of virtual time instead of
 // wrapping around to a negative time (which schedule would clamp to now).
@@ -216,7 +216,7 @@ func (w *World) run(until time.Duration, maxEvents int) int {
 			if w.obs != nil {
 				w.obs.fired[w.events.class(k.slot)]++
 			}
-			w.events.fire(k.slot, w.nets)
+			w.events.fire(k, w.nets)
 		} else if w.first >= 0 && w.ringAt <= until {
 			if w.obs != nil {
 				w.obs.fired[classTimer]++
@@ -355,7 +355,8 @@ func (w *World) timerFirst() bool {
 // were taken fewer than 2³¹ ranks apart.
 func rankBefore(a, b uint32) bool { return int32(a-b) < 0 }
 
-// evKind names the four event shapes the queue carries.
+// evKind names the five event shapes the queue carries; each is also
+// the event's class (classNames).
 type evKind uint8
 
 const (
@@ -367,60 +368,65 @@ const (
 	// SendNackAddr; it carries the callback and both latencies drawn at
 	// send time.
 	evAttempt
-	// evResult reports a SendCall outcome (ok) to its callback, or a
-	// SendNack failure to its nack callback.
-	evResult
+	// evAck reports a SendCall success to its callback.
+	evAck
+	// evNack reports a SendCall failure to its callback, or a SendNack
+	// failure to its nack callback.
+	evNack
 )
 
-// Event classes, the labels of sim_events_fired_total: the four kinds,
-// with evResult split by its verdict, and the runs of periodic timers
-// out of their rings ("func" counts only closures that went through the
-// queue, an Every's first run among them).
+// Event classes, the labels of sim_events_fired_total: the five kinds
+// and the runs of periodic timers out of their rings ("func" counts only
+// closures that went through the queue, an Every's first run among
+// them).
 const (
-	classResultNack = int(evResult) + 1
-	classTimer      = classResultNack + 1
-	numClasses      = classTimer + 1
+	classTimer = int(evNack) + 1
+	numClasses = classTimer + 1
 )
 
 // classNames label the event classes, indexed by class.
 var classNames = [numClasses]string{"func", "deliver", "attempt", "result-ok", "result-nack", "timer"}
 
 // class returns the event class of the payload in slot.
-func (q *eventQueue) class(slot uint32) int {
-	p := q.at(slot)
-	if p.kind == evResult && !p.ok {
-		return classResultNack
-	}
-	return int(p.kind)
-}
+func (q *eventQueue) class(slot uint32) int { return int(q.at(slot).kind) }
 
 // payload is the body of a queued event: what to run when its key
 // reaches the front of the queue. The shapes share one struct so a slab
 // slot fits any of them; scheduling never boxes through an interface
 // nor allocates a closure per message.
+//
+// An evDeliver payload is a delivery body: the copies of one message
+// that one sender fanned out at one instant share it, each with a key of
+// its own that names its target (eventKey.to1; Network.SendAddr).
 type payload struct {
 	kind evKind
-	ok   bool // evResult: the verdict
 	// net1 names the network of an evDeliver or evAttempt: its position in
 	// World.nets plus one. A byte instead of a pointer is what lets both
 	// address memos ride in the slot at its old size.
 	net1 uint8
+	// copies counts the keys of an evDeliver body still queued; the last
+	// one to fire releases the slot.
+	copies uint16
 	// to1 and from1 are the host-index memos of the message's two
 	// addresses (index plus one, 0 = none) exactly as the sender handed
-	// them over — unverified until the event fires.
+	// them over — unverified until the event fires. to1 is the target of
+	// a body's first copy only.
 	to1, from1 int32
 	// rank is the push rank the event was filed with (eventQueue.rank),
-	// read only when the event ties with a ring timer on its deadline. It
-	// fills what was padding, so the slot stays 96 bytes.
+	// read only when the event ties with a ring timer on its deadline —
+	// for a body, its first copy's rank, which decides that tie for every
+	// copy: the copies took consecutive ranks (Network.SendAddr), so no
+	// timer's rank lies between them. It fills what was padding, so the
+	// slot stays 96 bytes.
 	rank uint32
 	// from, to, msg: the message of evDeliver and evAttempt; msg is
 	// also the Stoppable of an AfterUnless evFunc.
 	from, to ids.NodeID
 	msg      any
 	// fn is the closure of an evFunc, and the callback of a nack-only
-	// evAttempt (SendNackAddr) and of the evResult it may file.
+	// evAttempt (SendNackAddr) and of the evNack it may file.
 	fn       func()
-	onResult func(ok bool) // evAttempt, evResult of SendCallAddr
+	onResult func(ok bool) // evAttempt, evAck and evNack of SendCallAddr
 	// out, back are the two hop latencies of an evAttempt, drawn when the
 	// call was sent: the nack fires ackTimeout − out after the attempt,
 	// the ack back after it.
@@ -429,9 +435,13 @@ type payload struct {
 
 // eventKey is what the queue orders: 16 bytes, no pointers. slot
 // names a slot of the payload slab, which holds the key's push rank too.
+// to1 is the target of a copy filed on another copy's delivery body: its
+// verified host index plus one, in what would be padding; 0 for every
+// other key.
 type eventKey struct {
 	at   time.Duration
 	slot uint32
+	to1  int32
 }
 
 // The queue's radix: a key is filed by the highest digitBits-wide digit
@@ -537,7 +547,10 @@ func (q *eventQueue) bucketOf(at time.Duration) int {
 
 // push files a key at at and returns its slab slot, zeroed but for the
 // push rank, for the caller to fill in place.
-func (q *eventQueue) push(at time.Duration) *payload {
+func (q *eventQueue) push(at time.Duration) *payload { return q.at(q.pushSlot(at)) }
+
+// pushSlot is push returning the slot's number.
+func (q *eventQueue) pushSlot(at time.Duration) uint32 {
 	var slot uint32
 	if n := len(q.free); n > 0 {
 		slot = q.free[n-1]
@@ -548,12 +561,16 @@ func (q *eventQueue) push(at time.Duration) *payload {
 		}
 		q.slots++
 	}
-	q.add(q.bucketOf(at), eventKey{at: at, slot: slot})
+	q.at(slot).rank = q.rank
+	q.file(eventKey{at: at, slot: slot})
+	return slot
+}
+
+// file queues k, taking the next push rank.
+func (q *eventQueue) file(k eventKey) {
+	q.add(q.bucketOf(k.at), k)
 	q.n++
-	p := q.at(slot)
-	p.rank = q.rank
 	q.rank++
-	return p
 }
 
 // add appends k to the tail of bucket i.
@@ -667,12 +684,14 @@ func (q *eventQueue) pop() eventKey {
 	return k
 }
 
-// fire runs the event in slot and recycles the slot. What the event
-// needs is read out and the slot zeroed — so the closure or message can
-// be collected — before anything runs: the callback may push, which
-// reuses free slots, this one first. nets is the owning world's network
-// table (payload.net1).
-func (q *eventQueue) fire(slot uint32, nets []*Network) {
+// fire runs the event of key k and recycles its slot — a delivery
+// body's only once its last copy has fired. What the event needs is read
+// out and the slot zeroed — so the closure or message can be collected —
+// before anything runs: the callback may push, which reuses free slots,
+// this one first. nets is the owning world's network table
+// (payload.net1).
+func (q *eventQueue) fire(k eventKey, nets []*Network) {
+	slot := k.slot
 	p := q.at(slot)
 	switch p.kind {
 	case evFunc:
@@ -683,14 +702,19 @@ func (q *eventQueue) fire(slot uint32, nets []*Network) {
 		}
 	case evDeliver:
 		n, from, to, msg := nets[p.net1-1], p.fromAddr(), p.toAddr(), p.msg
-		q.release(slot)
+		if k.to1 > 0 {
+			to = ids.AddrAt(n.hosts[k.to1-1], k.to1-1)
+		}
+		if p.copies--; p.copies == 0 {
+			q.release(slot)
+		}
 		n.deliver(from, to, msg)
 	case evAttempt:
 		call := *p
 		q.release(slot)
 		nets[call.net1-1].attempt(&call)
-	case evResult:
-		onResult, onNack, ok := p.onResult, p.fn, p.ok
+	case evAck, evNack:
+		onResult, onNack, ok := p.onResult, p.fn, p.kind == evAck
 		q.release(slot)
 		if onNack != nil {
 			onNack()

@@ -1,9 +1,9 @@
 #!/usr/bin/env bash
 # profile.sh — profile a scenario run end to end.
 #
-# Builds cmd/avmemsim and executes one scenario with the profiler flags
-# (-cpuprofile / -memprofile / -trace) turned on, dropping the artifacts
-# under profiles/. This is the deployment-engine view: world build,
+# Builds cmd/avmemsim and executes one scenario twice, dropping the
+# artifacts under profiles/: once with -cpuprofile and -trace, once with
+# -memprofile. This is the deployment-engine view: world build,
 # warmup, drivers, workload — everything `avmemsim run` does, and what
 # the repository benchmark (benchmark/README.md) times end to end.
 #
@@ -16,8 +16,10 @@
 # The heap profile records every allocation (-memprofile sets
 # runtime.MemProfileRate = 1 before the run), so its per-site counts are
 # exact, not 512 KB samples: a claim about allocations quotes them. That
-# recording slows the run down, so the CPU profile of the same run
-# over-weights malloc; take CPU profiles from a run without -memprofile.
+# recording slows malloc down and would fill a CPU profile of the same
+# run with stack unwinding (runtime.tracebackPCs, runtime.pcvalue), so
+# the heap profile comes from a run of its own. Both runs are the same
+# deterministic simulation; the first one's report is printed.
 #
 # Inspect with:
 #   go tool pprof -top profiles/cpu.pprof
@@ -34,8 +36,10 @@ mkdir -p profiles
 go build -o profiles/avmemsim ./cmd/avmemsim
 profiles/avmemsim run -q \
   -cpuprofile profiles/cpu.pprof \
-  -memprofile profiles/mem.pprof \
   -trace profiles/exec.trace \
   "$@" "${scenario}"
+profiles/avmemsim run -q \
+  -memprofile profiles/mem.pprof \
+  "$@" "${scenario}" >/dev/null
 echo "wrote profiles/{cpu,mem}.pprof profiles/exec.trace" >&2
 echo "try: go tool pprof -top profiles/cpu.pprof" >&2
