@@ -83,18 +83,18 @@ func (e *Virtual) After(d time.Duration, fn func()) { e.cfg.Scheduler.AfterUnles
 // Stopped implements sim.Stoppable: true once Stop ran.
 func (e *Virtual) Stopped() bool { return e.stopped }
 
-// Every implements Env on the Scheduler's own periodic timer: the
-// stopped-Env check is the timer's stop check, so a steady-state tick
-// allocates nothing, and a tick whose next run would fall past the end
-// of virtual time ends the timer. The timer carries Self's host index,
-// so the Scheduler skips a run while the host is offline without
-// touching the Env at all; an Env without a host index checks Online
-// before each run instead.
+// Every implements Env on the Scheduler's own periodic timer: the timer
+// belongs to an everyTimer, whose stop check is the Scheduler's, so a
+// steady-state tick allocates nothing and starting one allocates the
+// everyTimer and the stop function it returns; a tick whose next run
+// would fall past the end of virtual time ends the timer. The timer
+// carries Self's host index, so the Scheduler skips a run while the
+// host is offline without touching the Env at all; an Env without a host
+// index checks Online before each run instead.
 func (e *Virtual) Every(offset, period time.Duration, fn func()) (stop func()) {
 	if period <= 0 || fn == nil {
 		return func() {}
 	}
-	running := true
 	host := int(e.cfg.Self.Index())
 	if host < 0 && e.cfg.Online != nil {
 		tick := fn
@@ -104,10 +104,23 @@ func (e *Virtual) Every(offset, period time.Duration, fn func()) (stop func()) {
 			}
 		}
 	}
+	t := &everyTimer{env: e}
 	// period and fn are valid, which is all EveryHost refuses.
-	_ = e.cfg.Scheduler.EveryHost(host, offset, period, func() bool { return e.stopped || !running }, fn)
-	return func() { running = false }
+	_ = e.cfg.Scheduler.EveryHost(host, offset, period, t, fn)
+	return t.halt
 }
+
+// everyTimer is one Every timer of a Virtual: stopped once its Env
+// stopped or its own stop function ran.
+type everyTimer struct {
+	env    *Virtual
+	halted bool
+}
+
+// Stopped implements sim.Stoppable.
+func (t *everyTimer) Stopped() bool { return t.env.stopped || t.halted }
+
+func (t *everyTimer) halt() { t.halted = true }
 
 // RandFloat implements Env.
 func (e *Virtual) RandFloat() float64 { return e.rng.Float64() }

@@ -80,11 +80,11 @@ type Scheduler interface {
 	// stopped when it comes due.
 	AfterUnless(d time.Duration, s sim.Stoppable, fn func())
 	// EveryHost schedules fn at now+offset and every period thereafter,
-	// until stop (nil: never) returns true before a run or the next run
+	// until s (nil: never) reports stopped before a run or the next run
 	// would fall past the end of virtual time. period must be positive.
 	// While host (an index of the universe the scheduler's network binds;
-	// -1 for none) is offline, a run calls neither stop nor fn.
-	EveryHost(host int, offset, period time.Duration, stop func() bool, fn func()) error
+	// -1 for none) is offline, a run asks neither s nor fn.
+	EveryHost(host int, offset, period time.Duration, s sim.Stoppable, fn func()) error
 }
 
 // Fabric moves messages between addresses for a virtual Env: a

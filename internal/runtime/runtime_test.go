@@ -355,6 +355,28 @@ func TestVirtualEverySteadyStateDoesNotAllocate(t *testing.T) {
 	}
 }
 
+// TestVirtualEveryStartAllocatesOnlyItsTimer pins what starting a node
+// timer costs: the everyTimer the Scheduler asks whether it stopped, and
+// the stop function Every returns. There is no stop-check closure, and
+// the Scheduler's queued first run carries the timer instead of a
+// closure around it.
+func TestVirtualEveryStartAllocatesOnlyItsTimer(t *testing.T) {
+	w, a, _ := newVirtualPair(t)
+	runs := 0
+	fn := func() { runs++ }
+	start := func() { a.Every(time.Millisecond, time.Hour, fn) }
+	for range 64 {
+		start() // past the first-use growth of the event queue
+	}
+	if avg := testing.AllocsPerRun(1000, start); avg > 2 {
+		t.Errorf("starting an Every timer allocates %.2f times, want at most 2", avg)
+	}
+	w.Run(time.Millisecond)
+	if runs != 1065 {
+		t.Fatalf("%d first runs, want 1065", runs)
+	}
+}
+
 // TestVirtualAfterSteadyStateDoesNotAllocate pins a one-shot timer's
 // cost: the stopped-Env check rides in the queued event, so a warm After
 // allocates nothing of its own.

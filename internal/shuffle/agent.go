@@ -87,22 +87,23 @@ func (m *Reply) Recycle() {
 // entries, once its handler has been called. The messages the agent
 // returns belong to the caller until it hands them on.
 //
-// The view is stored as parallel columns, one slot per peer: its
-// identifier, its index memo, its age and the owner's memo word. With
-// UseIndex configured the agent addresses its view by dense host index:
-// every slot holds idx1 > 0 exactly when the universe confirms that index
-// names the slot's peer, so the self and duplicate checks of a merge
-// compare int32s and the owner's discovery reads indexes and memo words
-// straight off the view (TickDiscover). An agent's entries arrive from a
-// wire or an adversary, so — as Cyclon does with what a Tap hands back —
-// the memo on a received entry is checked against the universe (one
-// array load) and re-resolved from the identifier when it is missing or
-// names another host: the identifier always wins. Entries outside the
-// universe, and every entry of an agent without UseIndex, stay at
-// idx1 == 0 and are compared by identifier. Decisions and RNG draws are
-// the same either way. Received ages are clamped into [0, maxAge] and a
-// tick's ageing saturates there, so no peer can pin an entry by lying
-// about its age.
+// The view is stored as Cyclon's is, one int32 code, one age and one
+// memo word per slot: 16 bytes. A code is the peer's dense host index
+// in the universe UseIndex names, or, for a peer the universe does not
+// know, the complement of its slot in the agent's stray table. So the
+// self and duplicate checks of a merge compare int32s, and the owner's
+// discovery reads codes and memo words straight off the view
+// (TickDiscover). An entry is built only where one leaves the agent, on
+// a message, with its code plus one as its index memo. An agent's
+// entries arrive from a wire or an adversary, so — as Cyclon does with
+// what a Tap hands back — the memo on a received entry is checked
+// against the universe (one array load) and re-resolved from the
+// identifier when it is missing or names another host: the identifier
+// always wins. Entries outside the universe, and every entry of an agent
+// without UseIndex, are strays, compared by identifier. Decisions and RNG
+// draws are the same either way. Received ages are clamped into
+// [0, maxAge] and a tick's ageing saturates there, so no peer can pin an
+// entry by lying about its age.
 //
 // Agent is safe for concurrent use.
 type Agent struct {
@@ -110,30 +111,36 @@ type Agent struct {
 	shuffleLen int
 	cap        int
 
-	mu  sync.Mutex
-	rng *rand.Rand
-	// The view: slot k holds peers[k] at age ages[k]; idx1[k] is its host
-	// index plus one (0 = unresolved) and memo[k] the word the owner's
-	// discovery keeps about it (see view.memo), zeroed when the slot takes
-	// a new occupant and moved with its occupant.
-	peers []ids.NodeID
-	idx1  []int32
+	mu sync.Mutex
+	// rng draws from src; both live in the agent, so it allocates neither.
+	src stats.SplitMix64
+	rng rand.Rand
+	// The view: slot k holds the peer coded codes[k] at age ages[k], and
+	// memo[k] is the word the owner's discovery keeps about it (see
+	// view.memo), zeroed when the slot takes a new occupant and moved with
+	// its occupant. codes and ages are cut from one backing array.
+	codes []int32
 	ages  []int32
 	memo  []uint64
+
+	// strays names the view's peers outside the universe: code ^s is
+	// strays[s]. A slot is freed (set to Nil, pushed on free) when its
+	// peer leaves the view and reused before the table grows, so it never
+	// holds more slots than the view does.
+	strays []ids.NodeID
+	free   []int32
 
 	// Index universe (UseIndex): the host table in index order, the
 	// identifier resolver behind it, and self's index plus one.
 	hosts    []ids.NodeID
 	indexOf  func(ids.NodeID) int
 	selfIdx1 int32
-
-	// Scratch, reused under mu: the index permutation sampleLocked
-	// shuffles a prefix of, and judgeLocked's candidate codes and the
-	// strays among them.
-	perm   []int
-	codes  []int32
-	strays []ids.NodeID
 }
+
+// sampleStack is the largest view sampleLocked permutes in a stack
+// buffer: v ≈ √N up to 16 384 hosts. A larger view allocates its
+// permutation per sample.
+const sampleStack = 128
 
 // NewAgent creates a live shuffle agent for self.
 func NewAgent(self ids.NodeID, viewSize, shuffleLen int, seed int64) (*Agent, error) {
@@ -149,22 +156,24 @@ func NewAgent(self ids.NodeID, viewSize, shuffleLen int, seed int64) (*Agent, er
 	if seed == 0 {
 		seed = int64(ids.SelfHash(self) * (1 << 62))
 	}
-	return &Agent{
+	buf := make([]int32, 2*viewSize)
+	a := &Agent{
 		self:       self,
 		shuffleLen: shuffleLen,
 		cap:        viewSize,
-		rng:        rand.New(stats.NewSplitMix64(seed)),
-		peers:      make([]ids.NodeID, 0, viewSize),
-		idx1:       make([]int32, 0, viewSize),
-		ages:       make([]int32, 0, viewSize),
+		codes:      buf[:0:viewSize],
+		ages:       buf[viewSize:viewSize],
 		memo:       make([]uint64, 0, viewSize),
-	}, nil
+	}
+	a.src.Seed(seed)
+	a.rng = *rand.New(&a.src)
+	return a, nil
 }
 
 // UseIndex names the dense host-index universe the agent lives in:
 // hosts is the host table in index order (shared, read-only) and indexOf
 // resolves an identifier to its index in it (negative = unknown); the
-// two must agree. Entries already in the view are resolved, so the call
+// two must agree. Entries already in the view are re-coded, so the call
 // order relative to Seed does not matter.
 func (a *Agent) UseIndex(hosts []ids.NodeID, indexOf func(ids.NodeID) int) {
 	if len(hosts) == 0 || indexOf == nil {
@@ -172,28 +181,76 @@ func (a *Agent) UseIndex(hosts []ids.NodeID, indexOf func(ids.NodeID) int) {
 	}
 	a.mu.Lock()
 	defer a.mu.Unlock()
+	old := a.hosts
 	a.hosts, a.indexOf = hosts, indexOf
-	a.selfIdx1 = a.resolve(a.self, 0)
-	for k, id := range a.peers {
-		a.idx1[k] = a.resolve(id, a.idx1[k])
+	a.selfIdx1 = a.resolve(a.self, 0) + 1
+	for k, code := range a.codes {
+		var id ids.NodeID
+		if code >= 0 {
+			id = old[code]
+		} else {
+			id = a.strays[^code]
+		}
+		switch c := a.resolve(id, code+1); {
+		case c >= 0 && code < 0:
+			a.dropStray(code)
+			a.codes[k] = c
+		case c >= 0:
+			a.codes[k] = c
+		case code >= 0:
+			a.codes[k] = a.addStray(id)
+		}
 	}
 }
 
-// resolve returns id's index memo for this agent: k when the universe
-// confirms it names id, otherwise the index looked up from the identifier
-// plus one (0 when the universe does not know it, or there is no
-// universe).
+// resolve returns id's host index: k-1 when the universe confirms that
+// memo k names id, otherwise the index looked up from the identifier (-1
+// when the universe does not know it, or there is no universe).
 func (a *Agent) resolve(id ids.NodeID, k int32) int32 {
 	if k > 0 && int(k) <= len(a.hosts) && a.hosts[k-1] == id {
-		return k
+		return k - 1
 	}
 	if a.indexOf == nil {
-		return 0
+		return -1
 	}
 	if i := a.indexOf(id); i >= 0 && i < len(a.hosts) {
-		return int32(i) + 1
+		return int32(i)
 	}
-	return 0
+	return -1
+}
+
+// idOf returns the identifier of the peer coded code.
+func (a *Agent) idOf(code int32) ids.NodeID {
+	if code >= 0 {
+		return a.hosts[code]
+	}
+	return a.strays[^code]
+}
+
+// addStray files id in the stray table and returns its code.
+func (a *Agent) addStray(id ids.NodeID) int32 {
+	if n := len(a.free); n > 0 {
+		s := a.free[n-1]
+		a.free = a.free[:n-1]
+		a.strays[s] = id
+		return ^s
+	}
+	a.strays = append(a.strays, id)
+	return ^int32(len(a.strays) - 1)
+}
+
+// dropStray frees the stray table slot of code, whose peer has left the
+// view.
+func (a *Agent) dropStray(code int32) {
+	a.strays[^code] = ids.Nil
+	a.free = append(a.free, ^code)
+}
+
+// entry builds slot k's wire form: its memo is its host index plus one,
+// 0 for a stray.
+func (a *Agent) entry(k int) Entry {
+	code := a.codes[k]
+	return Entry{ID: a.idOf(code), Age: int(a.ages[k]), idx1: max(code+1, 0)}
 }
 
 // Seed adds bootstrap peers to the view.
@@ -214,7 +271,11 @@ func (a *Agent) seedLocked(peers []ids.NodeID) {
 func (a *Agent) View() []ids.NodeID {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	return slices.Clone(a.peers)
+	out := make([]ids.NodeID, len(a.codes))
+	for k, code := range a.codes {
+		out[k] = a.idOf(code)
+	}
+	return out
 }
 
 // Tick is TickDiscover for an owner that runs no discovery.
@@ -236,15 +297,18 @@ func (a *Agent) Tick() (peer ids.NodeID, req *Request, ok bool) {
 // two-node deployment the view would otherwise be empty at every tick),
 // carrying the word its slot had; no inbound message can come between
 // the removal and the verdict. codes[k] is candidate k's dense host
-// index, or for a negative code the complement of its position in
-// strays, and memo[k] its slot's word, which judge may rewrite. A nil
+// index, or for a negative code the complement of its slot in strays,
+// and memo[k] its slot's word, which judge may rewrite. The three alias
+// the agent's view and stray table, valid only during the call. A nil
 // judge is skipped.
 func (a *Agent) TickDiscover(reseed []ids.NodeID, judge func(codes []int32, memo []uint64, strays []ids.NodeID) int) (peer ids.Addr, req *Request, ok bool) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	if len(a.peers) == 0 {
+	if len(a.codes) == 0 {
 		a.seedLocked(reseed)
-		a.judgeLocked(len(a.peers), judge)
+		if judge != nil {
+			judge(a.codes, a.memo, a.strays)
+		}
 		return ids.Addr{}, nil, false
 	}
 	// Age every entry and find the oldest (the first among equals) in
@@ -259,17 +323,22 @@ func (a *Agent) TickDiscover(reseed []ids.NodeID, judge func(codes []int32, memo
 		}
 	}
 	// Remove the partner's slot; it is replaced by whatever comes back.
-	// Until this call returns it sits, word and all, in the slot the
+	// Until the judge returns it sits, word and all, in the slot the
 	// removal freed, just past the end of the view.
-	id, idx1, age, word := a.peers[oldest], a.idx1[oldest], a.ages[oldest], a.memo[oldest]
-	last := len(a.peers) - 1
-	copy(a.peers[oldest:], a.peers[oldest+1:])
-	copy(a.idx1[oldest:], a.idx1[oldest+1:])
+	code, age, word := a.codes[oldest], a.ages[oldest], a.memo[oldest]
+	last := len(a.codes) - 1
+	copy(a.codes[oldest:], a.codes[oldest+1:])
 	copy(a.ages[oldest:], a.ages[oldest+1:])
 	copy(a.memo[oldest:], a.memo[oldest+1:])
-	a.peers[last], a.idx1[last], a.ages[last], a.memo[last] = id, idx1, age, word
-	a.peers, a.idx1, a.ages, a.memo = a.peers[:last], a.idx1[:last], a.ages[:last], a.memo[:last]
-	a.judgeLocked(last+1, judge)
+	a.codes[last], a.ages[last], a.memo[last] = code, age, word
+	if judge != nil {
+		judge(a.codes, a.memo, a.strays)
+	}
+	a.codes, a.ages, a.memo = a.codes[:last], a.ages[:last], a.memo[:last]
+	peer = ids.AddrAt(a.idOf(code), code)
+	if code < 0 {
+		a.dropStray(code)
+	}
 
 	req = NewRequest()
 	if cap(req.Entries) < a.shuffleLen {
@@ -277,27 +346,7 @@ func (a *Agent) TickDiscover(reseed []ids.NodeID, judge func(codes []int32, memo
 	}
 	req.Entries = a.sampleLocked(req.Entries, a.shuffleLen-1)
 	req.Entries = append(req.Entries, Entry{ID: a.self, idx1: a.selfIdx1})
-	return ids.AddrAt(id, idx1-1), req, true
-}
-
-// judgeLocked codes the first n slots (the view, and past its end the
-// partner TickDiscover holds there) and hands them to judge with their
-// words. Caller holds mu.
-func (a *Agent) judgeLocked(n int, judge func(codes []int32, memo []uint64, strays []ids.NodeID) int) int {
-	if judge == nil {
-		return 0
-	}
-	a.codes, a.strays = a.codes[:0], a.strays[:0]
-	peers := a.peers[:n]
-	for k, idx1 := range a.idx1[:n] {
-		code := idx1 - 1
-		if code < 0 {
-			code = ^int32(len(a.strays))
-			a.strays = append(a.strays, peers[k])
-		}
-		a.codes = append(a.codes, code)
-	}
-	return judge(a.codes, a.memo[:n], a.strays)
+	return peer, req, true
 }
 
 // HandleRequest merges an inbound shuffle request, which it consumes,
@@ -325,25 +374,27 @@ func (a *Agent) HandleReply(from ids.NodeID, reply *Reply) {
 
 // sampleLocked appends min(n, len(view)) distinct random entries to dst:
 // the partial Fisher–Yates Cyclon samples with, one Intn draw per entry
-// picked, over the agent's index scratch. Caller holds mu.
+// picked, over a slot permutation on the stack. Caller holds mu.
 func (a *Agent) sampleLocked(dst []Entry, n int) []Entry {
-	m := len(a.peers)
+	m := len(a.codes)
 	n = min(n, m)
 	if n <= 0 {
 		return dst
 	}
-	if cap(a.perm) < m {
-		a.perm = make([]int, a.cap)
+	var stack [sampleStack]int32
+	var idx []int32
+	if m <= len(stack) {
+		idx = stack[:m]
+	} else {
+		idx = make([]int32, m)
 	}
-	idx := a.perm[:m]
 	for i := range idx {
-		idx[i] = i
+		idx[i] = int32(i)
 	}
 	for i := 0; i < n; i++ {
 		j := i + a.rng.Intn(m-i)
 		idx[i], idx[j] = idx[j], idx[i]
-		k := idx[i]
-		dst = append(dst, Entry{ID: a.peers[k], Age: int(a.ages[k]), idx1: a.idx1[k]})
+		dst = append(dst, a.entry(int(idx[i])))
 	}
 	return dst
 }
@@ -360,36 +411,44 @@ func (a *Agent) mergeLocked(received []Entry) {
 
 // addLocked merges one entry: peer id at age, carrying index memo idx1.
 // An entry the universe resolves can only duplicate another resolved
-// entry, so it is compared by index; the rest are compared by identifier
-// against the unresolved slots. A full view takes the entry in place of
-// its oldest one (the first among equals, found by the merge's victim
-// cursor) if that one is no younger. Caller holds mu.
+// entry, so it is compared by code; a stray is compared by identifier
+// against the stray table. A full view takes the entry in place of its
+// oldest one (the first among equals, found by the merge's victim
+// cursor) if that one is no younger, freeing the victim's stray slot
+// before the newcomer takes one. Caller holds mu.
 func (a *Agent) addLocked(id ids.NodeID, idx1, age int32, victims *victimCursor) {
 	if id.IsNil() {
 		return
 	}
-	if idx1 = a.resolve(id, idx1); idx1 > 0 {
-		if idx1 == a.selfIdx1 || slices.Contains(a.idx1, idx1) {
+	code := a.resolve(id, idx1)
+	if code >= 0 {
+		if code+1 == a.selfIdx1 || slices.Contains(a.codes, code) {
 			return
 		}
 	} else {
-		if id == a.self {
+		// The stray table's occupied slots are exactly the view's strays.
+		if id == a.self || slices.Contains(a.strays, id) {
 			return
 		}
-		for k, have := range a.idx1 {
-			if have == 0 && a.peers[k] == id {
-				return
-			}
-		}
 	}
-	if len(a.peers) < a.cap {
-		a.peers = append(a.peers, id)
-		a.idx1 = append(a.idx1, idx1)
+	if len(a.codes) < a.cap {
+		if code < 0 {
+			code = a.addStray(id)
+		}
+		a.codes = append(a.codes, code)
 		a.ages = append(a.ages, age)
 		a.memo = append(a.memo, 0)
 		return
 	}
-	if k := victims.next(a.ages); a.ages[k] >= age {
-		a.peers[k], a.idx1[k], a.ages[k], a.memo[k] = id, idx1, age, 0
+	k := victims.next(a.ages)
+	if a.ages[k] < age {
+		return
 	}
+	if old := a.codes[k]; old < 0 {
+		a.dropStray(old)
+	}
+	if code < 0 {
+		code = a.addStray(id)
+	}
+	a.codes[k], a.ages[k], a.memo[k] = code, age, 0
 }

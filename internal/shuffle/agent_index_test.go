@@ -494,12 +494,28 @@ func (d *agentDiff) step(step int) {
 			d.exchange(step, i)
 		}
 	}
+	d.checkStrays(step)
+}
+
+// checkStrays bounds every agent's stray table by its view (plus the
+// partner a tick holds): slots freed by departing strays are reused, so
+// a peer streaming outsiders cannot grow it.
+func (d *agentDiff) checkStrays(step int) {
+	d.t.Helper()
+	for _, p := range d.pairs {
+		for which, a := range []*shuffle.Agent{p.idx, p.byID} {
+			if n := a.StrayTableLen(); n > agentView+1 {
+				d.t.Fatalf("step %d: %v agent %d holds a stray table of %d slots, view %d", step, p.id, which, n, agentView)
+			}
+		}
+	}
 }
 
 // finish checks every pair once more and requires the three copies of
 // each host to be about to draw the same random number.
 func (d *agentDiff) finish(step int) {
 	d.t.Helper()
+	d.checkStrays(step)
 	for _, p := range d.pairs {
 		d.checkPair(step, p)
 		if a, b, r := p.idx.NextDraw(), p.byID.NextDraw(), p.ref.rng.Int63(); a != b || a != r {
@@ -536,9 +552,20 @@ func TestAgentIndexedMatchesIdentifierOnly(t *testing.T) {
 // reply is dropped, replies that land after later ticks, and rewrites
 // that carry extreme ages. The oracle is the differential check after
 // every handler call. Seed corpus: testdata/fuzz/FuzzAgentSchedule.
+//
+// The third seed rewrites every message with outsiders: each of its
+// bytes is 3, 4 or 5 mod 6, so wherever the schedule reads one as a
+// rewrite kind (pick(6)) it draws an adversary-built offer, and every
+// agent keeps receiving identifiers outside the universe — strays that
+// must reuse their table's freed slots.
 func FuzzAgentSchedule(f *testing.F) {
 	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16})
 	f.Add([]byte{2, 1, 0, 200, 7, 1, 1, 3, 4, 0, 3, 1, 9, 9, 1, 0, 2, 5})
+	outsiders := []byte{3}
+	for i := range 1200 {
+		outsiders = append(outsiders, byte(6*(i*37%42)+3+i%3))
+	}
+	f.Add(outsiders)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 1 {
 			return

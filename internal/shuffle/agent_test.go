@@ -209,7 +209,7 @@ func TestAgentSampleIsPartialFisherYates(t *testing.T) {
 	}
 	a.Seed(peers)
 	src := &countingSource{Source: stats.NewSplitMix64(11)}
-	a.rng = rand.New(src)
+	a.rng = *rand.New(src)
 	for _, n := range []int{0, 1, 3, view - 1, view, view + 5} {
 		before := src.draws
 		// The sample is appended behind what the message already holds.
@@ -246,6 +246,27 @@ func TestAgentSampleIsPartialFisherYates(t *testing.T) {
 	}
 	if chi2 > 24.32 {
 		t.Errorf("χ² = %.1f over %v, want ≤ 24.32 for uniform picks", chi2, picks)
+	}
+	// A view larger than the stack buffer permutes a heap copy instead,
+	// with the same draws.
+	big, err := NewAgent(ids.Synthetic(999), 2*sampleStack, 4, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bigPeers := make([]ids.NodeID, 2*sampleStack)
+	for i := range bigPeers {
+		bigPeers[i] = ids.Synthetic(i)
+	}
+	big.Seed(bigPeers)
+	src = &countingSource{Source: stats.NewSplitMix64(11)}
+	big.rng = *rand.New(src)
+	out := big.sampleLocked(nil, len(bigPeers))
+	seen := map[ids.NodeID]bool{}
+	for _, e := range out {
+		seen[e.ID] = true
+	}
+	if len(out) != len(bigPeers) || len(seen) != len(bigPeers) || src.draws != len(bigPeers) {
+		t.Fatalf("sampling all %d slots gave %d entries, %d distinct, in %d draws", len(bigPeers), len(out), len(seen), src.draws)
 	}
 }
 
@@ -322,5 +343,87 @@ func TestReceivedAgeCannotPinAnEntry(t *testing.T) {
 	in := c.received([]Entry{{ID: ids.Synthetic(1), Age: math.MinInt}, {ID: ids.Synthetic(2), Age: math.MaxInt}})
 	if !slices.Equal(in.ages, []int32{0, maxAge}) {
 		t.Fatalf("Cyclon packed received ages %v, want [0 %d]", in.ages, maxAge)
+	}
+}
+
+// TestNewAgentAllocations: an agent is its struct, one int32 array its
+// codes and ages are cut from, and its memo words — 16 bytes a view slot.
+// The RNG lives in the struct, and no sample or judge scratch is
+// allocated.
+func TestNewAgentAllocations(t *testing.T) {
+	avg := testing.AllocsPerRun(100, func() {
+		if _, err := NewAgent("self", 45, 11, 1); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if avg > 3 {
+		t.Fatalf("NewAgent allocates %.1f times, want at most 3", avg)
+	}
+	a, err := NewAgent("self", 45, 11, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cap(a.codes) != 45 || cap(a.ages) != 45 || cap(a.memo) != 45 {
+		t.Fatalf("codes, ages, memo capacities %d, %d, %d, want 45 each",
+			cap(a.codes), cap(a.ages), cap(a.memo))
+	}
+}
+
+// TestWarmAgentCycleDoesNotAllocate: once the pools hold a request and a
+// reply and the stray tables have grown, a TickDiscover → HandleRequest
+// → HandleReply round trip between indexed agents allocates nothing —
+// outsiders in the views included.
+func TestWarmAgentCycleDoesNotAllocate(t *testing.T) {
+	const n, view = 40, 8
+	universe := make([]ids.NodeID, n)
+	index := map[ids.NodeID]int{}
+	for i := range universe {
+		universe[i] = ids.Synthetic(i)
+		index[universe[i]] = i
+	}
+	indexOf := func(id ids.NodeID) int {
+		if i, ok := index[id]; ok {
+			return i
+		}
+		return -1
+	}
+	agents := make([]*Agent, n)
+	for i := range agents {
+		a, err := NewAgent(universe[i], view, 4, int64(i+1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		a.UseIndex(universe, indexOf)
+		a.Seed([]ids.NodeID{universe[(i+1)%n], universe[(i+7)%n], ids.Synthetic(9000 + i%3)})
+		agents[i] = a
+	}
+	judge := func(codes []int32, memo []uint64, strays []ids.NodeID) int {
+		for k, code := range codes {
+			if code < 0 && strays[^code].IsNil() {
+				t.Fatalf("slot %d names a free stray slot", k)
+			}
+			memo[k]++
+		}
+		return 0
+	}
+	round := 0
+	cycle := func() {
+		a := agents[round%n]
+		round++
+		to, req, ok := a.TickDiscover(nil, judge)
+		if !ok {
+			return
+		}
+		if q := to.Index(); q >= 0 {
+			a.HandleReply(to.ID(), agents[q].HandleRequest(a.self, req))
+			return
+		}
+		req.Recycle() // an outsider: the request is lost
+	}
+	for range 50 * n {
+		cycle()
+	}
+	if avg := testing.AllocsPerRun(20*n, cycle); avg != 0 {
+		t.Fatalf("a warm exchange allocates %.2f times, want 0", avg)
 	}
 }

@@ -10,11 +10,19 @@ import "avmem/internal/ids"
 func (a *Agent) Snapshot() []Entry {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	out := make([]Entry, len(a.peers))
+	out := make([]Entry, len(a.codes))
 	for k := range out {
-		out[k] = Entry{ID: a.peers[k], Age: int(a.ages[k]), idx1: a.idx1[k]}
+		out[k] = a.entry(k)
 	}
 	return out
+}
+
+// StrayTableLen returns the length of the agent's stray table, free
+// slots included.
+func (a *Agent) StrayTableLen() int {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	return len(a.strays)
 }
 
 // NextDraw consumes and returns the agent's next RNG draw.
@@ -33,7 +41,7 @@ func (e Entry) Idx1() int32 { return e.idx1 }
 func (a *Agent) Discover(judge func(codes []int32, memo []uint64, strays []ids.NodeID) int) int {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	return a.judgeLocked(len(a.peers), judge)
+	return judge(a.codes, a.memo, a.strays)
 }
 
 // MaxAge is the bound received ages are clamped to and ageing saturates at.

@@ -14,9 +14,12 @@
 //   - Agent runs it inside one live node, over a real transport,
 //     exchanging *Request and *Reply messages.
 //
-// Both store a view as parallel columns (peer, age, the owner's memo
-// word), not as rows of Entry: Entry is the wire form, and the form a Tap
-// sees. Exchange messages are recycled: the handler that merges a
+// Both store a view as the same three columns, 16 bytes a slot: the
+// peer's int32 code (its dense host index; in an Agent, for a peer
+// outside the universe, the complement of its slot in a small stray
+// table), its age, and the owner's memo word. Neither keeps rows of
+// Entry: Entry is the wire form, and the form a Tap sees, built only
+// where an entry leaves. Exchange messages are recycled: the handler that merges a
 // message consumes it and returns it to a pool, and a message dropped
 // undelivered or refused returns through its Recycle (see NewRequest).
 // Ages that arrive from outside are clamped into [0, maxAge].

@@ -336,7 +336,7 @@ type schedulerAPI interface {
 	Now() time.Duration
 	At(at time.Duration, fn func())
 	Every(offset, period time.Duration, stop func() bool, fn func()) error
-	EveryHost(host int, offset, period time.Duration, stop func() bool, fn func()) error
+	EveryHost(host int, offset, period time.Duration, s Stoppable, fn func()) error
 	Run(until time.Duration) int
 	RunAll(maxEvents int) int
 	Pending() int
@@ -369,17 +369,21 @@ func (r *refWorld) At(at time.Duration, fn func()) {
 // Every is World.Every as it was before periodic timers had rings: one
 // queued closure per timer, re-pushed one period later after each run.
 func (r *refWorld) Every(offset, period time.Duration, stop func() bool, fn func()) error {
-	return r.EveryHost(-1, offset, period, stop, fn)
+	var s Stoppable
+	if stop != nil {
+		s = stopFunc(stop)
+	}
+	return r.EveryHost(-1, offset, period, s, fn)
 }
 
 // EveryHost is the same closure for a host-bound timer: it re-pushes
-// itself after every run, and asks stop and calls fn only while the host
-// is online.
-func (r *refWorld) EveryHost(host int, offset, period time.Duration, stop func() bool, fn func()) error {
+// itself after every run, and asks s and calls fn only while the host is
+// online.
+func (r *refWorld) EveryHost(host int, offset, period time.Duration, s Stoppable, fn func()) error {
 	var tick func()
 	tick = func() {
 		if host < 0 || r.online == nil || r.online(host) {
-			if stop != nil && stop() {
+			if s != nil && s.Stopped() {
 				return
 			}
 			fn()
@@ -530,7 +534,7 @@ func queueTranscript(s schedulerAPI, live *fuzzLiveness, ops []byte) []int64 {
 				me, runs, stop := id, 0, new(bool)
 				stopped = append(stopped, stop)
 				period := timerPeriods[op>>3&0x0f]
-				if err := s.EveryHost(me%5-1, fuzzDelay(arg), period, func() bool { return *stop || runs >= timerRuns }, func() {
+				if err := s.EveryHost(me%5-1, fuzzDelay(arg), period, stopFunc(func() bool { return *stop || runs >= timerRuns }), func() {
 					runs++
 					log = append(log, int64(me), int64(s.Now()))
 					if me%2 == 0 {

@@ -123,22 +123,36 @@ func (w *World) AfterUnless(d time.Duration, s Stoppable, fn func()) {
 // until stop returns true (checked before each run) or the next run would
 // fall past the end of virtual time. period must be positive.
 //
-// The first run is a queued closure; from then on the timer is a member
-// of its period's ring, re-armed at its tail with the rank its re-push
-// would have taken, so it fires in exactly the order a closure re-pushed
-// after each run would, and a run allocates nothing.
+// The first run is a queued event that carries the timer; from then on
+// the timer is a member of its period's ring, re-armed at its tail with
+// the rank its re-push would have taken, so it fires in exactly the order
+// a closure re-pushed after each run would, and a run allocates nothing.
 func (w *World) Every(offset, period time.Duration, stop func() bool, fn func()) error {
-	return w.EveryHost(-1, offset, period, stop, fn)
+	var s Stoppable
+	if stop != nil {
+		s = stopFunc(stop)
+	}
+	return w.EveryHost(-1, offset, period, s, fn)
 }
+
+// stopFunc is a stop check as a Stoppable. A func value is one pointer,
+// so boxing it allocates nothing.
+type stopFunc func() bool
+
+func (f stopFunc) Stopped() bool { return f() }
 
 // EveryHost is Every for a timer that belongs to host, an index of the
 // universe the world's first bound network declares (Network.Bind), or
-// -1 for none. While the network's liveness probe reports host offline,
-// a run calls neither stop nor fn: the timer is only re-armed, exactly
-// as a run would re-arm it, and still counts as a fired timer (and in
-// sim_timer_runs_asleep_total). A stop that turned true while the host
-// slept therefore drops the timer at its first run once the host is back.
-func (w *World) EveryHost(host int, offset, period time.Duration, stop func() bool, fn func()) error {
+// -1 for none, and to s (nil: none), which a run asks whether the timer
+// stopped, as an AfterUnless event asks its owner. While the network's
+// liveness probe reports host offline, a run asks neither s nor fn: the
+// timer is only re-armed, exactly as a run would re-arm it, and still
+// counts as a fired timer (and in sim_timer_runs_asleep_total). A timer
+// stopped while its host slept is therefore dropped at its first run
+// once the host is back. The first run is queued as an event that
+// carries the timer itself (evTimer), so starting a timer allocates
+// nothing.
+func (w *World) EveryHost(host int, offset, period time.Duration, s Stoppable, fn func()) error {
 	if period <= 0 {
 		return fmt.Errorf("sim: period must be positive, got %v", period)
 	}
@@ -146,9 +160,22 @@ func (w *World) EveryHost(host int, offset, period time.Duration, stop func() bo
 		return fmt.Errorf("sim: nil periodic function")
 	}
 	r := w.ring(period)
-	t := timer{host1: int32(max(host, -1)) + 1, stop: stop, fn: fn}
-	w.After(offset, func() { w.runTimer(r, t) })
+	p := w.schedule(w.later(offset))
+	p.kind, p.fn, p.msg = evTimer, fn, s
+	p.to1, p.from1 = int32(max(host, -1))+1, int32(r)
 	return nil
+}
+
+// startTimer makes the first run of the timer the evTimer event in slot
+// carries, releasing the slot first as fire does.
+func (w *World) startTimer(slot uint32) {
+	p := w.events.at(slot)
+	t, r := timer{host1: p.to1, fn: p.fn}, int(p.from1)
+	if p.msg != nil {
+		t.stop = p.msg.(Stoppable)
+	}
+	w.events.release(slot)
+	w.runTimer(r, t)
 }
 
 // runTimer makes one run of t, a timer of ring r, at now: its stop check
@@ -156,7 +183,7 @@ func (w *World) EveryHost(host int, offset, period time.Duration, stop func() bo
 // stopped.
 func (w *World) runTimer(r int, t timer) {
 	if t.host1 == 0 || !w.sleeps(t.host1) {
-		if t.stop != nil && t.stop() {
+		if t.stop != nil && t.stop.Stopped() {
 			return
 		}
 		t.fn()
@@ -216,7 +243,9 @@ func (w *World) run(until time.Duration, maxEvents int) int {
 			if w.obs != nil {
 				w.obs.fired[w.events.class(k.slot)]++
 			}
-			w.events.fire(k, w.nets)
+			if w.events.fire(k, w.nets) {
+				w.startTimer(k.slot)
+			}
 		} else if w.first >= 0 && w.ringAt <= until {
 			if w.obs != nil {
 				w.obs.fired[classTimer]++
@@ -241,13 +270,13 @@ func (w *World) Pending() int {
 
 // timer is a periodic timer waiting in its period's ring: its next run
 // and the push rank that run takes, its host's index plus one (0 = none;
-// EveryHost), its stop check and its function. The host fills what would
-// be padding after the rank, so a member stays 32 bytes.
+// EveryHost), its owner's stop check and its function. The host fills
+// what would be padding after the rank.
 type timer struct {
 	at    time.Duration
 	rank  uint32
 	host1 int32
-	stop  func() bool
+	stop  Stoppable
 	fn    func()
 }
 
@@ -355,8 +384,8 @@ func (w *World) timerFirst() bool {
 // were taken fewer than 2³¹ ranks apart.
 func rankBefore(a, b uint32) bool { return int32(a-b) < 0 }
 
-// evKind names the five event shapes the queue carries; each is also
-// the event's class (classNames).
+// evKind names the six event shapes the queue carries; each but evTimer
+// is also the event's class (classNames).
 type evKind uint8
 
 const (
@@ -373,6 +402,11 @@ const (
 	// evNack reports a SendCall failure to its callback, or a SendNack
 	// failure to its nack callback.
 	evNack
+	// evTimer is the first run of a periodic timer (EveryHost),
+	// counted as a func: fn, its stop check in msg, its host index plus
+	// one in to1 and its ring in from1. World.run makes the run
+	// (startTimer); later runs come out of the ring.
+	evTimer
 )
 
 // Event classes, the labels of sim_events_fired_total: the five kinds
@@ -388,7 +422,12 @@ const (
 var classNames = [numClasses]string{"func", "deliver", "attempt", "result-ok", "result-nack", "timer"}
 
 // class returns the event class of the payload in slot.
-func (q *eventQueue) class(slot uint32) int { return int(q.at(slot).kind) }
+func (q *eventQueue) class(slot uint32) int {
+	if k := q.at(slot).kind; k != evTimer {
+		return int(k)
+	}
+	return int(evFunc)
+}
 
 // payload is the body of a queued event: what to run when its key
 // reaches the front of the queue. The shapes share one struct so a slab
@@ -420,7 +459,7 @@ type payload struct {
 	// slot stays 96 bytes.
 	rank uint32
 	// from, to, msg: the message of evDeliver and evAttempt; msg is
-	// also the Stoppable of an AfterUnless evFunc.
+	// also the Stoppable of an AfterUnless evFunc and of an evTimer.
 	from, to ids.NodeID
 	msg      any
 	// fn is the closure of an evFunc, and the callback of a nack-only
@@ -689,8 +728,9 @@ func (q *eventQueue) pop() eventKey {
 // out and the slot zeroed — so the closure or message can be collected —
 // before anything runs: the callback may push, which reuses free slots,
 // this one first. nets is the owning world's network table
-// (payload.net1).
-func (q *eventQueue) fire(k eventKey, nets []*Network) {
+// (payload.net1). An evTimer is left in its slot for the world to start:
+// fire reports it.
+func (q *eventQueue) fire(k eventKey, nets []*Network) (timerStart bool) {
 	slot := k.slot
 	p := q.at(slot)
 	switch p.kind {
@@ -721,7 +761,10 @@ func (q *eventQueue) fire(k eventKey, nets []*Network) {
 		} else {
 			onResult(ok)
 		}
+	case evTimer:
+		return true
 	}
+	return false
 }
 
 // fromAddr and toAddr reassemble the two addresses of a queued message.

@@ -262,7 +262,7 @@ func TestHostTimerSleepsWhileOffline(t *testing.T) {
 	var log []string
 	stops := 0
 	mark := func(name string) func() { return func() { log = append(log, fmt.Sprintf("%s@%v", name, w.Now())) } }
-	if err := w.EveryHost(1, 0, time.Second, func() bool { stops++; return false }, mark("b")); err != nil {
+	if err := w.EveryHost(1, 0, time.Second, stopFunc(func() bool { stops++; return false }), mark("b")); err != nil {
 		t.Fatal(err)
 	}
 	if err := w.EveryHost(-1, 0, time.Second, nil, mark("none")); err != nil {
@@ -297,7 +297,7 @@ func TestHostTimerStoppedAsleepDropsOnWake(t *testing.T) {
 		t.Fatal(err)
 	}
 	runs, stopped := 0, false
-	if err := w.EveryHost(0, 0, time.Second, func() bool { return stopped }, func() { runs++ }); err != nil {
+	if err := w.EveryHost(0, 0, time.Second, stopFunc(func() bool { return stopped }), func() { runs++ }); err != nil {
 		t.Fatal(err)
 	}
 	w.Run(time.Second) // runs at 0 and 1 s
@@ -312,6 +312,31 @@ func TestHostTimerStoppedAsleepDropsOnWake(t *testing.T) {
 	w.Run(10 * time.Second)
 	if runs != 2 || w.Pending() != 0 {
 		t.Fatalf("%d runs, %d pending once the host woke; want 2 and 0", runs, w.Pending())
+	}
+}
+
+// TestEveryHostStartDoesNotAllocate: a timer's first run is queued as an
+// event carrying the timer, its owner's stop check included, so starting
+// one allocates nothing beyond the queue's own growth.
+func TestEveryHostStartDoesNotAllocate(t *testing.T) {
+	w := NewWorld(1)
+	runs := 0
+	fn := func() { runs++ }
+	var owner stopFunc = func() bool { return false }
+	start := func() {
+		if err := w.EveryHost(0, time.Second, time.Minute, owner, fn); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for range 64 {
+		start() // past the first-use growth of the event queue
+	}
+	if avg := testing.AllocsPerRun(1000, start); avg != 0 {
+		t.Errorf("starting a timer allocates %.2f times, want 0", avg)
+	}
+	w.Run(time.Second)
+	if runs != 1065 {
+		t.Fatalf("%d first runs, want 1065", runs)
 	}
 }
 
