@@ -261,9 +261,9 @@ func (a *Agent) Seed(peers []ids.NodeID) {
 }
 
 func (a *Agent) seedLocked(peers []ids.NodeID) {
-	var victims victimCursor
+	m := a.beginMerge()
 	for _, p := range peers {
-		a.addLocked(p, 0, 0, &victims)
+		a.addLocked(p, 0, 0, &m)
 	}
 }
 
@@ -402,12 +402,38 @@ func (a *Agent) sampleLocked(dst []Entry, n int) []Entry {
 // mergeLocked folds received entries in, skipping self and duplicates,
 // evicting oldest entries under capacity pressure. Caller holds mu.
 func (a *Agent) mergeLocked(received []Entry) {
-	var victims victimCursor
+	m := a.beginMerge()
 	for i := range received {
 		e := &received[i]
-		a.addLocked(e.ID, e.idx1, clampAge(e.Age), &victims)
+		a.addLocked(e.ID, e.idx1, clampAge(e.Age), &m)
 	}
 }
+
+// mergeState is what one merge into the view keeps between its entries: the
+// victim cursor, and a 256-bit filter with bit code&255 set for every
+// host code the view held when the merge began or took since. A code
+// whose bit is clear is in no slot, so most duplicate checks skip the
+// scan of the code column; an evicted code keeps its bit, which only
+// costs a scan.
+type mergeState struct {
+	victims victimCursor
+	held    [4]uint64
+}
+
+// beginMerge starts a merge over the view as it stands.
+func (a *Agent) beginMerge() mergeState {
+	var m mergeState
+	for _, code := range a.codes {
+		if code >= 0 {
+			m.mark(code)
+		}
+	}
+	return m
+}
+
+func (m *mergeState) mark(code int32) { m.held[code>>6&3] |= 1 << (code & 63) }
+
+func (m *mergeState) mayHold(code int32) bool { return m.held[code>>6&3]&(1<<(code&63)) != 0 }
 
 // addLocked merges one entry: peer id at age, carrying index memo idx1.
 // An entry the universe resolves can only duplicate another resolved
@@ -416,13 +442,13 @@ func (a *Agent) mergeLocked(received []Entry) {
 // oldest one (the first among equals, found by the merge's victim
 // cursor) if that one is no younger, freeing the victim's stray slot
 // before the newcomer takes one. Caller holds mu.
-func (a *Agent) addLocked(id ids.NodeID, idx1, age int32, victims *victimCursor) {
+func (a *Agent) addLocked(id ids.NodeID, idx1, age int32, m *mergeState) {
 	if id.IsNil() {
 		return
 	}
 	code := a.resolve(id, idx1)
 	if code >= 0 {
-		if code+1 == a.selfIdx1 || slices.Contains(a.codes, code) {
+		if code+1 == a.selfIdx1 || m.mayHold(code) && slices.Contains(a.codes, code) {
 			return
 		}
 	} else {
@@ -431,24 +457,25 @@ func (a *Agent) addLocked(id ids.NodeID, idx1, age int32, victims *victimCursor)
 			return
 		}
 	}
-	if len(a.codes) < a.cap {
-		if code < 0 {
-			code = a.addStray(id)
+	k := len(a.codes)
+	if k == a.cap {
+		if k = m.victims.next(a.ages); a.ages[k] < age {
+			return
 		}
+		if old := a.codes[k]; old < 0 {
+			a.dropStray(old)
+		}
+	}
+	if code >= 0 {
+		m.mark(code)
+	} else {
+		code = a.addStray(id)
+	}
+	if k == len(a.codes) {
 		a.codes = append(a.codes, code)
 		a.ages = append(a.ages, age)
 		a.memo = append(a.memo, 0)
 		return
-	}
-	k := victims.next(a.ages)
-	if a.ages[k] < age {
-		return
-	}
-	if old := a.codes[k]; old < 0 {
-		a.dropStray(old)
-	}
-	if code < 0 {
-		code = a.addStray(id)
 	}
 	a.codes[k], a.ages[k], a.memo[k] = code, age, 0
 }
