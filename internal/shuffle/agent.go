@@ -87,41 +87,32 @@ func (m *Reply) Recycle() {
 // entries, once its handler has been called. The messages the agent
 // returns belong to the caller until it hands them on.
 //
-// The view is stored as Cyclon's is, one int32 code, one age and one
-// memo word per slot: 16 bytes. A code is the peer's dense host index
-// in the universe UseIndex names, or, for a peer the universe does not
-// know, the complement of its slot in the agent's stray table. So the
-// self and duplicate checks of a merge compare int32s, and the owner's
-// discovery reads codes and memo words straight off the view
-// (TickDiscover). An entry is built only where one leaves the agent, on
-// a message, with its code plus one as its index memo. An agent's
-// entries arrive from a wire or an adversary, so — as Cyclon does with
-// what a Tap hands back — the memo on a received entry is checked
-// against the universe (one array load) and re-resolved from the
+// The agent runs the same view core as Cyclon. A code is the peer's
+// dense host index in the universe UseIndex names, or, for a peer the
+// universe does not know, the complement of its slot in the agent's
+// stray table. So the self and duplicate checks of a merge compare
+// int32s, and the owner's discovery reads codes and memo words straight
+// off the view (TickDiscover). An entry is built only where one leaves
+// the agent, on a message, with its code plus one as its index memo. An
+// agent's entries arrive from a wire or an adversary, so — as Cyclon
+// does with what a Tap hands back — the memo on a received entry is
+// checked against the universe (one array load) and re-resolved from the
 // identifier when it is missing or names another host: the identifier
 // always wins. Entries outside the universe, and every entry of an agent
 // without UseIndex, are strays, compared by identifier. Decisions and RNG
 // draws are the same either way. Received ages are clamped into
-// [0, maxAge] and a tick's ageing saturates there, so no peer can pin an
-// entry by lying about its age.
+// [0, maxAge], so no peer can pin an entry by lying about its age.
 //
 // Agent is safe for concurrent use.
 type Agent struct {
 	self       ids.NodeID
 	shuffleLen int
-	cap        int
 
 	mu sync.Mutex
 	// rng draws from src; both live in the agent, so it allocates neither.
 	src stats.SplitMix64
 	rng rand.Rand
-	// The view: slot k holds the peer coded codes[k] at age ages[k], and
-	// memo[k] is the word the owner's discovery keeps about it (see
-	// view.memo), zeroed when the slot takes a new occupant and moved with
-	// its occupant. codes and ages are cut from one backing array.
-	codes []int32
-	ages  []int32
-	memo  []uint64
+	view
 
 	// strays names the view's peers outside the universe: code ^s is
 	// strays[s]. A slot is freed (set to Nil, pushed on free) when its
@@ -137,11 +128,6 @@ type Agent struct {
 	selfIdx1 int32
 }
 
-// sampleStack is the largest view sampleLocked permutes in a stack
-// buffer: v ≈ √N up to 16 384 hosts. A larger view allocates its
-// permutation per sample.
-const sampleStack = 128
-
 // NewAgent creates a live shuffle agent for self.
 func NewAgent(self ids.NodeID, viewSize, shuffleLen int, seed int64) (*Agent, error) {
 	if self.IsNil() {
@@ -156,14 +142,10 @@ func NewAgent(self ids.NodeID, viewSize, shuffleLen int, seed int64) (*Agent, er
 	if seed == 0 {
 		seed = int64(ids.SelfHash(self) * (1 << 62))
 	}
-	buf := make([]int32, 2*viewSize)
 	a := &Agent{
 		self:       self,
 		shuffleLen: shuffleLen,
-		cap:        viewSize,
-		codes:      buf[:0:viewSize],
-		ages:       buf[viewSize:viewSize],
-		memo:       make([]uint64, 0, viewSize),
+		view:       newView(viewSize, make([]uint64, viewSize)),
 	}
 	a.src.Seed(seed)
 	a.rng = *rand.New(&a.src)
@@ -311,30 +293,17 @@ func (a *Agent) TickDiscover(reseed []ids.NodeID, judge func(codes []int32, memo
 		}
 		return ids.Addr{}, nil, false
 	}
-	// Age every entry and find the oldest (the first among equals) in
-	// one pass.
-	oldest := 0
-	for k := range a.ages {
-		if a.ages[k] < maxAge {
-			a.ages[k]++
-		}
-		if a.ages[k] > a.ages[oldest] {
-			oldest = k
-		}
-	}
+	a.age()
 	// Remove the partner's slot; it is replaced by whatever comes back.
 	// Until the judge returns it sits, word and all, in the slot the
 	// removal freed, just past the end of the view.
-	code, age, word := a.codes[oldest], a.ages[oldest], a.memo[oldest]
-	last := len(a.codes) - 1
-	copy(a.codes[oldest:], a.codes[oldest+1:])
-	copy(a.ages[oldest:], a.ages[oldest+1:])
-	copy(a.memo[oldest:], a.memo[oldest+1:])
-	a.codes[last], a.ages[last], a.memo[last] = code, age, word
+	code, word := a.remove(a.oldest(nil))
 	if judge != nil {
-		judge(a.codes, a.memo, a.strays)
+		n := len(a.codes)
+		codes, memo := a.codes[:n+1], a.memo[:n+1]
+		codes[n], memo[n] = code, word
+		judge(codes, memo, a.strays)
 	}
-	a.codes, a.ages, a.memo = a.codes[:last], a.ages[:last], a.memo[:last]
 	peer = ids.AddrAt(a.idOf(code), code)
 	if code < 0 {
 		a.dropStray(code)
@@ -372,29 +341,12 @@ func (a *Agent) HandleReply(from ids.NodeID, reply *Reply) {
 	reply.Recycle()
 }
 
-// sampleLocked appends min(n, len(view)) distinct random entries to dst:
-// the partial Fisher–Yates Cyclon samples with, one Intn draw per entry
-// picked, over a slot permutation on the stack. Caller holds mu.
+// sampleLocked appends a sample of n of the view's entries to dst, in
+// wire form. Caller holds mu.
 func (a *Agent) sampleLocked(dst []Entry, n int) []Entry {
-	m := len(a.codes)
-	n = min(n, m)
-	if n <= 0 {
-		return dst
-	}
 	var stack [sampleStack]int32
-	var idx []int32
-	if m <= len(stack) {
-		idx = stack[:m]
-	} else {
-		idx = make([]int32, m)
-	}
-	for i := range idx {
-		idx[i] = int32(i)
-	}
-	for i := 0; i < n; i++ {
-		j := i + a.rng.Intn(m-i)
-		idx[i], idx[j] = idx[j], idx[i]
-		dst = append(dst, a.entry(int(idx[i])))
+	for _, k := range a.sample(&a.rng, n, stack[:0]) {
+		dst = append(dst, a.entry(int(k)))
 	}
 	return dst
 }
@@ -438,10 +390,9 @@ func (m *mergeState) mayHold(code int32) bool { return m.held[code>>6&3]&(1<<(co
 // addLocked merges one entry: peer id at age, carrying index memo idx1.
 // An entry the universe resolves can only duplicate another resolved
 // entry, so it is compared by code; a stray is compared by identifier
-// against the stray table. A full view takes the entry in place of its
-// oldest one (the first among equals, found by the merge's victim
-// cursor) if that one is no younger, freeing the victim's stray slot
-// before the newcomer takes one. Caller holds mu.
+// against the stray table. The view's insertion files it, a stray under
+// a placeholder code until the victim's stray slot, if any, is freed and
+// the newcomer takes one. Caller holds mu.
 func (a *Agent) addLocked(id ids.NodeID, idx1, age int32, m *mergeState) {
 	if id.IsNil() {
 		return
@@ -457,25 +408,16 @@ func (a *Agent) addLocked(id ids.NodeID, idx1, age int32, m *mergeState) {
 			return
 		}
 	}
-	k := len(a.codes)
-	if k == a.cap {
-		if k = m.victims.next(a.ages); a.ages[k] < age {
-			return
-		}
-		if old := a.codes[k]; old < 0 {
-			a.dropStray(old)
-		}
+	k, evicted := a.insert(code, age, &m.victims)
+	if k < 0 {
+		return
+	}
+	if evicted < 0 && evicted != vacant {
+		a.dropStray(evicted)
 	}
 	if code >= 0 {
 		m.mark(code)
 	} else {
-		code = a.addStray(id)
+		a.codes[k] = a.addStray(id)
 	}
-	if k == len(a.codes) {
-		a.codes = append(a.codes, code)
-		a.ages = append(a.ages, age)
-		a.memo = append(a.memo, 0)
-		return
-	}
-	a.codes[k], a.ages[k], a.memo[k] = code, age, 0
 }

@@ -260,7 +260,7 @@ func (c *refCyclon) tick(vx *refView) {
 		return
 	}
 	for i := range vx.rows {
-		vx.rows[i].Age++
+		vx.rows[i].Age = min(vx.rows[i].Age+1, maxAge)
 	}
 	// Partner = the oldest entry whose node is online.
 	for {

@@ -219,15 +219,14 @@ func (h *diffHarness) checkMemo(step int) {
 	c := h.idx
 	seen := map[uint64]bool{}
 	var views []*view
-	for _, v := range c.views {
-		if v != nil {
-			views = append(views, v)
+	for x, v := range c.views {
+		if v == nil {
+			continue
 		}
-	}
-	for _, v := range views {
+		views = append(views, v)
 		if len(v.memo) != len(v.codes) || len(v.ages) != len(v.codes) {
 			h.t.Fatalf("step %d: view of %s: %d codes, %d ages, %d words",
-				step, v.self, len(v.codes), len(v.ages), len(v.memo))
+				step, c.names[x], len(v.codes), len(v.ages), len(v.memo))
 		}
 		for k, w := range v.memo {
 			if w == 0 {
@@ -235,7 +234,7 @@ func (h *diffHarness) checkMemo(step int) {
 			}
 			if got, want := c.names[v.codes[k]], h.words[w]; got != want || seen[w] {
 				h.t.Fatalf("step %d: view of %s slot %d: word %d written for %s sits beside %s (seen before: %v)",
-					step, v.self, k, w, want, got, seen[w])
+					step, c.names[x], k, w, want, got, seen[w])
 			}
 			seen[w] = true
 		}
@@ -304,48 +303,88 @@ func (c *Cyclon) unpack(v *view) []Entry {
 
 // TestMergeMatchesReference: same survivors, same victims, same
 // tie-break as the reference fold, on views dense with equal ages, for
-// exchange merges and Join seeding. Seeds come from the universe, as a
-// Join admits only those; exchange merges also see strays, identifiers
-// outside the universe and nil ones.
+// exchange merges and Join seeding. Stored ages are ones a view can
+// hold, in [0, maxAge]. Seeds come from the universe at age 0, as a Join
+// packs them, and the reference replaces a victim whatever its age when
+// seeding; exchange merges also see strays, identifiers outside the
+// universe, nil ones and negative ages.
 func TestMergeMatchesReference(t *testing.T) {
 	h := newDiffHarness(t, 4, true)
 	c := h.idx
 	rng := rand.New(rand.NewSource(17))
 	registered := func(id ids.NodeID) bool { return c.View(id) != nil }
 	for trial := 0; trial < 8000; trial++ {
-		v := c.views[rng.Intn(diffJoiners/2)]
+		x := int32(rng.Intn(diffJoiners / 2))
+		v := c.views[x]
 		v.codes, v.ages, v.memo = v.codes[:0], v.ages[:0], v.memo[:0]
 		for _, p := range rng.Perm(diffUniverse)[:rng.Intn(c.viewSize+1)] {
-			if h.universe[p] != v.self {
+			if p != int(x) {
 				code, _ := c.intern(h.universe[p])
 				v.codes = append(v.codes, code)
-				v.ages = append(v.ages, int32(rng.Intn(4)-1))
+				v.ages = append(v.ages, int32(rng.Intn(4)))
 				v.memo = append(v.memo, 0)
 			}
 		}
 		seeding := rng.Intn(4) == 0
 		received := make([]Entry, rng.Intn(9))
 		for i := range received {
-			id := h.anyID(rng.Intn)
-			if seeding && !id.IsNil() {
-				id = h.universe[rng.Intn(diffUniverse)]
+			received[i] = Entry{ID: h.anyID(rng.Intn), Age: rng.Intn(5) - 1}
+			if seeding && !received[i].ID.IsNil() {
+				received[i] = Entry{ID: h.universe[rng.Intn(diffUniverse)]}
 			}
-			received[i] = Entry{ID: id, Age: rng.Intn(5) - 1}
 		}
-		want := refMerge(v.self, c.viewSize, c.unpack(v), received, registered, seeding)
+		want := refMerge(c.names[x], c.viewSize, c.unpack(v), received, registered, seeding)
 		in := &offer{}
-		if seeding { // as Join packs its seeds, ages kept
+		if seeding { // as Join packs its seeds
 			for _, e := range received {
 				if code, ok := c.intern(e.ID); ok {
-					in.add(code, int32(e.Age))
+					in.add(code, 0)
 				}
 			}
 		} else {
 			in = c.received(received)
 		}
-		c.merge(v, in, seeding)
+		c.merge(x, in, seeding)
 		if got := c.unpack(v); !slices.Equal(got, want) {
 			t.Fatalf("trial %d (seeding=%v): merge left %v, reference %v", trial, seeding, got, want)
+		}
+	}
+}
+
+// TestJoinNoOlderRuleMatchesAlwaysReplace: a Join files its seeds at age
+// 0 under the view's no-older rule, which admits exactly what the old
+// rule — a seed always replaces the victim — admitted, because every
+// stored age is at least 0. Views of random ages in [0, maxAge], ties and
+// the extremes included, are re-seeded through Join and compared with
+// the old rule's fold.
+func TestJoinNoOlderRuleMatchesAlwaysReplace(t *testing.T) {
+	h := newDiffHarness(t, 5, false)
+	c := h.idx
+	rng := rand.New(rand.NewSource(23))
+	registered := func(id ids.NodeID) bool { return c.View(id) != nil }
+	agePool := []int32{0, 1, 2, maxAge - 1, maxAge}
+	for trial := 0; trial < 4000; trial++ {
+		x := rng.Intn(diffJoiners / 2)
+		v := c.views[x]
+		v.codes, v.ages, v.memo = v.codes[:0], v.ages[:0], v.memo[:0]
+		for _, p := range rng.Perm(diffUniverse)[:rng.Intn(c.viewSize+1)] {
+			if p != x {
+				code, _ := c.intern(h.universe[p])
+				v.codes = append(v.codes, code)
+				v.ages = append(v.ages, agePool[rng.Intn(len(agePool))])
+				v.memo = append(v.memo, 0)
+			}
+		}
+		seeds := make([]ids.NodeID, rng.Intn(2*c.viewSize))
+		received := make([]Entry, len(seeds))
+		for i := range seeds {
+			seeds[i] = h.universe[rng.Intn(diffUniverse)]
+			received[i] = Entry{ID: seeds[i]}
+		}
+		want := refMerge(c.names[x], c.viewSize, c.unpack(v), received, registered, true)
+		mustJoin(t, c, c.names[x], seeds...)
+		if got := c.unpack(v); !slices.Equal(got, want) {
+			t.Fatalf("trial %d: Join left %v, the always-replace rule %v", trial, got, want)
 		}
 	}
 }

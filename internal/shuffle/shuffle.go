@@ -5,8 +5,9 @@
 // eventually appears in any other node's view (expected discovery time
 // O(N/v) protocol periods for view size v).
 //
-// Two implementations of the CYCLON-style age-based shuffle (Voulgaris
-// et al.) are provided, with bounded views and pairwise exchanges:
+// One implementation of the CYCLON-style age-based shuffle (Voulgaris
+// et al.), the view core (view), runs under two drivers, with bounded
+// views and pairwise exchanges:
 //
 //   - Cyclon runs the protocol for a whole simulated population at once,
 //     addressing every node by its dense index in a host universe bound
@@ -14,15 +15,15 @@
 //   - Agent runs it inside one live node, over a real transport,
 //     exchanging *Request and *Reply messages.
 //
-// Both store a view as the same three columns, 16 bytes a slot: the
-// peer's int32 code (its dense host index; in an Agent, for a peer
-// outside the universe, the complement of its slot in a small stray
-// table), its age, and the owner's memo word. Neither keeps rows of
-// Entry: Entry is the wire form, and the form a Tap sees, built only
-// where an entry leaves. Exchange messages are recycled: the handler that merges a
-// message consumes it and returns it to a pool, and a message dropped
-// undelivered or refused returns through its Recycle (see NewRequest).
-// Ages that arrive from outside are clamped into [0, maxAge].
+// A view is three columns, 16 bytes a slot: the peer's int32 code (its
+// dense host index; in an Agent, for a peer outside the universe, the
+// complement of its slot in a small stray table), its age, and the
+// owner's memo word. Entry is the wire form, and the form a Tap sees,
+// built only where an entry leaves. Exchange messages are recycled: the
+// handler that merges a message consumes it and returns it to a pool,
+// and a message dropped undelivered or refused returns through its
+// Recycle (see NewRequest). Ages that arrive from outside are clamped
+// into [0, maxAge].
 //
 // Architecture: DESIGN.md §7 (monitoring and shuffling services).
 package shuffle
@@ -47,31 +48,6 @@ type Entry struct {
 	idx1 int32
 }
 
-// view is one node's bounded coarse view, packed: entry k is the node
-// coded codes[k] at age ages[k]. Both slices are cut from one backing
-// array of capacity 2·viewSize, so ageing, the partner scan, sampling and
-// the eviction search walk dense int32s. memo[k] is the slot's memo word
-// — 16 bytes per entry in all: the shuffle never reads it, it belongs to
-// the view owner's discovery (core.Membership.DiscoverView) and holds
-// what that learned about the slot's current occupant. Cyclon's part is
-// to keep each word beside the occupant it was written for: zeroed when
-// the occupant changes, moved when the occupant moves. Create views
-// through Cyclon.
-type view struct {
-	self  ids.NodeID
-	code  int32 // self's host index, its code
-	codes []int32
-	ages  []int32
-	memo  []uint64
-}
-
-// remove deletes entry k, keeping the order of the rest.
-func (v *view) remove(k int) {
-	v.codes = append(v.codes[:k], v.codes[k+1:]...)
-	v.ages = append(v.ages[:k], v.ages[k+1:]...)
-	v.memo = append(v.memo[:k], v.memo[k+1:]...)
-}
-
 // offer is a batch of entries in packed form: the subset one side of an
 // exchange contributes, or the seeds of a Join.
 type offer struct {
@@ -90,12 +66,11 @@ const memoChunk = 512
 
 // maxAge bounds the ages a view stores. An Entry.Age received from
 // outside — off a wire into an Agent, or back from a Tap into Cyclon — is
-// clamped into [0, maxAge]: an age below 0 would never be picked as
-// partner nor evicted, and one near the int range would wrap on the next
-// tick to the same effect, pinning the entry in an honest view. The
-// Agent's ageing saturates at maxAge; Cyclon's leaves 2^30 protocol
-// periods before an int32 could wrap. No in-tree behaviour sets an age at
-// all — honest ages start at 0 and grow by one per period.
+// clamped into [0, maxAge], and ageing saturates there: an age below 0
+// would never be picked as partner nor evicted, and one near the int
+// range would wrap on the next tick to the same effect, pinning the entry
+// in an honest view. No in-tree behaviour sets an age at all — honest
+// ages start at 0 and grow by one per period.
 const maxAge = 1 << 30
 
 // clampAge returns a received age as a view stores it.
@@ -135,14 +110,13 @@ type Cyclon struct {
 	stamp []uint32
 	gen   uint32
 
-	// Exchange scratch, reused across ticks: an index permutation for
-	// partial Fisher–Yates sampling, the two sampled offers, the batch a
-	// Join or a Tap hands to merge, and the entries built for a Tap. merge
-	// copies out of its input, so nothing retains these between calls.
-	permScratch []int
-	outX, outQ  offer
-	recv        offer
-	tapBuf      []Entry
+	// Exchange scratch, reused across ticks: the two sampled offers, the
+	// batch a Join or a Tap hands to merge, and the entries built for a
+	// Tap. merge copies out of its input, so nothing retains these between
+	// calls.
+	outX, outQ offer
+	recv       offer
+	tapBuf     []Entry
 	// memoSlab is the unused tail of the current memo chunk: newView cuts
 	// each view's words from it, so a deployment's memo costs one
 	// allocation per memoChunk views rather than one per view.
@@ -277,30 +251,16 @@ func (c *Cyclon) Join(x ids.NodeID, seeds []ids.NodeID) error {
 		}
 		c.recv.add(sc, 0)
 	}
-	v := c.views[code]
-	if v == nil {
-		v = c.newView(x, code)
+	if c.views[code] == nil {
+		if len(c.memoSlab) < c.viewSize {
+			c.memoSlab = make([]uint64, memoChunk*c.viewSize)
+		}
+		v := newView(c.viewSize, c.memoSlab)
+		c.memoSlab = c.memoSlab[c.viewSize:]
+		c.views[code] = &v
 	}
-	c.merge(v, &c.recv, true)
+	c.merge(code, &c.recv, true)
 	return nil
-}
-
-// newView registers an empty view for the node x coded code.
-func (c *Cyclon) newView(x ids.NodeID, code int32) *view {
-	buf := make([]int32, 2*c.viewSize)
-	if len(c.memoSlab) < c.viewSize {
-		c.memoSlab = make([]uint64, memoChunk*c.viewSize)
-	}
-	v := &view{
-		self:  x,
-		code:  code,
-		codes: buf[:0:c.viewSize],
-		ages:  buf[c.viewSize:c.viewSize],
-		memo:  c.memoSlab[:0:c.viewSize],
-	}
-	c.memoSlab = c.memoSlab[c.viewSize:]
-	c.views[code] = v
-	return v
 }
 
 // View returns the identifiers currently in x's coarse view, nil when x
@@ -366,80 +326,68 @@ func (c *Cyclon) TickIdx(i int) {
 	if vx == nil || !c.onlineAt(i) {
 		return
 	}
-	for k := range vx.ages {
-		vx.ages[k]++
-	}
+	vx.age()
 	for {
-		// Partner = the oldest entry whose node is online.
-		partner := -1
-		for k, code := range vx.codes {
-			if !c.onlineAt(int(code)) {
-				continue
-			}
-			if partner < 0 || vx.ages[k] > vx.ages[partner] {
-				partner = k
-			}
-		}
+		partner := vx.oldest(c.onlineAt)
 		if partner < 0 {
 			return // no online partner this round
 		}
-		vq := c.views[vx.codes[partner]]
-		if vq == nil {
-			// Seeded but never joined: drop, rescan.
-			vx.remove(partner)
-			continue
+		if q := vx.codes[partner]; c.views[q] != nil {
+			c.exchange(int32(i), q, partner)
+			return
 		}
-		c.exchange(vx, vq, partner)
-		return
+		// Seeded but never joined: drop, rescan.
+		vx.remove(partner)
 	}
 }
 
 // SetTap installs (or, with nil, removes) the exchange interceptor.
 func (c *Cyclon) SetTap(t *Tap) { c.tap = t }
 
-// exchange swaps subsets between initiator vx (whose oldest entry sits
-// at index qIdx and belongs to responder vq).
-func (c *Cyclon) exchange(vx, vq *view, qIdx int) {
+// exchange swaps subsets between initiator x (whose oldest entry sits
+// at index qIdx and is responder q).
+func (c *Cyclon) exchange(x, q int32, qIdx int) {
 	// The initiator discards its entry for the responder and sends a
 	// fresh self-entry plus up to shuffleLen-1 random others.
-	vx.remove(qIdx)
+	c.views[x].remove(qIdx)
 	c.outX.reset()
-	c.sample(&c.outX, vx, c.shuffleLen-1)
-	c.outX.add(vx.code, 0)
+	c.sample(&c.outX, c.views[x], c.shuffleLen-1)
+	c.outX.add(x, 0)
 
 	c.outQ.reset()
-	c.sample(&c.outQ, vq, c.shuffleLen)
+	c.sample(&c.outQ, c.views[q], c.shuffleLen)
 
 	if c.tap == nil {
-		c.merge(vq, &c.outX, false)
-		c.merge(vx, &c.outQ, false)
+		c.merge(q, &c.outX, false)
+		c.merge(x, &c.outQ, false)
 		return
 	}
 	// Request half: the initiator's offer crosses the tap; a dropping
 	// initiator, a refusing responder, or a rejecting responder ends
 	// the exchange with the initiator's entry for it already spent —
 	// the cost an unanswered live request has.
-	offerX, claimX, dropX := c.tapOutbound(vx.self, false, c.entries(&c.outX))
+	self, peer := c.names[x], c.names[q]
+	offerX, claimX, dropX := c.tapOutbound(self, false, c.entries(&c.outX))
 	if dropX {
 		return
 	}
-	if c.tap.Refuse != nil && c.tap.Refuse(vq.self) {
+	if c.tap.Refuse != nil && c.tap.Refuse(peer) {
 		return
 	}
-	if !c.tapInbound(vq.self, vx.self, false, offerX, claimX) {
+	if !c.tapInbound(peer, self, false, offerX, claimX) {
 		return
 	}
-	c.merge(vq, c.received(offerX), false)
+	c.merge(q, c.received(offerX), false)
 	// Reply half: a dropped reply leaves the initiator empty-handed. The
 	// request's entries are spent by now, so the reply reuses their buffer.
-	offerQ, claimQ, dropQ := c.tapOutbound(vq.self, true, c.entries(&c.outQ))
+	offerQ, claimQ, dropQ := c.tapOutbound(peer, true, c.entries(&c.outQ))
 	if dropQ {
 		return
 	}
-	if !c.tapInbound(vx.self, vq.self, true, offerQ, claimQ) {
+	if !c.tapInbound(self, peer, true, offerQ, claimQ) {
 		return
 	}
-	c.merge(vx, c.received(offerQ), false)
+	c.merge(x, c.received(offerQ), false)
 }
 
 // entries unpacks an offer into the Tap's wire form, in Cyclon-owned
@@ -493,69 +441,41 @@ func (c *Cyclon) tapInbound(receiver, sender ids.NodeID, reply bool, entries []E
 	return c.tap.Inbound(receiver, sender, reply, entries, claim)
 }
 
-// sample appends up to n distinct random entries of v to dst via a
-// partial Fisher–Yates over a reusable index scratch.
+// sample appends up to n distinct random entries of v to dst.
 func (c *Cyclon) sample(dst *offer, v *view, n int) {
-	m := len(v.codes)
-	if n > m {
-		n = m
-	}
-	if n <= 0 {
-		return
-	}
-	if cap(c.permScratch) < m {
-		c.permScratch = make([]int, c.viewSize)
-	}
-	idx := c.permScratch[:m]
-	for i := range idx {
-		idx[i] = i
-	}
-	for i := 0; i < n; i++ {
-		j := i + c.rng.Intn(m-i)
-		idx[i], idx[j] = idx[j], idx[i]
-		dst.add(v.codes[idx[i]], v.ages[idx[i]])
+	var stack [sampleStack]int32
+	for _, k := range v.sample(c.rng, n, stack[:0]) {
+		dst.add(v.codes[k], v.ages[k])
 	}
 }
 
-// merge folds received entries into v, skipping self, duplicates, and —
-// unless seeding (Join, whose bootstrap peers may not have joined yet) —
-// entries for never-joined nodes, which would otherwise ping-pong between
-// views. A full view takes an entry in place of its oldest one (the first
-// among equals, found by a victimCursor): always when seeding, otherwise
-// only if the newcomer is no older. A slot that takes a new occupant
-// starts with a zero memo word.
-func (c *Cyclon) merge(v *view, received *offer, seeding bool) {
+// merge folds received entries into x's view, skipping self, duplicates,
+// and — unless seeding (Join, whose bootstrap peers may not have joined
+// yet) — entries for never-joined nodes, which would otherwise ping-pong
+// between views. What is left goes to the view's insertion; a newcomer
+// is stamped, an evicted code unstamped.
+func (c *Cyclon) merge(x int32, received *offer, seeding bool) {
+	v := c.views[x]
 	c.gen++
 	if c.gen == 0 {
 		clear(c.stamp)
 		c.gen = 1
 	}
-	c.stamp[v.code] = c.gen
+	c.stamp[x] = c.gen
 	for _, code := range v.codes {
 		c.stamp[code] = c.gen
 	}
 	var victims victimCursor
 	for i, code := range received.codes {
-		age := received.ages[i]
-		if c.stamp[code] == c.gen {
+		if c.stamp[code] == c.gen || !seeding && c.views[code] == nil {
 			continue
 		}
-		if !seeding && c.views[code] == nil {
+		k, evicted := v.insert(code, received.ages[i], &victims)
+		if k < 0 {
 			continue
 		}
-		if len(v.codes) < c.viewSize {
-			v.codes = append(v.codes, code)
-			v.ages = append(v.ages, age)
-			v.memo = append(v.memo, 0)
-		} else {
-			oldest := victims.next(v.ages)
-			if !seeding && v.ages[oldest] < age {
-				continue
-			}
-			c.stamp[v.codes[oldest]] = 0 // gen is never 0
-			v.codes[oldest] = code
-			v.ages[oldest] = age
-			v.memo[oldest] = 0
+		if evicted != vacant {
+			c.stamp[evicted] = 0 // gen is never 0
 		}
 		c.stamp[code] = c.gen
 	}
