@@ -320,3 +320,42 @@ func TestBlockedAnswersAcrossFirstEviction(t *testing.T) {
 		}
 	}
 }
+
+// TestOutOfHullPartialsAmidCleanShufflesNeverEvict pins how the
+// suspicion model treats aggregation evidence today: a parent that
+// declines a child's out-of-hull partial k times, while the same child's
+// shuffle exchanges arrive clean between them, never evicts it. Each
+// partial is a soft hit (0.2) and each clean exchange decays the score
+// (0.05), so four clean exchanges erase one partial, although thirty
+// partials alone would evict ten times over. This is the audit that
+// detects and never acts (ROADMAP item 21); making aggregation evidence
+// add up flips this test.
+func TestOutOfHullPartialsAmidCleanShufflesNeverEvict(t *testing.T) {
+	const k = 30
+	f := newFixture(t, Params{})
+	for i := 0; i < k; i++ {
+		f.auditor.SuspectAggPartial(addr("peer"), "agg-hull-bounds")
+		for j := 0; j < 4; j++ {
+			if !f.auditor.ObserveInbound(addr("peer"), &shuffle.Request{
+				SenderAvail: 0.5,
+				Entries:     []shuffle.Entry{{ID: "other"}, {ID: "peer"}},
+			}) {
+				t.Fatalf("partial %d: the child's clean shuffle was dropped", i)
+			}
+		}
+		if s := f.auditor.Suspicion("peer"); s >= 0.2 {
+			t.Fatalf("partial %d: suspicion %v survived four clean exchanges", i, s)
+		}
+	}
+	if f.auditor.Blocked(addr("peer")) || f.auditor.Evictions() != 0 {
+		t.Fatalf("%d out-of-hull partials amid clean shuffles evicted the child", k)
+	}
+
+	alone := newFixture(t, Params{})
+	for i := 0; i < k; i++ {
+		alone.auditor.SuspectAggPartial(addr("peer"), "agg-hull-bounds")
+	}
+	if !alone.auditor.Blocked(addr("peer")) {
+		t.Fatalf("%d out-of-hull partials with nothing between them did not evict", k)
+	}
+}
