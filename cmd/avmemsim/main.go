@@ -70,7 +70,7 @@ func runScenario(args []string, out io.Writer) error {
 	backend := fs.String("backend", scenario.BackendSim,
 		"execution engine: 'sim' (virtual-time simulator) or 'memnet' (real nodes on the simulated network)")
 	cpuprofile := fs.String("cpuprofile", "", "write a CPU profile to this file")
-	memprofile := fs.String("memprofile", "", "write a heap profile to this file, recording every allocation (exact per-site counts: go tool pprof -sample_index=alloc_objects) and the live heap at the end of the run, the deployment included (-sample_index=inuse_space)")
+	memprofile := fs.String("memprofile", "", "write a heap profile to this file, recording every allocation (go tool pprof -sample_index=alloc_objects; per-site counts are exact for objects of 16 bytes or more, a smaller pointer-free object is recorded only when it opens a new tiny block) and the live heap at the end of the run, the deployment included (-sample_index=inuse_space)")
 	tracefile := fs.String("trace", "", "write a runtime execution trace to this file")
 	var of obsFlags
 	fs.StringVar(&of.metricsAddr, "metrics-addr", "",

@@ -13,8 +13,11 @@ import (
 // profile and execution trace record the whole run. With a heap profile
 // requested, every allocation is recorded (runtime.MemProfileRate = 1)
 // before the run starts, so the profile's alloc_objects and alloc_space
-// samples are exact per-site counts of the whole run, not 512 KB samples
-// scaled up. Its inuse samples are the live heap at the end of the run,
+// samples are per-site counts of the whole run, not 512 KB samples
+// scaled up. They are exact only for objects of 16 bytes or more: the
+// runtime records a smaller pointer-free object only when it opens a new
+// tiny block, so those are under-counted (runtime.MemStats.Mallocs counts
+// them all). Its inuse samples are the live heap at the end of the run,
 // the world included: scenario.Run collects before it lets the
 // deployment go when every allocation is recorded, and the profile is
 // written as of that collection.
