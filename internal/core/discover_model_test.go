@@ -1,8 +1,6 @@
 package core
 
 import (
-	"time"
-
 	"avmem/internal/ids"
 )
 
@@ -243,10 +241,9 @@ func (m *modelMembership) Discover(candidates []ids.NodeID) int {
 	if !m.selfKnown {
 		m.RefreshSelf()
 	}
-	now := m.cfg.Clock()
 	added := 0
 	for _, y := range candidates {
-		if m.discoverOne(y, now) {
+		if m.discoverOne(y) {
 			added++
 		}
 	}
@@ -294,12 +291,11 @@ func (m *modelMembership) DiscoverIdx(candidates []ids.NodeID, idxs []int32) int
 			}
 		}
 	}
-	now := m.cfg.Clock()
 	added := 0
 	for j, y := range candidates {
 		yi := idxs[j]
 		if yi < 0 {
-			if m.discoverOne(y, now) {
+			if m.discoverOne(y) {
 				added++
 			}
 			continue
@@ -337,7 +333,7 @@ func (m *modelMembership) DiscoverIdx(candidates []ids.NodeID, idxs []int32) int
 			}
 			continue
 		}
-		m.admit(Neighbor{ID: y, Availability: avY, Sliver: kind, FetchedAt: now, hash: h, idx1: yi + 1})
+		m.admit(Neighbor{ID: y, Availability: avY, Sliver: kind, hash: h, idx1: yi + 1})
 		added++
 	}
 	return added
@@ -367,7 +363,7 @@ func (m *modelMembership) rebuildIdx() {
 
 // discoverOne runs the identifier-keyed discovery test for a single
 // candidate, reporting whether it was admitted.
-func (m *modelMembership) discoverOne(y ids.NodeID, now time.Duration) bool {
+func (m *modelMembership) discoverOne(y ids.NodeID) bool {
 	if y == m.self || y.IsNil() {
 		return false
 	}
@@ -386,7 +382,7 @@ func (m *modelMembership) discoverOne(y ids.NodeID, now time.Duration) bool {
 	if !match {
 		return false
 	}
-	m.admit(Neighbor{ID: y, Availability: avY, Sliver: kind, FetchedAt: now, hash: h})
+	m.admit(Neighbor{ID: y, Availability: avY, Sliver: kind, hash: h})
 	return true
 }
 
@@ -397,7 +393,6 @@ func (m *modelMembership) discoverOne(y ids.NodeID, now time.Duration) bool {
 // evicted neighbors.
 func (m *modelMembership) Refresh() int {
 	m.RefreshSelf()
-	now := m.cfg.Clock()
 	evicted := 0
 	// Compact the full list in place (the write index never passes the
 	// read index), then rebuild the sliver views from it — still sorted,
@@ -424,7 +419,6 @@ func (m *modelMembership) Refresh() int {
 		}
 		nb.Availability = avY
 		nb.Sliver = kind
-		nb.FetchedAt = now
 		keep = append(keep, nb)
 	}
 	for i := len(keep); i < len(m.all); i++ {

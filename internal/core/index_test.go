@@ -268,7 +268,7 @@ func TestDiscoverIdxMatchesDiscover(t *testing.T) {
 			t.Fatalf("step %d: self claim %v indexed, %v by identifier", step, a, b)
 		}
 		same := func(a, b Neighbor) bool {
-			return a.ID == b.ID && a.Availability == b.Availability && a.Sliver == b.Sliver && a.FetchedAt == b.FetchedAt
+			return a.ID == b.ID && a.Availability == b.Availability && a.Sliver == b.Sliver
 		}
 		for _, f := range []Flavor{HSOnly, VSOnly, HSVS} {
 			if !slices.EqualFunc(p.byIdx.CopyNeighbors(f), p.byID.CopyNeighbors(f), same) {

@@ -53,8 +53,6 @@ func (f Flavor) Admits(s Sliver) bool {
 type Neighbor struct {
 	ID           ids.NodeID
 	Availability float64
-	// FetchedAt records when the cached availability was obtained.
-	FetchedAt time.Duration
 	// hash is H(self, ID), fixed for the pair: Refresh re-tests the
 	// predicate against it without hashing or probing a shared cache.
 	hash float64
@@ -82,7 +80,9 @@ type Config struct {
 	// Hashes optionally shares a memoized pair-hash cache across nodes
 	// of one simulation; nil computes hashes directly.
 	Hashes *ids.HashCache
-	// Clock supplies the current (virtual or real) time.
+	// Clock supplies the current (virtual or real) time. No membership
+	// decision reads it (a neighbor records no fetch time); it stays
+	// required so existing configurations keep validating unchanged.
 	Clock func() time.Duration
 	// VerifyCushion is added to f during in-neighbor verification to
 	// tolerate stale or inconsistent availability views (paper §4.1
@@ -343,10 +343,9 @@ func (m *Membership) Discover(candidates []ids.NodeID) int {
 	if !m.selfKnown {
 		m.RefreshSelf()
 	}
-	now := m.cfg.Clock()
 	added := 0
 	for _, y := range candidates {
-		if m.discoverOne(y, now) {
+		if m.discoverOne(y) {
 			added++
 		}
 	}
@@ -442,7 +441,6 @@ func (m *Membership) discover(codes []int32, memo []uint64, names []ids.NodeID, 
 		delta = stands && !m.refull
 		m.passEpoch, m.passVer, m.passStable, m.refull = ep, m.selfVer, stable, false
 	}
-	now := m.cfg.Clock()
 	var skipped, evaluated, hashes int64
 	added := 0
 	for k, yi := range codes {
@@ -458,7 +456,7 @@ func (m *Membership) discover(codes []int32, memo []uint64, names []ids.NodeID, 
 			if byPos {
 				j = k
 			}
-			if m.discoverOne(names[j], now) {
+			if m.discoverOne(names[j]) {
 				added++
 			}
 			continue
@@ -496,7 +494,7 @@ func (m *Membership) discover(codes []int32, memo []uint64, names []ids.NodeID, 
 		}
 		evaluated++
 		if match, kind := m.eval(h, avY); match {
-			m.admit(Neighbor{ID: y, Availability: avY, Sliver: kind, FetchedAt: now, hash: h, idx1: yi + 1})
+			m.admit(Neighbor{ID: y, Availability: avY, Sliver: kind, hash: h, idx1: yi + 1})
 			added++
 		}
 	}
@@ -514,7 +512,7 @@ func (m *Membership) discover(codes []int32, memo []uint64, names []ids.NodeID, 
 
 // discoverOne runs the identifier-keyed discovery test for a single
 // candidate, reporting whether it was admitted.
-func (m *Membership) discoverOne(y ids.NodeID, now time.Duration) bool {
+func (m *Membership) discoverOne(y ids.NodeID) bool {
 	if y == m.self || y.IsNil() {
 		return false
 	}
@@ -533,7 +531,7 @@ func (m *Membership) discoverOne(y ids.NodeID, now time.Duration) bool {
 	if !match {
 		return false
 	}
-	m.admit(Neighbor{ID: y, Availability: avY, Sliver: kind, FetchedAt: now, hash: h})
+	m.admit(Neighbor{ID: y, Availability: avY, Sliver: kind, hash: h})
 	return true
 }
 
@@ -545,7 +543,6 @@ func (m *Membership) discoverOne(y ids.NodeID, now time.Duration) bool {
 func (m *Membership) Refresh() int {
 	m.gen++
 	m.RefreshSelf()
-	now := m.cfg.Clock()
 	evicted, unjudged := 0, 0
 	// Compact the list in place (the write index never passes the read
 	// index); its capacity is reused across rounds.
@@ -568,7 +565,6 @@ func (m *Membership) Refresh() int {
 		}
 		nb.Availability = avY
 		nb.Sliver = kind
-		nb.FetchedAt = now
 		keep = append(keep, nb)
 	}
 	for i := len(keep); i < len(m.all); i++ {

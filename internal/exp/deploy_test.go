@@ -61,6 +61,31 @@ func TestChurnBurstRecovery(t *testing.T) {
 	}
 }
 
+// TestNewDeploymentAllocations pins what building a 2 000-host world on
+// the sim engine allocates, the trace built outside the count: per host a
+// membership, a router and its Env, no station until the router's first
+// aggregation, no view of its own (Cyclon cuts views from slabs) and no
+// copy of the closures every host shares. One more object per host would
+// show here as 2 000 more.
+func TestNewDeploymentAllocations(t *testing.T) {
+	gen := trace.DefaultGenConfig(1)
+	gen.Hosts, gen.Epochs = 2000, 7*24*3
+	tr, err := trace.Generate(gen)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := WorldConfig{Seed: 1, Trace: tr, ProtocolPeriod: 2 * time.Minute}
+	allocs := testing.AllocsPerRun(2, func() {
+		if _, err := NewDeployment(BackendSim, cfg); err != nil {
+			t.Fatal(err)
+		}
+	})
+	const want = 13000 // 12 950 give or take one
+	if allocs > want {
+		t.Errorf("NewDeployment of %d hosts allocates %.0f objects, want at most %d", gen.Hosts, allocs, want)
+	}
+}
+
 // BenchmarkNewDeployment times construction alone — trace statistics,
 // predicate, network, monitor, and every host's membership, router and
 // Cyclon join on the sim engine — on 7-day traces of the benchmark

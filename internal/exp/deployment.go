@@ -199,9 +199,11 @@ type Deployment struct {
 	// discovery is where every membership counts its discovery work
 	// (core.Config.Stats), and flood where every router counts its
 	// flood-path work (ops.RouterConfig.Stats): one struct each for the
-	// metrics flush to read, on both engines.
+	// metrics flush to read, on both engines. inbound is where every
+	// memnet node counts the messages it receives (node.Universe.Inbound).
 	discovery core.DiscoveryStats
 	flood     ops.FloodStats
+	inbound   node.InboundStats
 
 	// adv is the Byzantine cohort (nil when honest); trail is the shared
 	// eviction registry (nil when auditing is off).
@@ -329,7 +331,7 @@ func NewDeployment(backend string, cfg WorldConfig) (*Deployment, error) {
 			if d.shuffle != nil {
 				dropped = d.shuffle.ReceivedDropped()
 			}
-			flushed.publish(d.discovery, dropped, d.flood, d.Net.AddrMemoStats())
+			flushed.publish(d.discovery, dropped, d.flood, d.inbound, d.Net.AddrMemoStats())
 		})
 	}
 	if err := install(d, pred); err != nil {

@@ -31,9 +31,9 @@ func (d *Deployment) installMemnet(pred *core.Predicate) error {
 	// Every node is handed the host-index universe the sim engine's
 	// memberships run on: the shared host table, the trace's identifier
 	// resolver, the monitor's epoch that scopes discovery's slot memos, and
-	// the deployment's discovery and flood-path counters.
+	// the deployment's discovery, flood-path and inbound-message counters.
 	universe := &node.Universe{Pairs: d.PairIdx, IndexOf: d.Trace.HostIndex, MonitorEpoch: d.mon.epoch,
-		Discovery: &d.discovery, Flood: &d.flood}
+		Discovery: &d.discovery, Flood: &d.flood, Inbound: &d.inbound}
 	bandCensus := d.bandCensus
 	fabric := runtime.NetFabric(d.Net)
 	d.nodes = make([]*node.Node, len(d.hosts))

@@ -57,18 +57,21 @@ func (d *Deployment) auditorAt(h int) *audit.Auditor {
 // handler, and the bootstrap join. Each node's trace row index is
 // resolved here, once, and captured by its liveness closure.
 func (d *Deployment) installNodes(pred *core.Predicate) error {
+	// Method values allocate a closure each time they are evaluated: every
+	// host shares one of each.
 	bandCensus := d.bandCensus // one estimator shared by every router
+	now, epoch := d.Sim.Now, d.mon.epoch
 	for h, id := range d.hosts {
 		memCfg := core.Config{
 			Predicate:     pred,
 			Monitor:       d.Monitor,
 			Hashes:        d.Hashes,
-			Clock:         d.Sim.Now,
+			Clock:         now,
 			VerifyCushion: d.Cfg.Cushion,
 			PairIdx:       d.PairIdx,
 			SelfIdx:       int32(h),
 			MonitorIdx:    d.mon.monitor,
-			MonitorEpoch:  d.mon.epoch,
+			MonitorEpoch:  epoch,
 			Stats:         &d.discovery,
 		}
 		var auditor *audit.Auditor
@@ -80,7 +83,7 @@ func (d *Deployment) installNodes(pred *core.Predicate) error {
 				Predicate: pred,
 				Monitor:   d.Monitor,
 				SelfInfo:  func() core.NodeInfo { return (*slot).SelfInfo() },
-				Clock:     d.Sim.Now,
+				Clock:     now,
 				Hashes:    d.Hashes,
 				Trail:     d.trail,
 				Obs:       d.auditIns,

@@ -2,6 +2,7 @@ package exp
 
 import (
 	"avmem/internal/core"
+	"avmem/internal/node"
 	"avmem/internal/obs"
 	"avmem/internal/ops"
 	"avmem/internal/sim"
@@ -15,8 +16,10 @@ import (
 // core_discovery_*_total, ops_seen_* / ops_hash_order_*,
 // ops_inbound_rejected_total{reason} (messages the router dropped on
 // arrival: the auditor refused them, or the in-neighbor check failed),
-// sim_net_addr_memo_total{result} and shuffle_received_dropped_total
-// (entries the central shuffle refused for naming no node). The engine's
+// sim_net_addr_memo_total{result}, shuffle_received_dropped_total
+// (entries the central shuffle refused for naming no node) and
+// node_inbound_messages_total{kind} (the messages memnet nodes received:
+// shuffle requests, shuffle replies, operation traffic). The engine's
 // flush hook (sim.World.OnFlush) calls publish, which adds what is new
 // since the last call — so /metrics and -metrics-out show pair hashes per
 // pass, the share of duplicates the seen-set's front cache answered and
@@ -46,13 +49,17 @@ var flushedFamilies = [...]string{
 	`sim_net_addr_memo_total{result="hit"}`,
 	`sim_net_addr_memo_total{result="absent"}`,
 	`sim_net_addr_memo_total{result="mismatch"}`,
+	`node_inbound_messages_total{kind="shuffle-request"}`,
+	`node_inbound_messages_total{kind="shuffle-reply"}`,
+	`node_inbound_messages_total{kind="op"}`,
 }
 
-func flushedFields(s core.DiscoveryStats, dropped int, f ops.FloodStats, m sim.AddrMemoStats) [len(flushedFamilies)]int64 {
+func flushedFields(s core.DiscoveryStats, dropped int, f ops.FloodStats, in node.InboundStats, m sim.AddrMemoStats) [len(flushedFamilies)]int64 {
 	return [...]int64{s.Passes, s.FullPasses, s.Offered, s.Skipped, s.Evaluated, s.Hashes, s.Admitted,
 		int64(dropped),
 		f.SeenChecks, f.SeenFrontHits, f.OrderRequests, f.OrderSorts, f.RejectedAudit, f.RejectedInNeighbor,
-		m.Hit, m.Absent, m.Mismatch}
+		m.Hit, m.Absent, m.Mismatch,
+		in.ShuffleRequests, in.ShuffleReplies, in.Ops}
 }
 
 func newFlushObs(reg *obs.Registry) *flushObs {
@@ -64,10 +71,10 @@ func newFlushObs(reg *obs.Registry) *flushObs {
 }
 
 // publish adds the growth of the totals since the last call; dropped is
-// the central shuffle's count and memo the simulated network's (zero
-// where there is none).
-func (o *flushObs) publish(stats core.DiscoveryStats, dropped int, flood ops.FloodStats, memo sim.AddrMemoStats) {
-	total := flushedFields(stats, dropped, flood, memo)
+// the central shuffle's count, inbound the memnet nodes' and memo the
+// simulated network's (zero where there is none).
+func (o *flushObs) publish(stats core.DiscoveryStats, dropped int, flood ops.FloodStats, inbound node.InboundStats, memo sim.AddrMemoStats) {
+	total := flushedFields(stats, dropped, flood, inbound, memo)
 	for i, c := range o.counters {
 		c.Add(total[i] - o.last[i])
 	}

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"avmem/internal/core"
+	"avmem/internal/node"
 	"avmem/internal/obs"
 	"avmem/internal/ops"
 	"avmem/internal/sim"
@@ -31,7 +32,7 @@ func TestDiscoveryCountersPublished(t *testing.T) {
 		t.Cleanup(d.Stop)
 		d.RunFor(3 * time.Hour)
 		d.RunFor(time.Hour)
-		want := flushedFields(d.discovery, 0, ops.FloodStats{}, sim.AddrMemoStats{})
+		want := flushedFields(d.discovery, 0, ops.FloodStats{}, node.InboundStats{}, sim.AddrMemoStats{})
 		// 120 protocol periods: every host of the fleet must have counted.
 		if hosts := int64(len(d.Hosts())); want[0] < 20*hosts || d.Membership(d.Hosts()[0]).DiscoveryStats() != d.discovery {
 			t.Errorf("%s: %d passes for %d hosts, or a membership counting on its own", backend, want[0], hosts)
@@ -56,7 +57,8 @@ func TestDiscoveryCountersPublished(t *testing.T) {
 // through node.Universe, counts into the deployment's one
 // ops.FloodStats — and read what the routers counted; on both engines
 // every address crosses the network with a memo that verifies, except
-// the origin-addressed results.
+// the origin-addressed results. The memnet nodes' inbound counts by kind
+// reach it the same way.
 func TestFloodCountersPublished(t *testing.T) {
 	for _, backend := range []string{BackendSim, BackendMemnet} {
 		reg := obs.NewRegistry()
@@ -96,6 +98,20 @@ func TestFloodCountersPublished(t *testing.T) {
 		// their host index: the memos must reach it and verify.
 		if hit == 0 || mismatch != 0 || absent*10 > hit {
 			t.Errorf("%s: address memos hit %d, absent %d, mismatch %d", backend, hit, absent, mismatch)
+		}
+		// Memnet nodes count what they receive by kind through
+		// node.Universe; the sim engine has no nodes and counts none.
+		in := node.InboundStats{ShuffleRequests: read(`node_inbound_messages_total{kind="shuffle-request"}`),
+			ShuffleReplies: read(`node_inbound_messages_total{kind="shuffle-reply"}`),
+			Ops:            read(`node_inbound_messages_total{kind="op"}`)}
+		switch {
+		case in != d.inbound:
+			t.Errorf("%s: registry reads inbound %+v, the nodes counted %+v", backend, in, d.inbound)
+		case backend == BackendSim && in != (node.InboundStats{}):
+			t.Errorf("sim: inbound messages counted without nodes: %+v", in)
+		case backend == BackendMemnet && (in.ShuffleRequests == 0 || in.ShuffleReplies == 0 ||
+			in.ShuffleReplies > in.ShuffleRequests || in.Ops == 0):
+			t.Errorf("memnet: inbound %+v, want requests, no more replies than requests, and operation traffic", in)
 		}
 	}
 }

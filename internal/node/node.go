@@ -153,6 +153,18 @@ type Universe struct {
 	// same one-thread terms as Discovery. Without it each router counts
 	// on its own.
 	Flood *ops.FloodStats
+	// Inbound optionally names one InboundStats for every node to count
+	// the messages it receives into, on the same terms. Without it the
+	// node counts nothing.
+	Inbound *InboundStats
+}
+
+// InboundStats counts the messages nodes received, by kind, in plain
+// fields the deployment's owner publishes.
+type InboundStats struct {
+	ShuffleRequests int64 // *shuffle.Request, for the node's agent
+	ShuffleReplies  int64 // *shuffle.Reply, for the node's agent
+	Ops             int64 // everything else, for the node's router
 }
 
 func (c *Config) validate() error {
@@ -484,7 +496,8 @@ func (n *Node) refreshTick() {
 	n.cacheClaim()
 }
 
-// handleMessage is the fabric callback.
+// handleMessage is the fabric callback. It counts every message it is
+// handed by kind, refused ones too, when the universe shares counts.
 func (n *Node) handleMessage(from ids.Addr, msg any) {
 	// Shuffle traffic goes to the agent (it has its own lock and must
 	// not wait on operation handling). The audit layer inspects it
@@ -494,8 +507,15 @@ func (n *Node) handleMessage(from ids.Addr, msg any) {
 	// but never calls back out, so the agent stays uncontended. The agent
 	// consumes what it merges; a message refused here is the node's to
 	// recycle, as the last holder of it (shuffle.NewRequest).
+	var counts *InboundStats
+	if u := n.cfg.Universe; u != nil {
+		counts = u.Inbound
+	}
 	switch m := msg.(type) {
 	case *shuffle.Request:
+		if counts != nil {
+			counts.ShuffleRequests++
+		}
 		if n.agent == nil || !n.observeShuffle(from, msg) {
 			m.Recycle()
 			return
@@ -505,12 +525,18 @@ func (n *Node) handleMessage(from ids.Addr, msg any) {
 		n.env.Send(from, reply)
 		return
 	case *shuffle.Reply:
+		if counts != nil {
+			counts.ShuffleReplies++
+		}
 		if n.agent == nil || !n.observeShuffle(from, msg) {
 			m.Recycle()
 			return
 		}
 		n.agent.HandleReply(from.ID(), m)
 		return
+	}
+	if counts != nil {
+		counts.Ops++
 	}
 	n.mu.Lock()
 	defer n.mu.Unlock()

@@ -114,7 +114,8 @@ type Router struct {
 	claimSet bool
 	// station is the in-overlay aggregation state machine (per-hop
 	// partial combining, convergence detection); each open record holds
-	// what this member knows of its tree.
+	// what this member knows of its tree. Built on the router's first
+	// aggregation (openStation); nil until then.
 	station *agg.Station[MsgID, tree]
 	// bandCensus, when non-nil, enables the PDF sanity checks: partials
 	// whose contributor count exceeds the band's expected census (with
@@ -229,16 +230,28 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 		r.stats = new(FloodStats)
 	}
 	r.bound = cfg.Env
-	var binder agg.Binder
 	if b, ok := cfg.Env.(Binder); ok {
-		r.bound, binder = b.Unwrapped(), b
+		r.bound = b.Unwrapped()
 	}
-	station, err := agg.NewStation(r.bound.After, binder, r.concludeAgg)
-	if err != nil {
-		return nil, err
+	// What agg.NewStation checks, checked here, so that the station built
+	// on the first aggregation (openStation) cannot fail.
+	if r.bound == nil {
+		return nil, fmt.Errorf("ops: RouterConfig.Env unwraps to no Env")
 	}
-	r.station = station
 	return r, nil
+}
+
+// openStation returns the router's station, building it on the first
+// aggregation this router takes part in: most routers of a large world
+// never take part in one.
+func (r *Router) openStation() *agg.Station[MsgID, tree] {
+	if r.station == nil {
+		binder, _ := r.env.(Binder) // nil when env wraps nothing
+		// Cannot fail: bound is not nil (NewRouter), so neither is its
+		// After, and concludeAgg is a method value.
+		r.station, _ = agg.NewStation(r.bound.After, binder, r.concludeAgg)
+	}
+	return r.station
 }
 
 // nextID mints a fresh operation identifier.
@@ -866,7 +879,7 @@ func (r *Router) rootAggregate(m AnycastMsg) {
 		return
 	}
 	t := tree{band: spec.Band, root: true, token: spec.Token, sentAt: m.SentAt}
-	if nack := r.station.Open(m.ID, 0, r.selfClaim(), spec.Band.Contains(self.Availability), t); nack != nil {
+	if nack := r.openStation().Open(m.ID, 0, r.selfClaim(), spec.Band.Contains(self.Availability), t); nack != nil {
 		r.station.Expect(m.ID, r.forwardAgg(m.ID, spec, 0, m.SentAt, ids.Nil, nack))
 	}
 }
@@ -878,7 +891,7 @@ func (r *Router) rootAggregate(m AnycastMsg) {
 func (r *Router) handleAggRequest(from ids.Addr, m AggMsg) {
 	var nack func()
 	if m.Spec.Band.Contains(r.mem.SelfInfo().Availability) && !r.markSeen(m.ID) {
-		nack = r.station.Open(m.ID, m.Depth, r.selfClaim(), true, tree{band: m.Spec.Band, parent: from})
+		nack = r.openStation().Open(m.ID, m.Depth, r.selfClaim(), true, tree{band: m.Spec.Band, parent: from})
 	}
 	if nack == nil {
 		r.env.Send(from, r.declineMsg(m.ID))
@@ -1016,6 +1029,9 @@ func (r *Router) vetPartial(from ids.Addr, id MsgID, band Band, p agg.Partial) b
 // but still counts as a (contribution-free) decline so convergence
 // accounting stays exact.
 func (r *Router) handleAggReply(from ids.Addr, m AggReplyMsg) {
+	if r.station == nil {
+		return // no station, no record: a stray reply
+	}
 	if t, ok := r.station.Lookup(m.ID); ok && !m.Decline && r.vetPartial(from, m.ID, t.band, m.Partial) {
 		r.station.Absorb(m.ID, m.Partial)
 		return

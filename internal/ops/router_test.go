@@ -898,6 +898,35 @@ func TestRouterBindsItsCallbacksOnce(t *testing.T) {
 	}
 }
 
+// TestStationBuiltOnFirstAggregation: a router builds its aggregation
+// station when it first opens a tree, not before. Until then a reply
+// finds no record, and a request it declines builds nothing.
+func TestStationBuiltOnFirstAggregation(t *testing.T) {
+	c := newCluster(t, fullPredicate(t), []float64{0.5, 0.9, 0.55}, false)
+	self, parent := c.nodes[0], c.nodes[1]
+	env := &heldEnv{testEnv: *newTestEnv(c.world, c.net, self, nil)}
+	r, err := NewRouter(RouterConfig{Membership: c.members[self], Env: env, Collector: c.col})
+	if err != nil {
+		t.Fatal(err)
+	}
+	id := MsgID{Origin: parent, Seq: 1}
+	r.handleAggReply(parent.Addr(), AggReplyMsg{ID: id, Partial: agg.Partial{N: 1, Sum: 0.9, Min: 0.9, Max: 0.9}})
+	r.handleAggReply(parent.Addr(), AggReplyMsg{ID: id, Decline: true})
+	if r.station != nil || len(env.sent) != 0 {
+		t.Fatalf("stray replies built a station (%v) or sent %d messages", r.station != nil, len(env.sent))
+	}
+	out := AggMsg{ID: id, Spec: AggregateSpec{Op: agg.Count, Band: Band{Lo: 0.8, Hi: 1}, Flavor: core.HSVS}, Depth: 1}
+	r.handleAggRequest(parent.Addr(), out)
+	if d, ok := env.sent[0].(AggReplyMsg); r.station != nil || len(env.sent) != 1 || !ok || !d.Decline {
+		t.Fatalf("an out-of-band request built a station (%v) or was answered %+v, want a decline", r.station != nil, env.sent)
+	}
+	in := AggMsg{ID: MsgID{Origin: parent, Seq: 2}, Spec: AggregateSpec{Op: agg.Count, Band: Band{Lo: 0.4, Hi: 0.6}, Flavor: core.HSVS}, Depth: 1}
+	r.handleAggRequest(parent.Addr(), in)
+	if r.station == nil || r.station.Pending() != 1 {
+		t.Fatal("an in-band request opened no tree")
+	}
+}
+
 // TestInterleavedTreesShareDeclineBoxes: a node that declines the copies
 // of several concurrent trees in turn boxes each tree's decline once, not
 // once per copy — and every box answers its own tree.

@@ -145,7 +145,7 @@ func NewAgent(self ids.NodeID, viewSize, shuffleLen int, seed int64) (*Agent, er
 	a := &Agent{
 		self:       self,
 		shuffleLen: shuffleLen,
-		view:       newView(viewSize, make([]uint64, viewSize)),
+		view:       newView(viewSize, make([]int32, 2*viewSize), make([]uint64, viewSize)),
 	}
 	a.src.Seed(seed)
 	a.rng = *rand.New(&a.src)

@@ -61,9 +61,6 @@ func (o *offer) add(code, age int32) {
 	o.ages = append(o.ages, age)
 }
 
-// memoChunk is how many views' memo words one slab allocation holds.
-const memoChunk = 512
-
 // maxAge bounds the ages a view stores. An Entry.Age received from
 // outside — off a wire into an Agent, or back from a Tap into Cyclon — is
 // clamped into [0, maxAge], and ageing saturates there: an age below 0
@@ -117,10 +114,10 @@ type Cyclon struct {
 	outX, outQ offer
 	recv       offer
 	tapBuf     []Entry
-	// memoSlab is the unused tail of the current memo chunk: newView cuts
-	// each view's words from it, so a deployment's memo costs one
-	// allocation per memoChunk views rather than one per view.
-	memoSlab []uint64
+	// slab cuts every view Join registers — header, columns and memo
+	// words — from chunks shared by viewChunk views. views stays a table
+	// of pointers, so the never-joined check reads 8 bytes.
+	slab viewSlab
 	// dropped counts the entries received refused for naming no code.
 	dropped int
 	// tap, when set, intercepts every exchange (adversary injection and
@@ -252,12 +249,7 @@ func (c *Cyclon) Join(x ids.NodeID, seeds []ids.NodeID) error {
 		c.recv.add(sc, 0)
 	}
 	if c.views[code] == nil {
-		if len(c.memoSlab) < c.viewSize {
-			c.memoSlab = make([]uint64, memoChunk*c.viewSize)
-		}
-		v := newView(c.viewSize, c.memoSlab)
-		c.memoSlab = c.memoSlab[c.viewSize:]
-		c.views[code] = &v
+		c.views[code] = c.slab.cut(c.viewSize)
 	}
 	c.merge(code, &c.recv, true)
 	return nil

@@ -29,11 +29,37 @@ type view struct {
 	memo  []uint64
 }
 
-// newView returns an empty view of size slots whose memo words are cut
-// from memo.
-func newView(size int, memo []uint64) view {
-	buf := make([]int32, 2*size)
-	return view{codes: buf[:0:size], ages: buf[size:size], memo: memo[:0:size]}
+// newView returns an empty view of size slots whose code and age columns
+// are cut from cols (2·size words) and memo words from memo.
+func newView(size int, cols []int32, memo []uint64) view {
+	return view{codes: cols[:0:size], ages: cols[size : size : 2*size], memo: memo[:0:size]}
+}
+
+// viewChunk is how many views one slab chunk holds.
+const viewChunk = 512
+
+// viewSlab cuts views from chunks: their headers, code/age columns and
+// memo words cost one allocation each per viewChunk views, where a view
+// made on its own costs three (an Agent's), each rounded up to its size
+// class. A view cut from a slab lives as long as its chunk.
+type viewSlab struct {
+	heads []view
+	cols  []int32
+	memo  []uint64
+}
+
+// cut returns a new empty view of size slots, every view of one slab
+// being of the same size.
+func (s *viewSlab) cut(size int) *view {
+	if len(s.heads) == 0 {
+		s.heads = make([]view, viewChunk)
+		s.cols = make([]int32, 2*size*viewChunk)
+		s.memo = make([]uint64, size*viewChunk)
+	}
+	v := &s.heads[0]
+	*v = newView(size, s.cols, s.memo)
+	s.heads, s.cols, s.memo = s.heads[1:], s.cols[2*size:], s.memo[size:]
+	return v
 }
 
 // age ages every entry by one protocol period, saturating at maxAge.
@@ -47,14 +73,16 @@ func (v *view) age() {
 
 // oldest returns the slot a tick partners with: the oldest entry, the
 // first among equals, of those whose code accept admits (every entry
-// when accept is nil); -1 when there is none.
+// when accept is nil); -1 when there is none. accept must be pure: it is
+// asked only about entries older than the best accepted so far, since
+// no other entry can become the partner.
 func (v *view) oldest(accept func(code int) bool) int {
 	partner := -1
 	for k, code := range v.codes {
-		if accept != nil && !accept(int(code)) {
+		if partner >= 0 && v.ages[k] <= v.ages[partner] {
 			continue
 		}
-		if partner < 0 || v.ages[k] > v.ages[partner] {
+		if accept == nil || accept(int(code)) {
 			partner = k
 		}
 	}

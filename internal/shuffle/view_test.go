@@ -35,7 +35,7 @@ func insertAgrees(t *testing.T, rng *rand.Rand) {
 	for trial := 0; trial < 20000; trial++ {
 		capacity := 1 + rng.Intn(12)
 		spread := 1 + rng.Intn(4)
-		v := newView(capacity, make([]uint64, capacity))
+		v := newView(capacity, make([]int32, 2*capacity), make([]uint64, capacity))
 		for n := rng.Intn(capacity + 1); n > 0; n-- {
 			v.codes = append(v.codes, int32(len(v.codes)))
 			v.ages = append(v.ages, int32(rng.Intn(spread)-1))
@@ -75,6 +75,61 @@ func insertAgrees(t *testing.T, rng *rand.Rand) {
 func TestVictimCursorMatchesFullScan(t *testing.T) {
 	insertAgrees(t, rand.New(rand.NewSource(11)))
 	insertAgrees(t, rand.New(rand.NewSource(12)))
+}
+
+// scanOldest is the partner pick as a full scan: every entry's code is
+// put to accept, and the first among the greatest accepted ages wins.
+func scanOldest(v *view, accept func(code int) bool) int {
+	partner := -1
+	for k, code := range v.codes {
+		if accept != nil && !accept(int(code)) {
+			continue
+		}
+		if partner < 0 || v.ages[k] > v.ages[partner] {
+			partner = k
+		}
+	}
+	return partner
+}
+
+// TestOldestMatchesFullScan: the partner pick, which asks accept only
+// about entries older than the best accepted so far, picks the slot the
+// full scan picks — over random views (empty ones too) whose ages tie
+// often, under random filters and none — and asks about no entry twice.
+func TestOldestMatchesFullScan(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	for trial := 0; trial < 20000; trial++ {
+		capacity := 1 + rng.Intn(16)
+		v := newView(capacity, make([]int32, 2*capacity), make([]uint64, capacity))
+		spread := 1 + rng.Intn(5)
+		for n := rng.Intn(capacity + 1); n > 0; n-- {
+			v.codes = append(v.codes, int32(len(v.codes)))
+			v.ages = append(v.ages, int32(rng.Intn(spread)))
+			v.memo = append(v.memo, 0)
+		}
+		var accept func(code int) bool
+		if rng.Intn(4) > 0 {
+			admitted := make([]bool, capacity)
+			for k := range admitted {
+				admitted[k] = rng.Intn(3) > 0
+			}
+			accept = func(code int) bool { return admitted[code] }
+		}
+		asked := map[int]int{}
+		counted := accept
+		if accept != nil {
+			counted = func(code int) bool { asked[code]++; return accept(code) }
+		}
+		got, want := v.oldest(counted), scanOldest(&v, accept)
+		if got != want {
+			t.Fatalf("trial %d: ages %v (filter %v): partner %d, the full scan picks %d", trial, v.ages, accept != nil, got, want)
+		}
+		for code, n := range asked {
+			if n > 1 {
+				t.Fatalf("trial %d: accept asked %d times about code %d", trial, n, code)
+			}
+		}
+	}
 }
 
 // TestAgeingSaturatesAtMaxAge: under either owner, a tick ages an entry

@@ -14,8 +14,11 @@
 #                                                   # extra run flags pass through
 #
 # The heap profile records every allocation (-memprofile sets
-# runtime.MemProfileRate = 1 before the run), so its per-site counts are
-# exact, not 512 KB samples: a claim about allocations quotes them. That
+# runtime.MemProfileRate = 1 before the run), not 512 KB samples: its
+# per-site counts are exact for objects of 16 bytes or more, while a
+# smaller pointer-free object is recorded only when it opens a new tiny
+# block (MemStats.Mallocs counts them all). A claim about allocations
+# quotes them. That
 # recording slows malloc down and would fill a CPU profile of the same
 # run with stack unwinding (runtime.tracebackPCs, runtime.pcvalue), so
 # the heap profile comes from a run of its own. Both runs are the same
@@ -23,7 +26,7 @@
 #
 # Inspect with:
 #   go tool pprof -top profiles/cpu.pprof
-#   go tool pprof -top -sample_index=alloc_objects profiles/mem.pprof   # exact allocation counts per site
+#   go tool pprof -top -sample_index=alloc_objects profiles/mem.pprof   # allocation counts per site (exact from 16 bytes)
 #   go tool pprof -top -sample_index=alloc_space profiles/mem.pprof
 #   go tool trace profiles/exec.trace
 set -euo pipefail
